@@ -62,8 +62,9 @@
 // the catalog online, while Snapshot hands out immutable views that serve
 // Query, QueryTopK and Probe lock-free and unaffected by concurrent
 // writes. New signature keys land in an append-only dynamic region of the
-// global pebble order, and the index re-finalizes (full rebuild) once the
-// appended mass crosses a threshold:
+// global pebble order; a shard compacts itself once its appended or
+// tombstoned mass crosses a threshold, and the index re-freezes the order
+// (rebuilding every shard) once the dynamic region outgrows the frozen one:
 //
 //	ids := ix.Insert([]string{"espresso bar Helsinki"})
 //	view := ix.Snapshot()                  // consistent, lock-free reads
@@ -71,8 +72,8 @@
 //	ix.Remove(ids[0])                      // tombstoned for later snapshots
 //
 // IndexWith partitions the catalog across shards that mutate in parallel
-// and rebuild independently — queries fan out and merge, results stay
-// identical to the unsharded index:
+// and rebuild independently — queries fan out and merge, results do not
+// depend on the shard count (Index is IndexWith at one shard):
 //
 //	ix := j.IndexWith(catalog, opts, aujoin.IndexOptions{Shards: 0}) // GOMAXPROCS shards
 //
@@ -143,9 +144,9 @@ type Stats struct {
 	// Candidates is the number of pairs that survived filtering.
 	Candidates int
 	// ShardCandidates breaks Candidates down per shard when the probe ran
-	// against a sharded Index (IndexOptions.Shards ≥ 2): entry i counts the
-	// candidates shard i contributed, and the entries always sum to
-	// Candidates. It is nil for unsharded probes and one-shot joins.
+	// against an Index: entry i counts the candidates shard i contributed
+	// (a single entry at one shard), and the entries always sum to
+	// Candidates. It is nil for one-shot joins.
 	ShardCandidates []int
 	// Results is the number of matches returned.
 	Results int
@@ -496,9 +497,8 @@ type QueryOptions struct {
 	// MinSimilarity overrides the similarity threshold for this request;
 	// 0 keeps the build-time Theta. Values above the build-time Theta are
 	// exact (the filter over-admits and verification tightens). Values below
-	// it are best-effort: the candidate set is still bounded by the
-	// build-time filter, so matches between the override and the build-time
-	// Theta are returned only when they survive that filter.
+	// it are rejected with ErrThetaBelowBuild: the candidate set is bounded
+	// by the build-time filter, so no complete answer exists down there.
 	MinSimilarity float64
 	// K bounds the number of matches QueryTopKCtx returns; it is ignored by
 	// QueryCtx, which returns every match. K ≤ 0 returns an empty result.
@@ -513,6 +513,11 @@ type QueryOptions struct {
 	// IndexOptions.Plan == PlanFixed every request runs fixed regardless.
 	Plan PlanMode
 }
+
+// ErrThetaBelowBuild is returned by QueryCtx and QueryTopKCtx when
+// QueryOptions.MinSimilarity is below the Theta the index was built with;
+// test for it with errors.Is.
+var ErrThetaBelowBuild = join.ErrThetaBelowBuild
 
 // internal maps the public options onto the internal per-request options.
 func (o QueryOptions) internal() join.QueryOpts {
@@ -531,7 +536,8 @@ func (o QueryOptions) internal() join.QueryOpts {
 // stable ID across independent shards that share one global pebble order
 // and one prepared-record cache, so mutations on different shards proceed
 // in parallel, a rebuild pauses writers of one shard only, and queries fan
-// out across all shards with results identical to the unsharded index.
+// out across all shards with results independent of the shard count. One
+// shard is the same engine with a fan-out of one.
 type Index struct {
 	inner *join.ShardedIndex
 	tau   int
@@ -541,7 +547,7 @@ type Index struct {
 // parameters.
 type IndexOptions struct {
 	// Shards is the number of partitions the catalog is hashed across.
-	// 0 selects GOMAXPROCS; 1 builds the classic single-partition index.
+	// 0 selects GOMAXPROCS; 1 builds a single-partition index.
 	// More shards mean more parallel mutation throughput and shorter
 	// per-rebuild writer stalls, at the cost of one inverted index and
 	// posting-array header block per shard.
@@ -565,15 +571,14 @@ type QueryMatch struct {
 // Index builds a probe-ready dynamic index over the collection. Theta, Tau
 // and Filter are fixed at build time (AutoTau is ignored — suggesting τ
 // needs a probe side; use SuggestTau and rebuild to re-tune). Each record's
-// stable ID is its position in the input collection. The index is
-// single-partition; IndexWith builds a sharded one.
+// stable ID is its position in the input collection. The index has one
+// shard; IndexWith chooses the shard count.
 func (j *Joiner) Index(records []string, opts JoinOptions) *Index {
 	return j.IndexWith(records, opts, IndexOptions{Shards: 1})
 }
 
 // IndexWith is Index with explicit construction options; IndexOptions
-// {Shards: 1} reproduces Index exactly, and Shards = 0 partitions across
-// GOMAXPROCS shards.
+// {Shards: 1} is Index, and Shards = 0 partitions across GOMAXPROCS shards.
 func (j *Joiner) IndexWith(records []string, opts JoinOptions, iopts IndexOptions) *Index {
 	tau := opts.Tau
 	if tau < 1 {
@@ -595,9 +600,9 @@ func (j *Joiner) IndexWith(records []string, opts JoinOptions, iopts IndexOption
 // region of the pebble order and the records become immediately visible to
 // subsequent snapshots; once the appended mass (or tombstone mass, or
 // segment-chain length) of a shard crosses an internal threshold that shard
-// rebuilds, pausing only its own writers. On a sharded index the batch is
-// grouped by destination shard and inserted in parallel, taking each shard's
-// writer lock once. Insert is safe to call concurrently with reads and
+// rebuilds, pausing only its own writers. The batch is grouped by
+// destination shard and inserted in parallel, taking each shard's writer
+// lock once. Insert is safe to call concurrently with reads and
 // other writers.
 func (ix *Index) Insert(records []string) []int { return ix.inner.InsertBatch(records) }
 
@@ -769,15 +774,16 @@ func (v *View) ProbeSeq(ctx context.Context, records []string) iter.Seq2[Match, 
 // returns the matching records in ascending stable-ID order. An empty (or
 // all-whitespace) query returns no matches without touching the index.
 func (v *View) Query(q string) []QueryMatch {
-	hits := v.inner.ProbeRecord(strutil.Tokenize(q))
-	return convertHits(hits)
+	hits, _ := v.QueryCtx(context.Background(), q, QueryOptions{})
+	return hits
 }
 
 // QueryCtx is Query with cooperative cancellation and per-request overrides:
-// verification checks ctx between candidates (aborting every shard of a
-// sharded index on the first cancellation) and opts may raise the similarity
-// threshold or bound the request's verification parallelism for this call
-// only. opts.K is ignored — every match is returned; use QueryTopKCtx for a
+// verification checks ctx between candidates (aborting every shard on the
+// first cancellation) and opts may raise the similarity threshold or bound
+// the request's verification parallelism for this call only; a
+// MinSimilarity below the build-time Theta fails with ErrThetaBelowBuild.
+// opts.K is ignored — every match is returned; use QueryTopKCtx for a
 // bounded result.
 func (v *View) QueryCtx(ctx context.Context, q string, opts QueryOptions) ([]QueryMatch, error) {
 	hits, err := v.inner.ProbeRecordCtx(ctx, strutil.Tokenize(q), opts.internal())
@@ -789,21 +795,20 @@ func (v *View) QueryCtx(ctx context.Context, q string, opts QueryOptions) ([]Que
 
 // QueryTopK returns the k best matches for q, ordered by descending
 // similarity (ascending ID on ties). The candidate scan is thresholded at
-// the index θ and a bounded heap keeps memory O(k); on a sharded index the
-// per-shard top-k streams are merged through one more k-bounded heap. k ≤ 0
-// and empty queries return an empty slice without touching the index.
+// the index θ and a bounded heap keeps memory O(k) per shard; the per-shard
+// top-k streams are merged through one more k-bounded heap. k ≤ 0 and empty
+// queries return an empty slice without touching the index.
 func (v *View) QueryTopK(q string, k int) []QueryMatch {
-	if k <= 0 {
-		return []QueryMatch{}
-	}
-	return convertHits(v.inner.QueryTopK(strutil.Tokenize(q), k))
+	hits, _ := v.QueryTopKCtx(context.Background(), q, QueryOptions{K: k})
+	return hits
 }
 
 // QueryTopKCtx is QueryTopK with cooperative cancellation and per-request
 // overrides (the result size comes from opts.K). Verification checks ctx
-// between candidates, aborting every shard of a sharded index on the first
-// cancellation; opts may also raise the similarity threshold or bound this
-// request's verification parallelism.
+// between candidates, aborting every shard on the first cancellation; opts
+// may also raise the similarity threshold (lowering it below the build-time
+// Theta fails with ErrThetaBelowBuild) or bound this request's verification
+// parallelism.
 func (v *View) QueryTopKCtx(ctx context.Context, q string, opts QueryOptions) ([]QueryMatch, error) {
 	if opts.K <= 0 {
 		return []QueryMatch{}, ctx.Err()

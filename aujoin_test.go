@@ -284,7 +284,7 @@ func TestJoinOptionsDefaults(t *testing.T) {
 
 // TestIndexShardedMatchesSingle pins the public shard-count invariance: an
 // index partitioned across several shards must serve exactly what the
-// classic single-partition index serves, through Probe, Query and QueryTopK,
+// one-shard index serves, through Probe, Query and QueryTopK,
 // before and after batched mutations.
 func TestIndexShardedMatchesSingle(t *testing.T) {
 	j := paperJoiner(t)

@@ -13,7 +13,7 @@
 //
 // -shards partitions the index so insert/remove batches parallelize across
 // shards and rebuild stalls are bounded by shard size (0 = GOMAXPROCS,
-// default 1 = classic single partition).
+// default 1 = one shard, the same engine with a fan-out of one).
 //
 // -data-dir makes the catalog durable: every insert/remove batch is fsynced
 // to a write-ahead log before it is applied, and the index state is folded

@@ -10,14 +10,11 @@
 //
 // Experiment identifiers follow DESIGN.md §3: table8, table9, fig3, fig4,
 // fig5, fig6, fig7, table10, table11, table12, fig8, table13, table14.
-// Five extra identifiers (not part of the paper, excluded from "all"):
+// Four extra identifiers (not part of the paper, excluded from "all"):
 //
 //   - "serve" drives concurrent QueryTopK traffic against a mutating
 //     dynamic index and reports QPS, latency percentiles and rebuild
 //     counts.
-//   - "profile" samples a mixed join + serving workload under the CPU
-//     profiler and writes a pprof profile (default default.pgo) for
-//     profile-guided optimization: go build -pgo=default.pgo ./...
 //   - "filterscale" compares the hybrid bitmap candidate phase against the
 //     classic slice layout on a large zipfian corpus (default 1M indexed
 //     records), reporting per-layout filter wall time and the speedup.
@@ -66,9 +63,6 @@ func main() {
 		shards        = flag.Int("shards", 1, "serve mode: index partitions (0 = GOMAXPROCS)")
 		mixedQueries  = flag.Bool("mixed-queries", false, "serve mode: bimodal short/long query workload with per-length-bucket latency percentiles")
 		servePlan     = flag.String("serve-plan", "auto", "serve mode: per-query filter planning: auto, fixed, or a pinned probe config (ufilter/t1, auheur/t2, audp/t3, ...)")
-
-		profileOut  = flag.String("profile-out", "default.pgo", "profile mode: output file (pprof format)")
-		profileSize = flag.Int("profile-size", 4000, "profile mode: dataset size for the sampled workload")
 
 		recoverRecords = flag.Int("recover-records", 100_000, "recover mode: catalog size to snapshot and restore")
 		recoverShards  = flag.Int("recover-shards", 4, "recover mode: index partitions (0 = GOMAXPROCS)")
@@ -127,7 +121,6 @@ func main() {
 				Seed:         *seed,
 			})
 		},
-		"profile": func() fmt.Stringer { return runProfile(*profileOut, *profileSize, *seed) },
 		"recover": func() fmt.Stringer {
 			return runRecover(recoverConfig{
 				Records: *recoverRecords,
@@ -189,7 +182,7 @@ func main() {
 	for _, id := range ids {
 		run, ok := runners[id]
 		if !ok {
-			log.Printf("unknown experiment %q; known: %s, serve, profile, filterscale, recover, cluster", id, strings.Join(order, ", "))
+			log.Printf("unknown experiment %q; known: %s, serve, filterscale, recover, cluster", id, strings.Join(order, ", "))
 			os.Exit(2)
 		}
 		fmt.Printf("=== %s ===\n%s\n", id, run().String())

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -119,8 +120,8 @@ func runRecover(cfg recoverConfig) fmt.Stringer {
 	}
 	matches := 0
 	for i := 0; i < probes; i++ {
-		a := want.QueryTopK(ds.T[i].Tokens, 10)
-		b := got.QueryTopK(ds.T[i].Tokens, 10)
+		a, _ := want.QueryTopKCtx(context.Background(), ds.T[i].Tokens, 10, join.QueryOpts{})
+		b, _ := got.QueryTopKCtx(context.Background(), ds.T[i].Tokens, 10, join.QueryOpts{})
 		if !reflect.DeepEqual(a, b) {
 			log.Fatalf("recover: restored index diverged on probe %d: original %v, restored %v", i, a, b)
 		}

@@ -28,7 +28,7 @@ type serveConfig struct {
 	Duration    time.Duration
 	Workers     int
 	TopK        int
-	// Shards partitions the index (1 = classic single partition,
+	// Shards partitions the index (1 = one shard,
 	// 0 = GOMAXPROCS); mutation batches parallelize across shards and
 	// rebuild stalls are bounded by shard size.
 	Shards int
@@ -282,7 +282,7 @@ func runServe(cfg serveConfig) serveResult {
 			for i := range batch {
 				batch[i] = insertPool[rng.Intn(len(insertPool))]
 			}
-			ids := dx.Insert(batch)
+			ids := dx.InsertBatch(batch)
 			atomic.AddInt64(&inserted, int64(len(ids)))
 			liveInserted = append(liveInserted, ids...)
 			if len(liveInserted) > 8 {

@@ -433,3 +433,28 @@ func TestClusterRejectsStaleEpoch(t *testing.T) {
 		t.Fatalf("409 body %+v, want code epoch_mismatch with current epoch", eb)
 	}
 }
+
+// TestClusterRejectsThetaBelowBuild pins the refusal of a min_sim below the
+// build θ on both daemons: the coordinator answers 400 itself (no scatter),
+// and a worker addressed directly answers the same 400 from its index — both
+// naming the θ the client may ask for.
+func TestClusterRejectsThetaBelowBuild(t *testing.T) {
+	catalog := denseCatalog(40, 7)
+	tc := startCluster(t, 2, 2, catalog, 0.7, 2, "dp")
+	q := "/query?q=" + url.QueryEscape(catalog[0]) + "&k=3&min_sim=0.6"
+	for name, target := range map[string]string{"coordinator": tc.coordTS.URL + q, "worker": tc.workers[0].URL + q + "&group=0"} {
+		resp, err := http.Get(target)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var eb ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decode 400 body: %v", name, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || eb.Code != "theta_below_build" || eb.Theta != 0.7 {
+			t.Errorf("%s: status %d, body %+v; want 400 theta_below_build with theta 0.7", name, resp.StatusCode, eb)
+		}
+	}
+}

@@ -579,6 +579,12 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	if opts.MinSimilarity > 0 && opts.MinSimilarity < c.cfg.Theta {
+		// Every worker index is built at cfg.Theta and would refuse; answer
+		// here instead of scattering a request that cannot succeed.
+		writeThetaBelowBuild(w, c.cfg.Theta)
+		return
+	}
 	if !c.ready.Load() {
 		writeError(w, http.StatusServiceUnavailable, ErrorBody{Error: "cluster is not bootstrapped", Code: "not_ready"})
 		return

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -127,7 +128,8 @@ func (n *Node) resolve(w http.ResponseWriter, r *http.Request) (*aujoin.Index, b
 
 // ParseQueryOptions validates the /query parameters shared by the worker,
 // single-node and coordinator paths: k is required in [1, MaxTopK], min_sim
-// optional in (0, 1], plan optional auto|fixed. The error text is the
+// optional in (0, 1] (a value below the index's build θ is rejected later,
+// by the index), plan optional auto|fixed. The error text is the
 // client-facing 400 body.
 func ParseQueryOptions(r *http.Request) (aujoin.QueryOptions, error) {
 	var opts aujoin.QueryOptions
@@ -177,11 +179,15 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// The request context cancels the fan-out mid-verification when the
-	// client disconnects or times out; there is no one left to tell, so the
-	// handler just stops.
 	matches, err := ix.QueryTopKCtx(r.Context(), q, opts)
+	if errors.Is(err, aujoin.ErrThetaBelowBuild) {
+		writeThetaBelowBuild(w, ix.Stats().Theta)
+		return
+	}
 	if err != nil {
+		// The request context cancelled the fan-out mid-verification: the
+		// client disconnected or timed out, there is no one left to tell,
+		// so the handler just stops.
 		return
 	}
 	nw := cmdutil.NewNDJSONWriter(w)

@@ -104,6 +104,18 @@ func TestHandleQueryStreamsNDJSON(t *testing.T) {
 		}
 	}
 
+	// min_sim below the build θ (0.7) is rejected, naming that θ: the index
+	// cannot know an answer down there to be complete.
+	rec = httptest.NewRecorder()
+	n.handleQuery(rec, httptest.NewRequest(http.MethodGet, "/query?q=espresso+cafe&k=5&min_sim=0.5", nil))
+	var eb ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+		t.Fatalf("min_sim=0.5 body %q: %v", rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusBadRequest || eb.Code != "theta_below_build" || eb.Theta != 0.7 {
+		t.Errorf("min_sim=0.5: status %d, body %+v; want 400 theta_below_build with theta 0.7", rec.Code, eb)
+	}
+
 	// Parameter validation.
 	for _, url := range []string{"/query?q=x", "/query?k=3", "/query?q=x&k=0", "/query?q=x&k=3&min_sim=2", "/query?q=x&k=3&plan=greedy"} {
 		rec := httptest.NewRecorder()

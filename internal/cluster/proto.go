@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 
 	"github.com/aujoin/aujoin"
@@ -25,6 +26,9 @@ type ErrorBody struct {
 	Code  string `json:"code,omitempty"`
 	// Epoch is the responder's current epoch on code "epoch_mismatch".
 	Epoch int64 `json:"epoch,omitempty"`
+	// Theta is the index's build threshold on code "theta_below_build": the
+	// lowest min_sim the index can answer exactly.
+	Theta float64 `json:"theta,omitempty"`
 }
 
 // RegisterRequest is a worker announcing itself to the coordinator.
@@ -169,6 +173,15 @@ type SnapshotResponse struct {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeThetaBelowBuild answers a /query whose min_sim is below the index's
+// build θ: 400, naming the θ the client may ask for instead.
+func writeThetaBelowBuild(w http.ResponseWriter, theta float64) {
+	writeError(w, http.StatusBadRequest, ErrorBody{
+		Error: fmt.Sprintf("min_sim is below the index's build threshold %v", theta),
+		Code:  "theta_below_build", Theta: theta,
+	})
 }
 
 // writeError writes an ErrorBody with the given HTTP status.

@@ -145,10 +145,13 @@ func BenchmarkVerify(b *testing.B) {
 	sigs := j.signatures(t, ix.sel, opts.Method, ix.tau)
 	prepT := prepareRecords(t, ix.calc)
 	cands, _, _ := ix.candidates(context.Background(), sigs, false, opts.workers())
+	workers := opts.workers()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j.verify(s, t, ix.prepared, prepT, cands, ix.calc, opts)
+		collectStream(context.Background(), workers, func(ictx context.Context, ch chan<- []Pair) error {
+			return streamVerify(ictx, s, t, ix.prepared, prepT, cands, ix.calc, opts.Theta, workers, false, ch, nil)
+		}, func(Pair) bool { return true })
 	}
 }
 
@@ -195,35 +198,38 @@ func BenchmarkJoinBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkQuery measures single-record serving against a resident Index:
-// signature, count filter, query preparation and thresholded verification
-// per ProbeRecord call.
-func BenchmarkQuery(b *testing.B) {
+// queryBench measures single-record serving against a resident index of the
+// given shard count: planning, signature, per-shard count filters, query
+// preparation and thresholded verification per ProbeRecordCtx call.
+func queryBench(b *testing.B, shards int) {
 	j := NewJoiner(paperContext())
 	s := benchCorpus(400, 1)
 	opts := Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}
-	ix := j.BuildIndex(s, opts)
+	v := j.BuildShardedIndex(s, shards, opts, DynamicOptions{}).Snapshot()
 	probe := benchCorpus(64, 9)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.ProbeRecord(probe[i%len(probe)].Tokens)
+		probeRecord(b, v, probe[i%len(probe)].Tokens)
 	}
 }
 
-// verifyTopKBench serves top-k queries against a 2000-record dynamic index
+// BenchmarkQuery is queryBench at one shard.
+func BenchmarkQuery(b *testing.B) { queryBench(b, 1) }
+
+// verifyTopKBench serves top-k queries against a 2000-record one-shard index
 // (large candidate sets, so the verify phase dominates); opts toggles the
 // rising-threshold scheduler and the msim memo.
 func verifyTopKBench(b *testing.B, opts Options) {
 	j := NewJoiner(paperContext())
 	s := benchCorpus(2000, 1)
-	v := j.BuildDynamicIndex(s, opts, DynamicOptions{}).Snapshot()
+	v := j.BuildShardedIndex(s, 1, opts, DynamicOptions{}).Snapshot()
 	// Keep only probes with a non-empty answer so every timed op exercises
 	// the verify phase (a θ=0.8 threshold leaves some of the raw pool
 	// matchless, and those would measure the count filter instead).
 	var probe [][]string
 	for _, r := range benchCorpus(64, 9) {
-		if len(v.QueryTopK(r.Tokens, 10)) > 0 {
+		if len(queryTopK(b, v, r.Tokens, 10)) > 0 {
 			probe = append(probe, r.Tokens)
 		}
 	}
@@ -233,7 +239,7 @@ func verifyTopKBench(b *testing.B, opts Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := v.QueryTopK(probe[i%len(probe)], 10); len(out) == 0 {
+		if out := queryTopK(b, v, probe[i%len(probe)], 10); len(out) == 0 {
 			b.Fatal("empty top-k result")
 		}
 	}
@@ -288,13 +294,13 @@ func BenchmarkPlanOverhead(b *testing.B) {
 	j := NewJoiner(paperContext())
 	s := benchCorpus(2000, 1)
 	opts := Options{Theta: 0.8, Tau: 3, Method: pebble.AUDP}
-	v := j.BuildDynamicIndex(s, opts, DynamicOptions{}).Snapshot()
+	v := j.BuildShardedIndex(s, 1, opts, DynamicOptions{}).Snapshot()
 	probe := mixedProbes(64, 9)
 	pres := make([]pebble.Presig, len(probe))
 	for i, rec := range probe {
-		pres[i] = v.base.sel.Prepare(rec.Tokens)
+		pres[i] = v.gen.sel.Prepare(rec.Tokens)
 	}
-	pl := v.dx.planner
+	pl := v.sx.planner
 	// Steady state is the loop a serving process actually runs: every plan
 	// is observed, so the latency cells are measured and greedy exploitation
 	// carries the traffic (with the 1-in-16 exploration slot). Without the
@@ -302,12 +308,12 @@ func BenchmarkPlanOverhead(b *testing.B) {
 	// plan re-measures an arm — a state no real workload stays in.
 	observe := func(d planner.Decision) { pl.Observe(d, 8, 8, 1, 8_000, 100_000) }
 	for i := 0; i < 256; i++ {
-		observe(pl.Plan(v.base.sel, pres[i%len(pres)], v.base.inv.ListLength, len(v.records)))
+		observe(pl.Plan(v.gen.sel, pres[i%len(pres)], v.listLen, v.totalRecords()))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := pl.Plan(v.base.sel, pres[i%len(pres)], v.base.inv.ListLength, len(v.records))
+		d := pl.Plan(v.gen.sel, pres[i%len(pres)], v.listLen, v.totalRecords())
 		if !d.Planned {
 			b.Fatal("plan fell back in the overhead benchmark")
 		}
@@ -326,7 +332,7 @@ func queryPlanBench(b *testing.B, qo QueryOpts) {
 	j := NewJoiner(paperContext())
 	s := benchCorpus(2000, 1)
 	opts := Options{Theta: 0.8, Tau: 3, Method: pebble.AUDP}
-	v := j.BuildDynamicIndex(s, opts, DynamicOptions{}).Snapshot()
+	v := j.BuildShardedIndex(s, 1, opts, DynamicOptions{}).Snapshot()
 	probe := mixedProbes(64, 9)
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -346,19 +352,6 @@ func BenchmarkQueryPlanned(b *testing.B) { queryPlanBench(b, QueryOpts{}) }
 func BenchmarkQueryFixed(b *testing.B) { queryPlanBench(b, QueryOpts{Plan: PlanFixed}) }
 
 // BenchmarkQuerySharded is BenchmarkQuery against a GOMAXPROCS-sharded
-// index: the same single-record workload, served through the fan-out
-// snapshot (one signature selection, per-shard count filters, merged
-// results).
-func BenchmarkQuerySharded(b *testing.B) {
-	j := NewJoiner(paperContext())
-	s := benchCorpus(400, 1)
-	opts := Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}
-	sx := j.BuildShardedIndex(s, 0, opts, DynamicOptions{})
-	probe := benchCorpus(64, 9)
-	v := sx.Snapshot()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.ProbeRecord(probe[i%len(probe)].Tokens)
-	}
-}
+// index: the same single-record workload through a wider fan-out (one
+// signature selection, per-shard count filters, merged results).
+func BenchmarkQuerySharded(b *testing.B) { queryBench(b, 0) }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/pebble"
 	"github.com/aujoin/aujoin/internal/strutil"
 )
@@ -52,12 +51,15 @@ func (e *FanoutError) Unwrap() []error { return e.Errs }
 // collateral and dropped from the report; when every failure IS a
 // cancellation they are all kept (there is no primary cause to prefer).
 func newFanoutError(label string, errs []error) error {
-	real := false
+	failed, real := 0, false
 	for _, err := range errs {
-		if err != nil && err != context.Canceled {
-			real = true
-			break
+		if err != nil {
+			failed++
+			real = real || err != context.Canceled
 		}
+	}
+	if failed == 0 {
+		return nil // the all-success path allocates nothing
 	}
 	fe := &FanoutError{Label: label, Total: len(errs)}
 	for w, err := range errs {
@@ -66,9 +68,6 @@ func newFanoutError(label string, errs []error) error {
 		}
 		fe.Failed = append(fe.Failed, w)
 		fe.Errs = append(fe.Errs, err)
-	}
-	if len(fe.Failed) == 0 {
-		return nil
 	}
 	return fe
 }
@@ -105,15 +104,7 @@ func (sx *ShardedIndex) InsertBatchRecords(ids []int, raw []string) error {
 	}
 	sx.mu.Unlock()
 
-	groups := make([][]strutil.Record, len(sx.shards))
-	for i, s := range raw {
-		w := shardOf(ids[i], len(sx.shards))
-		groups[w] = append(groups[w], strutil.NewRecord(ids[i], s))
-	}
-	sx.runShards(nonEmptyShards(len(groups), func(w int) bool { return len(groups[w]) > 0 }), func(w int) {
-		sx.shards[w].insertRecords(groups[w])
-	})
-	sx.maybeRefreeze()
+	sx.insertRouted(ids, raw)
 	return nil
 }
 
@@ -125,37 +116,32 @@ func (sx *ShardedIndex) InsertBatchRecords(ids []int, raw []string) error {
 // count itself runs after the locks drop, since records are immutable.
 func (sx *ShardedIndex) KeyFrequencies() ([]string, []int) {
 	sx.refreezeMu.Lock()
-	for _, sh := range sx.shards {
-		sh.mu.Lock()
+	unlock := sx.lockShards()
+	live := make([][]strutil.Record, len(sx.shards))
+	for w, sh := range sx.shards {
+		live[w], _ = sh.liveLocked()
 	}
-	var flat []strutil.Record
-	for _, sh := range sx.shards {
-		live, _ := sh.liveLocked()
-		flat = append(flat, live...)
-	}
-	for _, sh := range sx.shards {
-		sh.mu.Unlock()
-	}
+	unlock()
 	sx.refreezeMu.Unlock()
 
-	order := sx.joiner.BuildOrder(flat)
-	return order.FrequencyTable()
+	return sx.joiner.BuildOrder(live...).FrequencyTable()
 }
 
 // AdoptOrder replaces the index's pebble order with an externally built
 // frozen order — the worker side of a cluster epoch bump's prepare phase.
 // The (keys, freqs) image must be in finalize order, as produced by
-// KeyFrequencies (after cross-group summing on the builder). Every shard is
-// rebuilt under the adopted order while all writer locks are held; readers
-// never block — they are served the cached pre-adoption snapshot, exactly
-// as during a self-triggered global re-finalize. Keys present in live
-// records but missing from the image (a mutation that raced the builder's
-// frequency collection) are interned into the adopted order's dynamic
-// region first, so adoption is correct regardless of what the builder saw;
-// the interning is deterministic across replicas because replicas hold
-// identical records in identical positions. After adoption the index never
-// re-freezes on its own: order ownership has moved to the coordinator, and
-// local rebuilds compact shards under the adopted order.
+// KeyFrequencies (after cross-group summing on the builder). Adoption is a
+// re-freeze (refreezeLocked) whose next order comes from outside: every
+// shard is rebuilt under it while all writer locks are held, and readers
+// never block — they are served the cached pre-adoption snapshot. Keys
+// present in live records but missing from the image (a mutation that raced
+// the builder's frequency collection) are interned into the adopted order's
+// dynamic region first, so adoption is correct regardless of what the
+// builder saw; the interning is deterministic across replicas because
+// replicas hold identical records in identical positions. After adoption the
+// index never re-freezes on its own: order ownership has moved to the
+// coordinator, and local rebuilds keep compacting shards under the adopted
+// order.
 func (sx *ShardedIndex) AdoptOrder(keys []string, freqs []int) error {
 	order, err := pebble.RestoreOrder(keys, freqs, nil)
 	if err != nil {
@@ -163,54 +149,20 @@ func (sx *ShardedIndex) AdoptOrder(keys []string, freqs []int) error {
 	}
 	sx.refreezeMu.Lock()
 	defer sx.refreezeMu.Unlock()
-	for _, sh := range sx.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range sx.shards {
-			sh.mu.Unlock()
+	sx.refreezeLocked(func(live [][]strutil.Record) *pebble.Order {
+		// Defensive intern: any live key the image lacks joins the dynamic
+		// region before signatures are re-selected under the adopted order.
+		var pebs [][]pebble.Pebble
+		for w := range live {
+			for _, rec := range live[w] {
+				p, _ := sx.joiner.gen.Pebbles(rec.Tokens)
+				pebs = append(pebs, p)
+			}
 		}
-	}()
-	g := sx.gen.Load()
-	// Cache the pre-adoption state for readers arriving mid-rebuild (the
-	// views are one generation by construction: all writer locks are held).
-	pre := make([]*View, len(sx.shards))
-	for w, sh := range sx.shards {
-		pre[w] = sh.Snapshot()
-	}
-	sx.lastView.Store(newShardedView(sx, g, pre))
-	liveAll := make([][]strutil.Record, len(sx.shards))
-	prepAll := make([][]*core.PreparedRecord, len(sx.shards))
-	for w, sh := range sx.shards {
-		liveAll[w], prepAll[w] = sh.liveLocked()
-	}
-	// Defensive intern: any live key the image lacks joins the dynamic
-	// region before signatures are re-selected under the adopted order.
-	var pebs [][]pebble.Pebble
-	for w := range liveAll {
-		for _, rec := range liveAll[w] {
-			p, _ := sx.joiner.gen.Pebbles(rec.Tokens)
-			pebs = append(pebs, p)
-		}
-	}
-	order.InternDynamic(pebs...)
-	nextGen := 1
-	if g != nil {
-		nextGen = g.id + 1
-	}
-	next := &orderGen{order: order, sel: pebble.NewSelector(sx.joiner.gen, order, sx.opts.Theta), id: nextGen}
-	parallelFor(len(sx.shards), len(sx.shards), func(w int) {
-		// Shards now share an externally owned order: local rebuilds must
-		// compact under it rather than re-freeze a private one (a standalone
-		// single-shard index flips modes here).
-		sx.shards[w].sharedOrder = true
-		sx.shards[w].refreezeLocked(order, next.id, liveAll[w], prepAll[w])
+		order.InternDynamic(pebs...)
+		return order
 	})
-	sx.gen.Store(next)
 	sx.noRefreeze.Store(true)
-	sx.planner.Reanchor()
-	sx.lastView.Store(nil)
-	sx.refreezes++
 	return nil
 }
 

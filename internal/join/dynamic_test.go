@@ -1,6 +1,8 @@
 package join
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -11,8 +13,14 @@ import (
 	"github.com/aujoin/aujoin/internal/strutil"
 )
 
-// rawCorpus is propertyCorpus as raw strings (the dynamic index's Insert
-// takes strings, not records).
+// gridShards are the shard counts every property of the mutable index runs
+// under: the fan-out of one and a prime count with uneven shard sizes. The
+// engine routes both identically, so each property is checked once per count
+// through BuildShardedIndex rather than once per index type.
+var gridShards = []int{1, 3}
+
+// rawCorpus is propertyCorpus as raw strings (InsertBatch takes strings, not
+// records).
 func rawCorpus(n int, rng *rand.Rand) []string {
 	recs := propertyCorpus(n, rng)
 	out := make([]string, len(recs))
@@ -22,15 +30,42 @@ func rawCorpus(n int, rng *rand.Rand) []string {
 	return out
 }
 
-// oracleOnLive computes the BruteForce join of the probe collection against
-// the snapshot's live records, with Pair.S carrying stable IDs — directly
-// comparable to View.Probe output.
-func oracleOnLive(j *Joiner, v *View, probe []strutil.Record, theta float64) []Pair {
-	return j.BruteForce(v.Live(), probe, theta, nil)
+// probeRecord and queryTopK are the context-free forms of the router's two
+// query entry points, for tests that exercise neither cancellation nor
+// per-request options.
+func probeRecord(t testing.TB, sv *ShardedView, tokens []string) []QueryMatch {
+	t.Helper()
+	out, err := sv.ProbeRecordCtx(context.Background(), tokens, QueryOpts{})
+	if err != nil {
+		t.Fatalf("ProbeRecordCtx: %v", err)
+	}
+	return out
+}
+
+func queryTopK(t testing.TB, sv *ShardedView, tokens []string, k int) []QueryMatch {
+	t.Helper()
+	out, err := sv.QueryTopKCtx(context.Background(), tokens, k, QueryOpts{})
+	if err != nil {
+		t.Fatalf("QueryTopKCtx: %v", err)
+	}
+	return out
+}
+
+// rowsOf extracts the matches of probe record id from a sorted batch Probe
+// result — what a single-record probe of that record must return, in its
+// ascending stable-ID order.
+func rowsOf(pairs []Pair, id int) []QueryMatch {
+	var out []QueryMatch
+	for _, p := range pairs {
+		if p.T == id {
+			out = append(out, QueryMatch{Record: p.S, Similarity: p.Similarity})
+		}
+	}
+	return out
 }
 
 // TestDynamicIndexMutationMatchesBruteForce is the oracle property of the
-// dynamic pipeline: after every batch of Insert/Remove mutations, Probe on
+// dynamic pipeline: after every batch of insert/remove mutations, Probe on
 // a fresh snapshot must equal BruteForce over the snapshot's live catalog —
 // same pairs (by stable ID), same similarities — across filter methods and
 // thresholds, including states straddling rebuilds.
@@ -39,134 +74,126 @@ func TestDynamicIndexMutationMatchesBruteForce(t *testing.T) {
 	ctx := propertyContexts()["full"]
 	j := NewJoiner(ctx)
 	probe := propertyCorpus(25, rng)
-	for _, method := range []pebble.Method{pebble.UFilter, pebble.AUHeuristic, pebble.AUDP} {
-		for _, theta := range []float64{0.7, 0.8, 0.9} {
-			opts := Options{Theta: theta, Tau: 2, Method: method}
-			// Aggressive thresholds so the mutation sequence crosses at
-			// least one rebuild.
-			dx := j.BuildDynamicIndex(propertyCorpus(30, rng), opts, DynamicOptions{
-				RebuildFraction: 0.15, MaxSegments: 4,
-			})
-			live := map[int]bool{}
-			for id := 0; id < 30; id++ {
-				live[id] = true
-			}
-			check := func(step string) {
-				t.Helper()
-				v := dx.Snapshot()
-				got, stats := v.Probe(probe)
-				want := oracleOnLive(j, v, probe, theta)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v θ=%v %s: Probe %d pairs, oracle %d pairs", method, theta, step, len(got), len(want))
-				}
-				if stats.Results != len(got) {
-					t.Fatalf("%v θ=%v %s: stats.Results = %d, want %d", method, theta, step, stats.Results, len(got))
-				}
-				if lv := v.Stats().Live; lv != len(live) {
-					t.Fatalf("%v θ=%v %s: Live = %d, want %d", method, theta, step, lv, len(live))
-				}
-				// Single-record serving must agree with the batch probe:
-				// ProbeRecord(q) is exactly the rows of Probe with T = q.
-				for qi := 0; qi < 3; qi++ {
-					var want []QueryMatch
-					for _, p := range got {
-						if p.T == probe[qi].ID {
-							want = append(want, QueryMatch{Record: p.S, Similarity: p.Similarity})
-						}
-					}
-					sort.Slice(want, func(a, b int) bool { return want[a].Record < want[b].Record })
-					if qr := v.ProbeRecord(probe[qi].Tokens); !reflect.DeepEqual(qr, want) {
-						t.Fatalf("%v θ=%v %s: ProbeRecord(%q) = %v, want %v",
-							method, theta, step, probe[qi].Raw, qr, want)
-					}
-				}
-			}
-			check("initial")
-			for round := 0; round < 4; round++ {
-				ids := dx.Insert(rawCorpus(8, rng))
-				for _, id := range ids {
+	for _, shards := range gridShards {
+		for _, method := range []pebble.Method{pebble.UFilter, pebble.AUHeuristic, pebble.AUDP} {
+			for _, theta := range []float64{0.7, 0.8, 0.9} {
+				opts := Options{Theta: theta, Tau: 2, Method: method}
+				name := fmt.Sprintf("shards=%d %v θ=%v", shards, method, theta)
+				// Aggressive thresholds so the mutation sequence crosses at
+				// least one rebuild.
+				sx := j.BuildShardedIndex(propertyCorpus(30, rng), shards, opts, DynamicOptions{
+					RebuildFraction: 0.15, MaxSegments: 4,
+				})
+				live := map[int]bool{}
+				for id := 0; id < 30; id++ {
 					live[id] = true
 				}
-				removed := 0
-				for id := range live {
-					if removed >= 5 {
-						break
+				check := func(step string) {
+					t.Helper()
+					v := sx.Snapshot()
+					got, stats := v.Probe(probe)
+					want := j.BruteForce(v.Live(), probe, theta, nil)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s %s: Probe %d pairs, oracle %d pairs", name, step, len(got), len(want))
 					}
-					if !dx.Remove(id) {
-						t.Fatalf("Remove(%d) failed for live id", id)
+					if stats.Results != len(got) {
+						t.Fatalf("%s %s: stats.Results = %d, want %d", name, step, stats.Results, len(got))
 					}
-					if dx.Remove(id) {
-						t.Fatalf("Remove(%d) succeeded twice", id)
+					if lv := v.Stats().Live; lv != len(live) {
+						t.Fatalf("%s %s: Live = %d, want %d", name, step, lv, len(live))
 					}
-					delete(live, id)
-					removed++
+					// Single-record serving must agree with the batch probe:
+					// ProbeRecordCtx(q) is exactly the rows of Probe with T = q.
+					for qi := 0; qi < 3; qi++ {
+						want := rowsOf(got, probe[qi].ID)
+						if qr := probeRecord(t, v, probe[qi].Tokens); !reflect.DeepEqual(qr, want) {
+							t.Fatalf("%s %s: ProbeRecordCtx(%q) = %v, want %v", name, step, probe[qi].Raw, qr, want)
+						}
+					}
 				}
-				check("round")
-			}
-			if dx.Stats().Rebuilds == 0 {
-				t.Fatalf("%v θ=%v: mutation sequence never triggered a rebuild", method, theta)
+				check("initial")
+				for round := 0; round < 4; round++ {
+					for _, id := range sx.InsertBatch(rawCorpus(8, rng)) {
+						live[id] = true
+					}
+					removed := 0
+					for id := range live {
+						if removed >= 5 {
+							break
+						}
+						if !sx.Remove(id) {
+							t.Fatalf("Remove(%d) failed for live id", id)
+						}
+						if sx.Remove(id) {
+							t.Fatalf("Remove(%d) succeeded twice", id)
+						}
+						delete(live, id)
+						removed++
+					}
+					check("round")
+				}
+				if sx.Stats().Rebuilds == 0 {
+					t.Fatalf("%s: mutation sequence never triggered a rebuild", name)
+				}
 			}
 		}
 	}
 }
 
-// TestDynamicIndexQueryTopK pins QueryTopK against ProbeRecord: the top-k
-// result must be the k highest-similarity entries of the full thresholded
-// result, ordered by descending similarity with ascending-ID ties.
+// TestDynamicIndexQueryTopK pins QueryTopKCtx against ProbeRecordCtx: the
+// top-k result must be the k highest-similarity entries of the full
+// thresholded result, ordered by descending similarity with ascending-ID
+// ties.
 func TestDynamicIndexQueryTopK(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	j := NewJoiner(propertyContexts()["full"])
-	dx := j.BuildDynamicIndex(propertyCorpus(40, rng), Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
-	dx.Insert(rawCorpus(15, rng))
-	for i := 0; i < 7; i++ {
-		dx.Remove(3 * i)
-	}
-	v := dx.Snapshot()
-	queries := rawCorpus(20, rng)
-	for _, q := range queries {
-		tokens := strutil.Tokenize(q)
-		full := v.ProbeRecord(tokens)
-		sort.Slice(full, func(a, b int) bool {
-			if full[a].Similarity != full[b].Similarity {
-				return full[a].Similarity > full[b].Similarity
-			}
-			return full[a].Record < full[b].Record
-		})
-		for _, k := range []int{0, 1, 3, len(full), len(full) + 5} {
-			got := v.QueryTopK(tokens, k)
-			want := full
-			if k < len(full) {
-				want = full[:k]
-			}
-			if k == 0 {
-				want = nil
-			}
-			if len(got) == 0 && len(want) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("QueryTopK(%q, %d) = %v, want %v", q, k, got, want)
+	for _, shards := range gridShards {
+		rng := rand.New(rand.NewSource(13))
+		j := NewJoiner(propertyContexts()["full"])
+		sx := j.BuildShardedIndex(propertyCorpus(40, rng), shards, Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
+		sx.InsertBatch(rawCorpus(15, rng))
+		for i := 0; i < 7; i++ {
+			sx.Remove(3 * i)
+		}
+		v := sx.Snapshot()
+		for _, q := range rawCorpus(20, rng) {
+			tokens := strutil.Tokenize(q)
+			full := probeRecord(t, v, tokens)
+			sort.Slice(full, func(a, b int) bool {
+				if full[a].Similarity != full[b].Similarity {
+					return full[a].Similarity > full[b].Similarity
+				}
+				return full[a].Record < full[b].Record
+			})
+			for _, k := range []int{0, 1, 3, len(full), len(full) + 5} {
+				got := queryTopK(t, v, tokens, k)
+				want := full[:min(k, len(full))]
+				if len(got) == 0 && len(want) == 0 {
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("shards=%d: QueryTopKCtx(%q, %d) = %v, want %v", shards, q, k, got, want)
+				}
 			}
 		}
 	}
 }
 
-// TestDynamicIndexStableIDs checks that stable record IDs survive rebuilds
-// and keep identifying the same raw strings.
-func TestDynamicIndexStableIDs(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
+// testStableIDs checks stable IDs keep identifying the same strings after
+// forced per-shard rebuilds, that ShardedView.Record routes to the right
+// shard, and that every rebuild logged its writer pause.
+func testStableIDs(t *testing.T, shards int) {
+	rng := rand.New(rand.NewSource(43))
 	j := NewJoiner(propertyContexts()["synonyms"])
-	dx := j.BuildDynamicIndex(propertyCorpus(10, rng), Options{Theta: 0.8, Tau: 1}, DynamicOptions{
+	sx := j.BuildShardedIndex(propertyCorpus(12, rng), shards, Options{Theta: 0.8, Tau: 1}, DynamicOptions{
 		RebuildFraction: 0.05, MaxSegments: 1,
 	})
-	ids := dx.Insert([]string{"coffee shop latte helsinki", "apple cake bakery special"})
-	for i := 0; i < 8; i++ {
-		dx.Remove(i) // force tombstone-triggered rebuilds
+	ids := sx.InsertBatch([]string{"coffee shop latte helsinki", "apple cake bakery special"})
+	for i := 0; i < 10; i++ {
+		sx.Remove(i) // force tombstone-triggered rebuilds
 	}
-	if dx.Stats().Rebuilds == 0 {
-		t.Fatal("expected at least one rebuild")
+	if sx.Stats().Rebuilds == 0 {
+		t.Fatal("expected per-shard rebuilds")
 	}
-	v := dx.Snapshot()
+	v := sx.Snapshot()
 	rec, ok := v.Record(ids[0])
 	if !ok || rec.Raw != "coffee shop latte helsinki" {
 		t.Fatalf("Record(%d) = %+v, %v; want the first inserted string", ids[0], rec, ok)
@@ -174,17 +201,25 @@ func TestDynamicIndexStableIDs(t *testing.T) {
 	if _, ok := v.Record(3); ok {
 		t.Fatal("removed record still visible after rebuild")
 	}
+	// Every compaction logs one shard-local pause and every re-freeze one
+	// whole-index pause while rebuilding each shard once.
+	if got, want := len(sx.RebuildPauses()), sx.Stats().Rebuilds-sx.Refreezes()*(shards-1); got != want {
+		t.Fatalf("RebuildPauses has %d entries, want %d", got, want)
+	}
 }
 
-// TestDynamicIndexConcurrentServeMutate hammers snapshots with concurrent
-// Query/QueryTopK/Probe traffic while writers insert and remove records and
-// rebuilds fire underneath — the test exists to run under -race, and it
-// finishes with an oracle check on the final state.
-func TestDynamicIndexConcurrentServeMutate(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
+func TestDynamicIndexStableIDs(t *testing.T)                    { testStableIDs(t, 1) }
+func TestShardedIndexStableIDsAcrossShardRebuilds(t *testing.T) { testStableIDs(t, 3) }
+
+// testConcurrentMutateQuery hammers the router with concurrent
+// InsertBatch/RemoveBatch writers and fan-out readers while per-shard
+// rebuilds and global re-freezes fire — it exists to run under -race — and
+// finishes with an oracle check of the final state.
+func testConcurrentMutateQuery(t *testing.T, shards int) {
+	rng := rand.New(rand.NewSource(47))
 	j := NewJoiner(propertyContexts()["full"])
-	dx := j.BuildDynamicIndex(propertyCorpus(30, rng), Options{Theta: 0.75, Tau: 2, Method: pebble.AUDP}, DynamicOptions{
-		RebuildFraction: 0.1, MaxSegments: 3,
+	sx := j.BuildShardedIndex(propertyCorpus(30, rng), shards, Options{Theta: 0.75, Tau: 2, Method: pebble.AUDP}, DynamicOptions{
+		RebuildFraction: 0.1, MaxSegments: 2,
 	})
 	queries := rawCorpus(30, rng)
 	probe := propertyCorpus(10, rng)
@@ -201,13 +236,13 @@ func TestDynamicIndexConcurrentServeMutate(t *testing.T) {
 					return
 				default:
 				}
-				v := dx.Snapshot()
+				v := sx.Snapshot()
 				tokens := strutil.Tokenize(queries[(i+r)%len(queries)])
 				switch i % 3 {
 				case 0:
-					v.ProbeRecord(tokens)
+					v.ProbeRecordCtx(context.Background(), tokens, QueryOpts{})
 				case 1:
-					v.QueryTopK(tokens, 5)
+					v.QueryTopKCtx(context.Background(), tokens, 5, QueryOpts{})
 				default:
 					v.Probe(probe)
 				}
@@ -220,14 +255,20 @@ func TestDynamicIndexConcurrentServeMutate(t *testing.T) {
 		}(r)
 	}
 
-	// Two writers: inserts and removes contend on the writer lock.
 	insertedIDs := make(chan int, 4096)
 	writers.Add(2)
 	go func() {
 		defer writers.Done()
-		wrng := rand.New(rand.NewSource(29))
+		wrng := rand.New(rand.NewSource(53))
 		for i := 0; i < 40; i++ {
-			for _, id := range dx.Insert(rawCorpus(3, wrng)) {
+			batch := rawCorpus(4, wrng)
+			// Novel tokens grow the shared dynamic region past the frozen
+			// prefix, so global refreezes fire while readers snapshot —
+			// exercising the generation-retry path under the race detector.
+			for b := range batch {
+				batch[b] += fmt.Sprintf(" zaw%dqx%dv", i, b)
+			}
+			for _, id := range sx.InsertBatch(batch) {
 				select {
 				case insertedIDs <- id:
 				default:
@@ -237,13 +278,14 @@ func TestDynamicIndexConcurrentServeMutate(t *testing.T) {
 	}()
 	go func() {
 		defer writers.Done()
-		for i := 0; i < 60; i++ {
+		for i := 0; i < 30; i++ {
+			batch := []int{i % 30}
 			select {
 			case id := <-insertedIDs:
-				dx.Remove(id)
+				batch = append(batch, id)
 			default:
-				dx.Remove(i % 30)
 			}
+			sx.RemoveBatch(batch)
 		}
 	}()
 
@@ -251,57 +293,55 @@ func TestDynamicIndexConcurrentServeMutate(t *testing.T) {
 	close(done)
 	readers.Wait()
 
-	v := dx.Snapshot()
+	v := sx.Snapshot()
 	got, _ := v.Probe(probe)
-	want := oracleOnLive(j, v, probe, 0.75)
+	want := j.BruteForce(v.Live(), probe, 0.75, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("final Probe %d pairs, oracle %d pairs", len(got), len(want))
 	}
-	if dx.Stats().Rebuilds == 0 {
-		t.Fatal("expected rebuilds under mutation load")
+	if sx.Stats().Rebuilds == 0 {
+		t.Fatal("expected per-shard rebuilds under mutation load")
+	}
+	if sx.Refreezes() == 0 {
+		t.Fatal("expected global refreezes under novel-key mutation load")
 	}
 }
 
+func TestDynamicIndexConcurrentServeMutate(t *testing.T) { testConcurrentMutateQuery(t, 1) }
+func TestShardedIndexConcurrentMutateQuery(t *testing.T) { testConcurrentMutateQuery(t, 4) }
+
 // TestProbeTallyStats pins the cumulative filter-phase counters: probes
-// served by a dynamic index must accumulate ProbePostings and the
-// bitmap/slice token split in Stats, growing monotonically across snapshots
-// and summing over the shards of a sharded index.
+// served by the index must accumulate ProbePostings and the bitmap/slice
+// token split in Stats, growing monotonically across snapshots and summing
+// over the shards.
 func TestProbeTallyStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	j := NewJoiner(propertyContexts()["full"])
 	opts := Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}
 	corpus := propertyCorpus(200, rng)
 	queries := propertyCorpus(20, rng)
-
-	dx := j.BuildDynamicIndex(corpus, opts, DynamicOptions{})
-	if st := dx.Stats(); st.ProbePostings != 0 || st.ProbeBitsetTokens != 0 || st.ProbeSliceTokens != 0 {
-		t.Fatalf("fresh index has nonzero probe tallies: %+v", st)
-	}
-	v := dx.Snapshot()
-	for _, q := range queries {
-		v.ProbeRecord(q.Tokens)
-	}
-	st := v.Stats()
-	if st.ProbePostings == 0 {
-		t.Fatal("probes processed no postings")
-	}
-	if st.ProbeBitsetTokens+st.ProbeSliceTokens == 0 {
-		t.Fatal("probes consulted no posting lists")
-	}
-	for _, q := range queries {
-		v.QueryTopK(q.Tokens, 3)
-	}
-	// Counters are index-lifetime, read fresh through any snapshot.
-	if st2 := v.Stats(); st2.ProbePostings <= st.ProbePostings {
-		t.Fatalf("tallies did not grow: %d then %d", st.ProbePostings, st2.ProbePostings)
-	}
-
-	sx := j.BuildShardedIndex(corpus, 3, opts, DynamicOptions{})
-	sv := sx.Snapshot()
-	for _, q := range queries {
-		sv.ProbeRecord(q.Tokens)
-	}
-	if sst := sx.Stats(); sst.ProbePostings == 0 || sst.ProbeBitsetTokens+sst.ProbeSliceTokens == 0 {
-		t.Fatalf("sharded probe tallies missing: %+v", sst)
+	for _, shards := range gridShards {
+		sx := j.BuildShardedIndex(corpus, shards, opts, DynamicOptions{})
+		if st := sx.Stats(); st.ProbePostings != 0 || st.ProbeBitsetTokens != 0 || st.ProbeSliceTokens != 0 {
+			t.Fatalf("shards=%d: fresh index has nonzero probe tallies: %+v", shards, st)
+		}
+		v := sx.Snapshot()
+		for _, q := range queries {
+			probeRecord(t, v, q.Tokens)
+		}
+		st := sx.Stats()
+		if st.ProbePostings == 0 {
+			t.Fatalf("shards=%d: probes processed no postings", shards)
+		}
+		if st.ProbeBitsetTokens+st.ProbeSliceTokens == 0 {
+			t.Fatalf("shards=%d: probes consulted no posting lists", shards)
+		}
+		for _, q := range queries {
+			queryTopK(t, v, q.Tokens, 3)
+		}
+		// Counters are index-lifetime, read fresh through any new snapshot.
+		if st2 := sx.Stats(); st2.ProbePostings <= st.ProbePostings {
+			t.Fatalf("shards=%d: tallies did not grow: %d then %d", shards, st.ProbePostings, st2.ProbePostings)
+		}
 	}
 }

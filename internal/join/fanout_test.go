@@ -22,7 +22,12 @@ func TestFanoutStructuredError(t *testing.T) {
 
 	boom1 := errors.New("disk on fire")
 	boom3 := errors.New("bad postings")
-	err := sv.fanout(context.Background(), func(ctx context.Context, w int) error {
+	// fanout runs fn over a request sized like a real one: four result slots.
+	fanout := func(ctx context.Context, fn func(ctx context.Context, w int) error) error {
+		rq := &request{sv: sv, errs: make([]error, len(sv.views))}
+		return rq.fanout(ctx, func(_ *request, ctx context.Context, w int) error { return fn(ctx, w) })
+	}
+	err := fanout(context.Background(), func(ctx context.Context, w int) error {
 		switch w {
 		case 1:
 			return boom1
@@ -58,13 +63,46 @@ func TestFanoutStructuredError(t *testing.T) {
 	// Caller cancellation is a withdrawn request, not a shard failure.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = sv.fanout(ctx, func(ictx context.Context, w int) error { return ictx.Err() })
+	err = fanout(ctx, func(ictx context.Context, w int) error { return ictx.Err() })
 	if err != context.Canceled {
 		t.Fatalf("cancelled fanout error = %v, want bare context.Canceled", err)
 	}
 
 	// All shards succeeding is not an error.
-	if err := sv.fanout(context.Background(), func(context.Context, int) error { return nil }); err != nil {
+	if err := fanout(context.Background(), func(context.Context, int) error { return nil }); err != nil {
 		t.Fatalf("clean fanout returned %v", err)
+	}
+}
+
+// TestQueryAllocsPinned keeps the fan-out honest: a fan-out of one must cost
+// no more heap objects than the direct call it replaced. The ceilings are the
+// allocations per query — Snapshot included — of the commit before the
+// one-shard delegation was removed (PlanFixed, so the figure is the fan-out's
+// and not the planner's exploration schedule). Skipped with -short, which is
+// how the race job runs: the race detector's sync.Pool drops items and
+// inflates the counts.
+func TestQueryAllocsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are only meaningful without -race; skipped with -short")
+	}
+	j := NewJoiner(paperContext())
+	probe := benchCorpus(64, 9)
+	ctx, qo := context.Background(), QueryOpts{Plan: PlanFixed}
+	for _, pin := range []struct{ shards, topK, probe int }{{1, 68, 67}, {3, 85, 84}} {
+		sx := j.BuildShardedIndex(benchCorpus(400, 1), pin.shards, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
+		i := 0
+		topK := testing.AllocsPerRun(10*len(probe), func() {
+			sx.Snapshot().QueryTopKCtx(ctx, probe[i%len(probe)].Tokens, 10, qo)
+			i++
+		})
+		rec := testing.AllocsPerRun(10*len(probe), func() {
+			sx.Snapshot().ProbeRecordCtx(ctx, probe[i%len(probe)].Tokens, qo)
+			i++
+		})
+		t.Logf("shards=%d: %.0f allocs per top-k query, %.0f per probe", pin.shards, topK, rec)
+		if topK > float64(pin.topK) || rec > float64(pin.probe) {
+			t.Errorf("shards=%d: allocs per query top-k %.0f (ceiling %d), probe %.0f (ceiling %d)",
+				pin.shards, topK, pin.topK, rec, pin.probe)
+		}
 	}
 }

@@ -148,31 +148,22 @@ func TestIndexReuse(t *testing.T) {
 // TestProbeRecordMatchesProbe checks that single-record probing agrees with
 // collection probing, record by record.
 func TestProbeRecordMatchesProbe(t *testing.T) {
-	ctx := paperContext()
-	j := NewJoiner(ctx)
+	j := NewJoiner(paperContext())
 	s, u := collections()
 	opts := Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}
-	ix := j.BuildIndex(s, opts)
-	pairs, _ := ix.Probe(u)
-	for ti, rec := range u {
-		var want []QueryMatch
-		for _, p := range pairs {
-			if p.T == ti {
-				want = append(want, QueryMatch{Record: p.S, Similarity: p.Similarity})
+	for _, shards := range gridShards {
+		sv := j.BuildShardedIndex(s, shards, opts, DynamicOptions{}).Snapshot()
+		pairs, _ := sv.Probe(u)
+		for ti, rec := range u {
+			got, want := probeRecord(t, sv, rec.Tokens), rowsOf(pairs, ti)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("shards=%d record %d: ProbeRecordCtx = %v, want %v", shards, ti, got, want)
+			}
+			// Pooled scratch must leave no residue between calls.
+			if again := probeRecord(t, sv, rec.Tokens); !reflect.DeepEqual(again, got) {
+				t.Errorf("shards=%d record %d: repeated ProbeRecordCtx differs", shards, ti)
 			}
 		}
-		got := ix.ProbeRecord(rec.Tokens)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("record %d: ProbeRecord = %v, want %v", ti, got, want)
-		}
-		// Pooled scratch must leave no residue between calls.
-		again := ix.ProbeRecord(rec.Tokens)
-		if !reflect.DeepEqual(again, got) {
-			t.Errorf("record %d: repeated ProbeRecord differs", ti)
-		}
-	}
-	if got := ix.ProbeRecord(nil); len(got) != 0 {
-		t.Errorf("empty query returned %v", got)
 	}
 }
 

@@ -6,19 +6,21 @@
 //
 // The pipeline is built once and probed many times: BuildIndex interns
 // every pebble into a dense uint32 ID (global frequency order), selects
-// signatures, and materialises the ID-indexed inverted index; Probe,
-// ProbeRecord and SelfJoin then generate candidates with per-probe-record
-// count arrays (classic count filtering) — no string hashing and no
-// map[pair]int in the hot path. Join and SelfJoin are thin compositions of
-// these stages, and FilterProfile re-derives signatures for many τ values
-// from one prepared pebble set (used by the Section 4 estimator).
+// signatures, and materialises the ID-indexed inverted index; Probe and
+// SelfJoin then generate candidates with per-probe-record count arrays
+// (classic count filtering) — no string hashing and no map[pair]int in the
+// hot path. Join and SelfJoin are thin compositions of these stages, and
+// FilterProfile re-derives signatures for many τ values from one prepared
+// pebble set (used by the Section 4 estimator).
 //
-// DynamicIndex extends the pipeline to online serving: the frozen base
-// Index plus immutable delta segments for inserted records, a tombstone
-// bitmap for removed ones, and snapshot Views published by atomic pointer
-// swap so queries run lock-free while the catalog mutates (the paper fixes
-// both collections up front; the dynamic layer is this implementation's
-// extension for the serving workload — see ARCHITECTURE.md).
+// ShardedIndex extends the pipeline to online serving and is the one
+// mutable index: a router over N ≥ 1 private shards that share one pebble
+// order. Each shard is a frozen base Index plus immutable delta segments for
+// inserted records and a tombstone bitmap for removed ones, and publishes
+// snapshot views by atomic pointer swap so queries run lock-free while the
+// catalog mutates (the paper fixes both collections up front; the dynamic
+// layer is this implementation's extension for the serving workload — see
+// ARCHITECTURE.md).
 package join
 
 import (
@@ -64,9 +66,9 @@ type Stats struct {
 	// Candidates is V_τ: the number of distinct pairs that reached
 	// verification (distinct unordered pairs for self-joins).
 	Candidates int
-	// ShardCandidates breaks Candidates down per shard on a sharded probe
-	// (ShardedView.Probe across ≥ 2 shards); its entries sum to Candidates.
-	// It is nil on unsharded paths.
+	// ShardCandidates breaks Candidates down per shard on a ShardedView
+	// probe (one entry per shard, a single entry at one shard); its entries
+	// sum to Candidates. It is nil on static Index probes and one-shot joins.
 	ShardCandidates []int
 	// BitsetTokens and SliceTokens split the probe-token lookups of the
 	// filter stage by posting representation: tokens whose base posting list
@@ -124,8 +126,8 @@ type Options struct {
 	// property tests pin this); the toggle exists as the baseline for
 	// benchmarks and the equivalence tests themselves.
 	ClassicFilter bool
-	// Plan selects the index-wide planning default for dynamic and sharded
-	// indexes: PlanAuto (zero value) installs the adaptive per-query
+	// Plan selects the index-wide planning default of a ShardedIndex:
+	// PlanAuto (zero value) installs the adaptive per-query
 	// planner, PlanFixed disables it entirely and pins the build-time
 	// Method/Tau on every request (today's pre-planner behaviour). Static
 	// Index probes are always fixed.
@@ -231,7 +233,7 @@ type Index struct {
 	BuildTime time.Duration
 	avgSig    float64
 
-	scratch sync.Pool // *probeScratch, reused across ProbeRecord calls
+	scratch sync.Pool // *probeScratch, reused across probes
 }
 
 // probeScratch is the per-worker probe state: the block accumulator holding
@@ -314,7 +316,7 @@ func (j *Joiner) BuildIndex(records []strutil.Record, opts Options) *Index {
 // buildIndex builds an Index over records with an externally supplied order
 // (Join uses an order spanning both collections). A non-nil prepared slice
 // supplies ready-made verification records positionally (preparation is
-// order-independent, so the dynamic index's rebuild passes the survivors'
+// order-independent, so a shard's rebuild passes the survivors'
 // records through unchanged instead of re-deriving them).
 func (j *Joiner) buildIndex(records []strutil.Record, order *pebble.Order, opts Options, prepared []*core.PreparedRecord) *Index {
 	start := time.Now()
@@ -410,25 +412,19 @@ func (ix *Index) Probe(records []strutil.Record) ([]Pair, Stats) {
 // postings of records preceding the probe record, so mirrored and diagonal
 // pairs are never materialised and Stats counts each unordered pair once.
 func (ix *Index) SelfJoin() ([]Pair, Stats) {
-	return ix.probeSignatures(ix.records, ix.sigs, ix.prepared, ix.opts, true, ix.BuildTime)
+	return collectPairs(func(emit func(Pair) bool) Stats {
+		stats, _ := ix.selfStream(context.Background(), emit)
+		return stats
+	})
 }
 
-// probe generates probe-side signatures and prepared verification records
-// and delegates to probeSignatures. extraSigTime is folded into the reported
-// SignatureTime (the legacy Join entry points count index building there),
-// as is the probe-side preparation — both are per-record preprocessing paid
-// once per probe collection.
+// probe is the batch form of probeStream: it never cancels, so the returned
+// statistics are complete.
 func (ix *Index) probe(records []strutil.Record, opts Options, extraSigTime time.Duration) ([]Pair, Stats) {
-	start := time.Now()
-	sigs := ix.joiner.signatures(records, ix.sel, opts.Method, ix.tau)
-	prep := prepareRecords(records, ix.calc)
-	return ix.probeSignatures(records, sigs, prep, opts, false, extraSigTime+time.Since(start))
-}
-
-// probeSignatures runs candidate generation and verification for
-// ready-made probe signatures and prepared records.
-func (ix *Index) probeSignatures(records []strutil.Record, sigs []pebble.Signature, prep []*core.PreparedRecord, opts Options, self bool, sigTime time.Duration) ([]Pair, Stats) {
-	return runProbeStages(ix.calc, opts, ix.target(self), records, sigs, prep, self, sigTime)
+	return collectPairs(func(emit func(Pair) bool) Stats {
+		stats, _ := ix.probeStream(context.Background(), records, opts, extraSigTime, emit)
+		return stats
+	})
 }
 
 // target reduces the index to the probeTarget the shared probe stages need.
@@ -443,8 +439,9 @@ func (ix *Index) target(self bool) probeTarget {
 	}
 }
 
-// probeTarget is the indexed side of a probe — a static Index or a dynamic
-// snapshot View — reduced to what the shared probe stages need.
+// probeTarget is the indexed side of a probe — a static Index or a
+// ShardedView's flattened catalog — reduced to what the shared probe stages
+// need.
 type probeTarget struct {
 	records    []strutil.Record
 	prepared   []*core.PreparedRecord
@@ -452,22 +449,27 @@ type probeTarget struct {
 	candidates func(ctx context.Context, sigs []pebble.Signature, workers int) ([]pairKey, filterTally, error)
 }
 
-// runProbeStages is the batch form of the streaming pipeline: it collects
-// every emitted pair from runProbeStream and orders the result by (S, T)
-// identifiers. It never cancels, so the returned statistics are complete.
-func runProbeStages(calc *core.Calculator, opts Options, tgt probeTarget, records []strutil.Record, sigs []pebble.Signature, prep []*core.PreparedRecord, self bool, sigTime time.Duration) ([]Pair, Stats) {
+// collectPairs is the batch form of the streaming pipeline: it runs a
+// streaming probe to completion, collecting every emitted pair, and orders
+// the result by (S, T) identifiers.
+func collectPairs(run func(emit func(Pair) bool) Stats) ([]Pair, Stats) {
 	var results []Pair
-	stats, _ := runProbeStream(context.Background(), calc, opts, tgt, records, sigs, prep, self, sigTime, func(p Pair) bool {
+	stats := run(func(p Pair) bool {
 		results = append(results, p)
 		return true
 	})
-	sort.Slice(results, func(a, b int) bool {
-		if results[a].S != results[b].S {
-			return results[a].S < results[b].S
-		}
-		return results[a].T < results[b].T
-	})
+	sortPairs(results)
 	return results, stats
+}
+
+// sortPairs orders pairs by (S, T), the batch API's result order.
+func sortPairs(pairs []Pair) {
+	sort.Slice(pairs, func(a, b int) bool {
+		if pairs[a].S != pairs[b].S {
+			return pairs[a].S < pairs[b].S
+		}
+		return pairs[a].T < pairs[b].T
+	})
 }
 
 // QueryMatch is one result of a single-record probe: an indexed record and
@@ -475,37 +477,6 @@ func runProbeStages(calc *core.Calculator, opts Options, tgt probeTarget, record
 type QueryMatch struct {
 	Record     int
 	Similarity float64
-}
-
-// ProbeRecord runs the full filter-and-verify pipeline for one tokenised
-// query against the prebuilt index and returns the matching indexed records
-// in ascending record order. The query is prepared once and verified against
-// the index's prepared records through the thresholded engine with pooled
-// scratch, so a query-serving workload allocates only for the query
-// preparation and its results.
-func (ix *Index) ProbeRecord(tokens []string) []QueryMatch {
-	if len(tokens) == 0 {
-		// No tokens means a zero-signature probe that could never reach the
-		// τ-overlap bar; return empty without walking the index.
-		return nil
-	}
-	sig := ix.sel.Signature(tokens, ix.opts.Method, ix.tau)
-	sc := scratchFromPool(&ix.scratch, len(ix.records))
-	cands, _ := countFilterRecord(ix.inv, sig, ix.tau, len(ix.records), sc)
-	var out []QueryMatch
-	if len(cands) > 0 {
-		pq := ix.calc.Prepare(tokens)
-		sim := sc.simScratch()
-		sim.DisableMemo = ix.opts.NoVerifyMemo
-		for _, r := range cands {
-			if v, ok := ix.calc.VerifyPrepared(ix.prepared[r], pq, ix.opts.Theta, sim); ok {
-				out = append(out, QueryMatch{Record: int(r), Similarity: v})
-			}
-		}
-	}
-	sc.release(&ix.scratch)
-	sort.Slice(out, func(a, b int) bool { return out[a].Record < out[b].Record })
-	return out
 }
 
 // candidates runs count filtering of probe signatures against the index.
@@ -526,7 +497,7 @@ func countFilterCandidates(ctx context.Context, inv *invindex.Index, numRecords 
 		if self {
 			limit = t
 		}
-		return countFilterRecord(inv, sigs[t], tau, limit, sc)
+		return countFilterRecord(inv, nil, nil, sigs[t], tau, limit, sc)
 	})
 }
 
@@ -535,7 +506,7 @@ func countFilterCandidates(ctx context.Context, inv *invindex.Index, numRecords 
 // across the given number of workers (GOMAXPROCS when ≤ 0), each with a
 // pooled probe scratch whose arena is sized to numRecords, and merges the
 // per-worker candidate chunks and filter tallies. The static count filter
-// and the dynamic snapshot filter differ only in the record callback.
+// and the shard fan-out filter differ only in the record callback.
 // Workers check ctx between probe records; on cancellation the partial
 // candidate set is discarded and the context error returned.
 func parallelCandidates(ctx context.Context, n, numRecords, workers int, pool *sync.Pool, record func(sc *probeScratch, t int) ([]int32, filterTally)) ([]pairKey, filterTally, error) {
@@ -604,19 +575,24 @@ func parallelCandidates(ctx context.Context, n, numRecords, workers int, pool *s
 	return cands, tally, nil
 }
 
-// countFilterRecord is the hybrid count filter for one probe record: for
-// every distinct interned ID of the probe signature (with its
-// multiplicity), it folds the ID's posting list — word-parallel through the
-// block accumulator for bitmap-form lists, entry-at-a-time for slice-form
-// lists — into per-record overlap counters, considering only indexed
-// records < limit. It returns the records whose overlap reached τ (aliasing
+// countFilterRecord is the hybrid count filter for one probe record, the one
+// function that walks a signature's posting lists into the accumulator: for
+// every distinct interned ID of the probe signature (with its multiplicity),
+// it folds the ID's posting list — word-parallel through the block
+// accumulator for bitmap-form lists, entry-at-a-time for slice-form lists,
+// then the always-sparse lists of the delta segments — into per-record
+// overlap counters, considering only base records < limit. It returns the
+// records whose overlap reached τ and are not tombstoned in dead (aliasing
 // the accumulator arena, valid until the next call) and the filter tally.
-// The counters are left zeroed for reuse.
-func countFilterRecord(inv *invindex.Index, sig pebble.Signature, tau, limit int, sc *probeScratch) ([]int32, filterTally) {
+// The counters are left zeroed for reuse. The static self-join passes no
+// segments, no tombstones and limit = the probe's own position; a shard
+// passes its delta chain, its tombstone bitmap and limit = inv.Records().
+func countFilterRecord(inv *invindex.Index, segs []*segment, dead []uint64, sig pebble.Signature, tau, limit int, sc *probeScratch) ([]int32, filterTally) {
 	peb := sig.Pebbles
 	acc := sc.acc
 	acc.Begin(tau)
 	var tally filterTally
+	prefix := limit < inv.Records()
 	for a := 0; a < len(peb); {
 		id := peb[a].ID
 		b := a + 1
@@ -632,9 +608,8 @@ func countFilterRecord(inv *invindex.Index, sig pebble.Signature, tau, limit int
 			tally.bitsetTokens++
 			tally.postings += acc.AddBitset(bs, mult, limit)
 			if res := bs.Residual(); len(res) != 0 {
-				if limit < inv.Records() {
-					cut := sort.Search(len(res), func(k int) bool { return res[k].Record >= limit })
-					res = res[:cut]
+				if prefix {
+					res = res[:sort.Search(len(res), func(k int) bool { return res[k].Record >= limit })]
 				}
 				// The residual carries only the surplus counts of records
 				// whose bitmap bit was already accumulated (and already
@@ -642,20 +617,22 @@ func countFilterRecord(inv *invindex.Index, sig pebble.Signature, tau, limit int
 				// but no new T_τ cost.
 				acc.AddPostings(res, mult)
 			}
-			continue
+		} else {
+			tally.sliceTokens++
+			postings := inv.Postings(id)
+			if prefix {
+				// Posting lists are sorted by record, so the self-join
+				// restriction to records < limit is a prefix.
+				postings = postings[:sort.Search(len(postings), func(k int) bool { return postings[k].Record >= limit })]
+			}
+			tally.postings += acc.AddPostings(postings, mult)
 		}
-		tally.sliceTokens++
-		postings := inv.Postings(id)
-		if limit < inv.Records() {
-			// Posting lists are sorted by record, so the self-join
-			// restriction to records < limit is a prefix.
-			cut := sort.Search(len(postings), func(k int) bool { return postings[k].Record >= limit })
-			postings = postings[:cut]
+		for _, seg := range segs {
+			tally.postings += acc.AddPostings(seg.inv.Postings(id), mult)
 		}
-		tally.postings += acc.AddPostings(postings, mult)
 	}
 	tally.postings += acc.FlushDense(limit)
-	return acc.Collect(nil), tally
+	return acc.Collect(dead), tally
 }
 
 // Join executes the filter-and-verification join between two record
@@ -725,23 +702,6 @@ func (ix *Index) appendSigIDsAt(ids []uint32, i int) []uint32 {
 // pairKey identifies one candidate pair: an indexed record and a probe
 // record.
 type pairKey struct{ s, t int }
-
-// verify runs the thresholded prepared-record verification of every
-// candidate pair through the streaming stage and collects the pairs reaching
-// θ, in completion order (callers sort). It is the batch convenience over
-// streamVerify, kept for the verification benchmark; nil when empty, matching
-// BruteForce, so oracle comparisons can use reflect.DeepEqual.
-func (j *Joiner) verify(s, t []strutil.Record, prepS, prepT []*core.PreparedRecord, candidates []pairKey, calc *core.Calculator, opts Options) []Pair {
-	var out []Pair
-	workers := opts.workers()
-	_, _ = collectStream(context.Background(), workers, func(ictx context.Context, ch chan<- []Pair) error {
-		return streamVerify(ictx, s, t, prepS, prepT, candidates, calc, opts.Theta, workers, opts.NoVerifyMemo, ch, nil)
-	}, func(p Pair) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
-}
 
 // prepareRecords runs Calculator.Prepare for every record in parallel; the
 // result is the verification half of an index or probe collection.
@@ -959,12 +919,7 @@ func (j *Joiner) BruteForceCtx(ctx context.Context, s, t []strutil.Record, theta
 			out = append(out, c.pair)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].S != out[b].S {
-			return out[a].S < out[b].S
-		}
-		return out[a].T < out[b].T
-	})
+	sortPairs(out)
 	return out, nil
 }
 

@@ -29,22 +29,10 @@ import (
 func (sx *ShardedIndex) CaptureSnapshot() *store.Snapshot {
 	sx.refreezeMu.Lock()
 	defer sx.refreezeMu.Unlock()
-	for _, sh := range sx.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range sx.shards {
-			sh.mu.Unlock()
-		}
-	}()
+	defer sx.lockShards()()
 	sx.mu.Lock()
 	nextID := sx.nextID
 	sx.mu.Unlock()
-
-	order := sx.shards[0].base.order
-	if g := sx.gen.Load(); g != nil {
-		order = g.order
-	}
 
 	snap := &store.Snapshot{
 		Theta:         sx.opts.Theta,
@@ -54,7 +42,7 @@ func (sx *ShardedIndex) CaptureSnapshot() *store.Snapshot {
 		ClassicFilter: sx.opts.ClassicFilter,
 		Shards:        len(sx.shards),
 		NextID:        uint64(nextID),
-		Order:         exportOrder(order),
+		Order:         exportOrder(sx.gen.Load().order),
 		Planner:       plannerToData(sx.planner.Export()),
 	}
 
@@ -121,12 +109,12 @@ func (sx *ShardedIndex) CaptureSnapshot() *store.Snapshot {
 // but inserted records only ever materialized theirs as postings. Sorting
 // ascending is safe because posting counts depend only on the multiset, not
 // the order IDs were added in.
-func (dx *DynamicIndex) segmentSigIDsLocked() map[int][]uint32 {
-	if len(dx.segs) == 0 {
+func (sh *shard) segmentSigIDsLocked() map[int][]uint32 {
+	if len(sh.segs) == 0 {
 		return nil
 	}
 	out := make(map[int][]uint32)
-	for _, seg := range dx.segs {
+	for _, seg := range sh.segs {
 		seg.inv.Entries(func(id uint32, posts []invindex.Posting) {
 			for _, p := range posts {
 				for k := 0; k < p.Count; k++ {
@@ -165,7 +153,7 @@ func exportOrder(order *pebble.Order) store.OrderData {
 	return od
 }
 
-// RestoreShardedIndex reconstructs a sharded dynamic index from a decoded
+// RestoreShardedIndex reconstructs a ShardedIndex from a decoded
 // snapshot without re-running signature selection or prepared-segment
 // enumeration: the stored order is reinstalled verbatim, the stored
 // signature-ID multisets rebuild each shard's inverted index, and the
@@ -198,20 +186,12 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 	}
 
 	shards := snap.Shards
-	sx := &ShardedIndex{joiner: j, opts: opts, tau: opts.tau(), nextID: int(snap.NextID)}
-	if opts.Plan != PlanFixed {
-		sx.planner = planner.New(opts.Method, sx.tau)
-		if st := plannerFromData(snap.Planner); st != nil {
-			// A mismatched table (snapshot from another configuration) leaves
-			// the planner cold, which is safe: planner state is a warm-start
-			// optimization, never a correctness input.
-			_ = sx.planner.Import(st)
-		}
-	}
-	if dopts.CacheSize >= 0 {
-		sx.cache = core.NewPreparedCache(dopts.CacheSize)
-	}
-	sx.noRefreeze.Store(dopts.RebuildFraction < 0)
+	sx := j.newRouter(opts, dopts)
+	sx.nextID = int(snap.NextID)
+	// A mismatched table (snapshot from another configuration) leaves the
+	// planner cold, which is safe: planner state is a warm-start
+	// optimization, never a correctness input.
+	_ = sx.planner.Import(plannerFromData(snap.Planner))
 
 	// Re-tokenize and rehydrate the prepared records in parallel; both are
 	// deterministic functions of the raw text and the similarity context.
@@ -268,19 +248,12 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 		}
 	}
 
-	var sharedOrder *pebble.Order
-	if shards > 1 {
-		sharedOrder = order
-	}
-	sx.shards = make([]*DynamicIndex, shards)
+	sx.shards = make([]*shard, shards)
 	parallelFor(shards, shards, func(w int) {
 		p := &parts[w]
-		base := j.restoreBase(p.records, p.sigIDs, p.prepared, order, opts)
-		sx.shards[w] = j.restoreDynamic(base, sharedOrder != nil, opts, dopts, sx.cache, sx.planner, p.deadIDs)
+		sx.shards[w] = newShard(j.restoreBase(p.records, p.sigIDs, p.prepared, order, opts), dopts, sx.cache, p.deadIDs)
 	})
-	if sharedOrder != nil {
-		sx.gen.Store(&orderGen{order: sharedOrder, sel: pebble.NewSelector(j.gen, sharedOrder, opts.Theta)})
-	}
+	sx.gen.Store(&orderGen{order: order, sel: pebble.NewSelector(j.gen, order, opts.Theta)})
 	return sx, nil
 }
 
@@ -326,40 +299,6 @@ func (j *Joiner) restoreBase(records []strutil.Record, sigIDs [][]uint32, prepar
 		ix.avgSig = float64(totalLen) / float64(len(records))
 	}
 	return ix
-}
-
-// restoreDynamic wraps a restored base as one dynamic shard and re-applies
-// its tombstones. The restored base holds every record — live and dead — at
-// its original position, so the dead bits land on the same positions the
-// original index had them and the posting lists match entry for entry.
-func (j *Joiner) restoreDynamic(base *Index, shared bool, opts Options, dopts DynamicOptions, cache *core.PreparedCache, pl *planner.Planner, deadIDs []int) *DynamicIndex {
-	dx := &DynamicIndex{
-		joiner:          j,
-		opts:            opts,
-		tau:             opts.tau(),
-		calc:            base.calc,
-		cache:           cache,
-		planner:         pl,
-		sharedOrder:     shared,
-		rebuildFraction: dopts.RebuildFraction,
-		maxSegments:     dopts.MaxSegments,
-	}
-	if dx.rebuildFraction == 0 {
-		dx.rebuildFraction = defaultRebuildFraction
-	}
-	if dx.maxSegments <= 0 {
-		dx.maxSegments = defaultMaxSegments
-	}
-	dx.adoptBaseLocked(base)
-	for _, id := range deadIDs {
-		pos := dx.positions[id]
-		delete(dx.positions, id)
-		dx.dead[pos>>6] |= 1 << (uint(pos) & 63)
-		dx.deadCount++
-		dx.sigLenLive -= dx.sigLens[pos]
-	}
-	dx.publishLocked()
-	return dx
 }
 
 // plannerToData converts an exported planner state into its snapshot form.

@@ -13,54 +13,43 @@ import (
 )
 
 // This file pins the adaptive planner's exactness contract: for every filter
-// method, threshold and serving path (static snapshot, post-mutation
-// snapshot, sharded fan-out), queries executed under PlanAuto must return
+// method, threshold and serving path (static and post-mutation snapshots of
+// a one-shard and a three-shard index), queries executed under PlanAuto must return
 // bit-identical results to the fixed build-time configuration. The planner
 // is only allowed to change how much the candidate phase over-admits — never
 // what survives exact verification.
-
-// queryView is the slice of View/ShardedView the equivalence tests drive.
-type queryView interface {
-	ProbeRecordCtx(ctx context.Context, tokens []string, qo QueryOpts) ([]QueryMatch, error)
-	QueryTopKCtx(ctx context.Context, tokens []string, k int, qo QueryOpts) ([]QueryMatch, error)
-	Probe(records []strutil.Record) ([]Pair, Stats)
-	Stats() DynamicStats
-}
 
 // plannerScenario builds an auto-planned index and a fixed-plan twin over the
 // same corpus and mutation script, returning snapshots of both.
 type plannerScenario struct {
 	name  string
-	build func(j *Joiner, recs []strutil.Record, opts Options) (auto, fixed queryView)
+	build func(j *Joiner, recs []strutil.Record, opts Options) (auto, fixed *ShardedView)
 }
 
 func plannerScenarios() []plannerScenario {
-	fixedOpts := func(opts Options) Options {
-		opts.Plan = PlanFixed
-		return opts
+	var out []plannerScenario
+	for _, shards := range gridShards {
+		for _, mutated := range []bool{false, true} {
+			name, dopts := fmt.Sprintf("static/shards=%d", shards), DynamicOptions{}
+			if mutated {
+				// MaxSegments 2 forces rebuilds mid-script, so the planned
+				// paths run against compacted snapshots.
+				name, dopts = fmt.Sprintf("mutated/shards=%d", shards), DynamicOptions{MaxSegments: 2}
+			}
+			out = append(out, plannerScenario{name, func(j *Joiner, recs []strutil.Record, opts Options) (*ShardedView, *ShardedView) {
+				fixed := opts
+				fixed.Plan = PlanFixed
+				ax := j.BuildShardedIndex(recs, shards, opts, dopts)
+				fx := j.BuildShardedIndex(recs, shards, fixed, dopts)
+				if mutated {
+					mutate(ax, 7)
+					mutate(fx, 7)
+				}
+				return ax.Snapshot(), fx.Snapshot()
+			}})
+		}
 	}
-	return []plannerScenario{
-		{"static", func(j *Joiner, recs []strutil.Record, opts Options) (queryView, queryView) {
-			return j.BuildDynamicIndex(recs, opts, DynamicOptions{}).Snapshot(),
-				j.BuildDynamicIndex(recs, fixedOpts(opts), DynamicOptions{}).Snapshot()
-		}},
-		{"mutated", func(j *Joiner, recs []strutil.Record, opts Options) (queryView, queryView) {
-			// MaxSegments 2 forces rebuilds mid-script, so the planned paths
-			// run against re-finalized snapshots with re-anchored feedback.
-			ad := j.BuildDynamicIndex(recs, opts, DynamicOptions{MaxSegments: 2})
-			fd := j.BuildDynamicIndex(recs, fixedOpts(opts), DynamicOptions{MaxSegments: 2})
-			mutate(ad, 7)
-			mutate(fd, 7)
-			return ad.Snapshot(), fd.Snapshot()
-		}},
-		{"sharded", func(j *Joiner, recs []strutil.Record, opts Options) (queryView, queryView) {
-			ax := j.BuildShardedIndex(recs, 3, opts, DynamicOptions{})
-			fx := j.BuildShardedIndex(recs, 3, fixedOpts(opts), DynamicOptions{})
-			mutate(ax, 7)
-			mutate(fx, 7)
-			return ax.Snapshot(), fx.Snapshot()
-		}},
-	}
+	return out
 }
 
 func sortMatches(ms []QueryMatch) []QueryMatch {
@@ -81,8 +70,8 @@ func matchesEqual(a, b []QueryMatch) bool {
 }
 
 // TestPlannedEqualsFixed is the exactness property test: across 3 filters ×
-// θ ∈ {0.7, 0.8, 0.9} × {static, post-mutation, sharded}, every query path
-// (ProbeRecord, QueryTopK, batch Probe) must produce identical results under
+// θ ∈ {0.7, 0.8, 0.9} × {static, post-mutation} × shards ∈ {1, 3}, every
+// query path (ProbeRecordCtx, QueryTopKCtx, batch Probe) must produce identical results under
 // PlanAuto and PlanFixed — both per-request (same snapshot, flipped
 // QueryOpts.Plan) and across twin indexes built with Options.Plan flipped.
 func TestPlannedEqualsFixed(t *testing.T) {
@@ -224,7 +213,7 @@ func TestPlannedQueriesRaceHammer(t *testing.T) {
 			default:
 			}
 			raw := fmt.Sprintf("tok%02d tok%02d hammer%d", rng.Intn(60), rng.Intn(60), i)
-			live = append(live, sx.Insert([]string{raw})...)
+			live = append(live, sx.InsertBatch([]string{raw})...)
 			if len(live) > 16 {
 				k := rng.Intn(len(live))
 				sx.Remove(live[k])

@@ -54,18 +54,19 @@ func TestPreparedVerifyMatchesTokensOracle(t *testing.T) {
 func TestProbeRecordMatchesOracle(t *testing.T) {
 	j := NewJoiner(paperContext())
 	s := benchCorpus(80, 41)
-	ix := j.BuildIndex(s, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP})
 	probes := benchCorpus(20, 42)
-	for _, p := range probes {
-		got := ix.ProbeRecord(p.Tokens)
-		var want []QueryMatch
-		for r := range s {
-			if v := j.Calculator().SimilarityTokens(s[r].Tokens, p.Tokens); v >= 0.8 {
-				want = append(want, QueryMatch{Record: r, Similarity: v})
+	for _, shards := range gridShards {
+		sv := j.BuildShardedIndex(s, shards, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{}).Snapshot()
+		for _, p := range probes {
+			var want []QueryMatch
+			for r := range s {
+				if v := j.Calculator().SimilarityTokens(s[r].Tokens, p.Tokens); v >= 0.8 {
+					want = append(want, QueryMatch{Record: r, Similarity: v})
+				}
 			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("ProbeRecord(%v) = %v, want %v", p.Raw, got, want)
+			if got := probeRecord(t, sv, p.Tokens); !reflect.DeepEqual(got, want) {
+				t.Fatalf("shards=%d: ProbeRecordCtx(%v) = %v, want %v", shards, p.Raw, got, want)
+			}
 		}
 	}
 }

@@ -2,8 +2,11 @@ package join
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"iter"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,23 +18,38 @@ import (
 	"github.com/aujoin/aujoin/internal/strutil"
 )
 
-// ShardedIndex partitions a dynamic join index across N DynamicIndex shards
-// so that mutations parallelize and rebuild pauses are bounded by shard
-// size, not corpus size. Records are routed by hashing their stable ID;
-// every shard has its own writer mutex, snapshot View, tombstone bitmap and
+// PlanMode selects between adaptive per-query planning (Auto, the zero
+// value) and the fixed build-time configuration (Fixed). It appears both on
+// Options (index-wide default; Fixed disables the planner entirely) and on
+// QueryOpts (per-request override).
+type PlanMode = planner.Mode
+
+const (
+	// PlanAuto plans each request adaptively (the default).
+	PlanAuto = planner.Auto
+	// PlanFixed pins the build-time filter method and τ.
+	PlanFixed = planner.Fixed
+)
+
+// ShardedIndex is the mutable, concurrently servable join index — the only
+// one: a router over N ≥ 1 private shards, every request taking the same
+// fan-out path whatever N is. Records are routed by hashing their stable ID;
+// every shard has its own writer mutex, snapshot view, tombstone bitmap and
 // rebuild thresholds, so inserts and removes on different shards proceed in
 // parallel and a threshold-crossing rebuild compacts one shard while the
-// other N−1 keep serving unchanged.
+// other N−1 keep serving unchanged. With N = 1 the same holds with one box in
+// the diagram: the router still owns the order, the planner and the cache,
+// and the single shard still only compacts.
 //
 // All shards share one global pebble frequency order (pebble.Order), which
 // is what keeps signatures comparable across shards: signature selection and
 // the ≥τ-overlap count filter depend only on the order, so a record's
 // signature is the same whichever shard holds it, and the union of per-shard
-// probe results is exactly the unsharded result. InternDynamic calls from
+// probe results is exactly the one-shard result. InternDynamic calls from
 // concurrently mutating shards serialize on the order's own small mutex,
 // decoupled from the shard writer locks. A consequence of sharing is that
 // per-shard rebuilds never re-freeze the order — the dynamic region is
-// append-only for the router's lifetime and frequency selectivity degrades
+// append-only between router re-freezes and frequency selectivity degrades
 // with it; what a shard rebuild restores is a dense compacted base (segments
 // merged, tombstones dropped).
 //
@@ -53,29 +71,24 @@ import (
 // One core.PreparedCache is shared across all shards: delete/re-insert
 // churn routes a re-ingested record by its new ID, which may hash to a
 // different shard, and a per-shard cache would miss there.
-//
-// With N = 1 the router degenerates to a single standalone DynamicIndex
-// (private order, re-freezing rebuilds) — exactly the pre-sharding engine.
 type ShardedIndex struct {
 	joiner *Joiner
 	opts   Options
 	tau    int
-	shards []*DynamicIndex
+	shards []*shard
 	cache  *core.PreparedCache
 
-	// planner is the adaptive per-query cost model, shared by every shard
-	// (the corpus statistics and the feedback are global; a fan-out request
-	// plans once and executes the same decision on every shard). Nil when
-	// Options.Plan is PlanFixed.
+	// planner is the adaptive per-query cost model (the corpus statistics
+	// and the feedback are global; a request plans once and executes the
+	// same decision on every shard). Nil when Options.Plan is PlanFixed.
 	planner *planner.Planner
 
-	// gen is the current order generation (nil for the single legacy shard,
-	// which owns and re-freezes a private order). Replaced wholesale by a
-	// global re-finalize; refreezeMu serializes re-finalizes. lastView is
+	// gen is the current order generation, replaced wholesale by a global
+	// re-finalize or AdoptOrder; refreezeMu serializes those. lastView is
 	// the freshest generation-consistent snapshot, refreshed at the start
-	// of every re-finalize (under all writer locks, so it is exactly the
+	// of every re-freeze (under all writer locks, so it is exactly the
 	// pre-refreeze state) — readers are served from it while the
-	// re-finalize runs instead of blocking.
+	// re-freeze runs instead of blocking.
 	gen            atomic.Pointer[orderGen]
 	refreezeMu     sync.Mutex
 	refreezes      int             // guarded by refreezeMu
@@ -100,16 +113,17 @@ type orderGen struct {
 	id    int
 }
 
-// BuildShardedIndex builds a partitioned dynamic index over the records.
-// shards ≤ 0 selects GOMAXPROCS. The join Options are fixed for the life of
-// the index, exactly as for BuildDynamicIndex; DynamicOptions apply to every
-// shard (thresholds are evaluated against per-shard sizes, so rebuild work
-// is bounded by the shard, and the CacheSize bounds the one cache shared by
-// all shards).
-func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Options, dopts DynamicOptions) *ShardedIndex {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
+// outgrown reports whether the order's append-only dynamic region has grown
+// as large as its frozen prefix — the key universe at least doubled since
+// the last freeze, so a stop-the-world re-freeze is amortized over that
+// growth.
+func (g *orderGen) outgrown() bool {
+	return g.order.DynamicCount() >= max(g.order.FrozenKeys(), 1)
+}
+
+// newRouter creates a ShardedIndex without shards: the planner, the shared
+// cache and the re-freeze policy the options select.
+func (j *Joiner) newRouter(opts Options, dopts DynamicOptions) *ShardedIndex {
 	sx := &ShardedIndex{joiner: j, opts: opts, tau: opts.tau()}
 	if opts.Plan != PlanFixed {
 		sx.planner = planner.New(opts.Method, sx.tau)
@@ -117,6 +131,21 @@ func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Op
 	if dopts.CacheSize >= 0 {
 		sx.cache = core.NewPreparedCache(dopts.CacheSize)
 	}
+	sx.noRefreeze.Store(dopts.RebuildFraction < 0)
+	return sx
+}
+
+// BuildShardedIndex builds the mutable index over the records, partitioned
+// across the given number of shards (≤ 0 selects GOMAXPROCS). The join
+// Options (θ, τ, filter method) are fixed for the life of the index, exactly
+// as for BuildIndex; DynamicOptions apply to every shard (thresholds are
+// evaluated against per-shard sizes, so rebuild work is bounded by the
+// shard, and the CacheSize bounds the one cache shared by all shards).
+func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Options, dopts DynamicOptions) *ShardedIndex {
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	sx := j.newRouter(opts, dopts)
 	parts := make([][]strutil.Record, shards)
 	for _, rec := range records {
 		w := shardOf(rec.ID, shards)
@@ -125,28 +154,17 @@ func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Op
 			sx.nextID = rec.ID + 1
 		}
 	}
-	var order *pebble.Order
-	if shards > 1 {
-		// The shared order spans the whole corpus so document frequencies —
-		// and therefore signatures — are identical to the unsharded build.
-		order = j.BuildOrder(records)
-		order.Finalize()
-	}
-	sx.noRefreeze.Store(dopts.RebuildFraction < 0)
-	sx.shards = make([]*DynamicIndex, shards)
+	// The shared order spans the whole corpus, so document frequencies — and
+	// therefore signatures — do not depend on the shard count.
+	order := j.BuildOrder(records)
+	order.Finalize()
+	sx.shards = make([]*shard, shards)
 	parallelFor(shards, shards, func(w int) {
-		sx.shards[w] = j.buildDynamic(parts[w], order, opts, dopts, sx.cache, sx.planner)
+		sx.shards[w] = newShard(j.buildIndex(parts[w], order, opts, nil), dopts, sx.cache, nil)
 	})
-	// The generation stays nil for the single legacy shard: it owns a
-	// private order that re-freezing rebuilds replace, so a router-held
-	// reference would go stale — every read path delegates to the shard
-	// instead, and a future misuse fails fast rather than probing under a
-	// dead order.
-	if order != nil {
-		// id 0 matches the zero-value generation stamp every freshly built
-		// shard publishes.
-		sx.gen.Store(&orderGen{order: order, sel: pebble.NewSelector(j.gen, order, opts.Theta)})
-	}
+	// id 0 matches the zero-value generation stamp every freshly built shard
+	// publishes.
+	sx.gen.Store(&orderGen{order: order, sel: pebble.NewSelector(j.gen, order, opts.Theta)})
 	return sx
 }
 
@@ -155,9 +173,6 @@ func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Op
 // spreads both sequential ingest and arbitrary survivor sets evenly without
 // letting any stride pattern alias a shard.
 func shardOf(id, shards int) int {
-	if shards == 1 {
-		return 0
-	}
 	return int((uint64(id) * 0x9E3779B97F4A7C15 >> 33) % uint64(shards))
 }
 
@@ -179,97 +194,49 @@ func (sx *ShardedIndex) InsertBatch(raw []string) []int {
 	sx.mu.Unlock()
 
 	ids := make([]int, len(raw))
-	groups := make([][]strutil.Record, len(sx.shards))
-	for i, s := range raw {
-		id := startID + i
-		ids[i] = id
-		w := shardOf(id, len(sx.shards))
-		groups[w] = append(groups[w], strutil.NewRecord(id, s))
+	for i := range ids {
+		ids[i] = startID + i
 	}
-	sx.runShards(nonEmptyShards(len(groups), func(w int) bool { return len(groups[w]) > 0 }), func(w int) {
-		sx.shards[w].insertRecords(groups[w])
-	})
-	sx.maybeRefreeze()
+	sx.insertRouted(ids, raw)
 	return ids
 }
 
+// insertRouted inserts the records under the given stable IDs, one
+// concurrent group per destination shard, and then checks the re-freeze
+// trigger (inserts are the only source of new keys).
+func (sx *ShardedIndex) insertRouted(ids []int, raw []string) {
+	groups := make([][]strutil.Record, len(sx.shards))
+	for i, s := range raw {
+		w := shardOf(ids[i], len(sx.shards))
+		groups[w] = append(groups[w], strutil.NewRecord(ids[i], s))
+	}
+	sx.runShards(func(w int) bool { return len(groups[w]) > 0 }, func(w int) {
+		sx.shards[w].insertRecords(groups[w])
+	})
+	sx.maybeRefreeze()
+}
+
 // maybeRefreeze triggers a global re-finalize of the shared order once its
-// append-only dynamic region has grown as large as the frozen prefix —
-// i.e. the key universe at least doubled since the last freeze, so the
-// stop-the-world cost is amortized over that growth. Inserts are the only
-// source of new keys, so this is checked after each InsertBatch.
+// dynamic region has outgrown the frozen prefix: every shard's writer lock
+// is held while a fresh order is frozen over all live records (true document
+// frequencies, empty dynamic region) and every shard rebuilt under it.
 func (sx *ShardedIndex) maybeRefreeze() {
-	g := sx.gen.Load()
-	if g == nil || sx.noRefreeze.Load() {
-		return
-	}
-	frozen := g.order.FrozenKeys()
-	if frozen < 1 {
-		frozen = 1
-	}
-	if g.order.DynamicCount() < frozen {
+	if sx.noRefreeze.Load() || !sx.gen.Load().outgrown() {
 		return
 	}
 	sx.refreezeMu.Lock()
 	defer sx.refreezeMu.Unlock()
 	// Re-check against the current generation: a concurrent InsertBatch may
 	// have completed the refreeze while this one waited on the mutex.
-	g = sx.gen.Load()
-	frozen = g.order.FrozenKeys()
-	if frozen < 1 {
-		frozen = 1
-	}
-	if g.order.DynamicCount() < frozen {
+	if sx.noRefreeze.Load() || !sx.gen.Load().outgrown() {
 		return
 	}
-	// Stop the world for writers: every shard's writer lock is held while
-	// all live records are collected, a fresh order frozen over them (true
-	// document frequencies, empty dynamic region) and every shard rebuilt
-	// under it with the bumped generation. Readers never stall: Snapshot
-	// serves the pre-refreeze view cached below until the new generation is
-	// fully published.
 	start := time.Now()
-	for _, sh := range sx.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range sx.shards {
-			sh.mu.Unlock()
-		}
-	}()
-	// With all writer locks held the current per-shard views are the exact
-	// pre-refreeze state and necessarily one generation — cache them for
-	// readers arriving mid-refreeze.
-	pre := make([]*View, len(sx.shards))
-	for w, sh := range sx.shards {
-		pre[w] = sh.Snapshot()
-	}
-	sx.lastView.Store(newShardedView(sx, g, pre))
-	// One live scan serves both the global order build and the per-shard
-	// base rebuilds.
-	liveAll := make([][]strutil.Record, len(sx.shards))
-	prepAll := make([][]*core.PreparedRecord, len(sx.shards))
-	var flat []strutil.Record
-	for w, sh := range sx.shards {
-		liveAll[w], prepAll[w] = sh.liveLocked()
-		flat = append(flat, liveAll[w]...)
-	}
-	order := sx.joiner.BuildOrder(flat)
-	order.Finalize()
-	next := &orderGen{order: order, sel: pebble.NewSelector(sx.joiner.gen, order, sx.opts.Theta), id: g.id + 1}
-	parallelFor(len(sx.shards), len(sx.shards), func(w int) {
-		sx.shards[w].refreezeLocked(order, next.id, liveAll[w], prepAll[w])
+	sx.refreezeLocked(func(live [][]strutil.Record) *pebble.Order {
+		order := sx.joiner.BuildOrder(live...)
+		order.Finalize()
+		return order
 	})
-	sx.gen.Store(next)
-	// One re-anchor for the whole re-finalize: the planner is shared, so
-	// per-shard calls inside the parallelFor would decay its corrections N
-	// times for one corpus event.
-	sx.planner.Reanchor()
-	// The pre-refreeze view has served its purpose; dropping it releases
-	// the superseded generation's bases for collection (readers that
-	// already hold it keep it alive only as long as they keep it).
-	sx.lastView.Store(nil)
-	sx.refreezes++
 	// The whole stop-the-world window — live scans, order freeze and every
 	// shard rebuild — is one writer stall; log it whole so the pause
 	// percentiles cannot understate the one corpus-sized pause the design
@@ -277,20 +244,67 @@ func (sx *ShardedIndex) maybeRefreeze() {
 	sx.refreezePauses = appendPause(sx.refreezePauses, time.Since(start))
 }
 
-// Refreezes returns the number of global re-finalizes of the shared order.
+// refreezeLocked is the index's one stop-the-world step, shared by the
+// self-triggered global re-finalize and AdoptOrder; the caller holds
+// refreezeMu. Every shard's writer lock is held while the live records are
+// collected, freeze turns them into the next frozen order, and every shard
+// is rebuilt under it with the bumped generation. Readers never stall:
+// with all writer locks held the current per-shard views are the exact
+// pre-refreeze state and necessarily one generation, so they are cached for
+// Snapshot to serve until the new generation is fully published.
+func (sx *ShardedIndex) refreezeLocked(freeze func(live [][]strutil.Record) *pebble.Order) {
+	defer sx.lockShards()()
+	g := sx.gen.Load()
+	pre := make([]*shardView, len(sx.shards))
+	// One live scan serves both the order build and the per-shard base
+	// rebuilds.
+	liveAll := make([][]strutil.Record, len(sx.shards))
+	prepAll := make([][]*core.PreparedRecord, len(sx.shards))
+	for w, sh := range sx.shards {
+		pre[w] = sh.snapshot()
+		liveAll[w], prepAll[w] = sh.liveLocked()
+	}
+	sx.lastView.Store(&ShardedView{sx: sx, gen: g, views: pre})
+	order := freeze(liveAll)
+	next := &orderGen{order: order, sel: pebble.NewSelector(sx.joiner.gen, order, sx.opts.Theta), id: g.id + 1}
+	parallelFor(len(sx.shards), len(sx.shards), func(w int) {
+		sx.shards[w].refreezeLocked(order, next.id, liveAll[w], prepAll[w])
+	})
+	sx.gen.Store(next)
+	// One re-anchor per corpus event: the planner's corrections were learned
+	// against the order that was just replaced.
+	sx.planner.Reanchor()
+	// The pre-refreeze view has served its purpose; dropping it releases
+	// the superseded generation's bases for collection (readers that
+	// already hold it keep it alive only as long as they keep it).
+	sx.lastView.Store(nil)
+	sx.refreezes++
+}
+
+// lockShards takes every shard's writer lock — one atomic cut across the
+// index — and returns the function that releases them.
+func (sx *ShardedIndex) lockShards() (unlock func()) {
+	for _, sh := range sx.shards {
+		sh.mu.Lock()
+	}
+	return func() {
+		for _, sh := range sx.shards {
+			sh.mu.Unlock()
+		}
+	}
+}
+
+// Refreezes returns the number of global re-freezes of the shared order.
 func (sx *ShardedIndex) Refreezes() int {
 	sx.refreezeMu.Lock()
 	defer sx.refreezeMu.Unlock()
 	return sx.refreezes
 }
 
-// Insert is InsertBatch (kept for signature parity with DynamicIndex).
-func (sx *ShardedIndex) Insert(raw []string) []int { return sx.InsertBatch(raw) }
-
 // Remove tombstones the record with the given stable ID on its shard,
 // reporting whether it was present and live.
 func (sx *ShardedIndex) Remove(id int) bool {
-	return sx.shards[shardOf(id, len(sx.shards))].Remove(id)
+	return sx.shards[shardOf(id, len(sx.shards))].removeBatch([]int{id})[0]
 }
 
 // RemoveBatch tombstones every given stable ID, reporting per ID whether it
@@ -300,78 +314,72 @@ func (sx *ShardedIndex) RemoveBatch(ids []int) []bool {
 	if len(ids) == 0 {
 		return nil
 	}
-	type ref struct{ id, at int }
-	groups := make([][]ref, len(sx.shards))
+	type group struct{ ids, at []int }
+	groups := make([]group, len(sx.shards))
 	for i, id := range ids {
-		w := shardOf(id, len(sx.shards))
-		groups[w] = append(groups[w], ref{id, i})
+		g := &groups[shardOf(id, len(sx.shards))]
+		g.ids, g.at = append(g.ids, id), append(g.at, i)
 	}
 	out := make([]bool, len(ids))
-	sx.runShards(nonEmptyShards(len(groups), func(w int) bool { return len(groups[w]) > 0 }), func(w int) {
-		batch := make([]int, len(groups[w]))
-		for i, r := range groups[w] {
-			batch[i] = r.id
-		}
-		for i, ok := range sx.shards[w].RemoveBatch(batch) {
-			out[groups[w][i].at] = ok
+	sx.runShards(func(w int) bool { return len(groups[w].ids) > 0 }, func(w int) {
+		for i, ok := range sx.shards[w].removeBatch(groups[w].ids) {
+			out[groups[w].at[i]] = ok
 		}
 	})
 	return out
 }
 
-// nonEmptyShards collects the shard indexes a batch actually touches, so a
-// small mutation never pays goroutine spawns for uninvolved shards.
-func nonEmptyShards(n int, used func(w int) bool) []int {
+// runShards runs fn(w) for every shard a batch touches (used reports which),
+// concurrently when there are several, inline when there is one — a small
+// mutation never pays goroutine spawns for uninvolved shards.
+func (sx *ShardedIndex) runShards(used func(w int) bool, fn func(w int)) {
 	var ws []int
-	for w := 0; w < n; w++ {
+	for w := range sx.shards {
 		if used(w) {
 			ws = append(ws, w)
 		}
 	}
-	return ws
-}
-
-// runShards runs fn(w) for the given shard indexes, concurrently when there
-// are several, inline when there is one.
-func (sx *ShardedIndex) runShards(ws []int, fn func(w int)) {
 	parallelFor(len(ws), len(ws), func(i int) { fn(ws[i]) })
 }
 
-// Snapshot captures every shard's current View into one ShardedView. Each
-// per-shard View is individually consistent and immutable; the combination
+// Snapshot captures every shard's current view into one ShardedView. Each
+// per-shard view is individually consistent and immutable; the combination
 // is not a single atomic cut across shards (a concurrent InsertBatch
 // spanning several shards may be partially visible), which is the standard
 // relaxation partitioned serving systems make in exchange for lock-free
 // writes on disjoint shards. What IS guaranteed is order-generation
 // consistency: all N views belong to one generation of the shared order,
 // so a fan-out query never mixes signatures of one order with posting
-// lists of another. While a global re-finalize is publishing the next
-// generation, Snapshot serves the cached pre-refreeze view — exact as of
-// the moment every writer stalled — so readers never block on the
-// stop-the-world rebuild.
+// lists of another. While a re-freeze is publishing the next generation,
+// Snapshot serves the cached pre-refreeze view — exact as of the moment
+// every writer stalled — so readers never block on the stop-the-world
+// rebuild.
 func (sx *ShardedIndex) Snapshot() *ShardedView {
 	for {
 		g := sx.gen.Load()
-		views := make([]*View, len(sx.shards))
+		views := make([]*shardView, len(sx.shards))
 		consistent := true
 		for w, sh := range sx.shards {
-			views[w] = sh.Snapshot()
-			if g != nil && views[w].gen != g.id {
+			views[w] = sh.snapshot()
+			if views[w].gen != g.id {
 				consistent = false
 				break
 			}
 		}
 		if consistent {
-			return newShardedView(sx, g, views)
+			// Construction is deliberately trivial — Snapshot sits on the
+			// per-query serving path, so the stats aggregation (which touches
+			// the shared cache mutex) is deferred to the first Stats call.
+			return &ShardedView{sx: sx, gen: g, views: views}
 		}
 		if sx.gen.Load() != g {
-			// The re-finalize completed between loading g and reading the
+			// The re-freeze completed between loading g and reading the
 			// shard views; retry against the new generation.
 			continue
 		}
-		// A re-finalize is mid-flight: serve the pre-refreeze snapshot it
+		// A re-freeze is mid-flight: serve the pre-refreeze snapshot it
 		// cached under all writer locks. (nil only before the first
-		// re-finalize, when every view is still generation-consistent, so
+		// re-freeze, when every view is still generation-consistent, so
 		// this branch cannot be reached then — the barrier is a safety net.)
 		if sv := sx.lastView.Load(); sv != nil {
 			return sv
@@ -381,10 +389,7 @@ func (sx *ShardedIndex) Snapshot() *ShardedView {
 	}
 }
 
-// Stats aggregates the current per-shard snapshot statistics. Catalog,
-// segment, rebuild and insert counts are summed; the interned-key split and
-// the cache counters are global (shared order, shared cache) and reported
-// once; BuildTime is the slowest shard's build (shards build in parallel).
+// Stats returns the statistics of a fresh snapshot.
 func (sx *ShardedIndex) Stats() DynamicStats { return sx.Snapshot().Stats() }
 
 // RebuildPauses returns every writer stall so far: the per-shard rebuild
@@ -396,7 +401,7 @@ func (sx *ShardedIndex) Stats() DynamicStats { return sx.Snapshot().Stats() }
 func (sx *ShardedIndex) RebuildPauses() []time.Duration {
 	var out []time.Duration
 	for _, sh := range sx.shards {
-		out = append(out, sh.RebuildPauses()...)
+		out = append(out, sh.rebuildPauses()...)
 	}
 	sx.refreezeMu.Lock()
 	out = append(out, sx.refreezePauses...)
@@ -404,14 +409,14 @@ func (sx *ShardedIndex) RebuildPauses() []time.Duration {
 	return out
 }
 
-// ShardedView is one fan-out snapshot: per-shard immutable Views of a
-// single order generation, the statistics captured when the snapshot was
-// taken, and the lazily built flattened catalog the batch-probe pipeline
-// runs over. All methods are read-only and safe for unbounded concurrency.
+// ShardedView is one fan-out snapshot: per-shard immutable views of a
+// single order generation, the statistics captured on first request, and
+// the lazily built flattened catalog the batch-probe pipeline runs over.
+// All methods are read-only and safe for unbounded concurrency.
 type ShardedView struct {
 	sx    *ShardedIndex
-	gen   *orderGen // the views' shared-order generation; nil for one legacy shard
-	views []*View
+	gen   *orderGen // the views' shared-order generation
+	views []*shardView
 
 	statsOnce sync.Once
 	stats     DynamicStats
@@ -425,55 +430,35 @@ type ShardedView struct {
 	}
 }
 
-// newShardedView assembles a generation-consistent snapshot. Construction
-// is deliberately trivial — Snapshot sits on the per-query serving path, so
-// the stats aggregation (which touches the shared cache mutex) is deferred
-// to the first Stats call.
-func newShardedView(sx *ShardedIndex, g *orderGen, views []*View) *ShardedView {
-	return &ShardedView{sx: sx, gen: g, views: views}
-}
-
-// Stats aggregates the snapshot's per-shard statistics, computed once on
-// first call and immutable afterwards (the per-shard components were fixed
-// when the snapshot was taken; the global key split and cache counters are
-// read on that first call). Catalog, segment, rebuild and insert counts
-// are summed; the interned-key split and cache counters are global (shared
-// order, shared cache) and reported once; BuildTime is the slowest shard's
-// build (shards build in parallel).
+// Stats aggregates the snapshot's statistics, computed once on first call
+// and immutable afterwards (the per-shard components were fixed when the
+// snapshot was taken; the global key split, the cache and planner counters
+// and the cumulative probe tallies are read on that first call). Catalog,
+// segment, rebuild, insert and tally counts are summed over the shards; the
+// interned-key split and the cache and planner counters are global (shared
+// order, shared cache, one planner) and reported once.
 func (sv *ShardedView) Stats() DynamicStats {
 	sv.statsOnce.Do(func() {
-		st := sv.views[0].Stats()
-		st.Shards = len(sv.views)
-		for _, v := range sv.views[1:] {
-			vs := v.Stats()
-			st.Records += vs.Records
-			st.Live += vs.Live
-			st.Dead += vs.Dead
-			st.Segments += vs.Segments
-			st.Rebuilds += vs.Rebuilds
-			st.Inserts += vs.Inserts
-			st.DenseKeys += vs.DenseKeys
-			st.SparseKeys += vs.SparseKeys
-			st.ProbePostings += vs.ProbePostings
-			st.ProbeBitsetTokens += vs.ProbeBitsetTokens
-			st.ProbeSliceTokens += vs.ProbeSliceTokens
-			st.VerifiedCandidates += vs.VerifiedCandidates
-			st.PrunedByBound += vs.PrunedByBound
-			st.MemoHits += vs.MemoHits
-			if vs.BuildTime > st.BuildTime {
-				st.BuildTime = vs.BuildTime
-			}
+		sx := sv.sx
+		st := DynamicStats{
+			Shards:      len(sv.views),
+			FrozenKeys:  sv.gen.order.FrozenKeys(),
+			DynamicKeys: sv.gen.order.DynamicCount(),
+			Theta:       sx.opts.Theta,
+			Tau:         sx.tau,
 		}
-		if sv.gen != nil {
-			// The order is shared, so the key split is global. (A single
-			// legacy shard owns — and on rebuild replaces — its own order,
-			// so its published stats are the authoritative ones.)
-			st.FrozenKeys = sv.gen.order.FrozenKeys()
-			st.DynamicKeys = sv.gen.order.DynamicCount()
+		for _, v := range sv.views {
+			v.addStats(&st)
 		}
-		if sv.sx.cache != nil {
-			st.CacheHits, st.CacheMisses = sv.sx.cache.Stats()
+		if sx.cache != nil {
+			st.CacheHits, st.CacheMisses = sx.cache.Stats()
 		}
+		c := sx.planner.Counters() // zero when planning is disabled
+		st.SuggestedTau = c.SuggestedTau
+		st.Plans = c.Plans
+		st.PlanFallbacks = c.Fallbacks
+		st.PlanReanchors = c.Reanchors
+		st.PlanDecisions = c.Decisions
 		sv.stats = st
 	})
 	return sv.stats
@@ -482,90 +467,228 @@ func (sv *ShardedView) Stats() DynamicStats {
 // Record returns the record with the given stable ID, if it is live in this
 // snapshot; the ID's hash identifies the one shard that can hold it.
 func (sv *ShardedView) Record(id int) (strutil.Record, bool) {
-	return sv.views[shardOf(id, len(sv.views))].Record(id)
+	return sv.views[shardOf(id, len(sv.views))].record(id)
 }
 
 // Live returns the snapshot's live records across all shards, in ascending
-// stable-ID order.
+// stable-ID order. The slice is freshly allocated; the records themselves
+// are shared and immutable.
 func (sv *ShardedView) Live() []strutil.Record {
 	var out []strutil.Record
 	for _, v := range sv.views {
-		out = append(out, v.Live()...)
+		out = v.appendLive(out)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
 }
 
-// fanout runs fn for every shard view concurrently under a shared
-// cancellable context: the first shard to return an error cancels its
-// siblings (errgroup-style propagation, without the dependency). When the
-// caller's own context was cancelled, that cancellation is returned bare —
-// the shards did not fail, the request was withdrawn. Any other failure is
-// reported as one *FanoutError naming every failing shard (siblings that
-// merely observed the resulting internal cancellation are collateral, not
-// failures, and are omitted).
-func (sv *ShardedView) fanout(ctx context.Context, fn func(ctx context.Context, w int) error) error {
-	ictx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, len(sv.views))
-	parallelFor(len(sv.views), len(sv.views), func(w int) {
-		if errs[w] = fn(ictx, w); errs[w] != nil {
-			cancel()
+// QueryOpts carries per-request overrides of parameters that are otherwise
+// fixed when an index is built. The zero value changes nothing.
+type QueryOpts struct {
+	// Theta overrides the verification threshold for this request; 0 keeps
+	// the build-time θ. Values above the build θ are exact (the filter
+	// over-admits, verification tightens). Values below it are rejected
+	// with ErrThetaBelowBuild: the candidate set is bounded by the
+	// build-time filter, so no complete answer exists at a lower threshold.
+	Theta float64
+	// Workers bounds the verification parallelism of this request; 0 or 1
+	// verifies sequentially on the fan-out's goroutine (per shard — the
+	// shard fan-out itself always runs concurrently).
+	Workers int
+	// Plan selects adaptive per-request planning (PlanAuto, the default) or
+	// the fixed build-time configuration (PlanFixed). Auto on an index built
+	// with Options.Plan == PlanFixed still runs fixed — that index has no
+	// planner.
+	Plan PlanMode
+	// ProbeTau (with ProbeMethod) pins this request's probe-side
+	// configuration to one point of the planner's search space instead of
+	// planning or using the build config: the request selects its probe
+	// signature with ProbeMethod at min(ProbeTau, τ_build) and count-filters
+	// at that τ. Any such configuration is sound against the build-time
+	// index (τ′ ≤ τ_build only over-admits; verification is exact), so
+	// results are bit-identical to every other configuration. 0 leaves Plan
+	// in charge. Benchmarks use this to A/B the planner against each fixed
+	// configuration on the same index.
+	ProbeTau    int
+	ProbeMethod pebble.Method
+}
+
+// ErrThetaBelowBuild rejects a request whose QueryOpts.Theta is below the θ
+// the index was built with. The indexed signatures only guarantee the
+// τ-overlap for pairs reaching the build θ, so the filter may drop matches
+// between the two thresholds; the index refuses rather than return an
+// answer it cannot know to be complete.
+var ErrThetaBelowBuild = errors.New("join: requested threshold is below the index's build threshold")
+
+// thetaFor resolves the verification threshold a request runs at.
+func (o Options) thetaFor(qo QueryOpts) float64 {
+	if qo.Theta > 0 {
+		return qo.Theta
+	}
+	return o.Theta
+}
+
+// maxInlineShards is the fan-out width whose per-shard result slots fit
+// inside the request itself; wider indexes pay one more allocation.
+const maxInlineShards = 4
+
+// request is the state of one single-record request — a threshold probe or a
+// top-k query — across its shard fan-out, and one allocation: the plan, the
+// lazily prepared query every shard shares, the planner feedback
+// accumulator, the rising floor shared by every top-k heap, and per shard
+// the matches it found and the error it failed with.
+type request struct {
+	sv *ShardedView
+	d  planner.Decision
+	qo QueryOpts
+	k  int // > 0: the k best matches per shard; 0: every match reaching θ
+	lp lazyPrepared
+	ex planner.Exec
+	// ft spans the whole fan-out: as soon as any shard's heap fills, its
+	// k-th similarity becomes a lower bound on the global k-th best, so
+	// sibling shards can skip candidates bounded below it.
+	ft floorTracker
+
+	ctx    context.Context
+	cancel context.CancelFunc // nil when there is no sibling to cancel
+	wg     sync.WaitGroup
+	parts  [][]QueryMatch
+	errs   []error
+
+	partBuf [maxInlineShards][]QueryMatch
+	errBuf  [maxInlineShards]error
+}
+
+// serve runs one single-record request against every shard and returns the
+// per-shard matches: one plan and one signature for the whole request (the
+// shards share the order, so one signature is valid everywhere), the query
+// prepared at most once, on the first shard that produces a candidate.
+func (sv *ShardedView) serve(ctx context.Context, tokens []string, k int, qo QueryOpts) ([][]QueryMatch, error) {
+	sx := sv.sx
+	if qo.Theta > 0 && qo.Theta < sx.opts.Theta {
+		return nil, fmt.Errorf("%w: %v < %v", ErrThetaBelowBuild, qo.Theta, sx.opts.Theta)
+	}
+	start := time.Now()
+	rq := &request{sv: sv, d: sv.planRecord(tokens, qo), qo: qo, k: k}
+	rq.lp.calc, rq.lp.tokens = sx.joiner.calcFor(sx.opts), tokens
+	if n := len(sv.views); n <= maxInlineShards {
+		rq.parts, rq.errs = rq.partBuf[:n], rq.errBuf[:n]
+	} else {
+		rq.parts, rq.errs = make([][]QueryMatch, n), make([]error, n)
+	}
+	if err := rq.fanout(ctx, (*request).shard); err != nil {
+		return nil, err
+	}
+	sx.planner.ObserveExec(rq.d, &rq.ex, 1, time.Since(start).Nanoseconds())
+	return rq.parts, nil
+}
+
+// shard is one shard's share of the request.
+func (rq *request) shard(ctx context.Context, w int) (err error) {
+	v := rq.sv.views[w]
+	if rq.k > 0 {
+		var heap topKHeap
+		heap, err = v.queryTopKPrepared(ctx, rq.d.Sig, rq.d.Tau, &rq.lp, rq.k, rq.qo, &rq.ex, &rq.ft)
+		rq.parts[w] = heap.entries
+		return err
+	}
+	rq.parts[w], err = v.probeRecordPrepared(ctx, rq.d.Sig, rq.d.Tau, &rq.lp, rq.qo, &rq.ex)
+	return err
+}
+
+// fanout runs fn once per shard — shard 0 on the calling goroutine, every
+// sibling on its own — so a fan-out of one is a plain call. With siblings
+// they share a cancellable child context and the first shard to return an
+// error cancels the rest (errgroup-style propagation, without the
+// dependency). When the caller's own context was cancelled, that
+// cancellation is returned bare — the shards did not fail, the request was
+// withdrawn. Any other failure is reported as one *FanoutError naming every
+// failing shard (siblings that merely observed the resulting internal
+// cancellation are collateral, not failures, and are omitted).
+func (rq *request) fanout(ctx context.Context, fn func(rq *request, ctx context.Context, w int) error) error {
+	rq.ctx = ctx
+	if n := len(rq.errs); n > 1 {
+		rq.ctx, rq.cancel = context.WithCancel(ctx)
+		defer rq.cancel()
+		rq.wg.Add(n - 1)
+		for w := 1; w < n; w++ {
+			goPipeline(func() {
+				defer rq.wg.Done()
+				rq.run(fn, w)
+			})
 		}
-	})
+	}
+	rq.run(fn, 0)
+	rq.wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return newFanoutError("shard", errs)
+	return newFanoutError("shard", rq.errs)
 }
 
-// ProbeRecord runs the filter-and-verify pipeline for one tokenised query
-// against every shard concurrently and merges the matches in ascending
-// stable-ID order. The signature is selected once (all shards share the
-// global order, so one signature is valid everywhere) and the query is
-// prepared at most once, on the first shard that produces a candidate.
-func (sv *ShardedView) ProbeRecord(tokens []string) []QueryMatch {
-	out, _ := sv.ProbeRecordCtx(context.Background(), tokens, QueryOpts{})
-	return out
+// run executes fn for shard w, recording its error and cancelling the
+// siblings on failure.
+func (rq *request) run(fn func(rq *request, ctx context.Context, w int) error, w int) {
+	if rq.errs[w] = fn(rq, rq.ctx, w); rq.errs[w] != nil && rq.cancel != nil {
+		rq.cancel()
+	}
 }
 
-// ProbeRecordCtx is ProbeRecord with cooperative cancellation and
-// per-request options: the first shard to observe the cancelled context
-// aborts the whole fan-out. An empty token slice returns an empty result
-// without touching any shard.
+// ProbeRecordCtx runs the filter-and-verify pipeline for one tokenised query
+// against every shard concurrently and returns the matching live records —
+// identified by their stable IDs — in ascending ID order. Verification
+// checks ctx between candidates; the first shard to observe the cancelled
+// context aborts the whole fan-out and the context error is returned. A
+// qo.Theta below the build θ is rejected with ErrThetaBelowBuild. An empty
+// token slice returns an empty result without touching any shard (there is
+// no zero-signature probe to run).
 func (sv *ShardedView) ProbeRecordCtx(ctx context.Context, tokens []string, qo QueryOpts) ([]QueryMatch, error) {
 	if len(tokens) == 0 {
 		return nil, ctx.Err()
 	}
-	if len(sv.views) == 1 {
-		return sv.views[0].ProbeRecordCtx(ctx, tokens, qo)
-	}
-	start := time.Now()
-	d := sv.planRecord(tokens, qo)
-	lp := &lazyPrepared{calc: sv.sx.joiner.calcFor(sv.sx.opts), tokens: tokens}
-	parts := make([][]QueryMatch, len(sv.views))
-	var ex planner.Exec
-	err := sv.fanout(ctx, func(ictx context.Context, w int) error {
-		var werr error
-		parts[w], werr = sv.views[w].probeRecordPrepared(ictx, d.Sig, d.Tau, lp, qo, &ex)
-		return werr
-	})
+	parts, err := sv.serve(ctx, tokens, 0, qo)
 	if err != nil {
 		return nil, err
 	}
-	sv.sx.planner.ObserveExec(d, &ex, 1, time.Since(start).Nanoseconds())
-	var out []QueryMatch
-	for _, p := range parts {
+	out := parts[0]
+	for _, p := range parts[1:] {
 		out = append(out, p...)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Record < out[b].Record })
 	return out, nil
 }
 
-// planRecord resolves one probe-side configuration and signature for a
-// fan-out request: one plan per request, shared by every shard (the shards
-// share the order, so one signature is valid everywhere, and the planner
-// sees the global document frequencies via listLen).
+// QueryTopKCtx is ProbeRecordCtx restricted to the k highest-similarity
+// matches, ordered by descending similarity (ascending ID on ties). Every
+// shard verifies its candidates from the thresholded scan through a bounded
+// min-heap, so memory stays O(k) per shard however many records clear θ, and
+// the per-shard heaps are folded through one more k-bounded heap — sound
+// because the global top k under the total order is contained in the union
+// of per-shard top k's. An empty token slice or k ≤ 0 returns an empty result
+// without touching any shard.
+func (sv *ShardedView) QueryTopKCtx(ctx context.Context, tokens []string, k int, qo QueryOpts) ([]QueryMatch, error) {
+	if k <= 0 || len(tokens) == 0 {
+		return nil, ctx.Err()
+	}
+	parts, err := sv.serve(ctx, tokens, k, qo)
+	if err != nil {
+		return nil, err
+	}
+	merged := topKHeap{entries: parts[0]}
+	for _, p := range parts[1:] {
+		for _, m := range p {
+			merged.offer(m, k)
+		}
+	}
+	return merged.sorted(), nil
+}
+
+// planRecord resolves the probe-side configuration and signature for one
+// single-record request, once for every shard: the planner's cheapest sound
+// configuration under PlanAuto (it sees the global document frequencies via
+// listLen), the build-time configuration under PlanFixed or when the index
+// has no planner. Either way the returned decision carries the selected
+// probe signature.
 func (sv *ShardedView) planRecord(tokens []string, qo QueryOpts) planner.Decision {
 	if qo.ProbeTau > 0 {
 		method, tau := pinnedConfig(qo, sv.sx.tau)
@@ -582,9 +705,28 @@ func (sv *ShardedView) planRecord(tokens []string, qo QueryOpts) planner.Decisio
 	return pl.Plan(sv.gen.sel, sv.gen.sel.Prepare(tokens), sv.listLen, sv.totalRecords())
 }
 
-// planBatch resolves one configuration for a whole probe batch (see
-// View.planBatch; the sample is prepared under the shared generation's
-// selector).
+// pinnedConfig resolves a QueryOpts probe-side override into a sound
+// configuration: τ clamps into [1, τ_build] (larger values would demand
+// overlap the indexed τ_build-signatures never promise) and the U-Filter
+// fixes τ at 1, exactly as a build with that method would.
+func pinnedConfig(qo QueryOpts, buildTau int) (pebble.Method, int) {
+	tau := qo.ProbeTau
+	if tau > buildTau {
+		tau = buildTau
+	}
+	if tau < 1 || qo.ProbeMethod == pebble.UFilter {
+		tau = 1
+	}
+	return qo.ProbeMethod, tau
+}
+
+// planBatchSample bounds the prepared-probe sample a batch plan evaluates:
+// the plan must stay far cheaper than the batch it steers.
+const planBatchSample = 8
+
+// planBatch resolves one configuration for a whole probe batch from a
+// strided sample of the probe records (batch paths select their signatures
+// after the decision, in the shared signature pass).
 func (sv *ShardedView) planBatch(records []strutil.Record) planner.Decision {
 	pl := sv.sx.planner
 	if pl == nil || len(records) == 0 {
@@ -598,9 +740,18 @@ func (sv *ShardedView) planBatch(records []strutil.Record) planner.Decision {
 	return pl.PlanBatch(sv.gen.sel, pres, sv.listLen, sv.totalRecords())
 }
 
+// planTauOf is the Stats.PlanTau value of a batch decision: the planned τ,
+// or 0 when the batch ran the fixed build-time configuration.
+func planTauOf(d planner.Decision) int {
+	if !d.Planned {
+		return 0
+	}
+	return d.Tau
+}
+
 // listLen sums one interned key's live posting lengths across every shard's
-// base index — the global document frequency, identical to what the
-// unsharded index would report (routing partitions records, not postings).
+// base index — the global document frequency, independent of the shard
+// count (routing partitions records, not postings).
 func (sv *ShardedView) listLen(id uint32) int {
 	n := 0
 	for _, v := range sv.views {
@@ -618,83 +769,20 @@ func (sv *ShardedView) totalRecords() int {
 	return n
 }
 
-// QueryTopK fans the thresholded top-k scan out to every shard concurrently
-// and k-bounds the merge: each shard returns its own top k through the
-// bounded heap, and the per-shard streams are folded through one more
-// k-bounded heap — sound because the global top k under the total order
-// (similarity desc, ID asc) is contained in the union of per-shard top k's.
-// Results are ordered by descending similarity (ascending ID on ties); k ≤ 0
-// yields an empty result without touching any shard.
-func (sv *ShardedView) QueryTopK(tokens []string, k int) []QueryMatch {
-	out, _ := sv.QueryTopKCtx(context.Background(), tokens, k, QueryOpts{})
-	return out
-}
-
-// QueryTopKCtx is QueryTopK with cooperative cancellation and per-request
-// options: the first shard to observe the cancelled context aborts the whole
-// fan-out. An empty token slice or k ≤ 0 returns an empty result without
-// touching any shard.
-func (sv *ShardedView) QueryTopKCtx(ctx context.Context, tokens []string, k int, qo QueryOpts) ([]QueryMatch, error) {
-	if k <= 0 || len(tokens) == 0 {
-		return nil, ctx.Err()
-	}
-	if len(sv.views) == 1 {
-		return sv.views[0].QueryTopKCtx(ctx, tokens, k, qo)
-	}
-	start := time.Now()
-	d := sv.planRecord(tokens, qo)
-	lp := &lazyPrepared{calc: sv.sx.joiner.calcFor(sv.sx.opts), tokens: tokens}
-	heaps := make([]topKHeap, len(sv.views))
-	var ex planner.Exec
-	// One floor tracker spans the whole fan-out: as soon as any shard's
-	// heap fills, its k-th similarity becomes a lower bound on the global
-	// k-th best, so sibling shards can skip candidates bounded below it.
-	var ft floorTracker
-	err := sv.fanout(ctx, func(ictx context.Context, w int) error {
-		var werr error
-		heaps[w], werr = sv.views[w].queryTopKPrepared(ictx, d.Sig, d.Tau, lp, k, qo, &ex, &ft)
-		return werr
-	})
-	if err != nil {
-		return nil, err
-	}
-	sv.sx.planner.ObserveExec(d, &ex, 1, time.Since(start).Nanoseconds())
-	merged := heaps[0]
-	for _, h := range heaps[1:] {
-		for _, m := range h.entries {
-			merged.offer(m, k)
-		}
-	}
-	return merged.sorted(), nil
-}
-
 // Probe joins a probe collection against the snapshot through the shared
 // probe pipeline: probe signatures and prepared records are computed once,
 // and the candidate stage fans each probe record out across the per-shard
 // count filters, remapping shard-local candidate positions into the
-// flattened catalog. Pair.S carries stable record IDs; results are sorted by
-// (S, T) and identical to the unsharded Probe. Stats.ShardCandidates breaks
-// the candidate count down per shard (its entries sum to Stats.Candidates);
-// the stage durations are wall-clock across the whole fan-out, not per-shard
-// CPU sums.
+// flattened catalog. Pair.S carries stable record IDs, Pair.T the probe
+// records' IDs; results are sorted by (S, T) and independent of the shard
+// count. Stats.ShardCandidates breaks the candidate count down per shard
+// (its entries sum to Stats.Candidates); the stage durations are wall-clock
+// across the whole fan-out, not per-shard CPU sums.
 func (sv *ShardedView) Probe(records []strutil.Record) ([]Pair, Stats) {
-	if len(sv.views) == 1 {
-		return sv.views[0].Probe(records)
-	}
-	start := time.Now()
-	d := sv.planBatch(records)
-	tgt, shardCands := sv.probeTarget(d.Tau)
-	sigs := sv.sx.joiner.signatures(records, sv.gen.sel, d.Method, d.Tau)
-	prep := prepareRecords(records, sv.sx.joiner.calcFor(sv.sx.opts))
-	pairs, stats := runProbeStages(sv.sx.joiner.calcFor(sv.sx.opts), sv.sx.opts, tgt, records, sigs, prep, false, time.Since(start))
-	stats.ShardCandidates = shardCands()
-	stats.PlanTau = planTauOf(d)
-	// Verification runs centrally over the flattened catalog, not per
-	// shard; attribute its counters to shard 0 so the sharded Stats sum
-	// still accounts for every verified candidate exactly once.
-	sv.views[0].dx.noteVerify(verifyTally{verified: stats.VerifiedCandidates, pruned: stats.PrunedByBound, memoHits: stats.MemoHits})
-	sv.sx.planner.Observe(d, int64(stats.Candidates), stats.VerifiedCandidates, int64(len(records)), stats.VerifyTime.Nanoseconds(), 0)
-	return pairs, stats
+	return collectPairs(func(emit func(Pair) bool) Stats {
+		stats, _ := sv.probeStream(context.Background(), records, emit)
+		return stats
+	})
 }
 
 // ProbeSeq is the streaming form of Probe: matches are yielded in
@@ -703,23 +791,33 @@ func (sv *ShardedView) Probe(records []strutil.Record) ([]Pair, Stats) {
 // candidate fan-out and every verification worker before surfacing as one
 // final error.
 func (sv *ShardedView) ProbeSeq(ctx context.Context, records []strutil.Record) iter.Seq2[Pair, error] {
-	if len(sv.views) == 1 {
-		return sv.views[0].ProbeSeq(ctx, records)
-	}
 	return pairSeq(ctx, func(ctx context.Context, emit func(Pair) bool) error {
-		start := time.Now()
-		d := sv.planBatch(records)
-		tgt, _ := sv.probeTarget(d.Tau)
-		calc := sv.sx.joiner.calcFor(sv.sx.opts)
-		sigs := sv.sx.joiner.signatures(records, sv.gen.sel, d.Method, d.Tau)
-		prep := prepareRecords(records, calc)
-		stats, err := runProbeStream(ctx, calc, sv.sx.opts, tgt, records, sigs, prep, false, time.Since(start), emit)
-		sv.views[0].dx.noteVerify(verifyTally{verified: stats.VerifiedCandidates, pruned: stats.PrunedByBound, memoHits: stats.MemoHits})
-		if err == nil {
-			sv.sx.planner.Observe(d, int64(stats.Candidates), stats.VerifiedCandidates, int64(len(records)), stats.VerifyTime.Nanoseconds(), 0)
-		}
+		_, err := sv.probeStream(ctx, records, emit)
 		return err
 	})
+}
+
+// probeStream plans the batch, generates probe-side signatures and prepared
+// records, and runs the streaming pipeline against the flattened snapshot.
+func (sv *ShardedView) probeStream(ctx context.Context, records []strutil.Record, emit func(Pair) bool) (Stats, error) {
+	start := time.Now()
+	sx := sv.sx
+	d := sv.planBatch(records)
+	tgt, shardCands := sv.probeTarget(d.Tau)
+	calc := sx.joiner.calcFor(sx.opts)
+	sigs := sx.joiner.signatures(records, sv.gen.sel, d.Method, d.Tau)
+	prep := prepareRecords(records, calc)
+	stats, err := runProbeStream(ctx, calc, sx.opts, tgt, records, sigs, prep, false, time.Since(start), emit)
+	stats.ShardCandidates = shardCands()
+	stats.PlanTau = planTauOf(d)
+	// Verification runs centrally over the flattened catalog, not per
+	// shard; attribute its counters to shard 0 so the index-wide Stats sum
+	// still accounts for every verified candidate exactly once.
+	sv.views[0].sh.noteVerify(verifyTally{verified: stats.VerifiedCandidates, pruned: stats.PrunedByBound, memoHits: stats.MemoHits})
+	if err == nil {
+		sx.planner.Observe(d, int64(stats.Candidates), stats.VerifiedCandidates, int64(len(records)), stats.VerifyTime.Nanoseconds(), 0)
+	}
+	return stats, err
 }
 
 // probeTarget flattens the snapshot into the probe target the shared stages
@@ -737,24 +835,26 @@ func (sv *ShardedView) probeTarget(tau int) (probeTarget, func() []int) {
 	}, shardCands
 }
 
-// initFlat concatenates the per-shard catalogs into one position space for
-// the batch-probe pipeline. Views are immutable, so this is done once per
-// ShardedView and shared by every Probe on it.
+// initFlat lays the per-shard catalogs out in one position space for the
+// batch-probe pipeline. Views are immutable, so this is done once per
+// ShardedView and shared by every Probe on it. The first view's slices are
+// aliased (clipped, so nothing is ever appended into a shard's backing
+// array) and grown only by what the sibling views add: one view costs no
+// copy at all.
 func (sv *ShardedView) initFlat() {
 	sv.once.Do(func() {
-		total, live := 0, 0
+		live := 0
 		var sigMass float64
 		for _, v := range sv.views {
-			total += len(v.records)
-			st := v.Stats()
-			live += st.Live
-			sigMass += v.avgSig * float64(st.Live)
+			live += v.live
+			sigMass += v.avgSig * float64(v.live)
 		}
-		sv.flat.records = make([]strutil.Record, 0, total)
-		sv.flat.prepared = make([]*core.PreparedRecord, 0, total)
+		first, rest := sv.views[0], sv.totalRecords()-len(sv.views[0].records)
+		sv.flat.records = slices.Grow(slices.Clip(first.records), rest)
+		sv.flat.prepared = slices.Grow(slices.Clip(first.prepared), rest)
 		sv.flat.offsets = make([]int, len(sv.views))
-		for w, v := range sv.views {
-			sv.flat.offsets[w] = len(sv.flat.records)
+		for w, v := range sv.views[1:] {
+			sv.flat.offsets[w+1] = len(sv.flat.records)
 			sv.flat.records = append(sv.flat.records, v.records...)
 			sv.flat.prepared = append(sv.flat.prepared, v.prepared...)
 		}

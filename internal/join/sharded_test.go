@@ -4,17 +4,15 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"github.com/aujoin/aujoin/internal/pebble"
-	"github.com/aujoin/aujoin/internal/strutil"
 )
 
 // shardCounts are the partitionings every invariance check runs under:
-// the degenerate router (1, the legacy single index), an even split (2) and
-// a prime count that exercises uneven shard sizes (7 shards over ≲50
-// records leaves some shards nearly empty).
+// the fan-out of one, an even split (2) and a prime count that exercises
+// uneven shard sizes (7 shards over ≲50 records leaves some shards nearly
+// empty).
 var shardCounts = []int{1, 2, 7}
 
 // TestShardedIndexShardCountInvariance is the correctness hinge of the
@@ -22,8 +20,8 @@ var shardCounts = []int{1, 2, 7}
 // corpus and the same mutation script are applied to routers with 1, 2 and
 // 7 shards — across all three filter methods and θ ∈ {0.7, 0.8, 0.9}, with
 // thresholds aggressive enough to force per-shard rebuilds — and after
-// every round Probe, ProbeRecord and QueryTopK must be bit-identical across
-// shard counts and equal to BruteForce over the live catalog.
+// every round Probe, ProbeRecordCtx and QueryTopKCtx must be bit-identical
+// across shard counts and equal to BruteForce over the live catalog.
 func TestShardedIndexShardCountInvariance(t *testing.T) {
 	ctx := propertyContexts()["full"]
 	for _, method := range []pebble.Method{pebble.UFilter, pebble.AUHeuristic, pebble.AUDP} {
@@ -88,17 +86,17 @@ func TestShardedIndexShardCountInvariance(t *testing.T) {
 				}
 				for qi := 0; qi < 5; qi++ {
 					tokens := probe[qi].Tokens
-					refQ := views[0].ProbeRecord(tokens)
+					refQ := probeRecord(t, views[0], tokens)
 					for i := 1; i < len(views); i++ {
-						if got := views[i].ProbeRecord(tokens); !reflect.DeepEqual(got, refQ) {
+						if got := probeRecord(t, views[i], tokens); !reflect.DeepEqual(got, refQ) {
 							t.Fatalf("%v θ=%v step %d shards=%d: ProbeRecord(%q) = %v, want %v",
 								method, theta, step, shardCounts[i], probe[qi].Raw, got, refQ)
 						}
 						for _, k := range []int{-1, 0, 1, 3, len(refQ) + 2} {
-							got := views[i].QueryTopK(tokens, k)
+							got := queryTopK(t, views[i], tokens, k)
 							var want []QueryMatch
 							if k > 0 {
-								want = views[0].QueryTopK(tokens, k)
+								want = queryTopK(t, views[0], tokens, k)
 							}
 							if len(got) == 0 && len(want) == 0 {
 								continue
@@ -129,10 +127,10 @@ func TestShardedIndexShardCountInvariance(t *testing.T) {
 				}
 				check(step + 1)
 			}
-			// The partitioned variants must actually have exercised
-			// per-shard rebuilds, or the test proves nothing about them.
+			// Every variant must actually have exercised per-shard
+			// rebuilds, or the test proves nothing about them.
 			for i, sx := range indexes {
-				if shardCounts[i] > 1 && sx.Stats().Rebuilds == 0 {
+				if sx.Stats().Rebuilds == 0 {
 					t.Fatalf("%v θ=%v: shards=%d never rebuilt under the mutation script",
 						method, theta, shardCounts[i])
 				}
@@ -192,169 +190,51 @@ func TestShardedIndexSharedCache(t *testing.T) {
 	}
 }
 
-// TestShardedIndexStableIDsAcrossShardRebuilds checks stable IDs keep
-// identifying the same strings after forced per-shard rebuilds, and that
-// ShardedView.Record routes to the right shard.
-func TestShardedIndexStableIDsAcrossShardRebuilds(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	j := NewJoiner(propertyContexts()["synonyms"])
-	sx := j.BuildShardedIndex(propertyCorpus(12, rng), 3, Options{Theta: 0.8, Tau: 1}, DynamicOptions{
-		RebuildFraction: 0.05, MaxSegments: 1,
-	})
-	ids := sx.InsertBatch([]string{"coffee shop latte helsinki", "apple cake bakery special"})
-	for i := 0; i < 10; i++ {
-		sx.Remove(i)
-	}
-	if sx.Stats().Rebuilds == 0 {
-		t.Fatal("expected per-shard rebuilds")
-	}
-	v := sx.Snapshot()
-	rec, ok := v.Record(ids[0])
-	if !ok || rec.Raw != "coffee shop latte helsinki" {
-		t.Fatalf("Record(%d) = %+v, %v; want the first inserted string", ids[0], rec, ok)
-	}
-	if _, ok := v.Record(3); ok {
-		t.Fatal("removed record still visible after rebuild")
-	}
-	if got := len(sx.RebuildPauses()); got != sx.Stats().Rebuilds {
-		t.Fatalf("RebuildPauses has %d entries, Rebuilds = %d", got, sx.Stats().Rebuilds)
-	}
-}
-
-// TestShardedIndexConcurrentMutateQuery hammers a 4-shard router with
-// concurrent InsertBatch/RemoveBatch writers and fan-out readers while
-// per-shard rebuilds fire — it exists to run under -race — and finishes
-// with an oracle check of the final state.
-func TestShardedIndexConcurrentMutateQuery(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	j := NewJoiner(propertyContexts()["full"])
-	sx := j.BuildShardedIndex(propertyCorpus(30, rng), 4, Options{Theta: 0.75, Tau: 2, Method: pebble.AUDP}, DynamicOptions{
-		RebuildFraction: 0.1, MaxSegments: 2,
-	})
-	queries := rawCorpus(30, rng)
-	probe := propertyCorpus(10, rng)
-
-	done := make(chan struct{})
-	var readers, writers sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		readers.Add(1)
-		go func(r int) {
-			defer readers.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				v := sx.Snapshot()
-				tokens := strutil.Tokenize(queries[(i+r)%len(queries)])
-				switch i % 3 {
-				case 0:
-					v.ProbeRecord(tokens)
-				case 1:
-					v.QueryTopK(tokens, 5)
-				default:
-					v.Probe(probe)
-				}
-				st := v.Stats()
-				if st.Live != st.Records-st.Dead {
-					t.Errorf("inconsistent snapshot stats: %+v", st)
-					return
-				}
-			}
-		}(r)
-	}
-
-	insertedIDs := make(chan int, 4096)
-	writers.Add(2)
-	go func() {
-		defer writers.Done()
-		wrng := rand.New(rand.NewSource(53))
-		for i := 0; i < 40; i++ {
-			batch := rawCorpus(4, wrng)
-			// Novel tokens grow the shared dynamic region past the frozen
-			// prefix, so global refreezes fire while readers snapshot —
-			// exercising the generation-retry path under the race detector.
-			for b := range batch {
-				batch[b] += fmt.Sprintf(" zaw%dqx%dv", i, b)
-			}
-			for _, id := range sx.InsertBatch(batch) {
-				select {
-				case insertedIDs <- id:
-				default:
-				}
-			}
-		}
-	}()
-	go func() {
-		defer writers.Done()
-		for i := 0; i < 30; i++ {
-			batch := []int{i % 30}
-			select {
-			case id := <-insertedIDs:
-				batch = append(batch, id)
-			default:
-			}
-			sx.RemoveBatch(batch)
-		}
-	}()
-
-	writers.Wait()
-	close(done)
-	readers.Wait()
-
-	v := sx.Snapshot()
-	got, _ := v.Probe(probe)
-	want := j.BruteForce(v.Live(), probe, 0.75, nil)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("final Probe %d pairs, oracle %d pairs", len(got), len(want))
-	}
-	if sx.Stats().Rebuilds == 0 {
-		t.Fatal("expected per-shard rebuilds under mutation load")
-	}
-	if sx.Refreezes() == 0 {
-		t.Fatal("expected global refreezes under novel-key mutation load")
-	}
-}
-
 // TestShardedIndexGlobalRefreeze drives sustained novel-key inserts until
 // the shared order's dynamic region outgrows its frozen prefix and the
 // router re-finalizes globally: the dynamic region must reset, stable IDs
 // must survive, and results must still match BruteForce on a fresh
-// generation-consistent snapshot.
+// generation-consistent snapshot. At one shard this is the re-freeze policy
+// the single shard no longer has of its own: its threshold rebuilds compact
+// under the shared order (the churn crosses at least one), and only this
+// router-level re-finalize freezes a new one.
 func TestShardedIndexGlobalRefreeze(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	j := NewJoiner(propertyContexts()["full"])
-	sx := j.BuildShardedIndex(propertyCorpus(12, rng), 3, Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
-	probe := propertyCorpus(10, rng)
-	keep := sx.InsertBatch([]string{"coffee shop latte helsinki"})[0]
-	var novel []int
-	for i := 0; sx.Refreezes() == 0 && i < 500; i++ {
-		novel = append(novel, sx.InsertBatch([]string{fmt.Sprintf("novel%dxa token%dyb fresh%dzc", i, i, i)})...)
-	}
-	if sx.Refreezes() == 0 {
-		t.Fatal("global refreeze never fired under sustained novel-key inserts")
-	}
-	st := sx.Stats()
-	if st.DynamicKeys >= st.FrozenKeys {
-		t.Fatalf("dynamic region did not reset at the refreeze: %+v", st)
-	}
-	v := sx.Snapshot()
-	if rec, ok := v.Record(keep); !ok || rec.Raw != "coffee shop latte helsinki" {
-		t.Fatalf("stable id %d lost across the refreeze: %+v %v", keep, rec, ok)
-	}
-	got, _ := v.Probe(probe)
-	want := j.BruteForce(v.Live(), probe, 0.7, nil)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-refreeze Probe %d pairs, oracle %d pairs", len(got), len(want))
-	}
-	// Removing the novel records and mutating further keeps working on the
-	// new generation.
-	sx.RemoveBatch(novel[:len(novel)/2])
-	v = sx.Snapshot()
-	got, _ = v.Probe(probe)
-	want = j.BruteForce(v.Live(), probe, 0.7, nil)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-refreeze mutation Probe %d pairs, oracle %d pairs", len(got), len(want))
+	for _, shards := range gridShards {
+		rng := rand.New(rand.NewSource(59))
+		j := NewJoiner(propertyContexts()["full"])
+		sx := j.BuildShardedIndex(propertyCorpus(12, rng), shards, Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
+		probe := propertyCorpus(10, rng)
+		check := func(step string) {
+			t.Helper()
+			v := sx.Snapshot()
+			got, _ := v.Probe(probe)
+			if want := j.BruteForce(v.Live(), probe, 0.7, nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("shards=%d %s: Probe %d pairs, oracle %d pairs", shards, step, len(got), len(want))
+			}
+		}
+		keep := sx.InsertBatch([]string{"coffee shop latte helsinki"})[0]
+		var novel []int
+		for i := 0; sx.Refreezes() == 0 && i < 500; i++ {
+			novel = append(novel, sx.InsertBatch([]string{fmt.Sprintf("novel%dxa token%dyb fresh%dzc", i, i, i)})...)
+			check("churn")
+		}
+		if sx.Refreezes() == 0 {
+			t.Fatalf("shards=%d: global refreeze never fired under sustained novel-key inserts", shards)
+		}
+		st := sx.Stats()
+		if st.DynamicKeys >= st.FrozenKeys {
+			t.Fatalf("shards=%d: dynamic region did not reset at the refreeze: %+v", shards, st)
+		}
+		if st.Rebuilds <= sx.Refreezes()*shards {
+			t.Fatalf("shards=%d: churn crossed no compaction rebuild before the refreeze: %+v", shards, st)
+		}
+		if rec, ok := sx.Snapshot().Record(keep); !ok || rec.Raw != "coffee shop latte helsinki" {
+			t.Fatalf("shards=%d: stable id %d lost across the refreeze: %+v %v", shards, keep, rec, ok)
+		}
+		check("post-refreeze")
+		// Removing the novel records and mutating further keeps working on the
+		// new generation.
+		sx.RemoveBatch(novel[:len(novel)/2])
+		check("post-refreeze mutation")
 	}
 }

@@ -228,7 +228,8 @@ func collectStream(ctx context.Context, workers int, produce func(ctx context.Co
 // confirmed pair in completion order (unordered across workers) on the
 // caller's goroutine. It returns the join statistics accumulated up to the
 // point of return and the context error when the run was cancelled. The
-// batch runProbeStages and every Seq entry point ride this one pipeline.
+// batch collectPairs wrappers and every Seq entry point ride this one
+// pipeline.
 func runProbeStream(ctx context.Context, calc *core.Calculator, opts Options, tgt probeTarget, records []strutil.Record, sigs []pebble.Signature, prep []*core.PreparedRecord, self bool, sigTime time.Duration, emit func(Pair) bool) (Stats, error) {
 	var stats Stats
 	stats.SignatureTime = sigTime
@@ -301,7 +302,8 @@ func (j *Joiner) JoinSeq(ctx context.Context, s, t []strutil.Record, opts Option
 		}
 		start := time.Now()
 		ix := j.buildIndex(s, j.BuildOrder(s, t), opts, nil)
-		return ix.probeStream(ctx, t, opts, time.Since(start), emit)
+		_, err := ix.probeStream(ctx, t, opts, time.Since(start), emit)
+		return err
 	})
 }
 
@@ -312,8 +314,7 @@ func (j *Joiner) SelfJoinSeq(ctx context.Context, s []strutil.Record, opts Optio
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ix := j.BuildIndex(s, opts)
-		_, err := runProbeStream(ctx, ix.calc, ix.opts, ix.target(true), ix.records, ix.sigs, ix.prepared, true, ix.BuildTime, emit)
+		_, err := j.BuildIndex(s, opts).selfStream(ctx, emit)
 		return err
 	})
 }
@@ -322,25 +323,34 @@ func (j *Joiner) SelfJoinSeq(ctx context.Context, s []strutil.Record, opts Optio
 // are yielded in completion order as the parallel verify stage confirms them.
 func (ix *Index) ProbeSeq(ctx context.Context, records []strutil.Record) iter.Seq2[Pair, error] {
 	return pairSeq(ctx, func(ctx context.Context, emit func(Pair) bool) error {
-		return ix.probeStream(ctx, records, ix.opts, 0, emit)
+		_, err := ix.probeStream(ctx, records, ix.opts, 0, emit)
+		return err
 	})
 }
 
 // SelfJoinSeq is the streaming form of Index.SelfJoin.
 func (ix *Index) SelfJoinSeq(ctx context.Context) iter.Seq2[Pair, error] {
 	return pairSeq(ctx, func(ctx context.Context, emit func(Pair) bool) error {
-		_, err := runProbeStream(ctx, ix.calc, ix.opts, ix.target(true), ix.records, ix.sigs, ix.prepared, true, ix.BuildTime, emit)
+		_, err := ix.selfStream(ctx, emit)
 		return err
 	})
 }
 
-// probeStream generates probe-side signatures and prepared records and runs
-// the streaming pipeline; it is the streaming analogue of Index.probe and the
-// shared body of ProbeSeq and the legacy batch Probe.
-func (ix *Index) probeStream(ctx context.Context, records []strutil.Record, opts Options, extraSigTime time.Duration, emit func(Pair) bool) error {
+// selfStream runs the streaming pipeline of the indexed collection against
+// itself, over the signatures and prepared records the build already made.
+func (ix *Index) selfStream(ctx context.Context, emit func(Pair) bool) (Stats, error) {
+	return runProbeStream(ctx, ix.calc, ix.opts, ix.target(true), ix.records, ix.sigs, ix.prepared, true, ix.BuildTime, emit)
+}
+
+// probeStream generates probe-side signatures and prepared verification
+// records and runs the streaming pipeline; it is the shared body of ProbeSeq,
+// JoinSeq and their batch forms. extraSigTime is folded into the reported
+// SignatureTime (the Join entry points count index building there), as is the
+// probe-side preparation — both are per-record preprocessing paid once per
+// probe collection.
+func (ix *Index) probeStream(ctx context.Context, records []strutil.Record, opts Options, extraSigTime time.Duration, emit func(Pair) bool) (Stats, error) {
 	start := time.Now()
 	sigs := ix.joiner.signatures(records, ix.sel, opts.Method, ix.tau)
 	prep := prepareRecords(records, ix.calc)
-	_, err := runProbeStream(ctx, ix.calc, opts, ix.target(false), records, sigs, prep, false, extraSigTime+time.Since(start), emit)
-	return err
+	return runProbeStream(ctx, ix.calc, opts, ix.target(false), records, sigs, prep, false, extraSigTime+time.Since(start), emit)
 }

@@ -2,10 +2,10 @@ package join
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
@@ -25,16 +25,6 @@ func collectSeq(t *testing.T, seq func(func(Pair, error) bool)) ([]Pair, error) 
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-// sortPairs orders pairs by (S, T), the batch API's result order.
-func sortPairs(pairs []Pair) {
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].S != pairs[b].S {
-			return pairs[a].S < pairs[b].S
-		}
-		return pairs[a].T < pairs[b].T
-	})
 }
 
 // checkGoroutines waits for every pipeline-tagged goroutine (parallel
@@ -142,20 +132,17 @@ func TestShardedProbeSeqMatchesProbe(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("shards=%d: ProbeSeq %v != Probe %v", shards, got, want)
 		}
-		if shards >= 2 {
-			if len(wantStats.ShardCandidates) != shards {
-				t.Fatalf("shards=%d: ShardCandidates has %d entries", shards, len(wantStats.ShardCandidates))
-			}
-			sum := 0
-			for _, c := range wantStats.ShardCandidates {
-				sum += c
-			}
-			if sum != wantStats.Candidates {
-				t.Errorf("shards=%d: ShardCandidates sum %d != Candidates %d",
-					shards, sum, wantStats.Candidates)
-			}
-		} else if wantStats.ShardCandidates != nil {
-			t.Errorf("shards=1: ShardCandidates should be nil, got %v", wantStats.ShardCandidates)
+		// One entry per shard — a one-entry slice at one shard — summing to
+		// the candidate count.
+		if len(wantStats.ShardCandidates) != shards {
+			t.Fatalf("shards=%d: ShardCandidates has %d entries", shards, len(wantStats.ShardCandidates))
+		}
+		sum := 0
+		for _, c := range wantStats.ShardCandidates {
+			sum += c
+		}
+		if sum != wantStats.Candidates {
+			t.Errorf("shards=%d: ShardCandidates sum %d != Candidates %d", shards, sum, wantStats.Candidates)
 		}
 	}
 }
@@ -295,12 +282,12 @@ func TestProbeSeqCancellation(t *testing.T) {
 	checkGoroutines(t)
 }
 
-// TestQueryCtxParityAndOverrides pins the context-aware single-record paths
-// against their batch counterparts and checks the per-request overrides:
-// the zero QueryOpts reproduces ProbeRecord/QueryTopK exactly (sharded and
-// not), a raised threshold drops exactly the matches below it, and a
-// parallel-verification request returns the same matches as a sequential
-// one.
+// TestQueryCtxParityAndOverrides pins the single-record paths against the
+// batch probe and checks the per-request overrides, at every shard count:
+// the zero QueryOpts reproduces the rows of Probe, a raised threshold drops
+// exactly the matches below it, a threshold below the build θ is refused with
+// ErrThetaBelowBuild, a parallel-verification request returns the same
+// matches as a sequential one, and a cancelled context aborts the fan-out.
 func TestQueryCtxParityAndOverrides(t *testing.T) {
 	ctx := propertyContexts()["full"]
 	rng := rand.New(rand.NewSource(13))
@@ -311,8 +298,9 @@ func TestQueryCtxParityAndOverrides(t *testing.T) {
 		j := NewJoiner(ctx)
 		sx := j.BuildShardedIndex(corpus, shards, Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
 		sv := sx.Snapshot()
+		pairs, _ := sv.Probe(queries)
 		for _, q := range queries {
-			want := sv.ProbeRecord(q.Tokens)
+			want := rowsOf(pairs, q.ID)
 			got, err := sv.ProbeRecordCtx(bg, q.Tokens, QueryOpts{})
 			if err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("shards=%d: ProbeRecordCtx = %v (%v), want %v", shards, got, err, want)
@@ -320,12 +308,6 @@ func TestQueryCtxParityAndOverrides(t *testing.T) {
 			gotPar, err := sv.ProbeRecordCtx(bg, q.Tokens, QueryOpts{Workers: 4})
 			if err != nil || !reflect.DeepEqual(gotPar, want) {
 				t.Fatalf("shards=%d: parallel ProbeRecordCtx = %v (%v), want %v", shards, gotPar, err, want)
-			}
-
-			wantTop := sv.QueryTopK(q.Tokens, 5)
-			gotTop, err := sv.QueryTopKCtx(bg, q.Tokens, 5, QueryOpts{})
-			if err != nil || !reflect.DeepEqual(gotTop, wantTop) {
-				t.Fatalf("shards=%d: QueryTopKCtx = %v (%v), want %v", shards, gotTop, err, wantTop)
 			}
 
 			strict, err := sv.ProbeRecordCtx(bg, q.Tokens, QueryOpts{Theta: 0.9})
@@ -341,6 +323,15 @@ func TestQueryCtxParityAndOverrides(t *testing.T) {
 			if !reflect.DeepEqual(strict, wantStrict) {
 				t.Fatalf("shards=%d: θ=0.9 override = %v, want %v", shards, strict, wantStrict)
 			}
+		}
+
+		// Below the build θ the filter cannot promise a complete answer: both
+		// entry points refuse instead of answering best-effort.
+		if _, err := sv.ProbeRecordCtx(bg, queries[0].Tokens, QueryOpts{Theta: 0.6}); !errors.Is(err, ErrThetaBelowBuild) {
+			t.Errorf("shards=%d: ProbeRecordCtx(θ=0.6) error = %v, want ErrThetaBelowBuild", shards, err)
+		}
+		if _, err := sv.QueryTopKCtx(bg, queries[0].Tokens, 3, QueryOpts{Theta: 0.6}); !errors.Is(err, ErrThetaBelowBuild) {
+			t.Errorf("shards=%d: QueryTopKCtx(θ=0.6) error = %v, want ErrThetaBelowBuild", shards, err)
 		}
 
 		// A cancelled context aborts the fan-out with its error.
@@ -364,27 +355,16 @@ func TestEmptyQueryReturnsEarly(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	corpus := propertyCorpus(25, rng)
 	j := NewJoiner(ctx)
-	ix := j.BuildIndex(corpus, Options{Theta: 0.7, Tau: 1, Method: pebble.AUDP})
-	if got := ix.ProbeRecord(nil); got != nil {
-		t.Errorf("Index.ProbeRecord(nil) = %v, want nil", got)
-	}
-	if got := ix.ProbeRecord(strutil.Tokenize("   ")); got != nil {
-		t.Errorf("Index.ProbeRecord(whitespace) = %v, want nil", got)
-	}
 	for _, shards := range shardCounts {
 		sx := j.BuildShardedIndex(corpus, shards, Options{Theta: 0.7, Tau: 1, Method: pebble.AUDP}, DynamicOptions{})
 		sv := sx.Snapshot()
-		if got := sv.ProbeRecord(nil); got != nil {
-			t.Errorf("shards=%d: ProbeRecord(nil) = %v, want nil", shards, got)
-		}
-		if got := sv.QueryTopK(strutil.Tokenize(""), 5); got != nil {
-			t.Errorf("shards=%d: QueryTopK(empty) = %v, want nil", shards, got)
-		}
-		if got, err := sv.ProbeRecordCtx(context.Background(), nil, QueryOpts{}); err != nil || got != nil {
-			t.Errorf("shards=%d: ProbeRecordCtx(nil) = %v, %v", shards, got, err)
-		}
-		if got, err := sv.QueryTopKCtx(context.Background(), nil, 5, QueryOpts{}); err != nil || got != nil {
-			t.Errorf("shards=%d: QueryTopKCtx(nil) = %v, %v", shards, got, err)
+		for _, tokens := range [][]string{nil, strutil.Tokenize("   ")} {
+			if got, err := sv.ProbeRecordCtx(context.Background(), tokens, QueryOpts{}); err != nil || got != nil {
+				t.Errorf("shards=%d: ProbeRecordCtx(%q) = %v, %v", shards, tokens, got, err)
+			}
+			if got, err := sv.QueryTopKCtx(context.Background(), tokens, 5, QueryOpts{}); err != nil || got != nil {
+				t.Errorf("shards=%d: QueryTopKCtx(%q) = %v, %v", shards, tokens, got, err)
+			}
 		}
 	}
 }

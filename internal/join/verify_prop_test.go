@@ -11,10 +11,10 @@ import (
 // This file pins the verify-phase optimisations — the rising-threshold top-k
 // scheduler, the per-query msim memo, and the gram-signature prefilter — to
 // the plain verify loop: with Options.NoVerifyPrune and Options.NoVerifyMemo
-// set, every entry point (QueryTopK, single-record probe, batch Probe,
+// set, every entry point (QueryTopKCtx, single-record probe, batch Probe,
 // one-shot Join) must return bit-identical results across every filter
 // method, threshold and serving shape (static snapshot, post-mutation
-// snapshot, sharded fan-out).
+// snapshot, one shard and three).
 
 func plainVerify(opts Options) Options {
 	opts.NoVerifyPrune = true
@@ -46,16 +46,11 @@ func pairsEqual(a, b []Pair) bool {
 	return true
 }
 
-// topKViews returns the two snapshots to compare for one scenario: the index
-// with optimised verification and the one running the plain loop.
+// viewPair is one scenario's two snapshots to compare: the index with
+// optimised verification and the one running the plain loop.
 type viewPair struct {
-	name string
-	opt  interface {
-		QueryTopKCtx(context.Context, []string, int, QueryOpts) ([]QueryMatch, error)
-	}
-	plain interface {
-		QueryTopKCtx(context.Context, []string, int, QueryOpts) ([]QueryMatch, error)
-	}
+	name       string
+	opt, plain *ShardedView
 }
 
 func TestTopKPruningMatchesPlainVerify(t *testing.T) {
@@ -64,22 +59,20 @@ func TestTopKPruningMatchesPlainVerify(t *testing.T) {
 	queries := propQueries(30, 202)
 	ctx := context.Background()
 	for _, opts := range propConfigs() {
-		base := fmt.Sprintf("%v/θ=%v", opts.Method, opts.Theta)
-
-		// Static and post-mutation snapshots of a dynamic index.
-		od := j.BuildDynamicIndex(recs, opts, DynamicOptions{})
-		pd := j.BuildDynamicIndex(recs, plainVerify(opts), DynamicOptions{})
-		scenarios := []viewPair{{base + "/static", od.Snapshot(), pd.Snapshot()}}
-		mutate(od, 303)
-		mutate(pd, 303)
-		scenarios = append(scenarios, viewPair{base + "/mutated", od.Snapshot(), pd.Snapshot()})
-
-		// Sharded fan-out (shares one rising floor across shards).
-		os := j.BuildShardedIndex(recs, 3, opts, DynamicOptions{})
-		ps := j.BuildShardedIndex(recs, 3, plainVerify(opts), DynamicOptions{})
-		mutate(os, 404)
-		mutate(ps, 404)
-		scenarios = append(scenarios, viewPair{base + "/sharded", os.Snapshot(), ps.Snapshot()})
+		var scenarios []viewPair
+		var optimised []*ShardedIndex
+		for _, shards := range gridShards {
+			// Static and post-mutation snapshots; across three shards the
+			// fan-out shares one rising floor.
+			base := fmt.Sprintf("%v/θ=%v/shards=%d", opts.Method, opts.Theta, shards)
+			ox := j.BuildShardedIndex(recs, shards, opts, DynamicOptions{})
+			px := j.BuildShardedIndex(recs, shards, plainVerify(opts), DynamicOptions{})
+			scenarios = append(scenarios, viewPair{base + "/static", ox.Snapshot(), px.Snapshot()})
+			mutate(ox, 303)
+			mutate(px, 303)
+			scenarios = append(scenarios, viewPair{base + "/mutated", ox.Snapshot(), px.Snapshot()})
+			optimised = append(optimised, ox)
+		}
 
 		for _, sc := range scenarios {
 			for _, k := range []int{1, 3, 10} {
@@ -104,12 +97,14 @@ func TestTopKPruningMatchesPlainVerify(t *testing.T) {
 
 		// The optimised indexes must actually have pruned or memoized
 		// something, or the comparison is vacuous.
-		st := od.Stats()
-		if st.PrunedByBound == 0 && st.MemoHits == 0 {
-			t.Errorf("%s: optimised dynamic index reported no pruning and no memo hits", base)
-		}
-		if st.VerifiedCandidates == 0 {
-			t.Errorf("%s: optimised dynamic index reported no verified candidates", base)
+		for _, ox := range optimised {
+			st := ox.Stats()
+			if st.PrunedByBound == 0 && st.MemoHits == 0 {
+				t.Errorf("%v/θ=%v/shards=%d: optimised index reported no pruning and no memo hits", opts.Method, opts.Theta, st.Shards)
+			}
+			if st.VerifiedCandidates == 0 {
+				t.Errorf("%v/θ=%v/shards=%d: optimised index reported no verified candidates", opts.Method, opts.Theta, st.Shards)
+			}
 		}
 	}
 }
@@ -132,22 +127,23 @@ func TestProbeAndJoinMatchPlainVerify(t *testing.T) {
 			t.Fatalf("%s: Join candidates diverged: %d vs %d", name, gs.Candidates, ws.Candidates)
 		}
 
-		// Dynamic snapshot: batch Probe and single-record probes.
-		od := j.BuildDynamicIndex(recs, opts, DynamicOptions{})
-		pd := j.BuildDynamicIndex(recs, plainVerify(opts), DynamicOptions{})
-		mutate(od, 808)
-		mutate(pd, 808)
-		ov, pv := od.Snapshot(), pd.Snapshot()
-		gp, _ = ov.Probe(probe)
-		wp, _ = pv.Probe(probe)
-		if !pairsEqual(gp, wp) {
-			t.Fatalf("%s: Probe pairs diverged: %d vs %d", name, len(gp), len(wp))
-		}
-		for qi, q := range queries {
-			got := ov.ProbeRecord(q)
-			want := pv.ProbeRecord(q)
-			if !matchesEqual(got, want) {
-				t.Fatalf("%s q#%d: ProbeRecord diverged:\n got %v\nwant %v", name, qi, got, want)
+		// Index snapshots: batch Probe and single-record probes.
+		for _, shards := range gridShards {
+			ox := j.BuildShardedIndex(recs, shards, opts, DynamicOptions{})
+			px := j.BuildShardedIndex(recs, shards, plainVerify(opts), DynamicOptions{})
+			mutate(ox, 808)
+			mutate(px, 808)
+			ov, pv := ox.Snapshot(), px.Snapshot()
+			gp, _ = ov.Probe(probe)
+			wp, _ = pv.Probe(probe)
+			if !pairsEqual(gp, wp) {
+				t.Fatalf("%s shards=%d: Probe pairs diverged: %d vs %d", name, shards, len(gp), len(wp))
+			}
+			for qi, q := range queries {
+				got, want := probeRecord(t, ov, q), probeRecord(t, pv, q)
+				if !matchesEqual(got, want) {
+					t.Fatalf("%s shards=%d q#%d: ProbeRecordCtx diverged:\n got %v\nwant %v", name, shards, qi, got, want)
+				}
 			}
 		}
 	}
@@ -160,39 +156,35 @@ func TestMemoOnlyToggleEquivalence(t *testing.T) {
 	j := NewJoiner(paperContext())
 	recs := propCorpus(400, 909)
 	queries := propQueries(25, 1010)
-	ctx := context.Background()
 	for _, opts := range propConfigs() {
 		name := fmt.Sprintf("%v/θ=%v", opts.Method, opts.Theta)
 		noMemo := opts
 		noMemo.NoVerifyMemo = true
-		ov := j.BuildDynamicIndex(recs, opts, DynamicOptions{}).Snapshot()
-		nv := j.BuildDynamicIndex(recs, noMemo, DynamicOptions{}).Snapshot()
-		for qi, q := range queries {
-			got, err := ov.QueryTopKCtx(ctx, q, 5, QueryOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := nv.QueryTopKCtx(ctx, q, 5, QueryOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !matchesEqual(got, want) {
-				t.Fatalf("%s q#%d: memo toggle changed results:\n got %v\nwant %v", name, qi, got, want)
+		for _, shards := range gridShards {
+			ov := j.BuildShardedIndex(recs, shards, opts, DynamicOptions{}).Snapshot()
+			nv := j.BuildShardedIndex(recs, shards, noMemo, DynamicOptions{}).Snapshot()
+			for qi, q := range queries {
+				got, want := queryTopK(t, ov, q, 5), queryTopK(t, nv, q, 5)
+				if !matchesEqual(got, want) {
+					t.Fatalf("%s shards=%d q#%d: memo toggle changed results:\n got %v\nwant %v", name, shards, qi, got, want)
+				}
 			}
 		}
 	}
 }
 
 // TestPrunedQueriesUnderMutation hammers pruned top-k queries (sequential
-// and parallel) against a dynamic index while writers insert and remove
-// records — the -race run of the suite checks the floor tracker, the memo
-// and the pooled scratches for unsynchronised sharing.
+// and parallel) against a one-shard and a three-shard index while writers
+// insert and remove records — the -race run of the suite checks the floor
+// tracker, the memo and the pooled scratches for unsynchronised sharing.
 func TestPrunedQueriesUnderMutation(t *testing.T) {
 	j := NewJoiner(paperContext())
 	recs := propCorpus(400, 1111)
 	queries := propQueries(16, 1212)
-	dx := j.BuildDynamicIndex(recs, Options{Theta: 0.75, Tau: 2}, DynamicOptions{MaxSegments: 3})
-	sx := j.BuildShardedIndex(recs, 3, Options{Theta: 0.75, Tau: 2}, DynamicOptions{})
+	var indexes []*ShardedIndex
+	for _, shards := range gridShards {
+		indexes = append(indexes, j.BuildShardedIndex(recs, shards, Options{Theta: 0.75, Tau: 2}, DynamicOptions{MaxSegments: 3}))
+	}
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -212,13 +204,11 @@ func TestPrunedQueriesUnderMutation(t *testing.T) {
 				if i%2 == 0 {
 					qo.Workers = 4
 				}
-				if _, err := dx.Snapshot().QueryTopKCtx(ctx, q, 5, qo); err != nil {
-					t.Errorf("dynamic query: %v", err)
-					return
-				}
-				if _, err := sx.Snapshot().QueryTopKCtx(ctx, q, 5, qo); err != nil {
-					t.Errorf("sharded query: %v", err)
-					return
+				for _, sx := range indexes {
+					if _, err := sx.Snapshot().QueryTopKCtx(ctx, q, 5, qo); err != nil {
+						t.Errorf("shards=%d query: %v", sx.Shards(), err)
+						return
+					}
 				}
 			}
 		}(w)
@@ -229,17 +219,16 @@ func TestPrunedQueriesUnderMutation(t *testing.T) {
 		for i := range batch {
 			batch[i] = fmt.Sprintf("tok%02d tok%02d hot%d_%d", rng.Intn(60), rng.Intn(60), b, i)
 		}
-		ids := dx.Insert(batch)
-		sx.Insert(batch)
-		for _, id := range ids[:5] {
-			dx.Remove(id)
+		for _, sx := range indexes {
+			sx.RemoveBatch(sx.InsertBatch(batch)[:5])
 		}
 	}
 	close(stop)
 	wg.Wait()
 
-	st := dx.Stats()
-	if st.VerifiedCandidates == 0 {
-		t.Error("hammer ran no verifications")
+	for _, sx := range indexes {
+		if st := sx.Stats(); st.VerifiedCandidates == 0 {
+			t.Errorf("shards=%d: hammer ran no verifications", st.Shards)
+		}
 	}
 }

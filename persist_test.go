@@ -67,7 +67,7 @@ func queryFingerprint(ix *Index, probes []string) string {
 
 // TestRestartEquivalence is the core restart property: build → mutate →
 // snapshot → reload must serve bit-identical Query/QueryTopK/Probe results,
-// across every filter, a θ sweep and both the unsharded and sharded layouts.
+// across every filter, a θ sweep and both a one-shard and a four-shard layout.
 func TestRestartEquivalence(t *testing.T) {
 	catalog, probes := persistCorpus(7, 160)
 	for _, filter := range []Filter{UFilter, AUFilterHeuristic, AUFilterDP} {

@@ -2,6 +2,7 @@ package aujoin
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -111,8 +112,8 @@ func TestJoinSeqCancelled(t *testing.T) {
 	}
 }
 
-// TestProbeSeqMatchesProbe pins View.ProbeSeq against the batch Probe on
-// sharded and unsharded indexes.
+// TestProbeSeqMatchesProbe pins View.ProbeSeq against the batch Probe at
+// one shard and three.
 func TestProbeSeqMatchesProbe(t *testing.T) {
 	j := paperJoiner(t)
 	catalog := genStrings(40, 5)
@@ -131,15 +132,13 @@ func TestProbeSeqMatchesProbe(t *testing.T) {
 		if !equalMatches(got, want) {
 			t.Errorf("shards=%d: collect(ProbeSeq) = %v, want %v", shards, got, want)
 		}
-		if shards > 1 {
-			sum := 0
-			for _, c := range wantStats.ShardCandidates {
-				sum += c
-			}
-			if len(wantStats.ShardCandidates) != shards || sum != wantStats.Candidates {
-				t.Errorf("shards=%d: ShardCandidates %v does not sum to Candidates %d",
-					shards, wantStats.ShardCandidates, wantStats.Candidates)
-			}
+		sum := 0
+		for _, c := range wantStats.ShardCandidates {
+			sum += c
+		}
+		if len(wantStats.ShardCandidates) != shards || sum != wantStats.Candidates {
+			t.Errorf("shards=%d: ShardCandidates %v does not sum to Candidates %d",
+				shards, wantStats.ShardCandidates, wantStats.Candidates)
 		}
 	}
 }
@@ -180,6 +179,14 @@ func TestQueryCtxMatchesQuery(t *testing.T) {
 	cancel()
 	if _, err := ix.QueryCtx(cancelled, catalog[0], QueryOptions{}); err != context.Canceled {
 		t.Errorf("cancelled QueryCtx error = %v", err)
+	}
+	// A threshold below the build-time Theta is refused, not answered
+	// best-effort.
+	if _, err := ix.QueryCtx(bg, catalog[0], QueryOptions{MinSimilarity: 0.5}); !errors.Is(err, ErrThetaBelowBuild) {
+		t.Errorf("QueryCtx(min_sim=0.5) error = %v, want ErrThetaBelowBuild", err)
+	}
+	if _, err := ix.QueryTopKCtx(bg, catalog[0], QueryOptions{K: 3, MinSimilarity: 0.5}); !errors.Is(err, ErrThetaBelowBuild) {
+		t.Errorf("QueryTopKCtx(min_sim=0.5) error = %v, want ErrThetaBelowBuild", err)
 	}
 }
 
