@@ -77,8 +77,7 @@
 //
 //	ix := j.IndexWith(catalog, opts, aujoin.IndexOptions{Shards: 0}) // GOMAXPROCS shards
 //
-// cmd/aujoind wraps this in an HTTP server; `benchrun -exp serve` load
-// tests it.
+// cmd/aujoind wraps this in an HTTP server; benchmark/ load-tests it.
 //
 // See the examples/ directory for complete runnable programs and
 // cmd/benchrun for the harness that regenerates the paper's tables and
@@ -625,7 +624,7 @@ func (ix *Index) RemoveBatch(ids []int) []bool { return ix.inner.RemoveBatch(ids
 func (ix *Index) Snapshot() *View { return &View{inner: ix.inner.Snapshot(), tau: ix.tau} }
 
 // Stats summarises the current state of the dynamic index.
-func (ix *Index) Stats() IndexStats { return statsFromInternal(ix.inner.Stats()) }
+func (ix *Index) Stats() IndexStats { return ix.inner.Stats() }
 
 // Probe joins a collection of strings against the current snapshot.
 func (ix *Index) Probe(records []string) ([]Match, Stats) {
@@ -666,79 +665,10 @@ func (ix *Index) QueryTopKCtx(ctx context.Context, q string, opts QueryOptions) 
 // IndexStats describes one snapshot of a dynamic Index: catalog size and
 // tombstone counts, the delta-segment chain, the shard count, the
 // interned-key split between the frozen order prefix and the dynamic
-// region, the rebuild history, and the prepared-record cache counters.
-type IndexStats struct {
-	// Records is the catalog length including tombstones; Live and Dead
-	// split it.
-	Records int `json:"records"`
-	Live    int `json:"live"`
-	Dead    int `json:"dead"`
-	// Segments is the length of the delta-segment chain (one per Insert
-	// batch since the last rebuild), summed over shards.
-	Segments int `json:"segments"`
-	// Shards is the number of index partitions.
-	Shards int `json:"shards"`
-	// FrozenKeys and DynamicKeys count the interned pebble keys in the
-	// frozen order prefix and the append-only dynamic region.
-	FrozenKeys  int `json:"frozen_keys"`
-	DynamicKeys int `json:"dynamic_keys"`
-	// Rebuilds counts re-finalize/rebuild cycles across all shards; Inserts
-	// the records appended over the index lifetime.
-	Rebuilds int `json:"rebuilds"`
-	Inserts  int `json:"inserts"`
-	// DenseKeys and SparseKeys split the non-empty posting lists of the
-	// base inverted indexes by representation: packed bitmap form (lists
-	// past the hybrid density cutoff) versus sorted slice form, summed over
-	// shards.
-	DenseKeys  int `json:"dense_keys"`
-	SparseKeys int `json:"sparse_keys"`
-	// ProbePostings counts posting entries processed by the count filter
-	// over every probe served since the index was built;
-	// ProbeBitsetTokens and ProbeSliceTokens split the probe signature
-	// tokens by the posting-list representation they were served from
-	// (packed bitmap versus sorted slice), summed over shards.
-	ProbePostings     int64 `json:"probe_postings"`
-	ProbeBitsetTokens int64 `json:"probe_bitset_tokens"`
-	ProbeSliceTokens  int64 `json:"probe_slice_tokens"`
-	// VerifiedCandidates, PrunedByBound and MemoHits are the cumulative
-	// verify-phase counters over every query served since the index was
-	// built: candidates whose similarity was actually computed, candidates
-	// skipped by the sound upper bounds (the O(1) size-ratio bound or the
-	// rising top-k floor), and segment-pair similarity evaluations answered
-	// from the per-query memo. Summed over shards.
-	VerifiedCandidates int64 `json:"verified_candidates"`
-	PrunedByBound      int64 `json:"pruned_by_bound"`
-	MemoHits           int64 `json:"memo_hits"`
-	// CacheHits and CacheMisses are the cumulative counters of the
-	// prepared-record cache consulted on Insert (shared across all shards;
-	// both zero when the cache is disabled).
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
-	// Theta and Tau are the join parameters fixed at build time.
-	Theta float64 `json:"theta"`
-	Tau   int     `json:"tau"`
-	// SuggestedTau is the adaptive planner's live τ suggestion: the
-	// build-time τ until the first post-rebuild re-anchor, the observed
-	// workload's most-chosen τ afterwards (0 when planning is disabled).
-	SuggestedTau int `json:"suggested_tau,omitempty"`
-	// Plans, PlanFallbacks and PlanReanchors count adaptive planning
-	// decisions, fallbacks to the fixed build-time configuration, and
-	// feedback re-anchors after rebuilds; PlanDecisions splits Plans by the
-	// chosen configuration ("ufilter/t1", "auheur/t2", "audp/t3", ...). All
-	// zero when planning is disabled (PlanFixed at build time).
-	Plans         int64            `json:"plans,omitempty"`
-	PlanFallbacks int64            `json:"plan_fallbacks,omitempty"`
-	PlanReanchors int64            `json:"plan_reanchors,omitempty"`
-	PlanDecisions map[string]int64 `json:"plan_decisions,omitempty"`
-	// BuildTime is the construction time of the current base index, in
-	// nanoseconds on the wire.
-	BuildTime time.Duration `json:"build_time_ns"`
-}
-
-// statsFromInternal converts the internal snapshot statistics (the structs
-// are field-identical; the conversion exists so the public API does not
-// leak internal types).
-func statsFromInternal(st join.DynamicStats) IndexStats { return IndexStats(st) }
+// region, the rebuild history, and the cumulative filter, verify,
+// prepared-record cache and planner counters. Its JSON encoding is the
+// daemons' /stats response.
+type IndexStats = join.DynamicStats
 
 // View is an immutable snapshot of an Index. Reads against a View are
 // lock-free, safe for unbounded concurrency, and unaffected by concurrent
@@ -749,7 +679,7 @@ type View struct {
 }
 
 // Stats returns the snapshot's statistics.
-func (v *View) Stats() IndexStats { return statsFromInternal(v.inner.Stats()) }
+func (v *View) Stats() IndexStats { return v.inner.Stats() }
 
 // Probe joins a collection of strings against the snapshot. Match.S is the
 // stable ID of the indexed record, Match.T the position in the probe

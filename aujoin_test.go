@@ -1,7 +1,10 @@
 package aujoin
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -369,5 +372,52 @@ func TestQueryTopKDegenerateK(t *testing.T) {
 				t.Errorf("shards=%d View.QueryTopK(k=%d) = %v, want empty", shards, k, got)
 			}
 		}
+	}
+}
+
+// TestIndexStatsWireShape pins the /stats protocol: IndexStats is an alias of
+// the engine's own statistics struct, so a renamed field or tag there would
+// change what the daemons answer. Every field is set non-zero (omitempty
+// fields drop out otherwise) and the marshalled key set is compared with the
+// golden list.
+func TestIndexStatsWireShape(t *testing.T) {
+	var st IndexStats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(1)
+		case reflect.Uint64:
+			f.SetUint(1)
+		case reflect.Float64:
+			f.SetFloat(1)
+		case reflect.Map:
+			f.Set(reflect.ValueOf(map[string]int64{"audp/t2": 1}))
+		default:
+			t.Fatalf("field %s: unhandled kind %v", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire map[string]json.RawMessage
+	if err := json.Unmarshal(data, &wire); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, 0, len(wire))
+	for k := range wire {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	want := []string{
+		"build_time_ns", "cache_hits", "cache_misses", "dead", "dense_keys", "dynamic_keys",
+		"frozen_keys", "inserts", "live", "memo_hits", "plan_decisions", "plan_fallbacks",
+		"plan_reanchors", "plans", "probe_bitset_tokens", "probe_postings", "probe_slice_tokens",
+		"pruned_by_bound", "rebuilds", "records", "segments", "shards", "sparse_keys",
+		"suggested_tau", "tau", "theta", "verified_candidates",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("/stats keys changed:\n got %v\nwant %v", got, want)
 	}
 }

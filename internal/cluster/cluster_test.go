@@ -457,4 +457,15 @@ func TestClusterRejectsThetaBelowBuild(t *testing.T) {
 			t.Errorf("%s: status %d, body %+v; want 400 theta_below_build with theta 0.7", name, resp.StatusCode, eb)
 		}
 	}
+
+	// A min_sim that is not a number must not reach the index at all, where
+	// it would be served at the build θ as if it had not been sent.
+	resp, err := http.Get(tc.coordTS.URL + "/query?q=" + url.QueryEscape(catalog[0]) + "&k=3&min_sim=NaN")
+	if err != nil {
+		t.Fatalf("coordinator min_sim=NaN: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("coordinator min_sim=NaN: status %d, want 400", resp.StatusCode)
+	}
 }

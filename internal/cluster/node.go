@@ -144,7 +144,9 @@ func ParseQueryOptions(r *http.Request) (aujoin.QueryOptions, error) {
 	opts.K = k
 	if raw := r.URL.Query().Get("min_sim"); raw != "" {
 		minSim, err := strconv.ParseFloat(raw, 64)
-		if err != nil || minSim <= 0 || minSim > 1 {
+		// Written as a negated range check so NaN, which ParseFloat accepts
+		// and every comparison answers false for, is rejected too.
+		if err != nil || !(minSim > 0 && minSim <= 1) {
 			return opts, fmt.Errorf("min_sim must be a float in (0, 1]")
 		}
 		opts.MinSimilarity = minSim

@@ -117,7 +117,8 @@ func TestHandleQueryStreamsNDJSON(t *testing.T) {
 	}
 
 	// Parameter validation.
-	for _, url := range []string{"/query?q=x", "/query?k=3", "/query?q=x&k=0", "/query?q=x&k=3&min_sim=2", "/query?q=x&k=3&plan=greedy"} {
+	for _, url := range []string{"/query?q=x", "/query?k=3", "/query?q=x&k=0", "/query?q=x&k=3&min_sim=2", "/query?q=x&k=3&plan=greedy",
+		"/query?q=x&k=3&min_sim=NaN", "/query?q=x&k=3&min_sim=%2BInf", "/query?q=x&k=3&min_sim=-1", "/query?q=x&k=3&min_sim=1.0001"} {
 		rec := httptest.NewRecorder()
 		n.handleQuery(rec, httptest.NewRequest(http.MethodGet, url, nil))
 		if rec.Code != http.StatusBadRequest {

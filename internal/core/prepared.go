@@ -154,11 +154,8 @@ type Scratch struct {
 	memoN   int
 	memoCtx *sim.Context
 
-	// Stats tallies the work done through this scratch; DisableMemo turns
-	// the msim memo off (escape hatch, and the lever the memo-equivalence
-	// tests flip).
-	Stats       ScratchStats
-	DisableMemo bool
+	// Stats tallies the work done through this scratch.
+	Stats ScratchStats
 }
 
 // NewScratch returns an empty scratch; buffers grow on first use.
@@ -292,16 +289,6 @@ func (c *Calculator) fillMSim(sc *Scratch, ps, pt *PreparedRecord) {
 	ns, nt := len(ps.Segs), len(pt.Segs)
 	sc.msim = strutil.Resize(sc.msim, ns*nt)
 	sc.nt = nt
-	if sc.DisableMemo {
-		for i := range ps.Segs {
-			a := &ps.Segs[i].Data
-			row := sc.msim[i*nt : (i+1)*nt]
-			for j := range pt.Segs {
-				row[j] = c.Ctx.MSimData(a, &pt.Segs[j].Data)
-			}
-		}
-		return
-	}
 	if sc.memoCtx != c.Ctx {
 		// The memo caches context-dependent values; a scratch crossing
 		// calculators (different rules/taxonomy/q) must start fresh.

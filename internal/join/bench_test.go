@@ -95,18 +95,18 @@ func filterCorpus(n int, seed int64) []strutil.Record {
 	return strutil.NewCollection(raws)
 }
 
-// filterPhaseBench measures the candidate phase alone on the 400×400
+// BenchmarkFilterPhase measures the candidate phase alone on the 400×400
 // workload: the index and probe signatures are built once, and each
 // iteration re-runs the count filter over every probe record sequentially
 // (workers=1, so the number is a per-core filter throughput, not a
 // parallelism measure).
-func filterPhaseBench(b *testing.B, classicLayout bool) {
+func BenchmarkFilterPhase(b *testing.B) {
 	j := NewJoiner(paperContext())
 	s := filterCorpus(400, 1)
 	t := filterCorpus(400, 2)
-	opts := Options{Theta: 0.8, Tau: 12, Method: pebble.AUDP, ClassicFilter: classicLayout}
+	opts := Options{Theta: 0.8, Tau: 12, Method: pebble.AUDP}
 	ix := j.buildIndex(s, j.BuildOrder(s, t), opts, nil)
-	if !classicLayout && ix.inv.DenseKeys() == 0 {
+	if ix.inv.DenseKeys() == 0 {
 		b.Fatal("bench corpus produced no dense posting lists; hybrid path unexercised")
 	}
 	sigs := j.signatures(t, ix.sel, opts.Method, ix.tau)
@@ -122,15 +122,6 @@ func filterPhaseBench(b *testing.B, classicLayout bool) {
 		}
 	}
 }
-
-// BenchmarkFilterPhase is the hybrid (bitmap-block) candidate phase — the
-// perf-gated headline number of the CI bench job.
-func BenchmarkFilterPhase(b *testing.B) { filterPhaseBench(b, false) }
-
-// BenchmarkFilterPhaseClassic is the same workload with the slice-only
-// classic layout (Options.ClassicFilter), the baseline the hybrid speedup
-// is quoted against.
-func BenchmarkFilterPhaseClassic(b *testing.B) { filterPhaseBench(b, true) }
 
 // BenchmarkVerify measures the verification phase alone on the 400×400
 // workload: candidates are generated once, prepared records are built once
@@ -150,7 +141,7 @@ func BenchmarkVerify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		collectStream(context.Background(), workers, func(ictx context.Context, ch chan<- []Pair) error {
-			return streamVerify(ictx, s, t, ix.prepared, prepT, cands, ix.calc, opts.Theta, workers, false, ch, nil)
+			return streamVerify(ictx, s, t, ix.prepared, prepT, cands, ix.calc, opts.Theta, workers, ch, nil)
 		}, func(Pair) bool { return true })
 	}
 }
@@ -217,13 +208,15 @@ func queryBench(b *testing.B, shards int) {
 // BenchmarkQuery is queryBench at one shard.
 func BenchmarkQuery(b *testing.B) { queryBench(b, 1) }
 
-// verifyTopKBench serves top-k queries against a 2000-record one-shard index
-// (large candidate sets, so the verify phase dominates); opts toggles the
-// rising-threshold scheduler and the msim memo.
-func verifyTopKBench(b *testing.B, opts Options) {
+// BenchmarkVerifyTopK serves top-k queries against a 2000-record one-shard
+// index (large candidate sets, so the verify phase dominates): the rising
+// floor prunes candidates whose cheap upper bound cannot reach the heap's
+// k-th similarity, and the memo reuses segment-pair msim values across
+// candidates of one query.
+func BenchmarkVerifyTopK(b *testing.B) {
 	j := NewJoiner(paperContext())
 	s := benchCorpus(2000, 1)
-	v := j.BuildShardedIndex(s, 1, opts, DynamicOptions{}).Snapshot()
+	v := j.BuildShardedIndex(s, 1, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{}).Snapshot()
 	// Keep only probes with a non-empty answer so every timed op exercises
 	// the verify phase (a θ=0.8 threshold leaves some of the raw pool
 	// matchless, and those would measure the count filter instead).
@@ -245,24 +238,8 @@ func verifyTopKBench(b *testing.B, opts Options) {
 	}
 }
 
-// BenchmarkVerifyTopK is the benchgate-gated top-k serving number: the
-// rising-floor scheduler prunes candidates whose cheap upper bound cannot
-// reach the heap's k-th similarity, and the memo reuses segment-pair msim
-// values across candidates of one query.
-func BenchmarkVerifyTopK(b *testing.B) {
-	verifyTopKBench(b, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP})
-}
-
-// BenchmarkVerifyTopKNoPrune is the same workload through the plain verify
-// loop (Options.NoVerifyPrune + NoVerifyMemo) — the ratio sibling that makes
-// the gate machine-independent.
-func BenchmarkVerifyTopKNoPrune(b *testing.B) {
-	verifyTopKBench(b, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP,
-		NoVerifyPrune: true, NoVerifyMemo: true})
-}
-
 // mixedProbes builds the bimodal short/long probe pool of the planner
-// benchmarks: half 2-token fragments of dense vocabulary (where a small τ
+// benchmark: half 2-token fragments of dense vocabulary (where a small τ
 // over-admits little and saves posting scans), half three records
 // concatenated (long signatures where the build-time configuration pays for
 // every prefix token).
@@ -325,33 +302,22 @@ func BenchmarkPlanOverhead(b *testing.B) {
 	}
 }
 
-// queryPlanBench serves the bimodal workload single-record at a time under
-// one planning mode; BenchmarkQueryPlanned / BenchmarkQueryFixed are the
-// benchgate-gated pair whose ratio pins the planner's latency win.
-func queryPlanBench(b *testing.B, qo QueryOpts) {
-	j := NewJoiner(paperContext())
-	s := benchCorpus(2000, 1)
-	opts := Options{Theta: 0.8, Tau: 3, Method: pebble.AUDP}
-	v := j.BuildShardedIndex(s, 1, opts, DynamicOptions{}).Snapshot()
-	probe := mixedProbes(64, 9)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := v.ProbeRecordCtx(ctx, probe[i%len(probe)].Tokens, qo); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQueryPlanned is the adaptive path: every probe is planned.
-func BenchmarkQueryPlanned(b *testing.B) { queryPlanBench(b, QueryOpts{}) }
-
-// BenchmarkQueryFixed is the same workload pinned to the build-time
-// configuration (the pre-planner behaviour).
-func BenchmarkQueryFixed(b *testing.B) { queryPlanBench(b, QueryOpts{Plan: PlanFixed}) }
-
 // BenchmarkQuerySharded is BenchmarkQuery against a GOMAXPROCS-sharded
 // index: the same single-record workload through a wider fan-out (one
 // signature selection, per-shard count filters, merged results).
 func BenchmarkQuerySharded(b *testing.B) { queryBench(b, 0) }
+
+// BenchmarkSnapshotCapture measures the mutation-stall cost of a checkpoint:
+// the atomic capture plus encode, the part that runs under every shard's
+// write lock.
+func BenchmarkSnapshotCapture(b *testing.B) {
+	j := NewJoiner(paperContext())
+	sx := j.BuildShardedIndex(benchCorpus(4000, 42), 4, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(sx.CaptureSnapshot().Encode()) == 0 {
+			b.Fatal("empty snapshot")
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -156,13 +155,7 @@ func TestDynamicIndexQueryTopK(t *testing.T) {
 		v := sx.Snapshot()
 		for _, q := range rawCorpus(20, rng) {
 			tokens := strutil.Tokenize(q)
-			full := probeRecord(t, v, tokens)
-			sort.Slice(full, func(a, b int) bool {
-				if full[a].Similarity != full[b].Similarity {
-					return full[a].Similarity > full[b].Similarity
-				}
-				return full[a].Record < full[b].Record
-			})
+			full := bestFirst(probeRecord(t, v, tokens))
 			for _, k := range []int{0, 1, 3, len(full), len(full) + 5} {
 				got := queryTopK(t, v, tokens, k)
 				want := full[:min(k, len(full))]

@@ -72,10 +72,9 @@ type Stats struct {
 	ShardCandidates []int
 	// BitsetTokens and SliceTokens split the probe-token lookups of the
 	// filter stage by posting representation: tokens whose base posting list
-	// was served from the packed bitmap form versus the classic sorted
-	// slice. Their sum is the number of (probe record, known token) lookups;
-	// a zero BitsetTokens means the hybrid layout never engaged (classic
-	// filter, or no list reached the density cutoff).
+	// was served from the packed bitmap form versus the sorted slice. Their
+	// sum is the number of (probe record, known token) lookups; a zero
+	// BitsetTokens means no list reached the density cutoff.
 	BitsetTokens int64
 	SliceTokens  int64
 	// Results is the number of pairs whose unified similarity reached θ.
@@ -120,27 +119,12 @@ type Options struct {
 	// Calculator overrides the unified-similarity calculator; nil means a
 	// default calculator over the joiner's context.
 	Calculator *core.Calculator
-	// ClassicFilter disables the hybrid bitmap posting layout: every
-	// posting list stays in sorted-slice form and the count filter runs
-	// entry-at-a-time. Candidate sets are identical either way (the
-	// property tests pin this); the toggle exists as the baseline for
-	// benchmarks and the equivalence tests themselves.
-	ClassicFilter bool
 	// Plan selects the index-wide planning default of a ShardedIndex:
 	// PlanAuto (zero value) installs the adaptive per-query
 	// planner, PlanFixed disables it entirely and pins the build-time
 	// Method/Tau on every request (today's pre-planner behaviour). Static
 	// Index probes are always fixed.
 	Plan PlanMode
-	// NoVerifyPrune disables the rising-threshold verify scheduler on top-k
-	// paths: candidates are verified in candidate order at the fixed θ, as
-	// before PR 9. Results are bit-identical either way (the property tests
-	// pin this); the toggle is the baseline for those tests and benchmarks.
-	NoVerifyPrune bool
-	// NoVerifyMemo disables the per-worker msim memo. Same contract: results
-	// are bit-identical, the toggle exists for equivalence tests and as an
-	// escape hatch for memory-constrained deployments.
-	NoVerifyMemo bool
 }
 
 func (o Options) workers() int {
@@ -246,16 +230,7 @@ type probeScratch struct {
 	acc    *invindex.Accumulator
 	merged []int32
 	sim    *core.Scratch
-	// ubs is the verify scheduler's ordering arena: candidates paired with
-	// their O(1) similarity upper bound, sorted best-first on top-k paths.
-	ubs []candUB
-}
-
-// candUB pairs a candidate record position with its partition-size-ratio
-// upper bound, the sort key of the rising-threshold verify scheduler.
-type candUB struct {
-	r  int32
-	ub float64
+	verify verifier // a shard's verify pass over one request's candidates
 }
 
 // scratchFromPool borrows a probe scratch from pool (allocating on a cold
@@ -332,7 +307,7 @@ func (j *Joiner) buildIndex(records []strutil.Record, order *pebble.Order, opts 
 		inv.Add(i, ids)
 		totalLen += sigs[i].Len()
 	}
-	hybridizeIndex(inv, order, opts)
+	hybridizeIndex(inv, order)
 	if prepared == nil {
 		prepared = prepareRecords(records, calc)
 	}
@@ -373,14 +348,14 @@ func hybridCutoff(numRecords int) int {
 }
 
 // hybridizeIndex applies the hybrid posting conversion to a freshly built
-// inverted index unless the options pin the classic layout. The order's
-// maximum document frequency upper-bounds every frozen key's list length,
-// so when it cannot reach the cutoff the conversion scan is skipped
-// entirely; an order with a dynamic region has stale frequencies (inserted
-// records are uncounted), so the scan runs unconditionally there — a missed
-// skip costs one pass over the postings, never correctness.
-func hybridizeIndex(inv *invindex.Index, order *pebble.Order, opts Options) {
-	if opts.ClassicFilter || inv.Records() == 0 {
+// inverted index. The order's maximum document frequency upper-bounds every
+// frozen key's list length, so when it cannot reach the cutoff the conversion
+// scan is skipped entirely; an order with a dynamic region has stale
+// frequencies (inserted records are uncounted), so the scan runs
+// unconditionally there — a missed skip costs one pass over the postings,
+// never correctness.
+func hybridizeIndex(inv *invindex.Index, order *pebble.Order) {
+	if inv.Records() == 0 {
 		return
 	}
 	cut := hybridCutoff(inv.Records())
@@ -729,7 +704,6 @@ type FilterProfile struct {
 	calc       *core.Calculator
 	sel        *pebble.Selector
 	order      *pebble.Order
-	opts       Options
 	method     pebble.Method
 	theta      float64
 	workers    int
@@ -759,7 +733,6 @@ func (j *Joiner) NewFilterProfile(s, t []strutil.Record, opts Options) *FilterPr
 		calc:     calc,
 		sel:      sel,
 		order:    order,
-		opts:     opts,
 		method:   opts.Method,
 		theta:    opts.Theta,
 		workers:  opts.workers(),
@@ -850,7 +823,7 @@ func (fp *FilterProfile) filter(tau int) ([]pairKey, int64) {
 		ids = appendSignatureIDs(ids[:0], sigS[i])
 		inv.Add(i, ids)
 	}
-	hybridizeIndex(inv, fp.order, fp.opts)
+	hybridizeIndex(inv, fp.order)
 	cands, tally, _ := countFilterCandidates(context.Background(), inv, len(fp.preS), sigT, tau, false, 0, &fp.scratch)
 	return cands, tally.postings
 }

@@ -35,15 +35,14 @@ func (sx *ShardedIndex) CaptureSnapshot() *store.Snapshot {
 	sx.mu.Unlock()
 
 	snap := &store.Snapshot{
-		Theta:         sx.opts.Theta,
-		Tau:           sx.tau,
-		Method:        uint8(sx.opts.Method),
-		Plan:          uint8(sx.opts.Plan),
-		ClassicFilter: sx.opts.ClassicFilter,
-		Shards:        len(sx.shards),
-		NextID:        uint64(nextID),
-		Order:         exportOrder(sx.gen.Load().order),
-		Planner:       plannerToData(sx.planner.Export()),
+		Theta:   sx.opts.Theta,
+		Tau:     sx.tau,
+		Method:  uint8(sx.opts.Method),
+		Plan:    uint8(sx.opts.Plan),
+		Shards:  len(sx.shards),
+		NextID:  uint64(nextID),
+		Order:   exportOrder(sx.gen.Load().order),
+		Planner: plannerToData(sx.planner.Export()),
 	}
 
 	total := 0
@@ -170,11 +169,10 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 		return nil, fmt.Errorf("join: snapshot next ID %d overflows int", snap.NextID)
 	}
 	opts := Options{
-		Theta:         snap.Theta,
-		Tau:           snap.Tau,
-		Method:        pebble.Method(snap.Method),
-		ClassicFilter: snap.ClassicFilter,
-		Plan:          PlanMode(snap.Plan),
+		Theta:  snap.Theta,
+		Tau:    snap.Tau,
+		Method: pebble.Method(snap.Method),
+		Plan:   PlanMode(snap.Plan),
 	}
 	freqs := make([]int, len(snap.Order.Freqs))
 	for i, f := range snap.Order.Freqs {
@@ -282,7 +280,7 @@ func (j *Joiner) restoreBase(records []strutil.Record, sigIDs [][]uint32, prepar
 		inv.Add(i, sigIDs[i])
 		totalLen += len(sigIDs[i])
 	}
-	hybridizeIndex(inv, order, opts)
+	hybridizeIndex(inv, order)
 	ix := &Index{
 		joiner:   j,
 		opts:     opts,

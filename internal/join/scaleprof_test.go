@@ -13,12 +13,11 @@ import (
 	"github.com/aujoin/aujoin/internal/strutil"
 )
 
-// TestFilterScaleProfile is an opt-in diagnostic (AUJOIN_SCALEPROF=1)
-// that times the hybrid vs classic candidate phase on a 300k-record
-// datagen corpus and writes a CPU profile of the hybrid leg to
-// /tmp/scale_hybrid.pprof. It exists to localize scale regressions in
-// the block filter core without the full cmd/benchrun filterscale run
-// (which spends most of its wall clock on signature selection).
+// TestFilterScaleProfile is an opt-in diagnostic (AUJOIN_SCALEPROF=1) that
+// times the candidate phase on a 300k-record datagen corpus and writes a CPU
+// profile of it to /tmp/scale_hybrid.pprof. It exists to localize scale
+// regressions in the block filter core: wide records of distinct tokens over
+// a 200-word vocabulary make every posting list dense.
 func TestFilterScaleProfile(t *testing.T) {
 	if os.Getenv("AUJOIN_SCALEPROF") == "" {
 		t.Skip("set AUJOIN_SCALEPROF=1")
@@ -37,37 +36,31 @@ func TestFilterScaleProfile(t *testing.T) {
 	ctx.Q = 5
 	j := NewJoiner(ctx)
 
-	for _, classic := range []bool{false, true} {
-		opts := Options{Theta: 0.9, Tau: 12, Method: pebble.AUHeuristic, ClassicFilter: classic, Workers: 1}
-		ix := j.buildIndex(s, j.BuildOrder(s, tt), opts, nil)
-		sigs := j.signatures(tt, ix.sel, opts.Method, ix.tau)
-		if !classic {
-			// residual sizes of the dense lists
-			var resTotal, denseTotal int
-			for _, id := range ix.inv.Keys() {
-				if bs := ix.inv.Bitset(id); bs != nil {
-					resTotal += len(bs.Residual())
-					denseTotal++
-				}
-			}
-			t.Logf("dense keys %d, residual entries total %d", denseTotal, resTotal)
-			f, _ := os.Create("/tmp/scale_hybrid.pprof")
-			pprof.StartCPUProfile(f)
-		}
-		start := time.Now()
-		for rep := 0; rep < 3; rep++ {
-			cands, tally, err := ix.candidates(context.Background(), sigs, false, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep == 0 {
-				t.Logf("classic=%v filter=%v cands=%d postings=%d bitset=%d slice=%d",
-					classic, time.Since(start), len(cands), tally.postings, tally.bitsetTokens, tally.sliceTokens)
-			}
-		}
-		t.Logf("classic=%v 3 reps total %v", classic, time.Since(start))
-		if !classic {
-			pprof.StopCPUProfile()
+	opts := Options{Theta: 0.9, Tau: 12, Method: pebble.AUHeuristic, Workers: 1}
+	ix := j.buildIndex(s, j.BuildOrder(s, tt), opts, nil)
+	sigs := j.signatures(tt, ix.sel, opts.Method, ix.tau)
+	// residual sizes of the dense lists
+	var resTotal, denseTotal int
+	for _, id := range ix.inv.Keys() {
+		if bs := ix.inv.Bitset(id); bs != nil {
+			resTotal += len(bs.Residual())
+			denseTotal++
 		}
 	}
+	t.Logf("dense keys %d, residual entries total %d", denseTotal, resTotal)
+	f, _ := os.Create("/tmp/scale_hybrid.pprof")
+	pprof.StartCPUProfile(f)
+	defer pprof.StopCPUProfile()
+	start := time.Now()
+	for rep := 0; rep < 3; rep++ {
+		cands, tally, err := ix.candidates(context.Background(), sigs, false, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep == 0 {
+			t.Logf("filter=%v cands=%d postings=%d bitset=%d slice=%d",
+				time.Since(start), len(cands), tally.postings, tally.bitsetTokens, tally.sliceTokens)
+		}
+	}
+	t.Logf("3 reps total %v", time.Since(start))
 }

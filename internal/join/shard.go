@@ -1,6 +1,7 @@
 package join
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"slices"
@@ -12,7 +13,6 @@ import (
 	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/invindex"
 	"github.com/aujoin/aujoin/internal/pebble"
-	"github.com/aujoin/aujoin/internal/planner"
 	"github.com/aujoin/aujoin/internal/strutil"
 )
 
@@ -90,8 +90,7 @@ type shard struct {
 	dynAtBuild int
 	dynAdded   int
 	// pauses records the wall-clock duration of every rebuild, i.e. how long
-	// this shard's writers stalled; readers never pause. The serve benchmark
-	// reports their percentiles.
+	// this shard's writers stalled; readers never pause (RebuildPauses).
 	pauses []time.Duration
 	// gen is the router's order generation this shard's base was built
 	// under. A global re-finalize bumps it on every shard while holding
@@ -356,8 +355,8 @@ func (sh *shard) maybeRebuildLocked() {
 // verification record and re-selecting its signature — the compaction win is
 // the dense base (segments merged, tombstones dropped), not a fresher
 // frequency ranking, which only the router's re-freeze delivers. Stable IDs
-// are preserved; positions are reassigned. The pause is recorded for the
-// serve benchmark's percentiles.
+// are preserved; positions are reassigned. The pause is recorded for
+// RebuildPauses.
 func (sh *shard) rebuildLocked() {
 	start := time.Now()
 	live, prep := sh.liveLocked()
@@ -418,69 +417,82 @@ func (sh *shard) rebuildPauses() []time.Duration {
 	return append([]time.Duration(nil), sh.pauses...)
 }
 
-// DynamicStats describes one snapshot of a ShardedIndex.
+// DynamicStats describes one snapshot of a ShardedIndex: catalog size and
+// tombstone counts, the delta-segment chains, the shard count, the
+// interned-key split between the frozen order prefix and the dynamic region,
+// the rebuild history, and the cumulative filter, verify, cache and planner
+// counters. It is the one definition of the statistics: the public
+// aujoin.IndexStats is an alias of it, and its JSON tags are the /stats wire
+// format.
 type DynamicStats struct {
 	// Records is the catalog length including tombstones; Live and Dead
 	// split it.
-	Records, Live, Dead int
+	Records int `json:"records"`
+	Live    int `json:"live"`
+	Dead    int `json:"dead"`
 	// Segments is the length of the delta-segment chains (one segment per
 	// insert batch and touched shard since that shard's last rebuild),
 	// summed over the shards.
-	Segments int
+	Segments int `json:"segments"`
 	// Shards is the number of index partitions.
-	Shards int
+	Shards int `json:"shards"`
 	// FrozenKeys and DynamicKeys count the interned pebble keys in the
 	// shared order's frozen prefix and its append-only dynamic region.
-	FrozenKeys, DynamicKeys int
+	FrozenKeys  int `json:"frozen_keys"`
+	DynamicKeys int `json:"dynamic_keys"`
 	// Rebuilds counts shard compactions and re-freeze rebuilds, summed over
 	// the shards; Inserts the records appended over the index lifetime.
-	Rebuilds, Inserts int
+	Rebuilds int `json:"rebuilds"`
+	Inserts  int `json:"inserts"`
 	// DenseKeys and SparseKeys split the base indexes' non-empty posting
 	// lists by representation: packed bitmap form (lists past the hybrid
 	// density cutoff) versus sorted slice form. Summed over the shards (each
 	// shard hybridizes its own base).
-	DenseKeys, SparseKeys int
+	DenseKeys  int `json:"dense_keys"`
+	SparseKeys int `json:"sparse_keys"`
 	// ProbePostings counts posting entries processed by the count filter
 	// over every probe served since the index was built;
 	// ProbeBitsetTokens and ProbeSliceTokens split the probe signature
 	// tokens by the representation their base posting list was served
 	// from. Summed over the shards.
-	ProbePostings     int64
-	ProbeBitsetTokens int64
-	ProbeSliceTokens  int64
+	ProbePostings     int64 `json:"probe_postings"`
+	ProbeBitsetTokens int64 `json:"probe_bitset_tokens"`
+	ProbeSliceTokens  int64 `json:"probe_slice_tokens"`
 	// VerifiedCandidates, PrunedByBound and MemoHits are the cumulative
 	// verify-phase counters over every query served since the index was
 	// built: candidates whose msim matrix was computed, candidates skipped
 	// by the sound upper bounds (O(1) size-ratio bound or the rising top-k
 	// floor), and segment-pair msim evaluations answered from the memo.
 	// Summed over the shards.
-	VerifiedCandidates int64
-	PrunedByBound      int64
-	MemoHits           int64
-	// CacheHits and CacheMisses are the cumulative prepared-record cache
-	// counters (one cache is shared across all shards; zero when the cache
-	// is disabled).
-	CacheHits, CacheMisses uint64
+	VerifiedCandidates int64 `json:"verified_candidates"`
+	PrunedByBound      int64 `json:"pruned_by_bound"`
+	MemoHits           int64 `json:"memo_hits"`
+	// CacheHits and CacheMisses are the cumulative counters of the
+	// prepared-record cache consulted on insert (one cache is shared across
+	// all shards; both zero when the cache is disabled).
+	CacheHits   uint64 `json:"cache_hits"`
+	CacheMisses uint64 `json:"cache_misses"`
 	// Theta and Tau are the join parameters fixed at build time.
-	Theta float64
-	Tau   int
+	Theta float64 `json:"theta"`
+	Tau   int     `json:"tau"`
 	// SuggestedTau is the planner's live τ suggestion: the build-time τ
 	// until the first re-anchor, the observed workload's most-chosen τ
 	// afterwards (0 when planning is disabled).
-	SuggestedTau int
+	SuggestedTau int `json:"suggested_tau,omitempty"`
 	// Plans, PlanFallbacks and PlanReanchors count adaptive planning
 	// decisions, planner fallbacks to the fixed configuration, and feedback
 	// re-anchors after re-freezes; PlanDecisions splits Plans by chosen
 	// configuration ("ufilter/t1", "auheur/t2", "audp/t3", ...). All zero
 	// when planning is disabled. The planner belongs to the router, so these
 	// are request-level counters, not per-shard.
-	Plans         int64
-	PlanFallbacks int64
-	PlanReanchors int64
-	PlanDecisions map[string]int64
+	Plans         int64            `json:"plans,omitempty"`
+	PlanFallbacks int64            `json:"plan_fallbacks,omitempty"`
+	PlanReanchors int64            `json:"plan_reanchors,omitempty"`
+	PlanDecisions map[string]int64 `json:"plan_decisions,omitempty"`
 	// BuildTime is the construction time of the current base indexes: the
-	// slowest shard's build (shards build in parallel).
-	BuildTime time.Duration
+	// slowest shard's build (shards build in parallel). Nanoseconds on the
+	// wire.
+	BuildTime time.Duration `json:"build_time_ns"`
 }
 
 // shardView is one immutable snapshot of a shard. All its methods are
@@ -622,287 +634,159 @@ func (f *floorTracker) raise(v float64) {
 	}
 }
 
-// orderByUpperBound fills sc.ubs with the candidates paired with their O(1)
-// partition-size upper bound, ordered best-first (ties by position for
-// determinism). Verifying in this order lets the scheduler stop at the first
-// candidate whose bound falls under the rising floor: all later bounds are
-// no larger.
-func (v *shardView) orderByUpperBound(sc *probeScratch, cands []int32, pq *core.PreparedRecord) []candUB {
-	ubs := sc.ubs[:0]
-	for _, r := range cands {
-		ubs = append(ubs, candUB{r: r, ub: core.SizeRatioUpper(v.prepared[r], pq)})
-	}
-	sc.ubs = ubs
-	slices.SortFunc(ubs, func(a, b candUB) int {
-		if a.ub != b.ub {
-			if a.ub > b.ub {
-				return -1
-			}
-			return 1
-		}
-		if a.r != b.r {
-			if a.r < b.r {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-	return ubs
+// unboundedK is the k of a threshold probe: a bound no heap ever reaches, so
+// the heap never fills, the floor stays at θ, and every candidate reaching θ
+// is kept.
+const unboundedK = math.MaxInt
+
+// verifier is the state of one shard's verify pass over one request's
+// candidates: the inputs every worker reads, and per worker a k-bounded heap,
+// a similarity scratch and a prune count that worker alone writes. It lives
+// in the pooled probe scratch, so the one-worker pass — the serving default —
+// allocates nothing but the matches it keeps.
+type verifier struct {
+	v       *shardView
+	pq      *core.PreparedRecord
+	theta   float64
+	k       int
+	ft      *floorTracker
+	cands   []candUB
+	workers []verifyWorker
 }
 
-// verifyCandidatesParallel verifies the candidates across qo.Workers workers
-// with one lazily built similarity scratch each, feeding every confirmed
-// match to sink. sink is called from worker w only (no synchronisation
-// needed on per-worker accumulators); the error is the context error when
-// the run was cut short. The returned tally folds the workers' verify
-// counters.
-func (v *shardView) verifyCandidatesParallel(ctx context.Context, cands []int32, pq *core.PreparedRecord, theta float64, workers int, sink func(w int, m QueryMatch)) (verifyTally, error) {
-	scratches := make([]*core.Scratch, workers)
-	noMemo := v.sh.opts.NoVerifyMemo
-	err := parallelForWorkersCtx(ctx, len(cands), workers, func(w, i int) {
-		wsc := scratches[w]
-		if wsc == nil {
-			wsc = core.NewScratch()
-			wsc.DisableMemo = noMemo
-			scratches[w] = wsc
-		}
-		r := cands[i]
-		if val, ok := v.sh.calc.VerifyPrepared(v.prepared[r], pq, theta, wsc); ok {
-			sink(w, QueryMatch{Record: v.records[r].ID, Similarity: val})
-		}
-	})
-	var vt verifyTally
-	for _, wsc := range scratches {
-		vt.addScratch(wsc)
-	}
-	return vt, err
+type verifyWorker struct {
+	heap   topKHeap
+	sim    *core.Scratch
+	pruned int64
 }
 
-// verifyTopKParallel is the rising-floor analogue of verifyCandidatesParallel
-// for top-k requests: candidates arrive in upper-bound order, every worker
-// keeps its own k-bounded heap in heaps[w], and the shared tracker carries
-// the best proven floor across workers (and shards). A candidate is skipped
-// when its bound sits below the live floor minus the verify slack — by then
-// k matches at least that good are known to exist, so the skip is exact.
-func (v *shardView) verifyTopKParallel(ctx context.Context, ubs []candUB, pq *core.PreparedRecord, theta float64, k, workers int, ft *floorTracker, heaps []topKHeap) (verifyTally, error) {
-	scratches := make([]*core.Scratch, workers)
-	noMemo := v.sh.opts.NoVerifyMemo
-	var pruned atomic.Int64
-	err := parallelForWorkersCtx(ctx, len(ubs), workers, func(w, i int) {
-		wsc := scratches[w]
-		if wsc == nil {
-			wsc = core.NewScratch()
-			wsc.DisableMemo = noMemo
-			scratches[w] = wsc
-		}
-		h := &heaps[w]
-		floor := theta
-		if f := ft.floor(); f > floor {
-			floor = f
-		}
-		if len(h.entries) == k {
-			if hf := h.entries[0].Similarity; hf > floor {
-				floor = hf
-			}
-		}
-		if ubs[i].ub < floor-core.BoundSlack {
-			pruned.Add(1)
-			return
-		}
-		r := ubs[i].r
-		// floor, not theta: a candidate below the floor cannot enter any
-		// final top-k, and one exactly at it still passes (ok is ≥).
-		if val, ok := v.sh.calc.VerifyPrepared(v.prepared[r], pq, floor, wsc); ok {
-			h.offer(QueryMatch{Record: v.records[r].ID, Similarity: val}, k)
-			if len(h.entries) == k {
-				ft.raise(h.entries[0].Similarity)
-			}
-		}
-	})
-	var vt verifyTally
-	for _, wsc := range scratches {
-		vt.addScratch(wsc)
-	}
-	vt.pruned += pruned.Load()
-	return vt, err
+// candUB pairs a candidate record position with its O(1) partition-size
+// upper bound on the similarity to the query.
+type candUB struct {
+	r  int32
+	ub float64
 }
 
-// probeRecordPrepared is this shard's share of a threshold probe: the count
-// filter and verification for a ready-made probe signature, its planned
-// overlap constraint and a lazily shared prepared query. Results are
-// unordered (the router merges every shard's results, then sorts once). ex
-// accumulates the observed candidate count and verification wall time for the
-// planner's feedback loop (the fan-out hands one ex to every shard).
-func (v *shardView) probeRecordPrepared(ctx context.Context, sig pebble.Signature, tau int, lp *lazyPrepared, qo QueryOpts, ex *planner.Exec) ([]QueryMatch, error) {
-	theta := v.sh.opts.thetaFor(qo)
+// bestBoundFirst orders candidates by descending upper bound, ties by
+// position for determinism.
+func bestBoundFirst(a, b candUB) int {
+	switch {
+	case a.ub > b.ub:
+		return -1
+	case a.ub < b.ub:
+		return 1
+	}
+	return cmp.Compare(a.r, b.r)
+}
+
+// step verifies candidate i on worker w — the one way a single-record
+// request verifies a candidate. The floor is the larger of θ, this worker's
+// heap root once the heap holds k matches, and the shared tracker (the best
+// k-th-place similarity any sibling worker or shard has proven); a candidate
+// bounded below it is provably outside the final top k, and one that reaches
+// it is offered to the heap. Verifying at the floor rather than θ is exact:
+// a candidate below the floor cannot enter any final top k, and one exactly
+// at it still passes (VerifyPrepared accepts ≥).
+func (vf *verifier) step(w, i int) {
+	c, wk := vf.cands[i], &vf.workers[w]
+	floor := max(vf.theta, vf.ft.floor())
+	if len(wk.heap.entries) == vf.k {
+		floor = max(floor, wk.heap.entries[0].Similarity)
+	}
+	if c.ub < floor-core.BoundSlack {
+		wk.pruned++
+		return
+	}
+	if wk.sim == nil {
+		wk.sim = core.NewScratch()
+	}
+	v := vf.v
+	if val, ok := v.sh.calc.VerifyPrepared(v.prepared[c.r], vf.pq, floor, wk.sim); ok {
+		wk.heap.offer(QueryMatch{Record: v.records[c.r].ID, Similarity: val}, vf.k)
+		if len(wk.heap.entries) == vf.k {
+			vf.ft.raise(wk.heap.entries[0].Similarity)
+		}
+	}
+}
+
+// serve is this shard's share of a single-record request: the count filter
+// for the request's probe signature at its planned overlap constraint, then
+// verification of the survivors against the lazily shared prepared query,
+// keeping the rq.k best matches (every match reaching θ when k is
+// unboundedK). The matches come back unordered — the router merges every
+// shard's share and sorts once. rq.ft is the request-wide rising floor; rq.ex
+// accumulates the candidate count, verification wall time and prune count
+// for the planner's feedback loop.
+//
+// When more candidates survive than k matches can be kept, they are verified
+// in descending order of their upper bound, so the heap fills with strong
+// matches early and the floor rises while most of the list is still ahead.
+// With Workers > 1 and at least minParallelVerify candidates the same step
+// runs on that many workers, each with its own heap and scratch, and the
+// heaps are folded at the end — sound because the top k of a union is
+// contained in the union of the parts' top k's. Either way the skip is exact,
+// so the result is the one a plain scan at θ returns.
+func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error) {
 	sc := v.scratch()
-	cands, _ := v.candidatesRecord(sig, tau, sc)
-	ex.Candidates.Add(int64(len(cands)))
-	var out []QueryMatch
+	defer sc.release(&v.sh.pool)
+	cands, _ := v.candidatesRecord(rq.d.Sig, rq.d.Tau, sc)
+	rq.ex.Candidates.Add(int64(len(cands)))
+	if len(cands) == 0 {
+		return nil, nil
+	}
+	start := time.Now()
+	workers := 1
+	if rq.qo.Workers > 1 && len(cands) >= minParallelVerify {
+		workers = rq.qo.Workers
+	}
+	vf := &sc.verify
+	vf.v, vf.pq, vf.theta, vf.k, vf.ft = v, rq.lp.get(), v.sh.opts.thetaFor(rq.qo), rq.k, &rq.ft
+	vf.cands = vf.cands[:0]
+	for _, r := range cands {
+		vf.cands = append(vf.cands, candUB{r: r, ub: core.SizeRatioUpper(v.prepared[r], vf.pq)})
+	}
+	if rq.k < len(cands) {
+		slices.SortFunc(vf.cands, bestBoundFirst)
+	}
+	vf.workers = append(vf.workers[:0], make([]verifyWorker, workers)...)
+	// Worker 0 verifies on the pooled scratch, whose counters span
+	// operations: diff against the snapshot for this request's share.
+	sim := sc.simScratch()
+	before := sim.Stats
+	vf.workers[0].sim = sim
 	var err error
-	var vt verifyTally
-	if len(cands) > 0 {
-		verifyStart := time.Now()
-		defer func() { // the verify loop has several exits; one timer covers all
-			ex.VerifyNs.Add(time.Since(verifyStart).Nanoseconds())
-			ex.Pruned.Add(vt.pruned)
-			v.sh.noteVerify(vt)
-		}()
-		pq := lp.get()
-		if qo.Workers > 1 && len(cands) >= minParallelVerify {
-			outs := make([][]QueryMatch, qo.Workers)
-			vt, err = v.verifyCandidatesParallel(ctx, cands, pq, theta, qo.Workers, func(w int, m QueryMatch) {
-				outs[w] = append(outs[w], m)
-			})
-			if err == nil {
-				for _, part := range outs {
-					out = append(out, part...)
-				}
+	if workers == 1 {
+		// parallelForWorkersCtx would run one worker inline just the same,
+		// but the step closure it is handed escapes to the heap; this one
+		// does not.
+		err = forCtx(ctx, len(vf.cands), func(i int) { vf.step(0, i) })
+	} else {
+		err = parallelForWorkersCtx(ctx, len(vf.cands), workers, vf.step)
+	}
+	vt := verifyTally{verified: -before.Verified, pruned: -before.PrunedByBound, memoHits: -before.MemoHits}
+	heap := vf.workers[0].heap
+	for w := range vf.workers {
+		wk := &vf.workers[w]
+		vt.addScratch(wk.sim)
+		vt.pruned += wk.pruned
+		if w > 0 && err == nil {
+			// The fold is O(workers·k·log k); a cancelled request skips it —
+			// the result is discarded anyway.
+			for _, m := range wk.heap.entries {
+				heap.offer(m, rq.k)
 			}
-		} else {
-			sim := sc.simScratch()
-			sim.DisableMemo = v.sh.opts.NoVerifyMemo
-			before := sim.Stats
-			for i, r := range cands {
-				if i%ctxCheckStride == 0 && ctx.Err() != nil {
-					err = ctx.Err()
-					break
-				}
-				if val, ok := v.sh.calc.VerifyPrepared(v.prepared[r], pq, theta, sim); ok {
-					out = append(out, QueryMatch{Record: v.records[r].ID, Similarity: val})
-				}
-			}
-			// The sim scratch is pooled, so its counters span operations;
-			// diff against the snapshot for this probe's share.
-			vt.verified = sim.Stats.Verified - before.Verified
-			vt.pruned = sim.Stats.PrunedByBound - before.PrunedByBound
-			vt.memoHits = sim.Stats.MemoHits - before.MemoHits
 		}
 	}
-	sc.release(&v.sh.pool)
+	// The scratch goes back to the pool: drop what belongs to this request.
+	clear(vf.workers)
+	vf.v, vf.pq, vf.ft = nil, nil, nil
+	rq.ex.VerifyNs.Add(time.Since(start).Nanoseconds())
+	rq.ex.Pruned.Add(vt.pruned)
+	v.sh.noteVerify(vt)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// queryTopKPrepared runs the thresholded scan and bounded-heap verification
-// for a ready-made signature and lazily shared prepared query, returning the
-// unsorted heap (the router folds every shard's heap together before
-// sorting once). With qo.Workers > 1 each worker keeps its own
-// k-bounded heap and the heaps are folded at the end — sound because the
-// top k of the union is contained in the union of per-worker top k's.
-//
-// Unless Options.NoVerifyPrune is set, candidates are verified in descending
-// order of their O(1) similarity upper bound against a rising floor: the
-// larger of θ, this scan's heap root once full, and the shared tracker ft
-// (which carries the best floor observed by concurrent workers and sibling
-// shards). A candidate whose bound falls below the floor — and, in the
-// ordered sequential scan, every candidate after it — is provably outside
-// the final top k, so the pruned scan returns bit-identical results.
-func (v *shardView) queryTopKPrepared(ctx context.Context, sig pebble.Signature, tau int, lp *lazyPrepared, k int, qo QueryOpts, ex *planner.Exec, ft *floorTracker) (topKHeap, error) {
-	theta := v.sh.opts.thetaFor(qo)
-	sc := v.scratch()
-	cands, _ := v.candidatesRecord(sig, tau, sc)
-	ex.Candidates.Add(int64(len(cands)))
-	var heap topKHeap
-	var err error
-	var vt verifyTally
-	if len(cands) > 0 {
-		verifyStart := time.Now()
-		defer func() {
-			ex.VerifyNs.Add(time.Since(verifyStart).Nanoseconds())
-			ex.Pruned.Add(vt.pruned)
-			v.sh.noteVerify(vt)
-		}()
-		pq := lp.get()
-		prune := !v.sh.opts.NoVerifyPrune
-		switch {
-		case qo.Workers > 1 && len(cands) >= minParallelVerify && prune:
-			heaps := make([]topKHeap, qo.Workers)
-			ubs := v.orderByUpperBound(sc, cands, pq)
-			vt, err = v.verifyTopKParallel(ctx, ubs, pq, theta, k, qo.Workers, ft, heaps)
-			if err == nil {
-				for _, h := range heaps {
-					for _, m := range h.entries {
-						heap.offer(m, k)
-					}
-				}
-			}
-		case qo.Workers > 1 && len(cands) >= minParallelVerify:
-			heaps := make([]topKHeap, qo.Workers)
-			vt, err = v.verifyCandidatesParallel(ctx, cands, pq, theta, qo.Workers, func(w int, m QueryMatch) {
-				heaps[w].offer(m, k)
-			})
-			if err == nil {
-				// The fold is O(workers·k·log k); a cancelled request skips
-				// it — the result is discarded anyway.
-				for _, h := range heaps {
-					for _, m := range h.entries {
-						heap.offer(m, k)
-					}
-				}
-			}
-		case prune:
-			sim := sc.simScratch()
-			sim.DisableMemo = v.sh.opts.NoVerifyMemo
-			before := sim.Stats
-			ubs := v.orderByUpperBound(sc, cands, pq)
-			for i := range ubs {
-				if i%ctxCheckStride == 0 && ctx.Err() != nil {
-					err = ctx.Err()
-					break
-				}
-				floor := theta
-				if f := ft.floor(); f > floor {
-					floor = f
-				}
-				if len(heap.entries) == k {
-					if hf := heap.entries[0].Similarity; hf > floor {
-						floor = hf
-					}
-				}
-				if ubs[i].ub < floor-core.BoundSlack {
-					// Bounds only shrink from here (ubs is sorted) and the
-					// floor only rises: the whole tail is pruned.
-					vt.pruned += int64(len(ubs) - i)
-					break
-				}
-				r := ubs[i].r
-				if val, ok := v.sh.calc.VerifyPrepared(v.prepared[r], pq, floor, sim); ok {
-					heap.offer(QueryMatch{Record: v.records[r].ID, Similarity: val}, k)
-					if len(heap.entries) == k {
-						ft.raise(heap.entries[0].Similarity)
-					}
-				}
-			}
-			vt.verified += sim.Stats.Verified - before.Verified
-			vt.pruned += sim.Stats.PrunedByBound - before.PrunedByBound
-			vt.memoHits += sim.Stats.MemoHits - before.MemoHits
-		default:
-			sim := sc.simScratch()
-			sim.DisableMemo = v.sh.opts.NoVerifyMemo
-			before := sim.Stats
-			for i, r := range cands {
-				if i%ctxCheckStride == 0 && ctx.Err() != nil {
-					err = ctx.Err()
-					break
-				}
-				if val, ok := v.sh.calc.VerifyPrepared(v.prepared[r], pq, theta, sim); ok {
-					heap.offer(QueryMatch{Record: v.records[r].ID, Similarity: val}, k)
-				}
-			}
-			vt.verified = sim.Stats.Verified - before.Verified
-			vt.pruned = sim.Stats.PrunedByBound - before.PrunedByBound
-			vt.memoHits = sim.Stats.MemoHits - before.MemoHits
-		}
-	}
-	sc.release(&v.sh.pool)
-	if err != nil {
-		return topKHeap{}, err
-	}
-	return heap, nil
+	return heap.entries, nil
 }
 
 // topKHeap is a bounded min-heap on similarity (ties broken towards keeping

@@ -541,7 +541,7 @@ type request struct {
 	sv *ShardedView
 	d  planner.Decision
 	qo QueryOpts
-	k  int // > 0: the k best matches per shard; 0: every match reaching θ
+	k  int // the k best matches per shard; unboundedK: every match reaching θ
 	lp lazyPrepared
 	ex planner.Exec
 	// ft spans the whole fan-out: as soon as any shard's heap fills, its
@@ -585,14 +585,7 @@ func (sv *ShardedView) serve(ctx context.Context, tokens []string, k int, qo Que
 
 // shard is one shard's share of the request.
 func (rq *request) shard(ctx context.Context, w int) (err error) {
-	v := rq.sv.views[w]
-	if rq.k > 0 {
-		var heap topKHeap
-		heap, err = v.queryTopKPrepared(ctx, rq.d.Sig, rq.d.Tau, &rq.lp, rq.k, rq.qo, &rq.ex, &rq.ft)
-		rq.parts[w] = heap.entries
-		return err
-	}
-	rq.parts[w], err = v.probeRecordPrepared(ctx, rq.d.Sig, rq.d.Tau, &rq.lp, rq.qo, &rq.ex)
+	rq.parts[w], err = rq.sv.views[w].serve(ctx, rq)
 	return err
 }
 
@@ -646,7 +639,7 @@ func (sv *ShardedView) ProbeRecordCtx(ctx context.Context, tokens []string, qo Q
 	if len(tokens) == 0 {
 		return nil, ctx.Err()
 	}
-	parts, err := sv.serve(ctx, tokens, 0, qo)
+	parts, err := sv.serve(ctx, tokens, unboundedK, qo)
 	if err != nil {
 		return nil, err
 	}

@@ -38,6 +38,19 @@ const emitBatch = 64
 // small stride keeps cancellation prompt without measurable overhead.
 const ctxCheckStride = 16
 
+// forCtx runs fn(i) for i in [0, n) on the calling goroutine, checking ctx
+// every ctxCheckStride iterations, and returns the context error if the run
+// was cut short or the context ended with it.
+func forCtx(ctx context.Context, n int, fn func(i int)) error {
+	for i := 0; i < n; i++ {
+		if i%ctxCheckStride == 0 && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		fn(i)
+	}
+	return ctx.Err()
+}
+
 // parallelForWorkersCtx is parallelForWorkers with cooperative cancellation:
 // once ctx is done, no new index is dispatched, workers skip whatever is
 // still queued, and — crucially — the context error is reported even when
@@ -48,13 +61,7 @@ func parallelForWorkersCtx(ctx context.Context, n, workers int, fn func(worker, 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if n <= 1 || workers == 1 {
-		for i := 0; i < n; i++ {
-			if i%ctxCheckStride == 0 && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			fn(0, i)
-		}
-		return ctx.Err()
+		return forCtx(ctx, n, func(i int) { fn(0, i) })
 	}
 	if workers > n {
 		workers = n
@@ -122,7 +129,7 @@ var pairBatchPool = sync.Pool{
 // send, or the context error when cancelled; it never closes out (the caller
 // owns the channel). When vt is non-nil, the workers' verify counters are
 // accumulated into it before returning.
-func streamVerify(ctx context.Context, s, t []strutil.Record, prepS, prepT []*core.PreparedRecord, candidates []pairKey, calc *core.Calculator, theta float64, workers int, noMemo bool, out chan<- []Pair, vt *verifyTally) error {
+func streamVerify(ctx context.Context, s, t []strutil.Record, prepS, prepT []*core.PreparedRecord, candidates []pairKey, calc *core.Calculator, theta float64, workers int, out chan<- []Pair, vt *verifyTally) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -150,7 +157,6 @@ func streamVerify(ctx context.Context, s, t []strutil.Record, prepS, prepT []*co
 		sc := scratches[w]
 		if sc == nil {
 			sc = core.NewScratch()
-			sc.DisableMemo = noMemo
 			scratches[w] = sc
 		}
 		if v, ok := calc.VerifyPrepared(prepS[c.s], prepT[c.t], theta, sc); ok {
@@ -258,7 +264,7 @@ func runProbeStream(ctx context.Context, calc *core.Calculator, opts Options, tg
 	start = time.Now()
 	var vt verifyTally
 	results, err := collectStream(ctx, opts.workers(), func(ictx context.Context, out chan<- []Pair) error {
-		return streamVerify(ictx, tgt.records, records, tgt.prepared, prep, candidates, calc, opts.Theta, opts.workers(), opts.NoVerifyMemo, out, &vt)
+		return streamVerify(ictx, tgt.records, records, tgt.prepared, prep, candidates, calc, opts.Theta, opts.workers(), out, &vt)
 	}, emit)
 	stats.VerifyTime = time.Since(start)
 	stats.VerifiedCandidates = vt.verified

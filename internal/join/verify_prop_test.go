@@ -4,35 +4,21 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 )
 
-// This file pins the verify-phase optimisations — the rising-threshold top-k
-// scheduler, the per-query msim memo, and the gram-signature prefilter — to
-// the plain verify loop: with Options.NoVerifyPrune and Options.NoVerifyMemo
-// set, every entry point (QueryTopKCtx, single-record probe, batch Probe,
-// one-shot Join) must return bit-identical results across every filter
-// method, threshold and serving shape (static snapshot, post-mutation
-// snapshot, one shard and three).
-
-func plainVerify(opts Options) Options {
-	opts.NoVerifyPrune = true
-	opts.NoVerifyMemo = true
-	return opts
-}
-
-// propQueries derives tokenised query strings that overlap the skewed
-// propCorpus vocabulary, so most queries have candidates and some fill their
-// top-k heaps (the pruning path needs full heaps to raise the floor).
-func propQueries(n int, seed int64) [][]string {
-	recs := propCorpus(n, seed)
-	out := make([][]string, len(recs))
-	for i, r := range recs {
-		out[i] = r.Tokens
-	}
-	return out
-}
+// This file pins the verify phase — the rising-floor top-k scan, the per-query
+// msim memo, the parallel workers — to the brute-force oracle: every entry
+// point (QueryTopKCtx, single-record probe, batch Probe, one-shot Join) must
+// return exactly what BruteForce computes over the same live records, across
+// every filter method, threshold and serving shape (static snapshot,
+// post-mutation snapshot, one shard and three). That the memo itself is exact
+// is core's business: TestSimilarityPreparedMatchesTokens (one scratch across
+// 200 pairs ≡ SimilarityTokens) and TestScratchReuseIsDeterministic (warm ≡
+// fresh scratch) pin it there.
 
 func pairsEqual(a, b []Pair) bool {
 	if len(a) != len(b) {
@@ -46,64 +32,71 @@ func pairsEqual(a, b []Pair) bool {
 	return true
 }
 
-// viewPair is one scenario's two snapshots to compare: the index with
-// optimised verification and the one running the plain loop.
-type viewPair struct {
-	name       string
-	opt, plain *ShardedView
+// bestFirst orders matches the way QueryTopKCtx returns them: similarity
+// descending, ascending ID on ties.
+func bestFirst(ms []QueryMatch) []QueryMatch {
+	out := slices.Clone(ms)
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Similarity != out[b].Similarity {
+			return out[a].Similarity > out[b].Similarity
+		}
+		return out[a].Record < out[b].Record
+	})
+	return out
 }
 
 func TestTopKPruningMatchesPlainVerify(t *testing.T) {
 	j := NewJoiner(paperContext())
 	recs := propCorpus(500, 101)
-	queries := propQueries(30, 202)
+	// Queries share the skewed propCorpus vocabulary, so most have candidates
+	// and some fill their top-k heaps (the floor needs full heaps to rise).
+	queries := propCorpus(30, 202)
 	ctx := context.Background()
 	for _, opts := range propConfigs() {
-		var scenarios []viewPair
-		var optimised []*ShardedIndex
 		for _, shards := range gridShards {
 			// Static and post-mutation snapshots; across three shards the
 			// fan-out shares one rising floor.
-			base := fmt.Sprintf("%v/θ=%v/shards=%d", opts.Method, opts.Theta, shards)
-			ox := j.BuildShardedIndex(recs, shards, opts, DynamicOptions{})
-			px := j.BuildShardedIndex(recs, shards, plainVerify(opts), DynamicOptions{})
-			scenarios = append(scenarios, viewPair{base + "/static", ox.Snapshot(), px.Snapshot()})
-			mutate(ox, 303)
-			mutate(px, 303)
-			scenarios = append(scenarios, viewPair{base + "/mutated", ox.Snapshot(), px.Snapshot()})
-			optimised = append(optimised, ox)
-		}
-
-		for _, sc := range scenarios {
-			for _, k := range []int{1, 3, 10} {
-				for _, qo := range []QueryOpts{{}, {Workers: 8}} {
-					for qi, q := range queries {
-						got, err := sc.opt.QueryTopKCtx(ctx, q, k, qo)
+			sx := j.BuildShardedIndex(recs, shards, opts, DynamicOptions{})
+			static := sx.Snapshot()
+			mutate(sx, 303)
+			for _, sc := range []struct {
+				name string
+				sv   *ShardedView
+			}{{"static", static}, {"mutated", sx.Snapshot()}} {
+				name := fmt.Sprintf("%v/θ=%v/shards=%d/%s", opts.Method, opts.Theta, shards, sc.name)
+				oracle := j.BruteForce(sc.sv.Live(), queries, opts.Theta, nil)
+				for qi, q := range queries {
+					all := rowsOf(oracle, q.ID) // ascending ID, ProbeRecordCtx's order
+					best := bestFirst(all)
+					for _, qo := range []QueryOpts{{}, {Workers: 8}} {
+						got, err := sc.sv.ProbeRecordCtx(ctx, q.Tokens, qo)
 						if err != nil {
-							t.Fatalf("%s k=%d q#%d: optimised: %v", sc.name, k, qi, err)
+							t.Fatalf("%s workers=%d q#%d: ProbeRecordCtx: %v", name, qo.Workers, qi, err)
 						}
-						want, err := sc.plain.QueryTopKCtx(ctx, q, k, qo)
-						if err != nil {
-							t.Fatalf("%s k=%d q#%d: plain: %v", sc.name, k, qi, err)
+						if !matchesEqual(got, all) {
+							t.Fatalf("%s workers=%d q#%d: ProbeRecordCtx diverged from brute force:\n got %v\nwant %v",
+								name, qo.Workers, qi, got, all)
 						}
-						if !matchesEqual(got, want) {
-							t.Fatalf("%s k=%d workers=%d q#%d: pruned top-k diverged:\n got %v\nwant %v",
-								sc.name, k, qo.Workers, qi, got, want)
+						for _, k := range []int{1, 3, 10} {
+							got, err := sc.sv.QueryTopKCtx(ctx, q.Tokens, k, qo)
+							if err != nil {
+								t.Fatalf("%s k=%d workers=%d q#%d: QueryTopKCtx: %v", name, k, qo.Workers, qi, err)
+							}
+							if want := best[:min(k, len(best))]; !matchesEqual(got, want) {
+								t.Fatalf("%s k=%d workers=%d q#%d: top-k diverged from brute force:\n got %v\nwant %v",
+									name, k, qo.Workers, qi, got, want)
+							}
 						}
 					}
 				}
 			}
-		}
 
-		// The optimised indexes must actually have pruned or memoized
-		// something, or the comparison is vacuous.
-		for _, ox := range optimised {
-			st := ox.Stats()
-			if st.PrunedByBound == 0 && st.MemoHits == 0 {
-				t.Errorf("%v/θ=%v/shards=%d: optimised index reported no pruning and no memo hits", opts.Method, opts.Theta, st.Shards)
-			}
-			if st.VerifiedCandidates == 0 {
-				t.Errorf("%v/θ=%v/shards=%d: optimised index reported no verified candidates", opts.Method, opts.Theta, st.Shards)
+			// The index must actually have pruned and memoized something, or
+			// the comparison is vacuous.
+			st := sx.Stats()
+			if st.PrunedByBound == 0 || st.MemoHits == 0 || st.VerifiedCandidates == 0 {
+				t.Errorf("%v/θ=%v/shards=%d: verified %d, pruned %d, memo hits %d: the optimised paths did not all run",
+					opts.Method, opts.Theta, shards, st.VerifiedCandidates, st.PrunedByBound, st.MemoHits)
 			}
 		}
 	}
@@ -113,61 +106,26 @@ func TestProbeAndJoinMatchPlainVerify(t *testing.T) {
 	j := NewJoiner(paperContext())
 	recs := propCorpus(400, 505)
 	probe := propCorpus(100, 606)
-	queries := propQueries(25, 707)
 	for _, opts := range propConfigs() {
 		name := fmt.Sprintf("%v/θ=%v", opts.Method, opts.Theta)
 
 		// One-shot join (streams through the batch verify pipeline).
-		gp, gs := j.Join(recs, probe, opts)
-		wp, ws := j.Join(recs, probe, plainVerify(opts))
-		if !pairsEqual(gp, wp) {
-			t.Fatalf("%s: Join pairs diverged: %d vs %d", name, len(gp), len(wp))
+		got, gs := j.Join(recs, probe, opts)
+		if want := j.BruteForce(recs, probe, opts.Theta, nil); !pairsEqual(got, want) {
+			t.Fatalf("%s: Join diverged from brute force: %d vs %d pairs", name, len(got), len(want))
 		}
-		if gs.Candidates != ws.Candidates {
-			t.Fatalf("%s: Join candidates diverged: %d vs %d", name, gs.Candidates, ws.Candidates)
+		if gs.MemoHits == 0 {
+			t.Errorf("%s: Join reported no memo hits; the comparison never exercised the memo", name)
 		}
 
-		// Index snapshots: batch Probe and single-record probes.
+		// Batch Probe on post-mutation snapshots.
 		for _, shards := range gridShards {
-			ox := j.BuildShardedIndex(recs, shards, opts, DynamicOptions{})
-			px := j.BuildShardedIndex(recs, shards, plainVerify(opts), DynamicOptions{})
-			mutate(ox, 808)
-			mutate(px, 808)
-			ov, pv := ox.Snapshot(), px.Snapshot()
-			gp, _ = ov.Probe(probe)
-			wp, _ = pv.Probe(probe)
-			if !pairsEqual(gp, wp) {
-				t.Fatalf("%s shards=%d: Probe pairs diverged: %d vs %d", name, shards, len(gp), len(wp))
-			}
-			for qi, q := range queries {
-				got, want := probeRecord(t, ov, q), probeRecord(t, pv, q)
-				if !matchesEqual(got, want) {
-					t.Fatalf("%s shards=%d q#%d: ProbeRecordCtx diverged:\n got %v\nwant %v", name, shards, qi, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestMemoOnlyToggleEquivalence isolates the memo from the scheduler: with
-// pruning active in both runs, flipping only NoVerifyMemo must not change a
-// single bit (memoized msim values are exact, not approximations).
-func TestMemoOnlyToggleEquivalence(t *testing.T) {
-	j := NewJoiner(paperContext())
-	recs := propCorpus(400, 909)
-	queries := propQueries(25, 1010)
-	for _, opts := range propConfigs() {
-		name := fmt.Sprintf("%v/θ=%v", opts.Method, opts.Theta)
-		noMemo := opts
-		noMemo.NoVerifyMemo = true
-		for _, shards := range gridShards {
-			ov := j.BuildShardedIndex(recs, shards, opts, DynamicOptions{}).Snapshot()
-			nv := j.BuildShardedIndex(recs, shards, noMemo, DynamicOptions{}).Snapshot()
-			for qi, q := range queries {
-				got, want := queryTopK(t, ov, q, 5), queryTopK(t, nv, q, 5)
-				if !matchesEqual(got, want) {
-					t.Fatalf("%s shards=%d q#%d: memo toggle changed results:\n got %v\nwant %v", name, shards, qi, got, want)
-				}
+			sx := j.BuildShardedIndex(recs, shards, opts, DynamicOptions{})
+			mutate(sx, 808)
+			sv := sx.Snapshot()
+			got, _ := sv.Probe(probe)
+			if want := j.BruteForce(sv.Live(), probe, opts.Theta, nil); !pairsEqual(got, want) {
+				t.Fatalf("%s shards=%d: Probe diverged from brute force: %d vs %d pairs", name, shards, len(got), len(want))
 			}
 		}
 	}
@@ -180,7 +138,7 @@ func TestMemoOnlyToggleEquivalence(t *testing.T) {
 func TestPrunedQueriesUnderMutation(t *testing.T) {
 	j := NewJoiner(paperContext())
 	recs := propCorpus(400, 1111)
-	queries := propQueries(16, 1212)
+	queries := propCorpus(16, 1212)
 	var indexes []*ShardedIndex
 	for _, shards := range gridShards {
 		indexes = append(indexes, j.BuildShardedIndex(recs, shards, Options{Theta: 0.75, Tau: 2}, DynamicOptions{MaxSegments: 3}))
@@ -199,7 +157,7 @@ func TestPrunedQueriesUnderMutation(t *testing.T) {
 					return
 				default:
 				}
-				q := queries[(i+w)%len(queries)]
+				q := queries[(i+w)%len(queries)].Tokens
 				qo := QueryOpts{}
 				if i%2 == 0 {
 					qo.Workers = 4

@@ -26,13 +26,12 @@ const (
 // recovered by re-partitioning, because shard assignment is a pure function
 // of the ID and IDs are allocated monotonically.
 type Snapshot struct {
-	Theta         float64
-	Tau           int
-	Method        uint8 // pebble.Method the index was built with
-	Plan          uint8 // planner mode (auto/fixed)
-	ClassicFilter bool
-	Shards        int
-	NextID        uint64 // next stable ID the index would allocate
+	Theta  float64
+	Tau    int
+	Method uint8 // pebble.Method the index was built with
+	Plan   uint8 // planner mode (auto/fixed)
+	Shards int
+	NextID uint64 // next stable ID the index would allocate
 
 	Order   OrderData
 	Records []RecordData
@@ -216,11 +215,10 @@ func (s *Snapshot) encodeMeta() []byte {
 	w.uvarint(uint64(s.Tau))
 	w.u8(s.Method)
 	w.u8(s.Plan)
-	var flags uint8
-	if s.ClassicFilter {
-		flags |= 1
-	}
-	w.u8(flags)
+	// The flags byte is reserved: written 0, ignored on read. Bit 0 once
+	// carried ClassicFilter, a posting-layout toggle with no effect on
+	// answers, so snapshots that have it set restore unchanged.
+	w.u8(0)
 	w.uvarint(uint64(s.Shards))
 	w.uvarint(s.NextID)
 	return w.buf
@@ -232,8 +230,7 @@ func (s *Snapshot) decodeMeta(b []byte) error {
 	s.Tau = int(r.uvarint())
 	s.Method = r.u8()
 	s.Plan = r.u8()
-	flags := r.u8()
-	s.ClassicFilter = flags&1 != 0
+	r.u8() // reserved flags byte, see encodeMeta
 	s.Shards = int(r.uvarint())
 	s.NextID = r.uvarint()
 	return r.finish()

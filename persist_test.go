@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -68,47 +69,85 @@ func queryFingerprint(ix *Index, probes []string) string {
 // TestRestartEquivalence is the core restart property: build → mutate →
 // snapshot → reload must serve bit-identical Query/QueryTopK/Probe results,
 // across every filter, a θ sweep and both a one-shard and a four-shard layout.
+// The last row reloads, in place of the index's own image, the image the
+// commit before PR 16 encoded of the same state with meta flag bit 0 (a
+// posting-layout toggle, since retired) set: the bit is reserved now, so the
+// two images differ in that one byte and nothing else.
 func TestRestartEquivalence(t *testing.T) {
-	catalog, probes := persistCorpus(7, 160)
+	type row struct {
+		filter Filter
+		theta  float64
+		shards int
+		legacy string // image to reload instead of the index's own
+	}
+	var rows []row
 	for _, filter := range []Filter{UFilter, AUFilterHeuristic, AUFilterDP} {
 		for _, theta := range []float64{0.7, 0.8, 0.9} {
 			for _, shards := range []int{1, 4} {
-				name := fmt.Sprintf("filter=%d/theta=%.1f/shards=%d", filter, theta, shards)
-				t.Run(name, func(t *testing.T) {
-					j := paperJoiner(t)
-					ix := j.IndexWith(catalog, JoinOptions{Theta: theta, Tau: 2, Filter: filter}, IndexOptions{Shards: shards})
-					ids := ix.Insert(probes[:8])
-					ix.RemoveBatch([]int{ids[1], ids[5], 0})
-
-					var buf bytes.Buffer
-					if _, err := ix.WriteSnapshot(&buf); err != nil {
-						t.Fatalf("WriteSnapshot: %v", err)
-					}
-					restored, err := paperJoiner(t).ReadSnapshot(&buf)
-					if err != nil {
-						t.Fatalf("ReadSnapshot: %v", err)
-					}
-
-					want := queryFingerprint(ix, probes)
-					got := queryFingerprint(restored, probes)
-					if want != got {
-						t.Fatalf("restored index diverged from original:\n got %q\nwant %q", got, want)
-					}
-
-					// Post-restore mutations must behave identically too: the
-					// restored index allocates the same stable IDs and serves
-					// the same results for them.
-					a := ix.Insert(probes[8:12])
-					b := restored.Insert(probes[8:12])
-					if !reflect.DeepEqual(a, b) {
-						t.Fatalf("post-restore insert IDs diverged: %v vs %v", a, b)
-					}
-					if want, got := queryFingerprint(ix, probes), queryFingerprint(restored, probes); want != got {
-						t.Fatalf("post-restore mutations diverged:\n got %q\nwant %q", got, want)
-					}
-				})
+				rows = append(rows, row{filter: filter, theta: theta, shards: shards})
 			}
 		}
+	}
+	rows = append(rows, row{AUFilterDP, 0.8, 4, "testdata/snapshot_pr15_flag_bit0.snap"})
+
+	catalog, probes := persistCorpus(7, 160)
+	for _, r := range rows {
+		name := fmt.Sprintf("filter=%d/theta=%.1f/shards=%d", r.filter, r.theta, r.shards)
+		if r.legacy != "" {
+			name += "/flag-bit0-image"
+		}
+		t.Run(name, func(t *testing.T) {
+			j := paperJoiner(t)
+			ix := j.IndexWith(catalog, JoinOptions{Theta: r.theta, Tau: 2, Filter: r.filter}, IndexOptions{Shards: r.shards})
+			ids := ix.Insert(probes[:8])
+			ix.RemoveBatch([]int{ids[1], ids[5], 0})
+
+			var buf bytes.Buffer
+			if _, err := ix.WriteSnapshot(&buf); err != nil {
+				t.Fatalf("WriteSnapshot: %v", err)
+			}
+			image := buf.Bytes()
+			if r.legacy != "" {
+				legacy, err := os.ReadFile(r.legacy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diff := 0
+				for i := range min(len(legacy), len(image)) {
+					if legacy[i] != image[i] {
+						diff++
+					}
+				}
+				// The flag byte, and the four bytes of its section's CRC.
+				if len(legacy) != len(image) || diff == 0 || diff > 5 {
+					t.Fatalf("legacy image: %d bytes, %d differing from today's %d-byte image; want the flag byte and its checksum only",
+						len(legacy), diff, len(image))
+				}
+				image = legacy
+			}
+			restored, err := paperJoiner(t).ReadSnapshot(bytes.NewReader(image))
+			if err != nil {
+				t.Fatalf("ReadSnapshot: %v", err)
+			}
+
+			want := queryFingerprint(ix, probes)
+			got := queryFingerprint(restored, probes)
+			if want != got {
+				t.Fatalf("restored index diverged from original:\n got %q\nwant %q", got, want)
+			}
+
+			// Post-restore mutations must behave identically too: the
+			// restored index allocates the same stable IDs and serves
+			// the same results for them.
+			a := ix.Insert(probes[8:12])
+			b := restored.Insert(probes[8:12])
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("post-restore insert IDs diverged: %v vs %v", a, b)
+			}
+			if want, got := queryFingerprint(ix, probes), queryFingerprint(restored, probes); want != got {
+				t.Fatalf("post-restore mutations diverged:\n got %q\nwant %q", got, want)
+			}
+		})
 	}
 }
 
