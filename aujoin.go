@@ -159,9 +159,9 @@ type Stats struct {
 	// tokens across all probe signatures.
 	BitsetTokens int64
 	SliceTokens  int64
-	// SuggestedTau is the overlap constraint used: the auto-suggested τ when
-	// AutoTau was enabled, the adaptive planner's per-batch choice on
-	// planned Index probes, and the fixed build-time τ otherwise.
+	// SuggestedTau is the overlap constraint the filter ran at: the
+	// auto-suggested τ when AutoTau was enabled, Tau otherwise — clamped to
+	// at least 1, and always 1 under UFilter, which has no τ.
 	SuggestedTau int
 	// VerifiedCandidates counts the candidates whose full similarity was
 	// actually computed; PrunedByBound the candidates dismissed by a sound
@@ -464,31 +464,6 @@ func forwardPairs(seq iter.Seq2[join.Pair, error], yield func(Match, error) bool
 	}
 }
 
-// PlanMode selects how an Index picks the probe-side filter configuration
-// (signature-selection method and overlap constraint τ) for a request.
-type PlanMode int
-
-const (
-	// PlanAuto (the default) plans each request adaptively: a per-query
-	// cost model over the query's token statistics and the index's live
-	// document frequencies picks the cheapest provably-sound configuration,
-	// and an online feedback loop corrects the model from observed
-	// executions. Results are bit-identical to PlanFixed — only the filter's
-	// over-admission rate (and therefore latency) changes.
-	PlanAuto PlanMode = iota
-	// PlanFixed pins the build-time Filter and Tau on every request —
-	// the pre-planner behaviour.
-	PlanFixed
-)
-
-// internal maps the public plan mode onto the internal one.
-func (m PlanMode) internal() join.PlanMode {
-	if m == PlanFixed {
-		return join.PlanFixed
-	}
-	return join.PlanAuto
-}
-
 // QueryOptions carries per-request overrides for QueryCtx and QueryTopKCtx —
 // parameters the batch Query/QueryTopK freeze at index build time. The zero
 // value changes nothing.
@@ -506,11 +481,6 @@ type QueryOptions struct {
 	// verifies sequentially (on a sharded index, the per-shard fan-out still
 	// runs concurrently).
 	Workers int
-	// Plan overrides the planning mode for this request: PlanAuto (the
-	// default) picks the cheapest sound filter configuration per query,
-	// PlanFixed pins the build-time Filter and Tau. On an index built with
-	// IndexOptions.Plan == PlanFixed every request runs fixed regardless.
-	Plan PlanMode
 }
 
 // ErrThetaBelowBuild is returned by QueryCtx and QueryTopKCtx when
@@ -520,7 +490,7 @@ var ErrThetaBelowBuild = join.ErrThetaBelowBuild
 
 // internal maps the public options onto the internal per-request options.
 func (o QueryOptions) internal() join.QueryOpts {
-	return join.QueryOpts{Theta: o.MinSimilarity, Workers: o.Workers, Plan: o.Plan.internal()}
+	return join.QueryOpts{Theta: o.MinSimilarity, Workers: o.Workers}
 }
 
 // Index is a dynamic, concurrently servable join target over one
@@ -539,7 +509,6 @@ func (o QueryOptions) internal() join.QueryOpts {
 // shard is the same engine with a fan-out of one.
 type Index struct {
 	inner *join.ShardedIndex
-	tau   int
 }
 
 // IndexOptions configures the construction of an Index beyond the join
@@ -551,11 +520,6 @@ type IndexOptions struct {
 	// per-rebuild writer stalls, at the cost of one inverted index and
 	// posting-array header block per shard.
 	Shards int
-	// Plan sets the index-wide planning default. PlanAuto (zero value)
-	// installs the adaptive per-query planner; PlanFixed disables it
-	// entirely, pinning the build-time Filter and Tau on every request
-	// (individual requests cannot re-enable it).
-	Plan PlanMode
 }
 
 // QueryMatch is one result of a single-string Query: the stable ID of the
@@ -579,19 +543,14 @@ func (j *Joiner) Index(records []string, opts JoinOptions) *Index {
 // IndexWith is Index with explicit construction options; IndexOptions
 // {Shards: 1} is Index, and Shards = 0 partitions across GOMAXPROCS shards.
 func (j *Joiner) IndexWith(records []string, opts JoinOptions, iopts IndexOptions) *Index {
-	tau := opts.Tau
-	if tau < 1 {
-		tau = 1
-	}
 	jopts := join.Options{
 		Theta:   opts.Theta,
-		Tau:     tau,
+		Tau:     opts.Tau,
 		Method:  opts.Filter.method(),
 		Workers: opts.Workers,
-		Plan:    iopts.Plan.internal(),
 	}
 	recs := strutil.NewCollection(records)
-	return &Index{inner: j.joiner.BuildShardedIndex(recs, iopts.Shards, jopts, join.DynamicOptions{}), tau: tau}
+	return &Index{inner: j.joiner.BuildShardedIndex(recs, iopts.Shards, jopts, join.DynamicOptions{})}
 }
 
 // Insert adds a batch of records to the indexed catalog and returns their
@@ -621,7 +580,7 @@ func (ix *Index) RemoveBatch(ids []int) []bool { return ix.inner.RemoveBatch(ids
 // methods are lock-free and safe for unbounded concurrency; later Insert
 // and Remove calls do not affect it. Probe/Query/QueryTopK on the Index are
 // shorthands for the same calls on a fresh snapshot.
-func (ix *Index) Snapshot() *View { return &View{inner: ix.inner.Snapshot(), tau: ix.tau} }
+func (ix *Index) Snapshot() *View { return &View{inner: ix.inner.Snapshot()} }
 
 // Stats summarises the current state of the dynamic index.
 func (ix *Index) Stats() IndexStats { return ix.inner.Stats() }
@@ -665,9 +624,9 @@ func (ix *Index) QueryTopKCtx(ctx context.Context, q string, opts QueryOptions) 
 // IndexStats describes one snapshot of a dynamic Index: catalog size and
 // tombstone counts, the delta-segment chain, the shard count, the
 // interned-key split between the frozen order prefix and the dynamic
-// region, the rebuild history, and the cumulative filter, verify,
-// prepared-record cache and planner counters. Its JSON encoding is the
-// daemons' /stats response.
+// region, the rebuild history, and the cumulative filter, verify and
+// prepared-record cache counters. Its JSON encoding is the daemons' /stats
+// response.
 type IndexStats = join.DynamicStats
 
 // View is an immutable snapshot of an Index. Reads against a View are
@@ -675,7 +634,6 @@ type IndexStats = join.DynamicStats
 // Insert/Remove activity on the Index it came from.
 type View struct {
 	inner *join.ShardedView
-	tau   int
 }
 
 // Stats returns the snapshot's statistics.
@@ -686,7 +644,7 @@ func (v *View) Stats() IndexStats { return v.inner.Stats() }
 // collection.
 func (v *View) Probe(records []string) ([]Match, Stats) {
 	pairs, jstats := v.inner.Probe(strutil.NewCollection(records))
-	return convertPairs(pairs, jstats, v.tau)
+	return convertPairs(pairs, jstats)
 }
 
 // ProbeSeq is the streaming form of Probe, under the same contract as
@@ -804,17 +762,13 @@ func (j *Joiner) joinRecords(recsS, recsT []strutil.Record, opts JoinOptions, se
 	} else {
 		pairs, jstats = j.joiner.Join(recsS, recsT, jopts)
 	}
-	out, stats := convertPairs(pairs, jstats, jopts.Tau)
+	out, stats := convertPairs(pairs, jstats)
 	stats.SuggestionTime = suggestionTime
 	return out, stats
 }
 
 // convertPairs maps internal join results onto the public types.
-func convertPairs(pairs []join.Pair, jstats join.Stats, tau int) ([]Match, Stats) {
-	if jstats.PlanTau > 0 {
-		// The adaptive planner picked this batch's τ; report what actually ran.
-		tau = jstats.PlanTau
-	}
+func convertPairs(pairs []join.Pair, jstats join.Stats) ([]Match, Stats) {
 	stats := Stats{
 		Candidates:         jstats.Candidates,
 		ShardCandidates:    jstats.ShardCandidates,
@@ -825,7 +779,7 @@ func convertPairs(pairs []join.Pair, jstats join.Stats, tau int) ([]Match, Stats
 		VerifiedCandidates: jstats.VerifiedCandidates,
 		PrunedByBound:      jstats.PrunedByBound,
 		MemoHits:           jstats.MemoHits,
-		SuggestedTau:       tau,
+		SuggestedTau:       jstats.Tau,
 		FilterTime:         jstats.SignatureTime + jstats.FilterTime,
 		VerifyTime:         jstats.VerifyTime,
 	}

@@ -45,10 +45,8 @@ func main() {
 	if *expect < 1 {
 		log.Fatal("aujoin-coord: -expect-workers must be at least 1")
 	}
-	switch *filter {
-	case "u", "heuristic", "dp":
-	default:
-		log.Fatalf("aujoin-coord: unknown -filter %q (want u, heuristic or dp)", *filter)
+	if err := cmdutil.CheckFilter(*filter); err != nil {
+		log.Fatalf("aujoin-coord: %v", err)
 	}
 	var records []string
 	if *catalog != "" {

@@ -43,6 +43,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if err := cmdutil.CheckFilter(*filter); err != nil {
+		log.Fatal(err)
+	}
 
 	opts := []aujoin.Option{aujoin.WithMeasures(*measures)}
 	if *synPath != "" {

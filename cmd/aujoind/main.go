@@ -39,12 +39,7 @@
 //	                                     streamed as NDJSON (one match per
 //	                                     line); k is required and must be ≥ 1,
 //	                                     min_sim=<f> optionally raises the
-//	                                     similarity threshold for this request,
-//	                                     and plan=auto|fixed overrides the
-//	                                     adaptive filter planner (auto is the
-//	                                     default; fixed pins the build-time
-//	                                     filter/τ — results are identical
-//	                                     either way, only latency differs)
+//	                                     similarity threshold for this request
 //	POST /probe {"records": [...]}       join a batch against the catalog,
 //	                                     matches streamed as NDJSON lines as
 //	                                     they are confirmed
@@ -107,6 +102,9 @@ type config struct {
 // validate rejects flag combinations that cannot mean what the operator
 // intended, with errors that say which flag to drop.
 func (c *config) validate() error {
+	if err := cmdutil.CheckFilter(c.filter); err != nil {
+		return err
+	}
 	if c.shards < 0 {
 		return fmt.Errorf("-shards must be >= 0 (0 selects GOMAXPROCS), got %d", c.shards)
 	}

@@ -16,6 +16,7 @@ func TestValidateFlags(t *testing.T) {
 		wantErr string // substring; empty = valid
 	}{
 		{name: "defaults", cfg: config{addr: ":8321", shards: 1}},
+		{name: "misspelt filter", cfg: config{shards: 1, filter: "heurstic"}, wantErr: `unknown -filter "heurstic"`},
 		{name: "negative shards", cfg: config{shards: -1}, wantErr: "-shards"},
 		{name: "zero shards is GOMAXPROCS", cfg: config{shards: 0}},
 		{name: "catalog with join", cfg: config{join: "http://127.0.0.1:8080", catalog: "c.txt"}, wantErr: "-catalog conflicts with -join"},
@@ -27,6 +28,9 @@ func TestValidateFlags(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.cfg.filter == "" {
+				tc.cfg.filter = "dp" // the flag's default
+			}
 			err := tc.cfg.validate()
 			if tc.wantErr == "" {
 				if err != nil {

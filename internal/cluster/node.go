@@ -129,8 +129,7 @@ func (n *Node) resolve(w http.ResponseWriter, r *http.Request) (*aujoin.Index, b
 // ParseQueryOptions validates the /query parameters shared by the worker,
 // single-node and coordinator paths: k is required in [1, MaxTopK], min_sim
 // optional in (0, 1] (a value below the index's build θ is rejected later,
-// by the index), plan optional auto|fixed. The error text is the
-// client-facing 400 body.
+// by the index). The error text is the client-facing 400 body.
 func ParseQueryOptions(r *http.Request) (aujoin.QueryOptions, error) {
 	var opts aujoin.QueryOptions
 	// A missing or non-positive k is rejected rather than passed through: an
@@ -150,14 +149,6 @@ func ParseQueryOptions(r *http.Request) (aujoin.QueryOptions, error) {
 			return opts, fmt.Errorf("min_sim must be a float in (0, 1]")
 		}
 		opts.MinSimilarity = minSim
-	}
-	switch r.URL.Query().Get("plan") {
-	case "", "auto":
-		// PlanAuto is the zero value.
-	case "fixed":
-		opts.Plan = aujoin.PlanFixed
-	default:
-		return opts, fmt.Errorf("plan must be auto or fixed")
 	}
 	return opts, nil
 }

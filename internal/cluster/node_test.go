@@ -117,7 +117,7 @@ func TestHandleQueryStreamsNDJSON(t *testing.T) {
 	}
 
 	// Parameter validation.
-	for _, url := range []string{"/query?q=x", "/query?k=3", "/query?q=x&k=0", "/query?q=x&k=3&min_sim=2", "/query?q=x&k=3&plan=greedy",
+	for _, url := range []string{"/query?q=x", "/query?k=3", "/query?q=x&k=0", "/query?q=x&k=3&min_sim=2",
 		"/query?q=x&k=3&min_sim=NaN", "/query?q=x&k=3&min_sim=%2BInf", "/query?q=x&k=3&min_sim=-1", "/query?q=x&k=3&min_sim=1.0001"} {
 		rec := httptest.NewRecorder()
 		n.handleQuery(rec, httptest.NewRequest(http.MethodGet, url, nil))
@@ -127,9 +127,10 @@ func TestHandleQueryStreamsNDJSON(t *testing.T) {
 	}
 }
 
-// TestHandleQueryPlanOverride pins the ?plan= contract: fixed and auto (and
-// the default) return identical match sets — the planner only changes how
-// the filter runs — and the planned requests show up in /stats counters.
+// TestHandleQueryPlanOverride pins what is left of the ?plan= parameter: it is
+// ignored like any unknown one, so clients that still send it — a retired
+// value or a misspelt one — are answered 200 with the one answer there is.
+// The verify-phase counters of those queries show up in /stats.
 func TestHandleQueryPlanOverride(t *testing.T) {
 	n := testNode(t, 60)
 	query := func(plan string) []aujoin.QueryMatch {
@@ -144,9 +145,14 @@ func TestHandleQueryPlanOverride(t *testing.T) {
 		}
 		return decodeLines[aujoin.QueryMatch](t, rec.Body.String())
 	}
-	auto, fixed, def := query("auto"), query("fixed"), query("")
-	if fmt.Sprint(auto) != fmt.Sprint(fixed) || fmt.Sprint(auto) != fmt.Sprint(def) {
-		t.Fatalf("plan modes disagree:\nauto  %v\nfixed %v\ndefault %v", auto, fixed, def)
+	def := query("")
+	if len(def) == 0 {
+		t.Fatal("the query has no matches; the comparison below would be vacuous")
+	}
+	for _, plan := range []string{"auto", "fixed", "greedy"} {
+		if got := query(plan); fmt.Sprint(got) != fmt.Sprint(def) {
+			t.Fatalf("plan=%s changed the answer:\n got %v\nwant %v", plan, got, def)
+		}
 	}
 
 	rec := httptest.NewRecorder()
@@ -154,14 +160,6 @@ func TestHandleQueryPlanOverride(t *testing.T) {
 	var st aujoin.IndexStats
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatalf("stats response %q: %v", rec.Body.String(), err)
-	}
-	// Two of the three queries ran adaptively (auto + default); fixed must
-	// not count as a plan.
-	if st.Plans != 2 {
-		t.Errorf("stats.Plans = %d, want 2 (auto + default)", st.Plans)
-	}
-	if len(st.PlanDecisions) == 0 {
-		t.Errorf("stats.PlanDecisions empty after planned queries")
 	}
 	// The verify-phase counters flow through to /stats: queries with
 	// results must have verified candidates, and the scheduler/memo pair

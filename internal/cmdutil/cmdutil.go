@@ -8,6 +8,7 @@ package cmdutil
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -32,17 +33,30 @@ func ReadLines(path string) ([]string, error) {
 	return out, sc.Err()
 }
 
+// filters are the -filter flag spellings.
+var filters = map[string]aujoin.Filter{
+	"u":         aujoin.UFilter,
+	"heuristic": aujoin.AUFilterHeuristic,
+	"dp":        aujoin.AUFilterDP,
+}
+
+// CheckFilter rejects a -filter value that is not one of the three
+// spellings; every binary calls it on the flag before ParseFilter, which
+// would read a misspelling as dp without a word.
+func CheckFilter(name string) error {
+	if _, ok := filters[name]; !ok {
+		return fmt.Errorf("unknown -filter %q (want u, heuristic or dp)", name)
+	}
+	return nil
+}
+
 // ParseFilter maps the -filter flag spellings onto the signature filters;
 // unknown values select the recommended AU-Filter (DP).
 func ParseFilter(name string) aujoin.Filter {
-	switch name {
-	case "u":
-		return aujoin.UFilter
-	case "heuristic":
-		return aujoin.AUFilterHeuristic
-	default:
-		return aujoin.AUFilterDP
+	if f, ok := filters[name]; ok {
+		return f
 	}
+	return aujoin.AUFilterDP
 }
 
 // NDJSONWriter streams newline-delimited JSON (one object per line) over an

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/aujoin/aujoin/internal/pebble"
-	"github.com/aujoin/aujoin/internal/planner"
 	"github.com/aujoin/aujoin/internal/strutil"
 )
 
@@ -190,7 +189,7 @@ func BenchmarkJoinBatch(b *testing.B) {
 }
 
 // queryBench measures single-record serving against a resident index of the
-// given shard count: planning, signature, per-shard count filters, query
+// given shard count: signature, per-shard count filters, query
 // preparation and thresholded verification per ProbeRecordCtx call.
 func queryBench(b *testing.B, shards int) {
 	j := NewJoiner(paperContext())
@@ -235,70 +234,6 @@ func BenchmarkVerifyTopK(b *testing.B) {
 		if out := queryTopK(b, v, probe[i%len(probe)], 10); len(out) == 0 {
 			b.Fatal("empty top-k result")
 		}
-	}
-}
-
-// mixedProbes builds the bimodal short/long probe pool of the planner
-// benchmark: half 2-token fragments of dense vocabulary (where a small τ
-// over-admits little and saves posting scans), half three records
-// concatenated (long signatures where the build-time configuration pays for
-// every prefix token).
-func mixedProbes(n int, seed int64) []strutil.Record {
-	rng := rand.New(rand.NewSource(seed))
-	pool := benchCorpus(4*n, seed+1)
-	raws := make([]string, n)
-	for i := range raws {
-		if i%2 == 0 {
-			toks := pool[rng.Intn(len(pool))].Tokens
-			raws[i] = strutil.JoinTokens(toks[:2])
-		} else {
-			var toks []string
-			for k := 0; k < 3; k++ {
-				toks = append(toks, pool[rng.Intn(len(pool))].Tokens...)
-			}
-			raws[i] = strutil.JoinTokens(toks)
-		}
-	}
-	return strutil.NewCollection(raws)
-}
-
-// BenchmarkPlanOverhead measures the planner's marginal work per query —
-// the τ-sweep of heuristic cuts, the posting-mass prefix sums, the cost
-// model and the final signature selection — on prepared probes (query
-// preparation is paid identically by the fixed path) and enforces the
-// < 50µs/op planning budget the adaptive path promises.
-func BenchmarkPlanOverhead(b *testing.B) {
-	j := NewJoiner(paperContext())
-	s := benchCorpus(2000, 1)
-	opts := Options{Theta: 0.8, Tau: 3, Method: pebble.AUDP}
-	v := j.BuildShardedIndex(s, 1, opts, DynamicOptions{}).Snapshot()
-	probe := mixedProbes(64, 9)
-	pres := make([]pebble.Presig, len(probe))
-	for i, rec := range probe {
-		pres[i] = v.gen.sel.Prepare(rec.Tokens)
-	}
-	pl := v.sx.planner
-	// Steady state is the loop a serving process actually runs: every plan
-	// is observed, so the latency cells are measured and greedy exploitation
-	// carries the traffic (with the 1-in-16 exploration slot). Without the
-	// feedback half the forced initial sampling never completes and every
-	// plan re-measures an arm — a state no real workload stays in.
-	observe := func(d planner.Decision) { pl.Observe(d, 8, 8, 1, 8_000, 100_000) }
-	for i := 0; i < 256; i++ {
-		observe(pl.Plan(v.gen.sel, pres[i%len(pres)], v.listLen, v.totalRecords()))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := pl.Plan(v.gen.sel, pres[i%len(pres)], v.listLen, v.totalRecords())
-		if !d.Planned {
-			b.Fatal("plan fell back in the overhead benchmark")
-		}
-		observe(d)
-	}
-	b.StopTimer()
-	if ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N); ns > 50_000 {
-		b.Fatalf("planning overhead %.0f ns/op exceeds the 50µs budget", ns)
 	}
 }
 

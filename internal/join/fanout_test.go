@@ -76,19 +76,17 @@ func TestFanoutStructuredError(t *testing.T) {
 
 // TestQueryAllocsPinned keeps the fan-out honest: a fan-out of one must cost
 // no more heap objects than the direct call it replaced. The ceilings are the
-// allocations per query — Snapshot included — of the commit before the
-// one-shard delegation was removed (PlanFixed, so the figure is the fan-out's
-// and not the planner's exploration schedule). Skipped with -short, which is
-// how the race job runs: the race detector's sync.Pool drops items and
-// inflates the counts.
+// measured allocations per default request, Snapshot included. Skipped with
+// -short, which is how the race job runs: the race detector's sync.Pool drops
+// items and inflates the counts.
 func TestQueryAllocsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts are only meaningful without -race; skipped with -short")
 	}
 	j := NewJoiner(paperContext())
 	probe := benchCorpus(64, 9)
-	ctx, qo := context.Background(), QueryOpts{Plan: PlanFixed}
-	for _, pin := range []struct{ shards, topK, probe int }{{1, 68, 67}, {3, 85, 84}} {
+	ctx, qo := context.Background(), QueryOpts{}
+	for _, pin := range []struct{ shards, topK, probe int }{{1, 67, 67}, {3, 73, 73}} {
 		sx := j.BuildShardedIndex(benchCorpus(400, 1), pin.shards, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
 		i := 0
 		topK := testing.AllocsPerRun(10*len(probe), func() {

@@ -246,7 +246,7 @@ func testHybridCandidates(t *testing.T, shards int) {
 			}
 
 			sv := sx.Snapshot()
-			tgt, _ := sv.probeTarget(sx.tau)
+			tgt, _ := sv.probeTarget()
 			sigs := j.signatures(probe, sv.gen.sel, opts.Method, sx.tau)
 			got, tally, err := tgt.candidates(ctx, sigs, 4)
 			if err != nil {

@@ -90,10 +90,9 @@ type Stats struct {
 	// MemoHits counts segment-pair msim evaluations answered from the
 	// per-worker memo instead of being recomputed.
 	MemoHits int64
-	// PlanTau is the overlap constraint the adaptive planner picked for this
-	// probe batch (0 on unplanned paths — fixed configuration or static
-	// Index probes).
-	PlanTau int
+	// Tau is the overlap constraint the filter ran at: the τ the index was
+	// built with (1 under the U-Filter, whatever Options.Tau asked for).
+	Tau int
 	// AvgSignatureS / AvgSignatureT are the mean signature lengths.
 	AvgSignatureS float64
 	AvgSignatureT float64
@@ -119,12 +118,6 @@ type Options struct {
 	// Calculator overrides the unified-similarity calculator; nil means a
 	// default calculator over the joiner's context.
 	Calculator *core.Calculator
-	// Plan selects the index-wide planning default of a ShardedIndex:
-	// PlanAuto (zero value) installs the adaptive per-query
-	// planner, PlanFixed disables it entirely and pins the build-time
-	// Method/Tau on every request (today's pre-planner behaviour). Static
-	// Index probes are always fixed.
-	Plan PlanMode
 }
 
 func (o Options) workers() int {

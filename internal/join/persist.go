@@ -7,19 +7,18 @@ import (
 	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/invindex"
 	"github.com/aujoin/aujoin/internal/pebble"
-	"github.com/aujoin/aujoin/internal/planner"
 	"github.com/aujoin/aujoin/internal/store"
 	"github.com/aujoin/aujoin/internal/strutil"
 )
 
 // CaptureSnapshot freezes the index's durable state into a store.Snapshot:
 // the shared pebble order, every record (live and tombstoned) with its
-// stored signature-ID multiset and prepared-segment metadata, the flat
-// tombstone bitmap and the planner's feedback table. The capture runs under
-// every shard's writer lock (and the refreeze mutex), so it is one atomic
-// cut across shards — exactly the guarantee Snapshot relaxes for serving —
-// and is therefore safe to pair with a WAL: every mutation is either in the
-// capture or logged after it, never half of each.
+// stored signature-ID multiset and prepared-segment metadata, and the flat
+// tombstone bitmap. The capture runs under every shard's writer lock (and
+// the refreeze mutex), so it is one atomic cut across shards — exactly the
+// guarantee Snapshot relaxes for serving — and is therefore safe to pair
+// with a WAL: every mutation is either in the capture or logged after it,
+// never half of each.
 //
 // Records are flattened in ascending stable-ID order. That order round-trips
 // exactly because shard routing is a pure function of the ID and both the
@@ -35,14 +34,12 @@ func (sx *ShardedIndex) CaptureSnapshot() *store.Snapshot {
 	sx.mu.Unlock()
 
 	snap := &store.Snapshot{
-		Theta:   sx.opts.Theta,
-		Tau:     sx.tau,
-		Method:  uint8(sx.opts.Method),
-		Plan:    uint8(sx.opts.Plan),
-		Shards:  len(sx.shards),
-		NextID:  uint64(nextID),
-		Order:   exportOrder(sx.gen.Load().order),
-		Planner: plannerToData(sx.planner.Export()),
+		Theta:  sx.opts.Theta,
+		Tau:    sx.tau,
+		Method: uint8(sx.opts.Method),
+		Shards: len(sx.shards),
+		NextID: uint64(nextID),
+		Order:  exportOrder(sx.gen.Load().order),
 	}
 
 	total := 0
@@ -172,7 +169,6 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 		Theta:  snap.Theta,
 		Tau:    snap.Tau,
 		Method: pebble.Method(snap.Method),
-		Plan:   PlanMode(snap.Plan),
 	}
 	freqs := make([]int, len(snap.Order.Freqs))
 	for i, f := range snap.Order.Freqs {
@@ -186,10 +182,6 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 	shards := snap.Shards
 	sx := j.newRouter(opts, dopts)
 	sx.nextID = int(snap.NextID)
-	// A mismatched table (snapshot from another configuration) leaves the
-	// planner cold, which is safe: planner state is a warm-start
-	// optimization, never a correctness input.
-	_ = sx.planner.Import(plannerFromData(snap.Planner))
 
 	// Re-tokenize and rehydrate the prepared records in parallel; both are
 	// deterministic functions of the raw text and the similarity context.
@@ -297,48 +289,4 @@ func (j *Joiner) restoreBase(records []strutil.Record, sigIDs [][]uint32, prepar
 		ix.avgSig = float64(totalLen) / float64(len(records))
 	}
 	return ix
-}
-
-// plannerToData converts an exported planner state into its snapshot form.
-func plannerToData(st *planner.State) *store.PlannerData {
-	if st == nil {
-		return nil
-	}
-	return &store.PlannerData{
-		TauMax:         st.TauMax,
-		Method:         uint8(st.Method),
-		CandRatio:      st.CandRatio,
-		VerifyNs:       st.VerifyNs,
-		LatNs:          st.LatNs,
-		DPShrink:       st.DPShrink,
-		Decisions:      st.Decisions,
-		EpochDecisions: st.EpochDecisions,
-		ExploreN:       st.ExploreN,
-		Plans:          st.Plans,
-		Fallbacks:      st.Fallbacks,
-		Reanchors:      st.Reanchors,
-		Suggested:      st.Suggested,
-	}
-}
-
-// plannerFromData is the inverse of plannerToData.
-func plannerFromData(pd *store.PlannerData) *planner.State {
-	if pd == nil {
-		return nil
-	}
-	return &planner.State{
-		TauMax:         pd.TauMax,
-		Method:         pebble.Method(pd.Method),
-		CandRatio:      pd.CandRatio,
-		VerifyNs:       pd.VerifyNs,
-		LatNs:          pd.LatNs,
-		DPShrink:       pd.DPShrink,
-		Decisions:      pd.Decisions,
-		EpochDecisions: pd.EpochDecisions,
-		ExploreN:       pd.ExploreN,
-		Plans:          pd.Plans,
-		Fallbacks:      pd.Fallbacks,
-		Reanchors:      pd.Reanchors,
-		Suggested:      pd.Suggested,
-	}
 }

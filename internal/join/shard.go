@@ -21,10 +21,10 @@ import (
 // immutable delta segments for records inserted since the last rebuild, and
 // a tombstone bitmap for removed records. It exposes only shard-local
 // primitives — count-filter candidates, verification of a ready-made
-// signature, mutation, compaction — and owns neither an order nor a planner:
-// the pebble order is the router's and shared with every sibling, so signature
-// keys first seen after the base was built land in that order's append-only
-// dynamic region, and planning happens once per request, on the router.
+// signature, mutation, compaction — and owns no order: the pebble order is
+// the router's and shared with every sibling, so signature keys first seen
+// after the base was built land in that order's append-only dynamic region,
+// and the probe signature is selected once per request, on the router.
 //
 // Writers (insertRecords, removeBatch) serialize on an internal mutex, mutate
 // writer-owned state, and publish a fresh immutable shardView via an atomic
@@ -420,7 +420,7 @@ func (sh *shard) rebuildPauses() []time.Duration {
 // DynamicStats describes one snapshot of a ShardedIndex: catalog size and
 // tombstone counts, the delta-segment chains, the shard count, the
 // interned-key split between the frozen order prefix and the dynamic region,
-// the rebuild history, and the cumulative filter, verify, cache and planner
+// the rebuild history, and the cumulative filter, verify and cache
 // counters. It is the one definition of the statistics: the public
 // aujoin.IndexStats is an alias of it, and its JSON tags are the /stats wire
 // format.
@@ -475,20 +475,10 @@ type DynamicStats struct {
 	// Theta and Tau are the join parameters fixed at build time.
 	Theta float64 `json:"theta"`
 	Tau   int     `json:"tau"`
-	// SuggestedTau is the planner's live τ suggestion: the build-time τ
-	// until the first re-anchor, the observed workload's most-chosen τ
-	// afterwards (0 when planning is disabled).
-	SuggestedTau int `json:"suggested_tau,omitempty"`
-	// Plans, PlanFallbacks and PlanReanchors count adaptive planning
-	// decisions, planner fallbacks to the fixed configuration, and feedback
-	// re-anchors after re-freezes; PlanDecisions splits Plans by chosen
-	// configuration ("ufilter/t1", "auheur/t2", "audp/t3", ...). All zero
-	// when planning is disabled. The planner belongs to the router, so these
-	// are request-level counters, not per-shard.
-	Plans         int64            `json:"plans,omitempty"`
-	PlanFallbacks int64            `json:"plan_fallbacks,omitempty"`
-	PlanReanchors int64            `json:"plan_reanchors,omitempty"`
-	PlanDecisions map[string]int64 `json:"plan_decisions,omitempty"`
+	// Plans and PlanFallbacks are always zero and off the wire: kept only
+	// because benchmark/layers.go:253 reads them.
+	Plans         int64 `json:"-"`
+	PlanFallbacks int64 `json:"-"`
 	// BuildTime is the construction time of the current base indexes: the
 	// slowest shard's build (shards build in parallel). Nanoseconds on the
 	// wire.
@@ -573,9 +563,9 @@ func (v *shardView) scratch() *probeScratch {
 // base index and every delta segment, returning the positions of live
 // records whose overlap reached tau (aliasing the accumulator arena, valid
 // until the next use of sc) and the filter tally, which it also folds into
-// the shard's cumulative counters. tau is the request's planned overlap
-// constraint — any value in [1, build-τ] is sound against the build-time
-// indexed signatures.
+// the shard's cumulative counters. tau is the request's overlap constraint —
+// any value in [1, build-τ] is sound against the build-time indexed
+// signatures.
 func (v *shardView) candidatesRecord(sig pebble.Signature, tau int, sc *probeScratch) ([]int32, filterTally) {
 	cands, tally := countFilterRecord(v.base.inv, v.segs, v.dead, sig, tau, v.base.inv.Records(), sc)
 	v.sh.noteProbe(tally)
@@ -710,13 +700,11 @@ func (vf *verifier) step(w, i int) {
 }
 
 // serve is this shard's share of a single-record request: the count filter
-// for the request's probe signature at its planned overlap constraint, then
+// for the request's probe signature at its overlap constraint, then
 // verification of the survivors against the lazily shared prepared query,
 // keeping the rq.k best matches (every match reaching θ when k is
 // unboundedK). The matches come back unordered — the router merges every
-// shard's share and sorts once. rq.ft is the request-wide rising floor; rq.ex
-// accumulates the candidate count, verification wall time and prune count
-// for the planner's feedback loop.
+// shard's share and sorts once. rq.ft is the request-wide rising floor.
 //
 // When more candidates survive than k matches can be kept, they are verified
 // in descending order of their upper bound, so the heap fills with strong
@@ -729,12 +717,10 @@ func (vf *verifier) step(w, i int) {
 func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error) {
 	sc := v.scratch()
 	defer sc.release(&v.sh.pool)
-	cands, _ := v.candidatesRecord(rq.d.Sig, rq.d.Tau, sc)
-	rq.ex.Candidates.Add(int64(len(cands)))
+	cands, _ := v.candidatesRecord(rq.sig, rq.tau, sc)
 	if len(cands) == 0 {
 		return nil, nil
 	}
-	start := time.Now()
 	workers := 1
 	if rq.qo.Workers > 1 && len(cands) >= minParallelVerify {
 		workers = rq.qo.Workers
@@ -780,8 +766,6 @@ func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error
 	// The scratch goes back to the pool: drop what belongs to this request.
 	clear(vf.workers)
 	vf.v, vf.pq, vf.ft = nil, nil, nil
-	rq.ex.VerifyNs.Add(time.Since(start).Nanoseconds())
-	rq.ex.Pruned.Add(vt.pruned)
 	v.sh.noteVerify(vt)
 	if err != nil {
 		return nil, err

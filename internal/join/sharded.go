@@ -14,21 +14,17 @@ import (
 
 	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/pebble"
-	"github.com/aujoin/aujoin/internal/planner"
 	"github.com/aujoin/aujoin/internal/strutil"
 )
 
-// PlanMode selects between adaptive per-query planning (Auto, the zero
-// value) and the fixed build-time configuration (Fixed). It appears both on
-// Options (index-wide default; Fixed disables the planner entirely) and on
-// QueryOpts (per-request override).
-type PlanMode = planner.Mode
+// PlanMode, PlanAuto and PlanFixed are kept only because
+// benchmark/engine.go:162 writes join.QueryOpts{Plan: join.PlanFixed}; the
+// values select nothing.
+type PlanMode int
 
 const (
-	// PlanAuto plans each request adaptively (the default).
-	PlanAuto = planner.Auto
-	// PlanFixed pins the build-time filter method and τ.
-	PlanFixed = planner.Fixed
+	PlanAuto PlanMode = iota
+	PlanFixed
 )
 
 // ShardedIndex is the mutable, concurrently servable join index — the only
@@ -38,8 +34,8 @@ const (
 // rebuild thresholds, so inserts and removes on different shards proceed in
 // parallel and a threshold-crossing rebuild compacts one shard while the
 // other N−1 keep serving unchanged. With N = 1 the same holds with one box in
-// the diagram: the router still owns the order, the planner and the cache,
-// and the single shard still only compacts.
+// the diagram: the router still owns the order and the cache, and the single
+// shard still only compacts.
 //
 // All shards share one global pebble frequency order (pebble.Order), which
 // is what keeps signatures comparable across shards: signature selection and
@@ -77,11 +73,6 @@ type ShardedIndex struct {
 	tau    int
 	shards []*shard
 	cache  *core.PreparedCache
-
-	// planner is the adaptive per-query cost model (the corpus statistics
-	// and the feedback are global; a request plans once and executes the
-	// same decision on every shard). Nil when Options.Plan is PlanFixed.
-	planner *planner.Planner
 
 	// gen is the current order generation, replaced wholesale by a global
 	// re-finalize or AdoptOrder; refreezeMu serializes those. lastView is
@@ -121,13 +112,10 @@ func (g *orderGen) outgrown() bool {
 	return g.order.DynamicCount() >= max(g.order.FrozenKeys(), 1)
 }
 
-// newRouter creates a ShardedIndex without shards: the planner, the shared
-// cache and the re-freeze policy the options select.
+// newRouter creates a ShardedIndex without shards: the shared cache and the
+// re-freeze policy the options select.
 func (j *Joiner) newRouter(opts Options, dopts DynamicOptions) *ShardedIndex {
 	sx := &ShardedIndex{joiner: j, opts: opts, tau: opts.tau()}
-	if opts.Plan != PlanFixed {
-		sx.planner = planner.New(opts.Method, sx.tau)
-	}
 	if dopts.CacheSize >= 0 {
 		sx.cache = core.NewPreparedCache(dopts.CacheSize)
 	}
@@ -271,9 +259,6 @@ func (sx *ShardedIndex) refreezeLocked(freeze func(live [][]strutil.Record) *peb
 		sx.shards[w].refreezeLocked(order, next.id, liveAll[w], prepAll[w])
 	})
 	sx.gen.Store(next)
-	// One re-anchor per corpus event: the planner's corrections were learned
-	// against the order that was just replaced.
-	sx.planner.Reanchor()
 	// The pre-refreeze view has served its purpose; dropping it releases
 	// the superseded generation's bases for collection (readers that
 	// already hold it keep it alive only as long as they keep it).
@@ -432,11 +417,11 @@ type ShardedView struct {
 
 // Stats aggregates the snapshot's statistics, computed once on first call
 // and immutable afterwards (the per-shard components were fixed when the
-// snapshot was taken; the global key split, the cache and planner counters
-// and the cumulative probe tallies are read on that first call). Catalog,
-// segment, rebuild, insert and tally counts are summed over the shards; the
-// interned-key split and the cache and planner counters are global (shared
-// order, shared cache, one planner) and reported once.
+// snapshot was taken; the global key split, the cache counters and the
+// cumulative probe tallies are read on that first call). Catalog, segment,
+// rebuild, insert and tally counts are summed over the shards; the
+// interned-key split and the cache counters are global (shared order, shared
+// cache) and reported once.
 func (sv *ShardedView) Stats() DynamicStats {
 	sv.statsOnce.Do(func() {
 		sx := sv.sx
@@ -453,12 +438,6 @@ func (sv *ShardedView) Stats() DynamicStats {
 		if sx.cache != nil {
 			st.CacheHits, st.CacheMisses = sx.cache.Stats()
 		}
-		c := sx.planner.Counters() // zero when planning is disabled
-		st.SuggestedTau = c.SuggestedTau
-		st.Plans = c.Plans
-		st.PlanFallbacks = c.Fallbacks
-		st.PlanReanchors = c.Reanchors
-		st.PlanDecisions = c.Decisions
 		sv.stats = st
 	})
 	return sv.stats
@@ -495,20 +474,17 @@ type QueryOpts struct {
 	// verifies sequentially on the fan-out's goroutine (per shard — the
 	// shard fan-out itself always runs concurrently).
 	Workers int
-	// Plan selects adaptive per-request planning (PlanAuto, the default) or
-	// the fixed build-time configuration (PlanFixed). Auto on an index built
-	// with Options.Plan == PlanFixed still runs fixed — that index has no
-	// planner.
+	// Plan is accepted and ignored: every request runs the configuration the
+	// index was built with. Kept for benchmark/engine.go:162.
 	Plan PlanMode
 	// ProbeTau (with ProbeMethod) pins this request's probe-side
-	// configuration to one point of the planner's search space instead of
-	// planning or using the build config: the request selects its probe
-	// signature with ProbeMethod at min(ProbeTau, τ_build) and count-filters
-	// at that τ. Any such configuration is sound against the build-time
-	// index (τ′ ≤ τ_build only over-admits; verification is exact), so
-	// results are bit-identical to every other configuration. 0 leaves Plan
-	// in charge. Benchmarks use this to A/B the planner against each fixed
-	// configuration on the same index.
+	// configuration instead of using the build configuration: the request
+	// selects its probe signature with ProbeMethod at min(ProbeTau, τ_build)
+	// and count-filters at that τ. Any such configuration is sound against
+	// the build-time index (τ′ ≤ τ_build only over-admits; verification is
+	// exact). 0 runs the build configuration. The pinned-configuration
+	// property grid and the benchmark's oracle use this to compare
+	// configurations on one index.
 	ProbeTau    int
 	ProbeMethod pebble.Method
 }
@@ -533,17 +509,17 @@ func (o Options) thetaFor(qo QueryOpts) float64 {
 const maxInlineShards = 4
 
 // request is the state of one single-record request — a threshold probe or a
-// top-k query — across its shard fan-out, and one allocation: the plan, the
-// lazily prepared query every shard shares, the planner feedback
-// accumulator, the rising floor shared by every top-k heap, and per shard
-// the matches it found and the error it failed with.
+// top-k query — across its shard fan-out, and one allocation: the probe
+// signature and its overlap constraint, the lazily prepared query every shard
+// shares, the rising floor shared by every top-k heap, and per shard the
+// matches it found and the error it failed with.
 type request struct {
-	sv *ShardedView
-	d  planner.Decision
-	qo QueryOpts
-	k  int // the k best matches per shard; unboundedK: every match reaching θ
-	lp lazyPrepared
-	ex planner.Exec
+	sv  *ShardedView
+	sig pebble.Signature
+	tau int
+	qo  QueryOpts
+	k   int // the k best matches per shard; unboundedK: every match reaching θ
+	lp  lazyPrepared
 	// ft spans the whole fan-out: as soon as any shard's heap fills, its
 	// k-th similarity becomes a lower bound on the global k-th best, so
 	// sibling shards can skip candidates bounded below it.
@@ -560,16 +536,19 @@ type request struct {
 }
 
 // serve runs one single-record request against every shard and returns the
-// per-shard matches: one plan and one signature for the whole request (the
-// shards share the order, so one signature is valid everywhere), the query
-// prepared at most once, on the first shard that produces a candidate.
+// per-shard matches: one signature for the whole request (the shards share
+// the order, so one signature is valid everywhere), the query prepared at
+// most once, on the first shard that produces a candidate.
 func (sv *ShardedView) serve(ctx context.Context, tokens []string, k int, qo QueryOpts) ([][]QueryMatch, error) {
 	sx := sv.sx
 	if qo.Theta > 0 && qo.Theta < sx.opts.Theta {
 		return nil, fmt.Errorf("%w: %v < %v", ErrThetaBelowBuild, qo.Theta, sx.opts.Theta)
 	}
-	start := time.Now()
-	rq := &request{sv: sv, d: sv.planRecord(tokens, qo), qo: qo, k: k}
+	method, tau := sx.opts.Method, sx.tau
+	if qo.ProbeTau > 0 {
+		method, tau = pinnedConfig(qo, sx.tau)
+	}
+	rq := &request{sv: sv, sig: sv.gen.sel.Signature(tokens, method, tau), tau: tau, qo: qo, k: k}
 	rq.lp.calc, rq.lp.tokens = sx.joiner.calcFor(sx.opts), tokens
 	if n := len(sv.views); n <= maxInlineShards {
 		rq.parts, rq.errs = rq.partBuf[:n], rq.errBuf[:n]
@@ -579,7 +558,6 @@ func (sv *ShardedView) serve(ctx context.Context, tokens []string, k int, qo Que
 	if err := rq.fanout(ctx, (*request).shard); err != nil {
 		return nil, err
 	}
-	sx.planner.ObserveExec(rq.d, &rq.ex, 1, time.Since(start).Nanoseconds())
 	return rq.parts, nil
 }
 
@@ -676,28 +654,6 @@ func (sv *ShardedView) QueryTopKCtx(ctx context.Context, tokens []string, k int,
 	return merged.sorted(), nil
 }
 
-// planRecord resolves the probe-side configuration and signature for one
-// single-record request, once for every shard: the planner's cheapest sound
-// configuration under PlanAuto (it sees the global document frequencies via
-// listLen), the build-time configuration under PlanFixed or when the index
-// has no planner. Either way the returned decision carries the selected
-// probe signature.
-func (sv *ShardedView) planRecord(tokens []string, qo QueryOpts) planner.Decision {
-	if qo.ProbeTau > 0 {
-		method, tau := pinnedConfig(qo, sv.sx.tau)
-		d := planner.FixedConfig(method, tau)
-		d.Sig = sv.gen.sel.Signature(tokens, method, tau)
-		return d
-	}
-	pl := sv.sx.planner
-	if pl == nil || qo.Plan == PlanFixed {
-		d := planner.FixedConfig(sv.sx.opts.Method, sv.sx.tau)
-		d.Sig = sv.gen.sel.Signature(tokens, sv.sx.opts.Method, sv.sx.tau)
-		return d
-	}
-	return pl.Plan(sv.gen.sel, sv.gen.sel.Prepare(tokens), sv.listLen, sv.totalRecords())
-}
-
 // pinnedConfig resolves a QueryOpts probe-side override into a sound
 // configuration: τ clamps into [1, τ_build] (larger values would demand
 // overlap the indexed τ_build-signatures never promise) and the U-Filter
@@ -711,46 +667,6 @@ func pinnedConfig(qo QueryOpts, buildTau int) (pebble.Method, int) {
 		tau = 1
 	}
 	return qo.ProbeMethod, tau
-}
-
-// planBatchSample bounds the prepared-probe sample a batch plan evaluates:
-// the plan must stay far cheaper than the batch it steers.
-const planBatchSample = 8
-
-// planBatch resolves one configuration for a whole probe batch from a
-// strided sample of the probe records (batch paths select their signatures
-// after the decision, in the shared signature pass).
-func (sv *ShardedView) planBatch(records []strutil.Record) planner.Decision {
-	pl := sv.sx.planner
-	if pl == nil || len(records) == 0 {
-		return planner.FixedConfig(sv.sx.opts.Method, sv.sx.tau)
-	}
-	stride := (len(records) + planBatchSample - 1) / planBatchSample
-	pres := make([]pebble.Presig, 0, planBatchSample)
-	for i := 0; i < len(records); i += stride {
-		pres = append(pres, sv.gen.sel.Prepare(records[i].Tokens))
-	}
-	return pl.PlanBatch(sv.gen.sel, pres, sv.listLen, sv.totalRecords())
-}
-
-// planTauOf is the Stats.PlanTau value of a batch decision: the planned τ,
-// or 0 when the batch ran the fixed build-time configuration.
-func planTauOf(d planner.Decision) int {
-	if !d.Planned {
-		return 0
-	}
-	return d.Tau
-}
-
-// listLen sums one interned key's live posting lengths across every shard's
-// base index — the global document frequency, independent of the shard
-// count (routing partitions records, not postings).
-func (sv *ShardedView) listLen(id uint32) int {
-	n := 0
-	for _, v := range sv.views {
-		n += v.base.inv.ListLength(id)
-	}
-	return n
 }
 
 // totalRecords is the snapshot's catalog length summed over the shards.
@@ -790,36 +706,31 @@ func (sv *ShardedView) ProbeSeq(ctx context.Context, records []strutil.Record) i
 	})
 }
 
-// probeStream plans the batch, generates probe-side signatures and prepared
-// records, and runs the streaming pipeline against the flattened snapshot.
+// probeStream generates probe-side signatures and prepared records under the
+// build configuration and runs the streaming pipeline against the flattened
+// snapshot.
 func (sv *ShardedView) probeStream(ctx context.Context, records []strutil.Record, emit func(Pair) bool) (Stats, error) {
 	start := time.Now()
 	sx := sv.sx
-	d := sv.planBatch(records)
-	tgt, shardCands := sv.probeTarget(d.Tau)
+	tgt, shardCands := sv.probeTarget()
 	calc := sx.joiner.calcFor(sx.opts)
-	sigs := sx.joiner.signatures(records, sv.gen.sel, d.Method, d.Tau)
+	sigs := sx.joiner.signatures(records, sv.gen.sel, sx.opts.Method, sx.tau)
 	prep := prepareRecords(records, calc)
 	stats, err := runProbeStream(ctx, calc, sx.opts, tgt, records, sigs, prep, false, time.Since(start), emit)
 	stats.ShardCandidates = shardCands()
-	stats.PlanTau = planTauOf(d)
 	// Verification runs centrally over the flattened catalog, not per
 	// shard; attribute its counters to shard 0 so the index-wide Stats sum
 	// still accounts for every verified candidate exactly once.
 	sv.views[0].sh.noteVerify(verifyTally{verified: stats.VerifiedCandidates, pruned: stats.PrunedByBound, memoHits: stats.MemoHits})
-	if err == nil {
-		sx.planner.Observe(d, int64(stats.Candidates), stats.VerifiedCandidates, int64(len(records)), stats.VerifyTime.Nanoseconds(), 0)
-	}
 	return stats, err
 }
 
 // probeTarget flattens the snapshot into the probe target the shared stages
-// run over, wiring the fan-out candidate stage in at the batch's planned
-// overlap constraint. The returned accessor reads the per-shard candidate
-// counts the stage accumulated.
-func (sv *ShardedView) probeTarget(tau int) (probeTarget, func() []int) {
+// run over, wiring the fan-out candidate stage in. The returned accessor
+// reads the per-shard candidate counts the stage accumulated.
+func (sv *ShardedView) probeTarget() (probeTarget, func() []int) {
 	sv.initFlat()
-	stage, shardCands := sv.candidateStage(tau)
+	stage, shardCands := sv.candidateStage()
 	return probeTarget{
 		records:    sv.flat.records,
 		prepared:   sv.flat.prepared,
@@ -863,7 +774,7 @@ func (sv *ShardedView) initFlat() {
 // positions are remapped by the shard's offset into the flattened catalog.
 // The second return value reads the per-shard candidate counts accumulated
 // across all probe records (each stage invocation gets fresh counters).
-func (sv *ShardedView) candidateStage(tau int) (func(ctx context.Context, sigs []pebble.Signature, workers int) ([]pairKey, filterTally, error), func() []int) {
+func (sv *ShardedView) candidateStage() (func(ctx context.Context, sigs []pebble.Signature, workers int) ([]pairKey, filterTally, error), func() []int) {
 	counters := make([]atomic.Int64, len(sv.views))
 	stage := func(ctx context.Context, sigs []pebble.Signature, workers int) ([]pairKey, filterTally, error) {
 		return parallelCandidates(ctx, len(sigs), len(sv.flat.records), workers, &sv.sx.probePool, func(sc *probeScratch, t int) ([]int32, filterTally) {
@@ -876,7 +787,7 @@ func (sv *ShardedView) candidateStage(tau int) (func(ctx context.Context, sigs [
 				// shrink and grow), and survivors are staged into merged
 				// before the next shard overwrites the touched list.
 				sc.acc.Reset(len(v.records))
-				recs, ft := v.candidatesRecord(sigs[t], tau, sc)
+				recs, ft := v.candidatesRecord(sigs[t], sv.sx.tau, sc)
 				sum.add(ft)
 				counters[w].Add(int64(len(recs)))
 				off := int32(sv.flat.offsets[w])

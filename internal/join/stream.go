@@ -238,6 +238,7 @@ func collectStream(ctx context.Context, workers int, produce func(ctx context.Co
 // pipeline.
 func runProbeStream(ctx context.Context, calc *core.Calculator, opts Options, tgt probeTarget, records []strutil.Record, sigs []pebble.Signature, prep []*core.PreparedRecord, self bool, sigTime time.Duration, emit func(Pair) bool) (Stats, error) {
 	var stats Stats
+	stats.Tau = opts.tau()
 	stats.SignatureTime = sigTime
 	stats.AvgSignatureS = tgt.avgSig
 	if self {

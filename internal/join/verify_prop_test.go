@@ -132,16 +132,17 @@ func TestProbeAndJoinMatchPlainVerify(t *testing.T) {
 }
 
 // TestPrunedQueriesUnderMutation hammers pruned top-k queries (sequential
-// and parallel) against a one-shard and a three-shard index while writers
-// insert and remove records — the -race run of the suite checks the floor
-// tracker, the memo and the pooled scratches for unsynchronised sharing.
+// and parallel) and parallel threshold probes against a one-shard and a
+// three-shard index while writers insert and remove records and MaxSegments
+// forces rebuilds — the -race run of the suite checks the floor tracker, the
+// memo and the pooled scratches for unsynchronised sharing.
 func TestPrunedQueriesUnderMutation(t *testing.T) {
 	j := NewJoiner(paperContext())
 	recs := propCorpus(400, 1111)
 	queries := propCorpus(16, 1212)
 	var indexes []*ShardedIndex
 	for _, shards := range gridShards {
-		indexes = append(indexes, j.BuildShardedIndex(recs, shards, Options{Theta: 0.75, Tau: 2}, DynamicOptions{MaxSegments: 3}))
+		indexes = append(indexes, j.BuildShardedIndex(recs, shards, Options{Theta: 0.75, Tau: 2}, DynamicOptions{MaxSegments: 2}))
 	}
 
 	var wg sync.WaitGroup
@@ -163,8 +164,13 @@ func TestPrunedQueriesUnderMutation(t *testing.T) {
 					qo.Workers = 4
 				}
 				for _, sx := range indexes {
-					if _, err := sx.Snapshot().QueryTopKCtx(ctx, q, 5, qo); err != nil {
+					sv := sx.Snapshot()
+					if _, err := sv.QueryTopKCtx(ctx, q, 5, qo); err != nil {
 						t.Errorf("shards=%d query: %v", sx.Shards(), err)
+						return
+					}
+					if _, err := sv.ProbeRecordCtx(ctx, q, QueryOpts{Workers: 2}); err != nil {
+						t.Errorf("shards=%d probe: %v", sx.Shards(), err)
 						return
 					}
 				}

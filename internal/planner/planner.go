@@ -1,708 +1,40 @@
-// Package planner picks the cheapest provably-sound probe-side
-// configuration — signature-selection method and overlap constraint τ — for
-// each query, from the query's own pebble statistics and the live document
-// frequencies of the inverted index, and corrects its static cost model
-// online with lock-free EWMA feedback from executed probes.
-//
-// # Soundness
-//
-// The indexed side is fixed at build time: every indexed record carries a
-// valid τ_build-signature selected by the build method. The planner only
-// ever switches the *probe* side, and only between configurations that are
-// individually sound against that index:
-//
-//   - τ-signatures are nested prefixes: the heuristic bound
-//     AS(i) + TW_{τ-1}(i-1) is monotone non-decreasing in τ, so the selected
-//     prefix for τ' ≤ τ is a prefix of the one for τ. A valid τ-signature is
-//     therefore also a valid τ'-signature for every τ' ≤ τ (the validity
-//     condition — every position past the cut fails the bound — only gets
-//     easier for smaller τ'), and the same holds for any *longer* valid
-//     prefix, which is how the heuristic and DP selections relate (the DP
-//     slack is a tighter upper bound, so DP cuts are never longer).
-//
-//   - Count filtering a probe's τ'-signature against the indexed
-//     τ_build-signatures with threshold τ' (τ' ≤ τ_build) can only
-//     over-admit: the indexed signatures are valid τ'-signatures too, so the
-//     ≥ τ' overlap guarantee of the paper's Lemma applies verbatim, and
-//     every truly similar pair still reaches verification.
-//
-// Exact thresholded verification then makes the final result bit-identical
-// to any fixed configuration — the planner changes how much the filter
-// over-admits, never what survives verification. The join package's
-// property tests pin this equivalence.
-//
-// # Cost model
-//
-// For one prepared probe the planner computes the heuristic signature cut
-// for every τ ∈ [1, τ_build] (one cheap backwards scan each; the cuts are
-// nested) and, in a single pass over the longest prefix, the cumulative
-// posting mass Σ ListLength(id) over distinct interned IDs. Per
-// configuration it estimates
-//
-//	filter  ≈ c_post·mass + c_token·tokens      (posting folds, lookups)
-//	cand    ≈ min(N, mass/τ) · ratio[bucket]    (counting bound, corrected)
-//	verify  ≈ cand · verifyNs[bucket]
-//	select  ≈ 0 for the heuristic (already paid while planning),
-//	          c_dp·|pebbles|·|segments|·τ for the DP
-//
-// and picks the cheapest. DP signatures are estimated by a learned
-// per-τ shrink factor (observed DP mass / heuristic mass) until a DP plan
-// actually runs. ratio and verifyNs are per-(method, τ, query-size-class)
-// EWMA buckets updated lock-free (atomic float bits, CAS) from observed
-// executions — the size class keeps short head-token lookups (which
-// over-admit relative to the counting bound) from contaminating the
-// corrections learned on long near-duplicate probes (which under-admit),
-// the two ends of a bimodal serving stream.
-//
-// The decomposed model only steers the cold start. Single-record requests
-// also report their wall-clock latency, and once a (config, size-class)
-// cell holds a measured latency the planner ranks that configuration by
-// the measurement instead of the model — the model cannot see contention,
-// cache behaviour or the true per-candidate rejection cost, the clock can.
-// Convergence is a small bandit loop on top: while any configuration's
-// latency cell for the query's size class is still unmeasured, plans are
-// spent measuring those cells round-robin (play every arm once before
-// exploiting — a cold arm whose model estimate is pessimistic would
-// otherwise never be tried), and afterwards a deterministic exploration
-// slot (one plan in 16) revisits configurations so cells gone stale under
-// workload drift are re-measured. Latency cells average in log space
-// (a geometric EWMA): tail samples from contention are multiplicative,
-// not additive, so one 70 ms collision with a long query cannot bury a
-// 4 ms arm for hundreds of plans. Reanchor decays the model corrections
-// toward neutral after a re-finalize, when the corpus the estimates were
-// learned against has been rebuilt, and re-suggests τ from the epoch's
-// most-chosen configuration; measured latencies survive (the hardware did
-// not change, and the exploration slot refreshes them anyway).
+// Package planner is what is left of the per-query planner: the two names
+// benchmark/layers.go compiles against (New at line 136, Plan at lines 137
+// and 233). The engine does not import it — every request runs the one
+// configuration the index was built with (ARCHITECTURE.md, "Probe-side
+// configuration") — and the package goes when the benchmark drops its
+// planner.plan_us metric.
 package planner
 
-import (
-	"fmt"
-	"math"
-	"sync/atomic"
+import "github.com/aujoin/aujoin/internal/pebble"
 
-	"github.com/aujoin/aujoin/internal/pebble"
-)
+// Planner is the build configuration of an index, nothing more.
+type Planner struct {
+	method pebble.Method
+	tau    int
+}
 
-// Mode selects between adaptive per-query planning and the fixed build-time
-// configuration. The zero value is Auto.
-type Mode int
-
-const (
-	// Auto plans each request: the cheapest sound (method, τ) pair wins.
-	Auto Mode = iota
-	// Fixed pins the build-time configuration (the pre-planner behaviour).
-	Fixed
-)
-
-// Decision is the configuration picked for one request, plus the already
-// selected probe signature on single-record paths (batch paths select their
-// own signatures for the whole collection).
+// Decision is Plan's result; benchmark/layers.go:236 reads Method and Tau.
 type Decision struct {
-	// Method and Tau are the probe-side configuration to execute; Tau is
-	// also the count-filter threshold.
 	Method pebble.Method
 	Tau    int
-	// Sig is the probe signature selected under Method/Tau (zero on batch
-	// decisions, where the caller selects per record).
-	Sig pebble.Signature
-	// EstCandidates is the corrected per-probe candidate estimate the
-	// feedback loop compares observations against.
-	EstCandidates float64
-	// Planned marks an adaptive decision (false for fixed-mode or fallback
-	// decisions, which must not feed the EWMA table).
-	Planned bool
-
-	bucket int
+	Sig    pebble.Signature
 }
 
-// Exec accumulates one request's observed execution; the sharded fan-out
-// hands one Exec to every shard, so the totals arrive atomically.
-type Exec struct {
-	Candidates atomic.Int64
-	VerifyNs   atomic.Int64
-	// Pruned counts candidates skipped by the rising-floor upper-bound
-	// check before Algorithm-1 verification ran; the verify-ns EWMA is
-	// fed Candidates−Pruned so pruning makes verification look cheaper
-	// per verified candidate, not per enumerated one.
-	Pruned atomic.Int64
-}
-
-// exploreEvery is the deterministic exploration cadence: one plan in this
-// many executes the next configuration in round-robin order instead of the
-// cheapest-looking one, so stale latency measurements keep refreshing.
-const exploreEvery = 16
-
-// Counters is a snapshot of the planner's decision statistics, surfaced
-// through DynamicStats / aujoind's /stats.
-type Counters struct {
-	Plans        int64
-	Fallbacks    int64
-	Reanchors    int64
-	SuggestedTau int
-	// Decisions counts plans per chosen configuration, keyed
-	// "ufilter/t1", "auheur/t2", "audp/t3", ...
-	Decisions map[string]int64
-}
-
-// Cost-model constants. Absolute scale is irrelevant (only ratios between
-// configurations matter) and the candidate/verify terms are EWMA-corrected;
-// these only have to be in the right ballpark for the cold start.
-const (
-	alpha            = 0.2    // EWMA smoothing factor (model corrections)
-	costPostingNs    = 1.0    // per posting entry / bitmap bit folded
-	costTokenNs      = 30.0   // per distinct signature token probed
-	costVerifyNsInit = 1500.0 // per candidate, until feedback arrives
-	costDPSelectNs   = 3.0    // per (pebble × segment × τ) DP cell
-	dpShrinkInit     = 0.8    // DP/heuristic signature-mass ratio prior
-
-	// Latency cells smooth harder and winsorize: configurations a few
-	// percent apart must not flip ranking on every co-scheduling tail
-	// sample (a 4 ms query measures ~70 ms when it lands behind a long
-	// near-duplicate probe on a saturated worker pool).
-	alphaLat  = 0.05 // EWMA smoothing factor for measured latencies
-	latWinsor = 4.0  // samples clamp to [cell/4, cell·4] before folding
-)
-
-// nSize is the number of query-size classes the feedback table splits each
-// (method, τ) configuration into; sizeClass maps a probe's pebble count to
-// its class.
-const nSize = 4
-
-func sizeClass(pebbles int) int {
-	switch {
-	case pebbles <= 4:
-		return 0
-	case pebbles <= 16:
-		return 1
-	case pebbles <= 64:
-		return 2
-	default:
-		return 3
-	}
-}
-
-// Planner holds the static cost model and the online feedback table for one
-// index (shared by all shards of a ShardedIndex — the corpus, and therefore
-// the statistics, are global). All methods are safe for unbounded
-// concurrency.
-type Planner struct {
-	tauMax      int
-	buildMethod pebble.Method
-
-	// Feedback buckets per (config, size class), where config index =
-	// methodIdx·tauMax + (τ−1) with methodIdx 0 for the heuristic family
-	// (U-Filter ≡ τ=1) and 1 for the DP, and bucket = config·nSize + size.
-	candRatio []ewma // observed / estimated candidates per probe
-	verifyNs  []ewma // observed verification ns per candidate
-	latNs     []ewma // observed wall-clock ns per single-record request
-	dpShrink  []ewma // per τ: DP signature mass / heuristic signature mass
-
-	exploreN atomic.Int64 // plan counter driving the exploration slot
-
-	decisions      []atomic.Int64 // lifetime plan counts per config
-	epochDecisions []atomic.Int64 // since the last re-anchor; drives SuggestedTau
-	plans          atomic.Int64
-	fallbacks      atomic.Int64
-	reanchors      atomic.Int64
-	suggested      atomic.Int64
-}
-
-// New creates a planner for an index built with the given method and
-// overlap constraint (the U-Filter fixes τ at 1, exactly as the build does).
-func New(buildMethod pebble.Method, tau int) *Planner {
-	if tau < 1 || buildMethod == pebble.UFilter {
+// New returns the planner of an index built with the given method and τ,
+// clamped as the build clamps it: τ ≥ 1, and the U-Filter fixes τ at 1.
+// Kept for benchmark/layers.go:136.
+func New(method pebble.Method, tau int) *Planner {
+	if tau < 1 || method == pebble.UFilter {
 		tau = 1
 	}
-	n := 2 * tau
-	p := &Planner{
-		tauMax:         tau,
-		buildMethod:    buildMethod,
-		candRatio:      make([]ewma, n*nSize),
-		verifyNs:       make([]ewma, n*nSize),
-		latNs:          make([]ewma, n*nSize),
-		dpShrink:       make([]ewma, tau),
-		decisions:      make([]atomic.Int64, n),
-		epochDecisions: make([]atomic.Int64, n),
-	}
-	p.suggested.Store(int64(tau))
-	return p
+	return &Planner{method: method, tau: tau}
 }
 
-// TauMax returns the largest (and build-time) overlap constraint the
-// planner may pick.
-func (p *Planner) TauMax() int { return p.tauMax }
-
-// FixedConfig is the non-planned decision for the build-time configuration:
-// executing it is exactly today's fixed behaviour, and Observe ignores it.
-func FixedConfig(method pebble.Method, tau int) Decision {
-	return Decision{Method: method, Tau: tau, bucket: -1}
-}
-
-// configOf maps a configuration to its decision-counter index.
-func (p *Planner) configOf(method pebble.Method, tau int) int {
-	mi := 0
-	if method == pebble.AUDP {
-		mi = 1
-	}
-	return mi*p.tauMax + (tau - 1)
-}
-
-// bucketOf maps a configuration and a probe's pebble count to its feedback
-// bucket; configOfBucket inverts the config part.
-func (p *Planner) bucketOf(method pebble.Method, tau, pebbles int) int {
-	return p.configOf(method, tau)*nSize + sizeClass(pebbles)
-}
-
-func configOfBucket(b int) int { return b / nSize }
-
-// configLabel renders a config index as the /stats decision key.
-func (p *Planner) configLabel(c int) string {
-	tau := c%p.tauMax + 1
-	switch {
-	case c >= p.tauMax:
-		return fmt.Sprintf("audp/t%d", tau)
-	case tau == 1:
-		return "ufilter/t1"
-	default:
-		return fmt.Sprintf("auheur/t%d", tau)
-	}
-}
-
-// eval is the per-probe static state the cost model evaluates
-// configurations against: the nested heuristic cuts per τ and the prefix
-// sums of posting mass and distinct-token count up to the longest cut.
-type eval struct {
-	sigs []pebble.Signature // heuristic signature per τ (index τ, 1-based)
-	cuts []int              // len(sigs[τ].Pebbles)
-	mass []float64          // prefix posting mass over distinct known IDs
-	toks []float64          // prefix distinct known-ID count
-	segs float64
-	plen float64
-}
-
-// prepareEval computes the τ-sweep of heuristic cuts and the posting-mass
-// prefix sums for one prepared probe. ok is false when the probe has no
-// pebbles (nothing to plan).
-func (p *Planner) prepareEval(sel *pebble.Selector, pre pebble.Presig, listLen func(uint32) int) (eval, bool) {
-	var ev eval
-	if len(pre.Pebbles) == 0 {
-		return ev, false
-	}
-	ev.sigs = make([]pebble.Signature, p.tauMax+1)
-	ev.cuts = make([]int, p.tauMax+1)
-	maxCut := 0
-	for tau := 1; tau <= p.tauMax; tau++ {
-		ev.sigs[tau] = sel.Select(pre, pebble.AUHeuristic, tau)
-		ev.cuts[tau] = len(ev.sigs[tau].Pebbles)
-		if ev.cuts[tau] > maxCut {
-			maxCut = ev.cuts[tau]
-		}
-	}
-	ev.mass = make([]float64, maxCut+1)
-	ev.toks = make([]float64, maxCut+1)
-	lastID, haveLast := uint32(0), false
-	for i := 0; i < maxCut; i++ {
-		ev.mass[i+1] = ev.mass[i]
-		ev.toks[i+1] = ev.toks[i]
-		id := pre.Pebbles[i].ID
-		if id == pebble.NoID || (haveLast && id == lastID) {
-			// Unknown key (no postings) or a duplicate of the previous ID:
-			// duplicates fold into one accumulator pass via multiplicity, so
-			// they add overlap weight but no posting cost.
-			continue
-		}
-		lastID, haveLast = id, true
-		ev.mass[i+1] += float64(listLen(id))
-		ev.toks[i+1]++
-	}
-	ev.segs = float64(len(pre.Segments))
-	if ev.segs < 1 {
-		ev.segs = 1
-	}
-	ev.plen = float64(len(pre.Pebbles))
-	return ev, true
-}
-
-// configCost estimates the execution cost of one configuration for one
-// evaluated probe, returning the cost, the corrected candidate estimate and
-// the feedback bucket.
-func (p *Planner) configCost(ev eval, method pebble.Method, tau, numRecords int) (cost, cand float64, bucket int) {
-	mass, toks := ev.mass[ev.cuts[tau]], ev.toks[ev.cuts[tau]]
-	selCost := 0.0
-	if method == pebble.AUDP {
-		shrink := p.dpShrink[tau-1].value(dpShrinkInit)
-		mass *= shrink
-		toks *= shrink
-		selCost = costDPSelectNs * ev.plen * ev.segs * float64(tau)
-	}
-	bucket = p.bucketOf(method, tau, int(ev.plen))
-	n := float64(numRecords)
-	cand = mass / float64(tau)
-	if cand > n {
-		cand = n
-	}
-	cand *= p.candRatio[bucket].value(1.0)
-	if cand > n {
-		cand = n
-	}
-	vns := p.verifyNs[bucket].value(costVerifyNsInit)
-	cost = selCost + costPostingNs*mass + costTokenNs*toks + vns*cand
-	return cost, cand, bucket
-}
-
-// fallback is the decision when planning is impossible (empty probe, empty
-// corpus): the build-time configuration, selected directly.
-func (p *Planner) fallback(sel *pebble.Selector, pre pebble.Presig) Decision {
-	p.fallbacks.Add(1)
-	d := FixedConfig(p.buildMethod, p.tauMax)
-	d.Sig = sel.Select(pre, p.buildMethod, p.tauMax)
-	return d
-}
-
-// Plan picks the cheapest sound configuration for one prepared probe
-// against an index of numRecords records whose live posting lengths listLen
-// reads. The returned decision carries the selected probe signature.
-func (p *Planner) Plan(sel *pebble.Selector, pre pebble.Presig, listLen func(uint32) int, numRecords int) Decision {
-	if numRecords <= 0 {
-		return p.fallback(sel, pre)
-	}
-	ev, ok := p.prepareEval(sel, pre, listLen)
-	if !ok {
-		return p.fallback(sel, pre)
-	}
-	// Exploration slot: revisit configurations round-robin so every
-	// (config, size-class) latency cell keeps a fresh measurement. Sound by
-	// construction — any configuration in the sweep is.
-	if n := p.exploreN.Add(1); n%exploreEvery == 0 {
-		if cfg := int(n/exploreEvery) % (2 * p.tauMax); cfg != p.tauMax { // (DP, τ=1) has no slot
-			tau := cfg%p.tauMax + 1
-			method := pebble.AUHeuristic
-			if cfg >= p.tauMax {
-				method = pebble.AUDP
-			}
-			_, cand, bucket := p.configCost(ev, method, tau, numRecords)
-			return p.finish(sel, pre, ev,
-				Decision{Method: method, Tau: tau, EstCandidates: cand, Planned: true, bucket: bucket})
-		}
-	}
-	best := Decision{bucket: -1}
-	bestCost := math.Inf(1)
-	var unmeasured []Decision
-	for tau := 1; tau <= p.tauMax; tau++ {
-		for mi := 0; mi < 2; mi++ {
-			if mi == 1 && tau == 1 {
-				continue // DP ≡ heuristic at τ = 1 (identical cut)
-			}
-			method := pebble.AUHeuristic
-			if mi == 1 {
-				method = pebble.AUDP
-			}
-			cost, cand, bucket := p.configCost(ev, method, tau, numRecords)
-			// A measured wall-clock latency beats the decomposed estimate:
-			// it prices contention and the true rejection cost the model
-			// cannot see. Configurations this size class has never executed
-			// collect in unmeasured and are played first.
-			if l := p.latNs[bucket].value(0); l > 0 {
-				cost = l
-			} else {
-				unmeasured = append(unmeasured,
-					Decision{Method: method, Tau: tau, EstCandidates: cand, Planned: true, bucket: bucket})
-			}
-			if cost < bestCost {
-				bestCost = cost
-				best = Decision{Method: method, Tau: tau, EstCandidates: cand, Planned: true, bucket: bucket}
-			}
-		}
-	}
-	// Forced initial sampling: measure every arm once before exploiting —
-	// an arm whose model estimate is pessimistic would otherwise never be
-	// tried, however cheap it really is. Rotation spreads concurrent cold
-	// plans across the still-unmeasured arms.
-	if len(unmeasured) > 0 {
-		return p.finish(sel, pre, ev, unmeasured[int(p.exploreN.Load())%len(unmeasured)])
-	}
-	if best.bucket < 0 {
-		return p.fallback(sel, pre)
-	}
-	return p.finish(sel, pre, ev, best)
-}
-
-// finish resolves the probe signature for a chosen single-record decision
-// and books the decision counters.
-func (p *Planner) finish(sel *pebble.Selector, pre pebble.Presig, ev eval, d Decision) Decision {
-	if d.Method == pebble.AUDP {
-		d.Sig = sel.Select(pre, pebble.AUDP, d.Tau)
-		// The DP cut is never longer than the heuristic cut for the same τ,
-		// so its prefix mass is already tabulated: learn the shrink factor
-		// from the plan we are about to execute.
-		if hm := ev.mass[ev.cuts[d.Tau]]; hm > 0 {
-			p.dpShrink[d.Tau-1].update(ev.mass[len(d.Sig.Pebbles)] / hm)
-		}
-	} else {
-		d.Sig = ev.sigs[d.Tau]
-		if d.Tau == 1 {
-			d.Method = pebble.UFilter // τ=1 heuristic IS the U-Filter
-		}
-	}
-	p.plans.Add(1)
-	cfg := configOfBucket(d.bucket)
-	p.decisions[cfg].Add(1)
-	p.epochDecisions[cfg].Add(1)
-	return d
-}
-
-// PlanBatch picks one configuration for a whole probe batch from a sample
-// of prepared probes: per-configuration costs are summed over the sample and
-// the cheapest total wins, so the batch pays one plan and one signature pass.
-// The decision carries no signature — the caller selects per record with the
-// chosen method and τ.
-func (p *Planner) PlanBatch(sel *pebble.Selector, pres []pebble.Presig, listLen func(uint32) int, numRecords int) Decision {
-	if numRecords <= 0 || len(pres) == 0 {
-		p.fallbacks.Add(1)
-		return FixedConfig(p.buildMethod, p.tauMax)
-	}
-	n := 2 * p.tauMax
-	total := make([]float64, n)
-	cands := make([]float64, n)
-	planned := 0
-	plenSum := 0
-	for _, pre := range pres {
-		ev, ok := p.prepareEval(sel, pre, listLen)
-		if !ok {
-			continue
-		}
-		planned++
-		plenSum += len(pre.Pebbles)
-		for tau := 1; tau <= p.tauMax; tau++ {
-			for mi := 0; mi < 2; mi++ {
-				if mi == 1 && tau == 1 {
-					continue
-				}
-				method := pebble.AUHeuristic
-				if mi == 1 {
-					method = pebble.AUDP
-				}
-				cost, cand, bucket := p.configCost(ev, method, tau, numRecords)
-				cfg := configOfBucket(bucket)
-				total[cfg] += cost
-				cands[cfg] += cand
-			}
-		}
-	}
-	if planned == 0 {
-		p.fallbacks.Add(1)
-		return FixedConfig(p.buildMethod, p.tauMax)
-	}
-	bestCfg, bestCost := -1, math.Inf(1)
-	for c := 0; c < n; c++ {
-		if c == p.tauMax {
-			continue // (DP, τ=1) is never evaluated
-		}
-		if total[c] > 0 || cands[c] > 0 || c%p.tauMax == 0 {
-			if total[c] < bestCost {
-				bestCost = total[c]
-				bestCfg = c
-			}
-		}
-	}
-	if bestCfg < 0 {
-		p.fallbacks.Add(1)
-		return FixedConfig(p.buildMethod, p.tauMax)
-	}
-	tau := bestCfg%p.tauMax + 1
-	method := pebble.AUHeuristic
-	if bestCfg >= p.tauMax {
-		method = pebble.AUDP
-	} else if tau == 1 {
-		method = pebble.UFilter
-	}
-	d := Decision{
-		Method:        method,
-		Tau:           tau,
-		EstCandidates: cands[bestCfg] / float64(planned),
-		Planned:       true,
-		// Feedback lands in the sample's mean size class — a batch is
-		// usually homogeneous enough for that to be the right cell.
-		bucket: bestCfg*nSize + sizeClass(plenSum/planned),
-	}
-	p.plans.Add(1)
-	p.decisions[bestCfg].Add(1)
-	p.epochDecisions[bestCfg].Add(1)
-	return d
-}
-
-// Observe folds one executed request into the feedback table: candidates
-// and verifyNs are request totals (across shards), verified the subset of
-// candidates that actually ran Algorithm-1 verification (candidates minus
-// upper-bound-pruned; pass candidates when no pruning applies), probes the
-// number of probe records the request planned for (1 for single-record
-// queries), and elapsedNs the request's wall-clock latency — 0 when the
-// caller has no meaningful per-request clock (batch joins amortise across
-// a collection, so their wall time would poison the single-record latency
-// cells). Non-planned decisions are ignored.
-func (p *Planner) Observe(d Decision, candidates, verified, probes, verifyNs, elapsedNs int64) {
-	if p == nil || !d.Planned || d.bucket < 0 {
-		return
-	}
-	if probes <= 0 {
-		probes = 1
-	}
-	est := d.EstCandidates
-	if est < 0.5 {
-		est = 0.5
-	}
-	ratio := clamp(float64(candidates)/float64(probes)/est, 1.0/64, 64)
-	p.candRatio[d.bucket].update(ratio)
-	if verified > 0 && verifyNs > 0 {
-		p.verifyNs[d.bucket].update(clamp(float64(verifyNs)/float64(verified), 1, 1e8))
-	}
-	if elapsedNs > 0 {
-		p.latNs[d.bucket].updateGeo(clamp(float64(elapsedNs)/float64(probes), 1, 1e10), alphaLat, latWinsor)
-	}
-}
-
-// ObserveExec is Observe over a fan-out accumulator.
-func (p *Planner) ObserveExec(d Decision, ex *Exec, probes, elapsedNs int64) {
-	if p == nil || ex == nil {
-		return
-	}
-	cands := ex.Candidates.Load()
-	p.Observe(d, cands, cands-ex.Pruned.Load(), probes, ex.VerifyNs.Load(), elapsedNs)
-}
-
-// Reanchor re-anchors the feedback table after a re-finalize: the candidate
-// corrections and DP shrink factors decay halfway toward their neutral
-// priors (the corpus they were learned against was just rebuilt; the
-// verify-ns buckets are a hardware property and survive), and the cached τ
-// suggestion is recomputed from the epoch's most-chosen configuration —
-// previously the build-time value silently survived every rebuild.
-func (p *Planner) Reanchor() {
-	if p == nil {
-		return
-	}
-	p.reanchors.Add(1)
-	perTau := make([]int64, p.tauMax+1)
-	for b := range p.epochDecisions {
-		perTau[b%p.tauMax+1] += p.epochDecisions[b].Swap(0)
-	}
-	bestTau, bestCount := 0, int64(0)
-	for tau := 1; tau <= p.tauMax; tau++ {
-		if perTau[tau] > bestCount {
-			bestTau, bestCount = tau, perTau[tau]
-		}
-	}
-	if bestCount > 0 {
-		p.suggested.Store(int64(bestTau))
-	}
-	for i := range p.candRatio {
-		p.candRatio[i].decay(1.0)
-	}
-	for i := range p.dpShrink {
-		p.dpShrink[i].decay(dpShrinkInit)
-	}
-}
-
-// SuggestedTau returns the planner's current τ suggestion: the build-time τ
-// until a re-anchor has observed a planned workload, the workload's
-// most-chosen τ afterwards.
-func (p *Planner) SuggestedTau() int {
-	if p == nil {
-		return 0
-	}
-	return int(p.suggested.Load())
-}
-
-// Counters snapshots the decision statistics.
-func (p *Planner) Counters() Counters {
-	if p == nil {
-		return Counters{}
-	}
-	c := Counters{
-		Plans:        p.plans.Load(),
-		Fallbacks:    p.fallbacks.Load(),
-		Reanchors:    p.reanchors.Load(),
-		SuggestedTau: p.SuggestedTau(),
-	}
-	for b := range p.decisions {
-		if n := p.decisions[b].Load(); n > 0 {
-			if c.Decisions == nil {
-				c.Decisions = make(map[string]int64)
-			}
-			c.Decisions[p.configLabel(b)] = n
-		}
-	}
-	return c
-}
-
-// ewma is a lock-free exponentially weighted moving average: the float64
-// value lives as its IEEE bits in an atomic word, updated by CAS. The zero
-// bit pattern doubles as "no observation yet" (legitimate values are
-// clamped strictly positive).
-type ewma struct{ bits atomic.Uint64 }
-
-// value returns the current average, or def before the first observation.
-func (e *ewma) value(def float64) float64 {
-	b := e.bits.Load()
-	if b == 0 {
-		return def
-	}
-	return math.Float64frombits(b)
-}
-
-// update folds one observation in.
-func (e *ewma) update(x float64) {
-	for {
-		old := e.bits.Load()
-		next := x
-		if old != 0 {
-			next = (1-alpha)*math.Float64frombits(old) + alpha*x
-		}
-		if e.bits.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-// updateGeo folds one observation in geometrically — an EWMA of the
-// logarithm with smoothing factor a, the sample winsorized to within a
-// factor winsor of the current value. Heavy-tailed samples (latencies
-// under contention) pull the average by a small bounded factor instead of
-// burying it; sustained drift still walks the cell there multiplicatively.
-func (e *ewma) updateGeo(x, a, winsor float64) {
-	for {
-		old := e.bits.Load()
-		next := x
-		if old != 0 {
-			v := math.Float64frombits(old)
-			next = math.Exp((1-a)*math.Log(v) + a*math.Log(clamp(x, v/winsor, v*winsor)))
-		}
-		if e.bits.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-// decay moves the average halfway toward the neutral prior (no-op before
-// the first observation).
-func (e *ewma) decay(neutral float64) {
-	for {
-		old := e.bits.Load()
-		if old == 0 {
-			return
-		}
-		next := (math.Float64frombits(old) + neutral) / 2
-		if e.bits.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
+// Plan returns the build configuration and the probe signature selected
+// under it. The posting-length reader and the record count are the former
+// cost model's inputs; they stay in the signature for benchmark/layers.go:137
+// and :233 and are not read.
+func (p *Planner) Plan(sel *pebble.Selector, pre pebble.Presig, _ func(uint32) int, _ int) Decision {
+	return Decision{Method: p.method, Tau: p.tau, Sig: sel.Select(pre, p.method, p.tau)}
 }

@@ -1,8 +1,7 @@
 package planner
 
 import (
-	"fmt"
-	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,232 +11,33 @@ import (
 	"github.com/aujoin/aujoin/internal/taxonomy"
 )
 
-// testSelector builds a real Selector over a small corpus so plans run
-// against genuine pebble statistics: a skewed shared vocabulary (dense
-// posting lists) plus per-record unique tokens (sparse lists).
-func testSelector(theta float64) (*pebble.Selector, func(uint32) int, int) {
-	ctx := sim.NewContext(synonym.NewRuleSet(), taxonomy.NewTree("T"))
-	gen := pebble.NewGenerator(ctx)
+// TestNewClampsTau pins the whole shim: Plan returns the build configuration,
+// clamped as the build clamps it, and the signature sel.Select picks under it.
+func TestNewClampsTau(t *testing.T) {
+	gen := pebble.NewGenerator(sim.NewContext(synonym.NewRuleSet(), taxonomy.NewTree("T")))
 	order := pebble.NewOrder()
-	const n = 200
-	corpus := make([][]string, n)
-	listLen := make(map[uint32]int)
-	for i := range corpus {
-		toks := []string{
-			fmt.Sprintf("tok%02d", i%7),     // very dense
-			fmt.Sprintf("tok%02d", 10+i%23), // medium
-			fmt.Sprintf("uniq%d", i),        // singleton
-			fmt.Sprintf("tok%02d", 40+i%51), // sparse
-		}
-		corpus[i] = toks
-		pb, _ := gen.Pebbles(toks)
+	for _, s := range []string{"alpha beta gamma", "beta gamma delta", "gamma delta epsilon"} {
+		pb, _ := gen.Pebbles(strings.Fields(s))
 		order.Add(pb)
 	}
-	sel := pebble.NewSelector(gen, order, theta)
-	for _, toks := range corpus {
-		pb, _ := gen.Pebbles(toks)
-		order.Intern(pb)
-		seen := map[uint32]bool{}
-		for _, p := range pb {
-			if p.ID != pebble.NoID && !seen[p.ID] {
-				seen[p.ID] = true
-				listLen[p.ID]++
-			}
+	sel := pebble.NewSelector(gen, order, 0.8)
+	pre := sel.Prepare(strings.Fields("alpha beta gamma delta"))
+	for _, tc := range []struct {
+		method  pebble.Method
+		tau     int
+		wantTau int
+	}{
+		{pebble.AUDP, 3, 3},
+		{pebble.AUHeuristic, 2, 2},
+		{pebble.AUDP, 0, 1},
+		{pebble.UFilter, 5, 1}, // the U-Filter ignores τ at build time
+	} {
+		d := New(tc.method, tc.tau).Plan(sel, pre, nil, 0)
+		if d.Method != tc.method || d.Tau != tc.wantTau {
+			t.Errorf("New(%v, %d).Plan = (%v, τ=%d), want (%v, τ=%d)", tc.method, tc.tau, d.Method, d.Tau, tc.method, tc.wantTau)
 		}
-	}
-	return sel, func(id uint32) int { return listLen[id] }, n
-}
-
-func TestNewClampsTau(t *testing.T) {
-	if got := New(pebble.AUDP, 3).TauMax(); got != 3 {
-		t.Errorf("TauMax = %d, want 3", got)
-	}
-	if got := New(pebble.AUDP, 0).TauMax(); got != 1 {
-		t.Errorf("TauMax(τ=0) = %d, want 1", got)
-	}
-	// The U-Filter ignores τ at build time; the planner must as well.
-	if got := New(pebble.UFilter, 5).TauMax(); got != 1 {
-		t.Errorf("TauMax(UFilter, τ=5) = %d, want 1", got)
-	}
-}
-
-func TestPlanPicksSoundConfig(t *testing.T) {
-	sel, listLen, n := testSelector(0.8)
-	p := New(pebble.AUDP, 3)
-	pre := sel.Prepare(strings.Fields("tok00 tok12 tok45 uniq7 extra"))
-	d := p.Plan(sel, pre, listLen, n)
-	if !d.Planned {
-		t.Fatalf("plan fell back: %+v", d)
-	}
-	if d.Tau < 1 || d.Tau > p.TauMax() {
-		t.Fatalf("planned τ=%d outside [1, %d]", d.Tau, p.TauMax())
-	}
-	switch d.Method {
-	case pebble.UFilter, pebble.AUHeuristic, pebble.AUDP:
-	default:
-		t.Fatalf("planned unknown method %v", d.Method)
-	}
-	if d.Method == pebble.UFilter && d.Tau != 1 {
-		t.Fatalf("U-Filter decision with τ=%d", d.Tau)
-	}
-	if len(d.Sig.Pebbles) == 0 {
-		t.Fatal("planned decision carries no signature")
-	}
-	c := p.Counters()
-	if c.Plans != 1 || c.Fallbacks != 0 {
-		t.Fatalf("counters after one plan: %+v", c)
-	}
-	if len(c.Decisions) != 1 {
-		t.Fatalf("decision map after one plan: %v", c.Decisions)
-	}
-}
-
-func TestPlanFallsBack(t *testing.T) {
-	sel, listLen, n := testSelector(0.8)
-	p := New(pebble.AUDP, 2)
-
-	// Empty probe: nothing to plan, the build config executes.
-	d := p.Plan(sel, sel.Prepare(nil), listLen, n)
-	if d.Planned {
-		t.Fatalf("empty probe produced a planned decision: %+v", d)
-	}
-	if d.Method != pebble.AUDP || d.Tau != 2 {
-		t.Fatalf("fallback is not the build config: %+v", d)
-	}
-
-	// Empty corpus: same.
-	d = p.Plan(sel, sel.Prepare(strings.Fields("tok00 tok01")), listLen, 0)
-	if d.Planned {
-		t.Fatalf("empty corpus produced a planned decision: %+v", d)
-	}
-	c := p.Counters()
-	if c.Plans != 0 || c.Fallbacks != 2 {
-		t.Fatalf("counters after two fallbacks: %+v", c)
-	}
-
-	// Observing a fallback (or any non-planned decision) must not touch the
-	// feedback table.
-	p.Observe(d, 1000, 1000, 1, 1e9, 0)
-	for i := range p.candRatio {
-		if p.candRatio[i].value(0) != 0 {
-			t.Fatal("fallback observation reached the EWMA table")
-		}
-	}
-}
-
-func TestObserveFeedsEwma(t *testing.T) {
-	p := New(pebble.AUDP, 2)
-	d := Decision{Method: pebble.AUHeuristic, Tau: 2, EstCandidates: 100,
-		Planned: true, bucket: p.bucketOf(pebble.AUHeuristic, 2, 3)}
-
-	p.Observe(d, 200, 200, 1, 200*2000, 0)
-	if got := p.candRatio[d.bucket].value(1.0); got != 2.0 {
-		t.Errorf("candRatio after first observation = %v, want 2.0", got)
-	}
-	if got := p.verifyNs[d.bucket].value(0); got != 2000 {
-		t.Errorf("verifyNs after first observation = %v, want 2000", got)
-	}
-
-	// Second observation folds in with α.
-	p.Observe(d, 100, 100, 1, 0, 0)
-	want := (1-alpha)*2.0 + alpha*1.0
-	if got := p.candRatio[d.bucket].value(1.0); math.Abs(got-want) > 1e-12 {
-		t.Errorf("candRatio after second observation = %v, want %v", got, want)
-	}
-
-	// Extreme observations clamp instead of poisoning the table.
-	p.Observe(Decision{Planned: true, EstCandidates: 1, bucket: d.bucket}, 1_000_000, 1_000_000, 1, 1, 0)
-	if got := p.candRatio[d.bucket].value(1.0); got > 64*2 {
-		t.Errorf("candRatio escaped the clamp: %v", got)
-	}
-}
-
-func TestReanchorResuggestsTauAndDecays(t *testing.T) {
-	sel, listLen, n := testSelector(0.8)
-	p := New(pebble.AUDP, 3)
-	if got := p.SuggestedTau(); got != 3 {
-		t.Fatalf("initial SuggestedTau = %d, want build-time 3", got)
-	}
-
-	// Re-anchoring with no planned traffic keeps the build-time suggestion.
-	p.Reanchor()
-	if got := p.SuggestedTau(); got != 3 {
-		t.Errorf("SuggestedTau after idle re-anchor = %d, want 3", got)
-	}
-
-	// Drive planned traffic, then force the epoch towards τ=2 and re-anchor:
-	// the suggestion must follow the workload, not the build.
-	for i := 0; i < 8; i++ {
-		toks := strings.Fields(fmt.Sprintf("tok%02d tok%02d uniq%d", i%7, 10+i%23, i))
-		p.Plan(sel, sel.Prepare(toks), listLen, n)
-	}
-	cfg := p.configOf(pebble.AUHeuristic, 2)
-	b := p.bucketOf(pebble.AUHeuristic, 2, 3)
-	p.epochDecisions[cfg].Add(1000)
-	p.candRatio[b].update(8.0)
-	p.Reanchor()
-	if got := p.SuggestedTau(); got != 2 {
-		t.Errorf("SuggestedTau after τ=2-dominated epoch = %d, want 2", got)
-	}
-	// Corrections decay halfway toward neutral; epoch counters reset.
-	if got := p.candRatio[b].value(1.0); got >= 8.0 || got <= 1.0 {
-		t.Errorf("candRatio did not decay toward 1.0: %v", got)
-	}
-	if p.epochDecisions[cfg].Load() != 0 {
-		t.Error("epoch decisions survived the re-anchor")
-	}
-	if c := p.Counters(); c.Reanchors != 2 {
-		t.Errorf("Reanchors = %d, want 2", c.Reanchors)
-	}
-}
-
-func TestNilPlannerIsInert(t *testing.T) {
-	var p *Planner
-	p.Observe(Decision{Planned: true}, 1, 1, 1, 1, 1)
-	p.ObserveExec(Decision{Planned: true}, &Exec{}, 1, 1)
-	p.Reanchor()
-	if p.SuggestedTau() != 0 {
-		t.Error("nil SuggestedTau != 0")
-	}
-	if c := p.Counters(); c.Plans != 0 || c.Decisions != nil {
-		t.Errorf("nil Counters = %+v", c)
-	}
-}
-
-func TestEwma(t *testing.T) {
-	var e ewma
-	if e.value(42) != 42 {
-		t.Error("unset ewma must return the default")
-	}
-	e.decay(1.0) // no-op before the first observation
-	if e.value(42) != 42 {
-		t.Error("decay on unset ewma stored a value")
-	}
-	e.update(10)
-	if e.value(0) != 10 {
-		t.Errorf("first update = %v, want 10", e.value(0))
-	}
-	e.update(20)
-	want := (1-alpha)*10 + alpha*20
-	if math.Abs(e.value(0)-want) > 1e-12 {
-		t.Errorf("second update = %v, want %v", e.value(0), want)
-	}
-	before := e.value(0)
-	e.decay(0)
-	if math.Abs(e.value(0)-before/2) > 1e-12 {
-		t.Errorf("decay = %v, want %v", e.value(0), before/2)
-	}
-}
-
-func TestBucketLabels(t *testing.T) {
-	p := New(pebble.AUDP, 3)
-	got := map[string]bool{}
-	for b := 0; b < 2*p.tauMax; b++ {
-		got[p.configLabel(b)] = true
-	}
-	for _, want := range []string{"ufilter/t1", "auheur/t2", "auheur/t3", "audp/t1", "audp/t2", "audp/t3"} {
-		if !got[want] {
-			t.Errorf("missing bucket label %q (have %v)", want, got)
+		if want := sel.Select(pre, tc.method, tc.wantTau); !reflect.DeepEqual(d.Sig, want) {
+			t.Errorf("New(%v, %d).Plan signature = %v, want %v", tc.method, tc.tau, d.Sig, want)
 		}
 	}
 }

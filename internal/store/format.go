@@ -1,10 +1,10 @@
 // Package store implements the durable persistence layer for the dynamic
 // index: a versioned binary snapshot format whose sections (pebble order,
-// records, signatures, prepared-record metadata, tombstones, planner
-// feedback) are individually CRC32C-checksummed and addressed through a
-// section-offset table, plus a small length-prefixed write-ahead log that
-// records the Insert/Remove batch stream between snapshots with per-entry
-// checksums and torn-tail truncation on replay.
+// records, signatures, prepared-record metadata, tombstones) are individually
+// CRC32C-checksummed and addressed through a section-offset table, plus a
+// small length-prefixed write-ahead log that records the Insert/Remove batch
+// stream between snapshots with per-entry checksums and torn-tail truncation
+// on replay.
 //
 // The package is deliberately a leaf: it deals in plain data structs
 // (Snapshot, WalEntry) and knows nothing about indexes, so the codec can be
@@ -24,8 +24,8 @@
 // Version bump policy: the version is bumped whenever a section payload
 // changes incompatibly or a required section is added; readers reject
 // versions they do not know rather than guessing. Adding an optional
-// section (like the planner table) is backward compatible — unknown section
-// ids are ignored on read — and does not bump the version.
+// section is backward compatible — unknown section ids are ignored on read —
+// and does not bump the version.
 package store
 
 import (

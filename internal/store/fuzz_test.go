@@ -18,9 +18,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		Dead:    []uint64{},
 	}
 	f.Add(empty.Encode())
-	noPlanner := testSnapshot()
-	noPlanner.Planner = nil
-	f.Add(noPlanner.Encode())
+	f.Add(planByteSet(testSnapshot()))
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 

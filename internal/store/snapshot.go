@@ -5,10 +5,10 @@ import (
 	"sort"
 )
 
-// Section identifiers. META through TOMBSTONES are required; PLANNER is
-// optional (a snapshot taken with planning disabled simply omits it).
-// Unknown ids are skipped on read so optional sections can be added without
-// a version bump.
+// Section identifiers; all six are required. Unknown ids are checksummed and
+// skipped on read, so optional sections can be added without a version bump.
+// Id 7 is retired, not free: older images carry the deleted per-query
+// planner's feedback table under it, and it is skipped like any unknown id.
 const (
 	secMeta       = 1
 	secOrder      = 2
@@ -16,7 +16,6 @@ const (
 	secSigs       = 4
 	secPrepared   = 5
 	secTombstones = 6
-	secPlanner    = 7
 )
 
 // Snapshot is the plain-data image of a sharded dynamic index: everything
@@ -29,7 +28,6 @@ type Snapshot struct {
 	Theta  float64
 	Tau    int
 	Method uint8 // pebble.Method the index was built with
-	Plan   uint8 // planner mode (auto/fixed)
 	Shards int
 	NextID uint64 // next stable ID the index would allocate
 
@@ -38,8 +36,6 @@ type Snapshot struct {
 	// Dead is the tombstone bitmap over flat record positions (bit i set =
 	// Records[i] is removed but still occupies its stable position).
 	Dead []uint64
-
-	Planner *PlannerData // nil when the index has no adaptive planner
 }
 
 // OrderData is the serialized pebble order: the frozen prefix in dense-ID
@@ -76,26 +72,6 @@ type SegMeta struct {
 	Entity     bool
 }
 
-// PlannerData is the adaptive planner's feedback state: EWMA cells are
-// stored as raw float64 bits (zero = unobserved), counters as totals.
-// Restoring it is a continuity optimization — planner state never changes
-// results, only which sound probe configuration is tried first.
-type PlannerData struct {
-	TauMax         int
-	Method         uint8
-	CandRatio      []uint64
-	VerifyNs       []uint64
-	LatNs          []uint64
-	DPShrink       []uint64
-	Decisions      []int64
-	EpochDecisions []int64
-	ExploreN       int64
-	Plans          int64
-	Fallbacks      int64
-	Reanchors      int64
-	Suggested      int64
-}
-
 // Encode serializes the snapshot into the sectioned format described in the
 // package comment.
 func (s *Snapshot) Encode() []byte {
@@ -110,9 +86,6 @@ func (s *Snapshot) Encode() []byte {
 		{secSigs, s.encodeSigs()},
 		{secPrepared, s.encodePrepared()},
 		{secTombstones, s.encodeTombstones()},
-	}
-	if s.Planner != nil {
-		sections = append(sections, section{secPlanner, s.Planner.encode()})
 	}
 
 	const headerSize = 8 + 4 + 4
@@ -200,12 +173,6 @@ func Decode(data []byte) (*Snapshot, error) {
 	if err := s.decodeTombstones(payloads[secTombstones]); err != nil {
 		return nil, err
 	}
-	if p, ok := payloads[secPlanner]; ok {
-		s.Planner = &PlannerData{}
-		if err := s.Planner.decode(p); err != nil {
-			return nil, err
-		}
-	}
 	return s, s.validate()
 }
 
@@ -214,10 +181,11 @@ func (s *Snapshot) encodeMeta() []byte {
 	w.f64(s.Theta)
 	w.uvarint(uint64(s.Tau))
 	w.u8(s.Method)
-	w.u8(s.Plan)
-	// The flags byte is reserved: written 0, ignored on read. Bit 0 once
-	// carried ClassicFilter, a posting-layout toggle with no effect on
-	// answers, so snapshots that have it set restore unchanged.
+	// Two reserved bytes: written 0, ignored on read. The first once carried
+	// the planner mode, the second (bit 0) ClassicFilter, a posting-layout
+	// toggle; neither had any effect on answers, so snapshots that have them
+	// set restore unchanged.
+	w.u8(0)
 	w.u8(0)
 	w.uvarint(uint64(s.Shards))
 	w.uvarint(s.NextID)
@@ -229,8 +197,8 @@ func (s *Snapshot) decodeMeta(b []byte) error {
 	s.Theta = r.f64()
 	s.Tau = int(r.uvarint())
 	s.Method = r.u8()
-	s.Plan = r.u8()
-	r.u8() // reserved flags byte, see encodeMeta
+	r.u8() // the two reserved bytes, see encodeMeta
+	r.u8()
 	s.Shards = int(r.uvarint())
 	s.NextID = r.uvarint()
 	return r.finish()
@@ -382,58 +350,6 @@ func (s *Snapshot) decodeTombstones(b []byte) error {
 	for i := 0; i < n; i++ {
 		s.Dead[i] = r.u64()
 	}
-	return r.finish()
-}
-
-func (p *PlannerData) encode() []byte {
-	var w writer
-	w.uvarint(uint64(p.TauMax))
-	w.u8(p.Method)
-	for _, arr := range [][]uint64{p.CandRatio, p.VerifyNs, p.LatNs, p.DPShrink} {
-		w.uvarint(uint64(len(arr)))
-		for _, v := range arr {
-			w.u64(v)
-		}
-	}
-	for _, arr := range [][]int64{p.Decisions, p.EpochDecisions} {
-		w.uvarint(uint64(len(arr)))
-		for _, v := range arr {
-			w.u64(uint64(v))
-		}
-	}
-	w.u64(uint64(p.ExploreN))
-	w.u64(uint64(p.Plans))
-	w.u64(uint64(p.Fallbacks))
-	w.u64(uint64(p.Reanchors))
-	w.u64(uint64(p.Suggested))
-	return w.buf
-}
-
-func (p *PlannerData) decode(b []byte) error {
-	r := reader{b: b}
-	p.TauMax = int(r.uvarint())
-	p.Method = r.u8()
-	for _, dst := range []*[]uint64{&p.CandRatio, &p.VerifyNs, &p.LatNs, &p.DPShrink} {
-		n := r.count(8)
-		arr := make([]uint64, n)
-		for i := 0; i < n; i++ {
-			arr[i] = r.u64()
-		}
-		*dst = arr
-	}
-	for _, dst := range []*[]int64{&p.Decisions, &p.EpochDecisions} {
-		n := r.count(8)
-		arr := make([]int64, n)
-		for i := 0; i < n; i++ {
-			arr[i] = int64(r.u64())
-		}
-		*dst = arr
-	}
-	p.ExploreN = int64(r.u64())
-	p.Plans = int64(r.u64())
-	p.Fallbacks = int64(r.u64())
-	p.Reanchors = int64(r.u64())
-	p.Suggested = int64(r.u64())
 	return r.finish()
 }
 

@@ -8,14 +8,13 @@ import (
 
 // testSnapshot builds a snapshot exercising every section: a mixed frozen and
 // dynamic order, sparse ascending record IDs, multiset signatures, segment
-// flags, a set tombstone bit and a populated planner table. Empty slices are
-// deliberately non-nil so a decode round-trip is reflect.DeepEqual-exact.
+// flags and a set tombstone bit. Empty slices are deliberately non-nil so a
+// decode round-trip is reflect.DeepEqual-exact.
 func testSnapshot() *Snapshot {
 	return &Snapshot{
 		Theta:  0.8,
 		Tau:    2,
 		Method: 2,
-		Plan:   1,
 		Shards: 4,
 		NextID: 7,
 		Order: OrderData{
@@ -29,13 +28,6 @@ func testSnapshot() *Snapshot {
 			{ID: 6, Raw: "", SigIDs: []uint32{}, Segs: []SegMeta{}, MinPart: 0},
 		},
 		Dead: []uint64{1 << 1},
-		Planner: &PlannerData{
-			TauMax: 3, Method: 1,
-			CandRatio: []uint64{1, 2}, VerifyNs: []uint64{3, 4},
-			LatNs: []uint64{5, 6}, DPShrink: []uint64{7, 8},
-			Decisions: []int64{9, 10}, EpochDecisions: []int64{11, 12},
-			ExploreN: 1, Plans: 2, Fallbacks: 3, Reanchors: 4, Suggested: 2,
-		},
 	}
 }
 
@@ -67,28 +59,31 @@ func TestSnapshotRoundTripEmpty(t *testing.T) {
 	}
 }
 
+// TestSnapshotNoPlannerSection pins what is left of the deleted per-query
+// planner in the format: Encode writes the six required sections and nothing
+// under the retired id 7, and an image whose meta section still has the
+// retired plan byte set decodes to the same snapshot.
 func TestSnapshotNoPlannerSection(t *testing.T) {
-	s := testSnapshot()
-	s.Planner = nil
-	got, err := Decode(s.Encode())
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
+	want := testSnapshot()
+	data := want.Encode()
+	if n := data[12]; n != 6 { // little-endian section count, low byte
+		t.Fatalf("Encode wrote %d sections, want 6", n)
 	}
-	if got.Planner != nil {
-		t.Fatalf("planner section materialized from nothing: %+v", got.Planner)
+	got, err := Decode(planByteSet(want))
+	if err != nil {
+		t.Fatalf("Decode with the retired plan byte set: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("retired plan byte changed the decode:\n got %+v\nwant %+v", got, want)
 	}
 }
 
 // TestSnapshotCorruption flips every byte of a valid image (and truncates it
 // at every length) and requires Decode to reject the result — every section
-// is checksummed and the table is structurally validated, so no single-byte
-// defect may slip through, and none may panic. The image carries required
-// sections only: flipping the table id of an optional section merely drops
-// the section, which is correct but not corruption.
+// is required and checksummed and the table is structurally validated, so no
+// single-byte defect may slip through, and none may panic.
 func TestSnapshotCorruption(t *testing.T) {
-	snap := testSnapshot()
-	snap.Planner = nil
-	data := snap.Encode()
+	data := testSnapshot().Encode()
 	for i := range data {
 		bad := make([]byte, len(data))
 		copy(bad, data)
@@ -148,9 +143,20 @@ func snapshotSections(s *Snapshot) []struct {
 	}
 }
 
+// planByteSet encodes s the way a release with the planner encoded an index
+// built with planning off: the meta section's retired plan byte (after the
+// 8-byte θ, τ's varint and the method byte) is 1 instead of 0, under a
+// recomputed checksum.
+func planByteSet(s *Snapshot) []byte {
+	secs := snapshotSections(s)
+	var tau writer
+	tau.uvarint(uint64(s.Tau))
+	secs[0].payload[8+len(tau.buf)+1] = 1
+	return encodeSections(secs)
+}
+
 func TestSnapshotUnknownSectionSkipped(t *testing.T) {
 	want := testSnapshot()
-	want.Planner = nil
 	secs := append(snapshotSections(want), struct {
 		id      uint32
 		payload []byte
@@ -173,9 +179,7 @@ func TestSnapshotDuplicateSectionRejected(t *testing.T) {
 }
 
 func TestSnapshotMissingSectionRejected(t *testing.T) {
-	s := testSnapshot()
-	s.Planner = nil
-	all := snapshotSections(s)
+	all := snapshotSections(testSnapshot())
 	for drop := range all {
 		secs := make([]struct {
 			id      uint32

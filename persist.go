@@ -10,9 +10,8 @@ import (
 )
 
 // WriteSnapshot captures the index's current state — catalog, tombstones,
-// pebble order, stored signatures, prepared-segment metadata and planner
-// feedback — and writes it to w in the versioned binary snapshot format of
-// internal/store. The capture is one atomic cut across all shards (writers
+// pebble order, stored signatures and prepared-segment metadata — and writes
+// it to w in the versioned binary snapshot format of internal/store. The capture is one atomic cut across all shards (writers
 // stall for its duration; readers do not), so the written image is exactly
 // the index state at some single instant. It returns the number of bytes
 // written.
@@ -47,7 +46,7 @@ func (j *Joiner) restoreIndex(snap *store.Snapshot) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{inner: inner, tau: snap.Tau}, nil
+	return &Index{inner: inner}, nil
 }
 
 // PersistentIndex couples an Index with a durable data directory: every
