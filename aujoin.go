@@ -165,12 +165,15 @@ type Stats struct {
 	SuggestedTau int
 	// VerifiedCandidates counts the candidates whose full similarity was
 	// actually computed; PrunedByBound the candidates dismissed by a sound
-	// O(1) upper bound before any segment work; MemoHits the segment-pair
-	// similarity evaluations answered from the per-query memo instead of
-	// being recomputed. VerifiedCandidates + PrunedByBound ≤ Candidates.
+	// O(1) upper bound before any segment work. MemoHits counts the
+	// segment-pair similarity cells answered by a row a verification worker
+	// had already evaluated for the same probe record, MSimEvals the cells
+	// that were computed; MemoHits / (MemoHits + MSimEvals) is the hit ratio.
+	// VerifiedCandidates + PrunedByBound ≤ Candidates.
 	VerifiedCandidates int64
 	PrunedByBound      int64
 	MemoHits           int64
+	MSimEvals          int64
 	// SuggestionTime, FilterTime and VerifyTime break the total down. Each
 	// is the wall-clock duration of its stage — elapsed time, NOT CPU time
 	// summed over verification workers or shards — so the three add up to
@@ -779,6 +782,7 @@ func convertPairs(pairs []join.Pair, jstats join.Stats) ([]Match, Stats) {
 		VerifiedCandidates: jstats.VerifiedCandidates,
 		PrunedByBound:      jstats.PrunedByBound,
 		MemoHits:           jstats.MemoHits,
+		MSimEvals:          jstats.MSimEvals,
 		SuggestedTau:       jstats.Tau,
 		FilterTime:         jstats.SignatureTime + jstats.FilterTime,
 		VerifyTime:         jstats.VerifyTime,

@@ -437,8 +437,9 @@ func TestIndexStatsWireShape(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
-		"build_time_ns", "cache_hits", "cache_misses", "dead", "dense_keys", "dynamic_keys",
-		"frozen_keys", "inserts", "live", "memo_hits", "probe_bitset_tokens", "probe_postings",
+		"build_time_ns", "cache_hits", "cache_misses", "dead", "dense_keys", "distinct_segments",
+		"dynamic_keys", "frozen_keys", "inserts", "live", "memo_hits", "msim_evals",
+		"probe_bitset_tokens", "probe_postings",
 		"probe_slice_tokens", "pruned_by_bound", "rebuilds", "records", "segments", "shards",
 		"sparse_keys", "tau", "theta", "verified_candidates",
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -120,6 +121,13 @@ func TestMinPartitionSize(t *testing.T) {
 	}
 	if got := sg.MinPartitionSize([]string{"solo"}); got != 1 {
 		t.Errorf("MinPartitionSize(single) = %d, want 1", got)
+	}
+	// 67 tokens, past the 64 positions the cover keeps on the stack: greedy
+	// picks the 33 "coffee shop" spans and the trailing singleton (34
+	// segments); largest segment 2 tokens → ceil(34/(ln2+1)) = 21.
+	long := strutil.Tokenize(strings.Repeat("coffee shop ", 33) + "latte")
+	if got := sg.MinPartitionSize(long); len(long) != 67 || got != 21 {
+		t.Errorf("MinPartitionSize(%d tokens) = %d, want 21", len(long), got)
 	}
 }
 

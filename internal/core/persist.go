@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
-	"github.com/aujoin/aujoin/internal/sim"
 	"github.com/aujoin/aujoin/internal/strutil"
 )
 
@@ -30,55 +28,15 @@ func (pr *PreparedRecord) PersistMeta() ([]SegPersist, int) {
 	return segs, pr.minPart
 }
 
-// SegmentMemo caches segment derivation tables by segment text for the
-// duration of one restore. Catalog records draw on a shared vocabulary, so
-// the same segment texts — every singleton token span in particular — recur
-// across thousands of records; deriving each distinct text once makes
-// rehydration decode-bound instead of recompute-bound. Safe for concurrent
-// use. Sharing is sound because a SegmentData and the tables it references
-// (gram set, rule-id lists) are immutable after derivation: verification
-// only ever reads them, and the text↔token-sequence mapping is bijective
-// (tokens never contain the join separator).
-type SegmentMemo struct {
-	mu sync.RWMutex
-	m  map[string]sim.SegmentData
-}
-
-// NewSegmentMemo returns an empty memo. A nil *SegmentMemo is valid and
-// disables caching.
-func NewSegmentMemo() *SegmentMemo {
-	return &SegmentMemo{m: make(map[string]sim.SegmentData)}
-}
-
-// prepareSegment derives one segment's tables through the memo (or directly
-// when the memo is nil).
-func (sm *SegmentMemo) prepareSegment(ctx *sim.Context, tokens []string) sim.SegmentData {
-	if sm == nil {
-		return ctx.PrepareSegment(tokens)
-	}
-	key := strutil.JoinTokens(tokens)
-	sm.mu.RLock()
-	d, ok := sm.m[key]
-	sm.mu.RUnlock()
-	if ok {
-		return d
-	}
-	d = ctx.PrepareSegment(tokens)
-	sm.mu.Lock()
-	sm.m[key] = d
-	sm.mu.Unlock()
-	return d
-}
-
 // RestorePrepared rebuilds a PreparedRecord from persisted metadata without
 // re-running segment enumeration or the partition-size set cover — only the
 // per-segment derivation tables are recomputed (deterministically, from the
 // same context), so the result verifies bit-identically to the original.
 // The metadata is validated against the token sequence: a snapshot that
 // survived its checksum but describes impossible segments is rejected here.
-// memo (optional, nil disables it) shares derivations between the records
-// of one restore.
-func (c *Calculator) RestorePrepared(tokens []string, segs []SegPersist, minPart int, memo *SegmentMemo) (*PreparedRecord, error) {
+// The segments are interned into d exactly as PrepareIn would (segment IDs
+// are never persisted); a nil d restores a record without a dictionary.
+func (c *Calculator) RestorePrepared(tokens []string, segs []SegPersist, minPart int, d *SegDict) (*PreparedRecord, error) {
 	pr := &PreparedRecord{Tokens: tokens}
 	if len(tokens) == 0 {
 		if len(segs) != 0 {
@@ -102,13 +60,11 @@ func (c *Calculator) RestorePrepared(tokens []string, segs []SegPersist, minPart
 			return nil, fmt.Errorf("core: segments not in enumeration order at %d", i)
 		}
 		prevStart = sp.Start
-		segTokens := tokens[sp.Start:sp.End]
 		pr.Segs[i] = PreparedSegment{
 			Span:   sp,
-			Tokens: segTokens,
+			Tokens: tokens[sp.Start:sp.End],
 			Rule:   s.Rule,
 			Entity: s.Entity,
-			Data:   memo.prepareSegment(c.Ctx, segTokens),
 		}
 		if sp.Len() == 1 {
 			pr.single[sp.Start] = int32(i)
@@ -120,6 +76,7 @@ func (c *Calculator) RestorePrepared(tokens []string, segs []SegPersist, minPart
 			return nil, fmt.Errorf("core: no singleton segment at position %d", pos)
 		}
 	}
+	c.deriveSegments(d, pr)
 	pr.minPart = minPart
 	return pr, nil
 }

@@ -14,8 +14,13 @@ type PreparedSegment struct {
 	Tokens []string
 	// Rule and Entity mirror Segment's flags.
 	Rule, Entity bool
-	// Data carries the q-gram set, taxonomy node and applicable rule ids.
-	Data sim.SegmentData
+	// ID is the dense identity of the segment's text in the record's
+	// dictionary, or NoSegID.
+	ID uint32
+	// Data carries the q-gram set, taxonomy node and applicable rule ids: the
+	// dictionary's shared table for the text when ID is set, otherwise a slot
+	// of the record's own backing array.
+	Data *sim.SegmentData
 }
 
 // PreparedRecord caches everything verification needs about one record:
@@ -36,6 +41,9 @@ type PreparedRecord struct {
 	// minPart is a lower bound on the size of any well-defined partition of
 	// the record (GetMinPartitionSize of Algorithm 2).
 	minPart int
+	// dict is the dictionary the segments' IDs index; nil when the record was
+	// prepared without one (every ID is NoSegID then).
+	dict *SegDict
 }
 
 // NumSegments returns the number of well-defined segments of the record.
@@ -48,8 +56,19 @@ func (pr *PreparedRecord) MinPartitionSize() int { return pr.minPart }
 // Prepare computes the per-record state of the verification engine: segment
 // enumeration, per-segment derivation tables (gram sets, rule ids, taxonomy
 // nodes) and the partition-size lower bound. The returned record is
-// immutable and safe to share across goroutines.
+// immutable and safe to share across goroutines. It belongs to no
+// dictionary — probes and queries are prepared this way, so a query stream
+// cannot grow an index's dictionary — and verifies on the direct path when it
+// is the left operand.
 func (c *Calculator) Prepare(tokens []string) *PreparedRecord {
+	return c.PrepareIn(nil, tokens)
+}
+
+// PrepareIn is Prepare for a record of the index d serves: every segment's
+// text is interned into d, so the record carries dense segment IDs and shares
+// one derivation table per distinct text with every other record of d. d
+// must only ever be used with this calculator's context. A nil d is Prepare.
+func (c *Calculator) PrepareIn(d *SegDict, tokens []string) *PreparedRecord {
 	pr := &PreparedRecord{Tokens: tokens}
 	if len(tokens) == 0 {
 		return pr
@@ -64,14 +83,32 @@ func (c *Calculator) Prepare(tokens []string) *PreparedRecord {
 			Tokens: s.Tokens,
 			Rule:   s.Rule,
 			Entity: s.Entity,
-			Data:   c.Ctx.PrepareSegment(s.Tokens),
 		}
 		if s.Span.Len() == 1 {
 			pr.single[s.Span.Start] = int32(i)
 		}
 	}
+	c.deriveSegments(d, pr)
 	pr.minPart = minPartitionSizeSegs(tokens, segs)
 	return pr
+}
+
+// deriveSegments fills in the ID and derivation table of every segment of pr
+// (spans and tokens already set): interned into d, or — without a dictionary
+// — derived into one backing array for the whole record.
+func (c *Calculator) deriveSegments(d *SegDict, pr *PreparedRecord) {
+	pr.dict = d
+	if d == nil {
+		own := make([]sim.SegmentData, len(pr.Segs))
+		for i := range pr.Segs {
+			own[i] = c.Ctx.PrepareSegment(pr.Segs[i].Tokens)
+			pr.Segs[i].ID, pr.Segs[i].Data = NoSegID, &own[i]
+		}
+		return
+	}
+	for i := range pr.Segs {
+		pr.Segs[i].ID, pr.Segs[i].Data = d.intern(c.Ctx, pr.Segs[i].Tokens)
+	}
 }
 
 // pairSeg records which segment of each side a candidate pair refers to.
@@ -89,18 +126,10 @@ const boundSlack = 1e-9
 // prune with exactly the tolerance VerifyPrepared itself uses.
 const BoundSlack = boundSlack
 
-// memoCap bounds the per-scratch msim memo. Insertion stops (deterministically)
-// once the cap is reached; lookups keep working, so a capped memo only loses
-// hit rate, never correctness.
-const memoCap = 1 << 16
-
-// The msim memo is a two-level map: left segment text → (right segment
-// text → msim). Segment texts are space-joined normalised tokens
-// (strutil.JoinTokens), a bijective encoding of the token slice, so MSimData
-// is a pure function of (context, text pair). Two levels rather than a
-// struct key let fillMSim resolve the left text once per matrix row — the
-// row's inner lookups then hash only the right text, halving the string
-// hashing on the verify hot path.
+// rowCellBudget bounds the per-probe msim row cache of one scratch, in
+// cells: a probe of nt segments caches the rows of dictionary IDs below
+// rowCellBudget/nt, and segments with larger IDs are evaluated directly.
+const rowCellBudget = 1 << 18
 
 // ScratchStats counts verify-phase work performed through one Scratch.
 // Callers that want per-operation tallies snapshot the struct before a batch
@@ -112,16 +141,19 @@ type ScratchStats struct {
 	// PrunedByBound counts record pairs rejected by the O(1) partition-size
 	// ratio bound before any msim work.
 	PrunedByBound int64
-	// MemoHits counts segment-pair msim evaluations answered from the memo.
-	MemoHits int64
+	// MemoHits counts msim cells answered by a row already evaluated for the
+	// same probe; MSimEvals counts the cells computed by MSimData. Their sum
+	// is the total size of the msim matrices filled.
+	MemoHits  int64
+	MSimEvals int64
 }
 
 // Scratch holds the reusable working state of one verification worker: the
 // candidate-pair buffers, the dense msim cache, partition index lists, the
 // matching weight matrix, the Hungarian solver's internals, the conflict
-// graph + w-MIS local-search arenas and the cross-candidate msim memo. A
-// Scratch amortises all per-pair allocations across verify calls; it must
-// not be shared between goroutines.
+// graph + w-MIS local-search arenas and the per-probe msim rows. A Scratch
+// amortises all per-pair allocations across verify calls; it must not be
+// shared between goroutines.
 type Scratch struct {
 	segPairs []SegmentPair
 	pairSegs []pairSeg
@@ -145,21 +177,29 @@ type Scratch struct {
 	bestTal []int
 	bestRem []int
 
-	// msim memo: values of MSimData keyed by segment-text pair (left text →
-	// right text → value), valid for one sim.Context. Repeated (Zipfian)
-	// tokens across a probe's candidate set hit the same segment texts over
-	// and over; the memo collapses those to a map lookup. memoN counts the
-	// total entries across rows for the memoCap bound.
-	memo    map[string]map[string]float64
-	memoN   int
-	memoCtx *sim.Context
+	// Per-probe msim rows. msim is a pure function of two segment texts, and
+	// a probe's candidates draw theirs from the index's small dictionary, so
+	// for the current (context, dictionary, right-hand record) triple the
+	// scratch keeps the msim row of each left segment ID against all nt
+	// segments of the right-hand record: rowVals[id·nt : id·nt+nt], valid
+	// when rowStamp[id] == rowGen. A new triple bumps rowGen and clears
+	// nothing; rowN is the number of IDs the rows cover (the dictionary's
+	// length when the triple was adopted, clipped to the cell budget).
+	rowCtx   *sim.Context
+	rowDict  *SegDict
+	rowRight *PreparedRecord
+	rowGen   uint32
+	rowN     uint32
+	rowStamp []uint32
+	rowVals  []float64
+	rowCells int // rowCellBudget; lowered by tests
 
 	// Stats tallies the work done through this scratch.
 	Stats ScratchStats
 }
 
 // NewScratch returns an empty scratch; buffers grow on first use.
-func NewScratch() *Scratch { return &Scratch{} }
+func NewScratch() *Scratch { return &Scratch{rowCells: rowCellBudget} }
 
 // scratch returns sc, or a pooled scratch when sc is nil; the boolean
 // reports whether the scratch must be returned to the pool.
@@ -284,58 +324,69 @@ func SizeRatioUpper(ps, pt *PreparedRecord) float64 {
 // fillMSim computes the dense msim matrix between every well-defined segment
 // of ps and pt into the scratch cache. Both the upper-bound screen and every
 // partition matrix of the local search read from this cache, so each segment
-// pair's msim is evaluated exactly once per record pair.
+// pair's msim is evaluated exactly once per record pair — and, when ps
+// carries dictionary IDs, once per (segment text, right-hand record): the
+// verify call sites pass the indexed record on the left and the probe on the
+// right, so the first candidate that holds a text evaluates its row against
+// the probe and every later candidate copies it.
 func (c *Calculator) fillMSim(sc *Scratch, ps, pt *PreparedRecord) {
 	ns, nt := len(ps.Segs), len(pt.Segs)
 	sc.msim = strutil.Resize(sc.msim, ns*nt)
 	sc.nt = nt
-	if sc.memoCtx != c.Ctx {
-		// The memo caches context-dependent values; a scratch crossing
-		// calculators (different rules/taxonomy/q) must start fresh.
-		sc.memo = nil
-		sc.memoN = 0
-		sc.memoCtx = c.Ctx
+	var cached uint32 // left segment IDs below it have a row slot
+	if ps.dict != nil {
+		cached = sc.adoptRows(c.Ctx, ps.dict, pt)
 	}
 	for i := range ps.Segs {
-		a := &ps.Segs[i].Data
+		a := &ps.Segs[i]
 		row := sc.msim[i*nt : (i+1)*nt]
-		mrow := sc.memoRow(a.Text)
-		for j := range pt.Segs {
-			b := &pt.Segs[j].Data
-			if v, ok := mrow[b.Text]; ok {
-				sc.Stats.MemoHits++
-				row[j] = v
-				continue
-			}
-			v := c.Ctx.MSimData(a, b)
-			if sc.memoN < memoCap {
-				mrow[b.Text] = v
-				sc.memoN++
-			}
-			row[j] = v
+		if a.ID >= cached {
+			c.msimRow(sc, row, a.Data, pt)
+			continue
 		}
+		vals := sc.rowVals[int(a.ID)*nt:][:nt]
+		if sc.rowStamp[a.ID] == sc.rowGen {
+			sc.Stats.MemoHits += int64(nt)
+		} else {
+			c.msimRow(sc, vals, a.Data, pt)
+			sc.rowStamp[a.ID] = sc.rowGen
+		}
+		copy(row, vals)
 	}
 }
 
-// memoRow returns the memo row of one left segment text, creating it on
-// first use. The left side of a probe's msim matrices is the probe's own
-// segment set, so the handful of rows is resolved once per matrix and the
-// per-cell lookups hash only the candidate-side text.
-func (sc *Scratch) memoRow(text string) map[string]float64 {
-	if m, ok := sc.memo[text]; ok {
-		return m
+// msimRow evaluates one left segment against every segment of pt.
+func (c *Calculator) msimRow(sc *Scratch, row []float64, a *sim.SegmentData, pt *PreparedRecord) {
+	for j := range pt.Segs {
+		row[j] = c.Ctx.MSimData(a, pt.Segs[j].Data)
 	}
-	if sc.memoN >= memoCap {
-		// Lookups on a nil row miss and the capped insert guard skips the
-		// store, so a full memo stops growing without a special case.
-		return nil
+	sc.Stats.MSimEvals += int64(len(row))
+}
+
+// adoptRows makes the row cache current for left records of dictionary d
+// against the right-hand record pt and returns the number of IDs it covers.
+// IDs are only comparable within one dictionary and a row only valid for one
+// right-hand record under one context, so a change of any of the three
+// starts a new generation.
+func (sc *Scratch) adoptRows(ctx *sim.Context, d *SegDict, pt *PreparedRecord) uint32 {
+	if sc.rowCtx == ctx && sc.rowDict == d && sc.rowRight == pt {
+		return sc.rowN
 	}
-	if sc.memo == nil {
-		sc.memo = make(map[string]map[string]float64, 64)
+	sc.rowCtx, sc.rowDict, sc.rowRight = ctx, d, pt
+	if sc.rowGen++; sc.rowGen == 0 {
+		// The counter wrapped: stamps of 2^32 generations ago would read as
+		// current.
+		clear(sc.rowStamp[:cap(sc.rowStamp)])
+		sc.rowGen = 1
 	}
-	m := make(map[string]float64, 16)
-	sc.memo[text] = m
-	return m
+	nt := len(pt.Segs)
+	n := min(d.Len(), sc.rowCells/nt)
+	// Whatever Resize leaves in either slice is harmless: a stamp is zero or
+	// an earlier generation's, and values are only read under a current stamp.
+	sc.rowStamp = strutil.Resize(sc.rowStamp, n)
+	sc.rowVals = strutil.Resize(sc.rowVals, n*nt)
+	sc.rowN = uint32(n)
+	return sc.rowN
 }
 
 // coverUpper bounds USIM using the row/column maxima of the msim matrix:
@@ -478,7 +529,7 @@ func (c *Calculator) candidatePairsPrepared(sc *Scratch, ps, pt *PreparedRecord)
 				}
 			}
 			if tax && a.Entity && b.Entity {
-				if v := ctx.SegmentTaxonomyData(&a.Data, &b.Data); v > weight {
+				if v := ctx.SegmentTaxonomyData(a.Data, b.Data); v > weight {
 					kind, weight = PairTaxonomy, v
 				}
 			}

@@ -23,6 +23,27 @@ func randTokens(rng *rand.Rand, vocab []string, maxLen int) []string {
 var preparedVocab = []string{"coffee", "shop", "latte", "espresso", "cafe",
 	"helsinki", "helsingki", "cake", "apple", "gateau", "food", "drinks"}
 
+// leftWay is one of the ways a verifier can meet the left record of a pair:
+// the record as prepared and the scratch it is verified on.
+type leftWay struct {
+	name string
+	ps   *PreparedRecord
+	sc   *Scratch
+}
+
+// leftWays prepares tokens the three ways: without a dictionary (the direct
+// path), interned into d on a cold scratch (every row evaluated), and
+// interned on the caller's long-lived scratch (rows left by earlier pairs,
+// probes and dictionaries must never answer for this one).
+func leftWays(calc *Calculator, d *SegDict, warm *Scratch, tokens []string) []leftWay {
+	interned := calc.PrepareIn(d, tokens)
+	return []leftWay{
+		{"plain", calc.Prepare(tokens), warm},
+		{"interned", interned, NewScratch()},
+		{"interned/warm", interned, warm},
+	}
+}
+
 // TestSimilarityPreparedMatchesTokens is the engine's central property:
 // SimilarityPrepared must return exactly the value SimilarityTokens returns,
 // and the thresholded verification must agree with comparing that value
@@ -38,29 +59,31 @@ func TestSimilarityPreparedMatchesTokens(t *testing.T) {
 	for _, ms := range combos {
 		calc := NewCalculator(base.WithMeasures(ms))
 		rng := rand.New(rand.NewSource(int64(ms) + 7))
-		sc := NewScratch()
+		sc, d := NewScratch(), NewSegDict()
 		for trial := 0; trial < 200; trial++ {
 			sTok := randTokens(rng, preparedVocab, 5)
 			tTok := randTokens(rng, preparedVocab, 5)
 			want := calc.SimilarityTokens(sTok, tTok)
-			ps := calc.Prepare(sTok)
 			pt := calc.Prepare(tTok)
-			if got := calc.SimilarityPrepared(ps, pt, sc); got != want {
-				t.Fatalf("%v trial %d: SimilarityPrepared = %v, SimilarityTokens = %v for %v / %v",
-					ms, trial, got, want, sTok, tTok)
-			}
-			// Nil scratch (pooled path) must agree too.
-			if got := calc.SimilarityPrepared(ps, pt, nil); got != want {
-				t.Fatalf("%v trial %d: pooled SimilarityPrepared = %v, want %v", ms, trial, got, want)
-			}
-			for _, theta := range thetas {
-				if got := calc.SimilarityAtLeastPrepared(ps, pt, theta, sc); got != (want >= theta) {
-					t.Fatalf("%v trial %d θ=%v: SimilarityAtLeastPrepared = %v, similarity %v for %v / %v",
-						ms, trial, theta, got, want, sTok, tTok)
+			for _, w := range leftWays(calc, d, sc, sTok) {
+				ps, sc := w.ps, w.sc
+				if got := calc.SimilarityPrepared(ps, pt, sc); got != want {
+					t.Fatalf("%v trial %d %s: SimilarityPrepared = %v, SimilarityTokens = %v for %v / %v",
+						ms, trial, w.name, got, want, sTok, tTok)
 				}
-				if v, ok := calc.VerifyPrepared(ps, pt, theta, sc); ok != (want >= theta) || (ok && v != want) {
-					t.Fatalf("%v trial %d θ=%v: VerifyPrepared = (%v, %v), similarity %v",
-						ms, trial, theta, v, ok, want)
+				// Nil scratch (pooled path) must agree too.
+				if got := calc.SimilarityPrepared(ps, pt, nil); got != want {
+					t.Fatalf("%v trial %d %s: pooled SimilarityPrepared = %v, want %v", ms, trial, w.name, got, want)
+				}
+				for _, theta := range thetas {
+					if got := calc.SimilarityAtLeastPrepared(ps, pt, theta, sc); got != (want >= theta) {
+						t.Fatalf("%v trial %d %s θ=%v: SimilarityAtLeastPrepared = %v, similarity %v for %v / %v",
+							ms, trial, w.name, theta, got, want, sTok, tTok)
+					}
+					if v, ok := calc.VerifyPrepared(ps, pt, theta, sc); ok != (want >= theta) || (ok && v != want) {
+						t.Fatalf("%v trial %d %s θ=%v: VerifyPrepared = (%v, %v), similarity %v",
+							ms, trial, w.name, theta, v, ok, want)
+					}
 				}
 			}
 		}
@@ -73,14 +96,22 @@ func TestSimilarityPreparedMatchesTokens(t *testing.T) {
 func TestSimilarityAtLeastMatchesTokens(t *testing.T) {
 	calc := NewCalculator(paperContext())
 	rng := rand.New(rand.NewSource(99))
+	sc, d := NewScratch(), NewSegDict()
 	for trial := 0; trial < 100; trial++ {
 		sTok := randTokens(rng, preparedVocab, 5)
 		tTok := randTokens(rng, preparedVocab, 5)
 		want := calc.SimilarityTokens(sTok, tTok)
+		pt := calc.Prepare(tTok)
 		for _, theta := range []float64{0, 0.5, 0.7, 0.8, 0.9, 1, want} {
 			if got := calc.SimilarityAtLeast(sTok, tTok, theta); got != (want >= theta) {
 				t.Fatalf("trial %d θ=%v: SimilarityAtLeast = %v, similarity = %v for %v / %v",
 					trial, theta, got, want, sTok, tTok)
+			}
+			for _, w := range leftWays(calc, d, sc, sTok) {
+				if got := calc.SimilarityAtLeastPrepared(w.ps, pt, theta, w.sc); got != (want >= theta) {
+					t.Fatalf("trial %d θ=%v %s: SimilarityAtLeastPrepared = %v, similarity = %v for %v / %v",
+						trial, theta, w.name, got, want, sTok, tTok)
+				}
 			}
 		}
 	}
@@ -119,14 +150,136 @@ func TestPreparedEmptyRecords(t *testing.T) {
 func TestScratchReuseIsDeterministic(t *testing.T) {
 	calc := NewCalculator(paperContext())
 	rng := rand.New(rand.NewSource(5))
-	shared := NewScratch()
+	shared, d := NewScratch(), NewSegDict()
 	for trial := 0; trial < 60; trial++ {
-		ps := calc.Prepare(randTokens(rng, preparedVocab, 5))
+		sTok := randTokens(rng, preparedVocab, 5)
 		pt := calc.Prepare(randTokens(rng, preparedVocab, 5))
-		a := calc.SimilarityPrepared(ps, pt, shared)
-		b := calc.SimilarityPrepared(ps, pt, NewScratch())
-		if a != b {
-			t.Fatalf("trial %d: shared scratch %v != fresh scratch %v", trial, a, b)
+		for _, w := range leftWays(calc, d, shared, sTok) {
+			a := calc.SimilarityPrepared(w.ps, pt, w.sc)
+			b := calc.SimilarityPrepared(w.ps, pt, NewScratch())
+			if a != b {
+				t.Fatalf("trial %d %s: reused scratch %v != fresh scratch %v", trial, w.name, a, b)
+			}
+		}
+	}
+}
+
+// corpusTokens draws n non-empty token sequences from the vocabulary.
+func corpusTokens(rng *rand.Rand, n int) [][]string {
+	out := make([][]string, n)
+	for i := range out {
+		for len(out[i]) == 0 {
+			out[i] = randTokens(rng, preparedVocab, 5)
+		}
+	}
+	return out
+}
+
+// TestOneScratchTwoDictionaries moves one scratch between two dictionaries
+// that assign the same IDs to different texts (the same corpus interned in
+// opposite orders) while the probe stays put: a row cache keyed by the probe
+// alone would answer one dictionary's IDs with the other's rows. This is a
+// pooled scratch serving two indexes of one joiner.
+func TestOneScratchTwoDictionaries(t *testing.T) {
+	calc := NewCalculator(paperContext())
+	rng := rand.New(rand.NewSource(17))
+	corpus := corpusTokens(rng, 80)
+	d1, d2 := NewSegDict(), NewSegDict()
+	in1 := make([]*PreparedRecord, len(corpus))
+	in2 := make([]*PreparedRecord, len(corpus))
+	for i := range corpus {
+		in1[i] = calc.PrepareIn(d1, corpus[i])
+		k := len(corpus) - 1 - i
+		in2[k] = calc.PrepareIn(d2, corpus[k])
+	}
+	if d1.Len() != d2.Len() || d1.Len() == 0 {
+		t.Fatalf("dictionary sizes %d / %d, want equal and non-zero", d1.Len(), d2.Len())
+	}
+	sc := NewScratch()
+	for _, probe := range corpusTokens(rng, 5) {
+		pt := calc.Prepare(probe)
+		for i, toks := range corpus {
+			want := calc.SimilarityTokens(toks, probe)
+			if got := calc.SimilarityPrepared(in1[i], pt, sc); got != want {
+				t.Fatalf("dict 1 record %d %v / %v: %v, want %v", i, toks, probe, got, want)
+			}
+			if got := calc.SimilarityPrepared(in2[i], pt, sc); got != want {
+				t.Fatalf("dict 2 record %d %v / %v: %v, want %v", i, toks, probe, got, want)
+			}
+		}
+	}
+	if sc.Stats.MemoHits == 0 {
+		t.Error("no row was ever reused; the comparison never exercised the cache")
+	}
+}
+
+// TestRowCacheGrowthAndBounds covers the segments the row cache cannot hold:
+// IDs interned after the scratch adopted its probe (the dictionary grew under
+// a live scratch), segments a full dictionary refused (NoSegID), and IDs
+// beyond the scratch's cell budget. All three take the direct path: values
+// stay exact, and verifying the same pair again computes exactly those
+// segments' cells again — a cached row would have answered them.
+func TestRowCacheGrowthAndBounds(t *testing.T) {
+	calc := NewCalculator(paperContext())
+	// The scratch adopts the probe — and the dictionary's length — on the
+	// first pair; every later record is interned under the live scratch.
+	corpus := [][]string{{"coffee", "shop", "latte"}, {"cafe", "helsinki"},
+		{"apple", "cake", "coffee"}, {"gateau", "food", "drinks", "cafe"}}
+	probe := []string{"espresso", "cafe", "helsingki", "cake"}
+	for _, tc := range []struct {
+		name             string
+		dictCap, rowCell int // 0: the default
+	}{
+		{"growth", 0, 0},
+		{"entry cap", 4, 0},
+		{"cell budget", 0, 3 * 4}, // three IDs' rows against the 4-segment probe
+	} {
+		d, sc := NewSegDict(), NewScratch()
+		if tc.dictCap > 0 {
+			d.limit = tc.dictCap
+		}
+		if tc.rowCell > 0 {
+			sc.rowCells = tc.rowCell
+		}
+		pt := calc.Prepare(probe)
+		nt := int64(pt.NumSegments())
+		direct := int64(0) // segments that verified on the direct path
+		verify := func(toks []string) {
+			t.Helper()
+			ps := calc.PrepareIn(d, toks)
+			want := calc.SimilarityTokens(toks, probe)
+			for pass := 0; pass < 2; pass++ {
+				before := sc.Stats
+				if got := calc.SimilarityPrepared(ps, pt, sc); got != want {
+					t.Fatalf("%s: %v / %v pass %d = %v, want %v", tc.name, toks, probe, pass, got, want)
+				}
+				beyond := int64(0)
+				for i := range ps.Segs {
+					if ps.Segs[i].ID >= sc.rowN {
+						beyond++
+					}
+				}
+				evals, hits := sc.Stats.MSimEvals-before.MSimEvals, sc.Stats.MemoHits-before.MemoHits
+				if evals+hits != int64(len(ps.Segs))*nt {
+					t.Fatalf("%s: %v pass %d: %d evals + %d hits, want %d cells", tc.name, toks, pass, evals, hits, int64(len(ps.Segs))*nt)
+				}
+				if pass == 1 && evals != beyond*nt {
+					t.Fatalf("%s: %v second pass computed %d cells, want %d (the %d segments beyond the %d cached IDs)",
+						tc.name, toks, evals, beyond*nt, beyond, sc.rowN)
+				}
+				if pass == 1 {
+					direct += beyond
+				}
+			}
+		}
+		for _, toks := range corpus {
+			verify(toks)
+		}
+		if direct == 0 {
+			t.Errorf("%s: every segment had a cached row; the direct path never ran", tc.name)
+		}
+		if tc.dictCap > 0 && d.Len() != tc.dictCap {
+			t.Errorf("%s: dictionary holds %d entries, cap %d", tc.name, d.Len(), tc.dictCap)
 		}
 	}
 }

@@ -90,18 +90,20 @@ func (pc *PreparedCache) Stats() (hits, misses uint64) {
 	return pc.hits, pc.misses
 }
 
-// PrepareCached is Calculator.Prepare through a cache: the prepared record
+// PrepareCached is Calculator.PrepareIn through a cache: the prepared record
 // for the tokens' normalised text is returned from pc when present and
-// computed-and-stored otherwise. A nil cache degrades to a plain Prepare.
-func (c *Calculator) PrepareCached(pc *PreparedCache, tokens []string) *PreparedRecord {
+// computed-and-stored otherwise. A nil cache degrades to a plain PrepareIn.
+// A cache must only ever be used with one dictionary: its records carry that
+// dictionary's segment IDs.
+func (c *Calculator) PrepareCached(pc *PreparedCache, d *SegDict, tokens []string) *PreparedRecord {
 	if pc == nil {
-		return c.Prepare(tokens)
+		return c.PrepareIn(d, tokens)
 	}
 	key := strutil.JoinTokens(tokens)
 	if pr, ok := pc.Get(key); ok {
 		return pr
 	}
-	pr := c.Prepare(tokens)
+	pr := c.PrepareIn(d, tokens)
 	pc.Put(key, pr)
 	return pr
 }

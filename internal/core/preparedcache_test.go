@@ -11,8 +11,8 @@ func TestPreparedCache(t *testing.T) {
 	c := NewCalculator(paperContext())
 	pc := NewPreparedCache(3)
 	tokens := strutil.Tokenize("coffee shop latte")
-	first := c.PrepareCached(pc, tokens)
-	if second := c.PrepareCached(pc, tokens); second != first {
+	first := c.PrepareCached(pc, nil, tokens)
+	if second := c.PrepareCached(pc, nil, tokens); second != first {
 		t.Fatal("repeated PrepareCached did not return the cached record")
 	}
 	if hits, misses := pc.Stats(); hits != 1 || misses != 1 {
@@ -20,7 +20,7 @@ func TestPreparedCache(t *testing.T) {
 	}
 	// Overflow the capacity: the oldest entry is evicted FIFO.
 	for i := 0; i < 3; i++ {
-		c.PrepareCached(pc, strutil.Tokenize(fmt.Sprintf("filler record %d", i)))
+		c.PrepareCached(pc, nil, strutil.Tokenize(fmt.Sprintf("filler record %d", i)))
 	}
 	if pc.Len() != 3 {
 		t.Fatalf("Len = %d, want capacity 3", pc.Len())
@@ -29,7 +29,7 @@ func TestPreparedCache(t *testing.T) {
 		t.Fatal("oldest entry survived eviction")
 	}
 	// A nil cache degrades to plain Prepare.
-	if pr := c.PrepareCached(nil, tokens); pr == nil || len(pr.Segs) == 0 {
+	if pr := c.PrepareCached(nil, nil, tokens); pr == nil || len(pr.Segs) == 0 {
 		t.Fatal("nil-cache PrepareCached returned an unprepared record")
 	}
 }

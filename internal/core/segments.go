@@ -71,7 +71,7 @@ func (sg *Segmenter) maxSegmentTokens() int {
 // or a taxonomy entity.
 func (sg *Segmenter) Segments(tokens []string) []Segment {
 	maxLen := sg.maxSegmentTokens()
-	var out []Segment
+	out := make([]Segment, 0, len(tokens)) // one singleton per token at least
 	for start := 0; start < len(tokens); start++ {
 		limit := maxLen
 		if rem := len(tokens) - start; rem < limit {
@@ -127,9 +127,12 @@ func (sg *Segmenter) MinPartitionSize(tokens []string) int {
 // segment list (Prepare shares one enumeration between the segment tables
 // and this bound).
 func minPartitionSizeSegs(tokens []string, segs []Segment) int {
-	uncovered := make(map[int]struct{}, len(tokens))
-	for i := range tokens {
-		uncovered[i] = struct{}{}
+	// covered[p] marks token p as covered by a picked segment; records of up
+	// to 64 tokens (all but pathological inputs) keep it on the stack.
+	var buf [64]bool
+	covered := buf[:]
+	if len(tokens) > len(buf) {
+		covered = make([]bool, len(tokens))
 	}
 	largest := 1
 	for _, s := range segs {
@@ -138,12 +141,12 @@ func minPartitionSizeSegs(tokens []string, segs []Segment) int {
 		}
 	}
 	picked := 0
-	for len(uncovered) > 0 {
+	for uncovered := len(tokens); uncovered > 0; {
 		bestGain, bestIdx := 0, -1
 		for i, s := range segs {
 			gain := 0
 			for p := s.Span.Start; p < s.Span.End; p++ {
-				if _, ok := uncovered[p]; ok {
+				if !covered[p] {
 					gain++
 				}
 			}
@@ -157,8 +160,9 @@ func minPartitionSizeSegs(tokens []string, segs []Segment) int {
 			break
 		}
 		for p := segs[bestIdx].Span.Start; p < segs[bestIdx].Span.End; p++ {
-			delete(uncovered, p)
+			covered[p] = true
 		}
+		uncovered -= bestGain
 		picked++
 	}
 	bound := ceilDiv(picked, lnPlus1(largest))

@@ -104,7 +104,7 @@ func BenchmarkFilterPhase(b *testing.B) {
 	s := filterCorpus(400, 1)
 	t := filterCorpus(400, 2)
 	opts := Options{Theta: 0.8, Tau: 12, Method: pebble.AUDP}
-	ix := j.buildIndex(s, j.BuildOrder(s, t), opts, nil)
+	ix := j.buildIndex(s, j.BuildOrder(s, t), opts, nil, nil)
 	if ix.inv.DenseKeys() == 0 {
 		b.Fatal("bench corpus produced no dense posting lists; hybrid path unexercised")
 	}
@@ -131,9 +131,9 @@ func BenchmarkVerify(b *testing.B) {
 	s := benchCorpus(400, 1)
 	t := benchCorpus(400, 2)
 	opts := Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}
-	ix := j.buildIndex(s, j.BuildOrder(s, t), opts, nil)
+	ix := j.buildIndex(s, j.BuildOrder(s, t), opts, nil, nil)
 	sigs := j.signatures(t, ix.sel, opts.Method, ix.tau)
-	prepT := prepareRecords(t, ix.calc)
+	prepT := prepareRecords(t, ix.calc, nil)
 	cands, _, _ := ix.candidates(context.Background(), sigs, false, opts.workers())
 	workers := opts.workers()
 	b.ReportAllocs()
@@ -210,8 +210,8 @@ func BenchmarkQuery(b *testing.B) { queryBench(b, 1) }
 // BenchmarkVerifyTopK serves top-k queries against a 2000-record one-shard
 // index (large candidate sets, so the verify phase dominates): the rising
 // floor prunes candidates whose cheap upper bound cannot reach the heap's
-// k-th similarity, and the memo reuses segment-pair msim values across
-// candidates of one query.
+// k-th similarity, and the per-probe msim rows reuse segment-pair values
+// across candidates of one query.
 func BenchmarkVerifyTopK(b *testing.B) {
 	j := NewJoiner(paperContext())
 	s := benchCorpus(2000, 1)

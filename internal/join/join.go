@@ -87,9 +87,13 @@ type Stats struct {
 	// bounds. VerifiedCandidates + PrunedByBound ≤ Candidates (a candidate
 	// with out-of-range ids counts as neither).
 	PrunedByBound int64
-	// MemoHits counts segment-pair msim evaluations answered from the
-	// per-worker memo instead of being recomputed.
-	MemoHits int64
+	// MemoHits counts the msim cells answered by a row a verify worker had
+	// already evaluated for the same probe record (the rows live in the
+	// worker's scratch and are keyed by the indexed side's segment IDs);
+	// MSimEvals counts the cells that were computed. Their sum is the total
+	// size of the msim matrices filled.
+	MemoHits  int64
+	MSimEvals int64
 	// Tau is the overlap constraint the filter ran at: the τ the index was
 	// built with (1 under the U-Filter, whatever Options.Tau asked for).
 	Tau int
@@ -178,8 +182,9 @@ func (j *Joiner) BuildOrder(collections ...[]strutil.Record) *pebble.Order {
 // pipeline: repeated joins against the same collection (or a stream of
 // single-record queries) skip order construction, signature selection,
 // index building and verification preparation entirely. Holding an Index
-// therefore costs the prepared records' memory (segment tables, gram sets
-// and rule/taxonomy derivations per record) on top of the inverted index.
+// therefore costs the prepared records' memory (per record its segment
+// spans; per distinct segment text, once in the index's segment dictionary,
+// the gram set and rule/taxonomy derivations) on top of the inverted index.
 type Index struct {
 	joiner *Joiner
 	opts   Options
@@ -278,15 +283,18 @@ func (t *filterTally) add(o filterTally) {
 // (Options.Tau and Options.Theta are fixed at build time; AutoTau-style
 // re-tuning requires a rebuild).
 func (j *Joiner) BuildIndex(records []strutil.Record, opts Options) *Index {
-	return j.buildIndex(records, j.BuildOrder(records), opts, nil)
+	return j.buildIndex(records, j.BuildOrder(records), opts, nil, nil)
 }
 
 // buildIndex builds an Index over records with an externally supplied order
 // (Join uses an order spanning both collections). A non-nil prepared slice
 // supplies ready-made verification records positionally (preparation is
 // order-independent, so a shard's rebuild passes the survivors'
-// records through unchanged instead of re-deriving them).
-func (j *Joiner) buildIndex(records []strutil.Record, order *pebble.Order, opts Options, prepared []*core.PreparedRecord) *Index {
+// records through unchanged instead of re-deriving them); otherwise the
+// records are prepared here and their segments interned into dict — the
+// router's, for a shard's first base, or with a nil dict one of the index's
+// own, reachable only through its prepared records so that it dies with them.
+func (j *Joiner) buildIndex(records []strutil.Record, order *pebble.Order, opts Options, dict *core.SegDict, prepared []*core.PreparedRecord) *Index {
 	start := time.Now()
 	tau := opts.tau()
 	calc := j.calcFor(opts)
@@ -302,7 +310,10 @@ func (j *Joiner) buildIndex(records []strutil.Record, order *pebble.Order, opts 
 	}
 	hybridizeIndex(inv, order)
 	if prepared == nil {
-		prepared = prepareRecords(records, calc)
+		if dict == nil {
+			dict = core.NewSegDict()
+		}
+		prepared = prepareRecords(records, calc, dict)
 	}
 	ix := &Index{
 		joiner:   j,
@@ -611,7 +622,7 @@ func countFilterRecord(inv *invindex.Index, segs []*segment, dead []uint64, sig 
 // to a BuildIndex result instead.
 func (j *Joiner) Join(s, t []strutil.Record, opts Options) ([]Pair, Stats) {
 	start := time.Now()
-	ix := j.buildIndex(s, j.BuildOrder(s, t), opts, nil)
+	ix := j.buildIndex(s, j.BuildOrder(s, t), opts, nil, nil)
 	return ix.probe(t, opts, time.Since(start))
 }
 
@@ -671,12 +682,13 @@ func (ix *Index) appendSigIDsAt(ids []uint32, i int) []uint32 {
 // record.
 type pairKey struct{ s, t int }
 
-// prepareRecords runs Calculator.Prepare for every record in parallel; the
-// result is the verification half of an index or probe collection.
-func prepareRecords(recs []strutil.Record, calc *core.Calculator) []*core.PreparedRecord {
+// prepareRecords prepares every record in parallel; the result is the
+// verification half of an index (segments interned into its dictionary d) or
+// of a probe collection (d nil: probes never enter a dictionary).
+func prepareRecords(recs []strutil.Record, calc *core.Calculator, d *core.SegDict) []*core.PreparedRecord {
 	out := make([]*core.PreparedRecord, len(recs))
 	parallelFor(len(recs), 0, func(i int) {
-		out[i] = calc.Prepare(recs[i].Tokens)
+		out[i] = calc.PrepareIn(d, recs[i].Tokens)
 	})
 	return out
 }
@@ -764,8 +776,10 @@ func (fp *FilterProfile) VerifyStats(tau int) (processed int64, candidates, resu
 		return processed, 0, 0
 	}
 	fp.prepOnce.Do(func() {
-		fp.prepS = prepareRecords(fp.recS, fp.calc)
-		fp.prepT = prepareRecords(fp.recT, fp.calc)
+		// S is the left operand of every verification below, so it is the
+		// side whose segments get IDs (the profile's own dictionary).
+		fp.prepS = prepareRecords(fp.recS, fp.calc, core.NewSegDict())
+		fp.prepT = prepareRecords(fp.recT, fp.calc, nil)
 	})
 	// A pair's verdict is τ-independent, and the candidate sets of the τ
 	// sweep overlap heavily, so only pairs never seen before are verified.
@@ -856,8 +870,10 @@ func (j *Joiner) BruteForceCtx(ctx context.Context, s, t []strutil.Record, theta
 	if calc == nil {
 		calc = j.calc
 	}
-	prepS := prepareRecords(s, calc)
-	prepT := prepareRecords(t, calc)
+	// Both sides without a dictionary: the oracle verifies on the direct path,
+	// with no row reuse to be wrong about.
+	prepS := prepareRecords(s, calc, nil)
+	prepT := prepareRecords(t, calc, nil)
 	type cell struct {
 		pair Pair
 		ok   bool

@@ -186,7 +186,6 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 	// Re-tokenize and rehydrate the prepared records in parallel; both are
 	// deterministic functions of the raw text and the similarity context.
 	calc := j.calcFor(opts)
-	memo := core.NewSegmentMemo()
 	n := len(snap.Records)
 	records := make([]strutil.Record, n)
 	prepared := make([]*core.PreparedRecord, n)
@@ -203,7 +202,7 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 				Entity: sg.Entity,
 			}
 		}
-		prepared[i], errs[i] = calc.RestorePrepared(records[i].Tokens, segs, int(rd.MinPart), memo)
+		prepared[i], errs[i] = calc.RestorePrepared(records[i].Tokens, segs, int(rd.MinPart), sx.dict)
 		// The index side of the pipeline reads only the signature's pebble
 		// IDs (posting lists, count filter, signature length), so the
 		// restored index keeps the compact ID form — aliasing the decoded
@@ -241,7 +240,7 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 	sx.shards = make([]*shard, shards)
 	parallelFor(shards, shards, func(w int) {
 		p := &parts[w]
-		sx.shards[w] = newShard(j.restoreBase(p.records, p.sigIDs, p.prepared, order, opts), dopts, sx.cache, p.deadIDs)
+		sx.shards[w] = newShard(j.restoreBase(p.records, p.sigIDs, p.prepared, order, opts), dopts, sx.cache, sx.dict, p.deadIDs)
 	})
 	sx.gen.Store(&orderGen{order: order, sel: pebble.NewSelector(j.gen, order, opts.Theta)})
 	return sx, nil

@@ -39,7 +39,7 @@ func TestPreparedVerifyMatchesTokensOracle(t *testing.T) {
 					method, theta, len(got), len(want))
 			}
 			opts := Options{Theta: theta, Tau: 2, Method: method}
-			ix := j.buildIndex(s, j.BuildOrder(s, u), opts, nil)
+			ix := j.buildIndex(s, j.BuildOrder(s, u), opts, nil, nil)
 			got, _ := ix.probe(u, opts, 0)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v θ=%v: filtered join disagrees with tokens oracle: %d vs %d pairs",

@@ -57,6 +57,7 @@ type shard struct {
 	tau    int
 	calc   *core.Calculator
 	cache  *core.PreparedCache
+	dict   *core.SegDict
 
 	rebuildFraction float64
 	maxSegments     int
@@ -109,10 +110,12 @@ type shard struct {
 
 	// Cumulative verify-phase work, the same way: candidates whose msim
 	// matrix was computed, candidates rejected by the sound upper bounds
-	// (size-ratio bound or the rising top-k floor), and msim memo hits.
-	verifyVerified atomic.Int64
-	verifyPruned   atomic.Int64
-	verifyMemoHits atomic.Int64
+	// (size-ratio bound or the rising top-k floor), and the msim cells
+	// answered by a cached row versus computed.
+	verifyVerified  atomic.Int64
+	verifyPruned    atomic.Int64
+	verifyMemoHits  atomic.Int64
+	verifyMSimEvals atomic.Int64
 
 	pool sync.Pool // *probeScratch shared across views and generations
 }
@@ -129,6 +132,7 @@ func (sh *shard) noteVerify(t verifyTally) {
 	sh.verifyVerified.Add(t.verified)
 	sh.verifyPruned.Add(t.pruned)
 	sh.verifyMemoHits.Add(t.memoHits)
+	sh.verifyMSimEvals.Add(t.msimEvals)
 }
 
 // segment is one immutable batch of inserted records: a sparse inverted
@@ -165,17 +169,20 @@ const (
 // restored from a snapshot — as a shard and publishes its first view. The
 // base was built under the router's shared order; cache is the router's one
 // prepared-record cache (nil when disabled), shared so delete/re-insert churn
-// hits whichever shard the record lands on. deadIDs re-applies a restored
-// shard's tombstones: the restored base holds every record — live and dead —
-// at its original position, so the bits land where the captured index had
-// them and the posting lists match entry for entry.
-func newShard(base *Index, dopts DynamicOptions, cache *core.PreparedCache, deadIDs []int) *shard {
+// hits whichever shard the record lands on; dict is the router's segment
+// dictionary, which the base's records were interned into and inserts keep
+// interning into. deadIDs re-applies a restored shard's tombstones: the
+// restored base holds every record — live and dead — at its original
+// position, so the bits land where the captured index had them and the
+// posting lists match entry for entry.
+func newShard(base *Index, dopts DynamicOptions, cache *core.PreparedCache, dict *core.SegDict, deadIDs []int) *shard {
 	sh := &shard{
 		joiner:          base.joiner,
 		opts:            base.opts,
 		tau:             base.tau,
 		calc:            base.calc,
 		cache:           cache,
+		dict:            dict,
 		rebuildFraction: dopts.RebuildFraction,
 		maxSegments:     dopts.MaxSegments,
 	}
@@ -272,7 +279,7 @@ func (sh *shard) insertRecords(recs []strutil.Record) {
 		sh.sigLens = append(sh.sigLens, sig.Len())
 		sh.sigLenLive += sig.Len()
 		sh.records = append(sh.records, recs[i])
-		sh.prepared = append(sh.prepared, sh.calc.PrepareCached(sh.cache, recs[i].Tokens))
+		sh.prepared = append(sh.prepared, sh.calc.PrepareCached(sh.cache, sh.dict, recs[i].Tokens))
 		sh.positions[recs[i].ID] = pos
 	}
 	for len(sh.dead)*64 < len(sh.records) {
@@ -360,7 +367,7 @@ func (sh *shard) maybeRebuildLocked() {
 func (sh *shard) rebuildLocked() {
 	start := time.Now()
 	live, prep := sh.liveLocked()
-	sh.adoptBaseLocked(sh.joiner.buildIndex(live, sh.base.order, sh.opts, prep))
+	sh.adoptBaseLocked(sh.joiner.buildIndex(live, sh.base.order, sh.opts, nil, prep))
 	sh.rebuilds++
 	sh.pauses = appendPause(sh.pauses, time.Since(start))
 }
@@ -403,7 +410,7 @@ func (sh *shard) liveLocked() ([]strutil.Record, []*core.PreparedRecord) {
 // double-count the stall and hide its corpus-sized total).
 func (sh *shard) refreezeLocked(order *pebble.Order, gen int, live []strutil.Record, prep []*core.PreparedRecord) {
 	sh.gen = gen
-	sh.adoptBaseLocked(sh.joiner.buildIndex(live, order, sh.opts, prep))
+	sh.adoptBaseLocked(sh.joiner.buildIndex(live, order, sh.opts, nil, prep))
 	sh.rebuilds++
 	sh.publishLocked()
 }
@@ -458,15 +465,22 @@ type DynamicStats struct {
 	ProbePostings     int64 `json:"probe_postings"`
 	ProbeBitsetTokens int64 `json:"probe_bitset_tokens"`
 	ProbeSliceTokens  int64 `json:"probe_slice_tokens"`
-	// VerifiedCandidates, PrunedByBound and MemoHits are the cumulative
-	// verify-phase counters over every query served since the index was
-	// built: candidates whose msim matrix was computed, candidates skipped
-	// by the sound upper bounds (O(1) size-ratio bound or the rising top-k
-	// floor), and segment-pair msim evaluations answered from the memo.
-	// Summed over the shards.
+	// VerifiedCandidates, PrunedByBound, MemoHits and MSimEvals are the
+	// cumulative verify-phase counters over every query served since the
+	// index was built: candidates whose msim matrix was computed, candidates
+	// skipped by the sound upper bounds (O(1) size-ratio bound or the rising
+	// top-k floor), msim cells answered by a row the worker's scratch had
+	// already evaluated for the same probe, and msim cells computed
+	// (MemoHits / (MemoHits + MSimEvals) is the hit ratio). Summed over the
+	// shards.
 	VerifiedCandidates int64 `json:"verified_candidates"`
 	PrunedByBound      int64 `json:"pruned_by_bound"`
 	MemoHits           int64 `json:"memo_hits"`
+	MSimEvals          int64 `json:"msim_evals"`
+	// DistinctSegments is the length of the index's segment dictionary: the
+	// distinct segment texts interned over its lifetime (append-only, so
+	// texts only removed records held still count).
+	DistinctSegments int `json:"distinct_segments"`
 	// CacheHits and CacheMisses are the cumulative counters of the
 	// prepared-record cache consulted on insert (one cache is shared across
 	// all shards; both zero when the cache is disabled).
@@ -521,6 +535,7 @@ func (v *shardView) addStats(st *DynamicStats) {
 	st.VerifiedCandidates += v.sh.verifyVerified.Load()
 	st.PrunedByBound += v.sh.verifyPruned.Load()
 	st.MemoHits += v.sh.verifyMemoHits.Load()
+	st.MSimEvals += v.sh.verifyMSimEvals.Load()
 	st.BuildTime = max(st.BuildTime, v.base.BuildTime)
 }
 
@@ -749,7 +764,7 @@ func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error
 	} else {
 		err = parallelForWorkersCtx(ctx, len(vf.cands), workers, vf.step)
 	}
-	vt := verifyTally{verified: -before.Verified, pruned: -before.PrunedByBound, memoHits: -before.MemoHits}
+	vt := verifyTally{verified: -before.Verified, pruned: -before.PrunedByBound, memoHits: -before.MemoHits, msimEvals: -before.MSimEvals}
 	heap := vf.workers[0].heap
 	for w := range vf.workers {
 		wk := &vf.workers[w]

@@ -73,6 +73,10 @@ type ShardedIndex struct {
 	tau    int
 	shards []*shard
 	cache  *core.PreparedCache
+	// dict is the index's one segment dictionary, shared by every shard, the
+	// cache and restore; rebuilds and re-freezes pass prepared records through
+	// unchanged, so it lives exactly as long as the index.
+	dict *core.SegDict
 
 	// gen is the current order generation, replaced wholesale by a global
 	// re-finalize or AdoptOrder; refreezeMu serializes those. lastView is
@@ -112,10 +116,10 @@ func (g *orderGen) outgrown() bool {
 	return g.order.DynamicCount() >= max(g.order.FrozenKeys(), 1)
 }
 
-// newRouter creates a ShardedIndex without shards: the shared cache and the
-// re-freeze policy the options select.
+// newRouter creates a ShardedIndex without shards: the shared dictionary and
+// cache, and the re-freeze policy the options select.
 func (j *Joiner) newRouter(opts Options, dopts DynamicOptions) *ShardedIndex {
-	sx := &ShardedIndex{joiner: j, opts: opts, tau: opts.tau()}
+	sx := &ShardedIndex{joiner: j, opts: opts, tau: opts.tau(), dict: core.NewSegDict()}
 	if dopts.CacheSize >= 0 {
 		sx.cache = core.NewPreparedCache(dopts.CacheSize)
 	}
@@ -148,7 +152,7 @@ func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Op
 	order.Finalize()
 	sx.shards = make([]*shard, shards)
 	parallelFor(shards, shards, func(w int) {
-		sx.shards[w] = newShard(j.buildIndex(parts[w], order, opts, nil), dopts, sx.cache, nil)
+		sx.shards[w] = newShard(j.buildIndex(parts[w], order, opts, sx.dict, nil), dopts, sx.cache, sx.dict, nil)
 	})
 	// id 0 matches the zero-value generation stamp every freshly built shard
 	// publishes.
@@ -420,17 +424,18 @@ type ShardedView struct {
 // snapshot was taken; the global key split, the cache counters and the
 // cumulative probe tallies are read on that first call). Catalog, segment,
 // rebuild, insert and tally counts are summed over the shards; the
-// interned-key split and the cache counters are global (shared order, shared
-// cache) and reported once.
+// interned-key split, the dictionary length and the cache counters are global
+// (shared order, shared dictionary, shared cache) and reported once.
 func (sv *ShardedView) Stats() DynamicStats {
 	sv.statsOnce.Do(func() {
 		sx := sv.sx
 		st := DynamicStats{
-			Shards:      len(sv.views),
-			FrozenKeys:  sv.gen.order.FrozenKeys(),
-			DynamicKeys: sv.gen.order.DynamicCount(),
-			Theta:       sx.opts.Theta,
-			Tau:         sx.tau,
+			Shards:           len(sv.views),
+			FrozenKeys:       sv.gen.order.FrozenKeys(),
+			DynamicKeys:      sv.gen.order.DynamicCount(),
+			Theta:            sx.opts.Theta,
+			Tau:              sx.tau,
+			DistinctSegments: sx.dict.Len(),
 		}
 		for _, v := range sv.views {
 			v.addStats(&st)
@@ -715,13 +720,13 @@ func (sv *ShardedView) probeStream(ctx context.Context, records []strutil.Record
 	tgt, shardCands := sv.probeTarget()
 	calc := sx.joiner.calcFor(sx.opts)
 	sigs := sx.joiner.signatures(records, sv.gen.sel, sx.opts.Method, sx.tau)
-	prep := prepareRecords(records, calc)
+	prep := prepareRecords(records, calc, nil)
 	stats, err := runProbeStream(ctx, calc, sx.opts, tgt, records, sigs, prep, false, time.Since(start), emit)
 	stats.ShardCandidates = shardCands()
 	// Verification runs centrally over the flattened catalog, not per
 	// shard; attribute its counters to shard 0 so the index-wide Stats sum
 	// still accounts for every verified candidate exactly once.
-	sv.views[0].sh.noteVerify(verifyTally{verified: stats.VerifiedCandidates, pruned: stats.PrunedByBound, memoHits: stats.MemoHits})
+	sv.views[0].sh.noteVerify(verifyTally{verified: stats.VerifiedCandidates, pruned: stats.PrunedByBound, memoHits: stats.MemoHits, msimEvals: stats.MSimEvals})
 	return stats, err
 }
 

@@ -99,9 +99,10 @@ feed:
 // verifyTally aggregates verify-phase work counters across the workers of
 // one run; the values feed Stats and the cumulative index atomics.
 type verifyTally struct {
-	verified int64
-	pruned   int64
-	memoHits int64
+	verified  int64
+	pruned    int64
+	memoHits  int64
+	msimEvals int64
 }
 
 func (t *verifyTally) addScratch(sc *core.Scratch) {
@@ -111,6 +112,7 @@ func (t *verifyTally) addScratch(sc *core.Scratch) {
 	t.verified += sc.Stats.Verified
 	t.pruned += sc.Stats.PrunedByBound
 	t.memoHits += sc.Stats.MemoHits
+	t.msimEvals += sc.Stats.MSimEvals
 }
 
 // pairBatchPool recycles the emit batches flowing from verification workers
@@ -271,6 +273,7 @@ func runProbeStream(ctx context.Context, calc *core.Calculator, opts Options, tg
 	stats.VerifiedCandidates = vt.verified
 	stats.PrunedByBound = vt.pruned
 	stats.MemoHits = vt.memoHits
+	stats.MSimEvals = vt.msimEvals
 	stats.Results = results
 	return stats, err
 }
@@ -308,7 +311,7 @@ func (j *Joiner) JoinSeq(ctx context.Context, s, t []strutil.Record, opts Option
 			return err
 		}
 		start := time.Now()
-		ix := j.buildIndex(s, j.BuildOrder(s, t), opts, nil)
+		ix := j.buildIndex(s, j.BuildOrder(s, t), opts, nil, nil)
 		_, err := ix.probeStream(ctx, t, opts, time.Since(start), emit)
 		return err
 	})
@@ -358,6 +361,6 @@ func (ix *Index) selfStream(ctx context.Context, emit func(Pair) bool) (Stats, e
 func (ix *Index) probeStream(ctx context.Context, records []strutil.Record, opts Options, extraSigTime time.Duration, emit func(Pair) bool) (Stats, error) {
 	start := time.Now()
 	sigs := ix.joiner.signatures(records, ix.sel, opts.Method, ix.tau)
-	prep := prepareRecords(records, ix.calc)
+	prep := prepareRecords(records, ix.calc, nil)
 	return runProbeStream(ctx, ix.calc, opts, ix.target(false), records, sigs, prep, false, extraSigTime+time.Since(start), emit)
 }

@@ -8,17 +8,22 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"github.com/aujoin/aujoin/internal/pebble"
+	"github.com/aujoin/aujoin/internal/strutil"
 )
 
-// This file pins the verify phase — the rising-floor top-k scan, the per-query
-// msim memo, the parallel workers — to the brute-force oracle: every entry
+// This file pins the verify phase — the rising-floor top-k scan, the per-probe
+// msim rows, the parallel workers — to the brute-force oracle: every entry
 // point (QueryTopKCtx, single-record probe, batch Probe, one-shot Join) must
 // return exactly what BruteForce computes over the same live records, across
 // every filter method, threshold and serving shape (static snapshot,
-// post-mutation snapshot, one shard and three). That the memo itself is exact
-// is core's business: TestSimilarityPreparedMatchesTokens (one scratch across
-// 200 pairs ≡ SimilarityTokens) and TestScratchReuseIsDeterministic (warm ≡
-// fresh scratch) pin it there.
+// post-mutation snapshot, one shard and three). BruteForce prepares both
+// sides without a dictionary, so every grid here is also interned ≡ direct.
+// That the rows themselves are exact is core's business:
+// TestSimilarityPreparedMatchesTokens (plain, interned and warm-scratch lefts
+// ≡ SimilarityTokens), TestOneScratchTwoDictionaries and
+// TestRowCacheGrowthAndBounds pin it there.
 
 func pairsEqual(a, b []Pair) bool {
 	if len(a) != len(b) {
@@ -91,8 +96,8 @@ func TestTopKPruningMatchesPlainVerify(t *testing.T) {
 				}
 			}
 
-			// The index must actually have pruned and memoized something, or
-			// the comparison is vacuous.
+			// The index must actually have pruned and reused rows, or the
+			// comparison is vacuous.
 			st := sx.Stats()
 			if st.PrunedByBound == 0 || st.MemoHits == 0 || st.VerifiedCandidates == 0 {
 				t.Errorf("%v/θ=%v/shards=%d: verified %d, pruned %d, memo hits %d: the optimised paths did not all run",
@@ -115,7 +120,7 @@ func TestProbeAndJoinMatchPlainVerify(t *testing.T) {
 			t.Fatalf("%s: Join diverged from brute force: %d vs %d pairs", name, len(got), len(want))
 		}
 		if gs.MemoHits == 0 {
-			t.Errorf("%s: Join reported no memo hits; the comparison never exercised the memo", name)
+			t.Errorf("%s: Join reported no memo hits; the comparison never exercised the row cache", name)
 		}
 
 		// Batch Probe on post-mutation snapshots.
@@ -135,7 +140,8 @@ func TestProbeAndJoinMatchPlainVerify(t *testing.T) {
 // and parallel) and parallel threshold probes against a one-shard and a
 // three-shard index while writers insert and remove records and MaxSegments
 // forces rebuilds — the -race run of the suite checks the floor tracker, the
-// memo and the pooled scratches for unsynchronised sharing.
+// segment dictionary (inserts intern beside readers) and the pooled scratches
+// for unsynchronised sharing.
 func TestPrunedQueriesUnderMutation(t *testing.T) {
 	j := NewJoiner(paperContext())
 	recs := propCorpus(400, 1111)
@@ -193,6 +199,57 @@ func TestPrunedQueriesUnderMutation(t *testing.T) {
 	for _, sx := range indexes {
 		if st := sx.Stats(); st.VerifiedCandidates == 0 {
 			t.Errorf("shards=%d: hammer ran no verifications", st.Shards)
+		}
+	}
+}
+
+// TestMSimEvalsBoundedByDistinctTexts pins the property the per-probe msim
+// rows exist for: a query's candidates draw their segments from the index's
+// small dictionary, so however many candidates are verified, the msim cells
+// actually computed for one query are at most (distinct segment texts) ×
+// (probe segments) per verify scratch — one scratch a shard. The corpus has
+// 300 distinct texts under ~20 000 segments and a query admits on the order
+// of a thousand candidates; enough queries run that a cache which fills up
+// and stops inserting (the string-keyed memo's 2^16 entries) would be full
+// long before the last one.
+func TestMSimEvalsBoundedByDistinctTexts(t *testing.T) {
+	rng := rand.New(rand.NewSource(2718))
+	record := func() string {
+		toks := make([]string, 4+rng.Intn(3))
+		for k := range toks {
+			toks[k] = fmt.Sprintf("w%03d", rng.Intn(300))
+		}
+		return strutil.JoinTokens(toks)
+	}
+	raws := make([]string, 4000)
+	for i := range raws {
+		raws[i] = record()
+	}
+	j := NewJoiner(paperContext())
+	ctx := context.Background()
+	for _, shards := range gridShards {
+		sx := j.BuildShardedIndex(strutil.NewCollection(raws), shards, Options{Theta: 0.7, Tau: 1, Method: pebble.UFilter}, DynamicOptions{})
+		distinct := int64(sx.Stats().DistinctSegments)
+		var cells, evals, bounds int64
+		for q := 0; q < 60; q++ {
+			toks := strutil.Tokenize(record())
+			nt := int64(j.Calculator().Prepare(toks).NumSegments())
+			before := sx.Stats()
+			if _, err := sx.Snapshot().QueryTopKCtx(ctx, toks, 10, QueryOpts{}); err != nil {
+				t.Fatal(err)
+			}
+			after := sx.Stats()
+			e, bound := after.MSimEvals-before.MSimEvals, int64(shards)*distinct*nt
+			if e > bound {
+				t.Fatalf("shards=%d query %d: %d msim cells computed for %d verified candidates, bound %d (%d distinct texts × %d probe segments × %d shards)",
+					shards, q, e, after.VerifiedCandidates-before.VerifiedCandidates, bound, distinct, nt, shards)
+			}
+			evals, bounds = evals+e, bounds+bound
+			cells += e + after.MemoHits - before.MemoHits
+		}
+		t.Logf("shards=%d: %d distinct texts, %d of %d cells computed (bound %d)", shards, distinct, evals, cells, bounds)
+		if cells < 2*bounds {
+			t.Errorf("shards=%d: %d cells filled against a bound of %d; too few candidates a query for the bound to bind", shards, cells, bounds)
 		}
 	}
 }
