@@ -22,8 +22,9 @@ type OrderImage struct {
 // cluster coordinator allocates IDs centrally so that every replica of a
 // group indexes identical content under identical IDs — which is what makes
 // replica answers interchangeable and scatter-gather results bit-identical
-// to a single-node index. IDs must be non-negative, unique within the
-// batch, and (by the caller's sequencing protocol) never reuse a live ID.
+// to a single-node index. IDs must be non-negative, at most math.MaxUint32
+// (the width a snapshot stores), unique within the batch, and (by the
+// caller's sequencing protocol) never reuse a live ID.
 func (ix *Index) InsertWithIDs(ids []int, records []string) error {
 	return ix.inner.InsertBatchRecords(ids, records)
 }

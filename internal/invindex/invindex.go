@@ -282,13 +282,3 @@ func (d *Delta) KeyCount() int { return len(d.lists) }
 // Postings returns the posting list of an ID (nil when absent). The
 // returned slice must not be modified.
 func (d *Delta) Postings(id uint32) []Posting { return d.lists[id] }
-
-// Entries calls fn for every (ID, posting list) pair in the delta, in
-// unspecified order. The snapshot writer uses it to recover each appended
-// record's signature ID multiset without the delta having to retain the
-// signatures themselves. The posting slices must not be modified.
-func (d *Delta) Entries(fn func(id uint32, posts []Posting)) {
-	for id, posts := range d.lists {
-		fn(id, posts)
-	}
-}

@@ -3,6 +3,7 @@ package join
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"github.com/aujoin/aujoin/internal/pebble"
@@ -75,7 +76,8 @@ func newFanoutError(label string, errs []error) error {
 // InsertBatchRecords appends records whose stable IDs the caller assigned —
 // the cluster coordinator allocates IDs centrally so every replica of a
 // group indexes byte-identical content under identical IDs. IDs must be
-// non-negative and unique within the batch; reusing a live ID is the
+// non-negative, at most math.MaxUint32 (the snapshot format stores a stable
+// ID in 32 bits) and unique within the batch; reusing a live ID is the
 // caller's protocol error (the routing hash would still send it to the
 // right shard, but the duplicate would shadow the original in position
 // maps), so replay protection belongs to the caller's sequencing layer.
@@ -90,6 +92,9 @@ func (sx *ShardedIndex) InsertBatchRecords(ids []int, raw []string) error {
 	for _, id := range ids {
 		if id < 0 {
 			return fmt.Errorf("join: negative record id %d", id)
+		}
+		if uint64(id) > math.MaxUint32 {
+			return fmt.Errorf("join: record id %d above the limit %d", id, uint32(math.MaxUint32))
 		}
 		if _, dup := seen[id]; dup {
 			return fmt.Errorf("join: duplicate record id %d in batch", id)
@@ -119,7 +124,7 @@ func (sx *ShardedIndex) KeyFrequencies() ([]string, []int) {
 	unlock := sx.lockShards()
 	live := make([][]strutil.Record, len(sx.shards))
 	for w, sh := range sx.shards {
-		live[w], _ = sh.liveLocked()
+		live[w], _, _ = sh.liveLocked()
 	}
 	unlock()
 	sx.refreezeMu.Unlock()

@@ -68,13 +68,13 @@ func propConfigs() []Options {
 // overlap with the probe reaches tau and that are not dead, and adds to
 // processed one per (record, distinct probe ID) the record carries — T_τ,
 // which counts tombstoned records too (their postings stay until a rebuild).
-func naiveCandidates(stored [][]uint32, dead func(pos int) bool, base int, sigs []pebble.Signature, tau int, limit func(t int) int) (cands map[pairKey]bool, processed int64) {
+func naiveCandidates(stored [][]uint32, dead func(pos int) bool, base int, sigs [][]uint32, tau int, limit func(t int) int) (cands map[pairKey]bool, processed int64) {
 	cands = make(map[pairKey]bool)
 	for t, sig := range sigs {
 		mult := make(map[uint32]int)
-		for _, p := range sig.Pebbles {
-			if p.ID != pebble.NoID {
-				mult[p.ID]++
+		for _, id := range sig {
+			if id != pebble.NoID {
+				mult[id]++
 			}
 		}
 		for pos, ids := range stored[:limit(t)] {
@@ -91,15 +91,6 @@ func naiveCandidates(stored [][]uint32, dead func(pos int) bool, base int, sigs 
 		}
 	}
 	return cands, processed
-}
-
-// storedSigIDs returns the signature-ID multiset of every indexed record.
-func (ix *Index) storedSigIDs() [][]uint32 {
-	out := make([][]uint32, ix.sigCount())
-	for i := range out {
-		out[i] = ix.appendSigIDsAt(nil, i)
-	}
-	return out
 }
 
 func pairKeySet(cands []pairKey) map[pairKey]bool {
@@ -142,7 +133,7 @@ func TestHybridStaticCandidatesMatchClassic(t *testing.T) {
 		if ix.inv.DenseKeys() > 0 {
 			denseSeen = true
 		}
-		stored := ix.storedSigIDs()
+		stored := ix.sigIDs
 
 		sigs := j.signatures(probe, ix.sel, opts.Method, ix.tau)
 		got, tally, err := ix.candidates(ctx, sigs, false, 4)
@@ -162,11 +153,11 @@ func TestHybridStaticCandidatesMatchClassic(t *testing.T) {
 
 		// Self-join over the prebuilt signatures: only records preceding the
 		// probe record count.
-		got, tally, err = ix.candidates(ctx, ix.sigs, true, 4)
+		got, tally, err = ix.candidates(ctx, ix.sigIDs, true, 4)
 		if err != nil {
 			t.Fatalf("%s: self candidates: %v", name, err)
 		}
-		want, processed = naiveCandidates(stored, noDead, 0, ix.sigs, ix.tau, func(t int) int { return t })
+		want, processed = naiveCandidates(stored, noDead, 0, ix.sigIDs, ix.tau, func(t int) int { return t })
 		if d := diffPairs(pairKeySet(got), want); len(got) != len(want) || d != "" {
 			t.Errorf("%s self: %d candidates, reference %d: %s", name, len(got), len(want), d)
 		}
@@ -201,21 +192,6 @@ func mutate(sx *ShardedIndex, seed int64) []int {
 		}
 	}
 	return removed
-}
-
-// storedSigIDs returns the signature-ID multiset of every position of the
-// view's catalog: the base's stored signatures, then the inserted records',
-// which survive only as the delta segments' postings. The caller must not
-// mutate the index meanwhile (the view must be the shard's current one).
-func (v *shardView) storedSigIDs() [][]uint32 {
-	out := v.base.storedSigIDs()
-	v.sh.mu.Lock()
-	segSigs := v.sh.segmentSigIDsLocked()
-	v.sh.mu.Unlock()
-	for pos := len(out); pos < len(v.records); pos++ {
-		out = append(out, segSigs[pos])
-	}
-	return out
 }
 
 // testHybridCandidates compares the fan-out candidate stage (and the
@@ -254,7 +230,7 @@ func testHybridCandidates(t *testing.T, shards int) {
 			}
 			want, processed := make(map[pairKey]bool), int64(0)
 			for w, v := range sv.views {
-				stored := v.storedSigIDs()
+				stored := v.sh.sigIDs // no writer runs: the view is the shard's current one
 				dead := func(pos int) bool { return !v.alive(pos) }
 				part, p := naiveCandidates(stored, dead, sv.flat.offsets[w], sigs, sx.tau, func(int) int { return len(stored) })
 				processed += p

@@ -176,7 +176,7 @@ func (j *Joiner) BuildOrder(collections ...[]strutil.Record) *pebble.Order {
 }
 
 // Index is a prebuilt probe target: the interned pebble order, the
-// signatures and prepared verification records of the indexed collection,
+// signature IDs and prepared verification records of the indexed collection,
 // and the ID-indexed inverted index, all computed once. An Index is safe for
 // concurrent probing and is the build-once/probe-many half of the join
 // pipeline: repeated joins against the same collection (or a stream of
@@ -194,24 +194,21 @@ type Index struct {
 	order    *pebble.Order
 	sel      *pebble.Selector
 	records  []strutil.Record
-	sigs     []pebble.Signature
 	prepared []*core.PreparedRecord
 	inv      *invindex.Index
 
-	// sigIDs is the compact signature form of a snapshot-restored index:
-	// per-record interned-ID multisets, aliasing the decoded snapshot's
-	// buffers. A restored index sets sigIDs and leaves sigs nil — the
-	// indexed side of the pipeline only ever reads signature IDs and
-	// lengths (posting lists, count filter, capture), and a []pebble.Pebble
-	// materialization of millions of entries just to carry a uint32 each
-	// dominated restore time. Self-join entry points (which read full
-	// signatures) are only reachable through freshly built indexes, where
-	// sigs is always populated. Use sigLenAt/appendSigIDsAt instead of
-	// touching either field directly.
+	// sigIDs is all an index keeps of a signature: per record the interned
+	// IDs of its selected pebbles, in signature order, duplicates retained.
+	// That is everything the indexed side reads — posting lists, the count
+	// filter, signature lengths, the snapshot, a compaction — whether the
+	// index was built, restored (the entries then alias the decoded
+	// snapshot's buffers) or compacted. Entries are never written after
+	// newBase.
 	sigIDs [][]uint32
 
-	// BuildTime is the wall-clock duration of order construction, signature
-	// selection, inverted-index building and verification preparation.
+	// BuildTime is the wall-clock duration of constructing this index:
+	// newBase's own work (inverted index, hybrid layout), plus signature
+	// selection and verification preparation when buildIndex did them.
 	BuildTime time.Duration
 	avgSig    float64
 
@@ -223,10 +220,12 @@ type Index struct {
 // verification scratch of the prepared similarity engine. merged collects
 // shard-remapped candidate positions when a sharded view fans one probe
 // record out across shard filters (each shard reuses the accumulator, so
-// survivors are staged here).
+// survivors are staged here); ids holds the signature IDs of a single-record
+// request, which carries its signature as pebbles.
 type probeScratch struct {
 	acc    *invindex.Accumulator
 	merged []int32
+	ids    []uint32
 	sim    *core.Scratch
 	verify verifier // a shard's verify pass over one request's candidates
 }
@@ -287,51 +286,79 @@ func (j *Joiner) BuildIndex(records []strutil.Record, opts Options) *Index {
 }
 
 // buildIndex builds an Index over records with an externally supplied order
-// (Join uses an order spanning both collections). A non-nil prepared slice
-// supplies ready-made verification records positionally (preparation is
-// order-independent, so a shard's rebuild passes the survivors'
-// records through unchanged instead of re-deriving them); otherwise the
+// (Join uses an order spanning both collections): it selects every record's
+// signature under that order and hands the IDs to newBase. A non-nil prepared
+// slice supplies ready-made verification records positionally (preparation is
+// order-independent, so a re-freeze passes the survivors' records through
+// unchanged instead of re-deriving them); otherwise the
 // records are prepared here and their segments interned into dict — the
 // router's, for a shard's first base, or with a nil dict one of the index's
 // own, reachable only through its prepared records so that it dies with them.
 func (j *Joiner) buildIndex(records []strutil.Record, order *pebble.Order, opts Options, dict *core.SegDict, prepared []*core.PreparedRecord) *Index {
 	start := time.Now()
-	tau := opts.tau()
-	calc := j.calcFor(opts)
-	sel := pebble.NewSelector(j.gen, order, opts.Theta)
-	sigs := j.signatures(records, sel, opts.Method, tau)
-	inv := invindex.New(order.NumKeys())
-	totalLen := 0
-	var ids []uint32
-	for i := range sigs {
-		ids = appendSignatureIDs(ids[:0], sigs[i])
-		inv.Add(i, ids)
-		totalLen += sigs[i].Len()
-	}
-	hybridizeIndex(inv, order)
+	sigIDs := j.signatures(records, pebble.NewSelector(j.gen, order, opts.Theta), opts.Method, opts.tau())
 	if prepared == nil {
 		if dict == nil {
 			dict = core.NewSegDict()
 		}
-		prepared = prepareRecords(records, calc, dict)
+		prepared = prepareRecords(records, j.calcFor(opts), dict)
 	}
+	ix := j.newBase(records, sigIDs, prepared, order, opts)
+	ix.BuildTime = time.Since(start)
+	return ix
+}
+
+// newBase is the one constructor of an Index: it turns the records'
+// signature IDs and prepared verification records — selected and prepared by
+// buildIndex, decoded from a snapshot, or carried over from the base a
+// compaction replaces — into the inverted index and its hybrid layout. The
+// three slices are positional and become the index's own.
+func (j *Joiner) newBase(records []strutil.Record, sigIDs [][]uint32, prepared []*core.PreparedRecord, order *pebble.Order, opts Options) *Index {
+	start := time.Now()
 	ix := &Index{
 		joiner:   j,
 		opts:     opts,
-		tau:      tau,
-		calc:     calc,
+		tau:      opts.tau(),
+		calc:     j.calcFor(opts),
 		order:    order,
-		sel:      sel,
+		sel:      pebble.NewSelector(j.gen, order, opts.Theta),
 		records:  records,
-		sigs:     sigs,
+		sigIDs:   sigIDs,
 		prepared: prepared,
-		inv:      inv,
+		inv:      newInverted(sigIDs, order),
 	}
 	if len(records) > 0 {
+		totalLen := 0
+		for _, ids := range sigIDs {
+			totalLen += len(ids)
+		}
 		ix.avgSig = float64(totalLen) / float64(len(records))
 	}
 	ix.BuildTime = time.Since(start)
 	return ix
+}
+
+// newInverted builds the hybridized inverted index over per-record signature
+// IDs. The full signature multiset is in hand before the first Add — count it
+// and reserve every posting list exactly, so the build is one arena
+// allocation instead of per-list regrow churn (the dominant cost of a large
+// build otherwise).
+func newInverted(sigIDs [][]uint32, order *pebble.Order) *invindex.Index {
+	inv := invindex.New(order.NumKeys())
+	caps := make([]int32, order.NumKeys())
+	for _, ids := range sigIDs {
+		for _, id := range ids {
+			if int(id) < len(caps) {
+				caps[id]++
+			}
+		}
+	}
+	inv.Presize(caps)
+	for i, ids := range sigIDs {
+		inv.Add(i, ids)
+	}
+	hybridizeIndex(inv, order)
+	return inv
 }
 
 // minBitsetList is the floor of the hybrid density cutoff: below this list
@@ -412,7 +439,7 @@ func (ix *Index) target(self bool) probeTarget {
 		records:  ix.records,
 		prepared: ix.prepared,
 		avgSig:   ix.avgSig,
-		candidates: func(ctx context.Context, sigs []pebble.Signature, workers int) ([]pairKey, filterTally, error) {
+		candidates: func(ctx context.Context, sigs [][]uint32, workers int) ([]pairKey, filterTally, error) {
 			return ix.candidates(ctx, sigs, self, workers)
 		},
 	}
@@ -425,7 +452,7 @@ type probeTarget struct {
 	records    []strutil.Record
 	prepared   []*core.PreparedRecord
 	avgSig     float64
-	candidates func(ctx context.Context, sigs []pebble.Signature, workers int) ([]pairKey, filterTally, error)
+	candidates func(ctx context.Context, sigs [][]uint32, workers int) ([]pairKey, filterTally, error)
 }
 
 // collectPairs is the batch form of the streaming pipeline: it runs a
@@ -459,7 +486,7 @@ type QueryMatch struct {
 }
 
 // candidates runs count filtering of probe signatures against the index.
-func (ix *Index) candidates(ctx context.Context, sigs []pebble.Signature, self bool, workers int) ([]pairKey, filterTally, error) {
+func (ix *Index) candidates(ctx context.Context, sigs [][]uint32, self bool, workers int) ([]pairKey, filterTally, error) {
 	return countFilterCandidates(ctx, ix.inv, len(ix.records), sigs, ix.tau, self, workers, &ix.scratch)
 }
 
@@ -470,7 +497,7 @@ func (ix *Index) candidates(ctx context.Context, sigs []pebble.Signature, self b
 // only postings of records preceding the probe record are counted, so
 // mirrored and diagonal pairs never appear. Worker scratch is borrowed from
 // pool (nil for ephemeral scratch).
-func countFilterCandidates(ctx context.Context, inv *invindex.Index, numRecords int, sigs []pebble.Signature, tau int, self bool, workers int, pool *sync.Pool) ([]pairKey, filterTally, error) {
+func countFilterCandidates(ctx context.Context, inv *invindex.Index, numRecords int, sigs [][]uint32, tau int, self bool, workers int, pool *sync.Pool) ([]pairKey, filterTally, error) {
 	return parallelCandidates(ctx, len(sigs), numRecords, workers, pool, func(sc *probeScratch, t int) ([]int32, filterTally) {
 		limit := numRecords
 		if self {
@@ -556,7 +583,7 @@ func parallelCandidates(ctx context.Context, n, numRecords, workers int, pool *s
 
 // countFilterRecord is the hybrid count filter for one probe record, the one
 // function that walks a signature's posting lists into the accumulator: for
-// every distinct interned ID of the probe signature (with its multiplicity),
+// every distinct ID among the probe signature's ids (with its multiplicity),
 // it folds the ID's posting list — word-parallel through the block
 // accumulator for bitmap-form lists, entry-at-a-time for slice-form lists,
 // then the always-sparse lists of the delta segments — into per-record
@@ -566,16 +593,15 @@ func parallelCandidates(ctx context.Context, n, numRecords, workers int, pool *s
 // The counters are left zeroed for reuse. The static self-join passes no
 // segments, no tombstones and limit = the probe's own position; a shard
 // passes its delta chain, its tombstone bitmap and limit = inv.Records().
-func countFilterRecord(inv *invindex.Index, segs []*segment, dead []uint64, sig pebble.Signature, tau, limit int, sc *probeScratch) ([]int32, filterTally) {
-	peb := sig.Pebbles
+func countFilterRecord(inv *invindex.Index, segs []*segment, dead []uint64, ids []uint32, tau, limit int, sc *probeScratch) ([]int32, filterTally) {
 	acc := sc.acc
 	acc.Begin(tau)
 	var tally filterTally
 	prefix := limit < inv.Records()
-	for a := 0; a < len(peb); {
-		id := peb[a].ID
+	for a := 0; a < len(ids); {
+		id := ids[a]
 		b := a + 1
-		for b < len(peb) && peb[b].ID == id {
+		for b < len(ids) && ids[b] == id {
 			b++
 		}
 		mult := int32(b - a)
@@ -634,13 +660,20 @@ func (j *Joiner) SelfJoin(s []strutil.Record, opts Options) ([]Pair, Stats) {
 	return j.BuildIndex(s, opts).SelfJoin()
 }
 
-// signatures computes signatures for every record in parallel.
-func (j *Joiner) signatures(recs []strutil.Record, sel *pebble.Selector, method pebble.Method, tau int) []pebble.Signature {
-	out := make([]pebble.Signature, len(recs))
+// signatures selects every record's signature in parallel and returns their
+// IDs.
+func (j *Joiner) signatures(recs []strutil.Record, sel *pebble.Selector, method pebble.Method, tau int) [][]uint32 {
+	out := make([][]uint32, len(recs))
 	parallelFor(len(recs), 0, func(i int) {
-		out[i] = sel.Signature(recs[i].Tokens, method, tau)
+		out[i] = signatureIDs(sel.Signature(recs[i].Tokens, method, tau))
 	})
 	return out
+}
+
+// signatureIDs returns a signature's IDs as an exact-size copy, releasing
+// the complete pebble list the selection is a prefix of.
+func signatureIDs(sig pebble.Signature) []uint32 {
+	return appendSignatureIDs(make([]uint32, 0, sig.Len()), sig)
 }
 
 // appendSignatureIDs appends one interned ID per signature pebble
@@ -651,31 +684,6 @@ func appendSignatureIDs(ids []uint32, sig pebble.Signature) []uint32 {
 		ids = append(ids, sig.Pebbles[i].ID)
 	}
 	return ids
-}
-
-// sigCount returns the number of records with stored signatures, whichever
-// representation (built or restored) the index holds.
-func (ix *Index) sigCount() int {
-	if ix.sigs != nil {
-		return len(ix.sigs)
-	}
-	return len(ix.sigIDs)
-}
-
-// sigLenAt returns record i's signature length in pebbles.
-func (ix *Index) sigLenAt(i int) int {
-	if ix.sigs != nil {
-		return ix.sigs[i].Len()
-	}
-	return len(ix.sigIDs[i])
-}
-
-// appendSigIDsAt appends record i's signature pebble IDs to ids.
-func (ix *Index) appendSigIDsAt(ids []uint32, i int) []uint32 {
-	if ix.sigs != nil {
-		return appendSignatureIDs(ids, ix.sigs[i])
-	}
-	return append(ids, ix.sigIDs[i]...)
 }
 
 // pairKey identifies one candidate pair: an indexed record and a probe
@@ -712,7 +720,6 @@ type FilterProfile struct {
 	method     pebble.Method
 	theta      float64
 	workers    int
-	universe   int
 	recS, recT []strutil.Record
 	preS, preT []pebble.Presig
 	scratch    sync.Pool // *probeScratch, reused across the τ sweep
@@ -734,18 +741,17 @@ func (j *Joiner) NewFilterProfile(s, t []strutil.Record, opts Options) *FilterPr
 		calc = j.calc
 	}
 	return &FilterProfile{
-		joiner:   j,
-		calc:     calc,
-		sel:      sel,
-		order:    order,
-		method:   opts.Method,
-		theta:    opts.Theta,
-		workers:  opts.workers(),
-		universe: order.NumKeys(),
-		recS:     s,
-		recT:     t,
-		preS:     j.prepareAll(s, sel),
-		preT:     j.prepareAll(t, sel),
+		joiner:  j,
+		calc:    calc,
+		sel:     sel,
+		order:   order,
+		method:  opts.Method,
+		theta:   opts.Theta,
+		workers: opts.workers(),
+		recS:    s,
+		recT:    t,
+		preS:    j.prepareAll(s, sel),
+		preT:    j.prepareAll(t, sel),
 	}
 }
 
@@ -822,25 +828,18 @@ func (fp *FilterProfile) filter(tau int) ([]pairKey, int64) {
 	if fp.method == pebble.UFilter || tau < 1 {
 		tau = 1
 	}
-	sigS := fp.selectAll(fp.preS, tau)
+	inv := newInverted(fp.selectAll(fp.preS, tau), fp.order)
 	sigT := fp.selectAll(fp.preT, tau)
-	inv := invindex.New(fp.universe)
-	var ids []uint32
-	for i := range sigS {
-		ids = appendSignatureIDs(ids[:0], sigS[i])
-		inv.Add(i, ids)
-	}
-	hybridizeIndex(inv, fp.order)
 	cands, tally, _ := countFilterCandidates(context.Background(), inv, len(fp.preS), sigT, tau, false, 0, &fp.scratch)
 	return cands, tally.postings
 }
 
-// selectAll derives the τ-specific signatures from the prepared pebble
+// selectAll derives the τ-specific signature IDs from the prepared pebble
 // lists in parallel.
-func (fp *FilterProfile) selectAll(pre []pebble.Presig, tau int) []pebble.Signature {
-	out := make([]pebble.Signature, len(pre))
+func (fp *FilterProfile) selectAll(pre []pebble.Presig, tau int) [][]uint32 {
+	out := make([][]uint32, len(pre))
 	parallelFor(len(pre), 0, func(i int) {
-		out[i] = fp.sel.Select(pre[i], fp.method, tau)
+		out[i] = signatureIDs(fp.sel.Select(pre[i], fp.method, tau))
 	})
 	return out
 }

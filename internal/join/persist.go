@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/aujoin/aujoin/internal/core"
-	"github.com/aujoin/aujoin/internal/invindex"
 	"github.com/aujoin/aujoin/internal/pebble"
 	"github.com/aujoin/aujoin/internal/store"
 	"github.com/aujoin/aujoin/internal/strutil"
@@ -52,16 +51,9 @@ func (sx *ShardedIndex) CaptureSnapshot() *store.Snapshot {
 	}
 	flat := make([]flatRec, 0, total)
 	for _, sh := range sx.shards {
-		segSigs := sh.segmentSigIDsLocked()
-		var ids []uint32
 		for pos, rec := range sh.records {
-			if pos < sh.base.sigCount() {
-				ids = sh.base.appendSigIDsAt(ids[:0], pos)
-			} else {
-				ids = append(ids[:0], segSigs[pos]...)
-			}
-			sigIDs := make([]uint32, 0, len(ids))
-			for _, id := range ids {
+			sigIDs := make([]uint32, 0, len(sh.sigIDs[pos]))
+			for _, id := range sh.sigIDs[pos] {
 				if id != pebble.NoID {
 					sigIDs = append(sigIDs, id)
 				}
@@ -96,34 +88,6 @@ func (sx *ShardedIndex) CaptureSnapshot() *store.Snapshot {
 		}
 	}
 	return snap
-}
-
-// segmentSigIDsLocked recovers the signature-ID multiset of every record
-// inserted since the last rebuild from the delta segments' posting lists
-// (position -> sorted IDs, one entry per signature pebble). The deltas are
-// the only place those signatures survive — the base keeps its sigs slice,
-// but inserted records only ever materialized theirs as postings. Sorting
-// ascending is safe because posting counts depend only on the multiset, not
-// the order IDs were added in.
-func (sh *shard) segmentSigIDsLocked() map[int][]uint32 {
-	if len(sh.segs) == 0 {
-		return nil
-	}
-	out := make(map[int][]uint32)
-	for _, seg := range sh.segs {
-		seg.inv.Entries(func(id uint32, posts []invindex.Posting) {
-			for _, p := range posts {
-				for k := 0; k < p.Count; k++ {
-					out[p.Record] = append(out[p.Record], id)
-				}
-			}
-		})
-	}
-	for pos := range out {
-		ids := out[pos]
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	}
-	return out
 }
 
 // exportOrder serializes a pebble order: the frozen prefix in dense-ID order
@@ -203,12 +167,7 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 			}
 		}
 		prepared[i], errs[i] = calc.RestorePrepared(records[i].Tokens, segs, int(rd.MinPart), sx.dict)
-		// The index side of the pipeline reads only the signature's pebble
-		// IDs (posting lists, count filter, signature length), so the
-		// restored index keeps the compact ID form — aliasing the decoded
-		// snapshot buffers in place — instead of materializing full pebble
-		// structs it would never read.
-		sigIDs[i] = rd.SigIDs
+		sigIDs[i] = rd.SigIDs // aliases the decoded snapshot's buffer
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -240,52 +199,8 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 	sx.shards = make([]*shard, shards)
 	parallelFor(shards, shards, func(w int) {
 		p := &parts[w]
-		sx.shards[w] = newShard(j.restoreBase(p.records, p.sigIDs, p.prepared, order, opts), dopts, sx.cache, sx.dict, p.deadIDs)
+		sx.shards[w] = newShard(j.newBase(p.records, p.sigIDs, p.prepared, order, opts), dopts, sx.cache, sx.dict, p.deadIDs)
 	})
 	sx.gen.Store(&orderGen{order: order, sel: pebble.NewSelector(j.gen, order, opts.Theta)})
 	return sx, nil
-}
-
-// restoreBase is buildIndex with signature selection and verification
-// preparation replaced by the snapshot's stored artifacts: only the inverted
-// index and its hybrid layout are rebuilt (both are deterministic functions
-// of the signature multisets, and the layout affects performance only — the
-// candidate sets are representation-independent).
-func (j *Joiner) restoreBase(records []strutil.Record, sigIDs [][]uint32, prepared []*core.PreparedRecord, order *pebble.Order, opts Options) *Index {
-	inv := invindex.New(order.NumKeys())
-	// The full signature multiset is in hand before the first Add — count it
-	// and reserve every posting list exactly, so rebuilding the index is one
-	// arena allocation instead of per-list regrow churn (the dominant cost
-	// of a large restore otherwise).
-	caps := make([]int32, order.NumKeys())
-	for i := range sigIDs {
-		for _, id := range sigIDs[i] {
-			if int(id) < len(caps) {
-				caps[id]++
-			}
-		}
-	}
-	inv.Presize(caps)
-	totalLen := 0
-	for i := range sigIDs {
-		inv.Add(i, sigIDs[i])
-		totalLen += len(sigIDs[i])
-	}
-	hybridizeIndex(inv, order)
-	ix := &Index{
-		joiner:   j,
-		opts:     opts,
-		tau:      opts.tau(),
-		calc:     j.calcFor(opts),
-		order:    order,
-		sel:      pebble.NewSelector(j.gen, order, opts.Theta),
-		records:  records,
-		sigIDs:   sigIDs,
-		prepared: prepared,
-		inv:      inv,
-	}
-	if len(records) > 0 {
-		ix.avgSig = float64(totalLen) / float64(len(records))
-	}
-	return ix
 }

@@ -48,9 +48,10 @@ import (
 // Once the keys this shard appended, its tombstones, or its segment chain
 // cross their threshold (RebuildFraction, MaxSegments), the writer compacts:
 // live records move into a fresh dense base under the *same* shared order
-// (reusing their prepared verification records), and the segment chain
-// resets to empty. Re-freezing the order is the router's business alone — a
-// private re-freeze would re-assign IDs the siblings' signatures reference.
+// (reusing their prepared verification records and, by invariant 1, their
+// stored signatures), and the segment chain resets to empty. Re-freezing the
+// order is the router's business alone — a private re-freeze would re-assign
+// IDs the siblings' signatures reference.
 type shard struct {
 	joiner *Joiner
 	opts   Options
@@ -65,9 +66,9 @@ type shard struct {
 	mu  sync.Mutex // serializes writers; never held by readers
 	cur atomic.Pointer[shardView]
 
-	// Writer-owned state. records, prepared and segs are append-only while
-	// a base is live (published views hold shorter headers); dead is cloned
-	// before every bit set. All of it is replaced wholesale on rebuild.
+	// Writer-owned state. records, prepared, sigIDs and segs are append-only
+	// while a base is live (published views hold shorter headers); dead is
+	// cloned before every bit set. All of it is replaced wholesale on rebuild.
 	base      *Index
 	segs      []*segment
 	records   []strutil.Record
@@ -77,10 +78,13 @@ type shard struct {
 	positions map[int]int // stable record ID -> position
 	rebuilds  int
 	inserts   int
-	// sigLens holds each position's signature length and sigLenLive the
-	// total over live positions, so snapshots report the true mean
-	// indexed-side signature length even between rebuilds.
-	sigLens    []int
+	// sigIDs holds each position's signature IDs, parallel to records — the
+	// base's (Index.sigIDs), then one exact-size entry per inserted record:
+	// what a snapshot stores and a compaction hands to the next base.
+	// sigLenLive is their total length over live positions, so snapshots
+	// report the true mean indexed-side signature length even between
+	// rebuilds.
+	sigIDs     [][]uint32
 	sigLenLive int
 	// dynAtBuild is the shared order's dynamic-region size when the current
 	// base was adopted, and dynAdded counts the keys *this* shard appended
@@ -198,7 +202,7 @@ func newShard(base *Index, dopts DynamicOptions, cache *core.PreparedCache, dict
 		delete(sh.positions, id)
 		sh.dead[pos>>6] |= 1 << (uint(pos) & 63)
 		sh.deadCount++
-		sh.sigLenLive -= sh.sigLens[pos]
+		sh.sigLenLive -= len(sh.sigIDs[pos])
 	}
 	sh.publishLocked()
 	return sh
@@ -216,11 +220,10 @@ func (sh *shard) adoptBaseLocked(base *Index) {
 	for pos, rec := range base.records {
 		sh.positions[rec.ID] = pos
 	}
-	sh.sigLens = make([]int, base.sigCount())
+	sh.sigIDs = base.sigIDs
 	sh.sigLenLive = 0
-	for i := range sh.sigLens {
-		sh.sigLens[i] = base.sigLenAt(i)
-		sh.sigLenLive += sh.sigLens[i]
+	for _, ids := range sh.sigIDs {
+		sh.sigLenLive += len(ids)
 	}
 	sh.dynAtBuild = base.order.DynamicCount()
 	sh.dynAdded = 0
@@ -269,15 +272,13 @@ func (sh *shard) insertRecords(recs []strutil.Record) {
 		pebs[i], segs[i] = sh.joiner.gen.Pebbles(recs[i].Tokens)
 	}
 	sh.dynAdded += sh.base.order.InternDynamic(pebs...)
-	var idbuf []uint32
 	for i := range recs {
 		pos := len(sh.records)
 		pre := sh.base.sel.PreparePebbles(pebs[i], segs[i], recs[i].Tokens)
-		sig := sh.base.sel.Select(pre, sh.opts.Method, sh.tau)
-		idbuf = appendSignatureIDs(idbuf[:0], sig)
-		delta.Add(pos, idbuf)
-		sh.sigLens = append(sh.sigLens, sig.Len())
-		sh.sigLenLive += sig.Len()
+		ids := signatureIDs(sh.base.sel.Select(pre, sh.opts.Method, sh.tau))
+		delta.Add(pos, ids)
+		sh.sigIDs = append(sh.sigIDs, ids)
+		sh.sigLenLive += len(ids)
 		sh.records = append(sh.records, recs[i])
 		sh.prepared = append(sh.prepared, sh.calc.PrepareCached(sh.cache, sh.dict, recs[i].Tokens))
 		sh.positions[recs[i].ID] = pos
@@ -316,7 +317,7 @@ func (sh *shard) removeBatch(ids []int) []bool {
 		}
 		nd[pos>>6] |= 1 << (uint(pos) & 63)
 		sh.deadCount++
-		sh.sigLenLive -= sh.sigLens[pos]
+		sh.sigLenLive -= len(sh.sigIDs[pos])
 		out[i] = true
 	}
 	if nd != nil {
@@ -358,16 +359,20 @@ func (sh *shard) maybeRebuildLocked() {
 }
 
 // rebuildLocked compacts the live records into a fresh base index under the
-// shared order's current append-only state, reusing each survivor's prepared
-// verification record and re-selecting its signature — the compaction win is
-// the dense base (segments merged, tombstones dropped), not a fresher
-// frequency ranking, which only the router's re-freeze delivers. Stable IDs
-// are preserved; positions are reassigned. The pause is recorded for
-// RebuildPauses.
+// shared order's current append-only state — a restore from memory: each
+// survivor's prepared verification record and stored signature go to newBase
+// as they are. Reusing the signature is exact, not an approximation: the
+// order is append-only between re-freezes and every key of an indexed record
+// was interned no later than its insert (invariant 1), so selecting again
+// would sort the same pebbles into the same positions and cut the same
+// prefix. The compaction win is the dense base (segments merged, tombstones
+// dropped), not a fresher frequency ranking, which only the router's
+// re-freeze delivers. Stable IDs are preserved; positions are reassigned.
+// The pause is recorded for RebuildPauses.
 func (sh *shard) rebuildLocked() {
 	start := time.Now()
-	live, prep := sh.liveLocked()
-	sh.adoptBaseLocked(sh.joiner.buildIndex(live, sh.base.order, sh.opts, nil, prep))
+	live, prep, sigIDs := sh.liveLocked()
+	sh.adoptBaseLocked(sh.joiner.newBase(live, sigIDs, prep, sh.base.order, sh.opts))
 	sh.rebuilds++
 	sh.pauses = appendPause(sh.pauses, time.Since(start))
 }
@@ -386,19 +391,22 @@ func appendPause(log []time.Duration, d time.Duration) []time.Duration {
 	return append(log, d)
 }
 
-// liveLocked collects the live records and their prepared verification
-// records in position order.
-func (sh *shard) liveLocked() ([]strutil.Record, []*core.PreparedRecord) {
-	live := make([]strutil.Record, 0, len(sh.records)-sh.deadCount)
-	prep := make([]*core.PreparedRecord, 0, len(sh.records)-sh.deadCount)
+// liveLocked collects the live records, their prepared verification records
+// and their stored signature IDs in position order.
+func (sh *shard) liveLocked() ([]strutil.Record, []*core.PreparedRecord, [][]uint32) {
+	n := len(sh.records) - sh.deadCount
+	live := make([]strutil.Record, 0, n)
+	prep := make([]*core.PreparedRecord, 0, n)
+	sigIDs := make([][]uint32, 0, n)
 	for pos, rec := range sh.records {
 		if sh.dead[pos>>6]&(1<<(uint(pos)&63)) != 0 {
 			continue
 		}
 		live = append(live, rec)
 		prep = append(prep, sh.prepared[pos])
+		sigIDs = append(sigIDs, sh.sigIDs[pos])
 	}
-	return live, prep
+	return live, prep, sigIDs
 }
 
 // refreezeLocked rebuilds this shard's base under the freshly frozen order
@@ -574,15 +582,15 @@ func (v *shardView) scratch() *probeScratch {
 	return scratchFromPool(&v.sh.pool, len(v.records))
 }
 
-// candidatesRecord runs the count filter for one probe signature across the
-// base index and every delta segment, returning the positions of live
+// candidatesRecord runs the count filter for one probe signature's IDs across
+// the base index and every delta segment, returning the positions of live
 // records whose overlap reached tau (aliasing the accumulator arena, valid
 // until the next use of sc) and the filter tally, which it also folds into
 // the shard's cumulative counters. tau is the request's overlap constraint —
 // any value in [1, build-τ] is sound against the build-time indexed
 // signatures.
-func (v *shardView) candidatesRecord(sig pebble.Signature, tau int, sc *probeScratch) ([]int32, filterTally) {
-	cands, tally := countFilterRecord(v.base.inv, v.segs, v.dead, sig, tau, v.base.inv.Records(), sc)
+func (v *shardView) candidatesRecord(ids []uint32, tau int, sc *probeScratch) ([]int32, filterTally) {
+	cands, tally := countFilterRecord(v.base.inv, v.segs, v.dead, ids, tau, v.base.inv.Records(), sc)
 	v.sh.noteProbe(tally)
 	return cands, tally
 }
@@ -732,7 +740,8 @@ func (vf *verifier) step(w, i int) {
 func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error) {
 	sc := v.scratch()
 	defer sc.release(&v.sh.pool)
-	cands, _ := v.candidatesRecord(rq.sig, rq.tau, sc)
+	sc.ids = appendSignatureIDs(sc.ids[:0], rq.sig)
+	cands, _ := v.candidatesRecord(sc.ids, rq.tau, sc)
 	if len(cands) == 0 {
 		return nil, nil
 	}

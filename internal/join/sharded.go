@@ -254,7 +254,7 @@ func (sx *ShardedIndex) refreezeLocked(freeze func(live [][]strutil.Record) *peb
 	prepAll := make([][]*core.PreparedRecord, len(sx.shards))
 	for w, sh := range sx.shards {
 		pre[w] = sh.snapshot()
-		liveAll[w], prepAll[w] = sh.liveLocked()
+		liveAll[w], prepAll[w], _ = sh.liveLocked()
 	}
 	sx.lastView.Store(&ShardedView{sx: sx, gen: g, views: pre})
 	order := freeze(liveAll)
@@ -779,9 +779,9 @@ func (sv *ShardedView) initFlat() {
 // positions are remapped by the shard's offset into the flattened catalog.
 // The second return value reads the per-shard candidate counts accumulated
 // across all probe records (each stage invocation gets fresh counters).
-func (sv *ShardedView) candidateStage() (func(ctx context.Context, sigs []pebble.Signature, workers int) ([]pairKey, filterTally, error), func() []int) {
+func (sv *ShardedView) candidateStage() (func(ctx context.Context, sigs [][]uint32, workers int) ([]pairKey, filterTally, error), func() []int) {
 	counters := make([]atomic.Int64, len(sv.views))
-	stage := func(ctx context.Context, sigs []pebble.Signature, workers int) ([]pairKey, filterTally, error) {
+	stage := func(ctx context.Context, sigs [][]uint32, workers int) ([]pairKey, filterTally, error) {
 		return parallelCandidates(ctx, len(sigs), len(sv.flat.records), workers, &sv.sx.probePool, func(sc *probeScratch, t int) ([]int32, filterTally) {
 			sc.merged = sc.merged[:0]
 			var sum filterTally

@@ -2,11 +2,15 @@ package join
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/aujoin/aujoin/internal/pebble"
+	"github.com/aujoin/aujoin/internal/strutil"
 )
 
 // shardCounts are the partitionings every invariance check runs under:
@@ -156,6 +160,52 @@ func TestShardedIndexRemoveBatchSemantics(t *testing.T) {
 	}
 	if sx.RemoveBatch(nil) != nil {
 		t.Fatal("RemoveBatch(nil) should be nil")
+	}
+}
+
+// TestInsertBatchRecordsInputChecks pins what InsertBatchRecords refuses — a
+// refused batch changes nothing — and that the largest stable ID it accepts
+// (the widest a snapshot stores) answers under that ID before and after a
+// snapshot round trip.
+func TestInsertBatchRecordsInputChecks(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	j := NewJoiner(propertyContexts()["plain"])
+	sx := j.BuildShardedIndex(propertyCorpus(8, rng), 3, Options{Theta: 0.8, Tau: 1}, DynamicOptions{})
+	raw := "coffee shop latte helsinki"
+	widest := uint64(math.MaxUint32) // a variable: the constant overflows a 32-bit int
+	limit := int(widest)
+	if limit < 0 {
+		t.Skip("int cannot hold an ID above the 32 bits a snapshot stores")
+	}
+	for _, tc := range []struct {
+		name string
+		ids  []int
+		raw  []string
+		want string // substring of the error
+	}{
+		{"length mismatch", []int{100, 101}, []string{raw}, "2 ids for 1 records"},
+		{"negative", []int{100, -1}, []string{raw, raw}, "negative record id -1"},
+		{"duplicate in batch", []int{100, 100}, []string{raw, raw}, "duplicate record id 100"},
+		{"above the limit", []int{100, limit + 1}, []string{raw, raw}, "above the limit 4294967295"},
+	} {
+		err := sx.InsertBatchRecords(tc.ids, tc.raw)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: InsertBatchRecords(%v) = %v, want an error containing %q", tc.name, tc.ids, err, tc.want)
+		}
+		if st := sx.Stats(); st.Records != 8 {
+			t.Fatalf("%s: refused batch left %d records, want 8", tc.name, st.Records)
+		}
+	}
+
+	if err := sx.InsertBatchRecords([]int{limit}, []string{raw}); err != nil {
+		t.Fatalf("InsertBatchRecords(%d): %v", limit, err)
+	}
+	restored := restoreFrom(t, j, sx.CaptureSnapshot().Encode(), DynamicOptions{})
+	for name, ix := range map[string]*ShardedIndex{"live": sx, "restored": restored} {
+		got := probeRecord(t, ix.Snapshot(), strutil.Tokenize(raw))
+		if !slices.Contains(got, QueryMatch{Record: limit, Similarity: 1}) {
+			t.Errorf("%s index: query for the record inserted under ID %d = %v", name, limit, got)
+		}
 	}
 }
 

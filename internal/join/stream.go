@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/aujoin/aujoin/internal/core"
-	"github.com/aujoin/aujoin/internal/pebble"
 	"github.com/aujoin/aujoin/internal/strutil"
 )
 
@@ -238,7 +237,7 @@ func collectStream(ctx context.Context, workers int, produce func(ctx context.Co
 // point of return and the context error when the run was cancelled. The
 // batch collectPairs wrappers and every Seq entry point ride this one
 // pipeline.
-func runProbeStream(ctx context.Context, calc *core.Calculator, opts Options, tgt probeTarget, records []strutil.Record, sigs []pebble.Signature, prep []*core.PreparedRecord, self bool, sigTime time.Duration, emit func(Pair) bool) (Stats, error) {
+func runProbeStream(ctx context.Context, calc *core.Calculator, opts Options, tgt probeTarget, records []strutil.Record, sigs [][]uint32, prep []*core.PreparedRecord, self bool, sigTime time.Duration, emit func(Pair) bool) (Stats, error) {
 	var stats Stats
 	stats.Tau = opts.tau()
 	stats.SignatureTime = sigTime
@@ -248,7 +247,7 @@ func runProbeStream(ctx context.Context, calc *core.Calculator, opts Options, tg
 	} else if len(records) > 0 {
 		total := 0
 		for i := range sigs {
-			total += sigs[i].Len()
+			total += len(sigs[i])
 		}
 		stats.AvgSignatureT = float64(total) / float64(len(records))
 	}
@@ -349,7 +348,7 @@ func (ix *Index) SelfJoinSeq(ctx context.Context) iter.Seq2[Pair, error] {
 // selfStream runs the streaming pipeline of the indexed collection against
 // itself, over the signatures and prepared records the build already made.
 func (ix *Index) selfStream(ctx context.Context, emit func(Pair) bool) (Stats, error) {
-	return runProbeStream(ctx, ix.calc, ix.opts, ix.target(true), ix.records, ix.sigs, ix.prepared, true, ix.BuildTime, emit)
+	return runProbeStream(ctx, ix.calc, ix.opts, ix.target(true), ix.records, ix.sigIDs, ix.prepared, true, ix.BuildTime, emit)
 }
 
 // probeStream generates probe-side signatures and prepared verification

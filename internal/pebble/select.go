@@ -32,18 +32,12 @@ func (m Method) String() string {
 	}
 }
 
-// Signature is the selected pebble prefix of one string together with the
-// bookkeeping the join algorithms need.
+// Signature is the selected pebble prefix of one string: a prefix of the
+// Presig's globally ordered pebble list (the complete list, the generation
+// partition and MP(S) stay on the Presig — nothing downstream of selection
+// reads them).
 type Signature struct {
-	// Pebbles is the selected prefix of the globally ordered pebble list.
 	Pebbles []Pebble
-	// AllPebbles is the complete sorted pebble list (used by diagnostics
-	// and by the adaptive estimator to re-derive signatures for other τ).
-	AllPebbles []Pebble
-	// MinPartition is MP(S), the lower bound on the partition size.
-	MinPartition int
-	// Segments is the generation partition.
-	Segments []core.Segment
 }
 
 // Len returns the signature length in pebbles.
@@ -112,9 +106,8 @@ func (sel *Selector) Select(pre Presig, method Method, tau int) Signature {
 	if tau < 1 {
 		tau = 1
 	}
-	sig := Signature{AllPebbles: pre.Pebbles, MinPartition: pre.MinPartition, Segments: pre.Segments}
 	if len(pre.Pebbles) == 0 {
-		return sig
+		return Signature{}
 	}
 	target := sel.Theta * float64(pre.MinPartition)
 
@@ -129,8 +122,7 @@ func (sel *Selector) Select(pre Presig, method Method, tau int) Signature {
 	default:
 		cut = selectPrefixHeuristic(pre.acc, target, tau)
 	}
-	sig.Pebbles = pre.Pebbles[:cut]
-	return sig
+	return Signature{Pebbles: pre.Pebbles[:cut]}
 }
 
 // Signature computes the pebble signature of the token sequence with the

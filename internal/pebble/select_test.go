@@ -31,25 +31,26 @@ func testSelector(t *testing.T, theta float64) (*Selector, *sim.Context) {
 func TestSignatureBasics(t *testing.T) {
 	sel, _ := testSelector(t, 0.8)
 	tokens := strutil.Tokenize("espresso cafe Helsinki")
-	sig := sel.Signature(tokens, UFilter, 1)
+	pre := sel.Prepare(tokens)
+	sig := sel.Select(pre, UFilter, 1)
 	if sig.Len() == 0 {
 		t.Fatal("U-Filter signature should not be empty for a matchable string")
 	}
-	if sig.Len() > len(sig.AllPebbles) {
+	if sig.Len() > len(pre.Pebbles) {
 		t.Fatal("signature longer than pebble list")
 	}
-	if sig.MinPartition != 3 {
-		t.Errorf("MinPartition = %d, want 3", sig.MinPartition)
+	if pre.MinPartition != 3 {
+		t.Errorf("MinPartition = %d, want 3", pre.MinPartition)
 	}
 	if len(sig.Keys()) == 0 {
 		t.Error("signature keys empty")
 	}
-	if len(sig.Segments) == 0 {
+	if len(pre.Segments) == 0 {
 		t.Error("segments missing")
 	}
 	// The signature must be a prefix of the sorted pebble list.
 	for i, p := range sig.Pebbles {
-		if p != sig.AllPebbles[i] {
+		if p != pre.Pebbles[i] {
 			t.Fatalf("signature is not a prefix at %d", i)
 		}
 	}
@@ -57,9 +58,9 @@ func TestSignatureBasics(t *testing.T) {
 
 func TestSignatureEmptyString(t *testing.T) {
 	sel, _ := testSelector(t, 0.8)
-	sig := sel.Signature(nil, AUDP, 3)
-	if sig.Len() != 0 || len(sig.AllPebbles) != 0 {
-		t.Errorf("empty string signature = %+v", sig)
+	pre := sel.Prepare(nil)
+	if sig := sel.Select(pre, AUDP, 3); sig.Len() != 0 || len(pre.Pebbles) != 0 {
+		t.Errorf("empty string: signature %+v of %d pebbles", sig, len(pre.Pebbles))
 	}
 }
 

@@ -137,6 +137,9 @@ func TestRestartEquivalence(t *testing.T) {
 			if want != got {
 				t.Fatalf("restored index diverged from original:\n got %q\nwant %q", got, want)
 			}
+			if bt := restored.Stats().BuildTime; bt <= 0 {
+				t.Errorf("restored index reports BuildTime %v, want the construction time of its bases", bt)
+			}
 
 			// Post-restore mutations must behave identically too: the
 			// restored index allocates the same stable IDs and serves
