@@ -163,15 +163,20 @@ type Stats struct {
 	// auto-suggested τ when AutoTau was enabled, Tau otherwise — clamped to
 	// at least 1, and always 1 under UFilter, which has no τ.
 	SuggestedTau int
-	// VerifiedCandidates counts the candidates whose full similarity was
-	// actually computed; PrunedByBound the candidates dismissed by a sound
-	// O(1) upper bound before any segment work. MemoHits counts the
-	// segment-pair similarity cells answered by a row a verification worker
-	// had already evaluated for the same probe record, MSimEvals the cells
-	// that were computed; MemoHits / (MemoHits + MSimEvals) is the hit ratio.
-	// VerifiedCandidates + PrunedByBound ≤ Candidates.
+	// VerifiedCandidates counts the candidates whose segment-pair similarity
+	// matrix was filled; PrunedByBound the candidates dismissed before that
+	// by a sound upper bound — the O(1) partition-size ratio or the cover
+	// stage, which reads one cached number per distinct segment text — and
+	// PrunedByCover the cover stage's share. The two add up:
+	// VerifiedCandidates + PrunedByBound == Candidates. MemoHits counts the
+	// segment-pair similarity cells copied into a matrix from a row a
+	// verification worker had already evaluated for the same probe record,
+	// MSimEvals the cells that were computed — at most once per distinct
+	// segment text, probe record and worker, for a matrix or for the cover
+	// stage alone, so the two are not the halves of a hit ratio.
 	VerifiedCandidates int64
 	PrunedByBound      int64
+	PrunedByCover      int64
 	MemoHits           int64
 	MSimEvals          int64
 	// SuggestionTime, FilterTime and VerifyTime break the total down. Each
@@ -781,6 +786,7 @@ func convertPairs(pairs []join.Pair, jstats join.Stats) ([]Match, Stats) {
 		SliceTokens:        jstats.SliceTokens,
 		VerifiedCandidates: jstats.VerifiedCandidates,
 		PrunedByBound:      jstats.PrunedByBound,
+		PrunedByCover:      jstats.PrunedByCover,
 		MemoHits:           jstats.MemoHits,
 		MSimEvals:          jstats.MSimEvals,
 		SuggestedTau:       jstats.Tau,

@@ -1,0 +1,261 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"github.com/aujoin/aujoin/internal/sim"
+	"github.com/aujoin/aujoin/internal/synonym"
+	"github.com/aujoin/aujoin/internal/taxonomy"
+)
+
+// phraseContext is a context whose rules and taxonomy entities span one to
+// three tokens of a small "tokNN" vocabulary, so records drawn from it carry
+// overlapping multi-token segments of every provenance.
+func phraseContext() (*sim.Context, [][]string) {
+	rules := synonym.NewRuleSet()
+	rules.MustAdd("tok01 tok02", "tok03", 0.9)
+	rules.MustAdd("tok04", "tok05 tok06 tok07", 0.8)
+	rules.MustAdd("tok00 tok01", "tok02 tok03", 0.7)
+	rules.MustAdd("tok08", "tok09", 1)
+	tax := taxonomy.NewTree("root")
+	a := tax.MustAddChild(tax.Root(), "tok10")
+	b := tax.MustAddChild(a, "tok11 tok12")
+	tax.MustAddChild(b, "tok13")
+	tax.MustAddChild(b, "tok00 tok04")
+	tax.MustAddChild(a, "tok14")
+	tax.MustAddChild(a, "tok02 tok03 tok05")
+	var phrases [][]string
+	for _, p := range []string{"tok01 tok02", "tok03", "tok04", "tok05 tok06 tok07", "tok00 tok01", "tok02 tok03",
+		"tok08", "tok09", "tok11 tok12", "tok13", "tok00 tok04", "tok14", "tok02 tok03 tok05"} {
+		phrases = append(phrases, strings.Fields(p))
+	}
+	return sim.NewContext(rules, tax), phrases
+}
+
+// phraseCorpus draws n records of 2–7 tokens: skewed picks from a 24-token
+// vocabulary with a rule side or entity name spliced into half of them.
+func phraseCorpus(rng *rand.Rand, phrases [][]string, n int) [][]string {
+	out := make([][]string, n)
+	for i := range out {
+		var toks []string
+		for k := 2 + rng.Intn(4); k > 0; k-- {
+			u := rng.Float64()
+			toks = append(toks, fmt.Sprintf("tok%02d", int(u*u*24)))
+		}
+		if rng.Intn(2) == 0 {
+			at := rng.Intn(len(toks) + 1)
+			toks = append(toks[:at:at], append(phrases[rng.Intn(len(phrases))], toks[at:]...)...)
+		}
+		out[i] = toks
+	}
+	return out
+}
+
+// leftCoverRef is the number the cover stage must produce, computed the slow
+// way from MSimData alone: each left segment's best msim against any segment
+// of pt, the best well-defined partition of ps under those values, over the
+// larger of the two partition-size lower bounds, clipped at 1.
+func leftCoverRef(calc *Calculator, ps, pt *PreparedRecord) float64 {
+	n := len(ps.Tokens)
+	cover := make([]float64, n+1)
+	for pos := 0; pos < n; pos++ {
+		cover[pos] = -1
+	}
+	for i := len(ps.Segs) - 1; i >= 0; i-- {
+		a, best := &ps.Segs[i], 0.0
+		for j := range pt.Segs {
+			best = max(best, calc.Ctx.MSimData(a.Data, pt.Segs[j].Data))
+		}
+		cover[a.Span.Start] = max(cover[a.Span.Start], best+cover[a.Span.End])
+	}
+	return min(cover[0]/float64(max(ps.MinPartitionSize(), pt.MinPartitionSize())), 1)
+}
+
+// TestCoverStageDominates pins the stage VerifyPrepared runs between the size
+// ratio and the msim matrix. For every pair, on one long-lived scratch that
+// moves between probes and between two dictionaries numbering the same texts
+// differently: the stage's bound is exactly the left half of coverUpper (the
+// slow reference above), hence ≥ the two-sided coverUpper ≥ the similarity
+// less the slack; and VerifyPrepared agrees with SimilarityTokens ≥ θ whether
+// the left record is interned or not, at fixed thresholds and at θ equal to
+// the pair's own similarity, where a bound that rounds differently from the
+// similarity would lose the match. Nothing orders the size ratio against the
+// cover stage, and nothing here assumes an order.
+func TestCoverStageDominates(t *testing.T) {
+	phrase, phrases := phraseContext()
+	rng := rand.New(rand.NewSource(41))
+	for _, tc := range []struct {
+		name           string
+		ctx            *sim.Context
+		corpus, probes [][]string
+	}{
+		{"figure 1", paperContext(), corpusTokens(rng, 60), corpusTokens(rng, 8)},
+		{"phrases", phrase, phraseCorpus(rng, phrases, 80), phraseCorpus(rng, phrases, 10)},
+	} {
+		calc := NewCalculator(tc.ctx)
+		d1, d2 := NewSegDict(), NewSegDict()
+		n := len(tc.corpus)
+		plain := make([]*PreparedRecord, n)
+		interned := [2][]*PreparedRecord{make([]*PreparedRecord, n), make([]*PreparedRecord, n)}
+		for i := range tc.corpus {
+			plain[i] = calc.Prepare(tc.corpus[i])
+			interned[0][i] = calc.PrepareIn(d1, tc.corpus[i])
+			interned[1][n-1-i] = calc.PrepareIn(d2, tc.corpus[n-1-i])
+		}
+		sc := NewScratch()
+		strict := 0 // pairs the stage bounds below the size ratio
+		for _, probe := range tc.probes {
+			pt := calc.Prepare(probe)
+			for _, in := range interned {
+				for i, toks := range tc.corpus {
+					ps := in[i]
+					want := calc.SimilarityTokens(toks, probe)
+					stage := calc.coverStage(sc, ps, pt)
+					if ref := leftCoverRef(calc, ps, pt); stage != ref {
+						t.Fatalf("%s: %v / %v: cover stage %v, left half of coverUpper %v", tc.name, toks, probe, stage, ref)
+					}
+					calc.fillMSim(sc, ps, pt)
+					both := coverUpper(sc, ps, pt)
+					if stage < both || both < want-boundSlack {
+						t.Fatalf("%s: %v / %v: cover stage %v, coverUpper %v, similarity %v: not descending", tc.name, toks, probe, stage, both, want)
+					}
+					if stage < sizeRatioUpper(ps, pt) {
+						strict++
+					}
+					for _, theta := range []float64{0.5, 0.7, 0.8, 0.9, 1, want} {
+						for _, w := range []leftWay{{"plain", plain[i], sc}, {"interned", ps, NewScratch()}, {"interned/warm", ps, sc}} {
+							if v, ok := calc.VerifyPrepared(w.ps, pt, theta, w.sc); ok != (want >= theta) || (ok && v != want) {
+								t.Fatalf("%s: %v / %v θ=%v %s: VerifyPrepared = (%v, %v), similarity %v",
+									tc.name, toks, probe, theta, w.name, v, ok, want)
+							}
+						}
+					}
+				}
+			}
+		}
+		if strict == 0 || sc.Stats.PrunedByCover == 0 || sc.Stats.Verified == 0 {
+			t.Errorf("%s: cover stage below the size ratio on %d pairs, dismissed %d, %d matrices filled: the stage or the path behind it never ran",
+				tc.name, strict, sc.Stats.PrunedByCover, sc.Stats.Verified)
+		}
+	}
+}
+
+// bitmaskRowCase evaluates the cached row of every segment of left against
+// probe through cacheRow — the bitmask kernel when the probe's grams fit the
+// bit index, MSimData past it — and compares each cell and the row maximum
+// with MSimData. It returns the mask width the scratch chose.
+func bitmaskRowCase(t *testing.T, ctx *sim.Context, left, probe []string) int {
+	t.Helper()
+	calc := NewCalculator(ctx)
+	d := NewSegDict()
+	for i := 0; i < maskWords; i++ {
+		// A probe is only indexed for at least maskWords rows.
+		d.intern(ctx, []string{fmt.Sprintf("filler%d", i)})
+	}
+	ps, pt := calc.PrepareIn(d, left), calc.Prepare(probe)
+	sc := NewScratch()
+	if cached := sc.adoptRows(ctx, d, pt); ps.maxSegID >= cached {
+		t.Fatalf("rows cover %d IDs, left record needs %d", cached, ps.maxSegID)
+	}
+	grams := map[string]bool{}
+	for j := range pt.Segs {
+		for _, g := range pt.Segs[j].Data.Grams {
+			grams[g] = true
+		}
+	}
+	if wantW := (len(grams) + 63) / 64; len(grams) > maxProbeGrams {
+		if sc.maskW >= 0 {
+			t.Fatalf("%d distinct probe grams, cap %d: mask width %d, want none", len(grams), maxProbeGrams, sc.maskW)
+		}
+	} else if sc.maskW != wantW {
+		t.Fatalf("%d distinct probe grams: mask width %d, want %d", len(grams), sc.maskW, wantW)
+	}
+	nt := len(pt.Segs)
+	for i := range ps.Segs {
+		a := &ps.Segs[i]
+		calc.cacheRow(sc, a.ID, a.Data, pt)
+		best := 0.0
+		for j := range pt.Segs {
+			want := ctx.MSimData(a.Data, pt.Segs[j].Data)
+			if got := sc.rowVals[int(a.ID)*nt+j]; got != want {
+				t.Fatalf("q=%d %v: msim(%q, %q) = %v by the row kernel (mask width %d), %v by MSimData",
+					ctx.GramQ(), ctx.Measures, a.Data.Text, pt.Segs[j].Data.Text, got, sc.maskW, want)
+			}
+			best = max(best, want)
+		}
+		if sc.rowMax[a.ID] != best {
+			t.Fatalf("q=%d %v: row maximum of %q = %v, want %v", ctx.GramQ(), ctx.Measures, a.Data.Text, sc.rowMax[a.ID], best)
+		}
+	}
+	return sc.maskW
+}
+
+// distinctTokens returns n distinct tokens of exactly width bytes over an
+// alphabet of 66 characters, so with q = width each is one gram.
+func distinctTokens(n, width int) []string {
+	const alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+/-_"
+	out := make([]string, n)
+	for i := range out {
+		b := make([]byte, width)
+		for k, v := 0, i; k < width; k, v = k+1, v/len(alphabet) {
+			b[k] = alphabet[v%len(alphabet)]
+		}
+		out[i] = string(b)
+	}
+	return out
+}
+
+// TestBitmaskRowMatchesMSimData pins the row kernel to the cell-by-cell
+// reference: every cell of a row evaluated through the probe-gram bitmasks is
+// the float MSimData returns, for every q and every measure combination, at
+// the mask-width boundaries and in the degenerate Jaccard cases.
+func TestBitmaskRowMatchesMSimData(t *testing.T) {
+	g64, g65 := distinctTokens(64, 1), distinctTokens(65, 1)
+	atCap, pastCap := distinctTokens(maxProbeGrams, 2), distinctTokens(maxProbeGrams+1, 2)
+	for _, tc := range []struct {
+		name        string
+		q           int // 0: every q in 1..9
+		left, probe []string
+		width       int // expected mask width at q (ignored when q is 0)
+	}{
+		{"figure 1", 0, []string{"coffee", "shop", "latte", "helsingki"}, []string{"espresso", "cafe", "helsinki", "apple", "cake"}, 0},
+		{"shorter than q", 5, []string{"ab", "abc", "cake"}, []string{"ab", "abcd", "abcde", "cake"}, 1},
+		{"empty text", 2, []string{"", "a"}, []string{"", "a", "ab"}, 1},
+		{"repeated grams", 2, []string{"aaaa", "aaaaaaa", "abababab"}, []string{"aaa", "ababab", "aaaaab"}, 1},
+		{"64 probe grams", 1, []string{g64[63] + g64[0], g64[62], "~"}, g64, 1},
+		{"65 probe grams", 1, []string{g65[64] + g65[63] + g65[0], g65[64], g65[63]}, g65, 2},
+		{"gram cap", 2, []string{atCap[maxProbeGrams-1], atCap[0] + atCap[maxProbeGrams-1], atCap[100]}, atCap, maskWords},
+		{"past the gram cap", 2, []string{pastCap[maxProbeGrams], pastCap[0] + pastCap[maxProbeGrams]}, pastCap, -1},
+		{"high bytes and NUL", 2, []string{"\x00\xff\x80a", "\x00\x00", "caf\xc3\xa9"}, []string{"\x00\xff", "\x80a\x00", "\x00\x00\x00", "caf\xc3\xa9"}, 1},
+	} {
+		for q := 1; q <= 9; q++ {
+			if tc.q != 0 && q != tc.q {
+				continue
+			}
+			for ms := sim.MeasureSet(1); ms <= sim.SetAll; ms++ {
+				ctx := paperContext().WithMeasures(ms)
+				ctx.Q = q
+				width := bitmaskRowCase(t, ctx, tc.left, tc.probe)
+				if tc.q != 0 && ms&sim.SetJaccard != 0 && width != tc.width {
+					t.Errorf("%s: mask width %d, want %d", tc.name, width, tc.width)
+				}
+			}
+		}
+	}
+}
+
+// FuzzBitmaskRow feeds the same comparison arbitrary bytes: the two records
+// are the inputs split at spaces (not tokenized, so empty tokens, NUL and
+// bytes ≥ 0x80 reach the kernel), q is 1 + q%9 and measures a MeasureSet.
+func FuzzBitmaskRow(f *testing.F) {
+	// testdata/fuzz/FuzzBitmaskRow holds the table's boundary cases as seeds.
+	f.Add("coffee shop latte", "cafe espresso latte", uint8(1), uint8(7))
+	f.Fuzz(func(t *testing.T, left, probe string, q, measures uint8) {
+		ctx := paperContext().WithMeasures(sim.MeasureSet(measures) & sim.SetAll)
+		ctx.Q = 1 + int(q)%9
+		bitmaskRowCase(t, ctx, strings.Split(left, " "), strings.Split(probe, " "))
+	})
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"github.com/aujoin/aujoin/internal/matching"
 	"github.com/aujoin/aujoin/internal/sim"
 	"github.com/aujoin/aujoin/internal/strutil"
@@ -44,6 +46,10 @@ type PreparedRecord struct {
 	// dict is the dictionary the segments' IDs index; nil when the record was
 	// prepared without one (every ID is NoSegID then).
 	dict *SegDict
+	// maxSegID is the largest segment ID of the record (NoSegID as soon as one
+	// segment has none): every segment has a row slot in a scratch whose rows
+	// cover more IDs than this.
+	maxSegID uint32
 }
 
 // NumSegments returns the number of well-defined segments of the record.
@@ -104,10 +110,12 @@ func (c *Calculator) deriveSegments(d *SegDict, pr *PreparedRecord) {
 			own[i] = c.Ctx.PrepareSegment(pr.Segs[i].Tokens)
 			pr.Segs[i].ID, pr.Segs[i].Data = NoSegID, &own[i]
 		}
+		pr.maxSegID = NoSegID
 		return
 	}
 	for i := range pr.Segs {
 		pr.Segs[i].ID, pr.Segs[i].Data = d.intern(c.Ctx, pr.Segs[i].Tokens)
+		pr.maxSegID = max(pr.maxSegID, pr.Segs[i].ID)
 	}
 }
 
@@ -122,7 +130,7 @@ type pairSeg struct{ s, t int32 }
 const boundSlack = 1e-9
 
 // BoundSlack is the floating-point guard band of the verify-phase upper
-// bounds, exported so callers that schedule candidates by SizeRatioUpper can
+// bounds, exported so callers that schedule candidates by UpperBound can
 // prune with exactly the tolerance VerifyPrepared itself uses.
 const BoundSlack = boundSlack
 
@@ -131,19 +139,31 @@ const BoundSlack = boundSlack
 // rowCellBudget/nt, and segments with larger IDs are evaluated directly.
 const rowCellBudget = 1 << 18
 
+// maxProbeGrams is the number of distinct q-grams of a right-hand record's
+// segments the bitmask row kernel indexes (maskWords 64-bit words a mask).
+// A record with more — its length is the caller's to choose — has its rows
+// evaluated by MSimData.
+const (
+	maxProbeGrams = 512
+	maskWords     = maxProbeGrams / 64
+)
+
 // ScratchStats counts verify-phase work performed through one Scratch.
 // Callers that want per-operation tallies snapshot the struct before a batch
 // and diff afterwards.
 type ScratchStats struct {
-	// Verified counts record pairs whose msim matrix was actually computed
-	// (they survived the O(1) size-ratio bound).
+	// Verified counts record pairs whose msim matrix was filled: they
+	// survived both bounds that need no matrix.
 	Verified int64
-	// PrunedByBound counts record pairs rejected by the O(1) partition-size
-	// ratio bound before any msim work.
+	// PrunedByBound counts record pairs dismissed by a sound upper bound
+	// before their msim matrix existed — the O(1) partition-size ratio or the
+	// cover stage; PrunedByCover is the cover stage's share.
 	PrunedByBound int64
-	// MemoHits counts msim cells answered by a row already evaluated for the
-	// same probe; MSimEvals counts the cells computed by MSimData. Their sum
-	// is the total size of the msim matrices filled.
+	PrunedByCover int64
+	// MemoHits counts msim cells copied into a matrix from a row already
+	// evaluated for the same probe; MSimEvals counts the cells computed,
+	// whether for a matrix or for the cover stage, which needs a row's
+	// maximum and no matrix.
 	MemoHits  int64
 	MSimEvals int64
 }
@@ -181,10 +201,11 @@ type Scratch struct {
 	// a probe's candidates draw theirs from the index's small dictionary, so
 	// for the current (context, dictionary, right-hand record) triple the
 	// scratch keeps the msim row of each left segment ID against all nt
-	// segments of the right-hand record: rowVals[id·nt : id·nt+nt], valid
-	// when rowStamp[id] == rowGen. A new triple bumps rowGen and clears
-	// nothing; rowN is the number of IDs the rows cover (the dictionary's
-	// length when the triple was adopted, clipped to the cell budget).
+	// segments of the right-hand record: rowVals[id·nt : id·nt+nt] and its
+	// largest cell rowMax[id], both valid when rowStamp[id] == rowGen. A new
+	// triple bumps rowGen and clears nothing; rowN is the number of IDs the
+	// rows cover (the dictionary's length when the triple was adopted,
+	// clipped to the cell budget).
 	rowCtx   *sim.Context
 	rowDict  *SegDict
 	rowRight *PreparedRecord
@@ -192,7 +213,19 @@ type Scratch struct {
 	rowN     uint32
 	rowStamp []uint32
 	rowVals  []float64
+	rowMax   []float64
 	rowCells int // rowCellBudget; lowered by tests
+
+	// The probe-gram bit index rows are evaluated through, rebuilt with every
+	// new triple: gramBit numbers the distinct q-grams of the right-hand
+	// record's segments, and probeMask holds maskWords words per right-hand
+	// segment with the bits of its grams set, of which the first maskW are in
+	// use. maskW < 0 when the record has no index (maxProbeGrams exceeded, or
+	// fewer than maskWords rows to serve) and its rows are evaluated by
+	// MSimData.
+	gramBit   map[string]uint16
+	probeMask []uint64
+	maskW     int
 
 	// Stats tallies the work done through this scratch.
 	Stats ScratchStats
@@ -246,20 +279,25 @@ func (c *Calculator) SimilarityAtLeastPrepared(ps, pt *PreparedRecord, theta flo
 // VerifyPrepared is the join verification primitive: it reports whether the
 // unified similarity of the two prepared records reaches theta and, when it
 // does, returns the similarity (the exact SimilarityTokens value). Hopeless
-// candidates are rejected by two sound upper bounds before any matching or
-// local search runs:
+// candidates are rejected by three sound upper bounds, in rising order of
+// cost, before any matching or local search runs:
 //
 //  1. a partition-size ratio bound — SIM divides by max{|P_S|, |P_T|}, so
 //     records whose possible partition-size ranges are too far apart can
-//     never reach theta, and
-//  2. a best-per-segment bound — the matching total of any partition pair is
-//     at most the best span cover of either side weighted by each segment's
-//     maximal msim against the other side (row/column maxima of the msim
-//     matrix), divided by the larger side's minimal partition size.
+//     never reach theta;
+//  2. the cover stage — the best span cover of the left record weighted by
+//     each segment's maximal msim against the right one, read from one cached
+//     number per distinct segment text (the maximum of its per-probe row), so
+//     it needs no msim matrix; left records without row slots skip it; and
+//  3. the two-sided best-per-segment bound over the filled msim matrix — the
+//     matching total of any partition pair is at most the best span cover of
+//     either side weighted by row/column maxima — divided, like the cover
+//     stage, by the larger side's minimal partition size.
 //
-// Both bounds dominate USIM and therefore the value Algorithm 1 returns, so
-// VerifyPrepared agrees exactly with SimilarityTokens ≥ theta. sc may be
-// nil, in which case a pooled scratch is used.
+// All three dominate USIM and therefore the value Algorithm 1 returns, and
+// the second is the left half of the third, so VerifyPrepared agrees exactly
+// with SimilarityTokens ≥ theta. sc may be nil, in which case a pooled
+// scratch is used.
 func (c *Calculator) VerifyPrepared(ps, pt *PreparedRecord, theta float64, sc *Scratch) (float64, bool) {
 	if len(ps.Tokens) == 0 || len(pt.Tokens) == 0 {
 		v := 0.0
@@ -268,18 +306,15 @@ func (c *Calculator) VerifyPrepared(ps, pt *PreparedRecord, theta float64, sc *S
 		}
 		return v, v >= theta
 	}
-	if sizeRatioUpper(ps, pt) < theta-boundSlack {
-		if sc != nil {
-			sc.Stats.PrunedByBound++
-		}
-		return 0, false
-	}
 	sc, pooled := c.scratch(sc)
 	defer func() {
 		if pooled {
 			c.scratchPool.Put(sc)
 		}
 	}()
+	if c.upperBound(sc, ps, pt, theta) < theta-boundSlack {
+		return 0, false
+	}
 	sc.Stats.Verified++
 	c.fillMSim(sc, ps, pt)
 	if coverUpper(sc, ps, pt) < theta-boundSlack {
@@ -287,6 +322,44 @@ func (c *Calculator) VerifyPrepared(ps, pt *PreparedRecord, theta float64, sc *S
 	}
 	v := c.similarityPrepared(sc, ps, pt)
 	return v, v >= theta
+}
+
+// UpperBound is the bound verify schedulers order candidates by: an upper
+// bound on the unified similarity of the two prepared records that fills no
+// msim matrix — the partition-size ratio and, when that reaches
+// theta−BoundSlack, the smaller of it and the cover stage (the first two
+// stages of VerifyPrepared, which repeats them). A result below
+// theta−BoundSlack dismisses the pair at theta and is counted in sc.Stats
+// as pruned; the bound dominates the similarity, so dropping such a pair, or
+// any pair whose bound falls below a floor that has risen past theta, is
+// exact. sc must not be nil.
+func (c *Calculator) UpperBound(ps, pt *PreparedRecord, theta float64, sc *Scratch) float64 {
+	if len(ps.Tokens) == 0 || len(pt.Tokens) == 0 {
+		if len(ps.Tokens) == 0 && len(pt.Tokens) == 0 {
+			return 1
+		}
+		return 0
+	}
+	return c.upperBound(sc, ps, pt, theta)
+}
+
+// upperBound runs the two bounds that need no msim matrix on a pair of
+// non-empty records and counts the pair when one of them dismisses it at
+// theta.
+func (c *Calculator) upperBound(sc *Scratch, ps, pt *PreparedRecord, theta float64) float64 {
+	ub := sizeRatioUpper(ps, pt)
+	if ub < theta-boundSlack {
+		sc.Stats.PrunedByBound++
+		return ub
+	}
+	if cover := c.coverStage(sc, ps, pt); cover < ub {
+		ub = cover
+		if ub < theta-boundSlack {
+			sc.Stats.PrunedByBound++
+			sc.Stats.PrunedByCover++
+		}
+	}
+	return ub
 }
 
 // sizeRatioUpper bounds USIM by the best achievable ratio min/max of the two
@@ -305,20 +378,28 @@ func sizeRatioUpper(ps, pt *PreparedRecord) float64 {
 	return 1
 }
 
-// SizeRatioUpper exposes the O(1) partition-size-ratio bound: an upper bound
-// on the unified similarity of the two prepared records, computed without
-// touching segment data. Verify schedulers order candidates by it
-// (descending) and prune once the bound falls below a rising threshold; the
-// bound dominates the similarity, so pruning below floor−BoundSlack is
-// exact.
-func SizeRatioUpper(ps, pt *PreparedRecord) float64 {
-	if len(ps.Tokens) == 0 || len(pt.Tokens) == 0 {
-		if len(ps.Tokens) == 0 && len(pt.Tokens) == 0 {
-			return 1
-		}
-		return 0
+// coverStage is the left half of coverUpper computed before the msim matrix
+// exists: the row maximum coverUpper would scan out of the matrix for each
+// segment of ps is the cached maximum of that segment text's per-probe row,
+// so the stage reads one number a segment, evaluating a row only when no
+// earlier pair of the probe has, and runs one span-cover program. coverUpper
+// is the minimum of its two halves over the same denominator, so every pair
+// the stage dismisses is one coverUpper would. A left record with a segment
+// that has no row slot (no dictionary, NoSegID, an ID beyond the rows) gets
+// the trivial bound 1 and evaluates nothing here.
+func (c *Calculator) coverStage(sc *Scratch, ps, pt *PreparedRecord) float64 {
+	if ps.dict == nil || ps.maxSegID >= sc.adoptRows(c.Ctx, ps.dict, pt) {
+		return 1
 	}
-	return sizeRatioUpper(ps, pt)
+	sc.rowBest = strutil.Resize(sc.rowBest, len(ps.Segs))
+	for i := range ps.Segs {
+		a := &ps.Segs[i]
+		if sc.rowStamp[a.ID] != sc.rowGen {
+			c.cacheRow(sc, a.ID, a.Data, pt)
+		}
+		sc.rowBest[i] = sc.rowMax[a.ID]
+	}
+	return coverRatio(maxCover(sc, ps, sc.rowBest), ps, pt)
 }
 
 // fillMSim computes the dense msim matrix between every well-defined segment
@@ -328,7 +409,7 @@ func SizeRatioUpper(ps, pt *PreparedRecord) float64 {
 // carries dictionary IDs, once per (segment text, right-hand record): the
 // verify call sites pass the indexed record on the left and the probe on the
 // right, so the first candidate that holds a text evaluates its row against
-// the probe and every later candidate copies it.
+// the probe (in the cover stage, as a rule) and every later one copies it.
 func (c *Calculator) fillMSim(sc *Scratch, ps, pt *PreparedRecord) {
 	ns, nt := len(ps.Segs), len(pt.Segs)
 	sc.msim = strutil.Resize(sc.msim, ns*nt)
@@ -344,21 +425,62 @@ func (c *Calculator) fillMSim(sc *Scratch, ps, pt *PreparedRecord) {
 			c.msimRow(sc, row, a.Data, pt)
 			continue
 		}
-		vals := sc.rowVals[int(a.ID)*nt:][:nt]
 		if sc.rowStamp[a.ID] == sc.rowGen {
 			sc.Stats.MemoHits += int64(nt)
 		} else {
-			c.msimRow(sc, vals, a.Data, pt)
-			sc.rowStamp[a.ID] = sc.rowGen
+			c.cacheRow(sc, a.ID, a.Data, pt)
 		}
-		copy(row, vals)
+		copy(row, sc.rowVals[int(a.ID)*nt:][:nt])
 	}
 }
 
-// msimRow evaluates one left segment against every segment of pt.
+// msimRow evaluates one left segment against every segment of pt, cell by
+// cell through MSimData: the direct path, and the reference the bitmask rows
+// are tested against.
 func (c *Calculator) msimRow(sc *Scratch, row []float64, a *sim.SegmentData, pt *PreparedRecord) {
 	for j := range pt.Segs {
 		row[j] = c.Ctx.MSimData(a, pt.Segs[j].Data)
+	}
+	sc.Stats.MSimEvals += int64(len(row))
+}
+
+// cacheRow evaluates the row of dictionary segment id against the adopted
+// right-hand record pt into its slot, records the row's maximum and stamps
+// both current.
+func (c *Calculator) cacheRow(sc *Scratch, id uint32, a *sim.SegmentData, pt *PreparedRecord) {
+	row := sc.rowVals[int(id)*len(pt.Segs):][:len(pt.Segs)]
+	if sc.maskW < 0 {
+		c.msimRow(sc, row, a, pt)
+	} else {
+		c.maskRow(sc, row, a, pt)
+	}
+	best := 0.0
+	for _, w := range row {
+		best = max(best, w)
+	}
+	sc.rowMax[id] = best
+	sc.rowStamp[id] = sc.rowGen
+}
+
+// maskRow is msimRow without a string comparison: a's grams are mapped
+// through the probe's bit index into one mask (a gram the probe does not have
+// is in no intersection), and since gram sets hold no duplicates,
+// |a.Grams ∩ b_j.Grams| is the population count of that mask against segment
+// j's — the number GramSet.Overlap's merge arrives at.
+func (c *Calculator) maskRow(sc *Scratch, row []float64, a *sim.SegmentData, pt *PreparedRecord) {
+	var mask [maskWords]uint64
+	for _, g := range a.Grams {
+		if b, ok := sc.gramBit[g]; ok {
+			mask[b>>6] |= 1 << (b & 63)
+		}
+	}
+	w := sc.maskW
+	for j := range pt.Segs {
+		inter := 0
+		for k, m := range sc.probeMask[j*maskWords:][:w] {
+			inter += bits.OnesCount64(m & mask[k])
+		}
+		row[j] = c.Ctx.MSimDataOverlap(a, pt.Segs[j].Data, inter)
 	}
 	sc.Stats.MSimEvals += int64(len(row))
 }
@@ -381,12 +503,47 @@ func (sc *Scratch) adoptRows(ctx *sim.Context, d *SegDict, pt *PreparedRecord) u
 	}
 	nt := len(pt.Segs)
 	n := min(d.Len(), sc.rowCells/nt)
-	// Whatever Resize leaves in either slice is harmless: a stamp is zero or
-	// an earlier generation's, and values are only read under a current stamp.
+	// Whatever Resize leaves in the slices is harmless: a stamp is zero or an
+	// earlier generation's, and values are only read under a current stamp.
 	sc.rowStamp = strutil.Resize(sc.rowStamp, n)
 	sc.rowVals = strutil.Resize(sc.rowVals, n*nt)
+	sc.rowMax = strutil.Resize(sc.rowMax, n)
 	sc.rowN = uint32(n)
+	sc.indexProbeGrams(pt, n)
 	return sc.rowN
+}
+
+// indexProbeGrams builds the bit index of pt's q-grams for the n rows the
+// cache is about to hold, reusing the table and the mask slice from probe to
+// probe. It is only built when those rows cover at least maskWords IDs, so
+// the masks never take more cells than the rows they serve and stay inside
+// the row cell budget whatever the caller's record looks like.
+func (sc *Scratch) indexProbeGrams(pt *PreparedRecord, n int) {
+	sc.maskW = -1
+	if n < maskWords {
+		return
+	}
+	if sc.gramBit == nil {
+		sc.gramBit = make(map[string]uint16)
+	}
+	clear(sc.gramBit)
+	sc.probeMask = strutil.Resize(sc.probeMask, len(pt.Segs)*maskWords)
+	clear(sc.probeMask)
+	for j := range pt.Segs {
+		mask := sc.probeMask[j*maskWords:][:maskWords]
+		for _, g := range pt.Segs[j].Data.Grams {
+			b, ok := sc.gramBit[g]
+			if !ok {
+				if len(sc.gramBit) == maxProbeGrams {
+					return
+				}
+				b = uint16(len(sc.gramBit))
+				sc.gramBit[g] = b
+			}
+			mask[b>>6] |= 1 << (b & 63)
+		}
+	}
+	sc.maskW = (len(sc.gramBit) + 63) / 64
 }
 
 // coverUpper bounds USIM using the row/column maxima of the msim matrix:
@@ -419,15 +576,13 @@ func coverUpper(sc *Scratch, ps, pt *PreparedRecord) float64 {
 	if v := maxCover(sc, pt, sc.colBest); v < num {
 		num = v
 	}
-	den := ps.minPart
-	if pt.minPart > den {
-		den = pt.minPart
-	}
-	ub := num / float64(den)
-	if ub > 1 {
-		ub = 1
-	}
-	return ub
+	return coverRatio(num, ps, pt)
+}
+
+// coverRatio turns a span-cover total into the bound: divided by the larger
+// of the two partition-size lower bounds, clipped at 1.
+func coverRatio(num float64, ps, pt *PreparedRecord) float64 {
+	return min(num/float64(max(ps.minPart, pt.minPart)), 1)
 }
 
 // maxCover computes the maximal total value of a well-defined partition of

@@ -218,7 +218,12 @@ func TestOneScratchTwoDictionaries(t *testing.T) {
 // a live scratch), segments a full dictionary refused (NoSegID), and IDs
 // beyond the scratch's cell budget. All three take the direct path: values
 // stay exact, and verifying the same pair again computes exactly those
-// segments' cells again — a cached row would have answered them.
+// segments' cells again — a cached row would have answered them. A record
+// with such a segment also skips the cover stage: VerifyPrepared at a
+// threshold between the record's cover bound and its size ratio fills the
+// matrix, computing those segments' cells and no others, while a record all
+// of whose segments have rows is dismissed from the cached row maxima with
+// no cell computed and none copied.
 func TestRowCacheGrowthAndBounds(t *testing.T) {
 	calc := NewCalculator(paperContext())
 	// The scratch adopts the probe — and the dictionary's length — on the
@@ -244,16 +249,18 @@ func TestRowCacheGrowthAndBounds(t *testing.T) {
 		pt := calc.Prepare(probe)
 		nt := int64(pt.NumSegments())
 		direct := int64(0) // segments that verified on the direct path
+		staged := 0        // records the cover stage dismissed
 		verify := func(toks []string) {
 			t.Helper()
 			ps := calc.PrepareIn(d, toks)
 			want := calc.SimilarityTokens(toks, probe)
+			beyond := int64(0)
 			for pass := 0; pass < 2; pass++ {
 				before := sc.Stats
 				if got := calc.SimilarityPrepared(ps, pt, sc); got != want {
 					t.Fatalf("%s: %v / %v pass %d = %v, want %v", tc.name, toks, probe, pass, got, want)
 				}
-				beyond := int64(0)
+				beyond = 0
 				for i := range ps.Segs {
 					if ps.Segs[i].ID >= sc.rowN {
 						beyond++
@@ -267,9 +274,33 @@ func TestRowCacheGrowthAndBounds(t *testing.T) {
 					t.Fatalf("%s: %v second pass computed %d cells, want %d (the %d segments beyond the %d cached IDs)",
 						tc.name, toks, evals, beyond*nt, beyond, sc.rowN)
 				}
-				if pass == 1 {
-					direct += beyond
-				}
+			}
+			direct += beyond
+
+			// The cover stage, on rows the passes above left warm.
+			cover, ratio := leftCoverRef(calc, ps, pt), sizeRatioUpper(ps, pt)
+			if cover >= ratio {
+				t.Fatalf("%s: %v: cover bound %v, size ratio %v: no threshold between them", tc.name, toks, cover, ratio)
+			}
+			before := sc.Stats
+			if _, ok := calc.VerifyPrepared(ps, pt, (cover+ratio)/2, sc); ok {
+				t.Fatalf("%s: %v / %v verified above its cover bound %v", tc.name, toks, probe, cover)
+			}
+			did := ScratchStats{
+				Verified:      sc.Stats.Verified - before.Verified,
+				PrunedByBound: sc.Stats.PrunedByBound - before.PrunedByBound,
+				PrunedByCover: sc.Stats.PrunedByCover - before.PrunedByCover,
+				MemoHits:      sc.Stats.MemoHits - before.MemoHits,
+				MSimEvals:     sc.Stats.MSimEvals - before.MSimEvals,
+			}
+			expect := ScratchStats{PrunedByBound: 1, PrunedByCover: 1}
+			if beyond > 0 {
+				expect = ScratchStats{Verified: 1, MSimEvals: beyond * nt, MemoHits: (int64(len(ps.Segs)) - beyond) * nt}
+			} else {
+				staged++
+			}
+			if did != expect {
+				t.Fatalf("%s: %v with %d segments beyond the rows: VerifyPrepared did %+v, want %+v", tc.name, toks, beyond, did, expect)
 			}
 		}
 		for _, toks := range corpus {
@@ -277,6 +308,9 @@ func TestRowCacheGrowthAndBounds(t *testing.T) {
 		}
 		if direct == 0 {
 			t.Errorf("%s: every segment had a cached row; the direct path never ran", tc.name)
+		}
+		if staged == 0 && tc.rowCell == 0 {
+			t.Errorf("%s: no record had a row for every segment; the cover stage never ran", tc.name)
 		}
 		if tc.dictCap > 0 && d.Len() != tc.dictCap {
 			t.Errorf("%s: dictionary holds %d entries, cap %d", tc.name, d.Len(), tc.dictCap)
@@ -296,6 +330,8 @@ func BenchmarkSimilarityPreparedPOI(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifyPreparedReject times the reject of a pair of dictionary-less
+// records: no rows, so the pair fills its matrix and coverUpper dismisses it.
 func BenchmarkVerifyPreparedReject(b *testing.B) {
 	calc := NewCalculator(paperContext())
 	ps := calc.Prepare([]string{"coffee", "shop", "latte", "helsingki"})
@@ -305,5 +341,67 @@ func BenchmarkVerifyPreparedReject(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		calc.VerifyPrepared(ps, pt, 0.8, sc)
+	}
+}
+
+// BenchmarkVerifyPreparedRejectCover is the same reject as the engine meets
+// it: the left record interned, its rows warm, so the cover stage dismisses
+// the pair from one number a segment.
+func BenchmarkVerifyPreparedRejectCover(b *testing.B) {
+	calc := NewCalculator(paperContext())
+	ps := calc.PrepareIn(NewSegDict(), []string{"coffee", "shop", "latte", "helsingki"})
+	pt := calc.Prepare([]string{"apple", "cake", "bakery", "market"})
+	sc := NewScratch()
+	if _, ok := calc.VerifyPrepared(ps, pt, 0.8, sc); ok || sc.Stats.PrunedByCover != 1 {
+		b.Fatalf("verified %v, %d dismissed by the cover stage: not the cover reject", ok, sc.Stats.PrunedByCover)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		calc.VerifyPrepared(ps, pt, 0.8, sc)
+	}
+}
+
+// BenchmarkVerifyPreparedFirstTouch times what the first pair of a probe to
+// hold a segment text pays: evaluating the text's row, through the probe-gram
+// bitmasks and through MSimData cell by cell.
+func BenchmarkVerifyPreparedFirstTouch(b *testing.B) {
+	calc := NewCalculator(paperContext())
+	d := NewSegDict()
+	ps := calc.PrepareIn(d, []string{"helsingki"})
+	pt := calc.Prepare([]string{"espresso", "cafe", "helsinki", "apple", "cake", "market"})
+	for _, kernel := range []string{"bitmask", "msimdata"} {
+		b.Run(kernel, func(b *testing.B) {
+			sc := NewScratch()
+			sc.adoptRows(calc.Ctx, d, pt)
+			if kernel == "msimdata" {
+				sc.maskW = -1
+			} else if sc.maskW < 0 {
+				b.Fatal("the probe has no bit index")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				calc.cacheRow(sc, ps.Segs[0].ID, ps.Segs[0].Data, pt)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pt.Segs)), "ns/cell")
+		})
+	}
+}
+
+// BenchmarkVerifyPreparedSurvivor times an interned pair that passes every
+// bound and runs Algorithm 1, rows warm.
+func BenchmarkVerifyPreparedSurvivor(b *testing.B) {
+	calc := NewCalculator(paperContext())
+	ps := calc.PrepareIn(NewSegDict(), []string{"coffee", "shop", "latte", "helsingki"})
+	pt := calc.Prepare([]string{"espresso", "cafe", "helsinki"})
+	sc := NewScratch()
+	if _, ok := calc.VerifyPrepared(ps, pt, 0.5, sc); !ok {
+		b.Fatal("the pair does not reach 0.5")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		calc.VerifyPrepared(ps, pt, 0.5, sc)
 	}
 }

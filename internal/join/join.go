@@ -79,19 +79,22 @@ type Stats struct {
 	SliceTokens  int64
 	// Results is the number of pairs whose unified similarity reached θ.
 	Results int
-	// VerifiedCandidates counts the candidates whose msim matrix was actually
-	// computed: Candidates minus the pairs the O(1) partition-size bound (or
-	// the rising top-k floor) rejected before any segment work.
+	// VerifiedCandidates counts the candidates whose msim matrix was filled:
+	// Candidates minus the pairs a sound upper bound dismissed before it.
 	VerifiedCandidates int64
-	// PrunedByBound counts the candidates skipped by those sound upper
-	// bounds. VerifiedCandidates + PrunedByBound ≤ Candidates (a candidate
-	// with out-of-range ids counts as neither).
+	// PrunedByBound counts the candidates dismissed by those bounds — the
+	// O(1) partition-size ratio, the cover stage, or either against the rising
+	// top-k floor — and PrunedByCover the share the cover stage dismissed at
+	// the request's own threshold. VerifiedCandidates + PrunedByBound equals
+	// Candidates for a request that ran to completion (a candidate with
+	// out-of-range ids counts as neither).
 	PrunedByBound int64
-	// MemoHits counts the msim cells answered by a row a verify worker had
-	// already evaluated for the same probe record (the rows live in the
-	// worker's scratch and are keyed by the indexed side's segment IDs);
-	// MSimEvals counts the cells that were computed. Their sum is the total
-	// size of the msim matrices filled.
+	PrunedByCover int64
+	// MemoHits counts the msim cells copied into a matrix from a row a verify
+	// worker had already evaluated for the same probe record (the rows live
+	// in the worker's scratch and are keyed by the indexed side's segment
+	// IDs); MSimEvals counts the cells that were computed, for a matrix or
+	// for the cover stage, which reads a row's maximum and fills no matrix.
 	MemoHits  int64
 	MSimEvals int64
 	// Tau is the overlap constraint the filter ran at: the τ the index was

@@ -113,13 +113,15 @@ type shard struct {
 	probeSliceTokens  atomic.Int64
 
 	// Cumulative verify-phase work, the same way: candidates whose msim
-	// matrix was computed, candidates rejected by the sound upper bounds
-	// (size-ratio bound or the rising top-k floor), and the msim cells
-	// answered by a cached row versus computed.
-	verifyVerified  atomic.Int64
-	verifyPruned    atomic.Int64
-	verifyMemoHits  atomic.Int64
-	verifyMSimEvals atomic.Int64
+	// matrix was filled, candidates dismissed before it by a sound upper
+	// bound (size ratio, cover stage, or either against the rising top-k
+	// floor) with the cover stage's share of them, and the msim cells copied
+	// from a cached row versus computed.
+	verifyVerified      atomic.Int64
+	verifyPruned        atomic.Int64
+	verifyPrunedByCover atomic.Int64
+	verifyMemoHits      atomic.Int64
+	verifyMSimEvals     atomic.Int64
 
 	pool sync.Pool // *probeScratch shared across views and generations
 }
@@ -135,6 +137,7 @@ func (sh *shard) noteProbe(t filterTally) {
 func (sh *shard) noteVerify(t verifyTally) {
 	sh.verifyVerified.Add(t.verified)
 	sh.verifyPruned.Add(t.pruned)
+	sh.verifyPrunedByCover.Add(t.prunedByCover)
 	sh.verifyMemoHits.Add(t.memoHits)
 	sh.verifyMSimEvals.Add(t.msimEvals)
 }
@@ -473,16 +476,20 @@ type DynamicStats struct {
 	ProbePostings     int64 `json:"probe_postings"`
 	ProbeBitsetTokens int64 `json:"probe_bitset_tokens"`
 	ProbeSliceTokens  int64 `json:"probe_slice_tokens"`
-	// VerifiedCandidates, PrunedByBound, MemoHits and MSimEvals are the
-	// cumulative verify-phase counters over every query served since the
-	// index was built: candidates whose msim matrix was computed, candidates
-	// skipped by the sound upper bounds (O(1) size-ratio bound or the rising
-	// top-k floor), msim cells answered by a row the worker's scratch had
-	// already evaluated for the same probe, and msim cells computed
-	// (MemoHits / (MemoHits + MSimEvals) is the hit ratio). Summed over the
-	// shards.
+	// VerifiedCandidates, PrunedByBound, PrunedByCover, MemoHits and
+	// MSimEvals are the cumulative verify-phase counters over every query
+	// served since the index was built: candidates whose msim matrix was
+	// filled; candidates dismissed before it by a sound upper bound (the O(1)
+	// size ratio, the cover stage, or either against the rising top-k floor)
+	// and the share of them the cover stage dismissed at the request's own
+	// threshold; msim cells copied into a matrix from a row the worker's
+	// scratch had already evaluated for the same probe; and msim cells
+	// computed — every one at most once a (segment text, probe, scratch),
+	// for a matrix or for the cover stage, which needs no matrix, so the two
+	// no longer add up to a hit ratio. Summed over the shards.
 	VerifiedCandidates int64 `json:"verified_candidates"`
 	PrunedByBound      int64 `json:"pruned_by_bound"`
+	PrunedByCover      int64 `json:"pruned_by_cover"`
 	MemoHits           int64 `json:"memo_hits"`
 	MSimEvals          int64 `json:"msim_evals"`
 	// DistinctSegments is the length of the index's segment dictionary: the
@@ -542,6 +549,7 @@ func (v *shardView) addStats(st *DynamicStats) {
 	st.ProbeSliceTokens += v.sh.probeSliceTokens.Load()
 	st.VerifiedCandidates += v.sh.verifyVerified.Load()
 	st.PrunedByBound += v.sh.verifyPruned.Load()
+	st.PrunedByCover += v.sh.verifyPrunedByCover.Load()
 	st.MemoHits += v.sh.verifyMemoHits.Load()
 	st.MSimEvals += v.sh.verifyMSimEvals.Load()
 	st.BuildTime = max(st.BuildTime, v.base.BuildTime)
@@ -673,8 +681,8 @@ type verifyWorker struct {
 	pruned int64
 }
 
-// candUB pairs a candidate record position with its O(1) partition-size
-// upper bound on the similarity to the query.
+// candUB pairs a candidate record position with its scheduling bound: the
+// upper bound core.UpperBound puts on its similarity to the query.
 type candUB struct {
 	r  int32
 	ub float64
@@ -690,6 +698,35 @@ func bestBoundFirst(a, b candUB) int {
 		return 1
 	}
 	return cmp.Compare(a.r, b.r)
+}
+
+// scratch returns the worker's similarity scratch, made on first use (worker
+// 0 is handed the pooled one).
+func (wk *verifyWorker) scratch() *core.Scratch {
+	if wk.sim == nil {
+		wk.sim = core.NewScratch()
+	}
+	return wk.sim
+}
+
+// pass runs fn over every candidate: on the calling goroutine with one
+// worker, on len(vf.workers) goroutines otherwise.
+func (vf *verifier) pass(ctx context.Context, fn func(vf *verifier, w, i int)) error {
+	if len(vf.workers) == 1 {
+		// parallelForWorkersCtx would run one worker inline just the same,
+		// but the closure it is handed escapes to the heap; this one does not.
+		return forCtx(ctx, len(vf.cands), func(i int) { fn(vf, 0, i) })
+	}
+	return parallelForWorkersCtx(ctx, len(vf.cands), len(vf.workers), func(w, i int) { fn(vf, w, i) })
+}
+
+// bound gives candidate i its scheduling bound at the request's θ, on worker
+// w's scratch: the worker evaluates the msim rows its share of the candidates
+// needs and writes no state but its own scratch and cands[i].ub. A bound
+// below θ is counted as pruned by the scratch.
+func (vf *verifier) bound(w, i int) {
+	c, v := &vf.cands[i], vf.v
+	c.ub = v.sh.calc.UpperBound(v.prepared[c.r], vf.pq, vf.theta, vf.workers[w].scratch())
 }
 
 // step verifies candidate i on worker w — the one way a single-record
@@ -710,11 +747,8 @@ func (vf *verifier) step(w, i int) {
 		wk.pruned++
 		return
 	}
-	if wk.sim == nil {
-		wk.sim = core.NewScratch()
-	}
 	v := vf.v
-	if val, ok := v.sh.calc.VerifyPrepared(v.prepared[c.r], vf.pq, floor, wk.sim); ok {
+	if val, ok := v.sh.calc.VerifyPrepared(v.prepared[c.r], vf.pq, floor, wk.scratch()); ok {
 		wk.heap.offer(QueryMatch{Record: v.records[c.r].ID, Similarity: val}, vf.k)
 		if len(wk.heap.entries) == vf.k {
 			vf.ft.raise(wk.heap.entries[0].Similarity)
@@ -729,14 +763,19 @@ func (vf *verifier) step(w, i int) {
 // unboundedK). The matches come back unordered — the router merges every
 // shard's share and sorts once. rq.ft is the request-wide rising floor.
 //
-// When more candidates survive than k matches can be kept, they are verified
-// in descending order of their upper bound, so the heap fills with strong
-// matches early and the floor rises while most of the list is still ahead.
-// With Workers > 1 and at least minParallelVerify candidates the same step
-// runs on that many workers, each with its own heap and scratch, and the
-// heaps are folded at the end — sound because the top k of a union is
-// contained in the union of the parts' top k's. Either way the skip is exact,
-// so the result is the one a plain scan at θ returns.
+// Verification is two passes. The bound pass gives every candidate its
+// scheduling bound — the size ratio and, past it, the cover stage, which
+// evaluates the msim row of each distinct segment text once and reads one
+// number a segment after that — and the candidates it bounds below θ are
+// dropped where they stand. Only the rest are verified, and when they
+// outnumber the k matches that can be kept, in descending order of their
+// bound, so the heap fills with strong matches early and the floor rises
+// while most of the list is still ahead. With Workers > 1 and at least
+// minParallelVerify candidates both passes run on that many workers, each
+// with its own heap and scratch, and the heaps are folded at the end — sound
+// because the top k of a union is contained in the union of the parts' top
+// k's. Either way the skip is exact, so the result is the one a plain scan at
+// θ returns.
 func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error) {
 	sc := v.scratch()
 	defer sc.release(&v.sh.pool)
@@ -753,10 +792,7 @@ func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error
 	vf.v, vf.pq, vf.theta, vf.k, vf.ft = v, rq.lp.get(), v.sh.opts.thetaFor(rq.qo), rq.k, &rq.ft
 	vf.cands = vf.cands[:0]
 	for _, r := range cands {
-		vf.cands = append(vf.cands, candUB{r: r, ub: core.SizeRatioUpper(v.prepared[r], vf.pq)})
-	}
-	if rq.k < len(cands) {
-		slices.SortFunc(vf.cands, bestBoundFirst)
+		vf.cands = append(vf.cands, candUB{r: r})
 	}
 	vf.workers = append(vf.workers[:0], make([]verifyWorker, workers)...)
 	// Worker 0 verifies on the pooled scratch, whose counters span
@@ -764,16 +800,21 @@ func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error
 	sim := sc.simScratch()
 	before := sim.Stats
 	vf.workers[0].sim = sim
-	var err error
-	if workers == 1 {
-		// parallelForWorkersCtx would run one worker inline just the same,
-		// but the step closure it is handed escapes to the heap; this one
-		// does not.
-		err = forCtx(ctx, len(vf.cands), func(i int) { vf.step(0, i) })
-	} else {
-		err = parallelForWorkersCtx(ctx, len(vf.cands), workers, vf.step)
+	err := vf.pass(ctx, (*verifier).bound)
+	if err == nil {
+		live := vf.cands[:0]
+		for _, c := range vf.cands {
+			if c.ub >= vf.theta-core.BoundSlack {
+				live = append(live, c)
+			}
+		}
+		vf.cands = live
+		if rq.k < len(live) {
+			slices.SortFunc(live, bestBoundFirst)
+		}
+		err = vf.pass(ctx, (*verifier).step)
 	}
-	vt := verifyTally{verified: -before.Verified, pruned: -before.PrunedByBound, memoHits: -before.MemoHits, msimEvals: -before.MSimEvals}
+	vt := verifyTally{verified: -before.Verified, pruned: -before.PrunedByBound, prunedByCover: -before.PrunedByCover, memoHits: -before.MemoHits, msimEvals: -before.MSimEvals}
 	heap := vf.workers[0].heap
 	for w := range vf.workers {
 		wk := &vf.workers[w]

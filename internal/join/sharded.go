@@ -726,7 +726,7 @@ func (sv *ShardedView) probeStream(ctx context.Context, records []strutil.Record
 	// Verification runs centrally over the flattened catalog, not per
 	// shard; attribute its counters to shard 0 so the index-wide Stats sum
 	// still accounts for every verified candidate exactly once.
-	sv.views[0].sh.noteVerify(verifyTally{verified: stats.VerifiedCandidates, pruned: stats.PrunedByBound, memoHits: stats.MemoHits, msimEvals: stats.MSimEvals})
+	sv.views[0].sh.noteVerify(verifyTally{verified: stats.VerifiedCandidates, pruned: stats.PrunedByBound, prunedByCover: stats.PrunedByCover, memoHits: stats.MemoHits, msimEvals: stats.MSimEvals})
 	return stats, err
 }
 

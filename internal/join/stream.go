@@ -98,10 +98,11 @@ feed:
 // verifyTally aggregates verify-phase work counters across the workers of
 // one run; the values feed Stats and the cumulative index atomics.
 type verifyTally struct {
-	verified  int64
-	pruned    int64
-	memoHits  int64
-	msimEvals int64
+	verified      int64
+	pruned        int64
+	prunedByCover int64
+	memoHits      int64
+	msimEvals     int64
 }
 
 func (t *verifyTally) addScratch(sc *core.Scratch) {
@@ -110,6 +111,7 @@ func (t *verifyTally) addScratch(sc *core.Scratch) {
 	}
 	t.verified += sc.Stats.Verified
 	t.pruned += sc.Stats.PrunedByBound
+	t.prunedByCover += sc.Stats.PrunedByCover
 	t.memoHits += sc.Stats.MemoHits
 	t.msimEvals += sc.Stats.MSimEvals
 }
@@ -271,6 +273,7 @@ func runProbeStream(ctx context.Context, calc *core.Calculator, opts Options, tg
 	stats.VerifyTime = time.Since(start)
 	stats.VerifiedCandidates = vt.verified
 	stats.PrunedByBound = vt.pruned
+	stats.PrunedByCover = vt.prunedByCover
 	stats.MemoHits = vt.memoHits
 	stats.MSimEvals = vt.msimEvals
 	stats.Results = results

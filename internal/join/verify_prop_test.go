@@ -111,6 +111,16 @@ func TestProbeAndJoinMatchPlainVerify(t *testing.T) {
 	j := NewJoiner(paperContext())
 	recs := propCorpus(400, 505)
 	probe := propCorpus(100, 606)
+	// Every candidate of a completed run is either dismissed by a bound or
+	// has its msim matrix filled.
+	accounted := func(name string, st Stats) {
+		t.Helper()
+		if st.VerifiedCandidates+st.PrunedByBound != int64(st.Candidates) || st.PrunedByCover > st.PrunedByBound {
+			t.Errorf("%s: %d verified + %d pruned (%d by the cover stage) of %d candidates", name,
+				st.VerifiedCandidates, st.PrunedByBound, st.PrunedByCover, st.Candidates)
+		}
+	}
+	var heaviest Stats
 	for _, opts := range propConfigs() {
 		name := fmt.Sprintf("%v/θ=%v", opts.Method, opts.Theta)
 
@@ -122,17 +132,29 @@ func TestProbeAndJoinMatchPlainVerify(t *testing.T) {
 		if gs.MemoHits == 0 {
 			t.Errorf("%s: Join reported no memo hits; the comparison never exercised the row cache", name)
 		}
+		accounted(name, gs)
+		if gs.Candidates > heaviest.Candidates {
+			heaviest = gs
+		}
 
 		// Batch Probe on post-mutation snapshots.
 		for _, shards := range gridShards {
 			sx := j.BuildShardedIndex(recs, shards, opts, DynamicOptions{})
 			mutate(sx, 808)
 			sv := sx.Snapshot()
-			got, _ := sv.Probe(probe)
+			got, ps := sv.Probe(probe)
 			if want := j.BruteForce(sv.Live(), probe, opts.Theta, nil); !pairsEqual(got, want) {
 				t.Fatalf("%s shards=%d: Probe diverged from brute force: %d vs %d pairs", name, shards, len(got), len(want))
 			}
+			accounted(fmt.Sprintf("%s shards=%d", name, shards), ps)
 		}
+	}
+	// The equalities above hold with or without the cover stage; on the
+	// configuration that admits the most candidates it must be what dismisses
+	// most of them, or it has silently stopped firing.
+	if heaviest.PrunedByCover == 0 || heaviest.VerifiedCandidates >= int64(heaviest.Candidates)/2 {
+		t.Errorf("heaviest join: %d candidates, %d matrices filled, %d dismissed by the cover stage: the stage is not carrying the verify phase",
+			heaviest.Candidates, heaviest.VerifiedCandidates, heaviest.PrunedByCover)
 	}
 }
 
@@ -205,13 +227,16 @@ func TestPrunedQueriesUnderMutation(t *testing.T) {
 
 // TestMSimEvalsBoundedByDistinctTexts pins the property the per-probe msim
 // rows exist for: a query's candidates draw their segments from the index's
-// small dictionary, so however many candidates are verified, the msim cells
-// actually computed for one query are at most (distinct segment texts) ×
-// (probe segments) per verify scratch — one scratch a shard. The corpus has
+// small dictionary, so however many candidates it has to decide, the msim
+// cells actually computed for one query are at most (distinct segment texts)
+// × (probe segments) per verify scratch — one scratch a shard. The corpus has
 // 300 distinct texts under ~20 000 segments and a query admits on the order
 // of a thousand candidates; enough queries run that a cache which fills up
 // and stops inserting (the string-keyed memo's 2^16 entries) would be full
-// long before the last one.
+// long before the last one. How hard the bound binds is measured in the
+// cells the queries were asked to decide — candidates past the size ratio ×
+// probe segments × mean segments a record — not in cells filled: the cover
+// stage decides most candidates without a matrix.
 func TestMSimEvalsBoundedByDistinctTexts(t *testing.T) {
 	rng := rand.New(rand.NewSource(2718))
 	record := func() string {
@@ -221,16 +246,20 @@ func TestMSimEvalsBoundedByDistinctTexts(t *testing.T) {
 		}
 		return strutil.JoinTokens(toks)
 	}
+	j := NewJoiner(paperContext())
 	raws := make([]string, 4000)
+	segments := 0
 	for i := range raws {
 		raws[i] = record()
+		segments += j.Calculator().Prepare(strutil.Tokenize(raws[i])).NumSegments()
 	}
-	j := NewJoiner(paperContext())
+	meanSegments := float64(segments) / float64(len(raws))
 	ctx := context.Background()
 	for _, shards := range gridShards {
 		sx := j.BuildShardedIndex(strutil.NewCollection(raws), shards, Options{Theta: 0.7, Tau: 1, Method: pebble.UFilter}, DynamicOptions{})
 		distinct := int64(sx.Stats().DistinctSegments)
-		var cells, evals, bounds int64
+		var evals, bounds int64
+		asked := 0.0
 		for q := 0; q < 60; q++ {
 			toks := strutil.Tokenize(record())
 			nt := int64(j.Calculator().Prepare(toks).NumSegments())
@@ -245,11 +274,14 @@ func TestMSimEvalsBoundedByDistinctTexts(t *testing.T) {
 					shards, q, e, after.VerifiedCandidates-before.VerifiedCandidates, bound, distinct, nt, shards)
 			}
 			evals, bounds = evals+e, bounds+bound
-			cells += e + after.MemoHits - before.MemoHits
+			// Past the size ratio: dismissed by the cover stage or verified (a
+			// candidate the rising floor dropped is left out, on the safe side).
+			past := after.PrunedByCover - before.PrunedByCover + after.VerifiedCandidates - before.VerifiedCandidates
+			asked += float64(past*nt) * meanSegments
 		}
-		t.Logf("shards=%d: %d distinct texts, %d of %d cells computed (bound %d)", shards, distinct, evals, cells, bounds)
-		if cells < 2*bounds {
-			t.Errorf("shards=%d: %d cells filled against a bound of %d; too few candidates a query for the bound to bind", shards, cells, bounds)
+		t.Logf("shards=%d: %d distinct texts, %d cells computed (bound %d) to decide %.0f", shards, distinct, evals, bounds, asked)
+		if asked < 2*float64(bounds) {
+			t.Errorf("shards=%d: %.0f cells to decide against a bound of %d; too few candidates a query for the bound to bind", shards, asked, bounds)
 		}
 	}
 }

@@ -192,3 +192,48 @@ func (c *Context) MSimData(a, b *SegmentData) float64 {
 	}
 	return best
 }
+
+// MSimDataOverlap is MSimData for a caller that has already counted
+// inter = |a.Grams ∩ b.Grams| by other means (the verifier's probe-gram
+// bitmasks): the Jaccard measure is derived from the count under
+// SegmentJaccardData's edge cases instead of merging the two gram sets, and
+// the remaining measures follow in MSimData's order, so for the true count
+// the result is bit-identical to MSimData(a, b).
+func (c *Context) MSimDataOverlap(a, b *SegmentData, inter int) float64 {
+	best := 0.0
+	if c.JaccardEnabled() {
+		if v := jaccardFromOverlap(a, b, inter); v > best {
+			best = v
+		}
+	}
+	if c.SynonymEnabled() {
+		if v := c.SegmentSynonymData(a, b); v > best {
+			best = v
+		}
+	}
+	if c.TaxonomyEnabled() {
+		if v := c.SegmentTaxonomyData(a, b); v > best {
+			best = v
+		}
+	}
+	return best
+}
+
+// jaccardFromOverlap is SegmentJaccardData given the size of the gram
+// intersection: the same four degenerate cases, then inter / union.
+func jaccardFromOverlap(a, b *SegmentData, inter int) float64 {
+	if a.Text == "" && b.Text == "" {
+		return 1
+	}
+	if a.Text == "" || b.Text == "" {
+		return 0
+	}
+	la, lb := len(a.Grams), len(b.Grams)
+	if la == 0 && lb == 0 {
+		return 1
+	}
+	if la == 0 || lb == 0 {
+		return 0
+	}
+	return float64(inter) / float64(la+lb-inter)
+}
