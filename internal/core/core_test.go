@@ -104,29 +104,29 @@ func TestSegmentsTaxonomyEntities(t *testing.T) {
 }
 
 func TestMinPartitionSize(t *testing.T) {
-	ctx := paperContext()
-	sg := NewSegmenter(ctx)
+	calc := NewCalculator(paperContext())
+	mp := func(tokens []string) int { return calc.Prepare(tokens).MinPartitionSize() }
 	// Example 6: T = "espresso cafe Helsinki" has three single-token
 	// segments, largest segment size 1, so m = ceil(3 / (ln 1 + 1)) = 3.
-	if got := sg.MinPartitionSize(strutil.Tokenize("espresso cafe Helsinki")); got != 3 {
+	if got := mp(strutil.Tokenize("espresso cafe Helsinki")); got != 3 {
 		t.Errorf("MinPartitionSize = %d, want 3", got)
 	}
 	// S = "coffee shop latte Helsingki": greedy picks "coffee shop" then two
 	// singletons (3 segments); largest segment 2 tokens → ceil(3/(ln2+1)) = 2.
-	if got := sg.MinPartitionSize(strutil.Tokenize("coffee shop latte Helsingki")); got != 2 {
+	if got := mp(strutil.Tokenize("coffee shop latte Helsingki")); got != 2 {
 		t.Errorf("MinPartitionSize = %d, want 2", got)
 	}
-	if got := sg.MinPartitionSize(nil); got != 0 {
+	if got := mp(nil); got != 0 {
 		t.Errorf("MinPartitionSize(empty) = %d, want 0", got)
 	}
-	if got := sg.MinPartitionSize([]string{"solo"}); got != 1 {
+	if got := mp([]string{"solo"}); got != 1 {
 		t.Errorf("MinPartitionSize(single) = %d, want 1", got)
 	}
 	// 67 tokens, past the 64 positions the cover keeps on the stack: greedy
 	// picks the 33 "coffee shop" spans and the trailing singleton (34
 	// segments); largest segment 2 tokens → ceil(34/(ln2+1)) = 21.
 	long := strutil.Tokenize(strings.Repeat("coffee shop ", 33) + "latte")
-	if got := sg.MinPartitionSize(long); len(long) != 67 || got != 21 {
+	if got := mp(long); len(long) != 67 || got != 21 {
 		t.Errorf("MinPartitionSize(%d tokens) = %d, want 21", len(long), got)
 	}
 }

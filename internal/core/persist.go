@@ -76,7 +76,7 @@ func (c *Calculator) RestorePrepared(tokens []string, segs []SegPersist, minPart
 			return nil, fmt.Errorf("core: no singleton segment at position %d", pos)
 		}
 	}
-	c.deriveSegments(d, pr)
+	c.deriveSegments(d, true, pr)
 	pr.minPart = minPart
 	return pr, nil
 }

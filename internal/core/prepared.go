@@ -59,28 +59,41 @@ func (pr *PreparedRecord) NumSegments() int { return len(pr.Segs) }
 // well-defined partition of the record.
 func (pr *PreparedRecord) MinPartitionSize() int { return pr.minPart }
 
-// Prepare computes the per-record state of the verification engine: segment
-// enumeration, per-segment derivation tables (gram sets, rule ids, taxonomy
-// nodes) and the partition-size lower bound. The returned record is
-// immutable and safe to share across goroutines. It belongs to no
-// dictionary — probes and queries are prepared this way, so a query stream
-// cannot grow an index's dictionary — and verifies on the direct path when it
-// is the left operand.
+// Prepare is PrepareProbe without a dictionary: every derivation table is the
+// record's own.
 func (c *Calculator) Prepare(tokens []string) *PreparedRecord {
-	return c.PrepareIn(nil, tokens)
+	return c.PrepareProbe(nil, tokens)
 }
 
-// PrepareIn is Prepare for a record of the index d serves: every segment's
-// text is interned into d, so the record carries dense segment IDs and shares
-// one derivation table per distinct text with every other record of d. d
-// must only ever be used with this calculator's context. A nil d is Prepare.
+// PrepareIn prepares a record of the index d serves — the one segment
+// enumeration of a record, which pebble generation, MP(S) and verification
+// all read: the well-defined segments, per-segment derivation tables (gram
+// set and gram pebble keys, rule ids, taxonomy node) and the partition-size
+// lower bound. Every segment's text is interned into d, so the record carries
+// dense segment IDs and shares one derivation table per distinct text with
+// every other record of d. d must only ever be used with this calculator's
+// context. The returned record is immutable and safe to share across
+// goroutines.
 func (c *Calculator) PrepareIn(d *SegDict, tokens []string) *PreparedRecord {
+	return c.prepare(d, true, tokens)
+}
+
+// PrepareProbe is PrepareIn for the probe side — a query, a probe batch, the
+// T side of a join: it reads d and never writes it, so a query stream cannot
+// grow an index's dictionary. A segment whose text d holds shares d's table;
+// any other (and every one when d is nil) gets a private derivation. The
+// record belongs to no dictionary — every ID is NoSegID — and verifies on the
+// direct path when it is the left operand.
+func (c *Calculator) PrepareProbe(d *SegDict, tokens []string) *PreparedRecord {
+	return c.prepare(d, false, tokens)
+}
+
+func (c *Calculator) prepare(d *SegDict, intern bool, tokens []string) *PreparedRecord {
 	pr := &PreparedRecord{Tokens: tokens}
 	if len(tokens) == 0 {
 		return pr
 	}
-	sg := c.Segmenter()
-	segs := sg.Segments(tokens)
+	segs := c.Segmenter().Segments(tokens)
 	pr.Segs = make([]PreparedSegment, len(segs))
 	pr.single = make([]int32, len(tokens))
 	for i, s := range segs {
@@ -94,28 +107,35 @@ func (c *Calculator) PrepareIn(d *SegDict, tokens []string) *PreparedRecord {
 			pr.single[s.Span.Start] = int32(i)
 		}
 	}
-	c.deriveSegments(d, pr)
+	c.deriveSegments(d, intern, pr)
 	pr.minPart = minPartitionSizeSegs(tokens, segs)
 	return pr
 }
 
 // deriveSegments fills in the ID and derivation table of every segment of pr
-// (spans and tokens already set): interned into d, or — without a dictionary
-// — derived into one backing array for the whole record.
-func (c *Calculator) deriveSegments(d *SegDict, pr *PreparedRecord) {
-	pr.dict = d
-	if d == nil {
-		own := make([]sim.SegmentData, len(pr.Segs))
+// (spans and tokens already set): interned into d, or — on the probe side —
+// read from d where it holds the text and derived privately, into one backing
+// array for the record, where it does not.
+func (c *Calculator) deriveSegments(d *SegDict, intern bool, pr *PreparedRecord) {
+	if intern && d != nil {
+		pr.dict = d
 		for i := range pr.Segs {
-			own[i] = c.Ctx.PrepareSegment(pr.Segs[i].Tokens)
-			pr.Segs[i].ID, pr.Segs[i].Data = NoSegID, &own[i]
+			pr.Segs[i].ID, pr.Segs[i].Data = d.intern(c.Ctx, pr.Segs[i].Tokens)
+			pr.maxSegID = max(pr.maxSegID, pr.Segs[i].ID)
 		}
-		pr.maxSegID = NoSegID
 		return
 	}
+	pr.maxSegID = NoSegID
+	missing := d.read(pr.Segs)
+	if missing == 0 {
+		return
+	}
+	own := make([]sim.SegmentData, 0, missing)
 	for i := range pr.Segs {
-		pr.Segs[i].ID, pr.Segs[i].Data = d.intern(c.Ctx, pr.Segs[i].Tokens)
-		pr.maxSegID = max(pr.maxSegID, pr.Segs[i].ID)
+		if pr.Segs[i].Data == nil {
+			own = append(own, c.Ctx.PrepareSegment(strutil.JoinTokens(pr.Segs[i].Tokens)))
+			pr.Segs[i].Data = &own[len(own)-1]
+		}
 	}
 }
 

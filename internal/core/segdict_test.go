@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -49,5 +50,61 @@ func TestSegDictConcurrentIntern(t *testing.T) {
 	}
 	if len(byID) != d.Len() {
 		t.Fatalf("%d IDs in use, dictionary length %d", len(byID), d.Len())
+	}
+}
+
+// TestSegDictAtCap is the one behaviour at the dictionary's cap: a limit
+// lowered so that half the texts fall past it changes where a derivation
+// table lives and nothing else. Records prepared into the capped dictionary
+// carry the tables an unlimited one gives them — what pebble generation and
+// signature selection read — private and under NoSegID for the texts past the
+// cap, probes read the capped dictionary to the same tables, and every
+// VerifyPrepared verdict agrees.
+func TestSegDictAtCap(t *testing.T) {
+	calc := NewCalculator(paperContext())
+	rng := rand.New(rand.NewSource(41))
+	corpus, probes := corpusTokens(rng, 120), corpusTokens(rng, 20)
+	full, capped := NewSegDict(), NewSegDict()
+	for _, toks := range corpus {
+		calc.PrepareIn(full, toks)
+	}
+	capped.limit = full.Len() / 2
+	sameTables := func(a, b *PreparedRecord) {
+		t.Helper()
+		if len(a.Segs) != len(b.Segs) || a.MinPartitionSize() != b.MinPartitionSize() {
+			t.Fatalf("%v: %d segments and MP %d unlimited, %d and %d capped", a.Tokens, len(a.Segs), a.MinPartitionSize(), len(b.Segs), b.MinPartitionSize())
+		}
+		for i := range a.Segs {
+			if a.Segs[i].Span != b.Segs[i].Span || !reflect.DeepEqual(a.Segs[i].Data, b.Segs[i].Data) {
+				t.Fatalf("%v segment %d: table %+v unlimited, %+v capped", a.Tokens, i, a.Segs[i].Data, b.Segs[i].Data)
+			}
+		}
+	}
+	past := 0
+	sc := NewScratch()
+	for _, toks := range corpus {
+		a, b := calc.PrepareIn(full, toks), calc.PrepareIn(capped, toks)
+		sameTables(a, b)
+		for i := range b.Segs {
+			if id := b.Segs[i].ID; id == NoSegID {
+				past++
+			} else if b.Segs[i].Data != capped.entries[id] {
+				t.Fatalf("%v segment %d has ID %d and a table of its own", toks, i, id)
+			}
+		}
+		for _, probe := range probes {
+			pa, pb := calc.PrepareProbe(full, probe), calc.PrepareProbe(capped, probe)
+			sameTables(pa, pb)
+			for _, theta := range []float64{0.5, 0.8} {
+				va, oka := calc.VerifyPrepared(a, pa, theta, sc)
+				vb, okb := calc.VerifyPrepared(b, pb, theta, sc)
+				if va != vb || oka != okb {
+					t.Fatalf("%v / %v at θ=%v: (%v, %v) unlimited, (%v, %v) capped", toks, probe, theta, va, oka, vb, okb)
+				}
+			}
+		}
+	}
+	if past == 0 || capped.Len() != capped.limit {
+		t.Fatalf("%d segments fell past the cap, dictionary length %d at limit %d", past, capped.Len(), capped.limit)
 	}
 }

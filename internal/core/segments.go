@@ -59,18 +59,12 @@ type Segmenter struct {
 // NewSegmenter returns a Segmenter over the given context.
 func NewSegmenter(ctx *sim.Context) *Segmenter { return &Segmenter{Ctx: ctx} }
 
-// maxSegmentTokens returns the longest span worth probing: the maximum rule
-// side or entity name length (at least 1).
-func (sg *Segmenter) maxSegmentTokens() int {
-	return sg.Ctx.MaxRuleTokens()
-}
-
 // Segments returns every well-defined segment of the token sequence,
 // ordered by start position then length. Single-token segments are always
 // included; longer spans are included when they match a synonym-rule side
 // or a taxonomy entity.
 func (sg *Segmenter) Segments(tokens []string) []Segment {
-	maxLen := sg.maxSegmentTokens()
+	maxLen := sg.Ctx.MaxRuleTokens()       // the longest rule side or entity name
 	out := make([]Segment, 0, len(tokens)) // one singleton per token at least
 	for start := 0; start < len(tokens); start++ {
 		limit := maxLen
@@ -81,13 +75,10 @@ func (sg *Segmenter) Segments(tokens []string) []Segment {
 			span := strutil.Span{Start: start, End: start + length}
 			segTokens := tokens[start : start+length]
 			seg := Segment{Span: span, Tokens: segTokens}
-			if sg.Ctx.SynonymEnabled() && sg.Ctx.Rules.IsSide(segTokens) {
-				seg.Rule = true
-			}
+			text := strutil.JoinTokens(segTokens) // once a span, for both lookups
+			seg.Rule = sg.Ctx.SynonymEnabled() && sg.Ctx.Rules.IsSide(text)
 			if sg.Ctx.TaxonomyEnabled() {
-				if _, ok := sg.Ctx.Tax.LookupTokens(segTokens); ok {
-					seg.Entity = true
-				}
+				_, seg.Entity = sg.Ctx.Tax.LookupText(text)
 			}
 			if length == 1 || seg.Rule || seg.Entity {
 				out = append(out, seg)
@@ -111,21 +102,13 @@ func (sg *Segmenter) MultiTokenSegments(tokens []string) []Segment {
 	return out
 }
 
-// MinPartitionSize implements GetMinPartitionSize of Algorithm 2: a lower
-// bound on the number of segments in any well-defined partition of the
-// token sequence, obtained by greedy set cover (largest uncovered segment
-// first) and divided by the greedy approximation factor ln(n)+1, where n is
-// the size of the largest well-defined segment.
-func (sg *Segmenter) MinPartitionSize(tokens []string) int {
-	if len(tokens) == 0 {
-		return 0
-	}
-	return minPartitionSizeSegs(tokens, sg.Segments(tokens))
-}
-
-// minPartitionSizeSegs is MinPartitionSize over an already-enumerated
-// segment list (Prepare shares one enumeration between the segment tables
-// and this bound).
+// minPartitionSizeSegs implements GetMinPartitionSize of Algorithm 2 over a
+// non-empty record's segment enumeration (prepare shares the one enumeration
+// between the segment tables and this bound): a lower bound on the number of
+// segments in any well-defined partition of the token sequence, obtained by
+// greedy set cover (largest uncovered segment first) and divided by the
+// greedy approximation factor ln(n)+1, where n is the size of the largest
+// well-defined segment.
 func minPartitionSizeSegs(tokens []string, segs []Segment) int {
 	// covered[p] marks token p as covered by a picked segment; records of up
 	// to 64 tokens (all but pathological inputs) keep it on the stack.

@@ -104,11 +104,11 @@ func BenchmarkFilterPhase(b *testing.B) {
 	s := filterCorpus(400, 1)
 	t := filterCorpus(400, 2)
 	opts := Options{Theta: 0.8, Tau: 12, Method: pebble.AUDP}
-	ix := j.buildIndex(s, j.BuildOrder(s, t), opts, nil, nil)
+	ix, prepT := j.joinIndex(s, t, opts)
 	if ix.inv.DenseKeys() == 0 {
 		b.Fatal("bench corpus produced no dense posting lists; hybrid path unexercised")
 	}
-	sigs := j.signatures(t, ix.sel, opts.Method, ix.tau)
+	sigs := selectSignatures(prepT, ix.sel, opts.Method, ix.tau)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -131,9 +131,8 @@ func BenchmarkVerify(b *testing.B) {
 	s := benchCorpus(400, 1)
 	t := benchCorpus(400, 2)
 	opts := Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}
-	ix := j.buildIndex(s, j.BuildOrder(s, t), opts, nil, nil)
-	sigs := j.signatures(t, ix.sel, opts.Method, ix.tau)
-	prepT := prepareRecords(t, ix.calc, nil)
+	ix, prepT := j.joinIndex(s, t, opts)
+	sigs := selectSignatures(prepT, ix.sel, opts.Method, ix.tau)
 	cands, _, _ := ix.candidates(context.Background(), sigs, false, opts.workers())
 	workers := opts.workers()
 	b.ReportAllocs()

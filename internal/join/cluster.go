@@ -6,8 +6,8 @@ import (
 	"math"
 	"strings"
 
+	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/pebble"
-	"github.com/aujoin/aujoin/internal/strutil"
 )
 
 // This file holds the hooks the cluster layer builds on: a structured
@@ -118,18 +118,19 @@ func (sx *ShardedIndex) InsertBatchRecords(ids []int, raw []string) error {
 // ascending, key ascending on ties) — the image an epoch-bump builder sums
 // across groups to construct the next global frozen order. The live set is
 // collected under every shard's writer lock (one atomic cut); the frequency
-// count itself runs after the locks drop, since records are immutable.
+// count itself runs after the locks drop, over the prepared records the
+// shards hold, which are immutable.
 func (sx *ShardedIndex) KeyFrequencies() ([]string, []int) {
 	sx.refreezeMu.Lock()
 	unlock := sx.lockShards()
-	live := make([][]strutil.Record, len(sx.shards))
+	live := make([][]*core.PreparedRecord, len(sx.shards))
 	for w, sh := range sx.shards {
-		live[w], _, _ = sh.liveLocked()
+		_, live[w], _ = sh.liveLocked()
 	}
 	unlock()
 	sx.refreezeMu.Unlock()
 
-	return sx.joiner.BuildOrder(live...).FrequencyTable()
+	return sx.joiner.orderOf(live...).FrequencyTable()
 }
 
 // AdoptOrder replaces the index's pebble order with an externally built
@@ -154,17 +155,22 @@ func (sx *ShardedIndex) AdoptOrder(keys []string, freqs []int) error {
 	}
 	sx.refreezeMu.Lock()
 	defer sx.refreezeMu.Unlock()
-	sx.refreezeLocked(func(live [][]strutil.Record) *pebble.Order {
-		// Defensive intern: any live key the image lacks joins the dynamic
-		// region before signatures are re-selected under the adopted order.
-		var pebs [][]pebble.Pebble
-		for w := range live {
-			for _, rec := range live[w] {
-				p, _ := sx.joiner.gen.Pebbles(rec.Tokens)
-				pebs = append(pebs, p)
+	sx.refreezeLocked(func(live [][]*core.PreparedRecord) *pebble.Order {
+		// Defensive intern: any live key the image lacks — none, when nothing
+		// raced the builder — joins the dynamic region before signatures are
+		// re-selected under the adopted order.
+		var buf, missing []pebble.Pebble
+		for _, part := range live {
+			for _, pr := range part {
+				buf = sx.joiner.gen.AppendPebbles(buf[:0], pr)
+				for _, p := range buf {
+					if _, ok := order.ID(p.Key); !ok {
+						missing = append(missing, p)
+					}
+				}
 			}
 		}
-		order.InternDynamic(pebs...)
+		order.InternDynamic(missing)
 		return order
 	})
 	sx.noRefreeze.Store(true)

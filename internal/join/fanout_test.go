@@ -86,7 +86,7 @@ func TestQueryAllocsPinned(t *testing.T) {
 	j := NewJoiner(paperContext())
 	probe := benchCorpus(64, 9)
 	ctx, qo := context.Background(), QueryOpts{}
-	for _, pin := range []struct{ shards, topK, probe int }{{1, 61, 61}, {3, 67, 67}} {
+	for _, pin := range []struct{ shards, topK, probe int }{{1, 30, 30}, {3, 36, 36}} {
 		sx := j.BuildShardedIndex(benchCorpus(400, 1), pin.shards, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
 		i := 0
 		topK := testing.AllocsPerRun(10*len(probe), func() {

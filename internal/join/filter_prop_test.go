@@ -135,7 +135,7 @@ func TestHybridStaticCandidatesMatchClassic(t *testing.T) {
 		}
 		stored := ix.sigIDs
 
-		sigs := j.signatures(probe, ix.sel, opts.Method, ix.tau)
+		sigs := selectSignatures(prepareRecords(probe, ix.dict, ix.calc.PrepareProbe), ix.sel, opts.Method, ix.tau)
 		got, tally, err := ix.candidates(ctx, sigs, false, 4)
 		if err != nil {
 			t.Fatalf("%s: candidates: %v", name, err)
@@ -223,7 +223,7 @@ func testHybridCandidates(t *testing.T, shards int) {
 
 			sv := sx.Snapshot()
 			tgt, _ := sv.probeTarget()
-			sigs := j.signatures(probe, sv.gen.sel, opts.Method, sx.tau)
+			sigs := selectSignatures(prepareRecords(probe, sx.dict, j.calc.PrepareProbe), sv.gen.sel, opts.Method, sx.tau)
 			got, tally, err := tgt.candidates(ctx, sigs, 4)
 			if err != nil {
 				t.Fatalf("%s: candidates: %v", name, err)

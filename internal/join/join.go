@@ -165,14 +165,25 @@ func (j *Joiner) Generator() *pebble.Generator { return j.gen }
 // Calculator exposes the unified-similarity calculator.
 func (j *Joiner) Calculator() *core.Calculator { return j.calc }
 
-// BuildOrder constructs the global pebble frequency order over the given
-// collections.
+// BuildOrder is orderOf for bare collections: their records are prepared
+// here, without a dictionary.
 func (j *Joiner) BuildOrder(collections ...[]strutil.Record) *pebble.Order {
+	prepared := make([][]*core.PreparedRecord, len(collections))
+	for i, coll := range collections {
+		prepared[i] = prepareRecords(coll, nil, j.calc.PrepareProbe)
+	}
+	return j.orderOf(prepared...)
+}
+
+// orderOf constructs the global pebble frequency order over the given
+// collections of prepared records.
+func (j *Joiner) orderOf(collections ...[]*core.PreparedRecord) *pebble.Order {
 	order := pebble.NewOrder()
+	var buf []pebble.Pebble
 	for _, coll := range collections {
-		for _, rec := range coll {
-			p, _ := j.gen.Pebbles(rec.Tokens)
-			order.Add(p)
+		for _, pr := range coll {
+			buf = j.gen.AppendPebbles(buf[:0], pr)
+			order.Add(buf)
 		}
 	}
 	return order
@@ -187,12 +198,16 @@ func (j *Joiner) BuildOrder(collections ...[]strutil.Record) *pebble.Order {
 // index building and verification preparation entirely. Holding an Index
 // therefore costs the prepared records' memory (per record its segment
 // spans; per distinct segment text, once in the index's segment dictionary,
-// the gram set and rule/taxonomy derivations) on top of the inverted index.
+// the gram set, the gram pebble keys and the rule/taxonomy derivations) on top
+// of the inverted index.
 type Index struct {
 	joiner *Joiner
 	opts   Options
 	tau    int
 	calc   *core.Calculator
+	// dict is the segment dictionary the prepared records were interned into
+	// (a router's, for a shard's base); probes read it and never write it.
+	dict *core.SegDict
 
 	order    *pebble.Order
 	sel      *pebble.Selector
@@ -210,8 +225,8 @@ type Index struct {
 	sigIDs [][]uint32
 
 	// BuildTime is the wall-clock duration of constructing this index:
-	// newBase's own work (inverted index, hybrid layout), plus signature
-	// selection and verification preparation when buildIndex did them.
+	// newBase's own work (inverted index, hybrid layout), or — for a base
+	// buildIndex made — everything since its caller began preparing records.
 	BuildTime time.Duration
 	avgSig    float64
 
@@ -280,49 +295,51 @@ func (t *filterTally) add(o filterTally) {
 	t.sliceTokens += o.sliceTokens
 }
 
-// BuildIndex computes the global pebble order of the records, selects their
-// signatures and builds the inverted index under the given options
-// (Options.Tau and Options.Theta are fixed at build time; AutoTau-style
-// re-tuning requires a rebuild).
+// BuildIndex prepares the records, computes their global pebble order,
+// selects their signatures and builds the inverted index under the given
+// options (Options.Tau and Options.Theta are fixed at build time; AutoTau-style
+// re-tuning requires a rebuild). The index has a segment dictionary of its
+// own, reachable only through it so that it dies with it.
 func (j *Joiner) BuildIndex(records []strutil.Record, opts Options) *Index {
-	return j.buildIndex(records, j.BuildOrder(records), opts, nil, nil)
+	start, dict := time.Now(), core.NewSegDict()
+	prepared := prepareRecords(records, dict, j.calcFor(opts).PrepareIn)
+	return j.buildIndex(records, prepared, j.orderOf(prepared), opts, dict, start)
 }
 
-// buildIndex builds an Index over records with an externally supplied order
-// (Join uses an order spanning both collections): it selects every record's
-// signature under that order and hands the IDs to newBase. A non-nil prepared
-// slice supplies ready-made verification records positionally (preparation is
-// order-independent, so a re-freeze passes the survivors' records through
-// unchanged instead of re-deriving them); otherwise the
-// records are prepared here and their segments interned into dict — the
-// router's, for a shard's first base, or with a nil dict one of the index's
-// own, reachable only through its prepared records so that it dies with them.
-func (j *Joiner) buildIndex(records []strutil.Record, order *pebble.Order, opts Options, dict *core.SegDict, prepared []*core.PreparedRecord) *Index {
-	start := time.Now()
-	sigIDs := j.signatures(records, pebble.NewSelector(j.gen, order, opts.Theta), opts.Method, opts.tau())
-	if prepared == nil {
-		if dict == nil {
-			dict = core.NewSegDict()
-		}
-		prepared = prepareRecords(records, j.calcFor(opts), dict)
-	}
-	ix := j.newBase(records, sigIDs, prepared, order, opts)
+// joinIndex is the build half of Join: the index over s under an order
+// spanning both collections, and t prepared for probing it.
+func (j *Joiner) joinIndex(s, t []strutil.Record, opts Options) (*Index, []*core.PreparedRecord) {
+	start, calc, dict := time.Now(), j.calcFor(opts), core.NewSegDict()
+	prepS := prepareRecords(s, dict, calc.PrepareIn)
+	prepT := prepareRecords(t, dict, calc.PrepareProbe)
+	return j.buildIndex(s, prepS, j.orderOf(prepS, prepT), opts, dict, start), prepT
+}
+
+// buildIndex builds an Index over prepared records (positional, interned into
+// dict) under an externally supplied order: it selects every record's
+// signature from its prepared record and hands the IDs to newBase.
+// Preparation is order-independent, so a re-freeze passes the survivors'
+// records through unchanged. start is when the caller began the build.
+func (j *Joiner) buildIndex(records []strutil.Record, prepared []*core.PreparedRecord, order *pebble.Order, opts Options, dict *core.SegDict, start time.Time) *Index {
+	sigIDs := selectSignatures(prepared, pebble.NewSelector(j.gen, order, opts.Theta), opts.Method, opts.tau())
+	ix := j.newBase(records, sigIDs, prepared, order, opts, dict)
 	ix.BuildTime = time.Since(start)
 	return ix
 }
 
 // newBase is the one constructor of an Index: it turns the records'
-// signature IDs and prepared verification records — selected and prepared by
-// buildIndex, decoded from a snapshot, or carried over from the base a
-// compaction replaces — into the inverted index and its hybrid layout. The
-// three slices are positional and become the index's own.
-func (j *Joiner) newBase(records []strutil.Record, sigIDs [][]uint32, prepared []*core.PreparedRecord, order *pebble.Order, opts Options) *Index {
+// signature IDs and prepared verification records — selected by buildIndex,
+// decoded from a snapshot, or carried over from the base a compaction
+// replaces — into the inverted index and its hybrid layout. The three slices
+// are positional and become the index's own.
+func (j *Joiner) newBase(records []strutil.Record, sigIDs [][]uint32, prepared []*core.PreparedRecord, order *pebble.Order, opts Options, dict *core.SegDict) *Index {
 	start := time.Now()
 	ix := &Index{
 		joiner:   j,
 		opts:     opts,
 		tau:      opts.tau(),
 		calc:     j.calcFor(opts),
+		dict:     dict,
 		order:    order,
 		sel:      pebble.NewSelector(j.gen, order, opts.Theta),
 		records:  records,
@@ -413,7 +430,10 @@ func (ix *Index) AvgSignature() float64 { return ix.avgSig }
 // SignatureTime covers only the probe side — the build cost is paid once in
 // BuildTime.
 func (ix *Index) Probe(records []strutil.Record) ([]Pair, Stats) {
-	return ix.probe(records, ix.opts, 0)
+	return collectPairs(func(emit func(Pair) bool) Stats {
+		stats, _ := ix.probeStream(context.Background(), records, emit)
+		return stats
+	})
 }
 
 // SelfJoin joins the indexed collection with itself, returning each
@@ -423,15 +443,6 @@ func (ix *Index) Probe(records []strutil.Record) ([]Pair, Stats) {
 func (ix *Index) SelfJoin() ([]Pair, Stats) {
 	return collectPairs(func(emit func(Pair) bool) Stats {
 		stats, _ := ix.selfStream(context.Background(), emit)
-		return stats
-	})
-}
-
-// probe is the batch form of probeStream: it never cancels, so the returned
-// statistics are complete.
-func (ix *Index) probe(records []strutil.Record, opts Options, extraSigTime time.Duration) ([]Pair, Stats) {
-	return collectPairs(func(emit func(Pair) bool) Stats {
-		stats, _ := ix.probeStream(context.Background(), records, opts, extraSigTime, emit)
 		return stats
 	})
 }
@@ -650,9 +661,10 @@ func countFilterRecord(inv *invindex.Index, segs []*segment, dead []uint64, ids 
 // workloads joining against the same collection repeatedly should hold on
 // to a BuildIndex result instead.
 func (j *Joiner) Join(s, t []strutil.Record, opts Options) ([]Pair, Stats) {
-	start := time.Now()
-	ix := j.buildIndex(s, j.BuildOrder(s, t), opts, nil, nil)
-	return ix.probe(t, opts, time.Since(start))
+	return collectPairs(func(emit func(Pair) bool) Stats {
+		stats, _ := j.joinStream(context.Background(), s, t, opts, emit)
+		return stats
+	})
 }
 
 // SelfJoin joins a collection with itself, returning each unordered pair
@@ -663,12 +675,12 @@ func (j *Joiner) SelfJoin(s []strutil.Record, opts Options) ([]Pair, Stats) {
 	return j.BuildIndex(s, opts).SelfJoin()
 }
 
-// signatures selects every record's signature in parallel and returns their
-// IDs.
-func (j *Joiner) signatures(recs []strutil.Record, sel *pebble.Selector, method pebble.Method, tau int) [][]uint32 {
-	out := make([][]uint32, len(recs))
-	parallelFor(len(recs), 0, func(i int) {
-		out[i] = signatureIDs(sel.Signature(recs[i].Tokens, method, tau))
+// selectSignatures selects every prepared record's signature in parallel and
+// returns their IDs.
+func selectSignatures(prepared []*core.PreparedRecord, sel *pebble.Selector, method pebble.Method, tau int) [][]uint32 {
+	out := make([][]uint32, len(prepared))
+	parallelFor(len(prepared), 0, func(i int) {
+		out[i] = signatureIDs(sel.RecordSignature(prepared[i], method, tau))
 	})
 	return out
 }
@@ -693,42 +705,42 @@ func appendSignatureIDs(ids []uint32, sig pebble.Signature) []uint32 {
 // record.
 type pairKey struct{ s, t int }
 
-// prepareRecords prepares every record in parallel; the result is the
-// verification half of an index (segments interned into its dictionary d) or
-// of a probe collection (d nil: probes never enter a dictionary).
-func prepareRecords(recs []strutil.Record, calc *core.Calculator, d *core.SegDict) []*core.PreparedRecord {
+// prepareRecords prepares every record in parallel, with a calculator's
+// PrepareIn for the records of an index (segments interned into its
+// dictionary d) or its PrepareProbe for a probe collection (d read, never
+// written; nil for none).
+func prepareRecords(recs []strutil.Record, d *core.SegDict, prepare func(*core.SegDict, []string) *core.PreparedRecord) []*core.PreparedRecord {
 	out := make([]*core.PreparedRecord, len(recs))
 	parallelFor(len(recs), 0, func(i int) {
-		out[i] = calc.PrepareIn(d, recs[i].Tokens)
+		out[i] = prepare(d, recs[i].Tokens)
 	})
 	return out
 }
 
 // FilterProfile holds the τ-independent state of the filtering stage for
-// two collections: the shared interned order and every record's prepared
-// (generated, interned, sorted) pebble list. Stats re-derives signatures
-// and candidate counts for any τ without regenerating or re-sorting
-// pebbles — the Section 4 estimator calls it for every τ in its universe on
-// each Bernoulli sample — and VerifyStats additionally verifies the
-// surviving candidates through the same prepared-record engine the join
-// uses, preparing each sample record once across every τ. A FilterProfile
+// two collections: every record prepared once, the shared interned order and
+// every record's generated, interned, sorted pebble list. Stats re-derives
+// signatures and candidate counts for any τ without regenerating or
+// re-sorting pebbles — the Section 4 estimator calls it for every τ in its
+// universe on each Bernoulli sample — and VerifyStats additionally verifies
+// the surviving candidates through the same prepared-record engine the join
+// uses, over the same prepared records. A FilterProfile
 // is not safe for concurrent use: signature re-selection mutates shared
 // per-record accumulation scratch (and VerifyStats its verdict memo), so
 // sweep τ values sequentially.
 type FilterProfile struct {
-	joiner     *Joiner
-	calc       *core.Calculator
-	sel        *pebble.Selector
-	order      *pebble.Order
-	method     pebble.Method
-	theta      float64
-	workers    int
-	recS, recT []strutil.Record
-	preS, preT []pebble.Presig
-	scratch    sync.Pool // *probeScratch, reused across the τ sweep
-
-	prepOnce     sync.Once
+	calc    *core.Calculator
+	sel     *pebble.Selector
+	order   *pebble.Order
+	method  pebble.Method
+	theta   float64
+	workers int
+	// S is the left operand of every verification, so it is the side whose
+	// segments get IDs (the profile's own dictionary).
 	prepS, prepT []*core.PreparedRecord
+	preS, preT   []pebble.Presig
+	scratch      sync.Pool // *probeScratch, reused across the τ sweep
+
 	// verdicts memoises per-pair verification outcomes across the τ sweep:
 	// the verdict depends only on the pair and θ, and candidate sets for
 	// different τ overlap heavily.
@@ -737,32 +749,30 @@ type FilterProfile struct {
 
 // NewFilterProfile prepares both collections under a shared global order.
 func (j *Joiner) NewFilterProfile(s, t []strutil.Record, opts Options) *FilterProfile {
-	order := j.BuildOrder(s, t)
+	calc, dict := j.calcFor(opts), core.NewSegDict()
+	prepS := prepareRecords(s, dict, calc.PrepareIn)
+	prepT := prepareRecords(t, dict, calc.PrepareProbe)
+	order := j.orderOf(prepS, prepT)
 	sel := pebble.NewSelector(j.gen, order, opts.Theta)
-	calc := opts.Calculator
-	if calc == nil {
-		calc = j.calc
-	}
 	return &FilterProfile{
-		joiner:  j,
 		calc:    calc,
 		sel:     sel,
 		order:   order,
 		method:  opts.Method,
 		theta:   opts.Theta,
 		workers: opts.workers(),
-		recS:    s,
-		recT:    t,
-		preS:    j.prepareAll(s, sel),
-		preT:    j.prepareAll(t, sel),
+		prepS:   prepS,
+		prepT:   prepT,
+		preS:    presigs(prepS, sel),
+		preT:    presigs(prepT, sel),
 	}
 }
 
-// prepareAll runs Selector.Prepare for every record in parallel.
-func (j *Joiner) prepareAll(recs []strutil.Record, sel *pebble.Selector) []pebble.Presig {
-	out := make([]pebble.Presig, len(recs))
-	parallelFor(len(recs), 0, func(i int) {
-		out[i] = sel.Prepare(recs[i].Tokens)
+// presigs runs Selector.PrepareRecord for every record in parallel.
+func presigs(prepared []*core.PreparedRecord, sel *pebble.Selector) []pebble.Presig {
+	out := make([]pebble.Presig, len(prepared))
+	parallelFor(len(prepared), 0, func(i int) {
+		out[i] = sel.PrepareRecord(prepared[i])
 	})
 	return out
 }
@@ -776,20 +786,12 @@ func (fp *FilterProfile) Stats(tau int) (processed int64, candidates int) {
 
 // VerifyStats is Stats plus verification: it runs the filtering stage for
 // one τ and verifies every candidate through the prepared thresholded
-// engine, returning the number of results (R_τ) alongside T_τ and V_τ. The
-// prepared records of both collections are built on first use and shared by
-// every subsequent τ.
+// engine, returning the number of results (R_τ) alongside T_τ and V_τ.
 func (fp *FilterProfile) VerifyStats(tau int) (processed int64, candidates, results int) {
 	cands, processed := fp.filter(tau)
 	if len(cands) == 0 {
 		return processed, 0, 0
 	}
-	fp.prepOnce.Do(func() {
-		// S is the left operand of every verification below, so it is the
-		// side whose segments get IDs (the profile's own dictionary).
-		fp.prepS = prepareRecords(fp.recS, fp.calc, core.NewSegDict())
-		fp.prepT = prepareRecords(fp.recT, fp.calc, nil)
-	})
 	// A pair's verdict is τ-independent, and the candidate sets of the τ
 	// sweep overlap heavily, so only pairs never seen before are verified.
 	if fp.verdicts == nil {
@@ -874,8 +876,8 @@ func (j *Joiner) BruteForceCtx(ctx context.Context, s, t []strutil.Record, theta
 	}
 	// Both sides without a dictionary: the oracle verifies on the direct path,
 	// with no row reuse to be wrong about.
-	prepS := prepareRecords(s, calc, nil)
-	prepT := prepareRecords(t, calc, nil)
+	prepS := prepareRecords(s, nil, calc.PrepareProbe)
+	prepT := prepareRecords(t, nil, calc.PrepareProbe)
 	type cell struct {
 		pair Pair
 		ok   bool

@@ -199,7 +199,7 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 	sx.shards = make([]*shard, shards)
 	parallelFor(shards, shards, func(w int) {
 		p := &parts[w]
-		sx.shards[w] = newShard(j.newBase(p.records, p.sigIDs, p.prepared, order, opts), dopts, sx.cache, sx.dict, p.deadIDs)
+		sx.shards[w] = newShard(j.newBase(p.records, p.sigIDs, p.prepared, order, opts, sx.dict), dopts, sx.cache, p.deadIDs)
 	})
 	sx.gen.Store(&orderGen{order: order, sel: pebble.NewSelector(j.gen, order, opts.Theta)})
 	return sx, nil

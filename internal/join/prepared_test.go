@@ -39,8 +39,8 @@ func TestPreparedVerifyMatchesTokensOracle(t *testing.T) {
 					method, theta, len(got), len(want))
 			}
 			opts := Options{Theta: theta, Tau: 2, Method: method}
-			ix := j.buildIndex(s, j.BuildOrder(s, u), opts, nil, nil)
-			got, _ := ix.probe(u, opts, 0)
+			ix, _ := j.joinIndex(s, u, opts)
+			got, _ := ix.Probe(u)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v θ=%v: filtered join disagrees with tokens oracle: %d vs %d pairs",
 					method, theta, len(got), len(want))

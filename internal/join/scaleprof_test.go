@@ -37,8 +37,8 @@ func TestFilterScaleProfile(t *testing.T) {
 	j := NewJoiner(ctx)
 
 	opts := Options{Theta: 0.9, Tau: 12, Method: pebble.AUHeuristic, Workers: 1}
-	ix := j.buildIndex(s, j.BuildOrder(s, tt), opts, nil, nil)
-	sigs := j.signatures(tt, ix.sel, opts.Method, ix.tau)
+	ix, prepT := j.joinIndex(s, tt, opts)
+	sigs := selectSignatures(prepT, ix.sel, opts.Method, ix.tau)
 	// residual sizes of the dense lists
 	var resTotal, denseTotal int
 	for _, id := range ix.inv.Keys() {

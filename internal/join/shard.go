@@ -58,7 +58,6 @@ type shard struct {
 	tau    int
 	calc   *core.Calculator
 	cache  *core.PreparedCache
-	dict   *core.SegDict
 
 	rebuildFraction float64
 	maxSegments     int
@@ -176,20 +175,19 @@ const (
 // restored from a snapshot — as a shard and publishes its first view. The
 // base was built under the router's shared order; cache is the router's one
 // prepared-record cache (nil when disabled), shared so delete/re-insert churn
-// hits whichever shard the record lands on; dict is the router's segment
-// dictionary, which the base's records were interned into and inserts keep
+// hits whichever shard the record lands on; the base's dictionary — the
+// router's, which its records were interned into — is the one inserts keep
 // interning into. deadIDs re-applies a restored shard's tombstones: the
 // restored base holds every record — live and dead — at its original
 // position, so the bits land where the captured index had them and the
 // posting lists match entry for entry.
-func newShard(base *Index, dopts DynamicOptions, cache *core.PreparedCache, dict *core.SegDict, deadIDs []int) *shard {
+func newShard(base *Index, dopts DynamicOptions, cache *core.PreparedCache, deadIDs []int) *shard {
 	sh := &shard{
 		joiner:          base.joiner,
 		opts:            base.opts,
 		tau:             base.tau,
 		calc:            base.calc,
 		cache:           cache,
-		dict:            dict,
 		rebuildFraction: dopts.RebuildFraction,
 		maxSegments:     dopts.MaxSegments,
 	}
@@ -266,25 +264,31 @@ func (sh *shard) insertRecords(recs []strutil.Record) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	delta := invindex.NewDelta()
-	// Generate each record's pebbles once: the whole batch is interned in a
-	// single InternDynamic call (at most one dynamic-table clone), and the
-	// same slices then feed signature selection via PreparePebbles.
-	pebs := make([][]pebble.Pebble, len(recs))
-	segs := make([][]core.Segment, len(recs))
-	for i := range recs {
-		pebs[i], segs[i] = sh.joiner.gen.Pebbles(recs[i].Tokens)
+	// Prepare each record and generate its pebbles from that, once: the whole
+	// batch's pebbles are interned in a single InternDynamic call (at most one
+	// dynamic-table clone), which has to come before the first sort, and each
+	// record's stretch of them then feeds its signature selection.
+	first := len(sh.records)
+	var pebs []pebble.Pebble
+	ends := make([]int, len(recs))
+	for i, rec := range recs {
+		pr := sh.calc.PrepareCached(sh.cache, sh.base.dict, rec.Tokens)
+		sh.positions[rec.ID] = len(sh.records)
+		sh.records = append(sh.records, rec)
+		sh.prepared = append(sh.prepared, pr)
+		pebs = sh.joiner.gen.AppendPebbles(pebs, pr)
+		ends[i] = len(pebs)
 	}
-	sh.dynAdded += sh.base.order.InternDynamic(pebs...)
-	for i := range recs {
-		pos := len(sh.records)
-		pre := sh.base.sel.PreparePebbles(pebs[i], segs[i], recs[i].Tokens)
+	sh.dynAdded += sh.base.order.InternDynamic(pebs)
+	start := 0
+	for i, end := range ends {
+		pos := first + i
+		pre := sh.base.sel.PrepareGenerated(pebs[start:end:end], sh.prepared[pos])
+		start = end
 		ids := signatureIDs(sh.base.sel.Select(pre, sh.opts.Method, sh.tau))
 		delta.Add(pos, ids)
 		sh.sigIDs = append(sh.sigIDs, ids)
 		sh.sigLenLive += len(ids)
-		sh.records = append(sh.records, recs[i])
-		sh.prepared = append(sh.prepared, sh.calc.PrepareCached(sh.cache, sh.dict, recs[i].Tokens))
-		sh.positions[recs[i].ID] = pos
 	}
 	for len(sh.dead)*64 < len(sh.records) {
 		sh.dead = append(sh.dead, 0)
@@ -375,7 +379,7 @@ func (sh *shard) maybeRebuildLocked() {
 func (sh *shard) rebuildLocked() {
 	start := time.Now()
 	live, prep, sigIDs := sh.liveLocked()
-	sh.adoptBaseLocked(sh.joiner.newBase(live, sigIDs, prep, sh.base.order, sh.opts))
+	sh.adoptBaseLocked(sh.joiner.newBase(live, sigIDs, prep, sh.base.order, sh.opts, sh.base.dict))
 	sh.rebuilds++
 	sh.pauses = appendPause(sh.pauses, time.Since(start))
 }
@@ -421,7 +425,7 @@ func (sh *shard) liveLocked() ([]strutil.Record, []*core.PreparedRecord, [][]uin
 // double-count the stall and hide its corpus-sized total).
 func (sh *shard) refreezeLocked(order *pebble.Order, gen int, live []strutil.Record, prep []*core.PreparedRecord) {
 	sh.gen = gen
-	sh.adoptBaseLocked(sh.joiner.buildIndex(live, order, sh.opts, nil, prep))
+	sh.adoptBaseLocked(sh.joiner.buildIndex(live, prep, order, sh.opts, sh.base.dict, time.Now()))
 	sh.rebuilds++
 	sh.publishLocked()
 }
@@ -603,22 +607,6 @@ func (v *shardView) candidatesRecord(ids []uint32, tau int, sc *probeScratch) ([
 	return cands, tally
 }
 
-// lazyPrepared derives the prepared verification record of a query on first
-// use and shares it across consumers — the sharded fan-out hands one to
-// every shard, so the query is prepared at most once per request and not at
-// all when no shard yields a candidate.
-type lazyPrepared struct {
-	once   sync.Once
-	calc   *core.Calculator
-	tokens []string
-	pr     *core.PreparedRecord
-}
-
-func (lp *lazyPrepared) get() *core.PreparedRecord {
-	lp.once.Do(func() { lp.pr = lp.calc.Prepare(lp.tokens) })
-	return lp.pr
-}
-
 // minParallelVerify is the candidate count below which a per-query
 // verification request ignores QueryOpts.Workers: spawning goroutines for a
 // handful of candidates costs more than it saves.
@@ -758,7 +746,7 @@ func (vf *verifier) step(w, i int) {
 
 // serve is this shard's share of a single-record request: the count filter
 // for the request's probe signature at its overlap constraint, then
-// verification of the survivors against the lazily shared prepared query,
+// verification of the survivors against the request's prepared query,
 // keeping the rq.k best matches (every match reaching θ when k is
 // unboundedK). The matches come back unordered — the router merges every
 // shard's share and sorts once. rq.ft is the request-wide rising floor.
@@ -789,7 +777,7 @@ func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error
 		workers = rq.qo.Workers
 	}
 	vf := &sc.verify
-	vf.v, vf.pq, vf.theta, vf.k, vf.ft = v, rq.lp.get(), v.sh.opts.thetaFor(rq.qo), rq.k, &rq.ft
+	vf.v, vf.pq, vf.theta, vf.k, vf.ft = v, rq.pq, v.sh.opts.thetaFor(rq.qo), rq.k, &rq.ft
 	vf.cands = vf.cands[:0]
 	for _, r := range cands {
 		vf.cands = append(vf.cands, candUB{r: r})

@@ -134,6 +134,7 @@ func (j *Joiner) newRouter(opts Options, dopts DynamicOptions) *ShardedIndex {
 // evaluated against per-shard sizes, so rebuild work is bounded by the
 // shard, and the CacheSize bounds the one cache shared by all shards).
 func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Options, dopts DynamicOptions) *ShardedIndex {
+	start := time.Now()
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
@@ -146,13 +147,20 @@ func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Op
 			sx.nextID = rec.ID + 1
 		}
 	}
-	// The shared order spans the whole corpus, so document frequencies — and
-	// therefore signatures — do not depend on the shard count.
-	order := j.BuildOrder(records)
+	// One preparation of the corpus, shard after shard, feeds the order and
+	// every shard's signatures. The shared order spans the whole corpus, so
+	// document frequencies — and therefore signatures — do not depend on the
+	// shard count.
+	calc := j.calcFor(opts)
+	prepared := make([][]*core.PreparedRecord, shards)
+	for w := range parts {
+		prepared[w] = prepareRecords(parts[w], sx.dict, calc.PrepareIn)
+	}
+	order := j.orderOf(prepared...)
 	order.Finalize()
 	sx.shards = make([]*shard, shards)
 	parallelFor(shards, shards, func(w int) {
-		sx.shards[w] = newShard(j.buildIndex(parts[w], order, opts, sx.dict, nil), dopts, sx.cache, sx.dict, nil)
+		sx.shards[w] = newShard(j.buildIndex(parts[w], prepared[w], order, opts, sx.dict, start), dopts, sx.cache, nil)
 	})
 	// id 0 matches the zero-value generation stamp every freshly built shard
 	// publishes.
@@ -224,8 +232,8 @@ func (sx *ShardedIndex) maybeRefreeze() {
 		return
 	}
 	start := time.Now()
-	sx.refreezeLocked(func(live [][]strutil.Record) *pebble.Order {
-		order := sx.joiner.BuildOrder(live...)
+	sx.refreezeLocked(func(live [][]*core.PreparedRecord) *pebble.Order {
+		order := sx.joiner.orderOf(live...)
 		order.Finalize()
 		return order
 	})
@@ -240,11 +248,12 @@ func (sx *ShardedIndex) maybeRefreeze() {
 // self-triggered global re-finalize and AdoptOrder; the caller holds
 // refreezeMu. Every shard's writer lock is held while the live records are
 // collected, freeze turns them into the next frozen order, and every shard
-// is rebuilt under it with the bumped generation. Readers never stall:
+// is rebuilt under it with the bumped generation — from the prepared records
+// the shards hold, so a re-freeze segments nothing. Readers never stall:
 // with all writer locks held the current per-shard views are the exact
 // pre-refreeze state and necessarily one generation, so they are cached for
 // Snapshot to serve until the new generation is fully published.
-func (sx *ShardedIndex) refreezeLocked(freeze func(live [][]strutil.Record) *pebble.Order) {
+func (sx *ShardedIndex) refreezeLocked(freeze func(live [][]*core.PreparedRecord) *pebble.Order) {
 	defer sx.lockShards()()
 	g := sx.gen.Load()
 	pre := make([]*shardView, len(sx.shards))
@@ -257,7 +266,7 @@ func (sx *ShardedIndex) refreezeLocked(freeze func(live [][]strutil.Record) *peb
 		liveAll[w], prepAll[w], _ = sh.liveLocked()
 	}
 	sx.lastView.Store(&ShardedView{sx: sx, gen: g, views: pre})
-	order := freeze(liveAll)
+	order := freeze(prepAll)
 	next := &orderGen{order: order, sel: pebble.NewSelector(sx.joiner.gen, order, sx.opts.Theta), id: g.id + 1}
 	parallelFor(len(sx.shards), len(sx.shards), func(w int) {
 		sx.shards[w].refreezeLocked(order, next.id, liveAll[w], prepAll[w])
@@ -514,17 +523,17 @@ func (o Options) thetaFor(qo QueryOpts) float64 {
 const maxInlineShards = 4
 
 // request is the state of one single-record request — a threshold probe or a
-// top-k query — across its shard fan-out, and one allocation: the probe
-// signature and its overlap constraint, the lazily prepared query every shard
-// shares, the rising floor shared by every top-k heap, and per shard the
-// matches it found and the error it failed with.
+// top-k query — across its shard fan-out, and one allocation: the prepared
+// query every shard verifies against, the probe signature selected from it
+// and its overlap constraint, the rising floor shared by every top-k heap,
+// and per shard the matches it found and the error it failed with.
 type request struct {
 	sv  *ShardedView
+	pq  *core.PreparedRecord
 	sig pebble.Signature
 	tau int
 	qo  QueryOpts
 	k   int // the k best matches per shard; unboundedK: every match reaching θ
-	lp  lazyPrepared
 	// ft spans the whole fan-out: as soon as any shard's heap fills, its
 	// k-th similarity becomes a lower bound on the global k-th best, so
 	// sibling shards can skip candidates bounded below it.
@@ -541,9 +550,10 @@ type request struct {
 }
 
 // serve runs one single-record request against every shard and returns the
-// per-shard matches: one signature for the whole request (the shards share
-// the order, so one signature is valid everywhere), the query prepared at
-// most once, on the first shard that produces a candidate.
+// per-shard matches: the query is prepared once, reading the index's
+// dictionary without writing it, and signed from that — one signature for
+// the whole request (the shards share the order, so one signature is valid
+// everywhere).
 func (sv *ShardedView) serve(ctx context.Context, tokens []string, k int, qo QueryOpts) ([][]QueryMatch, error) {
 	sx := sv.sx
 	if qo.Theta > 0 && qo.Theta < sx.opts.Theta {
@@ -553,8 +563,8 @@ func (sv *ShardedView) serve(ctx context.Context, tokens []string, k int, qo Que
 	if qo.ProbeTau > 0 {
 		method, tau = pinnedConfig(qo, sx.tau)
 	}
-	rq := &request{sv: sv, sig: sv.gen.sel.Signature(tokens, method, tau), tau: tau, qo: qo, k: k}
-	rq.lp.calc, rq.lp.tokens = sx.joiner.calcFor(sx.opts), tokens
+	pq := sx.joiner.calcFor(sx.opts).PrepareProbe(sx.dict, tokens)
+	rq := &request{sv: sv, pq: pq, sig: sv.gen.sel.RecordSignature(pq, method, tau), tau: tau, qo: qo, k: k}
 	if n := len(sv.views); n <= maxInlineShards {
 		rq.parts, rq.errs = rq.partBuf[:n], rq.errBuf[:n]
 	} else {
@@ -711,16 +721,16 @@ func (sv *ShardedView) ProbeSeq(ctx context.Context, records []strutil.Record) i
 	})
 }
 
-// probeStream generates probe-side signatures and prepared records under the
-// build configuration and runs the streaming pipeline against the flattened
-// snapshot.
+// probeStream prepares the probe records against the index's dictionary,
+// selects their signatures under the build configuration and runs the
+// streaming pipeline against the flattened snapshot.
 func (sv *ShardedView) probeStream(ctx context.Context, records []strutil.Record, emit func(Pair) bool) (Stats, error) {
 	start := time.Now()
 	sx := sv.sx
 	tgt, shardCands := sv.probeTarget()
 	calc := sx.joiner.calcFor(sx.opts)
-	sigs := sx.joiner.signatures(records, sv.gen.sel, sx.opts.Method, sx.tau)
-	prep := prepareRecords(records, calc, nil)
+	prep := prepareRecords(records, sx.dict, calc.PrepareProbe)
+	sigs := selectSignatures(prep, sv.gen.sel, sx.opts.Method, sx.tau)
 	stats, err := runProbeStream(ctx, calc, sx.opts, tgt, records, sigs, prep, false, time.Since(start), emit)
 	stats.ShardCandidates = shardCands()
 	// Verification runs centrally over the flattened catalog, not per

@@ -117,8 +117,6 @@ func TestBuiltIndexShapeEqualsRestored(t *testing.T) {
 		build := func() *ShardedIndex {
 			return j.BuildShardedIndex(propCorpus(2000, 77), 2, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
 		}
-		// The first build fills the joiner's gram-template cache, which
-		// belongs to neither index.
 		image := build().CaptureSnapshot().Encode()
 		built, builtHeap := heapKeptBy(build)
 		restored, restoredHeap := heapKeptBy(func() *ShardedIndex {

@@ -312,11 +312,19 @@ func (j *Joiner) JoinSeq(ctx context.Context, s, t []strutil.Record, opts Option
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		start := time.Now()
-		ix := j.buildIndex(s, j.BuildOrder(s, t), opts, nil, nil)
-		_, err := ix.probeStream(ctx, t, opts, time.Since(start), emit)
+		_, err := j.joinStream(ctx, s, t, opts, emit)
 		return err
 	})
+}
+
+// joinStream is the shared body of Join and JoinSeq: both collections are
+// prepared once, the order counted and every signature selected from the
+// prepared records, and index building is folded into the reported
+// SignatureTime.
+func (j *Joiner) joinStream(ctx context.Context, s, t []strutil.Record, opts Options, emit func(Pair) bool) (Stats, error) {
+	start := time.Now()
+	ix, prepT := j.joinIndex(s, t, opts)
+	return ix.probePrepared(ctx, t, prepT, time.Since(start), emit)
 }
 
 // SelfJoinSeq is the streaming form of SelfJoin: each unordered pair (i < j)
@@ -335,7 +343,7 @@ func (j *Joiner) SelfJoinSeq(ctx context.Context, s []strutil.Record, opts Optio
 // are yielded in completion order as the parallel verify stage confirms them.
 func (ix *Index) ProbeSeq(ctx context.Context, records []strutil.Record) iter.Seq2[Pair, error] {
 	return pairSeq(ctx, func(ctx context.Context, emit func(Pair) bool) error {
-		_, err := ix.probeStream(ctx, records, ix.opts, 0, emit)
+		_, err := ix.probeStream(ctx, records, emit)
 		return err
 	})
 }
@@ -354,15 +362,20 @@ func (ix *Index) selfStream(ctx context.Context, emit func(Pair) bool) (Stats, e
 	return runProbeStream(ctx, ix.calc, ix.opts, ix.target(true), ix.records, ix.sigIDs, ix.prepared, true, ix.BuildTime, emit)
 }
 
-// probeStream generates probe-side signatures and prepared verification
-// records and runs the streaming pipeline; it is the shared body of ProbeSeq,
-// JoinSeq and their batch forms. extraSigTime is folded into the reported
-// SignatureTime (the Join entry points count index building there), as is the
-// probe-side preparation — both are per-record preprocessing paid once per
-// probe collection.
-func (ix *Index) probeStream(ctx context.Context, records []strutil.Record, opts Options, extraSigTime time.Duration, emit func(Pair) bool) (Stats, error) {
+// probeStream prepares the probe records against the index's dictionary and
+// runs the streaming pipeline; it is the shared body of Probe and ProbeSeq.
+func (ix *Index) probeStream(ctx context.Context, records []strutil.Record, emit func(Pair) bool) (Stats, error) {
 	start := time.Now()
-	sigs := ix.joiner.signatures(records, ix.sel, opts.Method, ix.tau)
-	prep := prepareRecords(records, ix.calc, nil)
-	return runProbeStream(ctx, ix.calc, opts, ix.target(false), records, sigs, prep, false, extraSigTime+time.Since(start), emit)
+	prep := prepareRecords(records, ix.dict, ix.calc.PrepareProbe)
+	return ix.probePrepared(ctx, records, prep, time.Since(start), emit)
+}
+
+// probePrepared selects the prepared probe records' signatures and runs the
+// streaming pipeline. prepTime is folded into the reported SignatureTime
+// with the selection (the Join entry points count index building there too):
+// all of it is per-record preprocessing paid once per probe collection.
+func (ix *Index) probePrepared(ctx context.Context, records []strutil.Record, prep []*core.PreparedRecord, prepTime time.Duration, emit func(Pair) bool) (Stats, error) {
+	start := time.Now()
+	sigs := selectSignatures(prep, ix.sel, ix.opts.Method, ix.tau)
+	return runProbeStream(ctx, ix.calc, ix.opts, ix.target(false), records, sigs, prep, false, prepTime+time.Since(start), emit)
 }

@@ -403,7 +403,7 @@ func TestProbeSeqAllocsBelowBatch(t *testing.T) {
 	catalog := denseCorpus(600, 3, 5)
 	probe := denseCorpus(600, 3, 6)
 	opts := Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP, Workers: 4}
-	ix := j.buildIndex(catalog, j.BuildOrder(catalog, probe), opts, nil, nil)
+	ix, _ := j.joinIndex(catalog, probe, opts)
 
 	results, _ := ix.Probe(probe)
 	if len(results) < 100000 {

@@ -12,18 +12,21 @@
 // A pebble is the unified signature unit: a q-gram (Jaccard), the left-hand
 // side of a synonym rule (synonym), or a taxonomy node or one of its
 // ancestors (taxonomy); see Table 2 of the paper. Pebble keys are
-// namespaced by measure ("g:", "s:", "t:") so that a gram can never collide
-// with a rule side or an entity name in the inverted index.
+// namespaced by measure ("g:" — sim.GramKeyPrefix, the gram keys come ready
+// made with a segment's derivation table — "s:", "t:") so that a gram can
+// never collide with a rule side or an entity name in the inverted index.
 package pebble
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/sim"
-	"github.com/aujoin/aujoin/internal/strutil"
+	"github.com/aujoin/aujoin/internal/taxonomy"
 )
 
 // NoID marks a pebble whose key was never registered with the Order the
@@ -47,73 +50,46 @@ type Pebble struct {
 	// (Table 2: 1/|G(P,q)| for grams, C(R) for rules, 1/|n| for taxonomy
 	// nodes).
 	Weight float64
-	// Segment is the index of the segment (within the generation partition
-	// of the string) this pebble was generated from.
+	// Segment is the index, in the record's segment enumeration, of the
+	// segment this pebble was generated from.
 	Segment int
 	// Measure is the similarity measure that generated the pebble.
 	Measure sim.Measure
 }
 
-// Generator produces pebbles for strings under a fixed similarity context.
+// Generator produces pebbles for records under a fixed similarity context.
 // It is safe for concurrent use.
 type Generator struct {
 	Ctx *sim.Context
-	seg *core.Segmenter
-
-	// gramSigs caches, per segment text, the gram pebbles of that text with
-	// an unset Segment field (the caller stamps it). Gram generation — the
-	// q-gram split plus one key allocation per gram — dominates the probe
-	// path's allocations, and segment texts repeat heavily across records
-	// and probes, so the cache converts the hot path to a copy of an
-	// immutable template. gramSigCount bounds the cache: past the cap new
-	// texts are generated without being stored.
-	gramSigs     sync.Map // string -> []Pebble
-	gramSigCount atomic.Int64
+	// calc prepares the records of the tokens-taking forms (Pebbles,
+	// Selector.Prepare); the engine hands in records it has prepared itself.
+	calc *core.Calculator
 }
-
-// maxGramSigs caps the gram-template cache (distinct segment texts).
-const maxGramSigs = 1 << 19
 
 // NewGenerator returns a Generator over the given context.
 func NewGenerator(ctx *sim.Context) *Generator {
-	return &Generator{Ctx: ctx, seg: core.NewSegmenter(ctx)}
+	return &Generator{Ctx: ctx, calc: core.NewCalculator(ctx)}
 }
 
-// Segmenter exposes the underlying segment enumerator.
-func (g *Generator) Segmenter() *core.Segmenter { return g.seg }
-
-// Partition returns the deterministic greedy partition used for pebble
-// generation: scanning left to right, the longest well-defined segment
-// starting at each position is taken. For "coffee shop latte Helsingki"
-// this yields {coffee shop, latte, Helsingki}, matching the segments used
-// in Examples 6–8 of the paper.
-func (g *Generator) Partition(tokens []string) []core.Segment {
-	segs := g.seg.Segments(tokens)
-	// Index the longest segment starting at each position.
-	bestAt := make(map[int]core.Segment, len(tokens))
-	for _, s := range segs {
-		cur, ok := bestAt[s.Span.Start]
-		if !ok || s.Span.Len() > cur.Span.Len() {
-			bestAt[s.Span.Start] = s
-		}
+// Pebbles is AppendPebbles for a bare token sequence: the record is prepared
+// here, without a dictionary. The returned segment slice indexes the pebbles'
+// Segment field.
+func (g *Generator) Pebbles(tokens []string) ([]Pebble, []core.Segment) {
+	pr := g.calc.Prepare(tokens)
+	segments := make([]core.Segment, len(pr.Segs))
+	for i, s := range pr.Segs {
+		segments[i] = core.Segment{Span: s.Span, Tokens: s.Tokens, Rule: s.Rule, Entity: s.Entity}
 	}
-	var out []core.Segment
-	for pos := 0; pos < len(tokens); {
-		s, ok := bestAt[pos]
-		if !ok {
-			s = core.Segment{Span: strutil.Span{Start: pos, End: pos + 1}, Tokens: tokens[pos : pos+1]}
-		}
-		out = append(out, s)
-		pos = s.Span.End
-	}
-	return out
+	return g.AppendPebbles(nil, pr), segments
 }
 
-// Pebbles generates all pebbles of the token sequence, one group per
+// AppendPebbles appends all pebbles of a prepared record, one group per
 // well-defined segment (Line 1 of Algorithms 2, 4 and 5 — "all pebbles of
-// S"). The returned segment slice indexes the pebbles' Segment field. The
-// pebbles are in generation order; callers sort them with an Order before
-// selecting signatures.
+// S"), each group per Table 2 from the segment's derivation table: the gram
+// keys, the rules either side of which the segment matches, and the taxonomy
+// node. A pebble's Segment field indexes pr.Segs. The pebbles are in
+// generation order; callers sort them with an Order before selecting
+// signatures.
 //
 // Generating pebbles for every well-defined segment (rather than one fixed
 // partition) is what keeps the accumulated-similarity bound valid no matter
@@ -121,81 +97,49 @@ func (g *Generator) Partition(tokens []string) []core.Segment {
 // over a superset of any partition's segments. On the paper's Example 6
 // string "espresso cafe Helsinki" this yields exactly the 23 pebbles the
 // paper reports.
-func (g *Generator) Pebbles(tokens []string) ([]Pebble, []core.Segment) {
-	segments := g.seg.Segments(tokens)
-	var out []Pebble
-	for idx, seg := range segments {
-		out = g.appendSegmentPebbles(out, seg, idx)
-	}
-	return out, segments
-}
-
-// gramPebbles returns the gram pebbles of one segment text with Segment
-// left at zero, served from the template cache when possible.
-func (g *Generator) gramPebbles(text string) []Pebble {
-	if v, ok := g.gramSigs.Load(text); ok {
-		return v.([]Pebble)
-	}
-	var tmpl []Pebble
-	grams := strutil.QGrams(text, g.Ctx.GramQ())
-	if len(grams) > 0 {
-		tmpl = make([]Pebble, len(grams))
-		w := 1 / float64(len(grams))
-		for i, gram := range grams {
-			tmpl[i] = Pebble{Key: "g:" + gram, Weight: w, Measure: sim.Jaccard}
+func (g *Generator) AppendPebbles(out []Pebble, pr *core.PreparedRecord) []Pebble {
+	n := 0
+	for idx := range pr.Segs {
+		d := pr.Segs[idx].Data
+		n += len(d.GramKeys) + len(d.LHS) + len(d.RHS)
+		if d.Node != taxonomy.InvalidNode {
+			n += g.Ctx.Tax.Depth(d.Node)
 		}
 	}
-	if g.gramSigCount.Load() < maxGramSigs {
-		if _, loaded := g.gramSigs.LoadOrStore(text, tmpl); !loaded {
-			g.gramSigCount.Add(1)
+	out = slices.Grow(out, n)
+	for idx := range pr.Segs {
+		d := pr.Segs[idx].Data
+
+		w := 1 / float64(len(d.GramKeys))
+		for _, k := range d.GramKeys {
+			out = append(out, Pebble{Key: k, Weight: w, Segment: idx, Measure: sim.Jaccard})
 		}
-	}
-	return tmpl
-}
 
-// appendSegmentPebbles appends the pebbles of one segment per Table 2.
-func (g *Generator) appendSegmentPebbles(out []Pebble, seg core.Segment, idx int) []Pebble {
-	text := strutil.JoinTokens(seg.Tokens)
-
-	if g.Ctx.JaccardEnabled() {
-		for _, p := range g.gramPebbles(text) {
-			p.Segment = idx
-			out = append(out, p)
-		}
-	}
-
-	if g.Ctx.SynonymEnabled() {
-		// The synonym pebble is always the *lhs* of the rule, no matter
-		// which side the segment matches, so the two sides of a rule
-		// produce the same pebble key (Table 2).
-		seen := map[string]float64{}
-		for _, id := range g.Ctx.Rules.ByLHS(seg.Tokens) {
-			r := g.Ctx.Rules.Rule(id)
-			if c, ok := seen[r.LHSText()]; !ok || r.C > c {
-				seen[r.LHSText()] = r.C
+		// The synonym pebble is always the *lhs* of the rule, no matter which
+		// side the segment matches, so the two sides of a rule produce the
+		// same pebble key (Table 2): one pebble per distinct lhs, in key
+		// order, weighted by the closest of its rules.
+		first := len(out)
+		for _, ids := range [2][]int{d.LHS, d.RHS} {
+			for _, id := range ids {
+				r := g.Ctx.Rules.Rule(id)
+				out = append(out, Pebble{Key: r.LHSText(), Weight: r.C, Segment: idx, Measure: sim.Synonym})
 			}
 		}
-		for _, id := range g.Ctx.Rules.ByRHS(seg.Tokens) {
-			r := g.Ctx.Rules.Rule(id)
-			if c, ok := seen[r.LHSText()]; !ok || r.C > c {
-				seen[r.LHSText()] = r.C
+		if syn := out[first:]; len(syn) > 0 {
+			slices.SortFunc(syn, func(a, b Pebble) int {
+				return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(b.Weight, a.Weight))
+			})
+			syn = slices.CompactFunc(syn, func(a, b Pebble) bool { return a.Key == b.Key })
+			for i := range syn {
+				syn[i].Key = "s:" + syn[i].Key
 			}
+			out = out[:first+len(syn)]
 		}
-		keys := make([]string, 0, len(seen))
-		for k := range seen {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			out = append(out, Pebble{Key: "s:" + k, Weight: seen[k], Segment: idx, Measure: sim.Synonym})
-		}
-	}
 
-	if g.Ctx.TaxonomyEnabled() {
-		if node, ok := g.Ctx.Tax.LookupTokens(seg.Tokens); ok {
-			depth := g.Ctx.Tax.Depth(node)
-			w := 1 / float64(depth)
-			for _, anc := range g.Ctx.Tax.Ancestors(node) {
+		if d.Node != taxonomy.InvalidNode {
+			w := 1 / float64(g.Ctx.Tax.Depth(d.Node))
+			for _, anc := range g.Ctx.Tax.Ancestors(d.Node) {
 				out = append(out, Pebble{Key: "t:" + g.Ctx.Tax.Name(anc), Weight: w, Segment: idx, Measure: sim.Taxonomy})
 			}
 		}
@@ -368,39 +312,37 @@ func (o *Order) Intern(pebbles []Pebble) {
 	}
 }
 
-// InternDynamic registers every key of the given pebble batches that is
-// unknown to the order as a new dynamic ID appended after the built prefix
-// (first-seen order across the batches). It returns the number of newly
-// appended keys. The dynamic table is cloned at most once per call — pass a
-// whole insert batch in one call rather than looping — and not at all when
-// every key is already interned. InternDynamic callers are serialized on an
-// internal mutex (shards of a sharded index intern into one shared order
-// concurrently, each under its own writer lock); concurrent readers are
-// safe because the dynamic table is replaced wholesale, never mutated.
-func (o *Order) InternDynamic(batches ...[]Pebble) int {
+// InternDynamic registers every key of the given pebbles that is unknown to
+// the order as a new dynamic ID appended after the built prefix (first-seen
+// order). It returns the number of newly appended keys. The dynamic table is
+// cloned at most once per call — pass a whole insert batch's pebbles in one
+// call rather than looping — and not at all when every key is already
+// interned. InternDynamic callers are serialized on an internal mutex (shards
+// of a sharded index intern into one shared order concurrently, each under
+// its own writer lock); concurrent readers are safe because the dynamic table
+// is replaced wholesale, never mutated.
+func (o *Order) InternDynamic(pebbles []Pebble) int {
 	o.Finalize()
 	o.dmu.Lock()
 	defer o.dmu.Unlock()
 	old := o.dyn.Load()
 	var next *dynTable
 	added := 0
-	for _, pebbles := range batches {
-		for i := range pebbles {
-			key := pebbles[i].Key
-			if _, ok := o.ids[key]; ok {
+	for i := range pebbles {
+		key := pebbles[i].Key
+		if _, ok := o.ids[key]; ok {
+			continue
+		}
+		if next == nil {
+			if _, ok := old.lookup(key); ok {
 				continue
 			}
-			if next == nil {
-				if _, ok := old.lookup(key); ok {
-					continue
-				}
-				next = old.clone()
-			}
-			if _, ok := next.ids[key]; !ok {
-				next.ids[key] = uint32(len(o.keys) + len(next.keys))
-				next.keys = append(next.keys, key)
-				added++
-			}
+			next = old.clone()
+		}
+		if _, ok := next.ids[key]; !ok {
+			next.ids[key] = uint32(len(o.keys) + len(next.keys))
+			next.keys = append(next.keys, key)
+			added++
 		}
 	}
 	if next != nil {
@@ -437,75 +379,28 @@ func (d *dynTable) clone() *dynTable {
 // re-derives true frequencies from the live records).
 func (o *Order) Frequency(key string) int { return o.freq[key] }
 
-// Less reports whether pebble a precedes pebble b in the frozen global
-// order (it predates the dynamic region and ignores it; interned
-// comparisons go through Sort, whose ID comparison is authoritative).
-func (o *Order) Less(a, b Pebble) bool {
-	fa, fb := o.freq[a.Key], o.freq[b.Key]
-	if fa != fb {
-		return fa < fb
-	}
-	if a.Key != b.Key {
-		return a.Key < b.Key
-	}
-	// Same key generated by different segments: order by segment for
-	// determinism.
-	return a.Segment < b.Segment
-}
-
 // Sort interns the pebbles and sorts them in place by the global order.
-// Known keys compare by their dense IDs (one integer comparison instead of
-// two map lookups and a string comparison); unknown keys have frequency
-// zero, so they sort before every known key, ordered among themselves by
-// key. On the frozen prefix this is exactly the order Less defines;
-// dynamically interned keys compare by ID too and therefore sort after
-// every frozen key (see the Order doc for why that stays sound).
 func (o *Order) Sort(pebbles []Pebble) {
 	o.Finalize()
 	o.Intern(pebbles)
-	sort.Slice(pebbles, func(i, j int) bool {
-		a, b := &pebbles[i], &pebbles[j]
-		ua, ub := a.ID == NoID, b.ID == NoID
-		if ua || ub {
-			if ua != ub {
-				return ua // unknown (frequency 0) precedes known
-			}
-			if a.Key != b.Key {
-				return a.Key < b.Key
-			}
-			return a.Segment < b.Segment
-		}
-		if a.ID != b.ID {
-			return a.ID < b.ID
-		}
-		return a.Segment < b.Segment
-	})
+	slices.SortFunc(pebbles, byGlobalOrder)
 }
 
-// BuildOrder constructs a frequency order over entire collections of
-// token sequences using the given generator.
-func BuildOrder(gen *Generator, collections ...[][]string) *Order {
-	o := NewOrder()
-	for _, coll := range collections {
-		for _, tokens := range coll {
-			p, _ := gen.Pebbles(tokens)
-			o.Add(p)
+// byGlobalOrder is the total order of interned pebbles. Known keys compare by
+// their dense IDs (one integer comparison instead of two map lookups and a
+// string comparison); unknown keys have frequency zero, so they sort before
+// every known key, ordered among themselves by key. Dynamically interned keys
+// compare by ID too and therefore sort after every frozen key (see the Order
+// doc for why that stays sound). Pebbles of one key are ordered by segment.
+func byGlobalOrder(a, b Pebble) int {
+	if ua, ub := a.ID == NoID, b.ID == NoID; ua || ub {
+		if ua != ub {
+			if ua {
+				return -1 // unknown (frequency 0) precedes known
+			}
+			return 1
 		}
+		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Segment, b.Segment))
 	}
-	return o
-}
-
-// Keys returns the distinct keys of a pebble list, preserving first-seen
-// order. Used when inserting signatures into the inverted index.
-func Keys(pebbles []Pebble) []string {
-	seen := map[string]struct{}{}
-	var out []string
-	for _, p := range pebbles {
-		if _, ok := seen[p.Key]; ok {
-			continue
-		}
-		seen[p.Key] = struct{}{}
-		out = append(out, p.Key)
-	}
-	return out
+	return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Segment, b.Segment))
 }

@@ -2,7 +2,6 @@ package pebble
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"github.com/aujoin/aujoin/internal/sim"
@@ -144,19 +143,6 @@ func TestTaxonomyPebblesShareAncestors(t *testing.T) {
 	}
 }
 
-func TestPartitionLongestMatch(t *testing.T) {
-	gen := NewGenerator(paperContext())
-	segs := gen.Partition(strutil.Tokenize("coffee shop latte Helsingki"))
-	var texts []string
-	for _, s := range segs {
-		texts = append(texts, strutil.JoinTokens(s.Tokens))
-	}
-	want := []string{"coffee shop", "latte", "helsingki"}
-	if strings.Join(texts, "|") != strings.Join(want, "|") {
-		t.Errorf("Partition = %v, want %v", texts, want)
-	}
-}
-
 func TestOrderSortAndFrequency(t *testing.T) {
 	gen := NewGenerator(paperContext())
 	order := NewOrder()
@@ -186,22 +172,31 @@ func TestOrderSortAndFrequency(t *testing.T) {
 	}
 }
 
+// buildOrder counts a frequency order over whole collections of token
+// sequences.
+func buildOrder(gen *Generator, collections ...[][]string) *Order {
+	o := NewOrder()
+	for _, coll := range collections {
+		for _, tokens := range coll {
+			p, _ := gen.Pebbles(tokens)
+			o.Add(p)
+		}
+	}
+	return o
+}
+
 func TestBuildOrderAndKeys(t *testing.T) {
 	gen := NewGenerator(paperContext())
 	collA := [][]string{strutil.Tokenize("coffee shop"), strutil.Tokenize("latte art")}
-	collB := [][]string{strutil.Tokenize("espresso cafe")}
-	order := BuildOrder(gen, collA, collB)
+	collB := [][]string{strutil.Tokenize("espresso cafe"), strutil.Tokenize("coffee coffee")}
+	order := buildOrder(gen, collA, collB)
 	if order.Frequency("s:coffee shop") != 2 { // from "coffee shop" and "cafe"
 		t.Errorf("Frequency(s:coffee shop) = %d, want 2", order.Frequency("s:coffee shop"))
 	}
-	p, _ := gen.Pebbles(strutil.Tokenize("coffee coffee"))
-	keys := Keys(p)
-	seen := map[string]bool{}
-	for _, k := range keys {
-		if seen[k] {
-			t.Fatalf("duplicate key %q from Keys", k)
-		}
-		seen[k] = true
+	// A key counts once a record however often the record generates it:
+	// "coffee shop" and "coffee coffee".
+	if f := order.Frequency("g:co"); f != 2 {
+		t.Errorf("Frequency(g:co) = %d, want the document frequency 2", f)
 	}
 }
 

@@ -33,18 +33,14 @@ func (m Method) String() string {
 }
 
 // Signature is the selected pebble prefix of one string: a prefix of the
-// Presig's globally ordered pebble list (the complete list, the generation
-// partition and MP(S) stay on the Presig — nothing downstream of selection
-// reads them).
+// Presig's globally ordered pebble list (the complete list, the segment count
+// and MP(S) stay on the Presig — nothing downstream of selection reads them).
 type Signature struct {
 	Pebbles []Pebble
 }
 
 // Len returns the signature length in pebbles.
 func (s Signature) Len() int { return len(s.Pebbles) }
-
-// Keys returns the distinct pebble keys of the signature.
-func (s Signature) Keys() []string { return Keys(s.Pebbles) }
 
 // Selector generates signatures for strings given a generator, a global
 // order, and a join threshold θ. It is safe for concurrent use.
@@ -70,29 +66,35 @@ type Presig struct {
 	// Pebbles is the complete pebble list, interned and sorted by the
 	// global order.
 	Pebbles []Pebble
-	// Segments is the generation partition.
-	Segments []core.Segment
+	// NumSegments is the number of well-defined segments the pebbles were
+	// generated from (their Segment fields index below it).
+	NumSegments int
 	// MinPartition is MP(S), the lower bound on the partition size.
 	MinPartition int
 
 	acc *AccTable
 }
 
-// Prepare generates, interns and sorts the pebbles of the token sequence
-// and computes its accumulated-similarity table.
+// Prepare is PrepareRecord for a bare token sequence: the record is prepared
+// here, without a dictionary.
 func (sel *Selector) Prepare(tokens []string) Presig {
-	pebbles, segments := sel.Gen.Pebbles(tokens)
-	return sel.PreparePebbles(pebbles, segments, tokens)
+	return sel.PrepareRecord(sel.Gen.calc.Prepare(tokens))
 }
 
-// PreparePebbles is Prepare for callers that already generated the token
-// sequence's pebbles (the dynamic index generates them once to intern new
-// keys and then prepares from the same slice). The pebbles are interned and
-// sorted in place.
-func (sel *Selector) PreparePebbles(pebbles []Pebble, segments []core.Segment, tokens []string) Presig {
+// PrepareRecord generates the pebbles of a prepared record, interns and sorts
+// them under the order, and computes the accumulated-similarity table; MP(S)
+// is the record's own.
+func (sel *Selector) PrepareRecord(pr *core.PreparedRecord) Presig {
+	return sel.PrepareGenerated(sel.Gen.AppendPebbles(nil, pr), pr)
+}
+
+// PrepareGenerated is PrepareRecord over pr's already generated pebbles — an
+// insert batch generates every record's before the one InternDynamic call
+// that must precede the first sort. The pebbles are interned and sorted in
+// place.
+func (sel *Selector) PrepareGenerated(pebbles []Pebble, pr *core.PreparedRecord) Presig {
 	sel.Order.Sort(pebbles)
-	mp := sel.Gen.Segmenter().MinPartitionSize(tokens)
-	pre := Presig{Pebbles: pebbles, Segments: segments, MinPartition: mp}
+	pre := Presig{Pebbles: pebbles, NumSegments: pr.NumSegments(), MinPartition: pr.MinPartitionSize()}
 	if len(pebbles) > 0 {
 		pre.acc = NewAccTable(pebbles)
 	}
@@ -118,17 +120,22 @@ func (sel *Selector) Select(pre Presig, method Method, tau int) Signature {
 	case AUHeuristic:
 		cut = selectPrefixHeuristic(pre.acc, target, tau)
 	case AUDP:
-		cut = selectPrefixDP(pre.acc, pre.Segments, target, tau)
+		cut = selectPrefixDP(pre.acc, pre.NumSegments, target, tau)
 	default:
 		cut = selectPrefixHeuristic(pre.acc, target, tau)
 	}
 	return Signature{Pebbles: pre.Pebbles[:cut]}
 }
 
-// Signature computes the pebble signature of the token sequence with the
-// given method and overlap constraint τ.
+// Signature is RecordSignature for a bare token sequence.
 func (sel *Selector) Signature(tokens []string, method Method, tau int) Signature {
 	return sel.Select(sel.Prepare(tokens), method, tau)
+}
+
+// RecordSignature computes the pebble signature of a prepared record with the
+// given method and overlap constraint τ.
+func (sel *Selector) RecordSignature(pr *core.PreparedRecord, method Method, tau int) Signature {
+	return sel.Select(sel.PrepareRecord(pr), method, tau)
 }
 
 // selectPrefixHeuristic implements Algorithms 2 and 4: find the largest
@@ -149,9 +156,8 @@ func selectPrefixHeuristic(acc *AccTable, target float64, tau int) int {
 // pebbles from the prefix is bounded per segment by the dynamic program of
 // Equations (12)–(14), which is never larger than the heuristic's
 // TW_{τ-1} bound, so the resulting signatures are never longer.
-func selectPrefixDP(acc *AccTable, segments []core.Segment, target float64, tau int) int {
-	t := len(segments)
-
+// t is the number of segments.
+func selectPrefixDP(acc *AccTable, t int, target float64, tau int) int {
 	// W[p][d] (flat, row p at w[p*tau:]) and the accessory row V are
 	// allocated once and reused across prefix positions; per-iteration
 	// allocations here used to dominate the whole signature phase.

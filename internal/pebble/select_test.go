@@ -2,6 +2,7 @@ package pebble
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/aujoin/aujoin/internal/core"
@@ -24,7 +25,7 @@ func testSelector(t *testing.T, theta float64) (*Selector, *sim.Context) {
 		strutil.Tokenize("cake gateau shop"),
 		strutil.Tokenize("coffee house espresso"),
 	}
-	order := BuildOrder(gen, corpus)
+	order := buildOrder(gen, corpus)
 	return NewSelector(gen, order, theta), ctx
 }
 
@@ -42,11 +43,8 @@ func TestSignatureBasics(t *testing.T) {
 	if pre.MinPartition != 3 {
 		t.Errorf("MinPartition = %d, want 3", pre.MinPartition)
 	}
-	if len(sig.Keys()) == 0 {
-		t.Error("signature keys empty")
-	}
-	if len(pre.Segments) == 0 {
-		t.Error("segments missing")
+	if pre.NumSegments != 3 {
+		t.Errorf("NumSegments = %d, want 3", pre.NumSegments)
 	}
 	// The signature must be a prefix of the sorted pebble list.
 	for i, p := range sig.Pebbles {
@@ -170,7 +168,7 @@ func TestFilterCompleteness(t *testing.T) {
 	for _, s := range corpus {
 		tokenised = append(tokenised, strutil.Tokenize(s))
 	}
-	order := BuildOrder(gen, tokenised)
+	order := buildOrder(gen, tokenised)
 
 	for _, theta := range []float64{0.6, 0.75, 0.9} {
 		sel := NewSelector(gen, order, theta)
@@ -231,7 +229,7 @@ func TestFilterCompletenessSynthetic(t *testing.T) {
 		}
 		tokenised = append(tokenised, toks)
 	}
-	order := BuildOrder(gen, tokenised)
+	order := buildOrder(gen, tokenised)
 	theta := 0.7
 	tau := 2
 	sel := NewSelector(gen, order, theta)
@@ -278,7 +276,7 @@ func BenchmarkSignatureAUDP(b *testing.B) {
 		strutil.Tokenize("coffee shop latte Helsingki"),
 		strutil.Tokenize("espresso cafe Helsinki"),
 	}
-	order := BuildOrder(gen, corpus)
+	order := buildOrder(gen, corpus)
 	sel := NewSelector(gen, order, 0.85)
 	tokens := strutil.Tokenize("coffee shop latte Helsingki espresso cafe")
 	b.ReportAllocs()
@@ -295,12 +293,44 @@ func BenchmarkSignatureHeuristic(b *testing.B) {
 		strutil.Tokenize("coffee shop latte Helsingki"),
 		strutil.Tokenize("espresso cafe Helsinki"),
 	}
-	order := BuildOrder(gen, corpus)
+	order := buildOrder(gen, corpus)
 	sel := NewSelector(gen, order, 0.85)
 	tokens := strutil.Tokenize("coffee shop latte Helsingki espresso cafe")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sel.Signature(tokens, AUHeuristic, 4)
+	}
+}
+
+// TestSignatureIndependentOfTableOwner: a signature is a function of the
+// prepared record's derivation tables, not of who holds them — interned into
+// a dictionary, read from it by a probe (half the records' texts are in it,
+// half are not), or derived privately, as past a full dictionary's cap.
+func TestSignatureIndependentOfTableOwner(t *testing.T) {
+	sel, ctx := testSelector(t, 0.8)
+	calc := core.NewCalculator(ctx)
+	corpus := []string{"coffee shop latte Helsingki", "espresso cafe Helsinki", "apple cake bakery",
+		"cake gateau shop", "coffee house espresso", "unseen tokens entirely"}
+	d := core.NewSegDict()
+	for _, s := range corpus[:len(corpus)/2] {
+		calc.PrepareIn(d, strutil.Tokenize(s))
+	}
+	for _, s := range corpus {
+		tokens := strutil.Tokenize(s)
+		for _, method := range []Method{UFilter, AUHeuristic, AUDP} {
+			want := sel.RecordSignature(calc.Prepare(tokens), method, 2)
+			if want.Len() == 0 {
+				t.Fatalf("%q %v: empty signature", s, method)
+			}
+			for name, pr := range map[string]*core.PreparedRecord{
+				"probe":    calc.PrepareProbe(d, tokens),
+				"interned": calc.PrepareIn(core.NewSegDict(), tokens),
+			} {
+				if got := sel.RecordSignature(pr, method, 2); !slices.Equal(got.Pebbles, want.Pebbles) {
+					t.Errorf("%q %v: %s record signs %v, private tables sign %v", s, method, name, got.Pebbles, want.Pebbles)
+				}
+			}
+		}
 	}
 }

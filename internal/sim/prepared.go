@@ -3,6 +3,7 @@ package sim
 import (
 	"math/bits"
 	"sort"
+	"strings"
 
 	"github.com/aujoin/aujoin/internal/strutil"
 	"github.com/aujoin/aujoin/internal/taxonomy"
@@ -13,10 +14,10 @@ import (
 // intersection by merging, which is what the verification hot path needs.
 type GramSet []string
 
-// NewGramSet extracts, sorts and deduplicates the q-grams of s. The grams
-// share s's backing storage, so a GramSet costs one slice beyond the string.
-func NewGramSet(s string, q int) GramSet {
-	grams := strutil.QGrams(s, q)
+// newGramSet sorts and deduplicates a q-gram multiset in place. The grams
+// share their string's backing storage, so a GramSet costs one slice beyond
+// the string.
+func newGramSet(grams []string) GramSet {
 	if len(grams) == 0 {
 		return nil
 	}
@@ -57,6 +58,10 @@ type SegmentData struct {
 	Text string
 	// Grams is the sorted q-gram set of Text (nil when Jaccard is disabled).
 	Grams GramSet
+	// GramKeys is the multiset form pebble generation reads (Table 2's Jaccard
+	// row): GramKeyPrefix + gram for every q-gram occurrence of Text, in order
+	// of occurrence, all cut out of one backing string.
+	GramKeys []string
 	// Node is the taxonomy entity the text maps to, or InvalidNode.
 	Node taxonomy.NodeID
 	// LHS and RHS list the identifiers (ascending) of the synonym rules whose
@@ -68,6 +73,29 @@ type SegmentData struct {
 	// SegmentJaccardData — the bound it yields is conservative, so a pair is
 	// skipped only when the gram intersection is provably empty.
 	Sig [2]uint64
+}
+
+// GramKeyPrefix namespaces the pebble keys of q-grams, so that a gram can
+// never collide with a rule side or an entity name in the inverted index.
+const GramKeyPrefix = "g:"
+
+// gramKeys returns the pebble key of every gram, in the order given.
+func gramKeys(grams []string) []string {
+	if len(grams) == 0 {
+		return nil
+	}
+	var b strings.Builder
+	b.Grow(len(grams) * (len(GramKeyPrefix) + len(grams[0]))) // grams of one text are equally long
+	for _, g := range grams {
+		b.WriteString(GramKeyPrefix)
+		b.WriteString(g)
+	}
+	all, keys := b.String(), make([]string, len(grams))
+	for i, g := range grams {
+		n := len(GramKeyPrefix) + len(g)
+		keys[i], all = all[:n], all[n:]
+	}
+	return keys
 }
 
 func gramSignature(grams GramSet) [2]uint64 {
@@ -96,12 +124,15 @@ func sigExcess(a, b [2]uint64) int {
 	return bits.OnesCount64(a[0]&^b[0]) + bits.OnesCount64(a[1]&^b[1])
 }
 
-// PrepareSegment derives the SegmentData of a token span under this context.
-// The tokens must already be normalised (the output of strutil.Tokenize).
-func (c *Context) PrepareSegment(tokens []string) SegmentData {
-	d := SegmentData{Text: strutil.JoinTokens(tokens), Node: taxonomy.InvalidNode}
+// PrepareSegment derives the SegmentData of a token span under this context
+// from its space-joined text. The tokens must already be normalised (the
+// output of strutil.Tokenize).
+func (c *Context) PrepareSegment(text string) SegmentData {
+	d := SegmentData{Text: text, Node: taxonomy.InvalidNode}
 	if c.JaccardEnabled() {
-		d.Grams = NewGramSet(d.Text, c.GramQ())
+		grams := strutil.QGrams(d.Text, c.GramQ())
+		d.GramKeys = gramKeys(grams)
+		d.Grams = newGramSet(grams)
 		d.Sig = gramSignature(d.Grams)
 	}
 	if c.SynonymEnabled() {
@@ -109,7 +140,7 @@ func (c *Context) PrepareSegment(tokens []string) SegmentData {
 		d.RHS = c.Rules.ByRHSText(d.Text)
 	}
 	if c.TaxonomyEnabled() {
-		if id, ok := c.Tax.LookupTokens(tokens); ok {
+		if id, ok := c.Tax.LookupText(text); ok {
 			d.Node = id
 		}
 	}

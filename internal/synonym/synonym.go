@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -176,14 +175,11 @@ func (rs *RuleSet) scanCommon(x, y []int, best *float64, ok *bool) {
 	}
 }
 
-// IsSide reports whether the token span appears as the lhs or rhs of at
-// least one rule; such spans are well-defined segments (Definition 1(i)).
-func (rs *RuleSet) IsSide(tokens []string) bool {
-	key := strutil.JoinTokens(tokens)
-	if len(rs.byLHS[key]) > 0 {
-		return true
-	}
-	return len(rs.byRHS[key]) > 0
+// IsSide reports whether the pre-joined text of a token span appears as the
+// lhs or rhs of at least one rule; such spans are well-defined segments
+// (Definition 1(i)).
+func (rs *RuleSet) IsSide(text string) bool {
+	return len(rs.byLHS[text]) > 0 || len(rs.byRHS[text]) > 0
 }
 
 // MatchPair returns the best closeness of a rule linking the two token spans
@@ -210,23 +206,6 @@ func (rs *RuleSet) Similarity(s, t string) float64 {
 // MaxSideTokens returns the maximal number of tokens on either side of any
 // rule; this is the k in the (k+1)-claw-freeness argument of Section 2.3.
 func (rs *RuleSet) MaxSideTokens() int { return rs.maxTok }
-
-// SideLengths returns the sorted distinct lengths (in tokens) of rule sides.
-// Segment enumeration uses this to bound which span lengths can possibly
-// match a rule.
-func (rs *RuleSet) SideLengths() []int {
-	seen := map[int]struct{}{}
-	for _, r := range rs.rules {
-		seen[len(r.LHS)] = struct{}{}
-		seen[len(r.RHS)] = struct{}{}
-	}
-	out := make([]int, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // Write serialises the rule set as tab-separated lines "lhs<TAB>rhs<TAB>C".
 func (rs *RuleSet) Write(w io.Writer) error {

@@ -2,7 +2,6 @@ package synonym
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 )
 
@@ -70,10 +69,10 @@ func TestLookupsAndSides(t *testing.T) {
 	if ids := rs.ByLHS([]string{"cafe"}); len(ids) != 0 {
 		t.Errorf("ByLHS(cafe) = %v, want none", ids)
 	}
-	if !rs.IsSide([]string{"coffee", "shop"}) || !rs.IsSide([]string{"cafe"}) {
+	if !rs.IsSide("coffee shop") || !rs.IsSide("cafe") {
 		t.Error("both rule sides should be well-defined segments")
 	}
-	if rs.IsSide([]string{"espresso"}) {
+	if rs.IsSide("espresso") {
 		t.Error("espresso is not a rule side")
 	}
 }
@@ -95,15 +94,12 @@ func TestMatchPairKeepsBestCloseness(t *testing.T) {
 	}
 }
 
-func TestMaxSideTokensAndLengths(t *testing.T) {
+func TestMaxSideTokens(t *testing.T) {
 	rs := NewRuleSet()
 	rs.MustAdd("database management system", "dbms", 1)
 	rs.MustAdd("bill", "william", 0.9)
 	if got := rs.MaxSideTokens(); got != 3 {
 		t.Errorf("MaxSideTokens = %d, want 3", got)
-	}
-	if got := rs.SideLengths(); !reflect.DeepEqual(got, []int{1, 3}) {
-		t.Errorf("SideLengths = %v, want [1 3]", got)
 	}
 	if rs.Len() != 2 {
 		t.Errorf("Len = %d, want 2", rs.Len())

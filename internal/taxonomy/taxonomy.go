@@ -51,6 +51,9 @@ type Node struct {
 type Tree struct {
 	nodes  []Node
 	byName map[string]NodeID
+	// maxTok is the token count of the longest entity name, kept as nodes are
+	// added.
+	maxTok int
 	// euler tour structures for O(1) LCA via sparse table over first
 	// occurrences; built lazily by Finalize.
 	euler     []NodeID
@@ -70,6 +73,7 @@ func NewTree(rootName string) *Tree {
 	name := strutil.Normalize(rootName)
 	t.nodes = append(t.nodes, Node{ID: 0, Name: name, Parent: InvalidNode, Depth: 1})
 	t.byName[name] = 0
+	t.maxTok = strings.Count(name, " ") + 1
 	return t
 }
 
@@ -113,6 +117,7 @@ func (t *Tree) AddChild(parent NodeID, name string) (NodeID, error) {
 	})
 	t.nodes[parent].Children = append(t.nodes[parent].Children, id)
 	t.byName[norm] = id
+	t.maxTok = max(t.maxTok, strings.Count(norm, " ")+1)
 	t.finalized = false
 	return id, nil
 }
@@ -134,11 +139,16 @@ func (t *Tree) Lookup(name string) (NodeID, bool) {
 	return id, ok
 }
 
-// LookupTokens finds the node whose name equals the space-joined tokens.
-// This is the hot-path variant used by segment enumeration, which already
-// holds normalised tokens.
+// LookupTokens finds the node whose name equals the space-joined tokens,
+// which must already be normalised.
 func (t *Tree) LookupTokens(tokens []string) (NodeID, bool) {
-	id, ok := t.byName[strutil.JoinTokens(tokens)]
+	return t.LookupText(strutil.JoinTokens(tokens))
+}
+
+// LookupText is LookupTokens for a pre-joined text: the hot-path variant used
+// by segment enumeration, which joins each span once.
+func (t *Tree) LookupText(text string) (NodeID, bool) {
+	id, ok := t.byName[text]
 	return id, ok
 }
 
@@ -349,16 +359,7 @@ func (t *Tree) Stats() Stats {
 
 // MaxEntityTokens returns the maximum number of tokens in any entity name.
 // This feeds the claw-freeness parameter k of the approximation analysis.
-func (t *Tree) MaxEntityTokens() int {
-	maxTok := 0
-	for _, n := range t.nodes {
-		c := strings.Count(n.Name, " ") + 1
-		if c > maxTok {
-			maxTok = c
-		}
-	}
-	return maxTok
-}
+func (t *Tree) MaxEntityTokens() int { return t.maxTok }
 
 // EntityNames returns all entity names sorted lexicographically. Intended
 // for generators and debugging, not hot paths.
