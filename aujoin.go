@@ -29,10 +29,11 @@
 // # Streaming and cancellation
 //
 // Every batch entry point has a streaming sibling that accepts a
-// context.Context and yields matches one at a time as the parallel verify
-// stage confirms them (Go 1.23 range-over-func), so peak match buffering is
-// bounded by the worker count rather than the result size and a deadline or
-// a disconnected client cancels the join mid-flight:
+// context.Context and yields matches one at a time, a probe record's as soon
+// as that record has been filtered and verified (Go 1.23 range-over-func), so
+// the first match does not wait for the rest of the collection, peak match
+// buffering is bounded by the worker count rather than the result size, and a
+// deadline or a disconnected client cancels the join mid-flight:
 //
 //	for m, err := range j.JoinSeq(ctx, left, right, opts) {
 //		if err != nil { ... }   // ctx cancelled or deadline exceeded
@@ -142,10 +143,10 @@ type Match struct {
 type Stats struct {
 	// Candidates is the number of pairs that survived filtering.
 	Candidates int
-	// ShardCandidates breaks Candidates down per shard when the probe ran
-	// against an Index: entry i counts the candidates shard i contributed
-	// (a single entry at one shard), and the entries always sum to
-	// Candidates. It is nil for one-shot joins.
+	// ShardCandidates breaks Candidates down per shard: entry i counts the
+	// candidates shard i contributed, and the entries always sum to
+	// Candidates. A one-shot join runs against a one-shard index of its own
+	// and reports a single entry.
 	ShardCandidates []int
 	// Results is the number of matches returned.
 	Results int
@@ -169,27 +170,35 @@ type Stats struct {
 	// stage, which reads one cached number per distinct segment text — and
 	// PrunedByCover the cover stage's share. The two add up:
 	// VerifiedCandidates + PrunedByBound == Candidates. MemoHits counts the
-	// segment-pair similarity cells copied into a matrix from a row a
-	// verification worker had already evaluated for the same probe record,
-	// MSimEvals the cells that were computed — at most once per distinct
-	// segment text, probe record and worker, for a matrix or for the cover
-	// stage alone, so the two are not the halves of a hit ratio.
+	// segment-pair similarity cells copied into a matrix from a row already
+	// evaluated for the same probe record, MSimEvals the cells that were
+	// computed — at most once per distinct segment text, probe record and
+	// shard, for a matrix or for the cover stage alone, so the two are not
+	// the halves of a hit ratio. One worker verifies all of a probe record's
+	// candidates, so neither depends on Workers.
 	VerifiedCandidates int64
 	PrunedByBound      int64
 	PrunedByCover      int64
 	MemoHits           int64
 	MSimEvals          int64
-	// SuggestionTime, FilterTime and VerifyTime break the total down. Each
-	// is the wall-clock duration of its stage — elapsed time, NOT CPU time
-	// summed over verification workers or shards — so the three add up to
-	// the end-to-end latency the caller observed.
+	// SuggestionTime, FilterTime and VerifyTime break the total down.
+	// SuggestionTime is the τ estimator's. FilterTime is everything done
+	// once per collection (preparation, signatures, index building) plus
+	// the count filter; VerifyTime is verification. A join filters and
+	// verifies one probe record at a time, so the per-record durations of
+	// the two stages are summed on the worker that ran the record and the
+	// sums of the slowest worker are reported: wall-clock on one goroutine,
+	// NOT CPU time summed over workers or shards. With one worker the three
+	// are the time the call spent in each stage; with more they add up to at
+	// most the end-to-end latency the caller observed.
 	SuggestionTime time.Duration
 	FilterTime     time.Duration
 	VerifyTime     time.Duration
 }
 
-// Total returns the total join time: the sum of the per-stage wall-clock
-// durations, i.e. the end-to-end latency of the call (not CPU time).
+// Total returns the sum of the per-stage wall-clock durations: the call's
+// end-to-end latency less what it spent handing matches over, on its slowest
+// worker (not CPU time).
 func (s Stats) Total() time.Duration { return s.SuggestionTime + s.FilterTime + s.VerifyTime }
 
 // JoinOptions configures Join and SelfJoin.
@@ -392,14 +401,14 @@ func (j *Joiner) SelfJoin(s []string, opts JoinOptions) ([]Match, Stats) {
 }
 
 // JoinSeq is the streaming form of Join: it returns a Go 1.23 range-over-func
-// sequence that yields each match as the parallel verify stage confirms it,
-// in completion order (collect and sort by (S, T) to reproduce Join's order).
-// All work — signature generation, filtering, verification — runs inside the
-// consumer's range loop, and peak match buffering is bounded by the worker
-// count, not the result size.
+// sequence that yields a probe record's matches as soon as that record has
+// been filtered and verified, in completion order (collect and sort by (S, T)
+// to reproduce Join's order). All work — signature generation, filtering,
+// verification — runs inside the consumer's range loop, and peak match
+// buffering is bounded by the worker count, not the result size.
 //
 // Cancellation is cooperative and prompt: when ctx is cancelled or its
-// deadline passes, the pipeline stops between candidate pairs and the
+// deadline passes, the pipeline stops between candidates and the
 // sequence yields one final non-nil error (with AutoTau, a cancellation
 // during the sampling stage surfaces the same way). Breaking out of the loop
 // early stops the pipeline too, and is not an error. In both cases every

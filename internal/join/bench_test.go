@@ -3,6 +3,7 @@ package join
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/aujoin/aujoin/internal/pebble"
@@ -94,53 +95,71 @@ func filterCorpus(n int, seed int64) []strutil.Record {
 	return strutil.NewCollection(raws)
 }
 
-// BenchmarkFilterPhase measures the candidate phase alone on the 400×400
+// BenchmarkFilterPhase measures the filter stage alone on the 400×400
 // workload: the index and probe signatures are built once, and each
-// iteration re-runs the count filter over every probe record sequentially
-// (workers=1, so the number is a per-core filter throughput, not a
+// iteration re-runs the count filter of every probe record's request
+// (one goroutine, so the number is a per-core filter throughput, not a
 // parallelism measure).
 func BenchmarkFilterPhase(b *testing.B) {
 	j := NewJoiner(paperContext())
 	s := filterCorpus(400, 1)
 	t := filterCorpus(400, 2)
 	opts := Options{Theta: 0.8, Tau: 12, Method: pebble.AUDP}
-	ix, prepT := j.joinIndex(s, t, opts)
-	if ix.inv.DenseKeys() == 0 {
+	sv, prepT := j.joinIndex(s, t, opts)
+	v := sv.views[0]
+	if v.base.inv.DenseKeys() == 0 {
 		b.Fatal("bench corpus produced no dense posting lists; hybrid path unexercised")
 	}
-	sigs := selectSignatures(prepT, ix.sel, opts.Method, ix.tau)
+	sigs := selectSignatures(prepT, sv.gen.sel, opts.Method, sv.sx.tau)
+	sc := v.scratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cands, _, err := ix.candidates(context.Background(), sigs, false, 1)
-		if err != nil {
-			b.Fatal(err)
+		n := 0
+		for _, ids := range sigs {
+			cands, _ := v.candidatesRecord(ids, sv.sx.tau, noLimit, sc)
+			n += len(cands)
 		}
-		if len(cands) == 0 {
+		if n == 0 {
 			b.Fatal("empty candidate set")
 		}
 	}
 }
 
-// BenchmarkVerify measures the verification phase alone on the 400×400
-// workload: candidates are generated once, prepared records are built once
-// per side, and each iteration re-verifies every candidate through the
-// thresholded prepared engine (the target of the prepare-once refactor).
+// BenchmarkVerify measures the verify stage alone on the 400×400 workload:
+// every probe record's candidates are generated once, prepared records are
+// built once per side, and each iteration re-runs the verify pass of every
+// record's request (bound pass, then the thresholded prepared engine) on one
+// goroutine.
 func BenchmarkVerify(b *testing.B) {
 	j := NewJoiner(paperContext())
 	s := benchCorpus(400, 1)
 	t := benchCorpus(400, 2)
 	opts := Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}
-	ix, prepT := j.joinIndex(s, t, opts)
-	sigs := selectSignatures(prepT, ix.sel, opts.Method, ix.tau)
-	cands, _, _ := ix.candidates(context.Background(), sigs, false, opts.workers())
-	workers := opts.workers()
+	sv, prepT := j.joinIndex(s, t, opts)
+	v := sv.views[0]
+	sc := v.scratch()
+	cands := make([][]int32, len(prepT))
+	for i, ids := range selectSignatures(prepT, sv.gen.sel, opts.Method, sv.sx.tau) {
+		recs, _ := v.candidatesRecord(ids, sv.sx.tau, noLimit, sc)
+		cands[i] = slices.Clone(recs)
+	}
+	rq := &request{k: unboundedK}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		collectStream(context.Background(), workers, func(ictx context.Context, ch chan<- []Pair) error {
-			return streamVerify(ictx, s, t, ix.prepared, prepT, cands, ix.calc, opts.Theta, workers, ch, nil)
-		}, func(Pair) bool { return true })
+		n := 0
+		for t, recs := range cands {
+			rq.pq = prepT[t]
+			matches, _, err := v.verify(context.Background(), rq, recs, sc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n, rq.matches = n+len(matches), matches[:0]
+		}
+		if n == 0 {
+			b.Fatal("empty result")
+		}
 	}
 }
 

@@ -303,10 +303,11 @@ func testConcurrentMutateQuery(t *testing.T, shards int) {
 func TestDynamicIndexConcurrentServeMutate(t *testing.T) { testConcurrentMutateQuery(t, 1) }
 func TestShardedIndexConcurrentMutateQuery(t *testing.T) { testConcurrentMutateQuery(t, 4) }
 
-// TestProbeTallyStats pins the cumulative filter-phase counters: probes
-// served by the index must accumulate ProbePostings and the bitmap/slice
-// token split in Stats, growing monotonically across snapshots and summing
-// over the shards.
+// TestProbeTallyStats pins the cumulative counters: probes served by the
+// index must accumulate ProbePostings and the bitmap/slice token split in
+// Stats, growing monotonically across snapshots and summing over the shards;
+// and a batch Probe books its work on the shards that did it, once — what the
+// call's own Stats report is exactly what the index-wide counters grew by.
 func TestProbeTallyStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	j := NewJoiner(propertyContexts()["full"])
@@ -335,6 +336,48 @@ func TestProbeTallyStats(t *testing.T) {
 		// Counters are index-lifetime, read fresh through any new snapshot.
 		if st2 := sx.Stats(); st2.ProbePostings <= st.ProbePostings {
 			t.Fatalf("shards=%d: tallies did not grow: %d then %d", shards, st.ProbePostings, st2.ProbePostings)
+		}
+	}
+
+	// A batch Probe on a mutated three-shard index, every configuration.
+	j = NewJoiner(paperContext())
+	recs, probe := propCorpus(600, 71), propCorpus(80, 72)
+	for _, opts := range propConfigs() {
+		name := fmt.Sprintf("%v/θ=%v", opts.Method, opts.Theta)
+		sx := j.BuildShardedIndex(recs, 3, opts, DynamicOptions{})
+		mutate(sx, 73)
+		before := sx.Stats()
+		_, ps := sx.Snapshot().Probe(probe)
+		after := sx.Stats()
+		if ps.Candidates == 0 || ps.VerifiedCandidates+ps.PrunedByBound != int64(ps.Candidates) {
+			t.Errorf("%s: Probe reports %d verified + %d pruned of %d candidates", name, ps.VerifiedCandidates, ps.PrunedByBound, ps.Candidates)
+		}
+		sum, busy := 0, 0
+		for _, c := range ps.ShardCandidates {
+			sum += c
+			if c > 0 {
+				busy++
+			}
+		}
+		if len(ps.ShardCandidates) != 3 || sum != ps.Candidates || busy < 2 {
+			t.Errorf("%s: ShardCandidates %v against %d candidates", name, ps.ShardCandidates, ps.Candidates)
+		}
+		for _, c := range []struct {
+			counter       string
+			index, probed int64
+		}{
+			{"ProbePostings", after.ProbePostings - before.ProbePostings, ps.ProcessedPairs},
+			{"ProbeBitsetTokens", after.ProbeBitsetTokens - before.ProbeBitsetTokens, ps.BitsetTokens},
+			{"ProbeSliceTokens", after.ProbeSliceTokens - before.ProbeSliceTokens, ps.SliceTokens},
+			{"VerifiedCandidates+PrunedByBound", after.VerifiedCandidates + after.PrunedByBound - before.VerifiedCandidates - before.PrunedByBound, int64(ps.Candidates)},
+			{"VerifiedCandidates", after.VerifiedCandidates - before.VerifiedCandidates, ps.VerifiedCandidates},
+			{"PrunedByCover", after.PrunedByCover - before.PrunedByCover, ps.PrunedByCover},
+			{"MemoHits", after.MemoHits - before.MemoHits, ps.MemoHits},
+			{"MSimEvals", after.MSimEvals - before.MSimEvals, ps.MSimEvals},
+		} {
+			if c.index != c.probed {
+				t.Errorf("%s: one Probe raised the index's %s by %d and reports %d", name, c.counter, c.index, c.probed)
+			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package join
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -17,7 +16,9 @@ import (
 // mutable-index snapshots with tombstones and rebuilds at one and three
 // shards) the candidate set must equal the one plain per-record counters
 // produce over the index's stored signature IDs, and the processed-postings
-// tally (the paper's T_τ cost measure) must agree as well.
+// tally (the paper's T_τ cost measure) must agree as well. The filter is
+// driven the way every request drives it: a record at a time, through
+// shardView.candidatesRecord.
 
 // propVocabulary mixes a skewed common vocabulary (dense posting lists that
 // cross the hybrid cutoff) with per-record unique tokens (sparse lists that
@@ -93,13 +94,28 @@ func naiveCandidates(stored [][]uint32, dead func(pos int) bool, base int, sigs 
 	return cands, processed
 }
 
-func pairKeySet(cands []pairKey) map[pairKey]bool {
-	m := make(map[pairKey]bool, len(cands))
-	for _, c := range cands {
-		m[c] = true
+// filterRecords runs a shard's count filter for every probe signature, a
+// record at a time on one scratch — the filter stage of the requests a join
+// is made of — and returns the candidates as (position, t) pairs with their
+// number (a duplicate would make it exceed the set's size) and the summed
+// tally. limit gives record t's position limit (noLimit outside a self-join).
+func filterRecords(v *shardView, sigs [][]uint32, tau int, limit func(t int) int) (map[pairKey]bool, int, filterTally) {
+	sc := v.scratch()
+	defer sc.release(&v.sh.pool)
+	cands, n := make(map[pairKey]bool), 0
+	var sum filterTally
+	for t, ids := range sigs {
+		recs, tally := v.candidatesRecord(ids, tau, limit(t), sc)
+		sum.add(tally)
+		n += len(recs)
+		for _, r := range recs {
+			cands[pairKey{int(r), t}] = true
+		}
 	}
-	return m
+	return cands, n, sum
 }
+
+func unlimited(int) int { return noLimit }
 
 // diffPairs reports a compact description of the symmetric difference.
 func diffPairs(got, want map[pairKey]bool) string {
@@ -124,7 +140,6 @@ func TestHybridStaticCandidatesMatchClassic(t *testing.T) {
 	j := NewJoiner(paperContext())
 	recs := propCorpus(600, 11)
 	probe := propCorpus(150, 22)
-	ctx := context.Background()
 	noDead := func(int) bool { return false }
 	denseSeen := false
 	for _, opts := range propConfigs() {
@@ -134,15 +149,13 @@ func TestHybridStaticCandidatesMatchClassic(t *testing.T) {
 			denseSeen = true
 		}
 		stored := ix.sigIDs
+		v := ix.view().views[0]
 
 		sigs := selectSignatures(prepareRecords(probe, ix.dict, ix.calc.PrepareProbe), ix.sel, opts.Method, ix.tau)
-		got, tally, err := ix.candidates(ctx, sigs, false, 4)
-		if err != nil {
-			t.Fatalf("%s: candidates: %v", name, err)
-		}
+		got, n, tally := filterRecords(v, sigs, ix.tau, unlimited)
 		want, processed := naiveCandidates(stored, noDead, 0, sigs, ix.tau, func(int) int { return len(stored) })
-		if d := diffPairs(pairKeySet(got), want); len(got) != len(want) || d != "" {
-			t.Errorf("%s probe: %d candidates, reference %d: %s", name, len(got), len(want), d)
+		if d := diffPairs(got, want); n != len(want) || d != "" {
+			t.Errorf("%s probe: %d candidates, reference %d: %s", name, n, len(want), d)
 		}
 		if tally.postings != processed {
 			t.Errorf("%s probe: processed postings %d, reference %d", name, tally.postings, processed)
@@ -153,13 +166,11 @@ func TestHybridStaticCandidatesMatchClassic(t *testing.T) {
 
 		// Self-join over the prebuilt signatures: only records preceding the
 		// probe record count.
-		got, tally, err = ix.candidates(ctx, ix.sigIDs, true, 4)
-		if err != nil {
-			t.Fatalf("%s: self candidates: %v", name, err)
-		}
-		want, processed = naiveCandidates(stored, noDead, 0, ix.sigIDs, ix.tau, func(t int) int { return t })
-		if d := diffPairs(pairKeySet(got), want); len(got) != len(want) || d != "" {
-			t.Errorf("%s self: %d candidates, reference %d: %s", name, len(got), len(want), d)
+		self := func(t int) int { return t }
+		got, n, tally = filterRecords(v, ix.sigIDs, ix.tau, self)
+		want, processed = naiveCandidates(stored, noDead, 0, ix.sigIDs, ix.tau, self)
+		if d := diffPairs(got, want); n != len(want) || d != "" {
+			t.Errorf("%s self: %d candidates, reference %d: %s", name, n, len(want), d)
 		}
 		if tally.postings != processed {
 			t.Errorf("%s self: processed postings %d, reference %d", name, tally.postings, processed)
@@ -194,14 +205,13 @@ func mutate(sx *ShardedIndex, seed int64) []int {
 	return removed
 }
 
-// testHybridCandidates compares the fan-out candidate stage (and the
+// testHybridCandidates compares every shard's count filter (and the
 // end-to-end Probe statistics above it) of a mutated index against the naive
 // reference run shard by shard.
 func testHybridCandidates(t *testing.T, shards int) {
 	j := NewJoiner(paperContext())
 	recs := propCorpus(600, 33)
 	probe := propCorpus(120, 44)
-	ctx := context.Background()
 	denseSeen := false
 	// MaxSegments 2 forces rebuilds during the 3-batch insert script, so the
 	// comparison covers post-rebuild snapshots, not just delta chains.
@@ -222,33 +232,26 @@ func testHybridCandidates(t *testing.T, shards int) {
 			}
 
 			sv := sx.Snapshot()
-			tgt, _ := sv.probeTarget()
 			sigs := selectSignatures(prepareRecords(probe, sx.dict, j.calc.PrepareProbe), sv.gen.sel, opts.Method, sx.tau)
-			got, tally, err := tgt.candidates(ctx, sigs, 4)
-			if err != nil {
-				t.Fatalf("%s: candidates: %v", name, err)
-			}
-			want, processed := make(map[pairKey]bool), int64(0)
+			candidates, processed := 0, int64(0)
 			for w, v := range sv.views {
 				stored := v.sh.sigIDs // no writer runs: the view is the shard's current one
 				dead := func(pos int) bool { return !v.alive(pos) }
-				part, p := naiveCandidates(stored, dead, sv.flat.offsets[w], sigs, sx.tau, func(int) int { return len(stored) })
-				processed += p
-				for c := range part {
-					want[c] = true
+				got, n, tally := filterRecords(v, sigs, sx.tau, unlimited)
+				want, p := naiveCandidates(stored, dead, 0, sigs, sx.tau, func(int) int { return len(stored) })
+				if d := diffPairs(got, want); n != len(want) || d != "" {
+					t.Errorf("%s shard %d: %d candidates, reference %d: %s", name, w, n, len(want), d)
 				}
-			}
-			if d := diffPairs(pairKeySet(got), want); len(got) != len(want) || d != "" {
-				t.Errorf("%s: %d candidates, reference %d: %s", name, len(got), len(want), d)
-			}
-			if tally.postings != processed {
-				t.Errorf("%s: processed postings %d, reference %d", name, tally.postings, processed)
+				if tally.postings != p {
+					t.Errorf("%s shard %d: processed postings %d, reference %d", name, w, tally.postings, p)
+				}
+				candidates, processed = candidates+len(want), processed+p
 			}
 
 			// The end-to-end Probe must report the same filter work.
-			if _, pst := sv.Probe(probe); pst.Candidates != len(want) || pst.ProcessedPairs != processed {
+			if _, pst := sv.Probe(probe); pst.Candidates != candidates || pst.ProcessedPairs != processed {
 				t.Errorf("%s: Probe reported %d candidates / %d postings, reference %d / %d",
-					name, pst.Candidates, pst.ProcessedPairs, len(want), processed)
+					name, pst.Candidates, pst.ProcessedPairs, candidates, processed)
 			}
 		}
 	}

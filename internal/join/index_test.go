@@ -64,9 +64,10 @@ func selfOracle(pairs []Pair) []Pair {
 }
 
 // TestIndexProbeMatchesBruteForce is the oracle property of the
-// build-once/probe-many pipeline: BuildIndex + Probe (and SelfJoin) must
-// return exactly the BruteForce result — same pairs, same similarities —
-// for every filter method, threshold and knowledge-source combination.
+// build-once/probe-many pipeline: BuildIndex + a probe of its view (and
+// SelfJoin) must return exactly the BruteForce result — same pairs, same
+// similarities — for every filter method, threshold and knowledge-source
+// combination.
 // Note the index is built over S alone, so the probe side exercises the
 // shared-order extension for keys the index has never seen.
 func TestIndexProbeMatchesBruteForce(t *testing.T) {
@@ -85,8 +86,7 @@ func TestIndexProbeMatchesBruteForce(t *testing.T) {
 					}
 					opts := Options{Theta: theta, Tau: tau, Method: method}
 
-					ix := j.BuildIndex(s, opts)
-					got, stats := ix.Probe(u)
+					got, stats := j.BuildIndex(s, opts).view().Probe(u)
 					if !reflect.DeepEqual(got, wantRS) {
 						t.Errorf("%s θ=%v %v τ=%d: Probe = %v, want %v", name, theta, method, tau, got, wantRS)
 					}
@@ -94,7 +94,7 @@ func TestIndexProbeMatchesBruteForce(t *testing.T) {
 						t.Errorf("%s θ=%v %v τ=%d: inconsistent stats %+v", name, theta, method, tau, stats)
 					}
 
-					gotSelf, selfStats := j.BuildIndex(s, opts).SelfJoin()
+					gotSelf, selfStats := j.SelfJoin(s, opts)
 					if !reflect.DeepEqual(gotSelf, wantSelf) {
 						t.Errorf("%s θ=%v %v τ=%d: SelfJoin = %v, want %v", name, theta, method, tau, gotSelf, wantSelf)
 					}
@@ -122,8 +122,8 @@ func TestIndexReuse(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		u := propertyCorpus(15, rng)
 		want := j.BruteForce(s, u, opts.Theta, nil)
-		first, _ := ix.Probe(u)
-		second, _ := ix.Probe(u)
+		first, _ := ix.view().Probe(u)
+		second, _ := ix.view().Probe(u)
 		if !reflect.DeepEqual(first, want) {
 			t.Errorf("trial %d: probe differs from oracle", trial)
 		}
@@ -134,25 +134,23 @@ func TestIndexReuse(t *testing.T) {
 	if ix.BuildTime <= 0 {
 		t.Error("BuildTime should be positive")
 	}
-	if ix.AvgSignature() <= 0 {
-		t.Error("AvgSignature should be positive")
-	}
-	if len(ix.Records()) != len(s) {
-		t.Error("Records length mismatch")
-	}
-	if ix.Order().NumKeys() == 0 {
-		t.Error("order should have interned keys")
+	if st := ix.view().Stats(); st.Live != len(s) || st.FrozenKeys == 0 {
+		t.Errorf("view of the index reports %d live records and %d keys, want %d and some", st.Live, st.FrozenKeys, len(s))
 	}
 }
 
 // TestProbeRecordMatchesProbe checks that single-record probing agrees with
-// collection probing, record by record.
+// collection probing, record by record — and conversely that a collection of
+// one record is that record's request: the same matches and, counter for
+// counter, the same work.
 func TestProbeRecordMatchesProbe(t *testing.T) {
 	j := NewJoiner(paperContext())
 	s, u := collections()
-	opts := Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}
+	opts := Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP, Workers: 1}
 	for _, shards := range gridShards {
-		sv := j.BuildShardedIndex(s, shards, opts, DynamicOptions{}).Snapshot()
+		verified := int64(0)
+		sx := j.BuildShardedIndex(s, shards, opts, DynamicOptions{})
+		sv := sx.Snapshot()
 		pairs, _ := sv.Probe(u)
 		for ti, rec := range u {
 			got, want := probeRecord(t, sv, rec.Tokens), rowsOf(pairs, ti)
@@ -160,11 +158,49 @@ func TestProbeRecordMatchesProbe(t *testing.T) {
 				t.Errorf("shards=%d record %d: ProbeRecordCtx = %v, want %v", shards, ti, got, want)
 			}
 			// Pooled scratch must leave no residue between calls.
+			before := sx.Stats()
 			if again := probeRecord(t, sv, rec.Tokens); !reflect.DeepEqual(again, got) {
 				t.Errorf("shards=%d record %d: repeated ProbeRecordCtx differs", shards, ti)
 			}
+			served := sx.Stats()
+
+			one, st := sv.Probe(u[ti : ti+1])
+			if !reflect.DeepEqual(rowsOf(one, ti), got) || len(one) != len(got) {
+				t.Errorf("shards=%d record %d: one-record Probe = %v, ProbeRecordCtx %v", shards, ti, one, got)
+			}
+			probed := Stats{
+				ProcessedPairs:     served.ProbePostings - before.ProbePostings,
+				BitsetTokens:       served.ProbeBitsetTokens - before.ProbeBitsetTokens,
+				SliceTokens:        served.ProbeSliceTokens - before.ProbeSliceTokens,
+				VerifiedCandidates: served.VerifiedCandidates - before.VerifiedCandidates,
+				PrunedByBound:      served.PrunedByBound - before.PrunedByBound,
+				PrunedByCover:      served.PrunedByCover - before.PrunedByCover,
+				MemoHits:           served.MemoHits - before.MemoHits,
+				MSimEvals:          served.MSimEvals - before.MSimEvals,
+			}
+			probed.Candidates = int(probed.VerifiedCandidates + probed.PrunedByBound)
+			if got := workOf(st); got != workOf(probed) {
+				t.Errorf("shards=%d record %d: one-record Probe did %+v, ProbeRecordCtx %+v", shards, ti, got, workOf(probed))
+			}
+			verified += st.VerifiedCandidates
+		}
+		if verified == 0 {
+			t.Errorf("shards=%d: no probe record had a candidate verified; the counter comparison is vacuous", shards)
 		}
 	}
+}
+
+// work is the counters of what a join did — its statistics without the
+// times, the result count and the signature lengths — in comparable form.
+type work struct {
+	postings, bitsetTokens, sliceTokens        int64
+	candidates                                 int
+	verified, pruned, prunedByCover, memo, sim int64
+}
+
+func workOf(st Stats) work {
+	return work{st.ProcessedPairs, st.BitsetTokens, st.SliceTokens, st.Candidates,
+		st.VerifiedCandidates, st.PrunedByBound, st.PrunedByCover, st.MemoHits, st.MSimEvals}
 }
 
 // TestSelfJoinStatsDeduplicated pins the satellite fix: self-join stats

@@ -6,12 +6,13 @@
 //
 // The pipeline is built once and probed many times: BuildIndex interns
 // every pebble into a dense uint32 ID (global frequency order), selects
-// signatures, and materialises the ID-indexed inverted index; Probe and
-// SelfJoin then generate candidates with per-probe-record count arrays
-// (classic count filtering) — no string hashing and no map[pair]int in the
-// hot path. Join and SelfJoin are thin compositions of these stages, and
-// FilterProfile re-derives signatures for many τ values from one prepared
-// pebble set (used by the Section 4 estimator).
+// signatures, and materialises the ID-indexed inverted index; a probe then
+// generates a record's candidates with a count array (classic count
+// filtering) — no string hashing and no map[pair]int in the hot path — and
+// verifies them before the next record is taken. Join and SelfJoin build
+// such an index and run that loop over a one-shard view of it (stream.go),
+// and FilterProfile re-derives signatures for many τ values from one
+// prepared pebble set (used by the Section 4 estimator).
 //
 // ShardedIndex extends the pipeline to online serving and is the one
 // mutable index: a router over N ≥ 1 private shards that share one pebble
@@ -47,14 +48,19 @@ type Pair struct {
 // Stats records what happened during one join execution; the experiment
 // harness uses it to regenerate the paper's tables and figures.
 type Stats struct {
-	// SignatureTime, FilterTime and VerifyTime are the wall-clock durations
-	// of signature generation + indexing, candidate generation, and
-	// verification — elapsed time per stage, NOT CPU time summed across
-	// workers or shards. A stage that runs W workers (or fans out across N
-	// shards) for d seconds reports d, not W·d; the three values therefore
-	// add up to the end-to-end latency a caller observed, and comparing them
-	// across runs with different worker counts compares wall-clock speed,
-	// not total work.
+	// SignatureTime is the wall-clock duration of everything done once per
+	// collection before the first record is probed: preparation, signature
+	// selection and, on a one-shot join, order and index building.
+	// FilterTime and VerifyTime split what follows. A join takes one probe
+	// record at a time — count filter, then verification — so each worker
+	// sums the durations of its records' filter stages and of their verify
+	// stages, and the two fields report the sums of the slowest worker (the
+	// one whose two sums add up to the most). With one worker that is the
+	// time the call spent in each stage; with W workers it is still
+	// wall-clock on one goroutine, NOT CPU time summed across workers, so
+	// the three values add up to at most the end-to-end latency a caller
+	// observed, and comparing them across runs with different worker counts
+	// compares wall-clock speed, not total work.
 	SignatureTime time.Duration
 	FilterTime    time.Duration
 	VerifyTime    time.Duration
@@ -66,9 +72,10 @@ type Stats struct {
 	// Candidates is V_τ: the number of distinct pairs that reached
 	// verification (distinct unordered pairs for self-joins).
 	Candidates int
-	// ShardCandidates breaks Candidates down per shard on a ShardedView
-	// probe (one entry per shard, a single entry at one shard); its entries
-	// sum to Candidates. It is nil on static Index probes and one-shot joins.
+	// ShardCandidates breaks Candidates down per shard (one entry per shard
+	// of the probed view); its entries sum to Candidates. A one-shot join
+	// probes a one-shard view of the index it built, so it reports a single
+	// entry.
 	ShardCandidates []int
 	// BitsetTokens and SliceTokens split the probe-token lookups of the
 	// filter stage by posting representation: tokens whose base posting list
@@ -90,11 +97,13 @@ type Stats struct {
 	// out-of-range ids counts as neither).
 	PrunedByBound int64
 	PrunedByCover int64
-	// MemoHits counts the msim cells copied into a matrix from a row a verify
-	// worker had already evaluated for the same probe record (the rows live
-	// in the worker's scratch and are keyed by the indexed side's segment
-	// IDs); MSimEvals counts the cells that were computed, for a matrix or
-	// for the cover stage, which reads a row's maximum and fills no matrix.
+	// MemoHits counts the msim cells copied into a matrix from a row already
+	// evaluated for the same probe record (the rows live in the verifying
+	// scratch and are keyed by the indexed side's segment IDs); MSimEvals
+	// counts the cells that were computed, for a matrix or for the cover
+	// stage, which reads a row's maximum and fills no matrix. One worker
+	// verifies all of a probe record's candidates, so neither depends on the
+	// worker count.
 	MemoHits  int64
 	MSimEvals int64
 	// Tau is the overlap constraint the filter ran at: the τ the index was
@@ -189,17 +198,15 @@ func (j *Joiner) orderOf(collections ...[]*core.PreparedRecord) *pebble.Order {
 	return order
 }
 
-// Index is a prebuilt probe target: the interned pebble order, the
-// signature IDs and prepared verification records of the indexed collection,
-// and the ID-indexed inverted index, all computed once. An Index is safe for
-// concurrent probing and is the build-once/probe-many half of the join
-// pipeline: repeated joins against the same collection (or a stream of
-// single-record queries) skip order construction, signature selection,
-// index building and verification preparation entirely. Holding an Index
-// therefore costs the prepared records' memory (per record its segment
-// spans; per distinct segment text, once in the index's segment dictionary,
-// the gram set, the gram pebble keys and the rule/taxonomy derivations) on top
-// of the inverted index.
+// Index is a frozen indexed collection: the interned pebble order, the
+// signature IDs and prepared verification records of the collection, and the
+// ID-indexed inverted index, all computed once and never written again. It is
+// not probed itself: it is the base of a shard, and every probe — a one-shot
+// join's included, through view — runs against a snapshot of the
+// ShardedIndex that holds it. Holding an Index costs the prepared records'
+// memory (per record its segment spans; per distinct segment text, once in
+// the index's segment dictionary, the gram set, the gram pebble keys and the
+// rule/taxonomy derivations) on top of the inverted index.
 type Index struct {
 	joiner *Joiner
 	opts   Options
@@ -228,34 +235,21 @@ type Index struct {
 	// newBase's own work (inverted index, hybrid layout), or — for a base
 	// buildIndex made — everything since its caller began preparing records.
 	BuildTime time.Duration
-	avgSig    float64
-
-	scratch sync.Pool // *probeScratch, reused across probes
 }
 
-// probeScratch is the per-worker probe state: the block accumulator holding
-// the arena-allocated overlap counters and touched list, and the
-// verification scratch of the prepared similarity engine. merged collects
-// shard-remapped candidate positions when a sharded view fans one probe
-// record out across shard filters (each shard reuses the accumulator, so
-// survivors are staged here); ids holds the signature IDs of a single-record
-// request, which carries its signature as pebbles.
+// probeScratch is the state of one request on one shard: the block
+// accumulator holding the arena-allocated overlap counters and touched list,
+// and the verification scratch of the prepared similarity engine.
 type probeScratch struct {
 	acc    *invindex.Accumulator
-	merged []int32
-	ids    []uint32
 	sim    *core.Scratch
 	verify verifier // a shard's verify pass over one request's candidates
 }
 
 // scratchFromPool borrows a probe scratch from pool (allocating on a cold
-// pool) with its accumulator arena sized for numRecords. A nil pool yields
-// an ephemeral scratch.
+// pool) with its accumulator arena sized for numRecords.
 func scratchFromPool(pool *sync.Pool, numRecords int) *probeScratch {
-	var sc *probeScratch
-	if pool != nil {
-		sc, _ = pool.Get().(*probeScratch)
-	}
+	sc, _ := pool.Get().(*probeScratch)
 	if sc == nil {
 		sc = &probeScratch{acc: invindex.NewAccumulator()}
 	}
@@ -263,15 +257,11 @@ func scratchFromPool(pool *sync.Pool, numRecords int) *probeScratch {
 	return sc
 }
 
-// release returns a scratch to its pool (no-op for ephemeral scratches).
-func (sc *probeScratch) release(pool *sync.Pool) {
-	if pool != nil {
-		pool.Put(sc)
-	}
-}
+// release returns a scratch to its pool.
+func (sc *probeScratch) release(pool *sync.Pool) { pool.Put(sc) }
 
 // simScratch lazily builds the similarity scratch of the verification step
-// (candidate-only paths never need one).
+// (a FilterProfile's sweep never needs one).
 func (sc *probeScratch) simScratch() *core.Scratch {
 	if sc.sim == nil {
 		sc.sim = core.NewScratch()
@@ -295,6 +285,16 @@ func (t *filterTally) add(o filterTally) {
 	t.sliceTokens += o.sliceTokens
 }
 
+// view wraps the index as the one shard of a router of its own — the index's
+// dictionary and order, no cache — and returns its snapshot: how a one-shot
+// join probes the base it has just built. Nothing is ever inserted into it.
+func (ix *Index) view() *ShardedView {
+	sx := &ShardedIndex{joiner: ix.joiner, opts: ix.opts, tau: ix.tau, dict: ix.dict}
+	sx.shards = []*shard{newShard(ix, DynamicOptions{}, nil, nil)}
+	sx.gen.Store(&orderGen{order: ix.order, sel: ix.sel})
+	return sx.Snapshot()
+}
+
 // BuildIndex prepares the records, computes their global pebble order,
 // selects their signatures and builds the inverted index under the given
 // options (Options.Tau and Options.Theta are fixed at build time; AutoTau-style
@@ -306,13 +306,13 @@ func (j *Joiner) BuildIndex(records []strutil.Record, opts Options) *Index {
 	return j.buildIndex(records, prepared, j.orderOf(prepared), opts, dict, start)
 }
 
-// joinIndex is the build half of Join: the index over s under an order
-// spanning both collections, and t prepared for probing it.
-func (j *Joiner) joinIndex(s, t []strutil.Record, opts Options) (*Index, []*core.PreparedRecord) {
+// joinIndex is the build half of Join: a view of the index over s under an
+// order spanning both collections, and t prepared for probing it.
+func (j *Joiner) joinIndex(s, t []strutil.Record, opts Options) (*ShardedView, []*core.PreparedRecord) {
 	start, calc, dict := time.Now(), j.calcFor(opts), core.NewSegDict()
 	prepS := prepareRecords(s, dict, calc.PrepareIn)
 	prepT := prepareRecords(t, dict, calc.PrepareProbe)
-	return j.buildIndex(s, prepS, j.orderOf(prepS, prepT), opts, dict, start), prepT
+	return j.buildIndex(s, prepS, j.orderOf(prepS, prepT), opts, dict, start).view(), prepT
 }
 
 // buildIndex builds an Index over prepared records (positional, interned into
@@ -346,13 +346,6 @@ func (j *Joiner) newBase(records []strutil.Record, sigIDs [][]uint32, prepared [
 		sigIDs:   sigIDs,
 		prepared: prepared,
 		inv:      newInverted(sigIDs, order),
-	}
-	if len(records) > 0 {
-		totalLen := 0
-		for _, ids := range sigIDs {
-			totalLen += len(ids)
-		}
-		ix.avgSig = float64(totalLen) / float64(len(records))
 	}
 	ix.BuildTime = time.Since(start)
 	return ix
@@ -416,59 +409,6 @@ func hybridizeIndex(inv *invindex.Index, order *pebble.Order) {
 	inv.Hybridize(cut)
 }
 
-// Records returns the indexed collection.
-func (ix *Index) Records() []strutil.Record { return ix.records }
-
-// Order exposes the interned global order the index was built with.
-func (ix *Index) Order() *pebble.Order { return ix.order }
-
-// AvgSignature returns the mean signature length of the indexed records.
-func (ix *Index) AvgSignature() float64 { return ix.avgSig }
-
-// Probe joins a probe collection against the prebuilt index and returns
-// the matching (indexed, probe) pairs sorted by identifiers. The reported
-// SignatureTime covers only the probe side — the build cost is paid once in
-// BuildTime.
-func (ix *Index) Probe(records []strutil.Record) ([]Pair, Stats) {
-	return collectPairs(func(emit func(Pair) bool) Stats {
-		stats, _ := ix.probeStream(context.Background(), records, emit)
-		return stats
-	})
-}
-
-// SelfJoin joins the indexed collection with itself, returning each
-// unordered pair (i < j) exactly once. Candidate generation walks only
-// postings of records preceding the probe record, so mirrored and diagonal
-// pairs are never materialised and Stats counts each unordered pair once.
-func (ix *Index) SelfJoin() ([]Pair, Stats) {
-	return collectPairs(func(emit func(Pair) bool) Stats {
-		stats, _ := ix.selfStream(context.Background(), emit)
-		return stats
-	})
-}
-
-// target reduces the index to the probeTarget the shared probe stages need.
-func (ix *Index) target(self bool) probeTarget {
-	return probeTarget{
-		records:  ix.records,
-		prepared: ix.prepared,
-		avgSig:   ix.avgSig,
-		candidates: func(ctx context.Context, sigs [][]uint32, workers int) ([]pairKey, filterTally, error) {
-			return ix.candidates(ctx, sigs, self, workers)
-		},
-	}
-}
-
-// probeTarget is the indexed side of a probe — a static Index or a
-// ShardedView's flattened catalog — reduced to what the shared probe stages
-// need.
-type probeTarget struct {
-	records    []strutil.Record
-	prepared   []*core.PreparedRecord
-	avgSig     float64
-	candidates func(ctx context.Context, sigs [][]uint32, workers int) ([]pairKey, filterTally, error)
-}
-
 // collectPairs is the batch form of the streaming pipeline: it runs a
 // streaming probe to completion, collecting every emitted pair, and orders
 // the result by (S, T) identifiers.
@@ -499,102 +439,6 @@ type QueryMatch struct {
 	Similarity float64
 }
 
-// candidates runs count filtering of probe signatures against the index.
-func (ix *Index) candidates(ctx context.Context, sigs [][]uint32, self bool, workers int) ([]pairKey, filterTally, error) {
-	return countFilterCandidates(ctx, ix.inv, len(ix.records), sigs, ix.tau, self, workers, &ix.scratch)
-}
-
-// countFilterCandidates runs parallel count filtering of the probe
-// signatures against an inverted index over numRecords records, returning
-// every (indexed, probe) pair whose signature-pebble overlap reaches τ,
-// plus the filter tally (T_τ and the representation split). In self mode
-// only postings of records preceding the probe record are counted, so
-// mirrored and diagonal pairs never appear. Worker scratch is borrowed from
-// pool (nil for ephemeral scratch).
-func countFilterCandidates(ctx context.Context, inv *invindex.Index, numRecords int, sigs [][]uint32, tau int, self bool, workers int, pool *sync.Pool) ([]pairKey, filterTally, error) {
-	return parallelCandidates(ctx, len(sigs), numRecords, workers, pool, func(sc *probeScratch, t int) ([]int32, filterTally) {
-		limit := numRecords
-		if self {
-			limit = t
-		}
-		return countFilterRecord(inv, nil, nil, sigs[t], tau, limit, sc)
-	})
-}
-
-// parallelCandidates is the shared driver of parallel candidate
-// generation: it runs record(sc, t) for every probe record t in [0, n)
-// across the given number of workers (GOMAXPROCS when ≤ 0), each with a
-// pooled probe scratch whose arena is sized to numRecords, and merges the
-// per-worker candidate chunks and filter tallies. The static count filter
-// and the shard fan-out filter differ only in the record callback.
-// Workers check ctx between probe records; on cancellation the partial
-// candidate set is discarded and the context error returned.
-func parallelCandidates(ctx context.Context, n, numRecords, workers int, pool *sync.Pool, record func(sc *probeScratch, t int) ([]int32, filterTally)) ([]pairKey, filterTally, error) {
-	var tally filterTally
-	if n == 0 || numRecords == 0 {
-		return nil, tally, ctx.Err()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	type chunk struct {
-		cands []pairKey
-		tally filterTally
-	}
-	chunks := make([]chunk, workers)
-	run := func(w, start, step int) {
-		sc := scratchFromPool(pool, numRecords)
-		var out []pairKey
-		var sum filterTally
-		for t := start; t < n; t += step {
-			if ctx.Err() != nil {
-				break
-			}
-			recs, ft := record(sc, t)
-			sum.add(ft)
-			for _, r := range recs {
-				out = append(out, pairKey{int(r), t})
-			}
-		}
-		sc.release(pool)
-		chunks[w] = chunk{out, sum}
-	}
-	if workers == 1 {
-		run(0, 0, 1)
-	} else {
-		// Strided assignment: in self mode the work per probe record grows
-		// linearly with its index (only postings < t are counted), so
-		// contiguous chunks would make the last worker the straggler.
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			w := w
-			goPipeline(func() {
-				defer wg.Done()
-				run(w, w, workers)
-			})
-		}
-		wg.Wait()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, tally, err
-	}
-	var cands []pairKey
-	total := 0
-	for i := range chunks {
-		total += len(chunks[i].cands)
-	}
-	cands = make([]pairKey, 0, total)
-	for i := range chunks {
-		cands = append(cands, chunks[i].cands...)
-		tally.add(chunks[i].tally)
-	}
-	return cands, tally, nil
-}
-
 // countFilterRecord is the hybrid count filter for one probe record, the one
 // function that walks a signature's posting lists into the accumulator: for
 // every distinct ID among the probe signature's ids (with its multiplicity),
@@ -604,9 +448,10 @@ func parallelCandidates(ctx context.Context, n, numRecords, workers int, pool *s
 // overlap counters, considering only base records < limit. It returns the
 // records whose overlap reached τ and are not tombstoned in dead (aliasing
 // the accumulator arena, valid until the next call) and the filter tally.
-// The counters are left zeroed for reuse. The static self-join passes no
-// segments, no tombstones and limit = the probe's own position; a shard
-// passes its delta chain, its tombstone bitmap and limit = inv.Records().
+// The counters are left zeroed for reuse. A shard passes its delta chain, its
+// tombstone bitmap and limit = inv.Records(); a self-join, whose shard has
+// neither segments nor tombstones, passes the probe's own position as limit;
+// the τ sweep of a FilterProfile passes no segments and no tombstones.
 func countFilterRecord(inv *invindex.Index, segs []*segment, dead []uint64, ids []uint32, tau, limit int, sc *probeScratch) ([]int32, filterTally) {
 	acc := sc.acc
 	acc.Begin(tau)
@@ -656,10 +501,11 @@ func countFilterRecord(inv *invindex.Index, segs []*segment, dead []uint64, ids 
 
 // Join executes the filter-and-verification join between two record
 // collections and returns the matching pairs together with execution
-// statistics. The result pairs are sorted by (S, T) identifiers. Join is
-// BuildIndex + Probe with a shared global order spanning both collections;
-// workloads joining against the same collection repeatedly should hold on
-// to a BuildIndex result instead.
+// statistics. The result pairs are sorted by (S, T) identifiers. Join builds
+// the index over s under a global order spanning both collections and probes
+// a one-shard view of it with t, one record at a time; workloads joining
+// against the same collection repeatedly should hold on to a ShardedIndex
+// instead.
 func (j *Joiner) Join(s, t []strutil.Record, opts Options) ([]Pair, Stats) {
 	return collectPairs(func(emit func(Pair) bool) Stats {
 		stats, _ := j.joinStream(context.Background(), s, t, opts, emit)
@@ -672,7 +518,10 @@ func (j *Joiner) Join(s, t []strutil.Record, opts Options) ([]Pair, Stats) {
 // Join(s, s), candidate generation never materialises mirrored or diagonal
 // pairs, and Stats reflects the deduplicated work.
 func (j *Joiner) SelfJoin(s []strutil.Record, opts Options) ([]Pair, Stats) {
-	return j.BuildIndex(s, opts).SelfJoin()
+	return collectPairs(func(emit func(Pair) bool) Stats {
+		stats, _ := j.BuildIndex(s, opts).view().selfStream(context.Background(), emit)
+		return stats
+	})
 }
 
 // selectSignatures selects every prepared record's signature in parallel and
@@ -685,24 +534,20 @@ func selectSignatures(prepared []*core.PreparedRecord, sel *pebble.Selector, met
 	return out
 }
 
-// signatureIDs returns a signature's IDs as an exact-size copy, releasing
-// the complete pebble list the selection is a prefix of.
+// signatureIDs returns a signature's IDs — one interned ID per signature
+// pebble, duplicates retained, matching the posting-list semantics the
+// overlap count relies on — as an exact-size copy, releasing the complete
+// pebble list the selection is a prefix of.
 func signatureIDs(sig pebble.Signature) []uint32 {
-	return appendSignatureIDs(make([]uint32, 0, sig.Len()), sig)
-}
-
-// appendSignatureIDs appends one interned ID per signature pebble
-// (duplicates retained), matching the posting-list semantics the overlap
-// count relies on.
-func appendSignatureIDs(ids []uint32, sig pebble.Signature) []uint32 {
+	ids := make([]uint32, len(sig.Pebbles))
 	for i := range sig.Pebbles {
-		ids = append(ids, sig.Pebbles[i].ID)
+		ids[i] = sig.Pebbles[i].ID
 	}
 	return ids
 }
 
-// pairKey identifies one candidate pair: an indexed record and a probe
-// record.
+// pairKey identifies one candidate pair of a FilterProfile, by position: an
+// indexed record and a probe record.
 type pairKey struct{ s, t int }
 
 // prepareRecords prepares every record in parallel, with a calculator's
@@ -828,15 +673,26 @@ func (fp *FilterProfile) VerifyStats(tau int) (processed int64, candidates, resu
 }
 
 // filter runs signature selection and count filtering for one τ, returning
-// the candidate pairs and the processed posting count.
+// the candidate pairs and the processed posting count. The sweep compares
+// candidate sets across τ, so — unlike a join, which verifies a record's
+// candidates and forgets them — it keeps every pair.
 func (fp *FilterProfile) filter(tau int) ([]pairKey, int64) {
 	if fp.method == pebble.UFilter || tau < 1 {
 		tau = 1
 	}
 	inv := newInverted(fp.selectAll(fp.preS, tau), fp.order)
-	sigT := fp.selectAll(fp.preT, tau)
-	cands, tally, _ := countFilterCandidates(context.Background(), inv, len(fp.preS), sigT, tau, false, 0, &fp.scratch)
-	return cands, tally.postings
+	sc := scratchFromPool(&fp.scratch, len(fp.preS))
+	defer sc.release(&fp.scratch)
+	var cands []pairKey
+	var processed int64
+	for t, ids := range fp.selectAll(fp.preT, tau) {
+		recs, tally := countFilterRecord(inv, nil, nil, ids, tau, len(fp.preS), sc)
+		processed += tally.postings
+		for _, r := range recs {
+			cands = append(cands, pairKey{int(r), t})
+		}
+	}
+	return cands, processed
 }
 
 // selectAll derives the τ-specific signature IDs from the prepared pebble

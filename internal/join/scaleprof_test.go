@@ -1,7 +1,6 @@
 package join
 
 import (
-	"context"
 	"os"
 	"runtime/pprof"
 	"testing"
@@ -14,7 +13,7 @@ import (
 )
 
 // TestFilterScaleProfile is an opt-in diagnostic (AUJOIN_SCALEPROF=1) that
-// times the candidate phase on a 300k-record datagen corpus and writes a CPU
+// times the filter stage, a record at a time as a join runs it, on a 300k-record datagen corpus and writes a CPU
 // profile of it to /tmp/scale_hybrid.pprof. It exists to localize scale
 // regressions in the block filter core: wide records of distinct tokens over
 // a 200-word vocabulary make every posting list dense.
@@ -37,7 +36,9 @@ func TestFilterScaleProfile(t *testing.T) {
 	j := NewJoiner(ctx)
 
 	opts := Options{Theta: 0.9, Tau: 12, Method: pebble.AUHeuristic, Workers: 1}
-	ix, prepT := j.joinIndex(s, tt, opts)
+	sv, prepT := j.joinIndex(s, tt, opts)
+	v := sv.views[0]
+	ix := v.base
 	sigs := selectSignatures(prepT, ix.sel, opts.Method, ix.tau)
 	// residual sizes of the dense lists
 	var resTotal, denseTotal int
@@ -48,18 +49,21 @@ func TestFilterScaleProfile(t *testing.T) {
 		}
 	}
 	t.Logf("dense keys %d, residual entries total %d", denseTotal, resTotal)
+	sc := v.scratch()
 	f, _ := os.Create("/tmp/scale_hybrid.pprof")
 	pprof.StartCPUProfile(f)
 	defer pprof.StopCPUProfile()
 	start := time.Now()
 	for rep := 0; rep < 3; rep++ {
-		cands, tally, err := ix.candidates(context.Background(), sigs, false, 1)
-		if err != nil {
-			t.Fatal(err)
+		cands, tally := 0, filterTally{}
+		for _, ids := range sigs {
+			recs, ft := v.candidatesRecord(ids, ix.tau, noLimit, sc)
+			cands += len(recs)
+			tally.add(ft)
 		}
 		if rep == 0 {
 			t.Logf("filter=%v cands=%d postings=%d bitset=%d slice=%d",
-				time.Since(start), len(cands), tally.postings, tally.bitsetTokens, tally.sliceTokens)
+				time.Since(start), cands, tally.postings, tally.bitsetTokens, tally.sliceTokens)
 		}
 	}
 	t.Logf("3 reps total %v", time.Since(start))

@@ -600,9 +600,11 @@ func (v *shardView) scratch() *probeScratch {
 // until the next use of sc) and the filter tally, which it also folds into
 // the shard's cumulative counters. tau is the request's overlap constraint —
 // any value in [1, build-τ] is sound against the build-time indexed
-// signatures.
-func (v *shardView) candidatesRecord(ids []uint32, tau int, sc *probeScratch) ([]int32, filterTally) {
-	cands, tally := countFilterRecord(v.base.inv, v.segs, v.dead, ids, tau, v.base.inv.Records(), sc)
+// signatures — and limit its position limit: a self-join counts only the base
+// records below its probe record's own position, every other request passes
+// noLimit.
+func (v *shardView) candidatesRecord(ids []uint32, tau, limit int, sc *probeScratch) ([]int32, filterTally) {
+	cands, tally := countFilterRecord(v.base.inv, v.segs, v.dead, ids, tau, min(limit, v.base.inv.Records()), sc)
 	v.sh.noteProbe(tally)
 	return cands, tally
 }
@@ -643,10 +645,14 @@ func (f *floorTracker) raise(v float64) {
 	}
 }
 
-// unboundedK is the k of a threshold probe: a bound no heap ever reaches, so
-// the heap never fills, the floor stays at θ, and every candidate reaching θ
-// is kept.
+// unboundedK is the k of a threshold probe and of every request of a join: a
+// bound no heap ever reaches, so the heap never fills, the floor stays at θ,
+// and every candidate reaching θ is kept.
 const unboundedK = math.MaxInt
+
+// noLimit is the position limit of a request that is no self-join: every
+// position of a shard's base is below it.
+const noLimit = math.MaxInt
 
 // verifier is the state of one shard's verify pass over one request's
 // candidates: the inputs every worker reads, and per worker a k-bounded heap,
@@ -717,14 +723,14 @@ func (vf *verifier) bound(w, i int) {
 	c.ub = v.sh.calc.UpperBound(v.prepared[c.r], vf.pq, vf.theta, vf.workers[w].scratch())
 }
 
-// step verifies candidate i on worker w — the one way a single-record
-// request verifies a candidate. The floor is the larger of θ, this worker's
-// heap root once the heap holds k matches, and the shared tracker (the best
-// k-th-place similarity any sibling worker or shard has proven); a candidate
-// bounded below it is provably outside the final top k, and one that reaches
-// it is offered to the heap. Verifying at the floor rather than θ is exact:
-// a candidate below the floor cannot enter any final top k, and one exactly
-// at it still passes (VerifyPrepared accepts ≥).
+// step verifies candidate i on worker w — the one way the engine verifies a
+// candidate, a join's as much as a lookup's. The floor is the larger of θ,
+// this worker's heap root once the heap holds k matches, and the shared
+// tracker (the best k-th-place similarity any sibling worker or shard has
+// proven); a candidate bounded below it is provably outside the final top k,
+// and one that reaches it is offered to the heap. Verifying at the floor
+// rather than θ is exact: a candidate below the floor cannot enter any final
+// top k, and one exactly at it still passes (VerifyPrepared accepts ≥).
 func (vf *verifier) step(w, i int) {
 	c, wk := vf.cands[i], &vf.workers[w]
 	floor := max(vf.theta, vf.ft.floor())
@@ -744,12 +750,29 @@ func (vf *verifier) step(w, i int) {
 	}
 }
 
-// serve is this shard's share of a single-record request: the count filter
-// for the request's probe signature at its overlap constraint, then
-// verification of the survivors against the request's prepared query,
-// keeping the rq.k best matches (every match reaching θ when k is
-// unboundedK). The matches come back unordered — the router merges every
-// shard's share and sorts once. rq.ft is the request-wide rising floor.
+// serve is this shard's share of a request — a lookup, or one probe record of
+// a join: the count filter for the request's probe signature at its overlap
+// constraint, then verification of the survivors. A request of the batch loop
+// (rq.tally set) is told what the two stages did and how long they took.
+func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error) {
+	start := time.Now()
+	sc := v.scratch()
+	defer sc.release(&v.sh.pool)
+	cands, ft := v.candidatesRecord(rq.ids, rq.tau, rq.limit, sc)
+	n, filtered := len(cands), time.Now()
+	matches, vt, err := v.verify(ctx, rq, cands, sc)
+	if rq.tally != nil {
+		rq.tally.add(probeTally{filter: ft, verify: vt, candidates: n, filterTime: filtered.Sub(start), verifyTime: time.Since(filtered)})
+	}
+	return matches, err
+}
+
+// verify decides a request's candidates on this shard against its prepared
+// query, keeping the rq.k best matches (every match reaching θ when k is
+// unboundedK), and returns them with what the pass did, which it also folds
+// into the shard's cumulative counters. The matches come back unordered — the
+// router merges every shard's share and sorts once. rq.ft is the request-wide
+// rising floor.
 //
 // Verification is two passes. The bound pass gives every candidate its
 // scheduling bound — the size ratio and, past it, the cover stage, which
@@ -764,13 +787,9 @@ func (vf *verifier) step(w, i int) {
 // because the top k of a union is contained in the union of the parts' top
 // k's. Either way the skip is exact, so the result is the one a plain scan at
 // θ returns.
-func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error) {
-	sc := v.scratch()
-	defer sc.release(&v.sh.pool)
-	sc.ids = appendSignatureIDs(sc.ids[:0], rq.sig)
-	cands, _ := v.candidatesRecord(sc.ids, rq.tau, sc)
+func (v *shardView) verify(ctx context.Context, rq *request, cands []int32, sc *probeScratch) ([]QueryMatch, verifyTally, error) {
 	if len(cands) == 0 {
-		return nil, nil
+		return nil, verifyTally{}, nil
 	}
 	workers := 1
 	if rq.qo.Workers > 1 && len(cands) >= minParallelVerify {
@@ -788,6 +807,7 @@ func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error
 	sim := sc.simScratch()
 	before := sim.Stats
 	vf.workers[0].sim = sim
+	vf.workers[0].heap.entries = rq.matches[:0]
 	err := vf.pass(ctx, (*verifier).bound)
 	if err == nil {
 		live := vf.cands[:0]
@@ -821,9 +841,9 @@ func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error
 	vf.v, vf.pq, vf.ft = nil, nil, nil
 	v.sh.noteVerify(vt)
 	if err != nil {
-		return nil, err
+		return nil, vt, err
 	}
-	return heap.entries, nil
+	return heap.entries, vt, nil
 }
 
 // topKHeap is a bounded min-heap on similarity (ties broken towards keeping

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -93,10 +92,6 @@ type ShardedIndex struct {
 
 	mu     sync.Mutex // guards nextID only; never held during shard work
 	nextID int
-
-	// probePool holds *probeScratch for the batch-probe fan-out stage,
-	// shared across snapshots and generations (the arena re-sizes per use).
-	probePool sync.Pool
 }
 
 // orderGen is one immutable generation of the shared global order: the
@@ -408,8 +403,7 @@ func (sx *ShardedIndex) RebuildPauses() []time.Duration {
 }
 
 // ShardedView is one fan-out snapshot: per-shard immutable views of a
-// single order generation, the statistics captured on first request, and
-// the lazily built flattened catalog the batch-probe pipeline runs over.
+// single order generation and the statistics captured on first request.
 // All methods are read-only and safe for unbounded concurrency.
 type ShardedView struct {
 	sx    *ShardedIndex
@@ -418,14 +412,6 @@ type ShardedView struct {
 
 	statsOnce sync.Once
 	stats     DynamicStats
-
-	once sync.Once
-	flat struct {
-		records  []strutil.Record
-		prepared []*core.PreparedRecord
-		offsets  []int // shard -> base position in the flattened catalog
-		avgSig   float64
-	}
 }
 
 // Stats aggregates the snapshot's statistics, computed once on first call
@@ -522,22 +508,34 @@ func (o Options) thetaFor(qo QueryOpts) float64 {
 // inside the request itself; wider indexes pay one more allocation.
 const maxInlineShards = 4
 
-// request is the state of one single-record request — a threshold probe or a
-// top-k query — across its shard fan-out, and one allocation: the prepared
-// query every shard verifies against, the probe signature selected from it
-// and its overlap constraint, the rising floor shared by every top-k heap,
-// and per shard the matches it found and the error it failed with.
+// request is the state of one single-record request: a threshold probe or a
+// top-k query across its shard fan-out, or one probe record of a batch, which
+// its worker runs shard after shard and then reuses for the next record. It holds the prepared query every shard
+// verifies against, the IDs of the probe signature selected from it and its
+// overlap constraint, the rising floor shared by every top-k heap, and per
+// shard the matches it found and the error it failed with.
 type request struct {
 	sv  *ShardedView
 	pq  *core.PreparedRecord
-	sig pebble.Signature
+	ids []uint32 // the probe signature, as countFilterRecord reads it
 	tau int
 	qo  QueryOpts
 	k   int // the k best matches per shard; unboundedK: every match reaching θ
+	// limit restricts the count filter to base positions below it — a
+	// self-join's probe record, which is itself the record at that position;
+	// noLimit otherwise.
+	limit int
 	// ft spans the whole fan-out: as soon as any shard's heap fills, its
 	// k-th similarity becomes a lower bound on the global k-th best, so
 	// sibling shards can skip candidates bounded below it.
 	ft floorTracker
+
+	// tally and matches belong to the batch loop, whose worker runs a
+	// request's shards one after the other: every shard adds its work to
+	// *tally when that is set, and builds its result in matches' backing
+	// array. A fan-out, whose shards run side by side, leaves both nil.
+	tally   *probeTally
+	matches []QueryMatch
 
 	ctx    context.Context
 	cancel context.CancelFunc // nil when there is no sibling to cancel
@@ -564,7 +562,8 @@ func (sv *ShardedView) serve(ctx context.Context, tokens []string, k int, qo Que
 		method, tau = pinnedConfig(qo, sx.tau)
 	}
 	pq := sx.joiner.calcFor(sx.opts).PrepareProbe(sx.dict, tokens)
-	rq := &request{sv: sv, pq: pq, sig: sv.gen.sel.RecordSignature(pq, method, tau), tau: tau, qo: qo, k: k}
+	ids := signatureIDs(sv.gen.sel.RecordSignature(pq, method, tau))
+	rq := &request{sv: sv, pq: pq, ids: ids, tau: tau, qo: qo, k: k, limit: noLimit}
 	if n := len(sv.views); n <= maxInlineShards {
 		rq.parts, rq.errs = rq.partBuf[:n], rq.errBuf[:n]
 	} else {
@@ -684,24 +683,15 @@ func pinnedConfig(qo QueryOpts, buildTau int) (pebble.Method, int) {
 	return qo.ProbeMethod, tau
 }
 
-// totalRecords is the snapshot's catalog length summed over the shards.
-func (sv *ShardedView) totalRecords() int {
-	n := 0
-	for _, v := range sv.views {
-		n += len(v.records)
-	}
-	return n
-}
-
-// Probe joins a probe collection against the snapshot through the shared
-// probe pipeline: probe signatures and prepared records are computed once,
-// and the candidate stage fans each probe record out across the per-shard
-// count filters, remapping shard-local candidate positions into the
-// flattened catalog. Pair.S carries stable record IDs, Pair.T the probe
-// records' IDs; results are sorted by (S, T) and independent of the shard
-// count. Stats.ShardCandidates breaks the candidate count down per shard
-// (its entries sum to Stats.Candidates); the stage durations are wall-clock
-// across the whole fan-out, not per-shard CPU sums.
+// Probe joins a probe collection against the snapshot: probe signatures and
+// prepared records are computed once, and then every probe record is one
+// request (probeAll) — the count filter and verification of each shard in
+// turn, exactly what ProbeRecordCtx runs for that record. Pair.S carries
+// stable record IDs, Pair.T the probe records' IDs; results are sorted by
+// (S, T) and independent of the shard count. Stats.ShardCandidates breaks the
+// candidate count down per shard (its entries sum to Stats.Candidates), and
+// every shard's cumulative counters grow by the work done on that shard; the
+// stage durations are the slowest worker's (see Stats).
 func (sv *ShardedView) Probe(records []strutil.Record) ([]Pair, Stats) {
 	return collectPairs(func(emit func(Pair) bool) Stats {
 		stats, _ := sv.probeStream(context.Background(), records, emit)
@@ -710,117 +700,14 @@ func (sv *ShardedView) Probe(records []strutil.Record) ([]Pair, Stats) {
 }
 
 // ProbeSeq is the streaming form of Probe: matches are yielded in
-// verification-completion order as the fan-out verify stage confirms them,
-// a consumer break stops the pipeline, and a ctx cancellation aborts the
-// candidate fan-out and every verification worker before surfacing as one
-// final error.
+// verification-completion order, a probe record's as soon as that record has
+// been filtered and verified; a consumer break stops the pipeline, and a ctx
+// cancellation stops every worker before surfacing as one final error.
 func (sv *ShardedView) ProbeSeq(ctx context.Context, records []strutil.Record) iter.Seq2[Pair, error] {
 	return pairSeq(ctx, func(ctx context.Context, emit func(Pair) bool) error {
 		_, err := sv.probeStream(ctx, records, emit)
 		return err
 	})
-}
-
-// probeStream prepares the probe records against the index's dictionary,
-// selects their signatures under the build configuration and runs the
-// streaming pipeline against the flattened snapshot.
-func (sv *ShardedView) probeStream(ctx context.Context, records []strutil.Record, emit func(Pair) bool) (Stats, error) {
-	start := time.Now()
-	sx := sv.sx
-	tgt, shardCands := sv.probeTarget()
-	calc := sx.joiner.calcFor(sx.opts)
-	prep := prepareRecords(records, sx.dict, calc.PrepareProbe)
-	sigs := selectSignatures(prep, sv.gen.sel, sx.opts.Method, sx.tau)
-	stats, err := runProbeStream(ctx, calc, sx.opts, tgt, records, sigs, prep, false, time.Since(start), emit)
-	stats.ShardCandidates = shardCands()
-	// Verification runs centrally over the flattened catalog, not per
-	// shard; attribute its counters to shard 0 so the index-wide Stats sum
-	// still accounts for every verified candidate exactly once.
-	sv.views[0].sh.noteVerify(verifyTally{verified: stats.VerifiedCandidates, pruned: stats.PrunedByBound, prunedByCover: stats.PrunedByCover, memoHits: stats.MemoHits, msimEvals: stats.MSimEvals})
-	return stats, err
-}
-
-// probeTarget flattens the snapshot into the probe target the shared stages
-// run over, wiring the fan-out candidate stage in. The returned accessor
-// reads the per-shard candidate counts the stage accumulated.
-func (sv *ShardedView) probeTarget() (probeTarget, func() []int) {
-	sv.initFlat()
-	stage, shardCands := sv.candidateStage()
-	return probeTarget{
-		records:    sv.flat.records,
-		prepared:   sv.flat.prepared,
-		avgSig:     sv.flat.avgSig,
-		candidates: stage,
-	}, shardCands
-}
-
-// initFlat lays the per-shard catalogs out in one position space for the
-// batch-probe pipeline. Views are immutable, so this is done once per
-// ShardedView and shared by every Probe on it. The first view's slices are
-// aliased (clipped, so nothing is ever appended into a shard's backing
-// array) and grown only by what the sibling views add: one view costs no
-// copy at all.
-func (sv *ShardedView) initFlat() {
-	sv.once.Do(func() {
-		live := 0
-		var sigMass float64
-		for _, v := range sv.views {
-			live += v.live
-			sigMass += v.avgSig * float64(v.live)
-		}
-		first, rest := sv.views[0], sv.totalRecords()-len(sv.views[0].records)
-		sv.flat.records = slices.Grow(slices.Clip(first.records), rest)
-		sv.flat.prepared = slices.Grow(slices.Clip(first.prepared), rest)
-		sv.flat.offsets = make([]int, len(sv.views))
-		for w, v := range sv.views[1:] {
-			sv.flat.offsets[w+1] = len(sv.flat.records)
-			sv.flat.records = append(sv.flat.records, v.records...)
-			sv.flat.prepared = append(sv.flat.prepared, v.prepared...)
-		}
-		if live > 0 {
-			sv.flat.avgSig = sigMass / float64(live)
-		}
-	})
-}
-
-// candidateStage builds the fan-out count filter for a whole probe
-// collection: per probe record, every shard's filter runs over the shared
-// scratch (counts are zeroed between shards), and shard-local survivor
-// positions are remapped by the shard's offset into the flattened catalog.
-// The second return value reads the per-shard candidate counts accumulated
-// across all probe records (each stage invocation gets fresh counters).
-func (sv *ShardedView) candidateStage() (func(ctx context.Context, sigs [][]uint32, workers int) ([]pairKey, filterTally, error), func() []int) {
-	counters := make([]atomic.Int64, len(sv.views))
-	stage := func(ctx context.Context, sigs [][]uint32, workers int) ([]pairKey, filterTally, error) {
-		return parallelCandidates(ctx, len(sigs), len(sv.flat.records), workers, &sv.sx.probePool, func(sc *probeScratch, t int) ([]int32, filterTally) {
-			sc.merged = sc.merged[:0]
-			var sum filterTally
-			for w, v := range sv.views {
-				// Each shard's filter reuses the worker scratch: the arena
-				// is re-sized to the shard's catalog per call (monotone
-				// within one fan-out only by accident, so Reset handles
-				// shrink and grow), and survivors are staged into merged
-				// before the next shard overwrites the touched list.
-				sc.acc.Reset(len(v.records))
-				recs, ft := v.candidatesRecord(sigs[t], sv.sx.tau, sc)
-				sum.add(ft)
-				counters[w].Add(int64(len(recs)))
-				off := int32(sv.flat.offsets[w])
-				for _, r := range recs {
-					sc.merged = append(sc.merged, off+r)
-				}
-			}
-			return sc.merged, sum
-		})
-	}
-	shardCands := func() []int {
-		out := make([]int, len(counters))
-		for i := range counters {
-			out[i] = int(counters[i].Load())
-		}
-		return out
-	}
-	return stage, shardCands
 }
 
 // calcFor resolves the calculator an Options selects: the override when

@@ -11,25 +11,31 @@ import (
 	"github.com/aujoin/aujoin/internal/strutil"
 )
 
-// This file is the streaming heart of the join pipeline. Every entry point —
-// batch Join/Probe/SelfJoin as much as the iter.Seq2 streaming variants —
-// runs through runProbeStream: candidate generation feeds a parallel
-// verification stage whose workers push confirmed pairs into a bounded emit
-// channel, and a single collector goroutine (the caller's) hands them to an
-// emit callback as they arrive. Peak Match buffering is therefore
-// O(workers·emitBatch) regardless of the result size; the batch wrappers
-// simply collect and sort, so there is one pipeline, not two.
+// This file is the batch probe: a join is the single-record request of
+// shard.go run once per probe record. probeAll hands the records of a
+// prepared, signed collection to W workers; a worker runs its record's
+// request on every shard of the view in turn (shardView.serve: count filter,
+// bound pass, verification), turns the matches into pairs and pushes them into
+// a bounded emit channel when the record is done, and a single collector
+// goroutine (the caller's) hands them to an emit callback as they arrive. A
+// record's candidates live in its shard's pooled scratch and are gone when
+// the next record starts, so a join holds O(workers × one record's
+// candidates) whatever the collections' sizes, peak Pair buffering is
+// O(workers·emitBatch) whatever the result size, and the first match is out
+// after one record's filter-and-verify. Every entry point — batch
+// Join/Probe/SelfJoin as much as the iter.Seq2 streaming variants — is this
+// loop; the batch forms collect what it emits and sort.
 //
-// Cancellation is cooperative and prompt: the candidate stage checks the
-// context between probe records, verification workers between candidate
-// pairs, and a consumer abandoning an iter.Seq2 mid-stream cancels an
-// internal context that unblocks every worker parked on the emit channel.
-// No goroutine outlives its seq iteration.
+// Cancellation is cooperative and prompt: a worker checks the context before
+// it takes a record, verification checks it between candidates, and a
+// consumer abandoning an iter.Seq2 mid-stream cancels an internal context
+// that unblocks every worker parked on the emit channel. No goroutine
+// outlives its seq iteration.
 
-// emitBatch is the per-worker slack of the bounded emit channel: verification
-// workers may run at most this many confirmed matches ahead of the consumer
-// before they block, which is what bounds the streaming path's Match
-// buffering at O(workers·emitBatch).
+// emitBatch is the most pairs a worker holds back before it hands them to the
+// collector (it also hands over whatever it holds at the end of every probe
+// record), which is what bounds the streaming path's Pair buffering at
+// O(workers·emitBatch).
 const emitBatch = 64
 
 // ctxCheckStride bounds how many loop iterations a sequential stage runs
@@ -105,6 +111,14 @@ type verifyTally struct {
 	msimEvals     int64
 }
 
+func (t *verifyTally) add(o verifyTally) {
+	t.verified += o.verified
+	t.pruned += o.pruned
+	t.prunedByCover += o.prunedByCover
+	t.memoHits += o.memoHits
+	t.msimEvals += o.msimEvals
+}
+
 func (t *verifyTally) addScratch(sc *core.Scratch) {
 	if sc == nil {
 		return
@@ -116,8 +130,8 @@ func (t *verifyTally) addScratch(sc *core.Scratch) {
 	t.msimEvals += sc.Stats.MSimEvals
 }
 
-// pairBatchPool recycles the emit batches flowing from verification workers
-// to the collector, so steady-state match emission allocates nothing.
+// pairBatchPool recycles the emit batches flowing from the probe workers to
+// the collector, so steady-state match emission allocates nothing.
 var pairBatchPool = sync.Pool{
 	New: func() any {
 		s := make([]Pair, 0, emitBatch)
@@ -125,66 +139,74 @@ var pairBatchPool = sync.Pool{
 	},
 }
 
-// streamVerify runs the thresholded prepared-record verification of the
-// candidate pairs in parallel, with one similarity scratch per worker, and
-// sends every pair reaching theta to out in completion order, batched in
-// pooled slices of up to emitBatch pairs. It returns nil after the last
-// send, or the context error when cancelled; it never closes out (the caller
-// owns the channel). When vt is non-nil, the workers' verify counters are
-// accumulated into it before returning.
-func streamVerify(ctx context.Context, s, t []strutil.Record, prepS, prepT []*core.PreparedRecord, candidates []pairKey, calc *core.Calculator, theta float64, workers int, out chan<- []Pair, vt *verifyTally) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// probeTally is the work one worker of the batch loop did on one shard, summed
+// over the requests it ran there: the counters of both stages, the candidates
+// the filter admitted, and the time each stage took.
+type probeTally struct {
+	filter     filterTally
+	verify     verifyTally
+	candidates int
+	filterTime time.Duration
+	verifyTime time.Duration
+}
+
+func (t *probeTally) add(o probeTally) {
+	t.filter.add(o.filter)
+	t.verify.add(o.verify)
+	t.candidates += o.candidates
+	t.filterTime += o.filterTime
+	t.verifyTime += o.verifyTime
+}
+
+// probeWorker is what one worker of the batch loop owns: the request it
+// reuses for every record it takes, its tallies (one a shard), and the pairs
+// it has confirmed and not yet handed to the collector.
+type probeWorker struct {
+	rq      request
+	tallies []probeTally
+	batch   *[]Pair
+}
+
+// flush hands the worker's pending pairs to the collector, or recycles them
+// when the run was cancelled.
+func (pw *probeWorker) flush(ctx context.Context, out chan<- *[]Pair) {
+	b := pw.batch
+	if b == nil {
+		return
 	}
-	scratches := make([]*core.Scratch, workers)
-	batches := make([]*[]Pair, workers)
-	done := ctx.Done()
-	flush := func(w int) {
-		b := batches[w]
-		if b == nil || len(*b) == 0 {
-			return
-		}
-		batches[w] = nil
-		select {
-		case out <- *b:
-		case <-done:
-			*b = (*b)[:0]
-			pairBatchPool.Put(b)
-		}
+	pw.batch = nil
+	select {
+	case out <- b:
+	case <-ctx.Done():
+		*b = (*b)[:0]
+		pairBatchPool.Put(b)
 	}
-	err := parallelForWorkersCtx(ctx, len(candidates), workers, func(w, i int) {
-		c := candidates[i]
-		if c.s >= len(s) || c.t >= len(t) {
-			return
+}
+
+// probe runs one probe record's request on every shard of the view in turn
+// and hands the pairs it confirmed to the collector: at emitBatch, and
+// whatever is left when the record is done, so a match never waits for a
+// later record.
+func (pw *probeWorker) probe(ctx context.Context, sv *ShardedView, id int, out chan<- *[]Pair) {
+	rq := &pw.rq
+	for w, v := range sv.views {
+		rq.tally = &pw.tallies[w]
+		matches, err := v.serve(ctx, rq)
+		if err != nil {
+			break // cancelled: the loop reports the context's error
 		}
-		sc := scratches[w]
-		if sc == nil {
-			sc = core.NewScratch()
-			scratches[w] = sc
-		}
-		if v, ok := calc.VerifyPrepared(prepS[c.s], prepT[c.t], theta, sc); ok {
-			b := batches[w]
-			if b == nil {
-				b = pairBatchPool.Get().(*[]Pair)
-				batches[w] = b
+		for _, m := range matches {
+			if pw.batch == nil {
+				pw.batch = pairBatchPool.Get().(*[]Pair)
 			}
-			*b = append(*b, Pair{S: s[c.s].ID, T: t[c.t].ID, Similarity: v})
-			if len(*b) >= emitBatch {
-				flush(w)
+			*pw.batch = append(*pw.batch, Pair{S: m.Record, T: id, Similarity: m.Similarity})
+			if len(*pw.batch) >= emitBatch {
+				pw.flush(ctx, out)
 			}
 		}
-	})
-	// Workers have all returned; hand their partial batches to the collector
-	// and fold their counters.
-	for w := range batches {
-		flush(w)
+		rq.matches = matches[:0]
 	}
-	if vt != nil {
-		for _, sc := range scratches {
-			vt.addScratch(sc)
-		}
-	}
-	return err
+	pw.flush(ctx, out)
 }
 
 // collectStream drives one producer goroutine that sends pair batches to a
@@ -193,13 +215,10 @@ func streamVerify(ctx context.Context, s, t []strutil.Record, prepS, prepT []*co
 // internal context is cancelled, the channel drained, and the producer
 // joined — the consumer walking away mid-stream leaks nothing and is not an
 // error. The returned count is the number of pairs emitted.
-func collectStream(ctx context.Context, workers int, produce func(ctx context.Context, out chan<- []Pair) error, emit func(Pair) bool) (int, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func collectStream(ctx context.Context, workers int, produce func(ctx context.Context, out chan<- *[]Pair) error, emit func(Pair) bool) (int, error) {
 	ictx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	out := make(chan []Pair, workers)
+	out := make(chan *[]Pair, workers) // a slot a worker: none waits on a sibling's hand-over
 	done := make(chan error, 1)
 	goPipeline(func() {
 		err := produce(ictx, out)
@@ -209,7 +228,7 @@ func collectStream(ctx context.Context, workers int, produce func(ctx context.Co
 	emitted := 0
 	stopped := false
 	for batch := range out {
-		for _, p := range batch {
+		for _, p := range *batch {
 			if stopped {
 				break
 			}
@@ -220,8 +239,8 @@ func collectStream(ctx context.Context, workers int, produce func(ctx context.Co
 			}
 			emitted++
 		}
-		batch = batch[:0]
-		pairBatchPool.Put(&batch)
+		*batch = (*batch)[:0]
+		pairBatchPool.Put(batch)
 	}
 	err := <-done
 	if stopped {
@@ -232,50 +251,83 @@ func collectStream(ctx context.Context, workers int, produce func(ctx context.Co
 	return emitted, err
 }
 
-// runProbeStream runs candidate generation and streaming verification for
-// ready-made probe signatures against a probe target, invoking emit for every
+// probeAll is the batch probe loop: it runs one request a probe record —
+// ready-made signature IDs and prepared record, at the build configuration,
+// keeping every match reaching θ — against every shard of the view, on as many
+// workers as the index's options ask for, and invokes emit for every
 // confirmed pair in completion order (unordered across workers) on the
-// caller's goroutine. It returns the join statistics accumulated up to the
-// point of return and the context error when the run was cancelled. The
-// batch collectPairs wrappers and every Seq entry point ride this one
-// pipeline.
-func runProbeStream(ctx context.Context, calc *core.Calculator, opts Options, tgt probeTarget, records []strutil.Record, sigs [][]uint32, prep []*core.PreparedRecord, self bool, sigTime time.Duration, emit func(Pair) bool) (Stats, error) {
-	var stats Stats
-	stats.Tau = opts.tau()
-	stats.SignatureTime = sigTime
-	stats.AvgSignatureS = tgt.avgSig
-	if self {
-		stats.AvgSignatureT = tgt.avgSig
-	} else if len(records) > 0 {
-		total := 0
-		for i := range sigs {
-			total += len(sigs[i])
-		}
-		stats.AvgSignatureT = float64(total) / float64(len(records))
+// caller's goroutine. Workers take records as they come free, so a
+// self-join's growing prefix stays balanced; one worker runs all of a
+// record's shards, so a record's msim rows are evaluated once whatever the
+// worker count. A collection shorter than the worker count lends each request
+// the spare workers (QueryOpts.Workers). In self mode the view is the one-shard
+// view of a static base and the records are its own: record t is probed
+// against the positions below t. It returns the statistics accumulated up to
+// the point of return and the context error when the run was cancelled.
+func (sv *ShardedView) probeAll(ctx context.Context, records []strutil.Record, sigs [][]uint32, prep []*core.PreparedRecord, self bool, sigTime time.Duration, emit func(Pair) bool) (Stats, error) {
+	sx := sv.sx
+	stats := Stats{Tau: sx.tau, SignatureTime: sigTime, ShardCandidates: make([]int, len(sv.views))}
+	live, sigMass := 0, 0.0
+	for _, v := range sv.views {
+		live += v.live
+		sigMass += v.avgSig * float64(v.live)
 	}
-
-	start := time.Now()
-	candidates, tally, err := tgt.candidates(ctx, sigs, opts.workers())
-	stats.ProcessedPairs = tally.postings
-	stats.BitsetTokens = tally.bitsetTokens
-	stats.SliceTokens = tally.sliceTokens
-	stats.Candidates = len(candidates)
-	stats.FilterTime = time.Since(start)
-	if err != nil {
-		return stats, err
+	if live > 0 {
+		stats.AvgSignatureS = sigMass / float64(live)
 	}
+	if len(records) == 0 {
+		return stats, ctx.Err()
+	}
+	sigLen := 0
+	for _, ids := range sigs {
+		sigLen += len(ids)
+	}
+	stats.AvgSignatureT = float64(sigLen) / float64(len(records))
 
-	start = time.Now()
-	var vt verifyTally
-	results, err := collectStream(ctx, opts.workers(), func(ictx context.Context, out chan<- []Pair) error {
-		return streamVerify(ictx, tgt.records, records, tgt.prepared, prep, candidates, calc, opts.Theta, opts.workers(), out, &vt)
+	asked := sx.opts.workers()
+	workers := min(asked, len(records))
+	ws := make([]probeWorker, workers)
+	for w := range ws {
+		ws[w].tallies = make([]probeTally, len(sv.views))
+		ws[w].rq = request{tau: sx.tau, k: unboundedK, limit: noLimit, qo: QueryOpts{Workers: asked / workers}}
+	}
+	results, err := collectStream(ctx, workers, func(ictx context.Context, out chan<- *[]Pair) error {
+		return parallelForWorkersCtx(ictx, len(records), workers, func(w, t int) {
+			// The inline one-worker loop looks at the context only every
+			// ctxCheckStride records; a cancelled join takes no further one.
+			if ictx.Err() != nil {
+				return
+			}
+			pw := &ws[w]
+			pw.rq.pq, pw.rq.ids = prep[t], sigs[t]
+			if self {
+				pw.rq.limit = t
+			}
+			pw.probe(ictx, sv, records[t].ID, out)
+		})
 	}, emit)
-	stats.VerifyTime = time.Since(start)
-	stats.VerifiedCandidates = vt.verified
-	stats.PrunedByBound = vt.pruned
-	stats.PrunedByCover = vt.prunedByCover
-	stats.MemoHits = vt.memoHits
-	stats.MSimEvals = vt.msimEvals
+
+	// The producer has returned: fold the workers' tallies. The stage times
+	// reported are the slowest worker's.
+	for w := range ws {
+		var sum probeTally
+		for s, t := range ws[w].tallies {
+			sum.add(t)
+			stats.ShardCandidates[s] += t.candidates
+		}
+		stats.Candidates += sum.candidates
+		stats.ProcessedPairs += sum.filter.postings
+		stats.BitsetTokens += sum.filter.bitsetTokens
+		stats.SliceTokens += sum.filter.sliceTokens
+		stats.VerifiedCandidates += sum.verify.verified
+		stats.PrunedByBound += sum.verify.pruned
+		stats.PrunedByCover += sum.verify.prunedByCover
+		stats.MemoHits += sum.verify.memoHits
+		stats.MSimEvals += sum.verify.msimEvals
+		if sum.filterTime+sum.verifyTime > stats.FilterTime+stats.VerifyTime {
+			stats.FilterTime, stats.VerifyTime = sum.filterTime, sum.verifyTime
+		}
+	}
 	stats.Results = results
 	return stats, err
 }
@@ -302,8 +354,9 @@ func pairSeq(ctx context.Context, run func(ctx context.Context, emit func(Pair) 
 
 // JoinSeq is the streaming form of Join: it yields matching pairs in
 // verification-completion order (sort by (S, T) for Join's order) as they are
-// confirmed, instead of buffering the full result. The work — order
-// construction, signatures, filtering, verification — runs inside the
+// confirmed, instead of buffering the full result — the first as soon as the
+// first matching probe record has been filtered and verified. The work —
+// order construction, signatures, filtering, verification — runs inside the
 // consumer's range loop; breaking out of the loop stops the pipeline and
 // releases its goroutines, and a ctx cancellation or deadline surfaces as one
 // final non-nil error.
@@ -323,8 +376,8 @@ func (j *Joiner) JoinSeq(ctx context.Context, s, t []strutil.Record, opts Option
 // SignatureTime.
 func (j *Joiner) joinStream(ctx context.Context, s, t []strutil.Record, opts Options, emit func(Pair) bool) (Stats, error) {
 	start := time.Now()
-	ix, prepT := j.joinIndex(s, t, opts)
-	return ix.probePrepared(ctx, t, prepT, time.Since(start), emit)
+	sv, prepT := j.joinIndex(s, t, opts)
+	return sv.probePrepared(ctx, t, prepT, time.Since(start), emit)
 }
 
 // SelfJoinSeq is the streaming form of SelfJoin: each unordered pair (i < j)
@@ -334,48 +387,35 @@ func (j *Joiner) SelfJoinSeq(ctx context.Context, s []strutil.Record, opts Optio
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		_, err := j.BuildIndex(s, opts).selfStream(ctx, emit)
+		_, err := j.BuildIndex(s, opts).view().selfStream(ctx, emit)
 		return err
 	})
 }
 
-// ProbeSeq is the streaming form of Probe against the prebuilt index: matches
-// are yielded in completion order as the parallel verify stage confirms them.
-func (ix *Index) ProbeSeq(ctx context.Context, records []strutil.Record) iter.Seq2[Pair, error] {
-	return pairSeq(ctx, func(ctx context.Context, emit func(Pair) bool) error {
-		_, err := ix.probeStream(ctx, records, emit)
-		return err
-	})
-}
-
-// SelfJoinSeq is the streaming form of Index.SelfJoin.
-func (ix *Index) SelfJoinSeq(ctx context.Context) iter.Seq2[Pair, error] {
-	return pairSeq(ctx, func(ctx context.Context, emit func(Pair) bool) error {
-		_, err := ix.selfStream(ctx, emit)
-		return err
-	})
-}
-
-// selfStream runs the streaming pipeline of the indexed collection against
-// itself, over the signatures and prepared records the build already made.
-func (ix *Index) selfStream(ctx context.Context, emit func(Pair) bool) (Stats, error) {
-	return runProbeStream(ctx, ix.calc, ix.opts, ix.target(true), ix.records, ix.sigIDs, ix.prepared, true, ix.BuildTime, emit)
+// selfStream runs the batch loop of a static base's one-shard view against
+// the base's own records, over the signatures and prepared records the build
+// already made.
+func (sv *ShardedView) selfStream(ctx context.Context, emit func(Pair) bool) (Stats, error) {
+	base := sv.views[0].base
+	return sv.probeAll(ctx, base.records, base.sigIDs, base.prepared, true, base.BuildTime, emit)
 }
 
 // probeStream prepares the probe records against the index's dictionary and
-// runs the streaming pipeline; it is the shared body of Probe and ProbeSeq.
-func (ix *Index) probeStream(ctx context.Context, records []strutil.Record, emit func(Pair) bool) (Stats, error) {
+// runs the batch loop; it is the shared body of Probe and ProbeSeq.
+func (sv *ShardedView) probeStream(ctx context.Context, records []strutil.Record, emit func(Pair) bool) (Stats, error) {
 	start := time.Now()
-	prep := prepareRecords(records, ix.dict, ix.calc.PrepareProbe)
-	return ix.probePrepared(ctx, records, prep, time.Since(start), emit)
+	sx := sv.sx
+	prep := prepareRecords(records, sx.dict, sx.joiner.calcFor(sx.opts).PrepareProbe)
+	return sv.probePrepared(ctx, records, prep, time.Since(start), emit)
 }
 
-// probePrepared selects the prepared probe records' signatures and runs the
-// streaming pipeline. prepTime is folded into the reported SignatureTime
-// with the selection (the Join entry points count index building there too):
-// all of it is per-record preprocessing paid once per probe collection.
-func (ix *Index) probePrepared(ctx context.Context, records []strutil.Record, prep []*core.PreparedRecord, prepTime time.Duration, emit func(Pair) bool) (Stats, error) {
+// probePrepared selects the prepared probe records' signatures under the
+// build configuration and runs the batch loop. prepTime is folded into the
+// reported SignatureTime with the selection (the Join entry points count
+// index building there too): all of it is per-record preprocessing paid once
+// per probe collection.
+func (sv *ShardedView) probePrepared(ctx context.Context, records []strutil.Record, prep []*core.PreparedRecord, prepTime time.Duration, emit func(Pair) bool) (Stats, error) {
 	start := time.Now()
-	sigs := selectSignatures(prep, ix.sel, ix.opts.Method, ix.tau)
-	return runProbeStream(ctx, ix.calc, ix.opts, ix.target(false), records, sigs, prep, false, prepTime+time.Since(start), emit)
+	sigs := selectSignatures(prep, sv.gen.sel, sv.sx.opts.Method, sv.sx.tau)
+	return sv.probeAll(ctx, records, sigs, prep, false, prepTime+time.Since(start), emit)
 }

@@ -84,25 +84,16 @@ func TestSeqMatchesBatch(t *testing.T) {
 				t.Errorf("%v θ=%v: SelfJoinSeq %v != SelfJoin %v", method, theta, gotSelf, wantSelf)
 			}
 
-			ix := j.BuildIndex(s, opts)
-			wantProbe, _ := ix.Probe(u)
-			gotProbe, err := collectSeq(t, ix.ProbeSeq(context.Background(), u))
+			// An index built over S alone, probed through its view.
+			sv := j.BuildIndex(s, opts).view()
+			wantProbe, _ := sv.Probe(u)
+			gotProbe, err := collectSeq(t, sv.ProbeSeq(context.Background(), u))
 			if err != nil {
 				t.Fatalf("%v θ=%v: ProbeSeq error: %v", method, theta, err)
 			}
 			sortPairs(gotProbe)
 			if !reflect.DeepEqual(gotProbe, wantProbe) {
 				t.Errorf("%v θ=%v: ProbeSeq %v != Probe %v", method, theta, gotProbe, wantProbe)
-			}
-
-			wantIxSelf, _ := ix.SelfJoin()
-			gotIxSelf, err := collectSeq(t, ix.SelfJoinSeq(context.Background()))
-			if err != nil {
-				t.Fatalf("%v θ=%v: Index.SelfJoinSeq error: %v", method, theta, err)
-			}
-			sortPairs(gotIxSelf)
-			if !reflect.DeepEqual(gotIxSelf, wantIxSelf) {
-				t.Errorf("%v θ=%v: Index.SelfJoinSeq differs from Index.SelfJoin", method, theta)
 			}
 		}
 	}
@@ -246,6 +237,50 @@ func TestSeqConsumerBreak(t *testing.T) {
 	}
 	if seen != 2 {
 		t.Fatalf("consumer break saw %d pairs, want 2", seen)
+	}
+	checkGoroutines(t)
+}
+
+// TestSeqFirstMatchBeforeFilterEnds pins what "streaming" means: the first
+// match of a ProbeSeq is out after one probe record's filter-and-verify, not
+// after the whole collection has been filtered. Every probe record matches, the
+// consumer walks away at the first yield, and the index's cumulative filter
+// counter must then have grown by well under what a full Probe of the same
+// collection adds to it — with one worker the loop is at most a couple of
+// records ahead of the consumer.
+func TestSeqFirstMatchBeforeFilterEnds(t *testing.T) {
+	j := NewJoiner(paperContext())
+	opts := Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP, Workers: 1}
+	sx := j.BuildShardedIndex(denseCorpus(120, 3, 7), 2, opts, DynamicOptions{})
+	probe := denseCorpus(64, 3, 8)
+	sv := sx.Snapshot()
+	checkGoroutines(t)
+
+	before := sx.Stats().ProbePostings
+	pairs, _ := sv.Probe(probe)
+	full := sx.Stats().ProbePostings - before
+	matched := make(map[int]bool)
+	for _, p := range pairs {
+		matched[p.T] = true
+	}
+	if len(matched) != len(probe) || full == 0 {
+		t.Fatalf("%d of %d probe records match, %d postings: the workload does not make every record yield", len(matched), len(probe), full)
+	}
+
+	before = sx.Stats().ProbePostings
+	seen := 0
+	for _, err := range sv.ProbeSeq(context.Background(), probe) {
+		if err != nil {
+			t.Fatalf("ProbeSeq error before the break: %v", err)
+		}
+		seen++
+		break
+	}
+	if seen != 1 {
+		t.Fatalf("consumer saw %d pairs before breaking, want 1", seen)
+	}
+	if part := sx.Stats().ProbePostings - before; 2*part >= full {
+		t.Errorf("first match arrived after %d postings were filtered; the full probe filters %d", part, full)
 	}
 	checkGoroutines(t)
 }

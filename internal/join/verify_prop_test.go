@@ -149,6 +149,40 @@ func TestProbeAndJoinMatchPlainVerify(t *testing.T) {
 			accounted(fmt.Sprintf("%s shards=%d", name, shards), ps)
 		}
 	}
+	// The worker count changes nothing but time: one worker runs all of a
+	// probe record's requests, so the pairs and every counter of the work done
+	// are those of the one-worker run.
+	for _, opts := range propConfigs()[3:6] {
+		type run struct {
+			pairs []Pair
+			work  work
+		}
+		var ref []run
+		for _, workers := range []int{1, 2, 4} {
+			opts.Workers = workers
+			sx := j.BuildShardedIndex(recs, 3, opts, DynamicOptions{})
+			mutate(sx, 808)
+			var runs []run
+			for _, join := range []func() ([]Pair, Stats){
+				func() ([]Pair, Stats) { return j.Join(recs, probe, opts) },
+				func() ([]Pair, Stats) { return j.SelfJoin(recs, opts) },
+				func() ([]Pair, Stats) { return sx.Snapshot().Probe(probe) },
+			} {
+				pairs, st := join()
+				runs = append(runs, run{pairs, workOf(st)})
+			}
+			if ref == nil {
+				ref = runs
+			}
+			for i, r := range runs {
+				if r.work.sim == 0 || !pairsEqual(r.pairs, ref[i].pairs) || r.work != ref[i].work {
+					t.Errorf("%v/θ=%v join %d: at %d workers %d pairs, work %+v; at one worker %d pairs, work %+v",
+						opts.Method, opts.Theta, i, workers, len(r.pairs), r.work, len(ref[i].pairs), ref[i].work)
+				}
+			}
+		}
+	}
+
 	// The equalities above hold with or without the cover stage; on the
 	// configuration that admits the most candidates it must be what dismisses
 	// most of them, or it has silently stopped firing.

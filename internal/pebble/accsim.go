@@ -59,8 +59,8 @@ func NewAccTable(sorted []Pebble) *AccTable {
 	// Suffix accumulation of Definition 4, right to left: whenever a group's
 	// running sum overtakes its segment's best measure, AS grows by the
 	// difference.
-	groupSum := make([]float64, nGroups)
-	segMax := make([]float64, maxSeg+1)
+	sums := make([]float64, nGroups+maxSeg+1) // one allocation for both
+	groupSum, segMax := sums[:nGroups], sums[nGroups:]
 	counts := make([]int32, nGroups)
 	total := 0.0
 	for i := n - 1; i >= 0; i-- {
