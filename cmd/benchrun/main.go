@@ -8,12 +8,8 @@
 //
 // Experiment identifiers follow DESIGN.md §3: table8, table9, fig3, fig4,
 // fig5, fig6, fig7, table10, table11, table12, fig8, table13, table14.
-// One extra identifier is not part of the paper and excluded from "all":
-// "recover" builds a sharded index cold, writes a durable snapshot, restores
-// a second index from it and reports cold-build vs restore wall time plus
-// snapshot size; it exits non-zero if the restored index's top-k answers
-// diverge, so it doubles as a recovery smoke. Serving, cluster and
-// filter-phase performance is measured by benchmark/ (see its README).
+// Serving, cluster, filter-phase and snapshot/restore performance is measured
+// by benchmark/ (see its README).
 package main
 
 import (
@@ -35,13 +31,6 @@ func main() {
 		med  = flag.Int("med", 0, "MED-like dataset size (default from the harness)")
 		wiki = flag.Int("wiki", 0, "WIKI-like dataset size (default from the harness)")
 		seed = flag.Int64("seed", 1, "random seed")
-
-		recoverRecords = flag.Int("recover-records", 100_000, "recover mode: catalog size to snapshot and restore")
-		recoverShards  = flag.Int("recover-shards", 4, "recover mode: index partitions (0 = GOMAXPROCS)")
-		recoverTheta   = flag.Float64("recover-theta", 0.8, "recover mode: similarity threshold")
-		recoverTau     = flag.Int("recover-tau", 2, "recover mode: overlap constraint")
-		recoverProbes  = flag.Int("recover-probes", 100, "recover mode: top-k equivalence probe count")
-		recoverDir     = flag.String("recover-dir", "", "recover mode: snapshot directory (empty = temp dir)")
 	)
 	flag.Parse()
 
@@ -55,17 +44,6 @@ func main() {
 	cfg.Seed = *seed
 
 	runners := map[string]func() fmt.Stringer{
-		"recover": func() fmt.Stringer {
-			return runRecover(recoverConfig{
-				Records: *recoverRecords,
-				Shards:  *recoverShards,
-				Theta:   *recoverTheta,
-				Tau:     *recoverTau,
-				Probes:  *recoverProbes,
-				Dir:     *recoverDir,
-				Seed:    *seed,
-			})
-		},
 		"table8":  func() fmt.Stringer { return experiments.RunTable8(cfg, []float64{0.70, 0.75}) },
 		"table9":  func() fmt.Stringer { return experiments.RunTable9(cfg, []int{3, 4, 5, 6}, 100) },
 		"fig3":    func() fmt.Stringer { return experiments.RunFig3(cfg) },
@@ -90,7 +68,7 @@ func main() {
 	for _, id := range ids {
 		run, ok := runners[id]
 		if !ok {
-			log.Printf("unknown experiment %q; known: %s, recover", id, strings.Join(order, ", "))
+			log.Printf("unknown experiment %q; known: %s", id, strings.Join(order, ", "))
 			os.Exit(2)
 		}
 		fmt.Printf("=== %s ===\n%s\n", id, run().String())

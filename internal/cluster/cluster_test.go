@@ -26,8 +26,9 @@ type testCluster struct {
 
 // startCluster boots a coordinator and n workers with r-way replication,
 // seeds the catalog, and blocks until the cluster is ready (which includes
-// the bootstrap epoch bump).
-func startCluster(t *testing.T, n, r int, catalog []string, theta float64, tau int, filter string) *testCluster {
+// the bootstrap epoch bump). A wrap, when given, stands in front of worker
+// i's handler — the hook fault tests use to stall or doctor worker traffic.
+func startCluster(t *testing.T, n, r int, catalog []string, theta float64, tau int, filter string, wrap ...func(i int, h http.Handler) http.Handler) *testCluster {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	coord := NewCoordinator(CoordConfig{
@@ -52,8 +53,11 @@ func startCluster(t *testing.T, n, r int, catalog []string, theta float64, tau i
 		if err != nil {
 			t.Fatalf("NewStrict: %v", err)
 		}
-		node := NewWorkerNode(NewWorker(j, 1))
-		wts := httptest.NewServer(node.Mux())
+		var h http.Handler = NewWorkerNode(NewWorker(j, 1)).Mux()
+		for _, wr := range wrap {
+			h = wr(i, h)
+		}
+		wts := httptest.NewServer(h)
 		tc.workers = append(tc.workers, wts)
 		if err := RegisterWorker(ctx, http.DefaultClient, coordTS.URL, wts.URL); err != nil {
 			t.Fatalf("register worker %d: %v", i, err)

@@ -1,13 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,7 +15,6 @@ import (
 	"time"
 
 	"github.com/aujoin/aujoin"
-	"github.com/aujoin/aujoin/internal/cmdutil"
 	"github.com/aujoin/aujoin/internal/metrics"
 )
 
@@ -136,29 +134,39 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// Mux returns the coordinator's route table. The serving endpoints mirror
-// aujoind's exactly — a cluster client speaks the same protocol against the
-// coordinator that a single-node client speaks against the daemon.
+// Mux returns the coordinator's route table: the public surface of
+// surface.go — a cluster client speaks the same protocol against the
+// coordinator that a single-node client speaks against the daemon — plus
+// worker registration and the manual epoch bump.
 func (c *Coordinator) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/cluster/register", c.handleRegister)
-	mux.HandleFunc("/query", c.handleQuery)
-	mux.HandleFunc("/probe", c.handleProbe)
-	mux.HandleFunc("/insert", c.handleInsert)
-	mux.HandleFunc("/remove", c.handleRemove)
-	mux.HandleFunc("/remove-batch", c.handleRemoveBatch)
-	mux.HandleFunc("/epoch/bump", c.handleBump)
-	mux.HandleFunc("/stats", c.handleStats)
-	mux.HandleFunc("/healthz", handleHealthz)
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-		if !c.ready.Load() {
-			writeError(w, http.StatusServiceUnavailable, ErrorBody{Error: "cluster is not bootstrapped", Code: "not_ready"})
-			return
+	mount(mux, c)
+	mux.HandleFunc("POST /cluster/register", rpc(maxBodyBytes, c.register))
+	mux.HandleFunc("POST /epoch/bump", func(w http.ResponseWriter, _ *http.Request) {
+		_, err := c.resolve("", "", true)
+		if err == nil {
+			err = c.BumpEpoch("manual")
 		}
-		writeJSON(w, map[string]any{"ready": true, "epoch": c.epoch.Load()})
+		answer(w, map[string]int64{"epoch": c.epoch.Load()}, err)
 	})
 	return mux
 }
+
+// resolve: the coordinator is the one target of every request it can answer,
+// which is every request once the cluster has bootstrapped.
+func (c *Coordinator) resolve(_, _ string, _ bool) (target, error) {
+	if !c.ready.Load() {
+		return nil, notReady("cluster is not bootstrapped")
+	}
+	return c, nil
+}
+
+func (c *Coordinator) readyz() (any, error) {
+	_, err := c.resolve("", "", false)
+	return map[string]any{"ready": true, "epoch": c.epoch.Load()}, err
+}
+
+func (c *Coordinator) stats() (any, error) { return c.Stats(), nil }
 
 // Run drives the health checker (and the auto-bump trigger) until ctx ends.
 func (c *Coordinator) Run(ctx context.Context) {
@@ -176,15 +184,9 @@ func (c *Coordinator) Run(ctx context.Context) {
 
 // --- membership and bootstrap ---
 
-func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req RegisterRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil || req.Addr == "" {
-		http.Error(w, "bad request body", http.StatusBadRequest)
-		return
+func (c *Coordinator) register(_ context.Context, req *RegisterRequest) (RegisterResponse, error) {
+	if req.Addr == "" {
+		return RegisterResponse{}, badRequest("bad request body: addr is required")
 	}
 	c.mu.Lock()
 	known := false
@@ -206,7 +208,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if boot {
 		go c.bootstrap()
 	}
-	writeJSON(w, RegisterResponse{Accepted: true, Configured: c.ready.Load()})
+	return RegisterResponse{Accepted: true, Configured: c.ready.Load()}, nil
 }
 
 // bootstrap fixes the membership and placement, pushes the configuration to
@@ -234,7 +236,7 @@ func (c *Coordinator) bootstrap() {
 			Workers: addrs, Self: i, Replicas: c.ring.Replicas(), Epoch: 1,
 			Theta: c.cfg.Theta, Tau: c.cfg.Tau, Filter: c.cfg.Filter,
 		}
-		if err := c.postJSON(ctx, ref.addr+"/cluster/config", cfg, nil); err != nil {
+		if err := call(ctx, c.client, ref.addr+"/cluster/config", cfg, nil); err != nil {
 			c.mu.Lock()
 			c.bootErr = fmt.Errorf("configure %s: %w", ref.addr, err)
 			c.mu.Unlock()
@@ -250,7 +252,7 @@ func (c *Coordinator) bootstrap() {
 		const seedBatch = 512
 		for at := 0; at < len(c.cfg.Catalog); at += seedBatch {
 			end := min(at+seedBatch, len(c.cfg.Catalog))
-			if _, err := c.insertRecords(ctx, c.cfg.Catalog[at:end]); err != nil {
+			if _, err := c.insert(ctx, c.cfg.Catalog[at:end]); err != nil {
 				c.mu.Lock()
 				c.bootErr = fmt.Errorf("seed catalog: %w", err)
 				c.mu.Unlock()
@@ -308,13 +310,17 @@ func (c *Coordinator) markDown(ref *workerRef, cause error) {
 // sequences (a network blip, not a missed write). It also fires the
 // auto-bump when a worker's dynamic region outgrows the sync fraction.
 func (c *Coordinator) checkHealth(ctx context.Context) {
-	if c.ring == nil {
-		return
+	c.mu.Lock()
+	placed := c.ring != nil
+	c.mu.Unlock()
+	if !placed {
+		return // bootstrap has not fixed the membership yet
 	}
 	var maxFrozen, maxDyn int
 	for _, ref := range c.refs() {
 		hctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		hb, err := c.getHeartbeat(hctx, ref.addr)
+		var hb Heartbeat
+		err := call(hctx, c.client, ref.addr+"/readyz", nil, &hb)
 		cancel()
 		if err != nil || !hb.Ready {
 			if ref.fails.Add(1) >= 2 {
@@ -367,23 +373,6 @@ func (c *Coordinator) seqsMatch(hb Heartbeat) bool {
 	return true
 }
 
-func (c *Coordinator) getHeartbeat(ctx context.Context, addr string) (Heartbeat, error) {
-	var hb Heartbeat
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/readyz", nil)
-	if err != nil {
-		return hb, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return hb, err
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&hb); err != nil {
-		return hb, err
-	}
-	return hb, nil
-}
-
 // --- scatter-gather reads ---
 
 // GatherFailure is one group's unrecoverable read failure: every live
@@ -399,6 +388,9 @@ type GatherFailure struct {
 // underlying errors to errors.Is/As.
 type GatherError struct {
 	Failures []GatherFailure
+	// status is what the failure answers with: 502 for a read no live
+	// replica could serve, 503 for a write no live replica applied.
+	status int
 }
 
 func (e *GatherError) Error() string {
@@ -448,14 +440,15 @@ func (c *Coordinator) readCandidates(g int) []*workerRef {
 	return out
 }
 
-// fetchGroup runs fetch against group g's replicas with hedging and
+// fetchGroup reads group g's top k from its replicas with hedging and
 // failover: the first replica gets HedgeDelay of exclusive time, then a
 // second attempt races it; remaining replicas are tried as earlier attempts
-// fail. The first success wins and cancels the losers. fetch must be safe
-// to run concurrently against different replicas and must only have
-// client-visible effects on success (the buffered top-k fetch qualifies;
-// the streaming probe forward manages its own failover instead).
-func (c *Coordinator) fetchGroup(ctx context.Context, g int, fetch func(ctx context.Context, ref *workerRef) (any, error)) (any, error) {
+// fail. The first success wins and cancels the losers. Each attempt buffers
+// its stream fully — failover must stay possible until the merge, so nothing
+// is forwarded early. Hedging is the coordinator's only protection against a
+// stalled replica (its HTTP client has no timeout): a slow replica costs a
+// read HedgeDelay, and is not marked down for it.
+func (c *Coordinator) fetchGroup(ctx context.Context, g int, rawQuery string) ([]aujoin.QueryMatch, error) {
 	cands := c.readCandidates(g)
 	if len(cands) == 0 {
 		return nil, errors.New("no live replica")
@@ -463,27 +456,28 @@ func (c *Coordinator) fetchGroup(ctx context.Context, g int, fetch func(ctx cont
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type result struct {
-		val any
+		val []aujoin.QueryMatch
 		err error
 		ref *workerRef
-		idx int
 	}
 	results := make(chan result, len(cands))
 	launched := 0
 	launch := func() {
-		idx := launched
-		ref := cands[idx]
+		ref := cands[launched]
 		launched++
 		go func() {
-			val, err := fetch(fctx, ref)
-			results <- result{val: val, err: err, ref: ref, idx: idx}
+			var out []aujoin.QueryMatch
+			err := stream(fctx, c, fmt.Sprintf("%s/query?%s&group=%d", ref.addr, rawQuery, g), nil, func(m aujoin.QueryMatch) error {
+				out = append(out, m)
+				return nil
+			})
+			results <- result{val: out, err: err, ref: ref}
 		}()
 	}
 	launch()
-	hedge := (*time.Timer)(nil)
 	var hedgeCh <-chan time.Time
 	if c.cfg.HedgeDelay > 0 && len(cands) > 1 {
-		hedge = time.NewTimer(c.cfg.HedgeDelay)
+		hedge := time.NewTimer(c.cfg.HedgeDelay)
 		defer hedge.Stop()
 		hedgeCh = hedge.C
 	}
@@ -519,135 +513,72 @@ func (c *Coordinator) fetchGroup(ctx context.Context, g int, fetch func(ctx cont
 	}
 }
 
-// fetchTopK reads one group's top-k stream fully (buffered — failover must
-// stay possible until the merge, so nothing is forwarded early), restamping
-// and retrying once on an epoch-mismatch 409 (a bump's commit may be
-// landing on the worker at that moment).
-func (c *Coordinator) fetchTopK(ctx context.Context, ref *workerRef, g int, rawQuery string) ([]aujoin.QueryMatch, error) {
-	do := func() (*http.Response, error) {
-		url := fmt.Sprintf("%s/query?%s&group=%d", ref.addr, rawQuery, g)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set(EpochHeader, strconv.FormatInt(c.epoch.Load(), 10))
-		return c.client.Do(req)
-	}
-	resp, err := do()
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode == http.StatusConflict {
-		// The worker's commit may be a beat behind the coordinator's epoch
-		// flip; one restamped retry covers the window.
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		time.Sleep(20 * time.Millisecond)
-		if resp, err = do(); err != nil {
-			return nil, err
-		}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("status %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	var out []aujoin.QueryMatch
-	err = cmdutil.DecodeNDJSON(resp.Body, func(m aujoin.QueryMatch) error {
-		out = append(out, m)
-		return nil
-	})
-	return out, err
-}
-
-// handleQuery scatter-gathers a top-k query: one live replica per group
-// answers for the group, per-group streams are gathered and k-bound merged
-// under the engine's total order (similarity descending, ID ascending), and
-// the merged top k streams to the client as NDJSON. The request context
-// fans out to every worker stream: a client disconnect cancels them all.
-func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	if r.URL.Query().Get("q") == "" {
-		http.Error(w, "missing q parameter", http.StatusBadRequest)
-		return
-	}
-	opts, err := ParseQueryOptions(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if opts.MinSimilarity > 0 && opts.MinSimilarity < c.cfg.Theta {
-		// Every worker index is built at cfg.Theta and would refuse; answer
-		// here instead of scattering a request that cannot succeed.
-		writeThetaBelowBuild(w, c.cfg.Theta)
-		return
-	}
-	if !c.ready.Load() {
-		writeError(w, http.StatusServiceUnavailable, ErrorBody{Error: "cluster is not bootstrapped", Code: "not_ready"})
-		return
-	}
-	c.queries.Add(1)
-	start := time.Now()
-	raw := r.URL.Query()
-	raw.Del("group")
-	rawQuery := raw.Encode()
-
-	groups := c.ring.Workers()
-	parts := make([][]aujoin.QueryMatch, groups)
-	gerrs := make([]error, groups)
+// gather runs op once per group, concurrently, and folds the failures into a
+// GatherError answering with status (nil when every group succeeded).
+func (c *Coordinator) gather(status int, op func(g int) error) error {
+	gerrs := make([]error, c.ring.Workers())
 	var wg sync.WaitGroup
-	for g := 0; g < groups; g++ {
+	for g := range gerrs {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			val, err := c.fetchGroup(r.Context(), g, func(ctx context.Context, ref *workerRef) (any, error) {
-				return c.fetchTopK(ctx, ref, g, rawQuery)
-			})
-			if err != nil {
-				gerrs[g] = err
-				return
-			}
-			parts[g] = val.([]aujoin.QueryMatch)
+			gerrs[g] = op(g)
 		}(g)
 	}
 	wg.Wait()
-	if r.Context().Err() != nil {
-		return // client is gone; nothing to tell it
-	}
-	var ge GatherError
+	var ge *GatherError
 	for g, err := range gerrs {
-		if err != nil {
-			ge.Failures = append(ge.Failures, GatherFailure{Group: g, Addr: strings.Join(c.groupAddrs(g), ","), Err: err})
+		// A group cancelled because a sibling failed (or the client left) has
+		// nothing of its own to report.
+		if err == nil || errors.Is(err, context.Canceled) {
+			continue
 		}
+		if ge == nil {
+			ge = &GatherError{status: status}
+		}
+		refs := c.refs()
+		reps := c.ring.GroupReplicas(g)
+		addrs := make([]string, len(reps))
+		for i, w := range reps {
+			addrs[i] = refs[w].addr
+		}
+		ge.Failures = append(ge.Failures, GatherFailure{Group: g, Addr: strings.Join(addrs, ","), Err: err})
 	}
-	if len(ge.Failures) > 0 {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadGateway)
-		_ = json.NewEncoder(w).Encode(ge.body())
-		return
+	if ge == nil {
+		return nil // an untyped nil: a nil *GatherError in an error compares non-nil
+	}
+	return ge
+}
+
+// topK scatter-gathers a top-k query: one live replica per group answers for
+// the group, the per-group lists are gathered and k-bound merged under the
+// engine's total order (similarity descending, ID ascending). The context
+// fans out to every worker stream: a client disconnect cancels them all.
+func (c *Coordinator) topK(ctx context.Context, q string, opts aujoin.QueryOptions) ([]aujoin.QueryMatch, error) {
+	if opts.MinSimilarity > 0 && opts.MinSimilarity < c.cfg.Theta {
+		// Every worker index is built at cfg.Theta and would refuse; answer
+		// here instead of scattering a request that cannot succeed.
+		return nil, thetaBelowBuild(c.cfg.Theta)
+	}
+	c.queries.Add(1)
+	start := time.Now()
+	// Workers are sent what was validated, not the client's raw query string.
+	vals := url.Values{"q": {q}, "k": {strconv.Itoa(opts.K)}}
+	if opts.MinSimilarity > 0 {
+		vals.Set("min_sim", strconv.FormatFloat(opts.MinSimilarity, 'g', -1, 64))
+	}
+	rawQuery := vals.Encode()
+	parts := make([][]aujoin.QueryMatch, c.ring.Workers())
+	err := c.gather(http.StatusBadGateway, func(g int) (err error) {
+		parts[g], err = c.fetchGroup(ctx, g, rawQuery)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	merged := mergeTopK(parts, opts.K)
 	c.noteMerge(time.Since(start))
-	nw := cmdutil.NewNDJSONWriter(w)
-	for _, m := range merged {
-		if nw.Write(m) != nil {
-			return
-		}
-	}
-}
-
-// groupAddrs lists group g's replica addresses (for error reporting).
-func (c *Coordinator) groupAddrs(g int) []string {
-	refs := c.refs()
-	reps := c.ring.GroupReplicas(g)
-	out := make([]string, len(reps))
-	for i, w := range reps {
-		out[i] = refs[w].addr
-	}
-	return out
+	return merged, nil
 }
 
 // mergeTopK folds per-group top-k lists into the global top k under the
@@ -683,93 +614,32 @@ func (c *Coordinator) noteMerge(d time.Duration) {
 	c.mergeMu.Unlock()
 }
 
-// handleProbe scatter-gathers a probe batch: the same batch goes to one
-// live replica per group and every confirmed match line is forwarded to the
-// client as it arrives (the groups partition the catalog, so the union of
-// group streams is exactly the single-node result; S carries stable IDs, T
-// positions in the request batch). A group whose replica dies before
-// emitting anything fails over; once a group has emitted, a mid-stream
-// death aborts the response — a silently truncated result would read as a
-// complete one.
-func (c *Coordinator) handleProbe(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// probe scatter-gathers a probe batch: the same batch goes to one live
+// replica per group and every confirmed match is handed to emit as it
+// arrives (the groups partition the catalog, so the union of group streams
+// is exactly the single-node result; S carries stable IDs, T positions in
+// the request batch). A group whose replica dies before emitting anything
+// fails over; once a group has emitted, a mid-stream death fails the probe.
+func (c *Coordinator) probe(ctx context.Context, records []string, emit func(ProbeMatch) error) error {
+	body, err := json.Marshal(ProbeRequest{Records: records})
 	if err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return
+		return err
 	}
-	var req ProbeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !c.ready.Load() {
-		writeError(w, http.StatusServiceUnavailable, ErrorBody{Error: "cluster is not bootstrapped", Code: "not_ready"})
-		return
-	}
-
-	fctx, cancel := context.WithCancel(r.Context())
+	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var outMu sync.Mutex
-	var nw *cmdutil.NDJSONWriter
-	emitted := false
-	emit := func(line ProbeMatch) error {
+	serial := func(m ProbeMatch) error {
 		outMu.Lock()
 		defer outMu.Unlock()
-		if nw == nil {
-			nw = cmdutil.NewNDJSONWriter(w)
+		return emit(m)
+	}
+	return c.gather(http.StatusBadGateway, func(g int) error {
+		err := c.probeGroup(fctx, g, body, serial)
+		if err != nil {
+			cancel() // one group failed, or the client hung up: abort every worker stream
 		}
-		emitted = true
-		if err := nw.Write(line); err != nil {
-			cancel() // client hung up: abort every worker stream
-			return err
-		}
-		return nil
-	}
-
-	groups := c.ring.Workers()
-	gerrs := make([]error, groups)
-	var wg sync.WaitGroup
-	for g := 0; g < groups; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			gerrs[g] = c.probeGroup(fctx, g, body, emit)
-			if gerrs[g] != nil {
-				cancel()
-			}
-		}(g)
-	}
-	wg.Wait()
-	if r.Context().Err() != nil {
-		return // client is gone
-	}
-	var ge GatherError
-	for g, err := range gerrs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			ge.Failures = append(ge.Failures, GatherFailure{Group: g, Addr: strings.Join(c.groupAddrs(g), ","), Err: err})
-		}
-	}
-	if len(ge.Failures) == 0 {
-		outMu.Lock()
-		if nw == nil {
-			cmdutil.NewNDJSONWriter(w) // headers for an empty (but successful) stream
-		}
-		outMu.Unlock()
-		return
-	}
-	if !emitted {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadGateway)
-		_ = json.NewEncoder(w).Encode(ge.body())
-		return
-	}
-	// Lines already reached the client; kill the connection so the
-	// truncation is unmistakable.
-	panic(http.ErrAbortHandler)
+		return err
+	})
 }
 
 // probeGroup streams one group's probe matches to emit, failing over to the
@@ -784,7 +654,11 @@ func (c *Coordinator) probeGroup(ctx context.Context, g int, body []byte, emit f
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		forwarded, err := c.probeReplica(ctx, ref, g, body, emit)
+		forwarded := 0
+		err := stream(ctx, c, fmt.Sprintf("%s/probe?group=%d", ref.addr, g), body, func(m ProbeMatch) error {
+			forwarded++
+			return emit(m)
+		})
 		if err == nil {
 			return nil
 		}
@@ -799,107 +673,108 @@ func (c *Coordinator) probeGroup(ctx context.Context, g int, body []byte, emit f
 	return errors.Join(errs...)
 }
 
-// probeReplica runs one group probe against one replica, forwarding each
-// NDJSON line through emit; it reports how many lines were forwarded.
-func (c *Coordinator) probeReplica(ctx context.Context, ref *workerRef, g int, body []byte, emit func(ProbeMatch) error) (int, error) {
-	url := fmt.Sprintf("%s/probe?group=%d", ref.addr, g)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(EpochHeader, strconv.FormatInt(c.epoch.Load(), 10))
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return 0, fmt.Errorf("status %s: %s", resp.Status, strings.TrimSpace(string(b)))
-	}
-	forwarded := 0
-	err = cmdutil.DecodeNDJSON(resp.Body, func(m ProbeMatch) error {
-		if err := emit(m); err != nil {
-			return err
-		}
-		forwarded++
-		return nil
-	})
-	return forwarded, err
-}
-
 // --- sequenced mutations ---
 
-// insertRecords allocates stable IDs, partitions the batch by owning group
-// and applies each partition to every live replica of its group under the
+// insert allocates stable IDs, partitions the batch by owning group and
+// applies each partition to every live replica of its group under the
 // group's next sequence number. IDs are allocated exactly as a single-node
 // index would (sequentially, in request order) — the cornerstone of
 // bit-identical placement and results.
-func (c *Coordinator) insertRecords(ctx context.Context, records []string) ([]int, error) {
+func (c *Coordinator) insert(ctx context.Context, records []string) ([]int, error) {
 	if len(records) == 0 {
-		return []int{}, nil
+		return nil, nil
 	}
+	c.mutMu.RLock()
+	defer c.mutMu.RUnlock()
 	c.mu.Lock()
 	start := c.nextID
 	c.nextID += len(records)
 	c.mu.Unlock()
 	ids := make([]int, len(records))
-	type part struct {
-		ids  []int
-		recs []string
-	}
-	parts := map[int]*part{}
+	parts := make([]*ApplyRequest, c.ring.Workers())
 	for i, rec := range records {
-		id := start + i
-		ids[i] = id
-		g := c.ring.Owner(id)
-		p := parts[g]
-		if p == nil {
-			p = &part{}
-			parts[g] = p
-		}
-		p.ids = append(p.ids, id)
-		p.recs = append(p.recs, rec)
+		ids[i] = start + i
+		p := c.part(parts, ids[i])
+		p.IDs = append(p.IDs, ids[i])
+		p.Records = append(p.Records, rec)
 	}
-	var ge GatherError
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g, p := range parts {
-		wg.Add(1)
-		go func(g int, p *part) {
-			defer wg.Done()
-			_, err := c.applyGroup(ctx, g, func(seq uint64) ApplyRequest {
-				return ApplyRequest{Epoch: c.epoch.Load(), Group: g, Seq: seq, IDs: p.ids, Records: p.recs}
-			})
-			if err != nil {
-				mu.Lock()
-				ge.Failures = append(ge.Failures, GatherFailure{Group: g, Addr: strings.Join(c.groupAddrs(g), ","), Err: err})
-				mu.Unlock()
-			}
-		}(g, p)
-	}
-	wg.Wait()
-	if len(ge.Failures) > 0 {
-		return nil, &ge
+	if _, err := c.applyParts(ctx, parts); err != nil {
+		return nil, err
 	}
 	return ids, nil
 }
 
-// applyGroup delivers one sequenced mutation to every live replica of a
-// group. The lane mutex is held across the whole fan-out so sequences reach
-// replicas in order; the write succeeds if at least one replica applied it
-// (replicas that failed are taken out — they may have missed the write and
-// must not serve), and the sequence advances only on success.
-func (c *Coordinator) applyGroup(ctx context.Context, g int, mk func(seq uint64) ApplyRequest) (*ApplyResponse, error) {
-	lane := c.lanes[g]
+// remove routes a removal set to the owning groups and maps the per-group
+// answers back to request positions.
+func (c *Coordinator) remove(ctx context.Context, ids []int) ([]bool, error) {
+	c.mutMu.RLock()
+	defer c.mutMu.RUnlock()
+	parts := make([]*ApplyRequest, c.ring.Workers())
+	at := make([][]int, len(parts)) // at[g][i]: the request position of parts[g].Removes[i]
+	for i, id := range ids {
+		p := c.part(parts, id)
+		p.Removes = append(p.Removes, id)
+		at[p.Group] = append(at[p.Group], i)
+	}
+	resps, err := c.applyParts(ctx, parts)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bool, len(ids))
+	for g, resp := range resps {
+		if resp == nil {
+			continue
+		}
+		for i, ok := range resp.Removed {
+			out[at[g][i]] = ok
+		}
+	}
+	return out, nil
+}
+
+// checkpoint: the coordinator holds no record data to snapshot.
+func (c *Coordinator) checkpoint() error {
+	return badRequest("the coordinator is not durable: snapshot a daemon started with -data-dir")
+}
+
+// part returns the mutation batch of the group owning id, starting it on
+// first use.
+func (c *Coordinator) part(parts []*ApplyRequest, id int) *ApplyRequest {
+	g := c.ring.Owner(id)
+	if parts[g] == nil {
+		parts[g] = &ApplyRequest{Group: g}
+	}
+	return parts[g]
+}
+
+// applyParts applies each group's batch (nil: the group has none) and
+// gathers the answers by group; a write no live replica of some group
+// applied is a 503 GatherError.
+func (c *Coordinator) applyParts(ctx context.Context, parts []*ApplyRequest) ([]*ApplyResponse, error) {
+	resps := make([]*ApplyResponse, len(parts))
+	err := c.gather(http.StatusServiceUnavailable, func(g int) (err error) {
+		if parts[g] != nil {
+			resps[g], err = c.applyGroup(ctx, parts[g])
+		}
+		return err
+	})
+	return resps, err
+}
+
+// applyGroup delivers one mutation batch to every live replica of its group
+// under the group's next sequence number. The lane mutex is held across the
+// whole fan-out so sequences reach replicas in order; the write succeeds if
+// at least one replica applied it (replicas that failed are taken out — they
+// may have missed the write and must not serve), and the sequence advances
+// only on success.
+func (c *Coordinator) applyGroup(ctx context.Context, req *ApplyRequest) (*ApplyResponse, error) {
+	lane := c.lanes[req.Group]
 	lane.mu.Lock()
 	defer lane.mu.Unlock()
-	seq := lane.seq + 1
-	req := mk(seq)
+	req.Epoch, req.Seq = c.epoch.Load(), lane.seq+1
 
 	refs := c.refs()
-	reps := c.ring.GroupReplicas(g)
+	reps := c.ring.GroupReplicas(req.Group)
 	type res struct {
 		resp *ApplyResponse
 		err  error
@@ -917,7 +792,7 @@ func (c *Coordinator) applyGroup(ctx context.Context, g int, mk func(seq uint64)
 		go func(ref *workerRef) {
 			defer wg.Done()
 			var ar ApplyResponse
-			err := c.postJSON(ctx, ref.addr+"/cluster/apply", req, &ar)
+			err := call(ctx, c.client, ref.addr+"/cluster/apply", req, &ar)
 			mu.Lock()
 			results = append(results, res{resp: &ar, err: err, ref: ref})
 			mu.Unlock()
@@ -942,183 +817,8 @@ func (c *Coordinator) applyGroup(ctx context.Context, g int, mk func(seq uint64)
 		}
 		return nil, errors.Join(errs...)
 	}
-	lane.seq = seq
+	lane.seq = req.Seq
 	return first, nil
-}
-
-// postJSON posts v and decodes the response into out (when non-nil),
-// retrying nothing: callers own their retry/failover policy. Non-2xx is an
-// error carrying the response body.
-func (c *Coordinator) postJSON(ctx context.Context, url string, v, out any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("status %s: %s", resp.Status, strings.TrimSpace(string(b)))
-	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func (c *Coordinator) requireReadyMutation(w http.ResponseWriter) bool {
-	if !c.ready.Load() {
-		writeError(w, http.StatusServiceUnavailable, ErrorBody{Error: "cluster is not bootstrapped", Code: "not_ready"})
-		return false
-	}
-	return true
-}
-
-func (c *Coordinator) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req InsertRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !c.requireReadyMutation(w) {
-		return
-	}
-	c.mutMu.RLock()
-	defer c.mutMu.RUnlock()
-	ids, err := c.insertRecords(r.Context(), req.Records)
-	if err != nil {
-		c.writeGather(w, err)
-		return
-	}
-	writeJSON(w, InsertResponse{IDs: ids})
-}
-
-// removeByIDs routes a removal set to the owning groups and maps the
-// per-group answers back to request positions.
-func (c *Coordinator) removeByIDs(ctx context.Context, ids []int) ([]bool, error) {
-	out := make([]bool, len(ids))
-	type part struct {
-		ids []int
-		at  []int
-	}
-	parts := map[int]*part{}
-	for i, id := range ids {
-		g := c.ring.Owner(id)
-		p := parts[g]
-		if p == nil {
-			p = &part{}
-			parts[g] = p
-		}
-		p.ids = append(p.ids, id)
-		p.at = append(p.at, i)
-	}
-	var ge GatherError
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g, p := range parts {
-		wg.Add(1)
-		go func(g int, p *part) {
-			defer wg.Done()
-			resp, err := c.applyGroup(ctx, g, func(seq uint64) ApplyRequest {
-				return ApplyRequest{Epoch: c.epoch.Load(), Group: g, Seq: seq, Removes: p.ids}
-			})
-			if err != nil {
-				mu.Lock()
-				ge.Failures = append(ge.Failures, GatherFailure{Group: g, Addr: strings.Join(c.groupAddrs(g), ","), Err: err})
-				mu.Unlock()
-				return
-			}
-			for i, ok := range resp.Removed {
-				out[p.at[i]] = ok
-			}
-		}(g, p)
-	}
-	wg.Wait()
-	if len(ge.Failures) > 0 {
-		return nil, &ge
-	}
-	return out, nil
-}
-
-func (c *Coordinator) handleRemove(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req RemoveRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !c.requireReadyMutation(w) {
-		return
-	}
-	c.mutMu.RLock()
-	defer c.mutMu.RUnlock()
-	removed, err := c.removeByIDs(r.Context(), []int{req.ID})
-	if err != nil {
-		c.writeGather(w, err)
-		return
-	}
-	writeJSON(w, RemoveResponse{Removed: removed[0]})
-}
-
-func (c *Coordinator) handleRemoveBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req RemoveBatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !c.requireReadyMutation(w) {
-		return
-	}
-	c.mutMu.RLock()
-	defer c.mutMu.RUnlock()
-	removed, err := c.removeByIDs(r.Context(), req.IDs)
-	if err != nil {
-		c.writeGather(w, err)
-		return
-	}
-	if removed == nil {
-		removed = []bool{}
-	}
-	count := 0
-	for _, ok := range removed {
-		if ok {
-			count++
-		}
-	}
-	writeJSON(w, RemoveBatchResponse{Removed: removed, RemovedCount: count})
-}
-
-// writeGather maps a mutation failure to HTTP: a GatherError (every replica
-// of some group down) is 503 with the structured failure list.
-func (c *Coordinator) writeGather(w http.ResponseWriter, err error) {
-	var ge *GatherError
-	if errors.As(err, &ge) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(ge.body())
-		return
-	}
-	http.Error(w, err.Error(), http.StatusInternalServerError)
 }
 
 // --- the order-sync protocol ---
@@ -1174,7 +874,7 @@ func (c *Coordinator) BumpEpoch(reason string) error {
 
 	ctx := context.Background()
 	var payload OrderPayload
-	if err := c.postJSON(ctx, builder.addr+"/cluster/build-order", BuildOrderRequest{Epoch: next, Sources: sources}, &payload); err != nil {
+	if err := call(ctx, c.client, builder.addr+"/cluster/build-order", BuildOrderRequest{Epoch: next, Sources: sources}, &payload); err != nil {
 		return fmt.Errorf("epoch bump: build order on %s: %w", builder.addr, err)
 	}
 	payload.Epoch = next
@@ -1183,7 +883,7 @@ func (c *Coordinator) BumpEpoch(reason string) error {
 	// groups); reads keep flowing the whole time.
 	adopted := ready[:0]
 	for _, ref := range ready {
-		if err := c.postJSON(ctx, ref.addr+"/cluster/adopt", payload, nil); err != nil {
+		if err := call(ctx, c.client, ref.addr+"/cluster/adopt", payload, nil); err != nil {
 			c.markDown(ref, fmt.Errorf("adopt epoch %d: %w", next, err))
 			continue
 		}
@@ -1196,7 +896,7 @@ func (c *Coordinator) BumpEpoch(reason string) error {
 	// Commit.
 	c.epoch.Store(next)
 	for _, ref := range adopted {
-		if err := c.postJSON(ctx, ref.addr+"/cluster/commit", CommitRequest{Epoch: next}, nil); err != nil {
+		if err := call(ctx, c.client, ref.addr+"/cluster/commit", CommitRequest{Epoch: next}, nil); err != nil {
 			c.markDown(ref, fmt.Errorf("commit epoch %d: %w", next, err))
 		}
 	}
@@ -1204,21 +904,6 @@ func (c *Coordinator) BumpEpoch(reason string) error {
 	c.logf("epoch %d -> %d (%s): %d keys frozen, %d workers, %v",
 		cur, next, reason, len(payload.Order.Keys), len(adopted), time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-func (c *Coordinator) handleBump(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if !c.requireReadyMutation(w) {
-		return
-	}
-	if err := c.BumpEpoch("manual"); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, map[string]int64{"epoch": c.epoch.Load()})
 }
 
 // --- stats ---
@@ -1284,12 +969,4 @@ func (c *Coordinator) Stats() CoordStats {
 	}
 	c.mergeMu.Unlock()
 	return st
-}
-
-func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	writeJSON(w, c.Stats())
 }

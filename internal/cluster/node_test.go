@@ -73,7 +73,7 @@ func TestHandleQueryStreamsNDJSON(t *testing.T) {
 	n := testNode(t, 60)
 	req := httptest.NewRequest(http.MethodGet, "/query?q=espresso+cafe+helsinki+city+center+north&k=5", nil)
 	rec := httptest.NewRecorder()
-	n.handleQuery(rec, req)
+	n.Mux().ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d, body %q", rec.Code, rec.Body.String())
 	}
@@ -93,7 +93,7 @@ func TestHandleQueryStreamsNDJSON(t *testing.T) {
 	// min_sim=1 keeps only exact matches.
 	req = httptest.NewRequest(http.MethodGet, "/query?q=espresso+cafe+helsinki+city+center+north&k=50&min_sim=1", nil)
 	rec = httptest.NewRecorder()
-	n.handleQuery(rec, req)
+	n.Mux().ServeHTTP(rec, req)
 	strict := decodeLines[aujoin.QueryMatch](t, rec.Body.String())
 	if len(strict) == 0 {
 		t.Fatal("min_sim=1 returned no matches for an exact catalog string")
@@ -107,7 +107,7 @@ func TestHandleQueryStreamsNDJSON(t *testing.T) {
 	// min_sim below the build θ (0.7) is rejected, naming that θ: the index
 	// cannot know an answer down there to be complete.
 	rec = httptest.NewRecorder()
-	n.handleQuery(rec, httptest.NewRequest(http.MethodGet, "/query?q=espresso+cafe&k=5&min_sim=0.5", nil))
+	n.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?q=espresso+cafe&k=5&min_sim=0.5", nil))
 	var eb ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
 		t.Fatalf("min_sim=0.5 body %q: %v", rec.Body.String(), err)
@@ -120,7 +120,7 @@ func TestHandleQueryStreamsNDJSON(t *testing.T) {
 	for _, url := range []string{"/query?q=x", "/query?k=3", "/query?q=x&k=0", "/query?q=x&k=3&min_sim=2",
 		"/query?q=x&k=3&min_sim=NaN", "/query?q=x&k=3&min_sim=%2BInf", "/query?q=x&k=3&min_sim=-1", "/query?q=x&k=3&min_sim=1.0001"} {
 		rec := httptest.NewRecorder()
-		n.handleQuery(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		n.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", url, rec.Code)
 		}
@@ -139,7 +139,7 @@ func TestHandleQueryPlanOverride(t *testing.T) {
 			url += "&plan=" + plan
 		}
 		rec := httptest.NewRecorder()
-		n.handleQuery(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		n.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("plan=%q: status %d, body %q", plan, rec.Code, rec.Body.String())
 		}
@@ -156,7 +156,7 @@ func TestHandleQueryPlanOverride(t *testing.T) {
 	}
 
 	rec := httptest.NewRecorder()
-	n.handleStats(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	n.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
 	var st aujoin.IndexStats
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatalf("stats response %q: %v", rec.Body.String(), err)
@@ -178,7 +178,7 @@ func TestHandleQueryPlanOverride(t *testing.T) {
 func TestHandleQueryNotReady(t *testing.T) {
 	n := NewNode()
 	rec := httptest.NewRecorder()
-	n.handleQuery(rec, httptest.NewRequest(http.MethodGet, "/query?q=x&k=3", nil))
+	n.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?q=x&k=3", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("query before backend: status %d, want 503", rec.Code)
 	}
@@ -188,7 +188,7 @@ func TestHandleQueryNotReady(t *testing.T) {
 		t.Fatalf("healthz before backend: status %d, want 200", rec.Code)
 	}
 	rec = httptest.NewRecorder()
-	n.handleReadyz(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	n.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz before backend: status %d, want 503", rec.Code)
 	}
@@ -199,12 +199,12 @@ func TestHandleQueryNotReady(t *testing.T) {
 	}
 	n.SetBackend(&Backend{IX: j.Index(denseCatalog(20, 1), aujoin.JoinOptions{Theta: 0.7, Tau: 2})})
 	rec = httptest.NewRecorder()
-	n.handleReadyz(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	n.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("readyz after backend: status %d, want 200", rec.Code)
 	}
 	rec = httptest.NewRecorder()
-	n.handleQuery(rec, httptest.NewRequest(http.MethodGet, "/query?q=espresso+cafe&k=3", nil))
+	n.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?q=espresso+cafe&k=3", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("query after backend: status %d, want 200", rec.Code)
 	}
@@ -218,7 +218,7 @@ func TestHandleProbeStreamsNDJSON(t *testing.T) {
 	body, _ := json.Marshal(ProbeRequest{Records: probe})
 	req := httptest.NewRequest(http.MethodPost, "/probe", strings.NewReader(string(body)))
 	rec := httptest.NewRecorder()
-	n.handleProbe(rec, req)
+	n.Mux().ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d, body %q", rec.Code, rec.Body.String())
 	}
@@ -279,7 +279,7 @@ func TestHandleProbeAbortsOnClientDisconnect(t *testing.T) {
 	req := httptest.NewRequest(http.MethodPost, "/probe", strings.NewReader(string(body))).WithContext(ctx)
 	cw := &cancellingWriter{ResponseRecorder: httptest.NewRecorder(), cancel: cancel}
 	start = time.Now()
-	n.handleProbe(cw, req)
+	n.Mux().ServeHTTP(cw, req)
 	abortTime := time.Since(start)
 
 	if cw.writes >= len(full) {
@@ -299,7 +299,7 @@ func TestHandleProbeRequestContext(t *testing.T) {
 	done := make(chan struct{})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer close(done)
-		n.handleProbe(w, r)
+		n.Mux().ServeHTTP(w, r)
 	}))
 	defer ts.Close()
 
@@ -329,14 +329,14 @@ func TestHandleInsertRemoveRoundTrip(t *testing.T) {
 	n := testNode(t, 10)
 	body, _ := json.Marshal(InsertRequest{Records: []string{"espresso cafe helsinki city center extra"}})
 	rec := httptest.NewRecorder()
-	n.handleInsert(rec, httptest.NewRequest(http.MethodPost, "/insert", strings.NewReader(string(body))))
+	n.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/insert", strings.NewReader(string(body))))
 	var ins InsertResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &ins); err != nil || len(ins.IDs) != 1 {
 		t.Fatalf("insert response %q (%v)", rec.Body.String(), err)
 	}
 	rmBody := fmt.Sprintf(`{"id": %d}`, ins.IDs[0])
 	rec = httptest.NewRecorder()
-	n.handleRemove(rec, httptest.NewRequest(http.MethodPost, "/remove", strings.NewReader(rmBody)))
+	n.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/remove", strings.NewReader(rmBody)))
 	var rm RemoveResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &rm); err != nil || !rm.Removed {
 		t.Fatalf("remove response %q (%v)", rec.Body.String(), err)

@@ -1,12 +1,6 @@
 package cluster
 
-import (
-	"encoding/json"
-	"fmt"
-	"net/http"
-
-	"github.com/aujoin/aujoin"
-)
+import "github.com/aujoin/aujoin"
 
 // Wire types of the cluster protocol. Everything is JSON over HTTP; query
 // and probe results stream as NDJSON in the PR 5 wire format (one
@@ -20,7 +14,8 @@ import (
 // coordinator re-stamps and retries, or fails the worker over.
 const EpochHeader = "X-Aujoin-Epoch"
 
-// ErrorBody is the JSON error shape of cluster endpoints.
+// ErrorBody is the JSON shape every failed request is answered in, on every
+// route of a standalone daemon, a worker and the coordinator (writeErr).
 type ErrorBody struct {
 	Error string `json:"error"`
 	Code  string `json:"code,omitempty"`
@@ -167,26 +162,4 @@ type RemoveBatchResponse struct {
 // SnapshotResponse is the POST /snapshot acknowledgement.
 type SnapshotResponse struct {
 	Checkpointed bool `json:"checkpointed"`
-}
-
-// writeJSON writes v as a JSON response body.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeThetaBelowBuild answers a /query whose min_sim is below the index's
-// build θ: 400, naming the θ the client may ask for instead.
-func writeThetaBelowBuild(w http.ResponseWriter, theta float64) {
-	writeError(w, http.StatusBadRequest, ErrorBody{
-		Error: fmt.Sprintf("min_sim is below the index's build threshold %v", theta),
-		Code:  "theta_below_build", Theta: theta,
-	})
-}
-
-// writeError writes an ErrorBody with the given HTTP status.
-func writeError(w http.ResponseWriter, status int, body ErrorBody) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
 }

@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -45,11 +42,12 @@ type Worker struct {
 	adopted int64
 }
 
-// workerGroup is one hosted replica group: its index and the apply
-// sequencing. The group mutex serializes ApplyRequests so the sequence
-// check and the mutation are atomic; queries never take it.
+// workerGroup is one hosted replica group: its index — a Backend, the read
+// target a request for the group resolves to — and the apply sequencing.
+// The group mutex serializes ApplyRequests so the sequence check and the
+// mutation are atomic; queries never take it.
 type workerGroup struct {
-	ix  *aujoin.Index
+	Backend
 	mu  sync.Mutex
 	seq atomic.Uint64
 }
@@ -64,13 +62,23 @@ func NewWorker(joiner *aujoin.Joiner, shards int) *Worker {
 
 // register mounts the worker-only protocol endpoints.
 func (wk *Worker) register(mux *http.ServeMux) {
-	mux.HandleFunc("/cluster/config", wk.handleConfig)
-	mux.HandleFunc("/cluster/apply", wk.handleApply)
-	mux.HandleFunc("/cluster/freqs", wk.handleFreqs)
-	mux.HandleFunc("/cluster/build-order", wk.handleBuildOrder)
-	mux.HandleFunc("/cluster/adopt", wk.handleAdopt)
-	mux.HandleFunc("/cluster/commit", wk.handleCommit)
+	mux.HandleFunc("POST /cluster/config", rpc(maxBodyBytes, wk.config))
+	mux.HandleFunc("POST /cluster/apply", rpc(maxBodyBytes, wk.apply))
+	mux.HandleFunc("GET /cluster/freqs", func(w http.ResponseWriter, r *http.Request) {
+		var img aujoin.OrderImage
+		g, err := parseGroup(r.URL.Query().Get("group"))
+		if err == nil {
+			img, err = wk.freqs(g)
+		}
+		answer(w, img, err)
+	})
+	mux.HandleFunc("POST /cluster/build-order", rpc(maxBodyBytes, wk.buildOrder))
+	mux.HandleFunc("POST /cluster/adopt", rpc(maxOrderBytes, wk.adopt))
+	mux.HandleFunc("POST /cluster/commit", rpc(maxBodyBytes, wk.commit))
 }
+
+// ack is the body of a protocol call that has nothing to report.
+var ack = map[string]bool{"ok": true}
 
 // RegisterWorker announces a worker to the coordinator, retrying until the
 // registration is accepted or ctx ends. Configuration arrives by push once
@@ -79,37 +87,27 @@ func RegisterWorker(ctx context.Context, client *http.Client, coordURL, selfAddr
 	if client == nil {
 		client = http.DefaultClient
 	}
-	body, _ := json.Marshal(RegisterRequest{Addr: selfAddr})
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, coordURL+"/cluster/register", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := client.Do(req)
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
+	for call(ctx, client, coordURL+"/cluster/register", RegisterRequest{Addr: selfAddr}, nil) != nil {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-time.After(300 * time.Millisecond):
 		}
 	}
+	return nil
 }
 
-// heartbeat assembles the /readyz body: committed epoch, per-group applied
-// sequences, and the interned-key split summed over the hosted groups (the
-// coordinator's auto-bump trigger watches the dynamic region's growth).
-func (wk *Worker) heartbeat() (Heartbeat, bool) {
-	hb := Heartbeat{Ready: wk.ready.Load(), Epoch: wk.epoch.Load()}
-	if !hb.Ready {
-		return hb, false
+// readyz is the worker's Heartbeat, which doubles as the coordinator's
+// health-check payload: committed epoch, per-group applied sequences, and
+// the interned-key split summed over the hosted groups (the coordinator's
+// auto-bump trigger watches the dynamic region's growth). A worker is ready
+// once the coordinator configured it and, across epoch bumps, stays ready —
+// adoption never blocks reads.
+func (wk *Worker) readyz() (any, error) {
+	if !wk.ready.Load() {
+		return nil, notReady("worker is not configured yet")
 	}
+	hb := Heartbeat{Ready: true, Epoch: wk.epoch.Load()}
 	wk.mu.Lock()
 	groups := make(map[int]*workerGroup, len(wk.groups))
 	for g, wg := range wk.groups {
@@ -119,15 +117,15 @@ func (wk *Worker) heartbeat() (Heartbeat, bool) {
 	hb.Groups = make(map[string]uint64, len(groups))
 	for g, wg := range groups {
 		hb.Groups[strconv.Itoa(g)] = wg.seq.Load()
-		st := wg.ix.Stats()
+		st := wg.IX.Stats()
 		hb.FrozenKeys += st.FrozenKeys
 		hb.DynamicKeys += st.DynamicKeys
 	}
-	return hb, true
+	return hb, nil
 }
 
 // stats is the worker-mode /stats body.
-func (wk *Worker) stats() map[string]any {
+func (wk *Worker) stats() (any, error) {
 	out := map[string]any{
 		"ready": wk.ready.Load(),
 		"epoch": wk.epoch.Load(),
@@ -136,7 +134,7 @@ func (wk *Worker) stats() map[string]any {
 	defer wk.mu.Unlock()
 	groups := make(map[string]any, len(wk.groups))
 	for g, wg := range wk.groups {
-		groups[strconv.Itoa(g)] = map[string]any{"seq": wg.seq.Load(), "index": wg.ix.Stats()}
+		groups[strconv.Itoa(g)] = map[string]any{"seq": wg.seq.Load(), "index": wg.IX.Stats()}
 	}
 	out["groups"] = groups
 	if wk.ring != nil {
@@ -144,102 +142,101 @@ func (wk *Worker) stats() map[string]any {
 		out["workers"] = wk.ring.Workers()
 		out["replicas"] = wk.ring.Replicas()
 	}
-	return out
+	return out, nil
 }
 
-// resolve maps a read request to the hosted group index it addresses:
-// checks readiness, the epoch stamp, and the group parameter, writing the
-// protocol error when any fails.
-func (wk *Worker) resolve(w http.ResponseWriter, r *http.Request) (*aujoin.Index, bool) {
+// resolve maps a read to the hosted group it addresses, after checking
+// readiness, the epoch stamp and the group parameter. A write is refused
+// outright: every mutation must flow through the coordinator's sequencing,
+// or replicas diverge.
+func (wk *Worker) resolve(group, stamp string, write bool) (target, error) {
+	if write {
+		return nil, &apiError{http.StatusForbidden, ErrorBody{
+			Error: "worker mode: mutations go through the coordinator", Code: "worker_mode",
+		}}
+	}
 	if !wk.ready.Load() {
-		writeError(w, http.StatusServiceUnavailable, ErrorBody{Error: "worker is not configured yet", Code: "not_ready"})
-		return nil, false
+		return nil, notReady("worker is not configured yet")
 	}
-	if !wk.checkEpoch(w, r.Header.Get(EpochHeader)) {
-		return nil, false
+	// Unstamped requests (direct debugging access) pass the fence.
+	if stamp != "" {
+		e, err := strconv.ParseInt(stamp, 10, 64)
+		if err != nil {
+			return nil, badRequest("bad epoch stamp")
+		}
+		if err := wk.checkEpoch(e); err != nil {
+			return nil, err
+		}
 	}
-	raw := r.URL.Query().Get("group")
-	if raw == "" {
-		writeError(w, http.StatusBadRequest, ErrorBody{Error: "worker mode: group parameter is required"})
-		return nil, false
+	if group == "" {
+		return nil, badRequest("worker mode: group parameter is required")
 	}
-	g, err := strconv.Atoi(raw)
+	g, err := parseGroup(group)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrorBody{Error: "group must be an integer"})
-		return nil, false
+		return nil, err
 	}
-	wg := wk.group(g)
-	if wg == nil {
-		writeError(w, http.StatusNotFound, ErrorBody{Error: fmt.Sprintf("group %d is not hosted here", g), Code: "wrong_group"})
-		return nil, false
+	wg, err := wk.group(g)
+	if err != nil {
+		return nil, err
 	}
-	return wg.ix, true
+	return &wg.Backend, nil
 }
 
 // checkEpoch enforces the order-sync fence: a request stamped with an epoch
 // this worker has neither committed nor prepared is answered 409 with the
 // worker's committed epoch, telling the coordinator this replica missed a
-// bump and must not serve. Unstamped requests (direct debugging access)
-// pass.
-func (wk *Worker) checkEpoch(w http.ResponseWriter, stamp string) bool {
-	if stamp == "" {
-		return true
-	}
-	e, err := strconv.ParseInt(stamp, 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrorBody{Error: "bad epoch stamp"})
-		return false
-	}
+// bump and must not serve.
+func (wk *Worker) checkEpoch(e int64) error {
 	cur := wk.epoch.Load()
 	if e == cur {
-		return true
+		return nil
 	}
 	wk.mu.Lock()
 	adopted := wk.adopted
 	wk.mu.Unlock()
 	if adopted != 0 && e == adopted {
-		return true
+		return nil
 	}
-	writeError(w, http.StatusConflict, ErrorBody{
-		Error: fmt.Sprintf("epoch mismatch: request %d, worker %d", e, cur),
-		Code:  "epoch_mismatch", Epoch: cur,
-	})
-	return false
+	return epochMismatch(fmt.Sprintf("epoch mismatch: request %d, worker %d", e, cur), cur)
 }
 
-func (wk *Worker) group(g int) *workerGroup {
+func epochMismatch(msg string, cur int64) error {
+	return &apiError{http.StatusConflict, ErrorBody{Error: msg, Code: "epoch_mismatch", Epoch: cur}}
+}
+
+func parseGroup(raw string) (int, error) {
+	g, err := strconv.Atoi(raw)
+	if err != nil {
+		return 0, badRequest("group must be an integer")
+	}
+	return g, nil
+}
+
+// group looks a hosted group up.
+func (wk *Worker) group(g int) (*workerGroup, error) {
 	wk.mu.Lock()
 	defer wk.mu.Unlock()
-	return wk.groups[g]
+	if wg := wk.groups[g]; wg != nil {
+		return wg, nil
+	}
+	return nil, &apiError{http.StatusNotFound, ErrorBody{Error: fmt.Sprintf("group %d is not hosted here", g), Code: "wrong_group"}}
 }
 
-// handleConfig is the coordinator's bootstrap push: membership, join
-// parameters and the initial epoch. The worker builds one empty index per
-// group it replicates and becomes ready. A repeated identical push is
-// acknowledged idempotently (the coordinator retries on timeouts).
-func (wk *Worker) handleConfig(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var cfg ConfigRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&cfg); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
+// config is the coordinator's bootstrap push: membership, join parameters
+// and the initial epoch. The worker builds one empty index per group it
+// replicates and becomes ready. A repeated identical push is acknowledged
+// idempotently (the coordinator retries on timeouts).
+func (wk *Worker) config(_ context.Context, cfg *ConfigRequest) (map[string]bool, error) {
 	if len(cfg.Workers) == 0 || cfg.Self < 0 || cfg.Self >= len(cfg.Workers) {
-		writeError(w, http.StatusBadRequest, ErrorBody{Error: "config: self out of range"})
-		return
+		return nil, badRequest("config: self out of range")
 	}
 	wk.mu.Lock()
 	defer wk.mu.Unlock()
 	if wk.ring != nil {
 		if wk.ring.Workers() == len(cfg.Workers) && wk.self == cfg.Self {
-			writeJSON(w, map[string]bool{"ok": true})
-			return
+			return ack, nil
 		}
-		writeError(w, http.StatusConflict, ErrorBody{Error: "worker is already configured differently"})
-		return
+		return nil, &apiError{http.StatusConflict, ErrorBody{Error: "worker is already configured differently"}}
 	}
 	wk.ring = NewRing(len(cfg.Workers), cfg.Replicas)
 	wk.self = cfg.Self
@@ -250,109 +247,81 @@ func (wk *Worker) handleConfig(w http.ResponseWriter, r *http.Request) {
 		// The order is owned by the coordinator's epoch protocol from here
 		// on: no local threshold may ever re-freeze it.
 		ix.DisableAutoRefreeze()
-		wk.groups[g] = &workerGroup{ix: ix}
+		wk.groups[g] = &workerGroup{Backend: Backend{IX: ix}}
 	}
 	wk.epoch.Store(cfg.Epoch)
 	wk.ready.Store(true)
-	writeJSON(w, map[string]bool{"ok": true})
+	return ack, nil
 }
 
-// handleApply applies one sequenced mutation batch to one hosted group.
+// apply applies one sequenced mutation batch to one hosted group.
 // Sequencing makes application idempotent and gap-detecting: a replayed
 // sequence acknowledges without re-applying, a gap means this replica
 // missed a batch (it answers 409 and the coordinator takes it out — a
 // replica that missed a write must not serve).
-func (wk *Worker) handleApply(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
+func (wk *Worker) apply(_ context.Context, req *ApplyRequest) (ApplyResponse, error) {
+	var none ApplyResponse
 	if !wk.ready.Load() {
-		writeError(w, http.StatusServiceUnavailable, ErrorBody{Error: "worker is not configured yet", Code: "not_ready"})
-		return
+		return none, notReady("worker is not configured yet")
 	}
-	var req ApplyRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return
+	if err := wk.checkEpoch(req.Epoch); err != nil {
+		return none, err
 	}
-	if !wk.checkEpoch(w, strconv.FormatInt(req.Epoch, 10)) {
-		return
-	}
-	wg := wk.group(req.Group)
-	if wg == nil {
-		writeError(w, http.StatusNotFound, ErrorBody{Error: fmt.Sprintf("group %d is not hosted here", req.Group), Code: "wrong_group"})
-		return
+	wg, err := wk.group(req.Group)
+	if err != nil {
+		return none, err
 	}
 	wg.mu.Lock()
 	defer wg.mu.Unlock()
 	last := wg.seq.Load()
 	if req.Seq <= last {
-		writeJSON(w, ApplyResponse{Applied: false})
-		return
+		return none, nil
 	}
 	if req.Seq != last+1 {
-		writeError(w, http.StatusConflict, ErrorBody{
+		return none, &apiError{http.StatusConflict, ErrorBody{
 			Error: fmt.Sprintf("sequence gap on group %d: have %d, got %d", req.Group, last, req.Seq),
 			Code:  "seq_gap",
-		})
-		return
+		}}
 	}
 	if len(req.IDs) > 0 {
-		if err := wg.ix.InsertWithIDs(req.IDs, req.Records); err != nil {
-			http.Error(w, "apply insert: "+err.Error(), http.StatusInternalServerError)
-			return
+		if err := wg.IX.InsertWithIDs(req.IDs, req.Records); err != nil {
+			return none, fmt.Errorf("apply insert: %w", err)
 		}
 	}
 	var removed []bool
 	if len(req.Removes) > 0 {
-		removed = wg.ix.RemoveBatch(req.Removes)
+		removed = wg.IX.RemoveBatch(req.Removes)
 	}
 	wg.seq.Store(req.Seq)
-	writeJSON(w, ApplyResponse{Applied: true, Removed: removed})
+	return ApplyResponse{Applied: true, Removed: removed}, nil
 }
 
-// handleFreqs exports one hosted group's live key-frequency table — the
-// builder's raw material during an epoch bump.
-func (wk *Worker) handleFreqs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	g, err := strconv.Atoi(r.URL.Query().Get("group"))
+// freqs exports one hosted group's live key-frequency table — the builder's
+// raw material during an epoch bump.
+func (wk *Worker) freqs(g int) (aujoin.OrderImage, error) {
+	wg, err := wk.group(g)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrorBody{Error: "group must be an integer"})
-		return
+		return aujoin.OrderImage{}, err
 	}
-	wg := wk.group(g)
-	if wg == nil {
-		writeError(w, http.StatusNotFound, ErrorBody{Error: fmt.Sprintf("group %d is not hosted here", g), Code: "wrong_group"})
-		return
-	}
-	writeJSON(w, wg.ix.KeyFrequencies())
+	return wg.IX.KeyFrequencies(), nil
 }
 
-// handleBuildOrder runs on the elected builder: it collects one frequency
-// table per group (locally when the group is hosted here, over HTTP
-// otherwise), sums them — the groups partition the record space, so the sum
-// IS the global document-frequency table — and returns the finalize-ordered
-// image everyone will adopt.
-func (wk *Worker) handleBuildOrder(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req BuildOrderRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
+// buildOrder runs on the elected builder: it collects one frequency table
+// per group (locally when the group is hosted here, from a peer otherwise),
+// sums them — the groups partition the record space, so the sum IS the
+// global document-frequency table — and returns the finalize-ordered image
+// everyone will adopt.
+func (wk *Worker) buildOrder(ctx context.Context, req *BuildOrderRequest) (OrderPayload, error) {
 	freq := map[string]int{}
 	for _, src := range req.Sources {
-		img, err := wk.groupFreqs(r.Context(), src)
+		img, err := wk.freqs(src.Group)
+		if err != nil { // not hosted here: read it from the replica named
+			err = call(ctx, http.DefaultClient, fmt.Sprintf("%s/cluster/freqs?group=%d", src.Addr, src.Group), nil, &img)
+		}
 		if err != nil {
-			writeError(w, http.StatusBadGateway, ErrorBody{Error: fmt.Sprintf("collect group %d from %s: %v", src.Group, src.Addr, err)})
-			return
+			return OrderPayload{}, &apiError{http.StatusBadGateway, ErrorBody{
+				Error: fmt.Sprintf("collect group %d from %s: %v", src.Group, src.Addr, err),
+			}}
 		}
 		for i, k := range img.Keys {
 			freq[k] += img.Freqs[i]
@@ -373,59 +342,22 @@ func (wk *Worker) handleBuildOrder(w http.ResponseWriter, r *http.Request) {
 	for i, k := range keys {
 		img.Freqs[i] = freq[k]
 	}
-	writeJSON(w, OrderPayload{Epoch: req.Epoch, Order: img})
+	return OrderPayload{Epoch: req.Epoch, Order: img}, nil
 }
 
-// groupFreqs reads one group's frequency table, short-circuiting to the
-// local index when this worker hosts the group.
-func (wk *Worker) groupFreqs(ctx context.Context, src FreqSource) (aujoin.OrderImage, error) {
-	if wg := wk.group(src.Group); wg != nil {
-		return wg.ix.KeyFrequencies(), nil
-	}
-	var img aujoin.OrderImage
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/cluster/freqs?group=%d", src.Addr, src.Group), nil)
-	if err != nil {
-		return img, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return img, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return img, fmt.Errorf("status %s", resp.Status)
-	}
-	return img, json.NewDecoder(resp.Body).Decode(&img)
-}
-
-// handleAdopt is the prepare phase of an epoch bump on the worker side: the
-// hosted group indexes are rebuilt under the shipped global order, one
-// group at a time — a rolling rebuild; reads keep being served from the
-// pre-adoption snapshots throughout. The worker's committed epoch does not
-// change yet; the prepared epoch is remembered so requests stamped with it
-// are already accepted.
-func (wk *Worker) handleAdopt(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var payload OrderPayload
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 512<<20)).Decode(&payload); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
+// adopt is the prepare phase of an epoch bump on the worker side: the hosted
+// group indexes are rebuilt under the shipped global order, one group at a
+// time — a rolling rebuild; reads keep being served from the pre-adoption
+// snapshots throughout. The worker's committed epoch does not change yet;
+// the prepared epoch is remembered so requests stamped with it are already
+// accepted.
+func (wk *Worker) adopt(_ context.Context, payload *OrderPayload) (map[string]bool, error) {
 	cur := wk.epoch.Load()
 	if payload.Epoch == cur {
-		writeJSON(w, map[string]bool{"ok": true}) // replayed commit-complete bump
-		return
+		return ack, nil // replayed commit-complete bump
 	}
 	if payload.Epoch < cur {
-		writeError(w, http.StatusConflict, ErrorBody{
-			Error: fmt.Sprintf("adopt epoch %d behind committed %d", payload.Epoch, cur),
-			Code:  "epoch_mismatch", Epoch: cur,
-		})
-		return
+		return nil, epochMismatch(fmt.Sprintf("adopt epoch %d behind committed %d", payload.Epoch, cur), cur)
 	}
 	wk.mu.Lock()
 	groups := make([]*workerGroup, 0, len(wk.groups))
@@ -434,46 +366,28 @@ func (wk *Worker) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	}
 	wk.mu.Unlock()
 	for _, wg := range groups {
-		if err := wg.ix.AdoptOrder(payload.Order); err != nil {
-			http.Error(w, "adopt order: "+err.Error(), http.StatusInternalServerError)
-			return
+		if err := wg.IX.AdoptOrder(payload.Order); err != nil {
+			return nil, fmt.Errorf("adopt order: %w", err)
 		}
 	}
 	wk.mu.Lock()
 	wk.adopted = payload.Epoch
 	wk.mu.Unlock()
-	writeJSON(w, map[string]bool{"ok": true})
+	return ack, nil
 }
 
-// handleCommit is phase two: flip the committed epoch to the prepared one.
-func (wk *Worker) handleCommit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req CommitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
+// commit is phase two: flip the committed epoch to the prepared one.
+func (wk *Worker) commit(_ context.Context, req *CommitRequest) (map[string]bool, error) {
 	cur := wk.epoch.Load()
 	if req.Epoch == cur {
-		writeJSON(w, map[string]bool{"ok": true})
-		return
+		return ack, nil
 	}
 	wk.mu.Lock()
-	adopted := wk.adopted
-	wk.mu.Unlock()
-	if req.Epoch != adopted {
-		writeError(w, http.StatusConflict, ErrorBody{
-			Error: fmt.Sprintf("commit epoch %d was never prepared (committed %d, prepared %d)", req.Epoch, cur, adopted),
-			Code:  "epoch_mismatch", Epoch: cur,
-		})
-		return
+	defer wk.mu.Unlock()
+	if req.Epoch != wk.adopted {
+		return nil, epochMismatch(fmt.Sprintf("commit epoch %d was never prepared (committed %d, prepared %d)", req.Epoch, cur, wk.adopted), cur)
 	}
 	wk.epoch.Store(req.Epoch)
-	wk.mu.Lock()
 	wk.adopted = 0
-	wk.mu.Unlock()
-	writeJSON(w, map[string]bool{"ok": true})
+	return ack, nil
 }

@@ -100,10 +100,12 @@ func (nw *NDJSONWriter) Write(v any) error {
 // consumer processes a stream incrementally instead of buffering the whole
 // response. fn returning an error stops the decode and surfaces that error
 // (closing the body then aborts the producer). Lines may be up to 16MB, the
-// same cap ReadLines applies to catalog records.
+// same cap ReadLines applies to catalog records; the buffer starts small —
+// a response is typically a few short lines, and the scanner grows it on
+// demand — because one is allocated and zeroed per response.
 func DecodeNDJSON[T any](r io.Reader, fn func(T) error) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 0, 4*1024), 16*1024*1024)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
