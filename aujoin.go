@@ -41,8 +41,8 @@
 //	}
 //
 // QueryCtx and QueryTopKCtx serve single strings under the same contract and
-// take per-request QueryOptions (threshold, k, worker-count overrides) that
-// the batch API fixes at build time.
+// take per-request QueryOptions (threshold, k) that the batch API fixes at
+// build time.
 //
 // # Build once, probe many
 //
@@ -132,12 +132,10 @@ func (f Filter) method() pebble.Method {
 	}
 }
 
-// Match is one join result: indices into the two input collections and the
+// Match is one join result: indices into the two input collections (for a
+// probe against an Index, S is the indexed record's stable ID) and the
 // unified similarity of the pair.
-type Match struct {
-	S, T       int
-	Similarity float64
-}
+type Match = join.Pair
 
 // Stats summarises one join execution.
 type Stats struct {
@@ -211,7 +209,9 @@ type JoinOptions struct {
 	AutoTau bool
 	// Filter selects the signature algorithm; the default is AUFilterDP.
 	Filter Filter
-	// Workers bounds verification parallelism (0 = all CPUs).
+	// Workers is how many probe records are filtered and verified at once
+	// (0 = all CPUs); one record's candidates are always verified by one
+	// worker.
 	Workers int
 	// Seed seeds the sampling-based τ estimator (AutoTau and SuggestTau);
 	// 0 means the reproducible default seed 1, so runs are deterministic
@@ -422,7 +422,7 @@ func (j *Joiner) JoinSeq(ctx context.Context, s, t []string, opts JoinOptions) i
 			yield(Match{}, err)
 			return
 		}
-		forwardPairs(j.joiner.JoinSeq(ctx, recsS, recsT, jopts), yield)
+		j.joiner.JoinSeq(ctx, recsS, recsT, jopts)(yield)
 	}
 }
 
@@ -437,7 +437,7 @@ func (j *Joiner) SelfJoinSeq(ctx context.Context, s []string, opts JoinOptions) 
 			yield(Match{}, err)
 			return
 		}
-		forwardPairs(j.joiner.SelfJoinSeq(ctx, recs, jopts), yield)
+		j.joiner.SelfJoinSeq(ctx, recs, jopts)(yield)
 	}
 }
 
@@ -466,21 +466,6 @@ func (j *Joiner) resolveSeqOptions(ctx context.Context, recsS, recsT []strutil.R
 	}, nil
 }
 
-// forwardPairs adapts an internal pair stream onto the public Match type,
-// preserving the streaming contract (errors forwarded once, consumer breaks
-// propagated back into the pipeline).
-func forwardPairs(seq iter.Seq2[join.Pair, error], yield func(Match, error) bool) {
-	for p, err := range seq {
-		if err != nil {
-			yield(Match{}, err)
-			return
-		}
-		if !yield(Match{S: p.S, T: p.T, Similarity: p.Similarity}, nil) {
-			return
-		}
-	}
-}
-
 // QueryOptions carries per-request overrides for QueryCtx and QueryTopKCtx —
 // parameters the batch Query/QueryTopK freeze at index build time. The zero
 // value changes nothing.
@@ -494,10 +479,6 @@ type QueryOptions struct {
 	// K bounds the number of matches QueryTopKCtx returns; it is ignored by
 	// QueryCtx, which returns every match. K ≤ 0 returns an empty result.
 	K int
-	// Workers bounds this request's verification parallelism; 0 or 1
-	// verifies sequentially (on a sharded index, the per-shard fan-out still
-	// runs concurrently).
-	Workers int
 }
 
 // ErrThetaBelowBuild is returned by QueryCtx and QueryTopKCtx when
@@ -507,7 +488,7 @@ var ErrThetaBelowBuild = join.ErrThetaBelowBuild
 
 // internal maps the public options onto the internal per-request options.
 func (o QueryOptions) internal() join.QueryOpts {
-	return join.QueryOpts{Theta: o.MinSimilarity, Workers: o.Workers}
+	return join.QueryOpts{Theta: o.MinSimilarity}
 }
 
 // Index is a dynamic, concurrently servable join target over one
@@ -661,7 +642,7 @@ func (v *View) Stats() IndexStats { return v.inner.Stats() }
 // collection.
 func (v *View) Probe(records []string) ([]Match, Stats) {
 	pairs, jstats := v.inner.Probe(strutil.NewCollection(records))
-	return convertPairs(pairs, jstats)
+	return pairs, publicStats(jstats)
 }
 
 // ProbeSeq is the streaming form of Probe, under the same contract as
@@ -670,9 +651,7 @@ func (v *View) Probe(records []string) ([]Match, Stats) {
 // pipeline, and a ctx cancellation or deadline surfaces as one final
 // non-nil error.
 func (v *View) ProbeSeq(ctx context.Context, records []string) iter.Seq2[Match, error] {
-	return func(yield func(Match, error) bool) {
-		forwardPairs(v.inner.ProbeSeq(ctx, strutil.NewCollection(records)), yield)
-	}
+	return v.inner.ProbeSeq(ctx, strutil.NewCollection(records))
 }
 
 // Query runs the filter-and-verify pipeline for a single string and
@@ -685,9 +664,8 @@ func (v *View) Query(q string) []QueryMatch {
 
 // QueryCtx is Query with cooperative cancellation and per-request overrides:
 // verification checks ctx between candidates (aborting every shard on the
-// first cancellation) and opts may raise the similarity threshold or bound
-// the request's verification parallelism for this call only; a
-// MinSimilarity below the build-time Theta fails with ErrThetaBelowBuild.
+// first cancellation) and opts may raise the similarity threshold for this
+// call only; a MinSimilarity below the build-time Theta fails with ErrThetaBelowBuild.
 // opts.K is ignored — every match is returned; use QueryTopKCtx for a
 // bounded result.
 func (v *View) QueryCtx(ctx context.Context, q string, opts QueryOptions) ([]QueryMatch, error) {
@@ -712,8 +690,7 @@ func (v *View) QueryTopK(q string, k int) []QueryMatch {
 // overrides (the result size comes from opts.K). Verification checks ctx
 // between candidates, aborting every shard on the first cancellation; opts
 // may also raise the similarity threshold (lowering it below the build-time
-// Theta fails with ErrThetaBelowBuild) or bound this request's verification
-// parallelism.
+// Theta fails with ErrThetaBelowBuild).
 func (v *View) QueryTopKCtx(ctx context.Context, q string, opts QueryOptions) ([]QueryMatch, error) {
 	if opts.K <= 0 {
 		return []QueryMatch{}, ctx.Err()
@@ -779,17 +756,17 @@ func (j *Joiner) joinRecords(recsS, recsT []strutil.Record, opts JoinOptions, se
 	} else {
 		pairs, jstats = j.joiner.Join(recsS, recsT, jopts)
 	}
-	out, stats := convertPairs(pairs, jstats)
+	stats := publicStats(jstats)
 	stats.SuggestionTime = suggestionTime
-	return out, stats
+	return pairs, stats
 }
 
-// convertPairs maps internal join results onto the public types.
-func convertPairs(pairs []join.Pair, jstats join.Stats) ([]Match, Stats) {
-	stats := Stats{
+// publicStats maps the internal join statistics onto the public type.
+func publicStats(jstats join.Stats) Stats {
+	return Stats{
 		Candidates:         jstats.Candidates,
 		ShardCandidates:    jstats.ShardCandidates,
-		Results:            len(pairs),
+		Results:            jstats.Results,
 		FilterPostings:     jstats.ProcessedPairs,
 		BitsetTokens:       jstats.BitsetTokens,
 		SliceTokens:        jstats.SliceTokens,
@@ -802,9 +779,4 @@ func convertPairs(pairs []join.Pair, jstats join.Stats) ([]Match, Stats) {
 		FilterTime:         jstats.SignatureTime + jstats.FilterTime,
 		VerifyTime:         jstats.VerifyTime,
 	}
-	out := make([]Match, len(pairs))
-	for i, p := range pairs {
-		out[i] = Match{S: p.S, T: p.T, Similarity: p.Similarity}
-	}
-	return out, stats
 }

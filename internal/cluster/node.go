@@ -104,7 +104,7 @@ func (b *Backend) probe(ctx context.Context, records []string, emit func(ProbeMa
 		if err != nil {
 			return err
 		}
-		if err := emit(ProbeMatch{S: m.S, T: m.T, Similarity: m.Similarity}); err != nil {
+		if err := emit(m); err != nil {
 			return err
 		}
 	}

@@ -123,11 +123,7 @@ type ProbeRequest struct {
 // ProbeMatch is one streamed probe result line: the stable ID of the
 // matched catalog record, the position of the probe record in the request
 // batch, and their unified similarity.
-type ProbeMatch struct {
-	S          int     `json:"s"`
-	T          int     `json:"t"`
-	Similarity float64 `json:"similarity"`
-}
+type ProbeMatch = aujoin.Match
 
 // InsertRequest / InsertResponse are the /insert body shapes.
 type InsertRequest struct {

@@ -146,7 +146,7 @@ func TestPreparedEmptyRecords(t *testing.T) {
 
 // TestScratchReuseIsDeterministic verifies a single scratch reused across
 // many pairs produces the same values as fresh scratch per pair — the
-// property the per-worker reuse in the join verifier depends on.
+// property the pooled-scratch reuse in the join's verify pass depends on.
 func TestScratchReuseIsDeterministic(t *testing.T) {
 	calc := NewCalculator(paperContext())
 	rng := rand.New(rand.NewSource(5))

@@ -151,7 +151,7 @@ func TestHybridStaticCandidatesMatchClassic(t *testing.T) {
 		stored := ix.sigIDs
 		v := ix.view().views[0]
 
-		sigs := selectSignatures(prepareRecords(probe, ix.dict, ix.calc.PrepareProbe), ix.sel, opts.Method, ix.tau)
+		sigs := selectSignatures(prepareRecords(probe, ix.dict, j.calc.PrepareProbe), ix.sel, opts.Method, ix.tau)
 		got, n, tally := filterRecords(v, sigs, ix.tau, unlimited)
 		want, processed := naiveCandidates(stored, noDead, 0, sigs, ix.tau, func(int) int { return len(stored) })
 		if d := diffPairs(got, want); n != len(want) || d != "" {

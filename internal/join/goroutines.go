@@ -3,7 +3,7 @@ package join
 import "sync/atomic"
 
 // pipelineGoroutines counts the goroutines the join pipeline has spawned and
-// not yet joined: parallel filter and verify workers, stream producers. The
+// not yet joined: probe workers, fan-out siblings, stream producers. The
 // leak tests wait for it to settle to zero — unlike runtime.NumGoroutine(),
 // which also counts runtime housekeeping and whatever other tests left
 // running, so asserting on it raced with unrelated goroutines and flaked.

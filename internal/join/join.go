@@ -39,10 +39,13 @@ import (
 )
 
 // Pair is one join result: the identifiers of the matched records and their
-// unified similarity.
+// unified similarity. It is the one definition of a join result: the public
+// aujoin.Match and the serving layer's cluster.ProbeMatch are aliases of it,
+// and its JSON tags are the /probe line format.
 type Pair struct {
-	S, T       int
-	Similarity float64
+	S          int     `json:"s"`
+	T          int     `json:"t"`
+	Similarity float64 `json:"similarity"`
 }
 
 // Stats records what happened during one join execution; the experiment
@@ -131,9 +134,6 @@ type Options struct {
 	// Workers is the number of goroutines used for signature generation,
 	// candidate filtering and verification; 0 means GOMAXPROCS.
 	Workers int
-	// Calculator overrides the unified-similarity calculator; nil means a
-	// default calculator over the joiner's context.
-	Calculator *core.Calculator
 }
 
 func (o Options) workers() int {
@@ -211,7 +211,6 @@ type Index struct {
 	joiner *Joiner
 	opts   Options
 	tau    int
-	calc   *core.Calculator
 	// dict is the segment dictionary the prepared records were interned into
 	// (a router's, for a shard's base); probes read it and never write it.
 	dict *core.SegDict
@@ -241,9 +240,9 @@ type Index struct {
 // accumulator holding the arena-allocated overlap counters and touched list,
 // and the verification scratch of the prepared similarity engine.
 type probeScratch struct {
-	acc    *invindex.Accumulator
-	sim    *core.Scratch
-	verify verifier // a shard's verify pass over one request's candidates
+	acc   *invindex.Accumulator
+	sim   *core.Scratch
+	cands []candUB // the candidates of the verify pass, with their bounds
 }
 
 // scratchFromPool borrows a probe scratch from pool (allocating on a cold
@@ -302,16 +301,16 @@ func (ix *Index) view() *ShardedView {
 // own, reachable only through it so that it dies with it.
 func (j *Joiner) BuildIndex(records []strutil.Record, opts Options) *Index {
 	start, dict := time.Now(), core.NewSegDict()
-	prepared := prepareRecords(records, dict, j.calcFor(opts).PrepareIn)
+	prepared := prepareRecords(records, dict, j.calc.PrepareIn)
 	return j.buildIndex(records, prepared, j.orderOf(prepared), opts, dict, start)
 }
 
 // joinIndex is the build half of Join: a view of the index over s under an
 // order spanning both collections, and t prepared for probing it.
 func (j *Joiner) joinIndex(s, t []strutil.Record, opts Options) (*ShardedView, []*core.PreparedRecord) {
-	start, calc, dict := time.Now(), j.calcFor(opts), core.NewSegDict()
-	prepS := prepareRecords(s, dict, calc.PrepareIn)
-	prepT := prepareRecords(t, dict, calc.PrepareProbe)
+	start, dict := time.Now(), core.NewSegDict()
+	prepS := prepareRecords(s, dict, j.calc.PrepareIn)
+	prepT := prepareRecords(t, dict, j.calc.PrepareProbe)
 	return j.buildIndex(s, prepS, j.orderOf(prepS, prepT), opts, dict, start).view(), prepT
 }
 
@@ -338,7 +337,6 @@ func (j *Joiner) newBase(records []strutil.Record, sigIDs [][]uint32, prepared [
 		joiner:   j,
 		opts:     opts,
 		tau:      opts.tau(),
-		calc:     j.calcFor(opts),
 		dict:     dict,
 		order:    order,
 		sel:      pebble.NewSelector(j.gen, order, opts.Theta),
@@ -594,13 +592,13 @@ type FilterProfile struct {
 
 // NewFilterProfile prepares both collections under a shared global order.
 func (j *Joiner) NewFilterProfile(s, t []strutil.Record, opts Options) *FilterProfile {
-	calc, dict := j.calcFor(opts), core.NewSegDict()
-	prepS := prepareRecords(s, dict, calc.PrepareIn)
-	prepT := prepareRecords(t, dict, calc.PrepareProbe)
+	dict := core.NewSegDict()
+	prepS := prepareRecords(s, dict, j.calc.PrepareIn)
+	prepT := prepareRecords(t, dict, j.calc.PrepareProbe)
 	order := j.orderOf(prepS, prepT)
 	sel := pebble.NewSelector(j.gen, order, opts.Theta)
 	return &FilterProfile{
-		calc:    calc,
+		calc:    j.calc,
 		sel:     sel,
 		order:   order,
 		method:  opts.Method,
@@ -651,7 +649,8 @@ func (fp *FilterProfile) VerifyStats(tau int) (processed int64, candidates, resu
 	if len(todo) > 0 {
 		scratches := make([]*core.Scratch, fp.workers)
 		keep := make([]bool, len(todo))
-		parallelForWorkers(len(todo), fp.workers, func(w, i int) {
+		// Nothing cancels the background context, so there is no error to report.
+		_ = parallelForWorkersCtx(context.Background(), len(todo), fp.workers, func(w, i int) {
 			sc := scratches[w]
 			if sc == nil {
 				sc = core.NewScratch()
@@ -766,43 +765,8 @@ func (j *Joiner) BruteForceCtx(ctx context.Context, s, t []strutil.Record, theta
 }
 
 // parallelFor runs fn(i) for i in [0, n) across the given number of workers
-// (GOMAXPROCS when workers ≤ 0). It runs inline when n is small.
+// (GOMAXPROCS when workers ≤ 0), to the end: parallelForWorkersCtx under a
+// context nothing cancels, which therefore reports no error.
 func parallelFor(n, workers int, fn func(int)) {
-	parallelForWorkers(n, workers, func(_, i int) { fn(i) })
-}
-
-// parallelForWorkers is parallelFor with the worker index exposed to fn, so
-// callers can keep per-worker scratch without synchronisation: each worker
-// index in [0, workers) is used by exactly one goroutine (index 0 when the
-// loop runs inline).
-func parallelForWorkers(n, workers int, fn func(worker, i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if n <= 1 || workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, workers)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		goPipeline(func() {
-			defer wg.Done()
-			for i := range next {
-				fn(w, i)
-			}
-		})
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	_ = parallelForWorkersCtx(context.Background(), n, workers, func(_, i int) { fn(i) })
 }

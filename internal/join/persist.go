@@ -149,7 +149,6 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 
 	// Re-tokenize and rehydrate the prepared records in parallel; both are
 	// deterministic functions of the raw text and the similarity context.
-	calc := j.calcFor(opts)
 	n := len(snap.Records)
 	records := make([]strutil.Record, n)
 	prepared := make([]*core.PreparedRecord, n)
@@ -166,7 +165,7 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 				Entity: sg.Entity,
 			}
 		}
-		prepared[i], errs[i] = calc.RestorePrepared(records[i].Tokens, segs, int(rd.MinPart), sx.dict)
+		prepared[i], errs[i] = j.calc.RestorePrepared(records[i].Tokens, segs, int(rd.MinPart), sx.dict)
 		sigIDs[i] = rd.SigIDs // aliases the decoded snapshot's buffer
 	})
 	for i, err := range errs {

@@ -56,7 +56,6 @@ type shard struct {
 	joiner *Joiner
 	opts   Options
 	tau    int
-	calc   *core.Calculator
 	cache  *core.PreparedCache
 
 	rebuildFraction float64
@@ -186,7 +185,6 @@ func newShard(base *Index, dopts DynamicOptions, cache *core.PreparedCache, dead
 		joiner:          base.joiner,
 		opts:            base.opts,
 		tau:             base.tau,
-		calc:            base.calc,
 		cache:           cache,
 		rebuildFraction: dopts.RebuildFraction,
 		maxSegments:     dopts.MaxSegments,
@@ -272,7 +270,7 @@ func (sh *shard) insertRecords(recs []strutil.Record) {
 	var pebs []pebble.Pebble
 	ends := make([]int, len(recs))
 	for i, rec := range recs {
-		pr := sh.calc.PrepareCached(sh.cache, sh.base.dict, rec.Tokens)
+		pr := sh.joiner.calc.PrepareCached(sh.cache, sh.base.dict, rec.Tokens)
 		sh.positions[rec.ID] = len(sh.records)
 		sh.records = append(sh.records, rec)
 		sh.prepared = append(sh.prepared, pr)
@@ -486,7 +484,7 @@ type DynamicStats struct {
 	// filled; candidates dismissed before it by a sound upper bound (the O(1)
 	// size ratio, the cover stage, or either against the rising top-k floor)
 	// and the share of them the cover stage dismissed at the request's own
-	// threshold; msim cells copied into a matrix from a row the worker's
+	// threshold; msim cells copied into a matrix from a row the shard's
 	// scratch had already evaluated for the same probe; and msim cells
 	// computed — every one at most once a (segment text, probe, scratch),
 	// for a matrix or for the cover stage, which needs no matrix, so the two
@@ -609,14 +607,9 @@ func (v *shardView) candidatesRecord(ids []uint32, tau, limit int, sc *probeScra
 	return cands, tally
 }
 
-// minParallelVerify is the candidate count below which a per-query
-// verification request ignores QueryOpts.Workers: spawning goroutines for a
-// handful of candidates costs more than it saves.
-const minParallelVerify = 64
-
 // floorTracker is the shared rising floor of one top-k operation: the best
-// k-th-place similarity any participant (verify worker or shard) has proven
-// so far, maintained as a CAS-max over float bits. Every full k-heap's root
+// k-th-place similarity any shard of the fan-out has proven so far,
+// maintained as a CAS-max over float bits. Every full k-heap's root
 // lower-bounds the global k-th best match, so a candidate whose upper bound
 // sits below the tracker can be skipped without changing the result.
 // Similarities are non-negative, so the float ordering matches the unsigned
@@ -654,27 +647,6 @@ const unboundedK = math.MaxInt
 // position of a shard's base is below it.
 const noLimit = math.MaxInt
 
-// verifier is the state of one shard's verify pass over one request's
-// candidates: the inputs every worker reads, and per worker a k-bounded heap,
-// a similarity scratch and a prune count that worker alone writes. It lives
-// in the pooled probe scratch, so the one-worker pass — the serving default —
-// allocates nothing but the matches it keeps.
-type verifier struct {
-	v       *shardView
-	pq      *core.PreparedRecord
-	theta   float64
-	k       int
-	ft      *floorTracker
-	cands   []candUB
-	workers []verifyWorker
-}
-
-type verifyWorker struct {
-	heap   topKHeap
-	sim    *core.Scratch
-	pruned int64
-}
-
 // candUB pairs a candidate record position with its scheduling bound: the
 // upper bound core.UpperBound puts on its similarity to the query.
 type candUB struct {
@@ -692,62 +664,6 @@ func bestBoundFirst(a, b candUB) int {
 		return 1
 	}
 	return cmp.Compare(a.r, b.r)
-}
-
-// scratch returns the worker's similarity scratch, made on first use (worker
-// 0 is handed the pooled one).
-func (wk *verifyWorker) scratch() *core.Scratch {
-	if wk.sim == nil {
-		wk.sim = core.NewScratch()
-	}
-	return wk.sim
-}
-
-// pass runs fn over every candidate: on the calling goroutine with one
-// worker, on len(vf.workers) goroutines otherwise.
-func (vf *verifier) pass(ctx context.Context, fn func(vf *verifier, w, i int)) error {
-	if len(vf.workers) == 1 {
-		// parallelForWorkersCtx would run one worker inline just the same,
-		// but the closure it is handed escapes to the heap; this one does not.
-		return forCtx(ctx, len(vf.cands), func(i int) { fn(vf, 0, i) })
-	}
-	return parallelForWorkersCtx(ctx, len(vf.cands), len(vf.workers), func(w, i int) { fn(vf, w, i) })
-}
-
-// bound gives candidate i its scheduling bound at the request's θ, on worker
-// w's scratch: the worker evaluates the msim rows its share of the candidates
-// needs and writes no state but its own scratch and cands[i].ub. A bound
-// below θ is counted as pruned by the scratch.
-func (vf *verifier) bound(w, i int) {
-	c, v := &vf.cands[i], vf.v
-	c.ub = v.sh.calc.UpperBound(v.prepared[c.r], vf.pq, vf.theta, vf.workers[w].scratch())
-}
-
-// step verifies candidate i on worker w — the one way the engine verifies a
-// candidate, a join's as much as a lookup's. The floor is the larger of θ,
-// this worker's heap root once the heap holds k matches, and the shared
-// tracker (the best k-th-place similarity any sibling worker or shard has
-// proven); a candidate bounded below it is provably outside the final top k,
-// and one that reaches it is offered to the heap. Verifying at the floor
-// rather than θ is exact: a candidate below the floor cannot enter any final
-// top k, and one exactly at it still passes (VerifyPrepared accepts ≥).
-func (vf *verifier) step(w, i int) {
-	c, wk := vf.cands[i], &vf.workers[w]
-	floor := max(vf.theta, vf.ft.floor())
-	if len(wk.heap.entries) == vf.k {
-		floor = max(floor, wk.heap.entries[0].Similarity)
-	}
-	if c.ub < floor-core.BoundSlack {
-		wk.pruned++
-		return
-	}
-	v := vf.v
-	if val, ok := v.sh.calc.VerifyPrepared(v.prepared[c.r], vf.pq, floor, wk.scratch()); ok {
-		wk.heap.offer(QueryMatch{Record: v.records[c.r].ID, Similarity: val}, vf.k)
-		if len(wk.heap.entries) == vf.k {
-			vf.ft.raise(wk.heap.entries[0].Similarity)
-		}
-	}
 }
 
 // serve is this shard's share of a request — a lookup, or one probe record of
@@ -771,74 +687,72 @@ func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error
 // query, keeping the rq.k best matches (every match reaching θ when k is
 // unboundedK), and returns them with what the pass did, which it also folds
 // into the shard's cumulative counters. The matches come back unordered — the
-// router merges every shard's share and sorts once. rq.ft is the request-wide
-// rising floor.
+// router merges every shard's share and sorts once. It is the one way the
+// engine verifies candidates, a join's as much as a lookup's: two loops on the
+// calling goroutine, over one heap, on the pooled scratch.
 //
-// Verification is two passes. The bound pass gives every candidate its
-// scheduling bound — the size ratio and, past it, the cover stage, which
-// evaluates the msim row of each distinct segment text once and reads one
-// number a segment after that — and the candidates it bounds below θ are
-// dropped where they stand. Only the rest are verified, and when they
-// outnumber the k matches that can be kept, in descending order of their
-// bound, so the heap fills with strong matches early and the floor rises
-// while most of the list is still ahead. With Workers > 1 and at least
-// minParallelVerify candidates both passes run on that many workers, each
-// with its own heap and scratch, and the heaps are folded at the end — sound
-// because the top k of a union is contained in the union of the parts' top
-// k's. Either way the skip is exact, so the result is the one a plain scan at
+// The bound loop gives every candidate its scheduling bound — the size ratio
+// and, past it, the cover stage, which evaluates the msim row of each distinct
+// segment text once and reads one number a segment after that — and drops the
+// candidates bounded below θ where they stand (the scratch counts them as
+// pruned). The step loop verifies the rest, in descending order of their bound
+// when they outnumber the k matches that can be kept, so the heap fills with
+// strong matches early and the floor rises while most of the list is still
+// ahead. The floor is the larger of θ, the heap root once the heap holds k
+// matches, and rq.ft, the best k-th-place similarity any sibling shard has
+// proven; a candidate bounded below it is provably outside the final top k,
+// and verifying the others at the floor rather than θ is exact: a candidate
+// below the floor cannot enter any final top k, and one exactly at it still
+// passes (VerifyPrepared accepts ≥). So the result is the one a plain scan at
 // θ returns.
 func (v *shardView) verify(ctx context.Context, rq *request, cands []int32, sc *probeScratch) ([]QueryMatch, verifyTally, error) {
 	if len(cands) == 0 {
 		return nil, verifyTally{}, nil
 	}
-	workers := 1
-	if rq.qo.Workers > 1 && len(cands) >= minParallelVerify {
-		workers = rq.qo.Workers
-	}
-	vf := &sc.verify
-	vf.v, vf.pq, vf.theta, vf.k, vf.ft = v, rq.pq, v.sh.opts.thetaFor(rq.qo), rq.k, &rq.ft
-	vf.cands = vf.cands[:0]
-	for _, r := range cands {
-		vf.cands = append(vf.cands, candUB{r: r})
-	}
-	vf.workers = append(vf.workers[:0], make([]verifyWorker, workers)...)
-	// Worker 0 verifies on the pooled scratch, whose counters span
-	// operations: diff against the snapshot for this request's share.
-	sim := sc.simScratch()
+	calc, theta, sim := v.sh.joiner.calc, v.sh.opts.thetaFor(rq.qo), sc.simScratch()
+	// The pooled scratch's counters span operations: diff against the snapshot
+	// for this request's share.
 	before := sim.Stats
-	vf.workers[0].sim = sim
-	vf.workers[0].heap.entries = rq.matches[:0]
-	err := vf.pass(ctx, (*verifier).bound)
-	if err == nil {
-		live := vf.cands[:0]
-		for _, c := range vf.cands {
-			if c.ub >= vf.theta-core.BoundSlack {
-				live = append(live, c)
-			}
+	live := sc.cands[:0]
+	err := forCtx(ctx, len(cands), func(i int) {
+		r := cands[i]
+		if ub := calc.UpperBound(v.prepared[r], rq.pq, theta, sim); ub >= theta-core.BoundSlack {
+			live = append(live, candUB{r: r, ub: ub})
 		}
-		vf.cands = live
+	})
+	sc.cands = live
+	heap := topKHeap{entries: rq.matches[:0]}
+	var floored int64 // dismissed by a floor that has risen past θ
+	if err == nil {
 		if rq.k < len(live) {
 			slices.SortFunc(live, bestBoundFirst)
 		}
-		err = vf.pass(ctx, (*verifier).step)
-	}
-	vt := verifyTally{verified: -before.Verified, pruned: -before.PrunedByBound, prunedByCover: -before.PrunedByCover, memoHits: -before.MemoHits, msimEvals: -before.MSimEvals}
-	heap := vf.workers[0].heap
-	for w := range vf.workers {
-		wk := &vf.workers[w]
-		vt.addScratch(wk.sim)
-		vt.pruned += wk.pruned
-		if w > 0 && err == nil {
-			// The fold is O(workers·k·log k); a cancelled request skips it —
-			// the result is discarded anyway.
-			for _, m := range wk.heap.entries {
-				heap.offer(m, rq.k)
+		err = forCtx(ctx, len(live), func(i int) {
+			c := live[i]
+			floor := max(theta, rq.ft.floor())
+			if len(heap.entries) == rq.k {
+				floor = max(floor, heap.entries[0].Similarity)
 			}
-		}
+			if c.ub < floor-core.BoundSlack {
+				floored++
+				return
+			}
+			if val, ok := calc.VerifyPrepared(v.prepared[c.r], rq.pq, floor, sim); ok {
+				heap.offer(QueryMatch{Record: v.records[c.r].ID, Similarity: val}, rq.k)
+				if len(heap.entries) == rq.k {
+					rq.ft.raise(heap.entries[0].Similarity)
+				}
+			}
+		})
 	}
-	// The scratch goes back to the pool: drop what belongs to this request.
-	clear(vf.workers)
-	vf.v, vf.pq, vf.ft = nil, nil, nil
+	now := sim.Stats
+	vt := verifyTally{
+		verified:      now.Verified - before.Verified,
+		pruned:        now.PrunedByBound - before.PrunedByBound + floored,
+		prunedByCover: now.PrunedByCover - before.PrunedByCover,
+		memoHits:      now.MemoHits - before.MemoHits,
+		msimEvals:     now.MSimEvals - before.MSimEvals,
+	}
 	v.sh.noteVerify(vt)
 	if err != nil {
 		return nil, vt, err

@@ -146,10 +146,9 @@ func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Op
 	// every shard's signatures. The shared order spans the whole corpus, so
 	// document frequencies — and therefore signatures — do not depend on the
 	// shard count.
-	calc := j.calcFor(opts)
 	prepared := make([][]*core.PreparedRecord, shards)
 	for w := range parts {
-		prepared[w] = prepareRecords(parts[w], sx.dict, calc.PrepareIn)
+		prepared[w] = prepareRecords(parts[w], sx.dict, j.calc.PrepareIn)
 	}
 	order := j.orderOf(prepared...)
 	order.Finalize()
@@ -470,10 +469,6 @@ type QueryOpts struct {
 	// with ErrThetaBelowBuild: the candidate set is bounded by the
 	// build-time filter, so no complete answer exists at a lower threshold.
 	Theta float64
-	// Workers bounds the verification parallelism of this request; 0 or 1
-	// verifies sequentially on the fan-out's goroutine (per shard — the
-	// shard fan-out itself always runs concurrently).
-	Workers int
 	// Plan is accepted and ignored: every request runs the configuration the
 	// index was built with. Kept for benchmark/engine.go:162.
 	Plan PlanMode
@@ -510,8 +505,8 @@ const maxInlineShards = 4
 
 // request is the state of one single-record request: a threshold probe or a
 // top-k query across its shard fan-out, or one probe record of a batch, which
-// its worker runs shard after shard and then reuses for the next record. It holds the prepared query every shard
-// verifies against, the IDs of the probe signature selected from it and its
+// its worker runs shard after shard and then reuses for the next record. It
+// holds the prepared query every shard verifies against, the IDs of the probe signature selected from it and its
 // overlap constraint, the rising floor shared by every top-k heap, and per
 // shard the matches it found and the error it failed with.
 type request struct {
@@ -561,7 +556,7 @@ func (sv *ShardedView) serve(ctx context.Context, tokens []string, k int, qo Que
 	if qo.ProbeTau > 0 {
 		method, tau = pinnedConfig(qo, sx.tau)
 	}
-	pq := sx.joiner.calcFor(sx.opts).PrepareProbe(sx.dict, tokens)
+	pq := sx.joiner.calc.PrepareProbe(sx.dict, tokens)
 	ids := signatureIDs(sv.gen.sel.RecordSignature(pq, method, tau))
 	rq := &request{sv: sv, pq: pq, ids: ids, tau: tau, qo: qo, k: k, limit: noLimit}
 	if n := len(sv.views); n <= maxInlineShards {
@@ -708,13 +703,4 @@ func (sv *ShardedView) ProbeSeq(ctx context.Context, records []strutil.Record) i
 		_, err := sv.probeStream(ctx, records, emit)
 		return err
 	})
-}
-
-// calcFor resolves the calculator an Options selects: the override when
-// set, the joiner default otherwise.
-func (j *Joiner) calcFor(opts Options) *core.Calculator {
-	if opts.Calculator != nil {
-		return opts.Calculator
-	}
-	return j.calc
 }

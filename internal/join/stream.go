@@ -56,7 +56,11 @@ func forCtx(ctx context.Context, n int, fn func(i int)) error {
 	return ctx.Err()
 }
 
-// parallelForWorkersCtx is parallelForWorkers with cooperative cancellation:
+// parallelForWorkersCtx is the package's one channel-fed worker loop: it runs
+// fn(worker, i) for i in [0, n) across the given number of workers (GOMAXPROCS
+// when workers ≤ 0; inline when there is one, or one item). The worker index
+// lets callers keep per-worker scratch without synchronisation: each index in
+// [0, workers) is used by exactly one goroutine. Cancellation is cooperative:
 // once ctx is done, no new index is dispatched, workers skip whatever is
 // still queued, and — crucially — the context error is reported even when
 // the cancellation raced with the end of the dispatch loop, so a caller can
@@ -101,7 +105,7 @@ feed:
 	return ctx.Err()
 }
 
-// verifyTally aggregates verify-phase work counters across the workers of
+// verifyTally aggregates verify-phase work counters across the requests of
 // one run; the values feed Stats and the cumulative index atomics.
 type verifyTally struct {
 	verified      int64
@@ -117,17 +121,6 @@ func (t *verifyTally) add(o verifyTally) {
 	t.prunedByCover += o.prunedByCover
 	t.memoHits += o.memoHits
 	t.msimEvals += o.msimEvals
-}
-
-func (t *verifyTally) addScratch(sc *core.Scratch) {
-	if sc == nil {
-		return
-	}
-	t.verified += sc.Stats.Verified
-	t.pruned += sc.Stats.PrunedByBound
-	t.prunedByCover += sc.Stats.PrunedByCover
-	t.memoHits += sc.Stats.MemoHits
-	t.msimEvals += sc.Stats.MSimEvals
 }
 
 // pairBatchPool recycles the emit batches flowing from the probe workers to
@@ -254,13 +247,12 @@ func collectStream(ctx context.Context, workers int, produce func(ctx context.Co
 // probeAll is the batch probe loop: it runs one request a probe record —
 // ready-made signature IDs and prepared record, at the build configuration,
 // keeping every match reaching θ — against every shard of the view, on as many
-// workers as the index's options ask for, and invokes emit for every
-// confirmed pair in completion order (unordered across workers) on the
-// caller's goroutine. Workers take records as they come free, so a
-// self-join's growing prefix stays balanced; one worker runs all of a
-// record's shards, so a record's msim rows are evaluated once whatever the
-// worker count. A collection shorter than the worker count lends each request
-// the spare workers (QueryOpts.Workers). In self mode the view is the one-shard
+// workers as the index's options ask for (no more than there are records), and
+// invokes emit for every confirmed pair in completion order (unordered across
+// workers) on the caller's goroutine. Workers take records as they come free,
+// so a self-join's growing prefix stays balanced; one worker runs all of a
+// record's shards and all of its candidates, so a record's msim rows are
+// evaluated once whatever the worker count. In self mode the view is the one-shard
 // view of a static base and the records are its own: record t is probed
 // against the positions below t. It returns the statistics accumulated up to
 // the point of return and the context error when the run was cancelled.
@@ -284,12 +276,11 @@ func (sv *ShardedView) probeAll(ctx context.Context, records []strutil.Record, s
 	}
 	stats.AvgSignatureT = float64(sigLen) / float64(len(records))
 
-	asked := sx.opts.workers()
-	workers := min(asked, len(records))
+	workers := min(sx.opts.workers(), len(records))
 	ws := make([]probeWorker, workers)
 	for w := range ws {
 		ws[w].tallies = make([]probeTally, len(sv.views))
-		ws[w].rq = request{tau: sx.tau, k: unboundedK, limit: noLimit, qo: QueryOpts{Workers: asked / workers}}
+		ws[w].rq = request{tau: sx.tau, k: unboundedK, limit: noLimit}
 	}
 	results, err := collectStream(ctx, workers, func(ictx context.Context, out chan<- *[]Pair) error {
 		return parallelForWorkersCtx(ictx, len(records), workers, func(w, t int) {
@@ -405,7 +396,7 @@ func (sv *ShardedView) selfStream(ctx context.Context, emit func(Pair) bool) (St
 func (sv *ShardedView) probeStream(ctx context.Context, records []strutil.Record, emit func(Pair) bool) (Stats, error) {
 	start := time.Now()
 	sx := sv.sx
-	prep := prepareRecords(records, sx.dict, sx.joiner.calcFor(sx.opts).PrepareProbe)
+	prep := prepareRecords(records, sx.dict, sx.joiner.calc.PrepareProbe)
 	return sv.probePrepared(ctx, records, prep, time.Since(start), emit)
 }
 

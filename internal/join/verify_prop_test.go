@@ -14,7 +14,7 @@ import (
 )
 
 // This file pins the verify phase — the rising-floor top-k scan, the per-probe
-// msim rows, the parallel workers — to the brute-force oracle: every entry
+// msim rows — to the brute-force oracle: every entry
 // point (QueryTopKCtx, single-record probe, batch Probe, one-shot Join) must
 // return exactly what BruteForce computes over the same live records, across
 // every filter method, threshold and serving shape (static snapshot,
@@ -73,24 +73,20 @@ func TestTopKPruningMatchesPlainVerify(t *testing.T) {
 				for qi, q := range queries {
 					all := rowsOf(oracle, q.ID) // ascending ID, ProbeRecordCtx's order
 					best := bestFirst(all)
-					for _, qo := range []QueryOpts{{}, {Workers: 8}} {
-						got, err := sc.sv.ProbeRecordCtx(ctx, q.Tokens, qo)
+					got, err := sc.sv.ProbeRecordCtx(ctx, q.Tokens, QueryOpts{})
+					if err != nil {
+						t.Fatalf("%s q#%d: ProbeRecordCtx: %v", name, qi, err)
+					}
+					if !matchesEqual(got, all) {
+						t.Fatalf("%s q#%d: ProbeRecordCtx diverged from brute force:\n got %v\nwant %v", name, qi, got, all)
+					}
+					for _, k := range []int{1, 3, 10} {
+						got, err := sc.sv.QueryTopKCtx(ctx, q.Tokens, k, QueryOpts{})
 						if err != nil {
-							t.Fatalf("%s workers=%d q#%d: ProbeRecordCtx: %v", name, qo.Workers, qi, err)
+							t.Fatalf("%s k=%d q#%d: QueryTopKCtx: %v", name, k, qi, err)
 						}
-						if !matchesEqual(got, all) {
-							t.Fatalf("%s workers=%d q#%d: ProbeRecordCtx diverged from brute force:\n got %v\nwant %v",
-								name, qo.Workers, qi, got, all)
-						}
-						for _, k := range []int{1, 3, 10} {
-							got, err := sc.sv.QueryTopKCtx(ctx, q.Tokens, k, qo)
-							if err != nil {
-								t.Fatalf("%s k=%d workers=%d q#%d: QueryTopKCtx: %v", name, k, qo.Workers, qi, err)
-							}
-							if want := best[:min(k, len(best))]; !matchesEqual(got, want) {
-								t.Fatalf("%s k=%d workers=%d q#%d: top-k diverged from brute force:\n got %v\nwant %v",
-									name, k, qo.Workers, qi, got, want)
-							}
+						if want := best[:min(k, len(best))]; !matchesEqual(got, want) {
+							t.Fatalf("%s k=%d q#%d: top-k diverged from brute force:\n got %v\nwant %v", name, k, qi, got, want)
 						}
 					}
 				}
@@ -151,23 +147,46 @@ func TestProbeAndJoinMatchPlainVerify(t *testing.T) {
 	}
 	// The worker count changes nothing but time: one worker runs all of a
 	// probe record's requests, so the pairs and every counter of the work done
-	// are those of the one-worker run.
+	// are those of the one-worker run — also when the probe collection is
+	// shorter than the worker count, where spare workers used to be lent to
+	// each record's verification and every one of them evaluated the record's
+	// msim rows again. Those collections are the probe records with the most
+	// candidates on a one-shard index, and what a Probe of them does is what
+	// ProbeRecordCtx does for the same records.
+	ctx := context.Background()
 	for _, opts := range propConfigs()[3:6] {
 		type run struct {
 			pairs []Pair
 			work  work
 		}
+		sizing := j.BuildShardedIndex(recs, 1, opts, DynamicOptions{}).Snapshot()
+		candidates := make(map[int]int, len(probe))
+		for _, r := range probe {
+			_, st := sizing.Probe([]strutil.Record{r})
+			candidates[r.ID] = st.Candidates
+		}
+		heavy := slices.Clone(probe)
+		slices.SortStableFunc(heavy, func(a, b strutil.Record) int { return candidates[b.ID] - candidates[a.ID] })
+		if n := candidates[heavy[2].ID]; n < 64 {
+			t.Fatalf("%v/θ=%v: the third-heaviest probe record keeps %d candidates; the short collections are too light", opts.Method, opts.Theta, n)
+		}
+		shorts := [][]strutil.Record{heavy[:1], heavy[:3]}
 		var ref []run
 		for _, workers := range []int{1, 2, 4} {
 			opts.Workers = workers
 			sx := j.BuildShardedIndex(recs, 3, opts, DynamicOptions{})
 			mutate(sx, 808)
-			var runs []run
-			for _, join := range []func() ([]Pair, Stats){
+			one := j.BuildShardedIndex(recs, 1, opts, DynamicOptions{})
+			joins := []func() ([]Pair, Stats){
 				func() ([]Pair, Stats) { return j.Join(recs, probe, opts) },
 				func() ([]Pair, Stats) { return j.SelfJoin(recs, opts) },
 				func() ([]Pair, Stats) { return sx.Snapshot().Probe(probe) },
-			} {
+			}
+			for _, short := range shorts {
+				joins = append(joins, func() ([]Pair, Stats) { return one.Snapshot().Probe(short) })
+			}
+			var runs []run
+			for _, join := range joins {
 				pairs, st := join()
 				runs = append(runs, run{pairs, workOf(st)})
 			}
@@ -178,6 +197,32 @@ func TestProbeAndJoinMatchPlainVerify(t *testing.T) {
 				if r.work.sim == 0 || !pairsEqual(r.pairs, ref[i].pairs) || r.work != ref[i].work {
 					t.Errorf("%v/θ=%v join %d: at %d workers %d pairs, work %+v; at one worker %d pairs, work %+v",
 						opts.Method, opts.Theta, i, workers, len(r.pairs), r.work, len(ref[i].pairs), ref[i].work)
+				}
+			}
+			for i, short := range shorts {
+				before := one.Stats()
+				var pairs []Pair
+				for _, r := range short {
+					matches, err := one.Snapshot().ProbeRecordCtx(ctx, r.Tokens, QueryOpts{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, m := range matches {
+						pairs = append(pairs, Pair{S: m.Record, T: r.ID, Similarity: m.Similarity})
+					}
+				}
+				sortPairs(pairs)
+				after, got := one.Stats(), runs[len(runs)-len(shorts)+i]
+				verified, pruned := after.VerifiedCandidates-before.VerifiedCandidates, after.PrunedByBound-before.PrunedByBound
+				lookups := work{
+					after.ProbePostings - before.ProbePostings, after.ProbeBitsetTokens - before.ProbeBitsetTokens, after.ProbeSliceTokens - before.ProbeSliceTokens,
+					int(verified + pruned), // a lookup reports no candidate count: every candidate is one or the other
+					verified, pruned, after.PrunedByCover - before.PrunedByCover,
+					after.MemoHits - before.MemoHits, after.MSimEvals - before.MSimEvals,
+				}
+				if !pairsEqual(got.pairs, pairs) || got.work != lookups {
+					t.Errorf("%v/θ=%v at %d workers: Probe of %d records: %d pairs, work %+v; ProbeRecordCtx for the same records: %d pairs, work %+v",
+						opts.Method, opts.Theta, workers, len(short), len(got.pairs), got.work, len(pairs), lookups)
 				}
 			}
 		}
@@ -192,9 +237,8 @@ func TestProbeAndJoinMatchPlainVerify(t *testing.T) {
 	}
 }
 
-// TestPrunedQueriesUnderMutation hammers pruned top-k queries (sequential
-// and parallel) and parallel threshold probes against a one-shard and a
-// three-shard index while writers insert and remove records and MaxSegments
+// TestPrunedQueriesUnderMutation hammers pruned top-k queries and threshold
+// probes from four goroutines against a one-shard and a three-shard index while writers insert and remove records and MaxSegments
 // forces rebuilds — the -race run of the suite checks the floor tracker, the
 // segment dictionary (inserts intern beside readers) and the pooled scratches
 // for unsynchronised sharing.
@@ -221,17 +265,13 @@ func TestPrunedQueriesUnderMutation(t *testing.T) {
 				default:
 				}
 				q := queries[(i+w)%len(queries)].Tokens
-				qo := QueryOpts{}
-				if i%2 == 0 {
-					qo.Workers = 4
-				}
 				for _, sx := range indexes {
 					sv := sx.Snapshot()
-					if _, err := sv.QueryTopKCtx(ctx, q, 5, qo); err != nil {
+					if _, err := sv.QueryTopKCtx(ctx, q, 5, QueryOpts{}); err != nil {
 						t.Errorf("shards=%d query: %v", sx.Shards(), err)
 						return
 					}
-					if _, err := sv.ProbeRecordCtx(ctx, q, QueryOpts{Workers: 2}); err != nil {
+					if _, err := sv.ProbeRecordCtx(ctx, q, QueryOpts{}); err != nil {
 						t.Errorf("shards=%d probe: %v", sx.Shards(), err)
 						return
 					}
