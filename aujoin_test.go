@@ -437,7 +437,7 @@ func TestIndexStatsWireShape(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
-		"build_time_ns", "cache_hits", "cache_misses", "dead", "dense_keys", "distinct_segments",
+		"build_time_ns", "cache_hits", "cache_misses", "dead", "dense_keys", "distinct_grams", "distinct_segments",
 		"dynamic_keys", "frozen_keys", "inserts", "live", "memo_hits", "msim_evals",
 		"probe_bitset_tokens", "probe_postings",
 		"probe_slice_tokens", "pruned_by_bound", "pruned_by_cover", "rebuilds", "records", "segments", "shards",

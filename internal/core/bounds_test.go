@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -144,10 +145,16 @@ func TestCoverStageDominates(t *testing.T) {
 }
 
 // bitmaskRowCase evaluates the cached row of every segment of left against
-// probe through cacheRow — the bitmask kernel when the probe's grams fit the
-// bit index, MSimData past it — and compares each cell and the row maximum
-// with MSimData. It returns the mask width the scratch chose.
-func bitmaskRowCase(t *testing.T, ctx *sim.Context, left, probe []string) int {
+// the probe record probe+stranger through cacheRow — the bitmask kernel when
+// the probe's numbered grams fit the bit index, MSimData past it — and
+// compares each cell and the row maximum with MSimData. The dictionary
+// interns left and probe, so it numbers their grams; stranger is never
+// interned, so a gram only its tokens have gets no bit. A record of stranger
+// and left interned afterwards, under the live scratch, has its new texts'
+// IDs past the rows: fillMSim takes the direct path for them, and every cell
+// must agree too. It returns the mask width the scratch chose and the number
+// of segments that took the direct path.
+func bitmaskRowCase(t *testing.T, ctx *sim.Context, left, probe, stranger []string) (width, direct int) {
 	t.Helper()
 	calc := NewCalculator(ctx)
 	d := NewSegDict()
@@ -155,23 +162,27 @@ func bitmaskRowCase(t *testing.T, ctx *sim.Context, left, probe []string) int {
 		// A probe is only indexed for at least maskWords rows.
 		d.intern(ctx, []string{fmt.Sprintf("filler%d", i)})
 	}
-	ps, pt := calc.PrepareIn(d, left), calc.Prepare(probe)
+	ps := calc.PrepareIn(d, left) // first: a long probe lowers the rows' ID range
+	calc.PrepareIn(d, probe)
+	pt := calc.Prepare(append(slices.Clip(probe), stranger...))
 	sc := NewScratch()
 	if cached := sc.adoptRows(ctx, d, pt); ps.maxSegID >= cached {
 		t.Fatalf("rows cover %d IDs, left record needs %d", cached, ps.maxSegID)
 	}
-	grams := map[string]bool{}
+	grams := map[string]bool{} // the probe's numbered grams
 	for j := range pt.Segs {
 		for _, g := range pt.Segs[j].Data.Grams {
-			grams[g] = true
+			if _, ok := d.gramNum[g]; ok {
+				grams[g] = true
+			}
 		}
 	}
 	if wantW := (len(grams) + 63) / 64; len(grams) > maxProbeGrams {
 		if sc.maskW >= 0 {
-			t.Fatalf("%d distinct probe grams, cap %d: mask width %d, want none", len(grams), maxProbeGrams, sc.maskW)
+			t.Fatalf("%d numbered probe grams, cap %d: mask width %d, want none", len(grams), maxProbeGrams, sc.maskW)
 		}
 	} else if sc.maskW != wantW {
-		t.Fatalf("%d distinct probe grams: mask width %d, want %d", len(grams), sc.maskW, wantW)
+		t.Fatalf("%d numbered probe grams: mask width %d, want %d", len(grams), sc.maskW, wantW)
 	}
 	nt := len(pt.Segs)
 	for i := range ps.Segs {
@@ -190,7 +201,21 @@ func bitmaskRowCase(t *testing.T, ctx *sim.Context, left, probe []string) int {
 			t.Fatalf("q=%d %v: row maximum of %q = %v, want %v", ctx.GramQ(), ctx.Measures, a.Data.Text, sc.rowMax[a.ID], best)
 		}
 	}
-	return sc.maskW
+	late := calc.PrepareIn(d, append(slices.Clip(stranger), left...))
+	calc.fillMSim(sc, late, pt)
+	for i := range late.Segs {
+		a := &late.Segs[i]
+		if a.ID >= sc.rowN {
+			direct++
+		}
+		for j := range pt.Segs {
+			if got, want := sc.msim[i*nt+j], ctx.MSimData(a.Data, pt.Segs[j].Data); got != want {
+				t.Fatalf("q=%d %v: msim(%q, %q) = %v in the matrix (ID %d, rows below %d), %v by MSimData",
+					ctx.GramQ(), ctx.Measures, a.Data.Text, pt.Segs[j].Data.Text, got, a.ID, sc.rowN, want)
+			}
+		}
+	}
+	return sc.maskW, direct
 }
 
 // distinctTokens returns n distinct tokens of exactly width bytes over an
@@ -211,25 +236,35 @@ func distinctTokens(n, width int) []string {
 // TestBitmaskRowMatchesMSimData pins the row kernel to the cell-by-cell
 // reference: every cell of a row evaluated through the probe-gram bitmasks is
 // the float MSimData returns, for every q and every measure combination, at
-// the mask-width boundaries and in the degenerate Jaccard cases.
+// the mask-width boundaries, in the degenerate Jaccard cases, beside probe
+// grams the dictionary never numbered, and on the direct path of a text
+// interned after the scratch adopted the probe.
 func TestBitmaskRowMatchesMSimData(t *testing.T) {
 	g64, g65 := distinctTokens(64, 1), distinctTokens(65, 1)
 	atCap, pastCap := distinctTokens(maxProbeGrams, 2), distinctTokens(maxProbeGrams+1, 2)
+	var beyondCap []string // 2-byte grams no interned text has
+	for _, tok := range distinctTokens(40, 1) {
+		beyondCap = append(beyondCap, "~"+tok)
+	}
 	for _, tc := range []struct {
-		name        string
-		q           int // 0: every q in 1..9
-		left, probe []string
-		width       int // expected mask width at q (ignored when q is 0)
+		name                  string
+		q                     int // 0: every q in 1..9
+		left, probe, stranger []string
+		width                 int // expected mask width at q (ignored when q is 0)
 	}{
-		{"figure 1", 0, []string{"coffee", "shop", "latte", "helsingki"}, []string{"espresso", "cafe", "helsinki", "apple", "cake"}, 0},
-		{"shorter than q", 5, []string{"ab", "abc", "cake"}, []string{"ab", "abcd", "abcde", "cake"}, 1},
-		{"empty text", 2, []string{"", "a"}, []string{"", "a", "ab"}, 1},
-		{"repeated grams", 2, []string{"aaaa", "aaaaaaa", "abababab"}, []string{"aaa", "ababab", "aaaaab"}, 1},
-		{"64 probe grams", 1, []string{g64[63] + g64[0], g64[62], "~"}, g64, 1},
-		{"65 probe grams", 1, []string{g65[64] + g65[63] + g65[0], g65[64], g65[63]}, g65, 2},
-		{"gram cap", 2, []string{atCap[maxProbeGrams-1], atCap[0] + atCap[maxProbeGrams-1], atCap[100]}, atCap, maskWords},
-		{"past the gram cap", 2, []string{pastCap[maxProbeGrams], pastCap[0] + pastCap[maxProbeGrams]}, pastCap, -1},
-		{"high bytes and NUL", 2, []string{"\x00\xff\x80a", "\x00\x00", "caf\xc3\xa9"}, []string{"\x00\xff", "\x80a\x00", "\x00\x00\x00", "caf\xc3\xa9"}, 1},
+		{"figure 1", 0, []string{"coffee", "shop", "latte", "helsingki"}, []string{"espresso", "cafe", "helsinki", "apple", "cake"}, nil, 0},
+		{"shorter than q", 5, []string{"ab", "abc", "cake"}, []string{"ab", "abcd", "abcde", "cake"}, nil, 1},
+		{"empty text", 2, []string{"", "a"}, []string{"", "a", "ab"}, nil, 1},
+		{"repeated grams", 2, []string{"aaaa", "aaaaaaa", "abababab"}, []string{"aaa", "ababab", "aaaaab"}, nil, 1},
+		{"64 probe grams", 1, []string{g64[63] + g64[0], g64[62], "~"}, g64, nil, 1},
+		{"65 probe grams", 1, []string{g65[64] + g65[63] + g65[0], g65[64], g65[63]}, g65, nil, 2},
+		{"gram cap", 2, []string{atCap[maxProbeGrams-1], atCap[0] + atCap[maxProbeGrams-1], atCap[100]}, atCap, nil, maskWords},
+		{"past the gram cap", 2, []string{pastCap[maxProbeGrams], pastCap[0] + pastCap[maxProbeGrams]}, pastCap, nil, -1},
+		{"high bytes and NUL", 2, []string{"\x00\xff\x80a", "\x00\x00", "caf\xc3\xa9"}, []string{"\x00\xff", "\x80a\x00", "\x00\x00\x00", "caf\xc3\xa9"}, nil, 1},
+		{"figure 1, unnumbered grams", 0, []string{"coffee", "shop", "latte", "helsingki"}, []string{"cafe", "helsinki"}, []string{"espresso", "cake", "zqx"}, 0},
+		{"no numbered probe gram", 2, []string{"coffee", "cake"}, nil, []string{"zq", "qxj", "jzv"}, 0},
+		{"unnumbered grams past the cap", 2, []string{atCap[7], atCap[0] + atCap[9]}, atCap, beyondCap, maskWords},
+		{"64 numbered of 65 probe grams", 1, []string{g65[63] + g65[0], g65[62]}, g65[:64], g65[64:], 1},
 	} {
 		for q := 1; q <= 9; q++ {
 			if tc.q != 0 && q != tc.q {
@@ -238,9 +273,12 @@ func TestBitmaskRowMatchesMSimData(t *testing.T) {
 			for ms := sim.MeasureSet(1); ms <= sim.SetAll; ms++ {
 				ctx := paperContext().WithMeasures(ms)
 				ctx.Q = q
-				width := bitmaskRowCase(t, ctx, tc.left, tc.probe)
+				width, direct := bitmaskRowCase(t, ctx, tc.left, tc.probe, tc.stranger)
 				if tc.q != 0 && ms&sim.SetJaccard != 0 && width != tc.width {
 					t.Errorf("%s: mask width %d, want %d", tc.name, width, tc.width)
+				}
+				if len(tc.stranger) > 0 && direct == 0 {
+					t.Errorf("%s: no text interned under the live scratch took the direct path", tc.name)
 				}
 			}
 		}
@@ -250,12 +288,16 @@ func TestBitmaskRowMatchesMSimData(t *testing.T) {
 // FuzzBitmaskRow feeds the same comparison arbitrary bytes: the two records
 // are the inputs split at spaces (not tokenized, so empty tokens, NUL and
 // bytes ≥ 0x80 reach the kernel), q is 1 + q%9 and measures a MeasureSet.
+// The probe is checked twice: every token interned, and the second half of
+// its tokens left to the stranger side.
 func FuzzBitmaskRow(f *testing.F) {
 	// testdata/fuzz/FuzzBitmaskRow holds the table's boundary cases as seeds.
 	f.Add("coffee shop latte", "cafe espresso latte", uint8(1), uint8(7))
 	f.Fuzz(func(t *testing.T, left, probe string, q, measures uint8) {
 		ctx := paperContext().WithMeasures(sim.MeasureSet(measures) & sim.SetAll)
 		ctx.Q = 1 + int(q)%9
-		bitmaskRowCase(t, ctx, strings.Split(left, " "), strings.Split(probe, " "))
+		l, p := strings.Split(left, " "), strings.Split(probe, " ")
+		bitmaskRowCase(t, ctx, l, p, nil)
+		bitmaskRowCase(t, ctx, l, p[:len(p)/2], p[len(p)/2:])
 	})
 }

@@ -60,12 +60,7 @@ func (c *Calculator) RestorePrepared(tokens []string, segs []SegPersist, minPart
 			return nil, fmt.Errorf("core: segments not in enumeration order at %d", i)
 		}
 		prevStart = sp.Start
-		pr.Segs[i] = PreparedSegment{
-			Span:   sp,
-			Tokens: tokens[sp.Start:sp.End],
-			Rule:   s.Rule,
-			Entity: s.Entity,
-		}
+		pr.Segs[i] = PreparedSegment{Span: sp, Rule: s.Rule, Entity: s.Entity}
 		if sp.Len() == 1 {
 			pr.single[sp.Start] = int32(i)
 			covered[sp.Start] = true

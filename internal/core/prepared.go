@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"github.com/aujoin/aujoin/internal/matching"
 	"github.com/aujoin/aujoin/internal/sim"
@@ -10,10 +11,10 @@ import (
 )
 
 // PreparedSegment is one well-defined segment of a prepared record together
-// with its precomputed measure-evaluation tables.
+// with its precomputed measure-evaluation tables. Its tokens are
+// Span.Slice(record.Tokens).
 type PreparedSegment struct {
-	Span   strutil.Span
-	Tokens []string
+	Span strutil.Span
 	// Rule and Entity mirror Segment's flags.
 	Rule, Entity bool
 	// ID is the dense identity of the segment's text in the record's
@@ -97,12 +98,7 @@ func (c *Calculator) prepare(d *SegDict, intern bool, tokens []string) *Prepared
 	pr.Segs = make([]PreparedSegment, len(segs))
 	pr.single = make([]int32, len(tokens))
 	for i, s := range segs {
-		pr.Segs[i] = PreparedSegment{
-			Span:   s.Span,
-			Tokens: s.Tokens,
-			Rule:   s.Rule,
-			Entity: s.Entity,
-		}
+		pr.Segs[i] = PreparedSegment{Span: s.Span, Rule: s.Rule, Entity: s.Entity}
 		if s.Span.Len() == 1 {
 			pr.single[s.Span.Start] = int32(i)
 		}
@@ -113,28 +109,29 @@ func (c *Calculator) prepare(d *SegDict, intern bool, tokens []string) *Prepared
 }
 
 // deriveSegments fills in the ID and derivation table of every segment of pr
-// (spans and tokens already set): interned into d, or — on the probe side —
+// (tokens and spans already set): interned into d, or — on the probe side —
 // read from d where it holds the text and derived privately, into one backing
 // array for the record, where it does not.
 func (c *Calculator) deriveSegments(d *SegDict, intern bool, pr *PreparedRecord) {
 	if intern && d != nil {
 		pr.dict = d
 		for i := range pr.Segs {
-			pr.Segs[i].ID, pr.Segs[i].Data = d.intern(c.Ctx, pr.Segs[i].Tokens)
-			pr.maxSegID = max(pr.maxSegID, pr.Segs[i].ID)
+			sg := &pr.Segs[i]
+			sg.ID, sg.Data = d.intern(c.Ctx, sg.Span.Slice(pr.Tokens))
+			pr.maxSegID = max(pr.maxSegID, sg.ID)
 		}
 		return
 	}
 	pr.maxSegID = NoSegID
-	missing := d.read(pr.Segs)
+	missing := d.read(pr)
 	if missing == 0 {
 		return
 	}
 	own := make([]sim.SegmentData, 0, missing)
 	for i := range pr.Segs {
-		if pr.Segs[i].Data == nil {
-			own = append(own, c.Ctx.PrepareSegment(strutil.JoinTokens(pr.Segs[i].Tokens)))
-			pr.Segs[i].Data = &own[len(own)-1]
+		if sg := &pr.Segs[i]; sg.Data == nil {
+			own = append(own, c.Ctx.PrepareSegment(strutil.JoinTokens(sg.Span.Slice(pr.Tokens))))
+			sg.Data = &own[len(own)-1]
 		}
 	}
 }
@@ -159,10 +156,11 @@ const BoundSlack = boundSlack
 // rowCellBudget/nt, and segments with larger IDs are evaluated directly.
 const rowCellBudget = 1 << 18
 
-// maxProbeGrams is the number of distinct q-grams of a right-hand record's
-// segments the bitmask row kernel indexes (maskWords 64-bit words a mask).
-// A record with more — its length is the caller's to choose — has its rows
-// evaluated by MSimData.
+// maxProbeGrams is the number of distinct numbered q-grams of a right-hand
+// record's segments — those the left records' dictionary numbers — the
+// bitmask row kernel indexes (maskWords 64-bit words a mask). A record with
+// more — its length is the caller's to choose — has its rows evaluated by
+// MSimData.
 const (
 	maxProbeGrams = 512
 	maskWords     = maxProbeGrams / 64
@@ -237,15 +235,24 @@ type Scratch struct {
 	rowCells int // rowCellBudget; lowered by tests
 
 	// The probe-gram bit index rows are evaluated through, rebuilt with every
-	// new triple: gramBit numbers the distinct q-grams of the right-hand
-	// record's segments, and probeMask holds maskWords words per right-hand
-	// segment with the bits of its grams set, of which the first maskW are in
-	// use. maskW < 0 when the record has no index (maxProbeGrams exceeded, or
-	// fewer than maskWords rows to serve) and its rows are evaluated by
-	// MSimData.
-	gramBit   map[string]uint16
-	probeMask []uint64
-	maskW     int
+	// new triple. rowGrams and rowGramOff are the dictionary's gram table as
+	// adopted (SegDict.gramSets, gramOff), covering every ID below rowN.
+	// gramSlot is indexed by gram number: 1 + the bit of a numbered gram of
+	// the right-hand record, 0 for any other, and slotted lists the numbers
+	// set, which the next triple clears. probeMask holds maskWords words per
+	// right-hand segment with the bits of its numbered grams set, of which the
+	// first maskW are in use, and rowProbe lists the segments' tables for
+	// sim.MSimRow. maskW < 0 when the record has no index (maxProbeGrams
+	// exceeded, or fewer than maskWords rows to serve) and its rows are
+	// evaluated by MSimData.
+	rowGrams   []uint32
+	rowGramOff []uint32
+	gramSlot   []uint16
+	slotted    []uint32
+	probeMask  []uint64
+	maskW      int
+	rowProbe   sim.RowProbe
+	inter      []int32 // maskRow's intersection counts
 
 	// Stats tallies the work done through this scratch.
 	Stats ScratchStats
@@ -472,7 +479,7 @@ func (c *Calculator) cacheRow(sc *Scratch, id uint32, a *sim.SegmentData, pt *Pr
 	if sc.maskW < 0 {
 		c.msimRow(sc, row, a, pt)
 	} else {
-		c.maskRow(sc, row, a, pt)
+		c.maskRow(sc, row, id, a)
 	}
 	best := 0.0
 	for _, w := range row {
@@ -482,26 +489,30 @@ func (c *Calculator) cacheRow(sc *Scratch, id uint32, a *sim.SegmentData, pt *Pr
 	sc.rowStamp[id] = sc.rowGen
 }
 
-// maskRow is msimRow without a string comparison: a's grams are mapped
-// through the probe's bit index into one mask (a gram the probe does not have
-// is in no intersection), and since gram sets hold no duplicates,
+// maskRow is msimRow from array loads: the dictionary's numbers of a's grams
+// are mapped through the probe's slots into one mask (a gram the probe does
+// not have is in no intersection), and since gram sets hold no duplicates,
 // |a.Grams ∩ b_j.Grams| is the population count of that mask against segment
-// j's — the number GramSet.Overlap's merge arrives at.
-func (c *Calculator) maskRow(sc *Scratch, row []float64, a *sim.SegmentData, pt *PreparedRecord) {
+// j's — the number GramSet.Overlap's merge arrives at. sim.MSimRow turns the
+// counts into the row.
+func (c *Calculator) maskRow(sc *Scratch, row []float64, id uint32, a *sim.SegmentData) {
 	var mask [maskWords]uint64
-	for _, g := range a.Grams {
-		if b, ok := sc.gramBit[g]; ok {
+	for _, g := range sc.rowGrams[sc.rowGramOff[id]:sc.rowGramOff[id+1]] {
+		if s := sc.gramSlot[g]; s != 0 {
+			b := s - 1
 			mask[b>>6] |= 1 << (b & 63)
 		}
 	}
 	w := sc.maskW
-	for j := range pt.Segs {
-		inter := 0
+	inter := sc.inter[:len(row)]
+	for j := range inter {
+		n := 0
 		for k, m := range sc.probeMask[j*maskWords:][:w] {
-			inter += bits.OnesCount64(m & mask[k])
+			n += bits.OnesCount64(m & mask[k])
 		}
-		row[j] = c.Ctx.MSimDataOverlap(a, pt.Segs[j].Data, inter)
+		inter[j] = int32(n)
 	}
+	c.Ctx.MSimRow(row, a, &sc.rowProbe, inter)
 	sc.Stats.MSimEvals += int64(len(row))
 }
 
@@ -522,48 +533,67 @@ func (sc *Scratch) adoptRows(ctx *sim.Context, d *SegDict, pt *PreparedRecord) u
 		sc.rowGen = 1
 	}
 	nt := len(pt.Segs)
-	n := min(d.Len(), sc.rowCells/nt)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	n := min(len(d.entries), sc.rowCells/nt)
 	// Whatever Resize leaves in the slices is harmless: a stamp is zero or an
 	// earlier generation's, and values are only read under a current stamp.
 	sc.rowStamp = strutil.Resize(sc.rowStamp, n)
 	sc.rowVals = strutil.Resize(sc.rowVals, n*nt)
 	sc.rowMax = strutil.Resize(sc.rowMax, n)
 	sc.rowN = uint32(n)
-	sc.indexProbeGrams(pt, n)
+	sc.indexProbeGrams(d, pt, n)
 	return sc.rowN
 }
 
-// indexProbeGrams builds the bit index of pt's q-grams for the n rows the
-// cache is about to hold, reusing the table and the mask slice from probe to
-// probe. It is only built when those rows cover at least maskWords IDs, so
-// the masks never take more cells than the rows they serve and stay inside
-// the row cell budget whatever the caller's record looks like.
-func (sc *Scratch) indexProbeGrams(pt *PreparedRecord, n int) {
+// indexProbeGrams builds the bit index of pt's numbered q-grams for the n
+// rows the cache is about to hold, under d's read lock, reusing the slots
+// and the mask slice from probe to probe. It is only built when those rows
+// cover at least maskWords IDs, so the masks never take more cells than the
+// rows they serve and stay inside the row cell budget whatever the caller's
+// record looks like. A probe gram d never numbered gets no bit: no row holds
+// it, and it still counts in |B_j| through len(b_j.Grams).
+func (sc *Scratch) indexProbeGrams(d *SegDict, pt *PreparedRecord, n int) {
 	sc.maskW = -1
+	for _, g := range sc.slotted {
+		sc.gramSlot[g] = 0
+	}
+	sc.slotted = sc.slotted[:0]
 	if n < maskWords {
 		return
 	}
-	if sc.gramBit == nil {
-		sc.gramBit = make(map[string]uint16)
-	}
-	clear(sc.gramBit)
+	// Every slot of the backing array is zero here, so growing within its
+	// capacity brings back no bit. The slots follow the dictionary's
+	// numbering, which inserts extend, so they grow with append's headroom:
+	// a new gram does not make every scratch reallocate them.
+	sc.gramSlot = slices.Grow(sc.gramSlot[:0], len(d.gramNum))[:len(d.gramNum)]
+	sc.rowGrams, sc.rowGramOff = d.gramSets, d.gramOff
 	sc.probeMask = strutil.Resize(sc.probeMask, len(pt.Segs)*maskWords)
 	clear(sc.probeMask)
+	sc.rowProbe.Reset()
 	for j := range pt.Segs {
 		mask := sc.probeMask[j*maskWords:][:maskWords]
-		for _, g := range pt.Segs[j].Data.Grams {
-			b, ok := sc.gramBit[g]
+		b := pt.Segs[j].Data
+		sc.rowProbe.Add(b)
+		for _, g := range b.Grams {
+			num, ok := d.gramNum[g]
 			if !ok {
-				if len(sc.gramBit) == maxProbeGrams {
+				continue
+			}
+			s := sc.gramSlot[num]
+			if s == 0 {
+				if len(sc.slotted) == maxProbeGrams {
 					return
 				}
-				b = uint16(len(sc.gramBit))
-				sc.gramBit[g] = b
+				sc.slotted = append(sc.slotted, num)
+				s = uint16(len(sc.slotted))
+				sc.gramSlot[num] = s
 			}
-			mask[b>>6] |= 1 << (b & 63)
+			mask[(s-1)>>6] |= 1 << ((s - 1) & 63)
 		}
 	}
-	sc.maskW = (len(sc.gramBit) + 63) / 64
+	sc.inter = strutil.Resize(sc.inter, len(pt.Segs))
+	sc.maskW = (len(sc.slotted) + 63) / 64
 }
 
 // coverUpper bounds USIM using the row/column maxima of the msim matrix:

@@ -363,21 +363,28 @@ func BenchmarkVerifyPreparedRejectCover(b *testing.B) {
 }
 
 // BenchmarkVerifyPreparedFirstTouch times what the first pair of a probe to
-// hold a segment text pays: evaluating the text's row, through the probe-gram
-// bitmasks and through MSimData cell by cell.
+// hold a segment text pays: evaluating the text's row, as the engine meets
+// it — an interned left record against a private probe over a catalogue that
+// shares its vocabulary — through the numbered-gram bitmasks and on the
+// direct path, MSimData cell by cell.
 func BenchmarkVerifyPreparedFirstTouch(b *testing.B) {
 	calc := NewCalculator(paperContext())
 	d := NewSegDict()
+	for _, toks := range corpusTokens(rand.New(rand.NewSource(3)), 40) {
+		calc.PrepareIn(d, toks)
+	}
 	ps := calc.PrepareIn(d, []string{"helsingki"})
-	pt := calc.Prepare([]string{"espresso", "cafe", "helsinki", "apple", "cake", "market"})
-	for _, kernel := range []string{"bitmask", "msimdata"} {
-		b.Run(kernel, func(b *testing.B) {
+	pt := calc.PrepareProbe(d, []string{"espresso", "cafe", "helsinki", "apple", "cake", "market"})
+	for _, path := range []string{"numbered", "direct"} {
+		b.Run(path, func(b *testing.B) {
 			sc := NewScratch()
-			sc.adoptRows(calc.Ctx, d, pt)
-			if kernel == "msimdata" {
+			if sc.adoptRows(calc.Ctx, d, pt) <= ps.maxSegID {
+				b.Fatal("the left record has no row slot")
+			}
+			if path == "direct" {
 				sc.maskW = -1
-			} else if sc.maskW < 0 {
-				b.Fatal("the probe has no bit index")
+			} else if sc.maskW <= 0 {
+				b.Fatal("the probe has no numbered gram in its bit index")
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

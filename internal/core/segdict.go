@@ -29,16 +29,28 @@ const segDictCap = 1 << 20
 // separator). A dictionary serves one sim.Context — the tables are
 // context-dependent — and is safe for concurrent use. IDs are process-local
 // and mean nothing outside their dictionary.
+//
+// The dictionary also numbers the q-grams of the texts it interns, so the
+// verifier builds a row's gram mask from array loads (Scratch.maskRow): every
+// distinct gram of an entry's Grams gets a dense number (first-seen order) in
+// gramNum, and entry id's gram set, in Grams order, is
+// gramSets[gramOff[id]:gramOff[id+1]]. The numbers are assigned under the
+// write lock that publishes the entry, before its ID exists, and both slices
+// are append-only, so a reader that captured them under the read lock may
+// index them for every ID below the length it read with them.
 type SegDict struct {
-	mu      sync.RWMutex
-	ids     map[string]uint32
-	entries []*sim.SegmentData // ID → shared table
-	limit   int                // segDictCap; lowered by tests
+	mu       sync.RWMutex
+	ids      map[string]uint32
+	entries  []*sim.SegmentData // ID → shared table
+	gramNum  map[string]uint32  // gram → number
+	gramSets []uint32           // every entry's gram numbers, back to back
+	gramOff  []uint32           // ID → start in gramSets; one more than entries
+	limit    int                // segDictCap; lowered by tests
 }
 
 // NewSegDict returns an empty dictionary.
 func NewSegDict() *SegDict {
-	return &SegDict{ids: make(map[string]uint32), limit: segDictCap}
+	return &SegDict{ids: make(map[string]uint32), gramNum: make(map[string]uint32), gramOff: []uint32{0}, limit: segDictCap}
 }
 
 // Len returns the number of distinct segment texts interned so far; every ID
@@ -49,20 +61,29 @@ func (d *SegDict) Len() int {
 	return len(d.entries)
 }
 
-// read is the probe side's view of the dictionary: every segment gets
+// NumGrams returns the number of distinct q-grams the dictionary has
+// numbered: those of the texts it interned, and no other.
+func (d *SegDict) NumGrams() int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return len(d.gramNum)
+}
+
+// read is the probe side's view of the dictionary: every segment of pr gets
 // NoSegID and, where the dictionary holds its text, the shared derivation
 // table; the number of segments left without one is returned. Nothing is
 // written, and a nil dictionary holds no text.
-func (d *SegDict) read(segs []PreparedSegment) (missing int) {
+func (d *SegDict) read(pr *PreparedRecord) (missing int) {
 	if d != nil {
 		d.mu.RLock()
 		defer d.mu.RUnlock()
 	}
-	for i := range segs {
-		segs[i].ID, segs[i].Data = NoSegID, nil
+	for i := range pr.Segs {
+		sg := &pr.Segs[i]
+		sg.ID, sg.Data = NoSegID, nil
 		if d != nil {
-			if id, ok := d.ids[strutil.JoinTokens(segs[i].Tokens)]; ok {
-				segs[i].Data = d.entries[id]
+			if id, ok := d.ids[strutil.JoinTokens(sg.Span.Slice(pr.Tokens))]; ok {
+				sg.Data = d.entries[id]
 				continue
 			}
 		}
@@ -95,6 +116,15 @@ func (d *SegDict) intern(ctx *sim.Context, tokens []string) (uint32, *sim.Segmen
 	}
 	id = uint32(len(d.entries))
 	d.ids[data.Text] = id
+	for _, g := range data.Grams {
+		n, ok := d.gramNum[g]
+		if !ok {
+			n = uint32(len(d.gramNum))
+			d.gramNum[g] = n
+		}
+		d.gramSets = append(d.gramSets, n)
+	}
+	d.gramOff = append(d.gramOff, uint32(len(d.gramSets)))
 	d.entries = append(d.entries, &data)
 	return id, &data
 }

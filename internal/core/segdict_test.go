@@ -7,10 +7,46 @@ import (
 	"testing"
 )
 
+// checkGramTable holds a dictionary's gram numbering to its definition: the
+// numbers are dense, each distinct gram of the interned texts has exactly one,
+// no other gram has one, and every entry's numbers name exactly its Grams, in
+// order.
+func checkGramTable(t *testing.T, d *SegDict) {
+	t.Helper()
+	gramOf := make([]string, len(d.gramNum))
+	named := make([]bool, len(d.gramNum))
+	for g, n := range d.gramNum {
+		if int(n) >= len(gramOf) || named[n] {
+			t.Fatalf("gram %q has number %d: out of %d, or taken", g, n, len(gramOf))
+		}
+		gramOf[n], named[n] = g, true
+	}
+	if len(d.gramOff) != len(d.entries)+1 || int(d.gramOff[len(d.entries)]) != len(d.gramSets) {
+		t.Fatalf("%d gram offsets, last %d, for %d entries and %d numbers", len(d.gramOff), d.gramOff[len(d.gramOff)-1], len(d.entries), len(d.gramSets))
+	}
+	distinct := map[string]bool{}
+	for id, e := range d.entries {
+		nums := d.gramSets[d.gramOff[id]:d.gramOff[id+1]]
+		if len(nums) != len(e.Grams) {
+			t.Fatalf("entry %d (%q): %d numbers for %d grams", id, e.Text, len(nums), len(e.Grams))
+		}
+		for k, n := range nums {
+			if gramOf[n] != e.Grams[k] {
+				t.Fatalf("entry %d (%q): gram %d is %q, number %d names %q", id, e.Text, k, e.Grams[k], n, gramOf[n])
+			}
+			distinct[e.Grams[k]] = true
+		}
+	}
+	if len(distinct) != d.NumGrams() {
+		t.Fatalf("%d distinct grams in the entries, %d numbered", len(distinct), d.NumGrams())
+	}
+}
+
 // TestSegDictConcurrentIntern interns one corpus from several goroutines at
 // once — a parallel index build, or inserts beside each other — and checks
 // the dictionary stayed a bijection: IDs dense, one per distinct text, and
-// every record of a text sharing the one derivation table.
+// every record of a text sharing the one derivation table; and that the gram
+// numbering interleaved with it did too (checkGramTable).
 func TestSegDictConcurrentIntern(t *testing.T) {
 	calc := NewCalculator(paperContext())
 	corpus := corpusTokens(rand.New(rand.NewSource(23)), 200)
@@ -51,6 +87,7 @@ func TestSegDictConcurrentIntern(t *testing.T) {
 	if len(byID) != d.Len() {
 		t.Fatalf("%d IDs in use, dictionary length %d", len(byID), d.Len())
 	}
+	checkGramTable(t, d)
 }
 
 // TestSegDictAtCap is the one behaviour at the dictionary's cap: a limit
@@ -58,8 +95,8 @@ func TestSegDictConcurrentIntern(t *testing.T) {
 // table lives and nothing else. Records prepared into the capped dictionary
 // carry the tables an unlimited one gives them — what pebble generation and
 // signature selection read — private and under NoSegID for the texts past the
-// cap, probes read the capped dictionary to the same tables, and every
-// VerifyPrepared verdict agrees.
+// cap, probes read the capped dictionary to the same tables, every
+// VerifyPrepared verdict agrees, and the texts past the cap numbered no gram.
 func TestSegDictAtCap(t *testing.T) {
 	calc := NewCalculator(paperContext())
 	rng := rand.New(rand.NewSource(41))
@@ -106,5 +143,9 @@ func TestSegDictAtCap(t *testing.T) {
 	}
 	if past == 0 || capped.Len() != capped.limit {
 		t.Fatalf("%d segments fell past the cap, dictionary length %d at limit %d", past, capped.Len(), capped.limit)
+	}
+	checkGramTable(t, capped)
+	if capped.NumGrams() >= full.NumGrams() {
+		t.Fatalf("%d grams numbered under the cap, %d without: the texts past it numbered theirs", capped.NumGrams(), full.NumGrams())
 	}
 }

@@ -498,6 +498,9 @@ type DynamicStats struct {
 	// distinct segment texts interned over its lifetime (append-only, so
 	// texts only removed records held still count).
 	DistinctSegments int `json:"distinct_segments"`
+	// DistinctGrams is the number of distinct q-grams the dictionary has
+	// numbered for those texts (append-only likewise).
+	DistinctGrams int `json:"distinct_grams"`
 	// CacheHits and CacheMisses are the cumulative counters of the
 	// prepared-record cache consulted on insert (one cache is shared across
 	// all shards; both zero when the cache is disabled).

@@ -430,6 +430,7 @@ func (sv *ShardedView) Stats() DynamicStats {
 			Theta:            sx.opts.Theta,
 			Tau:              sx.tau,
 			DistinctSegments: sx.dict.Len(),
+			DistinctGrams:    sx.dict.NumGrams(),
 		}
 		for _, v := range sv.views {
 			v.addStats(&st)

@@ -171,8 +171,8 @@ func rawsOf(recs []strutil.Record) []string {
 // TestQueriesDoNotGrowDictionary: the probe side reads the index's segment
 // dictionary and never writes it. A thousand queries and one probe batch,
 // many of them carrying tokens no indexed record has, leave DistinctSegments
-// where the build put it; an insert of the same tokens then moves it, so the
-// reading is live.
+// and DistinctGrams where the build put them; an insert of the same tokens
+// then moves both, so the reading is live.
 func TestQueriesDoNotGrowDictionary(t *testing.T) {
 	j := NewJoiner(paperContext())
 	recs := benchCorpus(300, 5)
@@ -184,9 +184,9 @@ func TestQueriesDoNotGrowDictionary(t *testing.T) {
 	}
 	for _, shards := range []int{1, 3} {
 		sx := j.BuildShardedIndex(recs, shards, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
-		built := sx.Stats().DistinctSegments
-		if built == 0 {
-			t.Fatalf("shards=%d: the build interned no segment", shards)
+		built, grams := sx.Stats().DistinctSegments, sx.Stats().DistinctGrams
+		if built == 0 || grams == 0 {
+			t.Fatalf("shards=%d: the build interned %d segments, numbered %d grams", shards, built, grams)
 		}
 		matches := 0
 		for _, q := range queries {
@@ -203,9 +203,15 @@ func TestQueriesDoNotGrowDictionary(t *testing.T) {
 		if got := sx.Stats().DistinctSegments; got != built {
 			t.Errorf("shards=%d: DistinctSegments %d after 1000 queries and a probe batch, %d after the build", shards, got, built)
 		}
+		if got := sx.Stats().DistinctGrams; got != grams {
+			t.Errorf("shards=%d: DistinctGrams %d after 1000 queries and a probe batch, %d after the build", shards, got, grams)
+		}
 		sx.InsertBatch([]string{queries[0].Raw})
 		if got := sx.Stats().DistinctSegments; got <= built {
 			t.Errorf("shards=%d: DistinctSegments %d after inserting %q, want more than %d", shards, got, queries[0].Raw, built)
+		}
+		if got := sx.Stats().DistinctGrams; got <= grams {
+			t.Errorf("shards=%d: DistinctGrams %d after inserting %q, want more than %d", shards, got, queries[0].Raw, grams)
 		}
 	}
 }

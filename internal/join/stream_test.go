@@ -3,6 +3,7 @@ package join
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -424,7 +425,10 @@ func TestBruteForceCtxCancelled(t *testing.T) {
 // TestProbeSeqAllocsBelowBatch enforces the memory contract of the streaming
 // path: consuming ProbeSeq without retaining matches must allocate strictly
 // less than the batch Probe on a result-heavy workload (the batch path pays
-// for the O(results) buffer and its sort; the stream does not).
+// for the O(results) buffer and its sort; the stream does not). The margin is
+// a few dozen allocations, about what one pooled scratch the runtime dropped
+// costs to make again, so each side is read as its minimum over several
+// alternated rounds.
 func TestProbeSeqAllocsBelowBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("result-heavy workload; skipped with -short")
@@ -440,10 +444,8 @@ func TestProbeSeqAllocsBelowBatch(t *testing.T) {
 		t.Fatalf("workload yields %d results, want ≥ 100000", len(results))
 	}
 
-	batchAllocs := testing.AllocsPerRun(1, func() {
-		ix.Probe(probe)
-	})
-	streamAllocs := testing.AllocsPerRun(1, func() {
+	batch := func() { ix.Probe(probe) }
+	stream := func() {
 		count := 0
 		for _, err := range ix.ProbeSeq(context.Background(), probe) {
 			if err != nil {
@@ -455,7 +457,12 @@ func TestProbeSeqAllocsBelowBatch(t *testing.T) {
 		if count != len(results) {
 			t.Errorf("ProbeSeq yielded %d matches, want %d", count, len(results))
 		}
-	})
+	}
+	batchAllocs, streamAllocs := math.Inf(1), math.Inf(1)
+	for round := 0; round < 4; round++ {
+		batchAllocs = min(batchAllocs, testing.AllocsPerRun(1, batch))
+		streamAllocs = min(streamAllocs, testing.AllocsPerRun(1, stream))
+	}
 	t.Logf("allocs: stream=%.0f batch=%.0f (%d results)", streamAllocs, batchAllocs, len(results))
 	if streamAllocs >= batchAllocs {
 		t.Errorf("streaming allocations (%.0f) not below batch (%.0f)", streamAllocs, batchAllocs)

@@ -78,7 +78,7 @@ func (g *Generator) Pebbles(tokens []string) ([]Pebble, []core.Segment) {
 	pr := g.calc.Prepare(tokens)
 	segments := make([]core.Segment, len(pr.Segs))
 	for i, s := range pr.Segs {
-		segments[i] = core.Segment{Span: s.Span, Tokens: s.Tokens, Rule: s.Rule, Entity: s.Entity}
+		segments[i] = core.Segment{Span: s.Span, Tokens: s.Span.Slice(tokens), Rule: s.Rule, Entity: s.Entity}
 	}
 	return g.AppendPebbles(nil, pr), segments
 }

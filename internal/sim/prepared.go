@@ -224,30 +224,65 @@ func (c *Context) MSimData(a, b *SegmentData) float64 {
 	return best
 }
 
-// MSimDataOverlap is MSimData for a caller that has already counted
-// inter = |a.Grams ∩ b.Grams| by other means (the verifier's probe-gram
-// bitmasks): the Jaccard measure is derived from the count under
-// SegmentJaccardData's edge cases instead of merging the two gram sets, and
-// the remaining measures follow in MSimData's order, so for the true count
-// the result is bit-identical to MSimData(a, b).
-func (c *Context) MSimDataOverlap(a, b *SegmentData, inter int) float64 {
-	best := 0.0
+// RowProbe is the right-hand record of an msim row (MSimRow): its segments'
+// tables in order, and — listed once per record, so a row visits only them —
+// the segments with a synonym rule side and the segments with a taxonomy
+// node, the only ones those measures can score.
+type RowProbe struct {
+	segs  []*SegmentData
+	ruled []int32
+	nodes []int32
+}
+
+// Reset empties p for the next record, keeping its buffers.
+func (p *RowProbe) Reset() {
+	p.segs, p.ruled, p.nodes = p.segs[:0], p.ruled[:0], p.nodes[:0]
+}
+
+// Add appends the record's next segment.
+func (p *RowProbe) Add(b *SegmentData) {
+	j := int32(len(p.segs))
+	p.segs = append(p.segs, b)
+	if len(b.LHS) > 0 || len(b.RHS) > 0 {
+		p.ruled = append(p.ruled, j)
+	}
+	if b.Node != taxonomy.InvalidNode {
+		p.nodes = append(p.nodes, j)
+	}
+}
+
+// MSimRow sets row[j] to MSimData(a, b_j) for every segment b_j of p, given
+// inter[j] = |a.Grams ∩ b_j.Grams| counted by the caller (the verifier's
+// probe-gram bitmasks). The measures are taken in MSimData's order, each only
+// where it can score: Jaccard from the count in every cell, under
+// SegmentJaccardData's degenerate cases; the synonym measure, when a has a
+// rule side, in the cells of p's segments with one; the taxonomy measure,
+// when a has a node, in the cells of p's segments with one. Everywhere else
+// those measures are 0 and leave the maximum as it is, so for the true counts
+// every cell is bit-identical to MSimData(a, b_j).
+func (c *Context) MSimRow(row []float64, a *SegmentData, p *RowProbe, inter []int32) {
 	if c.JaccardEnabled() {
-		if v := jaccardFromOverlap(a, b, inter); v > best {
-			best = v
+		for j, b := range p.segs {
+			row[j] = jaccardFromOverlap(a, b, int(inter[j]))
+		}
+	} else {
+		clear(row)
+	}
+	if c.SynonymEnabled() && (len(a.LHS) > 0 || len(a.RHS) > 0) {
+		for _, j := range p.ruled {
+			b := p.segs[j]
+			if v, ok := c.Rules.MatchIDLists(a.LHS, a.RHS, b.LHS, b.RHS); ok && v > row[j] {
+				row[j] = v
+			}
 		}
 	}
-	if c.SynonymEnabled() {
-		if v := c.SegmentSynonymData(a, b); v > best {
-			best = v
+	if c.TaxonomyEnabled() && a.Node != taxonomy.InvalidNode {
+		for _, j := range p.nodes {
+			if v := c.Tax.Similarity(a.Node, p.segs[j].Node); v > row[j] {
+				row[j] = v
+			}
 		}
 	}
-	if c.TaxonomyEnabled() {
-		if v := c.SegmentTaxonomyData(a, b); v > best {
-			best = v
-		}
-	}
-	return best
 }
 
 // jaccardFromOverlap is SegmentJaccardData given the size of the gram
