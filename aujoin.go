@@ -162,23 +162,20 @@ type Stats struct {
 	// auto-suggested τ when AutoTau was enabled, Tau otherwise — clamped to
 	// at least 1, and always 1 under UFilter, which has no τ.
 	SuggestedTau int
-	// VerifiedCandidates counts the candidates whose segment-pair similarity
-	// matrix was filled; PrunedByBound the candidates dismissed before that
-	// by a sound upper bound — the O(1) partition-size ratio or the cover
-	// stage, which reads one cached number per distinct segment text — and
-	// PrunedByCover the cover stage's share. The two add up:
-	// VerifiedCandidates + PrunedByBound == Candidates. MemoHits counts the
-	// segment-pair similarity cells copied into a matrix from a row already
-	// evaluated for the same probe record, MSimEvals the cells that were
-	// computed — at most once per distinct segment text, probe record and
-	// shard, for a matrix or for the cover stage alone, so the two are not
-	// the halves of a hit ratio. One worker verifies all of a probe record's
-	// candidates, so neither depends on Workers.
-	VerifiedCandidates int64
-	PrunedByBound      int64
-	PrunedByCover      int64
-	MemoHits           int64
-	MSimEvals          int64
+	// VerifyStats counts the verify work. VerifiedCandidates counts the
+	// candidates whose segment-pair similarity matrix was filled;
+	// PrunedByBound the candidates dismissed before that by a sound upper
+	// bound — the O(1) partition-size ratio or the cover stage, which reads
+	// one cached number per distinct segment text — and PrunedByCover the
+	// cover stage's share. The two add up: VerifiedCandidates + PrunedByBound
+	// == Candidates. MemoHits counts the segment-pair similarity cells copied
+	// into a matrix from a row already evaluated for the same probe record,
+	// MSimEvals the cells that were computed — at most once per distinct
+	// segment text, probe record and shard, for a matrix or for the cover
+	// stage alone, so the two are not the halves of a hit ratio. One worker
+	// verifies all of a probe record's candidates, so neither depends on
+	// Workers.
+	core.VerifyStats
 	// SuggestionTime, FilterTime and VerifyTime break the total down.
 	// SuggestionTime is the τ estimator's. FilterTime is everything done
 	// once per collection (preparation, signatures, index building) plus
@@ -764,19 +761,15 @@ func (j *Joiner) joinRecords(recsS, recsT []strutil.Record, opts JoinOptions, se
 // publicStats maps the internal join statistics onto the public type.
 func publicStats(jstats join.Stats) Stats {
 	return Stats{
-		Candidates:         jstats.Candidates,
-		ShardCandidates:    jstats.ShardCandidates,
-		Results:            jstats.Results,
-		FilterPostings:     jstats.ProcessedPairs,
-		BitsetTokens:       jstats.BitsetTokens,
-		SliceTokens:        jstats.SliceTokens,
-		VerifiedCandidates: jstats.VerifiedCandidates,
-		PrunedByBound:      jstats.PrunedByBound,
-		PrunedByCover:      jstats.PrunedByCover,
-		MemoHits:           jstats.MemoHits,
-		MSimEvals:          jstats.MSimEvals,
-		SuggestedTau:       jstats.Tau,
-		FilterTime:         jstats.SignatureTime + jstats.FilterTime,
-		VerifyTime:         jstats.VerifyTime,
+		Candidates:      jstats.Candidates,
+		ShardCandidates: jstats.ShardCandidates,
+		Results:         jstats.Results,
+		FilterPostings:  jstats.ProcessedPairs,
+		BitsetTokens:    jstats.BitsetTokens,
+		SliceTokens:     jstats.SliceTokens,
+		VerifyStats:     jstats.VerifyStats,
+		SuggestedTau:    jstats.Tau,
+		FilterTime:      jstats.SignatureTime + jstats.FilterTime,
+		VerifyTime:      jstats.VerifyTime,
 	}
 }

@@ -410,19 +410,24 @@ func TestQueryTopKDegenerateK(t *testing.T) {
 // golden list.
 func TestIndexStatsWireShape(t *testing.T) {
 	var st IndexStats
-	v := reflect.ValueOf(&st).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		switch f := v.Field(i); f.Kind() {
-		case reflect.Int, reflect.Int64:
-			f.SetInt(1)
-		case reflect.Uint64:
-			f.SetUint(1)
-		case reflect.Float64:
-			f.SetFloat(1)
-		default:
-			t.Fatalf("field %s: unhandled kind %v", v.Type().Field(i).Name, f.Kind())
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Int, reflect.Int64:
+				f.SetInt(1)
+			case reflect.Uint64:
+				f.SetUint(1)
+			case reflect.Float64:
+				f.SetFloat(1)
+			case reflect.Struct: // embedded counters
+				fill(f)
+			default:
+				t.Fatalf("field %s: unhandled kind %v", v.Type().Field(i).Name, f.Kind())
+			}
 		}
 	}
+	fill(reflect.ValueOf(&st).Elem())
 	data, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)

@@ -137,9 +137,9 @@ func TestCoverStageDominates(t *testing.T) {
 				}
 			}
 		}
-		if strict == 0 || sc.Stats.PrunedByCover == 0 || sc.Stats.Verified == 0 {
+		if strict == 0 || sc.Stats.PrunedByCover == 0 || sc.Stats.VerifiedCandidates == 0 {
 			t.Errorf("%s: cover stage below the size ratio on %d pairs, dismissed %d, %d matrices filled: the stage or the path behind it never ran",
-				tc.name, strict, sc.Stats.PrunedByCover, sc.Stats.Verified)
+				tc.name, strict, sc.Stats.PrunedByCover, sc.Stats.VerifiedCandidates)
 		}
 	}
 }

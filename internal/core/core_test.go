@@ -305,10 +305,13 @@ func TestSimilarityAtLeast(t *testing.T) {
 	calc := NewCalculator(paperContext())
 	s := strutil.Tokenize("coffee shop latte Helsingki")
 	u := strutil.Tokenize("espresso cafe Helsinki")
-	if !calc.SimilarityAtLeast(s, u, 0.8) {
+	atLeast := func(theta float64) bool {
+		return calc.SimilarityAtLeastPrepared(calc.Prepare(s), calc.Prepare(u), theta, nil)
+	}
+	if !atLeast(0.8) {
 		t.Error("expected similarity ≥ 0.8")
 	}
-	if calc.SimilarityAtLeast(s, u, 0.95) {
+	if atLeast(0.95) {
 		t.Error("similarity should not reach 0.95")
 	}
 }

@@ -166,24 +166,34 @@ const (
 	maskWords     = maxProbeGrams / 64
 )
 
-// ScratchStats counts verify-phase work performed through one Scratch.
-// Callers that want per-operation tallies snapshot the struct before a batch
-// and diff afterwards.
-type ScratchStats struct {
-	// Verified counts record pairs whose msim matrix was filled: they
-	// survived both bounds that need no matrix.
-	Verified int64
+// VerifyStats counts verify-phase work. It is the one declaration of the
+// verify counters: a Scratch increments them, and the engine's statistics —
+// a join's, an index's (with their /stats JSON keys) and the public API's —
+// embed it and sum it with Add.
+type VerifyStats struct {
+	// VerifiedCandidates counts record pairs whose msim matrix was filled:
+	// they survived both bounds that need no matrix.
+	VerifiedCandidates int64 `json:"verified_candidates"`
 	// PrunedByBound counts record pairs dismissed by a sound upper bound
 	// before their msim matrix existed — the O(1) partition-size ratio or the
 	// cover stage; PrunedByCover is the cover stage's share.
-	PrunedByBound int64
-	PrunedByCover int64
+	PrunedByBound int64 `json:"pruned_by_bound"`
+	PrunedByCover int64 `json:"pruned_by_cover"`
 	// MemoHits counts msim cells copied into a matrix from a row already
 	// evaluated for the same probe; MSimEvals counts the cells computed,
 	// whether for a matrix or for the cover stage, which needs a row's
 	// maximum and no matrix.
-	MemoHits  int64
-	MSimEvals int64
+	MemoHits  int64 `json:"memo_hits"`
+	MSimEvals int64 `json:"msim_evals"`
+}
+
+// Add adds o's counters to s's.
+func (s *VerifyStats) Add(o VerifyStats) {
+	s.VerifiedCandidates += o.VerifiedCandidates
+	s.PrunedByBound += o.PrunedByBound
+	s.PrunedByCover += o.PrunedByCover
+	s.MemoHits += o.MemoHits
+	s.MSimEvals += o.MSimEvals
 }
 
 // Scratch holds the reusable working state of one verification worker: the
@@ -254,8 +264,9 @@ type Scratch struct {
 	rowProbe   sim.RowProbe
 	inter      []int32 // maskRow's intersection counts
 
-	// Stats tallies the work done through this scratch.
-	Stats ScratchStats
+	// Stats tallies the work done through this scratch; callers zero it to
+	// start a tally of their own.
+	Stats VerifyStats
 }
 
 // NewScratch returns an empty scratch; buffers grow on first use.
@@ -342,7 +353,7 @@ func (c *Calculator) VerifyPrepared(ps, pt *PreparedRecord, theta float64, sc *S
 	if c.upperBound(sc, ps, pt, theta) < theta-boundSlack {
 		return 0, false
 	}
-	sc.Stats.Verified++
+	sc.Stats.VerifiedCandidates++
 	c.fillMSim(sc, ps, pt)
 	if coverUpper(sc, ps, pt) < theta-boundSlack {
 		return 0, false

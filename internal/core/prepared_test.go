@@ -90,9 +90,9 @@ func TestSimilarityPreparedMatchesTokens(t *testing.T) {
 	}
 }
 
-// TestSimilarityAtLeastMatchesTokens pins the satellite: SimilarityAtLeast
-// is now the real thresholded implementation and must agree with the full
-// computation at every threshold, including both boundary directions.
+// TestSimilarityAtLeastMatchesTokens pins the thresholded verification
+// engine, SimilarityAtLeastPrepared: it must agree with the full computation
+// at every threshold, including both boundary directions.
 func TestSimilarityAtLeastMatchesTokens(t *testing.T) {
 	calc := NewCalculator(paperContext())
 	rng := rand.New(rand.NewSource(99))
@@ -103,8 +103,8 @@ func TestSimilarityAtLeastMatchesTokens(t *testing.T) {
 		want := calc.SimilarityTokens(sTok, tTok)
 		pt := calc.Prepare(tTok)
 		for _, theta := range []float64{0, 0.5, 0.7, 0.8, 0.9, 1, want} {
-			if got := calc.SimilarityAtLeast(sTok, tTok, theta); got != (want >= theta) {
-				t.Fatalf("trial %d θ=%v: SimilarityAtLeast = %v, similarity = %v for %v / %v",
+			if got := calc.SimilarityAtLeastPrepared(calc.Prepare(sTok), pt, theta, nil); got != (want >= theta) {
+				t.Fatalf("trial %d θ=%v: SimilarityAtLeastPrepared of fresh records = %v, similarity = %v for %v / %v",
 					trial, theta, got, want, sTok, tTok)
 			}
 			for _, w := range leftWays(calc, d, sc, sTok) {
@@ -282,20 +282,14 @@ func TestRowCacheGrowthAndBounds(t *testing.T) {
 			if cover >= ratio {
 				t.Fatalf("%s: %v: cover bound %v, size ratio %v: no threshold between them", tc.name, toks, cover, ratio)
 			}
-			before := sc.Stats
+			sc.Stats = VerifyStats{}
 			if _, ok := calc.VerifyPrepared(ps, pt, (cover+ratio)/2, sc); ok {
 				t.Fatalf("%s: %v / %v verified above its cover bound %v", tc.name, toks, probe, cover)
 			}
-			did := ScratchStats{
-				Verified:      sc.Stats.Verified - before.Verified,
-				PrunedByBound: sc.Stats.PrunedByBound - before.PrunedByBound,
-				PrunedByCover: sc.Stats.PrunedByCover - before.PrunedByCover,
-				MemoHits:      sc.Stats.MemoHits - before.MemoHits,
-				MSimEvals:     sc.Stats.MSimEvals - before.MSimEvals,
-			}
-			expect := ScratchStats{PrunedByBound: 1, PrunedByCover: 1}
+			did := sc.Stats
+			expect := VerifyStats{PrunedByBound: 1, PrunedByCover: 1}
 			if beyond > 0 {
-				expect = ScratchStats{Verified: 1, MSimEvals: beyond * nt, MemoHits: (int64(len(ps.Segs)) - beyond) * nt}
+				expect = VerifyStats{VerifiedCandidates: 1, MSimEvals: beyond * nt, MemoHits: (int64(len(ps.Segs)) - beyond) * nt}
 			} else {
 				staged++
 			}

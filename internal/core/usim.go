@@ -172,14 +172,3 @@ func (c *Calculator) SimilarityTokens(sTokens, tTokens []string) float64 {
 	}
 	return best
 }
-
-// SimilarityAtLeast reports whether the unified similarity of the two token
-// sequences reaches the threshold. It prepares both records and runs the
-// thresholded verification engine, so hopeless pairs are rejected by cheap
-// upper bounds before any matching or local search runs. Callers that need
-// the similarity value — or the old unconditional full computation — should
-// use SimilarityTokens; callers verifying one record against many should
-// Prepare it once and use SimilarityAtLeastPrepared.
-func (c *Calculator) SimilarityAtLeast(sTokens, tTokens []string, theta float64) bool {
-	return c.SimilarityAtLeastPrepared(c.Prepare(sTokens), c.Prepare(tTokens), theta, nil)
-}

@@ -362,22 +362,8 @@ func TestProbeTallyStats(t *testing.T) {
 		if len(ps.ShardCandidates) != 3 || sum != ps.Candidates || busy < 2 {
 			t.Errorf("%s: ShardCandidates %v against %d candidates", name, ps.ShardCandidates, ps.Candidates)
 		}
-		for _, c := range []struct {
-			counter       string
-			index, probed int64
-		}{
-			{"ProbePostings", after.ProbePostings - before.ProbePostings, ps.ProcessedPairs},
-			{"ProbeBitsetTokens", after.ProbeBitsetTokens - before.ProbeBitsetTokens, ps.BitsetTokens},
-			{"ProbeSliceTokens", after.ProbeSliceTokens - before.ProbeSliceTokens, ps.SliceTokens},
-			{"VerifiedCandidates+PrunedByBound", after.VerifiedCandidates + after.PrunedByBound - before.VerifiedCandidates - before.PrunedByBound, int64(ps.Candidates)},
-			{"VerifiedCandidates", after.VerifiedCandidates - before.VerifiedCandidates, ps.VerifiedCandidates},
-			{"PrunedByCover", after.PrunedByCover - before.PrunedByCover, ps.PrunedByCover},
-			{"MemoHits", after.MemoHits - before.MemoHits, ps.MemoHits},
-			{"MSimEvals", after.MSimEvals - before.MSimEvals, ps.MSimEvals},
-		} {
-			if c.index != c.probed {
-				t.Errorf("%s: one Probe raised the index's %s by %d and reports %d", name, c.counter, c.index, c.probed)
-			}
+		if got, want := lookupWork(before, after), workOf(ps); got != want {
+			t.Errorf("%s: one Probe raised the index's counters by %+v and reports %+v", name, got, want)
 		}
 	}
 }

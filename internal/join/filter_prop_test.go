@@ -99,11 +99,11 @@ func naiveCandidates(stored [][]uint32, dead func(pos int) bool, base int, sigs 
 // is made of — and returns the candidates as (position, t) pairs with their
 // number (a duplicate would make it exceed the set's size) and the summed
 // tally. limit gives record t's position limit (noLimit outside a self-join).
-func filterRecords(v *shardView, sigs [][]uint32, tau int, limit func(t int) int) (map[pairKey]bool, int, filterTally) {
+func filterRecords(v *shardView, sigs [][]uint32, tau int, limit func(t int) int) (map[pairKey]bool, int, counters) {
 	sc := v.scratch()
 	defer sc.release(&v.sh.pool)
 	cands, n := make(map[pairKey]bool), 0
-	var sum filterTally
+	var sum counters
 	for t, ids := range sigs {
 		recs, tally := v.candidatesRecord(ids, tau, limit(t), sc)
 		sum.add(tally)
@@ -157,11 +157,24 @@ func TestHybridStaticCandidatesMatchClassic(t *testing.T) {
 		if d := diffPairs(got, want); n != len(want) || d != "" {
 			t.Errorf("%s probe: %d candidates, reference %d: %s", name, n, len(want), d)
 		}
-		if tally.postings != processed {
-			t.Errorf("%s probe: processed postings %d, reference %d", name, tally.postings, processed)
+		if tally.ProbePostings != processed {
+			t.Errorf("%s probe: processed postings %d, reference %d", name, tally.ProbePostings, processed)
 		}
-		if tally.bitsetTokens == 0 && ix.inv.DenseKeys() > 0 {
+		if tally.ProbeBitsetTokens == 0 && ix.inv.DenseKeys() > 0 {
 			t.Errorf("%s probe: index has %d dense keys but no bitset lookups", name, ix.inv.DenseKeys())
+		}
+		// Every distinct known ID of a probe signature is one lookup, in one
+		// representation or the other.
+		lookups := int64(0)
+		for _, ids := range sigs {
+			for a, id := range ids {
+				if id != pebble.NoID && (a == 0 || ids[a-1] != id) {
+					lookups++
+				}
+			}
+		}
+		if got := tally.ProbeBitsetTokens + tally.ProbeSliceTokens; got != lookups {
+			t.Errorf("%s probe: %d bitset + %d slice lookups, reference %d", name, tally.ProbeBitsetTokens, tally.ProbeSliceTokens, lookups)
 		}
 
 		// Self-join over the prebuilt signatures: only records preceding the
@@ -172,8 +185,8 @@ func TestHybridStaticCandidatesMatchClassic(t *testing.T) {
 		if d := diffPairs(got, want); n != len(want) || d != "" {
 			t.Errorf("%s self: %d candidates, reference %d: %s", name, n, len(want), d)
 		}
-		if tally.postings != processed {
-			t.Errorf("%s self: processed postings %d, reference %d", name, tally.postings, processed)
+		if tally.ProbePostings != processed {
+			t.Errorf("%s self: processed postings %d, reference %d", name, tally.ProbePostings, processed)
 		}
 	}
 	if !denseSeen {
@@ -242,8 +255,8 @@ func testHybridCandidates(t *testing.T, shards int) {
 				if d := diffPairs(got, want); n != len(want) || d != "" {
 					t.Errorf("%s shard %d: %d candidates, reference %d: %s", name, w, n, len(want), d)
 				}
-				if tally.postings != p {
-					t.Errorf("%s shard %d: processed postings %d, reference %d", name, w, tally.postings, p)
+				if tally.ProbePostings != p {
+					t.Errorf("%s shard %d: processed postings %d, reference %d", name, w, tally.ProbePostings, p)
 				}
 				candidates, processed = candidates+len(want), processed+p
 			}

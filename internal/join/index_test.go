@@ -168,19 +168,8 @@ func TestProbeRecordMatchesProbe(t *testing.T) {
 			if !reflect.DeepEqual(rowsOf(one, ti), got) || len(one) != len(got) {
 				t.Errorf("shards=%d record %d: one-record Probe = %v, ProbeRecordCtx %v", shards, ti, one, got)
 			}
-			probed := Stats{
-				ProcessedPairs:     served.ProbePostings - before.ProbePostings,
-				BitsetTokens:       served.ProbeBitsetTokens - before.ProbeBitsetTokens,
-				SliceTokens:        served.ProbeSliceTokens - before.ProbeSliceTokens,
-				VerifiedCandidates: served.VerifiedCandidates - before.VerifiedCandidates,
-				PrunedByBound:      served.PrunedByBound - before.PrunedByBound,
-				PrunedByCover:      served.PrunedByCover - before.PrunedByCover,
-				MemoHits:           served.MemoHits - before.MemoHits,
-				MSimEvals:          served.MSimEvals - before.MSimEvals,
-			}
-			probed.Candidates = int(probed.VerifiedCandidates + probed.PrunedByBound)
-			if got := workOf(st); got != workOf(probed) {
-				t.Errorf("shards=%d record %d: one-record Probe did %+v, ProbeRecordCtx %+v", shards, ti, got, workOf(probed))
+			if got, want := workOf(st), lookupWork(before, served); got != want {
+				t.Errorf("shards=%d record %d: one-record Probe did %+v, ProbeRecordCtx %+v", shards, ti, got, want)
 			}
 			verified += st.VerifiedCandidates
 		}
@@ -193,14 +182,38 @@ func TestProbeRecordMatchesProbe(t *testing.T) {
 // work is the counters of what a join did — its statistics without the
 // times, the result count and the signature lengths — in comparable form.
 type work struct {
-	postings, bitsetTokens, sliceTokens        int64
-	candidates                                 int
-	verified, pruned, prunedByCover, memo, sim int64
+	counters
+	candidates int
 }
 
 func workOf(st Stats) work {
-	return work{st.ProcessedPairs, st.BitsetTokens, st.SliceTokens, st.Candidates,
-		st.VerifiedCandidates, st.PrunedByBound, st.PrunedByCover, st.MemoHits, st.MSimEvals}
+	return work{counters{ProbePostings: st.ProcessedPairs, ProbeBitsetTokens: st.BitsetTokens,
+		ProbeSliceTokens: st.SliceTokens, VerifyStats: st.VerifyStats}, st.Candidates}
+}
+
+// lookupWork is the work an index's counters grew by between two of its
+// Stats. Lookups report no candidate count: every candidate is either
+// verified or pruned.
+func lookupWork(before, after DynamicStats) work {
+	d := minus(after.counters, before.counters)
+	return work{d, int(d.VerifiedCandidates + d.PrunedByBound)}
+}
+
+// minus returns a − b, field by field, for a struct of integer counters and
+// structs of them.
+func minus[T any](a, b T) T {
+	subtract(reflect.ValueOf(&a).Elem(), reflect.ValueOf(b))
+	return a
+}
+
+func subtract(a, b reflect.Value) {
+	for i := range a.NumField() {
+		if f := a.Field(i); f.Kind() == reflect.Struct {
+			subtract(f, b.Field(i))
+		} else {
+			f.SetInt(f.Int() - b.Field(i).Int())
+		}
+	}
 }
 
 // TestSelfJoinStatsDeduplicated pins the satellite fix: self-join stats

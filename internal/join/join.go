@@ -89,26 +89,18 @@ type Stats struct {
 	SliceTokens  int64
 	// Results is the number of pairs whose unified similarity reached θ.
 	Results int
-	// VerifiedCandidates counts the candidates whose msim matrix was filled:
-	// Candidates minus the pairs a sound upper bound dismissed before it.
-	VerifiedCandidates int64
-	// PrunedByBound counts the candidates dismissed by those bounds — the
-	// O(1) partition-size ratio, the cover stage, or either against the rising
-	// top-k floor — and PrunedByCover the share the cover stage dismissed at
-	// the request's own threshold. VerifiedCandidates + PrunedByBound equals
+	// VerifyStats counts the verify work. VerifiedCandidates is Candidates
+	// minus the pairs a sound upper bound dismissed before their msim matrix
+	// was filled: the PrunedByBound pairs, dismissed by the O(1)
+	// partition-size ratio, the cover stage, or either against the rising
+	// top-k floor, of which PrunedByCover is the cover stage's share at the
+	// request's own threshold. VerifiedCandidates + PrunedByBound equals
 	// Candidates for a request that ran to completion (a candidate with
-	// out-of-range ids counts as neither).
-	PrunedByBound int64
-	PrunedByCover int64
-	// MemoHits counts the msim cells copied into a matrix from a row already
-	// evaluated for the same probe record (the rows live in the verifying
-	// scratch and are keyed by the indexed side's segment IDs); MSimEvals
-	// counts the cells that were computed, for a matrix or for the cover
-	// stage, which reads a row's maximum and fills no matrix. One worker
-	// verifies all of a probe record's candidates, so neither depends on the
-	// worker count.
-	MemoHits  int64
-	MSimEvals int64
+	// out-of-range ids counts as neither). The msim rows MemoHits reads live
+	// in the verifying scratch and are keyed by the indexed side's segment
+	// IDs. One worker verifies all of a probe record's candidates, so neither
+	// MemoHits nor MSimEvals depends on the worker count.
+	core.VerifyStats
 	// Tau is the overlap constraint the filter ran at: the τ the index was
 	// built with (1 under the U-Filter, whatever Options.Tau asked for).
 	Tau int
@@ -268,20 +260,25 @@ func (sc *probeScratch) simScratch() *core.Scratch {
 	return sc.sim
 }
 
-// filterTally aggregates the observability counters of the filter stage:
-// postings is T_τ of the cost model (posting entries and bitmap bits
-// accumulated), bitsetTokens/sliceTokens split the token lookups by posting
-// representation.
-type filterTally struct {
-	postings     int64
-	bitsetTokens int64
-	sliceTokens  int64
+// counters are the engine's work counters: the filter stage's — ProbePostings
+// is T_τ of the cost model (posting entries and bitmap bits accumulated), and
+// ProbeBitsetTokens/ProbeSliceTokens split the token lookups by posting
+// representation — and the verify stage's. They are what one request did on
+// one shard, what one worker of the batch loop did on a shard, and what a
+// shard has done over its lifetime; DynamicStats embeds them. Adding a counter
+// is one field here or in core.VerifyStats, and its increment.
+type counters struct {
+	ProbePostings     int64 `json:"probe_postings"`
+	ProbeBitsetTokens int64 `json:"probe_bitset_tokens"`
+	ProbeSliceTokens  int64 `json:"probe_slice_tokens"`
+	core.VerifyStats
 }
 
-func (t *filterTally) add(o filterTally) {
-	t.postings += o.postings
-	t.bitsetTokens += o.bitsetTokens
-	t.sliceTokens += o.sliceTokens
+func (c *counters) add(o counters) {
+	c.ProbePostings += o.ProbePostings
+	c.ProbeBitsetTokens += o.ProbeBitsetTokens
+	c.ProbeSliceTokens += o.ProbeSliceTokens
+	c.VerifyStats.Add(o.VerifyStats)
 }
 
 // view wraps the index as the one shard of a router of its own — the index's
@@ -445,15 +442,15 @@ type QueryMatch struct {
 // then the always-sparse lists of the delta segments — into per-record
 // overlap counters, considering only base records < limit. It returns the
 // records whose overlap reached τ and are not tombstoned in dead (aliasing
-// the accumulator arena, valid until the next call) and the filter tally.
+// the accumulator arena, valid until the next call) and the filter counters.
 // The counters are left zeroed for reuse. A shard passes its delta chain, its
 // tombstone bitmap and limit = inv.Records(); a self-join, whose shard has
 // neither segments nor tombstones, passes the probe's own position as limit;
 // the τ sweep of a FilterProfile passes no segments and no tombstones.
-func countFilterRecord(inv *invindex.Index, segs []*segment, dead []uint64, ids []uint32, tau, limit int, sc *probeScratch) ([]int32, filterTally) {
+func countFilterRecord(inv *invindex.Index, segs []*segment, dead []uint64, ids []uint32, tau, limit int, sc *probeScratch) ([]int32, counters) {
 	acc := sc.acc
 	acc.Begin(tau)
-	var tally filterTally
+	var tally counters
 	prefix := limit < inv.Records()
 	for a := 0; a < len(ids); {
 		id := ids[a]
@@ -467,8 +464,8 @@ func countFilterRecord(inv *invindex.Index, segs []*segment, dead []uint64, ids 
 			continue // unknown key: no indexed record can carry it
 		}
 		if bs := inv.Bitset(id); bs != nil {
-			tally.bitsetTokens++
-			tally.postings += acc.AddBitset(bs, mult, limit)
+			tally.ProbeBitsetTokens++
+			tally.ProbePostings += acc.AddBitset(bs, mult, limit)
 			if res := bs.Residual(); len(res) != 0 {
 				if prefix {
 					res = res[:sort.Search(len(res), func(k int) bool { return res[k].Record >= limit })]
@@ -480,20 +477,20 @@ func countFilterRecord(inv *invindex.Index, segs []*segment, dead []uint64, ids 
 				acc.AddPostings(res, mult)
 			}
 		} else {
-			tally.sliceTokens++
+			tally.ProbeSliceTokens++
 			postings := inv.Postings(id)
 			if prefix {
 				// Posting lists are sorted by record, so the self-join
 				// restriction to records < limit is a prefix.
 				postings = postings[:sort.Search(len(postings), func(k int) bool { return postings[k].Record >= limit })]
 			}
-			tally.postings += acc.AddPostings(postings, mult)
+			tally.ProbePostings += acc.AddPostings(postings, mult)
 		}
 		for _, seg := range segs {
-			tally.postings += acc.AddPostings(seg.inv.Postings(id), mult)
+			tally.ProbePostings += acc.AddPostings(seg.inv.Postings(id), mult)
 		}
 	}
-	tally.postings += acc.FlushDense(limit)
+	tally.ProbePostings += acc.FlushDense(limit)
 	return acc.Collect(dead), tally
 }
 
@@ -686,7 +683,7 @@ func (fp *FilterProfile) filter(tau int) ([]pairKey, int64) {
 	var processed int64
 	for t, ids := range fp.selectAll(fp.preT, tau) {
 		recs, tally := countFilterRecord(inv, nil, nil, ids, tau, len(fp.preS), sc)
-		processed += tally.postings
+		processed += tally.ProbePostings
 		for _, r := range recs {
 			cands = append(cands, pairKey{int(r), t})
 		}

@@ -144,7 +144,7 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 	}
 
 	shards := snap.Shards
-	sx := j.newRouter(opts, dopts)
+	sx := j.newRouter(opts)
 	sx.nextID = int(snap.NextID)
 
 	// Re-tokenize and rehydrate the prepared records in parallel; both are

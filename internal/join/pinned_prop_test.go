@@ -110,10 +110,8 @@ func TestPlannedEqualsFixed(t *testing.T) {
 							t.Fatalf("%s %+v: ProbeRecordCtx: %v", name, qo, err)
 						}
 					}
-					after := sx.Stats()
-					return [3]int64{after.ProbePostings - before.ProbePostings,
-						after.ProbeBitsetTokens - before.ProbeBitsetTokens,
-						after.ProbeSliceTokens - before.ProbeSliceTokens}
+					d := minus(sx.Stats().counters, before.counters)
+					return [3]int64{d.ProbePostings, d.ProbeBitsetTokens, d.ProbeSliceTokens}
 				}
 				built := filterWork(QueryOpts{ProbeMethod: opts.Method, ProbeTau: sx.tau})
 				for _, qo := range []QueryOpts{{}, {Plan: PlanFixed}} {

@@ -55,7 +55,7 @@ func TestFilterScaleProfile(t *testing.T) {
 	defer pprof.StopCPUProfile()
 	start := time.Now()
 	for rep := 0; rep < 3; rep++ {
-		cands, tally := 0, filterTally{}
+		cands, tally := 0, counters{}
 		for _, ids := range sigs {
 			recs, ft := v.candidatesRecord(ids, ix.tau, noLimit, sc)
 			cands += len(recs)
@@ -63,7 +63,7 @@ func TestFilterScaleProfile(t *testing.T) {
 		}
 		if rep == 0 {
 			t.Logf("filter=%v cands=%d postings=%d bitset=%d slice=%d",
-				time.Since(start), cands, tally.postings, tally.bitsetTokens, tally.sliceTokens)
+				time.Since(start), cands, tally.ProbePostings, tally.ProbeBitsetTokens, tally.ProbeSliceTokens)
 		}
 	}
 	t.Logf("3 reps total %v", time.Since(start))

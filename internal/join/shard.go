@@ -101,43 +101,29 @@ type shard struct {
 	// view sets.
 	gen int
 
-	// Cumulative filter-phase work over every probe served against this
-	// shard's views (single-record, top-k and batch alike), surfaced
-	// through DynamicStats so a serving process can watch the
-	// bitmap-versus-slice mix live. Atomics: probes run concurrently with
-	// each other and with writers.
-	probePostings     atomic.Int64
-	probeBitsetTokens atomic.Int64
-	probeSliceTokens  atomic.Int64
-
-	// Cumulative verify-phase work, the same way: candidates whose msim
-	// matrix was filled, candidates dismissed before it by a sound upper
-	// bound (size ratio, cover stage, or either against the rising top-k
-	// floor) with the cover stage's share of them, and the msim cells copied
-	// from a cached row versus computed.
-	verifyVerified      atomic.Int64
-	verifyPruned        atomic.Int64
-	verifyPrunedByCover atomic.Int64
-	verifyMemoHits      atomic.Int64
-	verifyMSimEvals     atomic.Int64
+	// work is the cumulative work of every request served against this
+	// shard's views (lookups and batch probes alike), surfaced through
+	// DynamicStats so a serving process can watch it live. Requests run
+	// concurrently with each other and with writers, so it has a lock of its
+	// own.
+	workMu sync.Mutex
+	work   counters
 
 	pool sync.Pool // *probeScratch shared across views and generations
 }
 
-// noteProbe folds one probe's filter tally into the cumulative counters.
-func (sh *shard) noteProbe(t filterTally) {
-	sh.probePostings.Add(t.postings)
-	sh.probeBitsetTokens.Add(t.bitsetTokens)
-	sh.probeSliceTokens.Add(t.sliceTokens)
+// note adds one request's work to the shard's total.
+func (sh *shard) note(c counters) {
+	sh.workMu.Lock()
+	sh.work.add(c)
+	sh.workMu.Unlock()
 }
 
-// noteVerify folds one operation's verify tally into the cumulative counters.
-func (sh *shard) noteVerify(t verifyTally) {
-	sh.verifyVerified.Add(t.verified)
-	sh.verifyPruned.Add(t.pruned)
-	sh.verifyPrunedByCover.Add(t.prunedByCover)
-	sh.verifyMemoHits.Add(t.memoHits)
-	sh.verifyMSimEvals.Add(t.msimEvals)
+// total returns the shard's cumulative work.
+func (sh *shard) total() counters {
+	sh.workMu.Lock()
+	defer sh.workMu.Unlock()
+	return sh.work
 }
 
 // segment is one immutable batch of inserted records: a sparse inverted
@@ -152,17 +138,12 @@ type DynamicOptions struct {
 	// RebuildFraction triggers a shard's compaction rebuild when the pebble
 	// keys it appended exceed this fraction of the keys known when its base
 	// was built, or its tombstoned records this fraction of its catalog.
-	// 0 selects the default 0.25; negative disables size-triggered rebuilds
-	// and the router's global re-finalize.
+	// 0 selects the default 0.25.
 	RebuildFraction float64
 	// MaxSegments caps the delta-segment chain length (every insert batch
 	// appends one segment per touched shard); crossing it triggers a
 	// rebuild. 0 selects the default 64.
 	MaxSegments int
-	// CacheSize bounds the prepared-record cache consulted on insert
-	// (core.PreparedCache, one per index, shared by its shards). 0 selects
-	// core.DefaultPreparedCacheSize; negative disables the cache.
-	CacheSize int
 }
 
 const (
@@ -173,7 +154,8 @@ const (
 // newShard wraps a base index — freshly built over one partition, or
 // restored from a snapshot — as a shard and publishes its first view. The
 // base was built under the router's shared order; cache is the router's one
-// prepared-record cache (nil when disabled), shared so delete/re-insert churn
+// prepared-record cache (nil in a one-shot join's view, which nothing is
+// inserted into), shared so delete/re-insert churn
 // hits whichever shard the record lands on; the base's dictionary — the
 // router's, which its records were interned into — is the one inserts keep
 // interning into. deadIDs re-applies a restored shard's tombstones: the
@@ -189,7 +171,7 @@ func newShard(base *Index, dopts DynamicOptions, cache *core.PreparedCache, dead
 		rebuildFraction: dopts.RebuildFraction,
 		maxSegments:     dopts.MaxSegments,
 	}
-	if sh.rebuildFraction == 0 {
+	if sh.rebuildFraction <= 0 {
 		sh.rebuildFraction = defaultRebuildFraction
 	}
 	if sh.maxSegments <= 0 {
@@ -340,9 +322,6 @@ func (sh *shard) maybeRebuildLocked() {
 		sh.rebuildLocked()
 		return
 	}
-	if sh.rebuildFraction < 0 {
-		return
-	}
 	// The trigger compares the keys this shard interned since adoption
 	// (dynAdded) against the keys known at adoption. Counting only our own
 	// interning matters: the shared dynamic region grows from every
@@ -470,30 +449,20 @@ type DynamicStats struct {
 	// shard hybridizes its own base).
 	DenseKeys  int `json:"dense_keys"`
 	SparseKeys int `json:"sparse_keys"`
-	// ProbePostings counts posting entries processed by the count filter
-	// over every probe served since the index was built;
-	// ProbeBitsetTokens and ProbeSliceTokens split the probe signature
-	// tokens by the representation their base posting list was served
-	// from. Summed over the shards.
-	ProbePostings     int64 `json:"probe_postings"`
-	ProbeBitsetTokens int64 `json:"probe_bitset_tokens"`
-	ProbeSliceTokens  int64 `json:"probe_slice_tokens"`
-	// VerifiedCandidates, PrunedByBound, PrunedByCover, MemoHits and
-	// MSimEvals are the cumulative verify-phase counters over every query
-	// served since the index was built: candidates whose msim matrix was
-	// filled; candidates dismissed before it by a sound upper bound (the O(1)
-	// size ratio, the cover stage, or either against the rising top-k floor)
-	// and the share of them the cover stage dismissed at the request's own
-	// threshold; msim cells copied into a matrix from a row the shard's
-	// scratch had already evaluated for the same probe; and msim cells
-	// computed — every one at most once a (segment text, probe, scratch),
-	// for a matrix or for the cover stage, which needs no matrix, so the two
-	// no longer add up to a hit ratio. Summed over the shards.
-	VerifiedCandidates int64 `json:"verified_candidates"`
-	PrunedByBound      int64 `json:"pruned_by_bound"`
-	PrunedByCover      int64 `json:"pruned_by_cover"`
-	MemoHits           int64 `json:"memo_hits"`
-	MSimEvals          int64 `json:"msim_evals"`
+	// counters are the cumulative work of every request served since the
+	// index was built, summed over the shards: ProbePostings counts the
+	// posting entries the count filter processed, and ProbeBitsetTokens and
+	// ProbeSliceTokens split the probe signature tokens by the representation
+	// their base posting list was served from. The verify counters are
+	// candidates whose msim matrix was filled; candidates dismissed before it
+	// by a sound upper bound (the O(1) size ratio, the cover stage, or either
+	// against the rising top-k floor) and the share of them the cover stage
+	// dismissed at the request's own threshold; msim cells copied into a
+	// matrix from a row the shard's scratch had already evaluated for the
+	// same probe; and msim cells computed — every one at most once a (segment
+	// text, probe, scratch), for a matrix or for the cover stage, which needs
+	// no matrix, so the two do not add up to a hit ratio.
+	counters
 	// DistinctSegments is the length of the index's segment dictionary: the
 	// distinct segment texts interned over its lifetime (append-only, so
 	// texts only removed records held still count).
@@ -503,7 +472,7 @@ type DynamicStats struct {
 	DistinctGrams int `json:"distinct_grams"`
 	// CacheHits and CacheMisses are the cumulative counters of the
 	// prepared-record cache consulted on insert (one cache is shared across
-	// all shards; both zero when the cache is disabled).
+	// all shards).
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
 	// Theta and Tau are the join parameters fixed at build time.
@@ -537,9 +506,8 @@ type shardView struct {
 }
 
 // addStats folds this shard's share into the router's aggregate: the
-// snapshot's catalog shape, and the live index-lifetime probe and verify
-// tallies (read fresh, so they include queries served after the view was
-// published).
+// snapshot's catalog shape, and the shard's lifetime work (read fresh, so it
+// includes queries served after the view was published).
 func (v *shardView) addStats(st *DynamicStats) {
 	st.Records += len(v.records)
 	st.Live += v.live
@@ -549,14 +517,7 @@ func (v *shardView) addStats(st *DynamicStats) {
 	st.Inserts += v.inserts
 	st.DenseKeys += v.base.inv.DenseKeys()
 	st.SparseKeys += v.base.inv.SparseKeys()
-	st.ProbePostings += v.sh.probePostings.Load()
-	st.ProbeBitsetTokens += v.sh.probeBitsetTokens.Load()
-	st.ProbeSliceTokens += v.sh.probeSliceTokens.Load()
-	st.VerifiedCandidates += v.sh.verifyVerified.Load()
-	st.PrunedByBound += v.sh.verifyPruned.Load()
-	st.PrunedByCover += v.sh.verifyPrunedByCover.Load()
-	st.MemoHits += v.sh.verifyMemoHits.Load()
-	st.MSimEvals += v.sh.verifyMSimEvals.Load()
+	st.counters.add(v.sh.total())
 	st.BuildTime = max(st.BuildTime, v.base.BuildTime)
 }
 
@@ -598,16 +559,13 @@ func (v *shardView) scratch() *probeScratch {
 // candidatesRecord runs the count filter for one probe signature's IDs across
 // the base index and every delta segment, returning the positions of live
 // records whose overlap reached tau (aliasing the accumulator arena, valid
-// until the next use of sc) and the filter tally, which it also folds into
-// the shard's cumulative counters. tau is the request's overlap constraint —
-// any value in [1, build-τ] is sound against the build-time indexed
-// signatures — and limit its position limit: a self-join counts only the base
-// records below its probe record's own position, every other request passes
-// noLimit.
-func (v *shardView) candidatesRecord(ids []uint32, tau, limit int, sc *probeScratch) ([]int32, filterTally) {
-	cands, tally := countFilterRecord(v.base.inv, v.segs, v.dead, ids, tau, min(limit, v.base.inv.Records()), sc)
-	v.sh.noteProbe(tally)
-	return cands, tally
+// until the next use of sc) and the filter counters. tau is the request's
+// overlap constraint — any value in [1, build-τ] is sound against the
+// build-time indexed signatures — and limit its position limit: a self-join
+// counts only the base records below its probe record's own position, every
+// other request passes noLimit.
+func (v *shardView) candidatesRecord(ids []uint32, tau, limit int, sc *probeScratch) ([]int32, counters) {
+	return countFilterRecord(v.base.inv, v.segs, v.dead, ids, tau, min(limit, v.base.inv.Records()), sc)
 }
 
 // floorTracker is the shared rising floor of one top-k operation: the best
@@ -671,25 +629,27 @@ func bestBoundFirst(a, b candUB) int {
 
 // serve is this shard's share of a request — a lookup, or one probe record of
 // a join: the count filter for the request's probe signature at its overlap
-// constraint, then verification of the survivors. A request of the batch loop
-// (rq.tally set) is told what the two stages did and how long they took.
+// constraint, then verification of the survivors. What the two stages did is
+// added to the shard's total; a request of the batch loop (rq.tally set) is
+// also told, and how long each stage took.
 func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error) {
 	start := time.Now()
 	sc := v.scratch()
 	defer sc.release(&v.sh.pool)
-	cands, ft := v.candidatesRecord(rq.ids, rq.tau, rq.limit, sc)
+	cands, work := v.candidatesRecord(rq.ids, rq.tau, rq.limit, sc)
 	n, filtered := len(cands), time.Now()
-	matches, vt, err := v.verify(ctx, rq, cands, sc)
+	matches, vs, err := v.verify(ctx, rq, cands, sc)
+	work.VerifyStats = vs
+	v.sh.note(work)
 	if rq.tally != nil {
-		rq.tally.add(probeTally{filter: ft, verify: vt, candidates: n, filterTime: filtered.Sub(start), verifyTime: time.Since(filtered)})
+		rq.tally.add(probeTally{counters: work, candidates: n, filterTime: filtered.Sub(start), verifyTime: time.Since(filtered)})
 	}
 	return matches, err
 }
 
 // verify decides a request's candidates on this shard against its prepared
 // query, keeping the rq.k best matches (every match reaching θ when k is
-// unboundedK), and returns them with what the pass did, which it also folds
-// into the shard's cumulative counters. The matches come back unordered — the
+// unboundedK), and returns them with what the pass did. The matches come back unordered — the
 // router merges every shard's share and sorts once. It is the one way the
 // engine verifies candidates, a join's as much as a lookup's: two loops on the
 // calling goroutine, over one heap, on the pooled scratch.
@@ -708,14 +668,12 @@ func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error
 // below the floor cannot enter any final top k, and one exactly at it still
 // passes (VerifyPrepared accepts ≥). So the result is the one a plain scan at
 // θ returns.
-func (v *shardView) verify(ctx context.Context, rq *request, cands []int32, sc *probeScratch) ([]QueryMatch, verifyTally, error) {
+func (v *shardView) verify(ctx context.Context, rq *request, cands []int32, sc *probeScratch) ([]QueryMatch, core.VerifyStats, error) {
 	if len(cands) == 0 {
-		return nil, verifyTally{}, nil
+		return nil, core.VerifyStats{}, nil
 	}
 	calc, theta, sim := v.sh.joiner.calc, v.sh.opts.thetaFor(rq.qo), sc.simScratch()
-	// The pooled scratch's counters span operations: diff against the snapshot
-	// for this request's share.
-	before := sim.Stats
+	sim.Stats = core.VerifyStats{} // the pooled scratch counts this request's work
 	live := sc.cands[:0]
 	err := forCtx(ctx, len(cands), func(i int) {
 		r := cands[i]
@@ -748,19 +706,12 @@ func (v *shardView) verify(ctx context.Context, rq *request, cands []int32, sc *
 			}
 		})
 	}
-	now := sim.Stats
-	vt := verifyTally{
-		verified:      now.Verified - before.Verified,
-		pruned:        now.PrunedByBound - before.PrunedByBound + floored,
-		prunedByCover: now.PrunedByCover - before.PrunedByCover,
-		memoHits:      now.MemoHits - before.MemoHits,
-		msimEvals:     now.MSimEvals - before.MSimEvals,
-	}
-	v.sh.noteVerify(vt)
+	vs := sim.Stats
+	vs.PrunedByBound += floored
 	if err != nil {
-		return nil, vt, err
+		return nil, vs, err
 	}
-	return heap.entries, vt, nil
+	return heap.entries, vs, nil
 }
 
 // topKHeap is a bounded min-heap on similarity (ties broken towards keeping

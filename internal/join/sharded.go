@@ -87,7 +87,7 @@ type ShardedIndex struct {
 	refreezeMu     sync.Mutex
 	refreezes      int             // guarded by refreezeMu
 	refreezePauses []time.Duration // guarded by refreezeMu; whole-refreeze writer stalls
-	noRefreeze     atomic.Bool     // set at build, or at runtime by AdoptOrder/DisableRefreeze
+	noRefreeze     atomic.Bool     // set by AdoptOrder/DisableRefreeze
 	lastView       atomic.Pointer[ShardedView]
 
 	mu     sync.Mutex // guards nextID only; never held during shard work
@@ -112,14 +112,10 @@ func (g *orderGen) outgrown() bool {
 }
 
 // newRouter creates a ShardedIndex without shards: the shared dictionary and
-// cache, and the re-freeze policy the options select.
-func (j *Joiner) newRouter(opts Options, dopts DynamicOptions) *ShardedIndex {
-	sx := &ShardedIndex{joiner: j, opts: opts, tau: opts.tau(), dict: core.NewSegDict()}
-	if dopts.CacheSize >= 0 {
-		sx.cache = core.NewPreparedCache(dopts.CacheSize)
-	}
-	sx.noRefreeze.Store(dopts.RebuildFraction < 0)
-	return sx
+// cache.
+func (j *Joiner) newRouter(opts Options) *ShardedIndex {
+	return &ShardedIndex{joiner: j, opts: opts, tau: opts.tau(), dict: core.NewSegDict(),
+		cache: core.NewPreparedCache(core.DefaultPreparedCacheSize)}
 }
 
 // BuildShardedIndex builds the mutable index over the records, partitioned
@@ -127,13 +123,13 @@ func (j *Joiner) newRouter(opts Options, dopts DynamicOptions) *ShardedIndex {
 // Options (θ, τ, filter method) are fixed for the life of the index, exactly
 // as for BuildIndex; DynamicOptions apply to every shard (thresholds are
 // evaluated against per-shard sizes, so rebuild work is bounded by the
-// shard, and the CacheSize bounds the one cache shared by all shards).
+// shard).
 func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Options, dopts DynamicOptions) *ShardedIndex {
 	start := time.Now()
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	sx := j.newRouter(opts, dopts)
+	sx := j.newRouter(opts)
 	parts := make([][]strutil.Record, shards)
 	for _, rec := range records {
 		w := shardOf(rec.ID, shards)

@@ -105,24 +105,6 @@ feed:
 	return ctx.Err()
 }
 
-// verifyTally aggregates verify-phase work counters across the requests of
-// one run; the values feed Stats and the cumulative index atomics.
-type verifyTally struct {
-	verified      int64
-	pruned        int64
-	prunedByCover int64
-	memoHits      int64
-	msimEvals     int64
-}
-
-func (t *verifyTally) add(o verifyTally) {
-	t.verified += o.verified
-	t.pruned += o.pruned
-	t.prunedByCover += o.prunedByCover
-	t.memoHits += o.memoHits
-	t.msimEvals += o.msimEvals
-}
-
 // pairBatchPool recycles the emit batches flowing from the probe workers to
 // the collector, so steady-state match emission allocates nothing.
 var pairBatchPool = sync.Pool{
@@ -136,16 +118,14 @@ var pairBatchPool = sync.Pool{
 // over the requests it ran there: the counters of both stages, the candidates
 // the filter admitted, and the time each stage took.
 type probeTally struct {
-	filter     filterTally
-	verify     verifyTally
+	counters
 	candidates int
 	filterTime time.Duration
 	verifyTime time.Duration
 }
 
 func (t *probeTally) add(o probeTally) {
-	t.filter.add(o.filter)
-	t.verify.add(o.verify)
+	t.counters.add(o.counters)
 	t.candidates += o.candidates
 	t.filterTime += o.filterTime
 	t.verifyTime += o.verifyTime
@@ -307,14 +287,10 @@ func (sv *ShardedView) probeAll(ctx context.Context, records []strutil.Record, s
 			stats.ShardCandidates[s] += t.candidates
 		}
 		stats.Candidates += sum.candidates
-		stats.ProcessedPairs += sum.filter.postings
-		stats.BitsetTokens += sum.filter.bitsetTokens
-		stats.SliceTokens += sum.filter.sliceTokens
-		stats.VerifiedCandidates += sum.verify.verified
-		stats.PrunedByBound += sum.verify.pruned
-		stats.PrunedByCover += sum.verify.prunedByCover
-		stats.MemoHits += sum.verify.memoHits
-		stats.MSimEvals += sum.verify.msimEvals
+		stats.ProcessedPairs += sum.ProbePostings
+		stats.BitsetTokens += sum.ProbeBitsetTokens
+		stats.SliceTokens += sum.ProbeSliceTokens
+		stats.VerifyStats.Add(sum.VerifyStats)
 		if sum.filterTime+sum.verifyTime > stats.FilterTime+stats.VerifyTime {
 			stats.FilterTime, stats.VerifyTime = sum.filterTime, sum.verifyTime
 		}

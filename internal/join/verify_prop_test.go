@@ -194,7 +194,7 @@ func TestProbeAndJoinMatchPlainVerify(t *testing.T) {
 				ref = runs
 			}
 			for i, r := range runs {
-				if r.work.sim == 0 || !pairsEqual(r.pairs, ref[i].pairs) || r.work != ref[i].work {
+				if r.work.MSimEvals == 0 || !pairsEqual(r.pairs, ref[i].pairs) || r.work != ref[i].work {
 					t.Errorf("%v/θ=%v join %d: at %d workers %d pairs, work %+v; at one worker %d pairs, work %+v",
 						opts.Method, opts.Theta, i, workers, len(r.pairs), r.work, len(ref[i].pairs), ref[i].work)
 				}
@@ -213,13 +213,7 @@ func TestProbeAndJoinMatchPlainVerify(t *testing.T) {
 				}
 				sortPairs(pairs)
 				after, got := one.Stats(), runs[len(runs)-len(shorts)+i]
-				verified, pruned := after.VerifiedCandidates-before.VerifiedCandidates, after.PrunedByBound-before.PrunedByBound
-				lookups := work{
-					after.ProbePostings - before.ProbePostings, after.ProbeBitsetTokens - before.ProbeBitsetTokens, after.ProbeSliceTokens - before.ProbeSliceTokens,
-					int(verified + pruned), // a lookup reports no candidate count: every candidate is one or the other
-					verified, pruned, after.PrunedByCover - before.PrunedByCover,
-					after.MemoHits - before.MemoHits, after.MSimEvals - before.MSimEvals,
-				}
+				lookups := lookupWork(before, after)
 				if !pairsEqual(got.pairs, pairs) || got.work != lookups {
 					t.Errorf("%v/θ=%v at %d workers: Probe of %d records: %d pairs, work %+v; ProbeRecordCtx for the same records: %d pairs, work %+v",
 						opts.Method, opts.Theta, workers, len(short), len(got.pairs), got.work, len(pairs), lookups)
