@@ -643,10 +643,10 @@ func (v *View) Probe(records []string) ([]Match, Stats) {
 }
 
 // ProbeSeq is the streaming form of Probe, under the same contract as
-// Joiner.JoinSeq: matches are yielded in completion order as the parallel
-// verify stage confirms them, breaking out of the range loop stops the
-// pipeline, and a ctx cancellation or deadline surfaces as one final
-// non-nil error.
+// Joiner.JoinSeq: matches are yielded in completion order, a probe record's
+// as soon as the worker that filtered it has verified its candidates,
+// breaking out of the range loop stops the pipeline, and a ctx cancellation
+// or deadline surfaces as one final non-nil error.
 func (v *View) ProbeSeq(ctx context.Context, records []string) iter.Seq2[Match, error] {
 	return v.inner.ProbeSeq(ctx, strutil.NewCollection(records))
 }

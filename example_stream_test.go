@@ -10,9 +10,9 @@ import (
 )
 
 // ExampleJoiner_JoinSeq streams a join instead of buffering it: matches are
-// yielded as the parallel verify stage confirms them, and the context bounds
-// the whole pipeline — sampling, filtering and verification — with one
-// deadline.
+// yielded as soon as the worker that filtered a probe record has verified
+// its candidates, and the context bounds the whole pipeline — sampling,
+// filtering and verification — with one deadline.
 func ExampleJoiner_JoinSeq() {
 	j := aujoin.New(
 		aujoin.WithSynonym("coffee shop", "cafe", 1.0),

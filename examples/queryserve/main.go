@@ -2,9 +2,10 @@
 // Section 3 filtering pipeline through the streaming v2 surface: a catalog
 // is indexed once (signatures, interned pebble order, inverted index), then
 // served with context-bounded single-string queries and a streaming batch
-// probe — matches arrive one at a time as the parallel verify stage confirms
-// them, and every request runs under a deadline (this serving layer is the
-// implementation's extension beyond the paper; see ARCHITECTURE.md).
+// probe — matches arrive as soon as the worker that filtered a probe record
+// has verified its candidates, and every request runs under a deadline
+// (this serving layer is the implementation's extension beyond the paper;
+// see ARCHITECTURE.md).
 //
 // The -deadline flag sets the per-request timeout; try -deadline 1ns to
 // watch every query abort with context.DeadlineExceeded instead of running

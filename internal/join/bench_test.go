@@ -107,7 +107,7 @@ func BenchmarkFilterPhase(b *testing.B) {
 	opts := Options{Theta: 0.8, Tau: 12, Method: pebble.AUDP}
 	sv, prepT := j.joinIndex(s, t, opts)
 	v := sv.views[0]
-	if v.base.inv.DenseKeys() == 0 {
+	if v.inv.DenseKeys() == 0 {
 		b.Fatal("bench corpus produced no dense posting lists; hybrid path unexercised")
 	}
 	sigs := selectSignatures(prepT, sv.gen.sel, opts.Method, sv.sx.tau)

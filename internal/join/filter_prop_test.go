@@ -144,24 +144,25 @@ func TestHybridStaticCandidatesMatchClassic(t *testing.T) {
 	denseSeen := false
 	for _, opts := range propConfigs() {
 		name := fmt.Sprintf("%v/θ=%v", opts.Method, opts.Theta)
-		ix := j.BuildIndex(recs, opts)
-		if ix.inv.DenseKeys() > 0 {
+		sx := j.BuildShardedIndex(recs, 1, opts, DynamicOptions{})
+		sv := sx.Snapshot()
+		v, tau := sv.views[0], sx.tau
+		if v.inv.DenseKeys() > 0 {
 			denseSeen = true
 		}
-		stored := ix.sigIDs
-		v := ix.view().views[0]
+		stored := v.sigIDs
 
-		sigs := selectSignatures(prepareRecords(probe, ix.dict, j.calc.PrepareProbe), ix.sel, opts.Method, ix.tau)
-		got, n, tally := filterRecords(v, sigs, ix.tau, unlimited)
-		want, processed := naiveCandidates(stored, noDead, 0, sigs, ix.tau, func(int) int { return len(stored) })
+		sigs := selectSignatures(prepareRecords(probe, sx.dict, j.calc.PrepareProbe), sv.gen.sel, opts.Method, tau)
+		got, n, tally := filterRecords(v, sigs, tau, unlimited)
+		want, processed := naiveCandidates(stored, noDead, 0, sigs, tau, func(int) int { return len(stored) })
 		if d := diffPairs(got, want); n != len(want) || d != "" {
 			t.Errorf("%s probe: %d candidates, reference %d: %s", name, n, len(want), d)
 		}
 		if tally.ProbePostings != processed {
 			t.Errorf("%s probe: processed postings %d, reference %d", name, tally.ProbePostings, processed)
 		}
-		if tally.ProbeBitsetTokens == 0 && ix.inv.DenseKeys() > 0 {
-			t.Errorf("%s probe: index has %d dense keys but no bitset lookups", name, ix.inv.DenseKeys())
+		if tally.ProbeBitsetTokens == 0 && v.inv.DenseKeys() > 0 {
+			t.Errorf("%s probe: index has %d dense keys but no bitset lookups", name, v.inv.DenseKeys())
 		}
 		// Every distinct known ID of a probe signature is one lookup, in one
 		// representation or the other.
@@ -180,8 +181,8 @@ func TestHybridStaticCandidatesMatchClassic(t *testing.T) {
 		// Self-join over the prebuilt signatures: only records preceding the
 		// probe record count.
 		self := func(t int) int { return t }
-		got, n, tally = filterRecords(v, ix.sigIDs, ix.tau, self)
-		want, processed = naiveCandidates(stored, noDead, 0, ix.sigIDs, ix.tau, self)
+		got, n, tally = filterRecords(v, stored, tau, self)
+		want, processed = naiveCandidates(stored, noDead, 0, stored, tau, self)
 		if d := diffPairs(got, want); n != len(want) || d != "" {
 			t.Errorf("%s self: %d candidates, reference %d: %s", name, n, len(want), d)
 		}

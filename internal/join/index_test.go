@@ -64,8 +64,8 @@ func selfOracle(pairs []Pair) []Pair {
 }
 
 // TestIndexProbeMatchesBruteForce is the oracle property of the
-// build-once/probe-many pipeline: BuildIndex + a probe of its view (and
-// SelfJoin) must return exactly the BruteForce result — same pairs, same
+// build-once/probe-many pipeline: a one-shard index over S probed through
+// a snapshot (and SelfJoin) must return exactly the BruteForce result — same pairs, same
 // similarities — for every filter method, threshold and knowledge-source
 // combination.
 // Note the index is built over S alone, so the probe side exercises the
@@ -86,7 +86,7 @@ func TestIndexProbeMatchesBruteForce(t *testing.T) {
 					}
 					opts := Options{Theta: theta, Tau: tau, Method: method}
 
-					got, stats := j.BuildIndex(s, opts).view().Probe(u)
+					got, stats := j.BuildShardedIndex(s, 1, opts, DynamicOptions{}).Snapshot().Probe(u)
 					if !reflect.DeepEqual(got, wantRS) {
 						t.Errorf("%s θ=%v %v τ=%d: Probe = %v, want %v", name, theta, method, tau, got, wantRS)
 					}
@@ -117,13 +117,13 @@ func TestIndexReuse(t *testing.T) {
 	j := NewJoiner(ctx)
 	s, _ := collections()
 	opts := Options{Theta: 0.75, Tau: 2, Method: pebble.AUDP}
-	ix := j.BuildIndex(s, opts)
+	sv := j.BuildShardedIndex(s, 1, opts, DynamicOptions{}).Snapshot()
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 3; trial++ {
 		u := propertyCorpus(15, rng)
 		want := j.BruteForce(s, u, opts.Theta, nil)
-		first, _ := ix.view().Probe(u)
-		second, _ := ix.view().Probe(u)
+		first, _ := sv.Probe(u)
+		second, _ := sv.Probe(u)
 		if !reflect.DeepEqual(first, want) {
 			t.Errorf("trial %d: probe differs from oracle", trial)
 		}
@@ -131,11 +131,12 @@ func TestIndexReuse(t *testing.T) {
 			t.Errorf("trial %d: repeated probe differs", trial)
 		}
 	}
-	if ix.BuildTime <= 0 {
+	st := sv.Stats()
+	if st.BuildTime <= 0 {
 		t.Error("BuildTime should be positive")
 	}
-	if st := ix.view().Stats(); st.Live != len(s) || st.FrozenKeys == 0 {
-		t.Errorf("view of the index reports %d live records and %d keys, want %d and some", st.Live, st.FrozenKeys, len(s))
+	if st.Live != len(s) || st.FrozenKeys == 0 {
+		t.Errorf("snapshot of the index reports %d live records and %d keys, want %d and some", st.Live, st.FrozenKeys, len(s))
 	}
 }
 

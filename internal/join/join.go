@@ -4,24 +4,24 @@
 // (Algorithm 3 for U-Filter, Algorithm 6 for AU-Filter), and verify the
 // survivors with the unified similarity measure of internal/core.
 //
-// The pipeline is built once and probed many times: BuildIndex interns
-// every pebble into a dense uint32 ID (global frequency order), selects
+// The pipeline is built once and probed many times: building interns every
+// pebble into a dense uint32 ID (global frequency order), selects
 // signatures, and materialises the ID-indexed inverted index; a probe then
 // generates a record's candidates with a count array (classic count
 // filtering) — no string hashing and no map[pair]int in the hot path — and
 // verifies them before the next record is taken. Join and SelfJoin build
-// such an index and run that loop over a one-shard view of it (stream.go),
+// a one-shard index and run that loop over a snapshot of it (stream.go),
 // and FilterProfile re-derives signatures for many τ values from one
 // prepared pebble set (used by the Section 4 estimator).
 //
-// ShardedIndex extends the pipeline to online serving and is the one
-// mutable index: a router over N ≥ 1 private shards that share one pebble
-// order. Each shard is a frozen base Index plus immutable delta segments for
-// inserted records and a tombstone bitmap for removed ones, and publishes
-// snapshot views by atomic pointer swap so queries run lock-free while the
-// catalog mutates (the paper fixes both collections up front; the dynamic
-// layer is this implementation's extension for the serving workload — see
-// ARCHITECTURE.md).
+// ShardedIndex is the one index, and the one that serves online: a router
+// over N ≥ 1 private shards that share one pebble order. Each shard is a
+// frozen base (records, signature IDs and their inverted index) plus
+// immutable delta segments for inserted records and a tombstone bitmap for
+// removed ones, and publishes snapshot views by atomic pointer swap so
+// queries run lock-free while the catalog mutates (the paper fixes both
+// collections up front; the dynamic layer is this implementation's extension
+// for the serving workload — see ARCHITECTURE.md).
 package join
 
 import (
@@ -77,8 +77,7 @@ type Stats struct {
 	Candidates int
 	// ShardCandidates breaks Candidates down per shard (one entry per shard
 	// of the probed view); its entries sum to Candidates. A one-shot join
-	// probes a one-shard view of the index it built, so it reports a single
-	// entry.
+	// probes the one-shard index it built, so it reports a single entry.
 	ShardCandidates []int
 	// BitsetTokens and SliceTokens split the probe-token lookups of the
 	// filter stage by posting representation: tokens whose base posting list
@@ -190,44 +189,6 @@ func (j *Joiner) orderOf(collections ...[]*core.PreparedRecord) *pebble.Order {
 	return order
 }
 
-// Index is a frozen indexed collection: the interned pebble order, the
-// signature IDs and prepared verification records of the collection, and the
-// ID-indexed inverted index, all computed once and never written again. It is
-// not probed itself: it is the base of a shard, and every probe — a one-shot
-// join's included, through view — runs against a snapshot of the
-// ShardedIndex that holds it. Holding an Index costs the prepared records'
-// memory (per record its segment spans; per distinct segment text, once in
-// the index's segment dictionary, the gram set, the gram pebble keys and the
-// rule/taxonomy derivations) on top of the inverted index.
-type Index struct {
-	joiner *Joiner
-	opts   Options
-	tau    int
-	// dict is the segment dictionary the prepared records were interned into
-	// (a router's, for a shard's base); probes read it and never write it.
-	dict *core.SegDict
-
-	order    *pebble.Order
-	sel      *pebble.Selector
-	records  []strutil.Record
-	prepared []*core.PreparedRecord
-	inv      *invindex.Index
-
-	// sigIDs is all an index keeps of a signature: per record the interned
-	// IDs of its selected pebbles, in signature order, duplicates retained.
-	// That is everything the indexed side reads — posting lists, the count
-	// filter, signature lengths, the snapshot, a compaction — whether the
-	// index was built, restored (the entries then alias the decoded
-	// snapshot's buffers) or compacted. Entries are never written after
-	// newBase.
-	sigIDs [][]uint32
-
-	// BuildTime is the wall-clock duration of constructing this index:
-	// newBase's own work (inverted index, hybrid layout), or — for a base
-	// buildIndex made — everything since its caller began preparing records.
-	BuildTime time.Duration
-}
-
 // probeScratch is the state of one request on one shard: the block
 // accumulator holding the arena-allocated overlap counters and touched list,
 // and the verification scratch of the prepared similarity engine.
@@ -279,71 +240,6 @@ func (c *counters) add(o counters) {
 	c.ProbeBitsetTokens += o.ProbeBitsetTokens
 	c.ProbeSliceTokens += o.ProbeSliceTokens
 	c.VerifyStats.Add(o.VerifyStats)
-}
-
-// view wraps the index as the one shard of a router of its own — the index's
-// dictionary and order, no cache — and returns its snapshot: how a one-shot
-// join probes the base it has just built. Nothing is ever inserted into it.
-func (ix *Index) view() *ShardedView {
-	sx := &ShardedIndex{joiner: ix.joiner, opts: ix.opts, tau: ix.tau, dict: ix.dict}
-	sx.shards = []*shard{newShard(ix, DynamicOptions{}, nil, nil)}
-	sx.gen.Store(&orderGen{order: ix.order, sel: ix.sel})
-	return sx.Snapshot()
-}
-
-// BuildIndex prepares the records, computes their global pebble order,
-// selects their signatures and builds the inverted index under the given
-// options (Options.Tau and Options.Theta are fixed at build time; AutoTau-style
-// re-tuning requires a rebuild). The index has a segment dictionary of its
-// own, reachable only through it so that it dies with it.
-func (j *Joiner) BuildIndex(records []strutil.Record, opts Options) *Index {
-	start, dict := time.Now(), core.NewSegDict()
-	prepared := prepareRecords(records, dict, j.calc.PrepareIn)
-	return j.buildIndex(records, prepared, j.orderOf(prepared), opts, dict, start)
-}
-
-// joinIndex is the build half of Join: a view of the index over s under an
-// order spanning both collections, and t prepared for probing it.
-func (j *Joiner) joinIndex(s, t []strutil.Record, opts Options) (*ShardedView, []*core.PreparedRecord) {
-	start, dict := time.Now(), core.NewSegDict()
-	prepS := prepareRecords(s, dict, j.calc.PrepareIn)
-	prepT := prepareRecords(t, dict, j.calc.PrepareProbe)
-	return j.buildIndex(s, prepS, j.orderOf(prepS, prepT), opts, dict, start).view(), prepT
-}
-
-// buildIndex builds an Index over prepared records (positional, interned into
-// dict) under an externally supplied order: it selects every record's
-// signature from its prepared record and hands the IDs to newBase.
-// Preparation is order-independent, so a re-freeze passes the survivors'
-// records through unchanged. start is when the caller began the build.
-func (j *Joiner) buildIndex(records []strutil.Record, prepared []*core.PreparedRecord, order *pebble.Order, opts Options, dict *core.SegDict, start time.Time) *Index {
-	sigIDs := selectSignatures(prepared, pebble.NewSelector(j.gen, order, opts.Theta), opts.Method, opts.tau())
-	ix := j.newBase(records, sigIDs, prepared, order, opts, dict)
-	ix.BuildTime = time.Since(start)
-	return ix
-}
-
-// newBase is the one constructor of an Index: it turns the records'
-// signature IDs and prepared verification records — selected by buildIndex,
-// decoded from a snapshot, or carried over from the base a compaction
-// replaces — into the inverted index and its hybrid layout. The three slices
-// are positional and become the index's own.
-func (j *Joiner) newBase(records []strutil.Record, sigIDs [][]uint32, prepared []*core.PreparedRecord, order *pebble.Order, opts Options, dict *core.SegDict) *Index {
-	start := time.Now()
-	ix := &Index{
-		joiner:   j,
-		opts:     opts,
-		tau:      opts.tau(),
-		dict:     dict,
-		order:    order,
-		sel:      pebble.NewSelector(j.gen, order, opts.Theta),
-		records:  records,
-		sigIDs:   sigIDs,
-		prepared: prepared,
-		inv:      newInverted(sigIDs, order),
-	}
-	ix.BuildTime = time.Since(start)
-	return ix
 }
 
 // newInverted builds the hybridized inverted index over per-record signature
@@ -497,10 +393,9 @@ func countFilterRecord(inv *invindex.Index, segs []*segment, dead []uint64, ids 
 // Join executes the filter-and-verification join between two record
 // collections and returns the matching pairs together with execution
 // statistics. The result pairs are sorted by (S, T) identifiers. Join builds
-// the index over s under a global order spanning both collections and probes
-// a one-shard view of it with t, one record at a time; workloads joining
-// against the same collection repeatedly should hold on to a ShardedIndex
-// instead.
+// a one-shard index over s under a global order spanning both collections
+// and probes it with t, one record at a time; workloads joining against the
+// same collection repeatedly should hold on to a ShardedIndex instead.
 func (j *Joiner) Join(s, t []strutil.Record, opts Options) ([]Pair, Stats) {
 	return collectPairs(func(emit func(Pair) bool) Stats {
 		stats, _ := j.joinStream(context.Background(), s, t, opts, emit)
@@ -514,7 +409,7 @@ func (j *Joiner) Join(s, t []strutil.Record, opts Options) ([]Pair, Stats) {
 // pairs, and Stats reflects the deduplicated work.
 func (j *Joiner) SelfJoin(s []strutil.Record, opts Options) ([]Pair, Stats) {
 	return collectPairs(func(emit func(Pair) bool) Stats {
-		stats, _ := j.BuildIndex(s, opts).view().selfStream(context.Background(), emit)
+		stats, _ := j.selfStream(context.Background(), s, opts, emit)
 		return stats
 	})
 }

@@ -3,7 +3,9 @@ package join
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/aujoin/aujoin/internal/pebble"
 	"github.com/aujoin/aujoin/internal/sim"
@@ -225,6 +227,41 @@ func TestJoinRandomisedAgainstBruteForce(t *testing.T) {
 				t.Errorf("trial %d τ=%d: %d result pairs missing vs brute force", trial, tau, missing)
 			}
 		}
+	}
+}
+
+// TestOneShotJoinKeepsNothing pins who owns a dictionary: the index, never
+// the joiner. A one-shot Join or SelfJoin builds a router of its own —
+// dictionary, cache, order, one shard — and none of it may outlive the call:
+// the heap keeps the result slice and at most 64 KiB besides, where an index
+// over the same 2 000 records keeps over a megabyte. A warm-up run first
+// makes whatever the runtime initialises once (pools, goroutine stacks) part
+// of the baseline.
+func TestOneShotJoinKeepsNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap readings are only meaningful without -race; skipped with -short")
+	}
+	j := NewJoiner(paperContext())
+	s, u := propCorpus(2000, 77), propCorpus(400, 78)
+	opts := Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}
+	for _, c := range []struct {
+		name string
+		run  func() []Pair
+	}{
+		{"Join", func() []Pair { pairs, _ := j.Join(s, u, opts); return pairs }},
+		{"SelfJoin", func() []Pair { pairs, _ := j.SelfJoin(s, opts); return pairs }},
+	} {
+		c.run()
+		pairs, kept := heapKeptBy(c.run)
+		result := int64(cap(pairs)) * int64(unsafe.Sizeof(Pair{}))
+		t.Logf("%s: %d B kept for %d B of pairs", c.name, kept, result)
+		if len(pairs) == 0 {
+			t.Fatalf("%s: no pairs; the reading is vacuous", c.name)
+		}
+		if kept > result+64<<10 {
+			t.Errorf("%s keeps %d B alive for %d B of pairs: the call's router outlived it", c.name, kept, result)
+		}
+		runtime.KeepAlive(pairs)
 	}
 }
 

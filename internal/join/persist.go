@@ -3,6 +3,7 @@ package join
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/pebble"
@@ -126,6 +127,7 @@ func exportOrder(order *pebble.Order) store.OrderData {
 // (synonym rules, taxonomy, measure configuration) the original index used —
 // the context is the one input the snapshot does not carry.
 func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions) (*ShardedIndex, error) {
+	start := time.Now()
 	if snap.NextID > uint64(int(^uint(0)>>1)) {
 		return nil, fmt.Errorf("join: snapshot next ID %d overflows int", snap.NextID)
 	}
@@ -143,8 +145,7 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 		return nil, err
 	}
 
-	shards := snap.Shards
-	sx := j.newRouter(opts)
+	sx := j.newRouter(opts, dopts)
 	sx.nextID = int(snap.NextID)
 
 	// Re-tokenize and rehydrate the prepared records in parallel; both are
@@ -177,16 +178,9 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 	// Re-partition the flat catalog: routing is a pure function of the
 	// stable ID, and the flat list is ascending-ID, so each shard receives
 	// its records in exactly its original position order.
-	type part struct {
-		records  []strutil.Record
-		sigIDs   [][]uint32
-		prepared []*core.PreparedRecord
-		deadIDs  []int
-	}
-	parts := make([]part, shards)
+	parts := make([]part, snap.Shards)
 	for i := range records {
-		w := shardOf(records[i].ID, shards)
-		p := &parts[w]
+		p := &parts[shardOf(records[i].ID, snap.Shards)]
 		p.records = append(p.records, records[i])
 		p.sigIDs = append(p.sigIDs, sigIDs[i])
 		p.prepared = append(p.prepared, prepared[i])
@@ -194,12 +188,6 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 			p.deadIDs = append(p.deadIDs, records[i].ID)
 		}
 	}
-
-	sx.shards = make([]*shard, shards)
-	parallelFor(shards, shards, func(w int) {
-		p := &parts[w]
-		sx.shards[w] = newShard(j.newBase(p.records, p.sigIDs, p.prepared, order, opts, sx.dict), dopts, sx.cache, p.deadIDs)
-	})
-	sx.gen.Store(&orderGen{order: order, sel: pebble.NewSelector(j.gen, order, opts.Theta)})
+	sx.install(order, parts, start)
 	return sx, nil
 }

@@ -37,13 +37,12 @@ func TestFilterScaleProfile(t *testing.T) {
 
 	opts := Options{Theta: 0.9, Tau: 12, Method: pebble.AUHeuristic, Workers: 1}
 	sv, prepT := j.joinIndex(s, tt, opts)
-	v := sv.views[0]
-	ix := v.base
-	sigs := selectSignatures(prepT, ix.sel, opts.Method, ix.tau)
+	v, tau := sv.views[0], sv.sx.tau
+	sigs := selectSignatures(prepT, sv.gen.sel, opts.Method, tau)
 	// residual sizes of the dense lists
 	var resTotal, denseTotal int
-	for _, id := range ix.inv.Keys() {
-		if bs := ix.inv.Bitset(id); bs != nil {
+	for _, id := range v.inv.Keys() {
+		if bs := v.inv.Bitset(id); bs != nil {
 			resTotal += len(bs.Residual())
 			denseTotal++
 		}
@@ -57,7 +56,7 @@ func TestFilterScaleProfile(t *testing.T) {
 	for rep := 0; rep < 3; rep++ {
 		cands, tally := 0, counters{}
 		for _, ids := range sigs {
-			recs, ft := v.candidatesRecord(ids, ix.tau, noLimit, sc)
+			recs, ft := v.candidatesRecord(ids, tau, noLimit, sc)
 			cands += len(recs)
 			tally.add(ft)
 		}

@@ -17,14 +17,16 @@ import (
 )
 
 // shard is one partition of a ShardedIndex, the private building block the
-// router fans requests out over: a frozen base index plus a chain of small
-// immutable delta segments for records inserted since the last rebuild, and
-// a tombstone bitmap for removed records. It exposes only shard-local
-// primitives — count-filter candidates, verification of a ready-made
-// signature, mutation, compaction — and owns no order: the pebble order is
-// the router's and shared with every sibling, so signature keys first seen
-// after the base was built land in that order's append-only dynamic region,
-// and the probe signature is selected once per request, on the router.
+// router fans requests out over, and the whole index of its records: a
+// frozen base (records, prepared records, signature IDs and the inverted
+// index over them) plus a chain of small immutable delta segments for
+// records inserted since the last rebuild, and a tombstone bitmap for
+// removed records. It exposes only shard-local primitives — count-filter
+// candidates, verification of a ready-made signature, mutation, compaction
+// — and owns no order: the pebble order is the router's and shared with
+// every sibling, so signature keys first seen after the base was built land
+// in that order's append-only dynamic region, and the probe signature is
+// selected once per request, on the router.
 //
 // Writers (insertRecords, removeBatch) serialize on an internal mutex, mutate
 // writer-owned state, and publish a fresh immutable shardView via an atomic
@@ -53,21 +55,22 @@ import (
 // order is the router's business alone — a private re-freeze would re-assign
 // IDs the siblings' signatures reference.
 type shard struct {
-	joiner *Joiner
-	opts   Options
-	tau    int
-	cache  *core.PreparedCache
-
-	rebuildFraction float64
-	maxSegments     int
+	// sx is the router: the joiner, options, τ, dictionary, cache and
+	// DynamicOptions the shard works under are its.
+	sx *ShardedIndex
 
 	mu  sync.Mutex // serializes writers; never held by readers
 	cur atomic.Pointer[shardView]
 
-	// Writer-owned state. records, prepared, sigIDs and segs are append-only
-	// while a base is live (published views hold shorter headers); dead is
-	// cloned before every bit set. All of it is replaced wholesale on rebuild.
-	base      *Index
+	// Writer-owned state. The base is gen, the order generation it was built
+	// under, inv, the inverted index over its signature IDs, buildTime, and
+	// the first inv.Records() positions of records, prepared and sigIDs;
+	// adoptBaseLocked replaces all of it wholesale. records, prepared,
+	// sigIDs and segs are append-only while a base is live (published views
+	// hold shorter headers); dead is cloned before every bit set.
+	gen       *orderGen
+	inv       *invindex.Index
+	buildTime time.Duration
 	segs      []*segment
 	records   []strutil.Record
 	prepared  []*core.PreparedRecord
@@ -77,11 +80,12 @@ type shard struct {
 	rebuilds  int
 	inserts   int
 	// sigIDs holds each position's signature IDs, parallel to records — the
-	// base's (Index.sigIDs), then one exact-size entry per inserted record:
-	// what a snapshot stores and a compaction hands to the next base.
-	// sigLenLive is their total length over live positions, so snapshots
-	// report the true mean indexed-side signature length even between
-	// rebuilds.
+	// base's, then one exact-size entry per inserted record: what the count
+	// filter's postings were built from, what a snapshot stores and what a
+	// compaction hands to the next base. Entries are never written after
+	// they are appended. sigLenLive is their total length over live
+	// positions, so snapshots report the true mean indexed-side signature
+	// length even between rebuilds.
 	sigIDs     [][]uint32
 	sigLenLive int
 	// dynAtBuild is the shared order's dynamic-region size when the current
@@ -95,11 +99,6 @@ type shard struct {
 	// pauses records the wall-clock duration of every rebuild, i.e. how long
 	// this shard's writers stalled; readers never pause (RebuildPauses).
 	pauses []time.Duration
-	// gen is the router's order generation this shard's base was built
-	// under. A global re-finalize bumps it on every shard while holding
-	// every writer lock, and snapshots use it to detect mixed-generation
-	// view sets.
-	gen int
 
 	// work is the cumulative work of every request served against this
 	// shard's views (lookups and batch probes alike), surfaced through
@@ -151,79 +150,59 @@ const (
 	defaultMaxSegments     = 64
 )
 
-// newShard wraps a base index — freshly built over one partition, or
-// restored from a snapshot — as a shard and publishes its first view. The
-// base was built under the router's shared order; cache is the router's one
-// prepared-record cache (nil in a one-shot join's view, which nothing is
-// inserted into), shared so delete/re-insert churn
-// hits whichever shard the record lands on; the base's dictionary — the
-// router's, which its records were interned into — is the one inserts keep
-// interning into. deadIDs re-applies a restored shard's tombstones: the
-// restored base holds every record — live and dead — at its original
-// position, so the bits land where the captured index had them and the
-// posting lists match entry for entry.
-func newShard(base *Index, dopts DynamicOptions, cache *core.PreparedCache, deadIDs []int) *shard {
-	sh := &shard{
-		joiner:          base.joiner,
-		opts:            base.opts,
-		tau:             base.tau,
-		cache:           cache,
-		rebuildFraction: dopts.RebuildFraction,
-		maxSegments:     dopts.MaxSegments,
-	}
-	if sh.rebuildFraction <= 0 {
-		sh.rebuildFraction = defaultRebuildFraction
-	}
-	if sh.maxSegments <= 0 {
-		sh.maxSegments = defaultMaxSegments
-	}
-	sh.adoptBaseLocked(base)
-	for _, id := range deadIDs {
-		pos := sh.positions[id]
-		delete(sh.positions, id)
-		sh.dead[pos>>6] |= 1 << (uint(pos) & 63)
-		sh.deadCount++
-		sh.sigLenLive -= len(sh.sigIDs[pos])
-	}
-	sh.publishLocked()
-	return sh
-}
-
-// adoptBaseLocked installs a freshly built base index as the writer state.
-func (sh *shard) adoptBaseLocked(base *Index) {
-	sh.base = base
+// adoptBaseLocked is the one constructor of a shard's base, used by a
+// build, a restore, a compaction and a re-freeze: it makes the positional
+// records, their prepared verification records and their signature IDs —
+// selected under g by install, decoded from a snapshot, or carried over from
+// the base a compaction replaces — the writer state, with the inverted index
+// and its hybrid layout built over the IDs, no segments and no tombstones.
+// The three slices become the shard's own. start is when the work that made
+// the base began (see DynamicStats.BuildTime).
+func (sh *shard) adoptBaseLocked(g *orderGen, records []strutil.Record, prepared []*core.PreparedRecord, sigIDs [][]uint32, start time.Time) {
+	sh.gen = g
+	sh.inv = newInverted(sigIDs, g.order)
 	sh.segs = nil
-	sh.records = base.records
-	sh.prepared = base.prepared
-	sh.dead = make([]uint64, (len(base.records)+63)/64)
+	sh.records, sh.prepared, sh.sigIDs = records, prepared, sigIDs
+	sh.dead = make([]uint64, (len(records)+63)/64)
 	sh.deadCount = 0
-	sh.positions = make(map[int]int, len(base.records))
-	for pos, rec := range base.records {
+	sh.positions = make(map[int]int, len(records))
+	for pos, rec := range records {
 		sh.positions[rec.ID] = pos
 	}
-	sh.sigIDs = base.sigIDs
 	sh.sigLenLive = 0
-	for _, ids := range sh.sigIDs {
+	for _, ids := range sigIDs {
 		sh.sigLenLive += len(ids)
 	}
-	sh.dynAtBuild = base.order.DynamicCount()
+	sh.dynAtBuild = g.order.DynamicCount()
 	sh.dynAdded = 0
+	sh.buildTime = time.Since(start)
+}
+
+// tombstoneLocked removes the live record id at position pos: its bit is
+// set in dead, which the caller has cloned if a published view holds it.
+func (sh *shard) tombstoneLocked(id, pos int) {
+	delete(sh.positions, id)
+	sh.dead[pos>>6] |= 1 << (uint(pos) & 63)
+	sh.deadCount++
+	sh.sigLenLive -= len(sh.sigIDs[pos])
 }
 
 // publishLocked snapshots the writer state into a fresh immutable view and
 // swaps it in for readers.
 func (sh *shard) publishLocked() {
 	v := &shardView{
-		sh:       sh,
-		base:     sh.base,
-		segs:     sh.segs,
-		records:  sh.records,
-		prepared: sh.prepared,
-		dead:     sh.dead,
-		gen:      sh.gen,
-		live:     len(sh.records) - sh.deadCount,
-		rebuilds: sh.rebuilds,
-		inserts:  sh.inserts,
+		sh:        sh,
+		gen:       sh.gen,
+		inv:       sh.inv,
+		buildTime: sh.buildTime,
+		segs:      sh.segs,
+		records:   sh.records,
+		prepared:  sh.prepared,
+		sigIDs:    sh.sigIDs,
+		dead:      sh.dead,
+		live:      len(sh.records) - sh.deadCount,
+		rebuilds:  sh.rebuilds,
+		inserts:   sh.inserts,
 	}
 	if v.live > 0 {
 		v.avgSig = float64(sh.sigLenLive) / float64(v.live)
@@ -252,20 +231,20 @@ func (sh *shard) insertRecords(recs []strutil.Record) {
 	var pebs []pebble.Pebble
 	ends := make([]int, len(recs))
 	for i, rec := range recs {
-		pr := sh.joiner.calc.PrepareCached(sh.cache, sh.base.dict, rec.Tokens)
+		pr := sh.sx.joiner.calc.PrepareCached(sh.sx.cache, sh.sx.dict, rec.Tokens)
 		sh.positions[rec.ID] = len(sh.records)
 		sh.records = append(sh.records, rec)
 		sh.prepared = append(sh.prepared, pr)
-		pebs = sh.joiner.gen.AppendPebbles(pebs, pr)
+		pebs = sh.sx.joiner.gen.AppendPebbles(pebs, pr)
 		ends[i] = len(pebs)
 	}
-	sh.dynAdded += sh.base.order.InternDynamic(pebs)
+	sh.dynAdded += sh.gen.order.InternDynamic(pebs)
 	start := 0
 	for i, end := range ends {
 		pos := first + i
-		pre := sh.base.sel.PrepareGenerated(pebs[start:end:end], sh.prepared[pos])
+		pre := sh.gen.sel.PrepareGenerated(pebs[start:end:end], sh.prepared[pos])
 		start = end
-		ids := signatureIDs(sh.base.sel.Select(pre, sh.opts.Method, sh.tau))
+		ids := signatureIDs(sh.gen.sel.Select(pre, sh.sx.opts.Method, sh.sx.tau))
 		delta.Add(pos, ids)
 		sh.sigIDs = append(sh.sigIDs, ids)
 		sh.sigLenLive += len(ids)
@@ -291,24 +270,19 @@ func (sh *shard) removeBatch(ids []int) []bool {
 	out := make([]bool, len(ids))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var nd []uint64
+	cloned := false
 	for i, id := range ids {
 		pos, ok := sh.positions[id]
 		if !ok {
 			continue
 		}
-		delete(sh.positions, id)
-		if nd == nil {
-			nd = make([]uint64, len(sh.dead))
-			copy(nd, sh.dead)
+		if !cloned {
+			sh.dead, cloned = slices.Clone(sh.dead), true
 		}
-		nd[pos>>6] |= 1 << (uint(pos) & 63)
-		sh.deadCount++
-		sh.sigLenLive -= len(sh.sigIDs[pos])
+		sh.tombstoneLocked(id, pos)
 		out[i] = true
 	}
-	if nd != nil {
-		sh.dead = nd
+	if cloned {
 		sh.maybeRebuildLocked()
 		sh.publishLocked()
 	}
@@ -318,7 +292,7 @@ func (sh *shard) removeBatch(ids []int) []bool {
 // maybeRebuildLocked compacts the shard when the appended pebble mass, the
 // tombstone mass, or the segment chain crosses its threshold.
 func (sh *shard) maybeRebuildLocked() {
-	if len(sh.segs) > sh.maxSegments {
+	if len(sh.segs) > sh.sx.dopts.MaxSegments {
 		sh.rebuildLocked()
 		return
 	}
@@ -329,23 +303,24 @@ func (sh *shard) maybeRebuildLocked() {
 	// shards cross the threshold on the same batch and stall its caller on N
 	// correlated rebuilds — exactly the stop-the-world pause sharding exists
 	// to bound.
-	known := sh.base.order.FrozenKeys() + sh.dynAtBuild
+	known := sh.gen.order.FrozenKeys() + sh.dynAtBuild
 	if known < 1 {
 		known = 1
 	}
-	if sh.dynAdded > 0 && float64(sh.dynAdded) >= sh.rebuildFraction*float64(known) {
+	frac := sh.sx.dopts.RebuildFraction
+	if sh.dynAdded > 0 && float64(sh.dynAdded) >= frac*float64(known) {
 		sh.rebuildLocked()
 		return
 	}
-	if n := len(sh.records); sh.deadCount > 0 && float64(sh.deadCount) >= sh.rebuildFraction*float64(n) {
+	if n := len(sh.records); sh.deadCount > 0 && float64(sh.deadCount) >= frac*float64(n) {
 		sh.rebuildLocked()
 	}
 }
 
-// rebuildLocked compacts the live records into a fresh base index under the
+// rebuildLocked compacts the live records into a fresh base under the
 // shared order's current append-only state — a restore from memory: each
-// survivor's prepared verification record and stored signature go to newBase
-// as they are. Reusing the signature is exact, not an approximation: the
+// survivor's prepared verification record and stored signature go to
+// adoptBaseLocked as they are. Reusing the signature is exact, not an approximation: the
 // order is append-only between re-freezes and every key of an indexed record
 // was interned no later than its insert (invariant 1), so selecting again
 // would sort the same pebbles into the same positions and cut the same
@@ -356,7 +331,7 @@ func (sh *shard) maybeRebuildLocked() {
 func (sh *shard) rebuildLocked() {
 	start := time.Now()
 	live, prep, sigIDs := sh.liveLocked()
-	sh.adoptBaseLocked(sh.joiner.newBase(live, sigIDs, prep, sh.base.order, sh.opts, sh.base.dict))
+	sh.adoptBaseLocked(sh.gen, live, prep, sigIDs, start)
 	sh.rebuilds++
 	sh.pauses = appendPause(sh.pauses, time.Since(start))
 }
@@ -391,20 +366,6 @@ func (sh *shard) liveLocked() ([]strutil.Record, []*core.PreparedRecord, [][]uin
 		sigIDs = append(sigIDs, sh.sigIDs[pos])
 	}
 	return live, prep, sigIDs
-}
-
-// refreezeLocked rebuilds this shard's base under the freshly frozen order
-// of a router re-freeze, stamping the new generation. The caller (the
-// router) holds sh.mu — and every sibling's — for the whole refreeze, so no
-// view mixing old-order bases with the new selector can be published; it
-// also supplies the live records it already collected and logs the whole
-// refreeze as one router-level pause (per-shard entries here would both
-// double-count the stall and hide its corpus-sized total).
-func (sh *shard) refreezeLocked(order *pebble.Order, gen int, live []strutil.Record, prep []*core.PreparedRecord) {
-	sh.gen = gen
-	sh.adoptBaseLocked(sh.joiner.buildIndex(live, prep, order, sh.opts, sh.base.dict, time.Now()))
-	sh.rebuilds++
-	sh.publishLocked()
 }
 
 // rebuildPauses returns the wall-clock durations of recent rebuilds — the
@@ -443,10 +404,10 @@ type DynamicStats struct {
 	// the shards; Inserts the records appended over the index lifetime.
 	Rebuilds int `json:"rebuilds"`
 	Inserts  int `json:"inserts"`
-	// DenseKeys and SparseKeys split the base indexes' non-empty posting
-	// lists by representation: packed bitmap form (lists past the hybrid
-	// density cutoff) versus sorted slice form. Summed over the shards (each
-	// shard hybridizes its own base).
+	// DenseKeys and SparseKeys split the bases' non-empty posting lists by
+	// representation: packed bitmap form (lists past the hybrid density
+	// cutoff) versus sorted slice form. Summed over the shards (each shard
+	// hybridizes its own base).
 	DenseKeys  int `json:"dense_keys"`
 	SparseKeys int `json:"sparse_keys"`
 	// counters are the cumulative work of every request served since the
@@ -482,9 +443,14 @@ type DynamicStats struct {
 	// because benchmark/layers.go:253 reads them.
 	Plans         int64 `json:"-"`
 	PlanFallbacks int64 `json:"-"`
-	// BuildTime is the construction time of the current base indexes: the
-	// slowest shard's build (shards build in parallel). Nanoseconds on the
-	// wire.
+	// BuildTime is the construction time of the current bases, the slowest
+	// shard's (shards build in parallel), each timed from when the work that
+	// made it began: a built base from the start of the build (preparation,
+	// order, signature selection, inverted index), a restored one from the
+	// start of the restore (record rehydration, inverted index), a compacted
+	// one from the start of the compaction (live scan, inverted index), a
+	// re-frozen one from the start of the re-freeze (live scan, order freeze,
+	// signature selection, inverted index). Nanoseconds on the wire.
 	BuildTime time.Duration `json:"build_time_ns"`
 }
 
@@ -492,17 +458,19 @@ type DynamicStats struct {
 // read-only, lock-free and safe for unbounded concurrency; results reflect
 // exactly the mutations published before the router's Snapshot captured it.
 type shardView struct {
-	sh       *shard
-	base     *Index
-	segs     []*segment
-	records  []strutil.Record
-	prepared []*core.PreparedRecord
-	dead     []uint64
-	avgSig   float64 // mean signature length over live records
-	gen      int     // order generation of the base (see shard.gen)
-	live     int     // len(records) minus tombstones
-	rebuilds int
-	inserts  int
+	sh        *shard
+	gen       *orderGen // the generation the base was built under
+	inv       *invindex.Index
+	buildTime time.Duration
+	segs      []*segment
+	records   []strutil.Record
+	prepared  []*core.PreparedRecord
+	sigIDs    [][]uint32
+	dead      []uint64
+	avgSig    float64 // mean signature length over live records
+	live      int     // len(records) minus tombstones
+	rebuilds  int
+	inserts   int
 }
 
 // addStats folds this shard's share into the router's aggregate: the
@@ -515,23 +483,10 @@ func (v *shardView) addStats(st *DynamicStats) {
 	st.Segments += len(v.segs)
 	st.Rebuilds += v.rebuilds
 	st.Inserts += v.inserts
-	st.DenseKeys += v.base.inv.DenseKeys()
-	st.SparseKeys += v.base.inv.SparseKeys()
+	st.DenseKeys += v.inv.DenseKeys()
+	st.SparseKeys += v.inv.SparseKeys()
 	st.counters.add(v.sh.total())
-	st.BuildTime = max(st.BuildTime, v.base.BuildTime)
-}
-
-// record returns the record with the given stable ID, if it is live in this
-// snapshot.
-func (v *shardView) record(id int) (strutil.Record, bool) {
-	// Positions are writer state, so scan is by stable ID; the method is a
-	// convenience for serving layers, not a hot path.
-	for pos := range v.records {
-		if v.records[pos].ID == id && v.alive(pos) {
-			return v.records[pos], true
-		}
-	}
-	return strutil.Record{}, false
+	st.BuildTime = max(st.BuildTime, v.buildTime)
 }
 
 // alive reports whether the record at a position is not tombstoned in this
@@ -557,7 +512,7 @@ func (v *shardView) scratch() *probeScratch {
 }
 
 // candidatesRecord runs the count filter for one probe signature's IDs across
-// the base index and every delta segment, returning the positions of live
+// the base and every delta segment, returning the positions of live
 // records whose overlap reached tau (aliasing the accumulator arena, valid
 // until the next use of sc) and the filter counters. tau is the request's
 // overlap constraint — any value in [1, build-τ] is sound against the
@@ -565,7 +520,7 @@ func (v *shardView) scratch() *probeScratch {
 // counts only the base records below its probe record's own position, every
 // other request passes noLimit.
 func (v *shardView) candidatesRecord(ids []uint32, tau, limit int, sc *probeScratch) ([]int32, counters) {
-	return countFilterRecord(v.base.inv, v.segs, v.dead, ids, tau, min(limit, v.base.inv.Records()), sc)
+	return countFilterRecord(v.inv, v.segs, v.dead, ids, tau, min(limit, v.inv.Records()), sc)
 }
 
 // floorTracker is the shared rising floor of one top-k operation: the best
@@ -672,7 +627,7 @@ func (v *shardView) verify(ctx context.Context, rq *request, cands []int32, sc *
 	if len(cands) == 0 {
 		return nil, core.VerifyStats{}, nil
 	}
-	calc, theta, sim := v.sh.joiner.calc, v.sh.opts.thetaFor(rq.qo), sc.simScratch()
+	calc, theta, sim := v.sh.sx.joiner.calc, v.sh.sx.opts.thetaFor(rq.qo), sc.simScratch()
 	sim.Stats = core.VerifyStats{} // the pooled scratch counts this request's work
 	live := sc.cands[:0]
 	err := forCtx(ctx, len(cands), func(i int) {

@@ -70,6 +70,9 @@ type ShardedIndex struct {
 	joiner *Joiner
 	opts   Options
 	tau    int
+	// dopts are the thresholds every shard's compaction trigger reads, with
+	// the defaults filled in.
+	dopts  DynamicOptions
 	shards []*shard
 	cache  *core.PreparedCache
 	// dict is the index's one segment dictionary, shared by every shard, the
@@ -95,12 +98,12 @@ type ShardedIndex struct {
 }
 
 // orderGen is one immutable generation of the shared global order: the
-// order itself, the selector over it, and a monotonically increasing id
-// matched against the per-shard view stamps.
+// order itself and the selector over it. Every shard's base records the
+// generation it was built under, and only install makes a new one, so two
+// bases share an order exactly when they point at the same orderGen.
 type orderGen struct {
 	order *pebble.Order
 	sel   *pebble.Selector
-	id    int
 }
 
 // outgrown reports whether the order's append-only dynamic region has grown
@@ -111,29 +114,34 @@ func (g *orderGen) outgrown() bool {
 	return g.order.DynamicCount() >= max(g.order.FrozenKeys(), 1)
 }
 
-// newRouter creates a ShardedIndex without shards: the shared dictionary and
-// cache.
-func (j *Joiner) newRouter(opts Options) *ShardedIndex {
-	return &ShardedIndex{joiner: j, opts: opts, tau: opts.tau(), dict: core.NewSegDict(),
+// newRouter creates a ShardedIndex without shards: the options, the
+// defaulted DynamicOptions, and the shared dictionary and cache.
+func (j *Joiner) newRouter(opts Options, dopts DynamicOptions) *ShardedIndex {
+	if dopts.RebuildFraction <= 0 {
+		dopts.RebuildFraction = defaultRebuildFraction
+	}
+	if dopts.MaxSegments <= 0 {
+		dopts.MaxSegments = defaultMaxSegments
+	}
+	return &ShardedIndex{joiner: j, opts: opts, tau: opts.tau(), dopts: dopts, dict: core.NewSegDict(),
 		cache: core.NewPreparedCache(core.DefaultPreparedCacheSize)}
 }
 
 // BuildShardedIndex builds the mutable index over the records, partitioned
 // across the given number of shards (≤ 0 selects GOMAXPROCS). The join
-// Options (θ, τ, filter method) are fixed for the life of the index, exactly
-// as for BuildIndex; DynamicOptions apply to every shard (thresholds are
-// evaluated against per-shard sizes, so rebuild work is bounded by the
-// shard).
+// Options (θ, τ, filter method) are fixed for the life of the index;
+// DynamicOptions apply to every shard (thresholds are evaluated against
+// per-shard sizes, so rebuild work is bounded by the shard).
 func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Options, dopts DynamicOptions) *ShardedIndex {
 	start := time.Now()
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	sx := j.newRouter(opts)
-	parts := make([][]strutil.Record, shards)
+	sx := j.newRouter(opts, dopts)
+	parts := make([]part, shards)
 	for _, rec := range records {
-		w := shardOf(rec.ID, shards)
-		parts[w] = append(parts[w], rec)
+		p := &parts[shardOf(rec.ID, shards)]
+		p.records = append(p.records, rec)
 		if rec.ID >= sx.nextID {
 			sx.nextID = rec.ID + 1
 		}
@@ -144,18 +152,51 @@ func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Op
 	// shard count.
 	prepared := make([][]*core.PreparedRecord, shards)
 	for w := range parts {
-		prepared[w] = prepareRecords(parts[w], sx.dict, j.calc.PrepareIn)
+		parts[w].prepared = prepareRecords(parts[w].records, sx.dict, j.calc.PrepareIn)
+		prepared[w] = parts[w].prepared
 	}
-	order := j.orderOf(prepared...)
-	order.Finalize()
-	sx.shards = make([]*shard, shards)
-	parallelFor(shards, shards, func(w int) {
-		sx.shards[w] = newShard(j.buildIndex(parts[w], prepared[w], order, opts, sx.dict, start), dopts, sx.cache, nil)
-	})
-	// id 0 matches the zero-value generation stamp every freshly built shard
-	// publishes.
-	sx.gen.Store(&orderGen{order: order, sel: pebble.NewSelector(j.gen, order, opts.Theta)})
+	sx.install(j.orderOf(prepared...), parts, start)
 	return sx
+}
+
+// part is one shard's share of an install: positional records and their
+// prepared verification records, their signature IDs (nil: select them
+// under the new order), and the stable IDs of those that are tombstoned.
+type part struct {
+	records  []strutil.Record
+	prepared []*core.PreparedRecord
+	sigIDs   [][]uint32
+	deadIDs  []int
+}
+
+// install is the one assembly of a router's shards, shared by a build, a
+// restore, a one-shot join and a re-freeze: it makes a generation of order
+// — freezing it — and, shard by shard in parallel, selects the signatures of
+// a part that has none, adopts the part as the shard's base under that
+// generation, re-applies its tombstones and publishes the shard's view; then
+// the generation becomes the router's. The shards are created on the first
+// install; a re-freeze holds every writer lock across it. start is when the
+// caller began the work the bases' build time reports.
+func (sx *ShardedIndex) install(order *pebble.Order, parts []part, start time.Time) {
+	g := &orderGen{order: order, sel: pebble.NewSelector(sx.joiner.gen, order, sx.opts.Theta)}
+	if sx.shards == nil {
+		sx.shards = make([]*shard, len(parts))
+		for w := range sx.shards {
+			sx.shards[w] = &shard{sx: sx}
+		}
+	}
+	parallelFor(len(parts), len(parts), func(w int) {
+		p, sh := &parts[w], sx.shards[w]
+		if p.sigIDs == nil {
+			p.sigIDs = selectSignatures(p.prepared, g.sel, sx.opts.Method, sx.tau)
+		}
+		sh.adoptBaseLocked(g, p.records, p.prepared, p.sigIDs, start)
+		for _, id := range p.deadIDs {
+			sh.tombstoneLocked(id, sh.positions[id])
+		}
+		sh.publishLocked()
+	})
+	sx.gen.Store(g)
 }
 
 // shardOf routes a stable record ID to its shard. IDs are allocated
@@ -223,9 +264,7 @@ func (sx *ShardedIndex) maybeRefreeze() {
 	}
 	start := time.Now()
 	sx.refreezeLocked(func(live [][]*core.PreparedRecord) *pebble.Order {
-		order := sx.joiner.orderOf(live...)
-		order.Finalize()
-		return order
+		return sx.joiner.orderOf(live...)
 	})
 	// The whole stop-the-world window — live scans, order freeze and every
 	// shard rebuild — is one writer stall; log it whole so the pause
@@ -237,31 +276,28 @@ func (sx *ShardedIndex) maybeRefreeze() {
 // refreezeLocked is the index's one stop-the-world step, shared by the
 // self-triggered global re-finalize and AdoptOrder; the caller holds
 // refreezeMu. Every shard's writer lock is held while the live records are
-// collected, freeze turns them into the next frozen order, and every shard
-// is rebuilt under it with the bumped generation — from the prepared records
-// the shards hold, so a re-freeze segments nothing. Readers never stall:
-// with all writer locks held the current per-shard views are the exact
-// pre-refreeze state and necessarily one generation, so they are cached for
-// Snapshot to serve until the new generation is fully published.
+// collected, freeze turns them into the next frozen order, and install
+// rebuilds every shard under it — from the prepared records the shards hold,
+// so a re-freeze segments nothing. Readers never stall: with all writer
+// locks held the current per-shard views are the exact pre-refreeze state
+// and necessarily one generation, so they are cached for Snapshot to serve
+// until the new generation is fully published.
 func (sx *ShardedIndex) refreezeLocked(freeze func(live [][]*core.PreparedRecord) *pebble.Order) {
 	defer sx.lockShards()()
-	g := sx.gen.Load()
+	start := time.Now()
 	pre := make([]*shardView, len(sx.shards))
 	// One live scan serves both the order build and the per-shard base
 	// rebuilds.
-	liveAll := make([][]strutil.Record, len(sx.shards))
-	prepAll := make([][]*core.PreparedRecord, len(sx.shards))
+	parts := make([]part, len(sx.shards))
+	live := make([][]*core.PreparedRecord, len(sx.shards))
 	for w, sh := range sx.shards {
 		pre[w] = sh.snapshot()
-		liveAll[w], prepAll[w], _ = sh.liveLocked()
+		parts[w].records, live[w], _ = sh.liveLocked()
+		parts[w].prepared = live[w]
+		sh.rebuilds++
 	}
-	sx.lastView.Store(&ShardedView{sx: sx, gen: g, views: pre})
-	order := freeze(prepAll)
-	next := &orderGen{order: order, sel: pebble.NewSelector(sx.joiner.gen, order, sx.opts.Theta), id: g.id + 1}
-	parallelFor(len(sx.shards), len(sx.shards), func(w int) {
-		sx.shards[w].refreezeLocked(order, next.id, liveAll[w], prepAll[w])
-	})
-	sx.gen.Store(next)
+	sx.lastView.Store(&ShardedView{sx: sx, gen: sx.gen.Load(), views: pre})
+	sx.install(freeze(live), parts, start)
 	// The pre-refreeze view has served its purpose; dropping it releases
 	// the superseded generation's bases for collection (readers that
 	// already hold it keep it alive only as long as they keep it).
@@ -349,7 +385,7 @@ func (sx *ShardedIndex) Snapshot() *ShardedView {
 		consistent := true
 		for w, sh := range sx.shards {
 			views[w] = sh.snapshot()
-			if views[w].gen != g.id {
+			if views[w].gen != g {
 				consistent = false
 				break
 			}
@@ -437,12 +473,6 @@ func (sv *ShardedView) Stats() DynamicStats {
 		sv.stats = st
 	})
 	return sv.stats
-}
-
-// Record returns the record with the given stable ID, if it is live in this
-// snapshot; the ID's hash identifies the one shard that can hold it.
-func (sv *ShardedView) Record(id int) (strutil.Record, bool) {
-	return sv.views[shardOf(id, len(sv.views))].record(id)
 }
 
 // Live returns the snapshot's live records across all shards, in ascending

@@ -278,8 +278,9 @@ func TestShardedIndexGlobalRefreeze(t *testing.T) {
 		if st.Rebuilds <= sx.Refreezes()*shards {
 			t.Fatalf("shards=%d: churn crossed no compaction rebuild before the refreeze: %+v", shards, st)
 		}
-		if rec, ok := sx.Snapshot().Record(keep); !ok || rec.Raw != "coffee shop latte helsinki" {
-			t.Fatalf("shards=%d: stable id %d lost across the refreeze: %+v %v", shards, keep, rec, ok)
+		live := sx.Snapshot().Live()
+		if i := slices.IndexFunc(live, func(rec strutil.Record) bool { return rec.ID == keep }); i < 0 || live[i].Raw != "coffee shop latte helsinki" {
+			t.Fatalf("shards=%d: stable id %d lost across the refreeze", shards, keep)
 		}
 		check("post-refreeze")
 		// Removing the novel records and mutating further keeps working on the

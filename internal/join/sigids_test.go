@@ -17,10 +17,11 @@ import (
 // weigh the same.
 
 // TestCompactionKeepsSignatures states the invariant that licenses
-// rebuildLocked to hand stored signatures to newBase: after inserts into the
-// order's dynamic region, removes and MaxSegments-forced compactions, every
-// position of every shard still holds exactly the IDs of the signature the
-// current generation's selector selects for that record now.
+// rebuildLocked to hand stored signatures to adoptBaseLocked: after inserts
+// into the order's dynamic region, removes and MaxSegments-forced
+// compactions, every position of every shard still holds exactly the IDs of
+// the signature the current generation's selector selects for that record
+// now.
 func TestCompactionKeepsSignatures(t *testing.T) {
 	j := NewJoiner(paperContext())
 	recs := propCorpus(600, 33)
@@ -93,10 +94,10 @@ func TestBuiltIndexShapeEqualsRestored(t *testing.T) {
 					if !slices.EqualFunc(b.sigIDs, r.sigIDs, func(x, y []uint32) bool { return slices.Equal(x, y) }) {
 						t.Errorf("%s shard %d: stored signatures differ between built and restored", name, w)
 					}
-					if bd, rd := b.base.inv.DenseKeys(), r.base.inv.DenseKeys(); bd != rd {
+					if bd, rd := b.inv.DenseKeys(), r.inv.DenseKeys(); bd != rd {
 						t.Errorf("%s shard %d: %d dense keys built, %d restored", name, w, bd, rd)
 					}
-					if bs, rs := b.base.inv.SparseKeys(), r.base.inv.SparseKeys(); bs != rs {
+					if bs, rs := b.inv.SparseKeys(), r.inv.SparseKeys(); bs != rs {
 						t.Errorf("%s shard %d: %d sparse keys built, %d restored", name, w, bs, rs)
 					}
 					if ba, ra := bv.views[w].avgSig, rv.views[w].avgSig; ba != ra {
@@ -133,12 +134,16 @@ func TestBuiltIndexShapeEqualsRestored(t *testing.T) {
 }
 
 // heapKeptBy returns what build made and the live heap it keeps: the growth
-// of the heap in use across the call, garbage collected on both sides.
+// of the heap in use across the call, garbage collected twice on both sides
+// — a sync.Pool's contents survive the first collection in its victim cache,
+// so one collection would count the scratch a dead index's pool still holds.
 func heapKeptBy[T any](build func() T) (T, int64) {
 	var before, after runtime.MemStats
 	runtime.GC()
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	v := build()
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	return v, int64(after.HeapAlloc) - int64(before.HeapAlloc)

@@ -347,6 +347,17 @@ func (j *Joiner) joinStream(ctx context.Context, s, t []strutil.Record, opts Opt
 	return sv.probePrepared(ctx, t, prepT, time.Since(start), emit)
 }
 
+// joinIndex is the build half of Join: a router of the join's own — its
+// dictionary, its cache — with one shard over s under an order spanning both
+// collections, and t prepared for probing it.
+func (j *Joiner) joinIndex(s, t []strutil.Record, opts Options) (*ShardedView, []*core.PreparedRecord) {
+	start, sx := time.Now(), j.newRouter(opts, DynamicOptions{})
+	prepS := prepareRecords(s, sx.dict, j.calc.PrepareIn)
+	prepT := prepareRecords(t, sx.dict, j.calc.PrepareProbe)
+	sx.install(j.orderOf(prepS, prepT), []part{{records: s, prepared: prepS}}, start)
+	return sx.Snapshot(), prepT
+}
+
 // SelfJoinSeq is the streaming form of SelfJoin: each unordered pair (i < j)
 // is yielded at most once, in completion order.
 func (j *Joiner) SelfJoinSeq(ctx context.Context, s []strutil.Record, opts Options) iter.Seq2[Pair, error] {
@@ -354,17 +365,20 @@ func (j *Joiner) SelfJoinSeq(ctx context.Context, s []strutil.Record, opts Optio
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		_, err := j.BuildIndex(s, opts).view().selfStream(ctx, emit)
+		_, err := j.selfStream(ctx, s, opts, emit)
 		return err
 	})
 }
 
-// selfStream runs the batch loop of a static base's one-shard view against
-// the base's own records, over the signatures and prepared records the build
-// already made.
-func (sv *ShardedView) selfStream(ctx context.Context, emit func(Pair) bool) (Stats, error) {
-	base := sv.views[0].base
-	return sv.probeAll(ctx, base.records, base.sigIDs, base.prepared, true, base.BuildTime, emit)
+// selfStream is the shared body of SelfJoin and SelfJoinSeq: it builds a
+// one-shard index over s and runs the batch loop against the shard's own
+// records, over the signatures and prepared records the build already made.
+// The shard holds s in input order, so record t is probed against the
+// positions below t.
+func (j *Joiner) selfStream(ctx context.Context, s []strutil.Record, opts Options, emit func(Pair) bool) (Stats, error) {
+	sv := j.BuildShardedIndex(s, 1, opts, DynamicOptions{}).Snapshot()
+	v := sv.views[0]
+	return sv.probeAll(ctx, v.records, v.sigIDs, v.prepared, true, v.buildTime, emit)
 }
 
 // probeStream prepares the probe records against the index's dictionary and

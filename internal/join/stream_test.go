@@ -85,8 +85,8 @@ func TestSeqMatchesBatch(t *testing.T) {
 				t.Errorf("%v θ=%v: SelfJoinSeq %v != SelfJoin %v", method, theta, gotSelf, wantSelf)
 			}
 
-			// An index built over S alone, probed through its view.
-			sv := j.BuildIndex(s, opts).view()
+			// An index built over S alone, probed through a snapshot.
+			sv := j.BuildShardedIndex(s, 1, opts, DynamicOptions{}).Snapshot()
 			wantProbe, _ := sv.Probe(u)
 			gotProbe, err := collectSeq(t, sv.ProbeSeq(context.Background(), u))
 			if err != nil {

@@ -226,62 +226,3 @@ func (sc *Scratch) hungarianMinFlat(n int) []int {
 	}
 	return sc.rowSol
 }
-
-// MaxWeightGreedy computes a 2-approximate matching by repeatedly taking the
-// heaviest remaining edge. It exists as a fast verification-stage fallback
-// and as an oracle-free cross-check in tests; the join pipeline uses
-// MaxWeight.
-func MaxWeightGreedy(weights [][]float64) Result {
-	n := len(weights)
-	m := 0
-	if n > 0 {
-		m = len(weights[0])
-	}
-	res := Result{RowMatch: make([]int, n), ColMatch: make([]int, m)}
-	for i := range res.RowMatch {
-		res.RowMatch[i] = -1
-	}
-	for j := range res.ColMatch {
-		res.ColMatch[j] = -1
-	}
-	type edge struct {
-		i, j int
-		w    float64
-	}
-	edges := make([]edge, 0, n*m)
-	for i := 0; i < n; i++ {
-		for j := 0; j < m; j++ {
-			if weights[i][j] > epsilon {
-				edges = append(edges, edge{i, j, weights[i][j]})
-			}
-		}
-	}
-	// Simple selection of the best edge each round; the edge count in
-	// verification is tiny (segments per string), so O(E^2) is fine.
-	usedRow := make([]bool, n)
-	usedCol := make([]bool, m)
-	for {
-		best := -1
-		bestW := 0.0
-		for k, e := range edges {
-			if usedRow[e.i] || usedCol[e.j] {
-				continue
-			}
-			if e.w > bestW {
-				bestW = e.w
-				best = k
-			}
-		}
-		if best < 0 {
-			break
-		}
-		e := edges[best]
-		usedRow[e.i] = true
-		usedCol[e.j] = true
-		res.RowMatch[e.i] = e.j
-		res.ColMatch[e.j] = e.i
-		res.Total += e.w
-		res.Pairs = append(res.Pairs, Assignment{Row: e.i, Col: e.j, Weight: e.w})
-	}
-	return res
-}

@@ -134,43 +134,6 @@ func TestMaxWeightNegativeTreatedAsZero(t *testing.T) {
 	}
 }
 
-func TestMaxWeightGreedyIsHalfApprox(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(6)
-		m := 1 + rng.Intn(6)
-		w := make([][]float64, n)
-		for i := range w {
-			w[i] = make([]float64, m)
-			for j := range w[i] {
-				w[i][j] = rng.Float64()
-			}
-		}
-		opt := MaxWeight(w).Total
-		greedy := MaxWeightGreedy(w).Total
-		if greedy > opt+1e-9 {
-			t.Fatalf("greedy exceeded optimum: %v > %v", greedy, opt)
-		}
-		if greedy < opt/2-1e-9 {
-			t.Fatalf("greedy below 1/2-approximation: %v < %v/2", greedy, opt)
-		}
-	}
-}
-
-func TestMaxWeightGreedyValidMatching(t *testing.T) {
-	w := [][]float64{{0.5, 0.6}, {0.7, 0.1}}
-	res := MaxWeightGreedy(w)
-	if len(res.Pairs) != 2 {
-		t.Fatalf("expected 2 pairs, got %d", len(res.Pairs))
-	}
-	if math.Abs(res.Total-1.3) > 1e-9 {
-		t.Errorf("greedy total = %v, want 1.3", res.Total)
-	}
-	if res.RowMatch[0] != 1 || res.RowMatch[1] != 0 {
-		t.Errorf("unexpected greedy matching %v", res.RowMatch)
-	}
-}
-
 func TestEmptyDimensions(t *testing.T) {
 	res := MaxWeight([][]float64{})
 	if res.Total != 0 || len(res.Pairs) != 0 {
@@ -179,10 +142,6 @@ func TestEmptyDimensions(t *testing.T) {
 	res = MaxWeight([][]float64{{}, {}})
 	if res.Total != 0 {
 		t.Errorf("zero-column result = %+v", res)
-	}
-	res = MaxWeightGreedy([][]float64{})
-	if res.Total != 0 {
-		t.Errorf("greedy empty result = %+v", res)
 	}
 }
 
