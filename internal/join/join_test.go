@@ -251,17 +251,19 @@ func TestOneShotJoinKeepsNothing(t *testing.T) {
 		{"Join", func() []Pair { pairs, _ := j.Join(s, u, opts); return pairs }},
 		{"SelfJoin", func() []Pair { pairs, _ := j.SelfJoin(s, opts); return pairs }},
 	} {
-		c.run()
-		pairs, kept := heapKeptBy(c.run)
-		result := int64(cap(pairs)) * int64(unsafe.Sizeof(Pair{}))
-		t.Logf("%s: %d B kept for %d B of pairs", c.name, kept, result)
-		if len(pairs) == 0 {
-			t.Fatalf("%s: no pairs; the reading is vacuous", c.name)
-		}
-		if kept > result+64<<10 {
-			t.Errorf("%s keeps %d B alive for %d B of pairs: the call's router outlived it", c.name, kept, result)
-		}
-		runtime.KeepAlive(pairs)
+		t.Run(c.name, func(t *testing.T) {
+			c.run()
+			pairs, kept := heapKeptBy(c.run)
+			result := int64(cap(pairs)) * int64(unsafe.Sizeof(Pair{}))
+			t.Logf("%d B kept for %d B of pairs", kept, result)
+			if len(pairs) == 0 {
+				t.Fatal("no pairs; the reading is vacuous")
+			}
+			if kept > result+64<<10 {
+				t.Errorf("keeps %d B alive for %d B of pairs: the call's router outlived it", kept, result)
+			}
+			runtime.KeepAlive(pairs)
+		})
 	}
 }
 
