@@ -105,12 +105,11 @@ func BenchmarkFilterPhase(b *testing.B) {
 	s := filterCorpus(400, 1)
 	t := filterCorpus(400, 2)
 	opts := Options{Theta: 0.8, Tau: 12, Method: pebble.AUDP}
-	sv, prepT := j.joinIndex(s, t, opts)
+	sv, _, sigs := j.joinIndex(s, t, opts)
 	v := sv.views[0]
 	if v.inv.DenseKeys() == 0 {
 		b.Fatal("bench corpus produced no dense posting lists; hybrid path unexercised")
 	}
-	sigs := selectSignatures(prepT, sv.gen.sel, opts.Method, sv.sx.tau)
 	sc := v.scratch()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -136,11 +135,11 @@ func BenchmarkVerify(b *testing.B) {
 	s := benchCorpus(400, 1)
 	t := benchCorpus(400, 2)
 	opts := Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}
-	sv, prepT := j.joinIndex(s, t, opts)
+	sv, prepT, sigs := j.joinIndex(s, t, opts)
 	v := sv.views[0]
 	sc := v.scratch()
 	cands := make([][]int32, len(prepT))
-	for i, ids := range selectSignatures(prepT, sv.gen.sel, opts.Method, sv.sx.tau) {
+	for i, ids := range sigs {
 		recs, _ := v.candidatesRecord(ids, sv.sx.tau, noLimit, sc)
 		cands[i] = slices.Clone(recs)
 	}

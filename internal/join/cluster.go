@@ -130,7 +130,8 @@ func (sx *ShardedIndex) KeyFrequencies() ([]string, []int) {
 	unlock()
 	sx.refreezeMu.Unlock()
 
-	return sx.joiner.orderOf(live...).FrequencyTable()
+	order, _ := sx.joiner.orderOf(live...)
+	return order.FrequencyTable()
 }
 
 // AdoptOrder replaces the index's pebble order with an externally built
@@ -155,15 +156,18 @@ func (sx *ShardedIndex) AdoptOrder(keys []string, freqs []int) error {
 	}
 	sx.refreezeMu.Lock()
 	defer sx.refreezeMu.Unlock()
-	sx.refreezeLocked(func(live [][]*core.PreparedRecord) *pebble.Order {
+	sx.refreezeLocked(func(live ...[]*core.PreparedRecord) (*pebble.Order, [][][]pebble.Pebble) {
 		// Defensive intern: any live key the image lacks — none, when nothing
 		// raced the builder — joins the dynamic region before signatures are
-		// re-selected under the adopted order.
-		var buf, missing []pebble.Pebble
-		for _, part := range live {
-			for _, pr := range part {
-				buf = sx.joiner.gen.AppendPebbles(buf[:0], pr)
-				for _, p := range buf {
+		// re-selected under the adopted order, from the pebbles generated
+		// here.
+		generated := make([][][]pebble.Pebble, len(live))
+		var missing []pebble.Pebble
+		for w, part := range live {
+			generated[w] = make([][]pebble.Pebble, len(part))
+			for i, pr := range part {
+				generated[w][i] = sx.joiner.gen.AppendPebbles(nil, pr)
+				for _, p := range generated[w][i] {
 					if _, ok := order.ID(p.Key); !ok {
 						missing = append(missing, p)
 					}
@@ -171,7 +175,7 @@ func (sx *ShardedIndex) AdoptOrder(keys []string, freqs []int) error {
 			}
 		}
 		order.InternDynamic(missing)
-		return order
+		return order, generated
 	})
 	sx.noRefreeze.Store(true)
 	return nil

@@ -86,7 +86,7 @@ func TestQueryAllocsPinned(t *testing.T) {
 	j := NewJoiner(paperContext())
 	probe := benchCorpus(64, 9)
 	ctx, qo := context.Background(), QueryOpts{}
-	for _, pin := range []struct{ shards, topK, probe int }{{1, 30, 30}, {3, 36, 36}} {
+	for _, pin := range []struct{ shards, topK, probe int }{{1, 15, 15}, {3, 22, 22}} {
 		sx := j.BuildShardedIndex(benchCorpus(400, 1), pin.shards, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
 		i := 0
 		topK := testing.AllocsPerRun(10*len(probe), func() {
@@ -101,6 +101,32 @@ func TestQueryAllocsPinned(t *testing.T) {
 		if topK > float64(pin.topK) || rec > float64(pin.probe) {
 			t.Errorf("shards=%d: allocs per query top-k %.0f (ceiling %d), probe %.0f (ceiling %d)",
 				pin.shards, topK, pin.topK, rec, pin.probe)
+		}
+	}
+}
+
+// TestJoinBuildAllocsPinned caps the heap objects the build half of a
+// one-shot join makes per record: joinIndex prepares both collections,
+// counts the order over the pebbles it generates, selects every signature
+// from those pebbles — the indexed side's and the probe side's — and builds
+// the index. The ceiling is the measured count rounded up (AllocsPerRun runs
+// at GOMAXPROCS 1, so the worker loops run inline whatever the machine).
+// Skipped with -short, as the query pins are.
+func TestJoinBuildAllocsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are only meaningful without -race; skipped with -short")
+	}
+	j := NewJoiner(paperContext())
+	s, u := benchCorpus(400, 1), benchCorpus(400, 2)
+	for _, pin := range []struct {
+		method  pebble.Method
+		ceiling float64
+	}{{pebble.AUDP, 12}, {pebble.AUHeuristic, 12}} {
+		opts := Options{Theta: 0.8, Tau: 2, Method: pin.method}
+		perRecord := testing.AllocsPerRun(5, func() { j.joinIndex(s, u, opts) }) / float64(len(s)+len(u))
+		t.Logf("%v: %.2f allocs per record", pin.method, perRecord)
+		if perRecord > pin.ceiling {
+			t.Errorf("%v: %.2f allocs per record built and signed (ceiling %v)", pin.method, perRecord, pin.ceiling)
 		}
 	}
 }

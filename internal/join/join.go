@@ -172,21 +172,36 @@ func (j *Joiner) BuildOrder(collections ...[]strutil.Record) *pebble.Order {
 	for i, coll := range collections {
 		prepared[i] = prepareRecords(coll, nil, j.calc.PrepareProbe)
 	}
-	return j.orderOf(prepared...)
+	order, _ := j.orderOf(prepared...)
+	return order
 }
 
 // orderOf constructs the global pebble frequency order over the given
-// collections of prepared records.
-func (j *Joiner) orderOf(collections ...[]*core.PreparedRecord) *pebble.Order {
-	order := pebble.NewOrder()
-	var buf []pebble.Pebble
+// collections of prepared records and returns it with the pebbles it
+// generated to count: generated[c][i] are record i of collection c's, in
+// generation order, a window of one arena sized up front. Signature selection
+// sorts each window in place and selects from it, so a record's pebbles are
+// generated once per order.
+func (j *Joiner) orderOf(collections ...[]*core.PreparedRecord) (*pebble.Order, [][][]pebble.Pebble) {
+	n := 0
 	for _, coll := range collections {
 		for _, pr := range coll {
-			buf = j.gen.AppendPebbles(buf[:0], pr)
-			order.Add(buf)
+			n += j.gen.Count(pr)
 		}
 	}
-	return order
+	order := pebble.NewOrder()
+	arena := make([]pebble.Pebble, 0, n)
+	generated := make([][][]pebble.Pebble, len(collections))
+	for c, coll := range collections {
+		generated[c] = make([][]pebble.Pebble, len(coll))
+		for i, pr := range coll {
+			start := len(arena)
+			arena = j.gen.AppendPebbles(arena, pr)
+			generated[c][i] = arena[start:len(arena):len(arena)]
+			order.Add(generated[c][i])
+		}
+	}
+	return order, generated
 }
 
 // probeScratch is the state of one request on one shard: the block
@@ -415,11 +430,17 @@ func (j *Joiner) SelfJoin(s []strutil.Record, opts Options) ([]Pair, Stats) {
 }
 
 // selectSignatures selects every prepared record's signature in parallel and
-// returns their IDs.
-func selectSignatures(prepared []*core.PreparedRecord, sel *pebble.Selector, method pebble.Method, tau int) [][]uint32 {
+// returns their IDs: from generated[i], the record's pebbles as orderOf
+// generated them (sorted in place), or, when generated is nil, from pebbles
+// generated here.
+func selectSignatures(prepared []*core.PreparedRecord, generated [][]pebble.Pebble, sel *pebble.Selector, method pebble.Method, tau int) [][]uint32 {
 	out := make([][]uint32, len(prepared))
 	parallelFor(len(prepared), 0, func(i int) {
-		out[i] = signatureIDs(sel.RecordSignature(prepared[i], method, tau))
+		if generated == nil {
+			out[i] = signatureIDs(sel.RecordSignature(prepared[i], method, tau))
+			return
+		}
+		out[i] = signatureIDs(sel.Select(sel.PrepareGenerated(generated[i], prepared[i]), method, tau))
 	})
 	return out
 }
@@ -487,7 +508,7 @@ func (j *Joiner) NewFilterProfile(s, t []strutil.Record, opts Options) *FilterPr
 	dict := core.NewSegDict()
 	prepS := prepareRecords(s, dict, j.calc.PrepareIn)
 	prepT := prepareRecords(t, dict, j.calc.PrepareProbe)
-	order := j.orderOf(prepS, prepT)
+	order, generated := j.orderOf(prepS, prepT)
 	sel := pebble.NewSelector(j.gen, order, opts.Theta)
 	return &FilterProfile{
 		calc:    j.calc,
@@ -498,16 +519,17 @@ func (j *Joiner) NewFilterProfile(s, t []strutil.Record, opts Options) *FilterPr
 		workers: opts.workers(),
 		prepS:   prepS,
 		prepT:   prepT,
-		preS:    presigs(prepS, sel),
-		preT:    presigs(prepT, sel),
+		preS:    presigs(prepS, generated[0], sel),
+		preT:    presigs(prepT, generated[1], sel),
 	}
 }
 
-// presigs runs Selector.PrepareRecord for every record in parallel.
-func presigs(prepared []*core.PreparedRecord, sel *pebble.Selector) []pebble.Presig {
+// presigs runs Selector.PrepareGenerated for every record in parallel, over
+// the pebbles orderOf generated.
+func presigs(prepared []*core.PreparedRecord, generated [][]pebble.Pebble, sel *pebble.Selector) []pebble.Presig {
 	out := make([]pebble.Presig, len(prepared))
 	parallelFor(len(prepared), 0, func(i int) {
-		out[i] = sel.PrepareRecord(prepared[i])
+		out[i] = sel.PrepareGenerated(generated[i], prepared[i])
 	})
 	return out
 }

@@ -39,7 +39,7 @@ func TestPreparedVerifyMatchesTokensOracle(t *testing.T) {
 					method, theta, len(got), len(want))
 			}
 			opts := Options{Theta: theta, Tau: 2, Method: method}
-			ix, _ := j.joinIndex(s, u, opts)
+			ix, _, _ := j.joinIndex(s, u, opts)
 			got, _ := ix.Probe(u)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v θ=%v: filtered join disagrees with tokens oracle: %d vs %d pairs",

@@ -36,9 +36,8 @@ func TestFilterScaleProfile(t *testing.T) {
 	j := NewJoiner(ctx)
 
 	opts := Options{Theta: 0.9, Tau: 12, Method: pebble.AUHeuristic, Workers: 1}
-	sv, prepT := j.joinIndex(s, tt, opts)
+	sv, _, sigs := j.joinIndex(s, tt, opts)
 	v, tau := sv.views[0], sv.sx.tau
-	sigs := selectSignatures(prepT, sv.gen.sel, opts.Method, tau)
 	// residual sizes of the dense lists
 	var resTotal, denseTotal int
 	for _, id := range v.inv.Keys() {

@@ -155,18 +155,24 @@ func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Op
 		parts[w].prepared = prepareRecords(parts[w].records, sx.dict, j.calc.PrepareIn)
 		prepared[w] = parts[w].prepared
 	}
-	sx.install(j.orderOf(prepared...), parts, start)
+	order, generated := j.orderOf(prepared...)
+	for w := range parts {
+		parts[w].generated = generated[w]
+	}
+	sx.install(order, parts, start)
 	return sx
 }
 
 // part is one shard's share of an install: positional records and their
 // prepared verification records, their signature IDs (nil: select them
-// under the new order), and the stable IDs of those that are tombstoned.
+// under the new order, from the pebbles generated while it was counted),
+// and the stable IDs of those that are tombstoned.
 type part struct {
-	records  []strutil.Record
-	prepared []*core.PreparedRecord
-	sigIDs   [][]uint32
-	deadIDs  []int
+	records   []strutil.Record
+	prepared  []*core.PreparedRecord
+	generated [][]pebble.Pebble
+	sigIDs    [][]uint32
+	deadIDs   []int
 }
 
 // install is the one assembly of a router's shards, shared by a build, a
@@ -188,7 +194,7 @@ func (sx *ShardedIndex) install(order *pebble.Order, parts []part, start time.Ti
 	parallelFor(len(parts), len(parts), func(w int) {
 		p, sh := &parts[w], sx.shards[w]
 		if p.sigIDs == nil {
-			p.sigIDs = selectSignatures(p.prepared, g.sel, sx.opts.Method, sx.tau)
+			p.sigIDs = selectSignatures(p.prepared, p.generated, g.sel, sx.opts.Method, sx.tau)
 		}
 		sh.adoptBaseLocked(g, p.records, p.prepared, p.sigIDs, start)
 		for _, id := range p.deadIDs {
@@ -263,9 +269,7 @@ func (sx *ShardedIndex) maybeRefreeze() {
 		return
 	}
 	start := time.Now()
-	sx.refreezeLocked(func(live [][]*core.PreparedRecord) *pebble.Order {
-		return sx.joiner.orderOf(live...)
-	})
+	sx.refreezeLocked(sx.joiner.orderOf)
 	// The whole stop-the-world window — live scans, order freeze and every
 	// shard rebuild — is one writer stall; log it whole so the pause
 	// percentiles cannot understate the one corpus-sized pause the design
@@ -276,13 +280,14 @@ func (sx *ShardedIndex) maybeRefreeze() {
 // refreezeLocked is the index's one stop-the-world step, shared by the
 // self-triggered global re-finalize and AdoptOrder; the caller holds
 // refreezeMu. Every shard's writer lock is held while the live records are
-// collected, freeze turns them into the next frozen order, and install
-// rebuilds every shard under it — from the prepared records the shards hold,
-// so a re-freeze segments nothing. Readers never stall: with all writer
-// locks held the current per-shard views are the exact pre-refreeze state
-// and necessarily one generation, so they are cached for Snapshot to serve
-// until the new generation is fully published.
-func (sx *ShardedIndex) refreezeLocked(freeze func(live [][]*core.PreparedRecord) *pebble.Order) {
+// collected, freeze turns them into the next frozen order — with the pebbles
+// it generated for them, which signatures are selected from — and install
+// rebuilds every shard under it from the prepared records the shards hold,
+// so a re-freeze segments nothing and generates every pebble once. Readers
+// never stall: with all writer locks held the current per-shard views are
+// the exact pre-refreeze state and necessarily one generation, so they are
+// cached for Snapshot to serve until the new generation is fully published.
+func (sx *ShardedIndex) refreezeLocked(freeze func(live ...[]*core.PreparedRecord) (*pebble.Order, [][][]pebble.Pebble)) {
 	defer sx.lockShards()()
 	start := time.Now()
 	pre := make([]*shardView, len(sx.shards))
@@ -297,7 +302,11 @@ func (sx *ShardedIndex) refreezeLocked(freeze func(live [][]*core.PreparedRecord
 		sh.rebuilds++
 	}
 	sx.lastView.Store(&ShardedView{sx: sx, gen: sx.gen.Load(), views: pre})
-	sx.install(freeze(live), parts, start)
+	order, generated := freeze(live...)
+	for w := range parts {
+		parts[w].generated = generated[w]
+	}
+	sx.install(order, parts, start)
 	// The pre-refreeze view has served its purpose; dropping it releases
 	// the superseded generation's bases for collection (readers that
 	// already hold it keep it alive only as long as they keep it).

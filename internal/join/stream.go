@@ -339,23 +339,25 @@ func (j *Joiner) JoinSeq(ctx context.Context, s, t []strutil.Record, opts Option
 
 // joinStream is the shared body of Join and JoinSeq: both collections are
 // prepared once, the order counted and every signature selected from the
-// prepared records, and index building is folded into the reported
-// SignatureTime.
+// pebbles generated to count it, and index building is folded into the
+// reported SignatureTime.
 func (j *Joiner) joinStream(ctx context.Context, s, t []strutil.Record, opts Options, emit func(Pair) bool) (Stats, error) {
 	start := time.Now()
-	sv, prepT := j.joinIndex(s, t, opts)
-	return sv.probePrepared(ctx, t, prepT, time.Since(start), emit)
+	sv, prepT, sigT := j.joinIndex(s, t, opts)
+	return sv.probeAll(ctx, t, sigT, prepT, false, time.Since(start), emit)
 }
 
 // joinIndex is the build half of Join: a router of the join's own — its
 // dictionary, its cache — with one shard over s under an order spanning both
-// collections, and t prepared for probing it.
-func (j *Joiner) joinIndex(s, t []strutil.Record, opts Options) (*ShardedView, []*core.PreparedRecord) {
+// collections, and t prepared and signed for probing it.
+func (j *Joiner) joinIndex(s, t []strutil.Record, opts Options) (*ShardedView, []*core.PreparedRecord, [][]uint32) {
 	start, sx := time.Now(), j.newRouter(opts, DynamicOptions{})
 	prepS := prepareRecords(s, sx.dict, j.calc.PrepareIn)
 	prepT := prepareRecords(t, sx.dict, j.calc.PrepareProbe)
-	sx.install(j.orderOf(prepS, prepT), []part{{records: s, prepared: prepS}}, start)
-	return sx.Snapshot(), prepT
+	order, generated := j.orderOf(prepS, prepT)
+	sx.install(order, []part{{records: s, prepared: prepS, generated: generated[0]}}, start)
+	sv := sx.Snapshot()
+	return sv, prepT, selectSignatures(prepT, generated[1], sv.gen.sel, opts.Method, sx.tau)
 }
 
 // SelfJoinSeq is the streaming form of SelfJoin: each unordered pair (i < j)
@@ -381,22 +383,15 @@ func (j *Joiner) selfStream(ctx context.Context, s []strutil.Record, opts Option
 	return sv.probeAll(ctx, v.records, v.sigIDs, v.prepared, true, v.buildTime, emit)
 }
 
-// probeStream prepares the probe records against the index's dictionary and
-// runs the batch loop; it is the shared body of Probe and ProbeSeq.
+// probeStream prepares the probe records against the index's dictionary,
+// selects their signatures under the build configuration and runs the batch
+// loop; it is the shared body of Probe and ProbeSeq. The preparation and
+// selection are folded into the reported SignatureTime: all of it is
+// per-record preprocessing paid once per probe collection.
 func (sv *ShardedView) probeStream(ctx context.Context, records []strutil.Record, emit func(Pair) bool) (Stats, error) {
 	start := time.Now()
 	sx := sv.sx
 	prep := prepareRecords(records, sx.dict, sx.joiner.calc.PrepareProbe)
-	return sv.probePrepared(ctx, records, prep, time.Since(start), emit)
-}
-
-// probePrepared selects the prepared probe records' signatures under the
-// build configuration and runs the batch loop. prepTime is folded into the
-// reported SignatureTime with the selection (the Join entry points count
-// index building there too): all of it is per-record preprocessing paid once
-// per probe collection.
-func (sv *ShardedView) probePrepared(ctx context.Context, records []strutil.Record, prep []*core.PreparedRecord, prepTime time.Duration, emit func(Pair) bool) (Stats, error) {
-	start := time.Now()
-	sigs := selectSignatures(prep, sv.gen.sel, sv.sx.opts.Method, sv.sx.tau)
-	return sv.probeAll(ctx, records, sigs, prep, false, prepTime+time.Since(start), emit)
+	sigs := selectSignatures(prep, nil, sv.gen.sel, sx.opts.Method, sx.tau)
+	return sv.probeAll(ctx, records, sigs, prep, false, time.Since(start), emit)
 }

@@ -437,7 +437,7 @@ func TestProbeSeqAllocsBelowBatch(t *testing.T) {
 	catalog := denseCorpus(600, 3, 5)
 	probe := denseCorpus(600, 3, 6)
 	opts := Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP, Workers: 4}
-	ix, _ := j.joinIndex(catalog, probe, opts)
+	ix, _, _ := j.joinIndex(catalog, probe, opts)
 
 	results, _ := ix.Probe(probe)
 	if len(results) < 100000 {

@@ -20,7 +20,7 @@ package pebble
 import (
 	"cmp"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -64,11 +64,46 @@ type Generator struct {
 	// calc prepares the records of the tokens-taking forms (Pebbles,
 	// Selector.Prepare); the engine hands in records it has prepared itself.
 	calc *core.Calculator
+	// synKeys[id] is the pebble key of rule id ("s:" and its lhs) and
+	// taxKeys[n] that of taxonomy node n ("t:" and its name), made once here
+	// so that generation builds no strings. Rules and nodes added to the
+	// context after NewGenerator get theirs built on use.
+	synKeys []string
+	taxKeys []string
 }
 
 // NewGenerator returns a Generator over the given context.
 func NewGenerator(ctx *sim.Context) *Generator {
-	return &Generator{Ctx: ctx, calc: core.NewCalculator(ctx)}
+	g := &Generator{Ctx: ctx, calc: core.NewCalculator(ctx)}
+	if ctx != nil && ctx.Rules != nil {
+		g.synKeys = make([]string, ctx.Rules.Len())
+		for id := range g.synKeys {
+			g.synKeys[id] = "s:" + ctx.Rules.Rule(id).LHSText()
+		}
+	}
+	if ctx != nil && ctx.Tax != nil {
+		g.taxKeys = make([]string, ctx.Tax.Len())
+		for n := range g.taxKeys {
+			g.taxKeys[n] = "t:" + ctx.Tax.Name(taxonomy.NodeID(n))
+		}
+	}
+	return g
+}
+
+// synKey returns the pebble key of rule id.
+func (g *Generator) synKey(id int) string {
+	if id < len(g.synKeys) {
+		return g.synKeys[id]
+	}
+	return "s:" + g.Ctx.Rules.Rule(id).LHSText()
+}
+
+// taxKey returns the pebble key of taxonomy node n.
+func (g *Generator) taxKey(n taxonomy.NodeID) string {
+	if int(n) < len(g.taxKeys) {
+		return g.taxKeys[n]
+	}
+	return "t:" + g.Ctx.Tax.Name(n)
 }
 
 // Pebbles is AppendPebbles for a bare token sequence: the record is prepared
@@ -81,6 +116,21 @@ func (g *Generator) Pebbles(tokens []string) ([]Pebble, []core.Segment) {
 		segments[i] = core.Segment{Span: s.Span, Tokens: s.Span.Slice(tokens), Rule: s.Rule, Entity: s.Entity}
 	}
 	return g.AppendPebbles(nil, pr), segments
+}
+
+// Count returns an upper bound on the number of pebbles AppendPebbles
+// appends for pr — exact but for the synonym pebbles of rules sharing an lhs,
+// which count once — so a caller can size one buffer for many records.
+func (g *Generator) Count(pr *core.PreparedRecord) int {
+	n := 0
+	for idx := range pr.Segs {
+		d := pr.Segs[idx].Data
+		n += len(d.GramKeys) + len(d.LHS) + len(d.RHS)
+		if d.Node != taxonomy.InvalidNode {
+			n += g.Ctx.Tax.Depth(d.Node)
+		}
+	}
+	return n
 }
 
 // AppendPebbles appends all pebbles of a prepared record, one group per
@@ -98,15 +148,7 @@ func (g *Generator) Pebbles(tokens []string) ([]Pebble, []core.Segment) {
 // string "espresso cafe Helsinki" this yields exactly the 23 pebbles the
 // paper reports.
 func (g *Generator) AppendPebbles(out []Pebble, pr *core.PreparedRecord) []Pebble {
-	n := 0
-	for idx := range pr.Segs {
-		d := pr.Segs[idx].Data
-		n += len(d.GramKeys) + len(d.LHS) + len(d.RHS)
-		if d.Node != taxonomy.InvalidNode {
-			n += g.Ctx.Tax.Depth(d.Node)
-		}
-	}
-	out = slices.Grow(out, n)
+	out = slices.Grow(out, g.Count(pr))
 	for idx := range pr.Segs {
 		d := pr.Segs[idx].Data
 
@@ -122,25 +164,21 @@ func (g *Generator) AppendPebbles(out []Pebble, pr *core.PreparedRecord) []Pebbl
 		first := len(out)
 		for _, ids := range [2][]int{d.LHS, d.RHS} {
 			for _, id := range ids {
-				r := g.Ctx.Rules.Rule(id)
-				out = append(out, Pebble{Key: r.LHSText(), Weight: r.C, Segment: idx, Measure: sim.Synonym})
+				out = append(out, Pebble{Key: g.synKey(id), Weight: g.Ctx.Rules.Rule(id).C, Segment: idx, Measure: sim.Synonym})
 			}
 		}
-		if syn := out[first:]; len(syn) > 0 {
+		if syn := out[first:]; len(syn) > 1 {
 			slices.SortFunc(syn, func(a, b Pebble) int {
 				return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(b.Weight, a.Weight))
 			})
 			syn = slices.CompactFunc(syn, func(a, b Pebble) bool { return a.Key == b.Key })
-			for i := range syn {
-				syn[i].Key = "s:" + syn[i].Key
-			}
 			out = out[:first+len(syn)]
 		}
 
 		if d.Node != taxonomy.InvalidNode {
 			w := 1 / float64(g.Ctx.Tax.Depth(d.Node))
-			for _, anc := range g.Ctx.Tax.Ancestors(d.Node) {
-				out = append(out, Pebble{Key: "t:" + g.Ctx.Tax.Name(anc), Weight: w, Segment: idx, Measure: sim.Taxonomy})
+			for n := d.Node; n != taxonomy.InvalidNode; n = g.Ctx.Tax.Node(n).Parent {
+				out = append(out, Pebble{Key: g.taxKey(n), Weight: w, Segment: idx, Measure: sim.Taxonomy})
 			}
 		}
 	}
@@ -152,10 +190,11 @@ func (g *Generator) AppendPebbles(out []Pebble, pr *core.PreparedRecord) []Pebbl
 // key as tie-breaker so the order is total and identical across both join
 // collections.
 //
-// After all Add calls, Finalize interns every key into a dense uint32 ID
-// whose numeric order IS the global order: comparing IDs is equivalent to
-// Less on known keys. The hot paths (signature sorting, inverted indexing,
-// candidate counting) work exclusively on these IDs.
+// Add counts document frequencies. Finalize then interns every key into a
+// dense uint32 ID whose numeric order IS the global order, so comparing the
+// IDs of two known keys compares their (frequency, key) pairs. The hot paths
+// (signature sorting, inverted indexing, candidate counting) work
+// exclusively on these IDs.
 //
 // # Dynamic region
 //
@@ -178,15 +217,41 @@ func (g *Generator) AppendPebbles(out []Pebble, pr *core.PreparedRecord) []Pebbl
 // concurrently with them, as the dynamic table is swapped atomically and
 // never mutated in place.
 type Order struct {
-	freq map[string]int
+	// The counting state, until Finalize: slot numbers every key Add has
+	// seen, in first-seen order, and counts[slot] holds its document
+	// frequency so far; records is the number of Add calls, the stamp of the
+	// record being counted. Finalize re-numbers slot into ids in place and
+	// drops counts.
+	slot    map[string]uint32
+	counts  []keyCount
+	records int32
 
 	once    sync.Once
 	ids     map[string]uint32 // key -> dense ID, in (freq asc, key asc) order
 	keys    []string          // dense ID -> key
+	freqs   []int             // dense ID -> document frequency at Finalize
 	maxFreq int               // highest document frequency, cached at Finalize
 
 	dmu sync.Mutex               // serializes InternDynamic writers
 	dyn atomic.Pointer[dynTable] // append-only dynamic region, nil until first InternDynamic
+}
+
+// keyCount is one key's document frequency while an Order counts. last is
+// the stamp of the last record that counted the key, so a record generating
+// the key several times counts it once without a set of its own.
+type keyCount struct {
+	key  string
+	freq int32
+	last int32
+}
+
+// sortByFrequency sorts keys into the global order: frequency ascending, key
+// ascending on ties. It is the one frequency sort: Finalize numbers the
+// frozen IDs by it, and FrequencyTable reads its result.
+func sortByFrequency(counts []keyCount) {
+	slices.SortFunc(counts, func(a, b keyCount) int {
+		return cmp.Or(cmp.Compare(a.freq, b.freq), strings.Compare(a.key, b.key))
+	})
 }
 
 // dynTable is one immutable state of the dynamic intern region. Writers
@@ -201,21 +266,26 @@ type dynTable struct {
 }
 
 // NewOrder creates an empty frequency order.
-func NewOrder() *Order { return &Order{freq: make(map[string]int)} }
+func NewOrder() *Order { return &Order{slot: make(map[string]uint32)} }
 
 // Add registers one string's pebbles: every distinct key counts once
 // (document frequency). Add must not be called after Finalize.
 func (o *Order) Add(pebbles []Pebble) {
-	if o.ids != nil {
+	if o.slot == nil {
 		panic("pebble: Order.Add after Finalize")
 	}
-	seen := map[string]struct{}{}
-	for _, p := range pebbles {
-		if _, ok := seen[p.Key]; ok {
-			continue
+	o.records++
+	stamp := o.records
+	for i := range pebbles {
+		key := pebbles[i].Key
+		s, ok := o.slot[key]
+		if !ok {
+			o.slot[key] = uint32(len(o.counts))
+			o.counts = append(o.counts, keyCount{key: key, freq: 1, last: stamp})
+		} else if c := &o.counts[s]; c.last != stamp {
+			c.freq++
+			c.last = stamp
 		}
-		seen[p.Key] = struct{}{}
-		o.freq[p.Key]++
 	}
 }
 
@@ -226,29 +296,26 @@ func (o *Order) Add(pebbles []Pebble) {
 // only needed when using the intern table directly.
 func (o *Order) Finalize() {
 	o.once.Do(func() {
-		keys := make([]string, 0, len(o.freq))
-		for k := range o.freq {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			fi, fj := o.freq[keys[i]], o.freq[keys[j]]
-			if fi != fj {
-				return fi < fj
-			}
-			return keys[i] < keys[j]
-		})
-		ids := make(map[string]uint32, len(keys))
-		for i, k := range keys {
-			ids[k] = uint32(i)
+		counts := o.counts
+		sortByFrequency(counts)
+		// The counting map holds exactly the keys to intern: renumbering its
+		// values in place makes it the ID map without building another.
+		ids := o.slot
+		keys := make([]string, len(counts))
+		freqs := make([]int, len(counts))
+		for i, c := range counts {
+			ids[c.key] = uint32(i)
+			keys[i] = c.key
+			freqs[i] = int(c.freq)
 		}
 		// Frequencies are sorted ascending, so the last key carries the
 		// maximum — cached here because MaxFrequency sits on the index-build
 		// path (the hybrid posting cutoff consults it).
-		if len(keys) > 0 {
-			o.maxFreq = o.freq[keys[len(keys)-1]]
+		if len(freqs) > 0 {
+			o.maxFreq = freqs[len(freqs)-1]
 		}
-		o.keys = keys
-		o.ids = ids
+		o.slot, o.counts = nil, nil
+		o.ids, o.keys, o.freqs = ids, keys, freqs
 	})
 }
 
@@ -376,14 +443,79 @@ func (d *dynTable) clone() *dynTable {
 
 // Frequency returns the document frequency recorded at Finalize time (0 for
 // keys unseen then, including dynamically interned ones — a rebuild
-// re-derives true frequencies from the live records).
-func (o *Order) Frequency(key string) int { return o.freq[key] }
+// re-derives true frequencies from the live records). It finalizes the
+// order.
+func (o *Order) Frequency(key string) int {
+	o.Finalize()
+	if id, ok := o.ids[key]; ok {
+		return o.freqs[id]
+	}
+	return 0
+}
 
 // Sort interns the pebbles and sorts them in place by the global order.
 func (o *Order) Sort(pebbles []Pebble) {
 	o.Finalize()
 	o.Intern(pebbles)
-	slices.SortFunc(pebbles, byGlobalOrder)
+	sortInterned(pebbles)
+}
+
+// maxPacked bounds the lists and segment indexes sortInterned packs: a
+// position and a segment take 16 bits each of a sort key.
+const maxPacked = 1 << 16
+
+// sortInterned sorts interned pebbles by byGlobalOrder. Pebbles of unknown
+// keys — only a probe carries them, and few — go first and are sorted by the
+// comparator. The known rest sorts as integers: each pebble becomes one
+// packed (ID, segment, position) key, the keys are sorted, and the pebbles
+// follow them in one in-place permutation. Pebbles equal under
+// byGlobalOrder share a key and a segment and are therefore identical, so
+// the result is the comparator sort's, bit for bit.
+func sortInterned(pebbles []Pebble) {
+	unknown := 0
+	for i := range pebbles {
+		if pebbles[i].ID == NoID {
+			pebbles[unknown], pebbles[i] = pebbles[i], pebbles[unknown]
+			unknown++
+		}
+	}
+	slices.SortFunc(pebbles[:unknown], byGlobalOrder)
+	known := pebbles[unknown:]
+	if len(known) < 2 {
+		return
+	}
+	var buf [512]uint64
+	keys := buf[:0]
+	if len(known) > len(buf) {
+		keys = make([]uint64, 0, len(known))
+	}
+	for i := range known {
+		seg := uint64(known[i].Segment)
+		if len(known) > maxPacked || seg >= maxPacked {
+			slices.SortFunc(known, byGlobalOrder)
+			return
+		}
+		keys = append(keys, uint64(known[i].ID)<<32|seg<<16|uint64(i))
+	}
+	slices.Sort(keys)
+	// Position i takes the pebble at keys[i]'s position field; each cycle of
+	// the permutation is walked once, and a done position's key is pointed
+	// at itself so the walk never re-enters it.
+	const posMask = maxPacked - 1
+	for i := range known {
+		from := int(keys[i] & posMask)
+		if from == i {
+			continue
+		}
+		held, at := known[i], i
+		for from != i {
+			known[at] = known[from]
+			keys[at] = keys[at]&^posMask | uint64(at)
+			at, from = from, int(keys[from]&posMask)
+		}
+		known[at] = held
+		keys[at] = keys[at]&^posMask | uint64(at)
+	}
 }
 
 // byGlobalOrder is the total order of interned pebbles. Known keys compare by

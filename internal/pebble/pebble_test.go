@@ -269,21 +269,20 @@ func TestAccTableGroups(t *testing.T) {
 	}
 	// The full-suffix group weight of cafe under Jaccard is 1 (3 grams of
 	// weight 1/3), under Synonym 1, under Taxonomy 0.
-	if got := acc.SuffixWeightGroup(1, cafeIdx, sim.Jaccard); !approxEq(got, 1) {
-		t.Errorf("SuffixWeightGroup(J) = %v, want 1", got)
+	for _, c := range []struct {
+		m    sim.Measure
+		want float64
+	}{{sim.Jaccard, 1}, {sim.Synonym, 1}, {sim.Taxonomy, 0}} {
+		if got, _ := acc.groupTerms(1, 1, cafeIdx, c.m); !approxEq(got, c.want) {
+			t.Errorf("suffix weight of cafe under %v = %v, want %v", c.m, got, c.want)
+		}
 	}
-	if got := acc.SuffixWeightGroup(1, cafeIdx, sim.Synonym); !approxEq(got, 1) {
-		t.Errorf("SuffixWeightGroup(S) = %v, want 1", got)
+	// TW_2 of cafe's Jaccard group over the full prefix = 2/3.
+	if _, got := acc.groupTerms(acc.Len()+1, 2, cafeIdx, sim.Jaccard); !approxEq(got, 2.0/3.0) {
+		t.Errorf("TW_2 of the group = %v, want 2/3", got)
 	}
-	if got := acc.SuffixWeightGroup(1, cafeIdx, sim.Taxonomy); got != 0 {
-		t.Errorf("SuffixWeightGroup(T) = %v, want 0", got)
-	}
-	// TopWeightsGroup over the full prefix with c=2 for Jaccard = 2/3.
-	if got := acc.TopWeightsGroup(acc.Len(), 2, cafeIdx, sim.Jaccard); !approxEq(got, 2.0/3.0) {
-		t.Errorf("TopWeightsGroup = %v, want 2/3", got)
-	}
-	if got := acc.TopWeightsGroup(0, 2, cafeIdx, sim.Jaccard); got != 0 {
-		t.Errorf("TopWeightsGroup(prefix 0) = %v, want 0", got)
+	if _, got := acc.groupTerms(1, 2, cafeIdx, sim.Jaccard); got != 0 {
+		t.Errorf("TW_2 of the group over an empty prefix = %v, want 0", got)
 	}
 }
 

@@ -1,34 +1,16 @@
 package pebble
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // FrequencyTable returns every key registered through Add with its document
 // frequency, sorted exactly as Finalize interns them (frequency ascending,
 // key ascending on ties). The pair round-trips through RestoreOrder: feeding
 // it back as the frozen image reproduces the order Finalize would have
-// built. It reads only the Add-time frequency table, so it is valid on an
-// unfinalized order and never includes dynamically interned keys (their
-// global frequencies are unknown).
+// built. It finalizes the order and returns its frozen prefix, so it never
+// includes dynamically interned keys (their global frequencies are unknown).
 func (o *Order) FrequencyTable() ([]string, []int) {
-	keys := make([]string, 0, len(o.freq))
-	for k := range o.freq {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		fi, fj := o.freq[keys[i]], o.freq[keys[j]]
-		if fi != fj {
-			return fi < fj
-		}
-		return keys[i] < keys[j]
-	})
-	freqs := make([]int, len(keys))
-	for i, k := range keys {
-		freqs[i] = o.freq[k]
-	}
-	return keys, freqs
+	o.Finalize()
+	return append(make([]string, 0, len(o.keys)), o.keys...), append(make([]int, 0, len(o.freqs)), o.freqs...)
 }
 
 // RestoreOrder reconstructs a finalized Order from its serialized image:
@@ -44,7 +26,6 @@ func RestoreOrder(frozenKeys []string, freqs []int, dynamicKeys []string) (*Orde
 	}
 	ids := make(map[string]uint32, len(frozenKeys))
 	keys := make([]string, len(frozenKeys))
-	freq := make(map[string]int, len(frozenKeys))
 	for i, k := range frozenKeys {
 		if i > 0 {
 			prevF, prevK := freqs[i-1], frozenKeys[i-1]
@@ -57,13 +38,13 @@ func RestoreOrder(frozenKeys []string, freqs []int, dynamicKeys []string) (*Orde
 		}
 		ids[k] = uint32(i)
 		keys[i] = k
-		freq[k] = freqs[i]
 	}
 
-	o := &Order{freq: freq}
+	o := &Order{}
 	o.once.Do(func() {
 		o.ids = ids
 		o.keys = keys
+		o.freqs = append([]int(nil), freqs...)
 		if len(freqs) > 0 {
 			o.maxFreq = freqs[len(freqs)-1]
 		}

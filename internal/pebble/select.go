@@ -1,9 +1,6 @@
 package pebble
 
-import (
-	"github.com/aujoin/aujoin/internal/core"
-	"github.com/aujoin/aujoin/internal/sim"
-)
+import "github.com/aujoin/aujoin/internal/core"
 
 // Method identifies a signature-selection algorithm.
 type Method int
@@ -156,34 +153,45 @@ func selectPrefixHeuristic(acc *AccTable, target float64, tau int) int {
 // pebbles from the prefix is bounded per segment by the dynamic program of
 // Equations (12)–(14), which is never larger than the heuristic's
 // TW_{τ-1} bound, so the resulting signatures are never longer.
-// t is the number of segments.
+// t is the number of segments. Every group term of Eq. (14) is read from the
+// record's group tables (groupTable), at the group's running count of
+// pebbles inside the prefix.
 func selectPrefixDP(acc *AccTable, t int, target float64, tau int) int {
-	// W[p][d] (flat, row p at w[p*tau:]) and the accessory row V are
-	// allocated once and reused across prefix positions; per-iteration
-	// allocations here used to dominate the whole signature phase.
-	w := make([]float64, (t+1)*tau)
-	v := make([]float64, tau)
+	// Only rows W[p−1] and W[p] of W[p][d] are live at a time; they and the
+	// accessory row V take 3τ floats, on the stack for the τ anyone uses.
+	var buf [3 * 16]float64
+	rows := buf[:]
+	if 3*tau > len(rows) {
+		rows = make([]float64, 3*tau)
+	}
+	prev, row, v := rows[:tau], rows[tau:2*tau], rows[2*tau:3*tau]
+	for g := range acc.groups {
+		acc.groups[g].q = acc.groups[g].m
+	}
 
 	for i := acc.Len(); i >= 1; i-- {
-		if acc.AS(i) >= target-1e-12 {
+		as := acc.AS(i)
+		if as >= target-1e-12 {
 			return i
 		}
+		// Position i leaves the prefix B[1, i−1].
+		acc.groups[groupOf(acc.pebbles[i-1])].q--
 		// W[p][d]: maximal similarity increment achievable by inserting d
-		// pebbles of the first p segments from B[1, i-1].
-		for k := range w {
-			w[k] = 0
-		}
+		// pebbles of the first p segments from B[1, i-1]. W[0] is all zero,
+		// and so is column 0 of every row (never written).
+		clear(prev)
 		reached := false
-		for p := 1; p <= t && !reached; p++ {
-			segIdx := p - 1
-			prev, row := w[(p-1)*tau:p*tau], w[p*tau:(p+1)*tau]
+		for segIdx := 0; segIdx < t && !reached; segIdx++ {
 			// Accessory table row V[p][c] per Eq. (13)-(14); V[p][0] = 0.
 			// The suffix weight of each measure's group is the same for
-			// every c, so it is computed once per (i, P) rather than once
-			// per R(P, i, c) evaluation.
+			// every c, so it is read once per (i, P).
+			var groups [numMeasures]*groupTable
 			var sfx [numMeasures]float64
-			for mi, f := range dpMeasures {
-				sfx[mi] = acc.SuffixWeightGroup(i, segIdx, f)
+			if g := segIdx * numMeasures; g < len(acc.groups) {
+				for mi := range groups {
+					groups[mi] = &acc.groups[g+mi]
+					sfx[mi] = acc.suffix(groups[mi])
+				}
 			}
 			r0 := 0.0
 			for _, s := range sfx {
@@ -193,8 +201,11 @@ func selectPrefixDP(acc *AccTable, t int, target float64, tau int) int {
 			}
 			for c := 1; c < tau; c++ {
 				best := 0.0
-				for mi, f := range dpMeasures {
-					val := sfx[mi] + acc.TopWeightsGroup(i-1, c, segIdx, f)
+				for mi, g := range groups {
+					val := sfx[mi]
+					if g != nil {
+						val += acc.topWeights(g, int32(c))
+					}
 					if val > best {
 						best = val
 					}
@@ -210,7 +221,7 @@ func selectPrefixDP(acc *AccTable, t int, target float64, tau int) int {
 					}
 				}
 				row[d] = best
-				if acc.AS(i)+row[d] >= target-1e-12 {
+				if as+row[d] >= target-1e-12 {
 					reached = true
 					break
 				}
@@ -223,18 +234,16 @@ func selectPrefixDP(acc *AccTable, t int, target float64, tau int) int {
 					row[d] = prev[d]
 				}
 			}
+			prev, row = row, prev
 		}
 		if reached {
 			return i
 		}
 		// Check the completed table too (covers tau == 1, where the inner
 		// loops never run).
-		if acc.AS(i)+w[t*tau+tau-1] >= target-1e-12 {
+		if as+prev[tau-1] >= target-1e-12 {
 			return i
 		}
 	}
 	return 0
 }
-
-// dpMeasures enumerates the measures R(P, i, c) of Eq. (14) maximizes over.
-var dpMeasures = [numMeasures]sim.Measure{sim.Jaccard, sim.Synonym, sim.Taxonomy}
