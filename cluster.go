@@ -1,21 +1,39 @@
 package aujoin
 
-import "github.com/aujoin/aujoin/internal/join"
+import (
+	"github.com/aujoin/aujoin/internal/join"
+	"github.com/aujoin/aujoin/internal/pebble"
+)
 
 // This file is the public surface of the cluster hooks: what a multi-node
 // deployment's coordinator and workers need from an Index beyond the
 // serving API — centrally assigned record IDs, export of the live
-// key-frequency table, and adoption of an externally built frozen order
-// (the order-sync protocol's prepare phase on the worker side).
+// key-frequency table, the merge of every group's table into the next
+// global order (the coordinator's side of the order-sync protocol), and
+// adoption of an externally built frozen order (the worker's side).
 
 // OrderImage is the wire form of a pebble frequency order: every key with
 // its document frequency, in finalize order (frequency ascending, key
-// ascending on ties). It is what an epoch-bump builder ships to the other
+// ascending on ties). It is what an epoch bump's coordinator ships to the
 // workers: feeding an image to AdoptOrder reproduces, bit for bit, the
 // frozen order Finalize would have built over the same frequencies.
 type OrderImage struct {
 	Keys  []string `json:"keys"`
 	Freqs []int    `json:"freqs"`
+}
+
+// MergeOrderImages sums the key-frequency tables of disjoint record sets —
+// one KeyFrequencies image per cluster group — into the image of their
+// union: exactly what KeyFrequencies would export from one index holding
+// every record. An image whose keys and frequencies differ in length is
+// rejected.
+func MergeOrderImages(imgs ...OrderImage) (OrderImage, error) {
+	keys, freqs := make([][]string, len(imgs)), make([][]int, len(imgs))
+	for i, img := range imgs {
+		keys[i], freqs[i] = img.Keys, img.Freqs
+	}
+	k, f, err := pebble.MergeFrequencyTables(keys, freqs)
+	return OrderImage{Keys: k, Freqs: f}, err
 }
 
 // InsertWithIDs appends records whose stable IDs the caller assigned. A
@@ -31,9 +49,9 @@ func (ix *Index) InsertWithIDs(ids []int, records []string) error {
 
 // KeyFrequencies exports the document-frequency table over the index's
 // current live records, in finalize order. Groups of a cluster partition
-// the record space, so per-group tables sum to the global table — the
-// builder elected during an epoch bump merges one table per group and
-// returns the summed image for everyone to adopt.
+// the record space, so per-group tables sum to the global table — during an
+// epoch bump the coordinator merges one table per group (MergeOrderImages)
+// and ships the summed image for every worker to adopt.
 func (ix *Index) KeyFrequencies() OrderImage {
 	keys, freqs := ix.inner.KeyFrequencies()
 	return OrderImage{Keys: keys, Freqs: freqs}

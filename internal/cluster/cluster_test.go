@@ -9,11 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/aujoin/aujoin"
 	"github.com/aujoin/aujoin/internal/cmdutil"
+	"github.com/aujoin/aujoin/internal/store"
 )
 
 // testCluster is an in-process cluster: a coordinator and N worker daemons,
@@ -22,6 +24,7 @@ type testCluster struct {
 	coord   *Coordinator
 	coordTS *httptest.Server
 	workers []*httptest.Server
+	nodes   []*Worker // nodes[i] serves behind workers[i]
 }
 
 // startCluster boots a coordinator and n workers with r-way replication,
@@ -53,7 +56,9 @@ func startCluster(t *testing.T, n, r int, catalog []string, theta float64, tau i
 		if err != nil {
 			t.Fatalf("NewStrict: %v", err)
 		}
-		var h http.Handler = NewWorkerNode(NewWorker(j, 1)).Mux()
+		wk := NewWorker(j, 1)
+		tc.nodes = append(tc.nodes, wk)
+		var h http.Handler = NewWorkerNode(wk).Mux()
 		for _, wr := range wrap {
 			h = wr(i, h)
 		}
@@ -305,6 +310,111 @@ func TestClusterEquivalence(t *testing.T) {
 			tc.bump(t)
 			checkEquivalence(t, tc, ref, probes, "epoch bump with worker down")
 		})
+	}
+}
+
+// TestClusterShipsSingleNodeOrder holds the order an epoch bump ships to the
+// single-node order. Answers are exact under any order, so the equivalence
+// grid cannot see a wrong frequency merge; this test reads the frozen order
+// every hosted group serves under, from the group index's snapshot, and
+// requires the single-node index's KeyFrequencies over the same history, key
+// for key and count for count, with nothing in the dynamic region — after the
+// bootstrap bump, after mutating and bumping, and after mutating and bumping
+// with a worker down.
+func TestClusterShipsSingleNodeOrder(t *testing.T) {
+	catalog := denseCatalog(180, 7)
+	tc := startCluster(t, 3, 2, catalog, 0.8, 2, "dp")
+	j, err := aujoin.NewStrict()
+	if err != nil {
+		t.Fatalf("NewStrict: %v", err)
+	}
+	ref := j.IndexWith(catalog, aujoin.JoinOptions{Theta: 0.8, Tau: 2, Filter: cmdutil.ParseFilter("dp")}, aujoin.IndexOptions{Shards: 1})
+
+	check := func(stage string, down int) {
+		t.Helper()
+		want := ref.KeyFrequencies()
+		groups := 0
+		for i, wk := range tc.nodes {
+			if i == down {
+				continue
+			}
+			wk.mu.Lock()
+			hosted := make(map[int]*workerGroup, len(wk.groups))
+			for g, wg := range wk.groups {
+				hosted[g] = wg
+			}
+			wk.mu.Unlock()
+			for g, wg := range hosted {
+				var buf bytes.Buffer
+				if _, err := wg.IX.WriteSnapshot(&buf); err != nil {
+					t.Fatalf("%s: worker %d group %d: snapshot: %v", stage, i, g, err)
+				}
+				snap, err := store.Decode(buf.Bytes())
+				if err != nil {
+					t.Fatalf("%s: worker %d group %d: decode: %v", stage, i, g, err)
+				}
+				got := snap.Order
+				freqs := make([]int, len(got.Freqs))
+				for k, f := range got.Freqs {
+					freqs[k] = int(f)
+				}
+				if !slices.Equal(got.FrozenKeys, want.Keys) || !slices.Equal(freqs, want.Freqs) || len(got.DynamicKeys) != 0 {
+					t.Fatalf("%s: worker %d group %d serves %d frozen and %d dynamic keys, not the single-node order of %d keys",
+						stage, i, g, len(got.FrozenKeys), len(got.DynamicKeys), len(want.Keys))
+				}
+				groups++
+			}
+		}
+		if groups == 0 {
+			t.Fatalf("%s: no hosted group was read", stage)
+		}
+	}
+	check("bootstrap", -1)
+
+	extra := denseCatalog(24, 9)
+	tc.insert(t, extra)
+	ref.Insert(extra)
+	rm := []int{3, 17, 171, 185}
+	tc.removeBatch(t, rm)
+	ref.RemoveBatch(rm)
+	tc.bump(t)
+	check("mutated and bumped", -1)
+
+	tc.kill(t, 1)
+	extra2 := denseCatalog(10, 10)
+	tc.insert(t, extra2)
+	ref.Insert(extra2)
+	tc.bump(t)
+	check("mutated and bumped with worker 1 down", 1)
+}
+
+// TestRegisterRefusesPastExpectedCount pins who a registration admits: a
+// one-worker coordinator keeps accepting its member's re-registration and
+// refuses a second address — accepted:false on the wire, and an error from
+// RegisterWorker instead of a worker waiting for a configuration that will
+// never come.
+func TestRegisterRefusesPastExpectedCount(t *testing.T) {
+	tc := startCluster(t, 1, 1, nil, 0.7, 2, "dp")
+	register := func(addr string) RegisterResponse {
+		t.Helper()
+		var resp RegisterResponse
+		if err := call(context.Background(), http.DefaultClient, tc.coordTS.URL+"/cluster/register", RegisterRequest{Addr: addr}, &resp); err != nil {
+			t.Fatalf("register %s: %v", addr, err)
+		}
+		return resp
+	}
+	const stranger = "http://127.0.0.1:1"
+	if resp := register(stranger); resp.Accepted {
+		t.Errorf("a second address was accepted by a one-worker coordinator: %+v", resp)
+	}
+	if err := RegisterWorker(context.Background(), nil, tc.coordTS.URL, stranger); err == nil {
+		t.Error("RegisterWorker returned no error for a refused address")
+	}
+	if resp := register(tc.workers[0].URL); !resp.Accepted || !resp.Configured {
+		t.Errorf("the member's re-registration was answered %+v, want accepted and configured", resp)
+	}
+	if err := RegisterWorker(context.Background(), nil, tc.coordTS.URL, tc.workers[0].URL); err != nil {
+		t.Errorf("RegisterWorker for the member: %v", err)
 	}
 }
 

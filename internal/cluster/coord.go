@@ -189,16 +189,19 @@ func (c *Coordinator) register(_ context.Context, req *RegisterRequest) (Registe
 		return RegisterResponse{}, badRequest("bad request body: addr is required")
 	}
 	c.mu.Lock()
-	known := false
+	accepted := false
 	for _, ref := range c.workers {
 		if ref.addr == req.Addr {
-			known = true
+			accepted = true
 			break
 		}
 	}
-	if !known && len(c.workers) < c.cfg.Workers {
+	if !accepted && len(c.workers) < c.cfg.Workers {
 		c.workers = append(c.workers, &workerRef{addr: req.Addr})
+		accepted = true
 		c.logf("worker %d/%d registered: %s", len(c.workers), c.cfg.Workers, req.Addr)
+	} else if !accepted {
+		c.logf("worker %s refused: all %d places are taken", req.Addr, c.cfg.Workers)
 	}
 	boot := len(c.workers) == c.cfg.Workers && !c.booted
 	if boot {
@@ -208,7 +211,7 @@ func (c *Coordinator) register(_ context.Context, req *RegisterRequest) (Registe
 	if boot {
 		go c.bootstrap()
 	}
-	return RegisterResponse{Accepted: true, Configured: c.ready.Load()}, nil
+	return RegisterResponse{Accepted: accepted, Configured: c.ready.Load()}, nil
 }
 
 // bootstrap fixes the membership and placement, pushes the configuration to
@@ -829,16 +832,16 @@ func (c *Coordinator) applyGroup(ctx context.Context, req *ApplyRequest) (*Apply
 // rebuild, and requests stamped with either the old or the prepared epoch
 // are accepted throughout.
 //
-// Prepare: the first ready worker is elected builder; it collects one
-// key-frequency table per group (one live replica each — groups partition
-// the records, so the tables sum to the global document frequencies),
-// merges them into the next frozen order, and every ready worker adopts it,
-// one group index at a time (rolling rebuilds). Commit: the coordinator
-// flips its epoch — the point of no return; every query from here on is
-// stamped with the new epoch — and tells the workers to flip theirs. A
-// worker that fails either phase is marked down: its epoch no longer
-// matches, so the stamp check fences it out of serving until it is resynced
-// (operator intervention; automatic resync is future work).
+// Prepare: the coordinator collects one key-frequency table per group, from
+// its first ready replica, all groups at once — groups partition the
+// records, so the tables sum to the global document frequencies — merges
+// them into the next frozen order (aujoin.MergeOrderImages), and every ready
+// worker adopts it, one group index at a time (rolling rebuilds). Commit:
+// the coordinator flips its epoch — the point of no return; every query from
+// here on is stamped with the new epoch — and tells the workers to flip
+// theirs. A worker that fails either phase is marked down: its epoch no
+// longer matches, so the stamp check fences it out of serving until it is
+// resynced (operator intervention; automatic resync is future work).
 func (c *Coordinator) BumpEpoch(reason string) error {
 	c.mutMu.Lock()
 	defer c.mutMu.Unlock()
@@ -856,28 +859,25 @@ func (c *Coordinator) BumpEpoch(reason string) error {
 	if len(ready) == 0 {
 		return errors.New("epoch bump: no ready workers")
 	}
-	builder := ready[0]
-	var sources []FreqSource
-	for g := 0; g < c.ring.Workers(); g++ {
-		var addr string
-		for _, wi := range c.ring.GroupReplicas(g) {
-			if refs[wi].state.Load() == workerReady {
-				addr = refs[wi].addr
-				break
-			}
-		}
-		if addr == "" {
-			return fmt.Errorf("epoch bump: no live replica for group %d", g)
-		}
-		sources = append(sources, FreqSource{Group: g, Addr: addr})
-	}
 
 	ctx := context.Background()
-	var payload OrderPayload
-	if err := call(ctx, c.client, builder.addr+"/cluster/build-order", BuildOrderRequest{Epoch: next, Sources: sources}, &payload); err != nil {
-		return fmt.Errorf("epoch bump: build order on %s: %w", builder.addr, err)
+	tables := make([]aujoin.OrderImage, c.ring.Workers())
+	err := c.gather(http.StatusBadGateway, func(g int) error {
+		for _, wi := range c.ring.GroupReplicas(g) {
+			if ref := refs[wi]; ref.state.Load() == workerReady {
+				return call(ctx, c.client, fmt.Sprintf("%s/cluster/freqs?group=%d", ref.addr, g), nil, &tables[g])
+			}
+		}
+		return errors.New("no live replica")
+	})
+	if err != nil {
+		return fmt.Errorf("epoch bump: collect frequencies: %w", err)
 	}
-	payload.Epoch = next
+	order, err := aujoin.MergeOrderImages(tables...)
+	if err != nil {
+		return fmt.Errorf("epoch bump: merge frequencies: %w", err)
+	}
+	payload := OrderPayload{Epoch: next, Order: order}
 
 	// Prepare: rolling adoption, worker by worker (each worker rolls its own
 	// groups); reads keep flowing the whole time.

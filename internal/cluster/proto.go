@@ -31,8 +31,11 @@ type RegisterRequest struct {
 	Addr string `json:"addr"`
 }
 
-// RegisterResponse acknowledges a registration. Configured reports whether
-// the cluster has bootstrapped (the worker will have received its config).
+// RegisterResponse answers a registration. Accepted reports whether the
+// address is a member: already registered, or admitted now while places were
+// left — a worker past the expected count is refused and will never be
+// configured. Configured reports whether the cluster has bootstrapped (the
+// worker will have received its config).
 type RegisterResponse struct {
 	Accepted   bool `json:"accepted"`
 	Configured bool `json:"configured"`
@@ -72,25 +75,9 @@ type ApplyResponse struct {
 	Removed []bool `json:"removed,omitempty"`
 }
 
-// BuildOrderRequest asks the elected builder worker to construct the next
-// global frozen order: fetch the per-group key-frequency tables from the
-// given sources (one live replica per group — groups partition the record
-// space, so the tables sum to the global frequencies), merge them, and
-// return the finalize-ordered image.
-type BuildOrderRequest struct {
-	Epoch   int64        `json:"epoch"`
-	Sources []FreqSource `json:"sources"`
-}
-
-// FreqSource names one group and a live replica to read its table from.
-type FreqSource struct {
-	Group int    `json:"group"`
-	Addr  string `json:"addr"`
-}
-
 // OrderPayload carries a frozen-order image: the prepare phase of an epoch
-// bump ships it to every worker (POST /cluster/adopt), and the builder
-// returns it from /cluster/build-order. Epoch is the epoch being prepared.
+// bump ships the image the coordinator merged from every group's table to
+// every worker (POST /cluster/adopt). Epoch is the epoch being prepared.
 type OrderPayload struct {
 	Epoch int64             `json:"epoch"`
 	Order aujoin.OrderImage `json:"order"`

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -72,7 +71,6 @@ func (wk *Worker) register(mux *http.ServeMux) {
 		}
 		answer(w, img, err)
 	})
-	mux.HandleFunc("POST /cluster/build-order", rpc(maxBodyBytes, wk.buildOrder))
 	mux.HandleFunc("POST /cluster/adopt", rpc(maxOrderBytes, wk.adopt))
 	mux.HandleFunc("POST /cluster/commit", rpc(maxBodyBytes, wk.commit))
 }
@@ -81,18 +79,24 @@ func (wk *Worker) register(mux *http.ServeMux) {
 var ack = map[string]bool{"ok": true}
 
 // RegisterWorker announces a worker to the coordinator, retrying until the
-// registration is accepted or ctx ends. Configuration arrives by push once
+// coordinator answers or ctx ends. It fails when the coordinator answers that
+// it did not admit the worker: every expected worker has already registered,
+// so this one would never be configured. Configuration arrives by push once
 // every expected worker has registered.
 func RegisterWorker(ctx context.Context, client *http.Client, coordURL, selfAddr string) error {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	for call(ctx, client, coordURL+"/cluster/register", RegisterRequest{Addr: selfAddr}, nil) != nil {
+	var resp RegisterResponse
+	for call(ctx, client, coordURL+"/cluster/register", RegisterRequest{Addr: selfAddr}, &resp) != nil {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-time.After(300 * time.Millisecond):
 		}
+	}
+	if !resp.Accepted {
+		return fmt.Errorf("coordinator %s did not admit %s: every worker place is taken", coordURL, selfAddr)
 	}
 	return nil
 }
@@ -296,53 +300,14 @@ func (wk *Worker) apply(_ context.Context, req *ApplyRequest) (ApplyResponse, er
 	return ApplyResponse{Applied: true, Removed: removed}, nil
 }
 
-// freqs exports one hosted group's live key-frequency table — the builder's
-// raw material during an epoch bump.
+// freqs exports one hosted group's live key-frequency table — what the
+// coordinator sums into the next global order during an epoch bump.
 func (wk *Worker) freqs(g int) (aujoin.OrderImage, error) {
 	wg, err := wk.group(g)
 	if err != nil {
 		return aujoin.OrderImage{}, err
 	}
 	return wg.IX.KeyFrequencies(), nil
-}
-
-// buildOrder runs on the elected builder: it collects one frequency table
-// per group (locally when the group is hosted here, from a peer otherwise),
-// sums them — the groups partition the record space, so the sum IS the
-// global document-frequency table — and returns the finalize-ordered image
-// everyone will adopt.
-func (wk *Worker) buildOrder(ctx context.Context, req *BuildOrderRequest) (OrderPayload, error) {
-	freq := map[string]int{}
-	for _, src := range req.Sources {
-		img, err := wk.freqs(src.Group)
-		if err != nil { // not hosted here: read it from the replica named
-			err = call(ctx, http.DefaultClient, fmt.Sprintf("%s/cluster/freqs?group=%d", src.Addr, src.Group), nil, &img)
-		}
-		if err != nil {
-			return OrderPayload{}, &apiError{http.StatusBadGateway, ErrorBody{
-				Error: fmt.Sprintf("collect group %d from %s: %v", src.Group, src.Addr, err),
-			}}
-		}
-		for i, k := range img.Keys {
-			freq[k] += img.Freqs[i]
-		}
-	}
-	keys := make([]string, 0, len(freq))
-	for k := range freq {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		fi, fj := freq[keys[i]], freq[keys[j]]
-		if fi != fj {
-			return fi < fj
-		}
-		return keys[i] < keys[j]
-	})
-	img := aujoin.OrderImage{Keys: keys, Freqs: make([]int, len(keys))}
-	for i, k := range keys {
-		img.Freqs[i] = freq[k]
-	}
-	return OrderPayload{Epoch: req.Epoch, Order: img}, nil
 }
 
 // adopt is the prepare phase of an epoch bump on the worker side: the hosted

@@ -1,77 +1,17 @@
 package join
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"strings"
 
 	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/pebble"
 )
 
-// This file holds the hooks the cluster layer builds on: a structured
-// fan-out error, inserts with caller-assigned stable IDs, export of the
-// live key-frequency table, and adoption of an externally built frozen
-// order (the worker side of the coordinator's order-sync protocol).
-
-// FanoutError reports a multi-branch fan-out that failed: which branches
-// (in-process shards, or cluster workers) failed, and with what. Unwrap
-// exposes the underlying errors, so errors.Is(err, context.Canceled) and
-// friends see through it.
-type FanoutError struct {
-	// Label names the branch kind in messages: "shard" or "worker".
-	Label string
-	// Total is the fan-out width the failures are reported against.
-	Total int
-	// Failed holds the indexes of the failing branches, ascending, and
-	// Errs their errors, parallel to Failed.
-	Failed []int
-	Errs   []error
-}
-
-func (e *FanoutError) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "join: %d of %d %ss failed", len(e.Failed), e.Total, e.Label)
-	for i, w := range e.Failed {
-		sep := ": "
-		if i > 0 {
-			sep = "; "
-		}
-		fmt.Fprintf(&b, "%s%s %d: %v", sep, e.Label, w, e.Errs[i])
-	}
-	return b.String()
-}
-
-// Unwrap exposes the per-branch errors to errors.Is/errors.As.
-func (e *FanoutError) Unwrap() []error { return e.Errs }
-
-// newFanoutError folds a fan-out's per-branch error slice into nil (no
-// failure) or one *FanoutError. When any branch failed for a reason of its
-// own, sibling branches that merely observed the resulting cancellation are
-// collateral and dropped from the report; when every failure IS a
-// cancellation they are all kept (there is no primary cause to prefer).
-func newFanoutError(label string, errs []error) error {
-	failed, real := 0, false
-	for _, err := range errs {
-		if err != nil {
-			failed++
-			real = real || err != context.Canceled
-		}
-	}
-	if failed == 0 {
-		return nil // the all-success path allocates nothing
-	}
-	fe := &FanoutError{Label: label, Total: len(errs)}
-	for w, err := range errs {
-		if err == nil || (real && err == context.Canceled) {
-			continue
-		}
-		fe.Failed = append(fe.Failed, w)
-		fe.Errs = append(fe.Errs, err)
-	}
-	return fe
-}
+// This file holds the hooks the cluster layer builds on: inserts with
+// caller-assigned stable IDs, export of the live key-frequency table, and
+// adoption of an externally built frozen order (the worker side of the
+// coordinator's order-sync protocol).
 
 // InsertBatchRecords appends records whose stable IDs the caller assigned —
 // the cluster coordinator allocates IDs centrally so every replica of a
@@ -115,8 +55,8 @@ func (sx *ShardedIndex) InsertBatchRecords(ids []int, raw []string) error {
 
 // KeyFrequencies returns every pebble key over the index's current live
 // records with its document frequency, in finalize order (frequency
-// ascending, key ascending on ties) — the image an epoch-bump builder sums
-// across groups to construct the next global frozen order. The live set is
+// ascending, key ascending on ties) — the table an epoch bump's coordinator
+// sums across groups into the next global frozen order. The live set is
 // collected under every shard's writer lock (one atomic cut); the frequency
 // count itself runs after the locks drop, over the prepared records the
 // shards hold, which are immutable.
@@ -137,18 +77,18 @@ func (sx *ShardedIndex) KeyFrequencies() ([]string, []int) {
 // AdoptOrder replaces the index's pebble order with an externally built
 // frozen order — the worker side of a cluster epoch bump's prepare phase.
 // The (keys, freqs) image must be in finalize order, as produced by
-// KeyFrequencies (after cross-group summing on the builder). Adoption is a
-// re-freeze (refreezeLocked) whose next order comes from outside: every
+// KeyFrequencies (after the coordinator sums the groups' tables). Adoption
+// is a re-freeze (refreezeLocked) whose next order comes from outside: every
 // shard is rebuilt under it while all writer locks are held, and readers
 // never block — they are served the cached pre-adoption snapshot. Keys
 // present in live records but missing from the image (a mutation that raced
-// the builder's frequency collection) are interned into the adopted order's
-// dynamic region first, so adoption is correct regardless of what the
-// builder saw; the interning is deterministic across replicas because
-// replicas hold identical records in identical positions. After adoption the
-// index never re-freezes on its own: order ownership has moved to the
-// coordinator, and local rebuilds keep compacting shards under the adopted
-// order.
+// the coordinator's frequency collection) are interned into the adopted
+// order's dynamic region first, so adoption is correct regardless of what
+// the coordinator saw; the interning is deterministic across replicas
+// because replicas hold identical records in identical positions. After
+// adoption the index never re-freezes on its own: order ownership has moved
+// to the coordinator, and local rebuilds keep compacting shards under the
+// adopted order.
 func (sx *ShardedIndex) AdoptOrder(keys []string, freqs []int) error {
 	order, err := pebble.RestoreOrder(keys, freqs, nil)
 	if err != nil {
@@ -158,16 +98,14 @@ func (sx *ShardedIndex) AdoptOrder(keys []string, freqs []int) error {
 	defer sx.refreezeMu.Unlock()
 	sx.refreezeLocked(func(live ...[]*core.PreparedRecord) (*pebble.Order, [][][]pebble.Pebble) {
 		// Defensive intern: any live key the image lacks — none, when nothing
-		// raced the builder — joins the dynamic region before signatures are
-		// re-selected under the adopted order, from the pebbles generated
+		// raced the collection — joins the dynamic region before signatures
+		// are re-selected under the adopted order, from the pebbles generated
 		// here.
-		generated := make([][][]pebble.Pebble, len(live))
+		generated := sx.joiner.generate(live...)
 		var missing []pebble.Pebble
-		for w, part := range live {
-			generated[w] = make([][]pebble.Pebble, len(part))
-			for i, pr := range part {
-				generated[w][i] = sx.joiner.gen.AppendPebbles(nil, pr)
-				for _, p := range generated[w][i] {
+		for _, part := range generated {
+			for _, pebbles := range part {
+				for _, p := range pebbles {
 					if _, ok := order.ID(p.Key); !ok {
 						missing = append(missing, p)
 					}

@@ -2,75 +2,46 @@ package join
 
 import (
 	"context"
-	"errors"
-	"strings"
 	"testing"
+	"time"
 
 	"github.com/aujoin/aujoin/internal/pebble"
 )
 
-// TestFanoutStructuredError pins the partial-failure contract of the shard
-// fan-out: real shard failures surface as one *FanoutError naming every
-// failing shard with its own error, siblings that merely observed the
-// resulting internal cancellation are omitted as collateral, and a caller
-// whose own context was cancelled gets that cancellation back bare.
-func TestFanoutStructuredError(t *testing.T) {
+// TestFanoutReturnsCallerContextError pins the fan-out's error contract on a
+// 4-shard view: a shard fails only when the caller's context ends, so a
+// withdrawn request — cancelled, or past its deadline — gets that context's
+// error back bare, with every sibling goroutine gone, and a request that runs
+// to the end gets no error at all.
+func TestFanoutReturnsCallerContextError(t *testing.T) {
 	j := NewJoiner(paperContext())
-	sx := j.BuildShardedIndex(denseCorpus(40, 3, 1), 4,
-		Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
-	sv := sx.Snapshot()
+	corpus := denseCorpus(40, 3, 1)
+	sv := j.BuildShardedIndex(corpus, 4, Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}, DynamicOptions{}).Snapshot()
+	if len(sv.views) != 4 {
+		t.Fatalf("%d shard views, want 4", len(sv.views))
+	}
+	q := corpus[0].Tokens
 
-	boom1 := errors.New("disk on fire")
-	boom3 := errors.New("bad postings")
-	// fanout runs fn over a request sized like a real one: four result slots.
-	fanout := func(ctx context.Context, fn func(ctx context.Context, w int) error) error {
-		rq := &request{sv: sv, errs: make([]error, len(sv.views))}
-		return rq.fanout(ctx, func(_ *request, ctx context.Context, w int) error { return fn(ctx, w) })
-	}
-	err := fanout(context.Background(), func(ctx context.Context, w int) error {
-		switch w {
-		case 1:
-			return boom1
-		case 3:
-			return boom3
-		default:
-			<-ctx.Done() // sibling parked until the failure cancels it
-			return ctx.Err()
-		}
-	})
-	var fe *FanoutError
-	if !errors.As(err, &fe) {
-		t.Fatalf("fanout error = %T (%v), want *FanoutError", err, err)
-	}
-	if fe.Label != "shard" || fe.Total != 4 {
-		t.Errorf("FanoutError label/total = %q/%d, want shard/4", fe.Label, fe.Total)
-	}
-	if len(fe.Failed) != 2 || fe.Failed[0] != 1 || fe.Failed[1] != 3 {
-		t.Errorf("FanoutError.Failed = %v, want [1 3]", fe.Failed)
-	}
-	if !errors.Is(err, boom1) || !errors.Is(err, boom3) {
-		t.Errorf("FanoutError does not unwrap to the shard errors: %v", err)
-	}
-	if errors.Is(err, context.Canceled) {
-		t.Errorf("collateral sibling cancellation leaked into the error: %v", err)
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "2 of 4 shards failed") ||
-		!strings.Contains(msg, "disk on fire") || !strings.Contains(msg, "bad postings") {
-		t.Errorf("FanoutError message %q does not name the failures", msg)
-	}
-
-	// Caller cancellation is a withdrawn request, not a shard failure.
-	ctx, cancel := context.WithCancel(context.Background())
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = fanout(ctx, func(ictx context.Context, w int) error { return ictx.Err() })
-	if err != context.Canceled {
-		t.Fatalf("cancelled fanout error = %v, want bare context.Canceled", err)
+	expired, stop := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer stop()
+	for _, ctx := range []context.Context{cancelled, expired} {
+		if _, err := sv.QueryTopKCtx(ctx, q, 10, QueryOpts{}); err != ctx.Err() {
+			t.Errorf("top-k under %v: error %v, want it bare", ctx.Err(), err)
+		}
+		if _, err := sv.ProbeRecordCtx(ctx, q, QueryOpts{}); err != ctx.Err() {
+			t.Errorf("probe under %v: error %v, want it bare", ctx.Err(), err)
+		}
 	}
+	checkGoroutines(t)
 
-	// All shards succeeding is not an error.
-	if err := fanout(context.Background(), func(context.Context, int) error { return nil }); err != nil {
-		t.Fatalf("clean fanout returned %v", err)
+	matches, err := sv.QueryTopKCtx(context.Background(), q, 10, QueryOpts{})
+	if err != nil || len(matches) == 0 {
+		t.Fatalf("completed top-k: %d matches, error %v; want the record itself and no error", len(matches), err)
+	}
+	if _, err := sv.ProbeRecordCtx(context.Background(), q, QueryOpts{}); err != nil {
+		t.Fatalf("completed probe: error %v", err)
 	}
 }
 
@@ -86,7 +57,7 @@ func TestQueryAllocsPinned(t *testing.T) {
 	j := NewJoiner(paperContext())
 	probe := benchCorpus(64, 9)
 	ctx, qo := context.Background(), QueryOpts{}
-	for _, pin := range []struct{ shards, topK, probe int }{{1, 15, 15}, {3, 22, 22}} {
+	for _, pin := range []struct{ shards, topK, probe int }{{1, 15, 15}, {3, 20, 20}} {
 		sx := j.BuildShardedIndex(benchCorpus(400, 1), pin.shards, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
 		i := 0
 		topK := testing.AllocsPerRun(10*len(probe), func() {

@@ -178,18 +178,29 @@ func (j *Joiner) BuildOrder(collections ...[]strutil.Record) *pebble.Order {
 
 // orderOf constructs the global pebble frequency order over the given
 // collections of prepared records and returns it with the pebbles it
-// generated to count: generated[c][i] are record i of collection c's, in
-// generation order, a window of one arena sized up front. Signature selection
-// sorts each window in place and selects from it, so a record's pebbles are
+// generated to count them (generate). Signature selection sorts each
+// record's window in place and selects from it, so a record's pebbles are
 // generated once per order.
 func (j *Joiner) orderOf(collections ...[]*core.PreparedRecord) (*pebble.Order, [][][]pebble.Pebble) {
+	order := pebble.NewOrder()
+	generated := j.generate(collections...)
+	for _, coll := range generated {
+		for _, pebbles := range coll {
+			order.Add(pebbles)
+		}
+	}
+	return order, generated
+}
+
+// generate returns every record's pebbles: generated[c][i] are record i of
+// collection c's, in generation order, a window of one arena sized up front.
+func (j *Joiner) generate(collections ...[]*core.PreparedRecord) [][][]pebble.Pebble {
 	n := 0
 	for _, coll := range collections {
 		for _, pr := range coll {
 			n += j.gen.Count(pr)
 		}
 	}
-	order := pebble.NewOrder()
 	arena := make([]pebble.Pebble, 0, n)
 	generated := make([][][]pebble.Pebble, len(collections))
 	for c, coll := range collections {
@@ -198,10 +209,9 @@ func (j *Joiner) orderOf(collections ...[]*core.PreparedRecord) (*pebble.Order, 
 			start := len(arena)
 			arena = j.gen.AppendPebbles(arena, pr)
 			generated[c][i] = arena[start:len(arena):len(arena)]
-			order.Add(generated[c][i])
 		}
 	}
-	return order, generated
+	return generated
 }
 
 // probeScratch is the state of one request on one shard: the block

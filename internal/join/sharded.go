@@ -544,7 +544,7 @@ const maxInlineShards = 4
 // its worker runs shard after shard and then reuses for the next record. It
 // holds the prepared query every shard verifies against, the IDs of the probe signature selected from it and its
 // overlap constraint, the rising floor shared by every top-k heap, and per
-// shard the matches it found and the error it failed with.
+// shard the matches it found.
 type request struct {
 	sv  *ShardedView
 	pq  *core.PreparedRecord
@@ -568,14 +568,10 @@ type request struct {
 	tally   *probeTally
 	matches []QueryMatch
 
-	ctx    context.Context
-	cancel context.CancelFunc // nil when there is no sibling to cancel
-	wg     sync.WaitGroup
-	parts  [][]QueryMatch
-	errs   []error
+	wg    sync.WaitGroup
+	parts [][]QueryMatch
 
 	partBuf [maxInlineShards][]QueryMatch
-	errBuf  [maxInlineShards]error
 }
 
 // serve runs one single-record request against every shard and returns the
@@ -596,58 +592,43 @@ func (sv *ShardedView) serve(ctx context.Context, tokens []string, k int, qo Que
 	ids := signatureIDs(sv.gen.sel.RecordSignature(pq, method, tau))
 	rq := &request{sv: sv, pq: pq, ids: ids, tau: tau, qo: qo, k: k, limit: noLimit}
 	if n := len(sv.views); n <= maxInlineShards {
-		rq.parts, rq.errs = rq.partBuf[:n], rq.errBuf[:n]
+		rq.parts = rq.partBuf[:n]
 	} else {
-		rq.parts, rq.errs = make([][]QueryMatch, n), make([]error, n)
+		rq.parts = make([][]QueryMatch, n)
 	}
-	if err := rq.fanout(ctx, (*request).shard); err != nil {
+	if err := rq.fanout(ctx); err != nil {
 		return nil, err
 	}
 	return rq.parts, nil
 }
 
-// shard is one shard's share of the request.
-func (rq *request) shard(ctx context.Context, w int) (err error) {
-	rq.parts[w], err = rq.sv.views[w].serve(ctx, rq)
-	return err
-}
-
-// fanout runs fn once per shard — shard 0 on the calling goroutine, every
-// sibling on its own — so a fan-out of one is a plain call. With siblings
-// they share a cancellable child context and the first shard to return an
-// error cancels the rest (errgroup-style propagation, without the
-// dependency). When the caller's own context was cancelled, that
-// cancellation is returned bare — the shards did not fail, the request was
-// withdrawn. Any other failure is reported as one *FanoutError naming every
-// failing shard (siblings that merely observed the resulting internal
-// cancellation are collateral, not failures, and are omitted).
-func (rq *request) fanout(ctx context.Context, fn func(rq *request, ctx context.Context, w int) error) error {
-	rq.ctx = ctx
-	if n := len(rq.errs); n > 1 {
-		rq.ctx, rq.cancel = context.WithCancel(ctx)
-		defer rq.cancel()
+// fanout runs the request on every shard — shard 0 on the calling goroutine,
+// every sibling on its own — so a fan-out of one is a plain call, and returns
+// ctx.Err() once every shard is done. That is the whole error contract: a
+// shard's only failure is the ctx.Err() its verify loop returns (forCtx), and
+// every shard runs under the caller's ctx, so a shard has failed only if ctx
+// has ended — and then every sibling sees it too and stops at its next check,
+// with no child context to cancel them. Since ctx.Err() never goes back to
+// nil, the one read after the wait reports every shard's failure, bare.
+func (rq *request) fanout(ctx context.Context) error {
+	if n := len(rq.parts); n > 1 {
 		rq.wg.Add(n - 1)
 		for w := 1; w < n; w++ {
 			goPipeline(func() {
 				defer rq.wg.Done()
-				rq.run(fn, w)
+				rq.shard(ctx, w)
 			})
 		}
 	}
-	rq.run(fn, 0)
+	rq.shard(ctx, 0)
 	rq.wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return newFanoutError("shard", rq.errs)
+	return ctx.Err()
 }
 
-// run executes fn for shard w, recording its error and cancelling the
-// siblings on failure.
-func (rq *request) run(fn func(rq *request, ctx context.Context, w int) error, w int) {
-	if rq.errs[w] = fn(rq, rq.ctx, w); rq.errs[w] != nil && rq.cancel != nil {
-		rq.cancel()
-	}
+// shard is one shard's share of the request. Its error is ctx.Err(), which
+// fanout reports.
+func (rq *request) shard(ctx context.Context, w int) {
+	rq.parts[w], _ = rq.sv.views[w].serve(ctx, rq)
 }
 
 // ProbeRecordCtx runs the filter-and-verify pipeline for one tokenised query

@@ -247,7 +247,8 @@ type keyCount struct {
 
 // sortByFrequency sorts keys into the global order: frequency ascending, key
 // ascending on ties. It is the one frequency sort: Finalize numbers the
-// frozen IDs by it, and FrequencyTable reads its result.
+// frozen IDs by it, FrequencyTable reads its result, and
+// MergeFrequencyTables sorts the sum of several tables by it.
 func sortByFrequency(counts []keyCount) {
 	slices.SortFunc(counts, func(a, b keyCount) int {
 		return cmp.Or(cmp.Compare(a.freq, b.freq), strings.Compare(a.key, b.key))

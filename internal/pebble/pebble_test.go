@@ -2,6 +2,8 @@ package pebble
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/aujoin/aujoin/internal/sim"
@@ -197,6 +199,43 @@ func TestBuildOrderAndKeys(t *testing.T) {
 	// "coffee shop" and "coffee coffee".
 	if f := order.Frequency("g:co"); f != 2 {
 		t.Errorf("Frequency(g:co) = %d, want the document frequency 2", f)
+	}
+}
+
+// TestMergeFrequencyTablesIsTheWholeTable splits a corpus at random into
+// disjoint parts — some of them empty — and holds the merge of the parts'
+// tables to the whole corpus's FrequencyTable, key for key and count for
+// count. The corpus draws on a small vocabulary, so most frequencies tie and
+// the key tie-break decides much of the order.
+func TestMergeFrequencyTablesIsTheWholeTable(t *testing.T) {
+	gen := NewGenerator(closenessContext())
+	rng := rand.New(rand.NewSource(35))
+	corpus := closenessCorpus(rng, 400)
+	wantKeys, wantFreqs := buildOrder(gen, corpus).FrequencyTable()
+	for trial := 0; trial < 20; trial++ {
+		parts := make([][][]string, 1+rng.Intn(6))
+		for _, tokens := range corpus {
+			p := rng.Intn(len(parts))
+			parts[p] = append(parts[p], tokens)
+		}
+		keys, freqs := make([][]string, len(parts)), make([][]int, len(parts))
+		for p, part := range parts {
+			keys[p], freqs[p] = buildOrder(gen, part).FrequencyTable()
+		}
+		gotKeys, gotFreqs, err := MergeFrequencyTables(keys, freqs)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !slices.Equal(gotKeys, wantKeys) || !slices.Equal(gotFreqs, wantFreqs) {
+			t.Fatalf("trial %d (%d parts): the merged table is not the whole corpus's", trial, len(parts))
+		}
+	}
+
+	if _, _, err := MergeFrequencyTables([][]string{{"g:ab", "g:bc"}}, [][]int{{1}}); err == nil {
+		t.Error("a table with more keys than frequencies was merged")
+	}
+	if _, _, err := MergeFrequencyTables([][]string{{"g:ab"}}, nil); err == nil {
+		t.Error("key lists without frequency lists were merged")
 	}
 }
 

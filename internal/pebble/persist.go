@@ -13,6 +13,40 @@ func (o *Order) FrequencyTable() ([]string, []int) {
 	return append(make([]string, 0, len(o.keys)), o.keys...), append(make([]int, 0, len(o.freqs)), o.freqs...)
 }
 
+// MergeFrequencyTables sums frequency tables over disjoint record sets —
+// keys[t] and freqs[t] are table t, as FrequencyTable returns it — into the
+// table of their union, sorted as Finalize sorts. Document frequencies of
+// disjoint sets add, so the result is exactly the FrequencyTable of one order
+// counted over every record. A table whose keys and frequencies differ in
+// length is rejected.
+func MergeFrequencyTables(keys [][]string, freqs [][]int) ([]string, []int, error) {
+	if len(keys) != len(freqs) {
+		return nil, nil, fmt.Errorf("pebble: %d key lists but %d frequency lists", len(keys), len(freqs))
+	}
+	slot := make(map[string]int)
+	var counts []keyCount
+	for t, ks := range keys {
+		if len(freqs[t]) != len(ks) {
+			return nil, nil, fmt.Errorf("pebble: table %d has %d keys but %d frequencies", t, len(ks), len(freqs[t]))
+		}
+		for i, k := range ks {
+			s, ok := slot[k]
+			if !ok {
+				s = len(counts)
+				slot[k] = s
+				counts = append(counts, keyCount{key: k})
+			}
+			counts[s].freq += int32(freqs[t][i])
+		}
+	}
+	sortByFrequency(counts)
+	outKeys, outFreqs := make([]string, len(counts)), make([]int, len(counts))
+	for i, c := range counts {
+		outKeys[i], outFreqs[i] = c.key, int(c.freq)
+	}
+	return outKeys, outFreqs, nil
+}
+
 // RestoreOrder reconstructs a finalized Order from its serialized image:
 // the frozen prefix in dense-ID order with the document frequencies
 // recorded at the original Finalize, followed by the dynamic region in
