@@ -8,8 +8,8 @@
 // kinds of similarity at once — syntactic (q-gram Jaccard), synonym-rule
 // based, and taxonomy (IS-A hierarchy) based — and joins large string
 // collections under that unified measure with pebble-signature filtering
-// (U-Filter and the adaptive AU-Filters) plus sampling-based selection of
-// the overlap constraint τ.
+// (U-Filter and the adaptive AU-Filters) under a caller-chosen overlap
+// constraint τ.
 //
 // # Quick start
 //
@@ -20,7 +20,7 @@
 //	)
 //	if err != nil { ... }
 //	sim := j.Similarity("coffee shop latte Helsingki", "espresso cafe Helsinki")
-//	matches, _ := j.Join(left, right, aujoin.JoinOptions{Theta: 0.8, AutoTau: true})
+//	matches, _ := j.Join(left, right, aujoin.JoinOptions{Theta: 0.8, Tau: 2})
 //
 // NewStrict is the recommended constructor; New is the panic-on-error
 // convenience wrapper for option lists known to be valid (tests, examples,
@@ -93,7 +93,6 @@ import (
 	"time"
 
 	"github.com/aujoin/aujoin/internal/core"
-	"github.com/aujoin/aujoin/internal/estimator"
 	"github.com/aujoin/aujoin/internal/join"
 	"github.com/aujoin/aujoin/internal/pebble"
 	"github.com/aujoin/aujoin/internal/sim"
@@ -158,10 +157,9 @@ type Stats struct {
 	// tokens across all probe signatures.
 	BitsetTokens int64
 	SliceTokens  int64
-	// SuggestedTau is the overlap constraint the filter ran at: the
-	// auto-suggested τ when AutoTau was enabled, Tau otherwise — clamped to
-	// at least 1, and always 1 under UFilter, which has no τ.
-	SuggestedTau int
+	// Tau is the overlap constraint the filter ran at: JoinOptions.Tau
+	// clamped to at least 1, and always 1 under UFilter, which has no τ.
+	Tau int
 	// VerifyStats counts the verify work. VerifiedCandidates counts the
 	// candidates whose segment-pair similarity matrix was filled;
 	// PrunedByBound the candidates dismissed before that by a sound upper
@@ -176,52 +174,36 @@ type Stats struct {
 	// verifies all of a probe record's candidates, so neither depends on
 	// Workers.
 	core.VerifyStats
-	// SuggestionTime, FilterTime and VerifyTime break the total down.
-	// SuggestionTime is the τ estimator's. FilterTime is everything done
-	// once per collection (preparation, signatures, index building) plus
-	// the count filter; VerifyTime is verification. A join filters and
+	// FilterTime and VerifyTime break the total down. FilterTime is
+	// everything done once per collection (preparation, signatures, index
+	// building) plus the count filter; VerifyTime is verification. A join filters and
 	// verifies one probe record at a time, so the per-record durations of
 	// the two stages are summed on the worker that ran the record and the
 	// sums of the slowest worker are reported: wall-clock on one goroutine,
-	// NOT CPU time summed over workers or shards. With one worker the three
+	// NOT CPU time summed over workers or shards. With one worker the two
 	// are the time the call spent in each stage; with more they add up to at
 	// most the end-to-end latency the caller observed.
-	SuggestionTime time.Duration
-	FilterTime     time.Duration
-	VerifyTime     time.Duration
+	FilterTime time.Duration
+	VerifyTime time.Duration
 }
 
 // Total returns the sum of the per-stage wall-clock durations: the call's
 // end-to-end latency less what it spent handing matches over, on its slowest
 // worker (not CPU time).
-func (s Stats) Total() time.Duration { return s.SuggestionTime + s.FilterTime + s.VerifyTime }
+func (s Stats) Total() time.Duration { return s.FilterTime + s.VerifyTime }
 
 // JoinOptions configures Join and SelfJoin.
 type JoinOptions struct {
 	// Theta is the unified-similarity threshold in [0, 1].
 	Theta float64
-	// Tau is the overlap constraint (≥ 1); ignored when AutoTau is set.
+	// Tau is the overlap constraint; values below 1 run at 1.
 	Tau int
-	// AutoTau runs the sampling-based estimator of Section 4 to pick τ.
-	AutoTau bool
 	// Filter selects the signature algorithm; the default is AUFilterDP.
 	Filter Filter
 	// Workers is how many probe records are filtered and verified at once
 	// (0 = all CPUs); one record's candidates are always verified by one
 	// worker.
 	Workers int
-	// Seed seeds the sampling-based τ estimator (AutoTau and SuggestTau);
-	// 0 means the reproducible default seed 1, so runs are deterministic
-	// unless a different seed is requested explicitly.
-	Seed int64
-}
-
-// estimatorSeed maps the zero value to the reproducible default.
-func (o JoinOptions) estimatorSeed() int64 {
-	if o.Seed != 0 {
-		return o.Seed
-	}
-	return 1
 }
 
 // Option configures a Joiner at construction time.
@@ -386,15 +368,14 @@ func (j *Joiner) SimilarityExact(s, t string) (float64, bool) {
 // Join finds all pairs (i from s, j from t) whose unified similarity
 // reaches opts.Theta.
 func (j *Joiner) Join(s, t []string, opts JoinOptions) ([]Match, Stats) {
-	recsS := strutil.NewCollection(s)
-	recsT := strutil.NewCollection(t)
-	return j.joinRecords(recsS, recsT, opts, false)
+	pairs, jstats := j.joiner.Join(strutil.NewCollection(s), strutil.NewCollection(t), opts.internal())
+	return pairs, publicStats(jstats)
 }
 
 // SelfJoin finds all unordered pairs within one collection.
 func (j *Joiner) SelfJoin(s []string, opts JoinOptions) ([]Match, Stats) {
-	recs := strutil.NewCollection(s)
-	return j.joinRecords(recs, recs, opts, true)
+	pairs, jstats := j.joiner.SelfJoin(strutil.NewCollection(s), opts.internal())
+	return pairs, publicStats(jstats)
 }
 
 // JoinSeq is the streaming form of Join: it returns a Go 1.23 range-over-func
@@ -405,21 +386,13 @@ func (j *Joiner) SelfJoin(s []string, opts JoinOptions) ([]Match, Stats) {
 // buffering is bounded by the worker count, not the result size.
 //
 // Cancellation is cooperative and prompt: when ctx is cancelled or its
-// deadline passes, the pipeline stops between candidates and the
-// sequence yields one final non-nil error (with AutoTau, a cancellation
-// during the sampling stage surfaces the same way). Breaking out of the loop
-// early stops the pipeline too, and is not an error. In both cases every
-// internal goroutine is released before the range statement returns.
+// deadline passes, the pipeline stops between candidates and the sequence
+// yields one final non-nil error. Breaking out of the loop early stops the
+// pipeline too, and is not an error. In both cases every internal goroutine
+// is released before the range statement returns.
 func (j *Joiner) JoinSeq(ctx context.Context, s, t []string, opts JoinOptions) iter.Seq2[Match, error] {
 	return func(yield func(Match, error) bool) {
-		recsS := strutil.NewCollection(s)
-		recsT := strutil.NewCollection(t)
-		jopts, err := j.resolveSeqOptions(ctx, recsS, recsT, opts)
-		if err != nil {
-			yield(Match{}, err)
-			return
-		}
-		j.joiner.JoinSeq(ctx, recsS, recsT, jopts)(yield)
+		j.joiner.JoinSeq(ctx, strutil.NewCollection(s), strutil.NewCollection(t), opts.internal())(yield)
 	}
 }
 
@@ -428,39 +401,8 @@ func (j *Joiner) JoinSeq(ctx context.Context, s, t []string, opts JoinOptions) i
 // completion order.
 func (j *Joiner) SelfJoinSeq(ctx context.Context, s []string, opts JoinOptions) iter.Seq2[Match, error] {
 	return func(yield func(Match, error) bool) {
-		recs := strutil.NewCollection(s)
-		jopts, err := j.resolveSeqOptions(ctx, recs, recs, opts)
-		if err != nil {
-			yield(Match{}, err)
-			return
-		}
-		j.joiner.SelfJoinSeq(ctx, recs, jopts)(yield)
+		j.joiner.SelfJoinSeq(ctx, strutil.NewCollection(s), opts.internal())(yield)
 	}
-}
-
-// resolveSeqOptions maps JoinOptions onto the internal join options, running
-// the τ estimator under ctx when AutoTau is set so a deadline also bounds
-// the sampling stage.
-func (j *Joiner) resolveSeqOptions(ctx context.Context, recsS, recsT []strutil.Record, opts JoinOptions) (join.Options, error) {
-	tau := opts.Tau
-	if tau < 1 {
-		tau = 1
-	}
-	if opts.AutoTau {
-		rec, err := estimator.SuggestCtx(ctx, j.joiner, recsS, recsT,
-			join.Options{Theta: opts.Theta, Method: opts.Filter.method()},
-			estimator.Config{Seed: opts.estimatorSeed()})
-		if err != nil {
-			return join.Options{}, err
-		}
-		tau = rec.BestTau
-	}
-	return join.Options{
-		Theta:   opts.Theta,
-		Tau:     tau,
-		Method:  opts.Filter.method(),
-		Workers: opts.Workers,
-	}, nil
 }
 
 // QueryOptions carries per-request overrides for QueryCtx and QueryTopKCtx —
@@ -482,6 +424,11 @@ type QueryOptions struct {
 // QueryOptions.MinSimilarity is below the Theta the index was built with;
 // test for it with errors.Is.
 var ErrThetaBelowBuild = join.ErrThetaBelowBuild
+
+// internal maps the public options onto the internal join options.
+func (o JoinOptions) internal() join.Options {
+	return join.Options{Theta: o.Theta, Tau: o.Tau, Method: o.Filter.method(), Workers: o.Workers}
+}
 
 // internal maps the public options onto the internal per-request options.
 func (o QueryOptions) internal() join.QueryOpts {
@@ -527,9 +474,8 @@ type QueryMatch struct {
 }
 
 // Index builds a probe-ready dynamic index over the collection. Theta, Tau
-// and Filter are fixed at build time (AutoTau is ignored — suggesting τ
-// needs a probe side; use SuggestTau and rebuild to re-tune). Each record's
-// stable ID is its position in the input collection. The index has one
+// and Filter are fixed at build time; re-tuning τ means building a new
+// index. Each record's stable ID is its position in the input collection. The index has one
 // shard; IndexWith chooses the shard count.
 func (j *Joiner) Index(records []string, opts JoinOptions) *Index {
 	return j.IndexWith(records, opts, IndexOptions{Shards: 1})
@@ -538,14 +484,8 @@ func (j *Joiner) Index(records []string, opts JoinOptions) *Index {
 // IndexWith is Index with explicit construction options; IndexOptions
 // {Shards: 1} is Index, and Shards = 0 partitions across GOMAXPROCS shards.
 func (j *Joiner) IndexWith(records []string, opts JoinOptions, iopts IndexOptions) *Index {
-	jopts := join.Options{
-		Theta:   opts.Theta,
-		Tau:     opts.Tau,
-		Method:  opts.Filter.method(),
-		Workers: opts.Workers,
-	}
 	recs := strutil.NewCollection(records)
-	return &Index{inner: j.joiner.BuildShardedIndex(recs, iopts.Shards, jopts, join.DynamicOptions{})}
+	return &Index{inner: j.joiner.BuildShardedIndex(recs, iopts.Shards, opts.internal(), join.DynamicOptions{})}
 }
 
 // Insert adds a batch of records to the indexed catalog and returns their
@@ -708,56 +648,6 @@ func convertHits(hits []join.QueryMatch) []QueryMatch {
 	return out
 }
 
-// SuggestTau runs the sampling-based estimator of Section 4 and returns the
-// overlap constraint with the minimal estimated join cost. opts.Theta sets
-// the join threshold, opts.Seed the sampler seed (0 = reproducible default),
-// and opts.Filter the signature method whose cost is estimated; the U-Filter
-// (for which τ is fixed at 1) is estimated as the heuristic AU-Filter, so
-// the zero-value Filter keeps the previous behaviour.
-func (j *Joiner) SuggestTau(s, t []string, opts JoinOptions) int {
-	tau, _ := j.SuggestTauCtx(context.Background(), s, t, opts)
-	return tau
-}
-
-// SuggestTauCtx is SuggestTau with deadline awareness: the sampling loop of
-// Algorithm 7 checks ctx between rounds and stops early when it is done, so
-// a request deadline bounds the suggestion stage too. The returned τ is the
-// best recommendation from the rounds that completed; the error is the
-// context error when the loop was truncated (callers that can tolerate a
-// lower-confidence suggestion may use the τ anyway).
-func (j *Joiner) SuggestTauCtx(ctx context.Context, s, t []string, opts JoinOptions) (int, error) {
-	recsS := strutil.NewCollection(s)
-	recsT := strutil.NewCollection(t)
-	method := opts.Filter.method()
-	if method == pebble.UFilter {
-		method = pebble.AUHeuristic
-	}
-	rec, err := estimator.SuggestCtx(ctx, j.joiner, recsS, recsT,
-		join.Options{Theta: opts.Theta, Method: method},
-		estimator.Config{Seed: opts.estimatorSeed()})
-	return rec.BestTau, err
-}
-
-func (j *Joiner) joinRecords(recsS, recsT []strutil.Record, opts JoinOptions, self bool) ([]Match, Stats) {
-	var suggestionTime time.Duration
-	start := time.Now()
-	// The context is Background, so option resolution cannot fail.
-	jopts, _ := j.resolveSeqOptions(context.Background(), recsS, recsT, opts)
-	if opts.AutoTau {
-		suggestionTime = time.Since(start)
-	}
-	var pairs []join.Pair
-	var jstats join.Stats
-	if self {
-		pairs, jstats = j.joiner.SelfJoin(recsS, jopts)
-	} else {
-		pairs, jstats = j.joiner.Join(recsS, recsT, jopts)
-	}
-	stats := publicStats(jstats)
-	stats.SuggestionTime = suggestionTime
-	return pairs, stats
-}
-
 // publicStats maps the internal join statistics onto the public type.
 func publicStats(jstats join.Stats) Stats {
 	return Stats{
@@ -768,7 +658,7 @@ func publicStats(jstats join.Stats) Stats {
 		BitsetTokens:    jstats.BitsetTokens,
 		SliceTokens:     jstats.SliceTokens,
 		VerifyStats:     jstats.VerifyStats,
-		SuggestedTau:    jstats.Tau,
+		Tau:             jstats.Tau,
 		FilterTime:      jstats.SignatureTime + jstats.FilterTime,
 		VerifyTime:      jstats.VerifyTime,
 	}

@@ -179,36 +179,6 @@ func TestIndexInsertRemoveSnapshot(t *testing.T) {
 	}
 }
 
-func TestAutoTauAndSuggestTau(t *testing.T) {
-	j := paperJoiner(t)
-	var left, right []string
-	for i := 0; i < 30; i++ {
-		left = append(left, "coffee shop latte Helsingki")
-		right = append(right, "espresso cafe Helsinki")
-		left = append(left, "apple cake bakery")
-		right = append(right, "cake gateau corner")
-	}
-	tau := j.SuggestTau(left, right, JoinOptions{Theta: 0.8})
-	if tau < 1 {
-		t.Errorf("SuggestTau = %d", tau)
-	}
-	// The default seed is fixed, so suggestions are reproducible; an
-	// explicit seed must be honoured without breaking validity.
-	if again := j.SuggestTau(left, right, JoinOptions{Theta: 0.8}); again != tau {
-		t.Errorf("SuggestTau not reproducible: %d vs %d", tau, again)
-	}
-	if seeded := j.SuggestTau(left, right, JoinOptions{Theta: 0.8, Seed: 42}); seeded < 1 {
-		t.Errorf("SuggestTau(seed 42) = %d", seeded)
-	}
-	matches, stats := j.Join(left, right, JoinOptions{Theta: 0.8, AutoTau: true})
-	if stats.SuggestedTau < 1 {
-		t.Errorf("SuggestedTau = %d", stats.SuggestedTau)
-	}
-	if len(matches) == 0 {
-		t.Error("auto-τ join found nothing")
-	}
-}
-
 func TestMeasureRestrictionOption(t *testing.T) {
 	full := paperJoiner(t)
 	jOnly := New(WithMeasures("J"))
@@ -281,7 +251,7 @@ func TestJoinOptionsDefaults(t *testing.T) {
 	j := paperJoiner(t)
 	// Tau < 1 and default filter must still work.
 	matches, stats := j.Join([]string{"espresso"}, []string{"espresso"}, JoinOptions{Theta: 0.9})
-	if len(matches) != 1 || stats.SuggestedTau != 1 {
+	if len(matches) != 1 || stats.Tau != 1 {
 		t.Errorf("defaults broken: %v %+v", matches, stats)
 	}
 
@@ -303,8 +273,8 @@ func TestJoinOptionsDefaults(t *testing.T) {
 	_, oneShot := j.Join(recs, recs, opts)
 	_, self := j.SelfJoin(recs, opts)
 	for name, got := range map[string]int{
-		"built Probe": built.SuggestedTau, "restored Probe": reread.SuggestedTau,
-		"Join": oneShot.SuggestedTau, "SelfJoin": self.SuggestedTau,
+		"built Probe": built.Tau, "restored Probe": reread.Tau,
+		"Join": oneShot.Tau, "SelfJoin": self.Tau,
 		"built IndexStats": ix.Stats().Tau, "restored IndexStats": restored.Stats().Tau,
 	} {
 		if got != 1 {

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	aujoin -left a.txt -right b.txt -theta 0.8 [-tau 3 | -auto-tau] \
+//	aujoin -left a.txt -right b.txt -theta 0.8 [-tau 3] \
 //	       [-filter dp|heuristic|u] [-synonyms rules.tsv] [-taxonomy tax.tsv] \
 //	       [-measures TJS]
 //
@@ -29,8 +29,7 @@ func main() {
 		leftPath  = flag.String("left", "", "path to the left collection (one record per line)")
 		rightPath = flag.String("right", "", "path to the right collection; omit for a self-join of -left")
 		theta     = flag.Float64("theta", 0.8, "unified similarity threshold in [0,1]")
-		tau       = flag.Int("tau", 1, "overlap constraint (ignored with -auto-tau)")
-		autoTau   = flag.Bool("auto-tau", false, "pick τ with the sampling-based estimator")
+		tau       = flag.Int("tau", 1, "overlap constraint (values below 1 run at 1)")
 		filter    = flag.String("filter", "dp", "signature filter: u, heuristic or dp")
 		synPath   = flag.String("synonyms", "", "optional synonym rules file (lhs<TAB>rhs[<TAB>closeness])")
 		taxPath   = flag.String("taxonomy", "", "optional taxonomy file (node<TAB>parent)")
@@ -74,7 +73,7 @@ func main() {
 		log.Fatalf("read left: %v", err)
 	}
 
-	jopts := aujoin.JoinOptions{Theta: *theta, Tau: *tau, AutoTau: *autoTau, Filter: cmdutil.ParseFilter(*filter)}
+	jopts := aujoin.JoinOptions{Theta: *theta, Tau: *tau, Filter: cmdutil.ParseFilter(*filter)}
 
 	var matches []aujoin.Match
 	var jstats aujoin.Stats
@@ -94,8 +93,7 @@ func main() {
 		fmt.Fprintf(w, "%d\t%d\t%.4f\n", m.S, m.T, m.Similarity)
 	}
 	if *stats {
-		fmt.Fprintf(os.Stderr, "tau=%d candidates=%d results=%d suggest=%v filter=%v verify=%v total=%v\n",
-			jstats.SuggestedTau, jstats.Candidates, jstats.Results,
-			jstats.SuggestionTime, jstats.FilterTime, jstats.VerifyTime, jstats.Total())
+		fmt.Fprintf(os.Stderr, "tau=%d candidates=%d results=%d filter=%v verify=%v total=%v\n",
+			jstats.Tau, jstats.Candidates, jstats.Results, jstats.FilterTime, jstats.VerifyTime, jstats.Total())
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -330,46 +331,7 @@ func TestClusterShipsSingleNodeOrder(t *testing.T) {
 	}
 	ref := j.IndexWith(catalog, aujoin.JoinOptions{Theta: 0.8, Tau: 2, Filter: cmdutil.ParseFilter("dp")}, aujoin.IndexOptions{Shards: 1})
 
-	check := func(stage string, down int) {
-		t.Helper()
-		want := ref.KeyFrequencies()
-		groups := 0
-		for i, wk := range tc.nodes {
-			if i == down {
-				continue
-			}
-			wk.mu.Lock()
-			hosted := make(map[int]*workerGroup, len(wk.groups))
-			for g, wg := range wk.groups {
-				hosted[g] = wg
-			}
-			wk.mu.Unlock()
-			for g, wg := range hosted {
-				var buf bytes.Buffer
-				if _, err := wg.IX.WriteSnapshot(&buf); err != nil {
-					t.Fatalf("%s: worker %d group %d: snapshot: %v", stage, i, g, err)
-				}
-				snap, err := store.Decode(buf.Bytes())
-				if err != nil {
-					t.Fatalf("%s: worker %d group %d: decode: %v", stage, i, g, err)
-				}
-				got := snap.Order
-				freqs := make([]int, len(got.Freqs))
-				for k, f := range got.Freqs {
-					freqs[k] = int(f)
-				}
-				if !slices.Equal(got.FrozenKeys, want.Keys) || !slices.Equal(freqs, want.Freqs) || len(got.DynamicKeys) != 0 {
-					t.Fatalf("%s: worker %d group %d serves %d frozen and %d dynamic keys, not the single-node order of %d keys",
-						stage, i, g, len(got.FrozenKeys), len(got.DynamicKeys), len(want.Keys))
-				}
-				groups++
-			}
-		}
-		if groups == 0 {
-			t.Fatalf("%s: no hosted group was read", stage)
-		}
-	}
-	check("bootstrap", -1)
+	requireSingleNodeOrder(t, tc, ref, "bootstrap", -1)
 
 	extra := denseCatalog(24, 9)
 	tc.insert(t, extra)
@@ -378,14 +340,129 @@ func TestClusterShipsSingleNodeOrder(t *testing.T) {
 	tc.removeBatch(t, rm)
 	ref.RemoveBatch(rm)
 	tc.bump(t)
-	check("mutated and bumped", -1)
+	requireSingleNodeOrder(t, tc, ref, "mutated and bumped", -1)
 
 	tc.kill(t, 1)
 	extra2 := denseCatalog(10, 10)
 	tc.insert(t, extra2)
 	ref.Insert(extra2)
 	tc.bump(t)
-	check("mutated and bumped with worker 1 down", 1)
+	requireSingleNodeOrder(t, tc, ref, "mutated and bumped with worker 1 down", 1)
+}
+
+// requireSingleNodeOrder reads the frozen order every hosted group of every
+// worker but down serves under, from the group index's snapshot, and
+// requires the single-node index's KeyFrequencies, key for key and count for
+// count, with nothing in the dynamic region.
+func requireSingleNodeOrder(t *testing.T, tc *testCluster, ref *aujoin.Index, stage string, down int) {
+	t.Helper()
+	want := ref.KeyFrequencies()
+	groups := 0
+	for i, wk := range tc.nodes {
+		if i == down {
+			continue
+		}
+		wk.mu.Lock()
+		hosted := make(map[int]*workerGroup, len(wk.groups))
+		for g, wg := range wk.groups {
+			hosted[g] = wg
+		}
+		wk.mu.Unlock()
+		for g, wg := range hosted {
+			var buf bytes.Buffer
+			if _, err := wg.IX.WriteSnapshot(&buf); err != nil {
+				t.Fatalf("%s: worker %d group %d: snapshot: %v", stage, i, g, err)
+			}
+			snap, err := store.Decode(buf.Bytes())
+			if err != nil {
+				t.Fatalf("%s: worker %d group %d: decode: %v", stage, i, g, err)
+			}
+			got := snap.Order
+			freqs := make([]int, len(got.Freqs))
+			for k, f := range got.Freqs {
+				freqs[k] = int(f)
+			}
+			if !slices.Equal(got.FrozenKeys, want.Keys) || !slices.Equal(freqs, want.Freqs) || len(got.DynamicKeys) != 0 {
+				t.Fatalf("%s: worker %d group %d serves %d frozen and %d dynamic keys, not the single-node order of %d keys",
+					stage, i, g, len(got.FrozenKeys), len(got.DynamicKeys), len(want.Keys))
+			}
+			groups++
+		}
+	}
+	if groups == 0 {
+		t.Fatalf("%s: no hosted group was read", stage)
+	}
+}
+
+// TestBumpEpochFailsOverFreqs: worker 0 answers 500 on /cluster/freqs, so
+// the primary replica of group 0 cannot give the group's frequency table. An
+// epoch bump — the bootstrap one and a later one — must take the table from
+// the group's other replica and still ship the single-node order, and leave
+// worker 0 in service: it still adopts and commits.
+func TestBumpEpochFailsOverFreqs(t *testing.T) {
+	failFreqs := func(i int, h http.Handler) http.Handler {
+		if i != 0 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodGet && r.URL.Path == "/cluster/freqs" {
+				http.Error(w, "injected failure", http.StatusInternalServerError)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	catalog := denseCatalog(180, 7)
+	tc := startCluster(t, 3, 2, catalog, 0.8, 2, "dp", failFreqs)
+	j, err := aujoin.NewStrict()
+	if err != nil {
+		t.Fatalf("NewStrict: %v", err)
+	}
+	ref := j.IndexWith(catalog, aujoin.JoinOptions{Theta: 0.8, Tau: 2, Filter: cmdutil.ParseFilter("dp")}, aujoin.IndexOptions{Shards: 1})
+	requireSingleNodeOrder(t, tc, ref, "bootstrap", -1)
+
+	extra := denseCatalog(24, 9)
+	tc.insert(t, extra)
+	ref.Insert(extra)
+	if err := tc.coord.BumpEpoch("test"); err != nil {
+		t.Fatalf("BumpEpoch with worker 0's frequency table failing: %v", err)
+	}
+	requireSingleNodeOrder(t, tc, ref, "mutated and bumped", -1)
+	for _, w := range tc.coord.Stats().Workers {
+		if w.State != "ready" {
+			t.Errorf("worker %s is %s after the bumps, want ready", w.Addr, w.State)
+		}
+	}
+}
+
+// TestWorkerRefusalKeepsReplicas: a /probe or /insert body within the
+// coordinator's cap can outgrow a worker's once the coordinator re-encodes
+// it (json.Marshal writes '<' as the six bytes \u003c), and then every
+// replica answers 400. That refuses the request, not the replicas: the
+// client gets the 400, no worker is marked down, and the next query is
+// served.
+func TestWorkerRefusalKeepsReplicas(t *testing.T) {
+	catalog := denseCatalog(60, 5)
+	tc := startCluster(t, 3, 2, catalog, 0.7, 2, "dp")
+	body := `{"records":["` + strings.Repeat("<", 2<<20) + `"]}`
+	for _, route := range []string{"/probe", "/insert"} {
+		resp, err := http.Post(tc.coordTS.URL+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", route, err)
+		}
+		var eb ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || eb.Error == "" {
+			t.Errorf("%s: status %d, body %+v (%v); want the workers' 400", route, resp.StatusCode, eb, err)
+		}
+		for _, w := range tc.coord.Stats().Workers {
+			if w.State != "ready" {
+				t.Errorf("after %s: worker %s is %s, want ready", route, w.Addr, w.State)
+			}
+		}
+		tc.topK(t, catalog[0], 5)
+	}
 }
 
 // TestRegisterRefusesPastExpectedCount pins who a registration admits: a

@@ -504,6 +504,9 @@ func (c *Coordinator) fetchGroup(ctx context.Context, g int, rawQuery string) ([
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
+			if refused(res.err) {
+				return nil, res.err
+			}
 			errs = append(errs, fmt.Errorf("%s: %w", res.ref.addr, res.err))
 			c.markDown(res.ref, res.err)
 			if launched < len(cands) {
@@ -535,6 +538,9 @@ func (c *Coordinator) gather(status int, op func(g int) error) error {
 		// nothing of its own to report.
 		if err == nil || errors.Is(err, context.Canceled) {
 			continue
+		}
+		if refused(err) {
+			return err // the request's answer, not a group's failure
 		}
 		if ge == nil {
 			ge = &GatherError{status: status}
@@ -665,9 +671,10 @@ func (c *Coordinator) probeGroup(ctx context.Context, g int, body []byte, emit f
 		if err == nil {
 			return nil
 		}
-		if forwarded > 0 || ctx.Err() != nil {
-			// Mid-stream failure after lines went out (or the whole request
-			// is being torn down): no safe failover.
+		if forwarded > 0 || ctx.Err() != nil || refused(err) {
+			// Mid-stream failure after lines went out, the whole request
+			// being torn down, or a refusal every replica would repeat: no
+			// failover.
 			return err
 		}
 		c.markDown(ref, err)
@@ -769,7 +776,9 @@ func (c *Coordinator) applyParts(ctx context.Context, parts []*ApplyRequest) ([]
 // whole fan-out so sequences reach replicas in order; the write succeeds if
 // at least one replica applied it (replicas that failed are taken out — they
 // may have missed the write and must not serve), and the sequence advances
-// only on success.
+// only on success. A write no replica applied and some replica refused (its
+// 400) is answered with the refusal; the refusing replicas missed nothing and
+// stay in service.
 func (c *Coordinator) applyGroup(ctx context.Context, req *ApplyRequest) (*ApplyResponse, error) {
 	lane := c.lanes[req.Group]
 	lane.mu.Lock()
@@ -803,19 +812,29 @@ func (c *Coordinator) applyGroup(ctx context.Context, req *ApplyRequest) (*Apply
 	}
 	wg.Wait()
 	var first *ApplyResponse
+	for _, r := range results {
+		if r.err == nil {
+			first = r.resp
+			break
+		}
+	}
+	var refusal error
 	var errs []error
 	for _, r := range results {
-		if r.err != nil {
+		switch {
+		case r.err == nil:
+		case first == nil && refused(r.err):
+			refusal = r.err
+		default:
 			c.markDown(r.ref, r.err)
 			errs = append(errs, fmt.Errorf("%s: %w", r.ref.addr, r.err))
-			continue
-		}
-		if first == nil {
-			first = r.resp
 		}
 	}
 	if first == nil {
-		if len(errs) == 0 {
+		switch {
+		case refusal != nil:
+			return nil, refusal
+		case len(errs) == 0:
 			return nil, errors.New("no live replica")
 		}
 		return nil, errors.Join(errs...)
@@ -832,14 +851,15 @@ func (c *Coordinator) applyGroup(ctx context.Context, req *ApplyRequest) (*Apply
 // rebuild, and requests stamped with either the old or the prepared epoch
 // are accepted throughout.
 //
-// Prepare: the coordinator collects one key-frequency table per group, from
-// its first ready replica, all groups at once — groups partition the
-// records, so the tables sum to the global document frequencies — merges
-// them into the next frozen order (aujoin.MergeOrderImages), and every ready
-// worker adopts it, one group index at a time (rolling rebuilds). Commit:
-// the coordinator flips its epoch — the point of no return; every query from
-// here on is stamped with the new epoch — and tells the workers to flip
-// theirs. A worker that fails either phase is marked down: its epoch no
+// Prepare: the coordinator collects one key-frequency table per group, all
+// groups at once, asking the group's ready replicas in turn until one
+// answers (one that fails is not marked down: it may still adopt and commit)
+// — groups partition the records, so the tables sum to the global document
+// frequencies — merges them into the next frozen order
+// (aujoin.MergeOrderImages), and every ready worker adopts it, one group
+// index at a time (rolling rebuilds). Commit: the coordinator flips its
+// epoch — the point of no return; every query from here on is stamped with
+// the new epoch — and tells the workers to flip theirs. A worker that fails either phase is marked down: its epoch no
 // longer matches, so the stamp check fences it out of serving until it is
 // resynced (operator intervention; automatic resync is future work).
 func (c *Coordinator) BumpEpoch(reason string) error {
@@ -863,12 +883,24 @@ func (c *Coordinator) BumpEpoch(reason string) error {
 	ctx := context.Background()
 	tables := make([]aujoin.OrderImage, c.ring.Workers())
 	err := c.gather(http.StatusBadGateway, func(g int) error {
+		var errs []error
 		for _, wi := range c.ring.GroupReplicas(g) {
-			if ref := refs[wi]; ref.state.Load() == workerReady {
-				return call(ctx, c.client, fmt.Sprintf("%s/cluster/freqs?group=%d", ref.addr, g), nil, &tables[g])
+			ref := refs[wi]
+			if ref.state.Load() != workerReady {
+				continue
 			}
+			var table aujoin.OrderImage
+			err := call(ctx, c.client, fmt.Sprintf("%s/cluster/freqs?group=%d", ref.addr, g), nil, &table)
+			if err == nil {
+				tables[g] = table
+				return nil
+			}
+			errs = append(errs, fmt.Errorf("%s: %w", ref.addr, err))
 		}
-		return errors.New("no live replica")
+		if len(errs) == 0 {
+			return errors.New("no live replica")
+		}
+		return errors.Join(errs...)
 	})
 	if err != nil {
 		return fmt.Errorf("epoch bump: collect frequencies: %w", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,7 +21,7 @@ import (
 // call is one JSON exchange with a peer: in (POSTed when non-nil, else a
 // GET) out, the answer decoded into out when non-nil. It retries nothing —
 // callers own their retry and failover policy. A non-2xx answer is an error
-// carrying the status and the head of the body.
+// carrying the status and the head of the body (see statusError).
 func call(ctx context.Context, client *http.Client, url string, in, out any) error {
 	method, body := http.MethodGet, io.Reader(nil)
 	if in != nil {
@@ -52,10 +53,29 @@ func call(ctx context.Context, client *http.Client, url string, in, out any) err
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// statusError reports a peer's refusal: the status and the head of its body.
+// statusError reports a peer's non-2xx answer: the status and the head of
+// its body. A 400 is the peer refusing the request itself — a body too
+// large once re-encoded, say — which every replica refuses alike, so it
+// comes back as an *apiError with the peer's body: the client is answered
+// the 400 and no replica is blamed for it (see refused).
 func statusError(resp *http.Response) error {
 	b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+	if resp.StatusCode == http.StatusBadRequest {
+		var body ErrorBody
+		if json.Unmarshal(b, &body) != nil || body.Error == "" {
+			body = ErrorBody{Error: strings.TrimSpace(string(b))}
+		}
+		return &apiError{http.StatusBadRequest, body}
+	}
 	return fmt.Errorf("status %s: %s", resp.Status, strings.TrimSpace(string(b)))
+}
+
+// refused reports whether err is a peer's refusal of the request (its 400),
+// which fails the request and not the replica: it is not failed over and
+// does not take the replica out of service.
+func refused(err error) bool {
+	var ae *apiError
+	return errors.As(err, &ae) && ae.status == http.StatusBadRequest
 }
 
 // stream is one epoch-stamped read from a worker: the NDJSON lines of the

@@ -184,6 +184,11 @@ func TestSuggestReturnsTauFromUniverse(t *testing.T) {
 	if rec.Duration <= 0 {
 		t.Error("Duration should be positive")
 	}
+	// The sampler is seeded: the same Config.Seed gives the same run.
+	again := Suggest(j, s, u, join.Options{Theta: 0.8, Method: pebble.AUHeuristic}, cfg)
+	if again.BestTau != rec.BestTau || again.Iterations != rec.Iterations {
+		t.Errorf("seed %d: BestTau %d after %d rounds, then %d after %d", cfg.Seed, rec.BestTau, rec.Iterations, again.BestTau, again.Iterations)
+	}
 }
 
 func TestSuggestEstimateResultsExactWithFullSamples(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 )
 
 // genStrings builds a corpus over the paper vocabulary, dense enough that
@@ -87,8 +86,7 @@ func TestJoinSeqMatchesJoin(t *testing.T) {
 }
 
 // TestJoinSeqCancelled pins the public error contract: a cancelled context
-// surfaces as exactly one yielded non-nil error, with AutoTau's sampling
-// stage covered too.
+// surfaces as exactly one yielded non-nil error.
 func TestJoinSeqCancelled(t *testing.T) {
 	j := paperJoiner(t)
 	left := genStrings(20, 3)
@@ -97,7 +95,6 @@ func TestJoinSeqCancelled(t *testing.T) {
 	cancel()
 	for _, opts := range []JoinOptions{
 		{Theta: 0.7, Tau: 2},
-		{Theta: 0.7, AutoTau: true},
 	} {
 		errs := 0
 		for _, err := range j.JoinSeq(ctx, left, right, opts) {
@@ -209,30 +206,5 @@ func TestQueryEmptyString(t *testing.T) {
 		if got, err := ix.QueryTopKCtx(context.Background(), q, QueryOptions{K: 5}); err != nil || len(got) != 0 {
 			t.Errorf("QueryTopKCtx(%q) = %v, %v, want empty", q, got, err)
 		}
-	}
-}
-
-// TestSuggestTauCtx pins the deadline-aware τ suggestion: Background matches
-// SuggestTau, and a cancelled context reports the truncation while still
-// returning a sound τ.
-func TestSuggestTauCtx(t *testing.T) {
-	j := paperJoiner(t)
-	left := genStrings(60, 10)
-	right := genStrings(60, 11)
-	opts := JoinOptions{Theta: 0.8}
-	want := j.SuggestTau(left, right, opts)
-	got, err := j.SuggestTauCtx(context.Background(), left, right, opts)
-	if err != nil || got != want {
-		t.Fatalf("SuggestTauCtx = %d (%v), want %d", got, err, want)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
-	defer cancel()
-	time.Sleep(time.Millisecond)
-	tau, err := j.SuggestTauCtx(ctx, left, right, opts)
-	if err == nil {
-		t.Fatal("expired SuggestTauCtx reported no error")
-	}
-	if tau < 1 {
-		t.Errorf("expired SuggestTauCtx returned τ=%d", tau)
 	}
 }
