@@ -1,0 +1,186 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"github.com/aujoin/aujoin/internal/strutil"
+)
+
+// refBound is the number the bound loop must produce for ps against pt: the
+// two empty-record cases, then upperBound on the PreparedRecord — the
+// reference path CoverBound replaces.
+func refBound(calc *Calculator, ps, pt *PreparedRecord, theta float64, sc *Scratch) float64 {
+	if len(ps.Tokens) == 0 || len(pt.Tokens) == 0 {
+		if len(ps.Tokens) == 0 && len(pt.Tokens) == 0 {
+			return 1
+		}
+		return 0
+	}
+	return calc.upperBound(sc, ps, pt, theta)
+}
+
+// restoredRecord restores a record of d whose segments have the given spans,
+// in the given order, every multi-token one a rule side, with the
+// partition-size bound prepare would compute for them.
+func restoredRecord(t *testing.T, calc *Calculator, d *SegDict, tokens []string, spans []strutil.Span) *PreparedRecord {
+	t.Helper()
+	segs := make([]Segment, len(spans))
+	persist := make([]SegPersist, len(spans))
+	for i, sp := range spans {
+		segs[i] = Segment{Span: sp, Tokens: sp.Slice(tokens), Rule: sp.Len() > 1}
+		persist[i] = SegPersist{Span: sp, Rule: sp.Len() > 1}
+	}
+	pr, err := calc.RestorePrepared(tokens, persist, minPartitionSizeSegs(tokens, segs), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
+}
+
+// longRuleRecord returns a record of d that opens with a rule side of
+// coverMaxSpan tokens, restored from its enumeration rather than prepared:
+// enumerating every span up to the longest rule side of a record this long
+// joins billions of bytes.
+func longRuleRecord(t *testing.T, calc *Calculator, d *SegDict, side, tail []string) *PreparedRecord {
+	t.Helper()
+	tokens := append(append([]string(nil), side...), tail...)
+	var spans []strutil.Span
+	for pos := range tokens {
+		spans = append(spans, strutil.Span{Start: pos, End: pos + 1})
+		if pos == 0 {
+			spans = append(spans, strutil.Span{Start: 0, End: len(side)})
+		}
+	}
+	return restoredRecord(t, calc, d, tokens, spans)
+}
+
+// TestCoverBoundMatchesReference pins CoverBound, the bound loop's entry, to
+// the reference path on the same PreparedRecord: bit for bit, with the same
+// VerifyStats after every pair, on two scratches that see the same sequence
+// of pairs (so rows are evaluated on first touch and read warm after). The
+// records are ordinary ones, ones a dictionary lowered to its cap left with
+// NoSegID, one whose rule side is too long for a column word, one too long
+// for a column record, an empty one,
+// one prepared without a dictionary, one of another dictionary and one
+// restored with a rule segment ahead of its start's singleton, which
+// restore accepts and the implied starts cannot hold — all but the first
+// two flagged or empty, the others read from the column — against probes
+// that include an empty one, with row budgets that leave the rows covering
+// fewer IDs than some records' largest. The column is assembled from a base
+// and two appended batches and must equal the one made at once.
+func TestCoverBoundMatchesReference(t *testing.T) {
+	phrase, phrases := phraseContext()
+	side := distinctTokens(coverMaxSpan, 2)
+	phrase.Rules.MustAdd(strings.Join(side, " "), "tok03", 0.9)
+	rng := rand.New(rand.NewSource(23))
+	calc := NewCalculator(phrase)
+	probes := append(phraseCorpus(rng, phrases, 12), nil, side[:3], []string{"tok03", "tok01", "tok02"})
+
+	for _, tc := range []struct {
+		name     string
+		dictCap  int // 0: the default
+		rowCells int // 0: the default
+	}{
+		{"ordinary", 0, 0},
+		{"dictionary at its cap", 15, 0},
+		{"rows below the largest ID", 0, 40},
+	} {
+		d, other := NewSegDict(), NewSegDict()
+		if tc.dictCap > 0 {
+			d.limit = tc.dictCap
+		}
+		var recs []*PreparedRecord
+		for _, toks := range phraseCorpus(rng, phrases, 60) {
+			recs = append(recs, calc.PrepareIn(d, toks))
+		}
+		recs = append(recs,
+			calc.PrepareIn(d, nil),
+			calc.Prepare([]string{"tok01", "tok02", "tok03"}),
+			calc.PrepareIn(other, []string{"tok01", "tok02", "tok03"}),
+			restoredRecord(t, calc, d, []string{"tok01", "tok02"}, []strutil.Span{{Start: 0, End: 2}, {Start: 0, End: 1}, {Start: 1, End: 2}}))
+		unordered := len(recs) - 1
+		if tc.dictCap == 0 {
+			// A record of singletons only, whose every partition is of its
+			// length: minPartitionSizeSegs is quadratic in it.
+			tokens := make([]string, math.MaxUint16+1)
+			segs := make([]SegPersist, len(tokens))
+			for pos := range tokens {
+				tokens[pos], segs[pos] = "tok01", SegPersist{Span: strutil.Span{Start: pos, End: pos + 1}}
+			}
+			huge, err := calc.RestorePrepared(tokens, segs, len(tokens), d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, huge, longRuleRecord(t, calc, d, side, []string{"tok01"}))
+		}
+		col := NewCoverColumn(d, recs[:20])
+		col.Append(recs[20:45])
+		col.Append(recs[45:])
+		if once := NewCoverColumn(d, recs); !reflect.DeepEqual(col, once) {
+			t.Fatalf("%s: a column appended in batches differs from the one made at once", tc.name)
+		}
+
+		flagged, beyond, read := 0, 0, 0
+		colSc, refSc := NewScratch(), NewScratch()
+		if tc.rowCells > 0 {
+			colSc.rowCells, refSc.rowCells = tc.rowCells, tc.rowCells
+		}
+		for _, probe := range probes {
+			pt := calc.PrepareProbe(d, probe)
+			for _, theta := range []float64{0.5, 0.8, 0.95} {
+				for pos, ps := range recs {
+					got := calc.CoverBound(&col, int32(pos), recs, pt, theta, colSc)
+					want := refBound(calc, ps, pt, theta, refSc)
+					if math.Float64bits(got) != math.Float64bits(want) || colSc.Stats != refSc.Stats {
+						t.Fatalf("%s: record %d (%d tokens) / %v at θ=%v: column bound %v with %+v, reference %v with %+v",
+							tc.name, pos, len(ps.Tokens), probe, theta, got, colSc.Stats, want, refSc.Stats)
+					}
+					switch r := col.recs[pos]; {
+					case r.tokens == 0:
+					case r.maxID == coverFlagged:
+						flagged++
+					case colSc.rowRight == pt && r.maxID >= colSc.rowN:
+						beyond++
+					default:
+						read++
+					}
+				}
+			}
+		}
+		if read == 0 || colSc.Stats.PrunedByCover == 0 {
+			t.Errorf("%s: %d pairs read from the column, %d dismissed by the cover stage", tc.name, read, colSc.Stats.PrunedByCover)
+		}
+		if flagged == 0 {
+			t.Errorf("%s: no pair took the flagged path", tc.name)
+		}
+		if tc.rowCells > 0 && beyond == 0 {
+			t.Errorf("%s: no record's largest ID was beyond the rows", tc.name)
+		}
+		if tc.dictCap > 0 {
+			capped := 0
+			for pos, ps := range recs {
+				if ps.maxSegID == NoSegID && ps.dict == d && col.recs[pos].maxID == coverFlagged {
+					capped++
+				}
+			}
+			if capped == 0 {
+				t.Errorf("%s: no record of the dictionary carries NoSegID", tc.name)
+			}
+		}
+		if col.recs[unordered].maxID != coverFlagged {
+			t.Errorf("%s: a record whose starts are not the implied ones was not flagged", tc.name)
+		}
+		if tc.dictCap == 0 {
+			for pos := len(recs) - 2; pos < len(recs); pos++ {
+				if recs[pos].maxSegID == NoSegID || col.recs[pos].maxID != coverFlagged {
+					t.Errorf("%s: the record of %d tokens with a %d-token segment was not flagged on its own account",
+						tc.name, len(recs[pos].Tokens), recs[pos].Segs[1].Span.Len())
+				}
+			}
+		}
+	}
+}

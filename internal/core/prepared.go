@@ -147,7 +147,7 @@ type pairSeg struct{ s, t int32 }
 const boundSlack = 1e-9
 
 // BoundSlack is the floating-point guard band of the verify-phase upper
-// bounds, exported so callers that schedule candidates by UpperBound can
+// bounds, exported so callers that schedule candidates by CoverBound can
 // prune with exactly the tolerance VerifyPrepared itself uses.
 const BoundSlack = boundSlack
 
@@ -176,9 +176,13 @@ type VerifyStats struct {
 	VerifiedCandidates int64 `json:"verified_candidates"`
 	// PrunedByBound counts record pairs dismissed by a sound upper bound
 	// before their msim matrix existed — the O(1) partition-size ratio or the
-	// cover stage; PrunedByCover is the cover stage's share.
+	// cover stage at the pair's own threshold, or either against a top-k floor
+	// that has risen past it. PrunedByCover is the cover stage's share at the
+	// own threshold and PrunedByFloor the floor's, so the size ratio's is
+	// PrunedByBound − PrunedByCover − PrunedByFloor.
 	PrunedByBound int64 `json:"pruned_by_bound"`
 	PrunedByCover int64 `json:"pruned_by_cover"`
+	PrunedByFloor int64 `json:"pruned_by_floor"`
 	// MemoHits counts msim cells copied into a matrix from a row already
 	// evaluated for the same probe; MSimEvals counts the cells computed,
 	// whether for a matrix or for the cover stage, which needs a row's
@@ -192,6 +196,7 @@ func (s *VerifyStats) Add(o VerifyStats) {
 	s.VerifiedCandidates += o.VerifiedCandidates
 	s.PrunedByBound += o.PrunedByBound
 	s.PrunedByCover += o.PrunedByCover
+	s.PrunedByFloor += o.PrunedByFloor
 	s.MemoHits += o.MemoHits
 	s.MSimEvals += o.MSimEvals
 }
@@ -233,7 +238,8 @@ type Scratch struct {
 	// largest cell rowMax[id], both valid when rowStamp[id] == rowGen. A new
 	// triple bumps rowGen and clears nothing; rowN is the number of IDs the
 	// rows cover (the dictionary's length when the triple was adopted,
-	// clipped to the cell budget).
+	// clipped to the cell budget), and rowData the dictionary's tables of
+	// those IDs as adopted (SegDict.entries).
 	rowCtx   *sim.Context
 	rowDict  *SegDict
 	rowRight *PreparedRecord
@@ -242,6 +248,7 @@ type Scratch struct {
 	rowStamp []uint32
 	rowVals  []float64
 	rowMax   []float64
+	rowData  []*sim.SegmentData
 	rowCells int // rowCellBudget; lowered by tests
 
 	// The probe-gram bit index rows are evaluated through, rebuilt with every
@@ -362,35 +369,24 @@ func (c *Calculator) VerifyPrepared(ps, pt *PreparedRecord, theta float64, sc *S
 	return v, v >= theta
 }
 
-// UpperBound is the bound verify schedulers order candidates by: an upper
-// bound on the unified similarity of the two prepared records that fills no
-// msim matrix — the partition-size ratio and, when that reaches
-// theta−BoundSlack, the smaller of it and the cover stage (the first two
-// stages of VerifyPrepared, which repeats them). A result below
-// theta−BoundSlack dismisses the pair at theta and is counted in sc.Stats
-// as pruned; the bound dominates the similarity, so dropping such a pair, or
-// any pair whose bound falls below a floor that has risen past theta, is
-// exact. sc must not be nil.
-func (c *Calculator) UpperBound(ps, pt *PreparedRecord, theta float64, sc *Scratch) float64 {
-	if len(ps.Tokens) == 0 || len(pt.Tokens) == 0 {
-		if len(ps.Tokens) == 0 && len(pt.Tokens) == 0 {
-			return 1
-		}
-		return 0
-	}
-	return c.upperBound(sc, ps, pt, theta)
-}
-
 // upperBound runs the two bounds that need no msim matrix on a pair of
 // non-empty records and counts the pair when one of them dismisses it at
-// theta.
+// theta. It is the reference the cover column's CoverBound is tested
+// against.
 func (c *Calculator) upperBound(sc *Scratch, ps, pt *PreparedRecord, theta float64) float64 {
 	ub := sizeRatioUpper(ps, pt)
 	if ub < theta-boundSlack {
 		sc.Stats.PrunedByBound++
 		return ub
 	}
-	if cover := c.coverStage(sc, ps, pt); cover < ub {
+	return sc.settleCover(ub, c.coverStage(sc, ps, pt), theta)
+}
+
+// settleCover is the end of both bound paths: the smaller of the size ratio
+// ub, which reached theta−boundSlack, and the cover stage's bound, with the
+// pair counted when the cover stage dismisses it.
+func (sc *Scratch) settleCover(ub, cover, theta float64) float64 {
+	if cover < ub {
 		ub = cover
 		if ub < theta-boundSlack {
 			sc.Stats.PrunedByBound++
@@ -405,8 +401,12 @@ func (c *Calculator) upperBound(sc *Scratch, ps, pt *PreparedRecord, theta float
 // msim weight is at most 1, and a matching has at most min{|P_S|, |P_T|}
 // edges, so SIM ≤ min/max for the chosen sizes.
 func sizeRatioUpper(ps, pt *PreparedRecord) float64 {
-	aLo, aHi := ps.minPart, len(ps.Tokens)
-	bLo, bHi := pt.minPart, len(pt.Tokens)
+	return sizeRatio(ps.minPart, len(ps.Tokens), pt.minPart, len(pt.Tokens))
+}
+
+// sizeRatio is sizeRatioUpper of two records whose partition sizes range over
+// [aLo, aHi] and [bLo, bHi].
+func sizeRatio(aLo, aHi, bLo, bHi int) float64 {
 	if aHi < bLo {
 		return float64(aHi) / float64(bLo)
 	}
@@ -553,6 +553,7 @@ func (sc *Scratch) adoptRows(ctx *sim.Context, d *SegDict, pt *PreparedRecord) u
 	sc.rowVals = strutil.Resize(sc.rowVals, n*nt)
 	sc.rowMax = strutil.Resize(sc.rowMax, n)
 	sc.rowN = uint32(n)
+	sc.rowData = d.entries[:n]
 	sc.indexProbeGrams(d, pt, n)
 	return sc.rowN
 }

@@ -6,7 +6,9 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/aujoin/aujoin/internal/datagen"
 	"github.com/aujoin/aujoin/internal/pebble"
+	"github.com/aujoin/aujoin/internal/sim"
 	"github.com/aujoin/aujoin/internal/strutil"
 )
 
@@ -251,6 +253,38 @@ func BenchmarkVerifyTopK(b *testing.B) {
 		if out := queryTopK(b, v, probe[i%len(probe)], 10); len(out) == 0 {
 			b.Fatal("empty top-k result")
 		}
+	}
+}
+
+// BenchmarkBoundLoop serves top-k queries (θ = 0.8, k = 10) against a
+// 4 000-record one-shard index of MED-like records at q = 2, the shape where
+// the count filter admits most of the catalog and nearly every candidate is
+// dismissed by the size ratio or the cover stage: the bound loop over a
+// column too large for L1, which the ≤ 40-record catalogs of the
+// BenchmarkVerifyPrepared benchmarks cannot show. Half the probes are
+// variants (typo, synonym or taxonomy swap) of catalog records, half are
+// records of the same generator outside the catalog.
+func BenchmarkBoundLoop(b *testing.B) {
+	const records, probes = 4000, 64
+	gen := datagen.New(datagen.MEDLike(records, 7))
+	universe := gen.Collection(records + probes/2)
+	ctx := sim.NewContext(gen.Rules(), gen.Taxonomy())
+	ctx.Q = 2
+	j := NewJoiner(ctx)
+	v := j.BuildShardedIndex(strutil.NewCollection(universe[:records]), 1,
+		Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{}).Snapshot()
+	queries := make([][]string, probes)
+	for k := range queries {
+		q := universe[records+k/2]
+		if k%2 == 0 {
+			q, _ = gen.Variant(universe[k*records/probes])
+		}
+		queries[k] = strutil.Tokenize(q)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		queryTopK(b, v, queries[i%probes], 10)
 	}
 }
 

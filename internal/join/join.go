@@ -93,7 +93,7 @@ type Stats struct {
 	// was filled: the PrunedByBound pairs, dismissed by the O(1)
 	// partition-size ratio, the cover stage, or either against the rising
 	// top-k floor, of which PrunedByCover is the cover stage's share at the
-	// request's own threshold. VerifiedCandidates + PrunedByBound equals
+	// request's own threshold and PrunedByFloor the floor's. VerifiedCandidates + PrunedByBound equals
 	// Candidates for a request that ran to completion (a candidate with
 	// out-of-range ids counts as neither). The msim rows MemoHits reads live
 	// in the verifying scratch and are keyed by the indexed side's segment

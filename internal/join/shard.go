@@ -64,10 +64,11 @@ type shard struct {
 
 	// Writer-owned state. The base is gen, the order generation it was built
 	// under, inv, the inverted index over its signature IDs, buildTime, and
-	// the first inv.Records() positions of records, prepared and sigIDs;
-	// adoptBaseLocked replaces all of it wholesale. records, prepared,
-	// sigIDs and segs are append-only while a base is live (published views
-	// hold shorter headers); dead is cloned before every bit set.
+	// the first inv.Records() positions of records, prepared, cover and
+	// sigIDs; adoptBaseLocked replaces all of it wholesale. records,
+	// prepared, cover, sigIDs and segs are append-only while a base is live
+	// (published views hold shorter headers); dead is cloned before every
+	// bit set.
 	gen       *orderGen
 	inv       *invindex.Index
 	buildTime time.Duration
@@ -88,6 +89,10 @@ type shard struct {
 	// length even between rebuilds.
 	sigIDs     [][]uint32
 	sigLenLive int
+	// cover is the bound pass's flat copy of prepared (core.CoverColumn),
+	// parallel to it: made by adoptBaseLocked, appended to by
+	// insertRecords, and written nowhere else.
+	cover core.CoverColumn
 	// dynAtBuild is the shared order's dynamic-region size when the current
 	// base was adopted, and dynAdded counts the keys *this* shard appended
 	// since then. The rebuild trigger fires on dynAdded: the region grows
@@ -155,14 +160,16 @@ const (
 // records, their prepared verification records and their signature IDs —
 // selected under g by install, decoded from a snapshot, or carried over from
 // the base a compaction replaces — the writer state, with the inverted index
-// and its hybrid layout built over the IDs, no segments and no tombstones.
-// The three slices become the shard's own. start is when the work that made
-// the base began (see DynamicStats.BuildTime).
+// and its hybrid layout built over the IDs and the cover column over the
+// prepared records, no segments and no tombstones. The three slices become
+// the shard's own. start is when the work that made the base began (see
+// DynamicStats.BuildTime).
 func (sh *shard) adoptBaseLocked(g *orderGen, records []strutil.Record, prepared []*core.PreparedRecord, sigIDs [][]uint32, start time.Time) {
 	sh.gen = g
 	sh.inv = newInverted(sigIDs, g.order)
 	sh.segs = nil
 	sh.records, sh.prepared, sh.sigIDs = records, prepared, sigIDs
+	sh.cover = core.NewCoverColumn(sh.sx.dict, prepared)
 	sh.dead = make([]uint64, (len(records)+63)/64)
 	sh.deadCount = 0
 	sh.positions = make(map[int]int, len(records))
@@ -198,6 +205,7 @@ func (sh *shard) publishLocked() {
 		segs:      sh.segs,
 		records:   sh.records,
 		prepared:  sh.prepared,
+		cover:     sh.cover,
 		sigIDs:    sh.sigIDs,
 		dead:      sh.dead,
 		live:      len(sh.records) - sh.deadCount,
@@ -238,6 +246,7 @@ func (sh *shard) insertRecords(recs []strutil.Record) {
 		pebs = sh.sx.joiner.gen.AppendPebbles(pebs, pr)
 		ends[i] = len(pebs)
 	}
+	sh.cover.Append(sh.prepared[first:])
 	sh.dynAdded += sh.gen.order.InternDynamic(pebs)
 	start := 0
 	for i, end := range ends {
@@ -417,10 +426,11 @@ type DynamicStats struct {
 	// their base posting list was served from. The verify counters are
 	// candidates whose msim matrix was filled; candidates dismissed before it
 	// by a sound upper bound (the O(1) size ratio, the cover stage, or either
-	// against the rising top-k floor) and the share of them the cover stage
-	// dismissed at the request's own threshold; msim cells copied into a
-	// matrix from a row the shard's scratch had already evaluated for the
-	// same probe; and msim cells computed — every one at most once a (segment
+	// against the rising top-k floor), the share of them the cover stage
+	// dismissed at the request's own threshold and the share the floor
+	// dismissed; msim cells copied into a matrix from a row the shard's
+	// scratch had already evaluated for the same probe; and msim cells
+	// computed — every one at most once a (segment
 	// text, probe, scratch), for a matrix or for the cover stage, which needs
 	// no matrix, so the two do not add up to a hit ratio.
 	counters
@@ -465,6 +475,7 @@ type shardView struct {
 	segs      []*segment
 	records   []strutil.Record
 	prepared  []*core.PreparedRecord
+	cover     core.CoverColumn // parallel to prepared
 	sigIDs    [][]uint32
 	dead      []uint64
 	avgSig    float64 // mean signature length over live records
@@ -564,7 +575,7 @@ const unboundedK = math.MaxInt
 const noLimit = math.MaxInt
 
 // candUB pairs a candidate record position with its scheduling bound: the
-// upper bound core.UpperBound puts on its similarity to the query.
+// upper bound core.CoverBound puts on its similarity to the query.
 type candUB struct {
 	r  int32
 	ub float64
@@ -611,18 +622,19 @@ func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error
 //
 // The bound loop gives every candidate its scheduling bound — the size ratio
 // and, past it, the cover stage, which evaluates the msim row of each distinct
-// segment text once and reads one number a segment after that — and drops the
-// candidates bounded below θ where they stand (the scratch counts them as
-// pruned). The step loop verifies the rest, in descending order of their bound
-// when they outnumber the k matches that can be kept, so the heap fills with
-// strong matches early and the floor rises while most of the list is still
-// ahead. The floor is the larger of θ, the heap root once the heap holds k
-// matches, and rq.ft, the best k-th-place similarity any sibling shard has
-// proven; a candidate bounded below it is provably outside the final top k,
-// and verifying the others at the floor rather than θ is exact: a candidate
-// below the floor cannot enter any final top k, and one exactly at it still
-// passes (VerifyPrepared accepts ≥). So the result is the one a plain scan at
-// θ returns.
+// segment text once and reads one number a segment after that — from the
+// shard's cover column, and drops the candidates bounded below θ where they
+// stand (the scratch counts them as pruned). The step loop verifies the
+// rest, in descending order of their bound when they outnumber the k matches
+// that can be kept, so the heap fills with strong matches early and the floor
+// rises while most of the list is still ahead. The floor is the larger of θ,
+// the heap root once the heap holds k matches, and rq.ft, the best
+// k-th-place similarity any sibling shard has proven; a candidate bounded
+// below it is provably outside the final top k (it is counted as pruned, by
+// the floor), and verifying the others at the floor rather than θ is exact:
+// a candidate below the floor cannot enter any final top k, and one exactly
+// at it still passes (VerifyPrepared accepts ≥). So the result is the one a
+// plain scan at θ returns.
 func (v *shardView) verify(ctx context.Context, rq *request, cands []int32, sc *probeScratch) ([]QueryMatch, core.VerifyStats, error) {
 	if len(cands) == 0 {
 		return nil, core.VerifyStats{}, nil
@@ -632,7 +644,7 @@ func (v *shardView) verify(ctx context.Context, rq *request, cands []int32, sc *
 	live := sc.cands[:0]
 	err := forCtx(ctx, len(cands), func(i int) {
 		r := cands[i]
-		if ub := calc.UpperBound(v.prepared[r], rq.pq, theta, sim); ub >= theta-core.BoundSlack {
+		if ub := calc.CoverBound(&v.cover, r, v.prepared, rq.pq, theta, sim); ub >= theta-core.BoundSlack {
 			live = append(live, candUB{r: r, ub: ub})
 		}
 	})
@@ -663,6 +675,7 @@ func (v *shardView) verify(ctx context.Context, rq *request, cands []int32, sc *
 	}
 	vs := sim.Stats
 	vs.PrunedByBound += floored
+	vs.PrunedByFloor += floored
 	if err != nil {
 		return nil, vs, err
 	}
