@@ -169,11 +169,12 @@ type Stats struct {
 	// join, whose every match reaching θ is kept). The two add up: VerifiedCandidates + PrunedByBound
 	// == Candidates. MemoHits counts the segment-pair similarity cells copied
 	// into a matrix from a row already evaluated for the same probe record,
-	// MSimEvals the cells that were computed — at most once per distinct
-	// segment text, probe record and shard, for a matrix or for the cover
-	// stage alone, so the two are not the halves of a hit ratio. One worker
-	// verifies all of a probe record's candidates, so neither depends on
-	// Workers.
+	// MSimEvals the cells that were evaluated or decided to be zero (a row
+	// that shares nothing the measures could score is decided whole) — at
+	// most once per distinct segment text, probe record and shard, for a
+	// matrix or for the cover stage alone, so the two are not the halves of
+	// a hit ratio. One worker verifies all of a probe record's candidates,
+	// so neither depends on Workers.
 	core.VerifyStats
 	// FilterTime and VerifyTime break the total down. FilterTime is
 	// everything done once per collection (preparation, signatures, index

@@ -144,17 +144,34 @@ func TestCoverStageDominates(t *testing.T) {
 	}
 }
 
+// rowSentinel fills every row slot before a row is evaluated: no msim cell
+// takes it, so a reader that copies a slot its row never wrote sees it.
+const rowSentinel = 7.0
+
+// cachedRow is the row of dictionary segment id as a reader takes it from the
+// scratch: cleared when the row's maximum is 0, its slot otherwise.
+func cachedRow(sc *Scratch, id uint32, nt int) []float64 {
+	if sc.rowMax[id] == 0 {
+		return make([]float64, nt)
+	}
+	return sc.rowVals[int(id)*nt:][:nt]
+}
+
 // bitmaskRowCase evaluates the cached row of every segment of left against
 // the probe record probe+stranger through cacheRow — the bitmask kernel when
 // the probe's numbered grams fit the bit index, MSimData past it — and
-// compares each cell and the row maximum with MSimData. The dictionary
-// interns left and probe, so it numbers their grams; stranger is never
-// interned, so a gram only its tokens have gets no bit. A record of stranger
-// and left interned afterwards, under the live scratch, has its new texts'
-// IDs past the rows: fillMSim takes the direct path for them, and every cell
-// must agree too. It returns the mask width the scratch chose and the number
-// of segments that took the direct path.
-func bitmaskRowCase(t *testing.T, ctx *sim.Context, left, probe, stranger []string) (width, direct int) {
+// compares each cell, read as cachedRow reads it, and the row maximum with
+// MSimData; every slot holds rowSentinel before, so a row decided to be zero
+// must be read as zero without its slot. The matrix fillMSim fills for left
+// from those rows must agree too. The dictionary interns left and probe, so
+// it numbers their grams; stranger is never interned, so a gram only its
+// tokens have gets no bit. A record of stranger and left interned afterwards,
+// under the live scratch, has its new texts' IDs past the rows: fillMSim
+// takes the direct path for them, and every cell must agree too. It returns
+// the mask width the scratch chose, the number of segments that took the
+// direct path and the number of left segments whose row was decided to be
+// zero without a write to its slot.
+func bitmaskRowCase(t *testing.T, ctx *sim.Context, left, probe, stranger []string) (width, direct, unwritten int) {
 	t.Helper()
 	calc := NewCalculator(ctx)
 	d := NewSegDict()
@@ -185,13 +202,22 @@ func bitmaskRowCase(t *testing.T, ctx *sim.Context, left, probe, stranger []stri
 		t.Fatalf("%d numbered probe grams: mask width %d, want %d", len(grams), sc.maskW, wantW)
 	}
 	nt := len(pt.Segs)
+	for k := range sc.rowVals {
+		sc.rowVals[k] = rowSentinel
+	}
 	for i := range ps.Segs {
 		a := &ps.Segs[i]
-		calc.cacheRow(sc, a.ID, a.Data, pt)
+		if sc.rowStamp[a.ID] == sc.rowGen {
+			continue // a text the record repeats
+		}
+		calc.cacheRow(sc, a.ID, pt)
+		if slot := sc.rowVals[int(a.ID)*nt:][:nt]; !slices.ContainsFunc(slot, func(v float64) bool { return v != rowSentinel }) {
+			unwritten++
+		}
 		best := 0.0
-		for j := range pt.Segs {
+		for j, got := range cachedRow(sc, a.ID, nt) {
 			want := ctx.MSimData(a.Data, pt.Segs[j].Data)
-			if got := sc.rowVals[int(a.ID)*nt+j]; got != want {
+			if got != want {
 				t.Fatalf("q=%d %v: msim(%q, %q) = %v by the row kernel (mask width %d), %v by MSimData",
 					ctx.GramQ(), ctx.Measures, a.Data.Text, pt.Segs[j].Data.Text, got, sc.maskW, want)
 			}
@@ -201,21 +227,28 @@ func bitmaskRowCase(t *testing.T, ctx *sim.Context, left, probe, stranger []stri
 			t.Fatalf("q=%d %v: row maximum of %q = %v, want %v", ctx.GramQ(), ctx.Measures, a.Data.Text, sc.rowMax[a.ID], best)
 		}
 	}
-	late := calc.PrepareIn(d, append(slices.Clip(stranger), left...))
-	calc.fillMSim(sc, late, pt)
-	for i := range late.Segs {
-		a := &late.Segs[i]
-		if a.ID >= sc.rowN {
-			direct++
-		}
-		for j := range pt.Segs {
-			if got, want := sc.msim[i*nt+j], ctx.MSimData(a.Data, pt.Segs[j].Data); got != want {
-				t.Fatalf("q=%d %v: msim(%q, %q) = %v in the matrix (ID %d, rows below %d), %v by MSimData",
-					ctx.GramQ(), ctx.Measures, a.Data.Text, pt.Segs[j].Data.Text, got, a.ID, sc.rowN, want)
+	checkMatrix := func(rec *PreparedRecord, what string) {
+		t.Helper()
+		calc.fillMSim(sc, rec, pt)
+		for i := range rec.Segs {
+			a := &rec.Segs[i]
+			for j := range pt.Segs {
+				if got, want := sc.msim[i*nt+j], ctx.MSimData(a.Data, pt.Segs[j].Data); got != want {
+					t.Fatalf("q=%d %v: msim(%q, %q) = %v in the matrix of %s (ID %d, rows below %d), %v by MSimData",
+						ctx.GramQ(), ctx.Measures, a.Data.Text, pt.Segs[j].Data.Text, got, what, a.ID, sc.rowN, want)
+				}
 			}
 		}
 	}
-	return sc.maskW, direct
+	checkMatrix(ps, "the left record")
+	late := calc.PrepareIn(d, append(slices.Clip(stranger), left...))
+	checkMatrix(late, "a late record")
+	for i := range late.Segs {
+		if late.Segs[i].ID >= sc.rowN {
+			direct++
+		}
+	}
+	return sc.maskW, direct, unwritten
 }
 
 // distinctTokens returns n distinct tokens of exactly width bytes over an
@@ -237,8 +270,10 @@ func distinctTokens(n, width int) []string {
 // reference: every cell of a row evaluated through the probe-gram bitmasks is
 // the float MSimData returns, for every q and every measure combination, at
 // the mask-width boundaries, in the degenerate Jaccard cases, beside probe
-// grams the dictionary never numbered, and on the direct path of a text
-// interned after the scratch adopted the probe.
+// grams the dictionary never numbered, on the direct path of a text interned
+// after the scratch adopted the probe, and where text and probe share no gram
+// and only a rule side, a taxonomy node or an empty text can score — the
+// cases the score bits decide. Those cases must leave a zero row unwritten.
 func TestBitmaskRowMatchesMSimData(t *testing.T) {
 	g64, g65 := distinctTokens(64, 1), distinctTokens(65, 1)
 	atCap, pastCap := distinctTokens(maxProbeGrams, 2), distinctTokens(maxProbeGrams+1, 2)
@@ -250,21 +285,30 @@ func TestBitmaskRowMatchesMSimData(t *testing.T) {
 		name                  string
 		q                     int // 0: every q in 1..9
 		left, probe, stranger []string
-		width                 int // expected mask width at q (ignored when q is 0)
+		width                 int  // expected mask width at q (ignored when q is 0)
+		unwritten             bool // some row is decided zero, slot unwritten (Jaccard on)
 	}{
-		{"figure 1", 0, []string{"coffee", "shop", "latte", "helsingki"}, []string{"espresso", "cafe", "helsinki", "apple", "cake"}, nil, 0},
-		{"shorter than q", 5, []string{"ab", "abc", "cake"}, []string{"ab", "abcd", "abcde", "cake"}, nil, 1},
-		{"empty text", 2, []string{"", "a"}, []string{"", "a", "ab"}, nil, 1},
-		{"repeated grams", 2, []string{"aaaa", "aaaaaaa", "abababab"}, []string{"aaa", "ababab", "aaaaab"}, nil, 1},
-		{"64 probe grams", 1, []string{g64[63] + g64[0], g64[62], "~"}, g64, nil, 1},
-		{"65 probe grams", 1, []string{g65[64] + g65[63] + g65[0], g65[64], g65[63]}, g65, nil, 2},
-		{"gram cap", 2, []string{atCap[maxProbeGrams-1], atCap[0] + atCap[maxProbeGrams-1], atCap[100]}, atCap, nil, maskWords},
-		{"past the gram cap", 2, []string{pastCap[maxProbeGrams], pastCap[0] + pastCap[maxProbeGrams]}, pastCap, nil, -1},
-		{"high bytes and NUL", 2, []string{"\x00\xff\x80a", "\x00\x00", "caf\xc3\xa9"}, []string{"\x00\xff", "\x80a\x00", "\x00\x00\x00", "caf\xc3\xa9"}, nil, 1},
-		{"figure 1, unnumbered grams", 0, []string{"coffee", "shop", "latte", "helsingki"}, []string{"cafe", "helsinki"}, []string{"espresso", "cake", "zqx"}, 0},
-		{"no numbered probe gram", 2, []string{"coffee", "cake"}, nil, []string{"zq", "qxj", "jzv"}, 0},
-		{"unnumbered grams past the cap", 2, []string{atCap[7], atCap[0] + atCap[9]}, atCap, beyondCap, maskWords},
-		{"64 numbered of 65 probe grams", 1, []string{g65[63] + g65[0], g65[62]}, g65[:64], g65[64:], 1},
+		{"figure 1", 0, []string{"coffee", "shop", "latte", "helsingki"}, []string{"espresso", "cafe", "helsinki", "apple", "cake"}, nil, 0, false},
+		{"shorter than q", 5, []string{"ab", "abc", "cake"}, []string{"ab", "abcd", "abcde", "cake"}, nil, 1, false},
+		{"empty text", 2, []string{"", "a"}, []string{"", "a", "ab"}, nil, 1, false},
+		{"repeated grams", 2, []string{"aaaa", "aaaaaaa", "abababab"}, []string{"aaa", "ababab", "aaaaab"}, nil, 1, false},
+		{"64 probe grams", 1, []string{g64[63] + g64[0], g64[62], "~"}, g64, nil, 1, false},
+		{"65 probe grams", 1, []string{g65[64] + g65[63] + g65[0], g65[64], g65[63]}, g65, nil, 2, false},
+		{"gram cap", 2, []string{atCap[maxProbeGrams-1], atCap[0] + atCap[maxProbeGrams-1], atCap[100]}, atCap, nil, maskWords, false},
+		{"past the gram cap", 2, []string{pastCap[maxProbeGrams], pastCap[0] + pastCap[maxProbeGrams]}, pastCap, nil, -1, false},
+		{"high bytes and NUL", 2, []string{"\x00\xff\x80a", "\x00\x00", "caf\xc3\xa9"}, []string{"\x00\xff", "\x80a\x00", "\x00\x00\x00", "caf\xc3\xa9"}, nil, 1, false},
+		{"figure 1, unnumbered grams", 0, []string{"coffee", "shop", "latte", "helsingki"}, []string{"cafe", "helsinki"}, []string{"espresso", "cake", "zqx"}, 0, false},
+		{"no numbered probe gram", 2, []string{"coffee", "cake"}, nil, []string{"zq", "qxj", "jzv"}, 0, false},
+		{"unnumbered grams past the cap", 2, []string{atCap[7], atCap[0] + atCap[9]}, atCap, beyondCap, maskWords, false},
+		{"64 numbered of 65 probe grams", 1, []string{g65[63] + g65[0], g65[62]}, g65[:64], g65[64:], 1, false},
+		// No 3-gram of a left text is one of the probe's below.
+		{"rule sides, no shared gram", 3, []string{"coffee", "shop", "cake"}, []string{"cafe", "gateau"}, nil, 1, true},
+		{"nodes, no shared gram", 3, []string{"espresso", "apple"}, []string{"latte"}, nil, 1, true},
+		{"rule side against a node", 3, []string{"gateau"}, []string{"espresso"}, nil, 1, true},
+		{"node against a rule side", 3, []string{"latte"}, []string{"gateau"}, nil, 1, true},
+		{"rule side and node against neither", 3, []string{"gateau", "latte"}, []string{"shop", "market"}, nil, 1, true},
+		{"empty text, no shared gram", 3, []string{"", "zz"}, []string{"", "qq"}, nil, 1, true},
+		{"empty text against no empty segment", 3, []string{"", "zz"}, []string{"qq"}, nil, 1, true},
 	} {
 		for q := 1; q <= 9; q++ {
 			if tc.q != 0 && q != tc.q {
@@ -273,9 +317,12 @@ func TestBitmaskRowMatchesMSimData(t *testing.T) {
 			for ms := sim.MeasureSet(1); ms <= sim.SetAll; ms++ {
 				ctx := paperContext().WithMeasures(ms)
 				ctx.Q = q
-				width, direct := bitmaskRowCase(t, ctx, tc.left, tc.probe, tc.stranger)
+				width, direct, unwritten := bitmaskRowCase(t, ctx, tc.left, tc.probe, tc.stranger)
 				if tc.q != 0 && ms&sim.SetJaccard != 0 && width != tc.width {
 					t.Errorf("%s: mask width %d, want %d", tc.name, width, tc.width)
+				}
+				if tc.unwritten && ms&sim.SetJaccard != 0 && unwritten == 0 {
+					t.Errorf("%s %v: every row was written: no zero row was decided from the score bits", tc.name, ms)
 				}
 				if len(tc.stranger) > 0 && direct == 0 {
 					t.Errorf("%s: no text interned under the live scratch took the direct path", tc.name)

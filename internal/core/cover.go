@@ -161,7 +161,7 @@ func (c *Calculator) columnCover(sc *Scratch, segs []uint32, end, n int, pt *Pre
 		w := segs[i]
 		id, l := w&coverIDMask, int(w>>coverIDBits)
 		if stamp[id] != gen {
-			c.cacheRow(sc, id, sc.rowData[id], pt)
+			c.cacheRow(sc, id, pt)
 		}
 		if v := rowMax[id] + dp[pos+l]; v > dp[pos] {
 			dp[pos] = v

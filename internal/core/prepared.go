@@ -183,10 +183,12 @@ type VerifyStats struct {
 	PrunedByBound int64 `json:"pruned_by_bound"`
 	PrunedByCover int64 `json:"pruned_by_cover"`
 	PrunedByFloor int64 `json:"pruned_by_floor"`
-	// MemoHits counts msim cells copied into a matrix from a row already
-	// evaluated for the same probe; MSimEvals counts the cells computed,
-	// whether for a matrix or for the cover stage, which needs a row's
-	// maximum and no matrix.
+	// MemoHits counts msim cells taken into a matrix from a row already
+	// evaluated for the same probe (copied, or cleared for a row whose
+	// maximum is 0); MSimEvals counts the cells evaluated or decided to be
+	// zero — a row whose text shares no gram and no score bit with the probe
+	// is decided whole, and counts all its cells — whether for a matrix or
+	// for the cover stage, which needs a row's maximum and no matrix.
 	MemoHits  int64 `json:"memo_hits"`
 	MSimEvals int64 `json:"msim_evals"`
 }
@@ -235,21 +237,23 @@ type Scratch struct {
 	// for the current (context, dictionary, right-hand record) triple the
 	// scratch keeps the msim row of each left segment ID against all nt
 	// segments of the right-hand record: rowVals[id·nt : id·nt+nt] and its
-	// largest cell rowMax[id], both valid when rowStamp[id] == rowGen. A new
-	// triple bumps rowGen and clears nothing; rowN is the number of IDs the
-	// rows cover (the dictionary's length when the triple was adopted,
-	// clipped to the cell budget), and rowData the dictionary's tables of
-	// those IDs as adopted (SegDict.entries).
-	rowCtx   *sim.Context
-	rowDict  *SegDict
-	rowRight *PreparedRecord
-	rowGen   uint32
-	rowN     uint32
-	rowStamp []uint32
-	rowVals  []float64
-	rowMax   []float64
-	rowData  []*sim.SegmentData
-	rowCells int // rowCellBudget; lowered by tests
+	// largest cell rowMax[id], both valid when rowStamp[id] == rowGen. A
+	// current row whose maximum is 0 is all zeros and its slot is never read
+	// (it may never have been written): a reader clears instead of copying.
+	// A new triple bumps rowGen and clears nothing; rowN is the number of IDs
+	// the rows cover (the dictionary's length when the triple was adopted,
+	// clipped to the cell budget), and rowEntries the dictionary's entries of
+	// those IDs as adopted (SegDict.entries: tables and score bits).
+	rowCtx     *sim.Context
+	rowDict    *SegDict
+	rowRight   *PreparedRecord
+	rowGen     uint32
+	rowN       uint32
+	rowStamp   []uint32
+	rowVals    []float64
+	rowMax     []float64
+	rowEntries []segEntry
+	rowCells   int // rowCellBudget; lowered by tests
 
 	// The probe-gram bit index rows are evaluated through, rebuilt with every
 	// new triple. rowGrams and rowGramOff are the dictionary's gram table as
@@ -258,10 +262,10 @@ type Scratch struct {
 	// the right-hand record, 0 for any other, and slotted lists the numbers
 	// set, which the next triple clears. probeMask holds maskWords words per
 	// right-hand segment with the bits of its numbered grams set, of which the
-	// first maskW are in use, and rowProbe lists the segments' tables for
-	// sim.MSimRow. maskW < 0 when the record has no index (maxProbeGrams
-	// exceeded, or fewer than maskWords rows to serve) and its rows are
-	// evaluated by MSimData.
+	// first maskW are in use, and rowProbe lists the segments' tables, with
+	// the union of their score bits, for sim.MSimRow. maskW < 0 when the
+	// record has no index (maxProbeGrams exceeded, or fewer than maskWords
+	// rows to serve) and its rows are evaluated by MSimData.
 	rowGrams   []uint32
 	rowGramOff []uint32
 	gramSlot   []uint16
@@ -433,7 +437,7 @@ func (c *Calculator) coverStage(sc *Scratch, ps, pt *PreparedRecord) float64 {
 	for i := range ps.Segs {
 		a := &ps.Segs[i]
 		if sc.rowStamp[a.ID] != sc.rowGen {
-			c.cacheRow(sc, a.ID, a.Data, pt)
+			c.cacheRow(sc, a.ID, pt)
 		}
 		sc.rowBest[i] = sc.rowMax[a.ID]
 	}
@@ -447,7 +451,8 @@ func (c *Calculator) coverStage(sc *Scratch, ps, pt *PreparedRecord) float64 {
 // carries dictionary IDs, once per (segment text, right-hand record): the
 // verify call sites pass the indexed record on the left and the probe on the
 // right, so the first candidate that holds a text evaluates its row against
-// the probe (in the cover stage, as a rule) and every later one copies it.
+// the probe (in the cover stage, as a rule) and every later one copies it —
+// or, for a row whose maximum is 0, clears the matrix row.
 func (c *Calculator) fillMSim(sc *Scratch, ps, pt *PreparedRecord) {
 	ns, nt := len(ps.Segs), len(pt.Segs)
 	sc.msim = strutil.Resize(sc.msim, ns*nt)
@@ -466,56 +471,71 @@ func (c *Calculator) fillMSim(sc *Scratch, ps, pt *PreparedRecord) {
 		if sc.rowStamp[a.ID] == sc.rowGen {
 			sc.Stats.MemoHits += int64(nt)
 		} else {
-			c.cacheRow(sc, a.ID, a.Data, pt)
+			c.cacheRow(sc, a.ID, pt)
 		}
-		copy(row, sc.rowVals[int(a.ID)*nt:][:nt])
+		if sc.rowMax[a.ID] == 0 {
+			clear(row)
+		} else {
+			copy(row, sc.rowVals[int(a.ID)*nt:][:nt])
+		}
 	}
 }
 
 // msimRow evaluates one left segment against every segment of pt, cell by
-// cell through MSimData: the direct path, and the reference the bitmask rows
-// are tested against.
-func (c *Calculator) msimRow(sc *Scratch, row []float64, a *sim.SegmentData, pt *PreparedRecord) {
+// cell through MSimData, and returns the row's maximum: the direct path, and
+// the reference the bitmask rows are tested against.
+func (c *Calculator) msimRow(sc *Scratch, row []float64, a *sim.SegmentData, pt *PreparedRecord) float64 {
+	best := 0.0
 	for j := range pt.Segs {
 		row[j] = c.Ctx.MSimData(a, pt.Segs[j].Data)
+		best = max(best, row[j])
 	}
 	sc.Stats.MSimEvals += int64(len(row))
+	return best
 }
 
 // cacheRow evaluates the row of dictionary segment id against the adopted
-// right-hand record pt into its slot, records the row's maximum and stamps
-// both current.
-func (c *Calculator) cacheRow(sc *Scratch, id uint32, a *sim.SegmentData, pt *PreparedRecord) {
-	row := sc.rowVals[int(id)*len(pt.Segs):][:len(pt.Segs)]
+// right-hand record pt, records the row's maximum and stamps it current. The
+// row's slot holds the row unless the maximum is 0.
+func (c *Calculator) cacheRow(sc *Scratch, id uint32, pt *PreparedRecord) {
 	if sc.maskW < 0 {
-		c.msimRow(sc, row, a, pt)
+		sc.rowMax[id] = c.msimRow(sc, sc.rowVals[int(id)*len(pt.Segs):][:len(pt.Segs)], sc.rowEntries[id].data, pt)
 	} else {
-		c.maskRow(sc, row, id, a)
+		sc.rowMax[id] = c.maskRow(sc, id, len(pt.Segs))
 	}
-	best := 0.0
-	for _, w := range row {
-		best = max(best, w)
-	}
-	sc.rowMax[id] = best
 	sc.rowStamp[id] = sc.rowGen
 }
 
-// maskRow is msimRow from array loads: the dictionary's numbers of a's grams
-// are mapped through the probe's slots into one mask (a gram the probe does
-// not have is in no intersection), and since gram sets hold no duplicates,
-// |a.Grams ∩ b_j.Grams| is the population count of that mask against segment
-// j's — the number GramSet.Overlap's merge arrives at. sim.MSimRow turns the
-// counts into the row.
-func (c *Calculator) maskRow(sc *Scratch, row []float64, id uint32, a *sim.SegmentData) {
+// maskRow is msimRow from array loads, for the nt segments of the adopted
+// right-hand record: the dictionary's numbers of the text's grams are mapped
+// through the probe's slots into one mask (a gram the probe does not have is
+// in no intersection), and since gram sets hold no duplicates, |a.Grams ∩
+// b_j.Grams| is the population count of that mask against segment j's — the
+// number GramSet.Overlap's merge arrives at. sim.MSimRow turns the counts
+// into the row and its maximum. An empty mask shares no gram with any
+// segment, so the counts are skipped; if the text's score bits also miss the
+// probe's, every cell is 0 (sim.SegmentData.Score), and maskRow returns 0 with
+// neither the text's table nor the row's slot touched. Every cell counts as
+// evaluated either way.
+func (c *Calculator) maskRow(sc *Scratch, id uint32, nt int) float64 {
+	sc.Stats.MSimEvals += int64(nt)
 	var mask [maskWords]uint64
+	shared := false
 	for _, g := range sc.rowGrams[sc.rowGramOff[id]:sc.rowGramOff[id+1]] {
 		if s := sc.gramSlot[g]; s != 0 {
 			b := s - 1
 			mask[b>>6] |= 1 << (b & 63)
+			shared = true
 		}
 	}
+	if !shared {
+		if p := sc.rowProbe.Score(); p == 0 || sc.rowEntries[id].score&p == 0 {
+			return 0
+		}
+		return c.Ctx.MSimRow(sc.rowVals[int(id)*nt:][:nt], sc.rowEntries[id].data, &sc.rowProbe, nil)
+	}
 	w := sc.maskW
-	inter := sc.inter[:len(row)]
+	inter := sc.inter[:nt]
 	for j := range inter {
 		n := 0
 		for k, m := range sc.probeMask[j*maskWords:][:w] {
@@ -523,8 +543,7 @@ func (c *Calculator) maskRow(sc *Scratch, row []float64, id uint32, a *sim.Segme
 		}
 		inter[j] = int32(n)
 	}
-	c.Ctx.MSimRow(row, a, &sc.rowProbe, inter)
-	sc.Stats.MSimEvals += int64(len(row))
+	return c.Ctx.MSimRow(sc.rowVals[int(id)*nt:][:nt], sc.rowEntries[id].data, &sc.rowProbe, inter)
 }
 
 // adoptRows makes the row cache current for left records of dictionary d
@@ -553,7 +572,7 @@ func (sc *Scratch) adoptRows(ctx *sim.Context, d *SegDict, pt *PreparedRecord) u
 	sc.rowVals = strutil.Resize(sc.rowVals, n*nt)
 	sc.rowMax = strutil.Resize(sc.rowMax, n)
 	sc.rowN = uint32(n)
-	sc.rowData = d.entries[:n]
+	sc.rowEntries = d.entries[:n]
 	sc.indexProbeGrams(d, pt, n)
 	return sc.rowN
 }

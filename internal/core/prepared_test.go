@@ -383,7 +383,7 @@ func BenchmarkVerifyPreparedFirstTouch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				calc.cacheRow(sc, ps.Segs[0].ID, ps.Segs[0].Data, pt)
+				calc.cacheRow(sc, ps.Segs[0].ID, pt)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pt.Segs)), "ns/cell")
 		})

@@ -38,14 +38,25 @@ const segDictCap = 1 << 20
 // write lock that publishes the entry, before its ID exists, and both slices
 // are append-only, so a reader that captured them under the read lock may
 // index them for every ID below the length it read with them.
+//
+// Beside each table an entry holds its score bits (sim.SegmentData.Score),
+// so a row that shares no gram with the probe is known to be zero from the
+// entry alone, without loading the table (Scratch.maskRow).
 type SegDict struct {
 	mu       sync.RWMutex
 	ids      map[string]uint32
-	entries  []*sim.SegmentData // ID → shared table
-	gramNum  map[string]uint32  // gram → number
-	gramSets []uint32           // every entry's gram numbers, back to back
-	gramOff  []uint32           // ID → start in gramSets; one more than entries
-	limit    int                // segDictCap; lowered by tests
+	entries  []segEntry        // ID → shared table and its score bits
+	gramNum  map[string]uint32 // gram → number
+	gramSets []uint32          // every entry's gram numbers, back to back
+	gramOff  []uint32          // ID → start in gramSets; one more than entries
+	limit    int               // segDictCap; lowered by tests
+}
+
+// segEntry is one dictionary entry: the shared table of a text and its score
+// bits, written together under the write lock that publishes the ID.
+type segEntry struct {
+	data  *sim.SegmentData
+	score uint8
 }
 
 // NewSegDict returns an empty dictionary.
@@ -83,7 +94,7 @@ func (d *SegDict) read(pr *PreparedRecord) (missing int) {
 		sg.ID, sg.Data = NoSegID, nil
 		if d != nil {
 			if id, ok := d.ids[strutil.JoinTokens(sg.Span.Slice(pr.Tokens))]; ok {
-				sg.Data = d.entries[id]
+				sg.Data = d.entries[id].data
 				continue
 			}
 		}
@@ -100,7 +111,7 @@ func (d *SegDict) intern(ctx *sim.Context, tokens []string) (uint32, *sim.Segmen
 	d.mu.RLock()
 	id, ok := d.ids[text]
 	if ok {
-		data := d.entries[id]
+		data := d.entries[id].data
 		d.mu.RUnlock()
 		return id, data
 	}
@@ -109,7 +120,7 @@ func (d *SegDict) intern(ctx *sim.Context, tokens []string) (uint32, *sim.Segmen
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if id, ok := d.ids[text]; ok {
-		return id, d.entries[id] // a concurrent intern of the same text won
+		return id, d.entries[id].data // a concurrent intern of the same text won
 	}
 	if len(d.entries) >= d.limit {
 		return NoSegID, &data
@@ -125,6 +136,6 @@ func (d *SegDict) intern(ctx *sim.Context, tokens []string) (uint32, *sim.Segmen
 		d.gramSets = append(d.gramSets, n)
 	}
 	d.gramOff = append(d.gramOff, uint32(len(d.gramSets)))
-	d.entries = append(d.entries, &data)
+	d.entries = append(d.entries, segEntry{&data, data.Score()})
 	return id, &data
 }

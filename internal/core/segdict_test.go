@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"github.com/aujoin/aujoin/internal/sim"
 )
 
 // checkGramTable holds a dictionary's gram numbering to its definition: the
@@ -25,7 +27,8 @@ func checkGramTable(t *testing.T, d *SegDict) {
 		t.Fatalf("%d gram offsets, last %d, for %d entries and %d numbers", len(d.gramOff), d.gramOff[len(d.gramOff)-1], len(d.entries), len(d.gramSets))
 	}
 	distinct := map[string]bool{}
-	for id, e := range d.entries {
+	for id, en := range d.entries {
+		e := en.data
 		nums := d.gramSets[d.gramOff[id]:d.gramOff[id+1]]
 		if len(nums) != len(e.Grams) {
 			t.Fatalf("entry %d (%q): %d numbers for %d grams", id, e.Text, len(nums), len(e.Grams))
@@ -78,7 +81,7 @@ func TestSegDictConcurrentIntern(t *testing.T) {
 					t.Fatalf("text %q has IDs %d and %d", sg.Data.Text, id, sg.ID)
 				}
 				byID[sg.ID], byText[sg.Data.Text] = sg.Data.Text, sg.ID
-				if sg.Data != d.entries[sg.ID] {
+				if sg.Data != d.entries[sg.ID].data {
 					t.Fatalf("segment %q does not share the dictionary's table", sg.Data.Text)
 				}
 			}
@@ -125,7 +128,7 @@ func TestSegDictAtCap(t *testing.T) {
 		for i := range b.Segs {
 			if id := b.Segs[i].ID; id == NoSegID {
 				past++
-			} else if b.Segs[i].Data != capped.entries[id] {
+			} else if b.Segs[i].Data != capped.entries[id].data {
 				t.Fatalf("%v segment %d has ID %d and a table of its own", toks, i, id)
 			}
 		}
@@ -148,4 +151,37 @@ func TestSegDictAtCap(t *testing.T) {
 	if capped.NumGrams() >= full.NumGrams() {
 		t.Fatalf("%d grams numbered under the cap, %d without: the texts past it numbered theirs", capped.NumGrams(), full.NumGrams())
 	}
+}
+
+// TestSegDictScoreBits holds every entry's score bits to its table, for the
+// entries intern writes and for those a restore writes into a fresh
+// dictionary from persisted metadata, over records with rule sides, taxonomy
+// nodes and empty tokens; each bit must occur.
+func TestSegDictScoreBits(t *testing.T) {
+	ctx, phrases := phraseContext()
+	calc := NewCalculator(ctx)
+	corpus := append(phraseCorpus(rand.New(rand.NewSource(5)), phrases, 60), []string{""}, []string{"tok01", "", "tok02"})
+	check := func(d *SegDict, what string) {
+		t.Helper()
+		var seen uint8
+		for id, e := range d.entries {
+			if want := e.data.Score(); e.score != want {
+				t.Fatalf("%s: entry %d (%q) has score bits %03b, its table %03b", what, id, e.data.Text, e.score, want)
+			}
+			seen |= e.score
+		}
+		if all := sim.ScoreDegenerate | sim.ScoreRule | sim.ScoreNode; seen != all {
+			t.Fatalf("%s: score bits %03b occur, want %03b", what, seen, all)
+		}
+	}
+	built, restored := NewSegDict(), NewSegDict()
+	for _, toks := range corpus {
+		pr := calc.PrepareIn(built, toks)
+		segs, minPart := pr.PersistMeta()
+		if _, err := calc.RestorePrepared(toks, segs, minPart, restored); err != nil {
+			t.Fatalf("%v: %v", toks, err)
+		}
+	}
+	check(built, "interned")
+	check(restored, "restored")
 }

@@ -261,18 +261,41 @@ func BenchmarkVerifyTopK(b *testing.B) {
 // the count filter admits most of the catalog and nearly every candidate is
 // dismissed by the size ratio or the cover stage: the bound loop over a
 // column too large for L1, which the ≤ 40-record catalogs of the
-// BenchmarkVerifyPrepared benchmarks cannot show. Half the probes are
-// variants (typo, synonym or taxonomy swap) of catalog records, half are
-// records of the same generator outside the catalog.
+// BenchmarkVerifyPrepared benchmarks cannot show.
 func BenchmarkBoundLoop(b *testing.B) {
-	const records, probes = 4000, 64
-	gen := datagen.New(datagen.MEDLike(records, 7))
+	boundLoop(b, datagen.MEDLike(4000, 7), 2, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP})
+}
+
+// BenchmarkBoundLoopTitles is BenchmarkBoundLoop on a 10 000-record catalog
+// shaped like the benchmark's titles corpus (and drawn with its corpus seed)
+// — a 10 000-token flat vocabulary, 10–14 distinct tokens a record, q = 5,
+// θ = 0.9, τ = 12 and the heuristic filter — where a lookup meets ≈ 34
+// candidates and evaluates ≈ 370 msim rows of ≈ 13 cells, nearly all of them
+// zero, and fills one matrix in two: the per-probe row evaluation rather than
+// the walk of the column.
+func BenchmarkBoundLoopTitles(b *testing.B) {
+	cfg := datagen.MEDLike(10000, 20190811)
+	cfg.VocabSize = 10000
+	cfg.MinTokens, cfg.MaxTokens = 10, 14
+	cfg.DistinctTokens = true
+	cfg.EntityRate, cfg.SynonymTermRate = 0.05, 0.05
+	cfg.TaxonomyNodes, cfg.SynonymRules = 1000, 200
+	boundLoop(b, cfg, 5, Options{Theta: 0.9, Tau: 12, Method: pebble.AUHeuristic})
+}
+
+// boundLoop serves top-k lookups (k = 10) at q against a one-shard index of
+// cfg.Size records of cfg's generator. Half the 64 probes are variants
+// (typo, synonym or taxonomy swap) of catalog records, half are records of
+// the same generator outside the catalog.
+func boundLoop(b *testing.B, cfg datagen.Config, q int, opts Options) {
+	const probes = 64
+	records := cfg.Size
+	gen := datagen.New(cfg)
 	universe := gen.Collection(records + probes/2)
 	ctx := sim.NewContext(gen.Rules(), gen.Taxonomy())
-	ctx.Q = 2
+	ctx.Q = q
 	j := NewJoiner(ctx)
-	v := j.BuildShardedIndex(strutil.NewCollection(universe[:records]), 1,
-		Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{}).Snapshot()
+	v := j.BuildShardedIndex(strutil.NewCollection(universe[:records]), 1, opts, DynamicOptions{}).Snapshot()
 	queries := make([][]string, probes)
 	for k := range queries {
 		q := universe[records+k/2]

@@ -224,55 +224,105 @@ func (c *Context) MSimData(a, b *SegmentData) float64 {
 	return best
 }
 
+// Score bits of a segment table (SegmentData.Score): what, other than a
+// shared gram, can make MSimData(a, b) non-zero. Jaccard with no shared gram
+// is non-zero only between two degenerate texts (both empty, or both without
+// grams); the synonym measure only between two texts with a rule side; the
+// taxonomy measure only between two texts with a node. So MSimData(a, b) is
+// 0 whenever a and b share no gram and a.Score()&b.Score() == 0.
+const (
+	ScoreDegenerate uint8 = 1 << iota // empty text, or no grams
+	ScoreRule                         // a synonym rule side
+	ScoreNode                         // a taxonomy node
+)
+
+// Score returns a's score bits.
+func (a *SegmentData) Score() uint8 {
+	var s uint8
+	if a.Text == "" || len(a.Grams) == 0 {
+		s |= ScoreDegenerate
+	}
+	if len(a.LHS) > 0 || len(a.RHS) > 0 {
+		s |= ScoreRule
+	}
+	if a.Node != taxonomy.InvalidNode {
+		s |= ScoreNode
+	}
+	return s
+}
+
 // RowProbe is the right-hand record of an msim row (MSimRow): its segments'
-// tables in order, and — listed once per record, so a row visits only them —
-// the segments with a synonym rule side and the segments with a taxonomy
-// node, the only ones those measures can score.
+// tables in order, the union of their score bits, and — listed once per
+// record, so a row visits only them — the segments with a synonym rule side
+// and the segments with a taxonomy node, the only ones those measures can
+// score.
 type RowProbe struct {
 	segs  []*SegmentData
 	ruled []int32
 	nodes []int32
+	score uint8
 }
 
 // Reset empties p for the next record, keeping its buffers.
 func (p *RowProbe) Reset() {
-	p.segs, p.ruled, p.nodes = p.segs[:0], p.ruled[:0], p.nodes[:0]
+	p.segs, p.ruled, p.nodes, p.score = p.segs[:0], p.ruled[:0], p.nodes[:0], 0
 }
 
 // Add appends the record's next segment.
 func (p *RowProbe) Add(b *SegmentData) {
 	j := int32(len(p.segs))
 	p.segs = append(p.segs, b)
-	if len(b.LHS) > 0 || len(b.RHS) > 0 {
+	s := b.Score()
+	p.score |= s
+	if s&ScoreRule != 0 {
 		p.ruled = append(p.ruled, j)
 	}
-	if b.Node != taxonomy.InvalidNode {
+	if s&ScoreNode != 0 {
 		p.nodes = append(p.nodes, j)
 	}
 }
 
-// MSimRow sets row[j] to MSimData(a, b_j) for every segment b_j of p, given
-// inter[j] = |a.Grams ∩ b_j.Grams| counted by the caller (the verifier's
-// probe-gram bitmasks). The measures are taken in MSimData's order, each only
-// where it can score: Jaccard from the count in every cell, under
-// SegmentJaccardData's degenerate cases; the synonym measure, when a has a
-// rule side, in the cells of p's segments with one; the taxonomy measure,
-// when a has a node, in the cells of p's segments with one. Everywhere else
-// those measures are 0 and leave the maximum as it is, so for the true counts
-// every cell is bit-identical to MSimData(a, b_j).
-func (c *Context) MSimRow(row []float64, a *SegmentData, p *RowProbe, inter []int32) {
+// Score returns the union of the score bits of p's segments: a row of a text
+// that shares no gram with p and none of these bits is all zeros.
+func (p *RowProbe) Score() uint8 { return p.score }
+
+// MSimRow sets row[j] to MSimData(a, b_j) for every segment b_j of p and
+// returns the row's maximum, given inter[j] = |a.Grams ∩ b_j.Grams| counted
+// by the caller (the verifier's probe-gram bitmasks); a nil inter says a
+// shares no gram with any b_j. The measures are taken in MSimData's order,
+// each only where it can score: Jaccard, for a degenerate a, in every cell
+// under SegmentJaccardData's degenerate cases, and otherwise only in the
+// cells with a non-zero count, since with no shared gram and a gram on each
+// side it is 0; the synonym measure, when a has a rule side, in the cells of
+// p's segments with one; the taxonomy measure, when a has a node, in the
+// cells of p's segments with one. Everywhere else those measures are 0 and
+// leave the maximum as it is, so for the true counts every cell is
+// bit-identical to MSimData(a, b_j).
+func (c *Context) MSimRow(row []float64, a *SegmentData, p *RowProbe, inter []int32) float64 {
+	clear(row)
+	best := 0.0
 	if c.JaccardEnabled() {
-		for j, b := range p.segs {
-			row[j] = jaccardFromOverlap(a, b, int(inter[j]))
+		if la := len(a.Grams); a.Text == "" || la == 0 {
+			for j, b := range p.segs {
+				row[j] = jaccardFromOverlap(a, b, 0)
+				best = max(best, row[j])
+			}
+		} else {
+			for j, n := range inter {
+				if n != 0 {
+					// Both sides have grams: jaccardFromOverlap's last case.
+					row[j] = float64(n) / float64(la+len(p.segs[j].Grams)-int(n))
+					best = max(best, row[j])
+				}
+			}
 		}
-	} else {
-		clear(row)
 	}
 	if c.SynonymEnabled() && (len(a.LHS) > 0 || len(a.RHS) > 0) {
 		for _, j := range p.ruled {
 			b := p.segs[j]
 			if v, ok := c.Rules.MatchIDLists(a.LHS, a.RHS, b.LHS, b.RHS); ok && v > row[j] {
 				row[j] = v
+				best = max(best, v)
 			}
 		}
 	}
@@ -280,9 +330,11 @@ func (c *Context) MSimRow(row []float64, a *SegmentData, p *RowProbe, inter []in
 		for _, j := range p.nodes {
 			if v := c.Tax.Similarity(a.Node, p.segs[j].Node); v > row[j] {
 				row[j] = v
+				best = max(best, v)
 			}
 		}
 	}
+	return best
 }
 
 // jaccardFromOverlap is SegmentJaccardData given the size of the gram

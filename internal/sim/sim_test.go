@@ -348,3 +348,42 @@ func BenchmarkLevenshtein(b *testing.B) {
 		Levenshtein(s, t)
 	}
 }
+
+// TestScoreBitsDecideZeroCells checks the claim MSimRow's callers rest on: a
+// cell of two texts that share no gram and no score bit is 0, for every q and
+// measure combination, over texts with rule sides, taxonomy nodes, both,
+// neither and none at all, and the empty text.
+func TestScoreBitsDecideZeroCells(t *testing.T) {
+	texts := []string{"", "coffee shop", "cafe", "cake", "gateau", "latte", "espresso", "apple cake",
+		"coffee", "helsinki", "helsingki", "zz", "x"}
+	decided := 0 // non-zero cells with no shared gram, decided by a bit
+	for q := 1; q <= 5; q++ {
+		for ms := MeasureSet(1); ms <= SetAll; ms++ {
+			ctx := paperContext(t).WithMeasures(ms)
+			ctx.Q = q
+			data := make([]SegmentData, len(texts))
+			for i, s := range texts {
+				data[i] = ctx.PrepareSegment(s)
+			}
+			for i := range data {
+				for j := range data {
+					a, b := &data[i], &data[j]
+					if a.Grams.Overlap(b.Grams) > 0 {
+						continue
+					}
+					v := ctx.MSimData(a, b)
+					if a.Score()&b.Score() == 0 && v != 0 {
+						t.Fatalf("q=%d %v: msim(%q, %q) = %v with no shared gram, score bits %03b and %03b",
+							q, ms, a.Text, b.Text, v, a.Score(), b.Score())
+					}
+					if v != 0 {
+						decided++
+					}
+				}
+			}
+		}
+	}
+	if decided == 0 {
+		t.Fatal("no cell without a shared gram scored: the bits decided nothing")
+	}
+}
