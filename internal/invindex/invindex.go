@@ -15,8 +15,11 @@
 // shape when most IDs have postings. Delta is the sparse map form used by
 // the dynamic join index for the small batches appended between rebuilds:
 // memory proportional to the postings actually present, so a single-record
-// insert does not pay for the whole ID universe. Both are immutable after
-// their Add calls and therefore safe for concurrent reads.
+// insert does not pay for the whole ID universe. A lookup of an absent ID
+// is a map miss in every Delta of a chain, so the join index keeps a
+// shard-level bitmap of the IDs its chain holds and asks the Deltas only
+// about those. Both forms are immutable after their Add calls and therefore
+// safe for concurrent reads.
 //
 // Index additionally supports a hybrid posting representation: Hybridize
 // converts the posting lists of frequent keys (list length at or above a

@@ -263,7 +263,7 @@ func BenchmarkVerifyTopK(b *testing.B) {
 // column too large for L1, which the ≤ 40-record catalogs of the
 // BenchmarkVerifyPrepared benchmarks cannot show.
 func BenchmarkBoundLoop(b *testing.B) {
-	boundLoop(b, datagen.MEDLike(4000, 7), 2, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP})
+	boundLoop(b, datagen.MEDLike(4000, 7), 2, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, 1, 0)
 }
 
 // BenchmarkBoundLoopTitles is BenchmarkBoundLoop on a 10 000-record catalog
@@ -274,28 +274,57 @@ func BenchmarkBoundLoop(b *testing.B) {
 // zero, and fills one matrix in two: the per-probe row evaluation rather than
 // the walk of the column.
 func BenchmarkBoundLoopTitles(b *testing.B) {
+	boundLoop(b, titlesConfig(), 5, titlesOptions, 1, 0)
+}
+
+// BenchmarkQueryDeltaChain is BenchmarkBoundLoopTitles's lookups against a
+// two-shard index of the same catalog after 64 insert batches of four
+// records, so each shard serves a full delta chain (every batch touches both
+// shards: 64 segments a shard, MaxSegments' default, and no compaction): the
+// count filter's walk of the chain, which the key bitmap cuts to the IDs
+// some segment holds.
+func BenchmarkQueryDeltaChain(b *testing.B) {
+	boundLoop(b, titlesConfig(), 5, titlesOptions, 2, 64)
+}
+
+// titlesConfig is the generator of the benchmark's titles corpus, drawn with
+// its corpus seed: a 10 000-token flat vocabulary and 10–14 distinct tokens
+// a record.
+func titlesConfig() datagen.Config {
 	cfg := datagen.MEDLike(10000, 20190811)
 	cfg.VocabSize = 10000
 	cfg.MinTokens, cfg.MaxTokens = 10, 14
 	cfg.DistinctTokens = true
 	cfg.EntityRate, cfg.SynonymTermRate = 0.05, 0.05
 	cfg.TaxonomyNodes, cfg.SynonymRules = 1000, 200
-	boundLoop(b, cfg, 5, Options{Theta: 0.9, Tau: 12, Method: pebble.AUHeuristic})
+	return cfg
 }
 
-// boundLoop serves top-k lookups (k = 10) at q against a one-shard index of
-// cfg.Size records of cfg's generator. Half the 64 probes are variants
-// (typo, synonym or taxonomy swap) of catalog records, half are records of
-// the same generator outside the catalog.
-func boundLoop(b *testing.B, cfg datagen.Config, q int, opts Options) {
-	const probes = 64
+// titlesOptions are the titles workloads' join options.
+var titlesOptions = Options{Theta: 0.9, Tau: 12, Method: pebble.AUHeuristic}
+
+// boundLoop serves top-k lookups (k = 10) at q against an index of cfg.Size
+// records of cfg's generator over the given number of shards, after the given
+// number of insert batches of four further records of the generator, each of
+// which must leave one delta segment on every shard. Half the 64 probes are
+// variants (typo, synonym or taxonomy swap) of catalog records, half are
+// records of the same generator outside the catalog.
+func boundLoop(b *testing.B, cfg datagen.Config, q int, opts Options, shards, batches int) {
+	const probes, batchSize = 64, 4
 	records := cfg.Size
 	gen := datagen.New(cfg)
-	universe := gen.Collection(records + probes/2)
+	universe := gen.Collection(records + probes/2 + batches*batchSize)
 	ctx := sim.NewContext(gen.Rules(), gen.Taxonomy())
 	ctx.Q = q
 	j := NewJoiner(ctx)
-	v := j.BuildShardedIndex(strutil.NewCollection(universe[:records]), 1, opts, DynamicOptions{}).Snapshot()
+	sx := j.BuildShardedIndex(strutil.NewCollection(universe[:records]), shards, opts, DynamicOptions{})
+	for k, inserts := 0, universe[records+probes/2:]; k < batches; k++ {
+		sx.InsertBatch(inserts[k*batchSize : (k+1)*batchSize])
+	}
+	if st := sx.Stats(); st.Rebuilds != 0 || st.Segments != shards*batches {
+		b.Fatalf("%d insert batches left %d delta segments and %d rebuilds", batches, st.Segments, st.Rebuilds)
+	}
+	v := sx.Snapshot()
 	queries := make([][]string, probes)
 	for k := range queries {
 		q := universe[records+k/2]

@@ -361,14 +361,18 @@ type QueryMatch struct {
 // it folds the ID's posting list — word-parallel through the block
 // accumulator for bitmap-form lists, entry-at-a-time for slice-form lists,
 // then the always-sparse lists of the delta segments — into per-record
-// overlap counters, considering only base records < limit. It returns the
-// records whose overlap reached τ and are not tombstoned in dead (aliasing
-// the accumulator arena, valid until the next call) and the filter counters.
-// The counters are left zeroed for reuse. A shard passes its delta chain, its
-// tombstone bitmap and limit = inv.Records(); a self-join, whose shard has
-// neither segments nor tombstones, passes the probe's own position as limit;
-// the τ sweep of a FilterProfile passes no segments and no tombstones.
-func countFilterRecord(inv *invindex.Index, segs []*segment, dead []uint64, ids []uint32, tau, limit int, sc *probeScratch) ([]int32, counters) {
+// overlap counters, considering only base records < limit. The chain's key
+// bitmap promises that no segment holds a list for an ID whose bit is clear,
+// so such an ID skips the chain: each skipped lookup would have returned nil
+// and added no postings, and the candidates and counters are the ones a walk
+// of every segment gives. It returns the records whose overlap reached τ and
+// are not tombstoned in dead (aliasing the accumulator arena, valid until
+// the next call) and the filter counters. The counters are left zeroed for
+// reuse. A shard passes its delta chain, its tombstone bitmap and limit =
+// inv.Records(); a self-join, whose shard has neither segments nor
+// tombstones, passes the probe's own position as limit; the τ sweep of a
+// FilterProfile passes the empty chain and no tombstones.
+func countFilterRecord(inv *invindex.Index, chain deltas, dead []uint64, ids []uint32, tau, limit int, sc *probeScratch) ([]int32, counters) {
 	acc := sc.acc
 	acc.Begin(tau)
 	var tally counters
@@ -407,8 +411,10 @@ func countFilterRecord(inv *invindex.Index, segs []*segment, dead []uint64, ids 
 			}
 			tally.ProbePostings += acc.AddPostings(postings, mult)
 		}
-		for _, seg := range segs {
-			tally.ProbePostings += acc.AddPostings(seg.inv.Postings(id), mult)
+		if chain.holds(id) {
+			for _, seg := range chain.segs {
+				tally.ProbePostings += acc.AddPostings(seg.Postings(id), mult)
+			}
 		}
 	}
 	tally.ProbePostings += acc.FlushDense(limit)
@@ -609,7 +615,7 @@ func (fp *FilterProfile) filter(tau int) ([]pairKey, int64) {
 	var cands []pairKey
 	var processed int64
 	for t, ids := range fp.selectAll(fp.preT, tau) {
-		recs, tally := countFilterRecord(inv, nil, nil, ids, tau, len(fp.preS), sc)
+		recs, tally := countFilterRecord(inv, deltas{}, nil, ids, tau, len(fp.preS), sc)
 		processed += tally.ProbePostings
 		for _, r := range recs {
 			cands = append(cands, pairKey{int(r), t})

@@ -43,9 +43,10 @@ import (
 //     order state. Signatures of base records and of each segment therefore
 //     stay comparable with signatures of new probes.
 //  2. Published views are never mutated: records/prepared/segment slices
-//     only ever grow past the published length, and the tombstone bitmap is
-//     cloned before a bit is set. A view observes removals only if they
-//     were published before the view was taken.
+//     only ever grow past the published length, and the tombstone bitmap and
+//     the delta chain's key bitmap are cloned before a bit is set. A view
+//     observes removals only if they were published before the view was
+//     taken.
 //
 // Once the keys this shard appended, its tombstones, or its segment chain
 // cross their threshold (RebuildFraction, MaxSegments), the writer compacts:
@@ -66,13 +67,13 @@ type shard struct {
 	// under, inv, the inverted index over its signature IDs, buildTime, and
 	// the first inv.Records() positions of records, prepared, cover and
 	// sigIDs; adoptBaseLocked replaces all of it wholesale. records,
-	// prepared, cover, sigIDs and segs are append-only while a base is live
-	// (published views hold shorter headers); dead is cloned before every
-	// bit set.
+	// prepared, cover, sigIDs and deltas.segs are append-only while a base
+	// is live (published views hold shorter headers); dead and deltas.keys
+	// are cloned before every bit set.
 	gen       *orderGen
 	inv       *invindex.Index
 	buildTime time.Duration
-	segs      []*segment
+	deltas    deltas
 	records   []strutil.Record
 	prepared  []*core.PreparedRecord
 	dead      []uint64
@@ -130,10 +131,48 @@ func (sh *shard) total() counters {
 	return sh.work
 }
 
-// segment is one immutable batch of inserted records: a sparse inverted
-// index over their signatures, keyed by global record positions.
-type segment struct {
-	inv *invindex.Delta
+// deltas is a shard's delta-segment chain — one immutable sparse inverted
+// index (invindex.Delta) per insert batch since the base was adopted, keyed
+// by global record positions — with keys, a presence bitmap over signature
+// IDs: bit id is set iff some segment of the chain holds a posting list for
+// id. The count filter walks the chain only for an ID whose bit is set, so
+// an ID no inserted record carries costs one word test instead of a map
+// lookup a segment. The zero value is the empty chain.
+type deltas struct {
+	segs []*invindex.Delta
+	keys []uint64
+}
+
+// holds reports whether some segment of the chain has a posting list for id.
+func (d deltas) holds(id uint32) bool {
+	w := int(id >> 6)
+	return w < len(d.keys) && d.keys[w]&(1<<(id&63)) != 0
+}
+
+// push returns the chain with seg appended, seg having been built from the
+// signature IDs sigs. The key bitmap is cloned before its first bit is set
+// (published views hold the old one, exactly as with the tombstone bitmap)
+// and grown to the batch's largest ID: keys first seen after the base was
+// built lie in the shared order's dynamic region, past the base's universe.
+func (d deltas) push(seg *invindex.Delta, sigs [][]uint32) deltas {
+	words := len(d.keys)
+	for _, ids := range sigs {
+		for _, id := range ids {
+			if id != pebble.NoID {
+				words = max(words, int(id>>6)+1)
+			}
+		}
+	}
+	keys := make([]uint64, words)
+	copy(keys, d.keys)
+	for _, ids := range sigs {
+		for _, id := range ids {
+			if id != pebble.NoID {
+				keys[id>>6] |= 1 << (id & 63)
+			}
+		}
+	}
+	return deltas{segs: append(d.segs, seg), keys: keys}
 }
 
 // DynamicOptions tunes the mutation behaviour of a ShardedIndex on top of
@@ -167,7 +206,7 @@ const (
 func (sh *shard) adoptBaseLocked(g *orderGen, records []strutil.Record, prepared []*core.PreparedRecord, sigIDs [][]uint32, start time.Time) {
 	sh.gen = g
 	sh.inv = newInverted(sigIDs, g.order)
-	sh.segs = nil
+	sh.deltas = deltas{}
 	sh.records, sh.prepared, sh.sigIDs = records, prepared, sigIDs
 	sh.cover = core.NewCoverColumn(sh.sx.dict, prepared)
 	sh.dead = make([]uint64, (len(records)+63)/64)
@@ -202,7 +241,7 @@ func (sh *shard) publishLocked() {
 		gen:       sh.gen,
 		inv:       sh.inv,
 		buildTime: sh.buildTime,
-		segs:      sh.segs,
+		deltas:    sh.deltas,
 		records:   sh.records,
 		prepared:  sh.prepared,
 		cover:     sh.cover,
@@ -261,7 +300,7 @@ func (sh *shard) insertRecords(recs []strutil.Record) {
 	for len(sh.dead)*64 < len(sh.records) {
 		sh.dead = append(sh.dead, 0)
 	}
-	sh.segs = append(sh.segs, &segment{inv: delta})
+	sh.deltas = sh.deltas.push(delta, sh.sigIDs[first:])
 	sh.inserts += len(recs)
 	sh.maybeRebuildLocked()
 	sh.publishLocked()
@@ -301,7 +340,7 @@ func (sh *shard) removeBatch(ids []int) []bool {
 // maybeRebuildLocked compacts the shard when the appended pebble mass, the
 // tombstone mass, or the segment chain crosses its threshold.
 func (sh *shard) maybeRebuildLocked() {
-	if len(sh.segs) > sh.sx.dopts.MaxSegments {
+	if len(sh.deltas.segs) > sh.sx.dopts.MaxSegments {
 		sh.rebuildLocked()
 		return
 	}
@@ -472,7 +511,7 @@ type shardView struct {
 	gen       *orderGen // the generation the base was built under
 	inv       *invindex.Index
 	buildTime time.Duration
-	segs      []*segment
+	deltas    deltas
 	records   []strutil.Record
 	prepared  []*core.PreparedRecord
 	cover     core.CoverColumn // parallel to prepared
@@ -491,7 +530,7 @@ func (v *shardView) addStats(st *DynamicStats) {
 	st.Records += len(v.records)
 	st.Live += v.live
 	st.Dead += len(v.records) - v.live
-	st.Segments += len(v.segs)
+	st.Segments += len(v.deltas.segs)
 	st.Rebuilds += v.rebuilds
 	st.Inserts += v.inserts
 	st.DenseKeys += v.inv.DenseKeys()
@@ -531,7 +570,7 @@ func (v *shardView) scratch() *probeScratch {
 // counts only the base records below its probe record's own position, every
 // other request passes noLimit.
 func (v *shardView) candidatesRecord(ids []uint32, tau, limit int, sc *probeScratch) ([]int32, counters) {
-	return countFilterRecord(v.inv, v.segs, v.dead, ids, tau, min(limit, v.inv.Records()), sc)
+	return countFilterRecord(v.inv, v.deltas, v.dead, ids, tau, min(limit, v.inv.Records()), sc)
 }
 
 // floorTracker is the shared rising floor of one top-k operation: the best
