@@ -205,6 +205,11 @@ func main() {
 		WriteTimeout:      60 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
+	if worker != nil {
+		// Shutdown does not track the hijacked connections the coordinator's
+		// group reads arrive on; the worker closes them itself.
+		httpSrv.RegisterOnShutdown(worker.Close)
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 

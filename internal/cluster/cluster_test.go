@@ -6,11 +6,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,7 +22,8 @@ import (
 )
 
 // testCluster is an in-process cluster: a coordinator and N worker daemons,
-// all on loopback httptest servers, speaking the real HTTP protocol.
+// all on loopback httptest servers, speaking the real protocol — JSON over
+// HTTP, and frames for the group reads.
 type testCluster struct {
 	coord   *Coordinator
 	coordTS *httptest.Server
@@ -28,42 +31,78 @@ type testCluster struct {
 	nodes   []*Worker // nodes[i] serves behind workers[i]
 }
 
+// clusterOpts adjusts the cluster startCluster boots; every field is
+// optional. The fault tests stall or doctor worker traffic through wrap (the
+// HTTP control plane, and the upgrade that opens a frame connection) and
+// frames (every group read).
+type clusterOpts struct {
+	// wrap stands in front of worker i's HTTP handler.
+	wrap func(i int, h http.Handler) http.Handler
+	// frames is worker i's frameHook.
+	frames func(ctx context.Context, i int, req *frameRequest) error
+	// server configures every worker's http.Server before it starts.
+	server func(*http.Server)
+	// joiner builds each worker's joiner (nil: aujoin.NewStrict()).
+	joiner func() (*aujoin.Joiner, error)
+	// heartbeat is the coordinator's health-check interval (0: 100 ms).
+	heartbeat time.Duration
+}
+
 // startCluster boots a coordinator and n workers with r-way replication,
 // seeds the catalog, and blocks until the cluster is ready (which includes
-// the bootstrap epoch bump). A wrap, when given, stands in front of worker
-// i's handler — the hook fault tests use to stall or doctor worker traffic.
-func startCluster(t *testing.T, n, r int, catalog []string, theta float64, tau int, filter string, wrap ...func(i int, h http.Handler) http.Handler) *testCluster {
+// the bootstrap epoch bump).
+func startCluster(t testing.TB, n, r int, catalog []string, theta float64, tau int, filter string, opts ...clusterOpts) *testCluster {
 	t.Helper()
+	var o clusterOpts
+	if len(opts) > 0 {
+		o = opts[0]
+	}
+	if o.joiner == nil {
+		o.joiner = func() (*aujoin.Joiner, error) { return aujoin.NewStrict() }
+	}
+	if o.heartbeat == 0 {
+		o.heartbeat = 100 * time.Millisecond
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	coord := NewCoordinator(CoordConfig{
 		Workers: n, Replicas: r, Theta: theta, Tau: tau, Filter: filter,
 		Catalog:   catalog,
-		Heartbeat: 100 * time.Millisecond, HedgeDelay: 20 * time.Millisecond,
+		Heartbeat: o.heartbeat, HedgeDelay: 20 * time.Millisecond,
 		SyncFraction: -1, // bumps are driven explicitly by the tests
 		Logf:         t.Logf,
 	})
 	coordTS := httptest.NewServer(coord.Mux())
-	go coord.Run(ctx)
+	ran := make(chan struct{})
+	go func() { defer close(ran); coord.Run(ctx) }()
 	tc := &testCluster{coord: coord, coordTS: coordTS}
 	t.Cleanup(func() {
 		cancel()
+		<-ran // Run closes the coordinator's frame connections on its way out
 		coordTS.Close()
-		for _, w := range tc.workers {
+		for i, w := range tc.workers {
 			w.Close() // idempotent: already-killed workers are fine
+			tc.nodes[i].Close()
 		}
 	})
 	for i := 0; i < n; i++ {
-		j, err := aujoin.NewStrict()
+		j, err := o.joiner()
 		if err != nil {
-			t.Fatalf("NewStrict: %v", err)
+			t.Fatalf("joiner: %v", err)
 		}
 		wk := NewWorker(j, 1)
+		if o.frames != nil {
+			wk.frameHook = func(ctx context.Context, req *frameRequest) error { return o.frames(ctx, i, req) }
+		}
 		tc.nodes = append(tc.nodes, wk)
 		var h http.Handler = NewWorkerNode(wk).Mux()
-		for _, wr := range wrap {
-			h = wr(i, h)
+		if o.wrap != nil {
+			h = o.wrap(i, h)
 		}
-		wts := httptest.NewServer(h)
+		wts := httptest.NewUnstartedServer(h)
+		if o.server != nil {
+			o.server(wts.Config)
+		}
+		wts.Start()
 		tc.workers = append(tc.workers, wts)
 		if err := RegisterWorker(ctx, http.DefaultClient, coordTS.URL, wts.URL); err != nil {
 			t.Fatalf("register worker %d: %v", i, err)
@@ -88,6 +127,7 @@ func (tc *testCluster) kill(t *testing.T, i int) {
 	addr := tc.workers[i].URL
 	tc.workers[i].CloseClientConnections()
 	tc.workers[i].Close()
+	tc.nodes[i].Close()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		for _, w := range tc.coord.Stats().Workers {
@@ -413,7 +453,7 @@ func TestBumpEpochFailsOverFreqs(t *testing.T) {
 		})
 	}
 	catalog := denseCatalog(180, 7)
-	tc := startCluster(t, 3, 2, catalog, 0.8, 2, "dp", failFreqs)
+	tc := startCluster(t, 3, 2, catalog, 0.8, 2, "dp", clusterOpts{wrap: failFreqs})
 	j, err := aujoin.NewStrict()
 	if err != nil {
 		t.Fatalf("NewStrict: %v", err)
@@ -435,33 +475,116 @@ func TestBumpEpochFailsOverFreqs(t *testing.T) {
 	}
 }
 
-// TestWorkerRefusalKeepsReplicas: a /probe or /insert body within the
-// coordinator's cap can outgrow a worker's once the coordinator re-encodes
-// it (json.Marshal writes '<' as the six bytes \u003c), and then every
-// replica answers 400. That refuses the request, not the replicas: the
-// client gets the 400, no worker is marked down, and the next query is
-// served.
+// TestWorkerRefusalKeepsReplicas: a request every replica refuses with a 400
+// fails the request, not the replicas: the client gets the 400, no worker is
+// marked down, and the next query is served. An /insert body within the
+// coordinator's cap outgrows a worker's once the coordinator re-encodes it
+// for /cluster/apply (json.Marshal writes '<' as the six bytes \u003c); a
+// probe's records travel as raw bytes in a frame and cannot outgrow, so its
+// refusal is injected at the workers' frame server.
 func TestWorkerRefusalKeepsReplicas(t *testing.T) {
 	catalog := denseCatalog(60, 5)
-	tc := startCluster(t, 3, 2, catalog, 0.7, 2, "dp")
-	body := `{"records":["` + strings.Repeat("<", 2<<20) + `"]}`
-	for _, route := range []string{"/probe", "/insert"} {
-		resp, err := http.Post(tc.coordTS.URL+route, "application/json", strings.NewReader(body))
+	var refusals atomic.Int32
+	tc := startCluster(t, 3, 2, catalog, 0.7, 2, "dp", clusterOpts{frames: func(_ context.Context, _ int, req *frameRequest) error {
+		if req.op == opProbe {
+			refusals.Add(1)
+			return badRequest("injected refusal")
+		}
+		return nil
+	}})
+	for _, c := range []struct{ route, body, error string }{
+		{"/probe", `{"records":["espresso cafe helsinki"]}`, "injected refusal"},
+		{"/insert", `{"records":["` + strings.Repeat("<", 2<<20) + `"]}`, ""},
+	} {
+		resp, err := http.Post(tc.coordTS.URL+c.route, "application/json", strings.NewReader(c.body))
 		if err != nil {
-			t.Fatalf("%s: %v", route, err)
+			t.Fatalf("%s: %v", c.route, err)
 		}
 		var eb ErrorBody
 		err = json.NewDecoder(resp.Body).Decode(&eb)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || err != nil || eb.Error == "" {
-			t.Errorf("%s: status %d, body %+v (%v); want the workers' 400", route, resp.StatusCode, eb, err)
+		if resp.StatusCode != http.StatusBadRequest || err != nil || eb.Error == "" || (c.error != "" && eb.Error != c.error) {
+			t.Errorf("%s: status %d, body %+v (%v); want the workers' 400", c.route, resp.StatusCode, eb, err)
 		}
 		for _, w := range tc.coord.Stats().Workers {
 			if w.State != "ready" {
-				t.Errorf("after %s: worker %s is %s, want ready", route, w.Addr, w.State)
+				t.Errorf("after %s: worker %s is %s, want ready", c.route, w.Addr, w.State)
 			}
 		}
 		tc.topK(t, catalog[0], 5)
+	}
+	if refusals.Load() == 0 {
+		t.Fatal("no probe reached a worker's frame server; nothing was tested")
+	}
+}
+
+// TestProbeForwardsRawRecords: a probe batch heavy in '<', '>' and '&' whose
+// client body fits the cap is answered like a single node. JSON re-encoding
+// would write each of those bytes as six and take the batch over a worker's
+// cap; a frame carries the records' raw bytes.
+func TestProbeForwardsRawRecords(t *testing.T) {
+	tag := func(records []string) []string {
+		out := make([]string, len(records))
+		for i, r := range records {
+			out[i] = "<b>" + strings.ReplaceAll(r, " ", "</b> & <b>") + "</b>"
+		}
+		return out
+	}
+	catalog := tag(denseCatalog(90, 5))
+	probes := tag(denseCatalog(12, 6))
+	filler := strings.TrimSpace(strings.Repeat(strings.Repeat("<>&", 166)+" ", 10))
+	for range 300 {
+		probes = append(probes, filler)
+	}
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(ProbeRequest{Records: probes}); err != nil {
+		t.Fatal(err)
+	}
+	escaped, _ := json.Marshal(ProbeRequest{Records: probes})
+	if body.Len() > maxBodyBytes || len(escaped) <= maxBodyBytes {
+		t.Fatalf("client body %d bytes, re-encoded %d: want the first within the %d-byte cap and the second over it",
+			body.Len(), len(escaped), maxBodyBytes)
+	}
+
+	tc := startCluster(t, 3, 2, catalog, 0.7, 2, "dp")
+	resp, err := http.Post(tc.coordTS.URL+"/probe", "application/json", &body)
+	if err != nil {
+		t.Fatalf("probe: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		eb, _ := io.ReadAll(resp.Body)
+		t.Fatalf("probe: status %d: %s", resp.StatusCode, eb)
+	}
+	var got []ProbeMatch
+	if err := cmdutil.DecodeNDJSON(resp.Body, func(m ProbeMatch) error {
+		got = append(got, m)
+		return nil
+	}); err != nil {
+		t.Fatalf("decode probe stream: %v", err)
+	}
+	j, err := aujoin.NewStrict()
+	if err != nil {
+		t.Fatalf("NewStrict: %v", err)
+	}
+	ref := j.IndexWith(catalog, aujoin.JoinOptions{Theta: 0.7, Tau: 2, Filter: aujoin.AUFilterDP}, aujoin.IndexOptions{Shards: 1})
+	want, _ := ref.Probe(probes)
+	if len(want) == 0 {
+		t.Fatal("the single node finds no match; the comparison would be vacuous")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("cluster %d matches, single-node %d", len(got), len(want))
+	}
+	seen := make(map[ProbeMatch]bool, len(got))
+	for _, m := range got {
+		seen[m] = true
+	}
+	for _, m := range want {
+		if !seen[ProbeMatch{S: m.S, T: m.T, Similarity: m.Similarity}] {
+			t.Fatalf("single-node match %+v missing from cluster", m)
+		}
 	}
 }
 

@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,7 +34,8 @@ type CoordConfig struct {
 	Catalog []string
 	// HedgeDelay is how long a group read waits on its first replica before
 	// racing the request against a second one (0 = 50ms; < 0 disables
-	// hedging).
+	// hedging). A group read has no timeout of its own: hedging is what
+	// keeps a read alive around a replica that accepted it and stalled.
 	HedgeDelay time.Duration
 	// Heartbeat is the health-check interval (0 = 500ms).
 	Heartbeat time.Duration
@@ -91,11 +90,12 @@ type Coordinator struct {
 }
 
 // workerRef is one registered worker: its advertise address, health state,
-// and last heartbeat.
+// last heartbeat, and the pooled frame connections the group reads take.
 type workerRef struct {
-	addr  string
-	state atomic.Int32
-	fails atomic.Int32
+	addr   string
+	state  atomic.Int32
+	fails  atomic.Int32
+	frames framePool
 
 	hbMu sync.Mutex
 	hb   Heartbeat
@@ -168,10 +168,16 @@ func (c *Coordinator) readyz() (any, error) {
 
 func (c *Coordinator) stats() (any, error) { return c.Stats(), nil }
 
-// Run drives the health checker (and the auto-bump trigger) until ctx ends.
+// Run drives the health checker (and the auto-bump trigger) until ctx ends,
+// and then closes the pooled frame connections to the workers.
 func (c *Coordinator) Run(ctx context.Context) {
 	ticker := time.NewTicker(c.cfg.Heartbeat)
 	defer ticker.Stop()
+	defer func() {
+		for _, ref := range c.refs() {
+			ref.frames.close()
+		}
+	}()
 	for {
 		select {
 		case <-ctx.Done():
@@ -443,15 +449,17 @@ func (c *Coordinator) readCandidates(g int) []*workerRef {
 	return out
 }
 
-// fetchGroup reads group g's top k from its replicas with hedging and
-// failover: the first replica gets HedgeDelay of exclusive time, then a
-// second attempt races it; remaining replicas are tried as earlier attempts
-// fail. The first success wins and cancels the losers. Each attempt buffers
-// its stream fully — failover must stay possible until the merge, so nothing
-// is forwarded early. Hedging is the coordinator's only protection against a
-// stalled replica (its HTTP client has no timeout): a slow replica costs a
-// read HedgeDelay, and is not marked down for it.
-func (c *Coordinator) fetchGroup(ctx context.Context, g int, rawQuery string) ([]aujoin.QueryMatch, error) {
+// fetchGroup reads group g's top k (req, addressed to g) from its replicas
+// with hedging and failover: the first replica gets HedgeDelay of exclusive
+// time, then a second attempt races it; remaining replicas are tried as
+// earlier attempts fail. The first success wins and cancels the losers, whose
+// connections close. Each attempt buffers its answer fully — failover must
+// stay possible until the merge, so nothing is forwarded early. Hedging is
+// the coordinator's only protection against a stalled replica (a group read
+// has no timeout): a slow replica costs a read HedgeDelay, and is not marked
+// down for it.
+func (c *Coordinator) fetchGroup(ctx context.Context, req *frameRequest) ([]aujoin.QueryMatch, error) {
+	g := req.group
 	cands := c.readCandidates(g)
 	if len(cands) == 0 {
 		return nil, errors.New("no live replica")
@@ -470,8 +478,8 @@ func (c *Coordinator) fetchGroup(ctx context.Context, g int, rawQuery string) ([
 		launched++
 		go func() {
 			var out []aujoin.QueryMatch
-			err := stream(fctx, c, fmt.Sprintf("%s/query?%s&group=%d", ref.addr, rawQuery, g), nil, func(m aujoin.QueryMatch) error {
-				out = append(out, m)
+			err := stream(fctx, c, ref, req, func(m frameMatch) error {
+				out = append(out, aujoin.QueryMatch{Record: m.id, Similarity: m.sim})
 				return nil
 			})
 			results <- result{val: out, err: err, ref: ref}
@@ -571,15 +579,10 @@ func (c *Coordinator) topK(ctx context.Context, q string, opts aujoin.QueryOptio
 	}
 	c.queries.Add(1)
 	start := time.Now()
-	// Workers are sent what was validated, not the client's raw query string.
-	vals := url.Values{"q": {q}, "k": {strconv.Itoa(opts.K)}}
-	if opts.MinSimilarity > 0 {
-		vals.Set("min_sim", strconv.FormatFloat(opts.MinSimilarity, 'g', -1, 64))
-	}
-	rawQuery := vals.Encode()
 	parts := make([][]aujoin.QueryMatch, c.ring.Workers())
 	err := c.gather(http.StatusBadGateway, func(g int) (err error) {
-		parts[g], err = c.fetchGroup(ctx, g, rawQuery)
+		req := frameRequest{op: opQuery, group: g, k: opts.K, minSim: opts.MinSimilarity, q: q}
+		parts[g], err = c.fetchGroup(ctx, &req)
 		return err
 	})
 	if err != nil {
@@ -630,9 +633,10 @@ func (c *Coordinator) noteMerge(d time.Duration) {
 // the request batch). A group whose replica dies before emitting anything
 // fails over; once a group has emitted, a mid-stream death fails the probe.
 func (c *Coordinator) probe(ctx context.Context, records []string, emit func(ProbeMatch) error) error {
-	body, err := json.Marshal(ProbeRequest{Records: records})
-	if err != nil {
-		return err
+	if requestSize(&frameRequest{op: opProbe, group: c.ring.Workers() - 1, records: records}) > maxFrameBytes {
+		// Only records that JSON decoding grew (invalid UTF-8 turns into
+		// three bytes) can get here from a body within its cap.
+		return badRequest(fmt.Sprintf("probe batch is over the %d-byte frame cap", maxFrameBytes))
 	}
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -643,7 +647,8 @@ func (c *Coordinator) probe(ctx context.Context, records []string, emit func(Pro
 		return emit(m)
 	}
 	return c.gather(http.StatusBadGateway, func(g int) error {
-		err := c.probeGroup(fctx, g, body, serial)
+		req := frameRequest{op: opProbe, group: g, records: records}
+		err := c.probeGroup(fctx, &req, serial)
 		if err != nil {
 			cancel() // one group failed, or the client hung up: abort every worker stream
 		}
@@ -653,8 +658,8 @@ func (c *Coordinator) probe(ctx context.Context, records []string, emit func(Pro
 
 // probeGroup streams one group's probe matches to emit, failing over to the
 // next replica as long as nothing from this group has been forwarded yet.
-func (c *Coordinator) probeGroup(ctx context.Context, g int, body []byte, emit func(ProbeMatch) error) error {
-	cands := c.readCandidates(g)
+func (c *Coordinator) probeGroup(ctx context.Context, req *frameRequest, emit func(ProbeMatch) error) error {
+	cands := c.readCandidates(req.group)
 	if len(cands) == 0 {
 		return errors.New("no live replica")
 	}
@@ -664,15 +669,15 @@ func (c *Coordinator) probeGroup(ctx context.Context, g int, body []byte, emit f
 			return ctx.Err()
 		}
 		forwarded := 0
-		err := stream(ctx, c, fmt.Sprintf("%s/probe?group=%d", ref.addr, g), body, func(m ProbeMatch) error {
+		err := stream(ctx, c, ref, req, func(m frameMatch) error {
 			forwarded++
-			return emit(m)
+			return emit(ProbeMatch{S: m.id, T: m.pos, Similarity: m.sim})
 		})
 		if err == nil {
 			return nil
 		}
 		if forwarded > 0 || ctx.Err() != nil || refused(err) {
-			// Mid-stream failure after lines went out, the whole request
+			// Mid-stream failure after matches went out, the whole request
 			// being torn down, or a refusal every replica would repeat: no
 			// failover.
 			return err

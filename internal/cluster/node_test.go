@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -67,10 +69,31 @@ func decodeLines[T any](t *testing.T, body string) []T {
 }
 
 // TestHandleQueryStreamsNDJSON pins the /query contract: top-k matches come
-// back as one JSON object per line, ordered by descending similarity, and
-// min_sim tightens the threshold per request.
+// back as one JSON object per line, ordered by descending similarity, in one
+// write whose Content-Length is the body's, and min_sim tightens the
+// threshold per request.
 func TestHandleQueryStreamsNDJSON(t *testing.T) {
 	n := testNode(t, 60)
+	const q = "espresso cafe helsinki city center north"
+	for _, k := range []int{1, 500} {
+		rec := httptest.NewRecorder()
+		n.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/query?q=%s&k=%d", url.QueryEscape(q), k), nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("k=%d: status %d, body %q", k, rec.Code, rec.Body.String())
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+			t.Errorf("k=%d: Content-Length %q for a %d-byte body", k, cl, rec.Body.Len())
+		}
+		var want strings.Builder
+		for _, m := range n.ix().QueryTopK(q, k) {
+			line, _ := json.Marshal(m)
+			want.Write(line)
+			want.WriteByte('\n')
+		}
+		if got := rec.Body.String(); got != want.String() || got == "" {
+			t.Errorf("k=%d: body\n%s\nwant one line a match of QueryTopK:\n%s", k, got, want.String())
+		}
+	}
 	req := httptest.NewRequest(http.MethodGet, "/query?q=espresso+cafe+helsinki+city+center+north&k=5", nil)
 	rec := httptest.NewRecorder()
 	n.Mux().ServeHTTP(rec, req)

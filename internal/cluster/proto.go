@@ -2,14 +2,16 @@ package cluster
 
 import "github.com/aujoin/aujoin"
 
-// Wire types of the cluster protocol. Everything is JSON over HTTP; query
-// and probe results stream as NDJSON in the PR 5 wire format (one
-// aujoin.QueryMatch / ProbeMatch per line), so the coordinator's
-// scatter-gather speaks the exact protocol a single aujoind already
-// serves.
+// Wire types of the cluster protocol. The public routes and the control
+// plane (registration, configuration, sequenced applies, the epoch bump's
+// order exchange, heartbeats) are JSON over HTTP, and query and probe results
+// reach clients as NDJSON (one aujoin.QueryMatch / ProbeMatch per line), the
+// same from a single aujoind, a worker and the coordinator. The coordinator's
+// own group reads alone travel as binary frames on pooled connections
+// (frames.go).
 
-// EpochHeader stamps coordinator-originated requests with the
-// coordinator's current order epoch. A worker whose epoch disagrees
+// EpochHeader stamps a worker read over HTTP with the reader's order epoch,
+// as a frame request's epoch field does. A worker whose epoch disagrees
 // answers 409 with an ErrorBody naming code "epoch_mismatch"; the
 // coordinator re-stamps and retries, or fails the worker over.
 const EpochHeader = "X-Aujoin-Epoch"

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -82,18 +83,24 @@ func thetaBelowBuild(theta float64) error {
 // writeErr answers a failed request: every route of every mode fails in the
 // ErrorBody JSON shape (a GatherError adds its failure list to it).
 func writeErr(w http.ResponseWriter, err error) {
-	status, body := http.StatusInternalServerError, any(ErrorBody{Error: err.Error()})
+	status, body := failure(err)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(body)
+}
+
+// failure is the status and the JSON body a failed request is answered with,
+// over HTTP and in a frame answer's end frame alike.
+func failure(err error) (int, any) {
 	var ae *apiError
 	var ge *GatherError
 	switch {
 	case errors.As(err, &ae):
-		status, body = ae.status, ae.body
+		return ae.status, ae.body
 	case errors.As(err, &ge):
-		status, body = ge.status, ge.body()
+		return ge.status, ge.body()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
+	return http.StatusInternalServerError, ErrorBody{Error: err.Error()}
 }
 
 // answer finishes a JSON route: v on success, writeErr otherwise.
@@ -162,25 +169,42 @@ func mount(mux *http.ServeMux, h host) {
 // θ is refused by the target). The error text is the client-facing 400 body.
 func ParseQueryOptions(r *http.Request) (aujoin.QueryOptions, error) {
 	var opts aujoin.QueryOptions
-	// A missing or non-positive k is rejected rather than passed through: an
-	// unbounded "all matches" response is never what a serving client wants,
-	// and silently treating k=0 as "everything" made the degenerate case the
-	// most expensive one.
 	k, err := strconv.Atoi(r.URL.Query().Get("k"))
-	if err != nil || k < 1 || k > MaxTopK {
-		return opts, fmt.Errorf("k is required and must be an integer in [1, %d]", MaxTopK)
+	if err != nil || checkQueryOptions(aujoin.QueryOptions{K: k}) != nil {
+		return opts, errBadK
 	}
 	opts.K = k
 	if raw := r.URL.Query().Get("min_sim"); raw != "" {
 		minSim, err := strconv.ParseFloat(raw, 64)
-		// Written as a negated range check so NaN, which ParseFloat accepts
-		// and every comparison answers false for, is rejected too.
-		if err != nil || !(minSim > 0 && minSim <= 1) {
-			return opts, fmt.Errorf("min_sim must be a float in (0, 1]")
+		if err != nil || minSim == 0 {
+			return opts, errBadMinSim
 		}
 		opts.MinSimilarity = minSim
 	}
-	return opts, nil
+	return opts, checkQueryOptions(opts)
+}
+
+var (
+	errBadK      = fmt.Errorf("k is required and must be an integer in [1, %d]", MaxTopK)
+	errBadMinSim = errors.New("min_sim must be a float in (0, 1]")
+)
+
+// checkQueryOptions is the range check of a query's k and min_sim (0:
+// unset), for a /query and a frame request alike.
+func checkQueryOptions(opts aujoin.QueryOptions) error {
+	// A missing or non-positive k is rejected rather than passed through: an
+	// unbounded "all matches" response is never what a serving client wants,
+	// and silently treating k=0 as "everything" made the degenerate case the
+	// most expensive one.
+	if opts.K < 1 || opts.K > MaxTopK {
+		return errBadK
+	}
+	// Written as a negated range check so NaN, which ParseFloat accepts and
+	// every comparison answers false for, is rejected too.
+	if m := opts.MinSimilarity; m != 0 && !(m > 0 && m <= 1) {
+		return errBadMinSim
+	}
+	return nil
 }
 
 // query answers the k best matches as NDJSON, best first.
@@ -211,12 +235,19 @@ func (s surface) query(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	nw := cmdutil.NewNDJSONWriter(w)
+	// The answer is complete before its first byte goes out: one write with
+	// its length, not a flushed chunk per line.
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
 	for _, m := range matches {
-		if nw.Write(m) != nil {
+		if err := enc.Encode(m); err != nil {
+			writeErr(w, err)
 			return
 		}
 	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
+	w.Write(body.Bytes())
 }
 
 // probe joins a batch of records against the target and streams each match

@@ -170,19 +170,17 @@ func (tc *testCluster) workerStates() map[string]string {
 // TestProbeRestampsStaleEpoch pins that a /probe whose epoch stamp goes stale
 // in flight (a bump's commit landing between the stamp and the worker's
 // check) is restamped and retried like a /query, instead of taking the
-// healthy workers that answered 409 out of the cluster. The first two stamped
-// /probe requests to reach any worker are doctored to the bootstrap epoch.
+// healthy workers that answered 409 out of the cluster. The first two probe
+// frames to reach any worker are doctored to the bootstrap epoch.
 func TestProbeRestampsStaleEpoch(t *testing.T) {
 	catalog := denseCatalog(90, 11)
 	var doctored atomic.Int32
-	tc := startCluster(t, 3, 2, catalog, 0.7, 2, "dp", func(_ int, h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/probe" && r.Header.Get(EpochHeader) != "" && doctored.Add(1) <= 2 {
-				r.Header.Set(EpochHeader, "1") // the cluster left epoch 1 at its bootstrap bump
-			}
-			h.ServeHTTP(w, r)
-		})
-	})
+	tc := startCluster(t, 3, 2, catalog, 0.7, 2, "dp", clusterOpts{frames: func(_ context.Context, _ int, req *frameRequest) error {
+		if req.op == opProbe && doctored.Add(1) <= 2 {
+			req.epoch = 1 // the cluster left epoch 1 at its bootstrap bump
+		}
+		return nil
+	}})
 	j, err := aujoin.NewStrict()
 	if err != nil {
 		t.Fatalf("NewStrict: %v", err)
@@ -205,8 +203,8 @@ func TestProbeRestampsStaleEpoch(t *testing.T) {
 }
 
 // TestHedgeAroundStalledReplica pins what hedging is for: a replica that
-// accepts a /query and then never answers. The coordinator's HTTP client has
-// no timeout, so the hedge is what keeps such a read alive — every query
+// accepts a top-k read and then never answers. A group read has no timeout,
+// so the hedge is what keeps such a read alive — every query
 // still answers, exactly, within the hedge delay plus a normal read; the
 // stalled worker is not marked down (slow is not dead); and everything that
 // was blocked unwinds once the worker comes back.
@@ -215,20 +213,15 @@ func TestHedgeAroundStalledReplica(t *testing.T) {
 	release := make(chan struct{})
 	var blocked sync.WaitGroup
 	var stalls atomic.Int32
-	tc := startCluster(t, 3, 2, catalog, 0.8, 2, "dp", func(i int, h http.Handler) http.Handler {
-		if i != 0 {
-			return h
+	tc := startCluster(t, 3, 2, catalog, 0.8, 2, "dp", clusterOpts{frames: func(_ context.Context, i int, req *frameRequest) error {
+		if i == 0 && req.op == opQuery {
+			stalls.Add(1)
+			blocked.Add(1)
+			defer blocked.Done()
+			<-release
 		}
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/query" {
-				stalls.Add(1)
-				blocked.Add(1)
-				defer blocked.Done()
-				<-release
-			}
-			h.ServeHTTP(w, r)
-		})
-	})
+		return nil
+	}})
 	var once sync.Once
 	unstall := func() { once.Do(func() { close(release) }) }
 	t.Cleanup(unstall) // a failing run must not leave the worker's server unable to close

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -39,6 +40,17 @@ type Worker struct {
 	jopts   aujoin.JoinOptions
 	groups  map[int]*workerGroup
 	adopted int64
+
+	// The frame connections being served (frames.go), which Close closes.
+	fmu     sync.Mutex
+	fconns  map[net.Conn]struct{}
+	fclosed bool
+	// frameHook, when set, sees every decoded frame request, with the
+	// request's context, before it is dispatched: it may stall it, rewrite
+	// it, or answer it with its error.
+	// It is the tests' fault-injection point on the frame path, as a handler
+	// wrapper is on the HTTP one.
+	frameHook func(context.Context, *frameRequest) error
 }
 
 // workerGroup is one hosted replica group: its index — a Backend, the read
@@ -73,6 +85,7 @@ func (wk *Worker) register(mux *http.ServeMux) {
 	})
 	mux.HandleFunc("POST /cluster/adopt", rpc(maxOrderBytes, wk.adopt))
 	mux.HandleFunc("POST /cluster/commit", rpc(maxBodyBytes, wk.commit))
+	mux.HandleFunc("GET "+framesPath, wk.frames)
 }
 
 // ack is the body of a protocol call that has nothing to report.
