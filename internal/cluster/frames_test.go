@@ -341,7 +341,7 @@ func TestCoordinatorQueryAllocs(t *testing.T) {
 		i++
 	})
 	t.Logf("%.0f allocs per coordinator lookup", allocs)
-	const ceiling = 220
+	const ceiling = 160
 	if allocs > ceiling {
 		t.Errorf("%.0f allocs per coordinator lookup, ceiling %d", allocs, ceiling)
 	}

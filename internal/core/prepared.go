@@ -18,7 +18,8 @@ type PreparedSegment struct {
 	// Rule and Entity mirror Segment's flags.
 	Rule, Entity bool
 	// ID is the dense identity of the segment's text in the record's
-	// dictionary, or NoSegID.
+	// dictionary — for a probe, which has none, in the dictionary it was
+	// read from (PrepareProbe) — or NoSegID.
 	ID uint32
 	// Data carries the q-gram set, taxonomy node and applicable rule ids: the
 	// dictionary's shared table for the text when ID is set, otherwise a slot
@@ -45,7 +46,8 @@ type PreparedRecord struct {
 	// the record (GetMinPartitionSize of Algorithm 2).
 	minPart int
 	// dict is the dictionary the segments' IDs index; nil when the record was
-	// prepared without one (every ID is NoSegID then).
+	// prepared without one or is a probe (every ID is NoSegID then, or names
+	// the entry the probe read, which only signing reads).
 	dict *SegDict
 	// maxSegID is the largest segment ID of the record (NoSegID as soon as one
 	// segment has none): every segment has a row slot in a scratch whose rows
@@ -82,9 +84,11 @@ func (c *Calculator) PrepareIn(d *SegDict, tokens []string) *PreparedRecord {
 // PrepareProbe is PrepareIn for the probe side — a query, a probe batch, the
 // T side of a join: it reads d and never writes it, so a query stream cannot
 // grow an index's dictionary. A segment whose text d holds shares d's table;
-// any other (and every one when d is nil) gets a private derivation. The
-// record belongs to no dictionary — every ID is NoSegID — and verifies on the
-// direct path when it is the left operand.
+// any other (and every one when d is nil) gets a private derivation. A
+// segment's ID is that of its text in d, NoSegID where d holds none, for
+// signing from an order generation's probe table; the record itself belongs
+// to no dictionary and verifies on the direct path when it is the left
+// operand.
 func (c *Calculator) PrepareProbe(d *SegDict, tokens []string) *PreparedRecord {
 	return c.prepare(d, false, tokens)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"iter"
 	"sync"
 
 	"github.com/aujoin/aujoin/internal/sim"
@@ -81,9 +82,13 @@ func (d *SegDict) NumGrams() int {
 }
 
 // read is the probe side's view of the dictionary: every segment of pr gets
-// NoSegID and, where the dictionary holds its text, the shared derivation
-// table; the number of segments left without one is returned. Nothing is
-// written, and a nil dictionary holds no text.
+// the ID and the shared derivation table of its text where the dictionary
+// holds it, NoSegID and no table where it does not; the number of segments
+// left without one is returned. Nothing is written, and a nil dictionary
+// holds no text. The IDs are kept for signing — an order generation's probe
+// table is indexed by them (pebble.ProbeTable) — while pr itself stays out of
+// the dictionary (its dict is nil), so it verifies on the direct path as a
+// left operand.
 func (d *SegDict) read(pr *PreparedRecord) (missing int) {
 	if d != nil {
 		d.mu.RLock()
@@ -94,13 +99,30 @@ func (d *SegDict) read(pr *PreparedRecord) (missing int) {
 		sg.ID, sg.Data = NoSegID, nil
 		if d != nil {
 			if id, ok := d.ids[strutil.JoinTokens(sg.Span.Slice(pr.Tokens))]; ok {
-				sg.Data = d.entries[id].data
+				sg.ID, sg.Data = id, d.entries[id].data
 				continue
 			}
 		}
 		missing++
 	}
 	return missing
+}
+
+// Tables returns the derivation tables of every entry the dictionary holds
+// now, indexed by ID. The entries are captured under the read lock; the
+// slice is append-only and its tables immutable, so the result stays valid
+// while later texts are interned past its end.
+func (d *SegDict) Tables() iter.Seq2[uint32, *sim.SegmentData] {
+	d.mu.RLock()
+	entries := d.entries
+	d.mu.RUnlock()
+	return func(yield func(uint32, *sim.SegmentData) bool) {
+		for id := range entries {
+			if !yield(uint32(id), entries[id].data) {
+				return
+			}
+		}
+	}
 }
 
 // intern returns the ID and shared derivation table of a segment's text,

@@ -62,15 +62,16 @@ func NewSegmenter(ctx *sim.Context) *Segmenter { return &Segmenter{Ctx: ctx} }
 // Segments returns every well-defined segment of the token sequence,
 // ordered by start position then length. Single-token segments are always
 // included; longer spans are included when they match a synonym-rule side
-// or a taxonomy entity.
+// or a taxonomy entity. Only the spans some side or entity name could be are
+// joined into a text and looked up: those of two or more tokens starting at a
+// token that begins a multi-token side or name, up to the longest such one
+// (sim.Context.MaxRuleTokensFrom) — every other multi-token span matches
+// nothing, so the list is the one trying every span up to MaxRuleTokens
+// gives.
 func (sg *Segmenter) Segments(tokens []string) []Segment {
-	maxLen := sg.Ctx.MaxRuleTokens()       // the longest rule side or entity name
 	out := make([]Segment, 0, len(tokens)) // one singleton per token at least
-	for start := 0; start < len(tokens); start++ {
-		limit := maxLen
-		if rem := len(tokens) - start; rem < limit {
-			limit = rem
-		}
+	for start := range tokens {
+		limit := min(max(sg.Ctx.MaxRuleTokensFrom(tokens[start]), 1), len(tokens)-start)
 		for length := 1; length <= limit; length++ {
 			span := strutil.Span{Start: start, End: start + length}
 			segTokens := tokens[start : start+length]

@@ -310,6 +310,35 @@ var titlesOptions = Options{Theta: 0.9, Tau: 12, Method: pebble.AUHeuristic}
 // variants (typo, synonym or taxonomy swap) of catalog records, half are
 // records of the same generator outside the catalog.
 func boundLoop(b *testing.B, cfg datagen.Config, q int, opts Options, shards, batches int) {
+	v, queries := lookupIndex(b, cfg, q, opts, shards, batches)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		queryTopK(b, v, queries[i%len(queries)], 10)
+	}
+}
+
+// BenchmarkQueryPrepareSign times the first step of BenchmarkBoundLoopTitles'
+// lookups alone: the probe prepared against the 10 000-title index's
+// dictionary and signed under its order (orderGen.sign), with no count filter
+// and no verification.
+func BenchmarkQueryPrepareSign(b *testing.B) {
+	v, queries := lookupIndex(b, titlesConfig(), 5, titlesOptions, 1, 0)
+	sx := v.sx
+	b.ReportAllocs()
+	b.ResetTimer()
+	sigLen := 0
+	for i := 0; i < b.N; i++ {
+		pq := sx.joiner.calc.PrepareProbe(sx.dict, queries[i%len(queries)])
+		sigLen += len(v.gen.sign(pq, sx.opts.Method, sx.tau))
+	}
+	b.ReportMetric(float64(sigLen)/float64(b.N), "sig/op")
+}
+
+// lookupIndex is boundLoop's index and probes: cfg.Size records of cfg's
+// generator at q over the given number of shards, after the given number of
+// insert batches, and its 64 probes.
+func lookupIndex(b *testing.B, cfg datagen.Config, q int, opts Options, shards, batches int) (*ShardedView, [][]string) {
 	const probes, batchSize = 64, 4
 	records := cfg.Size
 	gen := datagen.New(cfg)
@@ -333,11 +362,7 @@ func boundLoop(b *testing.B, cfg datagen.Config, q int, opts Options, shards, ba
 		}
 		queries[k] = strutil.Tokenize(q)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		queryTopK(b, v, queries[i%probes], 10)
-	}
+	return v, queries
 }
 
 // BenchmarkQuerySharded is BenchmarkQuery against a GOMAXPROCS-sharded

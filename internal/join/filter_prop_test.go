@@ -152,7 +152,7 @@ func TestHybridStaticCandidatesMatchClassic(t *testing.T) {
 		}
 		stored := v.sigIDs
 
-		sigs := selectSignatures(prepareRecords(probe, sx.dict, j.calc.PrepareProbe), nil, sv.gen.sel, opts.Method, tau)
+		sigs := selectSignatures(prepareRecords(probe, sx.dict, j.calc.PrepareProbe), nil, sv.gen, opts.Method, tau)
 		got, n, tally := filterRecords(v, sigs, tau, unlimited)
 		want, processed := naiveCandidates(stored, noDead, 0, sigs, tau, func(int) int { return len(stored) })
 		if d := diffPairs(got, want); n != len(want) || d != "" {
@@ -246,7 +246,7 @@ func testHybridCandidates(t *testing.T, shards int) {
 			}
 
 			sv := sx.Snapshot()
-			sigs := selectSignatures(prepareRecords(probe, sx.dict, j.calc.PrepareProbe), nil, sv.gen.sel, opts.Method, sx.tau)
+			sigs := selectSignatures(prepareRecords(probe, sx.dict, j.calc.PrepareProbe), nil, sv.gen, opts.Method, sx.tau)
 			candidates, processed := 0, int64(0)
 			for w, v := range sv.views {
 				stored := v.sh.sigIDs // no writer runs: the view is the shard's current one

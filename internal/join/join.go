@@ -445,18 +445,18 @@ func (j *Joiner) SelfJoin(s []strutil.Record, opts Options) ([]Pair, Stats) {
 	})
 }
 
-// selectSignatures selects every prepared record's signature in parallel and
-// returns their IDs: from generated[i], the record's pebbles as orderOf
-// generated them (sorted in place), or, when generated is nil, from pebbles
-// generated here.
-func selectSignatures(prepared []*core.PreparedRecord, generated [][]pebble.Pebble, sel *pebble.Selector, method pebble.Method, tau int) [][]uint32 {
+// selectSignatures selects every prepared record's signature under g in
+// parallel and returns their IDs: from generated[i], the record's pebbles as
+// orderOf generated them (sorted in place), or, when generated is nil, by
+// signing probes prepared against the index's dictionary (orderGen.sign).
+func selectSignatures(prepared []*core.PreparedRecord, generated [][]pebble.Pebble, g *orderGen, method pebble.Method, tau int) [][]uint32 {
 	out := make([][]uint32, len(prepared))
 	parallelFor(len(prepared), 0, func(i int) {
 		if generated == nil {
-			out[i] = signatureIDs(sel.RecordSignature(prepared[i], method, tau))
+			out[i] = g.sign(prepared[i], method, tau)
 			return
 		}
-		out[i] = signatureIDs(sel.Select(sel.PrepareGenerated(generated[i], prepared[i]), method, tau))
+		out[i] = signatureIDs(g.sel.Select(g.sel.PrepareGenerated(generated[i], prepared[i]), method, tau))
 	})
 	return out
 }

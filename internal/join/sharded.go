@@ -98,12 +98,23 @@ type ShardedIndex struct {
 }
 
 // orderGen is one immutable generation of the shared global order: the
-// order itself and the selector over it. Every shard's base records the
-// generation it was built under, and only install makes a new one, so two
-// bases share an order exactly when they point at the same orderGen.
+// order itself, the selector over it, and the probe table of the index's
+// dictionary under it — the pebble IDs of every entry the dictionary held
+// when the generation was made, which a probe signs from (sign). Every
+// shard's base records the generation it was built under, and only install
+// makes a new one, so two bases share an order exactly when they point at the
+// same orderGen.
 type orderGen struct {
-	order *pebble.Order
-	sel   *pebble.Selector
+	order  *pebble.Order
+	sel    *pebble.Selector
+	probes *pebble.ProbeTable
+}
+
+// sign returns the IDs of a probe's signature under the generation's order:
+// a probe prepared against the index's dictionary (PrepareProbe), signed from
+// the probe table where it holds the probe's segments and by key elsewhere.
+func (g *orderGen) sign(pq *core.PreparedRecord, method pebble.Method, tau int) []uint32 {
+	return g.sel.SignProbe(pq, g.probes, method, tau)
 }
 
 // outgrown reports whether the order's append-only dynamic region has grown
@@ -177,7 +188,8 @@ type part struct {
 
 // install is the one assembly of a router's shards, shared by a build, a
 // restore, a one-shot join and a re-freeze: it makes a generation of order
-// — freezing it — and, shard by shard in parallel, selects the signatures of
+// — freezing it, and building the probe table of every entry the dictionary
+// holds under it — and, shard by shard in parallel, selects the signatures of
 // a part that has none, adopts the part as the shard's base under that
 // generation, re-applies its tombstones and publishes the shard's view; then
 // the generation becomes the router's. The shards are created on the first
@@ -185,6 +197,7 @@ type part struct {
 // caller began the work the bases' build time reports.
 func (sx *ShardedIndex) install(order *pebble.Order, parts []part, start time.Time) {
 	g := &orderGen{order: order, sel: pebble.NewSelector(sx.joiner.gen, order, sx.opts.Theta)}
+	g.probes = g.sel.NewProbeTable(sx.dict)
 	if sx.shards == nil {
 		sx.shards = make([]*shard, len(parts))
 		for w := range sx.shards {
@@ -194,7 +207,7 @@ func (sx *ShardedIndex) install(order *pebble.Order, parts []part, start time.Ti
 	parallelFor(len(parts), len(parts), func(w int) {
 		p, sh := &parts[w], sx.shards[w]
 		if p.sigIDs == nil {
-			p.sigIDs = selectSignatures(p.prepared, p.generated, g.sel, sx.opts.Method, sx.tau)
+			p.sigIDs = selectSignatures(p.prepared, p.generated, g, sx.opts.Method, sx.tau)
 		}
 		sh.adoptBaseLocked(g, p.records, p.prepared, p.sigIDs, start)
 		for _, id := range p.deadIDs {
@@ -589,7 +602,7 @@ func (sv *ShardedView) serve(ctx context.Context, tokens []string, k int, qo Que
 		method, tau = pinnedConfig(qo, sx.tau)
 	}
 	pq := sx.joiner.calc.PrepareProbe(sx.dict, tokens)
-	ids := signatureIDs(sv.gen.sel.RecordSignature(pq, method, tau))
+	ids := sv.gen.sign(pq, method, tau)
 	rq := &request{sv: sv, pq: pq, ids: ids, tau: tau, qo: qo, k: k, limit: noLimit}
 	if n := len(sv.views); n <= maxInlineShards {
 		rq.parts = rq.partBuf[:n]

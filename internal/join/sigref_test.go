@@ -147,7 +147,7 @@ func TestSignatureFromPreparedMatchesReference(t *testing.T) {
 				}
 			}
 			prep := prepareRecords(probes, sx.dict, j.calc.PrepareProbe)
-			for i, got := range selectSignatures(prep, nil, g.sel, opts.Method, sx.tau) {
+			for i, got := range selectSignatures(prep, nil, g, opts.Method, sx.tau) {
 				if want := refSig(probes[i].Tokens); !slices.Equal(got, want) {
 					t.Fatalf("%s: probe %q is signed %v, the reference selects %v", name, probes[i].Raw, got, want)
 				}

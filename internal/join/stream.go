@@ -357,7 +357,7 @@ func (j *Joiner) joinIndex(s, t []strutil.Record, opts Options) (*ShardedView, [
 	order, generated := j.orderOf(prepS, prepT)
 	sx.install(order, []part{{records: s, prepared: prepS, generated: generated[0]}}, start)
 	sv := sx.Snapshot()
-	return sv, prepT, selectSignatures(prepT, generated[1], sv.gen.sel, opts.Method, sx.tau)
+	return sv, prepT, selectSignatures(prepT, generated[1], sv.gen, opts.Method, sx.tau)
 }
 
 // SelfJoinSeq is the streaming form of SelfJoin: each unordered pair (i < j)
@@ -392,6 +392,6 @@ func (sv *ShardedView) probeStream(ctx context.Context, records []strutil.Record
 	start := time.Now()
 	sx := sv.sx
 	prep := prepareRecords(records, sx.dict, sx.joiner.calc.PrepareProbe)
-	sigs := selectSignatures(prep, nil, sv.gen.sel, sx.opts.Method, sx.tau)
+	sigs := selectSignatures(prep, nil, sv.gen, sx.opts.Method, sx.tau)
 	return sv.probeAll(ctx, records, sigs, prep, false, time.Since(start), emit)
 }

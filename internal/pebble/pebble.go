@@ -57,8 +57,11 @@ type Pebble struct {
 	Measure sim.Measure
 }
 
-// Generator produces pebbles for records under a fixed similarity context.
-// It is safe for concurrent use.
+// Generator produces pebbles for records under a fixed similarity context,
+// keys first: every pebble carries its string key, which an Order interns. A
+// served probe takes this path only for the segments its index's probe table
+// does not hold (ProbeTable, SignProbe); the rest sign from pebble IDs. It is
+// safe for concurrent use.
 type Generator struct {
 	Ctx *sim.Context
 	// calc prepares the records of the tokens-taking forms (Pebbles,
@@ -120,7 +123,8 @@ func (g *Generator) Pebbles(tokens []string) ([]Pebble, []core.Segment) {
 
 // Count returns an upper bound on the number of pebbles AppendPebbles
 // appends for pr — exact but for the synonym pebbles of rules sharing an lhs,
-// which count once — so a caller can size one buffer for many records.
+// which count once — so a caller can size one buffer for many records, or
+// one for a probe signed partly from a probe table.
 func (g *Generator) Count(pr *core.PreparedRecord) int {
 	n := 0
 	for idx := range pr.Segs {
@@ -150,36 +154,41 @@ func (g *Generator) Count(pr *core.PreparedRecord) int {
 func (g *Generator) AppendPebbles(out []Pebble, pr *core.PreparedRecord) []Pebble {
 	out = slices.Grow(out, g.Count(pr))
 	for idx := range pr.Segs {
-		d := pr.Segs[idx].Data
+		out = g.appendSegment(out, pr.Segs[idx].Data, idx)
+	}
+	return out
+}
 
-		w := 1 / float64(len(d.GramKeys))
-		for _, k := range d.GramKeys {
-			out = append(out, Pebble{Key: k, Weight: w, Segment: idx, Measure: sim.Jaccard})
-		}
+// appendSegment appends the pebbles of one segment, the idx-th of its
+// record, from its derivation table d: AppendPebbles' group for it.
+func (g *Generator) appendSegment(out []Pebble, d *sim.SegmentData, idx int) []Pebble {
+	w := 1 / float64(len(d.GramKeys))
+	for _, k := range d.GramKeys {
+		out = append(out, Pebble{Key: k, Weight: w, Segment: idx, Measure: sim.Jaccard})
+	}
 
-		// The synonym pebble is always the *lhs* of the rule, no matter which
-		// side the segment matches, so the two sides of a rule produce the
-		// same pebble key (Table 2): one pebble per distinct lhs, in key
-		// order, weighted by the closest of its rules.
-		first := len(out)
-		for _, ids := range [2][]int{d.LHS, d.RHS} {
-			for _, id := range ids {
-				out = append(out, Pebble{Key: g.synKey(id), Weight: g.Ctx.Rules.Rule(id).C, Segment: idx, Measure: sim.Synonym})
-			}
+	// The synonym pebble is always the *lhs* of the rule, no matter which
+	// side the segment matches, so the two sides of a rule produce the same
+	// pebble key (Table 2): one pebble per distinct lhs, in key order,
+	// weighted by the closest of its rules.
+	first := len(out)
+	for _, ids := range [2][]int{d.LHS, d.RHS} {
+		for _, id := range ids {
+			out = append(out, Pebble{Key: g.synKey(id), Weight: g.Ctx.Rules.Rule(id).C, Segment: idx, Measure: sim.Synonym})
 		}
-		if syn := out[first:]; len(syn) > 1 {
-			slices.SortFunc(syn, func(a, b Pebble) int {
-				return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(b.Weight, a.Weight))
-			})
-			syn = slices.CompactFunc(syn, func(a, b Pebble) bool { return a.Key == b.Key })
-			out = out[:first+len(syn)]
-		}
+	}
+	if syn := out[first:]; len(syn) > 1 {
+		slices.SortFunc(syn, func(a, b Pebble) int {
+			return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(b.Weight, a.Weight))
+		})
+		syn = slices.CompactFunc(syn, func(a, b Pebble) bool { return a.Key == b.Key })
+		out = out[:first+len(syn)]
+	}
 
-		if d.Node != taxonomy.InvalidNode {
-			w := 1 / float64(g.Ctx.Tax.Depth(d.Node))
-			for n := d.Node; n != taxonomy.InvalidNode; n = g.Ctx.Tax.Node(n).Parent {
-				out = append(out, Pebble{Key: g.taxKey(n), Weight: w, Segment: idx, Measure: sim.Taxonomy})
-			}
+	if d.Node != taxonomy.InvalidNode {
+		w := 1 / float64(g.Ctx.Tax.Depth(d.Node))
+		for n := d.Node; n != taxonomy.InvalidNode; n = g.Ctx.Tax.Node(n).Parent {
+			out = append(out, Pebble{Key: g.taxKey(n), Weight: w, Segment: idx, Measure: sim.Taxonomy})
 		}
 	}
 	return out

@@ -130,7 +130,8 @@ func (sel *Selector) Signature(tokens []string, method Method, tau int) Signatur
 }
 
 // RecordSignature computes the pebble signature of a prepared record with the
-// given method and overlap constraint τ.
+// given method and overlap constraint τ, every pebble by key: the reference
+// a probe signed through a ProbeTable (SignProbe) is held to.
 func (sel *Selector) RecordSignature(pr *core.PreparedRecord, method Method, tau int) Signature {
 	return sel.Select(sel.PrepareRecord(pr), method, tau)
 }

@@ -433,3 +433,18 @@ func (c *Context) MaxRuleTokens() int {
 	}
 	return k
 }
+
+// MaxRuleTokensFrom returns the token count of the longest applicable
+// synonym-rule side or taxonomy entity name of two or more tokens whose first
+// token is head, or 0 when there is none: no span of two or more tokens
+// starting with any other token is a well-defined segment.
+func (c *Context) MaxRuleTokensFrom(head string) int {
+	k := 0
+	if c.SynonymEnabled() {
+		k = c.Rules.MaxSideTokensFrom(head)
+	}
+	if c.TaxonomyEnabled() {
+		k = max(k, c.Tax.MaxEntityTokensFrom(head))
+	}
+	return k
+}

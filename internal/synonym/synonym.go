@@ -14,6 +14,8 @@
 //   - MatchPair: the best closeness linking two spans, used as the segment
 //     similarity msim contribution of the synonym measure.
 //   - MaxSideTokens: the claw parameter k.
+//   - MaxSideTokensFrom: the longest side starting with a token, which
+//     bounds the spans segment enumeration joins at that token.
 package synonym
 
 import (
@@ -58,6 +60,9 @@ type RuleSet struct {
 	// closeness across all rules linking the two sides.
 	byPair map[string]float64
 	maxTok int
+	// heads maps the first token of every multi-token side to the token
+	// count of the longest side starting with it, kept as rules are added.
+	heads map[string]int
 }
 
 // NewRuleSet creates an empty rule set.
@@ -66,6 +71,7 @@ func NewRuleSet() *RuleSet {
 		byLHS:  make(map[string][]int),
 		byRHS:  make(map[string][]int),
 		byPair: make(map[string]float64),
+		heads:  make(map[string]int),
 	}
 }
 
@@ -98,11 +104,11 @@ func (rs *RuleSet) Add(lhs, rhs string, closeness float64) (int, error) {
 	rs.byRHS[rt] = append(rs.byRHS[rt], id)
 	rs.addPair(lt, rt, closeness)
 	rs.addPair(rt, lt, closeness)
-	if len(l) > rs.maxTok {
-		rs.maxTok = len(l)
-	}
-	if len(r) > rs.maxTok {
-		rs.maxTok = len(r)
+	for _, side := range [2][]string{l, r} {
+		rs.maxTok = max(rs.maxTok, len(side))
+		if len(side) > 1 {
+			rs.heads[side[0]] = max(rs.heads[side[0]], len(side))
+		}
 	}
 	return id, nil
 }
@@ -206,6 +212,11 @@ func (rs *RuleSet) Similarity(s, t string) float64 {
 // MaxSideTokens returns the maximal number of tokens on either side of any
 // rule; this is the k in the (k+1)-claw-freeness argument of Section 2.3.
 func (rs *RuleSet) MaxSideTokens() int { return rs.maxTok }
+
+// MaxSideTokensFrom returns the token count of the longest multi-token side
+// whose first token is head, or 0 when no such side exists: a span starting
+// with any other token is a rule side only if it is a single token.
+func (rs *RuleSet) MaxSideTokensFrom(head string) int { return rs.heads[head] }
 
 // Write serialises the rule set as tab-separated lines "lhs<TAB>rhs<TAB>C".
 func (rs *RuleSet) Write(w io.Writer) error {

@@ -51,9 +51,11 @@ type Node struct {
 type Tree struct {
 	nodes  []Node
 	byName map[string]NodeID
-	// maxTok is the token count of the longest entity name, kept as nodes are
-	// added.
+	// maxTok is the token count of the longest entity name, and heads maps
+	// the first token of every multi-token name to the token count of the
+	// longest name starting with it; both are kept as nodes are added.
 	maxTok int
+	heads  map[string]int
 	// euler tour structures for O(1) LCA via sparse table over first
 	// occurrences; built lazily by Finalize.
 	euler     []NodeID
@@ -69,12 +71,22 @@ type Tree struct {
 // NewTree creates a taxonomy containing only a root node with the given
 // name. Entity names are normalised with strutil.Normalize before storage.
 func NewTree(rootName string) *Tree {
-	t := &Tree{byName: make(map[string]NodeID)}
+	t := &Tree{byName: make(map[string]NodeID), heads: make(map[string]int)}
 	name := strutil.Normalize(rootName)
 	t.nodes = append(t.nodes, Node{ID: 0, Name: name, Parent: InvalidNode, Depth: 1})
 	t.byName[name] = 0
-	t.maxTok = strings.Count(name, " ") + 1
+	t.noteName(name)
 	return t
+}
+
+// noteName folds a new entity name into maxTok and heads.
+func (t *Tree) noteName(name string) {
+	head, _, multi := strings.Cut(name, " ")
+	n := strings.Count(name, " ") + 1
+	t.maxTok = max(t.maxTok, n)
+	if multi {
+		t.heads[head] = max(t.heads[head], n)
+	}
 }
 
 // Len returns the number of nodes in the tree.
@@ -117,7 +129,7 @@ func (t *Tree) AddChild(parent NodeID, name string) (NodeID, error) {
 	})
 	t.nodes[parent].Children = append(t.nodes[parent].Children, id)
 	t.byName[norm] = id
-	t.maxTok = max(t.maxTok, strings.Count(norm, " ")+1)
+	t.noteName(norm)
 	t.finalized = false
 	return id, nil
 }
@@ -360,6 +372,12 @@ func (t *Tree) Stats() Stats {
 // MaxEntityTokens returns the maximum number of tokens in any entity name.
 // This feeds the claw-freeness parameter k of the approximation analysis.
 func (t *Tree) MaxEntityTokens() int { return t.maxTok }
+
+// MaxEntityTokensFrom returns the token count of the longest multi-token
+// entity name whose first token is head, or 0 when no such name exists: a
+// span starting with any other token names an entity only if it is a single
+// token.
+func (t *Tree) MaxEntityTokensFrom(head string) int { return t.heads[head] }
 
 // EntityNames returns all entity names sorted lexicographically. Intended
 // for generators and debugging, not hot paths.
