@@ -341,7 +341,7 @@ func TestCoordinatorQueryAllocs(t *testing.T) {
 		i++
 	})
 	t.Logf("%.0f allocs per coordinator lookup", allocs)
-	const ceiling = 160
+	const ceiling = 153
 	if allocs > ceiling {
 		t.Errorf("%.0f allocs per coordinator lookup, ceiling %d", allocs, ceiling)
 	}

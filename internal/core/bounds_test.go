@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/aujoin/aujoin/internal/sim"
+	"github.com/aujoin/aujoin/internal/strutil"
 	"github.com/aujoin/aujoin/internal/synonym"
 	"github.com/aujoin/aujoin/internal/taxonomy"
 )
@@ -157,6 +158,31 @@ func cachedRow(sc *Scratch, id uint32, nt int) []float64 {
 	return sc.rowVals[int(id)*nt:][:nt]
 }
 
+// rightPrep is a way bitmaskRowCase prepares its right-hand record, and so
+// a way the probe-gram index gets the record's gram numbers.
+type rightPrep int
+
+const (
+	// privateRight is Prepare: no dictionary, every gram looked up by text.
+	privateRight rightPrep = iota
+	// sameDictRight is PrepareProbe against the rows' dictionary: the gram
+	// numbers of every segment it holds come from its entry, by ID.
+	sameDictRight
+	// otherDictRight is PrepareProbe against a second dictionary that holds
+	// the same texts under other IDs, which must not be read as the rows'.
+	otherDictRight
+	// cappedDictRight is sameDictRight with the rows' dictionary capped
+	// (SetSegDictLimit) partway through interning the probe, so some of its
+	// segments have no entry and look their grams up by text.
+	cappedDictRight
+)
+
+var rightPreps = []rightPrep{privateRight, sameDictRight, otherDictRight, cappedDictRight}
+
+func (p rightPrep) String() string {
+	return [...]string{"private", "same dictionary", "second dictionary", "capped dictionary"}[p]
+}
+
 // bitmaskRowCase evaluates the cached row of every segment of left against
 // the probe record probe+stranger through cacheRow — the bitmask kernel when
 // the probe's numbered grams fit the bit index, MSimData past it — and
@@ -165,13 +191,12 @@ func cachedRow(sc *Scratch, id uint32, nt int) []float64 {
 // must be read as zero without its slot. The matrix fillMSim fills for left
 // from those rows must agree too. The dictionary interns left and probe, so
 // it numbers their grams; stranger is never interned, so a gram only its
-// tokens have gets no bit. A record of stranger and left interned afterwards,
-// under the live scratch, has its new texts' IDs past the rows: fillMSim
-// takes the direct path for them, and every cell must agree too. It returns
-// the mask width the scratch chose, the number of segments that took the
-// direct path and the number of left segments whose row was decided to be
-// zero without a write to its slot.
-func bitmaskRowCase(t *testing.T, ctx *sim.Context, left, probe, stranger []string) (width, direct, unwritten int) {
+// tokens have gets no bit. The probe record is prepared as prep says. A
+// record of stranger and left interned afterwards, under the live scratch,
+// has its new texts' IDs past the rows (or none, in a capped dictionary):
+// fillMSim takes the direct path for them, and every cell must agree too. It
+// reports what it saw (rowCase).
+func bitmaskRowCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe, stranger []string) (res rowCase) {
 	t.Helper()
 	calc := NewCalculator(ctx)
 	d := NewSegDict()
@@ -180,8 +205,49 @@ func bitmaskRowCase(t *testing.T, ctx *sim.Context, left, probe, stranger []stri
 		d.intern(ctx, []string{fmt.Sprintf("filler%d", i)})
 	}
 	ps := calc.PrepareIn(d, left) // first: a long probe lowers the rows' ID range
+	capped := 0                   // probe texts the cap keeps out
+	if prep == cappedDictRight {
+		// Room for half the probe's texts d does not hold yet.
+		fresh := map[string]bool{}
+		for _, sg := range calc.Segmenter().Segments(probe) {
+			text := strutil.JoinTokens(sg.Tokens)
+			if _, ok := d.ids[text]; !ok {
+				fresh[text] = true
+			}
+		}
+		SetSegDictLimit(d, d.Len()+len(fresh)/2)
+		capped = len(fresh) - len(fresh)/2
+	}
 	calc.PrepareIn(d, probe)
-	pt := calc.Prepare(append(slices.Clip(probe), stranger...))
+	rec := append(slices.Clip(probe), stranger...)
+	var pt *PreparedRecord
+	switch prep {
+	case privateRight:
+		pt = calc.Prepare(rec)
+	case sameDictRight, cappedDictRight:
+		pt = calc.PrepareProbe(d, rec)
+	case otherDictRight:
+		// The record's tokens in reverse, behind a filler of its own: an ID
+		// in other names another text of d, or none.
+		other := NewSegDict()
+		other.intern(ctx, []string{"other filler"})
+		rev := slices.Clone(rec)
+		slices.Reverse(rev)
+		calc.PrepareIn(other, rev)
+		pt = calc.PrepareProbe(other, rec)
+	}
+	for j := range pt.Segs {
+		switch sg := &pt.Segs[j]; {
+		case pt.dict != d:
+		case sg.ID != NoSegID:
+			res.entries++
+		case sg.Span.End <= len(probe):
+			res.missing++
+		}
+	}
+	if capped > 0 && res.missing == 0 {
+		t.Fatalf("%d probe texts past the dictionary's cap, yet every probe segment has an entry", capped)
+	}
 	sc := NewScratch()
 	if cached := sc.adoptRows(ctx, d, pt); ps.maxSegID >= cached {
 		t.Fatalf("rows cover %d IDs, left record needs %d", cached, ps.maxSegID)
@@ -212,7 +278,7 @@ func bitmaskRowCase(t *testing.T, ctx *sim.Context, left, probe, stranger []stri
 		}
 		calc.cacheRow(sc, a.ID, pt)
 		if slot := sc.rowVals[int(a.ID)*nt:][:nt]; !slices.ContainsFunc(slot, func(v float64) bool { return v != rowSentinel }) {
-			unwritten++
+			res.unwritten++
 		}
 		best := 0.0
 		for j, got := range cachedRow(sc, a.ID, nt) {
@@ -245,11 +311,20 @@ func bitmaskRowCase(t *testing.T, ctx *sim.Context, left, probe, stranger []stri
 	checkMatrix(late, "a late record")
 	for i := range late.Segs {
 		if late.Segs[i].ID >= sc.rowN {
-			direct++
+			res.direct++
 		}
 	}
-	return sc.maskW, direct, unwritten
+	res.width = sc.maskW
+	return res
 }
+
+// rowCase is what one bitmaskRowCase saw: the mask width the scratch chose,
+// the number of segments that took the direct path, the number of left
+// segments whose row was decided to be zero without a write to its slot,
+// the number of right-hand segments whose gram numbers the index could take
+// from their entry of the rows' dictionary, and the number of probe segments
+// left without one although the record read that dictionary (a capped one).
+type rowCase struct{ width, direct, unwritten, entries, missing int }
 
 // distinctTokens returns n distinct tokens of exactly width bytes over an
 // alphabet of 66 characters, so with q = width each is one gram.
@@ -281,6 +356,7 @@ func TestBitmaskRowMatchesMSimData(t *testing.T) {
 	for _, tok := range distinctTokens(40, 1) {
 		beyondCap = append(beyondCap, "~"+tok)
 	}
+	mixed := false // a capped dictionary gave some probe segments entries, others none
 	for _, tc := range []struct {
 		name                  string
 		q                     int // 0: every q in 1..9
@@ -315,28 +391,50 @@ func TestBitmaskRowMatchesMSimData(t *testing.T) {
 				continue
 			}
 			for ms := sim.MeasureSet(1); ms <= sim.SetAll; ms++ {
-				ctx := paperContext().WithMeasures(ms)
-				ctx.Q = q
-				width, direct, unwritten := bitmaskRowCase(t, ctx, tc.left, tc.probe, tc.stranger)
-				if tc.q != 0 && ms&sim.SetJaccard != 0 && width != tc.width {
-					t.Errorf("%s: mask width %d, want %d", tc.name, width, tc.width)
-				}
-				if tc.unwritten && ms&sim.SetJaccard != 0 && unwritten == 0 {
-					t.Errorf("%s %v: every row was written: no zero row was decided from the score bits", tc.name, ms)
-				}
-				if len(tc.stranger) > 0 && direct == 0 {
-					t.Errorf("%s: no text interned under the live scratch took the direct path", tc.name)
+				for _, prep := range rightPreps {
+					ctx := paperContext().WithMeasures(ms)
+					ctx.Q = q
+					res := bitmaskRowCase(t, ctx, prep, tc.left, tc.probe, tc.stranger)
+					if tc.q != 0 && ms&sim.SetJaccard != 0 && prep != cappedDictRight && res.width != tc.width {
+						t.Errorf("%s, %v right: mask width %d, want %d", tc.name, prep, res.width, tc.width)
+					}
+					if tc.unwritten && ms&sim.SetJaccard != 0 && res.unwritten == 0 {
+						t.Errorf("%s %v, %v right: every row was written: no zero row was decided from the score bits", tc.name, ms, prep)
+					}
+					if len(tc.stranger) > 0 && res.direct == 0 {
+						t.Errorf("%s, %v right: no text interned under the live scratch took the direct path", tc.name, prep)
+					}
+					checkEntries(t, tc.name, prep, res.entries, len(tc.probe))
+					mixed = mixed || prep == cappedDictRight && res.entries > 0 && res.missing > 0
 				}
 			}
 		}
+	}
+	if !mixed {
+		t.Error("no capped dictionary left a probe with segments both with and without an entry")
+	}
+}
+
+// checkEntries fails unless the right-hand record of a bitmaskRowCase over a
+// probe of n tokens has entries of the rows' dictionary only where its
+// preparation read that dictionary, and one per probe token at least when
+// nothing capped it.
+func checkEntries(t *testing.T, name string, prep rightPrep, entries, n int) {
+	t.Helper()
+	switch {
+	case (prep == privateRight || prep == otherDictRight) && entries != 0:
+		t.Errorf("%s, %v right: %d segments read as entries of the rows' dictionary", name, prep, entries)
+	case prep == sameDictRight && entries < n:
+		t.Errorf("%s, %v right: %d segments with an entry, want every one of the probe's %d tokens' at least", name, prep, entries, n)
 	}
 }
 
 // FuzzBitmaskRow feeds the same comparison arbitrary bytes: the two records
 // are the inputs split at spaces (not tokenized, so empty tokens, NUL and
 // bytes ≥ 0x80 reach the kernel), q is 1 + q%9 and measures a MeasureSet.
-// The probe is checked twice: every token interned, and the second half of
-// its tokens left to the stranger side.
+// The probe is checked twice, every token interned and the second half of
+// its tokens left to the stranger side, and each check prepares the probe
+// record all four ways (rightPrep).
 func FuzzBitmaskRow(f *testing.F) {
 	// testdata/fuzz/FuzzBitmaskRow holds the table's boundary cases as seeds.
 	f.Add("coffee shop latte", "cafe espresso latte", uint8(1), uint8(7))
@@ -344,7 +442,9 @@ func FuzzBitmaskRow(f *testing.F) {
 		ctx := paperContext().WithMeasures(sim.MeasureSet(measures) & sim.SetAll)
 		ctx.Q = 1 + int(q)%9
 		l, p := strings.Split(left, " "), strings.Split(probe, " ")
-		bitmaskRowCase(t, ctx, l, p, nil)
-		bitmaskRowCase(t, ctx, l, p[:len(p)/2], p[len(p)/2:])
+		for _, prep := range rightPreps {
+			bitmaskRowCase(t, ctx, prep, l, p, nil)
+			bitmaskRowCase(t, ctx, prep, l, p[:len(p)/2], p[len(p)/2:])
+		}
 	})
 }

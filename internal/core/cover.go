@@ -89,7 +89,7 @@ func (col *CoverColumn) Append(prepared []*PreparedRecord) {
 // length fits its word, and the starts are the implied ones. Restored records are validated only as far
 // as maxCover needs, so the last is checked, not assumed.
 func (col *CoverColumn) encodes(pr *PreparedRecord) bool {
-	if pr.dict == nil || pr.dict != col.dict || len(pr.Tokens) > math.MaxUint16 {
+	if d := pr.rowDict(); d == nil || d != col.dict || len(pr.Tokens) > math.MaxUint16 {
 		return false
 	}
 	start := -1

@@ -105,7 +105,8 @@ func TestCoverBoundMatchesReference(t *testing.T) {
 		unordered := len(recs) - 1
 		if tc.dictCap == 0 {
 			// A record of singletons only, whose every partition is of its
-			// length: minPartitionSizeSegs is quadratic in it.
+			// length, restored with that bound: one token past the column's
+			// 16-bit token count.
 			tokens := make([]string, math.MaxUint16+1)
 			segs := make([]SegPersist, len(tokens))
 			for pos := range tokens {

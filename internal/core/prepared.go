@@ -46,13 +46,29 @@ type PreparedRecord struct {
 	// the record (GetMinPartitionSize of Algorithm 2).
 	minPart int
 	// dict is the dictionary the segments' IDs index; nil when the record was
-	// prepared without one or is a probe (every ID is NoSegID then, or names
-	// the entry the probe read, which only signing reads).
+	// prepared without one (every ID is NoSegID then).
 	dict *SegDict
 	// maxSegID is the largest segment ID of the record (NoSegID as soon as one
-	// segment has none): every segment has a row slot in a scratch whose rows
-	// cover more IDs than this.
+	// segment has none, and for a probe): every segment has a row slot in a
+	// scratch whose rows cover more IDs than this.
 	maxSegID uint32
+	// probe marks a record that read dict and never interned into it
+	// (PrepareProbe). Its IDs name dict's entries — signing reads them, and so
+	// does the probe-gram index when it is the right operand — but it owns no
+	// row slots: as a left operand it verifies on the direct path, and no
+	// cover column encodes it. The flag sits in the struct's tail padding, so
+	// it costs a record no bytes.
+	probe bool
+}
+
+// rowDict returns the dictionary whose row slots pr's segments may use as a
+// left operand: dict for a record interned into it, nil for one prepared
+// without a dictionary and for a probe.
+func (pr *PreparedRecord) rowDict() *SegDict {
+	if pr.probe {
+		return nil
+	}
+	return pr.dict
 }
 
 // NumSegments returns the number of well-defined segments of the record.
@@ -85,10 +101,10 @@ func (c *Calculator) PrepareIn(d *SegDict, tokens []string) *PreparedRecord {
 // T side of a join: it reads d and never writes it, so a query stream cannot
 // grow an index's dictionary. A segment whose text d holds shares d's table;
 // any other (and every one when d is nil) gets a private derivation. A
-// segment's ID is that of its text in d, NoSegID where d holds none, for
-// signing from an order generation's probe table; the record itself belongs
-// to no dictionary and verifies on the direct path when it is the left
-// operand.
+// segment's ID is that of its text in d, NoSegID where d holds none: signing
+// from an order generation's probe table reads it, and so does the verifier's
+// probe-gram index (Scratch.indexProbeGrams). The record itself owns no row
+// slots in d and verifies on the direct path when it is the left operand.
 func (c *Calculator) PrepareProbe(d *SegDict, tokens []string) *PreparedRecord {
 	return c.prepare(d, false, tokens)
 }
@@ -127,6 +143,7 @@ func (c *Calculator) deriveSegments(d *SegDict, intern bool, pr *PreparedRecord)
 		return
 	}
 	pr.maxSegID = NoSegID
+	pr.dict, pr.probe = d, d != nil
 	missing := d.read(pr)
 	if missing == 0 {
 		return
@@ -434,7 +451,8 @@ func sizeRatio(aLo, aHi, bLo, bHi int) float64 {
 // that has no row slot (no dictionary, NoSegID, an ID beyond the rows) gets
 // the trivial bound 1 and evaluates nothing here.
 func (c *Calculator) coverStage(sc *Scratch, ps, pt *PreparedRecord) float64 {
-	if ps.dict == nil || ps.maxSegID >= sc.adoptRows(c.Ctx, ps.dict, pt) {
+	d := ps.rowDict()
+	if d == nil || ps.maxSegID >= sc.adoptRows(c.Ctx, d, pt) {
 		return 1
 	}
 	sc.rowBest = strutil.Resize(sc.rowBest, len(ps.Segs))
@@ -462,8 +480,8 @@ func (c *Calculator) fillMSim(sc *Scratch, ps, pt *PreparedRecord) {
 	sc.msim = strutil.Resize(sc.msim, ns*nt)
 	sc.nt = nt
 	var cached uint32 // left segment IDs below it have a row slot
-	if ps.dict != nil {
-		cached = sc.adoptRows(c.Ctx, ps.dict, pt)
+	if d := ps.rowDict(); d != nil {
+		cached = sc.adoptRows(c.Ctx, d, pt)
 	}
 	for i := range ps.Segs {
 		a := &ps.Segs[i]
@@ -586,8 +604,13 @@ func (sc *Scratch) adoptRows(ctx *sim.Context, d *SegDict, pt *PreparedRecord) u
 // and the mask slice from probe to probe. It is only built when those rows
 // cover at least maskWords IDs, so the masks never take more cells than the
 // rows they serve and stay inside the row cell budget whatever the caller's
-// record looks like. A probe gram d never numbered gets no bit: no row holds
-// it, and it still counts in |B_j| through len(b_j.Grams).
+// record looks like. A segment whose ID names an entry of d — pt was read
+// from d (PrepareProbe) or interned into it — takes its gram numbers from
+// d.gramSets by that ID, in Grams order, with no hashing; only a segment d
+// has no entry for (a probe text d never interned, a text past the
+// dictionary's cap, or any segment of a record of another dictionary) looks
+// its grams up in gramNum. A probe gram d never numbered gets no bit: no row
+// holds it, and it still counts in |B_j| through len(b_j.Grams).
 func (sc *Scratch) indexProbeGrams(d *SegDict, pt *PreparedRecord, n int) {
 	sc.maskW = -1
 	for _, g := range sc.slotted {
@@ -606,29 +629,44 @@ func (sc *Scratch) indexProbeGrams(d *SegDict, pt *PreparedRecord, n int) {
 	sc.probeMask = strutil.Resize(sc.probeMask, len(pt.Segs)*maskWords)
 	clear(sc.probeMask)
 	sc.rowProbe.Reset()
+	byID := pt.dict == d // pt's segment IDs name d's entries
 	for j := range pt.Segs {
 		mask := sc.probeMask[j*maskWords:][:maskWords]
-		b := pt.Segs[j].Data
-		sc.rowProbe.Add(b)
-		for _, g := range b.Grams {
-			num, ok := d.gramNum[g]
-			if !ok {
-				continue
-			}
-			s := sc.gramSlot[num]
-			if s == 0 {
-				if len(sc.slotted) == maxProbeGrams {
+		sg := &pt.Segs[j]
+		sc.rowProbe.Add(sg.Data)
+		if byID && sg.ID != NoSegID {
+			for _, num := range d.gramSets[d.gramOff[sg.ID]:d.gramOff[sg.ID+1]] {
+				if !sc.setGramBit(mask, num) {
 					return
 				}
-				sc.slotted = append(sc.slotted, num)
-				s = uint16(len(sc.slotted))
-				sc.gramSlot[num] = s
 			}
-			mask[(s-1)>>6] |= 1 << ((s - 1) & 63)
+			continue
+		}
+		for _, g := range sg.Data.Grams {
+			if num, ok := d.gramNum[g]; ok && !sc.setGramBit(mask, num) {
+				return
+			}
 		}
 	}
 	sc.inter = strutil.Resize(sc.inter, len(pt.Segs))
 	sc.maskW = (len(sc.slotted) + 63) / 64
+}
+
+// setGramBit sets the bit of the gram numbered num in a probe segment's
+// mask, giving the gram the next slot on first sight, and reports false —
+// the index is abandoned — when that would take a slot past maxProbeGrams.
+func (sc *Scratch) setGramBit(mask []uint64, num uint32) bool {
+	s := sc.gramSlot[num]
+	if s == 0 {
+		if len(sc.slotted) == maxProbeGrams {
+			return false
+		}
+		sc.slotted = append(sc.slotted, num)
+		s = uint16(len(sc.slotted))
+		sc.gramSlot[num] = s
+	}
+	mask[(s-1)>>6] |= 1 << ((s - 1) & 63)
+	return true
 }
 
 // coverUpper bounds USIM using the row/column maxima of the msim matrix:

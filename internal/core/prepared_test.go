@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"github.com/aujoin/aujoin/internal/sim"
 )
@@ -197,19 +198,63 @@ func TestOneScratchTwoDictionaries(t *testing.T) {
 	}
 	sc := NewScratch()
 	for _, probe := range corpusTokens(rng, 5) {
-		pt := calc.Prepare(probe)
-		for i, toks := range corpus {
-			want := calc.SimilarityTokens(toks, probe)
-			if got := calc.SimilarityPrepared(in1[i], pt, sc); got != want {
-				t.Fatalf("dict 1 record %d %v / %v: %v, want %v", i, toks, probe, got, want)
-			}
-			if got := calc.SimilarityPrepared(in2[i], pt, sc); got != want {
-				t.Fatalf("dict 2 record %d %v / %v: %v, want %v", i, toks, probe, got, want)
+		// The probe without a dictionary, and read from each: its IDs name
+		// one dictionary's entries and must not be taken for the other's.
+		for _, pt := range []*PreparedRecord{calc.Prepare(probe), calc.PrepareProbe(d1, probe), calc.PrepareProbe(d2, probe)} {
+			for i, toks := range corpus {
+				want := calc.SimilarityTokens(toks, probe)
+				if got := calc.SimilarityPrepared(in1[i], pt, sc); got != want {
+					t.Fatalf("dict 1 record %d %v / %v: %v, want %v", i, toks, probe, got, want)
+				}
+				if got := calc.SimilarityPrepared(in2[i], pt, sc); got != want {
+					t.Fatalf("dict 2 record %d %v / %v: %v, want %v", i, toks, probe, got, want)
+				}
 			}
 		}
 	}
 	if sc.Stats.MemoHits == 0 {
 		t.Error("no row was ever reused; the comparison never exercised the cache")
+	}
+}
+
+// TestProbeIsNoRowOwner pins what marking a record as a probe promises: a
+// probe whose every text d holds still verifies on the direct path as a left
+// operand — every cell evaluated, none copied from the rows an interned twin
+// left in the scratch — no cover column encodes it, and the mark costs a
+// prepared record no bytes.
+func TestProbeIsNoRowOwner(t *testing.T) {
+	calc := NewCalculator(paperContext())
+	d := NewSegDict()
+	tokens := []string{"coffee", "shop", "latte", "cake"}
+	interned := calc.PrepareIn(d, tokens)
+	probe := calc.PrepareProbe(d, tokens)
+	for i := range probe.Segs {
+		if probe.Segs[i].ID != interned.Segs[i].ID {
+			t.Fatalf("segment %d: probe ID %d, interned %d", i, probe.Segs[i].ID, interned.Segs[i].ID)
+		}
+	}
+	right := calc.Prepare([]string{"cafe", "latte", "apple", "cake"})
+	sc := NewScratch()
+	want := calc.SimilarityPrepared(interned, right, sc) // caches a row for every text
+	sc.Stats = VerifyStats{}
+	if got := calc.SimilarityPrepared(probe, right, sc); got != want {
+		t.Fatalf("probe on the left: %v, interned twin %v", got, want)
+	}
+	if cells := int64(len(probe.Segs) * len(right.Segs)); sc.Stats.MemoHits != 0 || sc.Stats.MSimEvals != cells {
+		t.Fatalf("probe on the left: %d memo hits and %d cells evaluated, want 0 and %d", sc.Stats.MemoHits, sc.Stats.MSimEvals, cells)
+	}
+	if col := NewCoverColumn(d, []*PreparedRecord{interned, probe}); col.recs[0].maxID == coverFlagged || col.recs[1].maxID != coverFlagged {
+		t.Fatalf("cover column: interned record's maxID %d, probe's %d; want only the interned one encoded", col.recs[0].maxID, col.recs[1].maxID)
+	}
+	// The fields before the mark, laid out alone.
+	type unmarked struct {
+		tokens, segs, single []int
+		minPart              int
+		dict                 *SegDict
+		maxSegID             uint32
+	}
+	if got, want := unsafe.Sizeof(PreparedRecord{}), unsafe.Sizeof(unmarked{}); got != want {
+		t.Fatalf("a prepared record takes %d bytes, %d without the probe mark", got, want)
 	}
 }
 

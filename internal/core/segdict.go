@@ -86,9 +86,10 @@ func (d *SegDict) NumGrams() int {
 // holds it, NoSegID and no table where it does not; the number of segments
 // left without one is returned. Nothing is written, and a nil dictionary
 // holds no text. The IDs are kept for signing — an order generation's probe
-// table is indexed by them (pebble.ProbeTable) — while pr itself stays out of
-// the dictionary (its dict is nil), so it verifies on the direct path as a
-// left operand.
+// table is indexed by them (pebble.ProbeTable) — and for the verifier's
+// probe-gram index, which takes an entry's gram numbers by them
+// (Scratch.indexProbeGrams); pr itself stays out of the dictionary (it is
+// marked a probe), so it verifies on the direct path as a left operand.
 func (d *SegDict) read(pr *PreparedRecord) (missing int) {
 	if d != nil {
 		d.mu.RLock()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -139,6 +141,99 @@ func TestSegmentsMatchOracle(t *testing.T) {
 		}
 		if multi == 0 {
 			t.Fatalf("%s: no multi-token segment was found", src.name)
+		}
+	}
+}
+
+// rescanCover is the greedy cover greedyCover runs, as first written: every
+// pick rescans every segment for the first one with the most uncovered
+// tokens. It is the oracle the heap is held to, picks and ties included.
+func rescanCover(n int, segs []Segment) (picks []int32, largest int) {
+	covered := make([]bool, n)
+	largest = 1
+	for _, s := range segs {
+		largest = max(largest, s.Span.Len())
+	}
+	for uncovered := n; uncovered > 0; {
+		bestGain, bestIdx := 0, -1
+		for i, s := range segs {
+			gain := 0
+			for p := s.Span.Start; p < s.Span.End; p++ {
+				if !covered[p] {
+					gain++
+				}
+			}
+			if gain > bestGain {
+				bestGain, bestIdx = gain, i
+			}
+		}
+		if bestIdx < 0 {
+			break
+		}
+		for p := segs[bestIdx].Span.Start; p < segs[bestIdx].Span.End; p++ {
+			covered[p] = true
+		}
+		uncovered -= bestGain
+		picks = append(picks, int32(bestIdx))
+	}
+	return picks, largest
+}
+
+// TestGreedyCoverMatchesRescan holds the heap greedy to the rescan on random
+// segment lists thick with ties — spans of two to five tokens, duplicates
+// among them, beside one singleton per token, in enumeration order and
+// shuffled — across the stack buffers' sizes (64 tokens, 128 segments), and
+// minPartitionSizeSegs, all-singleton fast path included, to the bound the
+// rescan's picks give.
+func TestGreedyCoverMatchesRescan(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(100)
+		segs := make([]Segment, 0, 3*n)
+		for p := 0; p < n; p++ {
+			segs = append(segs, Segment{Span: strutil.Span{Start: p, End: p + 1}})
+		}
+		for k := rng.Intn(2 * n); k > 0 && trial%10 != 0; k-- {
+			start := rng.Intn(n)
+			if end := start + 2 + rng.Intn(4); end <= n {
+				segs = append(segs, Segment{Span: strutil.Span{Start: start, End: end}})
+			}
+		}
+		if trial%2 == 0 {
+			sort.SliceStable(segs, func(a, b int) bool {
+				sa, sb := segs[a].Span, segs[b].Span
+				return sa.Start < sb.Start || sa.Start == sb.Start && sa.Len() < sb.Len()
+			})
+		} else {
+			rng.Shuffle(len(segs), func(a, b int) { segs[a], segs[b] = segs[b], segs[a] })
+		}
+		want, wantLargest := rescanCover(n, segs)
+		var got []int32
+		picked, largest := greedyCover(n, segs, &got)
+		if !slices.Equal(got, want) || picked != len(want) || largest != wantLargest {
+			t.Fatalf("trial %d, %d tokens, %d segments: heap picks %v (largest %d), rescan %v (largest %d)",
+				trial, n, len(segs), got, largest, want, wantLargest)
+		}
+		if bound, wantBound := minPartitionSizeSegs(make([]string, n), segs), max(ceilDiv(len(want), lnPlus1(wantLargest)), 1); bound != wantBound {
+			t.Fatalf("trial %d, %d tokens, %d segments: bound %d, rescan's %d", trial, n, len(segs), bound, wantBound)
+		}
+	}
+}
+
+// BenchmarkPrepareLongRecord prepares one 65 536-token record that repeats a
+// two-token rule side, so every other token starts a multi-token segment and
+// the partition-size bound runs its greedy cover over 98 304 segments.
+func BenchmarkPrepareLongRecord(b *testing.B) {
+	calc := NewCalculator(paperContext())
+	tokens := make([]string, 1<<16)
+	for p := range tokens {
+		tokens[p] = [2]string{"coffee", "shop"}[p%2]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if pr := calc.Prepare(tokens); pr.MinPartitionSize() < 1 {
+			b.Fatal("no partition bound")
 		}
 	}
 }

@@ -16,10 +16,10 @@
 // the dynamic join index for the small batches appended between rebuilds:
 // memory proportional to the postings actually present, so a single-record
 // insert does not pay for the whole ID universe. A lookup of an absent ID
-// is a map miss in every Delta of a chain, so the join index keeps a
-// shard-level bitmap of the IDs its chain holds and asks the Deltas only
-// about those. Both forms are immutable after their Add calls and therefore
-// safe for concurrent reads.
+// is a map miss, so the join index links the Deltas of a chain per ID — the
+// latest Delta holding an ID, and in each Delta the previous one (SetPrev)
+// — and asks only the Deltas that hold it. Both forms are immutable after
+// their Add (and SetPrev) calls and therefore safe for concurrent reads.
 //
 // Index additionally supports a hybrid posting representation: Hybridize
 // converts the posting lists of frequent keys (list length at or above a
@@ -248,15 +248,24 @@ const noID = ^uint32(0)
 // fixed ID universe — dynamically interned pebble IDs land in it directly —
 // and costs memory only for the postings it actually holds. Records must be
 // added in ascending record order (posting lists stay sorted by record);
-// after the Add calls a Delta is immutable and safe for concurrent reads.
+// after the Add and SetPrev calls a Delta is immutable and safe for
+// concurrent reads.
 type Delta struct {
-	lists   map[uint32][]Posting
+	lists   map[uint32]deltaList
 	records int
+}
+
+// deltaList is one ID's entry in a Delta: its posting list and the link a
+// chain of Deltas threads through it (SetPrev), so that one lookup answers
+// both.
+type deltaList struct {
+	postings []Posting
+	prev     uint8
 }
 
 // NewDelta creates an empty sparse index.
 func NewDelta() *Delta {
-	return &Delta{lists: make(map[uint32][]Posting)}
+	return &Delta{lists: make(map[uint32]deltaList)}
 }
 
 // Add registers the signature pebble IDs of one record, with the same
@@ -267,12 +276,24 @@ func (d *Delta) Add(record int, ids []uint32) {
 		if id == noID {
 			continue
 		}
-		l := d.lists[id]
-		if n := len(l); n > 0 && l[n-1].Record == record {
-			l[n-1].Count++
+		e := d.lists[id]
+		if n := len(e.postings); n > 0 && e.postings[n-1].Record == record {
+			e.postings[n-1].Count++
 			continue
 		}
-		d.lists[id] = append(l, Posting{Record: record, Count: 1})
+		e.postings = append(e.postings, Posting{Record: record, Count: 1})
+		d.lists[id] = e
+	}
+}
+
+// SetPrev stores prev as the link of an ID the delta holds a list for: what
+// it means is the chain's business (the join index stores 1 + the position
+// of the previous Delta of its chain that holds the ID, 0 for none). It is
+// ignored for an ID the delta does not hold.
+func (d *Delta) SetPrev(id uint32, prev uint8) {
+	if e, ok := d.lists[id]; ok {
+		e.prev = prev
+		d.lists[id] = e
 	}
 }
 
@@ -282,6 +303,9 @@ func (d *Delta) Records() int { return d.records }
 // KeyCount returns the number of distinct IDs with a posting list.
 func (d *Delta) KeyCount() int { return len(d.lists) }
 
-// Postings returns the posting list of an ID (nil when absent). The
-// returned slice must not be modified.
-func (d *Delta) Postings(id uint32) []Posting { return d.lists[id] }
+// Linked returns the posting list of an ID and its link (SetPrev); nil and 0
+// when the ID is absent. The returned slice must not be modified.
+func (d *Delta) Linked(id uint32) ([]Posting, uint8) {
+	e := d.lists[id]
+	return e.postings, e.prev
+}

@@ -220,7 +220,8 @@ func (j *Joiner) generate(collections ...[]*core.PreparedRecord) [][][]pebble.Pe
 type probeScratch struct {
 	acc   *invindex.Accumulator
 	sim   *core.Scratch
-	cands []candUB // the candidates of the verify pass, with their bounds
+	cands []candUB             // the candidates of the verify pass, with their bounds
+	lists [][]invindex.Posting // one ID's delta-chain posting lists (deltas.walk)
 }
 
 // scratchFromPool borrows a probe scratch from pool (allocating on a cold
@@ -361,11 +362,11 @@ type QueryMatch struct {
 // it folds the ID's posting list — word-parallel through the block
 // accumulator for bitmap-form lists, entry-at-a-time for slice-form lists,
 // then the always-sparse lists of the delta segments — into per-record
-// overlap counters, considering only base records < limit. The chain's key
-// bitmap promises that no segment holds a list for an ID whose bit is clear,
-// so such an ID skips the chain: each skipped lookup would have returned nil
-// and added no postings, and the candidates and counters are the ones a walk
-// of every segment gives. It returns the records whose overlap reached τ and
+// overlap counters, considering only base records < limit. The chain's
+// links lead to exactly the segments that hold a list for an ID, oldest
+// first, so the walk skips only lookups that would have returned nil and
+// added no postings, and the candidates and counters are the ones a walk of
+// every segment gives. It returns the records whose overlap reached τ and
 // are not tombstoned in dead (aliasing the accumulator arena, valid until
 // the next call) and the filter counters. The counters are left zeroed for
 // reuse. A shard passes its delta chain, its tombstone bitmap and limit =
@@ -412,8 +413,9 @@ func countFilterRecord(inv *invindex.Index, chain deltas, dead []uint64, ids []u
 			tally.ProbePostings += acc.AddPostings(postings, mult)
 		}
 		if chain.holds(id) {
-			for _, seg := range chain.segs {
-				tally.ProbePostings += acc.AddPostings(seg.Postings(id), mult)
+			sc.lists = chain.walk(id, sc.lists[:0])
+			for _, l := range sc.lists {
+				tally.ProbePostings += acc.AddPostings(l, mult)
 			}
 		}
 	}

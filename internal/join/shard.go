@@ -44,7 +44,7 @@ import (
 //     stay comparable with signatures of new probes.
 //  2. Published views are never mutated: records/prepared/segment slices
 //     only ever grow past the published length, and the tombstone bitmap and
-//     the delta chain's key bitmap are cloned before a bit is set. A view
+//     the delta chain's last links are cloned before they are written. A view
 //     observes removals only if they were published before the view was
 //     taken.
 //
@@ -68,8 +68,8 @@ type shard struct {
 	// the first inv.Records() positions of records, prepared, cover and
 	// sigIDs; adoptBaseLocked replaces all of it wholesale. records,
 	// prepared, cover, sigIDs and deltas.segs are append-only while a base
-	// is live (published views hold shorter headers); dead and deltas.keys
-	// are cloned before every bit set.
+	// is live (published views hold shorter headers); dead and deltas.last
+	// are cloned before every write.
 	gen       *orderGen
 	inv       *invindex.Index
 	buildTime time.Duration
@@ -133,46 +133,71 @@ func (sh *shard) total() counters {
 
 // deltas is a shard's delta-segment chain — one immutable sparse inverted
 // index (invindex.Delta) per insert batch since the base was adopted, keyed
-// by global record positions — with keys, a presence bitmap over signature
-// IDs: bit id is set iff some segment of the chain holds a posting list for
-// id. The count filter walks the chain only for an ID whose bit is set, so
-// an ID no inserted record carries costs one word test instead of a map
-// lookup a segment. The zero value is the empty chain.
+// by global record positions — linked per signature ID: last[id] is 1 + the
+// index of the latest segment holding a posting list for id (0: none), and
+// in each segment the ID's link (invindex.Delta.SetPrev) is 1 + the index of
+// the previous one that holds it (0: none). The count filter follows the
+// links (walk), so it visits only the segments that hold a probe ID instead
+// of asking every segment of the chain, and an ID no inserted record carries
+// costs one byte load. A link is a byte, so a chain holds at most
+// maxChainSegments segments. The zero value is the empty chain.
 type deltas struct {
 	segs []*invindex.Delta
-	keys []uint64
+	last []uint8
 }
+
+// maxChainSegments is the longest delta chain a link can address (255
+// segments). A chain grows one segment past MaxSegments before the
+// compaction that segment triggers, so MaxSegments is clamped one below it.
+const maxChainSegments = math.MaxUint8
 
 // holds reports whether some segment of the chain has a posting list for id.
 func (d deltas) holds(id uint32) bool {
-	w := int(id >> 6)
-	return w < len(d.keys) && d.keys[w]&(1<<(id&63)) != 0
+	return int(id) < len(d.last) && d.last[id] != 0
+}
+
+// walk appends the posting lists of id in the chain's segments that hold
+// one to lists, oldest first — the order a walk of every segment meets them
+// in — and returns the extended slice.
+func (d deltas) walk(id uint32, lists [][]invindex.Posting) [][]invindex.Posting {
+	from := len(lists)
+	for k := d.last[id]; k != 0; {
+		var l []invindex.Posting
+		l, k = d.segs[k-1].Linked(id)
+		lists = append(lists, l)
+	}
+	slices.Reverse(lists[from:])
+	return lists
 }
 
 // push returns the chain with seg appended, seg having been built from the
-// signature IDs sigs. The key bitmap is cloned before its first bit is set
-// (published views hold the old one, exactly as with the tombstone bitmap)
-// and grown to the batch's largest ID: keys first seen after the base was
-// built lie in the shared order's dynamic region, past the base's universe.
+// signature IDs sigs, and links every ID seg holds to the segment that held
+// it last. The last array is cloned before it is written (published views
+// hold the old one, exactly as with the tombstone bitmap) and grown to the
+// batch's largest ID: keys first seen after the base was built lie in the
+// shared order's dynamic region, past the base's universe. The chain must
+// be shorter than maxChainSegments.
 func (d deltas) push(seg *invindex.Delta, sigs [][]uint32) deltas {
-	words := len(d.keys)
+	n := len(d.last)
 	for _, ids := range sigs {
 		for _, id := range ids {
 			if id != pebble.NoID {
-				words = max(words, int(id>>6)+1)
+				n = max(n, int(id)+1)
 			}
 		}
 	}
-	keys := make([]uint64, words)
-	copy(keys, d.keys)
+	last := make([]uint8, n)
+	copy(last, d.last)
+	k := uint8(len(d.segs) + 1)
 	for _, ids := range sigs {
 		for _, id := range ids {
-			if id != pebble.NoID {
-				keys[id>>6] |= 1 << (id & 63)
+			if id != pebble.NoID && last[id] != k {
+				seg.SetPrev(id, last[id])
+				last[id] = k
 			}
 		}
 	}
-	return deltas{segs: append(d.segs, seg), keys: keys}
+	return deltas{segs: append(d.segs, seg), last: last}
 }
 
 // DynamicOptions tunes the mutation behaviour of a ShardedIndex on top of
@@ -185,7 +210,8 @@ type DynamicOptions struct {
 	RebuildFraction float64
 	// MaxSegments caps the delta-segment chain length (every insert batch
 	// appends one segment per touched shard); crossing it triggers a
-	// rebuild. 0 selects the default 64.
+	// rebuild. 0 selects the default 64; a value the chain's links cannot
+	// address is lowered to maxChainSegments − 1.
 	MaxSegments int
 }
 

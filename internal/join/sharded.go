@@ -134,6 +134,7 @@ func (j *Joiner) newRouter(opts Options, dopts DynamicOptions) *ShardedIndex {
 	if dopts.MaxSegments <= 0 {
 		dopts.MaxSegments = defaultMaxSegments
 	}
+	dopts.MaxSegments = min(dopts.MaxSegments, maxChainSegments-1)
 	return &ShardedIndex{joiner: j, opts: opts, tau: opts.tau(), dopts: dopts, dict: core.NewSegDict(),
 		cache: core.NewPreparedCache(core.DefaultPreparedCacheSize)}
 }

@@ -14,12 +14,15 @@ const numMeasures = 3
 // still contribute, assuming every one of them also occurs in the partner
 // string — and, per (segment, measure) group, the tables the selection DP
 // reads its cells from (groupTable). All of its numbers live in one float
-// arena, allocated once by NewAccTable.
+// arena, allocated once by NewAccTable. The group tables are laid out there
+// but filled only when the DP first needs a cell (beginDP): the
+// heuristic never reads them, and the DP not at all when the whole list's
+// AS already reaches its target.
 //
 // An AccTable is not safe for concurrent use: the heuristic's top-weight row
-// is rebuilt in place for the c it is asked for, and the DP keeps its running
-// in-prefix counts in the group tables, so that the signature-selection loops
-// allocate nothing.
+// is rebuilt in place for the c it is asked for, and the DP fills the group
+// tables in place and keeps its running in-prefix counts in them, so that
+// the signature-selection loops allocate nothing.
 type AccTable struct {
 	pebbles []Pebble
 	// as[i] = AS(i+1) in the 1-based notation of the paper, for i in [0, n);
@@ -28,7 +31,9 @@ type AccTable struct {
 	// top[p] is TW_topC(B[1, p]) for every prefix length p in [0, n], for
 	// the c = topC last asked for (0: none yet).
 	top  []float64
-	topC int
+	topC int32
+	// filled reports whether the group tables hold their values.
+	filled bool
 	// groups[g] locates group g's DP table in tab.
 	groups []groupTable
 	tab    []float64
@@ -61,7 +66,8 @@ type groupTable struct {
 }
 
 // NewAccTable computes the accumulated-similarity table of a pebble list
-// already sorted by the global order.
+// already sorted by the global order, with the arena sized for the group
+// tables and their layout set, and their values left to beginDP.
 func NewAccTable(sorted []Pebble) *AccTable {
 	n := len(sorted)
 	maxSeg := -1
@@ -115,10 +121,27 @@ func NewAccTable(sorted []Pebble) *AccTable {
 		}
 		t.as[i] = total
 	}
+	return t
+}
 
+// beginDP readies the group tables for a selection, which selectPrefixDP
+// asks for before it reads its first cell: every group's running count at
+// m — the whole list is inside the prefix — and, on the table's first
+// selection, every group's values filled in.
+func (t *AccTable) beginDP() {
+	if t.filled {
+		for g := range t.groups {
+			t.groups[g].q = t.groups[g].m
+		}
+		return
+	}
+	t.filled = true
+	// The arena is as NewAccTable zeroed it, which the prefix sums start
+	// from, and every running count is 0.
 	// The prefix tables, left to right; a non-uniform group's weights are
 	// parked in its suffix table until the pass is done. q counts each
 	// group's pebbles so far and ends at m, where a selection starts.
+	sorted := t.pebbles
 	for i := range sorted {
 		g := &t.groups[groupOf(sorted[i])]
 		w := sorted[i].Weight
@@ -133,7 +156,6 @@ func NewAccTable(sorted []Pebble) *AccTable {
 			t.fillSuffixAndTop(g)
 		}
 	}
-	return t
 }
 
 // groupOf returns the group ID of a pebble.
@@ -226,9 +248,9 @@ func (t *AccTable) TopWeights(prefix, c int) float64 {
 	if prefix > len(t.pebbles) {
 		prefix = len(t.pebbles)
 	}
-	if t.topC != c {
+	if int(t.topC) != c {
 		t.buildTopPrefix(c)
-		t.topC = c
+		t.topC = int32(c)
 	}
 	return t.top[prefix]
 }

@@ -156,7 +156,9 @@ func selectPrefixHeuristic(acc *AccTable, target float64, tau int) int {
 // TW_{τ-1} bound, so the resulting signatures are never longer.
 // t is the number of segments. Every group term of Eq. (14) is read from the
 // record's group tables (groupTable), at the group's running count of
-// pebbles inside the prefix.
+// pebbles inside the prefix. The tables are readied (AccTable.beginDP)
+// unless the loop's first position, the last pebble, already reaches the
+// target with its AS alone; such a list never fills them.
 func selectPrefixDP(acc *AccTable, t int, target float64, tau int) int {
 	// Only rows W[p−1] and W[p] of W[p][d] are live at a time; they and the
 	// accessory row V take 3τ floats, on the stack for the τ anyone uses.
@@ -166,10 +168,9 @@ func selectPrefixDP(acc *AccTable, t int, target float64, tau int) int {
 		rows = make([]float64, 3*tau)
 	}
 	prev, row, v := rows[:tau], rows[tau:2*tau], rows[2*tau:3*tau]
-	for g := range acc.groups {
-		acc.groups[g].q = acc.groups[g].m
+	if acc.AS(acc.Len()) < target-1e-12 {
+		acc.beginDP() // the loop's first position reads the tables
 	}
-
 	for i := acc.Len(); i >= 1; i-- {
 		as := acc.AS(i)
 		if as >= target-1e-12 {

@@ -584,8 +584,10 @@ func refCut(pre Presig, theta float64, method Method, tau int) int {
 
 // groupTerms reads the DP terms of group (segment, measure) at the 1-based
 // position i from the tables: its suffix weight W(B_{P,f}[i, n]) and its
-// TW_c(B[1, i−1]).
+// TW_c(B[1, i−1]). The tables are filled first, as the DP fills them before
+// its first read.
 func (t *AccTable) groupTerms(i, c, segment int, measure sim.Measure) (suffix, top float64) {
+	t.beginDP()
 	g := segment*numMeasures + int(measure)
 	if g >= len(t.groups) {
 		return 0, 0
@@ -687,6 +689,43 @@ func TestSelectMatchesReference(t *testing.T) {
 	}
 	if mixed == 0 {
 		t.Fatal("no synonym group held pebbles of different weights; the tables' general path was never exercised")
+	}
+}
+
+// TestAccTableFillsGroupsOnDemand pins when the group tables are filled:
+// never by the heuristic, and by the DP exactly when the last position's AS
+// misses its target, the first cell it reads being at that position.
+func TestAccTableFillsGroupsOnDemand(t *testing.T) {
+	ctx := closenessContext()
+	gen := NewGenerator(ctx)
+	corpus := closenessCorpus(rand.New(rand.NewSource(35)), 200)
+	order := buildOrder(gen, corpus)
+	filled, skipped := 0, 0
+	for _, theta := range []float64{0.05, 0.6, 0.9} { // at 0.05 the last pebble alone may reach the target
+		sel := NewSelector(gen, order, theta)
+		for _, tokens := range corpus {
+			for tau := 1; tau <= 4; tau++ {
+				pre := sel.Prepare(tokens)
+				sel.Select(pre, AUHeuristic, tau)
+				sel.Select(pre, UFilter, tau)
+				if pre.acc.filled {
+					t.Fatalf("%v θ=%v τ=%d: the heuristic filled the group tables", tokens, theta, tau)
+				}
+				sel.Select(pre, AUDP, tau)
+				want := pre.acc.AS(pre.acc.Len()) < theta*float64(pre.MinPartition)-1e-12
+				if pre.acc.filled != want {
+					t.Fatalf("%v θ=%v τ=%d: group tables filled %v, want %v", tokens, theta, tau, pre.acc.filled, want)
+				}
+				if want {
+					filled++
+				} else {
+					skipped++
+				}
+			}
+		}
+	}
+	if filled == 0 || skipped == 0 {
+		t.Fatalf("%d selections filled the tables and %d did not; want both", filled, skipped)
 	}
 }
 
