@@ -165,8 +165,7 @@ type Stats struct {
 	// PrunedByBound the candidates dismissed before that by a sound upper
 	// bound — the O(1) partition-size ratio or the cover stage, which reads
 	// one cached number per distinct segment text — and PrunedByCover the
-	// cover stage's share (PrunedByFloor, a top-k floor's, is zero for a
-	// join, whose every match reaching θ is kept). The two add up: VerifiedCandidates + PrunedByBound
+	// cover stage's share. The two add up: VerifiedCandidates + PrunedByBound
 	// == Candidates. MemoHits counts the segment-pair similarity cells copied
 	// into a matrix from a row already evaluated for the same probe record,
 	// MSimEvals the cells that were evaluated or decided to be zero (a row

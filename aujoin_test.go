@@ -415,7 +415,7 @@ func TestIndexStatsWireShape(t *testing.T) {
 		"build_time_ns", "cache_hits", "cache_misses", "dead", "dense_keys", "distinct_grams", "distinct_segments",
 		"dynamic_keys", "frozen_keys", "inserts", "live", "memo_hits", "msim_evals",
 		"probe_bitset_tokens", "probe_postings",
-		"probe_slice_tokens", "pruned_by_bound", "pruned_by_cover", "pruned_by_floor", "rebuilds", "records", "segments", "shards",
+		"probe_slice_tokens", "pruned_by_bound", "pruned_by_cover", "rebuilds", "records", "segments", "shards",
 		"sparse_keys", "tau", "theta", "verified_candidates",
 	}
 	if !reflect.DeepEqual(got, want) {

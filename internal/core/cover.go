@@ -89,7 +89,7 @@ func (col *CoverColumn) Append(prepared []*PreparedRecord) {
 // length fits its word, and the starts are the implied ones. Restored records are validated only as far
 // as maxCover needs, so the last is checked, not assumed.
 func (col *CoverColumn) encodes(pr *PreparedRecord) bool {
-	if d := pr.rowDict(); d == nil || d != col.dict || len(pr.Tokens) > math.MaxUint16 {
+	if d := pr.dict; d == nil || d != col.dict || len(pr.Tokens) > math.MaxUint16 {
 		return false
 	}
 	start := -1
@@ -115,8 +115,8 @@ func (col *CoverColumn) encodes(pr *PreparedRecord) bool {
 // first two stages of VerifyPrepared, which repeats them on the record's
 // PreparedRecord and arrives at the same number). A result below
 // theta−BoundSlack dismisses the pair at theta and is counted in sc.Stats as
-// pruned; the bound dominates the similarity, so dropping such a pair, or any
-// pair whose bound falls below a floor that has risen past theta, is exact.
+// pruned; the bound dominates the similarity, so dropping such a pair is
+// exact.
 // prepared holds the column's records, of which only a flagged one is read.
 // sc must not be nil.
 func (c *Calculator) CoverBound(col *CoverColumn, pos int32, prepared []*PreparedRecord, pt *PreparedRecord, theta float64, sc *Scratch) float64 {

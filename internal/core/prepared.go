@@ -18,8 +18,8 @@ type PreparedSegment struct {
 	// Rule and Entity mirror Segment's flags.
 	Rule, Entity bool
 	// ID is the dense identity of the segment's text in the record's
-	// dictionary — for a probe, which has none, in the dictionary it was
-	// read from (PrepareProbe) — or NoSegID.
+	// dictionary — for a probe, the dictionary it was read from
+	// (PrepareProbe) — or NoSegID.
 	ID uint32
 	// Data carries the q-gram set, taxonomy node and applicable rule ids: the
 	// dictionary's shared table for the text when ID is set, otherwise a slot
@@ -45,30 +45,14 @@ type PreparedRecord struct {
 	// minPart is a lower bound on the size of any well-defined partition of
 	// the record (GetMinPartitionSize of Algorithm 2).
 	minPart int
-	// dict is the dictionary the segments' IDs index; nil when the record was
+	// dict is the dictionary the segments' IDs index — the one the record was
+	// interned into or, for a probe, read from; nil when the record was
 	// prepared without one (every ID is NoSegID then).
 	dict *SegDict
 	// maxSegID is the largest segment ID of the record (NoSegID as soon as one
-	// segment has none, and for a probe): every segment has a row slot in a
-	// scratch whose rows cover more IDs than this.
+	// segment has none): every segment has a row slot in a scratch whose rows
+	// cover more IDs than this.
 	maxSegID uint32
-	// probe marks a record that read dict and never interned into it
-	// (PrepareProbe). Its IDs name dict's entries — signing reads them, and so
-	// does the probe-gram index when it is the right operand — but it owns no
-	// row slots: as a left operand it verifies on the direct path, and no
-	// cover column encodes it. The flag sits in the struct's tail padding, so
-	// it costs a record no bytes.
-	probe bool
-}
-
-// rowDict returns the dictionary whose row slots pr's segments may use as a
-// left operand: dict for a record interned into it, nil for one prepared
-// without a dictionary and for a probe.
-func (pr *PreparedRecord) rowDict() *SegDict {
-	if pr.probe {
-		return nil
-	}
-	return pr.dict
 }
 
 // NumSegments returns the number of well-defined segments of the record.
@@ -103,8 +87,9 @@ func (c *Calculator) PrepareIn(d *SegDict, tokens []string) *PreparedRecord {
 // any other (and every one when d is nil) gets a private derivation. A
 // segment's ID is that of its text in d, NoSegID where d holds none: signing
 // from an order generation's probe table reads it, and so does the verifier's
-// probe-gram index (Scratch.indexProbeGrams). The record itself owns no row
-// slots in d and verifies on the direct path when it is the left operand.
+// probe-gram index (Scratch.indexProbeGrams). An ID names d's entry whichever
+// side of a pair the record is on, so a probe all of whose texts d holds
+// reads the row cache as a left operand like any record of d.
 func (c *Calculator) PrepareProbe(d *SegDict, tokens []string) *PreparedRecord {
 	return c.prepare(d, false, tokens)
 }
@@ -142,12 +127,15 @@ func (c *Calculator) deriveSegments(d *SegDict, intern bool, pr *PreparedRecord)
 		}
 		return
 	}
-	pr.maxSegID = NoSegID
-	pr.dict, pr.probe = d, d != nil
+	pr.dict = d
 	missing := d.read(pr)
 	if missing == 0 {
+		for i := range pr.Segs {
+			pr.maxSegID = max(pr.maxSegID, pr.Segs[i].ID)
+		}
 		return
 	}
+	pr.maxSegID = NoSegID
 	own := make([]sim.SegmentData, 0, missing)
 	for i := range pr.Segs {
 		if sg := &pr.Segs[i]; sg.Data == nil {
@@ -197,13 +185,10 @@ type VerifyStats struct {
 	VerifiedCandidates int64 `json:"verified_candidates"`
 	// PrunedByBound counts record pairs dismissed by a sound upper bound
 	// before their msim matrix existed — the O(1) partition-size ratio or the
-	// cover stage at the pair's own threshold, or either against a top-k floor
-	// that has risen past it. PrunedByCover is the cover stage's share at the
-	// own threshold and PrunedByFloor the floor's, so the size ratio's is
-	// PrunedByBound − PrunedByCover − PrunedByFloor.
+	// cover stage. PrunedByCover is the cover stage's share, so the size
+	// ratio's is PrunedByBound − PrunedByCover.
 	PrunedByBound int64 `json:"pruned_by_bound"`
 	PrunedByCover int64 `json:"pruned_by_cover"`
-	PrunedByFloor int64 `json:"pruned_by_floor"`
 	// MemoHits counts msim cells taken into a matrix from a row already
 	// evaluated for the same probe (copied, or cleared for a row whose
 	// maximum is 0); MSimEvals counts the cells evaluated or decided to be
@@ -219,7 +204,6 @@ func (s *VerifyStats) Add(o VerifyStats) {
 	s.VerifiedCandidates += o.VerifiedCandidates
 	s.PrunedByBound += o.PrunedByBound
 	s.PrunedByCover += o.PrunedByCover
-	s.PrunedByFloor += o.PrunedByFloor
 	s.MemoHits += o.MemoHits
 	s.MSimEvals += o.MSimEvals
 }
@@ -451,7 +435,7 @@ func sizeRatio(aLo, aHi, bLo, bHi int) float64 {
 // that has no row slot (no dictionary, NoSegID, an ID beyond the rows) gets
 // the trivial bound 1 and evaluates nothing here.
 func (c *Calculator) coverStage(sc *Scratch, ps, pt *PreparedRecord) float64 {
-	d := ps.rowDict()
+	d := ps.dict
 	if d == nil || ps.maxSegID >= sc.adoptRows(c.Ctx, d, pt) {
 		return 1
 	}
@@ -480,7 +464,7 @@ func (c *Calculator) fillMSim(sc *Scratch, ps, pt *PreparedRecord) {
 	sc.msim = strutil.Resize(sc.msim, ns*nt)
 	sc.nt = nt
 	var cached uint32 // left segment IDs below it have a row slot
-	if d := ps.rowDict(); d != nil {
+	if d := ps.dict; d != nil {
 		cached = sc.adoptRows(c.Ctx, d, pt)
 	}
 	for i := range ps.Segs {

@@ -2,8 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
-	"unsafe"
 
 	"github.com/aujoin/aujoin/internal/sim"
 )
@@ -217,12 +217,12 @@ func TestOneScratchTwoDictionaries(t *testing.T) {
 	}
 }
 
-// TestProbeIsNoRowOwner pins what marking a record as a probe promises: a
-// probe whose every text d holds still verifies on the direct path as a left
-// operand — every cell evaluated, none copied from the rows an interned twin
-// left in the scratch — no cover column encodes it, and the mark costs a
-// prepared record no bytes.
-func TestProbeIsNoRowOwner(t *testing.T) {
+// TestProbeSharesInternedRows pins that a probe is an ordinary record of the
+// dictionary it read: its segment IDs name d's entries, so on the left of a
+// pair it reads the rows its interned twin left in the scratch — the same
+// value, every cell copied and none evaluated — and a cover column encodes it
+// exactly as it encodes the twin.
+func TestProbeSharesInternedRows(t *testing.T) {
 	calc := NewCalculator(paperContext())
 	d := NewSegDict()
 	tokens := []string{"coffee", "shop", "latte", "cake"}
@@ -233,6 +233,9 @@ func TestProbeIsNoRowOwner(t *testing.T) {
 			t.Fatalf("segment %d: probe ID %d, interned %d", i, probe.Segs[i].ID, interned.Segs[i].ID)
 		}
 	}
+	if probe.maxSegID != interned.maxSegID {
+		t.Fatalf("probe maxSegID %d, interned %d", probe.maxSegID, interned.maxSegID)
+	}
 	right := calc.Prepare([]string{"cafe", "latte", "apple", "cake"})
 	sc := NewScratch()
 	want := calc.SimilarityPrepared(interned, right, sc) // caches a row for every text
@@ -240,21 +243,14 @@ func TestProbeIsNoRowOwner(t *testing.T) {
 	if got := calc.SimilarityPrepared(probe, right, sc); got != want {
 		t.Fatalf("probe on the left: %v, interned twin %v", got, want)
 	}
-	if cells := int64(len(probe.Segs) * len(right.Segs)); sc.Stats.MemoHits != 0 || sc.Stats.MSimEvals != cells {
-		t.Fatalf("probe on the left: %d memo hits and %d cells evaluated, want 0 and %d", sc.Stats.MemoHits, sc.Stats.MSimEvals, cells)
+	if cells := int64(len(probe.Segs) * len(right.Segs)); sc.Stats.MemoHits != cells || sc.Stats.MSimEvals != 0 {
+		t.Fatalf("probe on the left: %d memo hits and %d cells evaluated, want %d and 0", sc.Stats.MemoHits, sc.Stats.MSimEvals, cells)
 	}
-	if col := NewCoverColumn(d, []*PreparedRecord{interned, probe}); col.recs[0].maxID == coverFlagged || col.recs[1].maxID != coverFlagged {
-		t.Fatalf("cover column: interned record's maxID %d, probe's %d; want only the interned one encoded", col.recs[0].maxID, col.recs[1].maxID)
-	}
-	// The fields before the mark, laid out alone.
-	type unmarked struct {
-		tokens, segs, single []int
-		minPart              int
-		dict                 *SegDict
-		maxSegID             uint32
-	}
-	if got, want := unsafe.Sizeof(PreparedRecord{}), unsafe.Sizeof(unmarked{}); got != want {
-		t.Fatalf("a prepared record takes %d bytes, %d without the probe mark", got, want)
+	col := NewCoverColumn(d, []*PreparedRecord{interned, probe})
+	a, b := col.recs[0], col.recs[1]
+	if a.maxID == coverFlagged || b.maxID != a.maxID || b.minPart != a.minPart || b.tokens != a.tokens ||
+		!slices.Equal(col.segs[:a.end], col.segs[a.end:b.end]) {
+		t.Fatalf("cover column: interned record %+v, probe %+v, words %v; want the probe encoded as its twin", a, b, col.segs)
 	}
 }
 

@@ -88,8 +88,7 @@ func (d *SegDict) NumGrams() int {
 // holds no text. The IDs are kept for signing — an order generation's probe
 // table is indexed by them (pebble.ProbeTable) — and for the verifier's
 // probe-gram index, which takes an entry's gram numbers by them
-// (Scratch.indexProbeGrams); pr itself stays out of the dictionary (it is
-// marked a probe), so it verifies on the direct path as a left operand.
+// (Scratch.indexProbeGrams), and by the row cache when pr is a left operand.
 func (d *SegDict) read(pr *PreparedRecord) (missing int) {
 	if d != nil {
 		d.mu.RLock()

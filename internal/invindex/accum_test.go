@@ -75,10 +75,14 @@ func sortedCopy(in []int32) []int32 {
 // bitmap tokens, varying multiplicities, τ values straddling the tile's
 // saturation ceiling, self-join limits and tombstones — through the block
 // accumulator and the naive reference, asserting identical candidate sets
-// and identical processed-entry counts.
+// and identical processed-entry counts. Both drains of FlushDense must run:
+// the merge through the counters, and the direct emission of a probe whose
+// every token went through the register block (all bitmaps, τ ≤ satCount,
+// every multiplicity below it).
 func TestAccumulatorMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	acc := NewAccumulator()
+	pure := 0
 	for trial := 0; trial < 200; trial++ {
 		numRecords := 1 + rng.Intn(20000)
 		ref := newRefFilter(numRecords)
@@ -118,6 +122,9 @@ func TestAccumulatorMatchesReference(t *testing.T) {
 			}
 		}
 		gotProc += acc.FlushDense(limit)
+		if acc.collected {
+			pure++
+		}
 		got := sortedCopy(acc.Collect(dead))
 		want := sortedCopy(ref.collect(int32(tau), dead))
 
@@ -133,6 +140,9 @@ func TestAccumulatorMatchesReference(t *testing.T) {
 				t.Fatalf("trial %d: candidate[%d] = %d, want %d", trial, i, got[i], want[i])
 			}
 		}
+	}
+	if pure == 0 || pure == 200 {
+		t.Errorf("%d of 200 trials took the pure-dense drain; the comparison must cover both drains", pure)
 	}
 }
 

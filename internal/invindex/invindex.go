@@ -82,35 +82,43 @@ func (ix *Index) Add(record int, ids []uint32) {
 }
 
 // Presize reserves posting-list capacity ahead of the Add calls, carving
-// every list's backing storage out of one contiguous arena. caps[id] is an
-// upper bound on ID id's posting count (repeats within one record may
-// over-count — they merge into a single posting — which only wastes
-// capacity, never correctness). Adds that outgrow their reservation fall
-// back to ordinary append growth. Callers that know the full signature
-// multiset upfront (snapshot restore) avoid the per-list regrow churn —
-// the dominant cost of rebuilding a large index entry by entry.
-func (ix *Index) Presize(caps []int32) {
+// the lists' backing storage out of two contiguous arenas: one for the lists
+// with at least dense postings reserved — the lists Hybridize(dense) will
+// turn into bitmaps — and one for the rest (dense ≤ 0 reserves every list in
+// the second). Once Hybridize has converted them nothing references the
+// first arena, so the postings the bitmaps replace do not stay on the heap
+// beside them. caps[id] is an upper bound on ID id's posting count (repeats
+// within one record may over-count — they merge into a single posting —
+// which only wastes capacity, and may keep a list that stays in slice form
+// in the first arena, never correctness). Adds that outgrow their
+// reservation fall back to ordinary append growth. Callers that know the
+// full signature multiset upfront avoid the per-list regrow churn — the
+// dominant cost of building a large index entry by entry.
+func (ix *Index) Presize(caps []int32, dense int) {
 	if ix.sealed {
 		panic("invindex: Presize after Hybridize")
 	}
-	total := 0
-	n := len(ix.lists)
-	for id, c := range caps {
-		if id < n {
-			total += int(c)
+	caps = caps[:min(len(caps), len(ix.lists))]
+	converts := func(c int32) bool { return dense > 0 && int(c) >= dense }
+	var nKept, nConverted int
+	for _, c := range caps {
+		if converts(c) {
+			nConverted += int(c)
+		} else {
+			nKept += int(c)
 		}
 	}
-	if total == 0 {
-		return
-	}
-	arena := make([]Posting, total)
-	off := 0
+	kept, converted := make([]Posting, nKept), make([]Posting, nConverted)
 	for id, c := range caps {
-		if id >= n || c == 0 {
+		if c == 0 {
 			continue
 		}
-		ix.lists[id] = arena[off : off : off+int(c)]
-		off += int(c)
+		arena := &kept
+		if converts(c) {
+			arena = &converted
+		}
+		ix.lists[id] = (*arena)[:0:c]
+		*arena = (*arena)[c:]
 	}
 }
 
@@ -171,10 +179,6 @@ type Bitset struct {
 
 // Card returns the number of set bits (the posting-list length).
 func (b *Bitset) Card() int { return b.card }
-
-// Words exposes the packed 64-bit blocks (bit r&63 of word r>>6 is record
-// r). The slice must not be modified.
-func (b *Bitset) Words() []uint64 { return b.words }
 
 // Residual returns the multi-occurrence surplus postings: entries sorted by
 // record, each Count being the record's original count minus the one

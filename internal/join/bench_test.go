@@ -228,10 +228,10 @@ func queryBench(b *testing.B, shards int) {
 func BenchmarkQuery(b *testing.B) { queryBench(b, 1) }
 
 // BenchmarkVerifyTopK serves top-k queries against a 2000-record one-shard
-// index (large candidate sets, so the verify phase dominates): the rising
-// floor prunes candidates whose cheap upper bound cannot reach the heap's
-// k-th similarity, and the per-probe msim rows reuse segment-pair values
-// across candidates of one query.
+// index (large candidate sets, so the verify phase dominates): the cover-stage
+// bound dismisses candidates that cannot reach θ, the survivors are verified
+// at θ into the k-bounded heap, and the per-probe msim rows reuse
+// segment-pair values across candidates of one query.
 func BenchmarkVerifyTopK(b *testing.B) {
 	j := NewJoiner(paperContext())
 	s := benchCorpus(2000, 1)
@@ -281,7 +281,7 @@ func BenchmarkBoundLoopTitles(b *testing.B) {
 // BenchmarkQueryDeltaChain is BenchmarkBoundLoopTitles's lookups against a
 // two-shard index of the same catalog after 64 insert batches of four
 // records, so each shard serves a full delta chain (every batch touches both
-// shards: 64 segments a shard, MaxSegments' default, and no compaction): the
+// shards: 64 segments a shard, maxSegments' default, and no compaction): the
 // count filter's walk of the chain, which the delta links cut to the
 // segments that hold a probe ID.
 func BenchmarkQueryDeltaChain(b *testing.B) {

@@ -52,14 +52,14 @@ func checkDeltaLinks(t *testing.T, sx *ShardedIndex, step string) (dynamic bool)
 
 // TestDeltaKeysMatchChain walks an index through every way a shard's delta
 // chain grows or resets — inserts carrying keys no base record has, removes,
-// a MaxSegments compaction, a router re-freeze and a restore of its snapshot
+// a maxSegments compaction, a router re-freeze and a restore of its snapshot
 // — at one shard and three, and checks every published view's delta links
 // after each step.
 func TestDeltaKeysMatchChain(t *testing.T) {
 	for _, shards := range gridShards {
 		rng := rand.New(rand.NewSource(71))
 		ctx := propertyContexts()["full"]
-		dopts := DynamicOptions{MaxSegments: 2}
+		dopts := DynamicOptions{maxSegments: 2}
 		sx := NewJoiner(ctx).BuildShardedIndex(propertyCorpus(60, rng), shards, Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}, dopts)
 		name := func(step string) string { return fmt.Sprintf("shards=%d %s", shards, step) }
 		checkDeltaLinks(t, sx, name("built"))
@@ -88,7 +88,7 @@ func TestDeltaKeysMatchChain(t *testing.T) {
 			checkDeltaLinks(t, sx, name(fmt.Sprintf("insert batch %d toward a compaction", b)))
 		}
 		if st := sx.Stats(); st.Rebuilds == 0 {
-			t.Fatalf("%s: no compaction at MaxSegments 2: %+v", name("compaction"), st)
+			t.Fatalf("%s: no compaction at maxSegments 2: %+v", name("compaction"), st)
 		}
 		sx.InsertBatch(rawCorpus(3, rng))
 		checkDeltaLinks(t, sx, name("insert after a compaction"))
@@ -110,7 +110,7 @@ func TestDeltaKeysMatchChain(t *testing.T) {
 	}
 }
 
-// TestDeltaChainClampsMaxSegments pins MaxSegments to what the links can
+// TestDeltaChainClampsMaxSegments pins maxSegments to what the links can
 // address: a value past maxChainSegments − 1 is lowered to it, one at it is
 // kept, and a one-shard index that inserts a batch at a time grows its chain
 // to exactly that many segments, with every link exact, and compacts on the
@@ -119,12 +119,12 @@ func TestDeltaChainClampsMaxSegments(t *testing.T) {
 	j := NewJoiner(paperContext())
 	opts := Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}
 	for _, asked := range []int{maxChainSegments - 1, maxChainSegments, 1 << 20} {
-		if got := j.newRouter(opts, DynamicOptions{MaxSegments: asked}).dopts.MaxSegments; got != min(asked, maxChainSegments-1) {
-			t.Errorf("MaxSegments %d: the router keeps %d, want %d", asked, got, min(asked, maxChainSegments-1))
+		if got := j.newRouter(opts, DynamicOptions{maxSegments: asked}).dopts.maxSegments; got != min(asked, maxChainSegments-1) {
+			t.Errorf("maxSegments %d: the router keeps %d, want %d", asked, got, min(asked, maxChainSegments-1))
 		}
 	}
 	corpus := denseCorpus(40, 3, 1)
-	sx := j.BuildShardedIndex(corpus, 1, opts, DynamicOptions{MaxSegments: 1 << 20})
+	sx := j.BuildShardedIndex(corpus, 1, opts, DynamicOptions{maxSegments: 1 << 20})
 	raw := func(k int) []string { return []string{strings.Join(corpus[k%len(corpus)].Tokens, " ")} }
 	for k := 0; k < maxChainSegments-1; k++ {
 		sx.InsertBatch(raw(k)) // known tokens only: no key-growth compaction

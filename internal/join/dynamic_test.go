@@ -81,7 +81,7 @@ func TestDynamicIndexMutationMatchesBruteForce(t *testing.T) {
 				// Aggressive thresholds so the mutation sequence crosses at
 				// least one rebuild.
 				sx := j.BuildShardedIndex(propertyCorpus(30, rng), shards, opts, DynamicOptions{
-					RebuildFraction: 0.15, MaxSegments: 4,
+					rebuildFraction: 0.15, maxSegments: 4,
 				})
 				live := map[int]bool{}
 				for id := 0; id < 30; id++ {
@@ -177,7 +177,7 @@ func testStableIDs(t *testing.T, shards int) {
 	rng := rand.New(rand.NewSource(43))
 	j := NewJoiner(propertyContexts()["synonyms"])
 	sx := j.BuildShardedIndex(propertyCorpus(12, rng), shards, Options{Theta: 0.8, Tau: 1}, DynamicOptions{
-		RebuildFraction: 0.05, MaxSegments: 1,
+		rebuildFraction: 0.05, maxSegments: 1,
 	})
 	ids := sx.InsertBatch([]string{"coffee shop latte helsinki", "apple cake bakery special"})
 	for i := 0; i < 10; i++ {
@@ -214,7 +214,7 @@ func testConcurrentMutateQuery(t *testing.T, shards int) {
 	rng := rand.New(rand.NewSource(47))
 	j := NewJoiner(propertyContexts()["full"])
 	sx := j.BuildShardedIndex(propertyCorpus(30, rng), shards, Options{Theta: 0.75, Tau: 2, Method: pebble.AUDP}, DynamicOptions{
-		RebuildFraction: 0.1, MaxSegments: 2,
+		rebuildFraction: 0.1, maxSegments: 2,
 	})
 	queries := rawCorpus(30, rng)
 	probe := propertyCorpus(10, rng)

@@ -227,18 +227,18 @@ func testHybridCandidates(t *testing.T, shards int) {
 	recs := propCorpus(600, 33)
 	probe := propCorpus(120, 44)
 	denseSeen := false
-	// MaxSegments 2 forces rebuilds during the 3-batch insert script, so the
+	// maxSegments 2 forces rebuilds during the 3-batch insert script, so the
 	// comparison covers post-rebuild snapshots, not just delta chains.
-	for _, dopts := range []DynamicOptions{{}, {MaxSegments: 2}} {
+	for _, dopts := range []DynamicOptions{{}, {maxSegments: 2}} {
 		for _, opts := range propConfigs() {
-			name := fmt.Sprintf("shards=%d/%v/θ=%v/maxseg=%d", shards, opts.Method, opts.Theta, dopts.MaxSegments)
+			name := fmt.Sprintf("shards=%d/%v/θ=%v/maxseg=%d", shards, opts.Method, opts.Theta, dopts.maxSegments)
 			sx := j.BuildShardedIndex(recs, shards, opts, dopts)
 			mutate(sx, 55)
 			st := sx.Stats()
 			if st.Dead == 0 {
 				t.Fatalf("%s: mutation script removed nothing: %+v", name, st)
 			}
-			if dopts.MaxSegments == 2 && st.Rebuilds == 0 {
+			if dopts.maxSegments == 2 && st.Rebuilds == 0 {
 				t.Fatalf("%s: expected forced rebuilds, got none", name)
 			}
 			if st.DenseKeys > 0 {

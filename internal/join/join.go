@@ -91,9 +91,8 @@ type Stats struct {
 	// VerifyStats counts the verify work. VerifiedCandidates is Candidates
 	// minus the pairs a sound upper bound dismissed before their msim matrix
 	// was filled: the PrunedByBound pairs, dismissed by the O(1)
-	// partition-size ratio, the cover stage, or either against the rising
-	// top-k floor, of which PrunedByCover is the cover stage's share at the
-	// request's own threshold and PrunedByFloor the floor's. VerifiedCandidates + PrunedByBound equals
+	// partition-size ratio or the cover stage, of which PrunedByCover is the
+	// cover stage's share. VerifiedCandidates + PrunedByBound equals
 	// Candidates for a request that ran to completion (a candidate with
 	// out-of-range ids counts as neither). The msim rows MemoHits reads live
 	// in the verifying scratch and are keyed by the indexed side's segment
@@ -220,7 +219,6 @@ func (j *Joiner) generate(collections ...[]*core.PreparedRecord) [][][]pebble.Pe
 type probeScratch struct {
 	acc   *invindex.Accumulator
 	sim   *core.Scratch
-	cands []candUB             // the candidates of the verify pass, with their bounds
 	lists [][]invindex.Posting // one ID's delta-chain posting lists (deltas.walk)
 }
 
@@ -270,24 +268,30 @@ func (c *counters) add(o counters) {
 
 // newInverted builds the hybridized inverted index over per-record signature
 // IDs. The full signature multiset is in hand before the first Add — count it
-// and reserve every posting list exactly, so the build is one arena
-// allocation instead of per-list regrow churn (the dominant cost of a large
-// build otherwise).
+// and reserve every posting list exactly, so the build is two arena
+// allocations instead of per-list regrow churn (the dominant cost of a large
+// build otherwise): one for the lists the hybrid conversion will turn into
+// bitmaps, which it then leaves unreferenced, and one for the lists that stay
+// in slice form. A signature holds its repeats side by side (the count filter
+// reads them as runs), so counting a run once counts the postings exactly.
 func newInverted(sigIDs [][]uint32, order *pebble.Order) *invindex.Index {
 	inv := invindex.New(order.NumKeys())
 	caps := make([]int32, order.NumKeys())
 	for _, ids := range sigIDs {
-		for _, id := range ids {
-			if int(id) < len(caps) {
+		for k, id := range ids {
+			if int(id) < len(caps) && (k == 0 || ids[k-1] != id) {
 				caps[id]++
 			}
 		}
 	}
-	inv.Presize(caps)
+	cut := hybridCutoff(len(sigIDs), order)
+	inv.Presize(caps, cut)
 	for i, ids := range sigIDs {
 		inv.Add(i, ids)
 	}
-	hybridizeIndex(inv, order)
+	if cut > 0 {
+		inv.Hybridize(cut)
+	}
 	return inv
 }
 
@@ -296,34 +300,21 @@ func newInverted(sigIDs [][]uint32, order *pebble.Order) *invindex.Index {
 // regardless of corpus size.
 const minBitsetList = 16
 
-// hybridCutoff is the density cutoff of the hybrid posting layout for a
-// corpus of numRecords records: lists at least this long (≈ 1/64 of the
-// corpus, i.e. averaging one set bit per bitmap word, floored at
-// minBitsetList) move to packed bitmap form.
-func hybridCutoff(numRecords int) int {
-	c := numRecords >> 6
-	if c < minBitsetList {
-		c = minBitsetList
+// hybridCutoff is the density cutoff of the hybrid posting layout for an
+// index of numRecords records signed under order: lists at least this long
+// (≈ 1/64 of the corpus, i.e. averaging one set bit per bitmap word, floored
+// at minBitsetList) move to packed bitmap form. It is 0 — no conversion —
+// for an empty index, and when the order's maximum document frequency, which
+// upper-bounds every frozen key's list length, cannot reach the cutoff; an
+// order with a dynamic region has stale frequencies (inserted records are
+// uncounted), so the conversion always runs there — a missed skip costs one
+// pass over the postings, never correctness.
+func hybridCutoff(numRecords int, order *pebble.Order) int {
+	c := max(numRecords>>6, minBitsetList)
+	if numRecords == 0 || (order.MaxFrequency() < c && order.DynamicCount() == 0) {
+		return 0
 	}
 	return c
-}
-
-// hybridizeIndex applies the hybrid posting conversion to a freshly built
-// inverted index. The order's maximum document frequency upper-bounds every
-// frozen key's list length, so when it cannot reach the cutoff the conversion
-// scan is skipped entirely; an order with a dynamic region has stale
-// frequencies (inserted records are uncounted), so the scan runs
-// unconditionally there — a missed skip costs one pass over the postings,
-// never correctness.
-func hybridizeIndex(inv *invindex.Index, order *pebble.Order) {
-	if inv.Records() == 0 {
-		return
-	}
-	cut := hybridCutoff(inv.Records())
-	if order.MaxFrequency() < cut && order.DynamicCount() == 0 {
-		return
-	}
-	inv.Hybridize(cut)
 }
 
 // collectPairs is the batch form of the streaming pipeline: it runs a

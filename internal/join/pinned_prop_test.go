@@ -48,9 +48,9 @@ func TestPlannedEqualsFixed(t *testing.T) {
 			for _, opts := range propConfigs() {
 				kind, dopts := "static", DynamicOptions{}
 				if mutated {
-					// MaxSegments 2 forces rebuilds mid-script, so the requests
+					// maxSegments 2 forces rebuilds mid-script, so the requests
 					// run against compacted snapshots.
-					kind, dopts = "mutated", DynamicOptions{MaxSegments: 2}
+					kind, dopts = "mutated", DynamicOptions{maxSegments: 2}
 				}
 				name := fmt.Sprintf("%s/shards=%d/%v/θ=%v", kind, shards, opts.Method, opts.Theta)
 				sx := j.BuildShardedIndex(recs, shards, opts, dopts)

@@ -1,7 +1,6 @@
 package join
 
 import (
-	"cmp"
 	"context"
 	"math"
 	"slices"
@@ -49,7 +48,7 @@ import (
 //     taken.
 //
 // Once the keys this shard appended, its tombstones, or its segment chain
-// cross their threshold (RebuildFraction, MaxSegments), the writer compacts:
+// cross their threshold (rebuildFraction, maxSegments), the writer compacts:
 // live records move into a fresh dense base under the *same* shared order
 // (reusing their prepared verification records and, by invariant 1, their
 // stored signatures), and the segment chain resets to empty. Re-freezing the
@@ -147,8 +146,8 @@ type deltas struct {
 }
 
 // maxChainSegments is the longest delta chain a link can address (255
-// segments). A chain grows one segment past MaxSegments before the
-// compaction that segment triggers, so MaxSegments is clamped one below it.
+// segments). A chain grows one segment past maxSegments before the
+// compaction that segment triggers, so maxSegments is clamped one below it.
 const maxChainSegments = math.MaxUint8
 
 // holds reports whether some segment of the chain has a posting list for id.
@@ -201,18 +200,20 @@ func (d deltas) push(seg *invindex.Delta, sigs [][]uint32) deltas {
 }
 
 // DynamicOptions tunes the mutation behaviour of a ShardedIndex on top of
-// the join Options fixed at build time.
+// the join Options fixed at build time. Every caller outside this package
+// passes the zero value, the defaults; the package's tests set the fields to
+// force compactions.
 type DynamicOptions struct {
-	// RebuildFraction triggers a shard's compaction rebuild when the pebble
+	// rebuildFraction triggers a shard's compaction rebuild when the pebble
 	// keys it appended exceed this fraction of the keys known when its base
 	// was built, or its tombstoned records this fraction of its catalog.
 	// 0 selects the default 0.25.
-	RebuildFraction float64
-	// MaxSegments caps the delta-segment chain length (every insert batch
+	rebuildFraction float64
+	// maxSegments caps the delta-segment chain length (every insert batch
 	// appends one segment per touched shard); crossing it triggers a
 	// rebuild. 0 selects the default 64; a value the chain's links cannot
 	// address is lowered to maxChainSegments − 1.
-	MaxSegments int
+	maxSegments int
 }
 
 const (
@@ -366,7 +367,7 @@ func (sh *shard) removeBatch(ids []int) []bool {
 // maybeRebuildLocked compacts the shard when the appended pebble mass, the
 // tombstone mass, or the segment chain crosses its threshold.
 func (sh *shard) maybeRebuildLocked() {
-	if len(sh.deltas.segs) > sh.sx.dopts.MaxSegments {
+	if len(sh.deltas.segs) > sh.sx.dopts.maxSegments {
 		sh.rebuildLocked()
 		return
 	}
@@ -381,7 +382,7 @@ func (sh *shard) maybeRebuildLocked() {
 	if known < 1 {
 		known = 1
 	}
-	frac := sh.sx.dopts.RebuildFraction
+	frac := sh.sx.dopts.rebuildFraction
 	if sh.dynAdded > 0 && float64(sh.dynAdded) >= frac*float64(known) {
 		sh.rebuildLocked()
 		return
@@ -490,12 +491,10 @@ type DynamicStats struct {
 	// ProbeSliceTokens split the probe signature tokens by the representation
 	// their base posting list was served from. The verify counters are
 	// candidates whose msim matrix was filled; candidates dismissed before it
-	// by a sound upper bound (the O(1) size ratio, the cover stage, or either
-	// against the rising top-k floor), the share of them the cover stage
-	// dismissed at the request's own threshold and the share the floor
-	// dismissed; msim cells copied into a matrix from a row the shard's
-	// scratch had already evaluated for the same probe; and msim cells
-	// computed — every one at most once a (segment
+	// by a sound upper bound (the O(1) size ratio or the cover stage) and the
+	// share of them the cover stage dismissed; msim cells copied into a
+	// matrix from a row the shard's scratch had already evaluated for the
+	// same probe; and msim cells computed — every one at most once a (segment
 	// text, probe, scratch), for a matrix or for the cover stage, which needs
 	// no matrix, so the two do not add up to a hit ratio.
 	counters
@@ -599,64 +598,14 @@ func (v *shardView) candidatesRecord(ids []uint32, tau, limit int, sc *probeScra
 	return countFilterRecord(v.inv, v.deltas, v.dead, ids, tau, min(limit, v.inv.Records()), sc)
 }
 
-// floorTracker is the shared rising floor of one top-k operation: the best
-// k-th-place similarity any shard of the fan-out has proven so far,
-// maintained as a CAS-max over float bits. Every full k-heap's root
-// lower-bounds the global k-th best match, so a candidate whose upper bound
-// sits below the tracker can be skipped without changing the result.
-// Similarities are non-negative, so the float ordering matches the unsigned
-// bit ordering and the zero value is a no-op floor.
-type floorTracker struct {
-	bits atomic.Uint64
-}
-
-func (f *floorTracker) floor() float64 {
-	return math.Float64frombits(f.bits.Load())
-}
-
-func (f *floorTracker) raise(v float64) {
-	if v <= 0 {
-		return
-	}
-	nb := math.Float64bits(v)
-	for {
-		cur := f.bits.Load()
-		if math.Float64frombits(cur) >= v {
-			return
-		}
-		if f.bits.CompareAndSwap(cur, nb) {
-			return
-		}
-	}
-}
-
 // unboundedK is the k of a threshold probe and of every request of a join: a
-// bound no heap ever reaches, so the heap never fills, the floor stays at θ,
-// and every candidate reaching θ is kept.
+// bound no heap ever reaches, so the heap never fills and every candidate
+// reaching θ is kept.
 const unboundedK = math.MaxInt
 
 // noLimit is the position limit of a request that is no self-join: every
 // position of a shard's base is below it.
 const noLimit = math.MaxInt
-
-// candUB pairs a candidate record position with its scheduling bound: the
-// upper bound core.CoverBound puts on its similarity to the query.
-type candUB struct {
-	r  int32
-	ub float64
-}
-
-// bestBoundFirst orders candidates by descending upper bound, ties by
-// position for determinism.
-func bestBoundFirst(a, b candUB) int {
-	switch {
-	case a.ub > b.ub:
-		return -1
-	case a.ub < b.ub:
-		return 1
-	}
-	return cmp.Compare(a.r, b.r)
-}
 
 // serve is this shard's share of a request — a lookup, or one probe record of
 // a join: the count filter for the request's probe signature at its overlap
@@ -680,71 +629,38 @@ func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error
 
 // verify decides a request's candidates on this shard against its prepared
 // query, keeping the rq.k best matches (every match reaching θ when k is
-// unboundedK), and returns them with what the pass did. The matches come back unordered — the
-// router merges every shard's share and sorts once. It is the one way the
-// engine verifies candidates, a join's as much as a lookup's: two loops on the
-// calling goroutine, over one heap, on the pooled scratch.
+// unboundedK), and returns them with what the pass did. The matches come back
+// unordered — the router merges every shard's share and sorts once. It is the
+// one way the engine verifies candidates, a join's as much as a lookup's: one
+// loop on the calling goroutine, into one heap, on the pooled scratch.
 //
-// The bound loop gives every candidate its scheduling bound — the size ratio
-// and, past it, the cover stage, which evaluates the msim row of each distinct
-// segment text once and reads one number a segment after that — from the
-// shard's cover column, and drops the candidates bounded below θ where they
-// stand (the scratch counts them as pruned). The step loop verifies the
-// rest, in descending order of their bound when they outnumber the k matches
-// that can be kept, so the heap fills with strong matches early and the floor
-// rises while most of the list is still ahead. The floor is the larger of θ,
-// the heap root once the heap holds k matches, and rq.ft, the best
-// k-th-place similarity any sibling shard has proven; a candidate bounded
-// below it is provably outside the final top k (it is counted as pruned, by
-// the floor), and verifying the others at the floor rather than θ is exact:
-// a candidate below the floor cannot enter any final top k, and one exactly
-// at it still passes (VerifyPrepared accepts ≥). So the result is the one a
-// plain scan at θ returns.
+// Each candidate first gets its bound — the size ratio and, past it, the cover
+// stage, which evaluates the msim row of each distinct segment text once and
+// reads one number a segment after that — from the shard's cover column; a
+// candidate bounded below θ is dropped where it stands (the scratch counts it
+// as pruned). Every other one is verified at θ and offered to the heap, which
+// keeps the k best under its total order whatever order they arrive in, so
+// the result is the one a plain scan at θ returns.
 func (v *shardView) verify(ctx context.Context, rq *request, cands []int32, sc *probeScratch) ([]QueryMatch, core.VerifyStats, error) {
 	if len(cands) == 0 {
 		return nil, core.VerifyStats{}, nil
 	}
 	calc, theta, sim := v.sh.sx.joiner.calc, v.sh.sx.opts.thetaFor(rq.qo), sc.simScratch()
 	sim.Stats = core.VerifyStats{} // the pooled scratch counts this request's work
-	live := sc.cands[:0]
+	heap := topKHeap{entries: rq.matches[:0]}
 	err := forCtx(ctx, len(cands), func(i int) {
 		r := cands[i]
-		if ub := calc.CoverBound(&v.cover, r, v.prepared, rq.pq, theta, sim); ub >= theta-core.BoundSlack {
-			live = append(live, candUB{r: r, ub: ub})
+		if calc.CoverBound(&v.cover, r, v.prepared, rq.pq, theta, sim) < theta-core.BoundSlack {
+			return
+		}
+		if val, ok := calc.VerifyPrepared(v.prepared[r], rq.pq, theta, sim); ok {
+			heap.offer(QueryMatch{Record: v.records[r].ID, Similarity: val}, rq.k)
 		}
 	})
-	sc.cands = live
-	heap := topKHeap{entries: rq.matches[:0]}
-	var floored int64 // dismissed by a floor that has risen past θ
-	if err == nil {
-		if rq.k < len(live) {
-			slices.SortFunc(live, bestBoundFirst)
-		}
-		err = forCtx(ctx, len(live), func(i int) {
-			c := live[i]
-			floor := max(theta, rq.ft.floor())
-			if len(heap.entries) == rq.k {
-				floor = max(floor, heap.entries[0].Similarity)
-			}
-			if c.ub < floor-core.BoundSlack {
-				floored++
-				return
-			}
-			if val, ok := calc.VerifyPrepared(v.prepared[c.r], rq.pq, floor, sim); ok {
-				heap.offer(QueryMatch{Record: v.records[c.r].ID, Similarity: val}, rq.k)
-				if len(heap.entries) == rq.k {
-					rq.ft.raise(heap.entries[0].Similarity)
-				}
-			}
-		})
-	}
-	vs := sim.Stats
-	vs.PrunedByBound += floored
-	vs.PrunedByFloor += floored
 	if err != nil {
-		return nil, vs, err
+		return nil, sim.Stats, err
 	}
-	return heap.entries, vs, nil
+	return heap.entries, sim.Stats, nil
 }
 
 // topKHeap is a bounded min-heap on similarity (ties broken towards keeping

@@ -128,13 +128,13 @@ func (g *orderGen) outgrown() bool {
 // newRouter creates a ShardedIndex without shards: the options, the
 // defaulted DynamicOptions, and the shared dictionary and cache.
 func (j *Joiner) newRouter(opts Options, dopts DynamicOptions) *ShardedIndex {
-	if dopts.RebuildFraction <= 0 {
-		dopts.RebuildFraction = defaultRebuildFraction
+	if dopts.rebuildFraction <= 0 {
+		dopts.rebuildFraction = defaultRebuildFraction
 	}
-	if dopts.MaxSegments <= 0 {
-		dopts.MaxSegments = defaultMaxSegments
+	if dopts.maxSegments <= 0 {
+		dopts.maxSegments = defaultMaxSegments
 	}
-	dopts.MaxSegments = min(dopts.MaxSegments, maxChainSegments-1)
+	dopts.maxSegments = min(dopts.maxSegments, maxChainSegments-1)
 	return &ShardedIndex{joiner: j, opts: opts, tau: opts.tau(), dopts: dopts, dict: core.NewSegDict(),
 		cache: core.NewPreparedCache(core.DefaultPreparedCacheSize)}
 }
@@ -556,9 +556,9 @@ const maxInlineShards = 4
 // request is the state of one single-record request: a threshold probe or a
 // top-k query across its shard fan-out, or one probe record of a batch, which
 // its worker runs shard after shard and then reuses for the next record. It
-// holds the prepared query every shard verifies against, the IDs of the probe signature selected from it and its
-// overlap constraint, the rising floor shared by every top-k heap, and per
-// shard the matches it found.
+// holds the prepared query every shard verifies against, the IDs of the probe
+// signature selected from it and its overlap constraint, and per shard the
+// matches it found.
 type request struct {
 	sv  *ShardedView
 	pq  *core.PreparedRecord
@@ -570,10 +570,6 @@ type request struct {
 	// self-join's probe record, which is itself the record at that position;
 	// noLimit otherwise.
 	limit int
-	// ft spans the whole fan-out: as soon as any shard's heap fills, its
-	// k-th similarity becomes a lower bound on the global k-th best, so
-	// sibling shards can skip candidates bounded below it.
-	ft floorTracker
 
 	// tally and matches belong to the batch loop, whose worker runs a
 	// request's shards one after the other: every shard adds its work to
@@ -671,9 +667,10 @@ func (sv *ShardedView) ProbeRecordCtx(ctx context.Context, tokens []string, qo Q
 
 // QueryTopKCtx is ProbeRecordCtx restricted to the k highest-similarity
 // matches, ordered by descending similarity (ascending ID on ties). Every
-// shard verifies its candidates from the thresholded scan through a bounded
-// min-heap, so memory stays O(k) per shard however many records clear θ, and
-// the per-shard heaps are folded through one more k-bounded heap — sound
+// shard verifies each of its candidates at θ into a bounded min-heap, sharing
+// nothing with its siblings, so memory stays O(k) per shard however many
+// records clear θ, and the per-shard heaps are folded through one more
+// k-bounded heap — sound
 // because the global top k under the total order is contained in the union
 // of per-shard top k's. An empty token slice or k ≤ 0 returns an empty result
 // without touching any shard.

@@ -38,7 +38,7 @@ func TestShardedIndexShardCountInvariance(t *testing.T) {
 			indexes := make([]*ShardedIndex, len(shardCounts))
 			for i, n := range shardCounts {
 				indexes[i] = j.BuildShardedIndex(corpus, n, opts, DynamicOptions{
-					RebuildFraction: 0.15, MaxSegments: 3,
+					rebuildFraction: 0.15, maxSegments: 3,
 				})
 			}
 			// The mutation script is data, not calls, so every variant sees

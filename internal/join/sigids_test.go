@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
+	"github.com/aujoin/aujoin/internal/invindex"
 	"github.com/aujoin/aujoin/internal/pebble"
 	"github.com/aujoin/aujoin/internal/store"
 )
@@ -18,7 +20,7 @@ import (
 
 // TestCompactionKeepsSignatures states the invariant that licenses
 // rebuildLocked to hand stored signatures to adoptBaseLocked: after inserts
-// into the order's dynamic region, removes and MaxSegments-forced
+// into the order's dynamic region, removes and maxSegments-forced
 // compactions, every position of every shard still holds exactly the IDs of
 // the signature the current generation's selector selects for that record
 // now.
@@ -28,7 +30,7 @@ func TestCompactionKeepsSignatures(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		for _, opts := range propConfigs() {
 			name := fmt.Sprintf("shards=%d/%v/θ=%v", shards, opts.Method, opts.Theta)
-			sx := j.BuildShardedIndex(recs, shards, opts, DynamicOptions{MaxSegments: 2})
+			sx := j.BuildShardedIndex(recs, shards, opts, DynamicOptions{maxSegments: 2})
 			mutate(sx, 55)
 			if st := sx.Stats(); st.Rebuilds == 0 || st.Dead == 0 {
 				t.Fatalf("%s: mutation script compacted or removed nothing: %+v", name, st)
@@ -76,7 +78,7 @@ func TestBuiltIndexShapeEqualsRestored(t *testing.T) {
 	j := NewJoiner(paperContext())
 	t.Run("shape", func(t *testing.T) {
 		recs := propCorpus(600, 33)
-		dopts := DynamicOptions{MaxSegments: 2}
+		dopts := DynamicOptions{maxSegments: 2}
 		for _, shards := range []int{1, 3} {
 			for _, opts := range propConfigs() {
 				name := fmt.Sprintf("shards=%d/%v/θ=%v", shards, opts.Method, opts.Theta)
@@ -147,4 +149,40 @@ func heapKeptBy[T any](build func() T) (T, int64) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	return v, int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// TestInvertedIndexDropsConvertedPostings pins that a built inverted index
+// keeps no posting of a list it converted to a bitmap: its live heap is what
+// its final shape needs — the two per-ID tables, the slice-form lists at
+// their reserved capacity, every bitmap with its residual — and not the
+// postings the bitmaps replaced, which an arena shared with the slice-form
+// lists would keep alive.
+func TestInvertedIndexDropsConvertedPostings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap readings are only meaningful without -race; skipped with -short")
+	}
+	j := NewJoiner(paperContext())
+	sx := j.BuildShardedIndex(benchCorpus(4000, 7), 1, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
+	sh, order := sx.shards[0], sx.gen.Load().order
+	inv, live := heapKeptBy(func() *invindex.Index { return newInverted(sh.sigIDs, order) })
+	posting, pointer, header := int64(unsafe.Sizeof(invindex.Posting{})), int64(unsafe.Sizeof(&invindex.Bitset{})), int64(unsafe.Sizeof([]invindex.Posting{}))
+	shape := int64(inv.Universe()) * (header + pointer)
+	var converted int64 // the postings of the lists now in bitmap form
+	for id := range uint32(inv.Universe()) {
+		if bs := inv.Bitset(id); bs != nil {
+			converted += int64(bs.Card()) * posting
+			shape += int64(unsafe.Sizeof(*bs)) + int64((inv.Records()+63)/64)*8 + int64(cap(bs.Residual()))*posting
+		} else {
+			shape += int64(cap(inv.Postings(id))) * posting
+		}
+	}
+	t.Logf("live heap %d B; shape %d B; converted lists' postings %d B (%d dense keys, %d sparse)", live, shape, converted, inv.DenseKeys(), inv.SparseKeys())
+	if inv.DenseKeys() == 0 || converted < shape/2 {
+		t.Fatalf("%d dense keys holding %d B of postings against a %d B shape: the corpus cannot tell a kept arena apart", inv.DenseKeys(), converted, shape)
+	}
+	if live > shape+converted/4 {
+		t.Errorf("inverted index keeps %d B alive, its shape needs %d B: %d B of converted postings are still referenced", live, shape, live-shape)
+	}
+	runtime.KeepAlive(inv)
+	runtime.KeepAlive(sx)
 }

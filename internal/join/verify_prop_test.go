@@ -13,8 +13,8 @@ import (
 	"github.com/aujoin/aujoin/internal/strutil"
 )
 
-// This file pins the verify phase — the rising-floor top-k scan, the per-probe
-// msim rows — to the brute-force oracle: every entry
+// This file pins the verify phase — the bounded top-k heap, the cover-stage
+// bound, the per-probe msim rows — to the brute-force oracle: every entry
 // point (QueryTopKCtx, single-record probe, batch Probe, one-shot Join) must
 // return exactly what BruteForce computes over the same live records, across
 // every filter method, threshold and serving shape (static snapshot,
@@ -54,13 +54,13 @@ func TestTopKPruningMatchesPlainVerify(t *testing.T) {
 	j := NewJoiner(paperContext())
 	recs := propCorpus(500, 101)
 	// Queries share the skewed propCorpus vocabulary, so most have candidates
-	// and some fill their top-k heaps (the floor needs full heaps to rise).
+	// and some fill their top-k heaps, which must then evict the right match.
 	queries := propCorpus(30, 202)
 	ctx := context.Background()
 	for _, opts := range propConfigs() {
 		for _, shards := range gridShards {
-			// Static and post-mutation snapshots; across three shards the
-			// fan-out shares one rising floor.
+			// Static and post-mutation snapshots; across three shards every
+			// shard keeps its own top k and the router merges them.
 			sx := j.BuildShardedIndex(recs, shards, opts, DynamicOptions{})
 			static := sx.Snapshot()
 			mutate(sx, 303)
@@ -232,17 +232,17 @@ func TestProbeAndJoinMatchPlainVerify(t *testing.T) {
 }
 
 // TestPrunedQueriesUnderMutation hammers pruned top-k queries and threshold
-// probes from four goroutines against a one-shard and a three-shard index while writers insert and remove records and MaxSegments
-// forces rebuilds — the -race run of the suite checks the floor tracker, the
-// segment dictionary (inserts intern beside readers) and the pooled scratches
-// for unsynchronised sharing.
+// probes from four goroutines against a one-shard and a three-shard index while writers insert and remove records and maxSegments
+// forces rebuilds — the -race run of the suite checks the segment dictionary
+// (inserts intern beside readers) and the pooled scratches for unsynchronised
+// sharing.
 func TestPrunedQueriesUnderMutation(t *testing.T) {
 	j := NewJoiner(paperContext())
 	recs := propCorpus(400, 1111)
 	queries := propCorpus(16, 1212)
 	var indexes []*ShardedIndex
 	for _, shards := range gridShards {
-		indexes = append(indexes, j.BuildShardedIndex(recs, shards, Options{Theta: 0.75, Tau: 2}, DynamicOptions{MaxSegments: 2}))
+		indexes = append(indexes, j.BuildShardedIndex(recs, shards, Options{Theta: 0.75, Tau: 2}, DynamicOptions{maxSegments: 2}))
 	}
 
 	var wg sync.WaitGroup
@@ -342,8 +342,7 @@ func TestMSimEvalsBoundedByDistinctTexts(t *testing.T) {
 					shards, q, e, after.VerifiedCandidates-before.VerifiedCandidates, bound, distinct, nt, shards)
 			}
 			evals, bounds = evals+e, bounds+bound
-			// Past the size ratio: dismissed by the cover stage or verified (a
-			// candidate the rising floor dropped is left out, on the safe side).
+			// Past the size ratio: dismissed by the cover stage or verified.
 			past := after.PrunedByCover - before.PrunedByCover + after.VerifiedCandidates - before.VerifiedCandidates
 			asked += float64(past*nt) * meanSegments
 		}

@@ -128,9 +128,6 @@ func Open(fs FS, dir string) (*Store, *Snapshot, []WalEntry, error) {
 	return st, snap, entries, nil
 }
 
-// Dir returns the data directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Seq returns the live checkpoint generation.
 func (s *Store) Seq() uint64 { return s.seq }
 
