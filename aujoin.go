@@ -172,8 +172,12 @@ type Stats struct {
 	// that shares nothing the measures could score is decided whole) — at
 	// most once per distinct segment text, probe record and shard, for a
 	// matrix or for the cover stage alone, so the two are not the halves of
-	// a hit ratio. One worker verifies all of a probe record's candidates,
-	// so neither depends on Workers.
+	// a hit ratio. No cell is evaluated twice; but when a probe record's
+	// candidates on a shard hold at least as many segments as the shard's
+	// per-probe rows cover texts (its dictionary, up to a cell budget: the
+	// paper's MED shape), every one of those rows is evaluated before the
+	// first candidate, so MSimEvals also counts rows no candidate reads. One worker verifies all of a
+	// probe record's candidates, so neither depends on Workers.
 	core.VerifyStats
 	// FilterTime and VerifyTime break the total down. FilterTime is
 	// everything done once per collection (preparation, signatures, index

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"github.com/aujoin/aujoin"
@@ -164,17 +165,18 @@ func mount(mux *http.ServeMux, h host) {
 	})
 }
 
-// ParseQueryOptions validates the /query parameters: k is required in
-// [1, MaxTopK], min_sim optional in (0, 1] (a value below the index's build
-// θ is refused by the target). The error text is the client-facing 400 body.
-func ParseQueryOptions(r *http.Request) (aujoin.QueryOptions, error) {
+// ParseQueryOptions validates the /query parameters, parsed once by the
+// caller: k is required in [1, MaxTopK], min_sim optional in (0, 1] (a value
+// below the index's build θ is refused by the target). The error text is
+// the client-facing 400 body.
+func ParseQueryOptions(vals url.Values) (aujoin.QueryOptions, error) {
 	var opts aujoin.QueryOptions
-	k, err := strconv.Atoi(r.URL.Query().Get("k"))
+	k, err := strconv.Atoi(vals.Get("k"))
 	if err != nil || checkQueryOptions(aujoin.QueryOptions{K: k}) != nil {
 		return opts, errBadK
 	}
 	opts.K = k
-	if raw := r.URL.Query().Get("min_sim"); raw != "" {
+	if raw := vals.Get("min_sim"); raw != "" {
 		minSim, err := strconv.ParseFloat(raw, 64)
 		if err != nil || minSim == 0 {
 			return opts, errBadMinSim
@@ -215,7 +217,7 @@ func (s surface) query(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, badRequest("missing q parameter"))
 		return
 	}
-	opts, err := ParseQueryOptions(r)
+	opts, err := ParseQueryOptions(vals)
 	if err != nil {
 		writeErr(w, badRequest(err.Error()))
 		return

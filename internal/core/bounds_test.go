@@ -194,8 +194,9 @@ func (p rightPrep) String() string {
 // tokens have gets no bit. The probe record is prepared as prep says. A
 // record of stranger and left interned afterwards, under the live scratch,
 // has its new texts' IDs past the rows (or none, in a capped dictionary):
-// fillMSim takes the direct path for them, and every cell must agree too. It
-// reports what it saw (rowCase).
+// fillMSim takes the direct path for them, and every cell must agree too.
+// The eager row pass (fillRows) on a second scratch must leave every row of
+// left as the first left it. It reports what it saw (rowCase).
 func bitmaskRowCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe, stranger []string) (res rowCase) {
 	t.Helper()
 	calc := NewCalculator(ctx)
@@ -291,6 +292,18 @@ func bitmaskRowCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe,
 		}
 		if sc.rowMax[a.ID] != best {
 			t.Fatalf("q=%d %v: row maximum of %q = %v, want %v", ctx.GramQ(), ctx.Measures, a.Data.Text, sc.rowMax[a.ID], best)
+		}
+	}
+	// The eager row pass, on a scratch of its own, must leave every row the
+	// lazy evaluation left: the same maximum and the same cells.
+	eager := NewScratch()
+	eager.adoptRows(ctx, d, pt)
+	calc.fillRows(eager, pt)
+	for i := range ps.Segs {
+		id := ps.Segs[i].ID
+		if eager.rowStamp[id] != eager.rowGen || eager.rowMax[id] != sc.rowMax[id] || !slices.Equal(cachedRow(eager, id, nt), cachedRow(sc, id, nt)) {
+			t.Fatalf("q=%d %v: the eager pass left the row of %q at %v (max %v), evaluated on first touch %v (max %v)",
+				ctx.GramQ(), ctx.Measures, ps.Segs[i].Data.Text, cachedRow(eager, id, nt), eager.rowMax[id], cachedRow(sc, id, nt), sc.rowMax[id])
 		}
 	}
 	checkMatrix := func(rec *PreparedRecord, what string) {

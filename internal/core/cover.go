@@ -142,16 +142,69 @@ func (c *Calculator) CoverBound(col *CoverColumn, pos int32, prepared []*Prepare
 	return sc.settleCover(ub, cover, theta)
 }
 
+// AdoptProbe readies sc for a bound pass of pt over the column's records at
+// the positions cands, the candidates the caller is about to bound with
+// CoverBound in any order: it adopts pt's rows and decides how the pass
+// will read their maxima. When the column words those candidates hold —
+// the ones the cover stage reads, of every candidate neither flagged nor
+// beyond the rows — are at least the number of rows, it evaluates every row
+// in one sequential pass (fillRows), and the pass reads their maxima with no
+// per-word stamp test. Otherwise the rows stay lazy: each is evaluated when
+// the pass first meets its text. The paper's shape is the first kind —
+// a MED lookup reads thousands of words of under a thousand texts — and a
+// titles lookup the second, a few hundred words against a dictionary of ten
+// thousand texts. Either way CoverBound returns the same numbers and counts
+// the same prunes.
+func (c *Calculator) AdoptProbe(col *CoverColumn, cands []int32, pt *PreparedRecord, sc *Scratch) {
+	if col.dict == nil || len(pt.Segs) == 0 {
+		return
+	}
+	rows := sc.adoptRows(c.Ctx, col.dict, pt)
+	words := uint32(0)
+	for _, pos := range cands {
+		if r := col.recs[pos]; r.maxID < rows {
+			words += r.end - col.start(pos)
+			if words >= rows {
+				c.fillRows(sc, pt)
+				return
+			}
+		}
+	}
+}
+
+// start is the index in segs of the first word of the record at pos.
+func (col *CoverColumn) start(pos int32) uint32 {
+	if pos == 0 {
+		return 0
+	}
+	return col.recs[pos-1].end
+}
+
 // columnCover is coverStage's cover program on a column record of n tokens
 // whose words end at segs[end] and whose IDs all have row slots: the reverse
 // span-cover DP of maxCover, fused with the row-maximum lookups that fill its
-// values, which evaluate a row only when no earlier pair of the probe has.
+// values, which evaluate a row only when no earlier pair of the probe has —
+// or, after the eager row pass, read every maximum with no stamp test.
 // The start of each word is implied, so the walk back ends at the singleton
 // of position 0.
 func (c *Calculator) columnCover(sc *Scratch, segs []uint32, end, n int, pt *PreparedRecord) float64 {
 	sc.dp = strutil.Resize(sc.dp, n+1)
 	dp := sc.dp
 	dp[n] = 0
+	if sc.rowsAll {
+		rowMax := sc.rowMax
+		cur := -1.0
+		for i, pos := end-1, n-1; pos >= 0; i-- {
+			w := segs[i]
+			l := int(w >> coverIDBits)
+			cur = max(cur, rowMax[w&coverIDMask]+dp[pos+l])
+			if l == 1 {
+				dp[pos], cur = cur, -1
+				pos--
+			}
+		}
+		return dp[0]
+	}
 	for pos := 0; pos < n; pos++ {
 		dp[pos] = -1
 	}

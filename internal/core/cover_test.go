@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/aujoin/aujoin/internal/datagen"
+	"github.com/aujoin/aujoin/internal/sim"
 	"github.com/aujoin/aujoin/internal/strutil"
 )
 
@@ -183,5 +185,122 @@ func TestCoverBoundMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEagerRowPassMatchesLazy holds the bound pass after AdoptProbe's eager
+// row pass to the lazy pass that evaluates each row on first touch: on the
+// MED, titles and rule- and taxonomy-heavy generators, at the default row
+// budget and at budgets that leave the rows covering only some IDs (the
+// smallest too few for a probe-gram index), every candidate's CoverBound is
+// bit-identical, every survivor's VerifyPrepared is, and PrunedByBound,
+// PrunedByCover and VerifiedCandidates agree after every pair. The column
+// holds one record prepared without its dictionary, which it flags. At the
+// default budget AdoptProbe must take the eager pass by its own rule for
+// the whole column and stay lazy for two candidates; at the smallest, where
+// the rows may cover no candidate and the pass is forced, some probes must
+// have no gram index, so the pass evaluates their rows through MSimData.
+func TestEagerRowPassMatchesLazy(t *testing.T) {
+	const smallest = 8 * maskWords
+	unindexedRead := 0 // pairs read from the column at the smallest budget
+	for _, sh := range shapes {
+		gen := datagen.New(sh.cfg)
+		ctx := sim.NewContext(gen.Rules(), gen.Taxonomy())
+		ctx.Q = sh.q
+		calc, d := NewCalculator(ctx), NewSegDict()
+		raws := gen.Collection(sh.cfg.Size + 10)
+		var recs []*PreparedRecord
+		for _, raw := range raws[:sh.cfg.Size] {
+			recs = append(recs, calc.PrepareIn(d, strutil.Tokenize(raw)))
+		}
+		recs = append(recs, calc.Prepare(strutil.Tokenize(raws[0])))
+		col := NewCoverColumn(d, recs)
+		cands := make([]int32, len(recs))
+		for pos := range cands {
+			cands[pos] = int32(pos)
+		}
+		var probes []*PreparedRecord
+		for k := 0; k < 30; k++ {
+			v, _ := gen.Variant(raws[k*sh.cfg.Size/30])
+			probes = append(probes, calc.PrepareProbe(d, strutil.Tokenize(v)))
+		}
+		for _, raw := range raws[sh.cfg.Size:] {
+			probes = append(probes, calc.PrepareProbe(d, strutil.Tokenize(raw)))
+		}
+		for _, cells := range []int{rowCellBudget, 3 * d.Len(), smallest} {
+			eager, lazy := NewScratch(), NewScratch()
+			eager.rowCells, lazy.rowCells = cells, cells
+			flagged, beyond, read, chosen, unindexed := 0, 0, 0, 0, 0
+			for _, pt := range probes {
+				calc.AdoptProbe(&col, cands, pt, eager)
+				calc.AdoptProbe(&col, nil, pt, lazy)
+				if lazy.rowsAll {
+					t.Fatalf("%s, %d cells, %v: no candidate took the eager pass", sh.name, cells, pt.Tokens)
+				}
+				if eager.rowsAll {
+					chosen++
+				} else {
+					// Every candidate is beyond rows this few.
+					calc.fillRows(eager, pt)
+				}
+				if eager.maskW < 0 {
+					unindexed++
+				}
+				if few := NewScratch(); cells == rowCellBudget {
+					if calc.AdoptProbe(&col, cands[:2], pt, few); few.rowsAll {
+						t.Fatalf("%s, %v: two candidates took the eager pass over %d rows", sh.name, pt.Tokens, few.rowN)
+					}
+				}
+				for _, pos := range cands {
+					got := calc.CoverBound(&col, pos, recs, pt, sh.theta, eager)
+					want := calc.CoverBound(&col, pos, recs, pt, sh.theta, lazy)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s, %d cells: record %d against %v: bound %v after the eager pass, %v lazily",
+							sh.name, cells, pos, pt.Tokens, got, want)
+					}
+					if got >= sh.theta-BoundSlack {
+						gv, gok := calc.VerifyPrepared(recs[pos], pt, sh.theta, eager)
+						wv, wok := calc.VerifyPrepared(recs[pos], pt, sh.theta, lazy)
+						if gok != wok || math.Float64bits(gv) != math.Float64bits(wv) {
+							t.Fatalf("%s, %d cells: record %d against %v: verified (%v, %v) after the eager pass, (%v, %v) lazily",
+								sh.name, cells, pos, pt.Tokens, gv, gok, wv, wok)
+						}
+					}
+					e, l := eager.Stats, lazy.Stats
+					if e.PrunedByBound != l.PrunedByBound || e.PrunedByCover != l.PrunedByCover || e.VerifiedCandidates != l.VerifiedCandidates {
+						t.Fatalf("%s, %d cells: record %d against %v: %+v after the eager pass, %+v lazily", sh.name, cells, pos, pt.Tokens, e, l)
+					}
+					switch r := col.recs[pos]; {
+					case r.maxID == coverFlagged:
+						flagged++
+					case r.maxID >= eager.rowN:
+						beyond++
+					default:
+						read++
+					}
+				}
+			}
+			pruned := eager.Stats.PrunedByCover
+			t.Logf("%s, %d cells: AdoptProbe eager for %d of %d probes (%d without a gram index); %d pairs read from the column, %d beyond the rows, %d flagged; %d dismissed by the cover stage, %d verified",
+				sh.name, cells, chosen, len(probes), unindexed, read, beyond, flagged, pruned, eager.Stats.VerifiedCandidates)
+			if (read == 0 && cells != smallest) || flagged == 0 {
+				t.Errorf("%s, %d cells: %d pairs read from the column, %d flagged", sh.name, cells, read, flagged)
+			}
+			if cells == rowCellBudget && (chosen != len(probes) || pruned == 0) {
+				t.Errorf("%s: AdoptProbe took the eager pass for %d of %d probes, the cover stage dismissed %d pairs", sh.name, chosen, len(probes), pruned)
+			}
+			if cells < rowCellBudget && beyond == 0 {
+				t.Errorf("%s, %d cells: no record's largest ID was beyond the rows", sh.name, cells)
+			}
+			if cells == smallest {
+				if unindexed == 0 {
+					t.Errorf("%s, %d cells: every probe had a gram index", sh.name, cells)
+				}
+				unindexedRead += read
+			}
+		}
+	}
+	if unindexedRead == 0 {
+		t.Errorf("at %d cells, no pair was read from the column on any generator", smallest)
 	}
 }

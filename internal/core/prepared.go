@@ -248,7 +248,8 @@ type Scratch struct {
 	// A new triple bumps rowGen and clears nothing; rowN is the number of IDs
 	// the rows cover (the dictionary's length when the triple was adopted,
 	// clipped to the cell budget), and rowEntries the dictionary's entries of
-	// those IDs as adopted (SegDict.entries: tables and score bits).
+	// those IDs as adopted (SegDict.entries: tables and score bits). rowsAll
+	// says every row below rowN is current (fillRows).
 	rowCtx     *sim.Context
 	rowDict    *SegDict
 	rowRight   *PreparedRecord
@@ -258,6 +259,7 @@ type Scratch struct {
 	rowVals    []float64
 	rowMax     []float64
 	rowEntries []segEntry
+	rowsAll    bool
 	rowCells   int // rowCellBudget; lowered by tests
 
 	// The probe-gram bit index rows are evaluated through, rebuilt with every
@@ -279,6 +281,11 @@ type Scratch struct {
 	maskW      int
 	rowProbe   sim.RowProbe
 	inter      []int32 // maskRow's intersection counts
+
+	// keepSolves turns off the claw loop's skip of assignment solves that
+	// cannot win (simPreparedSelected), which skipped counts; tests set it.
+	keepSolves bool
+	skipped    int64
 
 	// Stats tallies the work done through this scratch; callers zero it to
 	// start a tally of their own.
@@ -552,6 +559,24 @@ func (c *Calculator) maskRow(sc *Scratch, id uint32, nt int) float64 {
 	return c.Ctx.MSimRow(sc.rowVals[int(id)*nt:][:nt], sc.rowEntries[id].data, &sc.rowProbe, inter)
 }
 
+// fillRows is the eager row pass (AdoptProbe): one sequential walk of the
+// IDs below rowN that makes every row current, each evaluated as cacheRow
+// evaluates it on first touch, so that the bound pass reads the maxima with
+// no stamp test and fillMSim copies the rows of every survivor. It evaluates
+// the rows of texts no candidate holds too, and counts their cells in
+// MSimEvals like any other; a row already current is not evaluated again.
+func (c *Calculator) fillRows(sc *Scratch, pt *PreparedRecord) {
+	if sc.rowsAll {
+		return
+	}
+	for id := range sc.rowN {
+		if sc.rowStamp[id] != sc.rowGen {
+			c.cacheRow(sc, id, pt)
+		}
+	}
+	sc.rowsAll = true
+}
+
 // adoptRows makes the row cache current for left records of dictionary d
 // against the right-hand record pt and returns the number of IDs it covers.
 // IDs are only comparable within one dictionary and a row only valid for one
@@ -562,6 +587,7 @@ func (sc *Scratch) adoptRows(ctx *sim.Context, d *SegDict, pt *PreparedRecord) u
 		return sc.rowN
 	}
 	sc.rowCtx, sc.rowDict, sc.rowRight = ctx, d, pt
+	sc.rowsAll = false
 	if sc.rowGen++; sc.rowGen == 0 {
 		// The counter wrapped: stamps of 2^32 generations ago would read as
 		// current.
@@ -722,7 +748,7 @@ func (c *Calculator) similarityPrepared(sc *Scratch, ps, pt *PreparedRecord) flo
 		// reduces to the token-level bipartite matching over singletons.
 		sc.sSel = sc.sSel[:0]
 		sc.tSel = sc.tSel[:0]
-		return c.simPreparedSelected(sc, ps, pt)
+		return c.simPreparedSelected(sc, ps, pt, noFloor)
 	}
 	buildConflictGraphInto(&sc.graph, pairs)
 
@@ -731,7 +757,7 @@ func (c *Calculator) similarityPrepared(sc *Scratch, ps, pt *PreparedRecord) flo
 	// reuses the same wmis scratch.
 	sc.curSet = append(sc.curSet[:0], sc.graph.SquareImpScratch(wmisOptions(c.maxTalons()), &sc.wmisSc)...)
 	set := sc.curSet
-	best := c.simPreparedSet(sc, ps, pt, set)
+	best := c.simPreparedSet(sc, ps, pt, set, noFloor)
 
 	// Lines 3-4: claw improvements measured on the unified similarity.
 	t := c.tParam()
@@ -747,7 +773,10 @@ func (c *Calculator) similarityPrepared(sc *Scratch, ps, pt *PreparedRecord) flo
 				break
 			}
 			sc.candSet = wmis.SwapInto(sc.candSet[:0], set, talons, removed)
-			v := c.simPreparedSet(sc, ps, pt, sc.candSet)
+			// Only a value above best + bestGain can win; one the solve's
+			// bound puts at or below it is not solved, and comes back
+			// below best.
+			v := c.simPreparedSet(sc, ps, pt, sc.candSet, best+bestGain)
 			if gain := v - best; gain > bestGain {
 				bestGain = gain
 				// talons/removed alias the iterator's scratch; keep copies.
@@ -807,8 +836,8 @@ func (c *Calculator) candidatePairsPrepared(sc *Scratch, ps, pt *PreparedRecord)
 
 // simPreparedSet maps an independent set of conflict-graph vertices to the
 // segment selections of both sides and evaluates their SIM (GetSim of
-// Algorithm 1) from the msim cache.
-func (c *Calculator) simPreparedSet(sc *Scratch, ps, pt *PreparedRecord, set []int) float64 {
+// Algorithm 1) from the msim cache, as simPreparedSelected does with floor.
+func (c *Calculator) simPreparedSet(sc *Scratch, ps, pt *PreparedRecord, set []int, floor float64) float64 {
 	sc.sSel = sc.sSel[:0]
 	sc.tSel = sc.tSel[:0]
 	for _, v := range set {
@@ -828,14 +857,36 @@ func (c *Calculator) simPreparedSet(sc *Scratch, ps, pt *PreparedRecord, set []i
 			sc.tSel[j], sc.tSel[j-1] = sc.tSel[j-1], sc.tSel[j]
 		}
 	}
-	return c.simPreparedSelected(sc, ps, pt)
+	return c.simPreparedSelected(sc, ps, pt, floor)
 }
+
+// noFloor is the floor of a simPreparedSelected call whose value is needed
+// whatever it is: no bound, all of which are ≥ 0, is at or below it.
+const noFloor = -1.0
 
 // simPreparedSelected evaluates Eq. (6) for the partitions induced by the
 // selected multi-token segments in sc.sSel / sc.tSel (sorted by start):
 // the maximum-weight bipartite matching over cached msim weights divided by
-// the larger partition size.
-func (c *Calculator) simPreparedSelected(sc *Scratch, ps, pt *PreparedRecord) float64 {
+// the larger partition size den. The loop that copies the weights also sums
+// their row maxima and their column maxima, and when the smaller sum over
+// den, plus a slack, is at most floor, the matching is not solved and the
+// call returns noFloor instead: the value cannot exceed floor.
+//
+// Why that holds in floating point: a matching takes at most one weight of
+// each row and of each column, so its exact total is at most either sum.
+// matching.Total adds its weights in row order, each at most its row's
+// maximum, and rounding is monotone, so its sum is at most the row sum added
+// in the same order. The column sum is added in another order, so the two
+// roundings may part by (n+m)·2⁻⁵³ of a sum of at most m ≤ den: after the
+// division by den, which keeps the order, by at most den·2⁻⁵², which the
+// slack's den·2⁻⁵⁰ covers. So the value is at most floor − boundSlack, give
+// or take the few ulps of the sums that compare bound and floor. The claw
+// loop passes floor = best + bestGain, itself rounded within a few ulps of a
+// number ≤ 2, far inside boundSlack: the value's exact gain is below
+// bestGain, so its rounded gain is not above it, and the strict
+// gain > bestGain would have refused it. The loop picks the swap it picks
+// with every matching solved.
+func (c *Calculator) simPreparedSelected(sc *Scratch, ps, pt *PreparedRecord, floor float64) float64 {
 	sc.psIdx = buildPartitionIdx(ps, sc.sSel, sc.psIdx)
 	sc.ptIdx = buildPartitionIdx(pt, sc.tSel, sc.ptIdx)
 	n, m := len(sc.psIdx), len(sc.ptIdx)
@@ -843,19 +894,34 @@ func (c *Calculator) simPreparedSelected(sc *Scratch, ps, pt *PreparedRecord) fl
 		return 0
 	}
 	sc.weights = strutil.Resize(sc.weights, n*m)
+	colMax := strutil.Resize(sc.colBest, m) // coverUpper is done with it
+	clear(colMax)
+	rowSum := 0.0
 	for i, si := range sc.psIdx {
 		row := sc.weights[i*m : (i+1)*m]
 		base := int(si) * sc.nt
+		best := 0.0
 		for j, tj := range sc.ptIdx {
-			row[j] = sc.msim[base+int(tj)]
+			w := sc.msim[base+int(tj)]
+			row[j] = w
+			best = max(best, w)
+			colMax[j] = max(colMax[j], w)
+		}
+		rowSum += best
+	}
+	sc.colBest = colMax
+	den := float64(max(n, m))
+	if !sc.keepSolves {
+		colSum := 0.0
+		for _, w := range colMax {
+			colSum += w
+		}
+		if min(rowSum, colSum)/den+boundSlack+den*0x1p-50 <= floor {
+			sc.skipped++
+			return noFloor
 		}
 	}
-	total := sc.match.Total(sc.weights, n, m)
-	den := n
-	if m > den {
-		den = m
-	}
-	return total / float64(den)
+	return sc.match.Total(sc.weights, n, m) / den
 }
 
 // buildPartitionIdx constructs the partition induced by the selected

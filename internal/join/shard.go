@@ -635,12 +635,14 @@ func (v *shardView) serve(ctx context.Context, rq *request) ([]QueryMatch, error
 // loop on the calling goroutine, into one heap, on the pooled scratch.
 //
 // Each candidate first gets its bound — the size ratio and, past it, the cover
-// stage, which evaluates the msim row of each distinct segment text once and
-// reads one number a segment after that — from the shard's cover column; a
-// candidate bounded below θ is dropped where it stands (the scratch counts it
-// as pruned). Every other one is verified at θ and offered to the heap, which
-// keeps the k best under its total order whatever order they arrive in, so
-// the result is the one a plain scan at θ returns.
+// stage, which reads one row maximum a segment — from the shard's cover
+// column; a candidate bounded below θ is dropped where it stands (the scratch
+// counts it as pruned). Every other one is verified at θ and offered to the
+// heap, which keeps the k best under its total order whatever order they
+// arrive in, so the result is the one a plain scan at θ returns. Before the
+// loop, AdoptProbe decides from the candidates how the row maxima are had:
+// all in one pass over the dictionary when the candidates hold at least as
+// many column words as the rows cover, or each row on first touch.
 func (v *shardView) verify(ctx context.Context, rq *request, cands []int32, sc *probeScratch) ([]QueryMatch, core.VerifyStats, error) {
 	if len(cands) == 0 {
 		return nil, core.VerifyStats{}, nil
@@ -648,6 +650,7 @@ func (v *shardView) verify(ctx context.Context, rq *request, cands []int32, sc *
 	calc, theta, sim := v.sh.sx.joiner.calc, v.sh.sx.opts.thetaFor(rq.qo), sc.simScratch()
 	sim.Stats = core.VerifyStats{} // the pooled scratch counts this request's work
 	heap := topKHeap{entries: rq.matches[:0]}
+	calc.AdoptProbe(&v.cover, cands, rq.pq, sim)
 	err := forCtx(ctx, len(cands), func(i int) {
 		r := cands[i]
 		if calc.CoverBound(&v.cover, r, v.prepared, rq.pq, theta, sim) < theta-core.BoundSlack {
