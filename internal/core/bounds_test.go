@@ -158,7 +158,7 @@ func cachedRow(sc *Scratch, id uint32, nt int) []float64 {
 	return sc.rowVals[int(id)*nt:][:nt]
 }
 
-// rightPrep is a way bitmaskRowCase prepares its right-hand record, and so
+// rightPrep is a way rowKernelCase prepares its right-hand record, and so
 // a way the probe-gram index gets the record's gram numbers.
 type rightPrep int
 
@@ -183,28 +183,25 @@ func (p rightPrep) String() string {
 	return [...]string{"private", "same dictionary", "second dictionary", "capped dictionary"}[p]
 }
 
-// bitmaskRowCase evaluates the cached row of every segment of left against
-// the probe record probe+stranger through cacheRow — the bitmask kernel when
-// the probe's numbered grams fit the bit index, MSimData past it — and
-// compares each cell, read as cachedRow reads it, and the row maximum with
-// MSimData; every slot holds rowSentinel before, so a row decided to be zero
-// must be read as zero without its slot. The matrix fillMSim fills for left
-// from those rows must agree too. The dictionary interns left and probe, so
-// it numbers their grams; stranger is never interned, so a gram only its
-// tokens have gets no bit. The probe record is prepared as prep says. A
-// record of stranger and left interned afterwards, under the live scratch,
-// has its new texts' IDs past the rows (or none, in a capped dictionary):
-// fillMSim takes the direct path for them, and every cell must agree too.
-// The eager row pass (fillRows) on a second scratch must leave every row of
-// left as the first left it. It reports what it saw (rowCase).
-func bitmaskRowCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe, stranger []string) (res rowCase) {
+// rowKernelCase evaluates the cached row of every segment of left against
+// the probe record probe+stranger through cacheRow — the slot-list kernel
+// when the probe's numbered grams fit the probe-gram index, MSimData past
+// it — and compares each cell, read as cachedRow reads it, and the row
+// maximum with MSimData; every slot holds rowSentinel before, so a row
+// decided to be zero must be read as zero without its slot. The matrix
+// fillMSim fills for left from those rows must agree too. The dictionary
+// interns left and probe, so it numbers their grams; stranger is never
+// interned, so a gram only its tokens have gets no slot. The probe record is
+// prepared as prep says. A record of stranger and left interned afterwards,
+// under the live scratch, has its new texts' IDs past the rows (or none, in
+// a capped dictionary): fillMSim takes the direct path for them, and every
+// cell must agree too. The eager row pass (fillRows) on a second scratch,
+// whose probe must be indexed as the first one's is, must leave every row
+// of left as the first left it. It reports what it saw (rowCase).
+func rowKernelCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe, stranger []string) (res rowCase) {
 	t.Helper()
 	calc := NewCalculator(ctx)
 	d := NewSegDict()
-	for i := 0; i < maskWords; i++ {
-		// A probe is only indexed for at least maskWords rows.
-		d.intern(ctx, []string{fmt.Sprintf("filler%d", i)})
-	}
 	ps := calc.PrepareIn(d, left) // first: a long probe lowers the rows' ID range
 	capped := 0                   // probe texts the cap keeps out
 	if prep == cappedDictRight {
@@ -261,12 +258,14 @@ func bitmaskRowCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe,
 			}
 		}
 	}
-	if wantW := (len(grams) + 63) / 64; len(grams) > maxProbeGrams {
-		if sc.maskW >= 0 {
-			t.Fatalf("%d numbered probe grams, cap %d: mask width %d, want none", len(grams), maxProbeGrams, sc.maskW)
+	if len(grams) > maxSlots {
+		if sc.indexed {
+			t.Fatalf("%d numbered probe grams, cap %d: %d slots, want no index", len(grams), maxSlots, len(sc.slotted))
 		}
-	} else if sc.maskW != wantW {
-		t.Fatalf("%d numbered probe grams: mask width %d, want %d", len(grams), sc.maskW, wantW)
+	} else if !sc.indexed || len(sc.slotted) != len(grams) {
+		t.Fatalf("%d numbered probe grams: %d slots (indexed %v), want one a gram", len(grams), len(sc.slotted), sc.indexed)
+	} else {
+		checkSlots(t, sc, d, pt)
 	}
 	nt := len(pt.Segs)
 	for k := range sc.rowVals {
@@ -285,8 +284,8 @@ func bitmaskRowCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe,
 		for j, got := range cachedRow(sc, a.ID, nt) {
 			want := ctx.MSimData(a.Data, pt.Segs[j].Data)
 			if got != want {
-				t.Fatalf("q=%d %v: msim(%q, %q) = %v by the row kernel (mask width %d), %v by MSimData",
-					ctx.GramQ(), ctx.Measures, a.Data.Text, pt.Segs[j].Data.Text, got, sc.maskW, want)
+				t.Fatalf("q=%d %v: msim(%q, %q) = %v by the row kernel (%d slots), %v by MSimData",
+					ctx.GramQ(), ctx.Measures, a.Data.Text, pt.Segs[j].Data.Text, got, slotCount(sc), want)
 			}
 			best = max(best, want)
 		}
@@ -298,6 +297,9 @@ func bitmaskRowCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe,
 	// lazy evaluation left: the same maximum and the same cells.
 	eager := NewScratch()
 	eager.adoptRows(ctx, d, pt)
+	if eager.indexed != sc.indexed {
+		t.Fatalf("q=%d %v: the eager pass's probe indexed %v, first touch's %v", ctx.GramQ(), ctx.Measures, eager.indexed, sc.indexed)
+	}
 	calc.fillRows(eager, pt)
 	for i := range ps.Segs {
 		id := ps.Segs[i].ID
@@ -327,17 +329,50 @@ func bitmaskRowCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe,
 			res.direct++
 		}
 	}
-	res.width = sc.maskW
+	res.slots = slotCount(sc)
 	return res
 }
 
-// rowCase is what one bitmaskRowCase saw: the mask width the scratch chose,
-// the number of segments that took the direct path, the number of left
-// segments whose row was decided to be zero without a write to its slot,
-// the number of right-hand segments whose gram numbers the index could take
-// from their entry of the rows' dictionary, and the number of probe segments
-// left without one although the record read that dictionary (a capped one).
-type rowCase struct{ width, direct, unwritten, entries, missing int }
+// slotCount is the number of slots of the scratch's probe-gram index, −1
+// when the probe has none.
+func slotCount(sc *Scratch) int {
+	if !sc.indexed {
+		return -1
+	}
+	return len(sc.slotted)
+}
+
+// checkSlots holds the adopted probe-gram index to its definition: slot s
+// names a gram d numbers, by number and by text, and it lists, in order,
+// exactly the segments of pt whose grams hold the gram.
+func checkSlots(t *testing.T, sc *Scratch, d *SegDict, pt *PreparedRecord) {
+	t.Helper()
+	segsOf := map[uint32][]int32{} // gram number → the segments of pt holding it
+	for j := range pt.Segs {
+		for _, g := range pt.Segs[j].Data.Grams {
+			if r, ok := d.gramNum[g]; ok {
+				segsOf[r.num] = append(segsOf[r.num], int32(j))
+			}
+		}
+	}
+	for s, num := range sc.slotted {
+		if r, ok := d.gramNum[sc.slotGrams[s]]; int(sc.gramSlot[num]) != s+1 || !ok || r.num != num {
+			t.Fatalf("slot %d holds gram %d (%q, numbered %d), whose slot is %d", s, num, sc.slotGrams[s], r.num, sc.gramSlot[num])
+		}
+		if got := sc.slotSegs[sc.slotOff[s]:sc.slotOff[s+1]]; !slices.Equal(got, segsOf[num]) {
+			t.Fatalf("slot %d (gram %d) lists segments %v, want %v", s, num, got, segsOf[num])
+		}
+	}
+}
+
+// rowCase is what one rowKernelCase saw: the number of slots the scratch's
+// probe-gram index holds (−1 for none), the number of segments that took the
+// direct path, the number of left segments whose row was decided to be zero
+// without a write to its slot, the number of right-hand segments whose gram
+// numbers the index could take from their entry of the rows' dictionary,
+// and the number of probe segments left without one although the record
+// read that dictionary (a capped one).
+type rowCase struct{ slots, direct, unwritten, entries, missing int }
 
 // distinctTokens returns n distinct tokens of exactly width bytes over an
 // alphabet of 66 characters, so with q = width each is one gram.
@@ -355,16 +390,20 @@ func distinctTokens(n, width int) []string {
 }
 
 // TestBitmaskRowMatchesMSimData pins the row kernel to the cell-by-cell
-// reference: every cell of a row evaluated through the probe-gram bitmasks is
-// the float MSimData returns, for every q and every measure combination, at
-// the mask-width boundaries, in the degenerate Jaccard cases, beside probe
+// reference: every cell of a row evaluated through the probe-gram slot lists
+// is the float MSimData returns, for every q and every measure combination,
+// at the 64-gram word boundary and the 512-gram cap of the bitmask kernel
+// the slot lists replaced, in the degenerate Jaccard cases, beside probe
 // grams the dictionary never numbered, on the direct path of a text interned
 // after the scratch adopted the probe, and where text and probe share no gram
 // and only a rule side, a taxonomy node or an empty text can score — the
 // cases the score bits decide. Those cases must leave a zero row unwritten.
 func TestBitmaskRowMatchesMSimData(t *testing.T) {
 	g64, g65 := distinctTokens(64, 1), distinctTokens(65, 1)
-	atCap, pastCap := distinctTokens(maxProbeGrams, 2), distinctTokens(maxProbeGrams+1, 2)
+	// The bitmask kernel indexed at most 512 numbered probe grams and left
+	// a probe with more to MSimData; the slot lists index both.
+	const oldCap = 512
+	atCap, pastCap := distinctTokens(oldCap, 2), distinctTokens(oldCap+1, 2)
 	var beyondCap []string // 2-byte grams no interned text has
 	for _, tok := range distinctTokens(40, 1) {
 		beyondCap = append(beyondCap, "~"+tok)
@@ -374,28 +413,28 @@ func TestBitmaskRowMatchesMSimData(t *testing.T) {
 		name                  string
 		q                     int // 0: every q in 1..9
 		left, probe, stranger []string
-		width                 int  // expected mask width at q (ignored when q is 0)
+		slots                 int  // expected slot count at q (ignored when q is 0)
 		unwritten             bool // some row is decided zero, slot unwritten (Jaccard on)
 	}{
 		{"figure 1", 0, []string{"coffee", "shop", "latte", "helsingki"}, []string{"espresso", "cafe", "helsinki", "apple", "cake"}, nil, 0, false},
-		{"shorter than q", 5, []string{"ab", "abc", "cake"}, []string{"ab", "abcd", "abcde", "cake"}, nil, 1, false},
-		{"empty text", 2, []string{"", "a"}, []string{"", "a", "ab"}, nil, 1, false},
-		{"repeated grams", 2, []string{"aaaa", "aaaaaaa", "abababab"}, []string{"aaa", "ababab", "aaaaab"}, nil, 1, false},
-		{"64 probe grams", 1, []string{g64[63] + g64[0], g64[62], "~"}, g64, nil, 1, false},
-		{"65 probe grams", 1, []string{g65[64] + g65[63] + g65[0], g65[64], g65[63]}, g65, nil, 2, false},
-		{"gram cap", 2, []string{atCap[maxProbeGrams-1], atCap[0] + atCap[maxProbeGrams-1], atCap[100]}, atCap, nil, maskWords, false},
-		{"past the gram cap", 2, []string{pastCap[maxProbeGrams], pastCap[0] + pastCap[maxProbeGrams]}, pastCap, nil, -1, false},
-		{"high bytes and NUL", 2, []string{"\x00\xff\x80a", "\x00\x00", "caf\xc3\xa9"}, []string{"\x00\xff", "\x80a\x00", "\x00\x00\x00", "caf\xc3\xa9"}, nil, 1, false},
+		{"shorter than q", 5, []string{"ab", "abc", "cake"}, []string{"ab", "abcd", "abcde", "cake"}, nil, 4, false},
+		{"empty text", 2, []string{"", "a"}, []string{"", "a", "ab"}, nil, 2, false},
+		{"repeated grams", 2, []string{"aaaa", "aaaaaaa", "abababab"}, []string{"aaa", "ababab", "aaaaab"}, nil, 3, false},
+		{"64 probe grams", 1, []string{g64[63] + g64[0], g64[62], "~"}, g64, nil, 64, false},
+		{"65 probe grams", 1, []string{g65[64] + g65[63] + g65[0], g65[64], g65[63]}, g65, nil, 65, false},
+		{"gram cap", 2, []string{atCap[oldCap-1], atCap[0] + atCap[oldCap-1], atCap[100]}, atCap, nil, 512, false},
+		{"past the gram cap", 2, []string{pastCap[oldCap], pastCap[0] + pastCap[oldCap]}, pastCap, nil, 513, false},
+		{"high bytes and NUL", 2, []string{"\x00\xff\x80a", "\x00\x00", "caf\xc3\xa9"}, []string{"\x00\xff", "\x80a\x00", "\x00\x00\x00", "caf\xc3\xa9"}, nil, 8, false},
 		{"figure 1, unnumbered grams", 0, []string{"coffee", "shop", "latte", "helsingki"}, []string{"cafe", "helsinki"}, []string{"espresso", "cake", "zqx"}, 0, false},
 		{"no numbered probe gram", 2, []string{"coffee", "cake"}, nil, []string{"zq", "qxj", "jzv"}, 0, false},
-		{"unnumbered grams past the cap", 2, []string{atCap[7], atCap[0] + atCap[9]}, atCap, beyondCap, maskWords, false},
-		{"64 numbered of 65 probe grams", 1, []string{g65[63] + g65[0], g65[62]}, g65[:64], g65[64:], 1, false},
+		{"unnumbered grams past the cap", 2, []string{atCap[7], atCap[0] + atCap[9]}, atCap, beyondCap, 512, false},
+		{"64 numbered of 65 probe grams", 1, []string{g65[63] + g65[0], g65[62]}, g65[:64], g65[64:], 64, false},
 		// No 3-gram of a left text is one of the probe's below.
-		{"rule sides, no shared gram", 3, []string{"coffee", "shop", "cake"}, []string{"cafe", "gateau"}, nil, 1, true},
-		{"nodes, no shared gram", 3, []string{"espresso", "apple"}, []string{"latte"}, nil, 1, true},
-		{"rule side against a node", 3, []string{"gateau"}, []string{"espresso"}, nil, 1, true},
-		{"node against a rule side", 3, []string{"latte"}, []string{"gateau"}, nil, 1, true},
-		{"rule side and node against neither", 3, []string{"gateau", "latte"}, []string{"shop", "market"}, nil, 1, true},
+		{"rule sides, no shared gram", 3, []string{"coffee", "shop", "cake"}, []string{"cafe", "gateau"}, nil, 6, true},
+		{"nodes, no shared gram", 3, []string{"espresso", "apple"}, []string{"latte"}, nil, 3, true},
+		{"rule side against a node", 3, []string{"gateau"}, []string{"espresso"}, nil, 6, true},
+		{"node against a rule side", 3, []string{"latte"}, []string{"gateau"}, nil, 4, true},
+		{"rule side and node against neither", 3, []string{"gateau", "latte"}, []string{"shop", "market"}, nil, 6, true},
 		{"empty text, no shared gram", 3, []string{"", "zz"}, []string{"", "qq"}, nil, 1, true},
 		{"empty text against no empty segment", 3, []string{"", "zz"}, []string{"qq"}, nil, 1, true},
 	} {
@@ -407,9 +446,9 @@ func TestBitmaskRowMatchesMSimData(t *testing.T) {
 				for _, prep := range rightPreps {
 					ctx := paperContext().WithMeasures(ms)
 					ctx.Q = q
-					res := bitmaskRowCase(t, ctx, prep, tc.left, tc.probe, tc.stranger)
-					if tc.q != 0 && ms&sim.SetJaccard != 0 && prep != cappedDictRight && res.width != tc.width {
-						t.Errorf("%s, %v right: mask width %d, want %d", tc.name, prep, res.width, tc.width)
+					res := rowKernelCase(t, ctx, prep, tc.left, tc.probe, tc.stranger)
+					if tc.q != 0 && ms&sim.SetJaccard != 0 && prep != cappedDictRight && res.slots != tc.slots {
+						t.Errorf("%s, %v right: %d slots, want %d", tc.name, prep, res.slots, tc.slots)
 					}
 					if tc.unwritten && ms&sim.SetJaccard != 0 && res.unwritten == 0 {
 						t.Errorf("%s %v, %v right: every row was written: no zero row was decided from the score bits", tc.name, ms, prep)
@@ -428,7 +467,28 @@ func TestBitmaskRowMatchesMSimData(t *testing.T) {
 	}
 }
 
-// checkEntries fails unless the right-hand record of a bitmaskRowCase over a
+// TestRowKernelAtGramCaps holds the row kernel to MSimData at every cap of
+// the probe-gram index (rowKernelCase): at 512 and 513 numbered probe
+// grams, the bitmask kernel's old boundary past which every row, the eager
+// pass's included, went to MSimData, both indexed by the slot lists; at
+// maxSlots, still indexed; and one past it, where the rows go to MSimData.
+func TestRowKernelAtGramCaps(t *testing.T) {
+	for _, tc := range []struct{ grams, slots int }{{512, 512}, {513, 513}, {maxSlots, maxSlots}, {maxSlots + 1, -1}} {
+		toks := distinctTokens(tc.grams, 3) // one 3-gram a token
+		left := []string{toks[tc.grams-1], toks[0] + toks[tc.grams-1], toks[tc.grams/2], "~~~"}
+		for _, ms := range []sim.MeasureSet{sim.SetJaccard, sim.SetAll} {
+			for _, prep := range []rightPrep{privateRight, sameDictRight} {
+				ctx := paperContext().WithMeasures(ms)
+				ctx.Q = 3
+				if res := rowKernelCase(t, ctx, prep, left, toks, nil); res.slots != tc.slots {
+					t.Errorf("%d numbered probe grams, %v, %v right: %d slots, want %d", tc.grams, ms, prep, res.slots, tc.slots)
+				}
+			}
+		}
+	}
+}
+
+// checkEntries fails unless the right-hand record of a rowKernelCase over a
 // probe of n tokens has entries of the rows' dictionary only where its
 // preparation read that dictionary, and one per probe token at least when
 // nothing capped it.
@@ -456,8 +516,8 @@ func FuzzBitmaskRow(f *testing.F) {
 		ctx.Q = 1 + int(q)%9
 		l, p := strings.Split(left, " "), strings.Split(probe, " ")
 		for _, prep := range rightPreps {
-			bitmaskRowCase(t, ctx, prep, l, p, nil)
-			bitmaskRowCase(t, ctx, prep, l, p[:len(p)/2], p[len(p)/2:])
+			rowKernelCase(t, ctx, prep, l, p, nil)
+			rowKernelCase(t, ctx, prep, l, p[:len(p)/2], p[len(p)/2:])
 		}
 	})
 }

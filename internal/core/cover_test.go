@@ -191,17 +191,19 @@ func TestCoverBoundMatchesReference(t *testing.T) {
 // TestEagerRowPassMatchesLazy holds the bound pass after AdoptProbe's eager
 // row pass to the lazy pass that evaluates each row on first touch: on the
 // MED, titles and rule- and taxonomy-heavy generators, at the default row
-// budget and at budgets that leave the rows covering only some IDs (the
-// smallest too few for a probe-gram index), every candidate's CoverBound is
-// bit-identical, every survivor's VerifyPrepared is, and PrunedByBound,
-// PrunedByCover and VerifiedCandidates agree after every pair. The column
+// budget and at budgets that leave the rows covering only some IDs, every
+// candidate's CoverBound is bit-identical, every survivor's VerifyPrepared
+// is, and PrunedByBound, PrunedByCover and VerifiedCandidates agree after
+// every pair. The column
 // holds one record prepared without its dictionary, which it flags. At the
 // default budget AdoptProbe must take the eager pass by its own rule for
 // the whole column and stay lazy for two candidates; at the smallest, where
-// the rows may cover no candidate and the pass is forced, some probes must
-// have no gram index, so the pass evaluates their rows through MSimData.
+// the rows may cover no candidate and the pass is forced, every other probe
+// has its gram index dropped on the eager side, as a probe with more
+// numbered grams than maxSlots has none, so the pass evaluates its rows
+// through MSimData against the lazy side's slot lists.
 func TestEagerRowPassMatchesLazy(t *testing.T) {
-	const smallest = 8 * maskWords
+	const smallest = 64
 	unindexedRead := 0 // pairs read from the column at the smallest budget
 	for _, sh := range shapes {
 		gen := datagen.New(sh.cfg)
@@ -231,7 +233,11 @@ func TestEagerRowPassMatchesLazy(t *testing.T) {
 			eager, lazy := NewScratch(), NewScratch()
 			eager.rowCells, lazy.rowCells = cells, cells
 			flagged, beyond, read, chosen, unindexed := 0, 0, 0, 0, 0
-			for _, pt := range probes {
+			for k, pt := range probes {
+				if cells == smallest && k%2 == 0 {
+					eager.adoptRows(calc.Ctx, d, pt)
+					eager.indexed = false
+				}
 				calc.AdoptProbe(&col, cands, pt, eager)
 				calc.AdoptProbe(&col, nil, pt, lazy)
 				if lazy.rowsAll {
@@ -243,7 +249,7 @@ func TestEagerRowPassMatchesLazy(t *testing.T) {
 					// Every candidate is beyond rows this few.
 					calc.fillRows(eager, pt)
 				}
-				if eager.maskW < 0 {
+				if !eager.indexed {
 					unindexed++
 				}
 				if few := NewScratch(); cells == rowCellBudget {

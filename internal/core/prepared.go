@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"slices"
 
 	"github.com/aujoin/aujoin/internal/matching"
@@ -165,15 +164,12 @@ const BoundSlack = boundSlack
 // rowCellBudget/nt, and segments with larger IDs are evaluated directly.
 const rowCellBudget = 1 << 18
 
-// maxProbeGrams is the number of distinct numbered q-grams of a right-hand
+// maxSlots is the number of distinct numbered q-grams of a right-hand
 // record's segments — those the left records' dictionary numbers — the
-// bitmask row kernel indexes (maskWords 64-bit words a mask). A record with
-// more — its length is the caller's to choose — has its rows evaluated by
-// MSimData.
-const (
-	maxProbeGrams = 512
-	maskWords     = maxProbeGrams / 64
-)
+// probe-gram index holds: a slot is a uint16 and 0 marks a gram the record
+// does not have. A record with more — its length is the caller's to choose —
+// has its rows evaluated by MSimData.
+const maxSlots = 1<<16 - 1
 
 // VerifyStats counts verify-phase work. It is the one declaration of the
 // verify counters: a Scratch increments them, and the engine's statistics —
@@ -211,9 +207,12 @@ func (s *VerifyStats) Add(o VerifyStats) {
 // Scratch holds the reusable working state of one verification worker: the
 // candidate-pair buffers, the dense msim cache, partition index lists, the
 // matching weight matrix, the Hungarian solver's internals, the conflict
-// graph + w-MIS local-search arenas and the per-probe msim rows. A Scratch
-// amortises all per-pair allocations across verify calls; it must not be
-// shared between goroutines.
+// graph + w-MIS local-search arenas, and the per-probe msim rows with the
+// probe-gram index their gram counts are taken through (per numbered probe
+// gram, its slot, the probe segments holding it and the head of its
+// occurrence chain in the dictionary). A Scratch amortises all per-pair
+// allocations across verify calls; it must not be shared between
+// goroutines.
 type Scratch struct {
 	segPairs []SegmentPair
 	pairSegs []pairSeg
@@ -262,25 +261,33 @@ type Scratch struct {
 	rowsAll    bool
 	rowCells   int // rowCellBudget; lowered by tests
 
-	// The probe-gram bit index rows are evaluated through, rebuilt with every
-	// new triple. rowGrams and rowGramOff are the dictionary's gram table as
+	// The probe-gram index rows are evaluated through, rebuilt with every new
+	// triple. rowGrams and rowGramOff are the dictionary's gram table as
 	// adopted (SegDict.gramSets, gramOff), covering every ID below rowN.
-	// gramSlot is indexed by gram number: 1 + the bit of a numbered gram of
-	// the right-hand record, 0 for any other, and slotted lists the numbers
-	// set, which the next triple clears. probeMask holds maskWords words per
-	// right-hand segment with the bits of its numbered grams set, of which the
-	// first maskW are in use, and rowProbe lists the segments' tables, with
-	// the union of their score bits, for sim.MSimRow. maskW < 0 when the
-	// record has no index (maxProbeGrams exceeded, or fewer than maskWords
-	// rows to serve) and its rows are evaluated by MSimData.
+	// gramSlot is indexed by gram number: 1 + the slot of a numbered gram of
+	// the right-hand record, 0 for any other. slotted lists the numbers by
+	// slot, which the next triple clears, and slotGrams the grams themselves,
+	// by which fillRows reads the heads of their occurrence chains into
+	// slotHead. slotSegs[slotOff[s]:slotOff[s+1]] are the right-hand segments
+	// whose grams hold the gram of slot s, in order. rowProbe lists the
+	// segments' tables, with the union of their score bits, for sim.MSimRow.
+	// indexed is false when the record has more than maxSlots numbered grams,
+	// and its rows are evaluated by MSimData.
 	rowGrams   []uint32
 	rowGramOff []uint32
 	gramSlot   []uint16
 	slotted    []uint32
-	probeMask  []uint64
-	maskW      int
+	slotGrams  []string
+	slotHead   []uint32
+	slotOff    []int32
+	slotSegs   []int32
+	slotPairs  []slotSeg // indexProbeGrams' (slot, segment) pairs
+	indexed    bool
 	rowProbe   sim.RowProbe
-	inter      []int32 // maskRow's intersection counts
+	inter      []int32 // cacheRow's intersection counts
+	// rowCount holds fillRows' intersection counts, nt a row for the rows
+	// below rowN; every cell is zero outside fillRows.
+	rowCount []int32
 
 	// keepSolves turns off the claw loop's skip of assignment solves that
 	// cannot win (simPreparedSelected), which skipped counts; tests set it.
@@ -496,7 +503,7 @@ func (c *Calculator) fillMSim(sc *Scratch, ps, pt *PreparedRecord) {
 
 // msimRow evaluates one left segment against every segment of pt, cell by
 // cell through MSimData, and returns the row's maximum: the direct path, and
-// the reference the bitmask rows are tested against.
+// the reference the slot-list rows are tested against.
 func (c *Calculator) msimRow(sc *Scratch, row []float64, a *sim.SegmentData, pt *PreparedRecord) float64 {
 	best := 0.0
 	for j := range pt.Segs {
@@ -509,72 +516,114 @@ func (c *Calculator) msimRow(sc *Scratch, row []float64, a *sim.SegmentData, pt 
 
 // cacheRow evaluates the row of dictionary segment id against the adopted
 // right-hand record pt, records the row's maximum and stamps it current. The
-// row's slot holds the row unless the maximum is 0.
+// row's slot holds the row unless the maximum is 0. Through the probe-gram
+// index, the dictionary's numbers of the text's grams are looked up in the
+// probe's slots, and each gram the probe has adds one to the count of every
+// probe segment its slot lists: since gram sets hold no duplicates, that
+// count is |a.Grams ∩ b_j.Grams|, the number GramSet.Overlap's merge arrives
+// at (a gram the probe does not have is in no intersection). sim.MSimRow
+// turns the counts into the row and its maximum. A text that shares no gram
+// with the probe and none of its score bits is 0 in every cell
+// (sim.SegmentData.Score): its maximum is 0, and neither its table nor the
+// row's slot is touched. Every cell counts as evaluated either way.
 func (c *Calculator) cacheRow(sc *Scratch, id uint32, pt *PreparedRecord) {
-	if sc.maskW < 0 {
-		sc.rowMax[id] = c.msimRow(sc, sc.rowVals[int(id)*len(pt.Segs):][:len(pt.Segs)], sc.rowEntries[id].data, pt)
-	} else {
-		sc.rowMax[id] = c.maskRow(sc, id, len(pt.Segs))
-	}
+	nt := len(pt.Segs)
 	sc.rowStamp[id] = sc.rowGen
-}
-
-// maskRow is msimRow from array loads, for the nt segments of the adopted
-// right-hand record: the dictionary's numbers of the text's grams are mapped
-// through the probe's slots into one mask (a gram the probe does not have is
-// in no intersection), and since gram sets hold no duplicates, |a.Grams ∩
-// b_j.Grams| is the population count of that mask against segment j's — the
-// number GramSet.Overlap's merge arrives at. sim.MSimRow turns the counts
-// into the row and its maximum. An empty mask shares no gram with any
-// segment, so the counts are skipped; if the text's score bits also miss the
-// probe's, every cell is 0 (sim.SegmentData.Score), and maskRow returns 0 with
-// neither the text's table nor the row's slot touched. Every cell counts as
-// evaluated either way.
-func (c *Calculator) maskRow(sc *Scratch, id uint32, nt int) float64 {
+	if !sc.indexed {
+		sc.rowMax[id] = c.msimRow(sc, sc.rowVals[int(id)*nt:][:nt], sc.rowEntries[id].data, pt)
+		return
+	}
 	sc.Stats.MSimEvals += int64(nt)
-	var mask [maskWords]uint64
-	shared := false
+	var inter []int32 // nil until a gram of the text has a slot
 	for _, g := range sc.rowGrams[sc.rowGramOff[id]:sc.rowGramOff[id+1]] {
-		if s := sc.gramSlot[g]; s != 0 {
-			b := s - 1
-			mask[b>>6] |= 1 << (b & 63)
-			shared = true
+		if s := int(sc.gramSlot[g]); s != 0 {
+			if inter == nil {
+				inter = sc.inter[:nt]
+				clear(inter)
+			}
+			for _, j := range sc.slotSegs[sc.slotOff[s-1]:sc.slotOff[s]] {
+				inter[j]++
+			}
 		}
 	}
-	if !shared {
-		if p := sc.rowProbe.Score(); p == 0 || sc.rowEntries[id].score&p == 0 {
-			return 0
-		}
-		return c.Ctx.MSimRow(sc.rowVals[int(id)*nt:][:nt], sc.rowEntries[id].data, &sc.rowProbe, nil)
+	if inter == nil && sc.rowEntries[id].score&sc.rowProbe.Score() == 0 {
+		sc.rowMax[id] = 0
+		return
 	}
-	w := sc.maskW
-	inter := sc.inter[:nt]
-	for j := range inter {
-		n := 0
-		for k, m := range sc.probeMask[j*maskWords:][:w] {
-			n += bits.OnesCount64(m & mask[k])
-		}
-		inter[j] = int32(n)
-	}
-	return c.Ctx.MSimRow(sc.rowVals[int(id)*nt:][:nt], sc.rowEntries[id].data, &sc.rowProbe, inter)
+	sc.rowMax[id] = c.Ctx.MSimRow(sc.rowVals[int(id)*nt:][:nt], sc.rowEntries[id].data, &sc.rowProbe, inter)
 }
 
-// fillRows is the eager row pass (AdoptProbe): one sequential walk of the
-// IDs below rowN that makes every row current, each evaluated as cacheRow
-// evaluates it on first touch, so that the bound pass reads the maxima with
-// no stamp test and fillMSim copies the rows of every survivor. It evaluates
-// the rows of texts no candidate holds too, and counts their cells in
-// MSimEvals like any other; a row already current is not evaluated again.
+// fillRows is the eager row pass (AdoptProbe): it makes every row below rowN
+// current, each row as cacheRow evaluates it on first touch, so that the
+// bound pass reads the maxima with no stamp test and fillMSim copies the
+// rows of every survivor. Instead of looking up every row's grams in the
+// probe's slots, it walks the occurrence chain of each probe gram, from the
+// heads it reads under the dictionary's read lock, and adds one to rowCount
+// for every segment the gram's slot lists in the row of every entry on the
+// chain below rowN (an entry interned since the adoption is past it, at the
+// chain's head), marking the row's
+// maximum −1. It then visits the rows in ID order and decides each as
+// cacheRow does: a marked row goes through sim.MSimRow with its counts,
+// which it then clears, a row whose score bits meet the probe's with none,
+// and any other is 0. It evaluates the rows of texts no candidate holds
+// too, and counts their cells in MSimEvals like any other; a row already
+// current is not evaluated again.
 func (c *Calculator) fillRows(sc *Scratch, pt *PreparedRecord) {
 	if sc.rowsAll {
 		return
 	}
-	for id := range sc.rowN {
-		if sc.rowStamp[id] != sc.rowGen {
-			c.cacheRow(sc, id, pt)
+	sc.rowsAll = true
+	n, nt := sc.rowN, len(pt.Segs)
+	if !sc.indexed {
+		for id := range n {
+			if sc.rowStamp[id] != sc.rowGen {
+				c.cacheRow(sc, id, pt)
+			}
+		}
+		return
+	}
+	d := sc.rowDict
+	sc.slotHead = strutil.Resize(sc.slotHead, len(sc.slotGrams))
+	d.mu.RLock()
+	for s, g := range sc.slotGrams {
+		sc.slotHead[s] = d.gramNum[g].head
+	}
+	occs := d.occs
+	d.mu.RUnlock()
+	sc.rowCount = strutil.Resize(sc.rowCount, int(n)*nt)
+	stamp, gen, rowMax := sc.rowStamp, sc.rowGen, sc.rowMax
+	for s, k := range sc.slotHead {
+		segs := sc.slotSegs[sc.slotOff[s]:sc.slotOff[s+1]]
+		for ; k != noOcc; k = occs[k].prev {
+			id := occs[k].id
+			if id >= n || stamp[id] == gen {
+				continue // past the rows (the chain's newest), or current
+			}
+			row := sc.rowCount[int(id)*nt:][:nt]
+			for _, j := range segs {
+				row[j]++
+			}
+			rowMax[id] = -1
 		}
 	}
-	sc.rowsAll = true
+	p, entries, evals := sc.rowProbe.Score(), sc.rowEntries, int64(0)
+	for id := range n {
+		if stamp[id] == gen {
+			continue
+		}
+		stamp[id] = gen
+		evals += int64(nt)
+		var counts []int32
+		if rowMax[id] < 0 {
+			counts = sc.rowCount[int(id)*nt:][:nt]
+		} else if entries[id].score&p == 0 {
+			rowMax[id] = 0
+			continue
+		}
+		rowMax[id] = c.Ctx.MSimRow(sc.rowVals[int(id)*nt:][:nt], entries[id].data, &sc.rowProbe, counts)
+		clear(counts)
+	}
+	sc.Stats.MSimEvals += evals
 }
 
 // adoptRows makes the row cache current for left records of dictionary d
@@ -605,77 +654,95 @@ func (sc *Scratch) adoptRows(ctx *sim.Context, d *SegDict, pt *PreparedRecord) u
 	sc.rowMax = strutil.Resize(sc.rowMax, n)
 	sc.rowN = uint32(n)
 	sc.rowEntries = d.entries[:n]
-	sc.indexProbeGrams(d, pt, n)
+	sc.indexProbeGrams(d, pt)
 	return sc.rowN
 }
 
-// indexProbeGrams builds the bit index of pt's numbered q-grams for the n
-// rows the cache is about to hold, under d's read lock, reusing the slots
-// and the mask slice from probe to probe. It is only built when those rows
-// cover at least maskWords IDs, so the masks never take more cells than the
-// rows they serve and stay inside the row cell budget whatever the caller's
-// record looks like. A segment whose ID names an entry of d — pt was read
-// from d (PrepareProbe) or interned into it — takes its gram numbers from
-// d.gramSets by that ID, in Grams order, with no hashing; only a segment d
-// has no entry for (a probe text d never interned, a text past the
-// dictionary's cap, or any segment of a record of another dictionary) looks
-// its grams up in gramNum. A probe gram d never numbered gets no bit: no row
-// holds it, and it still counts in |B_j| through len(b_j.Grams).
-func (sc *Scratch) indexProbeGrams(d *SegDict, pt *PreparedRecord, n int) {
-	sc.maskW = -1
+// indexProbeGrams builds the index of pt's numbered q-grams under d's read
+// lock, reusing its slices from probe to probe: a slot for every distinct
+// numbered gram and the right-hand segments each slot's gram is in. A
+// segment whose ID names
+// an entry of d — pt was read from d (PrepareProbe) or interned into it —
+// takes its gram numbers from d.gramSets by that ID, in Grams order, with no
+// hashing; only a segment d has no entry for (a probe text d never interned,
+// a text past the dictionary's cap, or any segment of a record of another
+// dictionary) looks its grams up in gramNum. A probe gram d never numbered
+// gets no slot: no row holds it, and it still counts in |B_j| through
+// len(b_j.Grams).
+func (sc *Scratch) indexProbeGrams(d *SegDict, pt *PreparedRecord) {
+	sc.indexed = false
 	for _, g := range sc.slotted {
 		sc.gramSlot[g] = 0
 	}
-	sc.slotted = sc.slotted[:0]
-	if n < maskWords {
-		return
-	}
+	sc.slotted, sc.slotGrams, sc.slotPairs = sc.slotted[:0], sc.slotGrams[:0], sc.slotPairs[:0]
 	// Every slot of the backing array is zero here, so growing within its
-	// capacity brings back no bit. The slots follow the dictionary's
+	// capacity brings back no slot. The slots follow the dictionary's
 	// numbering, which inserts extend, so they grow with append's headroom:
 	// a new gram does not make every scratch reallocate them.
 	sc.gramSlot = slices.Grow(sc.gramSlot[:0], len(d.gramNum))[:len(d.gramNum)]
 	sc.rowGrams, sc.rowGramOff = d.gramSets, d.gramOff
-	sc.probeMask = strutil.Resize(sc.probeMask, len(pt.Segs)*maskWords)
-	clear(sc.probeMask)
 	sc.rowProbe.Reset()
 	byID := pt.dict == d // pt's segment IDs name d's entries
 	for j := range pt.Segs {
-		mask := sc.probeMask[j*maskWords:][:maskWords]
 		sg := &pt.Segs[j]
 		sc.rowProbe.Add(sg.Data)
 		if byID && sg.ID != NoSegID {
-			for _, num := range d.gramSets[d.gramOff[sg.ID]:d.gramOff[sg.ID+1]] {
-				if !sc.setGramBit(mask, num) {
+			for i, num := range d.gramSets[d.gramOff[sg.ID]:d.gramOff[sg.ID+1]] {
+				if !sc.slotGram(num, j, sg.Data.Grams[i]) {
 					return
 				}
 			}
 			continue
 		}
 		for _, g := range sg.Data.Grams {
-			if num, ok := d.gramNum[g]; ok && !sc.setGramBit(mask, num) {
+			if r, ok := d.gramNum[g]; ok && !sc.slotGram(r.num, j, g) {
 				return
 			}
 		}
 	}
+	ns := len(sc.slotted)
+	// Bucket the pairs by slot, keeping segment order within a slot: off[s]
+	// counts slot s, then sums to its end, then steps back to its start.
+	off := strutil.Resize(sc.slotOff, ns+1)
+	clear(off)
+	for _, p := range sc.slotPairs {
+		off[p.slot]++
+	}
+	for s := 1; s <= ns; s++ {
+		off[s] += off[s-1]
+	}
+	sc.slotSegs = strutil.Resize(sc.slotSegs, len(sc.slotPairs))
+	for k := len(sc.slotPairs) - 1; k >= 0; k-- {
+		p := sc.slotPairs[k]
+		off[p.slot]--
+		sc.slotSegs[off[p.slot]] = p.seg
+	}
+	sc.slotOff = off
 	sc.inter = strutil.Resize(sc.inter, len(pt.Segs))
-	sc.maskW = (len(sc.slotted) + 63) / 64
+	sc.indexed = true
 }
 
-// setGramBit sets the bit of the gram numbered num in a probe segment's
-// mask, giving the gram the next slot on first sight, and reports false —
-// the index is abandoned — when that would take a slot past maxProbeGrams.
-func (sc *Scratch) setGramBit(mask []uint64, num uint32) bool {
+// slotSeg says right-hand segment seg holds the gram of slot slot.
+type slotSeg struct {
+	slot uint16
+	seg  int32
+}
+
+// slotGram records that right-hand segment j holds gram g, numbered num,
+// giving the gram the next slot on first sight, and reports false — the
+// index is abandoned — when that would take a slot past maxSlots.
+func (sc *Scratch) slotGram(num uint32, j int, g string) bool {
 	s := sc.gramSlot[num]
 	if s == 0 {
-		if len(sc.slotted) == maxProbeGrams {
+		if len(sc.slotted) == maxSlots {
 			return false
 		}
 		sc.slotted = append(sc.slotted, num)
+		sc.slotGrams = append(sc.slotGrams, g)
 		s = uint16(len(sc.slotted))
 		sc.gramSlot[num] = s
 	}
-	mask[(s-1)>>6] |= 1 << ((s - 1) & 63)
+	sc.slotPairs = append(sc.slotPairs, slotSeg{s - 1, int32(j)})
 	return true
 }
 

@@ -5,7 +5,9 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/aujoin/aujoin/internal/datagen"
 	"github.com/aujoin/aujoin/internal/sim"
+	"github.com/aujoin/aujoin/internal/strutil"
 )
 
 // randTokens draws up to maxLen tokens from the vocabulary (possibly none).
@@ -400,7 +402,7 @@ func BenchmarkVerifyPreparedRejectCover(b *testing.B) {
 // BenchmarkVerifyPreparedFirstTouch times what the first pair of a probe to
 // hold a segment text pays: evaluating the text's row, as the engine meets
 // it — an interned left record against a private probe over a catalogue that
-// shares its vocabulary — through the numbered-gram bitmasks and on the
+// shares its vocabulary — through the probe-gram slot lists and on the
 // direct path, MSimData cell by cell.
 func BenchmarkVerifyPreparedFirstTouch(b *testing.B) {
 	calc := NewCalculator(paperContext())
@@ -417,9 +419,9 @@ func BenchmarkVerifyPreparedFirstTouch(b *testing.B) {
 				b.Fatal("the left record has no row slot")
 			}
 			if path == "direct" {
-				sc.maskW = -1
-			} else if sc.maskW <= 0 {
-				b.Fatal("the probe has no numbered gram in its bit index")
+				sc.indexed = false
+			} else if !sc.indexed || len(sc.slotted) == 0 {
+				b.Fatal("the probe has no numbered gram in its index")
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -446,4 +448,39 @@ func BenchmarkVerifyPreparedSurvivor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		calc.VerifyPrepared(ps, pt, 0.5, sc)
 	}
+}
+
+// BenchmarkVerifyRowPass times the eager row pass alone (AdoptProbe's
+// fillRows, with the adoption it follows) on the batch join's shape: a
+// dictionary of 1 000 MED-like records (datagen.MEDLike(1000, 7), q = 2)
+// and 64 probes of the same generator cycled, half variants of its records
+// and half records outside it, so every iteration starts a new probe. It
+// reports the time a row beside ns/op.
+func BenchmarkVerifyRowPass(b *testing.B) {
+	gen := datagen.New(datagen.MEDLike(1000, 7))
+	ctx := sim.NewContext(gen.Rules(), gen.Taxonomy())
+	ctx.Q = 2
+	calc, d := NewCalculator(ctx), NewSegDict()
+	raws := gen.Collection(1032)
+	for _, raw := range raws[:1000] {
+		calc.PrepareIn(d, strutil.Tokenize(raw))
+	}
+	var probes []*PreparedRecord
+	for k := 0; k < 32; k++ {
+		v, _ := gen.Variant(raws[k*31])
+		probes = append(probes, calc.PrepareProbe(d, strutil.Tokenize(v)))
+	}
+	for _, raw := range raws[1000:] {
+		probes = append(probes, calc.PrepareProbe(d, strutil.Tokenize(raw)))
+	}
+	sc := NewScratch()
+	rows := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pt := probes[i%len(probes)]
+		rows += int(sc.adoptRows(ctx, d, pt))
+		calc.fillRows(sc, pt)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
 }

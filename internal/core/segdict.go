@@ -32,26 +32,48 @@ const segDictCap = 1 << 20
 // and mean nothing outside their dictionary.
 //
 // The dictionary also numbers the q-grams of the texts it interns, so the
-// verifier builds a row's gram mask from array loads (Scratch.maskRow): every
-// distinct gram of an entry's Grams gets a dense number (first-seen order) in
-// gramNum, and entry id's gram set, in Grams order, is
-// gramSets[gramOff[id]:gramOff[id+1]]. The numbers are assigned under the
-// write lock that publishes the entry, before its ID exists, and both slices
-// are append-only, so a reader that captured them under the read lock may
-// index them for every ID below the length it read with them.
+// verifier counts a row's shared grams from array loads (Calculator.cacheRow):
+// every distinct gram of an entry's Grams gets a dense number (first-seen
+// order) in gramNum, and entry id's gram set, in Grams order, is
+// gramSets[gramOff[id]:gramOff[id+1]]. Each element of gramSets is one
+// occurrence of a gram in an entry, and the occurrences of one gram are
+// chained, newest first, so the verifier can walk a probe gram's entries
+// instead of every entry (Calculator.fillRows): gramNum holds beside a
+// gram's number the index in gramSets of its latest occurrence (the head,
+// in what would otherwise be the map slot's padding), and occs[k] the entry
+// ID of occurrence k and the index of the gram's occurrence before it (noOcc
+// at the first). A chain lists its entries in descending ID order. Numbers,
+// occurrences and heads are written under the write lock that publishes the
+// entry, before its ID exists. gramSets, gramOff and occs are append-only,
+// so a reader that captured them under the read lock may index them for
+// every ID below the length it read with them; a head is rewritten in
+// place, so a reader copies the heads it needs under the lock, and a chain
+// walked from such a head reaches only occurrences that existed then.
 //
 // Beside each table an entry holds its score bits (sim.SegmentData.Score),
 // so a row that shares no gram with the probe is known to be zero from the
-// entry alone, without loading the table (Scratch.maskRow).
+// entry alone, without loading the table (Calculator.cacheRow).
 type SegDict struct {
 	mu       sync.RWMutex
 	ids      map[string]uint32
-	entries  []segEntry        // ID → shared table and its score bits
-	gramNum  map[string]uint32 // gram → number
-	gramSets []uint32          // every entry's gram numbers, back to back
-	gramOff  []uint32          // ID → start in gramSets; one more than entries
-	limit    int               // segDictCap; lowered by tests
+	entries  []segEntry         // ID → shared table and its score bits
+	gramNum  map[string]gramRef // gram → number and latest occurrence
+	gramSets []uint32           // every entry's gram numbers, back to back
+	gramOff  []uint32           // ID → start in gramSets; one more than entries
+	occs     []gramOcc          // occurrence → its entry and the gram's previous one
+	limit    int                // segDictCap; lowered by tests
 }
+
+// gramRef is a numbered gram: its number and the head of its occurrence
+// chain.
+type gramRef struct{ num, head uint32 }
+
+// gramOcc is one link of a gram's occurrence chain: the entry holding the
+// occurrence and the gram's previous occurrence (noOcc when there is none).
+type gramOcc struct{ prev, id uint32 }
+
+// noOcc ends an occurrence chain.
+const noOcc = ^uint32(0)
 
 // segEntry is one dictionary entry: the shared table of a text and its score
 // bits, written together under the write lock that publishes the ID.
@@ -62,7 +84,7 @@ type segEntry struct {
 
 // NewSegDict returns an empty dictionary.
 func NewSegDict() *SegDict {
-	return &SegDict{ids: make(map[string]uint32), gramNum: make(map[string]uint32), gramOff: []uint32{0}, limit: segDictCap}
+	return &SegDict{ids: make(map[string]uint32), gramNum: make(map[string]gramRef), gramOff: []uint32{0}, limit: segDictCap}
 }
 
 // Len returns the number of distinct segment texts interned so far; every ID
@@ -150,12 +172,14 @@ func (d *SegDict) intern(ctx *sim.Context, tokens []string) (uint32, *sim.Segmen
 	id = uint32(len(d.entries))
 	d.ids[data.Text] = id
 	for _, g := range data.Grams {
-		n, ok := d.gramNum[g]
+		r, ok := d.gramNum[g]
 		if !ok {
-			n = uint32(len(d.gramNum))
-			d.gramNum[g] = n
+			r = gramRef{num: uint32(len(d.gramNum)), head: noOcc}
 		}
-		d.gramSets = append(d.gramSets, n)
+		d.occs = append(d.occs, gramOcc{prev: r.head, id: id})
+		r.head = uint32(len(d.gramSets))
+		d.gramNum[g] = r
+		d.gramSets = append(d.gramSets, r.num)
 	}
 	d.gramOff = append(d.gramOff, uint32(len(d.gramSets)))
 	d.entries = append(d.entries, segEntry{&data, data.Score()})

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
+	"github.com/aujoin/aujoin/internal/datagen"
 	"github.com/aujoin/aujoin/internal/sim"
+	"github.com/aujoin/aujoin/internal/strutil"
 )
 
 // checkGramTable holds a dictionary's gram numbering to its definition: the
@@ -17,7 +22,8 @@ func checkGramTable(t *testing.T, d *SegDict) {
 	t.Helper()
 	gramOf := make([]string, len(d.gramNum))
 	named := make([]bool, len(d.gramNum))
-	for g, n := range d.gramNum {
+	for g, r := range d.gramNum {
+		n := r.num
 		if int(n) >= len(gramOf) || named[n] {
 			t.Fatalf("gram %q has number %d: out of %d, or taken", g, n, len(gramOf))
 		}
@@ -45,16 +51,48 @@ func checkGramTable(t *testing.T, d *SegDict) {
 	}
 }
 
-// TestSegDictConcurrentIntern interns one corpus from several goroutines at
-// once — a parallel index build, or inserts beside each other — and checks
-// the dictionary stayed a bijection: IDs dense, one per distinct text, and
-// every record of a text sharing the one derivation table; and that the gram
-// numbering interleaved with it did too (checkGramTable).
-func TestSegDictConcurrentIntern(t *testing.T) {
-	calc := NewCalculator(paperContext())
-	corpus := corpusTokens(rand.New(rand.NewSource(23)), 200)
-	d := NewSegDict()
-	prepared := make([][]*PreparedRecord, 4)
+// checkGramChains holds a dictionary's occurrence chains to their
+// definition: one link per element of gramSets, and the chain of each
+// numbered gram lists, newest first, exactly the entries whose gram sets
+// hold it, in descending ID order, each link naming an occurrence of that
+// gram inside its entry's gram set.
+func checkGramChains(t *testing.T, d *SegDict) {
+	t.Helper()
+	if len(d.occs) != len(d.gramSets) {
+		t.Fatalf("%d links for %d occurrences", len(d.occs), len(d.gramSets))
+	}
+	want := make([][]uint32, len(d.gramNum)) // gram → entries holding it, ascending
+	for id := range d.entries {
+		for _, n := range d.gramSets[d.gramOff[id]:d.gramOff[id+1]] {
+			want[n] = append(want[n], uint32(id))
+		}
+	}
+	walked := 0
+	for _, r := range d.gramNum {
+		n := r.num
+		var got []uint32
+		for k := r.head; k != noOcc; k = d.occs[k].prev {
+			id := d.occs[k].id
+			if int(k) >= len(d.gramSets) || d.gramSets[k] != n || k < d.gramOff[id] || k >= d.gramOff[id+1] {
+				t.Fatalf("gram %d: link %d names entry %d, which does not hold the gram there", n, k, id)
+			}
+			got = append(got, id)
+			walked++
+		}
+		slices.Reverse(got)
+		if !slices.Equal(got, want[n]) {
+			t.Fatalf("gram %d: chain lists entries %v newest last, the gram sets %v", n, got, want[n])
+		}
+	}
+	if walked != len(d.gramSets) {
+		t.Fatalf("the chains walk %d occurrences of %d", walked, len(d.gramSets))
+	}
+}
+
+// internConcurrently prepares every record of corpus into d from each of n
+// goroutines at once and returns what each prepared.
+func internConcurrently(calc *Calculator, d *SegDict, corpus [][]string, n int) [][]*PreparedRecord {
+	prepared := make([][]*PreparedRecord, n)
 	var wg sync.WaitGroup
 	for g := range prepared {
 		wg.Add(1)
@@ -66,6 +104,115 @@ func TestSegDictConcurrentIntern(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	return prepared
+}
+
+// TestSegDictGramChains holds the occurrence chains to the gram sets
+// (checkGramChains) after sequential interns, after concurrent ones — while
+// a reader adopts probes against the growing dictionary and runs the eager
+// row pass over the chains it captured, every row of which must equal
+// MSimData — at the dictionary's cap, where a refused text adds no
+// occurrence, and after a snapshot restore, which re-interns every record.
+func TestSegDictGramChains(t *testing.T) {
+	gen := datagen.New(datagen.MEDLike(300, 29))
+	ctx := sim.NewContext(gen.Rules(), gen.Taxonomy())
+	ctx.Q = 2
+	calc := NewCalculator(ctx)
+	var corpus, probes [][]string
+	for k, raw := range gen.Collection(308) {
+		if k < 300 {
+			corpus = append(corpus, strutil.Tokenize(raw))
+		} else {
+			probes = append(probes, strutil.Tokenize(raw))
+		}
+	}
+	t.Run("sequential", func(t *testing.T) {
+		d := NewSegDict()
+		for _, toks := range corpus {
+			calc.PrepareIn(d, toks)
+		}
+		checkGramChains(t, d)
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		d := NewSegDict()
+		stop := make(chan struct{})
+		var reads sync.WaitGroup
+		reads.Add(1)
+		go func() {
+			defer reads.Done()
+			sc := NewScratch()
+			for k := 0; ; k++ {
+				if k > 0 {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+				pt := calc.PrepareProbe(d, probes[k%len(probes)])
+				sc.adoptRows(calc.Ctx, d, pt)
+				calc.fillRows(sc, pt)
+				for id := range sc.rowN {
+					for j, got := range cachedRow(sc, id, len(pt.Segs)) {
+						if want := calc.Ctx.MSimData(sc.rowEntries[id].data, pt.Segs[j].Data); got != want {
+							t.Errorf("row %d (%q) against %q: %v by the eager pass, %v by MSimData", id, sc.rowEntries[id].data.Text, pt.Segs[j].Data.Text, got, want)
+							return
+						}
+					}
+				}
+			}
+		}()
+		internConcurrently(calc, d, corpus, 4)
+		close(stop)
+		reads.Wait()
+		checkGramChains(t, d)
+	})
+	t.Run("at cap", func(t *testing.T) {
+		d := NewSegDict()
+		d.limit = 200
+		refused := 0
+		for _, toks := range corpus {
+			for _, sg := range calc.Segmenter().Segments(toks) {
+				occs := len(d.occs)
+				if id, _ := d.intern(ctx, sg.Tokens); id == NoSegID {
+					refused++
+					if len(d.occs) != occs {
+						t.Fatalf("%q: refused at the cap, yet the chains grew from %d to %d occurrences", sg.Tokens, occs, len(d.occs))
+					}
+				}
+			}
+		}
+		if refused == 0 || d.Len() != d.limit {
+			t.Fatalf("%d texts refused, dictionary length %d at limit %d", refused, d.Len(), d.limit)
+		}
+		checkGramChains(t, d)
+	})
+	t.Run("restored", func(t *testing.T) {
+		built, restored := NewSegDict(), NewSegDict()
+		for _, toks := range corpus {
+			segs, minPart := calc.PrepareIn(built, toks).PersistMeta()
+			if _, err := calc.RestorePrepared(toks, segs, minPart, restored); err != nil {
+				t.Fatalf("%v: %v", toks, err)
+			}
+		}
+		checkGramChains(t, restored)
+		if !slices.Equal(restored.occs, built.occs) || !maps.Equal(restored.gramNum, built.gramNum) {
+			t.Fatal("the restored dictionary's chains differ from the built one's")
+		}
+	})
+}
+
+// TestSegDictConcurrentIntern interns one corpus from several goroutines at
+// once — a parallel index build, or inserts beside each other — and checks
+// the dictionary stayed a bijection: IDs dense, one per distinct text, and
+// every record of a text sharing the one derivation table; and that the gram
+// numbering and the occurrence chains interleaved with it did too
+// (checkGramTable, checkGramChains).
+func TestSegDictConcurrentIntern(t *testing.T) {
+	calc := NewCalculator(paperContext())
+	corpus := corpusTokens(rand.New(rand.NewSource(23)), 200)
+	d := NewSegDict()
+	prepared := internConcurrently(calc, d, corpus, 4)
 	byID := map[uint32]string{}
 	byText := map[string]uint32{}
 	for _, prs := range prepared {
@@ -91,6 +238,7 @@ func TestSegDictConcurrentIntern(t *testing.T) {
 		t.Fatalf("%d IDs in use, dictionary length %d", len(byID), d.Len())
 	}
 	checkGramTable(t, d)
+	checkGramChains(t, d)
 }
 
 // TestSegDictAtCap is the one behaviour at the dictionary's cap: a limit
@@ -184,4 +332,46 @@ func TestSegDictScoreBits(t *testing.T) {
 	}
 	check(built, "interned")
 	check(restored, "restored")
+}
+
+// TestSegDictChainTableHeap pins the live heap the occurrence chains add to
+// the dictionary of a 10 000-title index (the titles workloads' shape, q =
+// 5) to 8 B an occurrence and 4 B a numbered gram: what dropping the links
+// frees, plus what the gram map holds beyond a map of the same grams to
+// their numbers alone — the chain heads live in it.
+func TestSegDictChainTableHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap readings are only meaningful without -race; skipped with -short")
+	}
+	gen := datagen.New(titlesShape(10000))
+	ctx := sim.NewContext(gen.Rules(), gen.Taxonomy())
+	ctx.Q = 5
+	calc, d := NewCalculator(ctx), NewSegDict()
+	for _, raw := range gen.Collection(10000) {
+		calc.PrepareIn(d, strutil.Tokenize(raw))
+	}
+	occs, grams := len(d.occs), len(d.gramNum)
+	freed := func(drop func()) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		drop()
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return int64(before.HeapAlloc) - int64(after.HeapAlloc)
+	}
+	numbers := make(map[string]uint32) // the gram map without the heads
+	for g, r := range d.gramNum {
+		numbers[g] = r.num
+	}
+	links := freed(func() { d.occs = nil })
+	heads := freed(func() { d.gramNum = nil }) - freed(func() { numbers = nil })
+	need := int64(8*occs + 4*grams)
+	t.Logf("%d entries, %d occurrences of %d grams: the links keep %d B alive, the heads %d B; 8 B an occurrence and 4 B a gram is %d B", d.Len(), occs, grams, links, heads, need)
+	if links+heads > need {
+		t.Errorf("the occurrence chains keep %d B alive: more than 8 B an occurrence and 4 B a gram (%d B)", links+heads, need)
+	}
+	runtime.KeepAlive(d)
 }

@@ -288,7 +288,7 @@ func (p *RowProbe) Score() uint8 { return p.score }
 
 // MSimRow sets row[j] to MSimData(a, b_j) for every segment b_j of p and
 // returns the row's maximum, given inter[j] = |a.Grams ∩ b_j.Grams| counted
-// by the caller (the verifier's probe-gram bitmasks); a nil inter says a
+// by the caller (the verifier's probe-gram slot lists); a nil inter says a
 // shares no gram with any b_j. The measures are taken in MSimData's order,
 // each only where it can score: Jaccard, for a degenerate a, in every cell
 // under SegmentJaccardData's degenerate cases, and otherwise only in the
