@@ -76,16 +76,17 @@ func leftCoverRef(calc *Calculator, ps, pt *PreparedRecord) float64 {
 	return min(cover[0]/float64(max(ps.MinPartitionSize(), pt.MinPartitionSize())), 1)
 }
 
-// TestCoverStageDominates pins the stage VerifyPrepared runs between the size
-// ratio and the msim matrix. For every pair, on one long-lived scratch that
-// moves between probes and between two dictionaries numbering the same texts
-// differently: the stage's bound is exactly the left half of coverUpper (the
-// slow reference above), hence ≥ the two-sided coverUpper ≥ the similarity
-// less the slack; and VerifyPrepared agrees with SimilarityTokens ≥ θ whether
-// the left record is interned or not, at fixed thresholds and at θ equal to
-// the pair's own similarity, where a bound that rounds differently from the
-// similarity would lose the match. Nothing orders the size ratio against the
-// cover stage, and nothing here assumes an order.
+// TestCoverStageDominates pins the one cover stage, CoverBound's
+// columnCover over a cover column. For every pair, on one long-lived scratch
+// that moves between probes and between two dictionaries numbering the same
+// texts differently: the stage's bound is exactly the left half of
+// coverUpper (the slow reference above), hence ≥ the two-sided coverUpper ≥
+// the similarity less the slack; and VerifyPrepared — alone, or behind
+// CoverBound as the engine runs it — agrees with SimilarityTokens ≥ θ
+// whether the left record is interned or not, at fixed thresholds and at θ
+// equal to the pair's own similarity, where a bound that rounds differently
+// from the similarity would lose the match. Nothing orders the size ratio
+// against the cover stage, and nothing here assumes an order.
 func TestCoverStageDominates(t *testing.T) {
 	phrase, phrases := phraseContext()
 	rng := rand.New(rand.NewSource(41))
@@ -107,15 +108,21 @@ func TestCoverStageDominates(t *testing.T) {
 			interned[0][i] = calc.PrepareIn(d1, tc.corpus[i])
 			interned[1][n-1-i] = calc.PrepareIn(d2, tc.corpus[n-1-i])
 		}
+		cols := [2]CoverColumn{NewCoverColumn(d1, interned[0]), NewCoverColumn(d2, interned[1])}
 		sc := NewScratch()
 		strict := 0 // pairs the stage bounds below the size ratio
 		for _, probe := range tc.probes {
 			pt := calc.Prepare(probe)
-			for _, in := range interned {
+			for k, in := range interned {
+				col := &cols[k]
 				for i, toks := range tc.corpus {
 					ps := in[i]
 					want := calc.SimilarityTokens(toks, probe)
-					stage := calc.coverStage(sc, ps, pt)
+					r := col.recs[i]
+					if r.maxID >= sc.adoptRows(calc.Ctx, col.dict, pt) {
+						t.Fatalf("%s: %v / %v: the record has no row for every segment", tc.name, toks, probe)
+					}
+					stage := min(calc.columnCover(sc, col.segs, int(r.end), int(r.tokens), pt)/float64(max(int(r.minPart), pt.minPart)), 1)
 					if ref := leftCoverRef(calc, ps, pt); stage != ref {
 						t.Fatalf("%s: %v / %v: cover stage %v, left half of coverUpper %v", tc.name, toks, probe, stage, ref)
 					}
@@ -133,6 +140,14 @@ func TestCoverStageDominates(t *testing.T) {
 								t.Fatalf("%s: %v / %v θ=%v %s: VerifyPrepared = (%v, %v), similarity %v",
 									tc.name, toks, probe, theta, w.name, v, ok, want)
 							}
+						}
+						v, ok := 0.0, false
+						if calc.CoverBound(col, int32(i), pt, theta, sc) >= theta-BoundSlack {
+							v, ok = calc.VerifyPrepared(ps, pt, theta, sc)
+						}
+						if ok != (want >= theta) || (ok && v != want) {
+							t.Fatalf("%s: %v / %v θ=%v: CoverBound then VerifyPrepared = (%v, %v), similarity %v",
+								tc.name, toks, probe, theta, v, ok, want)
 						}
 					}
 				}

@@ -306,7 +306,8 @@ func TestSimilarityAtLeast(t *testing.T) {
 	s := strutil.Tokenize("coffee shop latte Helsingki")
 	u := strutil.Tokenize("espresso cafe Helsinki")
 	atLeast := func(theta float64) bool {
-		return calc.SimilarityAtLeastPrepared(calc.Prepare(s), calc.Prepare(u), theta, nil)
+		_, ok := calc.VerifyPrepared(calc.Prepare(s), calc.Prepare(u), theta, NewScratch())
+		return ok
 	}
 	if !atLeast(0.8) {
 		t.Error("expected similarity ≥ 0.8")

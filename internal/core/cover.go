@@ -38,10 +38,10 @@ type coverRec struct {
 // start opens with its singleton, so the start advances exactly at each
 // singleton. A record the column cannot encode — one prepared without the
 // column's dictionary, with a segment that has no ID, with a span of
-// coverMaxSpan tokens or more, or of more than math.MaxUint16 tokens — is
-// flagged and bounded through its
-// PreparedRecord (the reference path), so the bound is the same number
-// either way.
+// coverMaxSpan tokens or more, of more than math.MaxUint16 tokens, or
+// restored with starts that are not the implied ones — is flagged, and
+// CoverBound bounds it by 1: VerifyPrepared decides it by the size ratio or
+// by the matrix bound.
 //
 // A column is append-only: Append writes only past the length of every
 // copy taken earlier, so a copy is an immutable snapshot of the records it
@@ -86,8 +86,9 @@ func (col *CoverColumn) Append(prepared []*PreparedRecord) {
 
 // encodes reports whether the column can hold pr: pr's segments index the
 // column's dictionary, its token count fits a coverRec, every ID and span
-// length fits its word, and the starts are the implied ones. Restored records are validated only as far
-// as maxCover needs, so the last is checked, not assumed.
+// length fits its word, and the starts are the implied ones. Restored
+// records are validated only as far as maxCover needs, so the last is
+// checked, not assumed.
 func (col *CoverColumn) encodes(pr *PreparedRecord) bool {
 	if d := pr.dict; d == nil || d != col.dict || len(pr.Tokens) > math.MaxUint16 {
 		return false
@@ -108,18 +109,20 @@ func (col *CoverColumn) encodes(pr *PreparedRecord) bool {
 	return start == len(pr.Tokens)-1
 }
 
-// CoverBound is the bound verification schedules candidates by: an upper
-// bound on the unified similarity of the column's record at pos and the
-// probe pt that fills no msim matrix — the partition-size ratio and, when
-// that reaches theta−BoundSlack, the smaller of it and the cover stage (the
-// first two stages of VerifyPrepared, which repeats them on the record's
-// PreparedRecord and arrives at the same number). A result below
+// CoverBound is the bound verification schedules candidates by, and the one
+// cover stage: an upper bound on the unified similarity of the column's
+// record at pos and the probe pt that fills no msim matrix — the
+// partition-size ratio and, when that reaches theta−BoundSlack, the smaller
+// of it and the cover stage, the best span cover of the record weighted by
+// each segment's cached row maximum against pt (the left half of
+// VerifyPrepared's matrix bound, read with no matrix). A result below
 // theta−BoundSlack dismisses the pair at theta and is counted in sc.Stats as
 // pruned; the bound dominates the similarity, so dropping such a pair is
-// exact.
-// prepared holds the column's records, of which only a flagged one is read.
-// sc must not be nil.
-func (c *Calculator) CoverBound(col *CoverColumn, pos int32, prepared []*PreparedRecord, pt *PreparedRecord, theta float64, sc *Scratch) float64 {
+// exact. A record with an ID beyond the rows is bounded by the size ratio
+// alone, and a flagged record by 1: VerifyPrepared, which a survivor goes on
+// to, decides it by the size ratio (counting that prune) or the matrix
+// bound. sc must not be nil.
+func (c *Calculator) CoverBound(col *CoverColumn, pos int32, pt *PreparedRecord, theta float64, sc *Scratch) float64 {
 	r := col.recs[pos]
 	if r.tokens == 0 || len(pt.Tokens) == 0 {
 		if r.tokens == 0 && len(pt.Tokens) == 0 {
@@ -128,7 +131,7 @@ func (c *Calculator) CoverBound(col *CoverColumn, pos int32, prepared []*Prepare
 		return 0
 	}
 	if r.maxID == coverFlagged {
-		return c.upperBound(sc, prepared[pos], pt, theta)
+		return 1
 	}
 	ub := sizeRatio(int(r.minPart), int(r.tokens), pt.minPart, len(pt.Tokens))
 	if ub < theta-boundSlack {
@@ -139,7 +142,14 @@ func (c *Calculator) CoverBound(col *CoverColumn, pos int32, prepared []*Prepare
 		return ub
 	}
 	cover := min(c.columnCover(sc, col.segs, int(r.end), int(r.tokens), pt)/float64(max(int(r.minPart), pt.minPart)), 1)
-	return sc.settleCover(ub, cover, theta)
+	if cover >= ub {
+		return ub
+	}
+	if cover < theta-boundSlack {
+		sc.Stats.PrunedByBound++
+		sc.Stats.PrunedByCover++
+	}
+	return cover
 }
 
 // AdoptProbe readies sc for a bound pass of pt over the column's records at
@@ -180,11 +190,12 @@ func (col *CoverColumn) start(pos int32) uint32 {
 	return col.recs[pos-1].end
 }
 
-// columnCover is coverStage's cover program on a column record of n tokens
-// whose words end at segs[end] and whose IDs all have row slots: the reverse
-// span-cover DP of maxCover, fused with the row-maximum lookups that fill its
-// values, which evaluate a row only when no earlier pair of the probe has —
-// or, after the eager row pass, read every maximum with no stamp test.
+// columnCover is the cover stage's span-cover total on a column record of n
+// tokens whose words end at segs[end] and whose IDs all have row slots: the
+// reverse span-cover DP of maxCover, fused with the row-maximum lookups that
+// fill its values, which evaluate a row only when no earlier pair of the
+// probe has — or, after the eager row pass, read every maximum with no stamp
+// test.
 // The start of each word is implied, so the walk back ends at the singleton
 // of position 0.
 func (c *Calculator) columnCover(sc *Scratch, segs []uint32, end, n int, pt *PreparedRecord) float64 {

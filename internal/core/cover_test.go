@@ -12,17 +12,41 @@ import (
 	"github.com/aujoin/aujoin/internal/strutil"
 )
 
-// refBound is the number the bound loop must produce for ps against pt: the
-// two empty-record cases, then upperBound on the PreparedRecord — the
-// reference path CoverBound replaces.
-func refBound(calc *Calculator, ps, pt *PreparedRecord, theta float64, sc *Scratch) float64 {
+// refBound is the number CoverBound must produce for ps against pt when the
+// rows cover the IDs below rows, computed the slow way, with the counts it
+// must add to st: the two empty-record cases, 1 for a record the column
+// flags, then the size ratio and — when every segment of ps has a row — the
+// smaller of it and leftCoverRef, whose row IDs it adds to touched.
+func refBound(calc *Calculator, ps, pt *PreparedRecord, flagged bool, theta float64, rows uint32, st *VerifyStats, touched map[uint32]bool) float64 {
 	if len(ps.Tokens) == 0 || len(pt.Tokens) == 0 {
 		if len(ps.Tokens) == 0 && len(pt.Tokens) == 0 {
 			return 1
 		}
 		return 0
 	}
-	return calc.upperBound(sc, ps, pt, theta)
+	if flagged {
+		return 1
+	}
+	ub := sizeRatioUpper(ps, pt)
+	if ub < theta-boundSlack {
+		st.PrunedByBound++
+		return ub
+	}
+	if ps.maxSegID >= rows {
+		return ub
+	}
+	for i := range ps.Segs {
+		touched[ps.Segs[i].ID] = true
+	}
+	cover := leftCoverRef(calc, ps, pt)
+	if cover >= ub {
+		return ub
+	}
+	if cover < theta-boundSlack {
+		st.PrunedByBound++
+		st.PrunedByCover++
+	}
+	return cover
 }
 
 // restoredRecord restores a record of d whose segments have the given spans,
@@ -61,19 +85,20 @@ func longRuleRecord(t *testing.T, calc *Calculator, d *SegDict, side, tail []str
 }
 
 // TestCoverBoundMatchesReference pins CoverBound, the bound loop's entry, to
-// the reference path on the same PreparedRecord: bit for bit, with the same
-// VerifyStats after every pair, on two scratches that see the same sequence
-// of pairs (so rows are evaluated on first touch and read warm after). The
-// records are ordinary ones, ones a dictionary lowered to its cap left with
-// NoSegID, one whose rule side is too long for a column word, one too long
-// for a column record, an empty one,
-// one prepared without a dictionary, one of another dictionary and one
-// restored with a rule segment ahead of its start's singleton, which
-// restore accepts and the implied starts cannot hold — all but the first
-// two flagged or empty, the others read from the column — against probes
-// that include an empty one, with row budgets that leave the rows covering
-// fewer IDs than some records' largest. The column is assembled from a base
-// and two appended batches and must equal the one made at once.
+// the slow reference refBound on the same PreparedRecord: bit for bit, with
+// the same PrunedByBound and PrunedByCover after every pair, and with a row
+// evaluated on first touch and read warm after — MSimEvals is nt for every
+// distinct row ID the probe's pairs have touched. The records are ordinary
+// ones, ones a dictionary lowered to its cap left with NoSegID, one whose
+// rule side is too long for a column word, one too long for a column
+// record, an empty one, one prepared without a dictionary, one of another
+// dictionary and one restored with a rule segment ahead of its start's
+// singleton, which restore accepts and the implied starts cannot hold — all
+// but the first two flagged or empty, the others read from the column —
+// against probes that include an empty one, with row budgets that leave the
+// rows covering fewer IDs than some records' largest. The column is
+// assembled from a base and two appended batches and must equal the one
+// made at once.
 func TestCoverBoundMatchesReference(t *testing.T) {
 	phrase, phrases := phraseContext()
 	side := distinctTokens(coverMaxSpan, 2)
@@ -128,19 +153,27 @@ func TestCoverBoundMatchesReference(t *testing.T) {
 		}
 
 		flagged, beyond, read := 0, 0, 0
-		colSc, refSc := NewScratch(), NewScratch()
+		colSc, want := NewScratch(), VerifyStats{}
+		cells := rowCellBudget
 		if tc.rowCells > 0 {
-			colSc.rowCells, refSc.rowCells = tc.rowCells, tc.rowCells
+			cells = tc.rowCells
+			colSc.rowCells = cells
 		}
 		for _, probe := range probes {
 			pt := calc.PrepareProbe(d, probe)
+			rows, touched := uint32(0), map[uint32]bool{}
+			if nt := len(pt.Segs); nt > 0 {
+				rows = uint32(min(d.Len(), cells/nt))
+			}
 			for _, theta := range []float64{0.5, 0.8, 0.95} {
 				for pos, ps := range recs {
-					got := calc.CoverBound(&col, int32(pos), recs, pt, theta, colSc)
-					want := refBound(calc, ps, pt, theta, refSc)
-					if math.Float64bits(got) != math.Float64bits(want) || colSc.Stats != refSc.Stats {
+					got := calc.CoverBound(&col, int32(pos), pt, theta, colSc)
+					before := len(touched)
+					ref := refBound(calc, ps, pt, col.recs[pos].maxID == coverFlagged, theta, rows, &want, touched)
+					want.MSimEvals += int64((len(touched) - before) * len(pt.Segs))
+					if math.Float64bits(got) != math.Float64bits(ref) || colSc.Stats != want {
 						t.Fatalf("%s: record %d (%d tokens) / %v at θ=%v: column bound %v with %+v, reference %v with %+v",
-							tc.name, pos, len(ps.Tokens), probe, theta, got, colSc.Stats, want, refSc.Stats)
+							tc.name, pos, len(ps.Tokens), probe, theta, got, colSc.Stats, ref, want)
 					}
 					switch r := col.recs[pos]; {
 					case r.tokens == 0:
@@ -258,8 +291,8 @@ func TestEagerRowPassMatchesLazy(t *testing.T) {
 					}
 				}
 				for _, pos := range cands {
-					got := calc.CoverBound(&col, pos, recs, pt, sh.theta, eager)
-					want := calc.CoverBound(&col, pos, recs, pt, sh.theta, lazy)
+					got := calc.CoverBound(&col, pos, pt, sh.theta, eager)
+					want := calc.CoverBound(&col, pos, pt, sh.theta, lazy)
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s, %d cells: record %d against %v: bound %v after the eager pass, %v lazily",
 							sh.name, cells, pos, pt.Tokens, got, want)

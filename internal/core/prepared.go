@@ -155,8 +155,8 @@ type pairSeg struct{ s, t int32 }
 const boundSlack = 1e-9
 
 // BoundSlack is the floating-point guard band of the verify-phase upper
-// bounds, exported so callers that schedule candidates by CoverBound can
-// prune with exactly the tolerance VerifyPrepared itself uses.
+// bounds, exported so callers that bound candidates by CoverBound prune
+// with exactly the tolerance VerifyPrepared itself uses.
 const BoundSlack = boundSlack
 
 // rowCellBudget bounds the per-probe msim row cache of one scratch, in
@@ -177,12 +177,12 @@ const maxSlots = 1<<16 - 1
 // embed it and sum it with Add.
 type VerifyStats struct {
 	// VerifiedCandidates counts record pairs whose msim matrix was filled:
-	// they survived both bounds that need no matrix.
+	// they survived the bounds that need no matrix.
 	VerifiedCandidates int64 `json:"verified_candidates"`
 	// PrunedByBound counts record pairs dismissed by a sound upper bound
-	// before their msim matrix existed — the O(1) partition-size ratio or the
-	// cover stage. PrunedByCover is the cover stage's share, so the size
-	// ratio's is PrunedByBound − PrunedByCover.
+	// before their msim matrix existed — the O(1) partition-size ratio or
+	// CoverBound's cover stage. PrunedByCover is the cover stage's share, so
+	// the size ratio's is PrunedByBound − PrunedByCover.
 	PrunedByBound int64 `json:"pruned_by_bound"`
 	PrunedByCover int64 `json:"pruned_by_cover"`
 	// MemoHits counts msim cells taken into a matrix from a row already
@@ -302,24 +302,11 @@ type Scratch struct {
 // NewScratch returns an empty scratch; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{rowCells: rowCellBudget} }
 
-// scratch returns sc, or a pooled scratch when sc is nil; the boolean
-// reports whether the scratch must be returned to the pool.
-func (c *Calculator) scratch(sc *Scratch) (*Scratch, bool) {
-	if sc != nil {
-		return sc, false
-	}
-	if v := c.scratchPool.Get(); v != nil {
-		return v.(*Scratch), true
-	}
-	return NewScratch(), true
-}
-
 // SimilarityPrepared computes the approximate unified similarity of two
 // prepared records. It runs the same Algorithm 1 as SimilarityTokens —
 // conflict graph, SquareImp, claw improvements — over the precomputed
 // derivation tables, and returns exactly the value SimilarityTokens returns
-// for the underlying token sequences. sc may be nil, in which case a pooled
-// scratch is used.
+// for the underlying token sequences. sc must not be nil.
 func (c *Calculator) SimilarityPrepared(ps, pt *PreparedRecord, sc *Scratch) float64 {
 	if len(ps.Tokens) == 0 || len(pt.Tokens) == 0 {
 		if len(ps.Tokens) == 0 && len(pt.Tokens) == 0 {
@@ -327,45 +314,29 @@ func (c *Calculator) SimilarityPrepared(ps, pt *PreparedRecord, sc *Scratch) flo
 		}
 		return 0
 	}
-	sc, pooled := c.scratch(sc)
 	c.fillMSim(sc, ps, pt)
-	v := c.similarityPrepared(sc, ps, pt)
-	if pooled {
-		c.scratchPool.Put(sc)
-	}
-	return v
-}
-
-// SimilarityAtLeastPrepared reports whether the unified similarity of the
-// two prepared records reaches theta, skipping the w-MIS local search for
-// pairs that cheap upper bounds prove hopeless. sc may be nil.
-func (c *Calculator) SimilarityAtLeastPrepared(ps, pt *PreparedRecord, theta float64, sc *Scratch) bool {
-	_, ok := c.VerifyPrepared(ps, pt, theta, sc)
-	return ok
+	return c.similarityPrepared(sc, ps, pt)
 }
 
 // VerifyPrepared is the join verification primitive: it reports whether the
 // unified similarity of the two prepared records reaches theta and, when it
 // does, returns the similarity (the exact SimilarityTokens value). Hopeless
-// candidates are rejected by three sound upper bounds, in rising order of
+// candidates are rejected by two sound upper bounds, in rising order of
 // cost, before any matching or local search runs:
 //
 //  1. a partition-size ratio bound — SIM divides by max{|P_S|, |P_T|}, so
 //     records whose possible partition-size ranges are too far apart can
-//     never reach theta;
-//  2. the cover stage — the best span cover of the left record weighted by
-//     each segment's maximal msim against the right one, read from one cached
-//     number per distinct segment text (the maximum of its per-probe row), so
-//     it needs no msim matrix; left records without row slots skip it; and
-//  3. the two-sided best-per-segment bound over the filled msim matrix — the
+//     never reach theta — counted in sc.Stats.PrunedByBound; and
+//  2. the two-sided best-per-segment bound over the filled msim matrix — the
 //     matching total of any partition pair is at most the best span cover of
-//     either side weighted by row/column maxima — divided, like the cover
-//     stage, by the larger side's minimal partition size.
+//     either side weighted by row/column maxima — divided by the larger
+//     side's minimal partition size.
 //
-// All three dominate USIM and therefore the value Algorithm 1 returns, and
-// the second is the left half of the third, so VerifyPrepared agrees exactly
-// with SimilarityTokens ≥ theta. sc may be nil, in which case a pooled
-// scratch is used.
+// Both dominate USIM and therefore the value Algorithm 1 returns, so
+// VerifyPrepared agrees exactly with SimilarityTokens ≥ theta. The cover
+// stage, the left half of the second bound read from cached row maxima with
+// no matrix, is CoverBound's: a caller with a cover column bounds a
+// candidate there first. sc must not be nil.
 func (c *Calculator) VerifyPrepared(ps, pt *PreparedRecord, theta float64, sc *Scratch) (float64, bool) {
 	if len(ps.Tokens) == 0 || len(pt.Tokens) == 0 {
 		v := 0.0
@@ -374,13 +345,8 @@ func (c *Calculator) VerifyPrepared(ps, pt *PreparedRecord, theta float64, sc *S
 		}
 		return v, v >= theta
 	}
-	sc, pooled := c.scratch(sc)
-	defer func() {
-		if pooled {
-			c.scratchPool.Put(sc)
-		}
-	}()
-	if c.upperBound(sc, ps, pt, theta) < theta-boundSlack {
+	if sizeRatioUpper(ps, pt) < theta-boundSlack {
+		sc.Stats.PrunedByBound++
 		return 0, false
 	}
 	sc.Stats.VerifiedCandidates++
@@ -390,33 +356,6 @@ func (c *Calculator) VerifyPrepared(ps, pt *PreparedRecord, theta float64, sc *S
 	}
 	v := c.similarityPrepared(sc, ps, pt)
 	return v, v >= theta
-}
-
-// upperBound runs the two bounds that need no msim matrix on a pair of
-// non-empty records and counts the pair when one of them dismisses it at
-// theta. It is the reference the cover column's CoverBound is tested
-// against.
-func (c *Calculator) upperBound(sc *Scratch, ps, pt *PreparedRecord, theta float64) float64 {
-	ub := sizeRatioUpper(ps, pt)
-	if ub < theta-boundSlack {
-		sc.Stats.PrunedByBound++
-		return ub
-	}
-	return sc.settleCover(ub, c.coverStage(sc, ps, pt), theta)
-}
-
-// settleCover is the end of both bound paths: the smaller of the size ratio
-// ub, which reached theta−boundSlack, and the cover stage's bound, with the
-// pair counted when the cover stage dismisses it.
-func (sc *Scratch) settleCover(ub, cover, theta float64) float64 {
-	if cover < ub {
-		ub = cover
-		if ub < theta-boundSlack {
-			sc.Stats.PrunedByBound++
-			sc.Stats.PrunedByCover++
-		}
-	}
-	return ub
 }
 
 // sizeRatioUpper bounds USIM by the best achievable ratio min/max of the two
@@ -439,40 +378,17 @@ func sizeRatio(aLo, aHi, bLo, bHi int) float64 {
 	return 1
 }
 
-// coverStage is the left half of coverUpper computed before the msim matrix
-// exists: the row maximum coverUpper would scan out of the matrix for each
-// segment of ps is the cached maximum of that segment text's per-probe row,
-// so the stage reads one number a segment, evaluating a row only when no
-// earlier pair of the probe has, and runs one span-cover program. coverUpper
-// is the minimum of its two halves over the same denominator, so every pair
-// the stage dismisses is one coverUpper would. A left record with a segment
-// that has no row slot (no dictionary, NoSegID, an ID beyond the rows) gets
-// the trivial bound 1 and evaluates nothing here.
-func (c *Calculator) coverStage(sc *Scratch, ps, pt *PreparedRecord) float64 {
-	d := ps.dict
-	if d == nil || ps.maxSegID >= sc.adoptRows(c.Ctx, d, pt) {
-		return 1
-	}
-	sc.rowBest = strutil.Resize(sc.rowBest, len(ps.Segs))
-	for i := range ps.Segs {
-		a := &ps.Segs[i]
-		if sc.rowStamp[a.ID] != sc.rowGen {
-			c.cacheRow(sc, a.ID, pt)
-		}
-		sc.rowBest[i] = sc.rowMax[a.ID]
-	}
-	return coverRatio(maxCover(sc, ps, sc.rowBest), ps, pt)
-}
-
 // fillMSim computes the dense msim matrix between every well-defined segment
-// of ps and pt into the scratch cache. Both the upper-bound screen and every
-// partition matrix of the local search read from this cache, so each segment
-// pair's msim is evaluated exactly once per record pair — and, when ps
-// carries dictionary IDs, once per (segment text, right-hand record): the
-// verify call sites pass the indexed record on the left and the probe on the
-// right, so the first candidate that holds a text evaluates its row against
-// the probe (in the cover stage, as a rule) and every later one copies it —
-// or, for a row whose maximum is 0, clears the matrix row.
+// of ps and pt into the scratch cache. Both coverUpper and every partition
+// matrix of the local search read from this cache, so each segment pair's
+// msim is evaluated exactly once per record pair — and, when ps carries
+// dictionary IDs, once per (segment text, right-hand record): the verify
+// call sites pass the indexed record on the left and the probe on the
+// right, so the row of a text is evaluated once a probe — by AdoptProbe's
+// eager pass or CoverBound's cover stage, as a rule, else here — and every
+// later candidate that holds the text copies it, or, for a row whose
+// maximum is 0, clears the matrix row. A segment with no row slot (no
+// dictionary, NoSegID, an ID beyond the rows) is evaluated cell by cell.
 func (c *Calculator) fillMSim(sc *Scratch, ps, pt *PreparedRecord) {
 	ns, nt := len(ps.Segs), len(pt.Segs)
 	sc.msim = strutil.Resize(sc.msim, ns*nt)
@@ -776,12 +692,6 @@ func coverUpper(sc *Scratch, ps, pt *PreparedRecord) float64 {
 	if v := maxCover(sc, pt, sc.colBest); v < num {
 		num = v
 	}
-	return coverRatio(num, ps, pt)
-}
-
-// coverRatio turns a span-cover total into the bound: divided by the larger
-// of the two partition-size lower bounds, clipped at 1.
-func coverRatio(num float64, ps, pt *PreparedRecord) float64 {
 	return min(num/float64(max(ps.minPart, pt.minPart)), 1)
 }
 

@@ -74,15 +74,7 @@ func TestSimilarityPreparedMatchesTokens(t *testing.T) {
 					t.Fatalf("%v trial %d %s: SimilarityPrepared = %v, SimilarityTokens = %v for %v / %v",
 						ms, trial, w.name, got, want, sTok, tTok)
 				}
-				// Nil scratch (pooled path) must agree too.
-				if got := calc.SimilarityPrepared(ps, pt, nil); got != want {
-					t.Fatalf("%v trial %d %s: pooled SimilarityPrepared = %v, want %v", ms, trial, w.name, got, want)
-				}
 				for _, theta := range thetas {
-					if got := calc.SimilarityAtLeastPrepared(ps, pt, theta, sc); got != (want >= theta) {
-						t.Fatalf("%v trial %d %s θ=%v: SimilarityAtLeastPrepared = %v, similarity %v for %v / %v",
-							ms, trial, w.name, theta, got, want, sTok, tTok)
-					}
 					if v, ok := calc.VerifyPrepared(ps, pt, theta, sc); ok != (want >= theta) || (ok && v != want) {
 						t.Fatalf("%v trial %d %s θ=%v: VerifyPrepared = (%v, %v), similarity %v",
 							ms, trial, w.name, theta, v, ok, want)
@@ -93,10 +85,10 @@ func TestSimilarityPreparedMatchesTokens(t *testing.T) {
 	}
 }
 
-// TestSimilarityAtLeastMatchesTokens pins the thresholded verification
-// engine, SimilarityAtLeastPrepared: it must agree with the full computation
-// at every threshold, including both boundary directions.
-func TestSimilarityAtLeastMatchesTokens(t *testing.T) {
+// TestVerifyPreparedMatchesTokens pins the thresholded verification engine,
+// VerifyPrepared: its verdict must agree with the full computation at every
+// threshold, including both boundary directions.
+func TestVerifyPreparedMatchesTokens(t *testing.T) {
 	calc := NewCalculator(paperContext())
 	rng := rand.New(rand.NewSource(99))
 	sc, d := NewScratch(), NewSegDict()
@@ -106,13 +98,13 @@ func TestSimilarityAtLeastMatchesTokens(t *testing.T) {
 		want := calc.SimilarityTokens(sTok, tTok)
 		pt := calc.Prepare(tTok)
 		for _, theta := range []float64{0, 0.5, 0.7, 0.8, 0.9, 1, want} {
-			if got := calc.SimilarityAtLeastPrepared(calc.Prepare(sTok), pt, theta, nil); got != (want >= theta) {
-				t.Fatalf("trial %d θ=%v: SimilarityAtLeastPrepared of fresh records = %v, similarity = %v for %v / %v",
+			if _, got := calc.VerifyPrepared(calc.Prepare(sTok), pt, theta, NewScratch()); got != (want >= theta) {
+				t.Fatalf("trial %d θ=%v: VerifyPrepared of fresh records = %v, similarity = %v for %v / %v",
 					trial, theta, got, want, sTok, tTok)
 			}
 			for _, w := range leftWays(calc, d, sc, sTok) {
-				if got := calc.SimilarityAtLeastPrepared(w.ps, pt, theta, w.sc); got != (want >= theta) {
-					t.Fatalf("trial %d θ=%v %s: SimilarityAtLeastPrepared = %v, similarity = %v for %v / %v",
+				if _, got := calc.VerifyPrepared(w.ps, pt, theta, w.sc); got != (want >= theta) {
+					t.Fatalf("trial %d θ=%v %s: VerifyPrepared = %v, similarity = %v for %v / %v",
 						trial, theta, w.name, got, want, sTok, tTok)
 				}
 			}
@@ -124,19 +116,20 @@ func TestPreparedEmptyRecords(t *testing.T) {
 	calc := NewCalculator(paperContext())
 	empty := calc.Prepare(nil)
 	full := calc.Prepare([]string{"coffee"})
-	if v := calc.SimilarityPrepared(empty, empty, nil); v != 1 {
+	sc := NewScratch()
+	if v := calc.SimilarityPrepared(empty, empty, sc); v != 1 {
 		t.Errorf("empty-empty = %v, want 1", v)
 	}
-	if v := calc.SimilarityPrepared(empty, full, nil); v != 0 {
+	if v := calc.SimilarityPrepared(empty, full, sc); v != 0 {
 		t.Errorf("empty-full = %v, want 0", v)
 	}
-	if v := calc.SimilarityPrepared(full, empty, nil); v != 0 {
+	if v := calc.SimilarityPrepared(full, empty, sc); v != 0 {
 		t.Errorf("full-empty = %v, want 0", v)
 	}
-	if v, ok := calc.VerifyPrepared(empty, empty, 1, nil); !ok || v != 1 {
+	if v, ok := calc.VerifyPrepared(empty, empty, 1, sc); !ok || v != 1 {
 		t.Errorf("VerifyPrepared(empty, empty, 1) = (%v, %v), want (1, true)", v, ok)
 	}
-	if _, ok := calc.VerifyPrepared(empty, full, 0.1, nil); ok {
+	if _, ok := calc.VerifyPrepared(empty, full, 0.1, sc); ok {
 		t.Error("VerifyPrepared(empty, full) should not reach 0.1")
 	}
 	if empty.NumSegments() != 0 || empty.MinPartitionSize() != 0 {
@@ -262,11 +255,13 @@ func TestProbeSharesInternedRows(t *testing.T) {
 // beyond the scratch's cell budget. All three take the direct path: values
 // stay exact, and verifying the same pair again computes exactly those
 // segments' cells again — a cached row would have answered them. A record
-// with such a segment also skips the cover stage: VerifyPrepared at a
-// threshold between the record's cover bound and its size ratio fills the
-// matrix, computing those segments' cells and no others, while a record all
-// of whose segments have rows is dismissed from the cached row maxima with
-// no cell computed and none copied.
+// with such a segment also skips the cover stage: CoverBound leaves it to
+// the size ratio (or, flagged, to 1), while a record all of whose segments
+// have rows is dismissed from the cached row maxima at a threshold between
+// its cover bound and its size ratio with no cell computed and none copied.
+// VerifyPrepared, which has no cover stage, fills the matrix of either at
+// that threshold, computing the cells beyond the rows and no others, and
+// dismisses the pair by the size ratio, counted, above that ratio.
 func TestRowCacheGrowthAndBounds(t *testing.T) {
 	calc := NewCalculator(paperContext())
 	// The scratch adopts the probe — and the dictionary's length — on the
@@ -293,6 +288,7 @@ func TestRowCacheGrowthAndBounds(t *testing.T) {
 		nt := int64(pt.NumSegments())
 		direct := int64(0) // segments that verified on the direct path
 		staged := 0        // records the cover stage dismissed
+		ratioPruned := 0   // records VerifyPrepared's size ratio dismissed
 		verify := func(toks []string) {
 			t.Helper()
 			ps := calc.PrepareIn(d, toks)
@@ -320,24 +316,41 @@ func TestRowCacheGrowthAndBounds(t *testing.T) {
 			}
 			direct += beyond
 
-			// The cover stage, on rows the passes above left warm.
+			// The cover stage, on a column of the record alone and the rows
+			// the passes above left warm.
 			cover, ratio := leftCoverRef(calc, ps, pt), sizeRatioUpper(ps, pt)
 			if cover >= ratio {
 				t.Fatalf("%s: %v: cover bound %v, size ratio %v: no threshold between them", tc.name, toks, cover, ratio)
 			}
+			theta := (cover + ratio) / 2
+			col := NewCoverColumn(d, []*PreparedRecord{ps})
 			sc.Stats = VerifyStats{}
-			if _, ok := calc.VerifyPrepared(ps, pt, (cover+ratio)/2, sc); ok {
-				t.Fatalf("%s: %v / %v verified above its cover bound %v", tc.name, toks, probe, cover)
-			}
-			did := sc.Stats
-			expect := VerifyStats{PrunedByBound: 1, PrunedByCover: 1}
-			if beyond > 0 {
-				expect = VerifyStats{VerifiedCandidates: 1, MSimEvals: beyond * nt, MemoHits: (int64(len(ps.Segs)) - beyond) * nt}
-			} else {
+			bound, expect := ratio, VerifyStats{}
+			switch {
+			case ps.maxSegID == NoSegID:
+				bound = 1
+			case beyond == 0:
+				bound, expect = cover, VerifyStats{PrunedByBound: 1, PrunedByCover: 1}
 				staged++
 			}
-			if did != expect {
-				t.Fatalf("%s: %v with %d segments beyond the rows: VerifyPrepared did %+v, want %+v", tc.name, toks, beyond, did, expect)
+			if got := calc.CoverBound(&col, 0, pt, theta, sc); got != bound || sc.Stats != expect {
+				t.Fatalf("%s: %v with %d segments beyond the rows: CoverBound = %v with %+v, want %v with %+v",
+					tc.name, toks, beyond, got, sc.Stats, bound, expect)
+			}
+			sc.Stats = VerifyStats{}
+			if _, ok := calc.VerifyPrepared(ps, pt, theta, sc); ok {
+				t.Fatalf("%s: %v / %v verified above its cover bound %v", tc.name, toks, probe, cover)
+			}
+			expect = VerifyStats{VerifiedCandidates: 1, MSimEvals: beyond * nt, MemoHits: (int64(len(ps.Segs)) - beyond) * nt}
+			if sc.Stats != expect {
+				t.Fatalf("%s: %v with %d segments beyond the rows: VerifyPrepared did %+v, want %+v", tc.name, toks, beyond, sc.Stats, expect)
+			}
+			if ratio < 1 {
+				sc.Stats = VerifyStats{}
+				if _, ok := calc.VerifyPrepared(ps, pt, (ratio+1)/2, sc); ok || sc.Stats != (VerifyStats{PrunedByBound: 1}) {
+					t.Fatalf("%s: %v above its size ratio %v: verified %v with %+v", tc.name, toks, ratio, ok, sc.Stats)
+				}
+				ratioPruned++
 			}
 		}
 		for _, toks := range corpus {
@@ -348,6 +361,9 @@ func TestRowCacheGrowthAndBounds(t *testing.T) {
 		}
 		if staged == 0 && tc.rowCell == 0 {
 			t.Errorf("%s: no record had a row for every segment; the cover stage never ran", tc.name)
+		}
+		if ratioPruned == 0 {
+			t.Errorf("%s: no record's size ratio was below 1", tc.name)
 		}
 		if tc.dictCap > 0 && d.Len() != tc.dictCap {
 			t.Errorf("%s: dictionary holds %d entries, cap %d", tc.name, d.Len(), tc.dictCap)
@@ -381,21 +397,21 @@ func BenchmarkVerifyPreparedReject(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyPreparedRejectCover is the same reject as the engine meets
-// it: the left record interned, its rows warm, so the cover stage dismisses
-// the pair from one number a segment.
-func BenchmarkVerifyPreparedRejectCover(b *testing.B) {
-	calc := NewCalculator(paperContext())
-	ps := calc.PrepareIn(NewSegDict(), []string{"coffee", "shop", "latte", "helsingki"})
+// BenchmarkCoverBoundReject is the same reject as the engine meets it: the
+// left record interned and held as a one-record cover column, its rows warm,
+// so CoverBound's cover stage dismisses the pair from one number a segment.
+func BenchmarkCoverBoundReject(b *testing.B) {
+	calc, d := NewCalculator(paperContext()), NewSegDict()
+	col := NewCoverColumn(d, []*PreparedRecord{calc.PrepareIn(d, []string{"coffee", "shop", "latte", "helsingki"})})
 	pt := calc.Prepare([]string{"apple", "cake", "bakery", "market"})
 	sc := NewScratch()
-	if _, ok := calc.VerifyPrepared(ps, pt, 0.8, sc); ok || sc.Stats.PrunedByCover != 1 {
-		b.Fatalf("verified %v, %d dismissed by the cover stage: not the cover reject", ok, sc.Stats.PrunedByCover)
+	if calc.CoverBound(&col, 0, pt, 0.8, sc) >= 0.8-BoundSlack || sc.Stats.PrunedByCover != 1 {
+		b.Fatalf("%d dismissed by the cover stage: not the cover reject", sc.Stats.PrunedByCover)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		calc.VerifyPrepared(ps, pt, 0.8, sc)
+		calc.CoverBound(&col, 0, pt, 0.8, sc)
 	}
 }
 

@@ -40,10 +40,6 @@ type Calculator struct {
 
 	segmenter *Segmenter
 	segOnce   sync.Once
-
-	// scratchPool recycles verification scratch for callers that pass a nil
-	// *Scratch to the prepared-path methods.
-	scratchPool sync.Pool
 }
 
 // NewCalculator creates a Calculator with default parameters over the given

@@ -52,21 +52,6 @@ func (o *OnlineStats) Variance() float64 {
 	return o.vari
 }
 
-// StdErr returns the standard error of the mean, sqrt(Var/n).
-func (o *OnlineStats) StdErr() float64 {
-	if o.n == 0 {
-		return 0
-	}
-	return math.Sqrt(o.Variance() / float64(o.n))
-}
-
-// ConfidenceInterval returns the (lower, upper) Student-t confidence
-// interval of the mean for the given quantile t*.
-func (o *OnlineStats) ConfidenceInterval(tQuantile float64) (lo, hi float64) {
-	se := o.StdErr()
-	return o.mean - tQuantile*se, o.mean + tQuantile*se
-}
-
 // Config tunes the suggestion procedure.
 type Config struct {
 	// Universe is the set of τ values to choose from; empty means {1..8}.

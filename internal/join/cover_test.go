@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/pebble"
+	"github.com/aujoin/aujoin/internal/strutil"
 )
 
 // checkCoverColumns fails unless every shard's published view holds the
@@ -75,4 +77,113 @@ func TestCoverColumnMatchesPrepared(t *testing.T) {
 	}
 	sx := restoreFrom(t, NewJoiner(propertyContexts()["full"]), image, DynamicOptions{})
 	checkCoverColumns(t, sx, "restored older image")
+}
+
+// TestFlaggedRecordServedExactly restores a snapshot in which one record
+// lists its rule segment ahead of its start's singleton: restore accepts the
+// record, and the cover column cannot hold its starts, so it flags it and
+// CoverBound leaves it to VerifyPrepared. Served lookups and probes must
+// still equal BruteForce over the live catalog at every θ, and every
+// candidate must be either pruned by a bound or verified.
+func TestFlaggedRecordServedExactly(t *testing.T) {
+	const flaggedRaw = "coffee shop latte helsinki"
+	rng := rand.New(rand.NewSource(71))
+	j := NewJoiner(propertyContexts()["full"])
+	recs := append(propertyCorpus(40, rng), strutil.NewRecord(40, flaggedRaw))
+	queries := append(propertyCorpus(20, rng), strutil.NewRecord(20, flaggedRaw), strutil.NewRecord(21, "cafe latte helsingki"))
+	for _, theta := range []float64{0.7, 0.8, 0.9} {
+		t.Run(fmt.Sprintf("theta=%v", theta), func(t *testing.T) {
+			flaggedServedExactly(t, j, recs, queries, flaggedRaw, theta)
+		})
+	}
+}
+
+// flaggedServedExactly is TestFlaggedRecordServedExactly at one θ.
+func flaggedServedExactly(t *testing.T, j *Joiner, recs, queries []strutil.Record, flaggedRaw string, theta float64) {
+	sx := j.BuildShardedIndex(recs, 3, Options{Theta: theta, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
+	snap := sx.CaptureSnapshot()
+	rd := &snap.Records[len(snap.Records)-1]
+	if rd.Raw != flaggedRaw || len(rd.Segs) < 2 || rd.Segs[1].End-rd.Segs[1].Start != 2 {
+		t.Fatalf("θ=%v: the last record is %q with segments %+v, want the rule segment second", theta, rd.Raw, rd.Segs)
+	}
+	rd.Segs[0], rd.Segs[1] = rd.Segs[1], rd.Segs[0]
+	restored, err := j.RestoreShardedIndex(snap, DynamicOptions{})
+	if err != nil {
+		t.Fatalf("θ=%v: restore refused the record: %v", theta, err)
+	}
+
+	// A flagged record is bounded by 1 against any probe, an encoded
+	// one by its cover against a probe it shares nothing with: 0.
+	calc, sc := j.Calculator(), core.NewScratch()
+	stranger := calc.Prepare([]string{"zzqx"})
+	flagged := 0
+	for _, sh := range restored.shards {
+		v := sh.snapshot()
+		for pos, rec := range v.records {
+			if b := calc.CoverBound(&v.cover, int32(pos), stranger, 0, sc); (b == 1) != (rec.Raw == flaggedRaw) {
+				t.Fatalf("θ=%v: record %q bounded by %v against a stranger", theta, rec.Raw, b)
+			} else if b == 1 {
+				flagged++
+			}
+		}
+	}
+	if flagged != 1 {
+		t.Fatalf("θ=%v: %d records flagged, want 1", theta, flagged)
+	}
+
+	v := restored.Snapshot()
+	want := j.BruteForce(v.Live(), queries, theta, nil)
+	got, stats := v.Probe(queries)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("θ=%v: Probe %v, oracle %v", theta, got, want)
+	}
+	if stats.VerifiedCandidates+stats.PrunedByBound != int64(stats.Candidates) {
+		t.Fatalf("θ=%v: %d verified + %d pruned by a bound, %d candidates", theta, stats.VerifiedCandidates, stats.PrunedByBound, stats.Candidates)
+	}
+	served := 0
+	for _, q := range queries {
+		rows := rowsOf(want, q.ID)
+		for _, m := range rows {
+			if m.Record == 40 {
+				served++
+			}
+		}
+		if pr := probeRecord(t, v, q.Tokens); !reflect.DeepEqual(pr, rows) {
+			t.Fatalf("θ=%v: ProbeRecordCtx(%q) = %v, want %v", theta, q.Raw, pr, rows)
+		}
+		top := queryTopK(t, v, q.Tokens, len(recs))
+		sort.Slice(top, func(a, b int) bool { return top[a].Record < top[b].Record })
+		if len(top) != len(rows) || (len(rows) > 0 && !reflect.DeepEqual(top, rows)) {
+			t.Fatalf("θ=%v: QueryTopKCtx(%q) = %v, want %v", theta, q.Raw, top, rows)
+		}
+	}
+	if served == 0 {
+		t.Fatalf("θ=%v: no query matched the flagged record", theta)
+	}
+}
+
+// TestFilterProfileVerifyStatsMatchesBruteForce checks the τ sweep's
+// verification, which bounds every candidate from the S side's cover column
+// before VerifyPrepared: the filters are lossless, so at every τ and θ the
+// result count R_τ must equal BruteForce's, and V_τ must equal Stats'.
+func TestFilterProfileVerifyStatsMatchesBruteForce(t *testing.T) {
+	j := NewJoiner(propertyContexts()["full"])
+	rng := rand.New(rand.NewSource(73))
+	s := propertyCorpus(40, rng)
+	u := propertyCorpus(40, rng)
+	for _, method := range []pebble.Method{pebble.UFilter, pebble.AUHeuristic, pebble.AUDP} {
+		t.Run(method.String(), func(t *testing.T) {
+			for _, theta := range []float64{0.7, 0.8, 0.9} {
+				want := len(j.BruteForce(s, u, theta, nil))
+				fp := j.NewFilterProfile(s, u, Options{Theta: theta, Method: method})
+				for tau := 1; tau <= 4; tau++ {
+					_, wantV := fp.Stats(tau)
+					_, gotV, gotR := fp.VerifyStats(tau)
+					if gotR != want || gotV != wantV {
+						t.Errorf("θ=%v τ=%d: VerifyStats (V %d, R %d), want (V %d, R %d)", theta, tau, gotV, gotR, wantV, want)
+					}
+				}
+			}
+		})
+	}
 }

@@ -501,8 +501,11 @@ type FilterProfile struct {
 	theta   float64
 	workers int
 	// S is the left operand of every verification, so it is the side whose
-	// segments get IDs (the profile's own dictionary).
+	// segments get IDs (the profile's own dictionary), and cover is its cover
+	// column, which bounds every candidate before VerifyPrepared, as a
+	// shard's does.
 	prepS, prepT []*core.PreparedRecord
+	cover        core.CoverColumn
 	preS, preT   []pebble.Presig
 	scratch      sync.Pool // *probeScratch, reused across the τ sweep
 
@@ -528,6 +531,7 @@ func (j *Joiner) NewFilterProfile(s, t []strutil.Record, opts Options) *FilterPr
 		workers: opts.workers(),
 		prepS:   prepS,
 		prepT:   prepT,
+		cover:   core.NewCoverColumn(dict, prepS),
 		preS:    presigs(prepS, generated[0], sel),
 		preT:    presigs(prepT, generated[1], sel),
 	}
@@ -551,8 +555,9 @@ func (fp *FilterProfile) Stats(tau int) (processed int64, candidates int) {
 }
 
 // VerifyStats is Stats plus verification: it runs the filtering stage for
-// one τ and verifies every candidate through the prepared thresholded
-// engine, returning the number of results (R_τ) alongside T_τ and V_τ.
+// one τ and decides every candidate as a shard does — bounded from the S
+// side's cover column, then, past the bound, verified by VerifyPrepared —
+// returning the number of results (R_τ) alongside T_τ and V_τ.
 func (fp *FilterProfile) VerifyStats(tau int) (processed int64, candidates, results int) {
 	cands, processed := fp.filter(tau)
 	if len(cands) == 0 {
@@ -580,7 +585,9 @@ func (fp *FilterProfile) VerifyStats(tau int) (processed int64, candidates, resu
 				scratches[w] = sc
 			}
 			c := todo[i]
-			keep[i] = fp.calc.SimilarityAtLeastPrepared(fp.prepS[c.s], fp.prepT[c.t], fp.theta, sc)
+			if fp.calc.CoverBound(&fp.cover, int32(c.s), fp.prepT[c.t], fp.theta, sc) >= fp.theta-core.BoundSlack {
+				_, keep[i] = fp.calc.VerifyPrepared(fp.prepS[c.s], fp.prepT[c.t], fp.theta, sc)
+			}
 		})
 		for i, c := range todo {
 			fp.verdicts[c] = keep[i]

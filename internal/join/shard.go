@@ -653,7 +653,7 @@ func (v *shardView) verify(ctx context.Context, rq *request, cands []int32, sc *
 	calc.AdoptProbe(&v.cover, cands, rq.pq, sim)
 	err := forCtx(ctx, len(cands), func(i int) {
 		r := cands[i]
-		if calc.CoverBound(&v.cover, r, v.prepared, rq.pq, theta, sim) < theta-core.BoundSlack {
+		if calc.CoverBound(&v.cover, r, rq.pq, theta, sim) < theta-core.BoundSlack {
 			return
 		}
 		if val, ok := calc.VerifyPrepared(v.prepared[r], rq.pq, theta, sim); ok {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/bits"
 	"sort"
 	"strings"
 
@@ -68,11 +67,6 @@ type SegmentData struct {
 	// left / right side equals Text. The slices alias the rule set's index
 	// and must not be modified.
 	LHS, RHS []int
-	// Sig is a 128-bit hashed bitmap over Grams: each gram sets bit
-	// fnv64(gram) mod 128. It powers an exact-rejection prefilter in
-	// SegmentJaccardData — the bound it yields is conservative, so a pair is
-	// skipped only when the gram intersection is provably empty.
-	Sig [2]uint64
 }
 
 // GramKeyPrefix namespaces the pebble keys of q-grams, so that a gram can
@@ -98,32 +92,6 @@ func gramKeys(grams []string) []string {
 	return keys
 }
 
-func gramSignature(grams GramSet) [2]uint64 {
-	var sig [2]uint64
-	for _, g := range grams {
-		h := fnv64(g)
-		b := h & 127
-		sig[b>>6] |= 1 << (b & 63)
-	}
-	return sig
-}
-
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// sigExcess returns the number of signature bits set in a but not in b. Each
-// such bit is witnessed by at least one gram of a, and no gram of b hashes
-// there, so at least that many grams of a are provably absent from b.
-func sigExcess(a, b [2]uint64) int {
-	return bits.OnesCount64(a[0]&^b[0]) + bits.OnesCount64(a[1]&^b[1])
-}
-
 // PrepareSegment derives the SegmentData of a token span under this context
 // from its space-joined text. The tokens must already be normalised (the
 // output of strutil.Tokenize).
@@ -133,7 +101,6 @@ func (c *Context) PrepareSegment(text string) SegmentData {
 		grams := strutil.QGrams(d.Text, c.GramQ())
 		d.GramKeys = gramKeys(grams)
 		d.Grams = newGramSet(grams)
-		d.Sig = gramSignature(d.Grams)
 	}
 	if c.SynonymEnabled() {
 		d.LHS = c.Rules.ByLHSText(d.Text)
@@ -162,18 +129,6 @@ func (c *Context) SegmentJaccardData(a, b *SegmentData) float64 {
 		return 1
 	}
 	if la == 0 || lb == 0 {
-		return 0
-	}
-	// Signature prefilter: reject before the merge touches gram memory, but
-	// only on proof of an empty intersection (so the result is unchanged).
-	// Tier 1: no shared signature bits ⇒ no shared grams. Tier 2: every
-	// signature bit of a absent from b witnesses ≥1 gram of a not in b (and
-	// symmetrically), so |a∩b| ≤ la − sigExcess(a,b); a non-positive bound
-	// proves inter == 0.
-	if (a.Sig[0]&b.Sig[0])|(a.Sig[1]&b.Sig[1]) == 0 {
-		return 0
-	}
-	if la-sigExcess(a.Sig, b.Sig) <= 0 || lb-sigExcess(b.Sig, a.Sig) <= 0 {
 		return 0
 	}
 	inter := a.Grams.Overlap(b.Grams)

@@ -1,9 +1,8 @@
-// Package sim implements the individual (single-type) string similarity
-// measures referenced in Section 2.1 and Section 6 of the paper: the
-// gram-based syntactic measures (Jaccard, Cosine, Dice, Overlap), Hamming
-// and Levenshtein distances, and thin adapters over the synonym and
-// taxonomy substrates. The unified measure in internal/core composes these
-// per-segment.
+// Package sim implements the three base similarity measures of Section 2.1
+// of the paper — the gram-based Jaccard measure and thin adapters over the
+// synonym and taxonomy substrates — their maximum msim (Eq. 4), and the
+// prepared per-segment tables and row kernel verification evaluates them
+// through. The unified measure in internal/core composes these per-segment.
 package sim
 
 import (
@@ -134,147 +133,6 @@ func JaccardGrams(s, t string, q int) float64 {
 	return float64(inter) / float64(union)
 }
 
-// CosineGrams computes the cosine similarity of the q-gram sets of two
-// strings: |A ∩ B| / sqrt(|A|·|B|).
-func CosineGrams(s, t string, q int) float64 {
-	if s == "" && t == "" {
-		return 1
-	}
-	if s == "" || t == "" {
-		return 0
-	}
-	gs := strutil.QGramSet(s, q)
-	gt := strutil.QGramSet(t, q)
-	inter := strutil.OverlapCount(gs, gt)
-	if len(gs) == 0 || len(gt) == 0 {
-		return 0
-	}
-	return float64(inter) / sqrtf(float64(len(gs))*float64(len(gt)))
-}
-
-// DiceGrams computes the Dice (Sørensen) coefficient of the q-gram sets of
-// two strings: 2|A ∩ B| / (|A| + |B|).
-func DiceGrams(s, t string, q int) float64 {
-	if s == "" && t == "" {
-		return 1
-	}
-	if s == "" || t == "" {
-		return 0
-	}
-	gs := strutil.QGramSet(s, q)
-	gt := strutil.QGramSet(t, q)
-	inter := strutil.OverlapCount(gs, gt)
-	den := len(gs) + len(gt)
-	if den == 0 {
-		return 1
-	}
-	return 2 * float64(inter) / float64(den)
-}
-
-// OverlapGrams computes the overlap coefficient of the q-gram sets:
-// |A ∩ B| / min(|A|, |B|).
-func OverlapGrams(s, t string, q int) float64 {
-	if s == "" && t == "" {
-		return 1
-	}
-	if s == "" || t == "" {
-		return 0
-	}
-	gs := strutil.QGramSet(s, q)
-	gt := strutil.QGramSet(t, q)
-	inter := strutil.OverlapCount(gs, gt)
-	minLen := len(gs)
-	if len(gt) < minLen {
-		minLen = len(gt)
-	}
-	if minLen == 0 {
-		return 1
-	}
-	return float64(inter) / float64(minLen)
-}
-
-// sqrtf is a tiny Newton-iteration square root so the package stays free of
-// math imports on the hot path; accuracy is far beyond what similarity
-// thresholds need.
-func sqrtf(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 32; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
-}
-
-// HammingDistance returns the number of positions at which the two strings
-// differ; strings of unequal length additionally count the length
-// difference, following the convention of HmSearch-style gram comparisons.
-func HammingDistance(s, t string) int {
-	if len(s) > len(t) {
-		s, t = t, s
-	}
-	d := len(t) - len(s)
-	for i := 0; i < len(s); i++ {
-		if s[i] != t[i] {
-			d++
-		}
-	}
-	return d
-}
-
-// Levenshtein returns the edit distance between two strings using the
-// classic two-row dynamic program. It operates on bytes, which is exact for
-// the ASCII evaluation datasets.
-func Levenshtein(s, t string) int {
-	if s == t {
-		return 0
-	}
-	if len(s) == 0 {
-		return len(t)
-	}
-	if len(t) == 0 {
-		return len(s)
-	}
-	prev := make([]int, len(t)+1)
-	cur := make([]int, len(t)+1)
-	for j := 0; j <= len(t); j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= len(s); i++ {
-		cur[0] = i
-		for j := 1; j <= len(t); j++ {
-			cost := 1
-			if s[i-1] == t[j-1] {
-				cost = 0
-			}
-			m := prev[j] + 1 // deletion
-			if v := cur[j-1] + 1; v < m {
-				m = v // insertion
-			}
-			if v := prev[j-1] + cost; v < m {
-				m = v // substitution
-			}
-			cur[j] = m
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(t)]
-}
-
-// NormalizedEditSimilarity converts Levenshtein distance into a similarity
-// in [0, 1]: 1 - ED(s,t)/max(|s|,|t|).
-func NormalizedEditSimilarity(s, t string) float64 {
-	if s == "" && t == "" {
-		return 1
-	}
-	maxLen := len(s)
-	if len(t) > maxLen {
-		maxLen = len(t)
-	}
-	return 1 - float64(Levenshtein(s, t))/float64(maxLen)
-}
-
 // Context carries the knowledge sources and configuration every similarity
 // computation needs. A single Context is shared by the unified measure, the
 // pebble generator, and the join algorithms.
@@ -394,27 +252,6 @@ func (c *Context) MSim(a, b []string) float64 {
 		}
 	}
 	return best
-}
-
-// MSimBest returns both the best similarity and the measure attaining it.
-func (c *Context) MSimBest(a, b []string) (float64, Measure) {
-	best, bm := 0.0, Jaccard
-	if c.JaccardEnabled() {
-		if v := c.SegmentJaccard(a, b); v > best {
-			best, bm = v, Jaccard
-		}
-	}
-	if c.SynonymEnabled() {
-		if v := c.SegmentSynonym(a, b); v > best {
-			best, bm = v, Synonym
-		}
-	}
-	if c.TaxonomyEnabled() {
-		if v := c.SegmentTaxonomy(a, b); v > best {
-			best, bm = v, Taxonomy
-		}
-	}
-	return best, bm
 }
 
 // MaxRuleTokens returns the claw parameter k: the maximal number of tokens

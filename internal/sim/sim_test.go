@@ -22,148 +22,41 @@ func TestJaccardPaperExample(t *testing.T) {
 	// overlap-style computation is not used here; Eq. (1) gives 2/3.
 }
 
-func TestGramMeasuresBasics(t *testing.T) {
+func TestJaccardGramsBasics(t *testing.T) {
 	cases := []struct {
 		name string
-		f    func(s, t string, q int) float64
+		a, b string
+		want float64
 	}{
-		{"jaccard", JaccardGrams},
-		{"cosine", CosineGrams},
-		{"dice", DiceGrams},
-		{"overlap", OverlapGrams},
+		{"empty-empty", "", "", 1},
+		{"nonempty-empty", "abc", "", 0},
+		{"identical", "abc", "abc", 1},
+		{"disjoint", "abc", "xyz", 0},
+		// {ab, bc, cd} and {ab, bc, ce} share two of four grams.
+		{"partial", "abcd", "abce", 0.5},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := c.f("", "", 2); got != 1 {
-				t.Errorf("empty-empty = %v, want 1", got)
+			if got := JaccardGrams(c.a, c.b, 2); !approxEq(got, c.want) {
+				t.Errorf("JaccardGrams(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
 			}
-			if got := c.f("abc", "", 2); got != 0 {
-				t.Errorf("nonempty-empty = %v, want 0", got)
-			}
-			if got := c.f("abc", "abc", 2); !approxEq(got, 1) {
-				t.Errorf("identical = %v, want 1", got)
-			}
-			if got := c.f("abc", "xyz", 2); got != 0 {
-				t.Errorf("disjoint = %v, want 0", got)
+			if got := JaccardGrams(c.b, c.a, 2); !approxEq(got, c.want) {
+				t.Errorf("JaccardGrams(%q, %q) = %v, want %v", c.b, c.a, got, c.want)
 			}
 		})
 	}
 }
 
-func TestGramMeasureProperties(t *testing.T) {
-	fns := map[string]func(s, t string, q int) float64{
-		"jaccard": JaccardGrams,
-		"cosine":  CosineGrams,
-		"dice":    DiceGrams,
-		"overlap": OverlapGrams,
-	}
-	for name, fn := range fns {
-		f := func(a, b string) bool {
-			x := fn(a, b, 2)
-			y := fn(b, a, 2)
-			if !approxEq(x, y) {
-				return false // symmetry
-			}
-			return x >= -1e-12 && x <= 1+1e-12
-		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-}
-
-func TestOrderingJaccardLeDiceLeOverlap(t *testing.T) {
-	// For any pair: Jaccard <= Dice <= Overlap (classic set inequality).
+func TestJaccardGramsProperties(t *testing.T) {
 	f := func(a, b string) bool {
-		j := JaccardGrams(a, b, 2)
-		d := DiceGrams(a, b, 2)
-		o := OverlapGrams(a, b, 2)
-		return j <= d+1e-12 && d <= o+1e-12
+		x := JaccardGrams(a, b, 2)
+		if !approxEq(x, JaccardGrams(b, a, 2)) {
+			return false // symmetry
+		}
+		return x >= -1e-12 && x <= 1+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHammingDistance(t *testing.T) {
-	tests := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "abc", 0},
-		{"abc", "abd", 1},
-		{"abc", "abcd", 1},
-		{"", "abc", 3},
-		{"karolin", "kathrin", 3},
-	}
-	for _, tt := range tests {
-		if got := HammingDistance(tt.a, tt.b); got != tt.want {
-			t.Errorf("Hamming(%q,%q) = %d, want %d", tt.a, tt.b, got, tt.want)
-		}
-		if got := HammingDistance(tt.b, tt.a); got != tt.want {
-			t.Errorf("Hamming(%q,%q) = %d, want %d", tt.b, tt.a, got, tt.want)
-		}
-	}
-}
-
-func TestLevenshtein(t *testing.T) {
-	tests := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"kitten", "sitting", 3},
-		{"helsingki", "helsinki", 1},
-		{"abc", "", 3},
-		{"", "abc", 3},
-		{"same", "same", 0},
-		{"california", "callifornia", 1},
-	}
-	for _, tt := range tests {
-		if got := Levenshtein(tt.a, tt.b); got != tt.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", tt.a, tt.b, got, tt.want)
-		}
-	}
-}
-
-func TestLevenshteinProperties(t *testing.T) {
-	f := func(a, b string) bool {
-		if len(a) > 40 {
-			a = a[:40]
-		}
-		if len(b) > 40 {
-			b = b[:40]
-		}
-		d := Levenshtein(a, b)
-		if d != Levenshtein(b, a) {
-			return false
-		}
-		diff := len(a) - len(b)
-		if diff < 0 {
-			diff = -diff
-		}
-		maxLen := len(a)
-		if len(b) > maxLen {
-			maxLen = len(b)
-		}
-		return d >= diff && d <= maxLen
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNormalizedEditSimilarity(t *testing.T) {
-	if got := NormalizedEditSimilarity("", ""); got != 1 {
-		t.Errorf("empty = %v, want 1", got)
-	}
-	if got := NormalizedEditSimilarity("abcd", "abcd"); got != 1 {
-		t.Errorf("identical = %v, want 1", got)
-	}
-	got := NormalizedEditSimilarity("helsingki", "helsinki")
-	if !approxEq(got, 1-1.0/9.0) {
-		t.Errorf("similarity = %v, want %v", got, 1-1.0/9.0)
 	}
 }
 
@@ -239,16 +132,17 @@ func TestContextSegmentMeasures(t *testing.T) {
 
 func TestMSimSelectsMaximum(t *testing.T) {
 	ctx := paperContext(t)
-	// Section 2.2: msim("cake", "apple cake") = max{0.33.., 0.75} = 0.75.
-	got, m := ctx.MSimBest([]string{"cake"}, []string{"apple", "cake"})
-	if !approxEq(got, 0.75) {
+	// Section 2.2: msim("cake", "apple cake") = max{0.33.., 0.75} = 0.75,
+	// attained by the taxonomy measure.
+	a, b := []string{"cake"}, []string{"apple", "cake"}
+	if got := ctx.MSim(a, b); !approxEq(got, 0.75) {
 		t.Errorf("MSim = %v, want 0.75", got)
 	}
-	if m != Taxonomy {
-		t.Errorf("best measure = %v, want Taxonomy", m)
+	if got := ctx.SegmentTaxonomy(a, b); !approxEq(got, 0.75) {
+		t.Errorf("SegmentTaxonomy = %v, want 0.75", got)
 	}
-	if got := ctx.MSim([]string{"cake"}, []string{"apple", "cake"}); !approxEq(got, 0.75) {
-		t.Errorf("MSim = %v, want 0.75", got)
+	if j, s := ctx.SegmentJaccard(a, b), ctx.SegmentSynonym(a, b); j >= 0.75 || s >= 0.75 {
+		t.Errorf("SegmentJaccard = %v, SegmentSynonym = %v: not below the taxonomy measure", j, s)
 	}
 }
 
@@ -318,34 +212,12 @@ func TestMSimRangeProperty(t *testing.T) {
 	}
 }
 
-func TestSqrtf(t *testing.T) {
-	for _, x := range []float64{0, 1, 2, 4, 100, 12345.678} {
-		got := sqrtf(x)
-		want := math.Sqrt(x)
-		if math.Abs(got-want) > 1e-9*(1+want) {
-			t.Errorf("sqrtf(%v) = %v, want %v", x, got, want)
-		}
-	}
-	if got := sqrtf(-1); got != 0 {
-		t.Errorf("sqrtf(-1) = %v, want 0", got)
-	}
-}
-
 func BenchmarkJaccardGrams(b *testing.B) {
 	s := strings.Repeat("similarity join benchmark ", 4)
 	t := strings.Repeat("similarity joins benchmarks ", 4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		JaccardGrams(s, t, 2)
-	}
-}
-
-func BenchmarkLevenshtein(b *testing.B) {
-	s := strings.Repeat("abcdefgh", 8)
-	t := strings.Repeat("abcdefhh", 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Levenshtein(s, t)
 	}
 }
 

@@ -177,16 +177,6 @@ func (t *Tree) Ancestors(id NodeID) []NodeID {
 	return path
 }
 
-// IsAncestor reports whether a is an ancestor of (or equal to) b.
-func (t *Tree) IsAncestor(a, b NodeID) bool {
-	for cur := b; cur != InvalidNode; cur = t.nodes[cur].Parent {
-		if cur == a {
-			return true
-		}
-	}
-	return false
-}
-
 // Finalize builds the constant-time LCA index (Euler tour + sparse table).
 // It is called automatically by LCA when needed and is safe to call from
 // multiple goroutines; callers that keep adding nodes must not do so
@@ -308,20 +298,6 @@ func (t *Tree) Similarity(a, b NodeID) float64 {
 		maxd = db
 	}
 	return float64(t.nodes[lca].Depth) / float64(maxd)
-}
-
-// SimilarityByName is a convenience wrapper mapping both strings to entities
-// first; it returns 0 when either string is not a taxonomy entity.
-func (t *Tree) SimilarityByName(s, u string) float64 {
-	a, ok := t.Lookup(s)
-	if !ok {
-		return 0
-	}
-	b, ok := t.Lookup(u)
-	if !ok {
-		return 0
-	}
-	return t.Similarity(a, b)
 }
 
 // Stats summarises structural properties of the tree; used to report the

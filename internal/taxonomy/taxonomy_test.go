@@ -26,22 +26,30 @@ func paperTree(t *testing.T) *Tree {
 
 func TestPaperFigure1Similarities(t *testing.T) {
 	tr := paperTree(t)
+	byName := func(s, u string) float64 {
+		a, okA := tr.Lookup(s)
+		b, okB := tr.Lookup(u)
+		if !okA || !okB {
+			t.Fatalf("%q or %q is not an entity", s, u)
+		}
+		return tr.Similarity(a, b)
+	}
 
 	// Example 2(iii): sim(latte, espresso) = depth(coffee drinks)/max depth = 4/5.
-	if got := tr.SimilarityByName("latte", "espresso"); math.Abs(got-0.8) > 1e-12 {
+	if got := byName("latte", "espresso"); math.Abs(got-0.8) > 1e-12 {
 		t.Errorf("sim(latte, espresso) = %v, want 0.8", got)
 	}
 	// Section 2.2: taxonomy similarity of "cake" and "apple cake" is 0.75.
-	if got := tr.SimilarityByName("cake", "apple cake"); math.Abs(got-0.75) > 1e-12 {
+	if got := byName("cake", "apple cake"); math.Abs(got-0.75) > 1e-12 {
 		t.Errorf("sim(cake, apple cake) = %v, want 0.75", got)
 	}
 	// Identical entities are perfectly similar.
-	if got := tr.SimilarityByName("espresso", "espresso"); got != 1 {
+	if got := byName("espresso", "espresso"); got != 1 {
 		t.Errorf("sim(espresso, espresso) = %v, want 1", got)
 	}
-	// Unknown entity gives zero.
-	if got := tr.SimilarityByName("espresso", "helsinki"); got != 0 {
-		t.Errorf("sim with unknown entity = %v, want 0", got)
+	// An invalid node gives zero.
+	if got := tr.Similarity(InvalidNode, tr.Root()); got != 0 {
+		t.Errorf("sim with an invalid node = %v, want 0", got)
 	}
 }
 
@@ -68,13 +76,6 @@ func TestDepthsAndAncestors(t *testing.T) {
 			t.Errorf("ancestors[%d] = %q, want %q", i, names[i], want[i])
 		}
 	}
-	root := tr.Root()
-	if !tr.IsAncestor(root, esp) {
-		t.Error("root should be an ancestor of espresso")
-	}
-	if tr.IsAncestor(esp, root) {
-		t.Error("espresso should not be an ancestor of root")
-	}
 	if got := tr.Ancestors(InvalidNode); got != nil {
 		t.Errorf("Ancestors(InvalidNode) = %v, want nil", got)
 	}
@@ -90,6 +91,21 @@ func TestLookupNormalisation(t *testing.T) {
 	}
 	if _, ok := tr.LookupTokens([]string{"coffee", "mugs"}); ok {
 		t.Error("LookupTokens should not find coffee mugs")
+	}
+}
+
+// TestLookupUnknownEntity checks that a name outside the taxonomy resolves
+// to no node, so the taxonomy measure never scores it.
+func TestLookupUnknownEntity(t *testing.T) {
+	tr := paperTree(t)
+	if _, ok := tr.Lookup("helsinki"); ok {
+		t.Error("Lookup should not find helsinki")
+	}
+	if _, ok := tr.LookupTokens([]string{"helsinki"}); ok {
+		t.Error("LookupTokens should not find helsinki")
+	}
+	if got := tr.Similarity(InvalidNode, InvalidNode); got != 0 {
+		t.Errorf("sim of two invalid nodes = %v, want 0", got)
 	}
 }
 
