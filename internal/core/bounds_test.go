@@ -198,21 +198,18 @@ func (p rightPrep) String() string {
 	return [...]string{"private", "same dictionary", "second dictionary", "capped dictionary"}[p]
 }
 
-// rowKernelCase evaluates the cached row of every segment of left against
-// the probe record probe+stranger through cacheRow — the slot-list kernel
-// when the probe's numbered grams fit the probe-gram index, MSimData past
-// it — and compares each cell, read as cachedRow reads it, and the row
-// maximum with MSimData; every slot holds rowSentinel before, so a row
-// decided to be zero must be read as zero without its slot. The matrix
-// fillMSim fills for left from those rows must agree too. The dictionary
-// interns left and probe, so it numbers their grams; stranger is never
-// interned, so a gram only its tokens have gets no slot. The probe record is
-// prepared as prep says. A record of stranger and left interned afterwards,
-// under the live scratch, has its new texts' IDs past the rows (or none, in
-// a capped dictionary): fillMSim takes the direct path for them, and every
-// cell must agree too. The eager row pass (fillRows) on a second scratch,
-// whose probe must be indexed as the first one's is, must leave every row
-// of left as the first left it. It reports what it saw (rowCase).
+// rowKernelCase adopts the probe record probe+stranger and, when its
+// numbered grams fit the probe-gram index, holds the index to its definition
+// and the cached row of every segment of left, evaluated through the slot
+// lists on first touch and by the eager pass, to MSimData (checkRows); past
+// the index's cap the probe must adopt no rows. The matrix fillMSim fills
+// for left must agree with MSimData either way. The dictionary interns left
+// and probe, so it numbers their grams; stranger is never interned, so a
+// gram only its tokens have gets no slot. The probe record is prepared as
+// prep says. A record of stranger and left interned afterwards, under the
+// live scratch, has its new texts' IDs past the rows (or none, in a capped
+// dictionary): fillMSim takes the direct path for them, and every cell must
+// agree too. It reports what it saw (rowCase).
 func rowKernelCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe, stranger []string) (res rowCase) {
 	t.Helper()
 	calc := NewCalculator(ctx)
@@ -262,9 +259,7 @@ func rowKernelCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe, 
 		t.Fatalf("%d probe texts past the dictionary's cap, yet every probe segment has an entry", capped)
 	}
 	sc := NewScratch()
-	if cached := sc.adoptRows(ctx, d, pt); ps.maxSegID >= cached {
-		t.Fatalf("rows cover %d IDs, left record needs %d", cached, ps.maxSegID)
-	}
+	cached := sc.adoptRows(ctx, d, pt)
 	grams := map[string]bool{} // the probe's numbered grams
 	for j := range pt.Segs {
 		for _, g := range pt.Segs[j].Data.Grams {
@@ -273,56 +268,23 @@ func rowKernelCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe, 
 			}
 		}
 	}
+	res.slots = -1
 	if len(grams) > maxSlots {
-		if sc.indexed {
-			t.Fatalf("%d numbered probe grams, cap %d: %d slots, want no index", len(grams), maxSlots, len(sc.slotted))
+		if cached != 0 {
+			t.Fatalf("%d numbered probe grams, cap %d: rows cover %d IDs, want none", len(grams), maxSlots, cached)
 		}
-	} else if !sc.indexed || len(sc.slotted) != len(grams) {
-		t.Fatalf("%d numbered probe grams: %d slots (indexed %v), want one a gram", len(grams), len(sc.slotted), sc.indexed)
 	} else {
+		if ps.maxSegID >= cached {
+			t.Fatalf("rows cover %d IDs, left record needs %d", cached, ps.maxSegID)
+		}
+		if len(sc.slotted) != len(grams) {
+			t.Fatalf("%d numbered probe grams: %d slots, want one a gram", len(grams), len(sc.slotted))
+		}
 		checkSlots(t, sc, d, pt)
+		res.slots = len(sc.slotted)
+		res.unwritten = checkRows(t, calc, sc, d, ps, pt)
 	}
 	nt := len(pt.Segs)
-	for k := range sc.rowVals {
-		sc.rowVals[k] = rowSentinel
-	}
-	for i := range ps.Segs {
-		a := &ps.Segs[i]
-		if sc.rowStamp[a.ID] == sc.rowGen {
-			continue // a text the record repeats
-		}
-		calc.cacheRow(sc, a.ID, pt)
-		if slot := sc.rowVals[int(a.ID)*nt:][:nt]; !slices.ContainsFunc(slot, func(v float64) bool { return v != rowSentinel }) {
-			res.unwritten++
-		}
-		best := 0.0
-		for j, got := range cachedRow(sc, a.ID, nt) {
-			want := ctx.MSimData(a.Data, pt.Segs[j].Data)
-			if got != want {
-				t.Fatalf("q=%d %v: msim(%q, %q) = %v by the row kernel (%d slots), %v by MSimData",
-					ctx.GramQ(), ctx.Measures, a.Data.Text, pt.Segs[j].Data.Text, got, slotCount(sc), want)
-			}
-			best = max(best, want)
-		}
-		if sc.rowMax[a.ID] != best {
-			t.Fatalf("q=%d %v: row maximum of %q = %v, want %v", ctx.GramQ(), ctx.Measures, a.Data.Text, sc.rowMax[a.ID], best)
-		}
-	}
-	// The eager row pass, on a scratch of its own, must leave every row the
-	// lazy evaluation left: the same maximum and the same cells.
-	eager := NewScratch()
-	eager.adoptRows(ctx, d, pt)
-	if eager.indexed != sc.indexed {
-		t.Fatalf("q=%d %v: the eager pass's probe indexed %v, first touch's %v", ctx.GramQ(), ctx.Measures, eager.indexed, sc.indexed)
-	}
-	calc.fillRows(eager, pt)
-	for i := range ps.Segs {
-		id := ps.Segs[i].ID
-		if eager.rowStamp[id] != eager.rowGen || eager.rowMax[id] != sc.rowMax[id] || !slices.Equal(cachedRow(eager, id, nt), cachedRow(sc, id, nt)) {
-			t.Fatalf("q=%d %v: the eager pass left the row of %q at %v (max %v), evaluated on first touch %v (max %v)",
-				ctx.GramQ(), ctx.Measures, ps.Segs[i].Data.Text, cachedRow(eager, id, nt), eager.rowMax[id], cachedRow(sc, id, nt), sc.rowMax[id])
-		}
-	}
 	checkMatrix := func(rec *PreparedRecord, what string) {
 		t.Helper()
 		calc.fillMSim(sc, rec, pt)
@@ -344,17 +306,55 @@ func rowKernelCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe, 
 			res.direct++
 		}
 	}
-	res.slots = slotCount(sc)
 	return res
 }
 
-// slotCount is the number of slots of the scratch's probe-gram index, −1
-// when the probe has none.
-func slotCount(sc *Scratch) int {
-	if !sc.indexed {
-		return -1
+// checkRows evaluates the row of every segment of ps on first touch, through
+// the slot lists of sc, which adopted pt from d, and holds every cell and
+// row maximum to MSimData; every slot holds rowSentinel before, so a row
+// decided to be zero must be read as zero without its slot. The eager row
+// pass (fillRows) on a second scratch must leave every row of ps as first
+// touch left it. It returns the number of rows decided to be zero without a
+// write to their slot.
+func checkRows(t *testing.T, calc *Calculator, sc *Scratch, d *SegDict, ps, pt *PreparedRecord) (unwritten int) {
+	t.Helper()
+	ctx, nt := calc.Ctx, len(pt.Segs)
+	for k := range sc.rowVals {
+		sc.rowVals[k] = rowSentinel
 	}
-	return len(sc.slotted)
+	for i := range ps.Segs {
+		a := &ps.Segs[i]
+		if sc.rowStamp[a.ID] == sc.rowGen {
+			continue // a text the record repeats
+		}
+		calc.cacheRow(sc, a.ID, pt)
+		if slot := sc.rowVals[int(a.ID)*nt:][:nt]; !slices.ContainsFunc(slot, func(v float64) bool { return v != rowSentinel }) {
+			unwritten++
+		}
+		best := 0.0
+		for j, got := range cachedRow(sc, a.ID, nt) {
+			want := ctx.MSimData(a.Data, pt.Segs[j].Data)
+			if got != want {
+				t.Fatalf("q=%d %v: msim(%q, %q) = %v by the row kernel (%d slots), %v by MSimData",
+					ctx.GramQ(), ctx.Measures, a.Data.Text, pt.Segs[j].Data.Text, got, len(sc.slotted), want)
+			}
+			best = max(best, want)
+		}
+		if sc.rowMax[a.ID] != best {
+			t.Fatalf("q=%d %v: row maximum of %q = %v, want %v", ctx.GramQ(), ctx.Measures, a.Data.Text, sc.rowMax[a.ID], best)
+		}
+	}
+	eager := NewScratch()
+	eager.adoptRows(ctx, d, pt)
+	calc.fillRows(eager, pt)
+	for i := range ps.Segs {
+		id := ps.Segs[i].ID
+		if eager.rowStamp[id] != eager.rowGen || eager.rowMax[id] != sc.rowMax[id] || !slices.Equal(cachedRow(eager, id, nt), cachedRow(sc, id, nt)) {
+			t.Fatalf("q=%d %v: the eager pass left the row of %q at %v (max %v), evaluated on first touch %v (max %v)",
+				ctx.GramQ(), ctx.Measures, ps.Segs[i].Data.Text, cachedRow(eager, id, nt), eager.rowMax[id], cachedRow(sc, id, nt), sc.rowMax[id])
+		}
+	}
+	return unwritten
 }
 
 // checkSlots holds the adopted probe-gram index to its definition: slot s
@@ -381,7 +381,7 @@ func checkSlots(t *testing.T, sc *Scratch, d *SegDict, pt *PreparedRecord) {
 }
 
 // rowCase is what one rowKernelCase saw: the number of slots the scratch's
-// probe-gram index holds (−1 for none), the number of segments that took the
+// probe-gram index holds (−1 for a probe past its cap), the number of segments that took the
 // direct path, the number of left segments whose row was decided to be zero
 // without a write to its slot, the number of right-hand segments whose gram
 // numbers the index could take from their entry of the rows' dictionary,
@@ -404,7 +404,7 @@ func distinctTokens(n, width int) []string {
 	return out
 }
 
-// TestBitmaskRowMatchesMSimData pins the row kernel to the cell-by-cell
+// TestRowKernelMatchesMSimData pins the row kernel to the cell-by-cell
 // reference: every cell of a row evaluated through the probe-gram slot lists
 // is the float MSimData returns, for every q and every measure combination,
 // at the 64-gram word boundary and the 512-gram cap of the bitmask kernel
@@ -413,7 +413,7 @@ func distinctTokens(n, width int) []string {
 // after the scratch adopted the probe, and where text and probe share no gram
 // and only a rule side, a taxonomy node or an empty text can score — the
 // cases the score bits decide. Those cases must leave a zero row unwritten.
-func TestBitmaskRowMatchesMSimData(t *testing.T) {
+func TestRowKernelMatchesMSimData(t *testing.T) {
 	g64, g65 := distinctTokens(64, 1), distinctTokens(65, 1)
 	// The bitmask kernel indexed at most 512 numbered probe grams and left
 	// a probe with more to MSimData; the slot lists index both.
@@ -486,7 +486,8 @@ func TestBitmaskRowMatchesMSimData(t *testing.T) {
 // the probe-gram index (rowKernelCase): at 512 and 513 numbered probe
 // grams, the bitmask kernel's old boundary past which every row, the eager
 // pass's included, went to MSimData, both indexed by the slot lists; at
-// maxSlots, still indexed; and one past it, where the rows go to MSimData.
+// maxSlots, still indexed; and one past it, where the probe adopts no rows
+// and its matrix is MSimData's, cell by cell.
 func TestRowKernelAtGramCaps(t *testing.T) {
 	for _, tc := range []struct{ grams, slots int }{{512, 512}, {513, 513}, {maxSlots, maxSlots}, {maxSlots + 1, -1}} {
 		toks := distinctTokens(tc.grams, 3) // one 3-gram a token
@@ -517,14 +518,14 @@ func checkEntries(t *testing.T, name string, prep rightPrep, entries, n int) {
 	}
 }
 
-// FuzzBitmaskRow feeds the same comparison arbitrary bytes: the two records
+// FuzzRowKernel feeds the same comparison arbitrary bytes: the two records
 // are the inputs split at spaces (not tokenized, so empty tokens, NUL and
 // bytes ≥ 0x80 reach the kernel), q is 1 + q%9 and measures a MeasureSet.
 // The probe is checked twice, every token interned and the second half of
 // its tokens left to the stranger side, and each check prepares the probe
 // record all four ways (rightPrep).
-func FuzzBitmaskRow(f *testing.F) {
-	// testdata/fuzz/FuzzBitmaskRow holds the table's boundary cases as seeds.
+func FuzzRowKernel(f *testing.F) {
+	// testdata/fuzz/FuzzRowKernel holds the table's boundary cases as seeds.
 	f.Add("coffee shop latte", "cafe espresso latte", uint8(1), uint8(7))
 	f.Fuzz(func(t *testing.T, left, probe string, q, measures uint8) {
 		ctx := paperContext().WithMeasures(sim.MeasureSet(measures) & sim.SetAll)

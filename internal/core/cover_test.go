@@ -230,14 +230,12 @@ func TestCoverBoundMatchesReference(t *testing.T) {
 // every pair. The column
 // holds one record prepared without its dictionary, which it flags. At the
 // default budget AdoptProbe must take the eager pass by its own rule for
-// the whole column and stay lazy for two candidates; at the smallest, where
-// the rows may cover no candidate and the pass is forced, every other probe
-// has its gram index dropped on the eager side, as a probe with more
-// numbered grams than maxSlots has none, so the pass evaluates its rows
-// through MSimData against the lazy side's slot lists.
+// the whole column and stay lazy for two candidates; at the smallest, the
+// rows may hold no candidate's texts, and the pass is forced for a probe
+// AdoptProbe leaves lazy.
 func TestEagerRowPassMatchesLazy(t *testing.T) {
 	const smallest = 64
-	unindexedRead := 0 // pairs read from the column at the smallest budget
+	smallestRead := 0 // pairs read from the column at the smallest budget
 	for _, sh := range shapes {
 		gen := datagen.New(sh.cfg)
 		ctx := sim.NewContext(gen.Rules(), gen.Taxonomy())
@@ -265,12 +263,8 @@ func TestEagerRowPassMatchesLazy(t *testing.T) {
 		for _, cells := range []int{rowCellBudget, 3 * d.Len(), smallest} {
 			eager, lazy := NewScratch(), NewScratch()
 			eager.rowCells, lazy.rowCells = cells, cells
-			flagged, beyond, read, chosen, unindexed := 0, 0, 0, 0, 0
-			for k, pt := range probes {
-				if cells == smallest && k%2 == 0 {
-					eager.adoptRows(calc.Ctx, d, pt)
-					eager.indexed = false
-				}
+			flagged, beyond, read, chosen := 0, 0, 0, 0
+			for _, pt := range probes {
 				calc.AdoptProbe(&col, cands, pt, eager)
 				calc.AdoptProbe(&col, nil, pt, lazy)
 				if lazy.rowsAll {
@@ -281,9 +275,6 @@ func TestEagerRowPassMatchesLazy(t *testing.T) {
 				} else {
 					// Every candidate is beyond rows this few.
 					calc.fillRows(eager, pt)
-				}
-				if !eager.indexed {
-					unindexed++
 				}
 				if few := NewScratch(); cells == rowCellBudget {
 					if calc.AdoptProbe(&col, cands[:2], pt, few); few.rowsAll {
@@ -320,8 +311,8 @@ func TestEagerRowPassMatchesLazy(t *testing.T) {
 				}
 			}
 			pruned := eager.Stats.PrunedByCover
-			t.Logf("%s, %d cells: AdoptProbe eager for %d of %d probes (%d without a gram index); %d pairs read from the column, %d beyond the rows, %d flagged; %d dismissed by the cover stage, %d verified",
-				sh.name, cells, chosen, len(probes), unindexed, read, beyond, flagged, pruned, eager.Stats.VerifiedCandidates)
+			t.Logf("%s, %d cells: AdoptProbe eager for %d of %d probes; %d pairs read from the column, %d beyond the rows, %d flagged; %d dismissed by the cover stage, %d verified",
+				sh.name, cells, chosen, len(probes), read, beyond, flagged, pruned, eager.Stats.VerifiedCandidates)
 			if (read == 0 && cells != smallest) || flagged == 0 {
 				t.Errorf("%s, %d cells: %d pairs read from the column, %d flagged", sh.name, cells, read, flagged)
 			}
@@ -332,14 +323,11 @@ func TestEagerRowPassMatchesLazy(t *testing.T) {
 				t.Errorf("%s, %d cells: no record's largest ID was beyond the rows", sh.name, cells)
 			}
 			if cells == smallest {
-				if unindexed == 0 {
-					t.Errorf("%s, %d cells: every probe had a gram index", sh.name, cells)
-				}
-				unindexedRead += read
+				smallestRead += read
 			}
 		}
 	}
-	if unindexedRead == 0 {
+	if smallestRead == 0 {
 		t.Errorf("at %d cells, no pair was read from the column on any generator", smallest)
 	}
 }

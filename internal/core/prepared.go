@@ -168,7 +168,7 @@ const rowCellBudget = 1 << 18
 // record's segments — those the left records' dictionary numbers — the
 // probe-gram index holds: a slot is a uint16 and 0 marks a gram the record
 // does not have. A record with more — its length is the caller's to choose —
-// has its rows evaluated by MSimData.
+// adopts no rows, and fillMSim evaluates its every cell by MSimData.
 const maxSlots = 1<<16 - 1
 
 // VerifyStats counts verify-phase work. It is the one declaration of the
@@ -271,8 +271,6 @@ type Scratch struct {
 	// slotHead. slotSegs[slotOff[s]:slotOff[s+1]] are the right-hand segments
 	// whose grams hold the gram of slot s, in order. rowProbe lists the
 	// segments' tables, with the union of their score bits, for sim.MSimRow.
-	// indexed is false when the record has more than maxSlots numbered grams,
-	// and its rows are evaluated by MSimData.
 	rowGrams   []uint32
 	rowGramOff []uint32
 	gramSlot   []uint16
@@ -282,7 +280,6 @@ type Scratch struct {
 	slotOff    []int32
 	slotSegs   []int32
 	slotPairs  []slotSeg // indexProbeGrams' (slot, segment) pairs
-	indexed    bool
 	rowProbe   sim.RowProbe
 	inter      []int32 // cacheRow's intersection counts
 	// rowCount holds fillRows' intersection counts, nt a row for the rows
@@ -388,7 +385,8 @@ func sizeRatio(aLo, aHi, bLo, bHi int) float64 {
 // eager pass or CoverBound's cover stage, as a rule, else here — and every
 // later candidate that holds the text copies it, or, for a row whose
 // maximum is 0, clears the matrix row. A segment with no row slot (no
-// dictionary, NoSegID, an ID beyond the rows) is evaluated cell by cell.
+// dictionary, NoSegID, an ID beyond the rows — every ID, for a probe with
+// more numbered grams than maxSlots) is evaluated cell by cell.
 func (c *Calculator) fillMSim(sc *Scratch, ps, pt *PreparedRecord) {
 	ns, nt := len(ps.Segs), len(pt.Segs)
 	sc.msim = strutil.Resize(sc.msim, ns*nt)
@@ -418,16 +416,12 @@ func (c *Calculator) fillMSim(sc *Scratch, ps, pt *PreparedRecord) {
 }
 
 // msimRow evaluates one left segment against every segment of pt, cell by
-// cell through MSimData, and returns the row's maximum: the direct path, and
-// the reference the slot-list rows are tested against.
-func (c *Calculator) msimRow(sc *Scratch, row []float64, a *sim.SegmentData, pt *PreparedRecord) float64 {
-	best := 0.0
+// cell through MSimData: fillMSim's direct path.
+func (c *Calculator) msimRow(sc *Scratch, row []float64, a *sim.SegmentData, pt *PreparedRecord) {
 	for j := range pt.Segs {
 		row[j] = c.Ctx.MSimData(a, pt.Segs[j].Data)
-		best = max(best, row[j])
 	}
 	sc.Stats.MSimEvals += int64(len(row))
-	return best
 }
 
 // cacheRow evaluates the row of dictionary segment id against the adopted
@@ -445,10 +439,6 @@ func (c *Calculator) msimRow(sc *Scratch, row []float64, a *sim.SegmentData, pt 
 func (c *Calculator) cacheRow(sc *Scratch, id uint32, pt *PreparedRecord) {
 	nt := len(pt.Segs)
 	sc.rowStamp[id] = sc.rowGen
-	if !sc.indexed {
-		sc.rowMax[id] = c.msimRow(sc, sc.rowVals[int(id)*nt:][:nt], sc.rowEntries[id].data, pt)
-		return
-	}
 	sc.Stats.MSimEvals += int64(nt)
 	var inter []int32 // nil until a gram of the text has a slot
 	for _, g := range sc.rowGrams[sc.rowGramOff[id]:sc.rowGramOff[id+1]] {
@@ -490,14 +480,6 @@ func (c *Calculator) fillRows(sc *Scratch, pt *PreparedRecord) {
 	}
 	sc.rowsAll = true
 	n, nt := sc.rowN, len(pt.Segs)
-	if !sc.indexed {
-		for id := range n {
-			if sc.rowStamp[id] != sc.rowGen {
-				c.cacheRow(sc, id, pt)
-			}
-		}
-		return
-	}
 	d := sc.rowDict
 	sc.slotHead = strutil.Resize(sc.slotHead, len(sc.slotGrams))
 	d.mu.RLock()
@@ -543,10 +525,11 @@ func (c *Calculator) fillRows(sc *Scratch, pt *PreparedRecord) {
 }
 
 // adoptRows makes the row cache current for left records of dictionary d
-// against the right-hand record pt and returns the number of IDs it covers.
-// IDs are only comparable within one dictionary and a row only valid for one
-// right-hand record under one context, so a change of any of the three
-// starts a new generation.
+// against the right-hand record pt and returns the number of IDs it covers:
+// none when pt has more numbered grams than maxSlots. IDs are only
+// comparable within one dictionary and a row only valid for one right-hand
+// record under one context, so a change of any of the three starts a new
+// generation.
 func (sc *Scratch) adoptRows(ctx *sim.Context, d *SegDict, pt *PreparedRecord) uint32 {
 	if sc.rowCtx == ctx && sc.rowDict == d && sc.rowRight == pt {
 		return sc.rowN
@@ -563,6 +546,9 @@ func (sc *Scratch) adoptRows(ctx *sim.Context, d *SegDict, pt *PreparedRecord) u
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	n := min(len(d.entries), sc.rowCells/nt)
+	if !sc.indexProbeGrams(d, pt) {
+		n = 0
+	}
 	// Whatever Resize leaves in the slices is harmless: a stamp is zero or an
 	// earlier generation's, and values are only read under a current stamp.
 	sc.rowStamp = strutil.Resize(sc.rowStamp, n)
@@ -570,7 +556,6 @@ func (sc *Scratch) adoptRows(ctx *sim.Context, d *SegDict, pt *PreparedRecord) u
 	sc.rowMax = strutil.Resize(sc.rowMax, n)
 	sc.rowN = uint32(n)
 	sc.rowEntries = d.entries[:n]
-	sc.indexProbeGrams(d, pt)
 	return sc.rowN
 }
 
@@ -584,9 +569,9 @@ func (sc *Scratch) adoptRows(ctx *sim.Context, d *SegDict, pt *PreparedRecord) u
 // a text past the dictionary's cap, or any segment of a record of another
 // dictionary) looks its grams up in gramNum. A probe gram d never numbered
 // gets no slot: no row holds it, and it still counts in |B_j| through
-// len(b_j.Grams).
-func (sc *Scratch) indexProbeGrams(d *SegDict, pt *PreparedRecord) {
-	sc.indexed = false
+// len(b_j.Grams). It reports false, the index left unfinished, when pt has
+// more numbered grams than maxSlots.
+func (sc *Scratch) indexProbeGrams(d *SegDict, pt *PreparedRecord) bool {
 	for _, g := range sc.slotted {
 		sc.gramSlot[g] = 0
 	}
@@ -605,14 +590,14 @@ func (sc *Scratch) indexProbeGrams(d *SegDict, pt *PreparedRecord) {
 		if byID && sg.ID != NoSegID {
 			for i, num := range d.gramSets[d.gramOff[sg.ID]:d.gramOff[sg.ID+1]] {
 				if !sc.slotGram(num, j, sg.Data.Grams[i]) {
-					return
+					return false
 				}
 			}
 			continue
 		}
 		for _, g := range sg.Data.Grams {
 			if r, ok := d.gramNum[g]; ok && !sc.slotGram(r.num, j, g) {
-				return
+				return false
 			}
 		}
 	}
@@ -635,7 +620,7 @@ func (sc *Scratch) indexProbeGrams(d *SegDict, pt *PreparedRecord) {
 	}
 	sc.slotOff = off
 	sc.inter = strutil.Resize(sc.inter, len(pt.Segs))
-	sc.indexed = true
+	return true
 }
 
 // slotSeg says right-hand segment seg holds the gram of slot slot.
@@ -645,8 +630,8 @@ type slotSeg struct {
 }
 
 // slotGram records that right-hand segment j holds gram g, numbered num,
-// giving the gram the next slot on first sight, and reports false — the
-// index is abandoned — when that would take a slot past maxSlots.
+// giving the gram the next slot on first sight, and reports false when that
+// would take a slot past maxSlots.
 func (sc *Scratch) slotGram(num uint32, j int, g string) bool {
 	s := sc.gramSlot[num]
 	if s == 0 {

@@ -418,8 +418,8 @@ func BenchmarkCoverBoundReject(b *testing.B) {
 // BenchmarkVerifyPreparedFirstTouch times what the first pair of a probe to
 // hold a segment text pays: evaluating the text's row, as the engine meets
 // it — an interned left record against a private probe over a catalogue that
-// shares its vocabulary — through the probe-gram slot lists and on the
-// direct path, MSimData cell by cell.
+// shares its vocabulary — through the probe-gram slot lists (cacheRow) and
+// on the direct path (msimRow), MSimData cell by cell.
 func BenchmarkVerifyPreparedFirstTouch(b *testing.B) {
 	calc := NewCalculator(paperContext())
 	d := NewSegDict()
@@ -434,15 +434,18 @@ func BenchmarkVerifyPreparedFirstTouch(b *testing.B) {
 			if sc.adoptRows(calc.Ctx, d, pt) <= ps.maxSegID {
 				b.Fatal("the left record has no row slot")
 			}
-			if path == "direct" {
-				sc.indexed = false
-			} else if !sc.indexed || len(sc.slotted) == 0 {
+			if len(sc.slotted) == 0 {
 				b.Fatal("the probe has no numbered gram in its index")
 			}
+			row := make([]float64, len(pt.Segs))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				calc.cacheRow(sc, ps.Segs[0].ID, pt)
+				if path == "direct" {
+					calc.msimRow(sc, row, ps.Segs[0].Data, pt)
+				} else {
+					calc.cacheRow(sc, ps.Segs[0].ID, pt)
+				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pt.Segs)), "ns/cell")
 		})

@@ -13,25 +13,27 @@ import "math/bits"
 // The accumulation is word-major: for each bitmap word position w, the 64
 // records' counters are held as countPlanes bit-planes in registers — plane
 // k holds bit k of 64 independent counters — plus a saturation mask
-// (counters that reached satCount stop counting; the accumulator routes any
-// probe that could legitimately need larger counts through the exact
-// per-bit path instead, so saturation is never observable). Adding a bitmap
+// (counters that reached satCount stop counting). Saturation is never
+// observable: an index keeps bitmaps only at τ ≤ MaxBlockTau = satCount,
+// where a saturated counter is ≥ τ whatever its true count. Adding a bitmap
 // word is a ripple-carry add of 1 restricted to the set bits: two ALU ops
 // per plane, independent of how many of the 64 records are present, with no
-// loads or stores. Survivors are extracted from the registers bit-parallel
-// before they die, so the per-record counter array is never touched on a
-// pure-dense probe. Which records were touched at all falls out of the
-// planes themselves (some plane or saturation bit set).
+// loads or stores. The ≥ τ verdict of all 64 lanes is read from the
+// registers bit-parallel before they die, so a lane only a bitmap wrote and
+// whose count stays below τ never touches the per-record counter array.
 
 const (
 	// countPlanes bounds the exact counter range of the register block:
 	// counts 0..satCount-1 are exact, satCount is the saturation ceiling.
 	countPlanes = 5
-	// satCount is the first count the planes cannot represent exactly. The
-	// accumulator only batches a token into the register block when the
-	// probe's τ and the token's multiplicity guarantee saturation cannot
-	// change the filter's verdict (see AddBitset).
+	// satCount is the first count the planes cannot represent exactly.
 	satCount = 1 << countPlanes
+
+	// MaxBlockTau is the largest τ a probe may fold bitmaps at: up to it a
+	// counter that saturated at satCount is ≥ τ whatever its true count, so
+	// the block's ≥ τ verdict is exact. An index built at a larger τ keeps
+	// every list in slice form.
+	MaxBlockTau = satCount
 )
 
 // The unrolled ripple and extraction in FlushDense spell out all five
@@ -62,10 +64,9 @@ type denseAdd struct {
 //	acc.FlushDense(limit)                       // drain deferred bitmaps
 //	recs := acc.Collect(dead)                   // survivors; counters re-zeroed
 //
-// Counts produced this way are bit-identical to the classic entry-at-a-time
-// accumulation: AddBitset defers a token into the block path only when τ
-// and the multiplicity guarantee the saturation ceiling cannot flip the
-// ≥ τ verdict, and falls back to exact per-bit accumulation otherwise.
+// Counts produced this way give the ≥ τ verdicts of the classic
+// entry-at-a-time accumulation for any τ ≤ MaxBlockTau, the only τ a probe
+// folds bitmaps at.
 type Accumulator struct {
 	// block is the arena: one allocation backing both counts (first half)
 	// and the touched list (second half). touched can never outgrow its
@@ -77,21 +78,11 @@ type Accumulator struct {
 	sized   int // counts length of the last Reset (the zeroed prefix bound)
 	tau     int32
 	dense   []denseAdd
-	// sliceBits marks the records whose counter received a direct write
-	// (slice postings or the per-bit fallback) this probe: exactly the
-	// lanes whose block extraction cannot be skipped. Collect re-zeroes it
-	// alongside the counters, so unlike the arena it needs no watermark —
-	// it never aliases the touched list.
+	// sliceBits marks the records whose counter received a slice-form write
+	// this probe: exactly the lanes whose block extraction cannot be
+	// skipped. Collect re-zeroes it alongside the counters, so unlike the
+	// arena it needs no watermark — it never aliases the touched list.
 	sliceBits []uint64
-	// mixed records whether any counter was written directly (slice
-	// postings or the exact per-bit fallback) this probe; a probe whose
-	// every token went through the block path can skip counter extraction
-	// and read the survivors straight out of the register planes.
-	mixed bool
-	// collected is set when FlushDense already produced the final survivor
-	// list in touched (pure-dense fast path); Collect then only applies the
-	// dead filter, and there are no nonzero counters to restore.
-	collected bool
 }
 
 // NewAccumulator returns an empty accumulator; Reset sizes it.
@@ -126,8 +117,6 @@ func (a *Accumulator) Begin(tau int) {
 	a.tau = int32(tau)
 	a.touched = a.touched[:0]
 	a.dense = a.dense[:0]
-	a.mixed = false
-	a.collected = false
 }
 
 // AddPostings folds one slice-form posting list into the counters with the
@@ -135,9 +124,6 @@ func (a *Accumulator) Begin(tau int) {
 // processed. This is the classic inner loop, shared by rare tokens and the
 // dynamic index's delta segments.
 func (a *Accumulator) AddPostings(postings []Posting, mult int32) int64 {
-	if len(postings) > 0 {
-		a.mixed = true
-	}
 	counts := a.counts
 	for _, p := range postings {
 		if counts[p.Record] == 0 {
@@ -149,63 +135,19 @@ func (a *Accumulator) AddPostings(postings []Posting, mult int32) int64 {
 	return int64(len(postings))
 }
 
-// AddBitset folds one bitmap-form posting list restricted to records
-// < limit into the counters. When the probe's τ and the multiplicity fit
-// the exact range of the register planes the token is deferred for block
-// accumulation in FlushDense (returning 0 now; FlushDense reports the
-// processed entries); otherwise it is accumulated immediately, bit by bit,
-// which is exact for any τ and multiplicity.
+// AddBitset defers one bitmap-form posting list, with the given probe-side
+// multiplicity, for block accumulation in FlushDense; it returns 0, and
+// FlushDense reports the processed entries. limit is not read: FlushDense
+// restricts every deferred list to the records below its own. The probe's τ
+// must be at most MaxBlockTau. A multiplicity of satCount or more is clamped
+// to satCount: one set bit of such a list already saturates its counter,
+// which at τ ≤ MaxBlockTau reads ≥ τ either way.
 func (a *Accumulator) AddBitset(bs *Bitset, mult int32, limit int) int64 {
-	if a.tau <= satCount && mult < satCount {
-		// Saturated counters read as satCount ≥ τ, and a counter only
-		// saturates when its true count is > satCount ≥ τ, so the ≥ τ
-		// verdict is unchanged; counts of survivors may read low but are
-		// only ever compared against τ.
-		a.dense = append(a.dense, denseAdd{bs.words, mult})
-		return 0
+	if a.tau > MaxBlockTau {
+		panic("invindex: a bitmap folded at τ > MaxBlockTau")
 	}
-	return a.addBits(bs, mult, limit)
-}
-
-// addBits is the exact scalar fallback: every set bit bumps its counter
-// directly.
-func (a *Accumulator) addBits(bs *Bitset, mult int32, limit int) int64 {
-	a.mixed = true
-	words, lastWord, lastMask := clampWords(bs.words, limit)
-	var processed int64
-	counts := a.counts
-	for w, x := range words {
-		if w == lastWord {
-			x &= lastMask
-		}
-		for ; x != 0; x &= x - 1 {
-			r := int32(w<<6 + bits.TrailingZeros64(x))
-			if counts[r] == 0 {
-				a.touched = append(a.touched, r)
-				a.sliceBits[r>>6] |= 1 << (uint32(r) & 63)
-			}
-			counts[r] += mult
-			processed++
-		}
-	}
-	return processed
-}
-
-// clampWords restricts a bitmap to records < limit: the usable word prefix,
-// the index of the word the limit falls in (-1 when no masking is needed)
-// and the mask for that word.
-func clampWords(words []uint64, limit int) ([]uint64, int, uint64) {
-	lw := (limit + 63) >> 6
-	if lw >= len(words) {
-		if limit&63 != 0 && lw == len(words) {
-			return words, lw - 1, 1<<(uint(limit)&63) - 1
-		}
-		return words, -1, 0
-	}
-	if limit&63 != 0 {
-		return words[:lw], lw - 1, 1<<(uint(limit)&63) - 1
-	}
-	return words[:lw], -1, 0
+	a.dense = append(a.dense, denseAdd{bs.words, min(mult, satCount)})
+	return 0
 }
 
 // FlushDense drains the deferred dense tokens through the register block
@@ -215,12 +157,12 @@ func clampWords(words []uint64, limit int) ([]uint64, int, uint64) {
 //
 // The loop is word-major: for each bitmap word position, every deferred
 // token's word is ripple-carry added into six registers (five bit-planes
-// plus saturation), then the 64 lanes are drained — straight into the
-// survivor list via the bit-parallel ≥ τ comparison on a pure-dense probe,
-// or merged into the arena counters when slice-form tokens also wrote this
-// probe. The bit-planes never touch memory, there is nothing to re-zero,
-// and each token's bitmap streams through the cache exactly once — the
-// classic path streams the full-corpus count array once per token.
+// plus saturation), then the 64 lanes are merged into the arena counters:
+// a lane some slice-form list also wrote, and a lane the bit-parallel ≥ τ
+// comparison proves a survivor. The bit-planes never touch memory, there is
+// nothing to re-zero, and each token's bitmap streams through the cache
+// exactly once — the classic path streams the full-corpus count array once
+// per token.
 func (a *Accumulator) FlushDense(limit int) int64 {
 	if len(a.dense) == 0 {
 		return 0
@@ -240,13 +182,6 @@ func (a *Accumulator) FlushDense(limit int) int64 {
 			maxWords = n
 		}
 	}
-	// With no direct counter writes this probe, the ≥ τ verdict lives
-	// entirely in the register planes: extract the survivor mask
-	// bit-parallel and emit final survivors straight into touched, never
-	// touching the counter array (Collect then only applies the dead
-	// filter). One slice-form token forces the exact merge through the
-	// counters instead.
-	pure := !a.mixed
 	var processed int64
 	counts := a.counts
 	dense := a.dense
@@ -299,7 +234,7 @@ func (a *Accumulator) FlushDense(limit int) int64 {
 		// subtraction counter−τ plane by plane — a lane is ≥ τ exactly when
 		// no borrow comes out of the top plane (for a constant subtrahend
 		// bit of 1 the borrow recurrence is borrow|¬x, for 0 it is
-		// borrow&¬x). Saturated lanes hold true counts > satCount ≥ τ and
+		// borrow&¬x). Saturated lanes hold true counts ≥ satCount ≥ τ and
 		// are always included. AddBitset guarantees τ ≤ satCount here.
 		var ge uint64
 		if tau >= satCount {
@@ -332,12 +267,6 @@ func (a *Accumulator) FlushDense(limit int) int64 {
 			ge = ^borrow | st
 		}
 		recBase := int32(w) << 6
-		if pure {
-			for x := ge; x != 0; x &= x - 1 {
-				a.touched = append(a.touched, recBase+int32(bits.TrailingZeros64(x)))
-			}
-			continue
-		}
 		// Only two kinds of lane can still matter: lanes whose counter got
 		// a direct slice write (the block contribution must be merged
 		// before Collect compares against τ), and dense-only lanes the
@@ -366,7 +295,6 @@ func (a *Accumulator) FlushDense(limit int) int64 {
 			counts[r] += c
 		}
 	}
-	a.collected = pure
 	a.dense = a.dense[:0]
 	return processed
 }
@@ -377,20 +305,6 @@ func (a *Accumulator) FlushDense(limit int) int64 {
 // relies on). The result aliases the touched half of the arena and is valid
 // until the next Begin/Reset.
 func (a *Accumulator) Collect(dead []uint64) []int32 {
-	if a.collected {
-		// Pure-dense fast path: touched already holds the final survivors
-		// and no counter was ever written, so only the dead filter remains.
-		if dead == nil {
-			return a.touched
-		}
-		out := a.touched[:0]
-		for _, r := range a.touched {
-			if dead[r>>6]&(1<<(uint32(r)&63)) == 0 {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
 	out := a.touched[:0]
 	tau := a.tau
 	counts := a.counts

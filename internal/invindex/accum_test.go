@@ -1,6 +1,7 @@
 package invindex
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -71,79 +72,163 @@ func sortedCopy(in []int32) []int32 {
 	return out
 }
 
+// probeToken is one probe token of a count-filter check: a bitmap-form list
+// (bs set) or a slice-form one, with its probe-side multiplicity.
+type probeToken struct {
+	bs       *Bitset
+	postings []Posting
+	mult     int32
+}
+
+// checkAccumulator runs one probe through the block accumulator and the naive
+// reference and fails unless both report the same processed-entry count and
+// the same survivors.
+func checkAccumulator(t *testing.T, acc *Accumulator, numRecords, tau, limit int, dead []uint64, tokens []probeToken) {
+	t.Helper()
+	ref := newRefFilter(numRecords)
+	acc.Reset(numRecords)
+	acc.Begin(tau)
+	var gotProc, wantProc int64
+	for _, tok := range tokens {
+		if tok.bs != nil {
+			gotProc += acc.AddBitset(tok.bs, tok.mult, limit)
+			wantProc += ref.addBitset(tok.bs, tok.mult, limit)
+		} else {
+			gotProc += acc.AddPostings(tok.postings, tok.mult)
+			wantProc += ref.addPostings(tok.postings, tok.mult)
+		}
+	}
+	gotProc += acc.FlushDense(limit)
+	got := sortedCopy(acc.Collect(dead))
+	want := sortedCopy(ref.collect(int32(tau), dead))
+	if gotProc != wantProc {
+		t.Fatalf("processed = %d, want %d (n=%d τ=%d limit=%d)", gotProc, wantProc, numRecords, tau, limit)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d candidates, want %d (n=%d τ=%d limit=%d)", len(got), len(want), numRecords, tau, limit)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("candidate[%d] = %d, want %d (n=%d τ=%d limit=%d)", i, got[i], want[i], numRecords, tau, limit)
+		}
+	}
+}
+
+// randPostings draws a slice-form list over records < limit.
+func randPostings(rng *rand.Rand, limit int) []Posting {
+	var postings []Posting
+	for r := 0; r < limit; r++ {
+		if rng.Float64() < 0.05 {
+			postings = append(postings, Posting{Record: r, Count: 1 + rng.Intn(3)})
+		}
+	}
+	return postings
+}
+
+// randDead draws a tombstone bitmap, or nil for none.
+func randDead(rng *rand.Rand, numRecords int) []uint64 {
+	if rng.Intn(3) != 0 {
+		return nil
+	}
+	dead := make([]uint64, (numRecords+63)/64)
+	for i := range dead {
+		dead[i] = rng.Uint64() & rng.Uint64()
+	}
+	return dead
+}
+
 // TestAccumulatorMatchesReference drives random probes — mixed slice and
-// bitmap tokens, varying multiplicities, τ values straddling the tile's
-// saturation ceiling, self-join limits and tombstones — through the block
-// accumulator and the naive reference, asserting identical candidate sets
-// and identical processed-entry counts. Both drains of FlushDense must run:
-// the merge through the counters, and the direct emission of a probe whose
-// every token went through the register block (all bitmaps, τ ≤ satCount,
-// every multiplicity below it).
+// bitmap tokens, varying multiplicities (some at or above the saturation
+// ceiling, which AddBitset clamps), τ values straddling MaxBlockTau,
+// self-join limits and tombstones — through the block accumulator and the
+// naive reference, asserting identical candidate sets and identical
+// processed-entry counts. Bitmap tokens are drawn only at τ ≤ MaxBlockTau,
+// the only τ an index keeps bitmaps at; above it every token is a slice.
+// Some trials must fold only bitmaps, so that no slice write marks a lane.
 func TestAccumulatorMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	acc := NewAccumulator()
-	pure := 0
+	allBitmaps := 0
 	for trial := 0; trial < 200; trial++ {
 		numRecords := 1 + rng.Intn(20000)
-		ref := newRefFilter(numRecords)
-		acc.Reset(numRecords)
-
-		tau := 1 + rng.Intn(40) // sometimes above satCount (32): exact fallback path
+		tau := 1 + rng.Intn(40) // sometimes above MaxBlockTau: slice tokens only
 		limit := numRecords
 		if rng.Intn(3) == 0 {
 			limit = rng.Intn(numRecords + 1)
 		}
-		var dead []uint64
-		if rng.Intn(3) == 0 {
-			dead = make([]uint64, (numRecords+63)/64)
-			for i := range dead {
-				dead[i] = rng.Uint64() & rng.Uint64()
-			}
-		}
-
-		acc.Begin(tau)
-		var gotProc, wantProc int64
-		tokens := 1 + rng.Intn(8)
-		for k := 0; k < tokens; k++ {
-			mult := int32(1 + rng.Intn(40)) // sometimes ≥ satCount: exact fallback path
-			if rng.Intn(2) == 0 {
-				bs := randBitset(rng, numRecords, []float64{0.9, 0.3, 0.02}[rng.Intn(3)])
-				gotProc += acc.AddBitset(bs, mult, limit)
-				wantProc += ref.addBitset(bs, mult, limit)
+		dead := randDead(rng, numRecords)
+		tokens := make([]probeToken, 1+rng.Intn(8))
+		slices := 0
+		for k := range tokens {
+			tokens[k].mult = int32(1 + rng.Intn(40)) // sometimes ≥ satCount: clamped
+			if tau <= MaxBlockTau && rng.Intn(2) == 0 {
+				tokens[k].bs = randBitset(rng, numRecords, []float64{0.9, 0.3, 0.02}[rng.Intn(3)])
 			} else {
-				var postings []Posting
-				for r := 0; r < limit; r++ {
-					if rng.Float64() < 0.05 {
-						postings = append(postings, Posting{Record: r, Count: 1 + rng.Intn(3)})
-					}
-				}
-				gotProc += acc.AddPostings(postings, mult)
-				wantProc += ref.addPostings(postings, mult)
+				tokens[k].postings = randPostings(rng, limit)
+				slices++
 			}
 		}
-		gotProc += acc.FlushDense(limit)
-		if acc.collected {
-			pure++
+		if slices == 0 {
+			allBitmaps++
 		}
-		got := sortedCopy(acc.Collect(dead))
-		want := sortedCopy(ref.collect(int32(tau), dead))
+		checkAccumulator(t, acc, numRecords, tau, limit, dead, tokens)
+	}
+	if allBitmaps == 0 {
+		t.Error("no trial folded only bitmaps")
+	}
+}
 
-		if gotProc != wantProc {
-			t.Fatalf("trial %d: processed = %d, want %d", trial, gotProc, wantProc)
+// FuzzAccumulator holds the block accumulator to the naive reference for
+// arbitrary record counts, limits, tombstones, multiplicities and τ. Each
+// pair of spec bytes is one probe token: the first picks its form and
+// density, the second its multiplicity (1–64). A bitmap token at
+// τ > MaxBlockTau is folded in slice form, as an index built at that τ keeps
+// it.
+func FuzzAccumulator(f *testing.F) {
+	// τ = MaxBlockTau with multiplicities at and above the saturation ceiling.
+	f.Add(uint16(300), uint8(MaxBlockTau), uint16(300), int64(1), []byte{0, 32, 2, 40, 1, 0, 0, 63})
+	// A limit that cuts a word short, bitmap and slice tokens mixed.
+	f.Add(uint16(1000), uint8(3), uint16(100), int64(2), []byte{0, 1, 1, 2, 2, 0, 4, 3})
+	// An all-bitmap probe.
+	f.Add(uint16(4096), uint8(2), uint16(4096), int64(3), []byte{0, 0, 2, 1, 4, 0, 2, 2})
+	acc := NewAccumulator()
+	f.Fuzz(func(t *testing.T, n uint16, tau8 uint8, limit16 uint16, seed int64, spec []byte) {
+		numRecords := 1 + int(n)%8192
+		tau := max(int(tau8)%49, 1)
+		limit := min(int(limit16), numRecords)
+		rng := rand.New(rand.NewSource(seed))
+		dead := randDead(rng, numRecords)
+		var tokens []probeToken
+		for k := 0; k+1 < len(spec) && len(tokens) < 16; k += 2 {
+			tok := probeToken{mult: int32(1 + spec[k+1]%64)}
+			if spec[k]&1 != 0 {
+				tok.postings = randPostings(rng, limit)
+			} else {
+				bs := randBitset(rng, numRecords, []float64{0.9, 0.3, 0.02, 0.5}[spec[k]>>1&3])
+				if tau <= MaxBlockTau {
+					tok.bs = bs
+				} else {
+					tok.postings = bitsetPostings(bs, limit)
+				}
+			}
+			tokens = append(tokens, tok)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d candidates, want %d (n=%d τ=%d limit=%d)",
-				trial, len(got), len(want), numRecords, tau, limit)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: candidate[%d] = %d, want %d", trial, i, got[i], want[i])
+		checkAccumulator(t, acc, numRecords, tau, limit, dead, tokens)
+	})
+}
+
+// bitsetPostings is a bitmap's list over records < limit in slice form, each
+// record counted once.
+func bitsetPostings(bs *Bitset, limit int) []Posting {
+	var postings []Posting
+	for w, x := range bs.words {
+		for ; x != 0; x &= x - 1 {
+			if r := w<<6 + bits.TrailingZeros64(x); r < limit {
+				postings = append(postings, Posting{Record: r, Count: 1})
 			}
 		}
 	}
-	if pure == 0 || pure == 200 {
-		t.Errorf("%d of 200 trials took the pure-dense drain; the comparison must cover both drains", pure)
-	}
+	return postings
 }
 
 // TestAccumulatorResize pins the arena invariant across shrink/grow cycles:

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/aujoin/aujoin/internal/invindex"
 	"github.com/aujoin/aujoin/internal/pebble"
 	"github.com/aujoin/aujoin/internal/strutil"
 )
@@ -58,6 +59,32 @@ func propConfigs() []Options {
 		)
 	}
 	return out
+}
+
+// filterConfigs is the grid the count filter is held to naiveCandidates on:
+// propConfigs and two AU-heuristic configurations, at τ =
+// invindex.MaxBlockTau, the largest τ an index keeps bitmaps at, and one
+// past it, where every list stays in slice form. The filter is compared with
+// its reference, not with BruteForce: on propCorpus the filter's results at
+// τ above 25 already miss pairs BruteForce finds, whatever the layout.
+func filterConfigs() []Options {
+	return append(propConfigs(),
+		Options{Theta: 0.8, Tau: invindex.MaxBlockTau, Method: pebble.AUHeuristic},
+		Options{Theta: 0.8, Tau: invindex.MaxBlockTau + 1, Method: pebble.AUHeuristic},
+	)
+}
+
+// checkBlockTau fails unless an index built at τ tau keeps bitmaps exactly
+// when tau is at most invindex.MaxBlockTau, for the configurations of
+// filterConfigs at τ > 2, whose lists are dense enough to convert.
+func checkBlockTau(t *testing.T, name string, tau, denseKeys int) {
+	t.Helper()
+	switch {
+	case tau > invindex.MaxBlockTau && denseKeys != 0:
+		t.Errorf("%s: an index built at τ %d keeps %d bitmaps", name, tau, denseKeys)
+	case tau > 2 && tau <= invindex.MaxBlockTau && denseKeys == 0:
+		t.Errorf("%s: an index built at τ %d converted no list", name, tau)
+	}
 }
 
 // naiveCandidates is the reference — the classic count filter of the tests'
@@ -142,14 +169,15 @@ func TestHybridStaticCandidatesMatchClassic(t *testing.T) {
 	probe := propCorpus(150, 22)
 	noDead := func(int) bool { return false }
 	denseSeen := false
-	for _, opts := range propConfigs() {
-		name := fmt.Sprintf("%v/θ=%v", opts.Method, opts.Theta)
+	for _, opts := range filterConfigs() {
+		name := fmt.Sprintf("%v/θ=%v/τ=%d", opts.Method, opts.Theta, opts.Tau)
 		sx := j.BuildShardedIndex(recs, 1, opts, DynamicOptions{})
 		sv := sx.Snapshot()
 		v, tau := sv.views[0], sx.tau
 		if v.inv.DenseKeys() > 0 {
 			denseSeen = true
 		}
+		checkBlockTau(t, name, tau, v.inv.DenseKeys())
 		stored := v.sigIDs
 
 		sigs := selectSignatures(prepareRecords(probe, sx.dict, j.calc.PrepareProbe), nil, sv.gen, opts.Method, tau)
@@ -230,8 +258,8 @@ func testHybridCandidates(t *testing.T, shards int) {
 	// maxSegments 2 forces rebuilds during the 3-batch insert script, so the
 	// comparison covers post-rebuild snapshots, not just delta chains.
 	for _, dopts := range []DynamicOptions{{}, {maxSegments: 2}} {
-		for _, opts := range propConfigs() {
-			name := fmt.Sprintf("shards=%d/%v/θ=%v/maxseg=%d", shards, opts.Method, opts.Theta, dopts.maxSegments)
+		for _, opts := range filterConfigs() {
+			name := fmt.Sprintf("shards=%d/%v/θ=%v/τ=%d/maxseg=%d", shards, opts.Method, opts.Theta, opts.Tau, dopts.maxSegments)
 			sx := j.BuildShardedIndex(recs, shards, opts, dopts)
 			mutate(sx, 55)
 			st := sx.Stats()
@@ -244,6 +272,7 @@ func testHybridCandidates(t *testing.T, shards int) {
 			if st.DenseKeys > 0 {
 				denseSeen = true
 			}
+			checkBlockTau(t, name, sx.tau, st.DenseKeys)
 
 			sv := sx.Snapshot()
 			sigs := selectSignatures(prepareRecords(probe, sx.dict, j.calc.PrepareProbe), nil, sv.gen, opts.Method, sx.tau)

@@ -274,7 +274,8 @@ func (c *counters) add(o counters) {
 // bitmaps, which it then leaves unreferenced, and one for the lists that stay
 // in slice form. A signature holds its repeats side by side (the count filter
 // reads them as runs), so counting a run once counts the postings exactly.
-func newInverted(sigIDs [][]uint32, order *pebble.Order) *invindex.Index {
+// tau is the index's τ, the largest any probe of it filters at.
+func newInverted(sigIDs [][]uint32, order *pebble.Order, tau int) *invindex.Index {
 	inv := invindex.New(order.NumKeys())
 	caps := make([]int32, order.NumKeys())
 	for _, ids := range sigIDs {
@@ -284,7 +285,7 @@ func newInverted(sigIDs [][]uint32, order *pebble.Order) *invindex.Index {
 			}
 		}
 	}
-	cut := hybridCutoff(len(sigIDs), order)
+	cut := hybridCutoff(len(sigIDs), order, tau)
 	inv.Presize(caps, cut)
 	for i, ids := range sigIDs {
 		inv.Add(i, ids)
@@ -301,17 +302,19 @@ func newInverted(sigIDs [][]uint32, order *pebble.Order) *invindex.Index {
 const minBitsetList = 16
 
 // hybridCutoff is the density cutoff of the hybrid posting layout for an
-// index of numRecords records signed under order: lists at least this long
-// (≈ 1/64 of the corpus, i.e. averaging one set bit per bitmap word, floored
-// at minBitsetList) move to packed bitmap form. It is 0 — no conversion —
-// for an empty index, and when the order's maximum document frequency, which
+// index of numRecords records signed under order at τ tau: lists at least
+// this long (≈ 1/64 of the corpus, i.e. averaging one set bit per bitmap
+// word, floored at minBitsetList) move to packed bitmap form. It is 0 — no
+// conversion — for an empty index; above invindex.MaxBlockTau, where the
+// count filter's register block cannot decide ≥ τ and slice form is exact
+// at any τ; and when the order's maximum document frequency, which
 // upper-bounds every frozen key's list length, cannot reach the cutoff; an
 // order with a dynamic region has stale frequencies (inserted records are
 // uncounted), so the conversion always runs there — a missed skip costs one
 // pass over the postings, never correctness.
-func hybridCutoff(numRecords int, order *pebble.Order) int {
+func hybridCutoff(numRecords int, order *pebble.Order, tau int) int {
 	c := max(numRecords>>6, minBitsetList)
-	if numRecords == 0 || (order.MaxFrequency() < c && order.DynamicCount() == 0) {
+	if numRecords == 0 || tau > invindex.MaxBlockTau || (order.MaxFrequency() < c && order.DynamicCount() == 0) {
 		return 0
 	}
 	return c
@@ -609,7 +612,7 @@ func (fp *FilterProfile) filter(tau int) ([]pairKey, int64) {
 	if fp.method == pebble.UFilter || tau < 1 {
 		tau = 1
 	}
-	inv := newInverted(fp.selectAll(fp.preS, tau), fp.order)
+	inv := newInverted(fp.selectAll(fp.preS, tau), fp.order, tau)
 	sc := scratchFromPool(&fp.scratch, len(fp.preS))
 	defer sc.release(&fp.scratch)
 	var cands []pairKey

@@ -232,7 +232,7 @@ const (
 // DynamicStats.BuildTime).
 func (sh *shard) adoptBaseLocked(g *orderGen, records []strutil.Record, prepared []*core.PreparedRecord, sigIDs [][]uint32, start time.Time) {
 	sh.gen = g
-	sh.inv = newInverted(sigIDs, g.order)
+	sh.inv = newInverted(sigIDs, g.order, sh.sx.tau)
 	sh.deltas = deltas{}
 	sh.records, sh.prepared, sh.sigIDs = records, prepared, sigIDs
 	sh.cover = core.NewCoverColumn(sh.sx.dict, prepared)

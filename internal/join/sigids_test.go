@@ -164,7 +164,7 @@ func TestInvertedIndexDropsConvertedPostings(t *testing.T) {
 	j := NewJoiner(paperContext())
 	sx := j.BuildShardedIndex(benchCorpus(4000, 7), 1, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
 	sh, order := sx.shards[0], sx.gen.Load().order
-	inv, live := heapKeptBy(func() *invindex.Index { return newInverted(sh.sigIDs, order) })
+	inv, live := heapKeptBy(func() *invindex.Index { return newInverted(sh.sigIDs, order, sx.tau) })
 	posting, pointer, header := int64(unsafe.Sizeof(invindex.Posting{})), int64(unsafe.Sizeof(&invindex.Bitset{})), int64(unsafe.Sizeof([]invindex.Posting{}))
 	shape := int64(inv.Universe()) * (header + pointer)
 	var converted int64 // the postings of the lists now in bitmap form
