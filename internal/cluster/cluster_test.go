@@ -46,6 +46,8 @@ type clusterOpts struct {
 	joiner func() (*aujoin.Joiner, error)
 	// heartbeat is the coordinator's health-check interval (0: 100 ms).
 	heartbeat time.Duration
+	// hedge is the coordinator's HedgeDelay (0: 20 ms).
+	hedge time.Duration
 }
 
 // startCluster boots a coordinator and n workers with r-way replication,
@@ -63,11 +65,14 @@ func startCluster(t testing.TB, n, r int, catalog []string, theta float64, tau i
 	if o.heartbeat == 0 {
 		o.heartbeat = 100 * time.Millisecond
 	}
+	if o.hedge == 0 {
+		o.hedge = 20 * time.Millisecond
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	coord := NewCoordinator(CoordConfig{
 		Workers: n, Replicas: r, Theta: theta, Tau: tau, Filter: filter,
 		Catalog:   catalog,
-		Heartbeat: o.heartbeat, HedgeDelay: 20 * time.Millisecond,
+		Heartbeat: o.heartbeat, HedgeDelay: o.hedge,
 		SyncFraction: -1, // bumps are driven explicitly by the tests
 		Logf:         t.Logf,
 	})

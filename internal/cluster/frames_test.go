@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -266,7 +267,10 @@ func TestProbeStreamOutlivesWriteTimeout(t *testing.T) {
 // heuristic filter), and returns it with 64 lookups: half variants of catalog
 // records, half records of the same generator outside the catalog. The
 // coordinator's health checker is all but stopped, so nothing but the
-// lookups runs in the process.
+// lookups runs in the process, and its hedge waits an hour: a lookup that
+// stalls (a collection, a loaded machine) is not raced against a second
+// replica, whose read and whose closed connection — the loser's, dialled
+// again by the next lookup — would otherwise add to what it is measured at.
 func titlesCluster(tb testing.TB, n int) (*testCluster, []string) {
 	cfg := datagen.MEDLike(n, 20190811)
 	cfg.VocabSize = 10000
@@ -285,6 +289,7 @@ func titlesCluster(tb testing.TB, n int) (*testCluster, []string) {
 	}
 	tc := startCluster(tb, 3, 2, universe[:n], 0.9, 12, "heuristic", clusterOpts{
 		heartbeat: time.Hour,
+		hedge:     time.Hour,
 		joiner: func() (*aujoin.Joiner, error) {
 			return aujoin.NewStrict(
 				aujoin.WithSynonymsFrom(bytes.NewReader(rules.Bytes())),
@@ -324,12 +329,19 @@ func BenchmarkCoordinatorQuery(b *testing.B) {
 // about 70 more objects a group, so the pin catches one creeping back. The
 // ceiling is the measured count rounded up. Skipped with -short, as the
 // engine's pins are.
+//
+// AllocsPerRun measures at GOMAXPROCS 1, so the lookups that fill the
+// connection pools and the caches run at one P too: filled at more, the
+// sync.Pool objects the lookups reuse sit partly in another P's private
+// slot, which the measured P cannot take, and each run would count as many
+// refills as the scheduler happened to strand there.
 func TestCoordinatorQueryAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts are only meaningful without -race; skipped with -short")
 	}
 	tc, queries := titlesCluster(t, 3000)
 	ctx, opts := context.Background(), aujoin.QueryOptions{K: 10}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, q := range queries { // fill the connection pools and the caches
 		tc.coord.topK(ctx, q, opts)
 	}

@@ -1,9 +1,5 @@
 package core
 
-// SetSegDictLimit lowers d's entry cap (segDictCap) for this package's
-// external tests, which sign probes of a full dictionary through pebble.
-func SetSegDictLimit(d *SegDict, limit int) { d.limit = limit }
-
 // KeepSolves makes the claw loop on sc solve every candidate set's matching,
 // for the tests that hold the skip to the loop without it.
 func KeepSolves(sc *Scratch) { sc.keepSolves = true }

@@ -27,7 +27,8 @@ func TestProbeTableAtCap(t *testing.T) {
 		calc.PrepareIn(full, strutil.Tokenize(raw))
 	}
 	indexed := map[string]bool{}
-	for _, data := range full.Tables() {
+	for v, id := full.View(), 0; id < v.Len(); id++ {
+		data, _, _ := v.Entry(uint32(id))
 		indexed[data.Text] = true
 	}
 	d, order := core.NewSegDict(), pebble.NewOrder()
@@ -36,7 +37,7 @@ func TestProbeTableAtCap(t *testing.T) {
 		order.Add(g.AppendPebbles(nil, calc.PrepareIn(d, strutil.Tokenize(raw))))
 	}
 	sel := pebble.NewSelector(g, order, 0.8)
-	tab := sel.NewProbeTable(d)
+	tab := g.KeyIDs(d, order).ProbeTable()
 	var held, past int
 	for k, raw := range raws {
 		if k%2 == 1 {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"iter"
 	"sync"
 
 	"github.com/aujoin/aujoin/internal/sim"
@@ -87,6 +86,11 @@ func NewSegDict() *SegDict {
 	return &SegDict{ids: make(map[string]uint32), gramNum: make(map[string]gramRef), gramOff: []uint32{0}, limit: segDictCap}
 }
 
+// SetSegDictLimit lowers d's entry cap (segDictCap) to limit, so that the
+// tests of the packages that count and sign against a dictionary reach a
+// full dictionary without a million texts. Call it before d interns.
+func SetSegDictLimit(d *SegDict, limit int) { d.limit = limit }
+
 // Len returns the number of distinct segment texts interned so far; every ID
 // the dictionary has handed out is below it.
 func (d *SegDict) Len() int {
@@ -130,21 +134,57 @@ func (d *SegDict) read(pr *PreparedRecord) (missing int) {
 	return missing
 }
 
-// Tables returns the derivation tables of every entry the dictionary holds
-// now, indexed by ID. The entries are captured under the read lock; the
-// slice is append-only and its tables immutable, so the result stays valid
-// while later texts are interned past its end.
-func (d *SegDict) Tables() iter.Seq2[uint32, *sim.SegmentData] {
-	d.mu.RLock()
-	entries := d.entries
-	d.mu.RUnlock()
-	return func(yield func(uint32, *sim.SegmentData) bool) {
-		for id := range entries {
-			if !yield(uint32(id), entries[id].data) {
-				return
-			}
-		}
+// DictView is a capture of a dictionary's entries with their gram numbers,
+// taken under the read lock (SegDict.View). The arrays it holds are
+// append-only and their tables immutable, so it stays valid while later texts
+// are interned past its end; it holds the entries and the numbered grams
+// that existed when it was taken and no other.
+type DictView struct {
+	entries  []segEntry
+	gramSets []uint32
+	gramOff  []uint32
+	grams    int
+}
+
+// View captures the entries the dictionary holds now and the numbers of
+// their grams. A nil dictionary captures none.
+func (d *SegDict) View() DictView {
+	if d == nil {
+		return DictView{}
 	}
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	n := len(d.entries)
+	return DictView{entries: d.entries[:n:n], gramSets: d.gramSets[:d.gramOff[n]], gramOff: d.gramOff[:n+1], grams: len(d.gramNum)}
+}
+
+// Len returns the number of entries captured; every ID below it is one.
+func (v DictView) Len() int { return len(v.entries) }
+
+// NumGrams returns the number of grams numbered when the view was taken:
+// every gram number of a captured entry is below it.
+func (v DictView) NumGrams() int { return v.grams }
+
+// Entry returns entry id's derivation table and the numbers of its grams,
+// in the order of the table's Grams, and whether the view holds the entry
+// (not for NoSegID, nor for an entry interned after the view was taken).
+func (v DictView) Entry(id uint32) (*sim.SegmentData, []uint32, bool) {
+	if int(id) >= len(v.entries) {
+		return nil, nil, false
+	}
+	return v.entries[id].data, v.gramSets[v.gramOff[id]:v.gramOff[id+1]], true
+}
+
+// GramNumber returns the number of a gram (without the pebble key prefix)
+// the dictionary has numbered. A nil dictionary has numbered none.
+func (d *SegDict) GramNumber(gram string) (uint32, bool) {
+	if d == nil {
+		return 0, false
+	}
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	r, ok := d.gramNum[gram]
+	return r.num, ok
 }
 
 // intern returns the ID and shared derivation table of a segment's text,

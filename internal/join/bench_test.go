@@ -208,6 +208,35 @@ func BenchmarkJoinBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkJoinBuild times the build half of one repository-benchmark
+// join_med op alone (joinIndex): 1 000 MED-like records indexed and 200
+// probe records — half variants of indexed records, half records of the
+// generator the index has never seen — prepared, counted into the order and
+// signed, at q = 2, θ = 0.8, τ = 2 and the AU-Filter's DP. No probe is
+// filtered or verified.
+func BenchmarkJoinBuild(b *testing.B) {
+	const records, probes = 1000, 200
+	gen := datagen.New(datagen.MEDLike(records, 7))
+	universe := gen.Collection(records + probes/2)
+	ctx := sim.NewContext(gen.Rules(), gen.Taxonomy())
+	ctx.Q = 2
+	j := NewJoiner(ctx)
+	raws := make([]string, probes)
+	for k := range raws {
+		raws[k] = universe[records+k/2]
+		if k%2 == 0 {
+			raws[k], _ = gen.Variant(universe[k*records/probes])
+		}
+	}
+	s, t := strutil.NewCollection(universe[:records]), strutil.NewCollection(raws)
+	opts := Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j.joinIndex(s, t, opts)
+	}
+}
+
 // queryBench measures single-record serving against a resident index of the
 // given shard count: signature, per-shard count filters, query
 // preparation and thresholded verification per ProbeRecordCtx call.

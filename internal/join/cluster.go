@@ -70,8 +70,7 @@ func (sx *ShardedIndex) KeyFrequencies() ([]string, []int) {
 	unlock()
 	sx.refreezeMu.Unlock()
 
-	order, _ := sx.joiner.orderOf(live...)
-	return order.FrequencyTable()
+	return sx.joiner.orderOf(sx.dict, live...).Order().FrequencyTable()
 }
 
 // AdoptOrder replaces the index's pebble order with an externally built
@@ -96,24 +95,25 @@ func (sx *ShardedIndex) AdoptOrder(keys []string, freqs []int) error {
 	}
 	sx.refreezeMu.Lock()
 	defer sx.refreezeMu.Unlock()
-	sx.refreezeLocked(func(live ...[]*core.PreparedRecord) (*pebble.Order, [][][]pebble.Pebble) {
+	sx.refreezeLocked(func(d *core.SegDict, live ...[]*core.PreparedRecord) *pebble.KeyIDs {
 		// Defensive intern: any live key the image lacks — none, when nothing
-		// raced the collection — joins the dynamic region before signatures
-		// are re-selected under the adopted order, from the pebbles generated
-		// here.
-		generated := sx.joiner.generate(live...)
+		// raced the collection — joins the dynamic region before the records
+		// are signed under the adopted order. The live keys are counted by
+		// key number, and each distinct one looked up in the image once.
+		count := sx.joiner.gen.NewKeyCount(d)
+		for _, coll := range live {
+			for _, pr := range coll {
+				count.Add(pr)
+			}
+		}
 		var missing []pebble.Pebble
-		for _, part := range generated {
-			for _, pebbles := range part {
-				for _, p := range pebbles {
-					if _, ok := order.ID(p.Key); !ok {
-						missing = append(missing, p)
-					}
-				}
+		for _, key := range count.Keys() {
+			if _, ok := order.ID(key); !ok {
+				missing = append(missing, pebble.Pebble{Key: key})
 			}
 		}
 		order.InternDynamic(missing)
-		return order, generated
+		return sx.joiner.gen.KeyIDs(d, order)
 	})
 	sx.noRefreeze.Store(true)
 	return nil

@@ -40,7 +40,7 @@ func TestAdoptOrderInternsMissingKeys(t *testing.T) {
 		}
 		for w, sh := range sx.shards {
 			for pos, rec := range sh.records {
-				if fresh := signatureIDs(g.sel.Signature(rec.Tokens, opts.Method, sx.tau)); !slices.Equal(sh.sigIDs[pos], fresh) {
+				if fresh := g.sel.Signature(rec.Tokens, opts.Method, sx.tau).IDs(); !slices.Equal(sh.sigIDs[pos], fresh) {
 					t.Fatalf("shards=%d shard %d: record %q stores signature %v, selecting under the adopted order gives %v",
 						shards, w, rec.Raw, sh.sigIDs[pos], fresh)
 				}

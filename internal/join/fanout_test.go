@@ -78,13 +78,14 @@ func TestQueryAllocsPinned(t *testing.T) {
 
 // TestJoinBuildAllocsPinned caps the heap objects the build half of a
 // one-shot join makes per record: joinIndex prepares both collections,
-// counts the order over the pebbles it generates, selects every signature
-// from those pebbles — the indexed side's and the probe side's — and builds
-// the index. The ceiling is the measured count rounded up to the next 0.25
-// (AllocsPerRun runs at GOMAXPROCS 1, so the worker loops run inline whatever
-// the machine), close enough that one more object a record on either
-// selector's path — the DP's included, whose group tables share the
-// selection's one arena — fails it.
+// counts the order over their key numbers, signs every record — the indexed
+// side's and the probe side's — through the probe table with one reused
+// pebble buffer and AccTable a worker, and builds the index. The ceiling is
+// the measured count rounded up to the next 0.25 (AllocsPerRun runs at
+// GOMAXPROCS 1, so the worker loops run inline whatever the machine), close
+// enough that one more object a record on either selector's path — the
+// DP's included, whose group tables share the selection's one arena — fails
+// it.
 // Skipped with -short, as the query pins are.
 func TestJoinBuildAllocsPinned(t *testing.T) {
 	if testing.Short() {
@@ -95,7 +96,7 @@ func TestJoinBuildAllocsPinned(t *testing.T) {
 	for _, pin := range []struct {
 		method  pebble.Method
 		ceiling float64
-	}{{pebble.AUDP, 9.25}, {pebble.AUHeuristic, 9.25}} {
+	}{{pebble.AUDP, 6.25}, {pebble.AUHeuristic, 6.25}} {
 		opts := Options{Theta: 0.8, Tau: 2, Method: pin.method}
 		perRecord := testing.AllocsPerRun(5, func() { j.joinIndex(s, u, opts) }) / float64(len(s)+len(u))
 		t.Logf("%v: %.2f allocs per record", pin.method, perRecord)

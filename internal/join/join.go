@@ -165,52 +165,27 @@ func (j *Joiner) Generator() *pebble.Generator { return j.gen }
 func (j *Joiner) Calculator() *core.Calculator { return j.calc }
 
 // BuildOrder is orderOf for bare collections: their records are prepared
-// here, without a dictionary.
+// here, without a dictionary, so every gram key is counted by string.
 func (j *Joiner) BuildOrder(collections ...[]strutil.Record) *pebble.Order {
 	prepared := make([][]*core.PreparedRecord, len(collections))
 	for i, coll := range collections {
 		prepared[i] = prepareRecords(coll, nil, j.calc.PrepareProbe)
 	}
-	order, _ := j.orderOf(prepared...)
-	return order
+	return j.orderOf(nil, prepared...).Order()
 }
 
 // orderOf constructs the global pebble frequency order over the given
-// collections of prepared records and returns it with the pebbles it
-// generated to count them (generate). Signature selection sorts each
-// record's window in place and selects from it, so a record's pebbles are
-// generated once per order.
-func (j *Joiner) orderOf(collections ...[]*core.PreparedRecord) (*pebble.Order, [][][]pebble.Pebble) {
-	order := pebble.NewOrder()
-	generated := j.generate(collections...)
-	for _, coll := range generated {
-		for _, pebbles := range coll {
-			order.Add(pebbles)
-		}
-	}
-	return order, generated
-}
-
-// generate returns every record's pebbles: generated[c][i] are record i of
-// collection c's, in generation order, a window of one arena sized up front.
-func (j *Joiner) generate(collections ...[]*core.PreparedRecord) [][][]pebble.Pebble {
-	n := 0
+// collections of records prepared against d, counting their keys by key
+// number (pebble.KeyCount), and returns it with its IDs by key number, which
+// the order generation's probe table is built from (install).
+func (j *Joiner) orderOf(d *core.SegDict, collections ...[]*core.PreparedRecord) *pebble.KeyIDs {
+	count := j.gen.NewKeyCount(d)
 	for _, coll := range collections {
 		for _, pr := range coll {
-			n += j.gen.Count(pr)
+			count.Add(pr)
 		}
 	}
-	arena := make([]pebble.Pebble, 0, n)
-	generated := make([][][]pebble.Pebble, len(collections))
-	for c, coll := range collections {
-		generated[c] = make([][]pebble.Pebble, len(coll))
-		for i, pr := range coll {
-			start := len(arena)
-			arena = j.gen.AppendPebbles(arena, pr)
-			generated[c][i] = arena[start:len(arena):len(arena)]
-		}
-	}
-	return generated
+	return count.Freeze()
 }
 
 // probeScratch is the state of one request on one shard: the block
@@ -441,32 +416,19 @@ func (j *Joiner) SelfJoin(s []strutil.Record, opts Options) ([]Pair, Stats) {
 	})
 }
 
-// selectSignatures selects every prepared record's signature under g in
-// parallel and returns their IDs: from generated[i], the record's pebbles as
-// orderOf generated them (sorted in place), or, when generated is nil, by
-// signing probes prepared against the index's dictionary (orderGen.sign).
-func selectSignatures(prepared []*core.PreparedRecord, generated [][]pebble.Pebble, g *orderGen, method pebble.Method, tau int) [][]uint32 {
+// selectSignatures signs every prepared record under g in parallel, through
+// the generation's probe table (pebble.Signer, one a worker), and returns
+// their signature IDs.
+func selectSignatures(prepared []*core.PreparedRecord, g *orderGen, method pebble.Method, tau int) [][]uint32 {
 	out := make([][]uint32, len(prepared))
-	parallelFor(len(prepared), 0, func(i int) {
-		if generated == nil {
-			out[i] = g.sign(prepared[i], method, tau)
-			return
+	signers := make([]*pebble.Signer, runtime.GOMAXPROCS(0))
+	_ = parallelForWorkersCtx(context.Background(), len(prepared), len(signers), func(w, i int) {
+		if signers[w] == nil {
+			signers[w] = g.sel.NewSigner(g.probes)
 		}
-		out[i] = signatureIDs(g.sel.Select(g.sel.PrepareGenerated(generated[i], prepared[i]), method, tau))
+		out[i] = signers[w].Sign(prepared[i], method, tau)
 	})
 	return out
-}
-
-// signatureIDs returns a signature's IDs — one interned ID per signature
-// pebble, duplicates retained, matching the posting-list semantics the
-// overlap count relies on — as an exact-size copy, releasing the complete
-// pebble list the selection is a prefix of.
-func signatureIDs(sig pebble.Signature) []uint32 {
-	ids := make([]uint32, len(sig.Pebbles))
-	for i := range sig.Pebbles {
-		ids[i] = sig.Pebbles[i].ID
-	}
-	return ids
 }
 
 // pairKey identifies one candidate pair of a FilterProfile, by position: an
@@ -487,7 +449,7 @@ func prepareRecords(recs []strutil.Record, d *core.SegDict, prepare func(*core.S
 
 // FilterProfile holds the τ-independent state of the filtering stage for
 // two collections: every record prepared once, the shared interned order and
-// every record's generated, interned, sorted pebble list. Stats re-derives
+// every record's interned, sorted pebble list. Stats re-derives
 // signatures and candidate counts for any τ without regenerating or
 // re-sorting pebbles — the Section 4 estimator calls it for every τ in its
 // universe on each Bernoulli sample — and VerifyStats additionally verifies
@@ -523,8 +485,10 @@ func (j *Joiner) NewFilterProfile(s, t []strutil.Record, opts Options) *FilterPr
 	dict := core.NewSegDict()
 	prepS := prepareRecords(s, dict, j.calc.PrepareIn)
 	prepT := prepareRecords(t, dict, j.calc.PrepareProbe)
-	order, generated := j.orderOf(prepS, prepT)
+	ids := j.orderOf(dict, prepS, prepT)
+	order := ids.Order()
 	sel := pebble.NewSelector(j.gen, order, opts.Theta)
+	probes := ids.ProbeTable()
 	return &FilterProfile{
 		calc:    j.calc,
 		sel:     sel,
@@ -535,17 +499,17 @@ func (j *Joiner) NewFilterProfile(s, t []strutil.Record, opts Options) *FilterPr
 		prepS:   prepS,
 		prepT:   prepT,
 		cover:   core.NewCoverColumn(dict, prepS),
-		preS:    presigs(prepS, generated[0], sel),
-		preT:    presigs(prepT, generated[1], sel),
+		preS:    presigs(prepS, sel, probes),
+		preT:    presigs(prepT, sel, probes),
 	}
 }
 
-// presigs runs Selector.PrepareGenerated for every record in parallel, over
-// the pebbles orderOf generated.
-func presigs(prepared []*core.PreparedRecord, generated [][]pebble.Pebble, sel *pebble.Selector) []pebble.Presig {
+// presigs runs Selector.PrepareProbe for every record in parallel, through
+// the profile's probe table.
+func presigs(prepared []*core.PreparedRecord, sel *pebble.Selector, probes *pebble.ProbeTable) []pebble.Presig {
 	out := make([]pebble.Presig, len(prepared))
 	parallelFor(len(prepared), 0, func(i int) {
-		out[i] = sel.PrepareGenerated(generated[i], prepared[i])
+		out[i] = sel.PrepareProbe(prepared[i], probes)
 	})
 	return out
 }
@@ -632,7 +596,7 @@ func (fp *FilterProfile) filter(tau int) ([]pairKey, int64) {
 func (fp *FilterProfile) selectAll(pre []pebble.Presig, tau int) [][]uint32 {
 	out := make([][]uint32, len(pre))
 	parallelFor(len(pre), 0, func(i int) {
-		out[i] = signatureIDs(fp.sel.Select(pre[i], fp.method, tau))
+		out[i] = fp.sel.Select(pre[i], fp.method, tau).IDs()
 	})
 	return out
 }

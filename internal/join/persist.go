@@ -188,6 +188,6 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 			p.deadIDs = append(p.deadIDs, records[i].ID)
 		}
 	}
-	sx.install(order, parts, start)
+	sx.install(j.gen.KeyIDs(sx.dict, order), parts, start)
 	return sx, nil
 }

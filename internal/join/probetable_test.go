@@ -91,7 +91,7 @@ func TestProbeSigningAcrossGenerations(t *testing.T) {
 				}
 				for _, m := range []pebble.Method{pebble.UFilter, pebble.AUHeuristic, pebble.AUDP} {
 					for _, tau := range []int{1, 2, 3, 6, 12} {
-						got, want := g.sign(pq, m, tau), signatureIDs(g.sel.RecordSignature(pq, m, tau))
+						got, want := g.sign(pq, m, tau), g.sel.RecordSignature(pq, m, tau).IDs()
 						if !slices.Equal(got, want) {
 							t.Fatalf("%s %s %v τ=%d: %v signed %v from the table, %v by key", c.name, state, m, tau, tokens, got, want)
 						}
@@ -158,7 +158,8 @@ func TestProbeTableFootprint(t *testing.T) {
 	ctx.Q = 5
 	sx := NewJoiner(ctx).BuildShardedIndex(strutil.NewCollection(gen.Collection(cfg.Size)), 1, titlesOptions, DynamicOptions{})
 	entries, pebbles := 0, 0
-	for _, d := range sx.dict.Tables() {
+	for v, id := sx.dict.View(), 0; id < v.Len(); id++ {
+		d, _, _ := v.Entry(uint32(id))
 		entries++
 		pebbles += len(d.GramKeys)
 		lhs := map[string]bool{}

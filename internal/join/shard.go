@@ -297,29 +297,26 @@ func (sh *shard) insertRecords(recs []strutil.Record) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	delta := invindex.NewDelta()
-	// Prepare each record and generate its pebbles from that, once: the whole
-	// batch's pebbles are interned in a single InternDynamic call (at most one
-	// dynamic-table clone), which has to come before the first sort, and each
-	// record's stretch of them then feeds its signature selection.
+	// Prepare each record, and intern the keys the generation's order may
+	// lack — those of the segments its probe table does not hold — in a
+	// single InternDynamic call for the whole batch (at most one
+	// dynamic-table clone), which has to come before the first record is
+	// signed; then sign each record through the probe table.
+	g := sh.gen
 	first := len(sh.records)
-	var pebs []pebble.Pebble
-	ends := make([]int, len(recs))
-	for i, rec := range recs {
+	var unheld []pebble.Pebble
+	for _, rec := range recs {
 		pr := sh.sx.joiner.calc.PrepareCached(sh.sx.cache, sh.sx.dict, rec.Tokens)
 		sh.positions[rec.ID] = len(sh.records)
 		sh.records = append(sh.records, rec)
 		sh.prepared = append(sh.prepared, pr)
-		pebs = sh.sx.joiner.gen.AppendPebbles(pebs, pr)
-		ends[i] = len(pebs)
+		unheld = g.probes.AppendUnheld(sh.sx.joiner.gen, unheld, pr)
 	}
 	sh.cover.Append(sh.prepared[first:])
-	sh.dynAdded += sh.gen.order.InternDynamic(pebs)
-	start := 0
-	for i, end := range ends {
-		pos := first + i
-		pre := sh.gen.sel.PrepareGenerated(pebs[start:end:end], sh.prepared[pos])
-		start = end
-		ids := signatureIDs(sh.gen.sel.Select(pre, sh.sx.opts.Method, sh.sx.tau))
+	sh.dynAdded += g.order.InternDynamic(unheld)
+	signer := g.sel.NewSigner(g.probes)
+	for pos := first; pos < len(sh.records); pos++ {
+		ids := signer.Sign(sh.prepared[pos], sh.sx.opts.Method, sh.sx.tau)
 		delta.Add(pos, ids)
 		sh.sigIDs = append(sh.sigIDs, ids)
 		sh.sigLenLive += len(ids)

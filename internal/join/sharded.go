@@ -167,38 +167,34 @@ func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Op
 		parts[w].prepared = prepareRecords(parts[w].records, sx.dict, j.calc.PrepareIn)
 		prepared[w] = parts[w].prepared
 	}
-	order, generated := j.orderOf(prepared...)
-	for w := range parts {
-		parts[w].generated = generated[w]
-	}
-	sx.install(order, parts, start)
+	sx.install(j.orderOf(sx.dict, prepared...), parts, start)
 	return sx
 }
 
 // part is one shard's share of an install: positional records and their
-// prepared verification records, their signature IDs (nil: select them
-// under the new order, from the pebbles generated while it was counted),
-// and the stable IDs of those that are tombstoned.
+// prepared verification records, their signature IDs (nil: sign them under
+// the new order) and the stable IDs of those that are tombstoned.
 type part struct {
-	records   []strutil.Record
-	prepared  []*core.PreparedRecord
-	generated [][]pebble.Pebble
-	sigIDs    [][]uint32
-	deadIDs   []int
+	records  []strutil.Record
+	prepared []*core.PreparedRecord
+	sigIDs   [][]uint32
+	deadIDs  []int
 }
 
 // install is the one assembly of a router's shards, shared by a build, a
-// restore, a one-shot join and a re-freeze: it makes a generation of order
-// — freezing it, and building the probe table of every entry the dictionary
-// holds under it — and, shard by shard in parallel, selects the signatures of
-// a part that has none, adopts the part as the shard's base under that
-// generation, re-applies its tombstones and publishes the shard's view; then
-// the generation becomes the router's. The shards are created on the first
-// install; a re-freeze holds every writer lock across it. start is when the
-// caller began the work the bases' build time reports.
-func (sx *ShardedIndex) install(order *pebble.Order, parts []part, start time.Time) {
-	g := &orderGen{order: order, sel: pebble.NewSelector(sx.joiner.gen, order, sx.opts.Theta)}
-	g.probes = g.sel.NewProbeTable(sx.dict)
+// restore, a one-shot join and a re-freeze: it makes a generation of the
+// order ids are of — building, from ids, the probe table of every entry the
+// dictionary held when they were numbered — and, shard by shard in
+// parallel, signs through that table the records of a part that has no
+// signatures, adopts the part as the shard's base under that generation,
+// re-applies its tombstones and publishes the shard's view; then the
+// generation becomes the router's. ids is dropped with the call. The shards
+// are created on the first install; a re-freeze holds every writer lock
+// across it. start is when the caller began the work the bases' build time
+// reports.
+func (sx *ShardedIndex) install(ids *pebble.KeyIDs, parts []part, start time.Time) {
+	order := ids.Order()
+	g := &orderGen{order: order, sel: pebble.NewSelector(sx.joiner.gen, order, sx.opts.Theta), probes: ids.ProbeTable()}
 	if sx.shards == nil {
 		sx.shards = make([]*shard, len(parts))
 		for w := range sx.shards {
@@ -208,7 +204,7 @@ func (sx *ShardedIndex) install(order *pebble.Order, parts []part, start time.Ti
 	parallelFor(len(parts), len(parts), func(w int) {
 		p, sh := &parts[w], sx.shards[w]
 		if p.sigIDs == nil {
-			p.sigIDs = selectSignatures(p.prepared, p.generated, g, sx.opts.Method, sx.tau)
+			p.sigIDs = selectSignatures(p.prepared, g, sx.opts.Method, sx.tau)
 		}
 		sh.adoptBaseLocked(g, p.records, p.prepared, p.sigIDs, start)
 		for _, id := range p.deadIDs {
@@ -294,14 +290,15 @@ func (sx *ShardedIndex) maybeRefreeze() {
 // refreezeLocked is the index's one stop-the-world step, shared by the
 // self-triggered global re-finalize and AdoptOrder; the caller holds
 // refreezeMu. Every shard's writer lock is held while the live records are
-// collected, freeze turns them into the next frozen order — with the pebbles
-// it generated for them, which signatures are selected from — and install
+// collected, freeze turns them — prepared against the index's dictionary —
+// into the next frozen order and its IDs by key number, and install
 // rebuilds every shard under it from the prepared records the shards hold,
-// so a re-freeze segments nothing and generates every pebble once. Readers
-// never stall: with all writer locks held the current per-shard views are
-// the exact pre-refreeze state and necessarily one generation, so they are
-// cached for Snapshot to serve until the new generation is fully published.
-func (sx *ShardedIndex) refreezeLocked(freeze func(live ...[]*core.PreparedRecord) (*pebble.Order, [][][]pebble.Pebble)) {
+// so a re-freeze segments nothing and signs every record through the new
+// generation's probe table. Readers never stall: with all writer locks held
+// the current per-shard views are the exact pre-refreeze state and
+// necessarily one generation, so they are cached for Snapshot to serve until
+// the new generation is fully published.
+func (sx *ShardedIndex) refreezeLocked(freeze func(d *core.SegDict, live ...[]*core.PreparedRecord) *pebble.KeyIDs) {
 	defer sx.lockShards()()
 	start := time.Now()
 	pre := make([]*shardView, len(sx.shards))
@@ -316,11 +313,7 @@ func (sx *ShardedIndex) refreezeLocked(freeze func(live ...[]*core.PreparedRecor
 		sh.rebuilds++
 	}
 	sx.lastView.Store(&ShardedView{sx: sx, gen: sx.gen.Load(), views: pre})
-	order, generated := freeze(live...)
-	for w := range parts {
-		parts[w].generated = generated[w]
-	}
-	sx.install(order, parts, start)
+	sx.install(freeze(sx.dict, live...), parts, start)
 	// The pre-refreeze view has served its purpose; dropping it releases
 	// the superseded generation's bases for collection (readers that
 	// already hold it keep it alive only as long as they keep it).

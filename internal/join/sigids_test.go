@@ -43,7 +43,7 @@ func TestCompactionKeepsSignatures(t *testing.T) {
 					t.Fatalf("%s shard %d: %d stored signatures for %d records", name, w, len(sh.sigIDs), len(sh.records))
 				}
 				for pos, rec := range sh.records {
-					want := signatureIDs(sel.Signature(rec.Tokens, opts.Method, sx.tau))
+					want := sel.Signature(rec.Tokens, opts.Method, sx.tau).IDs()
 					if !slices.Equal(sh.sigIDs[pos], want) {
 						t.Fatalf("%s shard %d: record %d (%q) stores signature %v, selecting now gives %v",
 							name, w, rec.ID, rec.Raw, sh.sigIDs[pos], want)

@@ -137,7 +137,11 @@ func TestSignatureFromPreparedMatchesReference(t *testing.T) {
 						t.Fatalf("%s: %v segment %d is %q, the reference enumerates %q", name, tokens, i, pr.Segs[i].Data.Text, text)
 					}
 				}
-				return signatureIDs(g.sel.Select(g.sel.PrepareGenerated(pebbles, pr), opts.Method, sx.tau))
+				g.sel.Order.Sort(pebbles)
+				if engine := g.sel.PrepareRecord(pr).Pebbles; !slices.Equal(pebbles, engine) {
+					t.Fatalf("%s: %v sorts into pebbles %v, the reference generates %v", name, tokens, engine, pebbles)
+				}
+				return g.sel.RecordSignature(pr, opts.Method, sx.tau).IDs()
 			}
 			for w, sh := range sx.shards {
 				for pos, rec := range sh.records {
@@ -147,7 +151,7 @@ func TestSignatureFromPreparedMatchesReference(t *testing.T) {
 				}
 			}
 			prep := prepareRecords(probes, sx.dict, j.calc.PrepareProbe)
-			for i, got := range selectSignatures(prep, nil, g, opts.Method, sx.tau) {
+			for i, got := range selectSignatures(prep, g, opts.Method, sx.tau) {
 				if want := refSig(probes[i].Tokens); !slices.Equal(got, want) {
 					t.Fatalf("%s: probe %q is signed %v, the reference selects %v", name, probes[i].Raw, got, want)
 				}

@@ -338,9 +338,9 @@ func (j *Joiner) JoinSeq(ctx context.Context, s, t []strutil.Record, opts Option
 }
 
 // joinStream is the shared body of Join and JoinSeq: both collections are
-// prepared once, the order counted and every signature selected from the
-// pebbles generated to count it, and index building is folded into the
-// reported SignatureTime.
+// prepared once, the order counted over both by key number and every record
+// of both signed through its probe table, and index building is folded into
+// the reported SignatureTime.
 func (j *Joiner) joinStream(ctx context.Context, s, t []strutil.Record, opts Options, emit func(Pair) bool) (Stats, error) {
 	start := time.Now()
 	sv, prepT, sigT := j.joinIndex(s, t, opts)
@@ -354,10 +354,9 @@ func (j *Joiner) joinIndex(s, t []strutil.Record, opts Options) (*ShardedView, [
 	start, sx := time.Now(), j.newRouter(opts, DynamicOptions{})
 	prepS := prepareRecords(s, sx.dict, j.calc.PrepareIn)
 	prepT := prepareRecords(t, sx.dict, j.calc.PrepareProbe)
-	order, generated := j.orderOf(prepS, prepT)
-	sx.install(order, []part{{records: s, prepared: prepS, generated: generated[0]}}, start)
+	sx.install(j.orderOf(sx.dict, prepS, prepT), []part{{records: s, prepared: prepS}}, start)
 	sv := sx.Snapshot()
-	return sv, prepT, selectSignatures(prepT, generated[1], sv.gen, opts.Method, sx.tau)
+	return sv, prepT, selectSignatures(prepT, sv.gen, opts.Method, sx.tau)
 }
 
 // SelfJoinSeq is the streaming form of SelfJoin: each unordered pair (i < j)
@@ -392,6 +391,6 @@ func (sv *ShardedView) probeStream(ctx context.Context, records []strutil.Record
 	start := time.Now()
 	sx := sv.sx
 	prep := prepareRecords(records, sx.dict, sx.joiner.calc.PrepareProbe)
-	sigs := selectSignatures(prep, nil, sv.gen, sx.opts.Method, sx.tau)
+	sigs := selectSignatures(prep, sv.gen, sx.opts.Method, sx.tau)
 	return sv.probeAll(ctx, records, sigs, prep, false, time.Since(start), emit)
 }

@@ -14,10 +14,11 @@ const numMeasures = 3
 // still contribute, assuming every one of them also occurs in the partner
 // string — and, per (segment, measure) group, the tables the selection DP
 // reads its cells from (groupTable). All of its numbers live in one float
-// arena, allocated once by NewAccTable. The group tables are laid out there
-// but filled only when the DP first needs a cell (beginDP): the
-// heuristic never reads them, and the DP not at all when the whole list's
-// AS already reaches its target.
+// arena, allocated once by NewAccTable, or reused when a Signer resets the
+// table for its next record. The group tables are laid out there but filled
+// only when the DP first needs a cell (beginDP): the heuristic never reads
+// them, and the DP not at all when the whole list's AS already reaches its
+// target.
 //
 // An AccTable is not safe for concurrent use: the heuristic's top-weight row
 // is rebuilt in place for the c it is asked for, and the DP fills the group
@@ -69,13 +70,22 @@ type groupTable struct {
 // already sorted by the global order, with the arena sized for the group
 // tables and their layout set, and their values left to beginDP.
 func NewAccTable(sorted []Pebble) *AccTable {
+	t := &AccTable{}
+	t.reset(sorted)
+	return t
+}
+
+// reset makes t the table of another sorted list, as NewAccTable makes a new
+// one, in t's own arrays where they are large enough.
+func (t *AccTable) reset(sorted []Pebble) {
 	n := len(sorted)
 	maxSeg := -1
 	for i := range sorted {
 		maxSeg = max(maxSeg, sorted[i].Segment)
 	}
 	nGroups := (maxSeg + 1) * numMeasures
-	t := &AccTable{pebbles: sorted, groups: make([]groupTable, nGroups)}
+	t.pebbles, t.topC, t.filled = sorted, 0, false
+	t.groups = zeroed(t.groups, nGroups)
 
 	// Count each group and see whether its weights are uniform, parking the
 	// position of the group's first pebble in off meanwhile.
@@ -101,7 +111,7 @@ func NewAccTable(sorted []Pebble) *AccTable {
 			size += m + 1 + m*(m-1)/2
 		}
 	}
-	arena := make([]float64, size)
+	arena := zeroed(t.tab, size)
 	t.as, t.top = arena[:n+1], arena[n+1:2*(n+1)]
 	t.tab = arena
 
@@ -121,7 +131,16 @@ func NewAccTable(sorted []Pebble) *AccTable {
 		}
 		t.as[i] = total
 	}
-	return t
+}
+
+// zeroed returns s resliced to n zero elements, reallocated when too short.
+func zeroed[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // beginDP readies the group tables for a selection, which selectPrefixDP

@@ -59,9 +59,10 @@ type Pebble struct {
 
 // Generator produces pebbles for records under a fixed similarity context,
 // keys first: every pebble carries its string key, which an Order interns. A
-// served probe takes this path only for the segments its index's probe table
-// does not hold (ProbeTable, SignProbe); the rest sign from pebble IDs. It is
-// safe for concurrent use.
+// probe or a collection signed through a probe table takes this path only
+// for the segments the table does not hold (ProbeTable, SignProbe, Signer);
+// the rest sign from pebble IDs, and a collection's order is counted by key
+// number (KeyCount). It is safe for concurrent use.
 type Generator struct {
 	Ctx *sim.Context
 	// calc prepares the records of the tokens-taking forms (Pebbles,
@@ -70,9 +71,11 @@ type Generator struct {
 	// synKeys[id] is the pebble key of rule id ("s:" and its lhs) and
 	// taxKeys[n] that of taxonomy node n ("t:" and its name), made once here
 	// so that generation builds no strings. Rules and nodes added to the
-	// context after NewGenerator get theirs built on use.
-	synKeys []string
-	taxKeys []string
+	// context after NewGenerator get theirs built on use. synClass[id] is the
+	// first rule with rule id's lhs, which numbers its key (keyNumbers).
+	synKeys  []string
+	taxKeys  []string
+	synClass []uint32
 }
 
 // NewGenerator returns a Generator over the given context.
@@ -83,6 +86,7 @@ func NewGenerator(ctx *sim.Context) *Generator {
 		for id := range g.synKeys {
 			g.synKeys[id] = "s:" + ctx.Rules.Rule(id).LHSText()
 		}
+		g.synClass = synClasses(ctx.Rules)
 	}
 	if ctx != nil && ctx.Tax != nil {
 		g.taxKeys = make([]string, ctx.Tax.Len())
@@ -169,21 +173,14 @@ func (g *Generator) appendSegment(out []Pebble, d *sim.SegmentData, idx int) []P
 
 	// The synonym pebble is always the *lhs* of the rule, no matter which
 	// side the segment matches, so the two sides of a rule produce the same
-	// pebble key (Table 2): one pebble per distinct lhs, in key order,
-	// weighted by the closest of its rules.
+	// pebble key (Table 2).
 	first := len(out)
 	for _, ids := range [2][]int{d.LHS, d.RHS} {
 		for _, id := range ids {
 			out = append(out, Pebble{Key: g.synKey(id), Weight: g.Ctx.Rules.Rule(id).C, Segment: idx, Measure: sim.Synonym})
 		}
 	}
-	if syn := out[first:]; len(syn) > 1 {
-		slices.SortFunc(syn, func(a, b Pebble) int {
-			return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(b.Weight, a.Weight))
-		})
-		syn = slices.CompactFunc(syn, func(a, b Pebble) bool { return a.Key == b.Key })
-		out = out[:first+len(syn)]
-	}
+	out = out[:first+len(distinctSynonyms(out[first:]))]
 
 	if d.Node != taxonomy.InvalidNode {
 		w := 1 / float64(g.Ctx.Tax.Depth(d.Node))
@@ -194,14 +191,29 @@ func (g *Generator) appendSegment(out []Pebble, d *sim.SegmentData, idx int) []P
 	return out
 }
 
+// distinctSynonyms sorts the synonym pebbles of one segment into key order
+// and keeps one pebble a key, weighted by the closest of its rules, in place,
+// and returns them.
+func distinctSynonyms(syn []Pebble) []Pebble {
+	if len(syn) < 2 {
+		return syn
+	}
+	slices.SortFunc(syn, func(a, b Pebble) int {
+		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(b.Weight, a.Weight))
+	})
+	return slices.CompactFunc(syn, func(a, b Pebble) bool { return a.Key == b.Key })
+}
+
 // Order is the global pebble order required by prefix filtering: pebbles
 // are sorted by ascending document frequency (rare pebbles first), with the
 // key as tie-breaker so the order is total and identical across both join
 // collections.
 //
-// Add counts document frequencies. Finalize then interns every key into a
-// dense uint32 ID whose numeric order IS the global order, so comparing the
-// IDs of two known keys compares their (frequency, key) pairs. The hot paths
+// Add counts document frequencies key by key. Finalize then interns every
+// key into a dense uint32 ID whose numeric order IS the global order, so
+// comparing the IDs of two known keys compares their (frequency, key) pairs.
+// The engine counts a collection prepared against a dictionary by key number
+// instead (KeyCount), and KeyCount.Freeze builds the same order. The hot paths
 // (signature sorting, inverted indexing, candidate counting) work
 // exclusively on these IDs.
 //
@@ -226,14 +238,9 @@ func (g *Generator) appendSegment(out []Pebble, d *sim.SegmentData, idx int) []P
 // concurrently with them, as the dynamic table is swapped atomically and
 // never mutated in place.
 type Order struct {
-	// The counting state, until Finalize: slot numbers every key Add has
-	// seen, in first-seen order, and counts[slot] holds its document
-	// frequency so far; records is the number of Add calls, the stamp of the
-	// record being counted. Finalize re-numbers slot into ids in place and
-	// drops counts.
-	slot    map[string]uint32
-	counts  []keyCount
-	records int32
+	// count holds the document frequencies Add has counted, until Finalize
+	// interns them and drops it.
+	count *KeyCount
 
 	once    sync.Once
 	ids     map[string]uint32 // key -> dense ID, in (freq asc, key asc) order
@@ -245,19 +252,18 @@ type Order struct {
 	dyn atomic.Pointer[dynTable] // append-only dynamic region, nil until first InternDynamic
 }
 
-// keyCount is one key's document frequency while an Order counts. last is
-// the stamp of the last record that counted the key, so a record generating
-// the key several times counts it once without a set of its own.
+// keyCount is one key's document frequency and its number in the count it
+// was counted in (KeyCount).
 type keyCount struct {
 	key  string
 	freq int32
-	last int32
+	num  uint32
 }
 
 // sortByFrequency sorts keys into the global order: frequency ascending, key
-// ascending on ties. It is the one frequency sort: Finalize numbers the
-// frozen IDs by it, FrequencyTable reads its result, and
-// MergeFrequencyTables sorts the sum of several tables by it.
+// ascending on ties. It is the one frequency sort: Finalize and
+// KeyCount.Freeze number the frozen IDs by it, FrequencyTable reads its
+// result, and MergeFrequencyTables sorts the sum of several tables by it.
 func sortByFrequency(counts []keyCount) {
 	slices.SortFunc(counts, func(a, b keyCount) int {
 		return cmp.Or(cmp.Compare(a.freq, b.freq), strings.Compare(a.key, b.key))
@@ -276,27 +282,16 @@ type dynTable struct {
 }
 
 // NewOrder creates an empty frequency order.
-func NewOrder() *Order { return &Order{slot: make(map[string]uint32)} }
+func NewOrder() *Order { return &Order{count: &KeyCount{}} }
 
 // Add registers one string's pebbles: every distinct key counts once
-// (document frequency). Add must not be called after Finalize.
+// (document frequency), each looked up by key. Add must not be called after
+// Finalize.
 func (o *Order) Add(pebbles []Pebble) {
-	if o.slot == nil {
+	if o.count == nil {
 		panic("pebble: Order.Add after Finalize")
 	}
-	o.records++
-	stamp := o.records
-	for i := range pebbles {
-		key := pebbles[i].Key
-		s, ok := o.slot[key]
-		if !ok {
-			o.slot[key] = uint32(len(o.counts))
-			o.counts = append(o.counts, keyCount{key: key, freq: 1, last: stamp})
-		} else if c := &o.counts[s]; c.last != stamp {
-			c.freq++
-			c.last = stamp
-		}
-	}
+	o.count.addPebbles(pebbles)
 }
 
 // Finalize builds the intern table: every registered key gets a dense ID in
@@ -306,27 +301,43 @@ func (o *Order) Add(pebbles []Pebble) {
 // only needed when using the intern table directly.
 func (o *Order) Finalize() {
 	o.once.Do(func() {
-		counts := o.counts
-		sortByFrequency(counts)
-		// The counting map holds exactly the keys to intern: renumbering its
-		// values in place makes it the ID map without building another.
-		ids := o.slot
-		keys := make([]string, len(counts))
-		freqs := make([]int, len(counts))
-		for i, c := range counts {
-			ids[c.key] = uint32(i)
-			keys[i] = c.key
-			freqs[i] = int(c.freq)
+		if o.count != nil {
+			o.freeze(o.count)
+			o.count = nil
 		}
-		// Frequencies are sorted ascending, so the last key carries the
-		// maximum — cached here because MaxFrequency sits on the index-build
-		// path (the hybrid posting cutoff consults it).
-		if len(freqs) > 0 {
-			o.maxFreq = freqs[len(freqs)-1]
-		}
-		o.slot, o.counts = nil, nil
-		o.ids, o.keys, o.freqs = ids, keys, freqs
 	})
+}
+
+// freeze interns every key c counted: each gets a dense ID in (frequency asc,
+// key asc) order. It returns the IDs by key number, NoID for the numbers c
+// did not count.
+func (o *Order) freeze(c *KeyCount) []uint32 {
+	counts := make([]keyCount, len(c.seen))
+	for i, n := range c.seen {
+		counts[i] = keyCount{key: c.key[n], freq: c.freq[n], num: n}
+	}
+	sortByFrequency(counts)
+	ids := make(map[string]uint32, len(counts))
+	keys := make([]string, len(counts))
+	freqs := make([]int, len(counts))
+	byNum := make([]uint32, len(c.freq))
+	for n := range byNum {
+		byNum[n] = NoID
+	}
+	for i, kc := range counts {
+		ids[kc.key] = uint32(i)
+		keys[i] = kc.key
+		freqs[i] = int(kc.freq)
+		byNum[kc.num] = uint32(i)
+	}
+	// Frequencies are sorted ascending, so the last key carries the maximum —
+	// cached here because MaxFrequency sits on the index-build path (the
+	// hybrid posting cutoff consults it).
+	if len(freqs) > 0 {
+		o.maxFreq = freqs[len(freqs)-1]
+	}
+	o.ids, o.keys, o.freqs = ids, keys, freqs
+	return byNum
 }
 
 // MaxFrequency returns the highest document frequency recorded at Finalize

@@ -11,15 +11,18 @@ import (
 // ProbeTable holds, for every entry of a segment dictionary, the IDs its
 // pebbles have under one Order, so that a probe segment whose text the
 // dictionary holds signs from array loads instead of building its pebble keys
-// and looking each one up (SignProbe). It is built once per order generation
-// and immutable afterwards, so any number of readers may share it without a
+// and looking each one up (SignProbe), and so does every record of a
+// collection signed under the order (Signer). It is built once per order
+// generation, from the order's IDs by key number (KeyIDs.ProbeTable), and
+// immutable afterwards, so any number of readers may share it without a
 // lock. It never goes stale: an interned ID never moves within an order (see
 // the Order doc), and entries interned after the table was built lie past
 // its end.
 //
 // The table holds no pointers. ids lists every entry's pebble IDs back to
-// back, in AppendPebbles order — the gram pebbles, then the synonym pebbles,
-// then the taxonomy pebbles — and ends[e] is where entry e's IDs end, their
+// back — the gram pebbles in gram-set order, a gram as often as the text
+// holds it, then the synonym pebbles in key order, then the taxonomy pebbles
+// from the node up — and ends[e] is where entry e's IDs end, their
 // start being the end before. The weight and measure of a gram or a taxonomy
 // pebble follow from the segment's own derivation table (1/len(GramKeys),
 // 1/depth, and their counts). Only the synonym pebbles, rare and weighted by
@@ -33,48 +36,6 @@ type ProbeTable struct {
 	synAt  []uint32
 	synOff []uint32
 	synW   []float64
-}
-
-// NewProbeTable builds the probe table of every entry d holds now under the
-// selector's order and generator.
-func (sel *Selector) NewProbeTable(d *core.SegDict) *ProbeTable {
-	t := &ProbeTable{synOff: []uint32{0}}
-	var buf []Pebble
-	for id, data := range d.Tables() {
-		buf = sel.Gen.appendSegment(buf[:0], data, 0)
-		sel.Order.Intern(buf)
-		if t.cacheable(buf) {
-			syn := len(t.synW)
-			for i := range buf {
-				t.ids = append(t.ids, buf[i].ID)
-				if buf[i].Measure == sim.Synonym {
-					t.synW = append(t.synW, buf[i].Weight)
-				}
-			}
-			if len(t.synW) > syn {
-				t.synAt = append(t.synAt, id)
-				t.synOff = append(t.synOff, uint32(len(t.synW)))
-			}
-		}
-		t.ends = append(t.ends, uint32(len(t.ids)))
-	}
-	t.ids, t.ends = exact(t.ids), exact(t.ends)
-	t.synAt, t.synOff, t.synW = exact(t.synAt), exact(t.synOff), exact(t.synW)
-	return t
-}
-
-// cacheable reports whether an entry's interned pebbles may enter the table:
-// every key is known to the order, and the table's offsets stay in range.
-func (t *ProbeTable) cacheable(pebbles []Pebble) bool {
-	if uint64(len(t.ids))+uint64(len(pebbles)) > uint64(^uint32(0)) {
-		return false
-	}
-	for i := range pebbles {
-		if pebbles[i].ID == NoID {
-			return false
-		}
-	}
-	return true
 }
 
 // exact returns s in an array of exactly its length.
@@ -146,36 +107,77 @@ func (t *ProbeTable) appendSegment(out []Pebble, sg *core.PreparedSegment, tax *
 // — a probe prepared against the dictionary t was built from, under the
 // order t was built with (PrepareProbe) — bit for bit.
 func (sel *Selector) SignProbe(pr *core.PreparedRecord, t *ProbeTable, method Method, tau int) []uint32 {
-	sig := sel.Select(sel.probePresig(pr, t), method, tau)
-	ids := make([]uint32, len(sig.Pebbles))
-	for i := range sig.Pebbles {
-		ids[i] = sig.Pebbles[i].ID
-	}
-	return ids
+	return sel.Select(sel.PrepareProbe(pr, t), method, tau).IDs()
 }
 
-// probePresig is PrepareRecord for a probe signed through t: a segment the
+// PrepareProbe is PrepareRecord for a record signed through t: a segment the
 // table holds takes its pebbles from it, any other generates them by key and
 // interns them. The pebbles from the table carry no keys; the list is
 // PrepareRecord's in every other field, because the sort is total over (ID,
 // segment) for known keys and (key, segment) for unknown ones, so the order
 // the pebbles were gathered in does not show.
-func (sel *Selector) probePresig(pr *core.PreparedRecord, t *ProbeTable) Presig {
-	pebbles := make([]Pebble, 0, sel.Gen.Count(pr))
-	for idx := range pr.Segs {
-		sg := &pr.Segs[idx]
-		var ok bool
-		if pebbles, ok = t.appendSegment(pebbles, sg, sel.Gen.Ctx.Tax, idx); ok {
-			continue
-		}
-		first := len(pebbles)
-		pebbles = sel.Gen.appendSegment(pebbles, sg.Data, idx)
-		sel.Order.Intern(pebbles[first:])
-	}
-	sortInterned(pebbles)
+func (sel *Selector) PrepareProbe(pr *core.PreparedRecord, t *ProbeTable) Presig {
+	pebbles := sel.probePebbles(nil, pr, t)
 	pre := Presig{Pebbles: pebbles, NumSegments: pr.NumSegments(), MinPartition: pr.MinPartitionSize()}
 	if len(pebbles) > 0 {
 		pre.acc = NewAccTable(pebbles)
 	}
 	return pre
+}
+
+// probePebbles returns pr's pebbles gathered through t into buf (emptied
+// first, and grown to Generator.Count's bound when short), sorted by the
+// global order.
+func (sel *Selector) probePebbles(buf []Pebble, pr *core.PreparedRecord, t *ProbeTable) []Pebble {
+	out := slices.Grow(buf[:0], sel.Gen.Count(pr))
+	for idx := range pr.Segs {
+		sg := &pr.Segs[idx]
+		var ok bool
+		if out, ok = t.appendSegment(out, sg, sel.Gen.Ctx.Tax, idx); ok {
+			continue
+		}
+		from := len(out)
+		out = sel.Gen.appendSegment(out, sg.Data, idx)
+		sel.Order.Intern(out[from:])
+	}
+	sortInterned(out)
+	return out
+}
+
+// AppendUnheld appends the pebbles, by key, of the segments of pr that t does
+// not hold: the only ones whose keys the order can lack.
+func (t *ProbeTable) AppendUnheld(gen *Generator, out []Pebble, pr *core.PreparedRecord) []Pebble {
+	out = slices.Grow(out, gen.Count(pr))
+	for idx := range pr.Segs {
+		if sg := &pr.Segs[idx]; !t.Holds(sg.ID) {
+			out = gen.appendSegment(out, sg.Data, idx)
+		}
+	}
+	return out
+}
+
+// Signer signs records through one probe table, as SignProbe does, reusing
+// one pebble buffer and one AccTable across records and copying out only the
+// signature IDs: a collection's worker signs every record it takes with one.
+// A Signer is not safe for concurrent use.
+type Signer struct {
+	sel     *Selector
+	t       *ProbeTable
+	pebbles []Pebble
+	acc     AccTable
+}
+
+// NewSigner returns a Signer over t, a probe table of the selector's order.
+func (sel *Selector) NewSigner(t *ProbeTable) *Signer { return &Signer{sel: sel, t: t} }
+
+// Sign returns the IDs of the signature RecordSignature selects for pr, bit
+// for bit (SignProbe).
+func (s *Signer) Sign(pr *core.PreparedRecord, method Method, tau int) []uint32 {
+	s.pebbles = s.sel.probePebbles(s.pebbles, pr, s.t)
+	pre := Presig{Pebbles: s.pebbles, NumSegments: pr.NumSegments(), MinPartition: pr.MinPartitionSize()}
+	if len(s.pebbles) > 0 {
+		s.acc.reset(s.pebbles)
+		pre.acc = &s.acc
+	}
+	return s.sel.Select(pre, method, tau).IDs()
 }

@@ -3,6 +3,7 @@ package pebble
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/aujoin/aujoin/internal/core"
@@ -86,7 +87,7 @@ func TestProbeTableSigning(t *testing.T) {
 			}
 		}
 		sel := NewSelector(g, order, pc.theta)
-		tab := sel.NewProbeTable(d)
+		tab := g.KeyIDs(d, order).ProbeTable()
 		for k := range 200 {
 			raw := gen.BaseRecord()
 			if k%2 == 0 {
@@ -113,7 +114,7 @@ func TestProbeTableSigning(t *testing.T) {
 				}
 			}
 			name := fmt.Sprintf("%s %q", pc.name, raw)
-			got, want := sel.probePresig(pr, tab), sel.PrepareRecord(pr)
+			got, want := sel.PrepareProbe(pr, tab), sel.PrepareRecord(pr)
 			if i := samePebbles(got.Pebbles, want.Pebbles); i >= 0 {
 				t.Fatalf("%s: pebble %d differs: table %+v, keys %+v", name, i, got.Pebbles[min(i, len(got.Pebbles)-1)], want.Pebbles[min(i, len(want.Pebbles)-1)])
 			}
@@ -138,8 +139,10 @@ func TestProbeTableSigning(t *testing.T) {
 }
 
 // TestProbeTableLayout holds the table to its layout: one slot per entry the
-// dictionary held, each in AppendPebbles order with the synonym weights
-// beside it, empty exactly for the entries with a key the order lacks.
+// dictionary held, each in AppendPebbles order but for the gram pebbles, which
+// come in gram-set order (a gram as often as it occurs), with the synonym
+// weights beside it, empty exactly for the entries with a key the order
+// lacks.
 func TestProbeTableLayout(t *testing.T) {
 	pc := probeCorpora(300)[2]
 	gen := datagen.New(pc.cfg)
@@ -155,8 +158,8 @@ func TestProbeTableLayout(t *testing.T) {
 			order.Add(g.AppendPebbles(nil, pr))
 		}
 	}
-	sel := NewSelector(g, order, pc.theta)
-	tab := sel.NewProbeTable(d)
+	order.Finalize()
+	tab := g.KeyIDs(d, order).ProbeTable()
 	if len(tab.ends) != d.Len() || !slices.IsSorted(tab.synAt) || len(tab.synOff) != len(tab.synAt)+1 {
 		t.Fatalf("%d slot ends for %d entries, %d synonym offsets for %d entries (sorted: %v)",
 			len(tab.ends), d.Len(), len(tab.synOff), len(tab.synAt), slices.IsSorted(tab.synAt))
@@ -171,6 +174,8 @@ func TestProbeTableLayout(t *testing.T) {
 			seen[sg.ID] = true
 			want := g.appendSegment(nil, sg.Data, idx)
 			order.Intern(want)
+			grams := want[:len(sg.Data.GramKeys)]
+			slices.SortStableFunc(grams, func(a, b Pebble) int { return strings.Compare(a.Key, b.Key) })
 			ids, w := tab.slot(sg.ID), tab.synWeights(sg.ID)
 			if slices.ContainsFunc(want, func(p Pebble) bool { return p.ID == NoID }) {
 				if len(ids) != 0 || len(w) != 0 {

@@ -39,6 +39,18 @@ type Signature struct {
 // Len returns the signature length in pebbles.
 func (s Signature) Len() int { return len(s.Pebbles) }
 
+// IDs returns the signature's IDs — one interned ID per signature pebble,
+// duplicates retained, matching the posting-list semantics the overlap count
+// relies on — as an exact-size copy, which holds nothing of the complete
+// pebble list the signature is a prefix of.
+func (s Signature) IDs() []uint32 {
+	ids := make([]uint32, len(s.Pebbles))
+	for i := range s.Pebbles {
+		ids[i] = s.Pebbles[i].ID
+	}
+	return ids
+}
+
 // Selector generates signatures for strings given a generator, a global
 // order, and a join threshold θ. It is safe for concurrent use.
 type Selector struct {
@@ -80,16 +92,10 @@ func (sel *Selector) Prepare(tokens []string) Presig {
 
 // PrepareRecord generates the pebbles of a prepared record, interns and sorts
 // them under the order, and computes the accumulated-similarity table; MP(S)
-// is the record's own.
+// is the record's own. Every pebble is generated and interned by key: the
+// reference the probe-table path (PrepareProbe) is held to.
 func (sel *Selector) PrepareRecord(pr *core.PreparedRecord) Presig {
-	return sel.PrepareGenerated(sel.Gen.AppendPebbles(nil, pr), pr)
-}
-
-// PrepareGenerated is PrepareRecord over pr's already generated pebbles — an
-// insert batch generates every record's before the one InternDynamic call
-// that must precede the first sort. The pebbles are interned and sorted in
-// place.
-func (sel *Selector) PrepareGenerated(pebbles []Pebble, pr *core.PreparedRecord) Presig {
+	pebbles := sel.Gen.AppendPebbles(nil, pr)
 	sel.Order.Sort(pebbles)
 	pre := Presig{Pebbles: pebbles, NumSegments: pr.NumSegments(), MinPartition: pr.MinPartitionSize()}
 	if len(pebbles) > 0 {
