@@ -20,9 +20,9 @@
 // into an atomic snapshot on demand (POST /snapshot), periodically
 // (-checkpoint-every), and on graceful shutdown. On startup, a directory
 // holding a usable snapshot wins over -catalog and the build flags: the
-// daemon restores the snapshot, replays the log, and serves the exact
-// pre-restart state without re-running signature selection or verification
-// preparation. The synonym/taxonomy/measure flags must match across
+// daemon restores the snapshot (re-preparing and re-signing every record
+// under the stored pebble order), replays the log, and serves the exact
+// pre-restart state. The synonym/taxonomy/measure flags must match across
 // restarts — similarity resources are not persisted.
 //
 // -join turns the daemon into a cluster worker: it registers with the

@@ -38,10 +38,9 @@ type coverRec struct {
 // start opens with its singleton, so the start advances exactly at each
 // singleton. A record the column cannot encode — one prepared without the
 // column's dictionary, with a segment that has no ID, with a span of
-// coverMaxSpan tokens or more, of more than math.MaxUint16 tokens, or
-// restored with starts that are not the implied ones — is flagged, and
-// CoverBound bounds it by 1: VerifyPrepared decides it by the size ratio or
-// by the matrix bound.
+// coverMaxSpan tokens or more, or of more than math.MaxUint16 tokens — is
+// flagged, and CoverBound bounds it by 1: VerifyPrepared decides it by the
+// size ratio or by the matrix bound.
 //
 // A column is append-only: Append writes only past the length of every
 // copy taken earlier, so a copy is an immutable snapshot of the records it
@@ -85,28 +84,19 @@ func (col *CoverColumn) Append(prepared []*PreparedRecord) {
 }
 
 // encodes reports whether the column can hold pr: pr's segments index the
-// column's dictionary, its token count fits a coverRec, every ID and span
-// length fits its word, and the starts are the implied ones. Restored
-// records are validated only as far as maxCover needs, so the last is
-// checked, not assumed.
+// column's dictionary, its token count fits a coverRec, and every ID and
+// span length fits its word. The implied starts are not checked: prepare
+// enumerates every record's segments in that order.
 func (col *CoverColumn) encodes(pr *PreparedRecord) bool {
 	if d := pr.dict; d == nil || d != col.dict || len(pr.Tokens) > math.MaxUint16 {
 		return false
 	}
-	start := -1
 	for i := range pr.Segs {
-		sg := &pr.Segs[i]
-		if sg.ID > coverIDMask || sg.Span.Len() >= coverMaxSpan {
-			return false
-		}
-		if sg.Span.Len() == 1 {
-			start++
-		}
-		if sg.Span.Start != start {
+		if sg := &pr.Segs[i]; sg.ID > coverIDMask || sg.Span.Len() >= coverMaxSpan {
 			return false
 		}
 	}
-	return start == len(pr.Tokens)-1
+	return true
 }
 
 // CoverBound is the bound verification schedules candidates by, and the one

@@ -49,39 +49,22 @@ func refBound(calc *Calculator, ps, pt *PreparedRecord, flagged bool, theta floa
 	return cover
 }
 
-// restoredRecord restores a record of d whose segments have the given spans,
-// in the given order, every multi-token one a rule side, with the
-// partition-size bound prepare would compute for them.
-func restoredRecord(t *testing.T, calc *Calculator, d *SegDict, tokens []string, spans []strutil.Span) *PreparedRecord {
-	t.Helper()
-	segs := make([]Segment, len(spans))
-	persist := make([]SegPersist, len(spans))
-	for i, sp := range spans {
-		segs[i] = Segment{Span: sp, Tokens: sp.Slice(tokens), Rule: sp.Len() > 1}
-		persist[i] = SegPersist{Span: sp, Rule: sp.Len() > 1}
-	}
-	pr, err := calc.RestorePrepared(tokens, persist, minPartitionSizeSegs(tokens, segs), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pr
-}
-
-// longRuleRecord returns a record of d that opens with a rule side of
-// coverMaxSpan tokens, restored from its enumeration rather than prepared:
-// enumerating every span up to the longest rule side of a record this long
-// joins billions of bytes.
-func longRuleRecord(t *testing.T, calc *Calculator, d *SegDict, side, tail []string) *PreparedRecord {
-	t.Helper()
-	tokens := append(append([]string(nil), side...), tail...)
-	var spans []strutil.Span
-	for pos := range tokens {
-		spans = append(spans, strutil.Span{Start: pos, End: pos + 1})
-		if pos == 0 {
-			spans = append(spans, strutil.Span{Start: 0, End: len(side)})
+// impliedStarts reports whether pr's segments are ordered by start then
+// length and every start opens with its singleton — the order that lets the
+// cover column leave a segment's start implied.
+func impliedStarts(pr *PreparedRecord) bool {
+	start := -1
+	for i, sg := range pr.Segs {
+		if sg.Span.Len() == 1 {
+			start++
+			if sg.Span.Start != start {
+				return false
+			}
+		} else if sg.Span.Start != start || sg.Span.Len() <= pr.Segs[i-1].Span.Len() {
+			return false
 		}
 	}
-	return restoredRecord(t, calc, d, tokens, spans)
+	return start == len(pr.Tokens)-1
 }
 
 // TestCoverBoundMatchesReference pins CoverBound, the bound loop's entry, to
@@ -91,17 +74,16 @@ func longRuleRecord(t *testing.T, calc *Calculator, d *SegDict, side, tail []str
 // distinct row ID the probe's pairs have touched. The records are ordinary
 // ones, ones a dictionary lowered to its cap left with NoSegID, one whose
 // rule side is too long for a column word, one too long for a column
-// record, an empty one, one prepared without a dictionary, one of another
-// dictionary and one restored with a rule segment ahead of its start's
-// singleton, which restore accepts and the implied starts cannot hold — all
-// but the first two flagged or empty, the others read from the column —
+// record, an empty one, one prepared without a dictionary and one of another
+// dictionary — all but the first two flagged or empty, the others read from
+// the column —
 // against probes that include an empty one, with row budgets that leave the
 // rows covering fewer IDs than some records' largest. The column is
 // assembled from a base and two appended batches and must equal the one
 // made at once.
 func TestCoverBoundMatchesReference(t *testing.T) {
 	phrase, phrases := phraseContext()
-	side := distinctTokens(coverMaxSpan, 2)
+	side := strutil.Tokenize(strings.Join(distinctTokens(coverMaxSpan, 2), " ")) // a rule side's tokens are normalized
 	phrase.Rules.MustAdd(strings.Join(side, " "), "tok03", 0.9)
 	rng := rand.New(rand.NewSource(23))
 	calc := NewCalculator(phrase)
@@ -127,23 +109,16 @@ func TestCoverBoundMatchesReference(t *testing.T) {
 		recs = append(recs,
 			calc.PrepareIn(d, nil),
 			calc.Prepare([]string{"tok01", "tok02", "tok03"}),
-			calc.PrepareIn(other, []string{"tok01", "tok02", "tok03"}),
-			restoredRecord(t, calc, d, []string{"tok01", "tok02"}, []strutil.Span{{Start: 0, End: 2}, {Start: 0, End: 1}, {Start: 1, End: 2}}))
-		unordered := len(recs) - 1
+			calc.PrepareIn(other, []string{"tok01", "tok02", "tok03"}))
 		if tc.dictCap == 0 {
-			// A record of singletons only, whose every partition is of its
-			// length, restored with that bound: one token past the column's
-			// 16-bit token count.
-			tokens := make([]string, math.MaxUint16+1)
-			segs := make([]SegPersist, len(tokens))
-			for pos := range tokens {
-				tokens[pos], segs[pos] = "tok01", SegPersist{Span: strutil.Span{Start: pos, End: pos + 1}}
+			// A record of singletons only, one token past the column's 16-bit
+			// token count, and one that opens with a rule side of
+			// coverMaxSpan tokens.
+			huge := make([]string, math.MaxUint16+1)
+			for pos := range huge {
+				huge[pos] = "tok01"
 			}
-			huge, err := calc.RestorePrepared(tokens, segs, len(tokens), d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs = append(recs, huge, longRuleRecord(t, calc, d, side, []string{"tok01"}))
+			recs = append(recs, calc.PrepareIn(d, huge), calc.PrepareIn(d, append(append([]string(nil), side...), "tok01")))
 		}
 		col := NewCoverColumn(d, recs[:20])
 		col.Append(recs[20:45])
@@ -207,9 +182,6 @@ func TestCoverBoundMatchesReference(t *testing.T) {
 				t.Errorf("%s: no record of the dictionary carries NoSegID", tc.name)
 			}
 		}
-		if col.recs[unordered].maxID != coverFlagged {
-			t.Errorf("%s: a record whose starts are not the implied ones was not flagged", tc.name)
-		}
 		if tc.dictCap == 0 {
 			for pos := len(recs) - 2; pos < len(recs); pos++ {
 				if recs[pos].maxSegID == NoSegID || col.recs[pos].maxID != coverFlagged {
@@ -227,8 +199,9 @@ func TestCoverBoundMatchesReference(t *testing.T) {
 // budget and at budgets that leave the rows covering only some IDs, every
 // candidate's CoverBound is bit-identical, every survivor's VerifyPrepared
 // is, and PrunedByBound, PrunedByCover and VerifiedCandidates agree after
-// every pair. The column
-// holds one record prepared without its dictionary, which it flags. At the
+// every pair. Every record's segments are in the order the column leaves
+// their starts implied by. The column holds one record prepared without its
+// dictionary, which it flags. At the
 // default budget AdoptProbe must take the eager pass by its own rule for
 // the whole column and stay lazy for two candidates; at the smallest, the
 // rows may hold no candidate's texts, and the pass is forced for a probe
@@ -247,6 +220,11 @@ func TestEagerRowPassMatchesLazy(t *testing.T) {
 			recs = append(recs, calc.PrepareIn(d, strutil.Tokenize(raw)))
 		}
 		recs = append(recs, calc.Prepare(strutil.Tokenize(raws[0])))
+		for _, pr := range recs {
+			if !impliedStarts(pr) {
+				t.Fatalf("%s: %v prepared into segments %+v: not by start then length, or a start without its singleton first", sh.name, pr.Tokens, pr.Segs)
+			}
+		}
 		col := NewCoverColumn(d, recs)
 		cands := make([]int32, len(recs))
 		for pos := range cands {

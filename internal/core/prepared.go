@@ -107,32 +107,25 @@ func (c *Calculator) prepare(d *SegDict, intern bool, tokens []string) *Prepared
 			pr.single[s.Span.Start] = int32(i)
 		}
 	}
-	c.deriveSegments(d, intern, pr)
 	pr.minPart = minPartitionSizeSegs(tokens, segs)
-	return pr
-}
-
-// deriveSegments fills in the ID and derivation table of every segment of pr
-// (tokens and spans already set): interned into d, or — on the probe side —
-// read from d where it holds the text and derived privately, into one backing
-// array for the record, where it does not.
-func (c *Calculator) deriveSegments(d *SegDict, intern bool, pr *PreparedRecord) {
+	// Every segment's ID and derivation table: interned into d, or — on the
+	// probe side — read from d where it holds the text and derived privately,
+	// into one backing array for the record, where it does not.
+	pr.dict = d
 	if intern && d != nil {
-		pr.dict = d
 		for i := range pr.Segs {
 			sg := &pr.Segs[i]
 			sg.ID, sg.Data = d.intern(c.Ctx, sg.Span.Slice(pr.Tokens))
 			pr.maxSegID = max(pr.maxSegID, sg.ID)
 		}
-		return
+		return pr
 	}
-	pr.dict = d
 	missing := d.read(pr)
 	if missing == 0 {
 		for i := range pr.Segs {
 			pr.maxSegID = max(pr.maxSegID, pr.Segs[i].ID)
 		}
-		return
+		return pr
 	}
 	pr.maxSegID = NoSegID
 	own := make([]sim.SegmentData, 0, missing)
@@ -142,6 +135,7 @@ func (c *Calculator) deriveSegments(d *SegDict, intern bool, pr *PreparedRecord)
 			sg.Data = &own[len(own)-1]
 		}
 	}
+	return pr
 }
 
 // pairSeg records which segment of each side a candidate pair refers to.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -111,8 +110,8 @@ func internConcurrently(calc *Calculator, d *SegDict, corpus [][]string, n int) 
 // (checkGramChains) after sequential interns, after concurrent ones — while
 // a reader adopts probes against the growing dictionary and runs the eager
 // row pass over the chains it captured, every row of which must equal
-// MSimData — at the dictionary's cap, where a refused text adds no
-// occurrence, and after a snapshot restore, which re-interns every record.
+// MSimData — and at the dictionary's cap, where a refused text adds no
+// occurrence.
 func TestSegDictGramChains(t *testing.T) {
 	gen := datagen.New(datagen.MEDLike(300, 29))
 	ctx := sim.NewContext(gen.Rules(), gen.Taxonomy())
@@ -186,19 +185,6 @@ func TestSegDictGramChains(t *testing.T) {
 			t.Fatalf("%d texts refused, dictionary length %d at limit %d", refused, d.Len(), d.limit)
 		}
 		checkGramChains(t, d)
-	})
-	t.Run("restored", func(t *testing.T) {
-		built, restored := NewSegDict(), NewSegDict()
-		for _, toks := range corpus {
-			segs, minPart := calc.PrepareIn(built, toks).PersistMeta()
-			if _, err := calc.RestorePrepared(toks, segs, minPart, restored); err != nil {
-				t.Fatalf("%v: %v", toks, err)
-			}
-		}
-		checkGramChains(t, restored)
-		if !slices.Equal(restored.occs, built.occs) || !maps.Equal(restored.gramNum, built.gramNum) {
-			t.Fatal("the restored dictionary's chains differ from the built one's")
-		}
 	})
 }
 
@@ -302,9 +288,8 @@ func TestSegDictAtCap(t *testing.T) {
 }
 
 // TestSegDictScoreBits holds every entry's score bits to its table, for the
-// entries intern writes and for those a restore writes into a fresh
-// dictionary from persisted metadata, over records with rule sides, taxonomy
-// nodes and empty tokens; each bit must occur.
+// entries intern writes, over records with rule sides, taxonomy nodes and
+// empty tokens; each bit must occur.
 func TestSegDictScoreBits(t *testing.T) {
 	ctx, phrases := phraseContext()
 	calc := NewCalculator(ctx)
@@ -322,16 +307,11 @@ func TestSegDictScoreBits(t *testing.T) {
 			t.Fatalf("%s: score bits %03b occur, want %03b", what, seen, all)
 		}
 	}
-	built, restored := NewSegDict(), NewSegDict()
+	d := NewSegDict()
 	for _, toks := range corpus {
-		pr := calc.PrepareIn(built, toks)
-		segs, minPart := pr.PersistMeta()
-		if _, err := calc.RestorePrepared(toks, segs, minPart, restored); err != nil {
-			t.Fatalf("%v: %v", toks, err)
-		}
+		calc.PrepareIn(d, toks)
 	}
-	check(built, "interned")
-	check(restored, "restored")
+	check(d, "interned")
 }
 
 // TestSegDictChainTableHeap pins the live heap the occurrence chains add to

@@ -79,17 +79,17 @@ func TestCoverColumnMatchesPrepared(t *testing.T) {
 	checkCoverColumns(t, sx, "restored older image")
 }
 
-// TestFlaggedRecordServedExactly restores a snapshot in which one record
-// lists its rule segment ahead of its start's singleton: restore accepts the
-// record, and the cover column cannot hold its starts, so it flags it and
-// CoverBound leaves it to VerifyPrepared. Served lookups and probes must
-// still equal BruteForce over the live catalog at every θ, and every
-// candidate must be either pruned by a bound or verified.
+// TestFlaggedRecordServedExactly inserts one record into an index whose
+// dictionary is full: the record's segment texts the dictionary lacks get no
+// ID, so the cover column flags the record and CoverBound leaves it to
+// VerifyPrepared. Served lookups and probes must still equal BruteForce over
+// the live catalog at every θ, and every candidate must be either pruned by a
+// bound or verified.
 func TestFlaggedRecordServedExactly(t *testing.T) {
 	const flaggedRaw = "coffee shop latte helsinki"
 	rng := rand.New(rand.NewSource(71))
 	j := NewJoiner(propertyContexts()["full"])
-	recs := append(propertyCorpus(40, rng), strutil.NewRecord(40, flaggedRaw))
+	recs := propertyCorpus(40, rng)
 	queries := append(propertyCorpus(20, rng), strutil.NewRecord(20, flaggedRaw), strutil.NewRecord(21, "cafe latte helsingki"))
 	for _, theta := range []float64{0.7, 0.8, 0.9} {
 		t.Run(fmt.Sprintf("theta=%v", theta), func(t *testing.T) {
@@ -101,15 +101,9 @@ func TestFlaggedRecordServedExactly(t *testing.T) {
 // flaggedServedExactly is TestFlaggedRecordServedExactly at one θ.
 func flaggedServedExactly(t *testing.T, j *Joiner, recs, queries []strutil.Record, flaggedRaw string, theta float64) {
 	sx := j.BuildShardedIndex(recs, 3, Options{Theta: theta, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
-	snap := sx.CaptureSnapshot()
-	rd := &snap.Records[len(snap.Records)-1]
-	if rd.Raw != flaggedRaw || len(rd.Segs) < 2 || rd.Segs[1].End-rd.Segs[1].Start != 2 {
-		t.Fatalf("θ=%v: the last record is %q with segments %+v, want the rule segment second", theta, rd.Raw, rd.Segs)
-	}
-	rd.Segs[0], rd.Segs[1] = rd.Segs[1], rd.Segs[0]
-	restored, err := j.RestoreShardedIndex(snap, DynamicOptions{})
-	if err != nil {
-		t.Fatalf("θ=%v: restore refused the record: %v", theta, err)
+	core.SetSegDictLimit(sx.dict, sx.dict.Len())
+	if ids := sx.InsertBatch([]string{flaggedRaw}); ids[0] != len(recs) {
+		t.Fatalf("θ=%v: the flagged record got ID %d, want %d", theta, ids[0], len(recs))
 	}
 
 	// A flagged record is bounded by 1 against any probe, an encoded
@@ -117,7 +111,7 @@ func flaggedServedExactly(t *testing.T, j *Joiner, recs, queries []strutil.Recor
 	calc, sc := j.Calculator(), core.NewScratch()
 	stranger := calc.Prepare([]string{"zzqx"})
 	flagged := 0
-	for _, sh := range restored.shards {
+	for _, sh := range sx.shards {
 		v := sh.snapshot()
 		for pos, rec := range v.records {
 			if b := calc.CoverBound(&v.cover, int32(pos), stranger, 0, sc); (b == 1) != (rec.Raw == flaggedRaw) {
@@ -131,7 +125,7 @@ func flaggedServedExactly(t *testing.T, j *Joiner, recs, queries []strutil.Recor
 		t.Fatalf("θ=%v: %d records flagged, want 1", theta, flagged)
 	}
 
-	v := restored.Snapshot()
+	v := sx.Snapshot()
 	want := j.BruteForce(v.Live(), queries, theta, nil)
 	got, stats := v.Probe(queries)
 	if !reflect.DeepEqual(got, want) {
@@ -144,14 +138,14 @@ func flaggedServedExactly(t *testing.T, j *Joiner, recs, queries []strutil.Recor
 	for _, q := range queries {
 		rows := rowsOf(want, q.ID)
 		for _, m := range rows {
-			if m.Record == 40 {
+			if m.Record == len(recs) {
 				served++
 			}
 		}
 		if pr := probeRecord(t, v, q.Tokens); !reflect.DeepEqual(pr, rows) {
 			t.Fatalf("θ=%v: ProbeRecordCtx(%q) = %v, want %v", theta, q.Raw, pr, rows)
 		}
-		top := queryTopK(t, v, q.Tokens, len(recs))
+		top := queryTopK(t, v, q.Tokens, len(recs)+1)
 		sort.Slice(top, func(a, b int) bool { return top[a].Record < top[b].Record })
 		if len(top) != len(rows) || (len(rows) > 0 && !reflect.DeepEqual(top, rows)) {
 			t.Fatalf("θ=%v: QueryTopKCtx(%q) = %v, want %v", theta, q.Raw, top, rows)

@@ -12,13 +12,12 @@ import (
 )
 
 // CaptureSnapshot freezes the index's durable state into a store.Snapshot:
-// the shared pebble order, every record (live and tombstoned) with its
-// stored signature-ID multiset and prepared-segment metadata, and the flat
-// tombstone bitmap. The capture runs under every shard's writer lock (and
-// the refreeze mutex), so it is one atomic cut across shards — exactly the
-// guarantee Snapshot relaxes for serving — and is therefore safe to pair
-// with a WAL: every mutation is either in the capture or logged after it,
-// never half of each.
+// the shared pebble order, every record (live and tombstoned) by ID and raw
+// text, and the flat tombstone bitmap. The capture runs under every shard's
+// writer lock (and the refreeze mutex), so it is one atomic cut across shards
+// — exactly the guarantee Snapshot relaxes for serving — and is therefore
+// safe to pair with a WAL: every mutation is either in the capture or logged
+// after it, never half of each.
 //
 // Records are flattened in ascending stable-ID order. That order round-trips
 // exactly because shard routing is a pure function of the ID and both the
@@ -53,29 +52,7 @@ func (sx *ShardedIndex) CaptureSnapshot() *store.Snapshot {
 	flat := make([]flatRec, 0, total)
 	for _, sh := range sx.shards {
 		for pos, rec := range sh.records {
-			sigIDs := make([]uint32, 0, len(sh.sigIDs[pos]))
-			for _, id := range sh.sigIDs[pos] {
-				if id != pebble.NoID {
-					sigIDs = append(sigIDs, id)
-				}
-			}
-			segs, minPart := sh.prepared[pos].PersistMeta()
-			rd := store.RecordData{
-				ID:      uint32(rec.ID),
-				Raw:     rec.Raw,
-				SigIDs:  sigIDs,
-				Segs:    make([]store.SegMeta, len(segs)),
-				MinPart: uint32(minPart),
-			}
-			for i, sg := range segs {
-				rd.Segs[i] = store.SegMeta{
-					Start:  uint32(sg.Span.Start),
-					End:    uint32(sg.Span.End),
-					Rule:   sg.Rule,
-					Entity: sg.Entity,
-				}
-			}
-			flat = append(flat, flatRec{data: rd, dead: sh.dead[pos>>6]&(1<<(uint(pos)&63)) != 0})
+			flat = append(flat, flatRec{data: store.RecordData{ID: uint32(rec.ID), Raw: rec.Raw}, dead: sh.dead[pos>>6]&(1<<(uint(pos)&63)) != 0})
 		}
 	}
 	sort.Slice(flat, func(a, b int) bool { return flat[a].data.ID < flat[b].data.ID })
@@ -114,14 +91,13 @@ func exportOrder(order *pebble.Order) store.OrderData {
 	return od
 }
 
-// RestoreShardedIndex reconstructs a ShardedIndex from a decoded
-// snapshot without re-running signature selection or prepared-segment
-// enumeration: the stored order is reinstalled verbatim, the stored
-// signature-ID multisets rebuild each shard's inverted index, and the
-// prepared verification records are rehydrated from their persisted spans
-// (only the deterministic per-segment similarity tables are recomputed). The
-// result serves bit-identical Query/QueryTopK/Probe answers to the index the
-// snapshot was captured from.
+// RestoreShardedIndex reconstructs a ShardedIndex from a decoded snapshot:
+// a build (assemble) under the stored order instead of a counted one, with
+// the snapshot's next ID and its tombstones re-applied. Every record is
+// prepared from its text against the new index's dictionary and signed under
+// the stored order, so the result holds the signatures, the bases and the
+// cover columns the captured index held and serves bit-identical
+// Query/QueryTopK/Probe answers.
 //
 // The Joiner must be constructed over the same similarity context
 // (synonym rules, taxonomy, measure configuration) the original index used —
@@ -131,11 +107,6 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 	if snap.NextID > uint64(int(^uint(0)>>1)) {
 		return nil, fmt.Errorf("join: snapshot next ID %d overflows int", snap.NextID)
 	}
-	opts := Options{
-		Theta:  snap.Theta,
-		Tau:    snap.Tau,
-		Method: pebble.Method(snap.Method),
-	}
 	freqs := make([]int, len(snap.Order.Freqs))
 	for i, f := range snap.Order.Freqs {
 		freqs[i] = int(f)
@@ -144,50 +115,14 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 	if err != nil {
 		return nil, err
 	}
-
-	sx := j.newRouter(opts, dopts)
-	sx.nextID = int(snap.NextID)
-
-	// Re-tokenize and rehydrate the prepared records in parallel; both are
-	// deterministic functions of the raw text and the similarity context.
-	n := len(snap.Records)
-	records := make([]strutil.Record, n)
-	prepared := make([]*core.PreparedRecord, n)
-	sigIDs := make([][]uint32, n)
-	errs := make([]error, n)
-	parallelFor(n, 0, func(i int) {
-		rd := &snap.Records[i]
-		records[i] = strutil.NewRecord(int(rd.ID), rd.Raw)
-		segs := make([]core.SegPersist, len(rd.Segs))
-		for k, sg := range rd.Segs {
-			segs[k] = core.SegPersist{
-				Span:   strutil.Span{Start: int(sg.Start), End: int(sg.End)},
-				Rule:   sg.Rule,
-				Entity: sg.Entity,
-			}
-		}
-		prepared[i], errs[i] = j.calc.RestorePrepared(records[i].Tokens, segs, int(rd.MinPart), sx.dict)
-		sigIDs[i] = rd.SigIDs // aliases the decoded snapshot's buffer
+	records := make([]strutil.Record, len(snap.Records))
+	parallelFor(len(records), 0, func(i int) {
+		records[i] = strutil.NewRecord(int(snap.Records[i].ID), snap.Records[i].Raw)
 	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("join: restore record %d: %w", snap.Records[i].ID, err)
-		}
-	}
-
-	// Re-partition the flat catalog: routing is a pure function of the
-	// stable ID, and the flat list is ascending-ID, so each shard receives
-	// its records in exactly its original position order.
-	parts := make([]part, snap.Shards)
-	for i := range records {
-		p := &parts[shardOf(records[i].ID, snap.Shards)]
-		p.records = append(p.records, records[i])
-		p.sigIDs = append(p.sigIDs, sigIDs[i])
-		p.prepared = append(p.prepared, prepared[i])
-		if snap.Dead[i>>6]&(1<<(uint(i)&63)) != 0 {
-			p.deadIDs = append(p.deadIDs, records[i].ID)
-		}
-	}
-	sx.install(j.gen.KeyIDs(sx.dict, order), parts, start)
+	opts := Options{Theta: snap.Theta, Tau: snap.Tau, Method: pebble.Method(snap.Method)}
+	sx := j.assemble(records, snap.Dead, snap.Shards, opts, dopts, func(d *core.SegDict, _ ...[]*core.PreparedRecord) *pebble.KeyIDs {
+		return j.gen.KeyIDs(d, order)
+	}, start)
+	sx.nextID = int(snap.NextID)
 	return sx, nil
 }

@@ -518,8 +518,9 @@ type DynamicStats struct {
 	// shard's (shards build in parallel), each timed from when the work that
 	// made it began: a built base from the start of the build (preparation,
 	// order, signature selection, inverted index), a restored one from the
-	// start of the restore (record rehydration, inverted index), a compacted
-	// one from the start of the compaction (live scan, inverted index), a
+	// start of the restore (the snapshot already decoded: the stored order,
+	// preparation, signature selection, inverted index), a compacted one
+	// from the start of the compaction (live scan, inverted index), a
 	// re-frozen one from the start of the re-freeze (live scan, order freeze,
 	// signature selection, inverted index). Nanoseconds on the wire.
 	BuildTime time.Duration `json:"build_time_ns"`

@@ -149,35 +149,49 @@ func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Op
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
+	return j.assemble(records, nil, shards, opts, dopts, j.orderOf, start)
+}
+
+// freezer turns an index's records, prepared against its dictionary d, into
+// the order they are signed under and its IDs by key number: a counted order
+// (Joiner.orderOf) for a build or a re-freeze, a given one for a restore or
+// AdoptOrder.
+type freezer func(d *core.SegDict, live ...[]*core.PreparedRecord) *pebble.KeyIDs
+
+// assemble makes a new index over the records, the one path of a build and a
+// restore: it routes them to their shards — tombstoning those whose bit is
+// set in dead, a bitmap over the records' positions (nil for none) — and
+// sets the next ID past the largest. One preparation of the corpus against
+// the index's dictionary, shard after shard, feeds freeze and every shard's
+// signatures, and install adopts the shards under the order freeze returns.
+// A counted order spans the whole corpus, so document frequencies — and
+// therefore signatures — do not depend on the shard count.
+func (j *Joiner) assemble(records []strutil.Record, dead []uint64, shards int, opts Options, dopts DynamicOptions, freeze freezer, start time.Time) *ShardedIndex {
 	sx := j.newRouter(opts, dopts)
 	parts := make([]part, shards)
-	for _, rec := range records {
+	for i, rec := range records {
 		p := &parts[shardOf(rec.ID, shards)]
 		p.records = append(p.records, rec)
-		if rec.ID >= sx.nextID {
-			sx.nextID = rec.ID + 1
+		if dead != nil && dead[i>>6]&(1<<(uint(i)&63)) != 0 {
+			p.deadIDs = append(p.deadIDs, rec.ID)
 		}
+		sx.nextID = max(sx.nextID, rec.ID+1)
 	}
-	// One preparation of the corpus, shard after shard, feeds the order and
-	// every shard's signatures. The shared order spans the whole corpus, so
-	// document frequencies — and therefore signatures — do not depend on the
-	// shard count.
 	prepared := make([][]*core.PreparedRecord, shards)
 	for w := range parts {
 		parts[w].prepared = prepareRecords(parts[w].records, sx.dict, j.calc.PrepareIn)
 		prepared[w] = parts[w].prepared
 	}
-	sx.install(j.orderOf(sx.dict, prepared...), parts, start)
+	sx.install(freeze(sx.dict, prepared...), parts, start)
 	return sx
 }
 
 // part is one shard's share of an install: positional records and their
-// prepared verification records, their signature IDs (nil: sign them under
-// the new order) and the stable IDs of those that are tombstoned.
+// prepared verification records, and the stable IDs of those that are
+// tombstoned.
 type part struct {
 	records  []strutil.Record
 	prepared []*core.PreparedRecord
-	sigIDs   [][]uint32
 	deadIDs  []int
 }
 
@@ -185,10 +199,9 @@ type part struct {
 // restore, a one-shot join and a re-freeze: it makes a generation of the
 // order ids are of — building, from ids, the probe table of every entry the
 // dictionary held when they were numbered — and, shard by shard in
-// parallel, signs through that table the records of a part that has no
-// signatures, adopts the part as the shard's base under that generation,
-// re-applies its tombstones and publishes the shard's view; then the
-// generation becomes the router's. ids is dropped with the call. The shards
+// parallel, signs a part's records through that table, adopts the part as
+// the shard's base under that generation, re-applies its tombstones and
+// publishes the shard's view; then the generation becomes the router's. ids is dropped with the call. The shards
 // are created on the first install; a re-freeze holds every writer lock
 // across it. start is when the caller began the work the bases' build time
 // reports.
@@ -203,10 +216,7 @@ func (sx *ShardedIndex) install(ids *pebble.KeyIDs, parts []part, start time.Tim
 	}
 	parallelFor(len(parts), len(parts), func(w int) {
 		p, sh := &parts[w], sx.shards[w]
-		if p.sigIDs == nil {
-			p.sigIDs = selectSignatures(p.prepared, g, sx.opts.Method, sx.tau)
-		}
-		sh.adoptBaseLocked(g, p.records, p.prepared, p.sigIDs, start)
+		sh.adoptBaseLocked(g, p.records, p.prepared, selectSignatures(p.prepared, g, sx.opts.Method, sx.tau), start)
 		for _, id := range p.deadIDs {
 			sh.tombstoneLocked(id, sh.positions[id])
 		}
@@ -298,7 +308,7 @@ func (sx *ShardedIndex) maybeRefreeze() {
 // the current per-shard views are the exact pre-refreeze state and
 // necessarily one generation, so they are cached for Snapshot to serve until
 // the new generation is fully published.
-func (sx *ShardedIndex) refreezeLocked(freeze func(d *core.SegDict, live ...[]*core.PreparedRecord) *pebble.KeyIDs) {
+func (sx *ShardedIndex) refreezeLocked(freeze freezer) {
 	defer sx.lockShards()()
 	start := time.Now()
 	pre := make([]*shardView, len(sx.shards))

@@ -72,7 +72,8 @@ func restoreFrom(t *testing.T, j *Joiner, image []byte, dopts DynamicOptions) *S
 // just as answers. Shape: an index that was built, mutated and compacted, and
 // the index restored from its snapshot, hold the same signature IDs at the
 // same positions, the same posting-layout split and the same mean signature
-// length, shard by shard. Weight: a cold build keeps no more of a signature
+// length, shard by shard. Adopted: so do an index that adopted an epoch
+// bump's order and took inserts after it, and its restore. Weight: a cold build keeps no more of a signature
 // than a restore does, so the two indexes' live heaps agree.
 func TestBuiltIndexShapeEqualsRestored(t *testing.T) {
 	j := NewJoiner(paperContext())
@@ -104,6 +105,44 @@ func TestBuiltIndexShapeEqualsRestored(t *testing.T) {
 					}
 					if ba, ra := bv.views[w].avgSig, rv.views[w].avgSig; ba != ra {
 						t.Errorf("%s shard %d: mean signature length %v built, %v restored", name, w, ba, ra)
+					}
+				}
+			}
+		}
+	})
+	// An index that adopted an epoch bump's image of its own frequency table
+	// (pebble.MergeFrequencyTables, what MergeOrderImages makes of a single
+	// group's table) and then took inserts into the adopted order's dynamic
+	// region: its records, signed again under the stored order, carry the
+	// signatures the live index holds, position for position.
+	t.Run("adopted", func(t *testing.T) {
+		for _, shards := range []int{1, 3} {
+			for _, opts := range propConfigs() {
+				name := fmt.Sprintf("shards=%d/%v/θ=%v", shards, opts.Method, opts.Theta)
+				live := j.BuildShardedIndex(propCorpus(600, 33), shards, opts, DynamicOptions{})
+				keys, freqs := live.KeyFrequencies()
+				keys, freqs, err := pebble.MergeFrequencyTables([][]string{keys}, [][]int{freqs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := live.AdoptOrder(keys, freqs); err != nil {
+					t.Fatalf("%s: adopt: %v", name, err)
+				}
+				mutate(live, 56)
+				if dyn := live.gen.Load().order.DynamicCount(); dyn == 0 {
+					t.Fatalf("%s: no insert reached the adopted order's dynamic region", name)
+				}
+				restored := restoreFrom(t, j, live.CaptureSnapshot().Encode(), DynamicOptions{})
+				for w := range live.shards {
+					l, r := live.shards[w], restored.shards[w]
+					if len(l.sigIDs) != len(r.sigIDs) {
+						t.Fatalf("%s shard %d: %d records live, %d restored", name, w, len(l.sigIDs), len(r.sigIDs))
+					}
+					for pos := range l.sigIDs {
+						if !slices.Equal(l.sigIDs[pos], r.sigIDs[pos]) {
+							t.Errorf("%s shard %d: record %d (%q) signed %v live, %v restored",
+								name, w, l.records[pos].ID, l.records[pos].Raw, l.sigIDs[pos], r.sigIDs[pos])
+						}
 					}
 				}
 			}

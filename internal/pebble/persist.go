@@ -52,8 +52,9 @@ func MergeFrequencyTables(keys [][]string, freqs [][]int) ([]string, []int, erro
 // recorded at the original Finalize, followed by the dynamic region in
 // append order. The result is indistinguishable from the original order —
 // same IDs, same frequencies, same MaxFrequency, same dynamic tail — which
-// is what keeps restored signatures valid prefixes and probe-side
-// signature selection bit-identical after a restart.
+// is what makes a restored index's records, signed again under it, carry the
+// signatures the captured index held, and keeps probe-side signature
+// selection bit-identical after a restart.
 func RestoreOrder(frozenKeys []string, freqs []int, dynamicKeys []string) (*Order, error) {
 	if len(freqs) != len(frozenKeys) {
 		return nil, fmt.Errorf("pebble: %d frozen keys but %d frequencies", len(frozenKeys), len(freqs))

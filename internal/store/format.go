@@ -1,10 +1,9 @@
 // Package store implements the durable persistence layer for the dynamic
-// index: a versioned binary snapshot format whose sections (pebble order,
-// records, signatures, prepared-record metadata, tombstones) are individually
-// CRC32C-checksummed and addressed through a section-offset table, plus a
-// small length-prefixed write-ahead log that records the Insert/Remove batch
-// stream between snapshots with per-entry checksums and torn-tail truncation
-// on replay.
+// index: a versioned binary snapshot format whose four sections (meta, pebble
+// order, records, tombstones) are individually CRC32C-checksummed and
+// addressed through a section-offset table, plus a small length-prefixed
+// write-ahead log that records the Insert/Remove batch stream between
+// snapshots with per-entry checksums and torn-tail truncation on replay.
 //
 // The package is deliberately a leaf: it deals in plain data structs
 // (Snapshot, WalEntry) and knows nothing about indexes, so the codec can be
@@ -25,7 +24,10 @@
 // changes incompatibly or a required section is added; readers reject
 // versions they do not know rather than guessing. Adding an optional
 // section is backward compatible — unknown section ids are ignored on read —
-// and does not bump the version.
+// and does not bump the version. Neither does dropping a section a reader
+// can do without, such as one whose contents restore can derive: a reader
+// that still requires it refuses the new images as missing a section rather
+// than misreading them. A retired id is never reused.
 package store
 
 import (

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"os"
 	"testing"
 )
 
@@ -8,7 +9,15 @@ import (
 // bytes. The contract under fuzz: never panic, never over-read (the strict
 // reader bounds every count by the remaining input), and anything accepted
 // must be a valid snapshot that survives a canonical re-encode round trip.
+// Among the seeds that decode are a real index's four-section image
+// (testdata/fuzz) and an image with the retired sections 4, 5 and 7 written
+// by an earlier encoder, so mutation starts inside every section decoder.
 func FuzzSnapshotDecode(f *testing.F) {
+	older, err := os.ReadFile("../../testdata/snapshot_pr15_flag_bit0.snap")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(older)
 	f.Add(testSnapshot().Encode())
 	empty := &Snapshot{
 		Theta:   0.5,

@@ -5,25 +5,27 @@ import (
 	"sort"
 )
 
-// Section identifiers; all six are required. Unknown ids are checksummed and
+// Section identifiers; all four are required. Unknown ids are checksummed and
 // skipped on read, so optional sections can be added without a version bump.
-// Id 7 is retired, not free: older images carry the deleted per-query
-// planner's feedback table under it, and it is skipped like any unknown id.
+// Ids 4, 5 and 7 are retired, not free: older images carry each record's
+// signature IDs under 4, its prepared-segment spans and partition bound under
+// 5 and the deleted per-query planner's feedback table under 7, and all three
+// are skipped like any unknown id.
 const (
 	secMeta       = 1
 	secOrder      = 2
 	secRecords    = 3
-	secSigs       = 4
-	secPrepared   = 5
 	secTombstones = 6
 )
 
-// Snapshot is the plain-data image of a sharded dynamic index: everything
-// needed to reconstruct bit-identical query behaviour without re-running
-// signature selection or prepared-segment enumeration. Records are flat
-// across shards in ascending stable-ID order — per-shard arrival order is
-// recovered by re-partitioning, because shard assignment is a pure function
-// of the ID and IDs are allocated monotonically.
+// Snapshot is the plain-data image of a sharded dynamic index: what cannot be
+// recomputed — the options, the pebble order, every record's ID and raw text
+// and the tombstones. A record's segments, partition bound and signature are
+// functions of its text, the order and the options, so a restore derives
+// them again, exactly as a build does. Records are flat across shards in
+// ascending stable-ID order — per-shard arrival order is recovered by
+// re-partitioning, because shard assignment is a pure function of the ID and
+// IDs are allocated monotonically.
 type Snapshot struct {
 	Theta  float64
 	Tau    int
@@ -48,28 +50,11 @@ type OrderData struct {
 	DynamicKeys []string // IDs len(FrozenKeys)..len(FrozenKeys)+len(DynamicKeys)-1
 }
 
-// NumKeys is the restored order's key universe size.
-func (o *OrderData) NumKeys() int { return len(o.FrozenKeys) + len(o.DynamicKeys) }
-
-// RecordData is one record: raw text (tokens are re-derived — tokenization
-// is deterministic), the pebble IDs of its stored signature (a multiset;
-// equal IDs adjacent), and the prepared-segment metadata that lets the
-// loader rebuild the PreparedRecord without re-running segment enumeration
-// and set cover.
+// RecordData is one record: its stable ID and raw text (tokens are
+// re-derived — tokenization is deterministic).
 type RecordData struct {
-	ID      uint32
-	Raw     string
-	SigIDs  []uint32
-	Segs    []SegMeta
-	MinPart uint32
-}
-
-// SegMeta locates one prepared segment as a token span plus its provenance
-// flags; segment tokens and similarity data are recomputed from the span.
-type SegMeta struct {
-	Start, End uint32
-	Rule       bool
-	Entity     bool
+	ID  uint32
+	Raw string
 }
 
 // Encode serializes the snapshot into the sectioned format described in the
@@ -83,8 +68,6 @@ func (s *Snapshot) Encode() []byte {
 		{secMeta, s.encodeMeta()},
 		{secOrder, s.encodeOrder()},
 		{secRecords, s.encodeRecords()},
-		{secSigs, s.encodeSigs()},
-		{secPrepared, s.encodePrepared()},
 		{secTombstones, s.encodeTombstones()},
 	}
 
@@ -110,8 +93,8 @@ func (s *Snapshot) Encode() []byte {
 
 // Decode parses and validates a snapshot image. Any structural defect —
 // bad magic, unknown version, out-of-range section, checksum mismatch,
-// truncated payload, inconsistent counts, out-of-universe signature ID,
-// non-ascending record IDs — yields an error, never a panic or over-read.
+// truncated payload, inconsistent counts, non-ascending record IDs — yields
+// an error, never a panic or over-read.
 func Decode(data []byte) (*Snapshot, error) {
 	const headerSize = 8 + 4 + 4
 	if len(data) < headerSize || string(data[:8]) != Magic {
@@ -148,7 +131,7 @@ func Decode(data []byte) (*Snapshot, error) {
 		}
 		payloads[id] = payload
 	}
-	for _, id := range []uint32{secMeta, secOrder, secRecords, secSigs, secPrepared, secTombstones} {
+	for _, id := range []uint32{secMeta, secOrder, secRecords, secTombstones} {
 		if _, ok := payloads[id]; !ok {
 			return nil, fmt.Errorf("%w: missing section %d", ErrCorrupt, id)
 		}
@@ -162,12 +145,6 @@ func Decode(data []byte) (*Snapshot, error) {
 		return nil, err
 	}
 	if err := s.decodeRecords(payloads[secRecords]); err != nil {
-		return nil, err
-	}
-	if err := s.decodeSigs(payloads[secSigs]); err != nil {
-		return nil, err
-	}
-	if err := s.decodePrepared(payloads[secPrepared]); err != nil {
 		return nil, err
 	}
 	if err := s.decodeTombstones(payloads[secTombstones]); err != nil {
@@ -261,79 +238,6 @@ func (s *Snapshot) decodeRecords(b []byte) error {
 	return r.finish()
 }
 
-func (s *Snapshot) encodeSigs() []byte {
-	var w writer
-	w.uvarint(uint64(len(s.Records)))
-	for i := range s.Records {
-		w.uvarint(uint64(len(s.Records[i].SigIDs)))
-		for _, id := range s.Records[i].SigIDs {
-			w.uvarint(uint64(id))
-		}
-	}
-	return w.buf
-}
-
-func (s *Snapshot) decodeSigs(b []byte) error {
-	r := reader{b: b}
-	n := r.count(1)
-	if n != len(s.Records) {
-		return fmt.Errorf("%w: signature count %d != record count %d", ErrCorrupt, n, len(s.Records))
-	}
-	for i := 0; i < n; i++ {
-		m := r.count(1)
-		ids := make([]uint32, m)
-		for j := 0; j < m; j++ {
-			ids[j] = uint32(r.uvarint())
-		}
-		s.Records[i].SigIDs = ids
-	}
-	return r.finish()
-}
-
-func (s *Snapshot) encodePrepared() []byte {
-	var w writer
-	w.uvarint(uint64(len(s.Records)))
-	for i := range s.Records {
-		w.uvarint(uint64(len(s.Records[i].Segs)))
-		for _, seg := range s.Records[i].Segs {
-			w.uvarint(uint64(seg.Start))
-			w.uvarint(uint64(seg.End))
-			var flags uint8
-			if seg.Rule {
-				flags |= 1
-			}
-			if seg.Entity {
-				flags |= 2
-			}
-			w.u8(flags)
-		}
-		w.uvarint(uint64(s.Records[i].MinPart))
-	}
-	return w.buf
-}
-
-func (s *Snapshot) decodePrepared(b []byte) error {
-	r := reader{b: b}
-	n := r.count(1)
-	if n != len(s.Records) {
-		return fmt.Errorf("%w: prepared count %d != record count %d", ErrCorrupt, n, len(s.Records))
-	}
-	for i := 0; i < n; i++ {
-		m := r.count(3)
-		segs := make([]SegMeta, m)
-		for j := 0; j < m; j++ {
-			segs[j].Start = uint32(r.uvarint())
-			segs[j].End = uint32(r.uvarint())
-			flags := r.u8()
-			segs[j].Rule = flags&1 != 0
-			segs[j].Entity = flags&2 != 0
-		}
-		s.Records[i].Segs = segs
-		s.Records[i].MinPart = uint32(r.uvarint())
-	}
-	return r.finish()
-}
-
 func (s *Snapshot) encodeTombstones() []byte {
 	var w writer
 	w.uvarint(uint64(len(s.Dead)))
@@ -354,9 +258,8 @@ func (s *Snapshot) decodeTombstones(b []byte) error {
 }
 
 // validate cross-checks the decoded sections: IDs strictly ascending and
-// below NextID, signature IDs inside the key universe, segment spans
-// ordered, frozen frequencies in Finalize order, and the tombstone bitmap
-// sized to the record count with no bits past the end.
+// below NextID, frozen frequencies in Finalize order, and the tombstone
+// bitmap sized to the record count with no bits past the end.
 func (s *Snapshot) validate() error {
 	if s.Theta < 0 || s.Theta > 1 || s.Theta != s.Theta {
 		return fmt.Errorf("%w: theta %v out of range", ErrCorrupt, s.Theta)
@@ -367,7 +270,6 @@ func (s *Snapshot) validate() error {
 	if !sort.SliceIsSorted(s.Order.Freqs, func(i, j int) bool { return s.Order.Freqs[i] < s.Order.Freqs[j] }) {
 		return fmt.Errorf("%w: frozen frequencies not sorted", ErrCorrupt)
 	}
-	numKeys := uint32(s.Order.NumKeys())
 	prevID := int64(-1)
 	for i := range s.Records {
 		rec := &s.Records[i]
@@ -377,16 +279,6 @@ func (s *Snapshot) validate() error {
 		prevID = int64(rec.ID)
 		if uint64(rec.ID) >= s.NextID {
 			return fmt.Errorf("%w: record ID %d >= next ID %d", ErrCorrupt, rec.ID, s.NextID)
-		}
-		for _, id := range rec.SigIDs {
-			if id >= numKeys {
-				return fmt.Errorf("%w: signature ID %d outside key universe %d", ErrCorrupt, id, numKeys)
-			}
-		}
-		for _, seg := range rec.Segs {
-			if seg.Start > seg.End {
-				return fmt.Errorf("%w: inverted segment span [%d,%d)", ErrCorrupt, seg.Start, seg.End)
-			}
 		}
 	}
 	wantWords := (len(s.Records) + 63) / 64

@@ -7,9 +7,9 @@ import (
 )
 
 // testSnapshot builds a snapshot exercising every section: a mixed frozen and
-// dynamic order, sparse ascending record IDs, multiset signatures, segment
-// flags and a set tombstone bit. Empty slices are deliberately non-nil so a
-// decode round-trip is reflect.DeepEqual-exact.
+// dynamic order, sparse ascending record IDs, an empty record and a set
+// tombstone bit. Empty slices are deliberately non-nil so a decode round-trip
+// is reflect.DeepEqual-exact.
 func testSnapshot() *Snapshot {
 	return &Snapshot{
 		Theta:  0.8,
@@ -23,9 +23,9 @@ func testSnapshot() *Snapshot {
 			DynamicKeys: []string{"dd"},
 		},
 		Records: []RecordData{
-			{ID: 0, Raw: "aa bb", SigIDs: []uint32{0, 1}, Segs: []SegMeta{{Start: 0, End: 1}, {Start: 1, End: 2, Rule: true}}, MinPart: 1},
-			{ID: 2, Raw: "cc dd", SigIDs: []uint32{2, 3, 3}, Segs: []SegMeta{{Start: 0, End: 2, Entity: true}}, MinPart: 2},
-			{ID: 6, Raw: "", SigIDs: []uint32{}, Segs: []SegMeta{}, MinPart: 0},
+			{ID: 0, Raw: "aa bb"},
+			{ID: 2, Raw: "cc dd"},
+			{ID: 6, Raw: ""},
 		},
 		Dead: []uint64{1 << 1},
 	}
@@ -59,22 +59,43 @@ func TestSnapshotRoundTripEmpty(t *testing.T) {
 	}
 }
 
-// TestSnapshotNoPlannerSection pins what is left of the deleted per-query
-// planner in the format: Encode writes the six required sections and nothing
-// under the retired id 7, and an image whose meta section still has the
-// retired plan byte set decodes to the same snapshot.
+// TestSnapshotNoPlannerSection pins what is left of retired sections in the
+// format: Encode writes the four required sections and nothing under the
+// retired ids 4 (signatures), 5 (prepared-segment spans) or 7 (the deleted
+// planner's feedback), an image that still carries all three decodes to the
+// same snapshot, and so does one whose meta section still has the retired
+// plan byte set.
 func TestSnapshotNoPlannerSection(t *testing.T) {
 	want := testSnapshot()
 	data := want.Encode()
-	if n := data[12]; n != 6 { // little-endian section count, low byte
-		t.Fatalf("Encode wrote %d sections, want 6", n)
+	hr := reader{b: data, off: 12}
+	var ids []uint32
+	for range hr.u32() {
+		ids = append(ids, hr.u32())
+		hr.u64()
+		hr.u64()
+		hr.u32()
 	}
-	got, err := Decode(planByteSet(want))
-	if err != nil {
-		t.Fatalf("Decode with the retired plan byte set: %v", err)
+	if !reflect.DeepEqual(ids, []uint32{secMeta, secOrder, secRecords, secTombstones}) {
+		t.Fatalf("Encode wrote sections %v, want [1 2 3 6]", ids)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("retired plan byte changed the decode:\n got %+v\nwant %+v", got, want)
+	retired := snapshotSections(want)
+	for _, id := range []uint32{4, 5, 7} {
+		retired = append(retired, struct {
+			id      uint32
+			payload []byte
+		}{id, []byte{3, 0, 1, 2}})
+	}
+	for name, image := range map[string][]byte{"retired sections": encodeSections(retired), "retired plan byte set": planByteSet(want)} {
+		t.Run(name, func(t *testing.T) {
+			got, err := Decode(image)
+			if err != nil {
+				t.Fatalf("Decode: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("the decode changed:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 
@@ -137,8 +158,6 @@ func snapshotSections(s *Snapshot) []struct {
 		{secMeta, s.encodeMeta()},
 		{secOrder, s.encodeOrder()},
 		{secRecords, s.encodeRecords()},
-		{secSigs, s.encodeSigs()},
-		{secPrepared, s.encodePrepared()},
 		{secTombstones, s.encodeTombstones()},
 	}
 }
@@ -218,8 +237,6 @@ func TestSnapshotValidate(t *testing.T) {
 		{"unsorted frequencies", func(s *Snapshot) { s.Order.Freqs = []uint32{2, 1, 2} }},
 		{"record IDs not ascending", func(s *Snapshot) { s.Records[1].ID = 0 }},
 		{"record ID at next ID", func(s *Snapshot) { s.Records[2].ID = uint32(s.NextID) }},
-		{"signature outside universe", func(s *Snapshot) { s.Records[0].SigIDs[0] = uint32(s.Order.NumKeys()) }},
-		{"inverted segment span", func(s *Snapshot) { s.Records[0].Segs[0] = SegMeta{Start: 2, End: 1} }},
 		{"tombstone bitmap too short", func(s *Snapshot) { s.Dead = []uint64{} }},
 		{"tombstone bits past records", func(s *Snapshot) { s.Dead = []uint64{1 << 63} }},
 	}

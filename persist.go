@@ -9,12 +9,12 @@ import (
 	"github.com/aujoin/aujoin/internal/store"
 )
 
-// WriteSnapshot captures the index's current state — catalog, tombstones,
-// pebble order, stored signatures and prepared-segment metadata — and writes
-// it to w in the versioned binary snapshot format of internal/store. The capture is one atomic cut across all shards (writers
-// stall for its duration; readers do not), so the written image is exactly
-// the index state at some single instant. It returns the number of bytes
-// written.
+// WriteSnapshot captures the index's current state — catalog, tombstones and
+// pebble order — and writes it to w in the versioned binary snapshot format
+// of internal/store. The capture is one atomic cut across all shards
+// (writers stall for its duration; readers do not), so the written image is
+// exactly the index state at some single instant. It returns the number of
+// bytes written.
 func (ix *Index) WriteSnapshot(w io.Writer) (int64, error) {
 	data := ix.inner.CaptureSnapshot().Encode()
 	n, err := w.Write(data)
@@ -26,8 +26,8 @@ func (ix *Index) WriteSnapshot(w io.Writer) (int64, error) {
 // resources (synonym rules, taxonomy, measures, gram length) the original
 // index's Joiner had — the snapshot does not carry them — and the restored
 // index then serves bit-identical Query/QueryTopK/Probe results to the one
-// captured, without re-running signature selection or verification
-// preparation.
+// captured: every record is prepared and signed again under the stored
+// pebble order, as a build would.
 func (j *Joiner) ReadSnapshot(r io.Reader) (*Index, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

@@ -69,12 +69,13 @@ func queryFingerprint(ix *Index, probes []string) string {
 // TestRestartEquivalence is the core restart property: build → mutate →
 // snapshot → reload must serve bit-identical Query/QueryTopK/Probe results,
 // across every filter, a θ sweep and both a one-shard and a four-shard layout.
-// The last row reloads, in place of the index's own image, the image the
-// commit before PR 16 encoded of the same state: seven sections — id 7 is the
-// deleted per-query planner's feedback table, skipped on read — and meta flag
-// bit 0 (a posting-layout toggle, since retired) set in a byte that is
-// reserved now. It is longer than today's image and decodes to the same
-// snapshot.
+// The last row reloads, in place of the index's own image, the image an
+// earlier encoder wrote of the same state: seven sections — ids 4 and 5 (the
+// records' signatures and prepared-segment spans, which restore now derives
+// from the text) and 7 (the deleted per-query planner's feedback table) are
+// retired and skipped on read — and meta flag bit 0 (a posting-layout
+// toggle, since retired) set in a byte that is reserved now. It is longer
+// than today's image and decodes to the same snapshot.
 func TestRestartEquivalence(t *testing.T) {
 	type row struct {
 		filter Filter
