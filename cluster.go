@@ -7,10 +7,11 @@ import (
 
 // This file is the public surface of the cluster hooks: what a multi-node
 // deployment's coordinator and workers need from an Index beyond the
-// serving API — centrally assigned record IDs, export of the live
-// key-frequency table, the merge of every group's table into the next
-// global order (the coordinator's side of the order-sync protocol), and
-// adoption of an externally built frozen order (the worker's side).
+// serving API — builds and inserts under centrally assigned record IDs,
+// export of the live key-frequency table, the merge of every group's table
+// into the next global order (the coordinator's side of the order-sync
+// protocol), and adoption of an externally built frozen order (the worker's
+// side).
 
 // OrderImage is the wire form of a pebble frequency order: every key with
 // its document frequency, in finalize order (frequency ascending, key
@@ -45,6 +46,19 @@ func MergeOrderImages(imgs ...OrderImage) (OrderImage, error) {
 // caller's sequencing protocol) never reuse a live ID.
 func (ix *Index) InsertWithIDs(ids []int, records []string) error {
 	return ix.inner.InsertBatchRecords(ids, records)
+}
+
+// IndexWithIDs is IndexWith over records whose stable IDs the caller
+// assigned, under InsertWithIDs' rules for them. A cluster worker builds its
+// share of the catalog with it, under the IDs the coordinator allocated: the
+// records are built into the index the way IndexWith builds a collection,
+// not inserted one batch at a time.
+func (j *Joiner) IndexWithIDs(ids []int, records []string, opts JoinOptions, iopts IndexOptions) (*Index, error) {
+	inner, err := j.joiner.BuildShardedIndexWithIDs(ids, records, iopts.Shards, opts.internal(), join.DynamicOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return &Index{inner: inner}, nil
 }
 
 // KeyFrequencies exports the document-frequency table over the index's

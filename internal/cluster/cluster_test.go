@@ -48,6 +48,8 @@ type clusterOpts struct {
 	heartbeat time.Duration
 	// hedge is the coordinator's HedgeDelay (0: 20 ms).
 	hedge time.Duration
+	// seedChunk caps a seed chunk's JSON body (0: seedChunkBytes).
+	seedChunk int
 }
 
 // startCluster boots a coordinator and n workers with r-way replication,
@@ -76,6 +78,7 @@ func startCluster(t testing.TB, n, r int, catalog []string, theta float64, tau i
 		SyncFraction: -1, // bumps are driven explicitly by the tests
 		Logf:         t.Logf,
 	})
+	coord.seedChunk = o.seedChunk
 	coordTS := httptest.NewServer(coord.Mux())
 	ran := make(chan struct{})
 	go func() { defer close(ran); coord.Run(ctx) }()
@@ -289,22 +292,7 @@ func checkEquivalence(t *testing.T, tc *testCluster, ref *aujoin.Index, probes [
 // one (filter, θ) combination runs; the full matrix is 3 filters × 3
 // thresholds.
 func TestClusterEquivalence(t *testing.T) {
-	combos := []struct {
-		filter string
-		theta  float64
-	}{{"dp", 0.8}}
-	if !testing.Short() {
-		combos = nil
-		for _, f := range []string{"u", "heuristic", "dp"} {
-			for _, th := range []float64{0.7, 0.8, 0.9} {
-				combos = append(combos, struct {
-					filter string
-					theta  float64
-				}{f, th})
-			}
-		}
-	}
-	for _, cb := range combos {
+	for _, cb := range equivalenceGrid() {
 		t.Run(fmt.Sprintf("%s-theta%v", cb.filter, cb.theta), func(t *testing.T) {
 			catalog := denseCatalog(180, 7)
 			probes := denseCatalog(15, 8)
@@ -357,6 +345,162 @@ func TestClusterEquivalence(t *testing.T) {
 			checkEquivalence(t, tc, ref, probes, "epoch bump with worker down")
 		})
 	}
+}
+
+// equivalenceCombo is one (filter, θ) point of the equivalence grid.
+type equivalenceCombo struct {
+	filter string
+	theta  float64
+}
+
+// equivalenceGrid is 3 filters × 3 thresholds, or one combination under
+// -short.
+func equivalenceGrid() []equivalenceCombo {
+	if testing.Short() {
+		return []equivalenceCombo{{"dp", 0.8}}
+	}
+	var combos []equivalenceCombo
+	for _, f := range []string{"u", "heuristic", "dp"} {
+		for _, th := range []float64{0.7, 0.8, 0.9} {
+			combos = append(combos, equivalenceCombo{f, th})
+		}
+	}
+	return combos
+}
+
+// TestSeedInChunks seeds the catalog in chunks of about ten records, several
+// a group, over the equivalence grid. The cluster must answer bit-identically
+// to a single-node index, and every replica must have built its groups from
+// the seed: no record inserted, no delta segment, and no rebuild but the
+// bootstrap bump's adoption, one a shard. Each group index must also write
+// the snapshot, byte for byte, of the index a seed through insert batches
+// made: an empty index given the group's records in 512-record catalog
+// batches, then the shipped order.
+func TestSeedInChunks(t *testing.T) {
+	for _, cb := range equivalenceGrid() {
+		t.Run(fmt.Sprintf("%s-theta%v", cb.filter, cb.theta), func(t *testing.T) {
+			catalog := denseCatalog(180, 7)
+			tc := startCluster(t, 3, 2, catalog, cb.theta, 2, cb.filter, clusterOpts{seedChunk: 10 * seedCost(catalog[0])})
+			j, err := aujoin.NewStrict()
+			if err != nil {
+				t.Fatalf("NewStrict: %v", err)
+			}
+			jopts := aujoin.JoinOptions{Theta: cb.theta, Tau: 2, Filter: cmdutil.ParseFilter(cb.filter)}
+			ref := j.IndexWith(catalog, jopts, aujoin.IndexOptions{Shards: 1})
+			checkEquivalence(t, tc, ref, denseCatalog(15, 8), "seeded in chunks")
+
+			inserted := make([]*aujoin.Index, 3)
+			for g := range inserted {
+				inserted[g] = j.IndexWith(nil, jopts, aujoin.IndexOptions{Shards: 1})
+				inserted[g].DisableAutoRefreeze()
+				for at := 0; at < len(catalog); at += 512 {
+					var ids []int
+					var recs []string
+					for id := at; id < min(at+512, len(catalog)); id++ {
+						if tc.coord.ring.Owner(id) == g {
+							ids, recs = append(ids, id), append(recs, catalog[id])
+						}
+					}
+					if err := inserted[g].InsertWithIDs(ids, recs); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := inserted[g].AdoptOrder(ref.KeyFrequencies()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			records := 0
+			for i, wk := range tc.nodes {
+				wk.mu.Lock()
+				for g, wg := range wk.groups {
+					var got, want bytes.Buffer
+					if _, err := wg.ix().WriteSnapshot(&got); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := inserted[g].WriteSnapshot(&want); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got.Bytes(), want.Bytes()) {
+						t.Errorf("worker %d group %d: the seeded index's snapshot differs from the inserted one's", i, g)
+					}
+					st := wg.ix().Stats()
+					if seq := wg.seq.Load(); seq < 3 {
+						t.Errorf("worker %d group %d took %d seed chunks, want several", i, g, seq)
+					}
+					if st.Inserts != 0 || st.Segments != 0 || st.Rebuilds != st.Shards {
+						t.Errorf("worker %d group %d: %d inserts, %d segments, %d rebuilds over %d shards; want a built index adopted once",
+							i, g, st.Inserts, st.Segments, st.Rebuilds, st.Shards)
+					}
+					records += st.Records
+				}
+				wk.mu.Unlock()
+			}
+			if records != 2*len(catalog) {
+				t.Errorf("the replicas hold %d records, want each of %d twice", records, len(catalog))
+			}
+		})
+	}
+}
+
+// TestSeedChunkGapTakesReplicaOut: worker 0 acknowledges one seed chunk of
+// one of its groups without applying it. The next chunk of that group
+// reaches it out of sequence, so it answers 409 and the coordinator takes it
+// out, as it does a replica that missed a write; the bootstrap completes on
+// the other replicas, the cluster answers like a single node, and the
+// health checker does not readmit worker 0, whose sequences never match.
+func TestSeedChunkGapTakesReplicaOut(t *testing.T) {
+	catalog := denseCatalog(180, 7)
+	var dropped, gaps atomic.Int32
+	dropChunk := func(i int, h http.Handler) http.Handler {
+		if i != 0 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/cluster/apply" {
+				h.ServeHTTP(w, r)
+				return
+			}
+			body, _ := io.ReadAll(r.Body)
+			var req ApplyRequest
+			if json.Unmarshal(body, &req) == nil && req.Seed && req.Seq == 2 && dropped.CompareAndSwap(0, 1) {
+				w.Write([]byte(`{"applied":true}`))
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			sw := &statusWriter{ResponseWriter: w}
+			h.ServeHTTP(sw, r)
+			if sw.status == http.StatusConflict {
+				gaps.Add(1)
+			}
+		})
+	}
+	tc := startCluster(t, 3, 2, catalog, 0.8, 2, "dp", clusterOpts{wrap: dropChunk, seedChunk: 10 * seedCost(catalog[0])})
+	if dropped.Load() != 1 || gaps.Load() == 0 {
+		t.Fatalf("%d chunks dropped and %d gaps answered; want one of each at least", dropped.Load(), gaps.Load())
+	}
+	j, err := aujoin.NewStrict()
+	if err != nil {
+		t.Fatalf("NewStrict: %v", err)
+	}
+	ref := j.IndexWith(catalog, aujoin.JoinOptions{Theta: 0.8, Tau: 2, Filter: aujoin.AUFilterDP}, aujoin.IndexOptions{Shards: 1})
+	checkEquivalence(t, tc, ref, denseCatalog(15, 8), "seeded around the gap")
+	time.Sleep(5 * 100 * time.Millisecond) // five heartbeats
+	for addr, state := range tc.workerStates() {
+		if want := map[bool]string{true: "down", false: "ready"}[addr == tc.workers[0].URL]; state != want {
+			t.Errorf("worker %s is %s, want %s", addr, state, want)
+		}
+	}
+}
+
+// statusWriter records the status a handler answered with.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (w *statusWriter) WriteHeader(status int) {
+	w.status = status
+	w.ResponseWriter.WriteHeader(status)
 }
 
 // TestClusterShipsSingleNodeOrder holds the order an epoch bump ships to the
@@ -415,7 +559,7 @@ func requireSingleNodeOrder(t *testing.T, tc *testCluster, ref *aujoin.Index, st
 		wk.mu.Unlock()
 		for g, wg := range hosted {
 			var buf bytes.Buffer
-			if _, err := wg.IX.WriteSnapshot(&buf); err != nil {
+			if _, err := wg.ix().WriteSnapshot(&buf); err != nil {
 				t.Fatalf("%s: worker %d group %d: snapshot: %v", stage, i, g, err)
 			}
 			snap, err := store.Decode(buf.Bytes())

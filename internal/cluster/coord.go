@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -28,9 +29,11 @@ type CoordConfig struct {
 	Theta  float64
 	Tau    int
 	Filter string
-	// Catalog is seeded through the normal sequenced apply path at
-	// bootstrap, after which the coordinator runs the first epoch bump so
-	// the cluster serves under a properly frozen global order.
+	// Catalog is seeded at bootstrap: its records get the IDs a single node
+	// would give them, each group's share goes to the group's replicas in
+	// sequenced chunks, and each replica builds the group's index over the
+	// share once. The coordinator then runs the first epoch bump so the
+	// cluster serves under the global frozen order.
 	Catalog []string
 	// HedgeDelay is how long a group read waits on its first replica before
 	// racing the request against a second one (0 = 50ms; < 0 disables
@@ -84,6 +87,10 @@ type Coordinator struct {
 	rr      atomic.Uint64 // read-plan rotation
 	queries atomic.Int64
 	bumps   atomic.Int64
+
+	// seedChunk caps the JSON body of one seed chunk (0: seedChunkBytes);
+	// tests lower it to split a small catalog into many chunks.
+	seedChunk int
 
 	mergeMu sync.Mutex
 	mergeMs []float64 // recent gather+merge wall times, milliseconds
@@ -221,10 +228,9 @@ func (c *Coordinator) register(_ context.Context, req *RegisterRequest) (Registe
 }
 
 // bootstrap fixes the membership and placement, pushes the configuration to
-// every worker, seeds the catalog through the normal sequenced apply path,
-// and runs the first epoch bump so the cluster serves under a global frozen
-// order instead of an all-dynamic one. Only then does the coordinator
-// become ready.
+// every worker, seeds the catalog (seed) and runs the first epoch bump, which
+// replaces each group's own order, counted over its share, with the global
+// frozen order. Only then does the coordinator become ready.
 func (c *Coordinator) bootstrap() {
 	c.mu.Lock()
 	addrs := make([]string, len(c.workers))
@@ -258,22 +264,18 @@ func (c *Coordinator) bootstrap() {
 
 	if len(c.cfg.Catalog) > 0 {
 		start := time.Now()
-		const seedBatch = 512
-		for at := 0; at < len(c.cfg.Catalog); at += seedBatch {
-			end := min(at+seedBatch, len(c.cfg.Catalog))
-			if _, err := c.insert(ctx, c.cfg.Catalog[at:end]); err != nil {
-				c.mu.Lock()
-				c.bootErr = fmt.Errorf("seed catalog: %w", err)
-				c.mu.Unlock()
-				c.logf("bootstrap failed: %v", c.bootErr)
-				return
-			}
+		if err := c.seed(ctx, c.cfg.Catalog); err != nil {
+			c.mu.Lock()
+			c.bootErr = fmt.Errorf("seed catalog: %w", err)
+			c.mu.Unlock()
+			c.logf("bootstrap failed: %v", c.bootErr)
+			return
 		}
 		c.logf("seeded %d records in %v", len(c.cfg.Catalog), time.Since(start).Round(time.Millisecond))
 	}
 
-	// The seeds were interned as dynamic keys under an empty frozen order;
-	// the first bump freezes the true global frequencies over them.
+	// Each group's order counts its own share only; the first bump freezes
+	// the global frequencies over every group.
 	if err := c.BumpEpoch("bootstrap"); err != nil {
 		c.mu.Lock()
 		c.bootErr = fmt.Errorf("initial epoch bump: %w", err)
@@ -284,6 +286,58 @@ func (c *Coordinator) bootstrap() {
 	c.ready.Store(true)
 	c.logf("cluster ready: epoch %d", c.epoch.Load())
 }
+
+// seedChunkBytes caps the JSON body of one seed chunk: the workers' body cap
+// less room for the request's other fields.
+const seedChunkBytes = maxBodyBytes - 4<<10
+
+// seed gives the catalog's records the IDs a single node would give them —
+// sequentially, in catalog order, as insert does — and sends each group's
+// share to the group's replicas as sequenced seed chunks, every group at
+// once. A replica stages the chunks and builds the group's index over the
+// whole share when the last one arrives, so nothing is inserted: no delta
+// segment, dynamic key or compaction is made on the way. A chunk takes
+// records while the bound on its JSON body stays under the cap (one record
+// at least); a replica that misses a chunk is taken out as a missed write
+// is, by applyGroup and the gap rule. bootstrap calls it before anything
+// else can mutate or bump.
+func (c *Coordinator) seed(ctx context.Context, catalog []string) error {
+	c.mu.Lock()
+	start := c.nextID
+	c.nextID += len(catalog)
+	c.mu.Unlock()
+	shares := make([]*ApplyRequest, c.ring.Workers())
+	for i, rec := range catalog {
+		p := c.part(shares, start+i)
+		p.IDs = append(p.IDs, start+i)
+		p.Records = append(p.Records, rec)
+	}
+	limit := cmp.Or(c.seedChunk, seedChunkBytes)
+	return c.gather(http.StatusServiceUnavailable, func(g int) error {
+		share := shares[g]
+		if share == nil {
+			return nil // the group keeps the empty index config made
+		}
+		for at := 0; at < len(share.IDs); {
+			end, size := at+1, seedCost(share.Records[at])
+			for end < len(share.IDs) && size+seedCost(share.Records[end]) <= limit {
+				size += seedCost(share.Records[end])
+				end++
+			}
+			chunk := ApplyRequest{Group: g, Seed: true, Last: end == len(share.IDs), IDs: share.IDs[at:end], Records: share.Records[at:end]}
+			if _, err := c.applyGroup(ctx, &chunk); err != nil {
+				return err
+			}
+			at = end
+		}
+		return nil
+	})
+}
+
+// seedCost bounds the bytes one record adds to a seed chunk's JSON body: its
+// ID and separators, and its text at json.Marshal's widest escape, six
+// bytes (\u00XX) a byte.
+func seedCost(rec string) int { return 24 + 6*len(rec) }
 
 // refs snapshots the registered workers.
 func (c *Coordinator) refs() []*workerRef {
@@ -452,8 +506,9 @@ func (c *Coordinator) readCandidates(g int) []*workerRef {
 // fetchGroup reads group g's top k (req, addressed to g) from its replicas
 // with hedging and failover: the first replica gets HedgeDelay of exclusive
 // time, then a second attempt races it; remaining replicas are tried as
-// earlier attempts fail. The first success wins and cancels the losers, whose
-// connections close. Each attempt buffers its answer fully — failover must
+// earlier attempts fail. The first success wins and cancels the losers, which
+// read their answers to the end in the background and pool their connections
+// again (roundTrip). Each attempt buffers its answer fully — failover must
 // stay possible until the merge, so nothing is forwarded early. Hedging is
 // the coordinator's only protection against a stalled replica (a group read
 // has no timeout): a slow replica costs a read HedgeDelay, and is not marked

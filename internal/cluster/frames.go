@@ -47,6 +47,11 @@ const (
 	maxFrameBytes = maxBodyBytes + 64
 	// maxIdleFrames bounds the idle connections pooled per worker.
 	maxIdleFrames = 64
+	// drainTimeout bounds how long a query read whose context ended — a
+	// hedge's loser, mostly — goes on reading its answer so that its
+	// connection can go back to the pool. A top-k answer is short, and the
+	// worker is already computing it; past the bound the connection closes.
+	drainTimeout = 250 * time.Millisecond
 )
 
 // Request ops.
@@ -559,6 +564,23 @@ type frameConn struct {
 	br   *bufio.Reader
 	wbuf []byte // the request frame being sent
 	rbuf []byte // the answer frame being read
+	// probe is whether the exchange in flight is a probe stream; ended is
+	// the wait for its abandon call, when its context ends mid-exchange.
+	probe bool
+	ended sync.WaitGroup
+}
+
+// abandon runs when the context of the exchange in flight ends. A probe
+// stream is long and its matches go to a client: its connection closes at
+// once. A query's answer is short: the exchange reads it to its end within
+// drainTimeout, after which the connection can be pooled again.
+func (fc *frameConn) abandon() {
+	defer fc.ended.Done()
+	if fc.probe {
+		fc.conn.Close()
+		return
+	}
+	fc.conn.SetDeadline(time.Now().Add(drainTimeout))
 }
 
 func (p *framePool) get() *frameConn {
@@ -639,8 +661,11 @@ func upgradeFrames(conn net.Conn, u *url.URL) (*frameConn, error) {
 
 // roundTrip sends req, stamped with epoch, to the worker at addr on a pooled
 // connection, handing each match to fn, and returns the end frame's status
-// and failure body. A cancelled ctx closes the connection, which is then
-// never pooled again. A reused connection that fails before any byte of the
+// and failure body. When ctx ends mid-exchange (abandon), a probe stream's
+// connection is closed, and a query read — a hedge's loser — finishes
+// reading its answer within drainTimeout and goes back to the pool, so that
+// a hedge costs no later lookup a dial; it is closed only when the deadline
+// passes first. A reused connection that fails before any byte of the
 // answer — one the worker closed while it sat idle — is replaced by a new
 // one once: reads are idempotent, and the worker must not be blamed for it.
 func (p *framePool) roundTrip(ctx context.Context, addr string, req *frameRequest, epoch int64, fn func(frameMatch) error) (int, []byte, error) {
@@ -653,17 +678,29 @@ func (p *framePool) roundTrip(ctx context.Context, addr string, req *frameReques
 				return 0, nil, err
 			}
 		}
-		conn := fc.conn
-		stop := context.AfterFunc(ctx, func() { conn.Close() })
+		fc.probe = req.op == opProbe
+		fc.ended.Add(1)
+		stop := context.AfterFunc(ctx, fc.abandon)
 		status, body, answered, err := fc.exchange(req, epoch, fn)
-		live := stop()
+		abandoned := !stop()
+		if abandoned {
+			fc.ended.Wait() // abandon has run: its deadline can be cleared
+		} else {
+			fc.ended.Done()
+		}
 		if err == nil {
-			if live {
+			switch {
+			case !abandoned:
 				p.put(fc)
+			case fc.probe: // abandon closed the connection
+			case fc.conn.SetDeadline(time.Time{}) == nil:
+				p.put(fc)
+			default:
+				fc.conn.Close()
 			}
 			return status, body, nil
 		}
-		conn.Close()
+		fc.conn.Close()
 		if ctx.Err() != nil {
 			return 0, nil, ctx.Err()
 		}

@@ -112,9 +112,9 @@ func TestFrameServerClosesOnMalformedFrame(t *testing.T) {
 }
 
 // TestCancelledFrameReadClosesConnection: a group read whose context ends
-// while the worker holds it returns at once with the context's error, its
-// connection is closed rather than pooled, and the closed connection
-// cancels the request's context on the worker.
+// while the worker holds it past drainTimeout returns with the context's
+// error, its connection is closed rather than pooled, and the closed
+// connection cancels the request's context on the worker.
 func TestCancelledFrameReadClosesConnection(t *testing.T) {
 	held, cancelled := make(chan struct{}), make(chan struct{})
 	tc := startCluster(t, 1, 1, denseCatalog(30, 2), 0.7, 2, "dp", clusterOpts{
@@ -149,6 +149,74 @@ func TestCancelledFrameReadClosesConnection(t *testing.T) {
 	case <-cancelled:
 	case <-time.After(10 * time.Second):
 		t.Fatal("the worker's request context was not cancelled when its connection closed")
+	}
+}
+
+// TestHedgeLoserKeepsConnection: worker 0 answers every top-k read 30 ms
+// late and the hedge delay is 2 ms, so each read that tries worker 0 first is
+// hedged and lost to the group's other replica. The loser reads its answer to
+// the end and goes back to the pool: with each lookup's losers drained before
+// the next, worker 0 is dialled no more often than two reads at once need (it
+// hosts two groups), however many hedges fired, and every answer is exact.
+func TestHedgeLoserKeepsConnection(t *testing.T) {
+	catalog := denseCatalog(180, 7)
+	var dials, slow atomic.Int32
+	tc := startCluster(t, 3, 2, catalog, 0.8, 2, "dp", clusterOpts{
+		hedge: 2 * time.Millisecond,
+		wrap: func(i int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if i == 0 && r.URL.Path == framesPath {
+					dials.Add(1)
+				}
+				h.ServeHTTP(w, r)
+			})
+		},
+		frames: func(_ context.Context, i int, req *frameRequest) error {
+			if i == 0 && req.op == opQuery {
+				slow.Add(1)
+				time.Sleep(30 * time.Millisecond)
+			}
+			return nil
+		},
+	})
+	var ref0 *workerRef
+	for _, ref := range tc.coord.refs() {
+		if ref.addr == tc.workers[0].URL {
+			ref0 = ref
+		}
+	}
+	idle := func() int {
+		ref0.frames.mu.Lock()
+		defer ref0.frames.mu.Unlock()
+		return len(ref0.frames.idle)
+	}
+	j, err := aujoin.NewStrict()
+	if err != nil {
+		t.Fatalf("NewStrict: %v", err)
+	}
+	ref := j.IndexWith(catalog, aujoin.JoinOptions{Theta: 0.8, Tau: 2, Filter: aujoin.AUFilterDP}, aujoin.IndexOptions{Shards: 1})
+	for round := 0; round < 3; round++ {
+		for _, q := range equivalenceQueries {
+			if got, want := tc.topK(t, q, 10), ref.QueryTopK(q, 10); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("query %q:\n got %v\nwant %v", q, got, want)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for idle() != int(dials.Load()) {
+				if time.Now().After(deadline) {
+					t.Fatalf("query %q: %d of worker 0's %d connections came back to the pool", q, idle(), dials.Load())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+	}
+	if slow.Load() < 10 {
+		t.Fatalf("only %d reads reached the slow worker; too few hedges to test", slow.Load())
+	}
+	if n := dials.Load(); n > 2 {
+		t.Errorf("worker 0 was dialled %d times for %d slow reads, want at most 2", n, slow.Load())
+	}
+	if state := tc.workerStates()[tc.workers[0].URL]; state != "ready" {
+		t.Errorf("the slow worker is %q; a slow replica is not a dead one", state)
 	}
 }
 
@@ -269,9 +337,16 @@ func TestProbeStreamOutlivesWriteTimeout(t *testing.T) {
 // coordinator's health checker is all but stopped, so nothing but the
 // lookups runs in the process, and its hedge waits an hour: a lookup that
 // stalls (a collection, a loaded machine) is not raced against a second
-// replica, whose read and whose closed connection — the loser's, dialled
-// again by the next lookup — would otherwise add to what it is measured at.
+// replica, whose read would otherwise add to what it is measured at.
 func titlesCluster(tb testing.TB, n int) (*testCluster, []string) {
+	catalog, queries, opts := titlesShape(tb, n)
+	return startCluster(tb, 3, 2, catalog, 0.9, 12, "heuristic", opts), queries
+}
+
+// titlesShape generates titlesCluster's catalog of n records and its 64
+// lookups, and the cluster options that give every worker the generator's
+// synonym rules and taxonomy at q = 5.
+func titlesShape(tb testing.TB, n int) (catalog, queries []string, opts clusterOpts) {
 	cfg := datagen.MEDLike(n, 20190811)
 	cfg.VocabSize = 10000
 	cfg.MinTokens, cfg.MaxTokens = 10, 14
@@ -287,7 +362,7 @@ func titlesCluster(tb testing.TB, n int) (*testCluster, []string) {
 	if err := gen.Taxonomy().Write(&tax); err != nil {
 		tb.Fatal(err)
 	}
-	tc := startCluster(tb, 3, 2, universe[:n], 0.9, 12, "heuristic", clusterOpts{
+	opts = clusterOpts{
 		heartbeat: time.Hour,
 		hedge:     time.Hour,
 		joiner: func() (*aujoin.Joiner, error) {
@@ -297,15 +372,62 @@ func titlesCluster(tb testing.TB, n int) (*testCluster, []string) {
 				aujoin.WithGramLength(5),
 			)
 		},
-	})
-	queries := make([]string, 64)
+	}
+	queries = make([]string, 64)
 	for k := range queries {
 		queries[k] = universe[n+k/2]
 		if k%2 == 0 {
 			queries[k], _ = gen.Variant(universe[k*n/len(queries)])
 		}
 	}
-	return tc, queries
+	return universe[:n], queries, opts
+}
+
+// BenchmarkCoordinatorBootstrap is one cluster bootstrap over 10 000 titles:
+// three workers at R = 2 register, and the coordinator configures them,
+// seeds the catalog and runs the first epoch bump; the cluster is torn down
+// off the clock. The workers' joiners are made off the clock too.
+func BenchmarkCoordinatorBootstrap(b *testing.B) {
+	catalog, _, opts := titlesShape(b, 10000)
+	newJoiner := opts.joiner
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		var joiners []*aujoin.Joiner
+		for w := 0; w < 3; w++ {
+			j, err := newJoiner()
+			if err != nil {
+				b.Fatal(err)
+			}
+			joiners = append(joiners, j)
+		}
+		opts.joiner = func() (*aujoin.Joiner, error) {
+			j := joiners[0]
+			joiners = joiners[1:]
+			return j, nil
+		}
+		tb := &iterationTB{TB: b}
+		b.StartTimer()
+		startCluster(tb, 3, 2, catalog, 0.9, 12, "heuristic", opts)
+		b.StopTimer()
+		tb.cleanup()
+		b.StartTimer()
+	}
+}
+
+// iterationTB is a testing.TB whose cleanups run when the benchmark
+// iteration calls cleanup, not at the end of the benchmark.
+type iterationTB struct {
+	testing.TB
+	cleanups []func()
+}
+
+func (tb *iterationTB) Cleanup(f func()) { tb.cleanups = append(tb.cleanups, f) }
+
+func (tb *iterationTB) cleanup() {
+	for i := len(tb.cleanups) - 1; i >= 0; i-- {
+		tb.cleanups[i]()
+	}
+	tb.cleanups = nil
 }
 
 // BenchmarkCoordinatorQuery is one top-10 lookup through the coordinator's

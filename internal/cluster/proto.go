@@ -45,7 +45,9 @@ type RegisterResponse struct {
 
 // ConfigRequest is the coordinator pushing cluster membership and build
 // parameters to one worker at bootstrap. The worker builds one empty index
-// per replica group it hosts and becomes ready.
+// per replica group it hosts and becomes ready; the seed chunks that follow
+// (ApplyRequest.Seed) replace each with the index over the group's share of
+// the catalog.
 type ConfigRequest struct {
 	Workers  []string `json:"workers"` // advertise addresses, by worker index
 	Self     int      `json:"self"`    // this worker's index
@@ -60,6 +62,11 @@ type ConfigRequest struct {
 // inserts with coordinator-assigned stable IDs, then removes. Seq must be
 // exactly the group's last applied sequence plus one; a replayed (≤ last)
 // sequence is acknowledged without re-applying, a gap is a 409.
+//
+// Seed marks one chunk of the bootstrap seed instead: its records are
+// staged, not inserted, and the chunk marked Last builds the group's index
+// over every staged record at once. A seed chunk is sequenced like any
+// batch, so a replica that misses one is taken out by the same gap rule.
 type ApplyRequest struct {
 	Epoch   int64    `json:"epoch"`
 	Group   int      `json:"group"`
@@ -67,6 +74,8 @@ type ApplyRequest struct {
 	IDs     []int    `json:"ids,omitempty"`
 	Records []string `json:"records,omitempty"`
 	Removes []int    `json:"removes,omitempty"`
+	Seed    bool     `json:"seed,omitempty"`
+	Last    bool     `json:"last,omitempty"`
 }
 
 // ApplyResponse acknowledges an ApplyRequest. Removed reports, per entry of

@@ -14,13 +14,13 @@ import (
 	"github.com/aujoin/aujoin/internal/cmdutil"
 )
 
-// Worker is the cluster-mode state of an aujoind process: one empty-born
-// aujoin.Index per replica group it hosts (a worker with R-way replication
-// hosts R group indexes), the coordinator-pushed membership, and the
-// order-epoch state machine. Workers start with nothing and receive
-// everything — config, records, orders — from the coordinator, which is
-// what keeps every replica of a group byte-identical: same records, same
-// IDs, same application order, same adopted frequency order.
+// Worker is the cluster-mode state of an aujoind process: one aujoin.Index
+// per replica group it hosts (a worker with R-way replication hosts R group
+// indexes), the coordinator-pushed membership, and the order-epoch state
+// machine. Workers start with nothing and receive everything — config,
+// records, orders — from the coordinator, which is what keeps every replica
+// of a group byte-identical: same records, same IDs, same application order,
+// same adopted frequency order.
 type Worker struct {
 	joiner *aujoin.Joiner
 	shards int
@@ -56,12 +56,20 @@ type Worker struct {
 // workerGroup is one hosted replica group: its index — a Backend, the read
 // target a request for the group resolves to — and the apply sequencing.
 // The group mutex serializes ApplyRequests so the sequence check and the
-// mutation are atomic; queries never take it.
+// mutation are atomic; queries never take it. The Backend is replaced once,
+// when the bootstrap seed's last chunk builds the group's index.
 type workerGroup struct {
-	Backend
+	be  atomic.Pointer[Backend]
 	mu  sync.Mutex
 	seq atomic.Uint64
+	// seedIDs and seedRecs are the catalog share the bootstrap seed's chunks
+	// staged, until the last chunk builds the index over it; guarded by mu.
+	seedIDs  []int
+	seedRecs []string
 }
+
+// ix is the group's index.
+func (wg *workerGroup) ix() *aujoin.Index { return wg.be.Load().IX }
 
 // NewWorker builds an unconfigured worker around the joiner (which carries
 // the locally configured synonym/taxonomy/measure resources — those must
@@ -134,7 +142,7 @@ func (wk *Worker) readyz() (any, error) {
 	hb.Groups = make(map[string]uint64, len(groups))
 	for g, wg := range groups {
 		hb.Groups[strconv.Itoa(g)] = wg.seq.Load()
-		st := wg.IX.Stats()
+		st := wg.ix().Stats()
 		hb.FrozenKeys += st.FrozenKeys
 		hb.DynamicKeys += st.DynamicKeys
 	}
@@ -151,7 +159,7 @@ func (wk *Worker) stats() (any, error) {
 	defer wk.mu.Unlock()
 	groups := make(map[string]any, len(wk.groups))
 	for g, wg := range wk.groups {
-		groups[strconv.Itoa(g)] = map[string]any{"seq": wg.seq.Load(), "index": wg.IX.Stats()}
+		groups[strconv.Itoa(g)] = map[string]any{"seq": wg.seq.Load(), "index": wg.ix().Stats()}
 	}
 	out["groups"] = groups
 	if wk.ring != nil {
@@ -196,7 +204,7 @@ func (wk *Worker) resolve(group, stamp string, write bool) (target, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &wg.Backend, nil
+	return wg.be.Load(), nil
 }
 
 // checkEpoch enforces the order-sync fence: a request stamped with an epoch
@@ -241,8 +249,9 @@ func (wk *Worker) group(g int) (*workerGroup, error) {
 
 // config is the coordinator's bootstrap push: membership, join parameters
 // and the initial epoch. The worker builds one empty index per group it
-// replicates and becomes ready. A repeated identical push is acknowledged
-// idempotently (the coordinator retries on timeouts).
+// replicates — the index a group keeps when the catalog gives it no record —
+// and becomes ready. A repeated identical push is acknowledged idempotently
+// (the coordinator retries on timeouts).
 func (wk *Worker) config(_ context.Context, cfg *ConfigRequest) (map[string]bool, error) {
 	if len(cfg.Workers) == 0 || cfg.Self < 0 || cfg.Self >= len(cfg.Workers) {
 		return nil, badRequest("config: self out of range")
@@ -260,22 +269,28 @@ func (wk *Worker) config(_ context.Context, cfg *ConfigRequest) (map[string]bool
 	wk.jopts = aujoin.JoinOptions{Theta: cfg.Theta, Tau: cfg.Tau, Filter: cmdutil.ParseFilter(cfg.Filter)}
 	wk.groups = make(map[int]*workerGroup)
 	for _, g := range wk.ring.GroupsOf(cfg.Self) {
-		ix := wk.joiner.IndexWith(nil, wk.jopts, aujoin.IndexOptions{Shards: wk.shards})
-		// The order is owned by the coordinator's epoch protocol from here
-		// on: no local threshold may ever re-freeze it.
-		ix.DisableAutoRefreeze()
-		wk.groups[g] = &workerGroup{Backend: Backend{IX: ix}}
+		wg := &workerGroup{}
+		wg.adopt(wk.joiner.IndexWith(nil, wk.jopts, aujoin.IndexOptions{Shards: wk.shards}))
+		wk.groups[g] = wg
 	}
 	wk.epoch.Store(cfg.Epoch)
 	wk.ready.Store(true)
 	return ack, nil
 }
 
-// apply applies one sequenced mutation batch to one hosted group.
-// Sequencing makes application idempotent and gap-detecting: a replayed
-// sequence acknowledges without re-applying, a gap means this replica
-// missed a batch (it answers 409 and the coordinator takes it out — a
-// replica that missed a write must not serve).
+// adopt makes ix the group's index. The order is owned by the coordinator's
+// epoch protocol from here on: no local threshold may ever re-freeze it.
+func (wg *workerGroup) adopt(ix *aujoin.Index) {
+	ix.DisableAutoRefreeze()
+	wg.be.Store(&Backend{IX: ix})
+}
+
+// apply applies one sequenced mutation batch to one hosted group, or stages
+// one chunk of its bootstrap seed. Sequencing makes application idempotent
+// and gap-detecting: a replayed sequence acknowledges without re-applying, a
+// gap means this replica missed a batch or a seed chunk (it answers 409 and
+// the coordinator takes it out — a replica that missed a write must not
+// serve).
 func (wk *Worker) apply(_ context.Context, req *ApplyRequest) (ApplyResponse, error) {
 	var none ApplyResponse
 	if !wk.ready.Load() {
@@ -300,17 +315,40 @@ func (wk *Worker) apply(_ context.Context, req *ApplyRequest) (ApplyResponse, er
 			Code:  "seq_gap",
 		}}
 	}
-	if len(req.IDs) > 0 {
-		if err := wg.IX.InsertWithIDs(req.IDs, req.Records); err != nil {
+	if req.Seed {
+		if err := wk.stage(wg, req); err != nil {
+			return none, err
+		}
+	} else if len(req.IDs) > 0 {
+		if err := wg.ix().InsertWithIDs(req.IDs, req.Records); err != nil {
 			return none, fmt.Errorf("apply insert: %w", err)
 		}
 	}
 	var removed []bool
 	if len(req.Removes) > 0 {
-		removed = wg.IX.RemoveBatch(req.Removes)
+		removed = wg.ix().RemoveBatch(req.Removes)
 	}
 	wg.seq.Store(req.Seq)
 	return ApplyResponse{Applied: true, Removed: removed}, nil
+}
+
+// stage adds one seed chunk to the group's staged share; the last chunk
+// builds the group's index over the whole share at once, as a single node
+// builds its catalog (aujoin.Joiner.IndexWithIDs), and replaces the empty
+// index config made. The caller holds wg.mu.
+func (wk *Worker) stage(wg *workerGroup, req *ApplyRequest) error {
+	wg.seedIDs = append(wg.seedIDs, req.IDs...)
+	wg.seedRecs = append(wg.seedRecs, req.Records...)
+	if !req.Last {
+		return nil
+	}
+	ix, err := wk.joiner.IndexWithIDs(wg.seedIDs, wg.seedRecs, wk.jopts, aujoin.IndexOptions{Shards: wk.shards})
+	if err != nil {
+		return fmt.Errorf("seed build: %w", err)
+	}
+	wg.adopt(ix)
+	wg.seedIDs, wg.seedRecs = nil, nil
+	return nil
 }
 
 // freqs exports one hosted group's live key-frequency table — what the
@@ -320,7 +358,7 @@ func (wk *Worker) freqs(g int) (aujoin.OrderImage, error) {
 	if err != nil {
 		return aujoin.OrderImage{}, err
 	}
-	return wg.IX.KeyFrequencies(), nil
+	return wg.ix().KeyFrequencies(), nil
 }
 
 // adopt is the prepare phase of an epoch bump on the worker side: the hosted
@@ -344,7 +382,7 @@ func (wk *Worker) adopt(_ context.Context, payload *OrderPayload) (map[string]bo
 	}
 	wk.mu.Unlock()
 	for _, wg := range groups {
-		if err := wg.IX.AdoptOrder(payload.Order); err != nil {
+		if err := wg.ix().AdoptOrder(payload.Order); err != nil {
 			return nil, fmt.Errorf("adopt order: %w", err)
 		}
 	}

@@ -6,10 +6,11 @@ import (
 
 	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/pebble"
+	"github.com/aujoin/aujoin/internal/strutil"
 )
 
-// This file holds the hooks the cluster layer builds on: inserts with
-// caller-assigned stable IDs, export of the live key-frequency table, and
+// This file holds the hooks the cluster layer builds on: builds and inserts
+// with caller-assigned stable IDs, export of the live key-frequency table, and
 // adoption of an externally built frozen order (the worker side of the
 // coordinator's order-sync protocol).
 
@@ -22,11 +23,44 @@ import (
 // right shard, but the duplicate would shadow the original in position
 // maps), so replay protection belongs to the caller's sequencing layer.
 func (sx *ShardedIndex) InsertBatchRecords(ids []int, raw []string) error {
+	if err := checkIDs(ids, raw); err != nil || len(raw) == 0 {
+		return err
+	}
+	sx.mu.Lock()
+	for _, id := range ids {
+		if id >= sx.nextID {
+			sx.nextID = id + 1
+		}
+	}
+	sx.mu.Unlock()
+
+	sx.insertRouted(ids, raw)
+	return nil
+}
+
+// BuildShardedIndexWithIDs is BuildShardedIndex over records whose stable
+// IDs the caller assigned, under InsertBatchRecords' rules for them: a
+// cluster worker builds its share of the catalog with it, under the IDs the
+// coordinator allocated. The records take the one build path (assemble), so
+// no record is inserted: the index has no delta segment, no dynamic key and
+// no compaction behind it, and its order is counted over the whole
+// collection.
+func (j *Joiner) BuildShardedIndexWithIDs(ids []int, raw []string, shards int, opts Options, dopts DynamicOptions) (*ShardedIndex, error) {
+	if err := checkIDs(ids, raw); err != nil {
+		return nil, err
+	}
+	records := make([]strutil.Record, len(raw))
+	for i, s := range raw {
+		records[i] = strutil.NewRecord(ids[i], s)
+	}
+	return j.BuildShardedIndex(records, shards, opts, dopts), nil
+}
+
+// checkIDs enforces the rules on caller-assigned stable IDs: one a record,
+// non-negative, at most math.MaxUint32 and unique within the batch.
+func checkIDs(ids []int, raw []string) error {
 	if len(ids) != len(raw) {
 		return fmt.Errorf("join: %d ids for %d records", len(ids), len(raw))
-	}
-	if len(raw) == 0 {
-		return nil
 	}
 	seen := make(map[int]struct{}, len(ids))
 	for _, id := range ids {
@@ -41,15 +75,6 @@ func (sx *ShardedIndex) InsertBatchRecords(ids []int, raw []string) error {
 		}
 		seen[id] = struct{}{}
 	}
-	sx.mu.Lock()
-	for _, id := range ids {
-		if id >= sx.nextID {
-			sx.nextID = id + 1
-		}
-	}
-	sx.mu.Unlock()
-
-	sx.insertRouted(ids, raw)
 	return nil
 }
 
