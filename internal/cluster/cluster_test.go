@@ -503,6 +503,71 @@ func (w *statusWriter) WriteHeader(status int) {
 	w.ResponseWriter.WriteHeader(status)
 }
 
+// TestSeedChunkAfterSeedRefused: a seed chunk that reaches a group after its
+// seed is over — after the last chunk built the index, after an ordinary
+// batch, after an adopted order (the bootstrap bump's, also on a group the
+// seed gave nothing) — is refused with a 400 and changes nothing, where
+// building the group from it would silently drop every record, write and
+// order the group held.
+func TestSeedChunkAfterSeedRefused(t *testing.T) {
+	catalog := denseCatalog(30, 2)
+	tc := startCluster(t, 1, 1, catalog, 0.7, 2, "dp")
+	wk := tc.nodes[0]
+	wk.mu.Lock()
+	wg := wk.groups[0]
+	wk.mu.Unlock()
+	seq := wg.seq.Load()
+	late := ApplyRequest{Epoch: tc.coord.Stats().Epoch, Seq: seq + 1, Seed: true, Last: true, IDs: []int{1000}, Records: []string{"late seed"}}
+	err := call(context.Background(), http.DefaultClient, tc.workers[0].URL+"/cluster/apply", &late, nil)
+	if !refused(err) {
+		t.Fatalf("a seed chunk after the bootstrap bump returned %v, want a 400", err)
+	}
+	if got, recs := wg.seq.Load(), wg.ix().Stats().Records; got != seq || recs != len(catalog) {
+		t.Fatalf("after the refused chunk: seq %d and %d records, want %d and %d", got, recs, seq, len(catalog))
+	}
+
+	j, err := aujoin.NewStrict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	newWorker := func() *Worker {
+		wk := NewWorker(j, 1)
+		if _, err := wk.config(ctx, &ConfigRequest{Workers: []string{"w0"}, Replicas: 1, Epoch: 1, Theta: 0.7, Tau: 2, Filter: "dp"}); err != nil {
+			t.Fatal(err)
+		}
+		return wk
+	}
+	unseeded := newWorker()
+	if _, err := unseeded.adopt(ctx, &OrderPayload{Epoch: 2, Order: unseeded.groups[0].ix().KeyFrequencies()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := unseeded.apply(ctx, &ApplyRequest{Epoch: 2, Seq: 1, Seed: true, Last: true, IDs: []int{0}, Records: catalog[:1]}); !refused(err) {
+		t.Fatalf("a seed chunk after an adopted order returned %v, want a 400", err)
+	}
+	fresh := newWorker()
+	steps := []struct {
+		req    ApplyRequest
+		refuse bool
+	}{
+		{ApplyRequest{Seq: 1, Seed: true, IDs: []int{0}, Records: catalog[:1]}, false},
+		{ApplyRequest{Seq: 2, Seed: true, Last: true, IDs: []int{1}, Records: catalog[1:2]}, false},
+		{ApplyRequest{Seq: 3, Seed: true, Last: true, IDs: []int{2}, Records: catalog[2:3]}, true},
+		{ApplyRequest{Seq: 3, IDs: []int{2}, Records: catalog[2:3]}, false},
+		{ApplyRequest{Seq: 4, Seed: true, Last: true, IDs: []int{3}, Records: catalog[3:4]}, true},
+	}
+	for i, st := range steps {
+		st.req.Epoch = 1
+		_, err := fresh.apply(ctx, &st.req)
+		if refused(err) != st.refuse || (err != nil && !st.refuse) {
+			t.Fatalf("step %d: apply returned %v, want refused %v", i, err, st.refuse)
+		}
+	}
+	if recs := fresh.groups[0].ix().Stats().Records; recs != 3 {
+		t.Fatalf("the fresh worker's group holds %d records, want 3", recs)
+	}
+}
+
 // TestClusterShipsSingleNodeOrder holds the order an epoch bump ships to the
 // single-node order. Answers are exact under any order, so the equivalence
 // grid cannot see a wrong frequency merge; this test reads the frozen order

@@ -619,6 +619,9 @@ func (p *framePool) close() {
 }
 
 // dial opens a frame connection to the worker at addr (its advertise URL).
+// A ctx that ends once the TCP connection is open lets the upgrade finish
+// within drainTimeout, as an abandoned query read does: a hedge's loser
+// caught mid-dial leaves a connection that roundTrip pools unused.
 func dialFrames(ctx context.Context, addr string) (*frameConn, error) {
 	u, err := url.Parse(addr)
 	if err != nil {
@@ -629,10 +632,17 @@ func dialFrames(ctx context.Context, addr string) (*frameConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	ended := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		conn.SetDeadline(time.Now().Add(drainTimeout))
+		close(ended)
+	})
 	fc, err := upgradeFrames(conn, u)
-	if !stop() && err == nil {
-		err = ctx.Err()
+	if !stop() {
+		<-ended // the deadline is set: it can be cleared
+		if err == nil {
+			err = conn.SetDeadline(time.Time{})
+		}
 	}
 	if err != nil {
 		conn.Close()
@@ -661,13 +671,15 @@ func upgradeFrames(conn net.Conn, u *url.URL) (*frameConn, error) {
 
 // roundTrip sends req, stamped with epoch, to the worker at addr on a pooled
 // connection, handing each match to fn, and returns the end frame's status
-// and failure body. When ctx ends mid-exchange (abandon), a probe stream's
-// connection is closed, and a query read — a hedge's loser — finishes
-// reading its answer within drainTimeout and goes back to the pool, so that
-// a hedge costs no later lookup a dial; it is closed only when the deadline
-// passes first. A reused connection that fails before any byte of the
-// answer — one the worker closed while it sat idle — is replaced by a new
-// one once: reads are idempotent, and the worker must not be blamed for it.
+// and failure body. A ctx that has ended by the time a connection is in
+// hand sends nothing: the connection goes back to the pool. When ctx ends
+// mid-exchange (abandon), a probe stream's connection is closed, and a
+// query read — a hedge's loser — finishes reading its answer within
+// drainTimeout and goes back to the pool, so that a hedge costs no later
+// lookup a dial; it is closed only when the deadline passes first. A
+// reused connection that fails before any byte of the answer — one the
+// worker closed while it sat idle — is replaced by a new one once: reads
+// are idempotent, and the worker must not be blamed for it.
 func (p *framePool) roundTrip(ctx context.Context, addr string, req *frameRequest, epoch int64, fn func(frameMatch) error) (int, []byte, error) {
 	fc := p.get()
 	reused := fc != nil
@@ -677,6 +689,10 @@ func (p *framePool) roundTrip(ctx context.Context, addr string, req *frameReques
 			if fc, err = dialFrames(ctx, addr); err != nil {
 				return 0, nil, err
 			}
+		}
+		if err := ctx.Err(); err != nil {
+			p.put(fc) // nothing was sent on it
+			return 0, nil, err
 		}
 		fc.probe = req.op == opProbe
 		fc.ended.Add(1)

@@ -111,14 +111,32 @@ func TestFrameServerClosesOnMalformedFrame(t *testing.T) {
 	}
 }
 
-// TestCancelledFrameReadClosesConnection: a group read whose context ends
-// while the worker holds it past drainTimeout returns with the context's
-// error, its connection is closed rather than pooled, and the closed
-// connection cancels the request's context on the worker.
+// TestCancelledFrameReadClosesConnection follows group reads whose context
+// ends. One that ends while its new connection is being upgraded — a
+// hedge's loser that had to dial — sends nothing but pools the connection.
+// One whose context has ended by the time it holds a connection sends
+// nothing and leaves it pooled. One whose context ends while the worker
+// holds it past drainTimeout returns with the context's error, its
+// connection is closed rather than pooled, and the closed connection
+// cancels the request's context on the worker.
 func TestCancelledFrameReadClosesConnection(t *testing.T) {
 	held, cancelled := make(chan struct{}), make(chan struct{})
+	upgrading, dialEnded := make(chan struct{}), make(chan struct{})
+	var dials, late atomic.Int32
 	tc := startCluster(t, 1, 1, denseCatalog(30, 2), 0.7, 2, "dp", clusterOpts{
+		wrap: func(_ int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == framesPath && dials.Add(1) == 1 {
+					close(upgrading)
+					<-dialEnded
+				}
+				h.ServeHTTP(w, r)
+			})
+		},
 		frames: func(ctx context.Context, _ int, req *frameRequest) error {
+			if req.k == 8 {
+				late.Add(1)
+			}
 			if req.k != 7 {
 				return nil
 			}
@@ -132,15 +150,39 @@ func TestCancelledFrameReadClosesConnection(t *testing.T) {
 		},
 	})
 	var pool framePool
+	epoch, none := tc.coord.Stats().Epoch, func(frameMatch) error { return nil }
+	ended, end := context.WithCancel(context.Background())
+	go func() {
+		<-upgrading
+		end()
+		close(dialEnded)
+	}()
+	req := frameRequest{op: opQuery, k: 8, q: "espresso cafe helsinki"}
+	if _, _, err := pool.roundTrip(ended, tc.workers[0].URL, &req, epoch, none); !errors.Is(err, context.Canceled) {
+		t.Fatalf("the read cancelled mid-dial returned %v, want context.Canceled", err)
+	}
+	if n, sent := len(pool.idle), late.Load(); n != 1 || sent != 0 {
+		t.Fatalf("after a read cancelled mid-dial: %d connections pooled and %d requests sent, want 1 and 0", n, sent)
+	}
+	if _, _, err := pool.roundTrip(ended, tc.workers[0].URL, &req, epoch, none); !errors.Is(err, context.Canceled) {
+		t.Fatalf("the read under an ended context returned %v, want context.Canceled", err)
+	}
+	if n, sent := len(pool.idle), late.Load(); n != 1 || sent != 0 {
+		t.Fatalf("after a read under an ended context: %d connections pooled and %d requests sent, want 1 and 0", n, sent)
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		<-held
 		cancel()
 	}()
-	req := frameRequest{op: opQuery, k: 7, q: "espresso cafe helsinki"}
-	_, _, err := pool.roundTrip(ctx, tc.workers[0].URL, &req, tc.coord.Stats().Epoch, func(frameMatch) error { return nil })
+	req.k = 7
+	_, _, err := pool.roundTrip(ctx, tc.workers[0].URL, &req, epoch, none)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("the cancelled read returned %v, want context.Canceled", err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("the worker was dialled %d times, want once", n)
 	}
 	if n := len(pool.idle); n != 0 {
 		t.Errorf("%d connections pooled after a cancelled read, want none", n)

@@ -67,6 +67,8 @@ type ConfigRequest struct {
 // staged, not inserted, and the chunk marked Last builds the group's index
 // over every staged record at once. A seed chunk is sequenced like any
 // batch, so a replica that misses one is taken out by the same gap rule.
+// The seed comes first: a seed chunk after the last one, after an ordinary
+// batch or after an order adoption is refused with a 400.
 type ApplyRequest struct {
 	Epoch   int64    `json:"epoch"`
 	Group   int      `json:"group"`

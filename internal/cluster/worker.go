@@ -66,6 +66,10 @@ type workerGroup struct {
 	// staged, until the last chunk builds the index over it; guarded by mu.
 	seedIDs  []int
 	seedRecs []string
+	// sealed is set, under mu, once the seed is over: its last chunk built
+	// the index, an ordinary batch was applied or an order adopted. A seed
+	// chunk after that would replace an index holding writes or an order.
+	sealed bool
 }
 
 // ix is the group's index.
@@ -290,7 +294,8 @@ func (wg *workerGroup) adopt(ix *aujoin.Index) {
 // and gap-detecting: a replayed sequence acknowledges without re-applying, a
 // gap means this replica missed a batch or a seed chunk (it answers 409 and
 // the coordinator takes it out — a replica that missed a write must not
-// serve).
+// serve). A seed chunk after the group's seed is over (workerGroup.sealed)
+// is a 400.
 func (wk *Worker) apply(_ context.Context, req *ApplyRequest) (ApplyResponse, error) {
 	var none ApplyResponse
 	if !wk.ready.Load() {
@@ -315,6 +320,9 @@ func (wk *Worker) apply(_ context.Context, req *ApplyRequest) (ApplyResponse, er
 			Code:  "seq_gap",
 		}}
 	}
+	if req.Seed && wg.sealed {
+		return none, badRequest(fmt.Sprintf("apply: seed chunk %d for group %d after the group's seed ended", req.Seq, req.Group))
+	}
 	if req.Seed {
 		if err := wk.stage(wg, req); err != nil {
 			return none, err
@@ -327,6 +335,9 @@ func (wk *Worker) apply(_ context.Context, req *ApplyRequest) (ApplyResponse, er
 	var removed []bool
 	if len(req.Removes) > 0 {
 		removed = wg.ix().RemoveBatch(req.Removes)
+	}
+	if !req.Seed || req.Last {
+		wg.sealed = true
 	}
 	wg.seq.Store(req.Seq)
 	return ApplyResponse{Applied: true, Removed: removed}, nil
@@ -382,6 +393,9 @@ func (wk *Worker) adopt(_ context.Context, payload *OrderPayload) (map[string]bo
 	}
 	wk.mu.Unlock()
 	for _, wg := range groups {
+		wg.mu.Lock()
+		wg.sealed = true // an apply staging a seed chunk has finished
+		wg.mu.Unlock()
 		if err := wg.ix().AdoptOrder(payload.Order); err != nil {
 			return nil, fmt.Errorf("adopt order: %w", err)
 		}

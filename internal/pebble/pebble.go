@@ -19,8 +19,6 @@ package pebble
 
 import (
 	"cmp"
-	"hash/maphash"
-	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -237,8 +235,8 @@ func distinctSynonyms(syn []Pebble) []Pebble {
 // so any number of writers — the shards of a sharded index intern
 // concurrently — may call it without external locking; all read-side
 // methods (ID, Intern, Sort, KeyOf, NumKeys, Frequency) may run
-// concurrently with them without a lock, each reading one published state
-// of the dynamic table (dynTable).
+// concurrently with them, as the dynamic table is swapped atomically and
+// never mutated in place.
 type Order struct {
 	// count holds the document frequencies Add has counted, until Finalize
 	// interns them and drops it.
@@ -272,27 +270,16 @@ func sortByFrequency(counts []keyCount) {
 	})
 }
 
-// dynTable is one published state of the dynamic intern region: its keys in
-// ID order and an open-addressing hash table over them, whose slots hold a
-// key's position in keys plus one (0: empty) under the top half of the key's
-// hash, which picks the first slot tried and spares a key comparison on most
-// slots that do not match. Readers load one state per operation.
-// InternDynamic, one writer at a time, appends to keys and fills slots in
-// place and then publishes a state with the longer keys slice: the
-// arrays are shared with the states before it, which still see exactly
-// their own keys, because a slot naming a position past a state's keys is a
-// key that state does not hold. A batch therefore costs the keys it adds,
-// amortized — the slot array is doubled and refilled once half full — and
-// not the whole region. Document frequencies are deliberately not tracked
-// here: nothing consumes them (a rebuild re-derives true frequencies from
-// the live records).
+// dynTable is one immutable state of the dynamic intern region. Writers
+// clone-and-swap it; readers load it once per operation. Document
+// frequencies are deliberately not tracked here: nothing consumes them (a
+// rebuild re-derives true frequencies from the live records), and their
+// absence lets an insert whose keys are all already interned skip the
+// clone entirely.
 type dynTable struct {
-	keys  []string        // ID - len(Order.keys) -> key
-	slots []atomic.Uint64 // hash<<32 | position+1; linear probing, a power of two long
+	ids  map[string]uint32 // key -> ID (all IDs ≥ len(Order.keys))
+	keys []string          // ID - len(Order.keys) -> key
 }
-
-// dynSeed seeds the hash of dynamic keys.
-var dynSeed = maphash.MakeSeed()
 
 // NewOrder creates an empty frequency order.
 func NewOrder() *Order { return &Order{count: &KeyCount{}} }
@@ -384,10 +371,10 @@ func (o *Order) ID(key string) (id uint32, ok bool) {
 	if id, ok = o.ids[key]; ok {
 		return id, true
 	}
-	if pos, ok := o.dyn.Load().lookup(key); ok {
-		return uint32(len(o.keys) + pos), true
+	if d := o.dyn.Load(); d != nil {
+		id, ok = d.ids[key]
 	}
-	return 0, false
+	return id, ok
 }
 
 // KeyOf returns the key of an interned ID; valid after Finalize.
@@ -405,8 +392,8 @@ func (o *Order) Intern(pebbles []Pebble) {
 	for i := range pebbles {
 		if id, ok := o.ids[pebbles[i].Key]; ok {
 			pebbles[i].ID = id
-		} else if pos, ok := dyn.lookup(pebbles[i].Key); ok {
-			pebbles[i].ID = uint32(len(o.keys) + pos)
+		} else if id, ok := dyn.lookup(pebbles[i].Key); ok {
+			pebbles[i].ID = id
 		} else {
 			pebbles[i].ID = NoID
 		}
@@ -415,91 +402,64 @@ func (o *Order) Intern(pebbles []Pebble) {
 
 // InternDynamic registers every key of the given pebbles that is unknown to
 // the order as a new dynamic ID appended after the built prefix (first-seen
-// order). It returns the number of newly appended keys. A call costs the
-// keys it looks up and adds, whatever the size of the region, and publishes
-// one new state of the dynamic table when it adds any. InternDynamic callers
-// are serialized on an internal mutex (shards of a sharded index intern into
-// one shared order concurrently, each under its own writer lock); concurrent
-// readers are safe because a published state never changes what it holds
-// (dynTable).
+// order). It returns the number of newly appended keys. The dynamic table is
+// cloned at most once per call — pass a whole insert batch's pebbles in one
+// call rather than looping — and not at all when every key is already
+// interned. InternDynamic callers are serialized on an internal mutex (shards
+// of a sharded index intern into one shared order concurrently, each under
+// its own writer lock); concurrent readers are safe because the dynamic table
+// is replaced wholesale, never mutated.
 func (o *Order) InternDynamic(pebbles []Pebble) int {
 	o.Finalize()
 	o.dmu.Lock()
 	defer o.dmu.Unlock()
-	var next dynTable
-	if cur := o.dyn.Load(); cur != nil {
-		next = *cur
-	}
+	old := o.dyn.Load()
+	var next *dynTable
 	added := 0
 	for i := range pebbles {
 		key := pebbles[i].Key
 		if _, ok := o.ids[key]; ok {
 			continue
 		}
-		if _, ok := next.lookup(key); !ok {
-			next.add(key)
+		if next == nil {
+			if _, ok := old.lookup(key); ok {
+				continue
+			}
+			next = old.clone()
+		}
+		if _, ok := next.ids[key]; !ok {
+			next.ids[key] = uint32(len(o.keys) + len(next.keys))
+			next.keys = append(next.keys, key)
 			added++
 		}
 	}
-	if added > 0 {
-		published := next // the only copy that escapes: a call that adds nothing allocates nothing
-		o.dyn.Store(&published)
+	if next != nil {
+		o.dyn.Store(next)
 	}
 	return added
 }
 
-// dynHash is the top half of a key's hash, which a slot stores.
-func dynHash(key string) uint64 { return maphash.String(dynSeed, key) >> 32 }
-
-// first is the slot a hash's probe starts at: its top bits.
-func (d *dynTable) first(h uint64) int {
-	return int(h >> (32 - bits.TrailingZeros(uint(len(d.slots)))))
-}
-
-// lookup returns the position of key in the state's keys; nil-safe.
-func (d *dynTable) lookup(key string) (int, bool) {
-	if d == nil || len(d.slots) == 0 {
+// lookup is a nil-safe dynamic-table probe.
+func (d *dynTable) lookup(key string) (uint32, bool) {
+	if d == nil {
 		return 0, false
 	}
-	h, mask := dynHash(key), len(d.slots)-1
-	for i := d.first(h); ; i = (i + 1) & mask {
-		v := d.slots[i].Load()
-		if v == 0 {
-			return 0, false
-		}
-		if pos := int(uint32(v)) - 1; v>>32 == h && pos < len(d.keys) && d.keys[pos] == key {
-			return pos, true
-		}
-	}
+	id, ok := d.ids[key]
+	return id, ok
 }
 
-// add appends a key the state does not hold. Only the writer calls it, on
-// the unpublished state it is making.
-func (d *dynTable) add(key string) {
-	if 2*(len(d.keys)+1) > len(d.slots) {
-		// A new slot array, twice as long, refilled from the old one's
-		// entries: the published states keep the old array, which is no
-		// longer written.
-		old := d.slots
-		d.slots = make([]atomic.Uint64, max(16, 2*len(old)))
-		for i := range old {
-			if v := old[i].Load(); v != 0 {
-				d.place(v)
-			}
-		}
+// clone deep-copies a dynamic table (nil yields an empty table).
+func (d *dynTable) clone() *dynTable {
+	c := &dynTable{ids: map[string]uint32{}}
+	if d == nil {
+		return c
 	}
-	d.keys = append(d.keys, key)
-	d.place(dynHash(key)<<32 | uint64(len(d.keys)))
-}
-
-// place stores a slot entry in the first empty slot from its hash's.
-func (d *dynTable) place(v uint64) {
-	mask := len(d.slots) - 1
-	i := d.first(v >> 32)
-	for d.slots[i].Load() != 0 {
-		i = (i + 1) & mask
+	c.keys = append([]string(nil), d.keys...)
+	c.ids = make(map[string]uint32, len(d.ids))
+	for k, v := range d.ids {
+		c.ids[k] = v
 	}
-	d.slots[i].Store(v)
+	return c
 }
 
 // Frequency returns the document frequency recorded at Finalize time (0 for

@@ -86,15 +86,16 @@ func RestoreOrder(frozenKeys []string, freqs []int, dynamicKeys []string) (*Orde
 	})
 
 	if len(dynamicKeys) > 0 {
-		d := &dynTable{}
-		for _, k := range dynamicKeys {
+		d := &dynTable{ids: make(map[string]uint32, len(dynamicKeys))}
+		for i, k := range dynamicKeys {
 			if _, frozen := ids[k]; frozen {
 				return nil, fmt.Errorf("pebble: dynamic key %q shadows a frozen key", k)
 			}
-			if _, dup := d.lookup(k); dup {
+			if _, dup := d.ids[k]; dup {
 				return nil, fmt.Errorf("pebble: duplicate dynamic key %q", k)
 			}
-			d.add(k)
+			d.ids[k] = uint32(len(keys) + i)
+			d.keys = append(d.keys, k)
 		}
 		o.dyn.Store(d)
 	}
