@@ -28,7 +28,7 @@
 //
 // # Streaming and cancellation
 //
-// Every batch entry point has a streaming sibling that accepts a
+// Join and SelfJoin each have a streaming sibling that accepts a
 // context.Context and yields matches one at a time, a probe record's as soon
 // as that record has been filtered and verified (Go 1.23 range-over-func), so
 // the first match does not wait for the rest of the collection, peak match
@@ -40,9 +40,9 @@
 //		consume(m)              // breaking out stops the pipeline
 //	}
 //
-// QueryCtx and QueryTopKCtx serve single strings under the same contract and
-// take per-request QueryOptions (threshold, k) that the batch API fixes at
-// build time.
+// A View of an Index reads under the same contract: View.Probe streams a
+// probe collection's matches, and View.Query serves one string with
+// per-request QueryOptions (threshold, k) that the build otherwise fixes.
 //
 // # Build once, probe many
 //
@@ -52,8 +52,9 @@
 // state once so that repeated joins and query-serving workloads skip it:
 //
 //	ix := j.Index(catalog, aujoin.JoinOptions{Theta: 0.8, Tau: 2})
-//	matches, _ := ix.Probe(batch)          // join a batch against the catalog
-//	hits := ix.Query("espresso cafe")      // serve a single lookup
+//	view := ix.Snapshot()
+//	for m, err := range view.Probe(ctx, batch) { ... } // join a batch against the catalog
+//	hits, err := view.Query(ctx, "espresso cafe", aujoin.QueryOptions{}) // serve a single lookup
 //
 // Join and SelfJoin are one-shot compositions of the same stages.
 //
@@ -61,16 +62,16 @@
 //
 // An Index is mutable and concurrently servable: Insert and Remove change
 // the catalog online, while Snapshot hands out immutable views that serve
-// Query, QueryTopK and Probe lock-free and unaffected by concurrent
-// writes. New signature keys land in an append-only dynamic region of the
-// global pebble order; a shard compacts itself once its appended or
-// tombstoned mass crosses a threshold, and the index re-freezes the order
-// (rebuilding every shard) once the dynamic region outgrows the frozen one:
+// Query and Probe lock-free and unaffected by concurrent writes. New
+// signature keys land in an append-only dynamic region of the global pebble
+// order; a shard compacts itself once its appended or tombstoned mass
+// crosses a threshold, and the index re-freezes the order (rebuilding every
+// shard) once the dynamic region outgrows the frozen one:
 //
 //	ids := ix.Insert([]string{"espresso bar Helsinki"})
-//	view := ix.Snapshot()                  // consistent, lock-free reads
-//	top := view.QueryTopK("espresso", 10)  // ranked serving
-//	ix.Remove(ids[0])                      // tombstoned for later snapshots
+//	view := ix.Snapshot() // consistent, lock-free reads
+//	top, err := view.Query(ctx, "espresso", aujoin.QueryOptions{K: 10}) // ranked serving
+//	ix.Remove(ids[0]) // tombstoned for later snapshots
 //
 // IndexWith partitions the catalog across shards that mutate in parallel
 // and rebuild independently — queries fan out and merge, results do not
@@ -140,11 +141,6 @@ type Match = join.Pair
 type Stats struct {
 	// Candidates is the number of pairs that survived filtering.
 	Candidates int
-	// ShardCandidates breaks Candidates down per shard: entry i counts the
-	// candidates shard i contributed, and the entries always sum to
-	// Candidates. A one-shot join runs against a one-shard index of its own
-	// and reports a single entry.
-	ShardCandidates []int
 	// Results is the number of matches returned.
 	Results int
 	// FilterPostings is the number of posting entries (record IDs, whether
@@ -410,24 +406,26 @@ func (j *Joiner) SelfJoinSeq(ctx context.Context, s []string, opts JoinOptions) 
 	}
 }
 
-// QueryOptions carries per-request overrides for QueryCtx and QueryTopKCtx —
-// parameters the batch Query/QueryTopK freeze at index build time. The zero
-// value changes nothing.
+// QueryOptions carries the per-request parameters of View.Query: the
+// threshold, which the build otherwise fixes, and the result size. The zero
+// value returns every match reaching the build-time Theta.
 type QueryOptions struct {
 	// MinSimilarity overrides the similarity threshold for this request;
 	// 0 keeps the build-time Theta. Values above the build-time Theta are
-	// exact (the filter over-admits and verification tightens). Values below
-	// it are rejected with ErrThetaBelowBuild: the candidate set is bounded
-	// by the build-time filter, so no complete answer exists down there.
+	// exact (the filter over-admits and verification tightens). Every other
+	// value — below the build-time Theta, negative or NaN — is rejected with
+	// ErrThetaBelowBuild: the candidate set is bounded by the build-time
+	// filter, so no complete answer exists down there.
 	MinSimilarity float64
-	// K bounds the number of matches QueryTopKCtx returns; it is ignored by
-	// QueryCtx, which returns every match. K ≤ 0 returns an empty result.
+	// K bounds the number of matches: K > 0 returns the K best, K ≤ 0 every
+	// match reaching the threshold. Both come in one order, descending
+	// similarity with ascending ID on ties.
 	K int
 }
 
-// ErrThetaBelowBuild is returned by QueryCtx and QueryTopKCtx when
-// QueryOptions.MinSimilarity is below the Theta the index was built with;
-// test for it with errors.Is.
+// ErrThetaBelowBuild is returned by View.Query when QueryOptions.MinSimilarity
+// is neither 0 nor at least the Theta the index was built with; test for it
+// with errors.Is.
 var ErrThetaBelowBuild = join.ErrThetaBelowBuild
 
 // internal maps the public options onto the internal join options.
@@ -443,10 +441,10 @@ func (o QueryOptions) internal() join.QueryOpts {
 // Index is a dynamic, concurrently servable join target over one
 // collection: the interned pebble order, the collection's signatures and
 // prepared verification records, and the ID-indexed inverted index. Built
-// once, it serves any number of concurrent Probe/Query/QueryTopK calls
-// while Insert and Remove mutate the catalog: writers publish immutable
-// snapshots (Snapshot), so reads never block and always observe a
-// consistent catalog state. Theta, Tau and Filter are fixed at build time.
+// once, it serves any number of concurrent reads while Insert and Remove
+// mutate the catalog: every read goes through an immutable View that
+// Snapshot publishes, so reads never block and always observe a consistent
+// catalog state. Theta, Tau and Filter are fixed at build time.
 //
 // An Index may be partitioned (IndexOptions.Shards): records are hashed by
 // stable ID across independent shards that share one global pebble order
@@ -469,10 +467,10 @@ type IndexOptions struct {
 	Shards int
 }
 
-// QueryMatch is one result of a single-string Query: the stable ID of the
-// matched record and its unified similarity to the query. For records
-// present since the build, the ID equals the record's position in the
-// original collection; records added later get fresh IDs from Insert.
+// QueryMatch is one result of View.Query: the stable ID of the matched
+// record and its unified similarity to the query. For records present since
+// the build, the ID equals the record's position in the original collection;
+// records added later get fresh IDs from Insert.
 type QueryMatch struct {
 	Record     int     `json:"record"`
 	Similarity float64 `json:"similarity"`
@@ -516,50 +514,14 @@ func (ix *Index) Remove(id int) bool { return ix.inner.Remove(id) }
 // once for the whole batch.
 func (ix *Index) RemoveBatch(ids []int) []bool { return ix.inner.RemoveBatch(ids) }
 
-// Snapshot returns an immutable view of the catalog as of now. All View
-// methods are lock-free and safe for unbounded concurrency; later Insert
-// and Remove calls do not affect it. Probe/Query/QueryTopK on the Index are
-// shorthands for the same calls on a fresh snapshot.
+// Snapshot returns an immutable view of the catalog as of now: the one way
+// to read the index. All View methods are lock-free and safe for unbounded
+// concurrency; later Insert and Remove calls do not affect it. A View is
+// cheap, so a reader that wants the latest catalog takes one a request.
 func (ix *Index) Snapshot() *View { return &View{inner: ix.inner.Snapshot()} }
 
 // Stats summarises the current state of the dynamic index.
 func (ix *Index) Stats() IndexStats { return ix.inner.Stats() }
-
-// Probe joins a collection of strings against the current snapshot.
-func (ix *Index) Probe(records []string) ([]Match, Stats) {
-	return ix.Snapshot().Probe(records)
-}
-
-// ProbeSeq is the streaming form of Probe against the current snapshot,
-// under the same contract as Joiner.JoinSeq: matches are yielded in
-// completion order, breaking out stops the pipeline, and a ctx cancellation
-// surfaces as one final error.
-func (ix *Index) ProbeSeq(ctx context.Context, records []string) iter.Seq2[Match, error] {
-	return ix.Snapshot().ProbeSeq(ctx, records)
-}
-
-// Query runs the filter-and-verify pipeline for a single string against
-// the current snapshot and returns the matching records in ascending
-// stable-ID order.
-func (ix *Index) Query(q string) []QueryMatch { return ix.Snapshot().Query(q) }
-
-// QueryCtx is Query with cooperative cancellation and per-request options;
-// see View.QueryCtx.
-func (ix *Index) QueryCtx(ctx context.Context, q string, opts QueryOptions) ([]QueryMatch, error) {
-	return ix.Snapshot().QueryCtx(ctx, q, opts)
-}
-
-// QueryTopK returns the k best matches for q in the current snapshot,
-// ordered by descending similarity.
-func (ix *Index) QueryTopK(q string, k int) []QueryMatch {
-	return ix.Snapshot().QueryTopK(q, k)
-}
-
-// QueryTopKCtx is QueryTopK with cooperative cancellation and per-request
-// options; see View.QueryTopKCtx.
-func (ix *Index) QueryTopKCtx(ctx context.Context, q string, opts QueryOptions) ([]QueryMatch, error) {
-	return ix.Snapshot().QueryTopKCtx(ctx, q, opts)
-}
 
 // IndexStats describes one snapshot of a dynamic Index: catalog size and
 // tombstone counts, the delta-segment chain, the shard count, the
@@ -579,69 +541,33 @@ type View struct {
 // Stats returns the snapshot's statistics.
 func (v *View) Stats() IndexStats { return v.inner.Stats() }
 
-// Probe joins a collection of strings against the snapshot. Match.S is the
-// stable ID of the indexed record, Match.T the position in the probe
-// collection.
-func (v *View) Probe(records []string) ([]Match, Stats) {
-	pairs, jstats := v.inner.Probe(strutil.NewCollection(records))
-	return pairs, publicStats(jstats)
-}
-
-// ProbeSeq is the streaming form of Probe, under the same contract as
-// Joiner.JoinSeq: matches are yielded in completion order, a probe record's
-// as soon as the worker that filtered it has verified its candidates,
-// breaking out of the range loop stops the pipeline, and a ctx cancellation
-// or deadline surfaces as one final non-nil error.
-func (v *View) ProbeSeq(ctx context.Context, records []string) iter.Seq2[Match, error] {
-	return v.inner.ProbeSeq(ctx, strutil.NewCollection(records))
-}
-
-// Query runs the filter-and-verify pipeline for a single string and
-// returns the matching records in ascending stable-ID order. An empty (or
-// all-whitespace) query returns no matches without touching the index.
-func (v *View) Query(q string) []QueryMatch {
-	hits, _ := v.QueryCtx(context.Background(), q, QueryOptions{})
-	return hits
-}
-
-// QueryCtx is Query with cooperative cancellation and per-request overrides:
-// verification checks ctx between candidates (aborting every shard on the
-// first cancellation) and opts may raise the similarity threshold for this
-// call only; a MinSimilarity below the build-time Theta fails with ErrThetaBelowBuild.
-// opts.K is ignored — every match is returned; use QueryTopKCtx for a
-// bounded result.
-func (v *View) QueryCtx(ctx context.Context, q string, opts QueryOptions) ([]QueryMatch, error) {
-	hits, err := v.inner.ProbeRecordCtx(ctx, strutil.Tokenize(q), opts.internal())
-	if err != nil {
-		return nil, err
-	}
-	return convertHits(hits), nil
-}
-
-// QueryTopK returns the k best matches for q, ordered by descending
-// similarity (ascending ID on ties). The candidate scan is thresholded at
-// the index θ and a bounded heap keeps memory O(k) per shard; the per-shard
-// top-k streams are merged through one more k-bounded heap. k ≤ 0 and empty
-// queries return an empty slice without touching the index.
-func (v *View) QueryTopK(q string, k int) []QueryMatch {
-	hits, _ := v.QueryTopKCtx(context.Background(), q, QueryOptions{K: k})
-	return hits
-}
-
-// QueryTopKCtx is QueryTopK with cooperative cancellation and per-request
-// overrides (the result size comes from opts.K). Verification checks ctx
-// between candidates, aborting every shard on the first cancellation; opts
-// may also raise the similarity threshold (lowering it below the build-time
-// Theta fails with ErrThetaBelowBuild).
-func (v *View) QueryTopKCtx(ctx context.Context, q string, opts QueryOptions) ([]QueryMatch, error) {
-	if opts.K <= 0 {
-		return []QueryMatch{}, ctx.Err()
-	}
+// Query serves one string: it runs the filter-and-verify pipeline for q
+// against every shard and returns the matching records, ordered by
+// descending similarity with ascending ID on ties — the opts.K best when
+// opts.K > 0, every match reaching the threshold otherwise. Verification
+// checks ctx between candidates, aborting every shard on the first
+// cancellation, and opts may raise the similarity threshold for this call
+// only. opts is checked first: a MinSimilarity below the build-time Theta
+// (or negative, or NaN) fails with ErrThetaBelowBuild. An empty (or
+// all-whitespace) query then returns no matches without touching the index.
+func (v *View) Query(ctx context.Context, q string, opts QueryOptions) ([]QueryMatch, error) {
 	hits, err := v.inner.QueryTopKCtx(ctx, strutil.Tokenize(q), opts.K, opts.internal())
 	if err != nil {
 		return nil, err
 	}
 	return convertHits(hits), nil
+}
+
+// Probe joins a collection of strings against the snapshot and yields the
+// matches as a Go 1.23 range-over-func sequence, under the same contract as
+// Joiner.JoinSeq: Match.S is the stable ID of the indexed record, Match.T
+// the position in the probe collection; a probe record's matches are
+// yielded as soon as the worker that filtered it has verified its
+// candidates, in completion order (collect and sort by (S, T) for a
+// deterministic order); breaking out of the range loop stops the pipeline,
+// and a ctx cancellation or deadline surfaces as one final non-nil error.
+func (v *View) Probe(ctx context.Context, records []string) iter.Seq2[Match, error] {
+	return v.inner.ProbeSeq(ctx, strutil.NewCollection(records))
 }
 
 // convertHits maps internal query results onto the public type.
@@ -656,15 +582,14 @@ func convertHits(hits []join.QueryMatch) []QueryMatch {
 // publicStats maps the internal join statistics onto the public type.
 func publicStats(jstats join.Stats) Stats {
 	return Stats{
-		Candidates:      jstats.Candidates,
-		ShardCandidates: jstats.ShardCandidates,
-		Results:         jstats.Results,
-		FilterPostings:  jstats.ProcessedPairs,
-		BitsetTokens:    jstats.BitsetTokens,
-		SliceTokens:     jstats.SliceTokens,
-		VerifyStats:     jstats.VerifyStats,
-		Tau:             jstats.Tau,
-		FilterTime:      jstats.SignatureTime + jstats.FilterTime,
-		VerifyTime:      jstats.VerifyTime,
+		Candidates:     jstats.Candidates,
+		Results:        jstats.Results,
+		FilterPostings: jstats.ProcessedPairs,
+		BitsetTokens:   jstats.BitsetTokens,
+		SliceTokens:    jstats.SliceTokens,
+		VerifyStats:    jstats.VerifyStats,
+		Tau:            jstats.Tau,
+		FilterTime:     jstats.SignatureTime + jstats.FilterTime,
+		VerifyTime:     jstats.VerifyTime,
 	}
 }

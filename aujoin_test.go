@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"github.com/aujoin/aujoin/internal/strutil"
 )
 
 func paperJoiner(t *testing.T) *Joiner {
@@ -80,9 +83,10 @@ func TestIndexProbeAndQuery(t *testing.T) {
 	ix := j.Index(catalog, JoinOptions{Theta: 0.75, Tau: 2, Filter: AUFilterDP})
 
 	// Probing the prebuilt index must agree with the one-shot join.
+	v := ix.Snapshot()
 	batch := []string{"espresso cafe Helsinki", "cake gateau bakery"}
 	want, _ := j.Join(catalog, batch, JoinOptions{Theta: 0.75, Tau: 2, Filter: AUFilterDP})
-	got, stats := ix.Probe(batch)
+	got := collectProbe(t, v, batch)
 	if len(got) != len(want) {
 		t.Fatalf("Probe = %v, want %v", got, want)
 	}
@@ -91,15 +95,12 @@ func TestIndexProbeAndQuery(t *testing.T) {
 			t.Errorf("Probe[%d] = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if stats.Results != len(got) {
-		t.Errorf("stats.Results = %d, want %d", stats.Results, len(got))
-	}
 
-	// A second probe reuses the index; a fresh query serves single lookups.
-	if again, _ := ix.Probe(batch); len(again) != len(got) {
+	// A second probe reuses the index; a query serves single lookups.
+	if again := collectProbe(t, v, batch); len(again) != len(got) {
 		t.Error("repeated probe differs")
 	}
-	hits := ix.Query("espresso cafe Helsinki")
+	hits := query(t, v, "espresso cafe Helsinki", QueryOptions{})
 	found := false
 	for _, h := range hits {
 		if h.Record == 0 && h.Similarity >= 0.75 {
@@ -109,7 +110,7 @@ func TestIndexProbeAndQuery(t *testing.T) {
 	if !found {
 		t.Errorf("Query missed the POI record: %v", hits)
 	}
-	if hits := ix.Query("zzz qqq"); len(hits) != 0 {
+	if hits := query(t, v, "zzz qqq", QueryOptions{}); len(hits) != 0 {
 		t.Errorf("unrelated query returned %v", hits)
 	}
 }
@@ -126,12 +127,13 @@ func TestIndexInsertRemoveSnapshot(t *testing.T) {
 	}
 
 	// The pre-insert snapshot must not see the new record; a fresh one must.
-	for _, h := range before.Query("espresso cafe Helsinki central") {
+	const q = "espresso cafe Helsinki central"
+	for _, h := range query(t, before, q, QueryOptions{}) {
 		if h.Record == 3 {
 			t.Errorf("stale snapshot sees the inserted record: %v", h)
 		}
 	}
-	hits := ix.Query("espresso cafe Helsinki central")
+	hits := query(t, ix.Snapshot(), q, QueryOptions{})
 	found := false
 	for _, h := range hits {
 		if h.Record == 3 && h.Similarity > 0.99 {
@@ -142,10 +144,10 @@ func TestIndexInsertRemoveSnapshot(t *testing.T) {
 		t.Fatalf("query after insert missed the new record: %v", hits)
 	}
 
-	// QueryTopK ranks the exact match first.
-	top := ix.QueryTopK("espresso cafe Helsinki central", 1)
+	// A bounded query ranks the exact match first.
+	top := query(t, ix.Snapshot(), q, QueryOptions{K: 1})
 	if len(top) != 1 || top[0].Record != 3 {
-		t.Fatalf("QueryTopK = %v, want the inserted record first", top)
+		t.Fatalf("Query(K=1) = %v, want the inserted record first", top)
 	}
 
 	// Removing tombstones the record for new snapshots only.
@@ -157,7 +159,7 @@ func TestIndexInsertRemoveSnapshot(t *testing.T) {
 		t.Fatal("Remove(3) succeeded twice")
 	}
 	midSees := false
-	for _, h := range mid.Query("espresso cafe Helsinki central") {
+	for _, h := range query(t, mid, q, QueryOptions{}) {
 		if h.Record == 3 {
 			midSees = true
 		}
@@ -165,7 +167,7 @@ func TestIndexInsertRemoveSnapshot(t *testing.T) {
 	if !midSees {
 		t.Error("pre-remove snapshot lost the record")
 	}
-	for _, h := range ix.Query("espresso cafe Helsinki central") {
+	for _, h := range query(t, ix.Snapshot(), q, QueryOptions{}) {
 		if h.Record == 3 {
 			t.Error("removed record still served")
 		}
@@ -268,12 +270,9 @@ func TestJoinOptionsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, built := ix.Probe(recs)
-	_, reread := restored.Probe(recs)
 	_, oneShot := j.Join(recs, recs, opts)
 	_, self := j.SelfJoin(recs, opts)
 	for name, got := range map[string]int{
-		"built Probe": built.Tau, "restored Probe": reread.Tau,
 		"Join": oneShot.Tau, "SelfJoin": self.Tau,
 		"built IndexStats": ix.Stats().Tau, "restored IndexStats": restored.Stats().Tau,
 	} {
@@ -283,10 +282,12 @@ func TestJoinOptionsDefaults(t *testing.T) {
 	}
 }
 
-// TestIndexShardedMatchesSingle pins the public shard-count invariance: an
-// index partitioned across several shards must serve exactly what the
-// one-shard index serves, through Probe, Query and QueryTopK,
-// before and after batched mutations.
+// TestIndexShardedMatchesSingle pins the public shard-count invariance and
+// Query's one order, before and after batched mutations: an index partitioned
+// across three shards serves exactly what the one-shard index serves through
+// Probe and Query; on both, Query at K ≤ 0, sorted by ID, equals BruteForce
+// over the live catalog, and Query at K = k is the first k entries of Query
+// at K ≤ 0.
 func TestIndexShardedMatchesSingle(t *testing.T) {
 	j := paperJoiner(t)
 	catalog := []string{
@@ -307,69 +308,51 @@ func TestIndexShardedMatchesSingle(t *testing.T) {
 			t.Fatalf("RemoveBatch = %v, want %v", removed, want)
 		}
 	}
-	mutate(single)
-	mutate(sharded)
-
 	batch := []string{"espresso cafe Helsinki", "cake gateau bakery", "coffee shop latte"}
-	wantPairs, _ := single.Probe(batch)
-	gotPairs, stats := sharded.Probe(batch)
-	if len(gotPairs) != len(wantPairs) {
-		t.Fatalf("sharded Probe = %v, want %v", gotPairs, wantPairs)
-	}
-	for i := range gotPairs {
-		if gotPairs[i] != wantPairs[i] {
-			t.Fatalf("sharded Probe[%d] = %+v, want %+v", i, gotPairs[i], wantPairs[i])
+	check := func(stage string) {
+		t.Helper()
+		ref, part := single.Snapshot(), sharded.Snapshot()
+		if got, want := collectProbe(t, part, batch), collectProbe(t, ref, batch); !equalMatches(got, want) {
+			t.Fatalf("%s: sharded Probe = %v, want %v", stage, got, want)
 		}
-	}
-	if stats.Results != len(gotPairs) {
-		t.Errorf("stats.Results = %d, want %d", stats.Results, len(gotPairs))
-	}
-	for _, q := range append(batch, "zzz qqq") {
-		wantQ := single.Query(q)
-		gotQ := sharded.Query(q)
-		if len(gotQ) != len(wantQ) {
-			t.Fatalf("sharded Query(%q) = %v, want %v", q, gotQ, wantQ)
-		}
-		for i := range gotQ {
-			if gotQ[i] != wantQ[i] {
-				t.Fatalf("sharded Query(%q)[%d] = %+v, want %+v", q, i, gotQ[i], wantQ[i])
+		live, matched := ref.inner.Live(), 0
+		for _, q := range append(batch, "zzz qqq") {
+			var oracle []QueryMatch
+			for _, p := range j.joiner.BruteForce(live, strutil.NewCollection([]string{q}), opts.Theta, nil) {
+				oracle = append(oracle, QueryMatch{Record: p.S, Similarity: p.Similarity})
 			}
-		}
-		for _, k := range []int{1, 2, 10} {
-			wantK := single.QueryTopK(q, k)
-			gotK := sharded.QueryTopK(q, k)
-			if len(gotK) != len(wantK) {
-				t.Fatalf("sharded QueryTopK(%q, %d) = %v, want %v", q, k, gotK, wantK)
-			}
-			for i := range gotK {
-				if gotK[i] != wantK[i] {
-					t.Fatalf("sharded QueryTopK(%q, %d)[%d] = %+v, want %+v", q, k, i, gotK[i], wantK[i])
+			matched += len(oracle)
+			all := query(t, ref, q, QueryOptions{})
+			for name, v := range map[string]*View{"single": ref, "sharded": part} {
+				for _, k := range []int{0, -1} {
+					if got := query(t, v, q, QueryOptions{K: k}); !reflect.DeepEqual(got, all) {
+						t.Fatalf("%s: %s Query(%q, K=%d) = %v, want %v", stage, name, q, k, got, all)
+					}
+				}
+				for _, k := range []int{1, 3} {
+					if got, want := query(t, v, q, QueryOptions{K: k}), all[:min(k, len(all))]; !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: %s Query(%q, K=%d) = %v, want %v", stage, name, q, k, got, want)
+					}
 				}
 			}
+			byID := slices.Clone(all)
+			sort.Slice(byID, func(a, b int) bool { return byID[a].Record < byID[b].Record })
+			if len(byID) != len(oracle) || (len(oracle) > 0 && !reflect.DeepEqual(byID, oracle)) {
+				t.Fatalf("%s: Query(%q) by ID = %v, BruteForce %v", stage, q, byID, oracle)
+			}
+		}
+		if matched == 0 {
+			t.Fatalf("%s: BruteForce finds no match; the comparison would be vacuous", stage)
 		}
 	}
+	check("built")
+	mutate(single)
+	mutate(sharded)
+	check("mutated")
 
 	// The shared prepared cache across shards surfaces its counters.
 	if st := sharded.Stats(); st.CacheMisses == 0 {
 		t.Errorf("expected cache misses after inserts: %+v", st)
-	}
-}
-
-// TestQueryTopKDegenerateK pins the k ≤ 0 guard at the public API: an empty
-// slice, no panic, on both sharded and single indexes.
-func TestQueryTopKDegenerateK(t *testing.T) {
-	j := paperJoiner(t)
-	catalog := []string{"coffee shop latte Helsingki", "apple cake bakery"}
-	for _, shards := range []int{1, 2} {
-		ix := j.IndexWith(catalog, JoinOptions{Theta: 0.75, Tau: 2}, IndexOptions{Shards: shards})
-		for _, k := range []int{0, -1, -100} {
-			if got := ix.QueryTopK("coffee shop latte", k); len(got) != 0 {
-				t.Errorf("shards=%d QueryTopK(k=%d) = %v, want empty", shards, k, got)
-			}
-			if got := ix.Snapshot().QueryTopK("coffee shop latte", k); len(got) != 0 {
-				t.Errorf("shards=%d View.QueryTopK(k=%d) = %v, want empty", shards, k, got)
-			}
-		}
 	}
 }
 
@@ -420,5 +403,35 @@ func TestIndexStatsWireShape(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("/stats keys changed:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestPublicMethodSets pins the exported methods of *View and *Index, so the
+// read surface cannot grow back silently: a View reads one way per shape of
+// answer (Query for one string, Probe for a collection, Stats), and an Index
+// reads only through Snapshot and Stats beside its writes, persistence and
+// cluster hooks.
+func TestPublicMethodSets(t *testing.T) {
+	methods := func(v any) []string {
+		typ := reflect.TypeOf(v)
+		out := make([]string, typ.NumMethod())
+		for i := range out {
+			out[i] = typ.Method(i).Name
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []string
+	}{
+		{"*View", methods((*View)(nil)), []string{"Probe", "Query", "Stats"}},
+		{"*Index", methods((*Index)(nil)), []string{
+			"AdoptOrder", "DisableAutoRefreeze", "Insert", "InsertWithIDs", "KeyFrequencies",
+			"Remove", "RemoveBatch", "Snapshot", "Stats", "WriteSnapshot",
+		}},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s exports %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }

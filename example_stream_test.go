@@ -47,31 +47,81 @@ func ExampleJoiner_JoinSeq() {
 	// "coffee shop latte Helsingki" ~ "espresso cafe Helsinki"
 }
 
-// ExampleIndex_QueryCtx serves one lookup under a request deadline with
-// per-request options: the similarity threshold is raised for this call
-// only, without rebuilding the index.
-func ExampleIndex_QueryCtx() {
+// ExampleView_Query serves lookups from a snapshot under a request deadline.
+// The zero QueryOptions return every match reaching the build-time θ, best
+// first; K bounds the answer to the best K, and MinSimilarity raises the
+// threshold for one request without rebuilding the index.
+func ExampleView_Query() {
 	j := aujoin.New(aujoin.WithSynonym("st", "street", 1.0))
 	ix := j.Index([]string{
 		"espresso bar mannerheim street",
 		"espresso bar mannerheim st",
+		"espresso bar mannerheim",
 		"apple cake bakery",
 	}, aujoin.JoinOptions{Theta: 0.6, Tau: 1})
+	view := ix.Snapshot()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 
-	matches, err := ix.QueryCtx(ctx, "espresso bar mannerheim street", aujoin.QueryOptions{
-		MinSimilarity: 0.95, // stricter than the build-time θ, for this request only
-	})
-	if err != nil {
-		fmt.Println("query aborted:", err)
-		return
-	}
-	for _, m := range matches {
-		fmt.Printf("record %d (similarity %.2f)\n", m.Record, m.Similarity)
+	for _, opts := range []aujoin.QueryOptions{
+		{},                    // every match reaching θ = 0.6, best first
+		{K: 1},                // the best match only (ties go to the lower ID)
+		{MinSimilarity: 0.95}, // stricter than θ, for this request only
+	} {
+		matches, err := view.Query(ctx, "espresso bar mannerheim street", opts)
+		if err != nil {
+			fmt.Println("query aborted:", err)
+			return
+		}
+		fmt.Printf("%+v:", opts)
+		for _, m := range matches {
+			fmt.Printf(" record %d (%.2f)", m.Record, m.Similarity)
+		}
+		fmt.Println()
 	}
 	// Output:
-	// record 0 (similarity 1.00)
-	// record 1 (similarity 1.00)
+	// {MinSimilarity:0 K:0}: record 0 (1.00) record 1 (1.00) record 2 (0.75)
+	// {MinSimilarity:0 K:1}: record 0 (1.00)
+	// {MinSimilarity:0.95 K:0}: record 0 (1.00) record 1 (1.00)
+}
+
+// ExampleView_Probe joins a batch against a snapshot as a stream: a probe
+// record's matches are yielded as soon as the worker that filtered it has
+// verified its candidates, and the context bounds the whole pipeline.
+func ExampleView_Probe() {
+	j := aujoin.New(
+		aujoin.WithSynonym("coffee shop", "cafe", 1.0),
+		aujoin.WithSynonym("cake", "gateau", 1.0),
+		aujoin.WithTaxonomyPath("wikipedia", "food", "coffee", "coffee drinks", "espresso"),
+		aujoin.WithTaxonomyPath("wikipedia", "food", "coffee", "coffee drinks", "latte"),
+	)
+	catalog := []string{"coffee shop latte Helsingki", "apple cake bakery"}
+	ix := j.Index(catalog, aujoin.JoinOptions{Theta: 0.75, Tau: 2})
+	batch := []string{"espresso cafe Helsinki", "apple gateau bakery", "unrelated"}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	var matches []aujoin.Match
+	for m, err := range ix.Snapshot().Probe(ctx, batch) {
+		if err != nil {
+			fmt.Println("probe aborted:", err) // deadline or cancellation
+			return
+		}
+		matches = append(matches, m)
+	}
+	// The stream yields in completion order; sort by (S, T) for a fixed one.
+	sort.Slice(matches, func(a, b int) bool {
+		if matches[a].S != matches[b].S {
+			return matches[a].S < matches[b].S
+		}
+		return matches[a].T < matches[b].T
+	})
+	for _, m := range matches {
+		fmt.Printf("%q ~ %q (%.2f)\n", catalog[m.S], batch[m.T], m.Similarity)
+	}
+	// Output:
+	// "coffee shop latte Helsingki" ~ "espresso cafe Helsinki" (0.82)
+	// "apple cake bakery" ~ "apple gateau bakery" (1.00)
 }

@@ -40,11 +40,14 @@ func main() {
 	}
 	ix := j.Index(catalog, aujoin.JoinOptions{Theta: 0.75, Tau: 2, Filter: aujoin.AUFilterDP})
 
+	// Every read goes through a snapshot: an immutable view of the catalog.
 	// Single-string lookups run under a per-request deadline; QueryOptions
-	// can tighten the threshold per call without rebuilding the index.
+	// can tighten the threshold or bound the result per call without
+	// rebuilding the index (the zero value returns every match, best first).
+	view := ix.Snapshot()
 	for _, q := range []string{"espresso cafe Helsinki", "latte bar mannerheim st", "apple pie"} {
 		ctx, cancel := context.WithTimeout(context.Background(), *deadline)
-		hits, err := ix.QueryCtx(ctx, q, aujoin.QueryOptions{})
+		hits, err := view.Query(ctx, q, aujoin.QueryOptions{})
 		cancel()
 		if err != nil {
 			fmt.Printf("query %q aborted: %v\n", q, err)
@@ -62,7 +65,7 @@ func main() {
 	batch := []string{"espresso cafe Helsinki", "cake gateau bakery"}
 	ctx, cancel := context.WithTimeout(context.Background(), *deadline)
 	streamed := 0
-	for m, err := range ix.ProbeSeq(ctx, batch) {
+	for m, err := range view.Probe(ctx, batch) {
 		if err != nil {
 			fmt.Printf("probe aborted after %d matches: %v\n", streamed, err)
 			break
@@ -78,7 +81,7 @@ func main() {
 	ids := ix.Insert([]string{"espresso coffee shop helsinki"})
 	fmt.Printf("inserted record id %d\n", ids[0])
 	ctx, cancel = context.WithTimeout(context.Background(), *deadline)
-	top, err := ix.QueryTopKCtx(ctx, "espresso cafe helsinki", aujoin.QueryOptions{K: 2})
+	top, err := ix.Snapshot().Query(ctx, "espresso cafe helsinki", aujoin.QueryOptions{K: 2})
 	cancel()
 	if err != nil {
 		fmt.Printf("top-k aborted: %v\n", err)
@@ -88,9 +91,12 @@ func main() {
 	}
 	afterInsert := ix.Snapshot()
 	ix.Remove(ids[0])
+	hits := func(v *aujoin.View) int {
+		ms, _ := v.Query(context.Background(), "espresso coffee shop helsinki", aujoin.QueryOptions{})
+		return len(ms)
+	}
 	fmt.Printf("after remove: %d hits current, %d hits on the pre-remove snapshot\n",
-		len(ix.Query("espresso coffee shop helsinki")),
-		len(afterInsert.Query("espresso coffee shop helsinki")))
+		hits(ix.Snapshot()), hits(afterInsert))
 	st := ix.Stats()
 	fmt.Printf("index stats: %d live, %d inserted over lifetime, %d rebuilds\n",
 		st.Live, st.Inserts, st.Rebuilds)

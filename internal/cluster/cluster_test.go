@@ -247,15 +247,40 @@ var equivalenceQueries = []string{
 	"zz unrelated tokens qq",
 }
 
+// refTopK is the single-node reference's top-k answer: Query at K = k on a
+// fresh View.
+func refTopK(t *testing.T, ix *aujoin.Index, q string, k int) []aujoin.QueryMatch {
+	t.Helper()
+	matches, err := ix.Snapshot().Query(context.Background(), q, aujoin.QueryOptions{K: k})
+	if err != nil {
+		t.Fatalf("reference Query(%q, K=%d): %v", q, k, err)
+	}
+	return matches
+}
+
+// refProbe is the single-node reference's probe answer: a fresh View's Probe
+// stream, collected in the order it arrives (the callers compare sets).
+func refProbe(t *testing.T, ix *aujoin.Index, records []string) []aujoin.Match {
+	t.Helper()
+	var out []aujoin.Match
+	for m, err := range ix.Snapshot().Probe(context.Background(), records) {
+		if err != nil {
+			t.Fatalf("reference Probe: %v", err)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
 // checkEquivalence asserts the cluster's answers are bit-identical to the
-// single-node reference index: QueryTopK at small and large k (values AND
+// single-node reference index: top-k queries at small and large k (values AND
 // order), and the probe match set.
 func checkEquivalence(t *testing.T, tc *testCluster, ref *aujoin.Index, probes []string, stage string) {
 	t.Helper()
 	for _, q := range equivalenceQueries {
 		for _, k := range []int{10, 500} {
 			got := tc.topK(t, q, k)
-			want := ref.QueryTopK(q, k)
+			want := refTopK(t, ref, q, k)
 			if len(got) != len(want) {
 				t.Fatalf("%s: query %q k=%d: cluster %d matches, single-node %d", stage, q, k, len(got), len(want))
 			}
@@ -268,7 +293,7 @@ func checkEquivalence(t *testing.T, tc *testCluster, ref *aujoin.Index, probes [
 		}
 	}
 	got := tc.probe(t, probes)
-	want, _ := ref.Probe(probes)
+	want := refProbe(t, ref, probes)
 	if len(got) != len(want) {
 		t.Fatalf("%s: probe: cluster %d matches, single-node %d", stage, len(got), len(want))
 	}
@@ -284,7 +309,7 @@ func checkEquivalence(t *testing.T, tc *testCluster, ref *aujoin.Index, probes [
 }
 
 // TestClusterEquivalence is the cluster's ground truth: a 3-worker cluster
-// with 2-way replication must return bit-identical Query/QueryTopK/Probe
+// with 2-way replication must return bit-identical top-k and probe
 // results to a single-node index over the same catalog — after seeding,
 // after an identical mutation sequence, after a coordinator-driven global
 // re-finalize (epoch bump), after killing one worker mid-workload, and
@@ -784,7 +809,7 @@ func TestProbeForwardsRawRecords(t *testing.T) {
 		t.Fatalf("NewStrict: %v", err)
 	}
 	ref := j.IndexWith(catalog, aujoin.JoinOptions{Theta: 0.7, Tau: 2, Filter: aujoin.AUFilterDP}, aujoin.IndexOptions{Shards: 1})
-	want, _ := ref.Probe(probes)
+	want := refProbe(t, ref, probes)
 	if len(want) == 0 {
 		t.Fatal("the single node finds no match; the comparison would be vacuous")
 	}

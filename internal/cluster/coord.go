@@ -650,7 +650,7 @@ func (c *Coordinator) topK(ctx context.Context, q string, opts aujoin.QueryOptio
 
 // mergeTopK folds per-group top-k lists into the global top k under the
 // engine's total order: similarity descending, stable ID ascending on ties
-// — exactly the order a single-node QueryTopK returns, which is what makes
+// — exactly the order a single-node View.Query returns, which is what makes
 // cluster answers bit-identical. Sound because each group's top k contains
 // every group-local record that can reach the global top k.
 func mergeTopK(parts [][]aujoin.QueryMatch, k int) []aujoin.QueryMatch {

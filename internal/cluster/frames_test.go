@@ -239,7 +239,7 @@ func TestHedgeLoserKeepsConnection(t *testing.T) {
 	ref := j.IndexWith(catalog, aujoin.JoinOptions{Theta: 0.8, Tau: 2, Filter: aujoin.AUFilterDP}, aujoin.IndexOptions{Shards: 1})
 	for round := 0; round < 3; round++ {
 		for _, q := range equivalenceQueries {
-			if got, want := tc.topK(t, q, 10), ref.QueryTopK(q, 10); fmt.Sprint(got) != fmt.Sprint(want) {
+			if got, want := tc.topK(t, q, 10), refTopK(t, ref, q, 10); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("query %q:\n got %v\nwant %v", q, got, want)
 			}
 			deadline := time.Now().Add(10 * time.Second)
@@ -301,7 +301,7 @@ func TestPooledFrameConnClosedByWorker(t *testing.T) {
 	query := func(stage string) {
 		t.Helper()
 		for _, q := range equivalenceQueries {
-			if got, want := tc.topK(t, q, 10), ref.QueryTopK(q, 10); fmt.Sprint(got) != fmt.Sprint(want) {
+			if got, want := tc.topK(t, q, 10), refTopK(t, ref, q, 10); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("%s: query %q:\n got %v\nwant %v", stage, q, got, want)
 			}
 		}
@@ -357,7 +357,7 @@ func TestProbeStreamOutlivesWriteTimeout(t *testing.T) {
 		if d := time.Since(start); d < writeTimeout {
 			t.Fatalf("the probe took %v, inside the %v write timeout; nothing was tested", d, writeTimeout)
 		}
-		want, _ := ref.Probe(probes)
+		want := refProbe(t, ref, probes)
 		if len(want) == 0 || len(got) != len(want) {
 			t.Fatalf("round %d: cluster %d matches, single-node %d", round, len(got), len(want))
 		}

@@ -92,7 +92,7 @@ type Backend struct {
 }
 
 func (b *Backend) topK(ctx context.Context, q string, opts aujoin.QueryOptions) ([]aujoin.QueryMatch, error) {
-	matches, err := b.IX.QueryTopKCtx(ctx, q, opts)
+	matches, err := b.IX.Snapshot().Query(ctx, q, opts)
 	if errors.Is(err, aujoin.ErrThetaBelowBuild) {
 		return nil, thetaBelowBuild(b.IX.Stats().Theta)
 	}
@@ -100,7 +100,7 @@ func (b *Backend) topK(ctx context.Context, q string, opts aujoin.QueryOptions) 
 }
 
 func (b *Backend) probe(ctx context.Context, records []string, emit func(ProbeMatch) error) error {
-	for m, err := range b.IX.ProbeSeq(ctx, records) {
+	for m, err := range b.IX.Snapshot().Probe(ctx, records) {
 		if err != nil {
 			return err
 		}

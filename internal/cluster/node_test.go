@@ -85,13 +85,13 @@ func TestHandleQueryStreamsNDJSON(t *testing.T) {
 			t.Errorf("k=%d: Content-Length %q for a %d-byte body", k, cl, rec.Body.Len())
 		}
 		var want strings.Builder
-		for _, m := range n.ix().QueryTopK(q, k) {
+		for _, m := range refTopK(t, n.ix(), q, k) {
 			line, _ := json.Marshal(m)
 			want.Write(line)
 			want.WriteByte('\n')
 		}
 		if got := rec.Body.String(); got != want.String() || got == "" {
-			t.Errorf("k=%d: body\n%s\nwant one line a match of QueryTopK:\n%s", k, got, want.String())
+			t.Errorf("k=%d: body\n%s\nwant one line a match of Query:\n%s", k, got, want.String())
 		}
 	}
 	req := httptest.NewRequest(http.MethodGet, "/query?q=espresso+cafe+helsinki+city+center+north&k=5", nil)
@@ -234,7 +234,7 @@ func TestHandleQueryNotReady(t *testing.T) {
 }
 
 // TestHandleProbeStreamsNDJSON pins the /probe contract: every confirmed
-// match arrives as an NDJSON line and the set equals the batch Probe result.
+// match arrives as an NDJSON line and the set equals the View.Probe result.
 func TestHandleProbeStreamsNDJSON(t *testing.T) {
 	n := testNode(t, 45)
 	probe := denseCatalog(10, 2)
@@ -246,9 +246,9 @@ func TestHandleProbeStreamsNDJSON(t *testing.T) {
 		t.Fatalf("status %d, body %q", rec.Code, rec.Body.String())
 	}
 	got := decodeLines[ProbeMatch](t, rec.Body.String())
-	want, _ := n.ix().Probe(probe)
+	want := refProbe(t, n.ix(), probe)
 	if len(got) != len(want) {
-		t.Fatalf("streamed %d matches, batch Probe returns %d", len(got), len(want))
+		t.Fatalf("streamed %d matches, View.Probe yields %d", len(got), len(want))
 	}
 	seen := make(map[ProbeMatch]bool, len(got))
 	for _, m := range got {
@@ -291,7 +291,7 @@ func TestHandleProbeAbortsOnClientDisconnect(t *testing.T) {
 
 	// Baseline: the full probe, timed, so the aborted run has a yardstick.
 	start := time.Now()
-	full, _ := n.ix().Probe(probe)
+	full := refProbe(t, n.ix(), probe)
 	fullTime := time.Since(start)
 	if len(full) < 10000 {
 		t.Fatalf("workload too small: %d matches", len(full))

@@ -197,7 +197,7 @@ func TestProbeRestampsStaleEpoch(t *testing.T) {
 			t.Errorf("worker %s is %q after answering a stale stamp with 409; a restamped retry should have kept it ready", addr, state)
 		}
 	}
-	if want, _ := ref.Probe(probes); len(got) != len(want) {
+	if want := refProbe(t, ref, probes); len(got) != len(want) {
 		t.Errorf("probe through the retry: %d matches, single-node %d", len(got), len(want))
 	}
 }
@@ -255,7 +255,7 @@ func TestHedgeAroundStalledReplica(t *testing.T) {
 				}
 				resp.Body.Close()
 				cancel()
-				if want := ref.QueryTopK(q, k); resp.StatusCode != http.StatusOK || fmt.Sprint(got) != fmt.Sprint(want) {
+				if want := refTopK(t, ref, q, k); resp.StatusCode != http.StatusOK || fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("query %q k=%d: status %d\n got %v\nwant %v", q, k, resp.StatusCode, got, want)
 				}
 			}

@@ -239,7 +239,7 @@ func BenchmarkJoinBuild(b *testing.B) {
 
 // queryBench measures single-record serving against a resident index of the
 // given shard count: signature, per-shard count filters, query
-// preparation and thresholded verification per ProbeRecordCtx call.
+// preparation and thresholded verification per QueryTopKCtx call at k ≤ 0.
 func queryBench(b *testing.B, shards int) {
 	j := NewJoiner(paperContext())
 	s := benchCorpus(400, 1)
@@ -249,7 +249,7 @@ func queryBench(b *testing.B, shards int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		probeRecord(b, v, probe[i%len(probe)].Tokens)
+		queryTopK(b, v, probe[i%len(probe)].Tokens, 0)
 	}
 }
 

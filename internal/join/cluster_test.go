@@ -48,7 +48,7 @@ func TestAdoptOrderInternsMissingKeys(t *testing.T) {
 		}
 		var got []Pair
 		for _, p := range probes {
-			ms, err := sx.Snapshot().ProbeRecordCtx(context.Background(), p.Tokens, QueryOpts{})
+			ms, err := probeByID(context.Background(), sx.Snapshot(), p.Tokens, QueryOpts{})
 			if err != nil {
 				t.Fatalf("shards=%d: probe %q: %v", shards, p.Raw, err)
 			}

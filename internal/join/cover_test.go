@@ -143,7 +143,7 @@ func flaggedServedExactly(t *testing.T, j *Joiner, recs, queries []strutil.Recor
 			}
 		}
 		if pr := probeRecord(t, v, q.Tokens); !reflect.DeepEqual(pr, rows) {
-			t.Fatalf("θ=%v: ProbeRecordCtx(%q) = %v, want %v", theta, q.Raw, pr, rows)
+			t.Fatalf("θ=%v: probeByID(%q) = %v, want %v", theta, q.Raw, pr, rows)
 		}
 		top := queryTopK(t, v, q.Tokens, len(recs)+1)
 		sort.Slice(top, func(a, b int) bool { return top[a].Record < top[b].Record })

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -29,14 +30,23 @@ func rawCorpus(n int, rng *rand.Rand) []string {
 	return out
 }
 
-// probeRecord and queryTopK are the context-free forms of the router's two
-// query entry points, for tests that exercise neither cancellation nor
-// per-request options.
+// probeByID is the threshold read the tests compare against sorted batch
+// rows and brute force: every match reaching θ (QueryTopKCtx at k ≤ 0),
+// re-sorted from rank order into ascending stable-ID order.
+func probeByID(ctx context.Context, sv *ShardedView, tokens []string, qo QueryOpts) ([]QueryMatch, error) {
+	out, err := sv.QueryTopKCtx(ctx, tokens, 0, qo)
+	sort.Slice(out, func(a, b int) bool { return out[a].Record < out[b].Record })
+	return out, err
+}
+
+// probeRecord and queryTopK are the context-free forms of probeByID and
+// QueryTopKCtx, for tests that exercise neither cancellation nor per-request
+// options.
 func probeRecord(t testing.TB, sv *ShardedView, tokens []string) []QueryMatch {
 	t.Helper()
-	out, err := sv.ProbeRecordCtx(context.Background(), tokens, QueryOpts{})
+	out, err := probeByID(context.Background(), sv, tokens, QueryOpts{})
 	if err != nil {
-		t.Fatalf("ProbeRecordCtx: %v", err)
+		t.Fatalf("probeByID: %v", err)
 	}
 	return out
 }
@@ -102,11 +112,11 @@ func TestDynamicIndexMutationMatchesBruteForce(t *testing.T) {
 						t.Fatalf("%s %s: Live = %d, want %d", name, step, lv, len(live))
 					}
 					// Single-record serving must agree with the batch probe:
-					// ProbeRecordCtx(q) is exactly the rows of Probe with T = q.
+					// the threshold read of q is exactly the rows of Probe with T = q.
 					for qi := 0; qi < 3; qi++ {
 						want := rowsOf(got, probe[qi].ID)
 						if qr := probeRecord(t, v, probe[qi].Tokens); !reflect.DeepEqual(qr, want) {
-							t.Fatalf("%s %s: ProbeRecordCtx(%q) = %v, want %v", name, step, probe[qi].Raw, qr, want)
+							t.Fatalf("%s %s: probeByID(%q) = %v, want %v", name, step, probe[qi].Raw, qr, want)
 						}
 					}
 				}
@@ -139,10 +149,10 @@ func TestDynamicIndexMutationMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestDynamicIndexQueryTopK pins QueryTopKCtx against ProbeRecordCtx: the
-// top-k result must be the k highest-similarity entries of the full
-// thresholded result, ordered by descending similarity with ascending-ID
-// ties.
+// TestDynamicIndexQueryTopK pins QueryTopKCtx at k > 0 against the same call
+// at k ≤ 0: the top-k result must be the k highest-similarity entries of the
+// full thresholded result, ordered by descending similarity with ascending-ID
+// ties, and k ≤ 0 must be that full result in that order.
 func TestDynamicIndexQueryTopK(t *testing.T) {
 	for _, shards := range gridShards {
 		rng := rand.New(rand.NewSource(13))
@@ -156,9 +166,12 @@ func TestDynamicIndexQueryTopK(t *testing.T) {
 		for _, q := range rawCorpus(20, rng) {
 			tokens := strutil.Tokenize(q)
 			full := bestFirst(probeRecord(t, v, tokens))
-			for _, k := range []int{0, 1, 3, len(full), len(full) + 5} {
+			for _, k := range []int{-1, 0, 1, 3, len(full), len(full) + 5} {
 				got := queryTopK(t, v, tokens, k)
-				want := full[:min(k, len(full))]
+				want := full
+				if k > 0 {
+					want = full[:min(k, len(full))]
+				}
 				if len(got) == 0 && len(want) == 0 {
 					continue
 				}
@@ -235,7 +248,7 @@ func testConcurrentMutateQuery(t *testing.T, shards int) {
 				tokens := strutil.Tokenize(queries[(i+r)%len(queries)])
 				switch i % 3 {
 				case 0:
-					v.ProbeRecordCtx(context.Background(), tokens, QueryOpts{})
+					probeByID(context.Background(), v, tokens, QueryOpts{})
 				case 1:
 					v.QueryTopKCtx(context.Background(), tokens, 5, QueryOpts{})
 				default:

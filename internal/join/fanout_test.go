@@ -30,8 +30,8 @@ func TestFanoutReturnsCallerContextError(t *testing.T) {
 		if _, err := sv.QueryTopKCtx(ctx, q, 10, QueryOpts{}); err != ctx.Err() {
 			t.Errorf("top-k under %v: error %v, want it bare", ctx.Err(), err)
 		}
-		if _, err := sv.ProbeRecordCtx(ctx, q, QueryOpts{}); err != ctx.Err() {
-			t.Errorf("probe under %v: error %v, want it bare", ctx.Err(), err)
+		if _, err := sv.QueryTopKCtx(ctx, q, 0, QueryOpts{}); err != ctx.Err() {
+			t.Errorf("threshold query under %v: error %v, want it bare", ctx.Err(), err)
 		}
 	}
 	checkGoroutines(t)
@@ -40,8 +40,8 @@ func TestFanoutReturnsCallerContextError(t *testing.T) {
 	if err != nil || len(matches) == 0 {
 		t.Fatalf("completed top-k: %d matches, error %v; want the record itself and no error", len(matches), err)
 	}
-	if _, err := sv.ProbeRecordCtx(context.Background(), q, QueryOpts{}); err != nil {
-		t.Fatalf("completed probe: error %v", err)
+	if _, err := sv.QueryTopKCtx(context.Background(), q, 0, QueryOpts{}); err != nil {
+		t.Fatalf("completed threshold query: error %v", err)
 	}
 }
 
@@ -65,12 +65,12 @@ func TestQueryAllocsPinned(t *testing.T) {
 			i++
 		})
 		rec := testing.AllocsPerRun(10*len(probe), func() {
-			sx.Snapshot().ProbeRecordCtx(ctx, probe[i%len(probe)].Tokens, qo)
+			sx.Snapshot().QueryTopKCtx(ctx, probe[i%len(probe)].Tokens, 0, qo)
 			i++
 		})
-		t.Logf("shards=%d: %.0f allocs per top-k query, %.0f per probe", pin.shards, topK, rec)
+		t.Logf("shards=%d: %.0f allocs per top-k query, %.0f per threshold query", pin.shards, topK, rec)
 		if topK > float64(pin.topK) || rec > float64(pin.probe) {
-			t.Errorf("shards=%d: allocs per query top-k %.0f (ceiling %d), probe %.0f (ceiling %d)",
+			t.Errorf("shards=%d: allocs per query top-k %.0f (ceiling %d), threshold %.0f (ceiling %d)",
 				pin.shards, topK, pin.topK, rec, pin.probe)
 		}
 	}

@@ -156,21 +156,21 @@ func TestProbeRecordMatchesProbe(t *testing.T) {
 		for ti, rec := range u {
 			got, want := probeRecord(t, sv, rec.Tokens), rowsOf(pairs, ti)
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("shards=%d record %d: ProbeRecordCtx = %v, want %v", shards, ti, got, want)
+				t.Errorf("shards=%d record %d: probeByID = %v, want %v", shards, ti, got, want)
 			}
 			// Pooled scratch must leave no residue between calls.
 			before := sx.Stats()
 			if again := probeRecord(t, sv, rec.Tokens); !reflect.DeepEqual(again, got) {
-				t.Errorf("shards=%d record %d: repeated ProbeRecordCtx differs", shards, ti)
+				t.Errorf("shards=%d record %d: repeated probeByID differs", shards, ti)
 			}
 			served := sx.Stats()
 
 			one, st := sv.Probe(u[ti : ti+1])
 			if !reflect.DeepEqual(rowsOf(one, ti), got) || len(one) != len(got) {
-				t.Errorf("shards=%d record %d: one-record Probe = %v, ProbeRecordCtx %v", shards, ti, one, got)
+				t.Errorf("shards=%d record %d: one-record Probe = %v, probeByID %v", shards, ti, one, got)
 			}
 			if got, want := workOf(st), lookupWork(before, served); got != want {
-				t.Errorf("shards=%d record %d: one-record Probe did %+v, ProbeRecordCtx %+v", shards, ti, got, want)
+				t.Errorf("shards=%d record %d: one-record Probe did %+v, probeByID %+v", shards, ti, got, want)
 			}
 			verified += st.VerifiedCandidates
 		}

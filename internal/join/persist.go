@@ -97,7 +97,7 @@ func exportOrder(order *pebble.Order) store.OrderData {
 // prepared from its text against the new index's dictionary and signed under
 // the stored order, so the result holds the signatures, the bases and the
 // cover columns the captured index held and serves bit-identical
-// Query/QueryTopK/Probe answers.
+// QueryTopKCtx and Probe answers.
 //
 // The Joiner must be constructed over the same similarity context
 // (synonym rules, taxonomy, measure configuration) the original index used —

@@ -30,7 +30,7 @@ func matchesEqual(a, b []QueryMatch) bool {
 // TestPlannedEqualsFixed is the pinned-configuration property: across 3
 // filters × θ ∈ {0.7, 0.8, 0.9} × {static, post-mutation} × shards ∈ {1, 3},
 // every {UFilter, AUHeuristic, AUDP} × τ′ ∈ [1, τ_build + 1] pinned through
-// QueryOpts answers ProbeRecordCtx and QueryTopKCtx exactly as the default
+// QueryOpts answers QueryTopKCtx at k ≤ 0 and at k = 5 exactly as the default
 // request does and as BruteForce over the snapshot's live records does, and
 // batch Probe (which takes no QueryOpts) equals BruteForce too. τ_build + 1
 // exercises the soundness clamp. The default request must also do the same
@@ -73,17 +73,17 @@ func TestPlannedEqualsFixed(t *testing.T) {
 						QueryOpts{ProbeMethod: pebble.AUDP, ProbeTau: tau})
 				}
 				for i, rec := range probe {
-					all := rowsOf(oracle, rec.ID) // ascending ID, ProbeRecordCtx's order
+					all := rowsOf(oracle, rec.ID) // ascending ID, probeByID's order
 					best := bestFirst(all)
 					best = best[:min(5, len(best))]
 					pin := pinned[i%len(pinned)]
 					for _, qo := range []QueryOpts{{}, pin} {
-						got, err := v.ProbeRecordCtx(ctx, rec.Tokens, qo)
+						got, err := probeByID(ctx, v, rec.Tokens, qo)
 						if err != nil {
-							t.Fatalf("%s probe %d %+v: ProbeRecordCtx: %v", name, i, qo, err)
+							t.Fatalf("%s probe %d %+v: probeByID: %v", name, i, qo, err)
 						}
 						if !matchesEqual(got, all) {
-							t.Fatalf("%s probe %d %+v: ProbeRecordCtx diverged from brute force:\n got %v\nwant %v", name, i, qo, got, all)
+							t.Fatalf("%s probe %d %+v: probeByID diverged from brute force:\n got %v\nwant %v", name, i, qo, got, all)
 						}
 						// Top-k is deterministic under ties (similarity desc, ID
 						// asc), so the answers must agree element-wise.
@@ -106,8 +106,8 @@ func TestPlannedEqualsFixed(t *testing.T) {
 				filterWork := func(qo QueryOpts) [3]int64 {
 					before := sx.Stats()
 					for _, rec := range probe[:20] {
-						if _, err := v.ProbeRecordCtx(ctx, rec.Tokens, qo); err != nil {
-							t.Fatalf("%s %+v: ProbeRecordCtx: %v", name, qo, err)
+						if _, err := probeByID(ctx, v, rec.Tokens, qo); err != nil {
+							t.Fatalf("%s %+v: probeByID: %v", name, qo, err)
 						}
 					}
 					d := minus(sx.Stats().counters, before.counters)

@@ -65,7 +65,7 @@ func TestProbeRecordMatchesOracle(t *testing.T) {
 				}
 			}
 			if got := probeRecord(t, sv, p.Tokens); !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d: ProbeRecordCtx(%v) = %v, want %v", shards, p.Raw, got, want)
+				t.Fatalf("shards=%d: probeByID(%v) = %v, want %v", shards, p.Raw, got, want)
 			}
 		}
 	}

@@ -596,9 +596,9 @@ func (v *shardView) candidatesRecord(ids []uint32, tau, limit int, sc *probeScra
 	return countFilterRecord(v.inv, v.deltas, v.dead, ids, tau, min(limit, v.inv.Records()), sc)
 }
 
-// unboundedK is the k of a threshold probe and of every request of a join: a
-// bound no heap ever reaches, so the heap never fills and every candidate
-// reaching θ is kept.
+// unboundedK is the k of a query asked for every match (QueryTopKCtx at
+// k ≤ 0) and of every request of a join: a bound no heap ever reaches, so the
+// heap never fills and every candidate reaching θ is kept.
 const unboundedK = math.MaxInt
 
 // noLimit is the position limit of a request that is no self-join: every

@@ -519,8 +519,9 @@ type QueryOpts struct {
 	// Theta overrides the verification threshold for this request; 0 keeps
 	// the build-time θ. Values above the build θ are exact (the filter
 	// over-admits, verification tightens). Values below it are rejected
-	// with ErrThetaBelowBuild: the candidate set is bounded by the
-	// build-time filter, so no complete answer exists at a lower threshold.
+	// with ErrThetaBelowBuild, and so are negative and NaN values: the
+	// candidate set is bounded by the build-time filter, so no complete
+	// answer exists at a lower threshold.
 	Theta float64
 	// Plan is accepted and ignored: every request runs the configuration the
 	// index was built with. Kept for benchmark/engine.go:162.
@@ -594,9 +595,6 @@ type request struct {
 // everywhere).
 func (sv *ShardedView) serve(ctx context.Context, tokens []string, k int, qo QueryOpts) ([][]QueryMatch, error) {
 	sx := sv.sx
-	if qo.Theta > 0 && qo.Theta < sx.opts.Theta {
-		return nil, fmt.Errorf("%w: %v < %v", ErrThetaBelowBuild, qo.Theta, sx.opts.Theta)
-	}
 	method, tau := sx.opts.Method, sx.tau
 	if qo.ProbeTau > 0 {
 		method, tau = pinnedConfig(qo, sx.tau)
@@ -644,42 +642,32 @@ func (rq *request) shard(ctx context.Context, w int) {
 	rq.parts[w], _ = rq.sv.views[w].serve(ctx, rq)
 }
 
-// ProbeRecordCtx runs the filter-and-verify pipeline for one tokenised query
-// against every shard concurrently and returns the matching live records —
-// identified by their stable IDs — in ascending ID order. Verification
-// checks ctx between candidates; the first shard to observe the cancelled
-// context aborts the whole fan-out and the context error is returned. A
-// qo.Theta below the build θ is rejected with ErrThetaBelowBuild. An empty
-// token slice returns an empty result without touching any shard (there is
-// no zero-signature probe to run).
-func (sv *ShardedView) ProbeRecordCtx(ctx context.Context, tokens []string, qo QueryOpts) ([]QueryMatch, error) {
+// QueryTopKCtx is the one single-record read: it runs the filter-and-verify
+// pipeline for one tokenised query against every shard concurrently and
+// returns the k highest-similarity live records — identified by their stable
+// IDs — ordered by descending similarity (ascending ID on ties); k ≤ 0 returns
+// every match reaching θ, in the same order. Every shard verifies each of its
+// candidates at θ into a bounded min-heap, sharing nothing with its siblings,
+// so memory stays O(k) per shard however many records clear θ, and the
+// per-shard heaps are folded through one more k-bounded heap — sound because
+// the global top k under the total order is contained in the union of
+// per-shard top k's. Verification checks ctx between candidates; the first
+// shard to observe the cancelled context aborts the whole fan-out and the
+// context error is returned.
+//
+// A qo.Theta other than 0 that is not at least the build θ — a negative or
+// NaN one included — is rejected with ErrThetaBelowBuild before anything
+// else; then an empty token slice returns an empty result without touching
+// any shard (there is no zero-signature probe to run).
+func (sv *ShardedView) QueryTopKCtx(ctx context.Context, tokens []string, k int, qo QueryOpts) ([]QueryMatch, error) {
+	if build := sv.sx.opts.Theta; qo.Theta != 0 && !(qo.Theta >= build) {
+		return nil, fmt.Errorf("%w: %v < %v", ErrThetaBelowBuild, qo.Theta, build)
+	}
 	if len(tokens) == 0 {
 		return nil, ctx.Err()
 	}
-	parts, err := sv.serve(ctx, tokens, unboundedK, qo)
-	if err != nil {
-		return nil, err
-	}
-	out := parts[0]
-	for _, p := range parts[1:] {
-		out = append(out, p...)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Record < out[b].Record })
-	return out, nil
-}
-
-// QueryTopKCtx is ProbeRecordCtx restricted to the k highest-similarity
-// matches, ordered by descending similarity (ascending ID on ties). Every
-// shard verifies each of its candidates at θ into a bounded min-heap, sharing
-// nothing with its siblings, so memory stays O(k) per shard however many
-// records clear θ, and the per-shard heaps are folded through one more
-// k-bounded heap — sound
-// because the global top k under the total order is contained in the union
-// of per-shard top k's. An empty token slice or k ≤ 0 returns an empty result
-// without touching any shard.
-func (sv *ShardedView) QueryTopKCtx(ctx context.Context, tokens []string, k int, qo QueryOpts) ([]QueryMatch, error) {
-	if k <= 0 || len(tokens) == 0 {
-		return nil, ctx.Err()
+	if k <= 0 {
+		k = unboundedK
 	}
 	parts, err := sv.serve(ctx, tokens, k, qo)
 	if err != nil {
@@ -712,7 +700,7 @@ func pinnedConfig(qo QueryOpts, buildTau int) (pebble.Method, int) {
 // Probe joins a probe collection against the snapshot: probe signatures and
 // prepared records are computed once, and then every probe record is one
 // request (probeAll) — the count filter and verification of each shard in
-// turn, exactly what ProbeRecordCtx runs for that record. Pair.S carries
+// turn, exactly what QueryTopKCtx runs for that record at k ≤ 0. Pair.S carries
 // stable record IDs, Pair.T the probe records' IDs; results are sorted by
 // (S, T) and independent of the shard count. Stats.ShardCandidates breaks the
 // candidate count down per shard (its entries sum to Stats.Candidates), and

@@ -24,7 +24,7 @@ var shardCounts = []int{1, 2, 7}
 // corpus and the same mutation script are applied to routers with 1, 2 and
 // 7 shards — across all three filter methods and θ ∈ {0.7, 0.8, 0.9}, with
 // thresholds aggressive enough to force per-shard rebuilds — and after
-// every round Probe, ProbeRecordCtx and QueryTopKCtx must be bit-identical
+// every round Probe and QueryTopKCtx (k ≤ 0 and k > 0) must be bit-identical
 // across shard counts and equal to BruteForce over the live catalog.
 func TestShardedIndexShardCountInvariance(t *testing.T) {
 	ctx := propertyContexts()["full"]
@@ -93,20 +93,17 @@ func TestShardedIndexShardCountInvariance(t *testing.T) {
 					refQ := probeRecord(t, views[0], tokens)
 					for i := 1; i < len(views); i++ {
 						if got := probeRecord(t, views[i], tokens); !reflect.DeepEqual(got, refQ) {
-							t.Fatalf("%v θ=%v step %d shards=%d: ProbeRecord(%q) = %v, want %v",
+							t.Fatalf("%v θ=%v step %d shards=%d: probeByID(%q) = %v, want %v",
 								method, theta, step, shardCounts[i], probe[qi].Raw, got, refQ)
 						}
 						for _, k := range []int{-1, 0, 1, 3, len(refQ) + 2} {
 							got := queryTopK(t, views[i], tokens, k)
-							var want []QueryMatch
-							if k > 0 {
-								want = queryTopK(t, views[0], tokens, k)
-							}
+							want := queryTopK(t, views[0], tokens, k)
 							if len(got) == 0 && len(want) == 0 {
 								continue
 							}
 							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("%v θ=%v step %d shards=%d: QueryTopK(%q, %d) = %v, want %v",
+								t.Fatalf("%v θ=%v step %d shards=%d: QueryTopKCtx(%q, %d) = %v, want %v",
 									method, theta, step, shardCounts[i], probe[qi].Raw, k, got, want)
 							}
 						}

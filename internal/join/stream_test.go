@@ -287,7 +287,7 @@ func TestSeqFirstMatchBeforeFilterEnds(t *testing.T) {
 }
 
 // TestProbeSeqCancellation covers the snapshot streaming path: a cancelled
-// context aborts a View.ProbeSeq mid-verify with the context error and no
+// context aborts a ShardedView.ProbeSeq mid-verify with the context error and no
 // goroutine leak.
 func TestProbeSeqCancellation(t *testing.T) {
 	j := NewJoiner(paperContext())
@@ -336,12 +336,12 @@ func TestQueryCtxParityAndOverrides(t *testing.T) {
 		pairs, _ := sv.Probe(queries)
 		for _, q := range queries {
 			want := rowsOf(pairs, q.ID)
-			got, err := sv.ProbeRecordCtx(bg, q.Tokens, QueryOpts{})
+			got, err := probeByID(bg, sv, q.Tokens, QueryOpts{})
 			if err != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d: ProbeRecordCtx = %v (%v), want %v", shards, got, err, want)
+				t.Fatalf("shards=%d: probeByID = %v (%v), want %v", shards, got, err, want)
 			}
 
-			strict, err := sv.ProbeRecordCtx(bg, q.Tokens, QueryOpts{Theta: 0.9})
+			strict, err := probeByID(bg, sv, q.Tokens, QueryOpts{Theta: 0.9})
 			if err != nil {
 				t.Fatalf("shards=%d: raised-θ query error: %v", shards, err)
 			}
@@ -358,8 +358,8 @@ func TestQueryCtxParityAndOverrides(t *testing.T) {
 
 		// Below the build θ the filter cannot promise a complete answer: both
 		// entry points refuse instead of answering best-effort.
-		if _, err := sv.ProbeRecordCtx(bg, queries[0].Tokens, QueryOpts{Theta: 0.6}); !errors.Is(err, ErrThetaBelowBuild) {
-			t.Errorf("shards=%d: ProbeRecordCtx(θ=0.6) error = %v, want ErrThetaBelowBuild", shards, err)
+		if _, err := probeByID(bg, sv, queries[0].Tokens, QueryOpts{Theta: 0.6}); !errors.Is(err, ErrThetaBelowBuild) {
+			t.Errorf("shards=%d: probeByID(θ=0.6) error = %v, want ErrThetaBelowBuild", shards, err)
 		}
 		if _, err := sv.QueryTopKCtx(bg, queries[0].Tokens, 3, QueryOpts{Theta: 0.6}); !errors.Is(err, ErrThetaBelowBuild) {
 			t.Errorf("shards=%d: QueryTopKCtx(θ=0.6) error = %v, want ErrThetaBelowBuild", shards, err)
@@ -368,8 +368,8 @@ func TestQueryCtxParityAndOverrides(t *testing.T) {
 		// A cancelled context aborts the fan-out with its error.
 		cancelled, cancel := context.WithCancel(bg)
 		cancel()
-		if _, err := sv.ProbeRecordCtx(cancelled, queries[0].Tokens, QueryOpts{}); err != context.Canceled {
-			t.Errorf("shards=%d: cancelled ProbeRecordCtx error = %v", shards, err)
+		if _, err := probeByID(cancelled, sv, queries[0].Tokens, QueryOpts{}); err != context.Canceled {
+			t.Errorf("shards=%d: cancelled probeByID error = %v", shards, err)
 		}
 		if _, err := sv.QueryTopKCtx(cancelled, queries[0].Tokens, 3, QueryOpts{}); err != context.Canceled {
 			t.Errorf("shards=%d: cancelled QueryTopKCtx error = %v", shards, err)
@@ -390,8 +390,8 @@ func TestEmptyQueryReturnsEarly(t *testing.T) {
 		sx := j.BuildShardedIndex(corpus, shards, Options{Theta: 0.7, Tau: 1, Method: pebble.AUDP}, DynamicOptions{})
 		sv := sx.Snapshot()
 		for _, tokens := range [][]string{nil, strutil.Tokenize("   ")} {
-			if got, err := sv.ProbeRecordCtx(context.Background(), tokens, QueryOpts{}); err != nil || got != nil {
-				t.Errorf("shards=%d: ProbeRecordCtx(%q) = %v, %v", shards, tokens, got, err)
+			if got, err := probeByID(context.Background(), sv, tokens, QueryOpts{}); err != nil || got != nil {
+				t.Errorf("shards=%d: probeByID(%q) = %v, %v", shards, tokens, got, err)
 			}
 			if got, err := sv.QueryTopKCtx(context.Background(), tokens, 5, QueryOpts{}); err != nil || got != nil {
 				t.Errorf("shards=%d: QueryTopKCtx(%q) = %v, %v", shards, tokens, got, err)

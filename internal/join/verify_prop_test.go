@@ -71,14 +71,14 @@ func TestTopKPruningMatchesPlainVerify(t *testing.T) {
 				name := fmt.Sprintf("%v/θ=%v/shards=%d/%s", opts.Method, opts.Theta, shards, sc.name)
 				oracle := j.BruteForce(sc.sv.Live(), queries, opts.Theta, nil)
 				for qi, q := range queries {
-					all := rowsOf(oracle, q.ID) // ascending ID, ProbeRecordCtx's order
+					all := rowsOf(oracle, q.ID) // ascending ID, probeByID's order
 					best := bestFirst(all)
-					got, err := sc.sv.ProbeRecordCtx(ctx, q.Tokens, QueryOpts{})
+					got, err := probeByID(ctx, sc.sv, q.Tokens, QueryOpts{})
 					if err != nil {
-						t.Fatalf("%s q#%d: ProbeRecordCtx: %v", name, qi, err)
+						t.Fatalf("%s q#%d: probeByID: %v", name, qi, err)
 					}
 					if !matchesEqual(got, all) {
-						t.Fatalf("%s q#%d: ProbeRecordCtx diverged from brute force:\n got %v\nwant %v", name, qi, got, all)
+						t.Fatalf("%s q#%d: probeByID diverged from brute force:\n got %v\nwant %v", name, qi, got, all)
 					}
 					for _, k := range []int{1, 3, 10} {
 						got, err := sc.sv.QueryTopKCtx(ctx, q.Tokens, k, QueryOpts{})
@@ -152,7 +152,7 @@ func TestProbeAndJoinMatchPlainVerify(t *testing.T) {
 	// each record's verification and every one of them evaluated the record's
 	// msim rows again. Those collections are the probe records with the most
 	// candidates on a one-shard index, and what a Probe of them does is what
-	// ProbeRecordCtx does for the same records.
+	// the threshold read (QueryTopKCtx at k ≤ 0) does for the same records.
 	ctx := context.Background()
 	for _, opts := range propConfigs()[3:6] {
 		type run struct {
@@ -203,7 +203,7 @@ func TestProbeAndJoinMatchPlainVerify(t *testing.T) {
 				before := one.Stats()
 				var pairs []Pair
 				for _, r := range short {
-					matches, err := one.Snapshot().ProbeRecordCtx(ctx, r.Tokens, QueryOpts{})
+					matches, err := probeByID(ctx, one.Snapshot(), r.Tokens, QueryOpts{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -215,7 +215,7 @@ func TestProbeAndJoinMatchPlainVerify(t *testing.T) {
 				after, got := one.Stats(), runs[len(runs)-len(shorts)+i]
 				lookups := lookupWork(before, after)
 				if !pairsEqual(got.pairs, pairs) || got.work != lookups {
-					t.Errorf("%v/θ=%v at %d workers: Probe of %d records: %d pairs, work %+v; ProbeRecordCtx for the same records: %d pairs, work %+v",
+					t.Errorf("%v/θ=%v at %d workers: Probe of %d records: %d pairs, work %+v; probeByID for the same records: %d pairs, work %+v",
 						opts.Method, opts.Theta, workers, len(short), len(got.pairs), got.work, len(pairs), lookups)
 				}
 			}
@@ -265,7 +265,7 @@ func TestPrunedQueriesUnderMutation(t *testing.T) {
 						t.Errorf("shards=%d query: %v", sx.Shards(), err)
 						return
 					}
-					if _, err := sv.ProbeRecordCtx(ctx, q, QueryOpts{}); err != nil {
+					if _, err := probeByID(ctx, sv, q, QueryOpts{}); err != nil {
 						t.Errorf("shards=%d probe: %v", sx.Shards(), err)
 						return
 					}

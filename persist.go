@@ -25,7 +25,7 @@ func (ix *Index) WriteSnapshot(w io.Writer) (int64, error) {
 // WriteSnapshot. The Joiner must be configured with the same similarity
 // resources (synonym rules, taxonomy, measures, gram length) the original
 // index's Joiner had — the snapshot does not carry them — and the restored
-// index then serves bit-identical Query/QueryTopK/Probe results to the one
+// index's views then serve bit-identical Query and Probe results to the one
 // captured: every record is prepared and signed again under the stored
 // pebble order, as a build would.
 func (j *Joiner) ReadSnapshot(r io.Reader) (*Index, error) {

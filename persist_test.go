@@ -2,6 +2,7 @@ package aujoin
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -44,30 +45,31 @@ func persistCorpus(seed int64, n int) (catalog, probes []string) {
 	return gen(n), gen(n / 4)
 }
 
-// queryFingerprint runs the full read surface — Query, QueryTopK and Probe —
-// and flattens the results so two indexes can be compared for bit-identical
-// behaviour.
-func queryFingerprint(ix *Index, probes []string) string {
+// queryFingerprint runs the full read surface — Query at K ≤ 0 and K = 5,
+// and Probe — and flattens the results so two indexes can be compared for
+// bit-identical behaviour.
+func queryFingerprint(t *testing.T, ix *Index, probes []string) string {
+	t.Helper()
 	var b bytes.Buffer
+	v := ix.Snapshot()
 	for _, q := range probes {
-		for _, m := range ix.Query(q) {
+		for _, m := range query(t, v, q, QueryOptions{}) {
 			fmt.Fprintf(&b, "q %d %.17g;", m.Record, m.Similarity)
 		}
 		b.WriteByte('\n')
-		for _, m := range ix.QueryTopK(q, 5) {
+		for _, m := range query(t, v, q, QueryOptions{K: 5}) {
 			fmt.Fprintf(&b, "k %d %.17g;", m.Record, m.Similarity)
 		}
 		b.WriteByte('\n')
 	}
-	matches, _ := ix.Probe(probes)
-	for _, m := range matches {
+	for _, m := range collectProbe(t, v, probes) {
 		fmt.Fprintf(&b, "p %d %d %.17g;", m.S, m.T, m.Similarity)
 	}
 	return b.String()
 }
 
 // TestRestartEquivalence is the core restart property: build → mutate →
-// snapshot → reload must serve bit-identical Query/QueryTopK/Probe results,
+// snapshot → reload must serve bit-identical Query and Probe results,
 // across every filter, a θ sweep and both a one-shard and a four-shard layout.
 // The last row reloads, in place of the index's own image, the image an
 // earlier encoder wrote of the same state: seven sections — ids 4 and 5 (the
@@ -133,8 +135,8 @@ func TestRestartEquivalence(t *testing.T) {
 				t.Fatalf("ReadSnapshot: %v", err)
 			}
 
-			want := queryFingerprint(ix, probes)
-			got := queryFingerprint(restored, probes)
+			want := queryFingerprint(t, ix, probes)
+			got := queryFingerprint(t, restored, probes)
 			if want != got {
 				t.Fatalf("restored index diverged from original:\n got %q\nwant %q", got, want)
 			}
@@ -150,7 +152,7 @@ func TestRestartEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("post-restore insert IDs diverged: %v vs %v", a, b)
 			}
-			if want, got := queryFingerprint(ix, probes), queryFingerprint(restored, probes); want != got {
+			if want, got := queryFingerprint(t, ix, probes), queryFingerprint(t, restored, probes); want != got {
 				t.Fatalf("post-restore mutations diverged:\n got %q\nwant %q", got, want)
 			}
 		})
@@ -182,7 +184,7 @@ func TestPersistentWALReplay(t *testing.T) {
 	if _, err := px.Insert(probes[6:9]); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
-	want := queryFingerprint(px.Index(), probes)
+	want := queryFingerprint(t, px.Index(), probes)
 	if err := px.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -194,7 +196,7 @@ func TestPersistentWALReplay(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer px2.Close()
-	if got := queryFingerprint(px2.Index(), probes); got != want {
+	if got := queryFingerprint(t, px2.Index(), probes); got != want {
 		t.Fatalf("replayed state diverged:\n got %q\nwant %q", got, want)
 	}
 	st := px2.Index().Stats()
@@ -211,7 +213,7 @@ func TestPersistentWALReplay(t *testing.T) {
 		t.Fatalf("reopen after checkpoint: %v", err)
 	}
 	defer px3.Close()
-	if got := queryFingerprint(px3.Index(), probes); got != want {
+	if got := queryFingerprint(t, px3.Index(), probes); got != want {
 		t.Fatalf("post-checkpoint state diverged:\n got %q\nwant %q", got, want)
 	}
 }
@@ -370,7 +372,10 @@ func TestConcurrentCheckpointHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			px.Index().QueryTopK(probes[i%len(probes)], 3)
+			if _, err := px.Index().Snapshot().Query(context.Background(), probes[i%len(probes)], QueryOptions{K: 3}); err != nil {
+				t.Errorf("query: %v", err)
+				return
+			}
 		}
 	}()
 	wg.Wait()
@@ -379,13 +384,13 @@ func TestConcurrentCheckpointHammer(t *testing.T) {
 	if err := px.Checkpoint(); err != nil {
 		t.Fatalf("final checkpoint: %v", err)
 	}
-	want := queryFingerprint(px.Index(), probes)
+	want := queryFingerprint(t, px.Index(), probes)
 	px2, err := paperJoiner(t).openPersistentFS(fs, "data", nil, JoinOptions{}, IndexOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer px2.Close()
-	if got := queryFingerprint(px2.Index(), probes); got != want {
+	if got := queryFingerprint(t, px2.Index(), probes); got != want {
 		t.Fatalf("state after hammering diverged:\n got %q\nwant %q", got, want)
 	}
 }

@@ -3,11 +3,13 @@ package aujoin
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // genStrings builds a corpus over the paper vocabulary, dense enough that
@@ -109,102 +111,200 @@ func TestJoinSeqCancelled(t *testing.T) {
 	}
 }
 
-// TestProbeSeqMatchesProbe pins View.ProbeSeq against the batch Probe at
-// one shard and three.
-func TestProbeSeqMatchesProbe(t *testing.T) {
-	j := paperJoiner(t)
-	catalog := genStrings(40, 5)
-	batch := genStrings(25, 6)
-	for _, shards := range []int{1, 3} {
-		ix := j.IndexWith(catalog, JoinOptions{Theta: 0.75, Tau: 2}, IndexOptions{Shards: shards})
-		want, wantStats := ix.Probe(batch)
-		var got []Match
-		for m, err := range ix.ProbeSeq(context.Background(), batch) {
-			if err != nil {
-				t.Fatalf("shards=%d: ProbeSeq error: %v", shards, err)
-			}
-			got = append(got, m)
+// collectProbe drains View.Probe into (S, T) order, failing the test on an
+// error: the deterministic form of the stream, as Join returns it.
+func collectProbe(t *testing.T, v *View, records []string) []Match {
+	t.Helper()
+	var out []Match
+	for m, err := range v.Probe(context.Background(), records) {
+		if err != nil {
+			t.Fatalf("Probe: %v", err)
 		}
-		sortMatches(got)
-		if !equalMatches(got, want) {
-			t.Errorf("shards=%d: collect(ProbeSeq) = %v, want %v", shards, got, want)
-		}
-		sum := 0
-		for _, c := range wantStats.ShardCandidates {
-			sum += c
-		}
-		if len(wantStats.ShardCandidates) != shards || sum != wantStats.Candidates {
-			t.Errorf("shards=%d: ShardCandidates %v does not sum to Candidates %d",
-				shards, wantStats.ShardCandidates, wantStats.Candidates)
+		out = append(out, m)
+	}
+	sortMatches(out)
+	return out
+}
+
+// query is View.Query without a deadline, failing the test on an error.
+func query(t *testing.T, v *View, q string, opts QueryOptions) []QueryMatch {
+	t.Helper()
+	hits, err := v.Query(context.Background(), q, opts)
+	if err != nil {
+		t.Fatalf("Query(%q, %+v): %v", q, opts, err)
+	}
+	return hits
+}
+
+// waitPipelineIdle fails the test unless every join-pipeline goroutine has
+// exited within five seconds.
+func waitPipelineIdle(t *testing.T) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); PipelineGoroutines() != 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pipeline goroutines still running", PipelineGoroutines())
 		}
 	}
 }
 
-// TestQueryCtxMatchesQuery pins the per-request query path against the batch
-// one, including the K and MinSimilarity overrides.
-func TestQueryCtxMatchesQuery(t *testing.T) {
+// TestViewProbeMatchesJoin pins View.Probe, collected and sorted, against the
+// one-shot Join of the same catalog and batch, at one shard and three.
+func TestViewProbeMatchesJoin(t *testing.T) {
+	j := paperJoiner(t)
+	catalog := genStrings(40, 5)
+	batch := genStrings(25, 6)
+	opts := JoinOptions{Theta: 0.75, Tau: 2}
+	want, _ := j.Join(catalog, batch, opts)
+	if len(want) == 0 {
+		t.Fatal("the join finds no match; the comparison would be vacuous")
+	}
+	for _, shards := range []int{1, 3} {
+		ix := j.IndexWith(catalog, opts, IndexOptions{Shards: shards})
+		if got := collectProbe(t, ix.Snapshot(), batch); !equalMatches(got, want) {
+			t.Errorf("shards=%d: collect(Probe) = %v, want %v", shards, got, want)
+		}
+	}
+}
+
+// TestViewProbeBreakAndCancel pins the stream's exits on a result-heavy probe,
+// at one shard and three: breaking out of the range loop is no error and
+// stops the pipeline; cancelling after the first match surfaces
+// context.Canceled exactly once, before the full result; a context cancelled
+// up front yields one error and no match. After each, every pipeline
+// goroutine is released.
+func TestViewProbeBreakAndCancel(t *testing.T) {
+	j := paperJoiner(t)
+	families := []string{"espresso cafe helsinki city center", "apple cake bakery market street"}
+	tails := []string{"north", "south", "east", "west", "old", "new"}
+	var catalog []string
+	for i := 0; i < 120; i++ {
+		catalog = append(catalog, families[i%2]+" "+tails[i%len(tails)])
+	}
+	for _, shards := range []int{1, 3} {
+		v := j.IndexWith(catalog, JoinOptions{Theta: 0.7, Tau: 2}, IndexOptions{Shards: shards}).Snapshot()
+		full := collectProbe(t, v, catalog)
+		if len(full) < 1000 {
+			t.Fatalf("shards=%d: only %d matches; the exits need a long stream", shards, len(full))
+		}
+		waitPipelineIdle(t)
+
+		seen := 0
+		for _, err := range v.Probe(context.Background(), catalog) {
+			if err != nil {
+				t.Fatalf("shards=%d: error before the break: %v", shards, err)
+			}
+			if seen++; seen == 2 {
+				break
+			}
+		}
+		if seen != 2 {
+			t.Fatalf("shards=%d: the break saw %d matches, want 2", shards, seen)
+		}
+		waitPipelineIdle(t)
+
+		ctx, cancel := context.WithCancel(context.Background())
+		seen, errs := 0, 0
+		for _, err := range v.Probe(ctx, catalog) {
+			if err != nil {
+				if err != context.Canceled {
+					t.Fatalf("shards=%d: cancelled Probe error = %v, want context.Canceled", shards, err)
+				}
+				errs++
+				continue
+			}
+			seen++
+			cancel()
+		}
+		cancel()
+		if errs != 1 || seen >= len(full) {
+			t.Fatalf("shards=%d: cancelled Probe yielded %d errors after %d of %d matches, want one error before the end",
+				shards, errs, seen, len(full))
+		}
+		waitPipelineIdle(t)
+
+		seen, errs = 0, 0
+		for _, err := range v.Probe(ctx, catalog) {
+			if err != nil {
+				errs++
+			} else {
+				seen++
+			}
+		}
+		if errs != 1 || seen != 0 {
+			t.Errorf("shards=%d: Probe under a cancelled context yielded %d matches and %d errors, want 0 and 1", shards, seen, errs)
+		}
+		waitPipelineIdle(t)
+	}
+}
+
+// TestViewQueryOptions pins View.Query's options on one index: K > 0 is the
+// first K of the K ≤ 0 answer, which comes best first; a raised MinSimilarity
+// keeps exactly the matches reaching it; a cancelled context aborts. The
+// refusal table holds every MinSimilarity the index cannot answer — below the
+// build θ, negative, NaN — against a plain query and an empty one, at K ≤ 0
+// and K > 0: each fails with ErrThetaBelowBuild, the empty query included.
+func TestViewQueryOptions(t *testing.T) {
 	j := paperJoiner(t)
 	catalog := genStrings(40, 7)
-	ix := j.Index(catalog, JoinOptions{Theta: 0.7, Tau: 2})
+	v := j.Index(catalog, JoinOptions{Theta: 0.7, Tau: 2}).Snapshot()
 	bg := context.Background()
 	for _, q := range genStrings(10, 8) {
-		want := ix.Query(q)
-		got, err := ix.QueryCtx(bg, q, QueryOptions{})
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("QueryCtx(%q) = %v (%v), want %v", q, got, err, want)
+		all := query(t, v, q, QueryOptions{})
+		if !sort.SliceIsSorted(all, func(a, b int) bool {
+			if all[a].Similarity != all[b].Similarity {
+				return all[a].Similarity > all[b].Similarity
+			}
+			return all[a].Record < all[b].Record
+		}) {
+			t.Fatalf("Query(%q) = %v, not best first", q, all)
 		}
-		wantTop := ix.QueryTopK(q, 3)
-		gotTop, err := ix.QueryTopKCtx(bg, q, QueryOptions{K: 3})
-		if err != nil || !reflect.DeepEqual(gotTop, wantTop) {
-			t.Fatalf("QueryTopKCtx(%q) = %v (%v), want %v", q, gotTop, err, wantTop)
+		for _, k := range []int{1, 3} {
+			if got, want := query(t, v, q, QueryOptions{K: k}), all[:min(k, len(all))]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("Query(%q, K=%d) = %v, want %v", q, k, got, want)
+			}
 		}
-		strict, err := ix.QueryCtx(bg, q, QueryOptions{MinSimilarity: 0.9})
-		if err != nil {
-			t.Fatalf("QueryCtx(min_sim): %v", err)
-		}
-		var wantStrict []QueryMatch
-		for _, m := range want {
+		wantStrict := []QueryMatch{}
+		for _, m := range all {
 			if m.Similarity >= 0.9 {
 				wantStrict = append(wantStrict, m)
 			}
 		}
-		if !reflect.DeepEqual(append([]QueryMatch(nil), strict...), wantStrict) {
-			t.Errorf("QueryCtx(%q, min_sim=0.9) = %v, want %v", q, strict, wantStrict)
+		if strict := query(t, v, q, QueryOptions{MinSimilarity: 0.9}); !reflect.DeepEqual(strict, wantStrict) {
+			t.Errorf("Query(%q, MinSimilarity=0.9) = %v, want %v", q, strict, wantStrict)
+		}
+		if got := query(t, v, q, QueryOptions{MinSimilarity: 0.7}); !reflect.DeepEqual(got, all) {
+			t.Errorf("Query(%q, MinSimilarity=θ) = %v, want %v", q, got, all)
 		}
 	}
 	cancelled, cancel := context.WithCancel(bg)
 	cancel()
-	if _, err := ix.QueryCtx(cancelled, catalog[0], QueryOptions{}); err != context.Canceled {
-		t.Errorf("cancelled QueryCtx error = %v", err)
+	if _, err := v.Query(cancelled, catalog[0], QueryOptions{}); err != context.Canceled {
+		t.Errorf("cancelled Query error = %v", err)
 	}
-	// A threshold below the build-time Theta is refused, not answered
-	// best-effort.
-	if _, err := ix.QueryCtx(bg, catalog[0], QueryOptions{MinSimilarity: 0.5}); !errors.Is(err, ErrThetaBelowBuild) {
-		t.Errorf("QueryCtx(min_sim=0.5) error = %v, want ErrThetaBelowBuild", err)
-	}
-	if _, err := ix.QueryTopKCtx(bg, catalog[0], QueryOptions{K: 3, MinSimilarity: 0.5}); !errors.Is(err, ErrThetaBelowBuild) {
-		t.Errorf("QueryTopKCtx(min_sim=0.5) error = %v, want ErrThetaBelowBuild", err)
+	// A threshold the build-time filter cannot answer completely is refused,
+	// not answered best-effort — checked before the empty-query shortcut.
+	for _, below := range []float64{0.5, math.Nextafter(0.7, 0), -0.1, math.Inf(-1), math.NaN()} {
+		for _, q := range []string{catalog[0], "", "   "} {
+			for _, k := range []int{0, 3} {
+				if _, err := v.Query(bg, q, QueryOptions{K: k, MinSimilarity: below}); !errors.Is(err, ErrThetaBelowBuild) {
+					t.Errorf("Query(%q, K=%d, MinSimilarity=%v) error = %v, want ErrThetaBelowBuild", q, k, below, err)
+				}
+			}
+		}
 	}
 }
 
 // TestQueryEmptyString is the public regression test for empty-string
-// queries: they must return an empty result on every path rather than
+// queries: with valid options they return an empty result rather than
 // probing with a zero signature.
 func TestQueryEmptyString(t *testing.T) {
 	j := paperJoiner(t)
-	ix := j.Index(genStrings(20, 9), JoinOptions{Theta: 0.7, Tau: 1})
+	v := j.Index(genStrings(20, 9), JoinOptions{Theta: 0.7, Tau: 1}).Snapshot()
 	for _, q := range []string{"", "   ", "\t\n"} {
-		if got := ix.Query(q); len(got) != 0 {
-			t.Errorf("Query(%q) = %v, want empty", q, got)
-		}
-		if got := ix.QueryTopK(q, 5); len(got) != 0 {
-			t.Errorf("QueryTopK(%q) = %v, want empty", q, got)
-		}
-		if got, err := ix.QueryCtx(context.Background(), q, QueryOptions{}); err != nil || len(got) != 0 {
-			t.Errorf("QueryCtx(%q) = %v, %v, want empty", q, got, err)
-		}
-		if got, err := ix.QueryTopKCtx(context.Background(), q, QueryOptions{K: 5}); err != nil || len(got) != 0 {
-			t.Errorf("QueryTopKCtx(%q) = %v, %v, want empty", q, got, err)
+		for _, opts := range []QueryOptions{{}, {K: 5}, {MinSimilarity: 0.9}} {
+			if got, err := v.Query(context.Background(), q, opts); err != nil || got == nil || len(got) != 0 {
+				t.Errorf("Query(%q, %+v) = %#v, %v, want an empty slice", q, opts, got, err)
+			}
 		}
 	}
 }
