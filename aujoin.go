@@ -355,8 +355,12 @@ func NewStrict(opts ...Option) (*Joiner, error) {
 }
 
 // Similarity computes the unified similarity of two strings with the
-// polynomial-time approximation (Algorithm 1).
-func (j *Joiner) Similarity(s, t string) float64 { return j.calc.Similarity(s, t) }
+// polynomial-time approximation (Algorithm 1), on the prepared path the
+// joins verify with.
+func (j *Joiner) Similarity(s, t string) float64 {
+	ps, pt := j.calc.Prepare(strutil.Tokenize(s)), j.calc.Prepare(strutil.Tokenize(t))
+	return j.calc.SimilarityPrepared(ps, pt, core.NewScratch())
+}
 
 // SimilarityExact computes the exact unified similarity by enumerating all
 // well-defined partitions. The boolean reports whether the enumeration

@@ -4,7 +4,7 @@
 // an optional catalog, and then serves the same /query, /probe, /insert,
 // /remove and /remove-batch HTTP API as a single aujoind — answers are
 // scatter-gathered from the workers and are bit-identical to a single-node
-// index over the same records. See the Cluster section of ARCHITECTURE.md.
+// index over the same records. See ARCHITECTURE.md, "Cluster".
 //
 // Usage:
 //

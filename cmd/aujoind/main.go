@@ -1,8 +1,8 @@
 // Command aujoind serves a dynamic similarity-join index over HTTP: a
 // catalog is indexed at startup and then queried, extended and shrunk
 // online. Queries run lock-free against immutable snapshots while inserts
-// and removes mutate the catalog underneath (see the Serving section of the
-// README and ARCHITECTURE.md for the snapshot model).
+// and removes mutate the catalog underneath (see README.md, "Serving", and
+// ARCHITECTURE.md, "The mutable index", for the snapshot model).
 //
 // Usage:
 //

@@ -15,16 +15,6 @@ import (
 	"unicode"
 )
 
-// docHistory names the identifiers README.md and ARCHITECTURE.md may still
-// mention although no Go file declares them any more: each is named there
-// only as what a change removed or replaced. Keep it short; a name that is
-// merely stale belongs out of the docs, not in here.
-var docHistory = map[string]bool{
-	"Delta.Postings":         true, // the per-segment lookup the delta links replaced
-	"PreparedSegment.Tokens": true, // the per-segment token slice the segment spans replaced
-	"QueryOptions.Workers":   true, // the per-request verify fan-out, deleted
-}
-
 // goDecls is what the repository's Go files declare, read with go/parser.
 type goDecls struct {
 	idents  map[string]bool            // every identifier in code (not in comments)
@@ -33,6 +23,7 @@ type goDecls struct {
 	embeds  map[string][]string        // type name → the types it embeds
 	stdlib  map[string]bool            // names of the standard-library packages imported
 	tests   map[string][]string        // directory → its Test, Example and Fuzz functions
+	notes   map[string]string          // Go file → the text of its comments
 }
 
 func parseRepo(t *testing.T) *goDecls {
@@ -40,7 +31,7 @@ func parseRepo(t *testing.T) *goDecls {
 	d := &goDecls{
 		idents: map[string]bool{}, pkgs: map[string]map[string]bool{},
 		members: map[string]map[string]bool{}, embeds: map[string][]string{},
-		stdlib: map[string]bool{}, tests: map[string][]string{},
+		stdlib: map[string]bool{}, tests: map[string][]string{}, notes: map[string]string{},
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
@@ -56,11 +47,16 @@ func parseRepo(t *testing.T) *goDecls {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return err
 		}
 		d.add(f, filepath.Dir(path), strings.HasSuffix(path, "_test.go"))
+		var notes strings.Builder
+		for _, c := range f.Comments {
+			notes.WriteString(c.Text())
+		}
+		d.notes[path] = notes.String()
 		return nil
 	})
 	if err != nil {
@@ -202,10 +198,7 @@ func (d *goDecls) resolves(name string) bool {
 	parts := strings.Split(name, ".")
 	last := parts[len(parts)-1]
 	if len(parts) == 1 {
-		return d.idents[last] || docHistory[last]
-	}
-	if docHistory[last] || docHistory[strings.Join(parts[len(parts)-2:], ".")] {
-		return true
+		return d.idents[last]
 	}
 	qual := parts[len(parts)-2]
 	if d.stdlib[qual] && len(parts) == 2 {
@@ -295,6 +288,53 @@ func TestDocsNameDeclaredIdentifiers(t *testing.T) {
 		for _, name := range list {
 			t.Errorf("%s names `%s`, which no Go file declares", doc, name)
 		}
+	}
+}
+
+// archPointerRe is a pointer into ARCHITECTURE.md: the file name, a comma
+// and the heading pointed at in double quotes.
+var archPointerRe = regexp.MustCompile(`ARCHITECTURE\.md, "([^"]+)"`)
+
+// TestDocPointersNameHeadings fails on a pointer into ARCHITECTURE.md, in
+// any Go comment, README.md or the verify skill, whose quoted heading is no
+// heading of ARCHITECTURE.md, and on a non-test Go comment that mentions
+// ARCHITECTURE.md without naming a heading. Line breaks and comment markers
+// inside a pointer do not count.
+func TestDocPointersNameHeadings(t *testing.T) {
+	arch, err := os.ReadFile("ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headings := map[string]bool{}
+	for _, line := range strings.Split(fenceRe.ReplaceAllString(string(arch), ""), "\n") {
+		if h := strings.TrimLeft(line, "#"); h != line && strings.HasPrefix(h, " ") {
+			headings[strings.TrimSpace(h)] = true
+		}
+	}
+	sources := parseRepo(t).notes
+	for _, doc := range []string{"README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources[doc] = string(text)
+	}
+	checked := 0
+	for src, text := range sources {
+		text = strings.Join(strings.Fields(text), " ")
+		pointers := archPointerRe.FindAllStringSubmatch(text, -1)
+		for _, m := range pointers {
+			checked++
+			if !headings[m[1]] {
+				t.Errorf("%s points to ARCHITECTURE.md, %q, which is no heading there", src, m[1])
+			}
+		}
+		if strings.HasSuffix(src, ".go") && !strings.HasSuffix(src, "_test.go") && strings.Count(text, "ARCHITECTURE.md") > len(pointers) {
+			t.Errorf("%s mentions ARCHITECTURE.md without naming a heading", src)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no pointer into ARCHITECTURE.md found; the check reads nothing")
 	}
 }
 

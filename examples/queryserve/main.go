@@ -5,7 +5,7 @@
 // probe — matches arrive as soon as the worker that filtered a probe record
 // has verified its candidates, and every request runs under a deadline
 // (this serving layer is the implementation's extension beyond the paper;
-// see ARCHITECTURE.md).
+// see ARCHITECTURE.md, "Serving").
 //
 // The -deadline flag sets the per-request timeout; try -deadline 1ns to
 // watch every query abort with context.DeadlineExceeded instead of running

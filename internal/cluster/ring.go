@@ -4,7 +4,7 @@
 // over the NDJSON streaming protocol, routes mutations to every replica of
 // the owning group under a per-group sequence number, and keeps the global
 // pebble order in agreement across nodes through a coordinator-allocated
-// epoch protocol. See the Cluster section of ARCHITECTURE.md.
+// epoch protocol. See ARCHITECTURE.md, "Cluster".
 package cluster
 
 import "sort"

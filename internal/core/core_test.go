@@ -15,6 +15,11 @@ import (
 
 func approxEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// similarity is Algorithm 1 on two raw strings, tokenised first.
+func similarity(c *Calculator, s, t string) float64 {
+	return c.SimilarityTokens(strutil.Tokenize(s), strutil.Tokenize(t))
+}
+
 // paperContext reproduces the knowledge sources of Figure 1.
 func paperContext() *sim.Context {
 	rules := synonym.NewRuleSet()
@@ -163,7 +168,7 @@ func TestUnifiedSimilarityFigure1(t *testing.T) {
 	// 1 ("coffee shop"→"cafe"), 0.8 (latte/espresso via taxonomy) and
 	// 2/3 (Helsingki/Helsinki), giving (1 + 0.8 + 2/3)/3.
 	want := (1 + 0.8 + 2.0/3.0) / 3
-	got := calc.Similarity(s, u)
+	got := similarity(calc, s, u)
 	if !approxEq(got, want) {
 		t.Errorf("Similarity = %v, want %v", got, want)
 	}
@@ -176,8 +181,8 @@ func TestUnifiedSimilarityFigure1(t *testing.T) {
 		t.Errorf("exact = %v, want %v", exact.Similarity, want)
 	}
 	// Symmetry of the unified measure.
-	if !approxEq(calc.Similarity(u, s), got) {
-		t.Errorf("similarity not symmetric: %v vs %v", calc.Similarity(u, s), got)
+	if !approxEq(similarity(calc, u, s), got) {
+		t.Errorf("similarity not symmetric: %v vs %v", similarity(calc, u, s), got)
 	}
 }
 
@@ -218,7 +223,7 @@ func TestExample5Figure2(t *testing.T) {
 	// Example 5: the best selection is {R1, R4}: partitions
 	// PS = {{a},{b,c,d},{e}}, PT = {{f},{g},{h}} with similarity
 	// (0.3 + 0.09)/3 = 0.13.
-	got := calc.Similarity(s, u)
+	got := similarity(calc, s, u)
 	if !approxEq(got, 0.13) {
 		t.Errorf("Similarity = %v, want 0.13", got)
 	}
@@ -253,7 +258,7 @@ func TestTheorem2TightInstance(t *testing.T) {
 	if !approxEq(exact.Similarity, 0.4) {
 		t.Errorf("exact = %v, want 0.4", exact.Similarity)
 	}
-	approx := calc.Similarity(s, u)
+	approx := similarity(calc, s, u)
 	if approx > exact.Similarity+1e-9 {
 		t.Errorf("approximation %v exceeds exact %v", approx, exact.Similarity)
 	}
@@ -265,16 +270,16 @@ func TestTheorem2TightInstance(t *testing.T) {
 
 func TestSimilarityEdgeCases(t *testing.T) {
 	calc := NewCalculator(paperContext())
-	if got := calc.Similarity("", ""); got != 1 {
+	if got := similarity(calc, "", ""); got != 1 {
 		t.Errorf("empty-empty = %v, want 1", got)
 	}
-	if got := calc.Similarity("coffee", ""); got != 0 {
+	if got := similarity(calc, "coffee", ""); got != 0 {
 		t.Errorf("nonempty-empty = %v, want 0", got)
 	}
-	if got := calc.Similarity("", "coffee"); got != 0 {
+	if got := similarity(calc, "", "coffee"); got != 0 {
 		t.Errorf("empty-nonempty = %v, want 0", got)
 	}
-	if got := calc.Similarity("espresso", "espresso"); !approxEq(got, 1) {
+	if got := similarity(calc, "espresso", "espresso"); !approxEq(got, 1) {
 		t.Errorf("identical = %v, want 1", got)
 	}
 	ex := calc.SimilarityExact("", "")
@@ -292,10 +297,10 @@ func TestSimilarityNoKnowledgeFallsBackToTokenMatching(t *testing.T) {
 	calc := NewCalculator(ctx)
 	// Without rules or taxonomy the unified similarity is the best token
 	// matching under Jaccard: identical strings score 1.
-	if got := calc.Similarity("database systems", "database systems"); !approxEq(got, 1) {
+	if got := similarity(calc, "database systems", "database systems"); !approxEq(got, 1) {
 		t.Errorf("identical = %v, want 1", got)
 	}
-	got := calc.Similarity("database systems", "database system")
+	got := similarity(calc, "database systems", "database system")
 	if got <= 0.5 || got >= 1 {
 		t.Errorf("near-identical = %v, want in (0.5, 1)", got)
 	}
@@ -384,10 +389,10 @@ func TestMeasureRestrictedCalculators(t *testing.T) {
 	base := paperContext()
 	s := "coffee shop latte Helsingki"
 	u := "espresso cafe Helsinki"
-	full := NewCalculator(base).Similarity(s, u)
-	jOnly := NewCalculator(base.WithMeasures(sim.SetJaccard)).Similarity(s, u)
-	sOnly := NewCalculator(base.WithMeasures(sim.SetSynonym)).Similarity(s, u)
-	tOnly := NewCalculator(base.WithMeasures(sim.SetTaxonomy)).Similarity(s, u)
+	full := similarity(NewCalculator(base), s, u)
+	jOnly := similarity(NewCalculator(base.WithMeasures(sim.SetJaccard)), s, u)
+	sOnly := similarity(NewCalculator(base.WithMeasures(sim.SetSynonym)), s, u)
+	tOnly := similarity(NewCalculator(base.WithMeasures(sim.SetTaxonomy)), s, u)
 	if full < jOnly-1e-9 || full < sOnly-1e-9 || full < tOnly-1e-9 {
 		t.Errorf("unified %v should dominate single measures %v %v %v", full, jOnly, sOnly, tOnly)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -82,6 +83,68 @@ func TestSimilarityPreparedMatchesTokens(t *testing.T) {
 				}
 			}
 		}
+	}
+	// Every pair of internal/join's verify property corpora, both sides
+	// prepared without a dictionary: the public Joiner.Similarity's path.
+	calc, sc := NewCalculator(base), NewScratch()
+	for _, c := range joinPropCorpora() {
+		for _, s := range c.left {
+			ps := calc.Prepare(s)
+			for _, u := range c.right {
+				if got, want := calc.SimilarityPrepared(ps, calc.Prepare(u), sc), calc.SimilarityTokens(s, u); got != want {
+					t.Fatalf("%s: SimilarityPrepared = %v, SimilarityTokens = %v for %v / %v", c.name, got, want, s, u)
+				}
+			}
+		}
+	}
+}
+
+// joinPropCorpora returns the index and query collections of
+// internal/join's verify_prop_test.go, generated as it generates them: the
+// skewed propCorpus pairs, and the first 500 records of the 300-word corpus
+// of TestMSimEvalsBoundedByDistinctTexts against its first 60 queries.
+func joinPropCorpora() []struct {
+	name        string
+	left, right [][]string
+} {
+	propCorpus := func(n int, seed int64) [][]string {
+		rng := rand.New(rand.NewSource(seed))
+		out := make([][]string, n)
+		for i := range out {
+			l := 3 + rng.Intn(4)
+			toks := make([]string, 0, l+1)
+			for k := 0; k < l; k++ {
+				u := rng.Float64()
+				toks = append(toks, fmt.Sprintf("tok%02d", int(u*u*60)))
+			}
+			if rng.Intn(4) == 0 {
+				toks = append(toks, fmt.Sprintf("uniq%d_%d", seed, i))
+			}
+			out[i] = strutil.Tokenize(strutil.JoinTokens(toks))
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(2718))
+	words := func(n int) [][]string {
+		out := make([][]string, n)
+		for i := range out {
+			toks := make([]string, 4+rng.Intn(3))
+			for k := range toks {
+				toks[k] = fmt.Sprintf("w%03d", rng.Intn(300))
+			}
+			out[i] = strutil.Tokenize(strutil.JoinTokens(toks))
+		}
+		return out
+	}
+	catalog := words(4000)
+	return []struct {
+		name        string
+		left, right [][]string
+	}{
+		{"TopKPruning", propCorpus(500, 101), propCorpus(30, 202)},
+		{"ProbeAndJoin", propCorpus(400, 505), propCorpus(100, 606)},
+		{"PrunedQueries", propCorpus(400, 1111), propCorpus(16, 1212)},
+		{"MSimEvals", catalog[:500], words(60)},
 	}
 }
 

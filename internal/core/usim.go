@@ -5,7 +5,6 @@ import (
 
 	"github.com/aujoin/aujoin/internal/matching"
 	"github.com/aujoin/aujoin/internal/sim"
-	"github.com/aujoin/aujoin/internal/strutil"
 )
 
 // DefaultT is the default trade-off parameter t of Algorithm 1: the local
@@ -105,12 +104,6 @@ func (c *Calculator) GetSim(cg *ConflictGraph, set []int, sTokens, tTokens []str
 	ps := buildPartition(sTokens, sSel)
 	pt := buildPartition(tTokens, tSel)
 	return c.SIM(ps, pt)
-}
-
-// Similarity computes the approximate unified similarity between two raw
-// strings (tokenising them first). This is Algorithm 1 of the paper.
-func (c *Calculator) Similarity(s, t string) float64 {
-	return c.SimilarityTokens(strutil.Tokenize(s), strutil.Tokenize(t))
 }
 
 // SimilarityTokens computes the approximate unified similarity between two

@@ -106,7 +106,7 @@ func TestBernoulliEstimatorUnbiasedness(t *testing.T) {
 	s := testCorpus(60, 1)
 	u := testCorpus(60, 2)
 	opts := join.Options{Theta: 0.8, Tau: 2, Method: pebble.AUHeuristic}
-	fullT, fullV := j.FilterStats(s, u, opts)
+	fullT, fullV := j.NewFilterProfile(s, u, opts).Stats(opts.Tau)
 
 	rng := rand.New(rand.NewSource(77))
 	p := 0.4
@@ -117,7 +117,7 @@ func TestBernoulliEstimatorUnbiasedness(t *testing.T) {
 		var pt int64
 		var pv int
 		if len(ss) > 0 && len(uu) > 0 {
-			pt, pv = j.FilterStats(ss, uu, opts)
+			pt, pv = j.NewFilterProfile(ss, uu, opts).Stats(opts.Tau)
 		}
 		statsT.Add(float64(pt) / (p * p))
 		statsV.Add(float64(pv) / (p * p))
@@ -240,7 +240,7 @@ func TestSuggestAgreesWithExhaustiveOnSmallData(t *testing.T) {
 	for _, tau := range cfg.Universe {
 		opts := base
 		opts.Tau = tau
-		pt, pv := j.FilterStats(s, u, opts)
+		pt, pv := j.NewFilterProfile(s, u, opts).Stats(tau)
 		c := cfg.CostFilter*float64(pt) + cfg.CostVerify*float64(pv)
 		if cfg.CostFilter == 0 {
 			c = 1*float64(pt) + 40*float64(pv)

@@ -32,8 +32,8 @@ func benchCorpus(n int, seed int64) []strutil.Record {
 	return strutil.NewCollection(raws)
 }
 
-// BenchmarkJoinFilterPhase measures the signature + filter stages only
-// (FilterStats): the part of the pipeline the interned-ID refactor targets.
+// BenchmarkJoinFilterPhase measures the signature + filter stages only: a
+// fresh FilterProfile, read at the join's τ.
 func BenchmarkJoinFilterPhase(b *testing.B) {
 	j := NewJoiner(paperContext())
 	s := benchCorpus(400, 1)
@@ -42,7 +42,7 @@ func BenchmarkJoinFilterPhase(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j.FilterStats(s, t, opts)
+		j.NewFilterProfile(s, t, opts).Stats(opts.Tau)
 	}
 }
 

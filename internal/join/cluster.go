@@ -104,15 +104,15 @@ func (sx *ShardedIndex) KeyFrequencies() ([]string, []int) {
 // KeyFrequencies (after the coordinator sums the groups' tables). Adoption
 // is a re-freeze (refreezeLocked) whose next order comes from outside: every
 // shard is rebuilt under it while all writer locks are held, and readers
-// never block — they are served the cached pre-adoption snapshot. Keys
-// present in live records but missing from the image (a mutation that raced
-// the coordinator's frequency collection) are interned into the adopted
-// order's dynamic region first, so adoption is correct regardless of what
-// the coordinator saw; the interning is deterministic across replicas
-// because replicas hold identical records in identical positions. After
-// adoption the index never re-freezes on its own: order ownership has moved
-// to the coordinator, and local rebuilds keep compacting shards under the
-// adopted order.
+// never block — they are served the cached pre-adoption snapshot. No
+// mutation races the image (the coordinator holds its mutation lock from
+// the frequency collection through the commit); keys of live records that
+// the image lacks are interned into its dynamic region first all the same,
+// a guard that keeps adoption exact whatever the image holds, and is
+// deterministic across replicas, which hold identical records in identical
+// positions. After adoption the index never re-freezes on its own: order
+// ownership has moved to the coordinator, and local rebuilds keep
+// compacting shards under the adopted order.
 func (sx *ShardedIndex) AdoptOrder(keys []string, freqs []int) error {
 	order, err := pebble.RestoreOrder(keys, freqs, nil)
 	if err != nil {
@@ -121,10 +121,10 @@ func (sx *ShardedIndex) AdoptOrder(keys []string, freqs []int) error {
 	sx.refreezeMu.Lock()
 	defer sx.refreezeMu.Unlock()
 	sx.refreezeLocked(func(d *core.SegDict, live ...[]*core.PreparedRecord) *pebble.KeyIDs {
-		// Defensive intern: any live key the image lacks — none, when nothing
-		// raced the collection — joins the dynamic region before the records
-		// are signed under the adopted order. The live keys are counted by
-		// key number, and each distinct one looked up in the image once.
+		// The guard: any live key the image lacks joins the dynamic region
+		// before the records are signed under the adopted order. The live
+		// keys are counted by key number, and each distinct one looked up in
+		// the image once.
 		count := sx.joiner.gen.NewKeyCount(d)
 		for _, coll := range live {
 			for _, pr := range coll {

@@ -9,10 +9,9 @@ import (
 	"github.com/aujoin/aujoin/internal/pebble"
 )
 
-// TestAdoptOrderInternsMissingKeys covers the race AdoptOrder's defensive
-// intern exists for: the adopted image lacks a key a live record generates (a
-// mutation landed between the builder's frequency collection and the
-// adoption). The key must join the adopted order's dynamic region, every
+// TestAdoptOrderInternsMissingKeys covers AdoptOrder's guard: the adopted
+// image lacks a key a live record generates. The key must join the adopted
+// order's dynamic region, every
 // stored signature must be the one a fresh selection under the adopted order
 // gives, and the index must go on answering exactly.
 func TestAdoptOrderInternsMissingKeys(t *testing.T) {

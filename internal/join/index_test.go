@@ -247,9 +247,9 @@ func TestSelfJoinStatsDeduplicated(t *testing.T) {
 	}
 }
 
-// TestFilterProfileMatchesFilterStats checks that the τ-sweep profile and
-// the one-shot FilterStats agree for every τ.
-func TestFilterProfileMatchesFilterStats(t *testing.T) {
+// TestFilterProfileSweepMatchesFreshProfile checks that one profile swept
+// over τ agrees, at every τ, with a profile built fresh at that τ.
+func TestFilterProfileSweepMatchesFreshProfile(t *testing.T) {
 	ctx := paperContext()
 	j := NewJoiner(ctx)
 	rng := rand.New(rand.NewSource(3))
@@ -260,10 +260,10 @@ func TestFilterProfileMatchesFilterStats(t *testing.T) {
 		fp := j.NewFilterProfile(s, u, opts)
 		for tau := 1; tau <= 4; tau++ {
 			opts.Tau = tau
-			wantP, wantC := j.FilterStats(s, u, opts)
+			wantP, wantC := j.NewFilterProfile(s, u, opts).Stats(tau)
 			gotP, gotC := fp.Stats(tau)
 			if gotP != wantP || gotC != wantC {
-				t.Errorf("%v τ=%d: profile (%d, %d) != FilterStats (%d, %d)",
+				t.Errorf("%v τ=%d: swept profile (%d, %d) != fresh profile (%d, %d)",
 					method, tau, gotP, gotC, wantP, wantC)
 			}
 		}

@@ -21,7 +21,7 @@
 // removed ones, and publishes snapshot views by atomic pointer swap so
 // queries run lock-free while the catalog mutates (the paper fixes both
 // collections up front; the dynamic layer is this implementation's extension
-// for the serving workload — see ARCHITECTURE.md).
+// for the serving workload — see ARCHITECTURE.md, "The mutable index").
 package join
 
 import (
@@ -599,14 +599,6 @@ func (fp *FilterProfile) selectAll(pre []pebble.Presig, tau int) [][]uint32 {
 		out[i] = fp.sel.Select(pre[i], fp.method, tau).IDs()
 	})
 	return out
-}
-
-// FilterStats runs only the signature and filtering stages of the join and
-// returns T_τ and V_τ. One-shot convenience over NewFilterProfile; callers
-// sweeping several τ values should build the profile once and call Stats
-// per τ.
-func (j *Joiner) FilterStats(s, t []strutil.Record, opts Options) (processed int64, candidates int) {
-	return j.NewFilterProfile(s, t, opts).Stats(opts.tau())
 }
 
 // BruteForce computes the join by verifying every pair through the prepared
