@@ -395,11 +395,11 @@ func TestIndexStatsWireShape(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
-		"build_time_ns", "cache_hits", "cache_misses", "dead", "dense_keys", "distinct_grams", "distinct_segments",
+		"build_time_ns", "cache_hits", "cache_misses", "counted", "dead", "dense_keys", "distinct_grams", "distinct_segments",
 		"dynamic_keys", "frozen_keys", "inserts", "live", "memo_hits", "msim_evals",
 		"probe_bitset_tokens", "probe_postings",
 		"probe_slice_tokens", "pruned_by_bound", "pruned_by_cover", "rebuilds", "records", "segments", "shards",
-		"sparse_keys", "tau", "theta", "verified_candidates",
+		"signed", "sparse_keys", "tau", "theta", "verified_candidates",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("/stats keys changed:\n got %v\nwant %v", got, want)

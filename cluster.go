@@ -7,11 +7,11 @@ import (
 
 // This file is the public surface of the cluster hooks: what a multi-node
 // deployment's coordinator and workers need from an Index beyond the
-// serving API — builds and inserts under centrally assigned record IDs,
-// export of the live key-frequency table, the merge of every group's table
-// into the next global order (the coordinator's side of the order-sync
-// protocol), and adoption of an externally built frozen order (the worker's
-// side).
+// serving API — builds (in two halves: prepare and count, then install under
+// a given order) and inserts under centrally assigned record IDs, export of
+// the key-frequency table, the merge of every group's table into the next
+// global order (the coordinator's side of the order-sync protocol), and
+// adoption of an externally built frozen order (the worker's side).
 
 // OrderImage is the wire form of a pebble frequency order: every key with
 // its document frequency, in finalize order (frequency ascending, key
@@ -24,10 +24,10 @@ type OrderImage struct {
 }
 
 // MergeOrderImages sums the key-frequency tables of disjoint record sets —
-// one KeyFrequencies image per cluster group — into the image of their
-// union: exactly what KeyFrequencies would export from one index holding
-// every record. An image whose keys and frequencies differ in length is
-// rejected.
+// one KeyFrequencies image per cluster group, in any key order — into the
+// image of their union, in finalize order: exactly what KeyFrequencies would
+// export from one index holding every record. An image whose keys and
+// frequencies differ in length is rejected.
 func MergeOrderImages(imgs ...OrderImage) (OrderImage, error) {
 	keys, freqs := make([][]string, len(imgs)), make([][]int, len(imgs))
 	for i, img := range imgs {
@@ -48,13 +48,41 @@ func (ix *Index) InsertWithIDs(ids []int, records []string) error {
 	return ix.inner.InsertBatchRecords(ids, records)
 }
 
-// IndexWithIDs is IndexWith over records whose stable IDs the caller
-// assigned, under InsertWithIDs' rules for them. A cluster worker builds its
-// share of the catalog with it, under the IDs the coordinator allocated: the
-// records are built into the index the way IndexWith builds a collection,
-// not inserted one batch at a time.
-func (j *Joiner) IndexWithIDs(ids []int, records []string, opts JoinOptions, iopts IndexOptions) (*Index, error) {
-	inner, err := j.joiner.BuildShardedIndexWithIDs(ids, records, iopts.Shards, opts.internal(), join.DynamicOptions{})
+// PendingIndex is an index over a cluster group's share of the catalog
+// whose records are prepared and counted but not yet signed: a worker makes
+// one (Joiner.PrepareWithIDs) when the bootstrap seed's last chunk arrives,
+// acknowledges the chunk with its KeyFrequencies, and installs it under the
+// global order the coordinator merges from every group's table (Install), so
+// every record is signed once, under that order.
+type PendingIndex struct{ inner *join.PendingIndex }
+
+// PrepareWithIDs starts IndexWith over records whose stable IDs the caller
+// assigned, under InsertWithIDs' rules for them: the records are built into
+// the index the way IndexWith builds a collection, not inserted one batch at
+// a time, up to the order they are signed under, which Install takes.
+func (j *Joiner) PrepareWithIDs(ids []int, records []string, opts JoinOptions, iopts IndexOptions) (*PendingIndex, error) {
+	inner, err := j.joiner.PrepareShardedIndexWithIDs(ids, records, iopts.Shards, opts.internal(), join.DynamicOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return &PendingIndex{inner: inner}, nil
+}
+
+// KeyFrequencies exports the pending records' document-frequency table: the
+// keys and frequencies Index.KeyFrequencies exports once they are built, but
+// first counted first, not in finalize order — a table for MergeOrderImages,
+// not an image for Install or AdoptOrder.
+func (p *PendingIndex) KeyFrequencies() OrderImage {
+	keys, freqs := p.inner.KeyFrequencies()
+	return OrderImage{Keys: keys, Freqs: freqs}
+}
+
+// Install builds the index under the image, as AdoptOrder would leave it:
+// every record signed under the image's order, keys the image lacks interned
+// into its dynamic region, and no re-freeze of its own afterwards. A
+// PendingIndex installs once.
+func (p *PendingIndex) Install(img OrderImage) (*Index, error) {
+	inner, err := p.inner.Install(img.Keys, img.Freqs)
 	if err != nil {
 		return nil, err
 	}

@@ -395,12 +395,12 @@ func equivalenceGrid() []equivalenceCombo {
 
 // TestSeedInChunks seeds the catalog in chunks of about ten records, several
 // a group, over the equivalence grid. The cluster must answer bit-identically
-// to a single-node index, and every replica must have built its groups from
-// the seed: no record inserted, no delta segment, and no rebuild but the
-// bootstrap bump's adoption, one a shard. Each group index must also write
-// the snapshot, byte for byte, of the index a seed through insert batches
-// made: an empty index given the group's records in 512-record catalog
-// batches, then the shipped order.
+// to a single-node index, and every replica must have built its groups once,
+// from the seed, under the published order: no record inserted, no delta
+// segment and no rebuild. Each group index must also write the snapshot,
+// byte for byte, of the index a seed through insert batches made: an empty
+// index given the group's records in 512-record catalog batches, then the
+// shipped order.
 func TestSeedInChunks(t *testing.T) {
 	for _, cb := range equivalenceGrid() {
 		t.Run(fmt.Sprintf("%s-theta%v", cb.filter, cb.theta), func(t *testing.T) {
@@ -452,9 +452,9 @@ func TestSeedInChunks(t *testing.T) {
 					if seq := wg.seq.Load(); seq < 3 {
 						t.Errorf("worker %d group %d took %d seed chunks, want several", i, g, seq)
 					}
-					if st.Inserts != 0 || st.Segments != 0 || st.Rebuilds != st.Shards {
-						t.Errorf("worker %d group %d: %d inserts, %d segments, %d rebuilds over %d shards; want a built index adopted once",
-							i, g, st.Inserts, st.Segments, st.Rebuilds, st.Shards)
+					if st.Inserts != 0 || st.Segments != 0 || st.Rebuilds != 0 {
+						t.Errorf("worker %d group %d: %d inserts, %d segments, %d rebuilds; want an index built once",
+							i, g, st.Inserts, st.Segments, st.Rebuilds)
 					}
 					records += st.Records
 				}
@@ -529,11 +529,12 @@ func (w *statusWriter) WriteHeader(status int) {
 }
 
 // TestSeedChunkAfterSeedRefused: a seed chunk that reaches a group after its
-// seed is over — after the last chunk built the index, after an ordinary
-// batch, after an adopted order (the bootstrap bump's, also on a group the
-// seed gave nothing) — is refused with a 400 and changes nothing, where
-// building the group from it would silently drop every record, write and
-// order the group held.
+// seed is over — after the last chunk, after an ordinary batch, after an
+// adopted order (the bootstrap's, also on a group the seed gave nothing) — is
+// refused with a 400 and changes nothing, where building the group from it
+// would silently drop every record, write and order the group held. So is an
+// ordinary batch between the last chunk and the order that installs the
+// seed, which the install would drop.
 func TestSeedChunkAfterSeedRefused(t *testing.T) {
 	catalog := denseCatalog(30, 2)
 	tc := startCluster(t, 1, 1, catalog, 0.7, 2, "dp")
@@ -545,7 +546,7 @@ func TestSeedChunkAfterSeedRefused(t *testing.T) {
 	late := ApplyRequest{Epoch: tc.coord.Stats().Epoch, Seq: seq + 1, Seed: true, Last: true, IDs: []int{1000}, Records: []string{"late seed"}}
 	err := call(context.Background(), http.DefaultClient, tc.workers[0].URL+"/cluster/apply", &late, nil)
 	if !refused(err) {
-		t.Fatalf("a seed chunk after the bootstrap bump returned %v, want a 400", err)
+		t.Fatalf("a seed chunk after the bootstrap returned %v, want a 400", err)
 	}
 	if got, recs := wg.seq.Load(), wg.ix().Stats().Records; got != seq || recs != len(catalog) {
 		t.Fatalf("after the refused chunk: seq %d and %d records, want %d and %d", got, recs, seq, len(catalog))
@@ -571,6 +572,7 @@ func TestSeedChunkAfterSeedRefused(t *testing.T) {
 		t.Fatalf("a seed chunk after an adopted order returned %v, want a 400", err)
 	}
 	fresh := newWorker()
+	var last ApplyResponse
 	steps := []struct {
 		req    ApplyRequest
 		refuse bool
@@ -578,19 +580,207 @@ func TestSeedChunkAfterSeedRefused(t *testing.T) {
 		{ApplyRequest{Seq: 1, Seed: true, IDs: []int{0}, Records: catalog[:1]}, false},
 		{ApplyRequest{Seq: 2, Seed: true, Last: true, IDs: []int{1}, Records: catalog[1:2]}, false},
 		{ApplyRequest{Seq: 3, Seed: true, Last: true, IDs: []int{2}, Records: catalog[2:3]}, true},
+		{ApplyRequest{Seq: 3, IDs: []int{2}, Records: catalog[2:3]}, true},
 		{ApplyRequest{Seq: 3, IDs: []int{2}, Records: catalog[2:3]}, false},
 		{ApplyRequest{Seq: 4, Seed: true, Last: true, IDs: []int{3}, Records: catalog[3:4]}, true},
 	}
 	for i, st := range steps {
+		if i == 4 { // the seed's order arrives and installs it
+			var table aujoin.OrderImage
+			if err := json.Unmarshal(last.Order, &table); err != nil {
+				t.Fatalf("the last seed chunk's table: %v", err)
+			}
+			order, err := aujoin.MergeOrderImages(table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fresh.adopt(ctx, &OrderPayload{Epoch: 2, Order: order}); err != nil {
+				t.Fatal(err)
+			}
+		}
 		st.req.Epoch = 1
-		_, err := fresh.apply(ctx, &st.req)
+		resp, err := fresh.apply(ctx, &st.req)
 		if refused(err) != st.refuse || (err != nil && !st.refuse) {
 			t.Fatalf("step %d: apply returned %v, want refused %v", i, err, st.refuse)
+		}
+		if st.req.Last && err == nil {
+			last = resp
 		}
 	}
 	if recs := fresh.groups[0].ix().Stats().Records; recs != 3 {
 		t.Fatalf("the fresh worker's group holds %d records, want 3", recs)
 	}
+}
+
+// hostedGroups snapshots worker wk's hosted groups.
+func hostedGroups(wk *Worker) map[int]*workerGroup {
+	wk.mu.Lock()
+	defer wk.mu.Unlock()
+	out := make(map[int]*workerGroup, len(wk.groups))
+	for g, wg := range wk.groups {
+		out[g] = wg
+	}
+	return out
+}
+
+// TestSeedSignsEachRecordOnce: the bootstrap builds every seeded group once,
+// under the order it publishes. Each replica counts its share's keys once,
+// for the table its last seed chunk's acknowledgement carries, and signs
+// each record once, under that order: no order is counted over a share to
+// be thrown away, and no record is signed again by an adoption. A later
+// bump re-signs every record once and counts it once more for the adoption's
+// guard, and once more on the replica that gave the group's table, which
+// shows the counters count.
+func TestSeedSignsEachRecordOnce(t *testing.T) {
+	catalog := denseCatalog(180, 7)
+	tc := startCluster(t, 3, 2, catalog, 0.8, 2, "dp")
+	check := func(stage string, signed int64, counted ...int64) {
+		t.Helper()
+		for i, wk := range tc.nodes {
+			for g, wg := range hostedGroups(wk) {
+				st := wg.ix().Stats()
+				if st.Records == 0 {
+					t.Fatalf("%s: worker %d group %d holds no record", stage, i, g)
+				}
+				n := int64(st.Records)
+				if st.Signed != signed*n || !slices.ContainsFunc(counted, func(c int64) bool { return st.Counted == c*n }) {
+					t.Errorf("%s: worker %d group %d signed %d and counted %d records; want %d× and one of %v× its %d records",
+						stage, i, g, st.Signed, st.Counted, signed, counted, st.Records)
+				}
+			}
+		}
+	}
+	check("bootstrap", 1, 1)
+	tc.bump(t)
+	check("a later bump", 2, 2, 3)
+}
+
+// TestSeedFailsOverLastChunkTable: worker 0's acknowledgement of its first
+// last seed chunk fails (a 500 after the chunk was applied) or comes back
+// without the group's table. Either way the bootstrap takes the table from
+// the group's other replica, finishes, and ships the single-node order; a
+// worker whose acknowledgement failed is out of service, one whose table was
+// lost serves under the published order like every other.
+func TestSeedFailsOverLastChunkTable(t *testing.T) {
+	for _, fail := range []bool{true, false} {
+		t.Run(map[bool]string{true: "ack fails", false: "ack lacks table"}[fail], func(t *testing.T) {
+			var hit atomic.Int32
+			doctor := func(i int, h http.Handler) http.Handler {
+				if i != 0 {
+					return h
+				}
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					body, _ := io.ReadAll(r.Body)
+					r.Body = io.NopCloser(bytes.NewReader(body))
+					var req ApplyRequest
+					if r.URL.Path != "/cluster/apply" || json.Unmarshal(body, &req) != nil || !req.Last || !hit.CompareAndSwap(0, 1) {
+						h.ServeHTTP(w, r)
+						return
+					}
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, r)
+					var resp ApplyResponse
+					if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil || len(resp.Order) == 0 {
+						t.Errorf("worker 0 answered its last seed chunk %d %q", rec.Code, rec.Body.String())
+					}
+					if fail {
+						http.Error(w, "injected failure", http.StatusInternalServerError)
+						return
+					}
+					resp.Order = nil
+					json.NewEncoder(w).Encode(resp)
+				})
+			}
+			catalog := denseCatalog(180, 7)
+			tc := startCluster(t, 3, 2, catalog, 0.8, 2, "dp", clusterOpts{wrap: doctor})
+			if hit.Load() != 1 {
+				t.Fatal("worker 0 was sent no last seed chunk")
+			}
+			j, err := aujoin.NewStrict()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := j.IndexWith(catalog, aujoin.JoinOptions{Theta: 0.8, Tau: 2, Filter: aujoin.AUFilterDP}, aujoin.IndexOptions{Shards: 1})
+			down := -1
+			if fail {
+				down = 0
+			}
+			requireSingleNodeOrder(t, tc, ref, "bootstrap", down)
+			checkEquivalence(t, tc, ref, denseCatalog(15, 8), "bootstrap")
+			for addr, state := range tc.workerStates() {
+				if want := map[bool]string{true: "down", false: "ready"}[fail && addr == tc.workers[0].URL]; state != want {
+					t.Errorf("worker %s is %s, want %s", addr, state, want)
+				}
+			}
+		})
+	}
+}
+
+// TestSeedLeavesGroupEmpty: a catalog whose records all fall to two of the
+// three groups. The empty group keeps the index config made and adopts the
+// published order as a later bump would; the cluster answers like a single
+// node, serves the single-node order, and takes inserts into the empty group.
+func TestSeedLeavesGroupEmpty(t *testing.T) {
+	ring := NewRing(3, 2)
+	full := denseCatalog(60, 7)
+	n := 0
+	for covered := map[int]bool{}; n < len(full); n++ {
+		if covered[ring.Owner(n)] = true; len(covered) == 3 {
+			break
+		}
+	}
+	if n < 2 {
+		t.Fatalf("the first %d IDs cover every group", n+1)
+	}
+	catalog := full[:n]
+	tc := startCluster(t, 3, 2, catalog, 0.7, 2, "dp")
+	j, err := aujoin.NewStrict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := j.IndexWith(catalog, aujoin.JoinOptions{Theta: 0.7, Tau: 2, Filter: aujoin.AUFilterDP}, aujoin.IndexOptions{Shards: 1})
+	empty := 0
+	for _, wk := range tc.nodes {
+		for _, wg := range hostedGroups(wk) {
+			if wg.ix().Stats().Records == 0 {
+				empty++
+			}
+		}
+	}
+	if empty != 2 {
+		t.Fatalf("%d replicas hold an empty group, want the two of one group", empty)
+	}
+	requireSingleNodeOrder(t, tc, ref, "bootstrap", -1)
+	checkEquivalence(t, tc, ref, denseCatalog(15, 8), "one group empty")
+	extra := full[n:]
+	tc.insert(t, extra)
+	ref.Insert(extra)
+	checkEquivalence(t, tc, ref, denseCatalog(15, 8), "inserted into every group")
+	tc.bump(t)
+	requireSingleNodeOrder(t, tc, ref, "bumped", -1)
+}
+
+// TestBootstrapWithoutCatalog: a cluster without a catalog bootstraps to
+// ready — every group empty, under the empty order the bootstrap publishes
+// as its epoch 2 — takes inserts, and answers like a single node.
+func TestBootstrapWithoutCatalog(t *testing.T) {
+	tc := startCluster(t, 3, 2, nil, 0.7, 2, "dp")
+	if st := tc.coord.Stats(); !st.Ready || st.Epoch != 2 {
+		t.Fatalf("ready %v at epoch %d, want ready at epoch 2", st.Ready, st.Epoch)
+	}
+	j, err := aujoin.NewStrict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := j.IndexWith(nil, aujoin.JoinOptions{Theta: 0.7, Tau: 2, Filter: aujoin.AUFilterDP}, aujoin.IndexOptions{Shards: 1})
+	checkEquivalence(t, tc, ref, denseCatalog(15, 8), "empty")
+	extra := denseCatalog(60, 7)
+	if got, want := tc.insert(t, extra), ref.Insert(extra); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("insert IDs diverge: cluster %v, single-node %v", got, want)
+	}
+	checkEquivalence(t, tc, ref, denseCatalog(15, 8), "inserted")
+	tc.bump(t)
+	requireSingleNodeOrder(t, tc, ref, "bumped", -1)
 }
 
 // TestClusterShipsSingleNodeOrder holds the order an epoch bump ships to the
@@ -641,13 +831,7 @@ func requireSingleNodeOrder(t *testing.T, tc *testCluster, ref *aujoin.Index, st
 		if i == down {
 			continue
 		}
-		wk.mu.Lock()
-		hosted := make(map[int]*workerGroup, len(wk.groups))
-		for g, wg := range wk.groups {
-			hosted[g] = wg
-		}
-		wk.mu.Unlock()
-		for g, wg := range hosted {
+		for g, wg := range hostedGroups(wk) {
 			var buf bytes.Buffer
 			if _, err := wg.ix().WriteSnapshot(&buf); err != nil {
 				t.Fatalf("%s: worker %d group %d: snapshot: %v", stage, i, g, err)
@@ -675,8 +859,9 @@ func requireSingleNodeOrder(t *testing.T, tc *testCluster, ref *aujoin.Index, st
 
 // TestBumpEpochFailsOverFreqs: worker 0 answers 500 on /cluster/freqs, so
 // the primary replica of group 0 cannot give the group's frequency table. An
-// epoch bump — the bootstrap one and a later one — must take the table from
-// the group's other replica and still ship the single-node order, and leave
+// epoch bump after the bootstrap (whose tables come with the seed's
+// acknowledgements, not from /cluster/freqs) must take the table from the
+// group's other replica and still ship the single-node order, and leave
 // worker 0 in service: it still adopts and commits.
 func TestBumpEpochFailsOverFreqs(t *testing.T) {
 	failFreqs := func(i int, h http.Handler) http.Handler {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"cmp"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -31,9 +32,9 @@ type CoordConfig struct {
 	Filter string
 	// Catalog is seeded at bootstrap: its records get the IDs a single node
 	// would give them, each group's share goes to the group's replicas in
-	// sequenced chunks, and each replica builds the group's index over the
-	// share once. The coordinator then runs the first epoch bump so the
-	// cluster serves under the global frozen order.
+	// sequenced chunks, each replica counts the share's keys, and the
+	// coordinator publishes the merged counts as the global frozen order,
+	// under which each replica builds the group's index once.
 	Catalog []string
 	// HedgeDelay is how long a group read waits on its first replica before
 	// racing the request against a second one (0 = 50ms; < 0 disables
@@ -228,9 +229,11 @@ func (c *Coordinator) register(_ context.Context, req *RegisterRequest) (Registe
 }
 
 // bootstrap fixes the membership and placement, pushes the configuration to
-// every worker, seeds the catalog (seed) and runs the first epoch bump, which
-// replaces each group's own order, counted over its share, with the global
-// frozen order. Only then does the coordinator become ready.
+// every worker, seeds the catalog (seed), which leaves each replica's share
+// prepared and counted and hands back one key-frequency table a group, and
+// publishes the merge of those tables as the cluster's first global frozen
+// order (publish), under which every replica builds its groups — each record
+// signed once. Only then does the coordinator become ready.
 func (c *Coordinator) bootstrap() {
 	c.mu.Lock()
 	addrs := make([]string, len(c.workers))
@@ -245,6 +248,12 @@ func (c *Coordinator) bootstrap() {
 	c.epoch.Store(1)
 	c.mu.Unlock()
 
+	fail := func(err error) {
+		c.mu.Lock()
+		c.bootErr = err
+		c.mu.Unlock()
+		c.logf("bootstrap failed: %v", c.bootErr)
+	}
 	ctx := context.Background()
 	for i, ref := range c.refs() {
 		cfg := ConfigRequest{
@@ -252,35 +261,26 @@ func (c *Coordinator) bootstrap() {
 			Theta: c.cfg.Theta, Tau: c.cfg.Tau, Filter: c.cfg.Filter,
 		}
 		if err := call(ctx, c.client, ref.addr+"/cluster/config", cfg, nil); err != nil {
-			c.mu.Lock()
-			c.bootErr = fmt.Errorf("configure %s: %w", ref.addr, err)
-			c.mu.Unlock()
-			c.logf("bootstrap failed: %v", c.bootErr)
+			fail(fmt.Errorf("configure %s: %w", ref.addr, err))
 			return
 		}
 		ref.state.Store(workerReady)
 	}
 	c.logf("configured %d workers (%d groups, %d-way replication)", len(addrs), c.ring.Workers(), c.ring.Replicas())
 
-	if len(c.cfg.Catalog) > 0 {
-		start := time.Now()
-		if err := c.seed(ctx, c.cfg.Catalog); err != nil {
-			c.mu.Lock()
-			c.bootErr = fmt.Errorf("seed catalog: %w", err)
-			c.mu.Unlock()
-			c.logf("bootstrap failed: %v", c.bootErr)
-			return
-		}
-		c.logf("seeded %d records in %v", len(c.cfg.Catalog), time.Since(start).Round(time.Millisecond))
+	start := time.Now()
+	tables, err := c.seed(ctx, c.cfg.Catalog)
+	if err != nil {
+		fail(fmt.Errorf("seed catalog: %w", err))
+		return
 	}
-
-	// Each group's order counts its own share only; the first bump freezes
-	// the global frequencies over every group.
-	if err := c.BumpEpoch("bootstrap"); err != nil {
-		c.mu.Lock()
-		c.bootErr = fmt.Errorf("initial epoch bump: %w", err)
-		c.mu.Unlock()
-		c.logf("bootstrap failed: %v", c.bootErr)
+	c.logf("seeded %d records in %v", len(c.cfg.Catalog), time.Since(start).Round(time.Millisecond))
+	order, err := aujoin.MergeOrderImages(tables...)
+	if err == nil {
+		err = c.publish(ctx, order, "bootstrap")
+	}
+	if err != nil {
+		fail(fmt.Errorf("publish the first order: %w", err))
 		return
 	}
 	c.ready.Store(true)
@@ -294,14 +294,17 @@ const seedChunkBytes = maxBodyBytes - 4<<10
 // seed gives the catalog's records the IDs a single node would give them —
 // sequentially, in catalog order, as insert does — and sends each group's
 // share to the group's replicas as sequenced seed chunks, every group at
-// once. A replica stages the chunks and builds the group's index over the
-// whole share when the last one arrives, so nothing is inserted: no delta
-// segment, dynamic key or compaction is made on the way. A chunk takes
-// records while the bound on its JSON body stays under the cap (one record
-// at least); a replica that misses a chunk is taken out as a missed write
-// is, by applyGroup and the gap rule. bootstrap calls it before anything
-// else can mutate or bump.
-func (c *Coordinator) seed(ctx context.Context, catalog []string) error {
+// once. A replica stages the chunks and, when the last one arrives, prepares
+// the whole share and counts its keys, acknowledging the chunk with the
+// group's key-frequency table: seed returns one table a group, taken from
+// any replica that acknowledged with one (replicas hold identical shares),
+// and empty for a group the catalog gives nothing. Nothing is inserted: no
+// delta segment, dynamic key or compaction is made on the way. A chunk
+// takes records while the bound on its JSON body stays under the cap (one
+// record at least); a replica that misses a chunk is taken out as a missed
+// write is, by applyGroup and the gap rule. bootstrap calls it before
+// anything else can mutate or bump.
+func (c *Coordinator) seed(ctx context.Context, catalog []string) ([]aujoin.OrderImage, error) {
 	c.mu.Lock()
 	start := c.nextID
 	c.nextID += len(catalog)
@@ -313,7 +316,8 @@ func (c *Coordinator) seed(ctx context.Context, catalog []string) error {
 		p.Records = append(p.Records, rec)
 	}
 	limit := cmp.Or(c.seedChunk, seedChunkBytes)
-	return c.gather(http.StatusServiceUnavailable, func(g int) error {
+	tables := make([]aujoin.OrderImage, len(shares))
+	err := c.gather(http.StatusServiceUnavailable, func(g int) error {
 		share := shares[g]
 		if share == nil {
 			return nil // the group keeps the empty index config made
@@ -325,13 +329,23 @@ func (c *Coordinator) seed(ctx context.Context, catalog []string) error {
 				end++
 			}
 			chunk := ApplyRequest{Group: g, Seed: true, Last: end == len(share.IDs), IDs: share.IDs[at:end], Records: share.Records[at:end]}
-			if _, err := c.applyGroup(ctx, &chunk); err != nil {
+			resp, err := c.applyGroup(ctx, &chunk)
+			if err != nil {
 				return err
+			}
+			if chunk.Last {
+				if len(resp.Order) == 0 {
+					return errors.New("no replica acknowledged the last seed chunk with the group's table")
+				}
+				if err := json.Unmarshal(resp.Order, &tables[g]); err != nil {
+					return fmt.Errorf("the group's table: %w", err)
+				}
 			}
 			at = end
 		}
 		return nil
 	})
+	return tables, err
 }
 
 // seedCost bounds the bytes one record adds to a seed chunk's JSON body: its
@@ -871,11 +885,12 @@ func (c *Coordinator) applyGroup(ctx context.Context, req *ApplyRequest) (*Apply
 		}(ref)
 	}
 	wg.Wait()
+	// The answer is the first replica's that applied the batch — one that
+	// carries a table if any does (the last seed chunk's, see seed).
 	var first *ApplyResponse
 	for _, r := range results {
-		if r.err == nil {
+		if r.err == nil && (first == nil || len(first.Order) == 0 && len(r.resp.Order) > 0) {
 			first = r.resp
-			break
 		}
 	}
 	var refusal error
@@ -911,36 +926,17 @@ func (c *Coordinator) applyGroup(ctx context.Context, req *ApplyRequest) (*Apply
 // rebuild, and requests stamped with either the old or the prepared epoch
 // are accepted throughout.
 //
-// Prepare: the coordinator collects one key-frequency table per group, all
-// groups at once, asking the group's ready replicas in turn until one
-// answers (one that fails is not marked down: it may still adopt and commit)
-// — groups partition the records, so the tables sum to the global document
+// The coordinator collects one key-frequency table per group, all groups at
+// once, asking the group's ready replicas in turn until one answers (one
+// that fails is not marked down: it may still adopt and commit) — groups
+// partition the records, so the tables sum to the global document
 // frequencies — merges them into the next frozen order
-// (aujoin.MergeOrderImages), and every ready worker adopts it, one group
-// index at a time (rolling rebuilds). Commit: the coordinator flips its
-// epoch — the point of no return; every query from here on is stamped with
-// the new epoch — and tells the workers to flip theirs. A worker that fails either phase is marked down: its epoch no
-// longer matches, so the stamp check fences it out of serving until it is
-// resynced (operator intervention; automatic resync is future work).
+// (aujoin.MergeOrderImages) and publishes it.
 func (c *Coordinator) BumpEpoch(reason string) error {
 	c.mutMu.Lock()
 	defer c.mutMu.Unlock()
-	start := time.Now()
-	cur := c.epoch.Load()
-	next := cur + 1
-
-	refs := c.refs()
-	var ready []*workerRef
-	for _, ref := range refs {
-		if ref.state.Load() == workerReady {
-			ready = append(ready, ref)
-		}
-	}
-	if len(ready) == 0 {
-		return errors.New("epoch bump: no ready workers")
-	}
-
 	ctx := context.Background()
+	refs := c.refs()
 	tables := make([]aujoin.OrderImage, c.ring.Workers())
 	err := c.gather(http.StatusBadGateway, func(g int) error {
 		var errs []error
@@ -969,33 +965,78 @@ func (c *Coordinator) BumpEpoch(reason string) error {
 	if err != nil {
 		return fmt.Errorf("epoch bump: merge frequencies: %w", err)
 	}
+	return c.publish(ctx, order, reason)
+}
+
+// publish ships a merged order to every ready worker as the next epoch and
+// commits it: the step every epoch bump ends in, and the bootstrap's one
+// order step. Prepare: every ready worker adopts the order at once
+// (/cluster/adopt) — a group its seed left pending is built under it, any
+// other group index rebuilt — while reads keep flowing. Commit: the
+// coordinator flips its epoch — the point of no return; every query from
+// here on is stamped with the new epoch — and tells the workers that adopted
+// to flip theirs. A worker that fails either phase is marked down: its epoch
+// no longer matches, so the stamp check fences it out of serving until it
+// is resynced (operator intervention; automatic resync is future work).
+func (c *Coordinator) publish(ctx context.Context, order aujoin.OrderImage, reason string) error {
+	start := time.Now()
+	cur := c.epoch.Load()
+	next := cur + 1
+	var ready []*workerRef
+	for _, ref := range c.refs() {
+		if ref.state.Load() == workerReady {
+			ready = append(ready, ref)
+		}
+	}
+	if len(ready) == 0 {
+		return fmt.Errorf("epoch %d: no ready workers", next)
+	}
 	payload := OrderPayload{Epoch: next, Order: order}
-
-	// Prepare: rolling adoption, worker by worker (each worker rolls its own
-	// groups); reads keep flowing the whole time.
-	adopted := ready[:0]
-	for _, ref := range ready {
+	adopted := c.each(ready, func(ref *workerRef) error {
 		if err := call(ctx, c.client, ref.addr+"/cluster/adopt", payload, nil); err != nil {
-			c.markDown(ref, fmt.Errorf("adopt epoch %d: %w", next, err))
-			continue
+			return fmt.Errorf("adopt epoch %d: %w", next, err)
 		}
-		adopted = append(adopted, ref)
-	}
+		return nil
+	})
 	if len(adopted) == 0 {
-		return errors.New("epoch bump: no worker adopted the order")
+		return fmt.Errorf("epoch %d: no worker adopted the order", next)
 	}
 
-	// Commit.
 	c.epoch.Store(next)
-	for _, ref := range adopted {
+	c.each(adopted, func(ref *workerRef) error {
 		if err := call(ctx, c.client, ref.addr+"/cluster/commit", CommitRequest{Epoch: next}, nil); err != nil {
-			c.markDown(ref, fmt.Errorf("commit epoch %d: %w", next, err))
+			return fmt.Errorf("commit epoch %d: %w", next, err)
 		}
-	}
+		return nil
+	})
 	c.bumps.Add(1)
 	c.logf("epoch %d -> %d (%s): %d keys frozen, %d workers, %v",
-		cur, next, reason, len(payload.Order.Keys), len(adopted), time.Since(start).Round(time.Millisecond))
+		cur, next, reason, len(order.Keys), len(adopted), time.Since(start).Round(time.Millisecond))
 	return nil
+}
+
+// each runs op on every worker of refs at once and returns, in refs' order,
+// those it succeeded on; a worker it failed on is marked down.
+func (c *Coordinator) each(refs []*workerRef, op func(*workerRef) error) []*workerRef {
+	errs := make([]error, len(refs))
+	var wg sync.WaitGroup
+	for i, ref := range refs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = op(ref)
+		}()
+	}
+	wg.Wait()
+	var ok []*workerRef
+	for i, ref := range refs {
+		if errs[i] != nil {
+			c.markDown(ref, errs[i])
+			continue
+		}
+		ok = append(ok, ref)
+	}
+	return ok
 }
 
 // --- stats ---

@@ -456,6 +456,20 @@ func BenchmarkCoordinatorBootstrap(b *testing.B) {
 	}
 }
 
+// BenchmarkCoordinatorBump is one epoch bump of a bootstrapped cluster over
+// 10 000 titles (three workers, R = 2): the coordinator collects each group's
+// frequency table, merges them, and every worker adopts the order — every
+// group index rebuilt under it — and commits.
+func BenchmarkCoordinatorBump(b *testing.B) {
+	tc, _ := titlesCluster(b, 10000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tc.coord.BumpEpoch("benchmark"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // iterationTB is a testing.TB whose cleanups run when the benchmark
 // iteration calls cleanup, not at the end of the benchmark.
 type iterationTB struct {

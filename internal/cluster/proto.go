@@ -1,6 +1,10 @@
 package cluster
 
-import "github.com/aujoin/aujoin"
+import (
+	"encoding/json"
+
+	"github.com/aujoin/aujoin"
+)
 
 // Wire types of the cluster protocol. The public routes and the control
 // plane (registration, configuration, sequenced applies, the epoch bump's
@@ -46,8 +50,8 @@ type RegisterResponse struct {
 // ConfigRequest is the coordinator pushing cluster membership and build
 // parameters to one worker at bootstrap. The worker builds one empty index
 // per replica group it hosts and becomes ready; the seed chunks that follow
-// (ApplyRequest.Seed) replace each with the index over the group's share of
-// the catalog.
+// (ApplyRequest.Seed) and the bootstrap's order replace each with the index
+// over the group's share of the catalog.
 type ConfigRequest struct {
 	Workers  []string `json:"workers"` // advertise addresses, by worker index
 	Self     int      `json:"self"`    // this worker's index
@@ -64,11 +68,13 @@ type ConfigRequest struct {
 // sequence is acknowledged without re-applying, a gap is a 409.
 //
 // Seed marks one chunk of the bootstrap seed instead: its records are
-// staged, not inserted, and the chunk marked Last builds the group's index
-// over every staged record at once. A seed chunk is sequenced like any
+// staged, not inserted, and the chunk marked Last prepares every staged
+// record at once and counts their keys; the group's index is built under
+// the first order adopted after it. A seed chunk is sequenced like any
 // batch, so a replica that misses one is taken out by the same gap rule.
 // The seed comes first: a seed chunk after the last one, after an ordinary
-// batch or after an order adoption is refused with a 400.
+// batch or after an order adoption is refused with a 400, and so is an
+// ordinary batch between the last chunk and that order.
 type ApplyRequest struct {
 	Epoch   int64    `json:"epoch"`
 	Group   int      `json:"group"`
@@ -82,15 +88,21 @@ type ApplyRequest struct {
 
 // ApplyResponse acknowledges an ApplyRequest. Removed reports, per entry of
 // Removes, whether the record was present and live (identical across
-// replicas, since replica indexes are identical).
+// replicas, since replica indexes are identical). Order is the group's
+// key-frequency table, an aujoin.OrderImage, on the acknowledgement of the
+// last seed chunk: the bootstrap merges one a group into the cluster's first
+// order. It stays raw until then, so the coordinator decodes one table a
+// group, not one a replica.
 type ApplyResponse struct {
-	Applied bool   `json:"applied"`
-	Removed []bool `json:"removed,omitempty"`
+	Applied bool            `json:"applied"`
+	Removed []bool          `json:"removed,omitempty"`
+	Order   json.RawMessage `json:"order,omitempty"`
 }
 
 // OrderPayload carries a frozen-order image: the prepare phase of an epoch
-// bump ships the image the coordinator merged from every group's table to
-// every worker (POST /cluster/adopt). Epoch is the epoch being prepared.
+// bump, and the bootstrap's order step, ship the image the coordinator
+// merged from every group's table to every worker (POST /cluster/adopt).
+// Epoch is the epoch being prepared.
 type OrderPayload struct {
 	Epoch int64             `json:"epoch"`
 	Order aujoin.OrderImage `json:"order"`

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -55,19 +56,23 @@ type Worker struct {
 
 // workerGroup is one hosted replica group: its index — a Backend, the read
 // target a request for the group resolves to — and the apply sequencing.
-// The group mutex serializes ApplyRequests so the sequence check and the
-// mutation are atomic; queries never take it. The Backend is replaced once,
-// when the bootstrap seed's last chunk builds the group's index.
+// The group mutex serializes ApplyRequests and adoptions so the sequence
+// check and the mutation are atomic; queries never take it. The Backend is
+// replaced once, when the first adopted order installs the group's seeded
+// share; until then a group serves the empty index config made.
 type workerGroup struct {
 	be  atomic.Pointer[Backend]
 	mu  sync.Mutex
 	seq atomic.Uint64
 	// seedIDs and seedRecs are the catalog share the bootstrap seed's chunks
-	// staged, until the last chunk builds the index over it; guarded by mu.
+	// staged, until the last chunk prepares it; guarded by mu.
 	seedIDs  []int
 	seedRecs []string
-	// sealed is set, under mu, once the seed is over: its last chunk built
-	// the index, an ordinary batch was applied or an order adopted. A seed
+	// pending is the share the last seed chunk prepared and counted, until
+	// the first adopted order installs it; guarded by mu.
+	pending *aujoin.PendingIndex
+	// sealed is set, under mu, once the seed is over: its last chunk
+	// arrived, an ordinary batch was applied or an order adopted. A seed
 	// chunk after that would replace an index holding writes or an order.
 	sealed bool
 }
@@ -323,43 +328,52 @@ func (wk *Worker) apply(_ context.Context, req *ApplyRequest) (ApplyResponse, er
 	if req.Seed && wg.sealed {
 		return none, badRequest(fmt.Sprintf("apply: seed chunk %d for group %d after the group's seed ended", req.Seq, req.Group))
 	}
+	if !req.Seed && wg.pending != nil {
+		return none, badRequest(fmt.Sprintf("apply: batch %d for group %d before an order installed its seed", req.Seq, req.Group))
+	}
+	resp := ApplyResponse{Applied: true}
 	if req.Seed {
-		if err := wk.stage(wg, req); err != nil {
+		table, err := wk.stage(wg, req)
+		if err != nil {
 			return none, err
 		}
+		resp.Order = table
 	} else if len(req.IDs) > 0 {
 		if err := wg.ix().InsertWithIDs(req.IDs, req.Records); err != nil {
 			return none, fmt.Errorf("apply insert: %w", err)
 		}
 	}
-	var removed []bool
 	if len(req.Removes) > 0 {
-		removed = wg.ix().RemoveBatch(req.Removes)
+		resp.Removed = wg.ix().RemoveBatch(req.Removes)
 	}
 	if !req.Seed || req.Last {
 		wg.sealed = true
 	}
 	wg.seq.Store(req.Seq)
-	return ApplyResponse{Applied: true, Removed: removed}, nil
+	return resp, nil
 }
 
-// stage adds one seed chunk to the group's staged share; the last chunk
-// builds the group's index over the whole share at once, as a single node
-// builds its catalog (aujoin.Joiner.IndexWithIDs), and replaces the empty
-// index config made. The caller holds wg.mu.
-func (wk *Worker) stage(wg *workerGroup, req *ApplyRequest) error {
+// stage adds one seed chunk to the group's staged share. The last chunk
+// prepares the whole share at once, as a single node builds its catalog, up
+// to the order (aujoin.Joiner.PrepareWithIDs): the records are prepared
+// against the group index's dictionary and their keys counted, but nothing
+// is frozen or signed. The share waits in wg.pending for the order the
+// coordinator merges from every group's table, and stage returns this
+// group's table, encoded, for the chunk's acknowledgement. The caller holds
+// wg.mu.
+func (wk *Worker) stage(wg *workerGroup, req *ApplyRequest) (json.RawMessage, error) {
 	wg.seedIDs = append(wg.seedIDs, req.IDs...)
 	wg.seedRecs = append(wg.seedRecs, req.Records...)
 	if !req.Last {
-		return nil
+		return nil, nil
 	}
-	ix, err := wk.joiner.IndexWithIDs(wg.seedIDs, wg.seedRecs, wk.jopts, aujoin.IndexOptions{Shards: wk.shards})
+	p, err := wk.joiner.PrepareWithIDs(wg.seedIDs, wg.seedRecs, wk.jopts, aujoin.IndexOptions{Shards: wk.shards})
 	if err != nil {
-		return fmt.Errorf("seed build: %w", err)
+		return nil, fmt.Errorf("seed build: %w", err)
 	}
-	wg.adopt(ix)
+	wg.pending = p
 	wg.seedIDs, wg.seedRecs = nil, nil
-	return nil
+	return json.Marshal(p.KeyFrequencies())
 }
 
 // freqs exports one hosted group's live key-frequency table — what the
@@ -372,12 +386,13 @@ func (wk *Worker) freqs(g int) (aujoin.OrderImage, error) {
 	return wg.ix().KeyFrequencies(), nil
 }
 
-// adopt is the prepare phase of an epoch bump on the worker side: the hosted
-// group indexes are rebuilt under the shipped global order, one group at a
-// time — a rolling rebuild; reads keep being served from the pre-adoption
-// snapshots throughout. The worker's committed epoch does not change yet;
-// the prepared epoch is remembered so requests stamped with it are already
-// accepted.
+// adopt is the prepare phase of an epoch bump on the worker side, and of
+// the bootstrap's one order step: every hosted group takes the shipped
+// global order, one group at a time (adoptOrder) — a group the seed left
+// pending is installed under it, every other group index rebuilt under it;
+// reads keep being served from the pre-adoption snapshots throughout. The
+// worker's committed epoch does not change yet; the prepared epoch is
+// remembered so requests stamped with it are already accepted.
 func (wk *Worker) adopt(_ context.Context, payload *OrderPayload) (map[string]bool, error) {
 	cur := wk.epoch.Load()
 	if payload.Epoch == cur {
@@ -393,10 +408,7 @@ func (wk *Worker) adopt(_ context.Context, payload *OrderPayload) (map[string]bo
 	}
 	wk.mu.Unlock()
 	for _, wg := range groups {
-		wg.mu.Lock()
-		wg.sealed = true // an apply staging a seed chunk has finished
-		wg.mu.Unlock()
-		if err := wg.ix().AdoptOrder(payload.Order); err != nil {
+		if err := wg.adoptOrder(payload.Order); err != nil {
 			return nil, fmt.Errorf("adopt order: %w", err)
 		}
 	}
@@ -404,6 +416,26 @@ func (wk *Worker) adopt(_ context.Context, payload *OrderPayload) (map[string]bo
 	wk.adopted = payload.Epoch
 	wk.mu.Unlock()
 	return ack, nil
+}
+
+// adoptOrder puts the group under the order: a pending seed is installed
+// under it — each record signed once, and the staged share released — and
+// an index already built re-signs its records under it (AdoptOrder). Either
+// way the group's seed is over.
+func (wg *workerGroup) adoptOrder(img aujoin.OrderImage) error {
+	wg.mu.Lock()
+	defer wg.mu.Unlock()
+	wg.sealed = true
+	if wg.pending == nil {
+		return wg.ix().AdoptOrder(img)
+	}
+	ix, err := wg.pending.Install(img)
+	if err != nil {
+		return err
+	}
+	wg.pending = nil
+	wg.adopt(ix)
+	return nil
 }
 
 // commit is phase two: flip the committed epoch to the prepared one.

@@ -3,15 +3,16 @@ package join
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/pebble"
 	"github.com/aujoin/aujoin/internal/strutil"
 )
 
-// This file holds the hooks the cluster layer builds on: builds and inserts
-// with caller-assigned stable IDs, export of the live key-frequency table, and
-// adoption of an externally built frozen order (the worker side of the
+// This file holds the hooks the cluster layer builds on: two-phase builds and
+// inserts with caller-assigned stable IDs, export of the key-frequency table,
+// and adoption of an externally built frozen order (the worker side of the
 // coordinator's order-sync protocol).
 
 // InsertBatchRecords appends records whose stable IDs the caller assigned —
@@ -38,14 +39,25 @@ func (sx *ShardedIndex) InsertBatchRecords(ids []int, raw []string) error {
 	return nil
 }
 
-// BuildShardedIndexWithIDs is BuildShardedIndex over records whose stable
-// IDs the caller assigned, under InsertBatchRecords' rules for them: a
-// cluster worker builds its share of the catalog with it, under the IDs the
-// coordinator allocated. The records take the one build path (assemble), so
-// no record is inserted: the index has no delta segment, no dynamic key and
-// no compaction behind it, and its order is counted over the whole
-// collection.
-func (j *Joiner) BuildShardedIndexWithIDs(ids []int, raw []string, shards int, opts Options, dopts DynamicOptions) (*ShardedIndex, error) {
+// PendingIndex is the first half of a build over records whose stable IDs
+// the caller assigned, under InsertBatchRecords' rules for them: the records
+// routed and prepared against the new index's dictionary and their keys
+// counted, but no order frozen and no record signed. A cluster worker holds
+// its share of the catalog so between the bootstrap seed's last chunk, whose
+// acknowledgement carries KeyFrequencies, and the order the coordinator
+// merges from every group's table, which Install signs every record under
+// once.
+type PendingIndex struct {
+	b     *build
+	count *pebble.KeyCount
+}
+
+// PrepareShardedIndexWithIDs starts a BuildShardedIndex over the records
+// under the caller's IDs: it takes the one build path (assemble) as far as
+// the count, so no record is inserted — the index Install makes has no delta
+// segment, no dynamic key and no compaction behind it.
+func (j *Joiner) PrepareShardedIndexWithIDs(ids []int, raw []string, shards int, opts Options, dopts DynamicOptions) (*PendingIndex, error) {
+	start := time.Now()
 	if err := checkIDs(ids, raw); err != nil {
 		return nil, err
 	}
@@ -53,7 +65,54 @@ func (j *Joiner) BuildShardedIndexWithIDs(ids []int, raw []string, shards int, o
 	for i, s := range raw {
 		records[i] = strutil.NewRecord(ids[i], s)
 	}
-	return j.BuildShardedIndex(records, shards, opts, dopts), nil
+	b := j.assemble(records, nil, shards, opts, dopts, start)
+	return &PendingIndex{b: b, count: b.sx.countKeys(b.prepared()...)}, nil
+}
+
+// KeyFrequencies is the pending records' frequency table: the keys and
+// frequencies ShardedIndex.KeyFrequencies of the index built over them
+// exports, but first counted first, not in finalize order — a table for
+// pebble.MergeFrequencyTables, which sums tables in any order and sorts the
+// sum, not an image to install.
+func (p *PendingIndex) KeyFrequencies() ([]string, []int) { return p.count.Table(false) }
+
+// Install finishes the build under the externally built frozen order (keys,
+// freqs), in finalize order, as AdoptOrder takes it: every record is signed
+// under it once, and keys of the records the image lacks are interned into
+// its dynamic region first (AdoptOrder's guard). As after AdoptOrder, the
+// index never re-freezes on its own. A PendingIndex installs once.
+func (p *PendingIndex) Install(keys []string, freqs []int) (*ShardedIndex, error) {
+	order, err := pebble.RestoreOrder(keys, freqs, nil)
+	if err != nil {
+		return nil, err
+	}
+	internMissing(order, p.count)
+	sx := p.b.finish(givenOrder(order))
+	sx.noRefreeze.Store(true)
+	p.b, p.count = nil, nil
+	return sx, nil
+}
+
+// givenOrder is the freezer of an order made elsewhere — restored from a
+// snapshot or shipped by a coordinator — with its IDs looked up by key.
+func givenOrder(order *pebble.Order) freezer {
+	return func(sx *ShardedIndex, _ ...[]*core.PreparedRecord) *pebble.KeyIDs {
+		return sx.joiner.gen.KeyIDs(sx.dict, order)
+	}
+}
+
+// internMissing interns into order's dynamic region every key count holds
+// that order lacks, so that records signed under it lose no pebble whatever
+// the order's image holds. It is deterministic across replicas, which count
+// identical records.
+func internMissing(order *pebble.Order, count *pebble.KeyCount) {
+	var missing []pebble.Pebble
+	for _, key := range count.Keys() {
+		if _, ok := order.ID(key); !ok {
+			missing = append(missing, pebble.Pebble{Key: key})
+		}
+	}
+	order.InternDynamic(missing)
 }
 
 // checkIDs enforces the rules on caller-assigned stable IDs: one a record,
@@ -84,7 +143,7 @@ func checkIDs(ids []int, raw []string) error {
 // sums across groups into the next global frozen order. The live set is
 // collected under every shard's writer lock (one atomic cut); the frequency
 // count itself runs after the locks drop, over the prepared records the
-// shards hold, which are immutable.
+// shards hold, which are immutable, and builds no order.
 func (sx *ShardedIndex) KeyFrequencies() ([]string, []int) {
 	sx.refreezeMu.Lock()
 	unlock := sx.lockShards()
@@ -95,7 +154,7 @@ func (sx *ShardedIndex) KeyFrequencies() ([]string, []int) {
 	unlock()
 	sx.refreezeMu.Unlock()
 
-	return sx.joiner.orderOf(sx.dict, live...).Order().FrequencyTable()
+	return sx.countKeys(live...).Table(true)
 }
 
 // AdoptOrder replaces the index's pebble order with an externally built
@@ -120,25 +179,11 @@ func (sx *ShardedIndex) AdoptOrder(keys []string, freqs []int) error {
 	}
 	sx.refreezeMu.Lock()
 	defer sx.refreezeMu.Unlock()
-	sx.refreezeLocked(func(d *core.SegDict, live ...[]*core.PreparedRecord) *pebble.KeyIDs {
+	sx.refreezeLocked(func(sx *ShardedIndex, live ...[]*core.PreparedRecord) *pebble.KeyIDs {
 		// The guard: any live key the image lacks joins the dynamic region
-		// before the records are signed under the adopted order. The live
-		// keys are counted by key number, and each distinct one looked up in
-		// the image once.
-		count := sx.joiner.gen.NewKeyCount(d)
-		for _, coll := range live {
-			for _, pr := range coll {
-				count.Add(pr)
-			}
-		}
-		var missing []pebble.Pebble
-		for _, key := range count.Keys() {
-			if _, ok := order.ID(key); !ok {
-				missing = append(missing, pebble.Pebble{Key: key})
-			}
-		}
-		order.InternDynamic(missing)
-		return sx.joiner.gen.KeyIDs(d, order)
+		// before the records are signed under the adopted order.
+		internMissing(order, sx.countKeys(live...))
+		return sx.joiner.gen.KeyIDs(sx.dict, order)
 	})
 	sx.noRefreeze.Store(true)
 	return nil

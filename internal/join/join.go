@@ -175,17 +175,23 @@ func (j *Joiner) BuildOrder(collections ...[]strutil.Record) *pebble.Order {
 }
 
 // orderOf constructs the global pebble frequency order over the given
-// collections of records prepared against d, counting their keys by key
-// number (pebble.KeyCount), and returns it with its IDs by key number, which
-// the order generation's probe table is built from (install).
+// collections of records prepared against d (keyCount) and returns it with
+// its IDs by key number, which the order generation's probe table is built
+// from (install).
 func (j *Joiner) orderOf(d *core.SegDict, collections ...[]*core.PreparedRecord) *pebble.KeyIDs {
+	return j.keyCount(d, collections...).Freeze()
+}
+
+// keyCount counts the document frequencies of the keys of the given
+// collections of records prepared against d by key number (pebble.KeyCount).
+func (j *Joiner) keyCount(d *core.SegDict, collections ...[]*core.PreparedRecord) *pebble.KeyCount {
 	count := j.gen.NewKeyCount(d)
 	for _, coll := range collections {
 		for _, pr := range coll {
 			count.Add(pr)
 		}
 	}
-	return count.Freeze()
+	return count
 }
 
 // probeScratch is the state of one request on one shard: the block

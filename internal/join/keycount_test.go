@@ -16,10 +16,11 @@ import (
 // counted by key number (pebble.KeyCount) and its records signed through the
 // new generation's probe table — to the key path, where every pebble is
 // generated and looked up by key: for a build, both sides of a one-shot
-// join, a re-freeze and AdoptOrder, every record's signature IDs must be
-// Selector.RecordSignature's under every method, and the order's frequency
-// table BuildOrder's over the same records, which prepares them without a
-// dictionary and so counts every gram by key. The corpus is the rule- and
+// join, a re-freeze, AdoptOrder and a two-phase build (PendingIndex), every
+// record's signature IDs must be Selector.RecordSignature's under every
+// method, and the order's frequency table BuildOrder's over the same
+// records, which prepares them without a dictionary and so counts every gram
+// by key. The corpus is the rule- and
 // taxonomy-heavy generator, whose rules share lhs texts; the probe side holds
 // typo'd variants with texts the dictionary lacks (NoSegID segments); and the
 // index's dictionary is held at its cap (core.SetSegDictLimit), so indexed
@@ -127,7 +128,7 @@ func TestKeyCountMatchesKeyPath(t *testing.T) {
 		sx.InsertBatch(probeRaws[:40])
 		sx.RemoveBatch([]int{0, 1, 2, 3, 4})
 		sx.refreezeMu.Lock()
-		sx.refreezeLocked(j.orderOf)
+		sx.refreezeLocked((*ShardedIndex).countedOrder)
 		sx.refreezeMu.Unlock()
 		shardSignatures("re-freeze", sx, m)
 		live := sx.Snapshot().Live()
@@ -146,5 +147,32 @@ func TestKeyCountMatchesKeyPath(t *testing.T) {
 			t.Fatalf("adoption interned %d keys, want the one the image lacks", d)
 		}
 		shardSignatures("adopted", sx, m)
+
+		// A two-phase build: the pending records' table, merged as a
+		// coordinator merges it, is BuildOrder's, and installed under it
+		// every record is signed once, as by the key path.
+		ids, raws := make([]int, len(s)), make([]string, len(s))
+		for i, rec := range s {
+			ids[i], raws[i] = rec.ID, rec.Raw
+		}
+		pending, err := j.PrepareShardedIndexWithIDs(ids, raws, 2, opts, DynamicOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, f := pending.KeyFrequencies()
+		keys, freqs, err = pebble.MergeFrequencyTables([][]string{k}, [][]int{f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTable("pending", keys, freqs, s)
+		installed, err := pending.Install(keys, freqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shardSignatures("installed", installed, m)
+		if st := installed.Stats(); st.Signed != int64(len(s)) || st.Counted != int64(len(s)) || st.Rebuilds != 0 || st.DynamicKeys != 0 {
+			t.Fatalf("installed: signed %d, counted %d, %d rebuilds, %d dynamic keys; want each of %d records signed and counted once",
+				st.Signed, st.Counted, st.Rebuilds, st.DynamicKeys, len(s))
+		}
 	}
 }

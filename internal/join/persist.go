@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/pebble"
 	"github.com/aujoin/aujoin/internal/store"
 	"github.com/aujoin/aujoin/internal/strutil"
@@ -120,9 +119,7 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 		records[i] = strutil.NewRecord(int(snap.Records[i].ID), snap.Records[i].Raw)
 	})
 	opts := Options{Theta: snap.Theta, Tau: snap.Tau, Method: pebble.Method(snap.Method)}
-	sx := j.assemble(records, snap.Dead, snap.Shards, opts, dopts, func(d *core.SegDict, _ ...[]*core.PreparedRecord) *pebble.KeyIDs {
-		return j.gen.KeyIDs(d, order)
-	}, start)
+	sx := j.assemble(records, snap.Dead, snap.Shards, opts, dopts, start).finish(givenOrder(order))
 	sx.nextID = int(snap.NextID)
 	return sx, nil
 }

@@ -105,7 +105,7 @@ func TestProbeSigningAcrossGenerations(t *testing.T) {
 		}
 		refreeze := func() {
 			sx.refreezeMu.Lock()
-			sx.refreezeLocked(sx.joiner.orderOf)
+			sx.refreezeLocked((*ShardedIndex).countedOrder)
 			sx.refreezeMu.Unlock()
 		}
 

@@ -326,6 +326,7 @@ func (sh *shard) insertRecords(recs []strutil.Record) {
 	}
 	sh.deltas = sh.deltas.push(delta, sh.sigIDs[first:])
 	sh.inserts += len(recs)
+	sh.sx.signed.Add(int64(len(recs)))
 	sh.maybeRebuildLocked()
 	sh.publishLocked()
 }
@@ -476,6 +477,13 @@ type DynamicStats struct {
 	// the shards; Inserts the records appended over the index lifetime.
 	Rebuilds int `json:"rebuilds"`
 	Inserts  int `json:"inserts"`
+	// Signed counts the records the index has signed over its lifetime: once
+	// each for a build, a restore or an insert, and once more each for every
+	// re-freeze or AdoptOrder. Counted counts the records whose keys it
+	// counted into a frequency table: a build's or a re-freeze's order,
+	// KeyFrequencies, AdoptOrder's guard and a pending build's table.
+	Signed  int64 `json:"signed"`
+	Counted int64 `json:"counted"`
 	// DenseKeys and SparseKeys split the bases' non-empty posting lists by
 	// representation: packed bitmap form (lists past the hybrid density
 	// cutoff) versus sorted slice form. Summed over the shards (each shard

@@ -93,6 +93,9 @@ type ShardedIndex struct {
 	noRefreeze     atomic.Bool     // set by AdoptOrder/DisableRefreeze
 	lastView       atomic.Pointer[ShardedView]
 
+	// signed and counted are DynamicStats' Signed and Counted.
+	signed, counted atomic.Int64
+
 	mu     sync.Mutex // guards nextID only; never held during shard work
 	nextID int
 }
@@ -149,24 +152,45 @@ func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Op
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	return j.assemble(records, nil, shards, opts, dopts, j.orderOf, start)
+	return j.assemble(records, nil, shards, opts, dopts, start).finish((*ShardedIndex).countedOrder)
 }
 
-// freezer turns an index's records, prepared against its dictionary d, into
+// freezer turns an index's records, prepared against its dictionary, into
 // the order they are signed under and its IDs by key number: a counted order
-// (Joiner.orderOf) for a build or a re-freeze, a given one for a restore or
-// AdoptOrder.
-type freezer func(d *core.SegDict, live ...[]*core.PreparedRecord) *pebble.KeyIDs
+// (countedOrder) for a build or a re-freeze, a given one for a restore, a
+// pending build's install or AdoptOrder.
+type freezer func(sx *ShardedIndex, live ...[]*core.PreparedRecord) *pebble.KeyIDs
 
-// assemble makes a new index over the records, the one path of a build and a
-// restore: it routes them to their shards — tombstoning those whose bit is
-// set in dead, a bitmap over the records' positions (nil for none) — and
-// sets the next ID past the largest. One preparation of the corpus against
-// the index's dictionary, shard after shard, feeds freeze and every shard's
-// signatures, and install adopts the shards under the order freeze returns.
-// A counted order spans the whole corpus, so document frequencies — and
-// therefore signatures — do not depend on the shard count.
-func (j *Joiner) assemble(records []strutil.Record, dead []uint64, shards int, opts Options, dopts DynamicOptions, freeze freezer, start time.Time) *ShardedIndex {
+// countedOrder is the order counted over the records (Joiner.orderOf).
+func (sx *ShardedIndex) countedOrder(live ...[]*core.PreparedRecord) *pebble.KeyIDs {
+	return sx.countKeys(live...).Freeze()
+}
+
+// countKeys counts the keys of the records, prepared against the index's
+// dictionary, by key number (Joiner.keyCount), and adds them to the records
+// the index has counted (DynamicStats.Counted).
+func (sx *ShardedIndex) countKeys(live ...[]*core.PreparedRecord) *pebble.KeyCount {
+	for _, coll := range live {
+		sx.counted.Add(int64(len(coll)))
+	}
+	return sx.joiner.keyCount(sx.dict, live...)
+}
+
+// build is a new index between the two halves of a build: its records routed
+// to their shards and prepared against its dictionary, and nothing frozen or
+// signed yet. finish ends it under an order.
+type build struct {
+	sx    *ShardedIndex
+	parts []part
+	start time.Time
+}
+
+// assemble is the first half of a new index over the records, the one path
+// of a build, a restore and a pending build: it routes them to their shards —
+// tombstoning those whose bit is set in dead, a bitmap over the records'
+// positions (nil for none) — sets the next ID past the largest, and prepares
+// the corpus against the index's dictionary, shard after shard.
+func (j *Joiner) assemble(records []strutil.Record, dead []uint64, shards int, opts Options, dopts DynamicOptions, start time.Time) *build {
 	sx := j.newRouter(opts, dopts)
 	parts := make([]part, shards)
 	for i, rec := range records {
@@ -177,13 +201,27 @@ func (j *Joiner) assemble(records []strutil.Record, dead []uint64, shards int, o
 		}
 		sx.nextID = max(sx.nextID, rec.ID+1)
 	}
-	prepared := make([][]*core.PreparedRecord, shards)
 	for w := range parts {
 		parts[w].prepared = prepareRecords(parts[w].records, sx.dict, j.calc.PrepareIn)
-		prepared[w] = parts[w].prepared
 	}
-	sx.install(freeze(sx.dict, prepared...), parts, start)
-	return sx
+	return &build{sx: sx, parts: parts, start: start}
+}
+
+// prepared returns the build's prepared records, shard by shard.
+func (b *build) prepared() [][]*core.PreparedRecord {
+	out := make([][]*core.PreparedRecord, len(b.parts))
+	for w := range b.parts {
+		out[w] = b.parts[w].prepared
+	}
+	return out
+}
+
+// finish is the second half of a build: install adopts the shards under the
+// order freeze returns. A counted order spans the whole corpus, so document
+// frequencies — and therefore signatures — do not depend on the shard count.
+func (b *build) finish(freeze freezer) *ShardedIndex {
+	b.sx.install(freeze(b.sx, b.prepared()...), b.parts, b.start)
+	return b.sx
 }
 
 // part is one shard's share of an install: positional records and their
@@ -201,10 +239,11 @@ type part struct {
 // dictionary held when they were numbered — and, shard by shard in
 // parallel, signs a part's records through that table, adopts the part as
 // the shard's base under that generation, re-applies its tombstones and
-// publishes the shard's view; then the generation becomes the router's. ids is dropped with the call. The shards
-// are created on the first install; a re-freeze holds every writer lock
-// across it. start is when the caller began the work the bases' build time
-// reports.
+// publishes the shard's view; then the generation becomes the router's. ids
+// is dropped with the call. The shards are created on the first install; a
+// re-freeze holds every writer lock across it. start is when the caller began
+// the work the bases' build time reports. Every record installed counts in
+// DynamicStats.Signed.
 func (sx *ShardedIndex) install(ids *pebble.KeyIDs, parts []part, start time.Time) {
 	order := ids.Order()
 	g := &orderGen{order: order, sel: pebble.NewSelector(sx.joiner.gen, order, sx.opts.Theta), probes: ids.ProbeTable()}
@@ -213,6 +252,9 @@ func (sx *ShardedIndex) install(ids *pebble.KeyIDs, parts []part, start time.Tim
 		for w := range sx.shards {
 			sx.shards[w] = &shard{sx: sx}
 		}
+	}
+	for w := range parts {
+		sx.signed.Add(int64(len(parts[w].prepared)))
 	}
 	parallelFor(len(parts), len(parts), func(w int) {
 		p, sh := &parts[w], sx.shards[w]
@@ -289,7 +331,7 @@ func (sx *ShardedIndex) maybeRefreeze() {
 		return
 	}
 	start := time.Now()
-	sx.refreezeLocked(sx.joiner.orderOf)
+	sx.refreezeLocked((*ShardedIndex).countedOrder)
 	// The whole stop-the-world window — live scans, order freeze and every
 	// shard rebuild — is one writer stall; log it whole so the pause
 	// percentiles cannot understate the one corpus-sized pause the design
@@ -323,7 +365,7 @@ func (sx *ShardedIndex) refreezeLocked(freeze freezer) {
 		sh.rebuilds++
 	}
 	sx.lastView.Store(&ShardedView{sx: sx, gen: sx.gen.Load(), views: pre})
-	sx.install(freeze(sx.dict, live...), parts, start)
+	sx.install(freeze(sx, live...), parts, start)
 	// The pre-refreeze view has served its purpose; dropping it releases
 	// the superseded generation's bases for collection (readers that
 	// already hold it keep it alive only as long as they keep it).
@@ -489,6 +531,8 @@ func (sv *ShardedView) Stats() DynamicStats {
 			Tau:              sx.tau,
 			DistinctSegments: sx.dict.Len(),
 			DistinctGrams:    sx.dict.NumGrams(),
+			Signed:           sx.signed.Load(),
+			Counted:          sx.counted.Load(),
 		}
 		for _, v := range sv.views {
 			v.addStats(&st)

@@ -187,6 +187,35 @@ func (c *KeyCount) Keys() []string {
 	return keys
 }
 
+// byFrequency returns every key counted with its frequency and number, in
+// the global order (sortByFrequency).
+func (c *KeyCount) byFrequency() []keyCount {
+	counts := make([]keyCount, len(c.seen))
+	for i, n := range c.seen {
+		counts[i] = keyCount{key: c.key[n], freq: c.freq[n], num: n}
+	}
+	sortByFrequency(counts)
+	return counts
+}
+
+// Table returns every key counted with its document frequency: sorted, in
+// finalize order — the FrequencyTable of the order Freeze would build,
+// without building it — and otherwise first counted first, a table for
+// MergeFrequencyTables, which sums tables in any order.
+func (c *KeyCount) Table(sorted bool) ([]string, []int) {
+	keys, freqs := make([]string, len(c.seen)), make([]int, len(c.seen))
+	if !sorted {
+		for i, n := range c.seen {
+			keys[i], freqs[i] = c.key[n], int(c.freq[n])
+		}
+		return keys, freqs
+	}
+	for i, kc := range c.byFrequency() {
+		keys[i], freqs[i] = kc.key, int(kc.freq)
+	}
+	return keys, freqs
+}
+
 // Freeze interns every key counted into a new finalized Order, as Finalize
 // interns the keys Add registered, and returns the order's IDs by key number.
 func (c *KeyCount) Freeze() *KeyIDs {

@@ -262,8 +262,9 @@ type keyCount struct {
 
 // sortByFrequency sorts keys into the global order: frequency ascending, key
 // ascending on ties. It is the one frequency sort: Finalize and
-// KeyCount.Freeze number the frozen IDs by it, FrequencyTable reads its
-// result, and MergeFrequencyTables sorts the sum of several tables by it.
+// KeyCount.Freeze number the frozen IDs by it, FrequencyTable and
+// KeyCount.Table read its result, and MergeFrequencyTables sorts the sum of
+// several tables by it.
 func sortByFrequency(counts []keyCount) {
 	slices.SortFunc(counts, func(a, b keyCount) int {
 		return cmp.Or(cmp.Compare(a.freq, b.freq), strings.Compare(a.key, b.key))
@@ -312,11 +313,7 @@ func (o *Order) Finalize() {
 // key asc) order. It returns the IDs by key number, NoID for the numbers c
 // did not count.
 func (o *Order) freeze(c *KeyCount) []uint32 {
-	counts := make([]keyCount, len(c.seen))
-	for i, n := range c.seen {
-		counts[i] = keyCount{key: c.key[n], freq: c.freq[n], num: n}
-	}
-	sortByFrequency(counts)
+	counts := c.byFrequency()
 	ids := make(map[string]uint32, len(counts))
 	keys := make([]string, len(counts))
 	freqs := make([]int, len(counts))
