@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -353,11 +353,12 @@ func (c *Coordinator) seed(ctx context.Context, catalog []string) ([]aujoin.Orde
 // bytes (\u00XX) a byte.
 func seedCost(rec string) int { return 24 + 6*len(rec) }
 
-// refs snapshots the registered workers.
+// refs snapshots the registered workers. Registration only ever appends,
+// so the snapshot shares the coordinator's array: its elements never change.
 func (c *Coordinator) refs() []*workerRef {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]*workerRef(nil), c.workers...)
+	return c.workers[:len(c.workers):len(c.workers)]
 }
 
 // BootstrapErr reports a failed bootstrap (nil while in progress or after
@@ -501,8 +502,9 @@ func (e *GatherError) body() map[string]any {
 	return map[string]any{"error": "scatter-gather failed", "code": "gather_failed", "failures": fails}
 }
 
-// readCandidates returns the live replicas of group g in the order to try
-// them, rotated per request so the read load spreads across the group.
+// readCandidates returns the live replicas of group g in the order a probe
+// stream tries them, rotated per request so the read load spreads across the
+// group.
 func (c *Coordinator) readCandidates(g int) []*workerRef {
 	reps := c.ring.GroupReplicas(g)
 	rot := int(c.rr.Add(1)) % len(reps)
@@ -515,85 +517,6 @@ func (c *Coordinator) readCandidates(g int) []*workerRef {
 		}
 	}
 	return out
-}
-
-// fetchGroup reads group g's top k (req, addressed to g) from its replicas
-// with hedging and failover: the first replica gets HedgeDelay of exclusive
-// time, then a second attempt races it; remaining replicas are tried as
-// earlier attempts fail. The first success wins and cancels the losers, which
-// read their answers to the end in the background and pool their connections
-// again (roundTrip). Each attempt buffers its answer fully — failover must
-// stay possible until the merge, so nothing is forwarded early. Hedging is
-// the coordinator's only protection against a stalled replica (a group read
-// has no timeout): a slow replica costs a read HedgeDelay, and is not marked
-// down for it.
-func (c *Coordinator) fetchGroup(ctx context.Context, req *frameRequest) ([]aujoin.QueryMatch, error) {
-	g := req.group
-	cands := c.readCandidates(g)
-	if len(cands) == 0 {
-		return nil, errors.New("no live replica")
-	}
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		val []aujoin.QueryMatch
-		err error
-		ref *workerRef
-	}
-	results := make(chan result, len(cands))
-	launched := 0
-	launch := func() {
-		ref := cands[launched]
-		launched++
-		go func() {
-			var out []aujoin.QueryMatch
-			err := stream(fctx, c, ref, req, func(m frameMatch) error {
-				out = append(out, aujoin.QueryMatch{Record: m.id, Similarity: m.sim})
-				return nil
-			})
-			results <- result{val: out, err: err, ref: ref}
-		}()
-	}
-	launch()
-	var hedgeCh <-chan time.Time
-	if c.cfg.HedgeDelay > 0 && len(cands) > 1 {
-		hedge := time.NewTimer(c.cfg.HedgeDelay)
-		defer hedge.Stop()
-		hedgeCh = hedge.C
-	}
-	var errs []error
-	pending := 1
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-hedgeCh:
-			hedgeCh = nil
-			if launched < len(cands) {
-				launch()
-				pending++
-			}
-		case res := <-results:
-			pending--
-			if res.err == nil {
-				return res.val, nil
-			}
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			if refused(res.err) {
-				return nil, res.err
-			}
-			errs = append(errs, fmt.Errorf("%s: %w", res.ref.addr, res.err))
-			c.markDown(res.ref, res.err)
-			if launched < len(cands) {
-				launch()
-				pending++
-			} else if pending == 0 {
-				return nil, errors.Join(errs...)
-			}
-		}
-	}
 }
 
 // gather runs op once per group, concurrently, and folds the failures into a
@@ -609,6 +532,14 @@ func (c *Coordinator) gather(status int, op func(g int) error) error {
 		}(g)
 	}
 	wg.Wait()
+	return c.gatherError(status, gerrs)
+}
+
+// gatherError folds per-group failures (gerrs[g]; nil: group g succeeded)
+// into a GatherError answering with status, nil when no group failed. A
+// refusal is returned as it is: it is the request's answer, not a group's
+// failure.
+func (c *Coordinator) gatherError(status int, gerrs []error) error {
 	var ge *GatherError
 	for g, err := range gerrs {
 		// A group cancelled because a sibling failed (or the client left) has
@@ -617,7 +548,7 @@ func (c *Coordinator) gather(status int, op func(g int) error) error {
 			continue
 		}
 		if refused(err) {
-			return err // the request's answer, not a group's failure
+			return err
 		}
 		if ge == nil {
 			ge = &GatherError{status: status}
@@ -636,10 +567,12 @@ func (c *Coordinator) gather(status int, op func(g int) error) error {
 	return ge
 }
 
-// topK scatter-gathers a top-k query: one live replica per group answers for
-// the group, the per-group lists are gathered and k-bound merged under the
-// engine's total order (similarity descending, ID ascending). The context
-// fans out to every worker stream: a client disconnect cancels them all.
+// topK scatter-gathers a top-k query: every group is read once, and the
+// per-group lists are k-bound merged under the engine's total order
+// (similarity descending, ID ascending). The reads cross each worker once
+// (see lookup): a frame carries every group its worker answers for. The
+// context fans out to every worker read: a client disconnect cancels them
+// all.
 func (c *Coordinator) topK(ctx context.Context, q string, opts aujoin.QueryOptions) ([]aujoin.QueryMatch, error) {
 	if opts.MinSimilarity > 0 && opts.MinSimilarity < c.cfg.Theta {
 		// Every worker index is built at cfg.Theta and would refuse; answer
@@ -648,35 +581,259 @@ func (c *Coordinator) topK(ctx context.Context, q string, opts aujoin.QueryOptio
 	}
 	c.queries.Add(1)
 	start := time.Now()
-	parts := make([][]aujoin.QueryMatch, c.ring.Workers())
-	err := c.gather(http.StatusBadGateway, func(g int) (err error) {
-		req := frameRequest{op: opQuery, group: g, k: opts.K, minSim: opts.MinSimilarity, q: q}
-		parts[g], err = c.fetchGroup(ctx, &req)
-		return err
-	})
-	if err != nil {
-		return nil, err
+	lctx, cancel := context.WithCancel(ctx)
+	defer cancel() // the reads still in flight are losers
+	refs := c.refs()
+	l := &lookup{
+		c: c, ctx: lctx, refs: refs,
+		req:   frameRequest{op: opQuery, k: opts.K, minSim: opts.MinSimilarity, q: q},
+		reads: make([]groupRead, len(refs)),
+		left:  len(refs),
+		done:  make(chan struct{}),
 	}
-	merged := mergeTopK(parts, opts.K)
+	frames := l.cover()
+	l.mu.Lock()
+	for g := range l.reads {
+		if r := &l.reads[g]; r.first == nil {
+			l.decide(r, errors.New("no live replica"))
+		}
+	}
+	for _, f := range frames {
+		l.launch(f.ref, f.groups)
+	}
+	l.mu.Unlock()
+	if c.cfg.HedgeDelay > 0 && c.ring.Replicas() > 1 {
+		hedge := time.AfterFunc(c.cfg.HedgeDelay, l.hedge)
+		defer hedge.Stop()
+	}
+	select {
+	case <-l.done:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.refusal != nil {
+		return nil, l.refusal
+	}
+	var gerrs []error
+	n := 0
+	for g, r := range l.reads {
+		if r.err != nil {
+			if gerrs == nil {
+				gerrs = make([]error, len(l.reads))
+			}
+			gerrs[g] = r.err
+		}
+		n += len(r.matches)
+	}
+	if gerrs != nil {
+		return nil, c.gatherError(http.StatusBadGateway, gerrs)
+	}
+	all := make([]aujoin.QueryMatch, 0, n)
+	for _, r := range l.reads {
+		all = append(all, r.matches...)
+	}
+	merged := mergeTopK(all, opts.K)
 	c.noteMerge(time.Since(start))
 	return merged, nil
 }
 
-// mergeTopK folds per-group top-k lists into the global top k under the
-// engine's total order: similarity descending, stable ID ascending on ties
-// — exactly the order a single-node View.Query returns, which is what makes
-// cluster answers bit-identical. Sound because each group's top k contains
-// every group-local record that can reach the global top k.
-func mergeTopK(parts [][]aujoin.QueryMatch, k int) []aujoin.QueryMatch {
-	var all []aujoin.QueryMatch
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Similarity != all[b].Similarity {
-			return all[a].Similarity > all[b].Similarity
+// lookup is one top-k query's reads. Its plan (cover) gives each group to
+// one ready worker, and each worker one frame of every group it was given:
+// the frame is each of its groups' first attempt. A group whose first
+// attempt has not answered when the hedge delay passes, or has failed, goes
+// on alone to its other ready replicas, as a replica race: one more attempt
+// at the hedge, the next as each attempt fails; the first answer wins, and
+// later ones are losers, which read their answers to the end in the
+// background and pool their connections again (roundTrip). So a stalled
+// worker costs a lookup one hedge delay and is not marked down — slow is not
+// dead — and a dead one is marked down once, by its frame. Every attempt
+// settles its groups under mu.
+type lookup struct {
+	c    *Coordinator
+	ctx  context.Context // ends when topK returns
+	req  frameRequest    // the query; each attempt sends it with its own groups
+	refs []*workerRef
+
+	mu      sync.Mutex
+	reads   []groupRead // by group
+	left    int         // groups not yet decided
+	refusal error       // a worker's refusal: the lookup's answer
+	over    bool        // every group is decided, or a worker refused: done is closed
+	done    chan struct{}
+}
+
+// groupRead is one group's read.
+type groupRead struct {
+	first   *workerRef // the worker whose frame carries the group; nil: no ready worker hosts it
+	next    int        // the replica (Ring.Replica) the next backup attempt may go to
+	pending int        // attempts in flight
+	decided bool
+	matches []aujoin.QueryMatch // the answer
+	errs    []error             // the failed attempts'
+	err     error               // the group's failure: decided with no answer
+}
+
+// coverFrame is one frame of a lookup's plan.
+type coverFrame struct {
+	ref    *workerRef
+	groups []int // ascending
+}
+
+// cover plans a lookup's frames. It walks the groups from the one the read
+// rotation picks, and gives each group not yet given to the ready replica of
+// it that hosts the most groups ahead of it, together with every other group
+// not yet given that the worker hosts. Replica i of group g is worker g+i,
+// which hosts groups g+i−R+1 … g+i, so the last ready replica reaches
+// furthest: with every worker ready the plan is ⌈N/R⌉ frames. A worker is
+// given at most one frame, and a group none of whose replicas is ready is
+// given to none.
+func (l *lookup) cover() []coverFrame {
+	ring := l.c.ring
+	n, reps := ring.Workers(), ring.Replicas()
+	given := make([]int, 0, n)
+	frames := make([]coverFrame, 0, (n+reps-1)/reps)
+	start := int(l.c.rr.Add(1) % uint64(n))
+	for i := range n {
+		g := (start + i) % n
+		if l.reads[g].first != nil {
+			continue
 		}
-		return all[a].Record < all[b].Record
+		for j := reps - 1; j >= 0; j-- {
+			w := ring.Replica(g, j)
+			ref := l.refs[w]
+			if ref.state.Load() != workerReady {
+				continue
+			}
+			at := len(given)
+			for k := range reps {
+				if h := ring.Hosted(w, k); l.reads[h].first == nil {
+					l.reads[h].first = ref
+					given = append(given, h)
+				}
+			}
+			slices.Sort(given[at:])
+			frames = append(frames, coverFrame{ref: ref, groups: given[at:len(given):len(given)]})
+			break
+		}
+	}
+	return frames
+}
+
+// launch starts one attempt: a frame of groups to ref. The caller holds mu.
+func (l *lookup) launch(ref *workerRef, groups []int) {
+	for _, g := range groups {
+		l.reads[g].pending++
+	}
+	go l.attempt(ref, groups)
+}
+
+// attempt reads groups from ref in one frame and settles each group as its
+// section of the answer closes.
+func (l *lookup) attempt(ref *workerRef, groups []int) {
+	req := l.req
+	req.groups = groups
+	var out []aujoin.QueryMatch
+	at := 0
+	stream(l.ctx, l.c, ref, &req, func(m frameMatch) error {
+		out = append(out, aujoin.QueryMatch{Record: m.id, Similarity: m.sim})
+		return nil
+	}, func(g int, err error) {
+		l.settle(g, ref, out[at:len(out):len(out)], err)
+		at = len(out)
+	})
+}
+
+// settle takes one attempt's outcome for group g. An answer decides the
+// group. A failure takes ref out and sends the group on to its next replica,
+// and decides it as failed once no replica is left and no attempt is in
+// flight; a refusal, which every replica would repeat, is the lookup's
+// answer. An outcome after the group is decided, or after the lookup ended,
+// is a loser's and changes nothing.
+func (l *lookup) settle(g int, ref *workerRef, matches []aujoin.QueryMatch, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	r := &l.reads[g]
+	r.pending--
+	if r.decided || l.over || l.ctx.Err() != nil {
+		return
+	}
+	switch {
+	case err == nil:
+		r.matches = matches
+		l.decide(r, nil)
+	case refused(err):
+		l.refusal = err
+		l.finish()
+	default:
+		r.errs = append(r.errs, fmt.Errorf("%s: %w", ref.addr, err))
+		l.c.markDown(ref, err)
+		if !l.backup(g) && r.pending == 0 {
+			l.decide(r, errors.Join(r.errs...))
+		}
+	}
+}
+
+// hedge runs once, when the hedge delay has passed: every group not yet
+// decided is sent on to its next replica as well.
+func (l *lookup) hedge() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.over {
+		return
+	}
+	for g := range l.reads {
+		if !l.reads[g].decided {
+			l.backup(g)
+		}
+	}
+}
+
+// backup sends group g alone to the next of its ready replicas other than
+// the one its frame went to; false when none is left. The caller holds mu.
+func (l *lookup) backup(g int) bool {
+	r := &l.reads[g]
+	for r.next < l.c.ring.Replicas() {
+		ref := l.refs[l.c.ring.Replica(g, r.next)]
+		r.next++
+		if ref != r.first && ref.state.Load() == workerReady {
+			l.launch(ref, []int{g})
+			return true
+		}
+	}
+	return false
+}
+
+// decide closes group r's read: answered, or failed with err. The caller
+// holds mu.
+func (l *lookup) decide(r *groupRead, err error) {
+	r.decided, r.err = true, err
+	if l.left--; l.left == 0 {
+		l.finish()
+	}
+}
+
+// finish ends the lookup's wait. The caller holds mu.
+func (l *lookup) finish() {
+	if !l.over {
+		l.over = true
+		close(l.done)
+	}
+}
+
+// mergeTopK sorts the groups' top-k lists, concatenated in all, into the
+// global top k under the engine's total order: similarity descending, stable
+// ID ascending on ties — exactly the order a single-node View.Query returns,
+// which is what makes cluster answers bit-identical. Sound because each
+// group's top k contains every group-local record that can reach the global
+// top k.
+func mergeTopK(all []aujoin.QueryMatch, k int) []aujoin.QueryMatch {
+	slices.SortFunc(all, func(a, b aujoin.QueryMatch) int {
+		if c := cmp.Compare(b.Similarity, a.Similarity); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Record, b.Record)
 	})
 	if len(all) > k {
 		all = all[:k]
@@ -702,7 +859,7 @@ func (c *Coordinator) noteMerge(d time.Duration) {
 // the request batch). A group whose replica dies before emitting anything
 // fails over; once a group has emitted, a mid-stream death fails the probe.
 func (c *Coordinator) probe(ctx context.Context, records []string, emit func(ProbeMatch) error) error {
-	if requestSize(&frameRequest{op: opProbe, group: c.ring.Workers() - 1, records: records}) > maxFrameBytes {
+	if requestSize(&frameRequest{op: opProbe, groups: []int{c.ring.Workers() - 1}, records: records}) > maxFrameBytes {
 		// Only records that JSON decoding grew (invalid UTF-8 turns into
 		// three bytes) can get here from a body within its cap.
 		return badRequest(fmt.Sprintf("probe batch is over the %d-byte frame cap", maxFrameBytes))
@@ -716,7 +873,7 @@ func (c *Coordinator) probe(ctx context.Context, records []string, emit func(Pro
 		return emit(m)
 	}
 	return c.gather(http.StatusBadGateway, func(g int) error {
-		req := frameRequest{op: opProbe, group: g, records: records}
+		req := frameRequest{op: opProbe, groups: []int{g}, records: records}
 		err := c.probeGroup(fctx, &req, serial)
 		if err != nil {
 			cancel() // one group failed, or the client hung up: abort every worker stream
@@ -728,7 +885,7 @@ func (c *Coordinator) probe(ctx context.Context, records []string, emit func(Pro
 // probeGroup streams one group's probe matches to emit, failing over to the
 // next replica as long as nothing from this group has been forwarded yet.
 func (c *Coordinator) probeGroup(ctx context.Context, req *frameRequest, emit func(ProbeMatch) error) error {
-	cands := c.readCandidates(req.group)
+	cands := c.readCandidates(req.groups[0])
 	if len(cands) == 0 {
 		return errors.New("no live replica")
 	}
@@ -738,10 +895,11 @@ func (c *Coordinator) probeGroup(ctx context.Context, req *frameRequest, emit fu
 			return ctx.Err()
 		}
 		forwarded := 0
-		err := stream(ctx, c, ref, req, func(m frameMatch) error {
+		var err error
+		stream(ctx, c, ref, req, func(m frameMatch) error {
 			forwarded++
 			return emit(ProbeMatch{S: m.id, T: m.pos, Similarity: m.sim})
-		})
+		}, func(_ int, gerr error) { err = gerr })
 		if err == nil {
 			return nil
 		}
@@ -858,6 +1016,10 @@ func (c *Coordinator) applyGroup(ctx context.Context, req *ApplyRequest) (*Apply
 	lane.mu.Lock()
 	defer lane.mu.Unlock()
 	req.Epoch, req.Seq = c.epoch.Load(), lane.seq+1
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
 
 	refs := c.refs()
 	reps := c.ring.GroupReplicas(req.Group)
@@ -878,7 +1040,7 @@ func (c *Coordinator) applyGroup(ctx context.Context, req *ApplyRequest) (*Apply
 		go func(ref *workerRef) {
 			defer wg.Done()
 			var ar ApplyResponse
-			err := call(ctx, c.client, ref.addr+"/cluster/apply", req, &ar)
+			err := call(ctx, c.client, ref.addr+"/cluster/apply", json.RawMessage(body), &ar)
 			mu.Lock()
 			results = append(results, res{resp: &ar, err: err, ref: ref})
 			mu.Unlock()
@@ -991,9 +1153,12 @@ func (c *Coordinator) publish(ctx context.Context, order aujoin.OrderImage, reas
 	if len(ready) == 0 {
 		return fmt.Errorf("epoch %d: no ready workers", next)
 	}
-	payload := OrderPayload{Epoch: next, Order: order}
+	payload, err := json.Marshal(OrderPayload{Epoch: next, Order: order})
+	if err != nil {
+		return err
+	}
 	adopted := c.each(ready, func(ref *workerRef) error {
-		if err := call(ctx, c.client, ref.addr+"/cluster/adopt", payload, nil); err != nil {
+		if err := call(ctx, c.client, ref.addr+"/cluster/adopt", json.RawMessage(payload), nil); err != nil {
 			return fmt.Errorf("adopt epoch %d: %w", next, err)
 		}
 		return nil
@@ -1003,8 +1168,12 @@ func (c *Coordinator) publish(ctx context.Context, order aujoin.OrderImage, reas
 	}
 
 	c.epoch.Store(next)
+	commit, err := json.Marshal(CommitRequest{Epoch: next})
+	if err != nil {
+		return err
+	}
 	c.each(adopted, func(ref *workerRef) error {
-		if err := call(ctx, c.client, ref.addr+"/cluster/commit", CommitRequest{Epoch: next}, nil); err != nil {
+		if err := call(ctx, c.client, ref.addr+"/cluster/commit", json.RawMessage(commit), nil); err != nil {
 			return fmt.Errorf("commit epoch %d: %w", next, err)
 		}
 		return nil

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -14,7 +13,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -23,19 +21,21 @@ import (
 )
 
 // This file is the data plane between the coordinator and its workers: the
-// two group reads (a top-k query and a probe stream of one replica group),
-// carried as length-prefixed binary frames on connections the coordinator
-// upgrades from GET /cluster/frames on a worker's own mux and pools per
-// worker, one request in flight on each. Everything else the two speak stays
-// JSON over HTTP (see peer.go).
+// two group reads (a top-k query of the replica groups a worker hosts, and a
+// probe stream of one group), carried as length-prefixed binary frames on
+// connections the coordinator upgrades from GET /cluster/frames on a
+// worker's own mux and pools per worker, one request in flight on each.
+// Everything else the two speak stays JSON over HTTP (see peer.go).
 //
 // A frame is a big-endian uint32 payload length and the payload. A request
-// is op, group, epoch, k and min_sim, then the query text or the probe
-// records, each a uvarint length and its raw bytes. An answer is zero or more
-// match frames and one end frame: a match carries the record ID, the probe
-// position for a probe match and the similarity's eight IEEE-754 bytes, so
-// it round-trips exactly; the end frame carries the status and, on failure,
-// the ErrorBody JSON an HTTP answer would have carried.
+// is op, the group count and the groups (strictly ascending; a probe names
+// one), epoch, k and min_sim, then the query text or the probe records, each
+// a uvarint length and its raw bytes. An answer is one section a group, in
+// the request's order: zero or more match frames and the group's end frame.
+// A match carries the record ID, the probe position for a probe match and
+// the similarity's eight IEEE-754 bytes, so it round-trips exactly; an end
+// frame carries the group's status and, on failure, the ErrorBody JSON an
+// HTTP answer would have carried.
 
 const (
 	framesPath    = "/cluster/frames"
@@ -45,6 +45,10 @@ const (
 	// decoded from by a few bytes, so the cap is the body cap plus that
 	// slack: a probe batch that fit the client's body fits a frame.
 	maxFrameBytes = maxBodyBytes + 64
+	// maxFrameGroups caps the groups one request names. A worker hosts R
+	// groups, and the cover plan sends it no more; the cap bounds the answer
+	// a request can ask for, an end frame a group, to about a frame's size.
+	maxFrameGroups = 1 << 16
 	// maxIdleFrames bounds the idle connections pooled per worker.
 	maxIdleFrames = 64
 	// drainTimeout bounds how long a query read whose context ended — a
@@ -72,11 +76,11 @@ var (
 	errFrameShort    = errors.New("truncated frame")
 )
 
-// frameRequest is one group read. The epoch travels beside it (see
-// appendRequest), so hedged attempts can share one request.
+// frameRequest is one read of one or more groups. The epoch travels beside
+// it (see appendRequest), so a restamped retry can reuse the request.
 type frameRequest struct {
 	op      byte
-	group   int
+	groups  []int // strictly ascending; a probe's holds one group
 	epoch   int64
 	k       int
 	minSim  float64  // 0: unset
@@ -99,7 +103,10 @@ type frameMatch struct {
 func appendRequest(b []byte, req *frameRequest, epoch int64) []byte {
 	at := len(b)
 	b = append(b, 0, 0, 0, 0, req.op)
-	b = binary.AppendUvarint(b, uint64(req.group))
+	b = binary.AppendUvarint(b, uint64(len(req.groups)))
+	for _, g := range req.groups {
+		b = binary.AppendUvarint(b, uint64(g))
+	}
 	b = binary.AppendVarint(b, epoch)
 	b = binary.AppendUvarint(b, uint64(req.k))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(req.minSim))
@@ -118,7 +125,10 @@ func appendRequest(b []byte, req *frameRequest, epoch int64) []byte {
 // requestSize bounds the payload size of req's frame, its epoch counted at
 // the widest stamp.
 func requestSize(req *frameRequest) int {
-	n := 1 + uvarintLen(uint64(req.group)) + binary.MaxVarintLen64 + uvarintLen(uint64(req.k)) + 8
+	n := 1 + uvarintLen(uint64(len(req.groups))) + binary.MaxVarintLen64 + uvarintLen(uint64(req.k)) + 8
+	for _, g := range req.groups {
+		n += uvarintLen(uint64(g))
+	}
 	if req.op == opQuery {
 		return n + uvarintLen(uint64(len(req.q))) + len(req.q)
 	}
@@ -259,25 +269,47 @@ func (fr *frameReader) done() error {
 	return fr.err
 }
 
-// decodeRequest decodes a request payload. The strings are copied out of p.
-func decodeRequest(p []byte) (frameRequest, error) {
+// decodeRequest decodes a request payload into req, reusing its groups'
+// backing array. The strings are copied out of p.
+func decodeRequest(p []byte, req *frameRequest) error {
 	if len(p) == 0 {
-		return frameRequest{}, errFrameShort
+		return errFrameShort
 	}
-	req := frameRequest{op: p[0]}
-	if req.op != opQuery && req.op != opProbe {
-		return frameRequest{}, fmt.Errorf("unknown frame op %d", req.op)
+	op := p[0]
+	if op != opQuery && op != opProbe {
+		return fmt.Errorf("unknown frame op %d", op)
 	}
 	fr := frameReader{p: p[1:]}
-	req.group = fr.smallInt()
+	// Every group takes at least a byte: a count beyond the bytes left is a
+	// lie, refused before it sizes anything.
+	n := fr.uvarint()
+	switch {
+	case fr.err != nil:
+	case n == 0:
+		return errors.New("a request of no group")
+	case n > maxFrameGroups:
+		return fmt.Errorf("a request of %d groups, over the cap of %d", n, maxFrameGroups)
+	case n > uint64(len(fr.p)):
+		fr.fail()
+	case op == opProbe && n != 1:
+		return fmt.Errorf("a probe request of %d groups", n)
+	}
+	groups := req.groups[:0]
+	for i := uint64(0); fr.err == nil && i < n; i++ {
+		g := fr.smallInt()
+		if len(groups) > 0 && g <= groups[len(groups)-1] {
+			return errors.New("request groups not strictly ascending")
+		}
+		groups = append(groups, g)
+	}
+	*req = frameRequest{op: op, groups: groups}
 	req.epoch = fr.varint()
 	req.k = fr.smallInt()
 	req.minSim = fr.float()
 	if req.op == opQuery {
 		req.q = string(fr.bytes())
 	} else {
-		// Every record takes at least its length byte: a count beyond the
-		// bytes left is a lie, refused before it sizes an allocation.
+		// Every record takes at least its length byte, as every group does.
 		n := fr.uvarint()
 		if n > uint64(len(fr.p)) {
 			fr.fail()
@@ -289,10 +321,7 @@ func decodeRequest(p []byte) (frameRequest, error) {
 			}
 		}
 	}
-	if err := fr.done(); err != nil {
-		return frameRequest{}, err
-	}
-	return req, nil
+	return fr.done()
 }
 
 // decodeAnswer decodes an answer payload. An end frame's body aliases p.
@@ -417,7 +446,8 @@ type frameServer struct {
 	// readTimeout bounds the read of a request once its first byte arrived;
 	// idleTimeout the wait for the next request. 0: no deadline.
 	readTimeout, idleTimeout time.Duration
-	out                      []byte // the answer frames not yet written
+	req                      frameRequest // the request being served
+	out                      []byte       // the answer frames not yet written
 }
 
 // serve reads requests and answers them in order until the connection closes
@@ -478,52 +508,67 @@ func (fs *frameServer) setReadDeadline(d time.Duration) {
 // armIdle starts the wait for the next request.
 func (fs *frameServer) armIdle() { fs.setReadDeadline(fs.idleTimeout) }
 
-// answer serves one request payload: its match frames, then the end frame.
-// An error is a malformed request or a dead connection, and closes it.
+// answer serves one request payload: for each of its groups in turn, the
+// group's match frames and its end frame. A query's answer goes out in one
+// write; a probe's matches go out as they are confirmed. A failure of the
+// whole request — the hook's, the query's options, readiness, the epoch
+// stamp — is every group's end frame. An error is a malformed request or a
+// dead connection, and closes it.
 func (fs *frameServer) answer(ctx context.Context, p []byte) error {
-	req, err := decodeRequest(p)
-	if err != nil {
+	req := &fs.req
+	if err := decodeRequest(p, req); err != nil {
 		return err
 	}
 	fs.out = fs.out[:0]
+	var err error
 	if hook := fs.wk.frameHook; hook != nil {
-		err = hook(ctx, &req)
+		err = hook(ctx, req)
 	}
 	if err == nil {
-		err = fs.dispatch(ctx, &req)
+		err = fs.wk.admit(req)
 	}
-	if ctx.Err() != nil {
-		return ctx.Err() // the coordinator is gone
-	}
-	status, body := http.StatusOK, []byte(nil)
-	if err != nil {
-		var b any
-		status, b = failure(err)
-		if body, err = json.Marshal(b); err != nil {
+	for _, g := range req.groups {
+		gerr := err
+		if gerr == nil {
+			gerr = fs.serveGroup(ctx, req, g)
+		}
+		if ctx.Err() != nil {
+			return ctx.Err() // the coordinator is gone
+		}
+		if err := fs.end(gerr); err != nil {
 			return err
 		}
 	}
-	fs.out = appendEnd(fs.out, status, body)
-	fs.armIdle() // before the end frame goes out: the next request may follow at once
+	fs.armIdle() // before the end frames go out: the next request may follow at once
 	return fs.flush()
 }
 
-// dispatch runs a request through the same resolve and target calls as the
-// HTTP surface's /query and /probe, so it fails with the same errors.
-func (fs *frameServer) dispatch(ctx context.Context, req *frameRequest) error {
-	opts := aujoin.QueryOptions{K: req.k, MinSimilarity: req.minSim}
+// admit checks a request once, before any of its groups is served, as the
+// HTTP surface's /query and /probe check theirs: a query's text and options,
+// then the worker's readiness and the epoch stamp.
+func (wk *Worker) admit(req *frameRequest) error {
 	if req.op == opQuery {
 		if req.q == "" {
 			return badRequest("missing q parameter")
 		}
-		if err := checkQueryOptions(opts); err != nil {
+		if err := checkQueryOptions(aujoin.QueryOptions{K: req.k, MinSimilarity: req.minSim}); err != nil {
 			return badRequest(err.Error())
 		}
 	}
-	t, err := fs.wk.resolve(strconv.Itoa(req.group), strconv.FormatInt(req.epoch, 10), false)
+	if !wk.ready.Load() {
+		return notReady("worker is not configured yet")
+	}
+	return wk.checkEpoch(req.epoch)
+}
+
+// serveGroup runs the request on hosted group g through the same target
+// calls as the HTTP surface, so it fails with the same errors.
+func (fs *frameServer) serveGroup(ctx context.Context, req *frameRequest, g int) error {
+	wg, err := fs.wk.group(g)
 	if err != nil {
 		return err
 	}
+	t := wg.be.Load()
 	if req.op == opProbe {
 		// Each match goes out as it is confirmed; a failure after the first
 		// is still reported in the end frame, which the coordinator reads as
@@ -533,13 +578,28 @@ func (fs *frameServer) dispatch(ctx context.Context, req *frameRequest) error {
 			return fs.flush()
 		})
 	}
-	matches, err := t.topK(ctx, req.q, opts)
+	matches, err := t.topK(ctx, req.q, aujoin.QueryOptions{K: req.k, MinSimilarity: req.minSim})
 	if err != nil {
 		return err
 	}
 	for _, m := range matches {
 		fs.out = appendMatch(fs.out, tagQueryMatch, m.Record, 0, m.Similarity)
 	}
+	return nil
+}
+
+// end appends a group's end frame: 200, or err's status and ErrorBody.
+func (fs *frameServer) end(err error) error {
+	status, body := http.StatusOK, []byte(nil)
+	if err != nil {
+		var b any
+		status, b = failure(err)
+		var merr error
+		if body, merr = json.Marshal(b); merr != nil {
+			return merr
+		}
+	}
+	fs.out = appendEnd(fs.out, status, body)
 	return nil
 }
 
@@ -670,34 +730,36 @@ func upgradeFrames(conn net.Conn, u *url.URL) (*frameConn, error) {
 }
 
 // roundTrip sends req, stamped with epoch, to the worker at addr on a pooled
-// connection, handing each match to fn, and returns the end frame's status
-// and failure body. A ctx that has ended by the time a connection is in
-// hand sends nothing: the connection goes back to the pool. When ctx ends
-// mid-exchange (abandon), a probe stream's connection is closed, and a
-// query read — a hedge's loser — finishes reading its answer within
-// drainTimeout and goes back to the pool, so that a hedge costs no later
-// lookup a dial; it is closed only when the deadline passes first. A
+// connection and hands fn each frame of the answer — a group's matches, then
+// its end frame, group after group in req's order — returning once the last
+// group's end frame is read. An end frame's body aliases the connection's
+// buffer: fn copies what it keeps. A ctx that has ended by the time a
+// connection is in hand sends nothing: the connection goes back to the pool.
+// When ctx ends mid-exchange (abandon), a probe stream's connection is
+// closed, and a query read — a hedge's loser — finishes reading its answer
+// within drainTimeout and goes back to the pool, so that a hedge costs no
+// later lookup a dial; it is closed only when the deadline passes first. A
 // reused connection that fails before any byte of the answer — one the
-// worker closed while it sat idle — is replaced by a new one once: reads
-// are idempotent, and the worker must not be blamed for it.
-func (p *framePool) roundTrip(ctx context.Context, addr string, req *frameRequest, epoch int64, fn func(frameMatch) error) (int, []byte, error) {
+// worker closed while it sat idle — is replaced by a new one once: reads are
+// idempotent, and the worker must not be blamed for it.
+func (p *framePool) roundTrip(ctx context.Context, addr string, req *frameRequest, epoch int64, fn func(frameMatch) error) error {
 	fc := p.get()
 	reused := fc != nil
 	for {
 		if fc == nil {
 			var err error
 			if fc, err = dialFrames(ctx, addr); err != nil {
-				return 0, nil, err
+				return err
 			}
 		}
 		if err := ctx.Err(); err != nil {
 			p.put(fc) // nothing was sent on it
-			return 0, nil, err
+			return err
 		}
 		fc.probe = req.op == opProbe
 		fc.ended.Add(1)
 		stop := context.AfterFunc(ctx, fc.abandon)
-		status, body, answered, err := fc.exchange(req, epoch, fn)
+		answered, err := fc.exchange(req, epoch, fn)
 		abandoned := !stop()
 		if abandoned {
 			fc.ended.Wait() // abandon has run: its deadline can be cleared
@@ -714,14 +776,14 @@ func (p *framePool) roundTrip(ctx context.Context, addr string, req *frameReques
 			default:
 				fc.conn.Close()
 			}
-			return status, body, nil
+			return nil
 		}
 		fc.conn.Close()
 		if ctx.Err() != nil {
-			return 0, nil, ctx.Err()
+			return ctx.Err()
 		}
 		if !reused || answered {
-			return 0, nil, err
+			return err
 		}
 		fc, reused = nil, false
 	}
@@ -729,39 +791,37 @@ func (p *framePool) roundTrip(ctx context.Context, addr string, req *frameReques
 
 // exchange is one request and its answer on fc. answered reports whether any
 // byte of the answer arrived; an error leaves the connection unusable.
-func (fc *frameConn) exchange(req *frameRequest, epoch int64, fn func(frameMatch) error) (status int, body []byte, answered bool, err error) {
+func (fc *frameConn) exchange(req *frameRequest, epoch int64, fn func(frameMatch) error) (answered bool, err error) {
 	fc.wbuf = appendRequest(fc.wbuf[:0], req, epoch)
 	if _, err = fc.conn.Write(fc.wbuf); err != nil {
-		return 0, nil, false, err
+		return false, err
 	}
 	if len(fc.wbuf) > 64<<10 {
 		fc.wbuf = nil // a large probe batch's buffer is not kept
 	}
 	if _, err = fc.br.Peek(1); err != nil {
-		return 0, nil, false, err
+		return false, err
 	}
 	want := tagQueryMatch
 	if req.op == opProbe {
 		want = tagProbeMatch
 	}
-	for {
+	for ends := 0; ends < len(req.groups); {
 		if fc.rbuf, err = readFrame(fc.br, fc.rbuf); err != nil {
-			return 0, nil, true, err
+			return true, err
 		}
 		m, err := decodeAnswer(fc.rbuf)
 		switch {
 		case err != nil:
-			return 0, nil, true, err
+			return true, err
 		case m.tag == tagEnd:
-			if m.status != http.StatusOK {
-				body = bytes.Clone(m.body) // rbuf is the next request's once the connection is pooled
-			}
-			return m.status, body, true, nil
+			ends++
 		case m.tag != want:
-			return 0, nil, true, fmt.Errorf("answer frame tag %d to op %d", m.tag, req.op)
+			return true, fmt.Errorf("answer frame tag %d to op %d", m.tag, req.op)
 		}
 		if err := fn(m); err != nil {
-			return 0, nil, true, err
+			return true, err
 		}
 	}
+	return true, nil
 }

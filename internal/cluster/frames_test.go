@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,16 +22,18 @@ import (
 
 // sameRequest compares two requests field by field, min_sim by its bits.
 func sameRequest(a, b frameRequest) bool {
-	return a.op == b.op && a.group == b.group && a.epoch == b.epoch && a.k == b.k &&
+	return a.op == b.op && slices.Equal(a.groups, b.groups) && a.epoch == b.epoch && a.k == b.k &&
 		math.Float64bits(a.minSim) == math.Float64bits(b.minSim) && a.q == b.q && slices.Equal(a.records, b.records)
 }
 
 // FuzzFrameDecode hammers the frame reader and both payload decoders. The
 // contract: never panic; refuse a frame whose declared length is over the
-// cap or past the input's end, and a request of an unknown op; and decode
-// an accepted payload into a value that encodes back into the same value.
-// The committed corpus under testdata/fuzz seeds it with a frame of every
-// kind, and refusals.
+// cap or past the input's end, a request of an unknown op, and one whose
+// groups are not a strictly ascending list of at least one (of exactly one
+// for a probe); and decode an accepted payload into a value that encodes
+// back into the same value. The committed corpus under testdata/fuzz seeds
+// it with a frame of every kind, a request of several groups, and refusals:
+// an empty group list and a group count past the payload's end among them.
 func FuzzFrameDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := readFrame(bufio.NewReader(bytes.NewReader(data)), nil)
@@ -53,12 +56,18 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 		}
 		for _, payload := range [][]byte{data, p} {
-			req, err := decodeRequest(payload)
+			var req frameRequest
+			err := decodeRequest(payload, &req)
 			if len(payload) > 0 && payload[0] != opQuery && payload[0] != opProbe && err == nil {
 				t.Fatalf("a request of op %d was accepted", payload[0])
 			}
+			if err == nil && (len(req.groups) == 0 || req.op == opProbe && len(req.groups) != 1 ||
+				!slices.IsSorted(req.groups) || len(slices.Compact(slices.Clone(req.groups))) != len(req.groups)) {
+				t.Fatalf("a request of groups %v (op %d) was accepted", req.groups, req.op)
+			}
 			if err == nil {
-				again, err := decodeRequest(appendRequest(nil, &req, req.epoch)[4:])
+				var again frameRequest
+				err := decodeRequest(appendRequest(nil, &req, req.epoch)[4:], &again)
 				if err != nil || !sameRequest(again, req) {
 					t.Fatalf("request %+v re-decoded as %+v (%v)", req, again, err)
 				}
@@ -89,7 +98,7 @@ func TestFrameServerClosesOnMalformedFrame(t *testing.T) {
 	for name, frame := range map[string][]byte{
 		"over the cap": binary.BigEndian.AppendUint32(nil, maxFrameBytes+1),
 		"unknown op":   {0, 0, 0, 2, 9, 0},
-		"truncated":    {0, 0, 0, 3, opQuery, 0, 2},
+		"truncated":    {0, 0, 0, 4, opQuery, 1, 0, 2},
 	} {
 		fc, err := dialFrames(ctx, tc.workers[0].URL)
 		if err != nil {
@@ -104,8 +113,14 @@ func TestFrameServerClosesOnMalformedFrame(t *testing.T) {
 		}
 		fc.conn.Close()
 	}
-	req := frameRequest{op: opQuery, k: 3, q: "espresso cafe helsinki"}
-	status, _, err := (&framePool{}).roundTrip(ctx, tc.workers[0].URL, &req, tc.coord.Stats().Epoch, func(frameMatch) error { return nil })
+	req := frameRequest{op: opQuery, groups: []int{0}, k: 3, q: "espresso cafe helsinki"}
+	status := 0
+	err := (&framePool{}).roundTrip(ctx, tc.workers[0].URL, &req, tc.coord.Stats().Epoch, func(m frameMatch) error {
+		if m.tag == tagEnd {
+			status = m.status
+		}
+		return nil
+	})
 	if err != nil || status != http.StatusOK {
 		t.Fatalf("a well-formed read after them: status %d (%v)", status, err)
 	}
@@ -157,14 +172,14 @@ func TestCancelledFrameReadClosesConnection(t *testing.T) {
 		end()
 		close(dialEnded)
 	}()
-	req := frameRequest{op: opQuery, k: 8, q: "espresso cafe helsinki"}
-	if _, _, err := pool.roundTrip(ended, tc.workers[0].URL, &req, epoch, none); !errors.Is(err, context.Canceled) {
+	req := frameRequest{op: opQuery, groups: []int{0}, k: 8, q: "espresso cafe helsinki"}
+	if err := pool.roundTrip(ended, tc.workers[0].URL, &req, epoch, none); !errors.Is(err, context.Canceled) {
 		t.Fatalf("the read cancelled mid-dial returned %v, want context.Canceled", err)
 	}
 	if n, sent := len(pool.idle), late.Load(); n != 1 || sent != 0 {
 		t.Fatalf("after a read cancelled mid-dial: %d connections pooled and %d requests sent, want 1 and 0", n, sent)
 	}
-	if _, _, err := pool.roundTrip(ended, tc.workers[0].URL, &req, epoch, none); !errors.Is(err, context.Canceled) {
+	if err := pool.roundTrip(ended, tc.workers[0].URL, &req, epoch, none); !errors.Is(err, context.Canceled) {
 		t.Fatalf("the read under an ended context returned %v, want context.Canceled", err)
 	}
 	if n, sent := len(pool.idle), late.Load(); n != 1 || sent != 0 {
@@ -177,7 +192,7 @@ func TestCancelledFrameReadClosesConnection(t *testing.T) {
 		cancel()
 	}()
 	req.k = 7
-	_, _, err := pool.roundTrip(ctx, tc.workers[0].URL, &req, epoch, none)
+	err := pool.roundTrip(ctx, tc.workers[0].URL, &req, epoch, none)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("the cancelled read returned %v, want context.Canceled", err)
 	}
@@ -260,6 +275,117 @@ func TestHedgeLoserKeepsConnection(t *testing.T) {
 	if state := tc.workerStates()[tc.workers[0].URL]; state != "ready" {
 		t.Errorf("the slow worker is %q; a slow replica is not a dead one", state)
 	}
+}
+
+// TestLookupCrossesEachWorkerOnce counts the query frames the workers see at
+// (N, R) = (3, 2), (4, 2), (5, 3) and (3, 1): a lookup sends ⌈N/R⌉, which
+// carry every group once, from whichever group the read rotation starts at,
+// and answers as the single node does. With a worker down (R > 1) every
+// group is still read once and the answers stay exact. Then a worker that
+// hosts two groups stalls every read it is sent past the hedge delay: each
+// lookup is answered from the other replicas, exactly and without waiting
+// for the stalled frame to drain, and the stalled worker stays ready.
+func TestLookupCrossesEachWorkerOnce(t *testing.T) {
+	catalog := denseCatalog(180, 7)
+	j, err := aujoin.NewStrict()
+	if err != nil {
+		t.Fatalf("NewStrict: %v", err)
+	}
+	ref := j.IndexWith(catalog, aujoin.JoinOptions{Theta: 0.8, Tau: 2, Filter: aujoin.AUFilterDP}, aujoin.IndexOptions{Shards: 1})
+	exact := func(t *testing.T, tc *testCluster, stage string) {
+		t.Helper()
+		for _, q := range equivalenceQueries {
+			if got, want := tc.topK(t, q, 10), refTopK(t, ref, q, 10); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: query %q:\n got %v\nwant %v", stage, q, got, want)
+			}
+		}
+	}
+	for _, c := range []struct{ n, r int }{{3, 2}, {4, 2}, {5, 3}, {3, 1}} {
+		t.Run(fmt.Sprintf("N=%d,R=%d", c.n, c.r), func(t *testing.T) {
+			var mu sync.Mutex
+			frames, groups := 0, map[int]int{}
+			tc := startCluster(t, c.n, c.r, catalog, 0.8, 2, "dp", clusterOpts{
+				hedge: time.Hour, // no hedged reads: every frame counted is a plan's
+				frames: func(_ context.Context, _ int, req *frameRequest) error {
+					if req.op == opQuery {
+						mu.Lock()
+						frames++
+						for _, g := range req.groups {
+							groups[g]++
+						}
+						mu.Unlock()
+					}
+					return nil
+				},
+			})
+			// count returns the frames and the groups read since it last ran.
+			count := func() (int, map[int]int) {
+				mu.Lock()
+				defer mu.Unlock()
+				f, g := frames, groups
+				frames, groups = 0, map[int]int{}
+				return f, g
+			}
+			lookups := func(stage string, want int) {
+				t.Helper()
+				count()
+				for _, q := range equivalenceQueries { // more lookups than groups: every start
+					if got, want := tc.topK(t, q, 10), refTopK(t, ref, q, 10); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%s: query %q:\n got %v\nwant %v", stage, q, got, want)
+					}
+					f, read := count()
+					if want > 0 && f != want {
+						t.Errorf("%s: query %q crossed %d frames, want %d", stage, q, f, want)
+					}
+					for g := range c.n {
+						if read[g] != 1 {
+							t.Errorf("%s: query %q read group %d %d times, want once", stage, q, g, read[g])
+						}
+					}
+				}
+			}
+			lookups("every worker ready", (c.n+c.r-1)/c.r)
+			if c.r > 1 {
+				tc.kill(t, 1)
+				lookups("worker 1 down", 0)
+			}
+		})
+	}
+
+	t.Run("stalled", func(t *testing.T) {
+		release := make(chan struct{})
+		var stalls, twoGroup atomic.Int32
+		tc := startCluster(t, 3, 2, catalog, 0.8, 2, "dp", clusterOpts{frames: func(_ context.Context, i int, req *frameRequest) error {
+			if i == 0 && req.op == opQuery {
+				stalls.Add(1)
+				if len(req.groups) == 2 {
+					twoGroup.Add(1)
+				}
+				<-release
+			}
+			return nil
+		}})
+		var once sync.Once
+		unstall := func() { once.Do(func() { close(release) }) }
+		t.Cleanup(unstall) // a failing run must not leave the worker's server unable to close
+		var took []time.Duration
+		for round := 0; round < 2; round++ {
+			start := time.Now()
+			exact(t, tc, fmt.Sprintf("round %d", round))
+			took = append(took, time.Since(start)/time.Duration(len(equivalenceQueries)))
+		}
+		if twoGroup.Load() == 0 {
+			t.Fatalf("%d reads reached the stalled worker, none of two groups; nothing was tested", stalls.Load())
+		}
+		if state := tc.workerStates()[tc.workers[0].URL]; state != "ready" {
+			t.Errorf("the stalled worker is %q; a slow replica is not a dead one", state)
+		}
+		if d := slices.Min(took); d >= drainTimeout {
+			t.Errorf("a lookup took %v on average around the stalled worker, as long as a drain; the hedge delay is 20 ms", d)
+		}
+		unstall()
+		settleGoroutines(t, "after the stalled worker is released")
+	})
 }
 
 // countUpgrades counts the frame connections a worker accepts.
@@ -487,8 +613,9 @@ func (tb *iterationTB) cleanup() {
 }
 
 // BenchmarkCoordinatorQuery is one top-10 lookup through the coordinator's
-// scatter-gather: a group read to one replica of each of the three groups
-// and the merge, workers included, over a titles-shaped catalog.
+// scatter-gather: the cover plan's two frames (three groups at R = 2, one
+// replica reading each) and the merge, workers included, over a
+// titles-shaped catalog.
 func BenchmarkCoordinatorQuery(b *testing.B) {
 	tc, queries := titlesCluster(b, 3000)
 	ctx, opts := context.Background(), aujoin.QueryOptions{K: 10}
@@ -504,9 +631,12 @@ func BenchmarkCoordinatorQuery(b *testing.B) {
 // TestCoordinatorQueryAllocs pins the heap objects of a coordinator lookup,
 // its three workers' share included (the engine's own allocations are
 // TestQueryAllocsPinned's, in internal/join). A group read over HTTP cost
-// about 70 more objects a group, so the pin catches one creeping back. The
-// ceiling is the measured count rounded up. Skipped with -short, as the
-// engine's pins are.
+// about 70 more objects a group, and a lookup of one frame a group (three,
+// where the cover plan sends two) 153 in all, so the pin catches either
+// creeping back. The ceiling is the measured count, 104, plus the one a
+// garbage collection during the runs adds (it empties the engine's
+// sync.Pools, whose refills count): with GOGC=off every run reads 104.
+// Skipped with -short, as the engine's pins are.
 //
 // AllocsPerRun measures at GOMAXPROCS 1, so the lookups that fill the
 // connection pools and the caches run at one P too: filled at more, the
@@ -531,7 +661,7 @@ func TestCoordinatorQueryAllocs(t *testing.T) {
 		i++
 	})
 	t.Logf("%.0f allocs per coordinator lookup", allocs)
-	const ceiling = 153
+	const ceiling = 105
 	if allocs > ceiling {
 		t.Errorf("%.0f allocs per coordinator lookup, ceiling %d", allocs, ceiling)
 	}

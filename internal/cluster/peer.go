@@ -18,15 +18,20 @@ import (
 // (frames.go) — the one exchange on every lookup's path.
 
 // call is one JSON exchange with a peer: in (POSTed when non-nil, else a
-// GET) out, the answer decoded into out when non-nil. It retries nothing —
-// callers own their retry and failover policy. A non-2xx answer is an error
-// carrying the status and the head of the body (see statusError).
+// GET) out, the answer decoded into out when non-nil. An in that is a
+// json.RawMessage is sent as it is, so a fan-out encodes its body once for
+// every peer. It retries nothing — callers own their retry and failover
+// policy. A non-2xx answer is an error carrying the status and the head of
+// the body (see statusError).
 func call(ctx context.Context, client *http.Client, url string, in, out any) error {
 	method, body := http.MethodGet, io.Reader(nil)
 	if in != nil {
-		raw, err := json.Marshal(in)
-		if err != nil {
-			return err
+		raw, ok := in.(json.RawMessage)
+		if !ok {
+			var err error
+			if raw, err = json.Marshal(in); err != nil {
+				return err
+			}
 		}
 		method, body = http.MethodPost, bytes.NewReader(raw)
 	}
@@ -77,27 +82,53 @@ func refused(err error) bool {
 	return errors.As(err, &ae) && ae.status == http.StatusBadRequest
 }
 
-// stream is one epoch-stamped group read from a worker: each match of the
-// answer goes to fn as it arrives. A worker whose commit is a beat behind the
-// coordinator's epoch flip answers 409; that answer carries no matches, so
-// nothing has been forwarded and one restamped retry covers the window —
-// after it the 409 counts against the worker like any other failure.
-func stream(ctx context.Context, c *Coordinator, ref *workerRef, req *frameRequest, fn func(frameMatch) error) error {
+// stream is one epoch-stamped read of req's groups from a worker: each match
+// goes to fn as it arrives, and each group's outcome to end as the group's
+// section of the answer closes — nil, or the failure its end frame carries.
+// A worker whose commit is a beat behind the coordinator's epoch flip
+// answers 409; that answer carries no matches, so nothing has been
+// forwarded, and one restamped retry of the groups so answered covers the
+// window — after it the 409 counts against the worker like any other
+// failure. A frame that fails ends every group it left open with the
+// failure, so end sees each group of req once.
+func stream(ctx context.Context, c *Coordinator, ref *workerRef, req *frameRequest, fn func(frameMatch) error, end func(g int, err error)) {
+	cur := *req
 	for retried := false; ; retried = true {
-		status, body, err := ref.frames.roundTrip(ctx, ref.addr, req, c.epoch.Load(), fn)
-		switch {
-		case err != nil:
-			return err
-		case status == http.StatusConflict && !retried:
+		var stale []int
+		closed := 0
+		err := ref.frames.roundTrip(ctx, ref.addr, &cur, c.epoch.Load(), func(m frameMatch) error {
+			if m.tag != tagEnd {
+				return fn(m)
+			}
+			g := cur.groups[closed]
+			closed++
+			switch {
+			case m.status == http.StatusOK:
+				end(g, nil)
+			case m.status == http.StatusConflict && !retried:
+				stale = append(stale, g)
+			default:
+				end(g, statusError(m.status, m.body))
+			}
+			return nil
+		})
+		if err == nil && len(stale) > 0 {
 			select {
 			case <-ctx.Done():
-				return ctx.Err()
+				err = ctx.Err()
 			case <-time.After(20 * time.Millisecond):
+				cur.groups = stale
 				continue
 			}
-		case status != http.StatusOK:
-			return statusError(status, body)
 		}
-		return nil
+		if err != nil {
+			for _, g := range stale {
+				end(g, err)
+			}
+			for _, g := range cur.groups[closed:] {
+				end(g, err)
+			}
+		}
+		return
 	}
 }

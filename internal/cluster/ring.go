@@ -79,17 +79,24 @@ func (rg *Ring) Owner(id int) int {
 func (rg *Ring) GroupReplicas(g int) []int {
 	out := make([]int, rg.replicas)
 	for i := range out {
-		out[i] = (g + i) % rg.workers
+		out[i] = rg.Replica(g, i)
 	}
 	return out
 }
+
+// Replica returns group g's replica i (0 ≤ i < R): worker g+i mod N.
+func (rg *Ring) Replica(g, i int) int { return (g + i) % rg.workers }
+
+// Hosted returns the group of which worker w is replica i (0 ≤ i < R):
+// group w−i mod N.
+func (rg *Ring) Hosted(w, i int) int { return ((w-i)%rg.workers + rg.workers) % rg.workers }
 
 // GroupsOf returns the groups worker w replicates: the R groups whose
 // replica sets include w, ascending.
 func (rg *Ring) GroupsOf(w int) []int {
 	out := make([]int, 0, rg.replicas)
 	for i := 0; i < rg.replicas; i++ {
-		out = append(out, ((w-i)%rg.workers+rg.workers)%rg.workers)
+		out = append(out, rg.Hosted(w, i))
 	}
 	sort.Ints(out)
 	return out
