@@ -6,8 +6,10 @@
 //	benchrun -exp table8            # one experiment
 //	benchrun -exp all -med 2000 -wiki 4000
 //
-// Experiment identifiers follow DESIGN.md §3: table8, table9, fig3, fig4,
-// fig5, fig6, fig7, table10, table11, table12, fig8, table13, table14.
+// Experiment identifiers name the tables and figures of the paper's
+// evaluation (Section 5), one internal/experiments runner each: table8,
+// table9, fig3, fig4, fig5, fig6, fig7, table10, table11, table12, fig8,
+// table13, table14.
 // Serving, cluster, filter-phase and snapshot/restore performance is measured
 // by benchmark/ (see its README).
 package main
@@ -27,7 +29,7 @@ func main() {
 	log.SetPrefix("benchrun: ")
 
 	var (
-		exp  = flag.String("exp", "all", "experiment id (see DESIGN.md §3) or 'all'")
+		exp  = flag.String("exp", "all", "experiment id, a table or figure of the paper's Section 5 (table8 … table14, fig3 … fig8), or 'all'")
 		med  = flag.Int("med", 0, "MED-like dataset size (default from the harness)")
 		wiki = flag.Int("wiki", 0, "WIKI-like dataset size (default from the harness)")
 		seed = flag.Int64("seed", 1, "random seed")

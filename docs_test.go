@@ -24,6 +24,7 @@ type goDecls struct {
 	stdlib  map[string]bool            // names of the standard-library packages imported
 	tests   map[string][]string        // directory → its Test, Example and Fuzz functions
 	notes   map[string]string          // Go file → the text of its comments
+	lits    map[string]string          // Go file → its string literals, unquoted, one a line
 }
 
 func parseRepo(t *testing.T) *goDecls {
@@ -32,6 +33,7 @@ func parseRepo(t *testing.T) *goDecls {
 		idents: map[string]bool{}, pkgs: map[string]map[string]bool{},
 		members: map[string]map[string]bool{}, embeds: map[string][]string{},
 		stdlib: map[string]bool{}, tests: map[string][]string{}, notes: map[string]string{},
+		lits: map[string]string{},
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
@@ -57,6 +59,15 @@ func parseRepo(t *testing.T) *goDecls {
 			notes.WriteString(c.Text())
 		}
 		d.notes[path] = notes.String()
+		var lits strings.Builder
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				s, _ := strconv.Unquote(lit.Value) // the parser accepted it, so it unquotes
+				lits.WriteString(s + "\n")
+			}
+			return true
+		})
+		d.lits[path] = lits.String()
 		return nil
 	})
 	if err != nil {
@@ -418,4 +429,47 @@ func (d *goDecls) anyTest(dirs []string, re *regexp.Regexp) bool {
 		}
 	}
 	return false
+}
+
+// mdNameRe is the name of a Markdown file, with or without a directory.
+var mdNameRe = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
+// TestGoNamesExistingDocs fails on a Markdown file that a Go comment or
+// string literal names and the tree does not hold: a pointer to a document
+// that was never written, or was renamed or removed since. A name with a
+// directory must be a file relative to the Go file's directory or to the
+// repository root; a bare name, one of either or, as the verify skill's
+// SKILL.md is, a file of that name anywhere in the tree.
+func TestGoNamesExistingDocs(t *testing.T) {
+	held := map[string]bool{} // every Markdown file's path and base name
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() && path != "." && e.Name() != ".claude" && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if !e.IsDir() && strings.HasSuffix(path, ".md") {
+			held[path], held[e.Name()] = true, true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := parseRepo(t)
+	named := 0
+	for src, notes := range d.notes {
+		for _, name := range mdNameRe.FindAllString(notes+"\n"+d.lits[src], -1) {
+			named++
+			name = strings.TrimRight(name, ".")
+			local := filepath.Join(filepath.Dir(src), name)
+			if !held[filepath.Clean(name)] && !held[local] {
+				t.Errorf("%s names %s, which is not in the tree", src, name)
+			}
+		}
+	}
+	if named == 0 {
+		t.Fatal("no Go file names a Markdown file; the check reads nothing")
+	}
 }

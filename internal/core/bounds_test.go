@@ -240,7 +240,7 @@ func rowKernelCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe, 
 		// The record's tokens in reverse, behind a filler of its own: an ID
 		// in other names another text of d, or none.
 		other := NewSegDict()
-		other.intern(ctx, []string{"other filler"})
+		other.intern(ctx, "other filler")
 		rev := slices.Clone(rec)
 		slices.Reverse(rev)
 		calc.PrepareIn(other, rev)

@@ -52,6 +52,11 @@ type PreparedRecord struct {
 	// segment has none): every segment has a row slot in a scratch whose rows
 	// cover more IDs than this.
 	maxSegID uint32
+	// epoch counts the prepares into the record's storage. A probe prepared
+	// into a ProbeScratch is a new probe at the address of the one before, so
+	// the row cache takes the record's address and epoch together as the
+	// probe's identity (Scratch.adoptRows).
+	epoch uint32
 }
 
 // NumSegments returns the number of well-defined segments of the record.
@@ -77,7 +82,9 @@ func (c *Calculator) Prepare(tokens []string) *PreparedRecord {
 // context. The returned record is immutable and safe to share across
 // goroutines.
 func (c *Calculator) PrepareIn(d *SegDict, tokens []string) *PreparedRecord {
-	return c.prepare(d, true, tokens)
+	pr := new(PreparedRecord)
+	c.prepare(pr, nil, nil, d, true, tokens)
+	return pr
 }
 
 // PrepareProbe is PrepareIn for the probe side — a query, a probe batch, the
@@ -90,17 +97,75 @@ func (c *Calculator) PrepareIn(d *SegDict, tokens []string) *PreparedRecord {
 // side of a pair the record is on, so a probe all of whose texts d holds
 // reads the row cache as a left operand like any record of d.
 func (c *Calculator) PrepareProbe(d *SegDict, tokens []string) *PreparedRecord {
-	return c.prepare(d, false, tokens)
+	pr := new(PreparedRecord)
+	c.prepare(pr, nil, nil, d, false, tokens)
+	return pr
 }
 
-func (c *Calculator) prepare(d *SegDict, intern bool, tokens []string) *PreparedRecord {
-	pr := &PreparedRecord{Tokens: tokens}
-	if len(tokens) == 0 {
-		return pr
+// ProbeScratch is reusable storage for preparing probes one after another
+// (PrepareProbeInto): the record, the segment enumeration it is made from
+// and the private derivation tables of the texts the dictionary lacks. The
+// zero value is ready to use. A ProbeScratch is not safe for concurrent use.
+type ProbeScratch struct {
+	pr   PreparedRecord
+	segs []Segment
+	own  []sim.SegmentData
+}
+
+// probeScratchCap is the capacity, in elements, past which Reset drops a
+// ProbeScratch buffer instead of keeping it for the next probe: far above
+// any title or query, and below a record long enough that keeping its
+// arrays in a pool would waste memory.
+const probeScratchCap = 1 << 10
+
+// PrepareProbeInto is PrepareProbe into ps's storage, which it reuses where
+// it is large enough: the returned record is ps's own, the same record on
+// every call, and holds the probe until the next PrepareProbeInto or Reset on
+// ps. Until then it is immutable and safe to share across goroutines, as a
+// PrepareProbe record is; a scratch that cached rows of the probe before
+// knows the next one for another (PreparedRecord.epoch).
+func (c *Calculator) PrepareProbeInto(ps *ProbeScratch, d *SegDict, tokens []string) *PreparedRecord {
+	ps.segs, ps.own = c.prepare(&ps.pr, ps.segs, ps.own, d, false, tokens)
+	return &ps.pr
+}
+
+// Reset lets go of the last probe — the caller's tokens and the tables its
+// segments point at — and drops every buffer grown past probeScratchCap, so
+// that a pooled ProbeScratch pins no request's data and keeps no long
+// record's arrays.
+func (ps *ProbeScratch) Reset() {
+	pr := &ps.pr
+	pr.Tokens, pr.dict = nil, nil
+	pr.Segs, pr.single = dropped(pr.Segs), dropped(pr.single)
+	ps.segs, ps.own = dropped(ps.segs), dropped(ps.own)
+}
+
+// dropped is s emptied for reuse with its elements cleared, or nil when its
+// capacity is past probeScratchCap.
+func dropped[E any](s []E) []E {
+	if cap(s) > probeScratchCap {
+		return nil
 	}
-	segs := c.Segmenter().Segments(tokens)
-	pr.Segs = make([]PreparedSegment, len(segs))
-	pr.single = make([]int32, len(tokens))
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
+// prepare fills pr — a new record, or a ProbeScratch's — with the record of
+// tokens: interned into d (PrepareIn) or read from it (PrepareProbe). pr's
+// arrays are reused where they are large enough, and so are segs, the
+// enumeration's buffer, and own, that of the private derivation tables,
+// which it returns for the next prepare; a new record passes none and gets
+// arrays of exactly its size.
+func (c *Calculator) prepare(pr *PreparedRecord, segs []Segment, own []sim.SegmentData, d *SegDict, intern bool, tokens []string) ([]Segment, []sim.SegmentData) {
+	pr.epoch++
+	pr.Tokens, pr.dict, pr.minPart, pr.maxSegID = tokens, d, 0, 0
+	pr.Segs, pr.single = pr.Segs[:0], pr.single[:0]
+	if len(tokens) == 0 {
+		return segs, own
+	}
+	segs = c.Segmenter().AppendSegments(segs[:0], tokens)
+	pr.Segs = strutil.Resize(pr.Segs, len(segs))
+	pr.single = strutil.Resize(pr.single, len(tokens))
 	for i, s := range segs {
 		pr.Segs[i] = PreparedSegment{Span: s.Span, Rule: s.Rule, Entity: s.Entity}
 		if s.Span.Len() == 1 {
@@ -111,31 +176,31 @@ func (c *Calculator) prepare(d *SegDict, intern bool, tokens []string) *Prepared
 	// Every segment's ID and derivation table: interned into d, or — on the
 	// probe side — read from d where it holds the text and derived privately,
 	// into one backing array for the record, where it does not.
-	pr.dict = d
 	if intern && d != nil {
 		for i := range pr.Segs {
 			sg := &pr.Segs[i]
-			sg.ID, sg.Data = d.intern(c.Ctx, sg.Span.Slice(pr.Tokens))
+			sg.ID, sg.Data = d.intern(c.Ctx, segs[i].Text)
 			pr.maxSegID = max(pr.maxSegID, sg.ID)
 		}
-		return pr
+		return segs, own
 	}
-	missing := d.read(pr)
+	missing := d.read(pr, segs)
 	if missing == 0 {
 		for i := range pr.Segs {
 			pr.maxSegID = max(pr.maxSegID, pr.Segs[i].ID)
 		}
-		return pr
+		return segs, own
 	}
 	pr.maxSegID = NoSegID
-	own := make([]sim.SegmentData, 0, missing)
+	// Sized once, so that no append below moves the tables pointed at.
+	own = slices.Grow(own[:0], missing)
 	for i := range pr.Segs {
 		if sg := &pr.Segs[i]; sg.Data == nil {
-			own = append(own, c.Ctx.PrepareSegment(strutil.JoinTokens(sg.Span.Slice(pr.Tokens))))
+			own = append(own, c.Ctx.PrepareSegment(segs[i].Text))
 			sg.Data = &own[len(own)-1]
 		}
 	}
-	return pr
+	return segs, own
 }
 
 // pairSeg records which segment of each side a candidate pair refers to.
@@ -246,6 +311,7 @@ type Scratch struct {
 	rowCtx     *sim.Context
 	rowDict    *SegDict
 	rowRight   *PreparedRecord
+	rowEpoch   uint32 // rowRight's epoch when adopted
 	rowGen     uint32
 	rowN       uint32
 	rowStamp   []uint32
@@ -523,12 +589,13 @@ func (c *Calculator) fillRows(sc *Scratch, pt *PreparedRecord) {
 // none when pt has more numbered grams than maxSlots. IDs are only
 // comparable within one dictionary and a row only valid for one right-hand
 // record under one context, so a change of any of the three starts a new
-// generation.
+// generation. A right-hand record is its address and its epoch: a probe
+// prepared into the storage of the one before is another record.
 func (sc *Scratch) adoptRows(ctx *sim.Context, d *SegDict, pt *PreparedRecord) uint32 {
-	if sc.rowCtx == ctx && sc.rowDict == d && sc.rowRight == pt {
+	if sc.rowCtx == ctx && sc.rowDict == d && sc.rowRight == pt && sc.rowEpoch == pt.epoch {
 		return sc.rowN
 	}
-	sc.rowCtx, sc.rowDict, sc.rowRight = ctx, d, pt
+	sc.rowCtx, sc.rowDict, sc.rowRight, sc.rowEpoch = ctx, d, pt, pt.epoch
 	sc.rowsAll = false
 	if sc.rowGen++; sc.rowGen == 0 {
 		// The counter wrapped: stamps of 2^32 generations ago would read as

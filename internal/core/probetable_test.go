@@ -38,6 +38,8 @@ func TestProbeTableAtCap(t *testing.T) {
 	}
 	sel := pebble.NewSelector(g, order, 0.8)
 	tab := g.KeyIDs(d, order).ProbeTable()
+	var signer pebble.Signer
+	signer.Bind(sel, tab)
 	var held, past int
 	for k, raw := range raws {
 		if k%2 == 1 {
@@ -57,7 +59,7 @@ func TestProbeTableAtCap(t *testing.T) {
 				for _, p := range sel.RecordSignature(pr, m, tau).Pebbles {
 					want = append(want, p.ID)
 				}
-				if got := sel.SignProbe(pr, tab, m, tau); !slices.Equal(got, want) {
+				if got := signer.Sign(pr, m, tau); !slices.Equal(got, want) {
 					t.Fatalf("%q %v τ=%d: signed %v from the table, %v by key", raw, m, tau, got, want)
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"github.com/aujoin/aujoin/internal/sim"
-	"github.com/aujoin/aujoin/internal/strutil"
 )
 
 // NoSegID marks a prepared segment that has no dictionary identity: the
@@ -107,15 +106,15 @@ func (d *SegDict) NumGrams() int {
 	return len(d.gramNum)
 }
 
-// read is the probe side's view of the dictionary: every segment of pr gets
-// the ID and the shared derivation table of its text where the dictionary
-// holds it, NoSegID and no table where it does not; the number of segments
-// left without one is returned. Nothing is written, and a nil dictionary
-// holds no text. The IDs are kept for signing — an order generation's probe
+// read is the probe side's view of the dictionary: every segment pr.Segs[i]
+// gets the ID and the shared derivation table of its text, segs[i].Text (the
+// enumeration pr was made from), where the dictionary holds it, NoSegID and
+// no table where it does not; the number of segments left without one is
+// returned. Nothing is written, and a nil dictionary holds no text. The IDs are kept for signing — an order generation's probe
 // table is indexed by them (pebble.ProbeTable) — and for the verifier's
 // probe-gram index, which takes an entry's gram numbers by them
 // (Scratch.indexProbeGrams), and by the row cache when pr is a left operand.
-func (d *SegDict) read(pr *PreparedRecord) (missing int) {
+func (d *SegDict) read(pr *PreparedRecord, segs []Segment) (missing int) {
 	if d != nil {
 		d.mu.RLock()
 		defer d.mu.RUnlock()
@@ -124,7 +123,7 @@ func (d *SegDict) read(pr *PreparedRecord) (missing int) {
 		sg := &pr.Segs[i]
 		sg.ID, sg.Data = NoSegID, nil
 		if d != nil {
-			if id, ok := d.ids[strutil.JoinTokens(sg.Span.Slice(pr.Tokens))]; ok {
+			if id, ok := d.ids[segs[i].Text]; ok {
 				sg.ID, sg.Data = id, d.entries[id].data
 				continue
 			}
@@ -190,8 +189,7 @@ func (d *SegDict) GramNumber(gram string) (uint32, bool) {
 // intern returns the ID and shared derivation table of a segment's text,
 // deriving and storing them on first sight; a full dictionary answers
 // NoSegID and a private table.
-func (d *SegDict) intern(ctx *sim.Context, tokens []string) (uint32, *sim.SegmentData) {
-	text := strutil.JoinTokens(tokens)
+func (d *SegDict) intern(ctx *sim.Context, text string) (uint32, *sim.SegmentData) {
 	d.mu.RLock()
 	id, ok := d.ids[text]
 	if ok {

@@ -173,7 +173,7 @@ func TestSegDictGramChains(t *testing.T) {
 		for _, toks := range corpus {
 			for _, sg := range calc.Segmenter().Segments(toks) {
 				occs := len(d.occs)
-				if id, _ := d.intern(ctx, sg.Tokens); id == NoSegID {
+				if id, _ := d.intern(ctx, sg.Text); id == NoSegID {
 					refused++
 					if len(d.occs) != occs {
 						t.Fatalf("%q: refused at the cap, yet the chains grew from %d to %d occurrences", sg.Tokens, occs, len(d.occs))

@@ -30,6 +30,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/aujoin/aujoin/internal/sim"
@@ -42,6 +43,10 @@ import (
 type Segment struct {
 	Span   strutil.Span
 	Tokens []string
+	// Text is Tokens joined by single spaces (strutil.JoinTokens): the key
+	// the segment's rule side, entity name and dictionary entry are looked
+	// up by, built once for all three.
+	Text string
 	// Rule reports whether the segment matches the lhs or rhs of a synonym
 	// rule; Entity reports whether it matches a taxonomy entity. A single
 	// token segment may have both flags false.
@@ -60,28 +65,45 @@ type Segmenter struct {
 func NewSegmenter(ctx *sim.Context) *Segmenter { return &Segmenter{Ctx: ctx} }
 
 // Segments returns every well-defined segment of the token sequence,
-// ordered by start position then length. Single-token segments are always
-// included; longer spans are included when they match a synonym-rule side
-// or a taxonomy entity. Only the spans some side or entity name could be are
-// joined into a text and looked up: those of two or more tokens starting at a
-// token that begins a multi-token side or name, up to the longest such one
-// (sim.Context.MaxRuleTokensFrom) — every other multi-token span matches
-// nothing, so the list is the one trying every span up to MaxRuleTokens
-// gives.
+// ordered by start position then length (AppendSegments).
 func (sg *Segmenter) Segments(tokens []string) []Segment {
-	out := make([]Segment, 0, len(tokens)) // one singleton per token at least
-	for start := range tokens {
-		limit := min(max(sg.Ctx.MaxRuleTokensFrom(tokens[start]), 1), len(tokens)-start)
+	return sg.AppendSegments(nil, tokens)
+}
+
+// AppendSegments appends every well-defined segment of the token sequence to
+// out, ordered by start position then length, and returns the extended
+// slice. Single-token segments are always included; longer spans are
+// included when they match a synonym-rule side or a taxonomy entity. Only the
+// spans some side or entity name could be are looked up: those of two or
+// more tokens starting at a token that begins a multi-token side or name, up
+// to the longest such one (sim.Context.MaxRuleTokensFrom) — every other
+// multi-token span matches nothing, so the list is the one trying every span
+// up to MaxRuleTokens gives. The spans from one start are joined in one
+// buffer, each extending the one before by a token; only a span that is kept
+// has its text copied out, once.
+func (sg *Segmenter) AppendSegments(out []Segment, tokens []string) []Segment {
+	out = slices.Grow(out, len(tokens)) // one singleton per token at least
+	syn, tax := sg.Ctx.SynonymEnabled(), sg.Ctx.TaxonomyEnabled()
+	var buf [64]byte
+	for start, head := range tokens {
+		limit := min(max(sg.Ctx.MaxRuleTokensFrom(head), 1), len(tokens)-start)
+		joined := append(buf[:0], head...)
 		for length := 1; length <= limit; length++ {
-			span := strutil.Span{Start: start, End: start + length}
-			segTokens := tokens[start : start+length]
-			seg := Segment{Span: span, Tokens: segTokens}
-			text := strutil.JoinTokens(segTokens) // once a span, for both lookups
-			seg.Rule = sg.Ctx.SynonymEnabled() && sg.Ctx.Rules.IsSide(text)
-			if sg.Ctx.TaxonomyEnabled() {
+			text := head
+			if length > 1 {
+				joined = append(append(joined, ' '), tokens[start+length-1]...)
+				text = string(joined) // a lookup key only, unless kept below
+			}
+			seg := Segment{Span: strutil.Span{Start: start, End: start + length}, Tokens: tokens[start : start+length]}
+			seg.Rule = syn && sg.Ctx.Rules.IsSide(text)
+			if tax {
 				_, seg.Entity = sg.Ctx.Tax.LookupText(text)
 			}
 			if length == 1 || seg.Rule || seg.Entity {
+				seg.Text = head
+				if length > 1 {
+					seg.Text = string(joined)
+				}
 				out = append(out, seg)
 			}
 		}

@@ -25,7 +25,7 @@ func segmentsOracle(ctx *sim.Context, tokens []string) []Segment {
 		for length := 1; length <= ctx.MaxRuleTokens() && start+length <= len(tokens); length++ {
 			span := tokens[start : start+length]
 			text := strutil.JoinTokens(span)
-			seg := Segment{Span: strutil.Span{Start: start, End: start + length}, Tokens: span}
+			seg := Segment{Span: strutil.Span{Start: start, End: start + length}, Tokens: span, Text: text}
 			seg.Rule = ctx.SynonymEnabled() && ctx.Rules.IsSide(text)
 			if ctx.TaxonomyEnabled() {
 				_, seg.Entity = ctx.Tax.LookupText(text)

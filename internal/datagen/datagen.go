@@ -11,8 +11,7 @@
 // collections whose length distribution follows Table 7 (scaled down).
 // Ground truth comes for free because variants are generated by applying
 // known transformations (typos, synonym replacement, taxonomy-sibling
-// replacement) to base records. See DESIGN.md §4 for the substitution
-// rationale.
+// replacement) to base records.
 package datagen
 
 import (

@@ -1,9 +1,9 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (Section 5). Every runner works on synthetic MED-like
-// and WIKI-like datasets produced by internal/datagen (see DESIGN.md §3 for
-// the experiment index and §4 for the dataset substitution rationale),
-// returns a structured result, and renders a plain-text table whose rows
-// mirror the paper's artefact.
+// and WIKI-like datasets produced by internal/datagen (whose package comment
+// gives the dataset substitution rationale; cmd/benchrun lists the
+// experiment identifiers), returns a structured result, and renders a
+// plain-text table whose rows mirror the paper's artefact.
 //
 // The runners are shared by cmd/benchrun (full-size runs) and by the
 // repository-level benchmarks in bench_test.go (scaled-down runs).

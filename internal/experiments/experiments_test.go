@@ -151,7 +151,7 @@ func TestRunFig3AndFig5Trends(t *testing.T) {
 	// identical across τ, and candidates must not keep growing once τ ≥ 2
 	// (the Figure 3 trade-off; between τ=1 and τ=2 the longer signatures
 	// can transiently add a few candidates under per-occurrence overlap
-	// counting, see DESIGN.md).
+	// counting, see pebble.Signature.IDs).
 	for _, theta := range cfg.Thetas {
 		var prev *TauSweepPoint
 		for i := range fig3.Points {

@@ -350,17 +350,18 @@ func boundLoop(b *testing.B, cfg datagen.Config, q int, opts Options, shards, ba
 
 // BenchmarkQueryPrepareSign times the first step of BenchmarkBoundLoopTitles'
 // lookups alone: the probe prepared against the 10 000-title index's
-// dictionary and signed under its order (orderGen.sign), with no count filter
-// and no verification.
+// dictionary and signed under its order in one reused lookup scratch
+// (lookup.sign), with no count filter and no verification.
 func BenchmarkQueryPrepareSign(b *testing.B) {
 	v, queries := lookupIndex(b, titlesConfig(), 5, titlesOptions, 1, 0)
 	sx := v.sx
+	lk := new(lookup)
 	b.ReportAllocs()
 	b.ResetTimer()
 	sigLen := 0
 	for i := 0; i < b.N; i++ {
-		pq := sx.joiner.calc.PrepareProbe(sx.dict, queries[i%len(queries)])
-		sigLen += len(v.gen.sign(pq, sx.opts.Method, sx.tau))
+		_, ids := lk.sign(v, queries[i%len(queries)], sx.opts.Method, sx.tau)
+		sigLen += len(ids)
 	}
 	b.ReportMetric(float64(sigLen)/float64(b.N), "sig/op")
 }

@@ -57,7 +57,7 @@ func TestQueryAllocsPinned(t *testing.T) {
 	j := NewJoiner(paperContext())
 	probe := benchCorpus(64, 9)
 	ctx, qo := context.Background(), QueryOpts{}
-	for _, pin := range []struct{ shards, topK, probe int }{{1, 13, 13}, {3, 17, 17}} {
+	for _, pin := range []struct{ shards, topK, probe int }{{1, 2, 2}, {3, 7, 7}} {
 		sx := j.BuildShardedIndex(benchCorpus(400, 1), pin.shards, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
 		i := 0
 		topK := testing.AllocsPerRun(10*len(probe), func() {
@@ -96,7 +96,7 @@ func TestJoinBuildAllocsPinned(t *testing.T) {
 	for _, pin := range []struct {
 		method  pebble.Method
 		ceiling float64
-	}{{pebble.AUDP, 6.25}, {pebble.AUHeuristic, 6.25}} {
+	}{{pebble.AUDP, 6}, {pebble.AUHeuristic, 6}} {
 		opts := Options{Theta: 0.8, Tau: 2, Method: pin.method}
 		perRecord := testing.AllocsPerRun(5, func() { j.joinIndex(s, u, opts) }) / float64(len(s)+len(u))
 		t.Logf("%v: %.2f allocs per record", pin.method, perRecord)

@@ -27,6 +27,7 @@ package join
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -427,12 +428,12 @@ func (j *Joiner) SelfJoin(s []strutil.Record, opts Options) ([]Pair, Stats) {
 // their signature IDs.
 func selectSignatures(prepared []*core.PreparedRecord, g *orderGen, method pebble.Method, tau int) [][]uint32 {
 	out := make([][]uint32, len(prepared))
-	signers := make([]*pebble.Signer, runtime.GOMAXPROCS(0))
+	signers := make([]pebble.Signer, runtime.GOMAXPROCS(0))
+	for w := range signers {
+		signers[w].Bind(g.sel, g.probes)
+	}
 	_ = parallelForWorkersCtx(context.Background(), len(prepared), len(signers), func(w, i int) {
-		if signers[w] == nil {
-			signers[w] = g.sel.NewSigner(g.probes)
-		}
-		out[i] = signers[w].Sign(prepared[i], method, tau)
+		out[i] = slices.Clone(signers[w].Sign(prepared[i], method, tau))
 	})
 	return out
 }

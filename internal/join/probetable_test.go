@@ -25,8 +25,9 @@ func heavyConfig(size int) datagen.Config {
 }
 
 // TestProbeSigningAcrossGenerations holds the signature a served probe gets —
-// signed through its generation's probe table (orderGen.sign) — to the key
-// path's (RecordSignature) for every method at τ ∈ {1, 2, 3, 6, 12}, on the
+// prepared and signed through its generation's probe table by one lookup
+// scratch, reused for every probe and every generation (lookup.sign) — to the
+// key path's (RecordSignature) for every method at τ ∈ {1, 2, 3, 6, 12}, on the
 // titles shape, the MED shape and a rule- and taxonomy-heavy generator, in
 // every state an index's generations pass through: a fresh build; insert
 // batches, which intern texts past the table and keys into the order's
@@ -68,17 +69,19 @@ func TestProbeSigningAcrossGenerations(t *testing.T) {
 			probes = append(probes, strutil.Tokenize(v), strutil.Tokenize(universe[n+k]), strutil.Tokenize(inserts[2*k]))
 		}
 
+		lk := new(lookup)
 		// check signs every probe under the current generation, whose table
 		// covers the first covered entries of the dictionary, and reports how
 		// many probe segments the table signed and how many had an entry it
 		// does not hold (refused, or interned past it).
 		check := func(state string, covered int) (held, skipped int) {
-			g := sx.Snapshot().gen
+			v := sx.Snapshot()
+			g := v.gen
 			if g != sx.gen.Load() {
 				t.Fatalf("%s %s: the snapshot serves a stale generation", c.name, state)
 			}
 			for _, tokens := range probes {
-				pq := j.calc.PrepareProbe(sx.dict, tokens)
+				pq, _ := lk.sign(v, tokens, pebble.UFilter, 1)
 				for _, sg := range pq.Segs {
 					if g.probes.Holds(sg.ID) {
 						held++
@@ -91,7 +94,8 @@ func TestProbeSigningAcrossGenerations(t *testing.T) {
 				}
 				for _, m := range []pebble.Method{pebble.UFilter, pebble.AUHeuristic, pebble.AUDP} {
 					for _, tau := range []int{1, 2, 3, 6, 12} {
-						got, want := g.sign(pq, m, tau), g.sel.RecordSignature(pq, m, tau).IDs()
+						pq, got := lk.sign(v, tokens, m, tau)
+						want := g.sel.RecordSignature(pq, m, tau).IDs()
 						if !slices.Equal(got, want) {
 							t.Fatalf("%s %s %v τ=%d: %v signed %v from the table, %v by key", c.name, state, m, tau, tokens, got, want)
 						}

@@ -314,9 +314,10 @@ func (sh *shard) insertRecords(recs []strutil.Record) {
 	}
 	sh.cover.Append(sh.prepared[first:])
 	sh.dynAdded += g.order.InternDynamic(unheld)
-	signer := g.sel.NewSigner(g.probes)
+	var signer pebble.Signer
+	signer.Bind(g.sel, g.probes)
 	for pos := first; pos < len(sh.records); pos++ {
-		ids := signer.Sign(sh.prepared[pos], sh.sx.opts.Method, sh.sx.tau)
+		ids := slices.Clone(signer.Sign(sh.prepared[pos], sh.sx.opts.Method, sh.sx.tau))
 		delta.Add(pos, ids)
 		sh.sigIDs = append(sh.sigIDs, ids)
 		sh.sigLenLive += len(ids)

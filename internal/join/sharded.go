@@ -96,6 +96,8 @@ type ShardedIndex struct {
 	// signed and counted are DynamicStats' Signed and Counted.
 	signed, counted atomic.Int64
 
+	lookups sync.Pool // *lookup, the scratch of single-record reads
+
 	mu     sync.Mutex // guards nextID only; never held during shard work
 	nextID int
 }
@@ -103,7 +105,8 @@ type ShardedIndex struct {
 // orderGen is one immutable generation of the shared global order: the
 // order itself, the selector over it, and the probe table of the index's
 // dictionary under it — the pebble IDs of every entry the dictionary held
-// when the generation was made, which a probe signs from (sign). Every
+// when the generation was made, which every record and probe is signed
+// from (pebble.Signer). Every
 // shard's base records the generation it was built under, and only install
 // makes a new one, so two bases share an order exactly when they point at the
 // same orderGen.
@@ -111,13 +114,6 @@ type orderGen struct {
 	order  *pebble.Order
 	sel    *pebble.Selector
 	probes *pebble.ProbeTable
-}
-
-// sign returns the IDs of a probe's signature under the generation's order:
-// a probe prepared against the index's dictionary (PrepareProbe), signed from
-// the probe table where it holds the probe's segments and by key elsewhere.
-func (g *orderGen) sign(pq *core.PreparedRecord, method pebble.Method, tau int) []uint32 {
-	return g.sel.SignProbe(pq, g.probes, method, tau)
 }
 
 // outgrown reports whether the order's append-only dynamic region has grown
@@ -632,29 +628,38 @@ type request struct {
 	partBuf [maxInlineShards][]QueryMatch
 }
 
-// serve runs one single-record request against every shard and returns the
-// per-shard matches: the query is prepared once, reading the index's
-// dictionary without writing it, and signed from that — one signature for
-// the whole request (the shards share the order, so one signature is valid
-// everywhere).
-func (sv *ShardedView) serve(ctx context.Context, tokens []string, k int, qo QueryOpts) ([][]QueryMatch, error) {
+// lookup is the scratch of one single-record read, taken from its index's
+// pool (ShardedIndex.lookups) for the read and put back once the fan-out has
+// joined every shard: the request, the storage the query is prepared into
+// and the signer it is signed through. Nothing the read returns points into
+// it.
+type lookup struct {
+	rq     request
+	probe  core.ProbeScratch
+	signer pebble.Signer
+}
+
+// sign prepares the query against the index's dictionary, reading it without
+// writing it, into the lookup's storage and signs it under the view's order
+// generation through the lookup's signer — one signature for the whole
+// request (the shards share the order, so one signature is valid
+// everywhere). The record and the IDs are the lookup's until it is released.
+func (lk *lookup) sign(sv *ShardedView, tokens []string, method pebble.Method, tau int) (*core.PreparedRecord, []uint32) {
 	sx := sv.sx
-	method, tau := sx.opts.Method, sx.tau
-	if qo.ProbeTau > 0 {
-		method, tau = pinnedConfig(qo, sx.tau)
-	}
-	pq := sx.joiner.calc.PrepareProbe(sx.dict, tokens)
-	ids := sv.gen.sign(pq, method, tau)
-	rq := &request{sv: sv, pq: pq, ids: ids, tau: tau, qo: qo, k: k, limit: noLimit}
-	if n := len(sv.views); n <= maxInlineShards {
-		rq.parts = rq.partBuf[:n]
-	} else {
-		rq.parts = make([][]QueryMatch, n)
-	}
-	if err := rq.fanout(ctx); err != nil {
-		return nil, err
-	}
-	return rq.parts, nil
+	pq := sx.joiner.calc.PrepareProbeInto(&lk.probe, sx.dict, tokens)
+	lk.signer.Bind(sv.gen.sel, sv.gen.probes)
+	return pq, lk.signer.Sign(pq, method, tau)
+}
+
+// release empties the lookup — the shards' matches are the caller's now —
+// and puts it back into pool.
+func (lk *lookup) release(pool *sync.Pool) {
+	rq := &lk.rq
+	rq.sv, rq.pq, rq.ids, rq.parts = nil, nil, nil, nil
+	clear(rq.partBuf[:])
+	lk.probe.Reset()
+	lk.signer.Reset()
+	pool.Put(lk)
 }
 
 // fanout runs the request on every shard — shard 0 on the calling goroutine,
@@ -695,16 +700,18 @@ func (rq *request) shard(ctx context.Context, w int) {
 // so memory stays O(k) per shard however many records clear θ, and the
 // per-shard heaps are folded through one more k-bounded heap — sound because
 // the global top k under the total order is contained in the union of
-// per-shard top k's. Verification checks ctx between candidates; the first
-// shard to observe the cancelled context aborts the whole fan-out and the
-// context error is returned.
+// per-shard top k's. The read runs on a lookup of the index's pool, which it
+// puts back once the fan-out has joined every shard. Verification checks ctx
+// between candidates; the first shard to observe the cancelled context
+// aborts the whole fan-out and the context error is returned.
 //
 // A qo.Theta other than 0 that is not at least the build θ — a negative or
 // NaN one included — is rejected with ErrThetaBelowBuild before anything
 // else; then an empty token slice returns an empty result without touching
 // any shard (there is no zero-signature probe to run).
 func (sv *ShardedView) QueryTopKCtx(ctx context.Context, tokens []string, k int, qo QueryOpts) ([]QueryMatch, error) {
-	if build := sv.sx.opts.Theta; qo.Theta != 0 && !(qo.Theta >= build) {
+	sx := sv.sx
+	if build := sx.opts.Theta; qo.Theta != 0 && !(qo.Theta >= build) {
 		return nil, fmt.Errorf("%w: %v < %v", ErrThetaBelowBuild, qo.Theta, build)
 	}
 	if len(tokens) == 0 {
@@ -713,12 +720,28 @@ func (sv *ShardedView) QueryTopKCtx(ctx context.Context, tokens []string, k int,
 	if k <= 0 {
 		k = unboundedK
 	}
-	parts, err := sv.serve(ctx, tokens, k, qo)
-	if err != nil {
+	method, tau := sx.opts.Method, sx.tau
+	if qo.ProbeTau > 0 {
+		method, tau = pinnedConfig(qo, sx.tau)
+	}
+	lk, _ := sx.lookups.Get().(*lookup)
+	if lk == nil {
+		lk = new(lookup)
+	}
+	defer lk.release(&sx.lookups)
+	rq := &lk.rq
+	rq.pq, rq.ids = lk.sign(sv, tokens, method, tau)
+	rq.sv, rq.tau, rq.qo, rq.k, rq.limit = sv, tau, qo, k, noLimit
+	if n := len(sv.views); n <= maxInlineShards {
+		rq.parts = rq.partBuf[:n]
+	} else {
+		rq.parts = make([][]QueryMatch, n)
+	}
+	if err := rq.fanout(ctx); err != nil {
 		return nil, err
 	}
-	merged := topKHeap{entries: parts[0]}
-	for _, p := range parts[1:] {
+	merged := topKHeap{entries: rq.parts[0]}
+	for _, p := range rq.parts[1:] {
 		for _, m := range p {
 			merged.offer(m, k)
 		}

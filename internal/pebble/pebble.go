@@ -60,7 +60,7 @@ type Pebble struct {
 // Generator produces pebbles for records under a fixed similarity context,
 // keys first: every pebble carries its string key, which an Order interns. A
 // probe or a collection signed through a probe table takes this path only
-// for the segments the table does not hold (ProbeTable, SignProbe, Signer);
+// for the segments the table does not hold (ProbeTable, Signer);
 // the rest sign from pebble IDs, and a collection's order is counted by key
 // number (KeyCount). It is safe for concurrent use.
 type Generator struct {

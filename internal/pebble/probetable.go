@@ -11,8 +11,8 @@ import (
 // ProbeTable holds, for every entry of a segment dictionary, the IDs its
 // pebbles have under one Order, so that a probe segment whose text the
 // dictionary holds signs from array loads instead of building its pebble keys
-// and looking each one up (SignProbe), and so does every record of a
-// collection signed under the order (Signer). It is built once per order
+// and looking each one up, and so does every record of a collection signed
+// under the order (Signer). It is built once per order
 // generation, from the order's IDs by key number (KeyIDs.ProbeTable), and
 // immutable afterwards, so any number of readers may share it without a
 // lock. It never goes stale: an interned ID never moves within an order (see
@@ -103,13 +103,6 @@ func (t *ProbeTable) appendSegment(out []Pebble, sg *core.PreparedSegment, tax *
 	return out, true
 }
 
-// SignProbe returns the IDs of the signature RecordSignature selects for pr
-// — a probe prepared against the dictionary t was built from, under the
-// order t was built with (PrepareProbe) — bit for bit.
-func (sel *Selector) SignProbe(pr *core.PreparedRecord, t *ProbeTable, method Method, tau int) []uint32 {
-	return sel.Select(sel.PrepareProbe(pr, t), method, tau).IDs()
-}
-
 // PrepareProbe is PrepareRecord for a record signed through t: a segment the
 // table holds takes its pebbles from it, any other generates them by key and
 // interns them. The pebbles from the table carry no keys; the list is
@@ -156,22 +149,33 @@ func (t *ProbeTable) AppendUnheld(gen *Generator, out []Pebble, pr *core.Prepare
 	return out
 }
 
-// Signer signs records through one probe table, as SignProbe does, reusing
-// one pebble buffer and one AccTable across records and copying out only the
-// signature IDs: a collection's worker signs every record it takes with one.
-// A Signer is not safe for concurrent use.
+// Signer signs records through a probe table: the one way a record prepared
+// against a table's dictionary is signed from it, for a collection's worker,
+// which signs every record it takes with one, and for a lookup, which signs
+// its probe through a pooled one. It reuses one pebble buffer, one AccTable
+// and one IDs buffer from record to record. Bind it to a selector and a table
+// before it signs. A Signer is not safe for concurrent use.
 type Signer struct {
 	sel     *Selector
 	t       *ProbeTable
 	pebbles []Pebble
 	acc     AccTable
+	ids     []uint32
 }
 
-// NewSigner returns a Signer over t, a probe table of the selector's order.
-func (sel *Selector) NewSigner(t *ProbeTable) *Signer { return &Signer{sel: sel, t: t} }
+// signerCap is the capacity, in elements, past which Reset drops a Signer
+// buffer instead of keeping it for the next record.
+const signerCap = 1 << 12
+
+// Bind makes s sign under sel's order through t, a probe table of that order,
+// keeping its buffers.
+func (s *Signer) Bind(sel *Selector, t *ProbeTable) { s.sel, s.t = sel, t }
 
 // Sign returns the IDs of the signature RecordSignature selects for pr, bit
-// for bit (SignProbe).
+// for bit: a segment the table holds takes its pebbles from it, any other
+// generates them by key and interns them (Selector.PrepareProbe). The IDs are
+// in s's buffer and valid until s signs again; a caller that keeps them
+// copies them.
 func (s *Signer) Sign(pr *core.PreparedRecord, method Method, tau int) []uint32 {
 	s.pebbles = s.sel.probePebbles(s.pebbles, pr, s.t)
 	pre := Presig{Pebbles: s.pebbles, NumSegments: pr.NumSegments(), MinPartition: pr.MinPartitionSize()}
@@ -179,5 +183,28 @@ func (s *Signer) Sign(pr *core.PreparedRecord, method Method, tau int) []uint32 
 		s.acc.reset(s.pebbles)
 		pre.acc = &s.acc
 	}
-	return s.sel.Select(pre, method, tau).IDs()
+	sig := s.sel.Select(pre, method, tau).Pebbles
+	s.ids = s.ids[:0]
+	for i := range sig {
+		s.ids = append(s.ids, sig[i].ID)
+	}
+	return s.ids
+}
+
+// Reset unbinds s, lets go of the keys of its last record's pebbles and
+// drops every buffer grown past signerCap, so that a pooled Signer pins no
+// order generation and keeps no long record's arrays.
+func (s *Signer) Reset() {
+	s.sel, s.t = nil, nil
+	clear(s.pebbles)
+	if cap(s.pebbles) > signerCap {
+		s.pebbles = nil
+	}
+	if cap(s.ids) > signerCap {
+		s.ids = nil
+	}
+	if cap(s.acc.tab) > signerCap || cap(s.acc.groups) > signerCap {
+		s.acc = AccTable{}
+	}
+	s.acc.pebbles = nil
 }

@@ -88,6 +88,8 @@ func TestProbeTableSigning(t *testing.T) {
 		}
 		sel := NewSelector(g, order, pc.theta)
 		tab := g.KeyIDs(d, order).ProbeTable()
+		var signer Signer
+		signer.Bind(sel, tab)
 		for k := range 200 {
 			raw := gen.BaseRecord()
 			if k%2 == 0 {
@@ -124,7 +126,7 @@ func TestProbeTableSigning(t *testing.T) {
 					for _, p := range sel.RecordSignature(pr, m, tau).Pebbles {
 						wantIDs = append(wantIDs, p.ID)
 					}
-					if gotIDs := sel.SignProbe(pr, tab, m, tau); !slices.Equal(gotIDs, wantIDs) {
+					if gotIDs := signer.Sign(pr, m, tau); !slices.Equal(gotIDs, wantIDs) {
 						t.Fatalf("%s %v τ=%d: signed %v from the table, %v by key", name, m, tau, gotIDs, wantIDs)
 					}
 				}

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -269,11 +270,9 @@ func (t *Tree) LCA(a, b NodeID) NodeID {
 	if i > j {
 		i, j = j, i
 	}
-	// Range-minimum over eulerDep[i..j].
-	k := 0
-	for 1<<(k+1) <= j-i+1 {
-		k++
-	}
+	// Range-minimum over eulerDep[i..j], from the two rows of the largest
+	// power of two within it.
+	k := bits.Len(uint(j-i+1)) - 1
 	x := t.sparse[k][i]
 	y := t.sparse[k][j-(1<<k)+1]
 	if t.eulerDep[x] <= t.eulerDep[y] {
