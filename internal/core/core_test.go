@@ -108,31 +108,41 @@ func TestSegmentsTaxonomyEntities(t *testing.T) {
 	}
 }
 
+// TestMinPartitionSize pins MP(S), the fewest segments of any well-defined
+// partition, on Example 6's strings and at the edges, beside the value the
+// paper's greedy GetMinPartitionSize gives (paperGreedyBound), which the
+// exact minimum may exceed but never undercut.
 func TestMinPartitionSize(t *testing.T) {
 	calc := NewCalculator(paperContext())
-	mp := func(tokens []string) int { return calc.Prepare(tokens).MinPartitionSize() }
-	// Example 6: T = "espresso cafe Helsinki" has three single-token
-	// segments, largest segment size 1, so m = ceil(3 / (ln 1 + 1)) = 3.
-	if got := mp(strutil.Tokenize("espresso cafe Helsinki")); got != 3 {
-		t.Errorf("MinPartitionSize = %d, want 3", got)
-	}
-	// S = "coffee shop latte Helsingki": greedy picks "coffee shop" then two
-	// singletons (3 segments); largest segment 2 tokens → ceil(3/(ln2+1)) = 2.
-	if got := mp(strutil.Tokenize("coffee shop latte Helsingki")); got != 2 {
-		t.Errorf("MinPartitionSize = %d, want 2", got)
-	}
-	if got := mp(nil); got != 0 {
-		t.Errorf("MinPartitionSize(empty) = %d, want 0", got)
-	}
-	if got := mp([]string{"solo"}); got != 1 {
-		t.Errorf("MinPartitionSize(single) = %d, want 1", got)
-	}
-	// 67 tokens, past the 64 positions the cover keeps on the stack: greedy
-	// picks the 33 "coffee shop" spans and the trailing singleton (34
-	// segments); largest segment 2 tokens → ceil(34/(ln2+1)) = 21.
-	long := strutil.Tokenize(strings.Repeat("coffee shop ", 33) + "latte")
-	if got := mp(long); len(long) != 67 || got != 21 {
-		t.Errorf("MinPartitionSize(%d tokens) = %d, want 21", len(long), got)
+	for _, tc := range []struct {
+		name          string
+		tokens        []string
+		exact, greedy int
+	}{
+		// Example 6: T = "espresso cafe Helsinki" has three single-token
+		// segments; the greedy's largest segment is 1 token, so its bound is
+		// ceil(3 / (ln 1 + 1)) = 3 too.
+		{"Example 6, T", strutil.Tokenize("espresso cafe Helsinki"), 3, 3},
+		// S = "coffee shop latte Helsingki": the fewest segments are "coffee
+		// shop" and two singletons. The paper divides the greedy's 3 picks
+		// by ln 2 + 1 for its largest segment of 2 tokens and gets 2.
+		{"Example 6, S", strutil.Tokenize("coffee shop latte Helsingki"), 3, 2},
+		{"empty", nil, 0, 0},
+		{"single", []string{"solo"}, 1, 1},
+		// 67 tokens, past the 64 positions the bound keeps on the stack: the
+		// 33 "coffee shop" spans and the trailing singleton; the greedy's 34
+		// picks over ln 2 + 1 give 21.
+		{"67 tokens", strutil.Tokenize(strings.Repeat("coffee shop ", 33) + "latte"), 34, 21},
+	} {
+		if got := calc.Prepare(tc.tokens).MinPartitionSize(); got != tc.exact {
+			t.Errorf("%s: MinPartitionSize = %d, want %d", tc.name, got, tc.exact)
+		}
+		if len(tc.tokens) == 0 {
+			continue
+		}
+		if greedy := paperGreedyBound(len(tc.tokens), calc.Segmenter().Segments(tc.tokens)); greedy != tc.greedy || greedy > tc.exact {
+			t.Errorf("%s: the paper's greedy bound = %d, want %d, at most the exact %d", tc.name, greedy, tc.greedy, tc.exact)
+		}
 	}
 }
 

@@ -41,8 +41,8 @@ type PreparedRecord struct {
 	// single[pos] is the index in Segs of the singleton segment starting at
 	// pos; every position has one.
 	single []int32
-	// minPart is a lower bound on the size of any well-defined partition of
-	// the record (GetMinPartitionSize of Algorithm 2).
+	// minPart is MP(S), the fewest segments of any well-defined partition of
+	// the record (minPartitionSizeSegs).
 	minPart int
 	// dict is the dictionary the segments' IDs index — the one the record was
 	// interned into or, for a probe, read from; nil when the record was
@@ -62,8 +62,9 @@ type PreparedRecord struct {
 // NumSegments returns the number of well-defined segments of the record.
 func (pr *PreparedRecord) NumSegments() int { return len(pr.Segs) }
 
-// MinPartitionSize returns the precomputed lower bound on the size of any
-// well-defined partition of the record.
+// MinPartitionSize returns MP(S), the precomputed fewest segments of any
+// well-defined partition of the record: a lower bound on every partition's
+// size.
 func (pr *PreparedRecord) MinPartitionSize() int { return pr.minPart }
 
 // Prepare is PrepareProbe without a dictionary: every derivation table is the

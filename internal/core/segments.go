@@ -29,7 +29,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 	"sort"
 
@@ -125,134 +124,32 @@ func (sg *Segmenter) MultiTokenSegments(tokens []string) []Segment {
 	return out
 }
 
-// minPartitionSizeSegs implements GetMinPartitionSize of Algorithm 2 over a
-// non-empty record's segment enumeration (prepare shares the one enumeration
-// between the segment tables and this bound): a lower bound on the number of
-// segments in any well-defined partition of the token sequence, obtained by
-// greedy set cover (largest uncovered segment first, greedyCover) and divided
-// by the greedy approximation factor ln(n)+1, where n is the size of the
-// largest well-defined segment. A record whose segments are all singletons —
-// one per token, as for most records — is answered without the greedy: it
-// picks every singleton and divides by ln(1)+1 = 1, so the bound is the
-// token count.
+// minPartitionSizeSegs returns MP(S), the bound Algorithm 2's
+// GetMinPartitionSize stands for, over a non-empty record's segment
+// enumeration (prepare shares the one enumeration between the segment tables
+// and this bound): the fewest segments any well-defined partition of the
+// token sequence has. A segment is a contiguous span, so a partition is a path
+// from position 0 to n along spans, and its size a shortest path: dp[p] is
+// the fewest segments covering tokens p..n-1, and a span from p to e offers
+// dp[e]+1. The enumeration is ordered by start, so walking it backwards
+// finalises every dp[e] (all spans from e and beyond) before a span ending at
+// e reads it. Short records keep dp on the stack.
 func minPartitionSizeSegs(tokens []string, segs []Segment) int {
-	if len(segs) == len(tokens) {
-		return len(tokens)
+	n := len(tokens)
+	var buf [65]int32
+	dp := buf[:]
+	if n >= len(buf) {
+		dp = make([]int32, n+1)
 	}
-	picked, largest := greedyCover(len(tokens), segs, nil)
-	return max(ceilDiv(picked, lnPlus1(largest)), 1)
-}
-
-// coverGain is a segment's place in greedyCover's heap: its index and a gain
-// at least its number of uncovered tokens (exact when last scored).
-type coverGain struct{ gain, idx int32 }
-
-// before reports whether a is picked ahead of b: the larger gain first, and
-// of equal gains the earlier segment, as a scan for the first strictly
-// larger gain picks.
-func (a coverGain) before(b coverGain) bool {
-	return a.gain > b.gain || a.gain == b.gain && a.idx < b.idx
-}
-
-// greedyCover covers the n tokens with segs greedily — each step picks the
-// segment with the most uncovered tokens, the earliest of equal ones — and
-// returns the number of picks and the largest segment length. It runs from
-// a max-heap of gains with lazy re-scoring: a gain only falls as tokens are
-// covered, so when the top's re-scored gain still equals its key no other
-// segment can beat it, and otherwise the top sinks under its new gain. The
-// picks are exactly those of rescanning every segment for each pick, ties
-// included, but a re-score costs a heap step where a rescan is a pass over
-// every segment, quadratic in a long record. When order is non-nil the
-// picked indexes are appended to it.
-func greedyCover(n int, segs []Segment, order *[]int32) (picked, largest int) {
-	// covered[p] marks token p as covered by a picked segment; short records
-	// keep it and the heap on the stack.
-	var cbuf [64]bool
-	covered := cbuf[:]
-	if n > len(cbuf) {
-		covered = make([]bool, n)
+	dp = dp[:n+1]
+	for p := range dp {
+		dp[p] = int32(n - p) // all singletons: dp[n] = 0, and a start for the min
 	}
-	var hbuf [128]coverGain
-	h := hbuf[:0]
-	if len(segs) > len(hbuf) {
-		h = make([]coverGain, 0, len(segs))
+	for i := len(segs) - 1; i >= 0; i-- {
+		sp := segs[i].Span
+		dp[sp.Start] = min(dp[sp.Start], dp[sp.End]+1)
 	}
-	largest = 1
-	for i, s := range segs {
-		largest = max(largest, s.Span.Len())
-		h = append(h, coverGain{int32(s.Span.Len()), int32(i)})
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	for uncovered := n; uncovered > 0 && len(h) > 0; {
-		top := h[0]
-		sp := segs[top.idx].Span
-		gain := int32(0)
-		for p := sp.Start; p < sp.End; p++ {
-			if !covered[p] {
-				gain++
-			}
-		}
-		if gain != top.gain {
-			h[0].gain = gain
-			siftDown(h, 0)
-			continue
-		}
-		if gain == 0 {
-			// Cannot happen because singleton segments always exist, but
-			// guard against pathological inputs.
-			break
-		}
-		for p := sp.Start; p < sp.End; p++ {
-			covered[p] = true
-		}
-		uncovered -= int(gain)
-		picked++
-		if order != nil {
-			*order = append(*order, top.idx)
-		}
-		h[0] = h[len(h)-1]
-		h = h[:len(h)-1]
-		siftDown(h, 0)
-	}
-	return picked, largest
-}
-
-// siftDown restores the heap order below position i of h.
-func siftDown(h []coverGain, i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && h[c+1].before(h[c]) {
-			c++
-		}
-		if !h[c].before(h[i]) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-}
-
-// lnPlus1 returns ln(n) + 1 for n ≥ 1.
-func lnPlus1(n int) float64 {
-	if n < 1 {
-		n = 1
-	}
-	return math.Log(float64(n)) + 1
-}
-
-// ceilDiv returns ceil(a / b) for a ≥ 0, b > 0.
-func ceilDiv(a int, b float64) int {
-	v := float64(a) / b
-	iv := int(v)
-	if float64(iv) < v {
-		iv++
-	}
-	return iv
+	return int(dp[0])
 }
 
 // Partition is a well-defined partition of a tokenised string: every token

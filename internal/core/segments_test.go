@@ -2,10 +2,9 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
-	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -145,18 +144,21 @@ func TestSegmentsMatchOracle(t *testing.T) {
 	}
 }
 
-// rescanCover is the greedy cover greedyCover runs, as first written: every
-// pick rescans every segment for the first one with the most uncovered
-// tokens. It is the oracle the heap is held to, picks and ties included.
-func rescanCover(n int, segs []Segment) (picks []int32, largest int) {
+// paperGreedyBound is Algorithm 2's GetMinPartitionSize as the paper gives
+// it: a greedy set cover of the n tokens (each pick the first segment with
+// the most uncovered tokens) divided by the greedy factor ln(d)+1, d the
+// largest segment's length, rounded up. It is kept as a reference the exact
+// minimum must never fall below.
+func paperGreedyBound(n int, segs []Segment) int {
 	covered := make([]bool, n)
-	largest = 1
+	largest := 1
 	for _, s := range segs {
 		largest = max(largest, s.Span.Len())
 	}
-	for uncovered := n; uncovered > 0; {
-		bestGain, bestIdx := 0, -1
-		for i, s := range segs {
+	picks := 0
+	for uncovered := n; uncovered > 0; picks++ {
+		bestGain, best := 0, Segment{}
+		for _, s := range segs {
 			gain := 0
 			for p := s.Span.Start; p < s.Span.End; p++ {
 				if !covered[p] {
@@ -164,65 +166,136 @@ func rescanCover(n int, segs []Segment) (picks []int32, largest int) {
 				}
 			}
 			if gain > bestGain {
-				bestGain, bestIdx = gain, i
+				bestGain, best = gain, s
 			}
 		}
-		if bestIdx < 0 {
-			break
-		}
-		for p := segs[bestIdx].Span.Start; p < segs[bestIdx].Span.End; p++ {
+		for p := best.Span.Start; p < best.Span.End; p++ {
 			covered[p] = true
 		}
 		uncovered -= bestGain
-		picks = append(picks, int32(bestIdx))
 	}
-	return picks, largest
+	return max(int(math.Ceil(float64(picks)/(math.Log(float64(largest))+1))), 1)
 }
 
-// TestGreedyCoverMatchesRescan holds the heap greedy to the rescan on random
-// segment lists thick with ties — spans of two to five tokens, duplicates
-// among them, beside one singleton per token, in enumeration order and
-// shuffled — across the stack buffers' sizes (64 tokens, 128 segments), and
-// minPartitionSizeSegs, all-singleton fast path included, to the bound the
-// rescan's picks give.
-func TestGreedyCoverMatchesRescan(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 3000; trial++ {
-		n := 1 + rng.Intn(100)
-		segs := make([]Segment, 0, 3*n)
-		for p := 0; p < n; p++ {
-			segs = append(segs, Segment{Span: strutil.Span{Start: p, End: p + 1}})
-		}
-		for k := rng.Intn(2 * n); k > 0 && trial%10 != 0; k-- {
-			start := rng.Intn(n)
-			if end := start + 2 + rng.Intn(4); end <= n {
-				segs = append(segs, Segment{Span: strutil.Span{Start: start, End: end}})
-			}
-		}
-		if trial%2 == 0 {
-			sort.SliceStable(segs, func(a, b int) bool {
-				sa, sb := segs[a].Span, segs[b].Span
-				return sa.Start < sb.Start || sa.Start == sb.Start && sa.Len() < sb.Len()
-			})
-		} else {
-			rng.Shuffle(len(segs), func(a, b int) { segs[a], segs[b] = segs[b], segs[a] })
-		}
-		want, wantLargest := rescanCover(n, segs)
-		var got []int32
-		picked, largest := greedyCover(n, segs, &got)
-		if !slices.Equal(got, want) || picked != len(want) || largest != wantLargest {
-			t.Fatalf("trial %d, %d tokens, %d segments: heap picks %v (largest %d), rescan %v (largest %d)",
-				trial, n, len(segs), got, largest, want, wantLargest)
-		}
-		if bound, wantBound := minPartitionSizeSegs(make([]string, n), segs), max(ceilDiv(len(want), lnPlus1(wantLargest)), 1); bound != wantBound {
-			t.Fatalf("trial %d, %d tokens, %d segments: bound %d, rescan's %d", trial, n, len(segs), bound, wantBound)
+// exhaustiveMinPartition walks every well-defined partition of tokens from..n
+// the segments allow — each a choice of the segment that starts at from,
+// then a partition of the rest — and returns the fewest segments any has.
+func exhaustiveMinPartition(segs []Segment, from, n int) int {
+	if from == n {
+		return 0
+	}
+	best := n + 1
+	for _, s := range segs {
+		if s.Span.Start == from {
+			best = min(best, 1+exhaustiveMinPartition(segs, s.Span.End, n))
 		}
 	}
+	return best
+}
+
+// spanSet returns, in enumeration order (start, then length), a singleton
+// segment per token of an n-token record and a segment per distinct span of
+// two or more tokens that spans names as a (start, length) pair of bytes,
+// taken modulo what fits: the shape of any record's segment list.
+func spanSet(n int, spans []byte) []Segment {
+	multi := make(map[strutil.Span]bool)
+	for i := 0; i+1 < len(spans); i += 2 {
+		start := int(spans[i]) % n
+		if room := n - start; room >= 2 {
+			multi[strutil.Span{Start: start, End: start + 2 + int(spans[i+1])%(room-1)}] = true
+		}
+	}
+	var segs []Segment
+	for start := 0; start < n; start++ {
+		for end := start + 1; end <= n; end++ {
+			if sp := (strutil.Span{Start: start, End: end}); end == start+1 || multi[sp] {
+				segs = append(segs, Segment{Span: sp})
+			}
+		}
+	}
+	return segs
+}
+
+// checkMinPartition fails unless minPartitionSizeSegs over an n-token
+// record's segments is the exhaustive minimum, and no smaller than the
+// paper's greedy bound.
+func checkMinPartition(t *testing.T, name string, n int, segs []Segment) {
+	t.Helper()
+	got, want := minPartitionSizeSegs(make([]string, n), segs), exhaustiveMinPartition(segs, 0, n)
+	if got != want {
+		t.Fatalf("%s, %d tokens, segments %v: MP %d, exhaustive minimum %d", name, n, segs, got, want)
+	}
+	if greedy := paperGreedyBound(n, segs); got < greedy {
+		t.Fatalf("%s, %d tokens: MP %d below the paper's greedy bound %d", name, n, got, greedy)
+	}
+}
+
+// TestMinPartitionMatchesExhaustive holds the shortest-path bound to the
+// minimum over every well-defined partition: on random span sets of up to 12
+// tokens, beside the singletons; on the phrase corpus's records as the
+// Segmenter enumerates them; and on records of 62 to 67 tokens, across the 64
+// positions the bound keeps on the stack, with a dozen spans so the
+// exhaustive walk stays small.
+func TestMinPartitionMatchesExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	randomSpans := func(k int) []byte {
+		b := make([]byte, 2*k)
+		rng.Read(b)
+		return b
+	}
+	tighter := 0
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(12)
+		segs := spanSet(n, randomSpans(rng.Intn(2*n)))
+		checkMinPartition(t, "random spans", n, segs)
+		if minPartitionSizeSegs(make([]string, n), segs) > paperGreedyBound(n, segs) {
+			tighter++
+		}
+	}
+	if tighter == 0 {
+		t.Fatal("the exact bound never exceeded the paper's greedy bound")
+	}
+
+	ctx, phrases := phraseContext()
+	calc := NewCalculator(ctx)
+	multi := 0
+	for _, tokens := range phraseCorpus(rng, phrases, 500) {
+		segs := calc.Segmenter().Segments(tokens)
+		checkMinPartition(t, "phrase corpus", len(tokens), segs)
+		if got, want := calc.Prepare(tokens).MinPartitionSize(), minPartitionSizeSegs(tokens, segs); got != want {
+			t.Fatalf("%v: prepared MP %d, over its segments %d", tokens, got, want)
+		}
+		if len(segs) > len(tokens) {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no phrase-corpus record has a multi-token segment")
+	}
+
+	for n := 62; n <= 67; n++ {
+		for trial := 0; trial < 50; trial++ {
+			checkMinPartition(t, "long record", n, spanSet(n, randomSpans(12)))
+		}
+	}
+}
+
+// FuzzMinPartition holds the shortest-path bound to the exhaustive minimum on
+// arbitrary span sets of up to 12 tokens (spanSet: n is 1 + n%12, spans the
+// (start, length) bytes).
+func FuzzMinPartition(f *testing.F) {
+	// testdata/fuzz/FuzzMinPartition holds hand-made span sets as seeds.
+	f.Add(uint8(3), []byte{0, 0})
+	f.Fuzz(func(t *testing.T, n uint8, spans []byte) {
+		tokens := 1 + int(n)%12
+		checkMinPartition(t, "fuzzed spans", tokens, spanSet(tokens, spans))
+	})
 }
 
 // BenchmarkPrepareLongRecord prepares one 65 536-token record that repeats a
 // two-token rule side, so every other token starts a multi-token segment and
-// the partition-size bound runs its greedy cover over 98 304 segments.
+// the partition-size bound walks 98 304 segments with its shortest-path
+// array on the heap.
 func BenchmarkPrepareLongRecord(b *testing.B) {
 	calc := NewCalculator(paperContext())
 	tokens := make([]string, 1<<16)

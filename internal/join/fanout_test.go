@@ -57,7 +57,7 @@ func TestQueryAllocsPinned(t *testing.T) {
 	j := NewJoiner(paperContext())
 	probe := benchCorpus(64, 9)
 	ctx, qo := context.Background(), QueryOpts{}
-	for _, pin := range []struct{ shards, topK, probe int }{{1, 2, 2}, {3, 7, 7}} {
+	for _, pin := range []struct{ shards, topK, probe int }{{1, 2, 2}, {3, 6, 6}} {
 		sx := j.BuildShardedIndex(benchCorpus(400, 1), pin.shards, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
 		i := 0
 		topK := testing.AllocsPerRun(10*len(probe), func() {

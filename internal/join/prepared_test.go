@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/aujoin/aujoin/internal/datagen"
 	"github.com/aujoin/aujoin/internal/pebble"
 	"github.com/aujoin/aujoin/internal/strutil"
 )
@@ -66,6 +67,53 @@ func TestProbeRecordMatchesOracle(t *testing.T) {
 			}
 			if got := probeRecord(t, sv, p.Tokens); !reflect.DeepEqual(got, want) {
 				t.Fatalf("shards=%d: probeByID(%v) = %v, want %v", shards, p.Raw, got, want)
+			}
+		}
+	}
+}
+
+// TestMEDLikeJoinMatchesTokensOracle holds the filtered join and the lookup
+// to tokensOracle — SimilarityTokens ≥ θ for every pair, with no bound
+// involved — on a small MED-like dataset with its own rules and taxonomy, at
+// τ = 1, 2 and 3 under both adaptive selectors. BruteForce cannot stand in for
+// the oracle here: it verifies through VerifyPrepared, whose size ratio and
+// cover bound divide by the records' minimum partition sizes, so a bound too
+// large would shrink the filter's prefixes and the oracle alike. The records
+// must give those sizes something to decide: at least a third have a
+// partition of fewer segments than tokens.
+func TestMEDLikeJoinMatchesTokensOracle(t *testing.T) {
+	const theta = 0.8
+	ds := datagen.New(datagen.MEDLike(120, 57)).Generate()
+	j := NewJoiner(ds.Context())
+	shorter, records := 0, 0
+	for _, recs := range [][]strutil.Record{ds.S, ds.T} {
+		for _, r := range recs {
+			records++
+			if j.calc.Prepare(r.Tokens).MinPartitionSize() < len(r.Tokens) {
+				shorter++
+			}
+		}
+	}
+	t.Logf("%d of %d records have a partition of fewer segments than tokens", shorter, records)
+	if shorter < records/3 {
+		t.Fatalf("%d of %d records have a partition of fewer segments than tokens, want at least %d", shorter, records, records/3)
+	}
+	want := tokensOracle(j, ds.S, ds.T, theta)
+	t.Logf("the oracle finds %d pairs", len(want))
+	if len(want) < len(ds.T)/10 {
+		t.Fatalf("the oracle finds %d pairs over %d probes, want at least %d", len(want), len(ds.T), len(ds.T)/10)
+	}
+	for _, method := range []pebble.Method{pebble.AUHeuristic, pebble.AUDP} {
+		for _, tau := range []int{1, 2, 3} {
+			opts := Options{Theta: theta, Tau: tau, Method: method}
+			if got, _ := j.Join(ds.S, ds.T, opts); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v τ=%d: the join finds %d pairs, the oracle %d", method, tau, len(got), len(want))
+			}
+			sv := j.BuildShardedIndex(ds.S, 1, opts, DynamicOptions{}).Snapshot()
+			for _, q := range ds.T {
+				if got, exp := probeRecord(t, sv, q.Tokens), rowsOf(want, q.ID); (len(got) != 0 || len(exp) != 0) && !reflect.DeepEqual(got, exp) {
+					t.Fatalf("%v τ=%d: %v: lookup %v, oracle %v", method, tau, q.Tokens, got, exp)
+				}
 			}
 		}
 	}

@@ -1,10 +1,10 @@
 package join
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -682,14 +682,13 @@ type topKHeap struct {
 // sorted returns the retained matches ordered by descending similarity with
 // ascending-ID ties — the result order of QueryTopKCtx. The heap is consumed.
 func (h *topKHeap) sorted() []QueryMatch {
-	out := h.entries
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Similarity != out[b].Similarity {
-			return out[a].Similarity > out[b].Similarity
+	slices.SortFunc(h.entries, func(a, b QueryMatch) int {
+		if c := cmp.Compare(b.Similarity, a.Similarity); c != 0 {
+			return c
 		}
-		return out[a].Record < out[b].Record
+		return cmp.Compare(a.Record, b.Record)
 	})
-	return out
+	return h.entries
 }
 
 // less orders the heap: the root must be the entry to evict first, i.e. the
