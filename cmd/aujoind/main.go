@@ -28,8 +28,8 @@
 // -join turns the daemon into a cluster worker: it registers with the
 // aujoin-coord coordinator at the given URL, receives its replica-group
 // assignment and build parameters from it (so -catalog, -theta, -tau,
-// -filter and -data-dir conflict with -join), and serves coordinator
-// traffic stamped with the cluster's order epoch. -advertise is the URL the
+// -filter and -data-dir conflict with -join), and serves the coordinator's
+// group reads under the order it last adopted. -advertise is the URL the
 // coordinator reaches this worker at; it defaults to
 // http://127.0.0.1<addr> when -addr is a bare port.
 //

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"net/url"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -530,7 +532,7 @@ func (w *statusWriter) WriteHeader(status int) {
 
 // TestSeedChunkAfterSeedRefused: a seed chunk that reaches a group after its
 // seed is over — after the last chunk, after an ordinary batch, after an
-// adopted order (the bootstrap's, also on a group the seed gave nothing) — is
+// order adoption (the bootstrap's, also on a group the seed gave nothing) — is
 // refused with a 400 and changes nothing, where building the group from it
 // would silently drop every record, write and order the group held. So is an
 // ordinary batch between the last chunk and the order that installs the
@@ -543,7 +545,7 @@ func TestSeedChunkAfterSeedRefused(t *testing.T) {
 	wg := wk.groups[0]
 	wk.mu.Unlock()
 	seq := wg.seq.Load()
-	late := ApplyRequest{Epoch: tc.coord.Stats().Epoch, Seq: seq + 1, Seed: true, Last: true, IDs: []int{1000}, Records: []string{"late seed"}}
+	late := ApplyRequest{Seq: seq + 1, Seed: true, Last: true, IDs: []int{1000}, Records: []string{"late seed"}}
 	err := call(context.Background(), http.DefaultClient, tc.workers[0].URL+"/cluster/apply", &late, nil)
 	if !refused(err) {
 		t.Fatalf("a seed chunk after the bootstrap returned %v, want a 400", err)
@@ -568,8 +570,8 @@ func TestSeedChunkAfterSeedRefused(t *testing.T) {
 	if _, err := unseeded.adopt(ctx, &OrderPayload{Epoch: 2, Order: unseeded.groups[0].ix().KeyFrequencies()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := unseeded.apply(ctx, &ApplyRequest{Epoch: 2, Seq: 1, Seed: true, Last: true, IDs: []int{0}, Records: catalog[:1]}); !refused(err) {
-		t.Fatalf("a seed chunk after an adopted order returned %v, want a 400", err)
+	if _, err := unseeded.apply(ctx, &ApplyRequest{Seq: 1, Seed: true, Last: true, IDs: []int{0}, Records: catalog[:1]}); !refused(err) {
+		t.Fatalf("a seed chunk after an order adoption returned %v, want a 400", err)
 	}
 	fresh := newWorker()
 	var last ApplyResponse
@@ -598,7 +600,6 @@ func TestSeedChunkAfterSeedRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		st.req.Epoch = 1
 		resp, err := fresh.apply(ctx, &st.req)
 		if refused(err) != st.refuse || (err != nil && !st.refuse) {
 			t.Fatalf("step %d: apply returned %v, want refused %v", i, err, st.refuse)
@@ -862,7 +863,7 @@ func requireSingleNodeOrder(t *testing.T, tc *testCluster, ref *aujoin.Index, st
 // epoch bump after the bootstrap (whose tables come with the seed's
 // acknowledgements, not from /cluster/freqs) must take the table from the
 // group's other replica and still ship the single-node order, and leave
-// worker 0 in service: it still adopts and commits.
+// worker 0 in service: it still adopts.
 func TestBumpEpochFailsOverFreqs(t *testing.T) {
 	failFreqs := func(i int, h http.Handler) http.Handler {
 		if i != 0 {
@@ -1144,31 +1145,306 @@ func settleGoroutines(t *testing.T, stage string) {
 	}
 }
 
-// TestClusterRejectsStaleEpoch pins the epoch fence: a request stamped with
-// an outdated epoch is answered 409 epoch_mismatch (with the worker's
-// current epoch), not served under the wrong order silently.
-func TestClusterRejectsStaleEpoch(t *testing.T) {
-	catalog := denseCatalog(40, 6)
-	tc := startCluster(t, 2, 2, catalog, 0.7, 2, "dp")
-	tc.bump(t) // move the cluster past the bootstrap epoch
-
-	req, _ := http.NewRequest(http.MethodGet,
-		tc.workers[0].URL+"/query?q="+url.QueryEscape(catalog[0])+"&k=3&group=0", nil)
-	req.Header.Set(EpochHeader, "1")
-	resp, err := http.DefaultClient.Do(req)
+// TestReadsDuringBumps: an epoch bump fences no read and no worker. On a
+// 3-worker R = 2 cluster, /query and /probe run concurrently while BumpEpoch
+// runs three times — the first under an order the inserted records changed —
+// with the health checker running; worker 0 holds each adopt until a query
+// and a probe have been answered, so reads overlap every bump. Every answer
+// equals the single-node index's, and no worker is ever out of service: each
+// adopts every order, so no heartbeat, during the bumps or after them, is
+// behind.
+func TestReadsDuringBumps(t *testing.T) {
+	catalog := denseCatalog(180, 7)
+	probes := denseCatalog(12, 12)
+	var queries, probed, overlapped atomic.Int32
+	var hold atomic.Bool
+	tc := startCluster(t, 3, 2, catalog, 0.7, 2, "dp", clusterOpts{wrap: func(i int, h http.Handler) http.Handler {
+		if i != 0 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/cluster/adopt" && hold.Load() {
+				q, p := queries.Load(), probed.Load()
+				for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+					if queries.Load() > q && probed.Load() > p {
+						overlapped.Add(1)
+						break
+					}
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	}})
+	j, err := aujoin.NewStrict()
 	if err != nil {
-		t.Fatalf("stale query: %v", err)
+		t.Fatalf("NewStrict: %v", err)
+	}
+	ref := j.IndexWith(catalog, aujoin.JoinOptions{Theta: 0.7, Tau: 2, Filter: aujoin.AUFilterDP}, aujoin.IndexOptions{Shards: 1})
+	extra := []string{"quokka espresso ferry harbour", "quokka bakery ferry market", "harbour cafe quokka north"}
+	tc.insert(t, extra)
+	ref.Insert(extra)
+	wantQuery := make(map[string]string, len(equivalenceQueries))
+	for _, q := range equivalenceQueries {
+		wantQuery[q] = fmt.Sprint(refTopK(t, ref, q, 10))
+	}
+	wantProbe := sortedMatches(refProbe(t, ref, probes))
+
+	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stopped(); i++ {
+			q := equivalenceQueries[i%len(equivalenceQueries)]
+			resp, err := http.Get(fmt.Sprintf("%s/query?q=%s&k=10", tc.coordTS.URL, url.QueryEscape(q)))
+			got, err := readLines[aujoin.QueryMatch](resp, err)
+			if err != nil || fmt.Sprint(got) != wantQuery[q] {
+				t.Errorf("query %q during bumps: %v (%v), want %v", q, got, err, wantQuery[q])
+				return
+			}
+			queries.Add(1)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		body, _ := json.Marshal(ProbeRequest{Records: probes})
+		for !stopped() {
+			resp, err := http.Post(tc.coordTS.URL+"/probe", "application/json", bytes.NewReader(body))
+			got, err := readLines[aujoin.Match](resp, err)
+			if err != nil || sortedMatches(got) != wantProbe {
+				t.Errorf("probe during bumps: %v (%v), want %v", sortedMatches(got), err, wantProbe)
+				return
+			}
+			probed.Add(1)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for !stopped() {
+			for addr, state := range tc.workerStates() {
+				if state != "ready" {
+					t.Errorf("worker %s is %s during the bumps, want ready", addr, state)
+					return
+				}
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}()
+	hold.Store(true)
+	for range 3 {
+		if err := tc.coord.BumpEpoch("test"); err != nil {
+			t.Errorf("BumpEpoch: %v", err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if n := overlapped.Load(); n != 3 {
+		t.Errorf("reads were answered during %d of the 3 bumps; the rest were not tested", n)
+	}
+	tc.coord.checkHealth(context.Background()) // a heartbeat after the bumps
+	st := tc.coord.Stats()
+	if st.Epoch != 5 {
+		t.Errorf("the coordinator is at epoch %d after the bootstrap and three bumps, want 5", st.Epoch)
+	}
+	for _, w := range st.Workers {
+		if w.State != "ready" || w.Epoch != st.Epoch {
+			t.Errorf("worker %s is %s at epoch %d after the bumps, want ready at %d", w.Addr, w.State, w.Epoch, st.Epoch)
+		}
+	}
+}
+
+// readLines decodes an NDJSON answer of status 200 into its lines.
+func readLines[T any](resp *http.Response, err error) ([]T, error) {
+	if err != nil {
+		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("stale epoch: status %d, want 409", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("status %d", resp.StatusCode)
 	}
-	var eb ErrorBody
-	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
-		t.Fatalf("decode 409 body: %v", err)
+	var out []T
+	err = cmdutil.DecodeNDJSON(resp.Body, func(m T) error {
+		out = append(out, m)
+		return nil
+	})
+	return out, err
+}
+
+// sortedMatches prints a probe's match set in one order, for comparison.
+func sortedMatches(ms []aujoin.Match) string {
+	ms = slices.Clone(ms)
+	slices.SortFunc(ms, func(a, b aujoin.Match) int {
+		return cmp.Or(cmp.Compare(a.S, b.S), cmp.Compare(a.T, b.T))
+	})
+	return fmt.Sprint(ms)
+}
+
+// TestLostAdoptAckReadmits: worker 0 applies a bump's adopt, and its
+// acknowledgement is lost (answered 502). The bump marks it down and
+// completes on the other workers; worker 0's heartbeat is then at the new
+// epoch with matching sequences, so the health checker readmits it, and its
+// answers equal a single node's. The health checker is driven by hand.
+func TestLostAdoptAckReadmits(t *testing.T) {
+	catalog := denseCatalog(90, 11)
+	var lose atomic.Bool
+	var lost, frames atomic.Int32
+	tc := startCluster(t, 3, 2, catalog, 0.7, 2, "dp", clusterOpts{
+		heartbeat: time.Hour,
+		frames: func(_ context.Context, i int, _ *frameRequest) error {
+			if i == 0 {
+				frames.Add(1)
+			}
+			return nil
+		},
+		wrap: func(i int, h http.Handler) http.Handler {
+			if i != 0 {
+				return h
+			}
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/cluster/adopt" || !lose.Load() {
+					h.ServeHTTP(w, r)
+					return
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, r)
+				if rec.Code == http.StatusOK {
+					lost.Add(1)
+				}
+				http.Error(w, "the acknowledgement was lost", http.StatusBadGateway)
+			})
+		},
+	})
+	j, err := aujoin.NewStrict()
+	if err != nil {
+		t.Fatalf("NewStrict: %v", err)
 	}
-	if eb.Code != "epoch_mismatch" || eb.Epoch < 2 {
-		t.Fatalf("409 body %+v, want code epoch_mismatch with current epoch", eb)
+	ref := j.IndexWith(catalog, aujoin.JoinOptions{Theta: 0.7, Tau: 2, Filter: aujoin.AUFilterDP}, aujoin.IndexOptions{Shards: 1})
+	probes := denseCatalog(12, 12)
+
+	lose.Store(true)
+	if err := tc.coord.BumpEpoch("test"); err != nil {
+		t.Fatalf("BumpEpoch around a lost acknowledgement: %v", err)
+	}
+	lose.Store(false)
+	if lost.Load() != 1 {
+		t.Fatalf("%d adopts applied with their acknowledgement lost, want 1; nothing was tested", lost.Load())
+	}
+	addr := tc.workers[0].URL
+	if state := tc.workerStates()[addr]; state != "down" {
+		t.Fatalf("worker 0 is %s after its acknowledgement was lost, want down", state)
+	}
+	checkEquivalence(t, tc, ref, probes, "worker 0 down")
+	for beat := 0; beat < 3 && tc.workerStates()[addr] != "ready"; beat++ {
+		tc.coord.checkHealth(context.Background())
+	}
+	if state := tc.workerStates()[addr]; state != "ready" {
+		t.Fatalf("worker 0 is %s three heartbeats after the bump, want readmitted", state)
+	}
+	before := frames.Load()
+	checkEquivalence(t, tc, ref, probes, "worker 0 readmitted")
+	if frames.Load() == before {
+		t.Error("no frame reached the readmitted worker 0; its answers were not tested")
+	}
+}
+
+// TestBehindWorkerFencedByHeartbeat holds both sides of the heartbeat fence.
+// A heartbeat worker 0 answers at the old epoch while a bump it takes part
+// in completes is not behind: the worker stays ready. Then worker 0's
+// /readyz reports an epoch one behind its own: the health checker marks the
+// ready worker down within two heartbeats and never readmits it, no lookup
+// frame goes to it afterwards, and the answers equal a single node's. The
+// health checker is driven by hand.
+func TestBehindWorkerFencedByHeartbeat(t *testing.T) {
+	catalog := denseCatalog(90, 11)
+	var hold, behind atomic.Bool
+	held, release := make(chan struct{}), make(chan struct{})
+	var frames atomic.Int32
+	tc := startCluster(t, 3, 2, catalog, 0.7, 2, "dp", clusterOpts{
+		heartbeat: time.Hour,
+		wrap: func(i int, h http.Handler) http.Handler {
+			if i != 0 {
+				return h
+			}
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/readyz" {
+					h.ServeHTTP(w, r)
+					return
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, r)
+				var hb Heartbeat
+				if err := json.Unmarshal(rec.Body.Bytes(), &hb); err != nil {
+					writeErr(w, err)
+					return
+				}
+				if hold.CompareAndSwap(true, false) {
+					close(held)
+					<-release
+				}
+				if behind.Load() {
+					hb.Epoch--
+				}
+				answer(w, hb, nil)
+			})
+		},
+		frames: func(_ context.Context, i int, _ *frameRequest) error {
+			if i == 0 {
+				frames.Add(1)
+			}
+			return nil
+		},
+	})
+	j, err := aujoin.NewStrict()
+	if err != nil {
+		t.Fatalf("NewStrict: %v", err)
+	}
+	ref := j.IndexWith(catalog, aujoin.JoinOptions{Theta: 0.7, Tau: 2, Filter: aujoin.AUFilterDP}, aujoin.IndexOptions{Shards: 1})
+	probes := denseCatalog(12, 12)
+	addr := tc.workers[0].URL
+
+	hold.Store(true)
+	checked := make(chan struct{})
+	go func() {
+		defer close(checked)
+		tc.coord.checkHealth(context.Background())
+	}()
+	<-held // worker 0's heartbeat is taken at the old epoch
+	if err := tc.coord.BumpEpoch("test"); err != nil {
+		t.Errorf("BumpEpoch: %v", err)
+	}
+	close(release)
+	<-checked
+	if state := tc.workerStates()[addr]; state != "ready" {
+		t.Fatalf("worker 0 is %s after a heartbeat taken before a bump it adopted, want ready", state)
+	}
+	checkEquivalence(t, tc, ref, probes, "every worker ready")
+	if frames.Load() == 0 {
+		t.Fatal("no frame reached worker 0 while it was ready; nothing was tested")
+	}
+
+	behind.Store(true)
+	for beat := 0; beat < 2 && tc.workerStates()[addr] != "down"; beat++ {
+		tc.coord.checkHealth(context.Background())
+	}
+	if state := tc.workerStates()[addr]; state != "down" {
+		t.Fatalf("worker 0 is %s two heartbeats after it fell behind, want down", state)
+	}
+	tc.coord.checkHealth(context.Background())
+	if state := tc.workerStates()[addr]; state != "down" {
+		t.Fatalf("worker 0, still behind, is %s after another heartbeat, want down", state)
+	}
+	before := frames.Load()
+	checkEquivalence(t, tc, ref, probes, "worker 0 behind")
+	if n := frames.Load() - before; n != 0 {
+		t.Errorf("%d frames went to worker 0 while its heartbeat was behind, want none", n)
 	}
 }
 

@@ -151,7 +151,7 @@ func (c *Coordinator) Mux() *http.ServeMux {
 	mount(mux, c)
 	mux.HandleFunc("POST /cluster/register", rpc(maxBodyBytes, c.register))
 	mux.HandleFunc("POST /epoch/bump", func(w http.ResponseWriter, _ *http.Request) {
-		_, err := c.resolve("", "", true)
+		_, err := c.resolve("", true)
 		if err == nil {
 			err = c.BumpEpoch("manual")
 		}
@@ -162,7 +162,7 @@ func (c *Coordinator) Mux() *http.ServeMux {
 
 // resolve: the coordinator is the one target of every request it can answer,
 // which is every request once the cluster has bootstrapped.
-func (c *Coordinator) resolve(_, _ string, _ bool) (target, error) {
+func (c *Coordinator) resolve(_ string, _ bool) (target, error) {
 	if !c.ready.Load() {
 		return nil, notReady("cluster is not bootstrapped")
 	}
@@ -170,7 +170,7 @@ func (c *Coordinator) resolve(_, _ string, _ bool) (target, error) {
 }
 
 func (c *Coordinator) readyz() (any, error) {
-	_, err := c.resolve("", "", false)
+	_, err := c.resolve("", false)
 	return map[string]any{"ready": true, "epoch": c.epoch.Load()}, err
 }
 
@@ -383,10 +383,13 @@ func (c *Coordinator) markDown(ref *workerRef, cause error) {
 }
 
 // checkHealth polls every worker's /readyz, failing workers out after two
-// consecutive misses and readmitting a down worker only when its heartbeat
-// proves it is at the coordinator's epoch with matching per-group
-// sequences (a network blip, not a missed write). It also fires the
-// auto-bump when a worker's dynamic region outgrows the sync fraction.
+// consecutive misses, and is the one fence against a worker that missed an
+// epoch bump: a ready worker whose heartbeat is behind the epoch the
+// coordinator was at before it asked is marked down, and a down worker is
+// readmitted only when its heartbeat proves it is at the coordinator's
+// epoch with matching per-group sequences (a network blip, not a missed
+// write or order). It also fires the auto-bump when a worker's dynamic
+// region outgrows the sync fraction.
 func (c *Coordinator) checkHealth(ctx context.Context) {
 	c.mu.Lock()
 	placed := c.ring != nil
@@ -396,6 +399,10 @@ func (c *Coordinator) checkHealth(ctx context.Context) {
 	}
 	var maxFrozen, maxDyn int
 	for _, ref := range c.refs() {
+		// Read before the call: a publish moves the coordinator only after
+		// every worker it counts on has adopted, so a heartbeat behind this
+		// epoch is behind for certain, whatever the call overlapped.
+		epoch := c.epoch.Load()
 		hctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 		var hb Heartbeat
 		err := call(hctx, c.client, ref.addr+"/readyz", nil, &hb)
@@ -416,8 +423,13 @@ func (c *Coordinator) checkHealth(ctx context.Context) {
 		if hb.DynamicKeys > maxDyn {
 			maxDyn = hb.DynamicKeys
 		}
-		if ref.state.Load() == workerDown && c.ready.Load() {
-			if hb.Epoch == c.epoch.Load() && c.seqsMatch(hb) {
+		switch ref.state.Load() {
+		case workerReady:
+			if hb.Epoch < epoch {
+				c.markDown(ref, fmt.Errorf("heartbeat at epoch %d, behind %d", hb.Epoch, epoch))
+			}
+		case workerDown:
+			if c.ready.Load() && hb.Epoch == c.epoch.Load() && c.seqsMatch(hb) {
 				ref.state.Store(workerReady)
 				c.logf("worker %s readmitted", ref.addr)
 			}
@@ -736,7 +748,7 @@ func (l *lookup) attempt(ref *workerRef, groups []int) {
 	req.groups = groups
 	var out []aujoin.QueryMatch
 	at := 0
-	stream(l.ctx, l.c, ref, &req, func(m frameMatch) error {
+	stream(l.ctx, ref, &req, func(m frameMatch) error {
 		out = append(out, aujoin.QueryMatch{Record: m.id, Similarity: m.sim})
 		return nil
 	}, func(g int, err error) {
@@ -896,7 +908,7 @@ func (c *Coordinator) probeGroup(ctx context.Context, req *frameRequest, emit fu
 		}
 		forwarded := 0
 		var err error
-		stream(ctx, c, ref, req, func(m frameMatch) error {
+		stream(ctx, ref, req, func(m frameMatch) error {
 			forwarded++
 			return emit(ProbeMatch{S: m.id, T: m.pos, Similarity: m.sim})
 		}, func(_ int, gerr error) { err = gerr })
@@ -1015,7 +1027,7 @@ func (c *Coordinator) applyGroup(ctx context.Context, req *ApplyRequest) (*Apply
 	lane := c.lanes[req.Group]
 	lane.mu.Lock()
 	defer lane.mu.Unlock()
-	req.Epoch, req.Seq = c.epoch.Load(), lane.seq+1
+	req.Seq = lane.seq + 1
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
@@ -1082,18 +1094,17 @@ func (c *Coordinator) applyGroup(ctx context.Context, req *ApplyRequest) (*Apply
 
 // --- the order-sync protocol ---
 
-// BumpEpoch runs a global re-finalize as a two-phase epoch bump. Mutations
-// are blocked for the duration (mutMu held exclusively); reads never are —
+// BumpEpoch runs a global re-finalize as an epoch bump. Mutations are
+// blocked for the duration (mutMu held exclusively); reads never are —
 // workers serve from pre-adoption snapshots while their group indexes
-// rebuild, and requests stamped with either the old or the prepared epoch
-// are accepted throughout.
+// rebuild.
 //
 // The coordinator collects one key-frequency table per group, all groups at
 // once, asking the group's ready replicas in turn until one answers (one
-// that fails is not marked down: it may still adopt and commit) — groups
-// partition the records, so the tables sum to the global document
-// frequencies — merges them into the next frozen order
-// (aujoin.MergeOrderImages) and publishes it.
+// that fails is not marked down: it may still adopt) — groups partition the
+// records, so the tables sum to the global document frequencies — merges
+// them into the next frozen order (aujoin.MergeOrderImages) and publishes
+// it.
 func (c *Coordinator) BumpEpoch(reason string) error {
 	c.mutMu.Lock()
 	defer c.mutMu.Unlock()
@@ -1130,16 +1141,16 @@ func (c *Coordinator) BumpEpoch(reason string) error {
 	return c.publish(ctx, order, reason)
 }
 
-// publish ships a merged order to every ready worker as the next epoch and
-// commits it: the step every epoch bump ends in, and the bootstrap's one
-// order step. Prepare: every ready worker adopts the order at once
-// (/cluster/adopt) — a group its seed left pending is built under it, any
-// other group index rebuilt — while reads keep flowing. Commit: the
-// coordinator flips its epoch — the point of no return; every query from
-// here on is stamped with the new epoch — and tells the workers that adopted
-// to flip theirs. A worker that fails either phase is marked down: its epoch
-// no longer matches, so the stamp check fences it out of serving until it
-// is resynced (operator intervention; automatic resync is future work).
+// publish ships a merged order to every ready worker as the next epoch: the
+// step every epoch bump ends in, and the bootstrap's one order step. It is
+// one round. Every ready worker adopts the order at once (/cluster/adopt) —
+// a group its seed left pending is built under it, any other group index
+// rebuilt — while reads keep flowing, and the adopt moves the worker to the
+// new epoch. Then the coordinator moves to it. A worker that fails its adopt
+// is marked down, and its heartbeat, behind the new epoch, keeps it out
+// (checkHealth) until it is resynced (operator intervention; automatic
+// resync is future work). One whose adopt was applied but not acknowledged
+// reports the new epoch and is readmitted.
 func (c *Coordinator) publish(ctx context.Context, order aujoin.OrderImage, reason string) error {
 	start := time.Now()
 	cur := c.epoch.Load()
@@ -1157,36 +1168,25 @@ func (c *Coordinator) publish(ctx context.Context, order aujoin.OrderImage, reas
 	if err != nil {
 		return err
 	}
-	adopted := c.each(ready, func(ref *workerRef) error {
+	acked := c.each(ready, func(ref *workerRef) error {
 		if err := call(ctx, c.client, ref.addr+"/cluster/adopt", json.RawMessage(payload), nil); err != nil {
 			return fmt.Errorf("adopt epoch %d: %w", next, err)
 		}
 		return nil
 	})
-	if len(adopted) == 0 {
-		return fmt.Errorf("epoch %d: no worker adopted the order", next)
+	if acked == 0 {
+		return fmt.Errorf("epoch %d: no worker acknowledged the order", next)
 	}
-
 	c.epoch.Store(next)
-	commit, err := json.Marshal(CommitRequest{Epoch: next})
-	if err != nil {
-		return err
-	}
-	c.each(adopted, func(ref *workerRef) error {
-		if err := call(ctx, c.client, ref.addr+"/cluster/commit", json.RawMessage(commit), nil); err != nil {
-			return fmt.Errorf("commit epoch %d: %w", next, err)
-		}
-		return nil
-	})
 	c.bumps.Add(1)
 	c.logf("epoch %d -> %d (%s): %d keys frozen, %d workers, %v",
-		cur, next, reason, len(order.Keys), len(adopted), time.Since(start).Round(time.Millisecond))
+		cur, next, reason, len(order.Keys), acked, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
-// each runs op on every worker of refs at once and returns, in refs' order,
-// those it succeeded on; a worker it failed on is marked down.
-func (c *Coordinator) each(refs []*workerRef, op func(*workerRef) error) []*workerRef {
+// each runs op on every worker of refs at once and returns how many it
+// succeeded on; a worker it failed on is marked down.
+func (c *Coordinator) each(refs []*workerRef, op func(*workerRef) error) int {
 	errs := make([]error, len(refs))
 	var wg sync.WaitGroup
 	for i, ref := range refs {
@@ -1197,13 +1197,13 @@ func (c *Coordinator) each(refs []*workerRef, op func(*workerRef) error) []*work
 		}()
 	}
 	wg.Wait()
-	var ok []*workerRef
+	ok := 0
 	for i, ref := range refs {
 		if errs[i] != nil {
 			c.markDown(ref, errs[i])
 			continue
 		}
-		ok = append(ok, ref)
+		ok++
 	}
 	return ok
 }

@@ -29,8 +29,8 @@ import (
 //
 // A frame is a big-endian uint32 payload length and the payload. A request
 // is op, the group count and the groups (strictly ascending; a probe names
-// one), epoch, k and min_sim, then the query text or the probe records, each
-// a uvarint length and its raw bytes. An answer is one section a group, in
+// one), k and min_sim, then the query text or the probe records, each a
+// uvarint length and its raw bytes. An answer is one section a group, in
 // the request's order: zero or more match frames and the group's end frame.
 // A match carries the record ID, the probe position for a probe match and
 // the similarity's eight IEEE-754 bytes, so it round-trips exactly; an end
@@ -76,12 +76,10 @@ var (
 	errFrameShort    = errors.New("truncated frame")
 )
 
-// frameRequest is one read of one or more groups. The epoch travels beside
-// it (see appendRequest), so a restamped retry can reuse the request.
+// frameRequest is one read of one or more groups.
 type frameRequest struct {
 	op      byte
 	groups  []int // strictly ascending; a probe's holds one group
-	epoch   int64
 	k       int
 	minSim  float64  // 0: unset
 	q       string   // opQuery
@@ -99,15 +97,14 @@ type frameMatch struct {
 	body   []byte
 }
 
-// appendRequest appends req, stamped with epoch, to b as one frame.
-func appendRequest(b []byte, req *frameRequest, epoch int64) []byte {
+// appendRequest appends req to b as one frame.
+func appendRequest(b []byte, req *frameRequest) []byte {
 	at := len(b)
 	b = append(b, 0, 0, 0, 0, req.op)
 	b = binary.AppendUvarint(b, uint64(len(req.groups)))
 	for _, g := range req.groups {
 		b = binary.AppendUvarint(b, uint64(g))
 	}
-	b = binary.AppendVarint(b, epoch)
 	b = binary.AppendUvarint(b, uint64(req.k))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(req.minSim))
 	if req.op == opQuery {
@@ -122,10 +119,9 @@ func appendRequest(b []byte, req *frameRequest, epoch int64) []byte {
 	return b
 }
 
-// requestSize bounds the payload size of req's frame, its epoch counted at
-// the widest stamp.
+// requestSize is the payload size of req's frame.
 func requestSize(req *frameRequest) int {
-	n := 1 + uvarintLen(uint64(len(req.groups))) + binary.MaxVarintLen64 + uvarintLen(uint64(req.k)) + 8
+	n := 1 + uvarintLen(uint64(len(req.groups))) + uvarintLen(uint64(req.k)) + 8
 	for _, g := range req.groups {
 		n += uvarintLen(uint64(g))
 	}
@@ -303,7 +299,6 @@ func decodeRequest(p []byte, req *frameRequest) error {
 		groups = append(groups, g)
 	}
 	*req = frameRequest{op: op, groups: groups}
-	req.epoch = fr.varint()
 	req.k = fr.smallInt()
 	req.minSim = fr.float()
 	if req.op == opQuery {
@@ -511,9 +506,9 @@ func (fs *frameServer) armIdle() { fs.setReadDeadline(fs.idleTimeout) }
 // answer serves one request payload: for each of its groups in turn, the
 // group's match frames and its end frame. A query's answer goes out in one
 // write; a probe's matches go out as they are confirmed. A failure of the
-// whole request — the hook's, the query's options, readiness, the epoch
-// stamp — is every group's end frame. An error is a malformed request or a
-// dead connection, and closes it.
+// whole request — the hook's, the query's options, readiness — is every
+// group's end frame. An error is a malformed request or a dead connection,
+// and closes it.
 func (fs *frameServer) answer(ctx context.Context, p []byte) error {
 	req := &fs.req
 	if err := decodeRequest(p, req); err != nil {
@@ -545,7 +540,7 @@ func (fs *frameServer) answer(ctx context.Context, p []byte) error {
 
 // admit checks a request once, before any of its groups is served, as the
 // HTTP surface's /query and /probe check theirs: a query's text and options,
-// then the worker's readiness and the epoch stamp.
+// then the worker's readiness.
 func (wk *Worker) admit(req *frameRequest) error {
 	if req.op == opQuery {
 		if req.q == "" {
@@ -558,7 +553,7 @@ func (wk *Worker) admit(req *frameRequest) error {
 	if !wk.ready.Load() {
 		return notReady("worker is not configured yet")
 	}
-	return wk.checkEpoch(req.epoch)
+	return nil
 }
 
 // serveGroup runs the request on hosted group g through the same target
@@ -729,12 +724,12 @@ func upgradeFrames(conn net.Conn, u *url.URL) (*frameConn, error) {
 	return &frameConn{conn: conn, br: br}, nil
 }
 
-// roundTrip sends req, stamped with epoch, to the worker at addr on a pooled
-// connection and hands fn each frame of the answer — a group's matches, then
-// its end frame, group after group in req's order — returning once the last
-// group's end frame is read. An end frame's body aliases the connection's
-// buffer: fn copies what it keeps. A ctx that has ended by the time a
-// connection is in hand sends nothing: the connection goes back to the pool.
+// roundTrip sends req to the worker at addr on a pooled connection and hands
+// fn each frame of the answer — a group's matches, then its end frame, group
+// after group in req's order — returning once the last group's end frame is
+// read. An end frame's body aliases the connection's buffer: fn copies what
+// it keeps. A ctx that has ended by the time a connection is in hand sends
+// nothing: the connection goes back to the pool.
 // When ctx ends mid-exchange (abandon), a probe stream's connection is
 // closed, and a query read — a hedge's loser — finishes reading its answer
 // within drainTimeout and goes back to the pool, so that a hedge costs no
@@ -742,7 +737,7 @@ func upgradeFrames(conn net.Conn, u *url.URL) (*frameConn, error) {
 // reused connection that fails before any byte of the answer — one the
 // worker closed while it sat idle — is replaced by a new one once: reads are
 // idempotent, and the worker must not be blamed for it.
-func (p *framePool) roundTrip(ctx context.Context, addr string, req *frameRequest, epoch int64, fn func(frameMatch) error) error {
+func (p *framePool) roundTrip(ctx context.Context, addr string, req *frameRequest, fn func(frameMatch) error) error {
 	fc := p.get()
 	reused := fc != nil
 	for {
@@ -759,7 +754,7 @@ func (p *framePool) roundTrip(ctx context.Context, addr string, req *frameReques
 		fc.probe = req.op == opProbe
 		fc.ended.Add(1)
 		stop := context.AfterFunc(ctx, fc.abandon)
-		answered, err := fc.exchange(req, epoch, fn)
+		answered, err := fc.exchange(req, fn)
 		abandoned := !stop()
 		if abandoned {
 			fc.ended.Wait() // abandon has run: its deadline can be cleared
@@ -791,8 +786,8 @@ func (p *framePool) roundTrip(ctx context.Context, addr string, req *frameReques
 
 // exchange is one request and its answer on fc. answered reports whether any
 // byte of the answer arrived; an error leaves the connection unusable.
-func (fc *frameConn) exchange(req *frameRequest, epoch int64, fn func(frameMatch) error) (answered bool, err error) {
-	fc.wbuf = appendRequest(fc.wbuf[:0], req, epoch)
+func (fc *frameConn) exchange(req *frameRequest, fn func(frameMatch) error) (answered bool, err error) {
+	fc.wbuf = appendRequest(fc.wbuf[:0], req)
 	if _, err = fc.conn.Write(fc.wbuf); err != nil {
 		return false, err
 	}

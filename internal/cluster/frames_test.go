@@ -7,10 +7,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,7 +27,7 @@ import (
 
 // sameRequest compares two requests field by field, min_sim by its bits.
 func sameRequest(a, b frameRequest) bool {
-	return a.op == b.op && slices.Equal(a.groups, b.groups) && a.epoch == b.epoch && a.k == b.k &&
+	return a.op == b.op && slices.Equal(a.groups, b.groups) && a.k == b.k &&
 		math.Float64bits(a.minSim) == math.Float64bits(b.minSim) && a.q == b.q && slices.Equal(a.records, b.records)
 }
 
@@ -67,7 +72,7 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 			if err == nil {
 				var again frameRequest
-				err := decodeRequest(appendRequest(nil, &req, req.epoch)[4:], &again)
+				err := decodeRequest(appendRequest(nil, &req)[4:], &again)
 				if err != nil || !sameRequest(again, req) {
 					t.Fatalf("request %+v re-decoded as %+v (%v)", req, again, err)
 				}
@@ -87,6 +92,69 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFrameDecodeSeeds pins the branch each committed FuzzFrameDecode seed is
+// named for, so that a change of the frame layout cannot leave the seeds
+// decoding as something else: each is read as a frame and decoded as its
+// name says, and either decodes or is refused with the error its name
+// promises.
+func TestFrameDecodeSeeds(t *testing.T) {
+	seeds := map[string]struct {
+		answer bool   // decoded as an answer, not a request
+		err    string // what the refusal says; "" decodes
+	}{
+		"seed-query-request":       {},
+		"seed-probe-request":       {},
+		"seed-multi-group-request": {},
+		"seed-query-match":         {answer: true},
+		"seed-probe-match":         {answer: true},
+		"seed-end-ok":              {answer: true},
+		"seed-end-failure":         {answer: true},
+		"seed-multi-group-probe":   {err: "a probe request of 2 groups"},
+		"seed-no-group":            {err: "a request of no group"},
+		"seed-groups-unordered":    {err: "not strictly ascending"},
+		"seed-lying-group-count":   {err: errFrameShort.Error()},
+		"seed-lying-count":         {err: errFrameShort.Error()},
+		"seed-unknown-op":          {err: "unknown frame op 9"},
+		"seed-truncated":           {err: io.ErrUnexpectedEOF.Error()},
+		"seed-over-cap":            {err: errFrameTooLarge.Error()},
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzFrameDecode")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(seeds) {
+		t.Errorf("%d seeds committed, %d pinned", len(files), len(seeds))
+	}
+	for _, f := range files {
+		want, ok := seeds[f.Name()]
+		if !ok {
+			t.Errorf("seed %s is not pinned", f.Name())
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("seed %s: not a []byte corpus entry (%v)", f.Name(), err)
+		}
+		p, err := readFrame(bufio.NewReader(strings.NewReader(data)), nil)
+		if err == nil {
+			if want.answer {
+				_, err = decodeAnswer(p)
+			} else {
+				err = decodeRequest(p, &frameRequest{})
+			}
+		}
+		if got := fmt.Sprint(err); want.err == "" && err != nil || want.err != "" && !strings.Contains(got, want.err) {
+			t.Errorf("seed %s: decoded with error %v, want %q", f.Name(), err, want.err)
+		}
+	}
 }
 
 // TestFrameServerClosesOnMalformedFrame: a frame over the cap, a request of
@@ -115,7 +183,7 @@ func TestFrameServerClosesOnMalformedFrame(t *testing.T) {
 	}
 	req := frameRequest{op: opQuery, groups: []int{0}, k: 3, q: "espresso cafe helsinki"}
 	status := 0
-	err := (&framePool{}).roundTrip(ctx, tc.workers[0].URL, &req, tc.coord.Stats().Epoch, func(m frameMatch) error {
+	err := (&framePool{}).roundTrip(ctx, tc.workers[0].URL, &req, func(m frameMatch) error {
 		if m.tag == tagEnd {
 			status = m.status
 		}
@@ -165,7 +233,7 @@ func TestCancelledFrameReadClosesConnection(t *testing.T) {
 		},
 	})
 	var pool framePool
-	epoch, none := tc.coord.Stats().Epoch, func(frameMatch) error { return nil }
+	none := func(frameMatch) error { return nil }
 	ended, end := context.WithCancel(context.Background())
 	go func() {
 		<-upgrading
@@ -173,13 +241,13 @@ func TestCancelledFrameReadClosesConnection(t *testing.T) {
 		close(dialEnded)
 	}()
 	req := frameRequest{op: opQuery, groups: []int{0}, k: 8, q: "espresso cafe helsinki"}
-	if err := pool.roundTrip(ended, tc.workers[0].URL, &req, epoch, none); !errors.Is(err, context.Canceled) {
+	if err := pool.roundTrip(ended, tc.workers[0].URL, &req, none); !errors.Is(err, context.Canceled) {
 		t.Fatalf("the read cancelled mid-dial returned %v, want context.Canceled", err)
 	}
 	if n, sent := len(pool.idle), late.Load(); n != 1 || sent != 0 {
 		t.Fatalf("after a read cancelled mid-dial: %d connections pooled and %d requests sent, want 1 and 0", n, sent)
 	}
-	if err := pool.roundTrip(ended, tc.workers[0].URL, &req, epoch, none); !errors.Is(err, context.Canceled) {
+	if err := pool.roundTrip(ended, tc.workers[0].URL, &req, none); !errors.Is(err, context.Canceled) {
 		t.Fatalf("the read under an ended context returned %v, want context.Canceled", err)
 	}
 	if n, sent := len(pool.idle), late.Load(); n != 1 || sent != 0 {
@@ -192,7 +260,7 @@ func TestCancelledFrameReadClosesConnection(t *testing.T) {
 		cancel()
 	}()
 	req.k = 7
-	err := pool.roundTrip(ctx, tc.workers[0].URL, &req, epoch, none)
+	err := pool.roundTrip(ctx, tc.workers[0].URL, &req, none)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("the cancelled read returned %v, want context.Canceled", err)
 	}
@@ -456,13 +524,18 @@ func TestPooledFrameConnClosedByWorker(t *testing.T) {
 
 // TestProbeStreamOutlivesWriteTimeout: a probe stream longer than the
 // worker's WriteTimeout is answered in full — the write deadline is armed
-// per write, not once for the connection or the request.
+// per write, not once for the connection or the request. The health checker
+// is stopped: the workers' 50 ms timeouts also close its keep-alive
+// connections, and two heartbeats in a row that failed on one would take a
+// worker out, so only the probe stream under test can fail the closing
+// "every worker ready" check.
 func TestProbeStreamOutlivesWriteTimeout(t *testing.T) {
 	catalog := denseCatalog(120, 14)
 	const writeTimeout = 50 * time.Millisecond
 	var stalled atomic.Int32
 	tc := startCluster(t, 3, 2, catalog, 0.7, 2, "dp", clusterOpts{
-		server: func(s *http.Server) { s.ReadTimeout, s.WriteTimeout = writeTimeout, writeTimeout },
+		heartbeat: time.Hour,
+		server:    func(s *http.Server) { s.ReadTimeout, s.WriteTimeout = writeTimeout, writeTimeout },
 		frames: func(_ context.Context, _ int, req *frameRequest) error {
 			if req.op == opProbe {
 				stalled.Add(1)
@@ -585,7 +658,7 @@ func BenchmarkCoordinatorBootstrap(b *testing.B) {
 // BenchmarkCoordinatorBump is one epoch bump of a bootstrapped cluster over
 // 10 000 titles (three workers, R = 2): the coordinator collects each group's
 // frequency table, merges them, and every worker adopts the order — every
-// group index rebuilt under it — and commits.
+// group index rebuilt under it — and moves to the new epoch.
 func BenchmarkCoordinatorBump(b *testing.B) {
 	tc, _ := titlesCluster(b, 10000)
 	b.ResetTimer()

@@ -57,7 +57,7 @@ func (n *Node) backend() (*Backend, error) {
 	return nil, notReady("index is recovering")
 }
 
-func (n *Node) resolve(group, _ string, _ bool) (target, error) {
+func (n *Node) resolve(group string, _ bool) (target, error) {
 	be, err := n.backend()
 	if err != nil {
 		return nil, err

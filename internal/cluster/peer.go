@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 )
 
 // The package speaks to a peer through the two functions of this file and
@@ -82,53 +81,29 @@ func refused(err error) bool {
 	return errors.As(err, &ae) && ae.status == http.StatusBadRequest
 }
 
-// stream is one epoch-stamped read of req's groups from a worker: each match
-// goes to fn as it arrives, and each group's outcome to end as the group's
-// section of the answer closes — nil, or the failure its end frame carries.
-// A worker whose commit is a beat behind the coordinator's epoch flip
-// answers 409; that answer carries no matches, so nothing has been
-// forwarded, and one restamped retry of the groups so answered covers the
-// window — after it the 409 counts against the worker like any other
-// failure. A frame that fails ends every group it left open with the
-// failure, so end sees each group of req once.
-func stream(ctx context.Context, c *Coordinator, ref *workerRef, req *frameRequest, fn func(frameMatch) error, end func(g int, err error)) {
-	cur := *req
-	for retried := false; ; retried = true {
-		var stale []int
-		closed := 0
-		err := ref.frames.roundTrip(ctx, ref.addr, &cur, c.epoch.Load(), func(m frameMatch) error {
-			if m.tag != tagEnd {
-				return fn(m)
-			}
-			g := cur.groups[closed]
-			closed++
-			switch {
-			case m.status == http.StatusOK:
-				end(g, nil)
-			case m.status == http.StatusConflict && !retried:
-				stale = append(stale, g)
-			default:
-				end(g, statusError(m.status, m.body))
-			}
-			return nil
-		})
-		if err == nil && len(stale) > 0 {
-			select {
-			case <-ctx.Done():
-				err = ctx.Err()
-			case <-time.After(20 * time.Millisecond):
-				cur.groups = stale
-				continue
-			}
+// stream is one read of req's groups from a worker: each match goes to fn as
+// it arrives, and each group's outcome to end as the group's section of the
+// answer closes — nil, or the failure its end frame carries. A frame that
+// fails ends every group it left open with the failure, so end sees each
+// group of req once.
+func stream(ctx context.Context, ref *workerRef, req *frameRequest, fn func(frameMatch) error, end func(g int, err error)) {
+	closed := 0
+	err := ref.frames.roundTrip(ctx, ref.addr, req, func(m frameMatch) error {
+		if m.tag != tagEnd {
+			return fn(m)
 		}
-		if err != nil {
-			for _, g := range stale {
-				end(g, err)
-			}
-			for _, g := range cur.groups[closed:] {
-				end(g, err)
-			}
+		g := req.groups[closed]
+		closed++
+		if m.status == http.StatusOK {
+			end(g, nil)
+		} else {
+			end(g, statusError(m.status, m.body))
 		}
-		return
+		return nil
+	})
+	if err != nil {
+		for _, g := range req.groups[closed:] {
+			end(g, err)
+		}
 	}
 }

@@ -14,10 +14,10 @@ import (
 // own group reads alone travel as binary frames on pooled connections
 // (frames.go).
 
-// EpochHeader stamps a worker read over HTTP with the reader's order epoch,
-// as a frame request's epoch field does. A worker whose epoch disagrees
-// answers 409 with an ErrorBody naming code "epoch_mismatch"; the
-// coordinator re-stamps and retries, or fails the worker over.
+// EpochHeader names a header a client may stamp a worker read with: the
+// reader's order epoch. Every host accepts and ignores it — a worker that
+// missed a bump is fenced by its heartbeat (Coordinator.checkHealth), not by
+// its reads.
 const EpochHeader = "X-Aujoin-Epoch"
 
 // ErrorBody is the JSON shape every failed request is answered in, on every
@@ -25,8 +25,6 @@ const EpochHeader = "X-Aujoin-Epoch"
 type ErrorBody struct {
 	Error string `json:"error"`
 	Code  string `json:"code,omitempty"`
-	// Epoch is the responder's current epoch on code "epoch_mismatch".
-	Epoch int64 `json:"epoch,omitempty"`
 	// Theta is the index's build threshold on code "theta_below_build": the
 	// lowest min_sim the index can answer exactly.
 	Theta float64 `json:"theta,omitempty"`
@@ -70,13 +68,12 @@ type ConfigRequest struct {
 // Seed marks one chunk of the bootstrap seed instead: its records are
 // staged, not inserted, and the chunk marked Last prepares every staged
 // record at once and counts their keys; the group's index is built under
-// the first order adopted after it. A seed chunk is sequenced like any
+// the first order the group adopts after it. A seed chunk is sequenced like any
 // batch, so a replica that misses one is taken out by the same gap rule.
 // The seed comes first: a seed chunk after the last one, after an ordinary
 // batch or after an order adoption is refused with a 400, and so is an
 // ordinary batch between the last chunk and that order.
 type ApplyRequest struct {
-	Epoch   int64    `json:"epoch"`
 	Group   int      `json:"group"`
 	Seq     uint64   `json:"seq"`
 	IDs     []int    `json:"ids,omitempty"`
@@ -99,26 +96,21 @@ type ApplyResponse struct {
 	Order   json.RawMessage `json:"order,omitempty"`
 }
 
-// OrderPayload carries a frozen-order image: the prepare phase of an epoch
-// bump, and the bootstrap's order step, ship the image the coordinator
-// merged from every group's table to every worker (POST /cluster/adopt).
-// Epoch is the epoch being prepared.
+// OrderPayload carries a frozen-order image: an epoch bump, and the
+// bootstrap's order step, ship the image the coordinator merged from every
+// group's table to every worker (POST /cluster/adopt). Epoch is the epoch
+// the adopt moves the worker to.
 type OrderPayload struct {
 	Epoch int64             `json:"epoch"`
 	Order aujoin.OrderImage `json:"order"`
 }
 
-// CommitRequest flips a worker's epoch to the prepared value — phase two of
-// the bump, after every ready worker has adopted the order.
-type CommitRequest struct {
-	Epoch int64 `json:"epoch"`
-}
-
-// Heartbeat is a worker's /readyz body: readiness, its current epoch, the
-// interned-key split of its order (the coordinator's auto-bump trigger
-// watches the dynamic region), and per-group applied sequence numbers
-// (keyed by decimal group index; the coordinator readmits a suspect worker
-// only when these match its own).
+// Heartbeat is a worker's /readyz body: readiness, the epoch of its last
+// adopt, the interned-key split of its order (the coordinator's auto-bump
+// trigger watches the dynamic region), and per-group applied sequence
+// numbers (keyed by decimal group index; the coordinator readmits a suspect
+// worker only when these and the epoch match its own, and takes out a ready
+// one whose epoch is behind).
 type Heartbeat struct {
 	Ready       bool              `json:"ready"`
 	Epoch       int64             `json:"epoch"`

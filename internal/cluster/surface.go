@@ -24,11 +24,10 @@ import (
 // request addresses (or why none can answer) and supplies the /readyz and
 // /stats bodies.
 type host interface {
-	// resolve picks the target of a request. group and stamp are a read's
-	// ?group= parameter and epoch header, empty on a write. The error is the
-	// refusal to answer with: not ready, a stale stamp, a group not hosted
-	// here, a write on a worker.
-	resolve(group, stamp string, write bool) (target, error)
+	// resolve picks the target of a request. group is a read's ?group=
+	// parameter, empty on a write. The error is the refusal to answer with:
+	// not ready, a group not hosted here, a write on a worker.
+	resolve(group string, write bool) (target, error)
 	readyz() (any, error)
 	stats() (any, error)
 }
@@ -222,7 +221,7 @@ func (s surface) query(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, badRequest(err.Error()))
 		return
 	}
-	t, err := s.h.resolve(vals.Get("group"), r.Header.Get(EpochHeader), false)
+	t, err := s.h.resolve(vals.Get("group"), false)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -264,7 +263,7 @@ func (s surface) probe(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	t, err := s.h.resolve(r.URL.Query().Get("group"), r.Header.Get(EpochHeader), false)
+	t, err := s.h.resolve(r.URL.Query().Get("group"), false)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -294,7 +293,7 @@ func (s surface) probe(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s surface) insert(ctx context.Context, req *InsertRequest) (InsertResponse, error) {
-	t, err := s.h.resolve("", "", true)
+	t, err := s.h.resolve("", true)
 	if err != nil {
 		return InsertResponse{}, err
 	}
@@ -312,7 +311,7 @@ func (s surface) remove(ctx context.Context, req *RemoveRequest) (RemoveResponse
 }
 
 func (s surface) removeBatch(ctx context.Context, req *RemoveBatchRequest) (RemoveBatchResponse, error) {
-	t, err := s.h.resolve("", "", true)
+	t, err := s.h.resolve("", true)
 	if err != nil {
 		return RemoveBatchResponse{}, err
 	}
@@ -332,7 +331,7 @@ func (s surface) removeBatch(ctx context.Context, req *RemoveBatchRequest) (Remo
 // snapshot folds the target's log into a new durable snapshot generation on
 // demand. Mutations stall for the duration of the checkpoint; queries do not.
 func (s surface) snapshot(w http.ResponseWriter, _ *http.Request) {
-	t, err := s.h.resolve("", "", true)
+	t, err := s.h.resolve("", true)
 	if err == nil {
 		err = t.checkpoint()
 	}

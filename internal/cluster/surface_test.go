@@ -167,41 +167,6 @@ func (tc *testCluster) workerStates() map[string]string {
 	return out
 }
 
-// TestProbeRestampsStaleEpoch pins that a /probe whose epoch stamp goes stale
-// in flight (a bump's commit landing between the stamp and the worker's
-// check) is restamped and retried like a /query, instead of taking the
-// healthy workers that answered 409 out of the cluster. The first two probe
-// frames to reach any worker are doctored to the bootstrap epoch.
-func TestProbeRestampsStaleEpoch(t *testing.T) {
-	catalog := denseCatalog(90, 11)
-	var doctored atomic.Int32
-	tc := startCluster(t, 3, 2, catalog, 0.7, 2, "dp", clusterOpts{frames: func(_ context.Context, _ int, req *frameRequest) error {
-		if req.op == opProbe && doctored.Add(1) <= 2 {
-			req.epoch = 1 // the cluster left epoch 1 at its bootstrap bump
-		}
-		return nil
-	}})
-	j, err := aujoin.NewStrict()
-	if err != nil {
-		t.Fatalf("NewStrict: %v", err)
-	}
-	ref := j.IndexWith(catalog, aujoin.JoinOptions{Theta: 0.7, Tau: 2, Filter: aujoin.AUFilterDP}, aujoin.IndexOptions{Shards: 1})
-	probes := denseCatalog(12, 12)
-	got := tc.probe(t, probes)
-	states := tc.workerStates()
-	if doctored.Load() < 2 {
-		t.Fatalf("only %d stamped probes reached a worker; nothing was tested", doctored.Load())
-	}
-	for addr, state := range states {
-		if state != "ready" {
-			t.Errorf("worker %s is %q after answering a stale stamp with 409; a restamped retry should have kept it ready", addr, state)
-		}
-	}
-	if want := refProbe(t, ref, probes); len(got) != len(want) {
-		t.Errorf("probe through the retry: %d matches, single-node %d", len(got), len(want))
-	}
-}
-
 // TestHedgeAroundStalledReplica pins what hedging is for: a replica that
 // accepts a top-k read and then never answers. A group read has no timeout,
 // so the hedge is what keeps such a read alive — every query

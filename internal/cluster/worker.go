@@ -21,26 +21,23 @@ import (
 // machine. Workers start with nothing and receive everything — config,
 // records, orders — from the coordinator, which is what keeps every replica
 // of a group byte-identical: same records, same IDs, same application order,
-// same adopted frequency order.
+// same frequency order from every adopt.
 type Worker struct {
 	joiner *aujoin.Joiner
 	shards int
 
-	// epoch is this worker's committed order epoch; adopted (guarded by mu)
-	// is the prepared-but-uncommitted one during a bump's window. Requests
-	// stamped with either are served: after adoption the indexes already
-	// answer under the new order, and answers are exact under any order —
-	// the stamp only exists to fence out workers that missed a bump
-	// entirely.
+	// epoch is the epoch of the last order this worker adopted, which its
+	// heartbeat reports: the coordinator's one fence against a worker that
+	// missed a bump (checkHealth). Reads are not fenced — answers are exact
+	// under any order.
 	epoch atomic.Int64
 	ready atomic.Bool
 
-	mu      sync.Mutex
-	ring    *Ring
-	self    int
-	jopts   aujoin.JoinOptions
-	groups  map[int]*workerGroup
-	adopted int64
+	mu     sync.Mutex
+	ring   *Ring
+	self   int
+	jopts  aujoin.JoinOptions
+	groups map[int]*workerGroup
 
 	// The frame connections being served (frames.go), which Close closes.
 	fmu     sync.Mutex
@@ -58,7 +55,7 @@ type Worker struct {
 // target a request for the group resolves to — and the apply sequencing.
 // The group mutex serializes ApplyRequests and adoptions so the sequence
 // check and the mutation are atomic; queries never take it. The Backend is
-// replaced once, when the first adopted order installs the group's seeded
+// replaced once, when the first order adoption installs the group's seeded
 // share; until then a group serves the empty index config made.
 type workerGroup struct {
 	be  atomic.Pointer[Backend]
@@ -69,7 +66,7 @@ type workerGroup struct {
 	seedIDs  []int
 	seedRecs []string
 	// pending is the share the last seed chunk prepared and counted, until
-	// the first adopted order installs it; guarded by mu.
+	// the first order adoption installs it; guarded by mu.
 	pending *aujoin.PendingIndex
 	// sealed is set, under mu, once the seed is over: its last chunk
 	// arrived, an ordinary batch was applied or an order adopted. A seed
@@ -101,7 +98,6 @@ func (wk *Worker) register(mux *http.ServeMux) {
 		answer(w, img, err)
 	})
 	mux.HandleFunc("POST /cluster/adopt", rpc(maxOrderBytes, wk.adopt))
-	mux.HandleFunc("POST /cluster/commit", rpc(maxBodyBytes, wk.commit))
 	mux.HandleFunc("GET "+framesPath, wk.frames)
 }
 
@@ -132,11 +128,11 @@ func RegisterWorker(ctx context.Context, client *http.Client, coordURL, selfAddr
 }
 
 // readyz is the worker's Heartbeat, which doubles as the coordinator's
-// health-check payload: committed epoch, per-group applied sequences, and
-// the interned-key split summed over the hosted groups (the coordinator's
-// auto-bump trigger watches the dynamic region's growth). A worker is ready
-// once the coordinator configured it and, across epoch bumps, stays ready —
-// adoption never blocks reads.
+// health-check payload: the epoch of its last adopt, per-group applied
+// sequences, and the interned-key split summed over the hosted groups (the
+// coordinator's auto-bump trigger watches the dynamic region's growth). A
+// worker is ready once the coordinator configured it and, across epoch
+// bumps, stays ready — adoption never blocks reads.
 func (wk *Worker) readyz() (any, error) {
 	if !wk.ready.Load() {
 		return nil, notReady("worker is not configured yet")
@@ -180,10 +176,10 @@ func (wk *Worker) stats() (any, error) {
 }
 
 // resolve maps a read to the hosted group it addresses, after checking
-// readiness, the epoch stamp and the group parameter. A write is refused
-// outright: every mutation must flow through the coordinator's sequencing,
-// or replicas diverge.
-func (wk *Worker) resolve(group, stamp string, write bool) (target, error) {
+// readiness and the group parameter. A write is refused outright: every
+// mutation must flow through the coordinator's sequencing, or replicas
+// diverge.
+func (wk *Worker) resolve(group string, write bool) (target, error) {
 	if write {
 		return nil, &apiError{http.StatusForbidden, ErrorBody{
 			Error: "worker mode: mutations go through the coordinator", Code: "worker_mode",
@@ -191,16 +187,6 @@ func (wk *Worker) resolve(group, stamp string, write bool) (target, error) {
 	}
 	if !wk.ready.Load() {
 		return nil, notReady("worker is not configured yet")
-	}
-	// Unstamped requests (direct debugging access) pass the fence.
-	if stamp != "" {
-		e, err := strconv.ParseInt(stamp, 10, 64)
-		if err != nil {
-			return nil, badRequest("bad epoch stamp")
-		}
-		if err := wk.checkEpoch(e); err != nil {
-			return nil, err
-		}
 	}
 	if group == "" {
 		return nil, badRequest("worker mode: group parameter is required")
@@ -214,28 +200,6 @@ func (wk *Worker) resolve(group, stamp string, write bool) (target, error) {
 		return nil, err
 	}
 	return wg.be.Load(), nil
-}
-
-// checkEpoch enforces the order-sync fence: a request stamped with an epoch
-// this worker has neither committed nor prepared is answered 409 with the
-// worker's committed epoch, telling the coordinator this replica missed a
-// bump and must not serve.
-func (wk *Worker) checkEpoch(e int64) error {
-	cur := wk.epoch.Load()
-	if e == cur {
-		return nil
-	}
-	wk.mu.Lock()
-	adopted := wk.adopted
-	wk.mu.Unlock()
-	if adopted != 0 && e == adopted {
-		return nil
-	}
-	return epochMismatch(fmt.Sprintf("epoch mismatch: request %d, worker %d", e, cur), cur)
-}
-
-func epochMismatch(msg string, cur int64) error {
-	return &apiError{http.StatusConflict, ErrorBody{Error: msg, Code: "epoch_mismatch", Epoch: cur}}
 }
 
 func parseGroup(raw string) (int, error) {
@@ -305,9 +269,6 @@ func (wk *Worker) apply(_ context.Context, req *ApplyRequest) (ApplyResponse, er
 	var none ApplyResponse
 	if !wk.ready.Load() {
 		return none, notReady("worker is not configured yet")
-	}
-	if err := wk.checkEpoch(req.Epoch); err != nil {
-		return none, err
 	}
 	wg, err := wk.group(req.Group)
 	if err != nil {
@@ -386,20 +347,22 @@ func (wk *Worker) freqs(g int) (aujoin.OrderImage, error) {
 	return wg.ix().KeyFrequencies(), nil
 }
 
-// adopt is the prepare phase of an epoch bump on the worker side, and of
-// the bootstrap's one order step: every hosted group takes the shipped
-// global order, one group at a time (adoptOrder) — a group the seed left
-// pending is installed under it, every other group index rebuilt under it;
-// reads keep being served from the pre-adoption snapshots throughout. The
-// worker's committed epoch does not change yet; the prepared epoch is
-// remembered so requests stamped with it are already accepted.
+// adopt is an epoch bump on the worker side, and the bootstrap's one order
+// step: every hosted group takes the shipped global order, one group at a
+// time (adoptOrder) — a group the seed left pending is installed under it,
+// every other group index rebuilt under it; reads keep being served from the
+// pre-adoption snapshots throughout. Then the worker moves to the payload's
+// epoch. An adopt at the worker's own epoch is a replay, acknowledged; one
+// behind it is refused with a 409.
 func (wk *Worker) adopt(_ context.Context, payload *OrderPayload) (map[string]bool, error) {
 	cur := wk.epoch.Load()
 	if payload.Epoch == cur {
-		return ack, nil // replayed commit-complete bump
+		return ack, nil // a replayed adopt
 	}
 	if payload.Epoch < cur {
-		return nil, epochMismatch(fmt.Sprintf("adopt epoch %d behind committed %d", payload.Epoch, cur), cur)
+		return nil, &apiError{http.StatusConflict, ErrorBody{
+			Error: fmt.Sprintf("adopt epoch %d behind the worker's %d", payload.Epoch, cur), Code: "epoch_mismatch",
+		}}
 	}
 	wk.mu.Lock()
 	groups := make([]*workerGroup, 0, len(wk.groups))
@@ -412,9 +375,7 @@ func (wk *Worker) adopt(_ context.Context, payload *OrderPayload) (map[string]bo
 			return nil, fmt.Errorf("adopt order: %w", err)
 		}
 	}
-	wk.mu.Lock()
-	wk.adopted = payload.Epoch
-	wk.mu.Unlock()
+	wk.epoch.Store(payload.Epoch)
 	return ack, nil
 }
 
@@ -436,20 +397,4 @@ func (wg *workerGroup) adoptOrder(img aujoin.OrderImage) error {
 	wg.pending = nil
 	wg.adopt(ix)
 	return nil
-}
-
-// commit is phase two: flip the committed epoch to the prepared one.
-func (wk *Worker) commit(_ context.Context, req *CommitRequest) (map[string]bool, error) {
-	cur := wk.epoch.Load()
-	if req.Epoch == cur {
-		return ack, nil
-	}
-	wk.mu.Lock()
-	defer wk.mu.Unlock()
-	if req.Epoch != wk.adopted {
-		return nil, epochMismatch(fmt.Sprintf("commit epoch %d was never prepared (committed %d, prepared %d)", req.Epoch, cur, wk.adopted), cur)
-	}
-	wk.epoch.Store(req.Epoch)
-	wk.adopted = 0
-	return ack, nil
 }
