@@ -83,21 +83,29 @@ func refused(err error) bool {
 
 // stream is one read of req's groups from a worker: each match goes to fn as
 // it arrives, and each group's outcome to end as the group's section of the
-// answer closes — nil, or the failure its end frame carries. A frame that
-// fails ends every group it left open with the failure, so end sees each
-// group of req once.
+// answer closes — nil, or the failure its end frame carries. The last
+// group's outcome waits until roundTrip has put the connection back in the
+// pool: the read it completes may answer a client, whose next read must find
+// the connection there rather than dial another. A frame that fails ends
+// every group it left open with the failure, so end sees each group of req
+// once.
 func stream(ctx context.Context, ref *workerRef, req *frameRequest, fn func(frameMatch) error, end func(g int, err error)) {
 	closed := 0
+	var lastErr error
 	err := ref.frames.roundTrip(ctx, ref.addr, req, func(m frameMatch) error {
 		if m.tag != tagEnd {
 			return fn(m)
 		}
 		g := req.groups[closed]
 		closed++
-		if m.status == http.StatusOK {
-			end(g, nil)
+		var gerr error
+		if m.status != http.StatusOK {
+			gerr = statusError(m.status, m.body)
+		}
+		if closed < len(req.groups) {
+			end(g, gerr)
 		} else {
-			end(g, statusError(m.status, m.body))
+			lastErr = gerr
 		}
 		return nil
 	})
@@ -105,5 +113,7 @@ func stream(ctx context.Context, ref *workerRef, req *frameRequest, fn func(fram
 		for _, g := range req.groups[closed:] {
 			end(g, err)
 		}
+		return
 	}
+	end(req.groups[closed-1], lastErr) // roundTrip read every end frame
 }

@@ -164,7 +164,7 @@ func (c *Calculator) prepare(pr *PreparedRecord, segs []Segment, own []sim.Segme
 	if len(tokens) == 0 {
 		return segs, own
 	}
-	segs = c.Segmenter().AppendSegments(segs[:0], tokens)
+	segs = c.Segmenter().AppendSegments(segs[:0], tokens, d)
 	pr.Segs = strutil.Resize(pr.Segs, len(segs))
 	pr.single = strutil.Resize(pr.single, len(tokens))
 	for i, s := range segs {

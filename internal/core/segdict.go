@@ -133,6 +133,20 @@ func (d *SegDict) read(pr *PreparedRecord, segs []Segment) (missing int) {
 	return missing
 }
 
+// key returns d's own string for the text in b where d holds it, so that a
+// segment of an interned text shares the dictionary's key, and a copy of b
+// otherwise (or with a nil d). The lookup itself allocates nothing.
+func (d *SegDict) key(b []byte) string {
+	if d != nil {
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+		if id, ok := d.ids[string(b)]; ok {
+			return d.entries[id].data.Text
+		}
+	}
+	return string(b)
+}
+
 // DictView is a capture of a dictionary's entries with their gram numbers,
 // taken under the read lock (SegDict.View). The arrays it holds are
 // append-only and their tables immutable, so it stays valid while later texts

@@ -66,7 +66,7 @@ func NewSegmenter(ctx *sim.Context) *Segmenter { return &Segmenter{Ctx: ctx} }
 // Segments returns every well-defined segment of the token sequence,
 // ordered by start position then length (AppendSegments).
 func (sg *Segmenter) Segments(tokens []string) []Segment {
-	return sg.AppendSegments(nil, tokens)
+	return sg.AppendSegments(nil, tokens, nil)
 }
 
 // AppendSegments appends every well-defined segment of the token sequence to
@@ -78,9 +78,10 @@ func (sg *Segmenter) Segments(tokens []string) []Segment {
 // to the longest such one (sim.Context.MaxRuleTokensFrom) — every other
 // multi-token span matches nothing, so the list is the one trying every span
 // up to MaxRuleTokens gives. The spans from one start are joined in one
-// buffer, each extending the one before by a token; only a span that is kept
-// has its text copied out, once.
-func (sg *Segmenter) AppendSegments(out []Segment, tokens []string) []Segment {
+// buffer, each extending the one before by a token; a span that is kept takes
+// d's key for its text where d holds it (SegDict.key), and only otherwise has
+// its text copied out, once.
+func (sg *Segmenter) AppendSegments(out []Segment, tokens []string, d *SegDict) []Segment {
 	out = slices.Grow(out, len(tokens)) // one singleton per token at least
 	syn, tax := sg.Ctx.SynonymEnabled(), sg.Ctx.TaxonomyEnabled()
 	var buf [64]byte
@@ -101,7 +102,7 @@ func (sg *Segmenter) AppendSegments(out []Segment, tokens []string) []Segment {
 			if length == 1 || seg.Rule || seg.Entity {
 				seg.Text = head
 				if length > 1 {
-					seg.Text = string(joined)
+					seg.Text = d.key(joined)
 				}
 				out = append(out, seg)
 			}

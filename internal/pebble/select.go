@@ -119,13 +119,13 @@ func (sel *Selector) Select(pre Presig, method Method, tau int) Signature {
 	var cut int
 	switch method {
 	case UFilter:
-		cut = selectPrefixHeuristic(pre.acc, target, 1)
+		cut = selectPrefixHeuristic(pre.acc, target-1e-12, 1)
 	case AUHeuristic:
-		cut = selectPrefixHeuristic(pre.acc, target, tau)
+		cut = selectPrefixHeuristic(pre.acc, target-1e-12, tau)
 	case AUDP:
 		cut = selectPrefixDP(pre.acc, pre.NumSegments, target, tau)
 	default:
-		cut = selectPrefixHeuristic(pre.acc, target, tau)
+		cut = selectPrefixHeuristic(pre.acc, target-1e-12, tau)
 	}
 	return Signature{Pebbles: pre.Pebbles[:cut]}
 }
@@ -143,13 +143,12 @@ func (sel *Selector) RecordSignature(pr *core.PreparedRecord, method Method, tau
 }
 
 // selectPrefixHeuristic implements Algorithms 2 and 4: find the largest
-// 1-based index i such that AS(i) + TW_{τ-1}(B[1, i-1]) ≥ target and return
-// i (the signature length). Returns 0 when even the whole pebble list
-// cannot reach the target.
-func selectPrefixHeuristic(acc *AccTable, target float64, tau int) int {
+// 1-based index i such that AS(i) + TW_{τ-1}(B[1, i-1]) ≥ floor and return
+// i (the signature length). Select's floor is target − 1e-12. Returns 0 when
+// even the whole pebble list cannot reach the floor.
+func selectPrefixHeuristic(acc *AccTable, floor float64, tau int) int {
 	for i := acc.Len(); i >= 1; i-- {
-		bound := acc.AS(i) + acc.TopWeights(i-1, tau-1)
-		if bound >= target-1e-12 {
+		if acc.AS(i)+acc.TopWeights(i-1, tau-1) >= floor {
 			return i
 		}
 	}
@@ -159,13 +158,22 @@ func selectPrefixHeuristic(acc *AccTable, target float64, tau int) int {
 // selectPrefixDP implements Algorithm 5: the slack for inserting τ−1
 // pebbles from the prefix is bounded per segment by the dynamic program of
 // Equations (12)–(14), which is never larger than the heuristic's
-// TW_{τ-1} bound, so the resulting signatures are never longer.
+// TW_{τ-1} bound, so the resulting signatures are never longer (in exact
+// arithmetic: as computed, see dpFloor).
 // t is the number of segments. Every group term of Eq. (14) is read from the
 // record's group tables (groupTable), at the group's running count of
 // pebbles inside the prefix. The tables are readied (AccTable.beginDP)
-// unless the loop's first position, the last pebble, already reaches the
-// target with its AS alone; such a list never fills them.
+// unless the walk's first position already reaches the target with its AS
+// alone, or there is no such position; such a list never fills them.
+//
+// The walk starts at the heuristic's cut under dpFloor, below which the DP's
+// own test fails at every position, so the cut is the one a walk from Len
+// finds.
 func selectPrefixDP(acc *AccTable, t int, target float64, tau int) int {
+	start := selectPrefixHeuristic(acc, dpFloor(target, tau), tau)
+	if start == 0 || acc.AS(start) >= target-1e-12 {
+		return start
+	}
 	// Only rows W[p−1] and W[p] of W[p][d] are live at a time; they and the
 	// accessory row V take 3τ floats, on the stack for the τ anyone uses.
 	var buf [3 * 16]float64
@@ -174,10 +182,12 @@ func selectPrefixDP(acc *AccTable, t int, target float64, tau int) int {
 		rows = make([]float64, 3*tau)
 	}
 	prev, row, v := rows[:tau], rows[tau:2*tau], rows[2*tau:3*tau]
-	if acc.AS(acc.Len()) < target-1e-12 {
-		acc.beginDP() // the loop's first position reads the tables
+	acc.beginDP()
+	// The positions past start leave the prefix unvisited.
+	for _, p := range acc.pebbles[start:] {
+		acc.groups[groupOf(p)].q--
 	}
-	for i := acc.Len(); i >= 1; i-- {
+	for i := start; i >= 1; i-- {
 		as := acc.AS(i)
 		if as >= target-1e-12 {
 			return i
@@ -254,4 +264,30 @@ func selectPrefixDP(acc *AccTable, t int, target float64, tau int) int {
 		}
 	}
 	return 0
+}
+
+// dpFloor is the heuristic's floor target − 1e-12 lowered by 8τu·target
+// (u = 2⁻⁵³, the unit roundoff): at a position whose heuristic bound misses
+// it, the DP's bound misses target − 1e-12, so selectPrefixDP may skip it.
+// At position i let A be the stored AS(i), H = A ⊕ TW_{τ−1}(B[1, i−1]) the
+// heuristic's computed bound and D = A ⊕ W[p][d] any bound the DP tests
+// (d ≤ τ−1).
+//   - Exactly, W[p][d] ≤ TW_{τ−1}(B[1, i−1]): segment P adds
+//     max_f(sfx_f + TW_c(f)) − max_f sfx_f ≤ TW_c of one of its groups, the
+//     groups are disjoint, and the c add up to at most τ−1.
+//   - Computed, a sum of k ≤ τ−1 non-negative terms is off by a factor in
+//     (1±u)^(k−1), and each V[c] gains at most u(1+u)·max_f sfx_f more;
+//     over the segments those suffix maxima sum to at most 1.01·A on a list
+//     of n pebbles with 3n·u < 0.01, since the suffix tables and AS's
+//     accumulation each round at most n + 1 times. With A ≤ H,
+//     D ≤ (1+u)^(2τ−1)/(1−u)^(τ−1)·H + 1.02u·A ≤ (1 + 4τu)·H.
+//   - The floor is f = fl(fl(target − 1e-12) − 8τu·target), and
+//     (1 + 4τu)·f ≤ fl(target − 1e-12) whenever f > 0: half of 8τu·target
+//     covers 4τu·f ≤ 4τu·target, and the rest the rounding of f itself.
+//
+// So a position whose H misses f (then f > H ≥ 0) has
+// D < fl(target − 1e-12): the DP's test fails there, and skipping it leaves
+// every cut bit-identical.
+func dpFloor(target float64, tau int) float64 {
+	return target - 1e-12 - float64(tau)*0x1p-50*target
 }

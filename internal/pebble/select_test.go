@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/aujoin/aujoin/internal/core"
+	"github.com/aujoin/aujoin/internal/datagen"
 	"github.com/aujoin/aujoin/internal/sim"
 	"github.com/aujoin/aujoin/internal/strutil"
 	"github.com/aujoin/aujoin/internal/synonym"
@@ -270,39 +271,41 @@ func TestSignatureUnreachableThreshold(t *testing.T) {
 	}
 }
 
-func BenchmarkSignatureAUDP(b *testing.B) {
-	ctx := paperContext()
+// benchSelect cuts every record of a 1 000-record MED-like corpus (seed 7,
+// q = 2, θ = 0.8: join_med's catalog side) at τ = 2 with one method, each
+// from a freshly reset accumulated-similarity table as a Signer resets it, so
+// the DP's fill of its group tables is timed too, and reports ns a record.
+// Preparing and sorting the pebble lists is not timed.
+func benchSelect(b *testing.B, method Method) {
+	ds := datagen.New(datagen.MEDLike(1000, 7)).Generate()
+	ctx := ds.Context()
+	ctx.Q = 2
 	gen := NewGenerator(ctx)
-	corpus := [][]string{
-		strutil.Tokenize("coffee shop latte Helsingki"),
-		strutil.Tokenize("espresso cafe Helsinki"),
+	records := make([][]string, len(ds.S))
+	for i, r := range ds.S {
+		records[i] = r.Tokens
 	}
-	order := buildOrder(gen, corpus)
-	sel := NewSelector(gen, order, 0.85)
-	tokens := strutil.Tokenize("coffee shop latte Helsingki espresso cafe")
+	sel := NewSelector(gen, buildOrder(gen, records), 0.8)
+	pres := make([]Presig, 0, len(records))
+	for _, tokens := range records {
+		if pre := sel.Prepare(tokens); pre.acc != nil {
+			pres = append(pres, pre)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sel.Signature(tokens, AUDP, 4)
+		for _, pre := range pres {
+			pre.acc.reset(pre.Pebbles)
+			sel.Select(pre, method, 2)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pres)), "ns/record")
 }
 
-func BenchmarkSignatureHeuristic(b *testing.B) {
-	ctx := paperContext()
-	gen := NewGenerator(ctx)
-	corpus := [][]string{
-		strutil.Tokenize("coffee shop latte Helsingki"),
-		strutil.Tokenize("espresso cafe Helsinki"),
-	}
-	order := buildOrder(gen, corpus)
-	sel := NewSelector(gen, order, 0.85)
-	tokens := strutil.Tokenize("coffee shop latte Helsingki espresso cafe")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sel.Signature(tokens, AUHeuristic, 4)
-	}
-}
+func BenchmarkSignatureAUDP(b *testing.B) { benchSelect(b, AUDP) }
+
+func BenchmarkSignatureHeuristic(b *testing.B) { benchSelect(b, AUHeuristic) }
 
 // TestSignatureIndependentOfTableOwner: a signature is a function of the
 // prepared record's derivation tables, not of who holds them — interned into
@@ -643,7 +646,8 @@ func closenessCorpus(rng *rand.Rand, n int) [][]string {
 }
 
 // TestSelectMatchesReference holds Select to the reference cut for every
-// method, θ ∈ {0.6, 0.7, 0.8, 0.9} and τ ∈ [1, 6], and every group table to
+// method, θ ∈ {0.6, 0.7, 0.8, 0.9} and τ ∈ [1, 17] (past the DP's 16-wide
+// stack buffer), and every group table to
 // the reference's direct sums bit for bit, on a corpus whose synonym groups
 // carry pebbles of different weights.
 func TestSelectMatchesReference(t *testing.T) {
@@ -658,7 +662,7 @@ func TestSelectMatchesReference(t *testing.T) {
 		for _, tokens := range corpus {
 			pre := sel.Prepare(tokens)
 			for _, method := range []Method{UFilter, AUHeuristic, AUDP} {
-				for tau := 1; tau <= 6; tau++ {
+				for tau := 1; tau <= 17; tau++ {
 					if got, want := sel.Select(pre, method, tau).Len(), refCut(pre, theta, method, tau); got != want {
 						t.Fatalf("%v θ=%v τ=%d %v: Select cuts at %d, the reference at %d", tokens, theta, tau, method, got, want)
 					}
@@ -693,8 +697,9 @@ func TestSelectMatchesReference(t *testing.T) {
 }
 
 // TestAccTableFillsGroupsOnDemand pins when the group tables are filled:
-// never by the heuristic, and by the DP exactly when the last position's AS
-// misses its target, the first cell it reads being at that position.
+// never by the heuristic, and by the DP exactly when its walk has a first
+// position — the heuristic's cut under dpFloor — and that position's AS
+// misses the target, the first cell it reads being there.
 func TestAccTableFillsGroupsOnDemand(t *testing.T) {
 	ctx := closenessContext()
 	gen := NewGenerator(ctx)
@@ -712,7 +717,9 @@ func TestAccTableFillsGroupsOnDemand(t *testing.T) {
 					t.Fatalf("%v θ=%v τ=%d: the heuristic filled the group tables", tokens, theta, tau)
 				}
 				sel.Select(pre, AUDP, tau)
-				want := pre.acc.AS(pre.acc.Len()) < theta*float64(pre.MinPartition)-1e-12
+				target := theta * float64(pre.MinPartition)
+				start := selectPrefixHeuristic(pre.acc, dpFloor(target, tau), tau)
+				want := start > 0 && pre.acc.AS(start) < target-1e-12
 				if pre.acc.filled != want {
 					t.Fatalf("%v θ=%v τ=%d: group tables filled %v, want %v", tokens, theta, tau, pre.acc.filled, want)
 				}
