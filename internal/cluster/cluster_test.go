@@ -713,6 +713,20 @@ func TestSeedFailsOverLastChunkTable(t *testing.T) {
 					t.Errorf("worker %s is %s, want %s", addr, state, want)
 				}
 			}
+			// One heartbeat round carries the published epoch to every
+			// worker; the one the bootstrap went on without releases its
+			// share, and no group anywhere is left holding one.
+			tc.coord.checkHealth(context.Background())
+			for i, wk := range tc.nodes {
+				for g, wg := range hostedGroups(wk) {
+					wg.mu.Lock()
+					pending, skipped := wg.pending != nil, wg.skipped
+					wg.mu.Unlock()
+					if pending || skipped != (fail && i == 0) {
+						t.Errorf("worker %d, group %d: pending share %v, released %v after a heartbeat at the published epoch", i, g, pending, skipped)
+					}
+				}
+			}
 		})
 	}
 }

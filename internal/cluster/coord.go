@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -169,7 +170,7 @@ func (c *Coordinator) resolve(_ string, _ bool) (target, error) {
 	return c, nil
 }
 
-func (c *Coordinator) readyz() (any, error) {
+func (c *Coordinator) readyz(url.Values) (any, error) {
 	_, err := c.resolve("", false)
 	return map[string]any{"ready": true, "epoch": c.epoch.Load()}, err
 }
@@ -388,7 +389,9 @@ func (c *Coordinator) markDown(ref *workerRef, cause error) {
 // coordinator was at before it asked is marked down, and a down worker is
 // readmitted only when its heartbeat proves it is at the coordinator's
 // epoch with matching per-group sequences (a network blip, not a missed
-// write or order). It also fires the auto-bump when a worker's dynamic
+// write or order). Each call carries the coordinator's epoch, from which a
+// worker left out of the bootstrap learns to release its seed share
+// (Worker.releaseSkipped). It also fires the auto-bump when a worker's dynamic
 // region outgrows the sync fraction.
 func (c *Coordinator) checkHealth(ctx context.Context) {
 	c.mu.Lock()
@@ -405,7 +408,7 @@ func (c *Coordinator) checkHealth(ctx context.Context) {
 		epoch := c.epoch.Load()
 		hctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 		var hb Heartbeat
-		err := call(hctx, c.client, ref.addr+"/readyz", nil, &hb)
+		err := call(hctx, c.client, ref.addr+"/readyz?epoch="+strconv.FormatInt(epoch, 10), nil, &hb)
 		cancel()
 		if err != nil || !hb.Ready {
 			if ref.fails.Add(1) >= 2 {

@@ -468,13 +468,27 @@ func countUpgrades(n *atomic.Int32) func(int, http.Handler) http.Handler {
 	}
 }
 
+// closeIdleFrames closes every frame connection worker wk serves, as its
+// idle timeout does when it passes, and returns how many it closed. Call it
+// with no request in flight.
+func closeIdleFrames(wk *Worker) int {
+	wk.fmu.Lock()
+	defer wk.fmu.Unlock()
+	for c := range wk.fconns {
+		c.Close()
+	}
+	return len(wk.fconns)
+}
+
 // TestPooledFrameConnClosedByWorker runs the workers with aujoind's server
-// timeouts, the idle and read timeouts cut so the test can wait them out
-// (aujoind: 2 min and 30 s). A pooled connection idle past the read timeout
-// is still served: the worker does not hold it to the deadlines of its
-// upgrade request. One idle past the idle timeout was closed by the worker:
+// timeouts, the read timeout cut so the test can wait it out (aujoind: 30 s)
+// and the idle timeout far past the test's length (aujoind: 2 min). A pooled
+// connection idle past the read timeout is still served: the worker does not
+// hold it to the deadlines of its upgrade request. One the worker closed
+// while it sat idle (closeIdleFrames, the idle timeout on demand):
 // the next query redials instead of failing, and the worker stays ready.
-// With one replica a group, there is no replica to fail over to.
+// With one replica a group, there is no replica to fail over to. No wall-clock
+// wait decides the outcome: a sleep only ever outlasts the read timeout.
 func TestPooledFrameConnClosedByWorker(t *testing.T) {
 	catalog := denseCatalog(90, 13)
 	var upgrades atomic.Int32
@@ -484,7 +498,7 @@ func TestPooledFrameConnClosedByWorker(t *testing.T) {
 			s.ReadHeaderTimeout = 5 * time.Second
 			s.ReadTimeout = 100 * time.Millisecond
 			s.WriteTimeout = 60 * time.Second
-			s.IdleTimeout = time.Second
+			s.IdleTimeout = time.Hour
 		},
 	})
 	j, err := aujoin.NewStrict()
@@ -521,10 +535,14 @@ func TestPooledFrameConnClosedByWorker(t *testing.T) {
 	if n := upgrades.Load(); n != dialed {
 		t.Fatalf("%d frame connections after idling past the read timeout, want the %d pooled ones reused", n, dialed)
 	}
-	time.Sleep(1500 * time.Millisecond)
+	for i, wk := range tc.nodes {
+		if n := closeIdleFrames(wk); n != 1 {
+			t.Fatalf("worker %d serves %d frame connections, want its one pooled", i, n)
+		}
+	}
 	query("idle past the idle timeout")
 	if n := upgrades.Load(); n != 2*dialed {
-		t.Fatalf("%d frame connections after idling past the idle timeout, want %d: each worker closed its one", n, 2*dialed)
+		t.Fatalf("%d frame connections after the idle timeout passed, want %d: each worker closed its one", n, 2*dialed)
 	}
 }
 

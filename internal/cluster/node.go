@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sync/atomic"
 
 	"github.com/aujoin/aujoin"
@@ -70,7 +71,7 @@ func (n *Node) resolve(group string, _ bool) (target, error) {
 
 // readyz: a single-node daemon is ready once snapshot/WAL recovery
 // delivered its index.
-func (n *Node) readyz() (any, error) {
+func (n *Node) readyz(url.Values) (any, error) {
 	_, err := n.backend()
 	return Heartbeat{Ready: true}, err
 }

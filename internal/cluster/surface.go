@@ -28,7 +28,9 @@ type host interface {
 	// parameter, empty on a write. The error is the refusal to answer with:
 	// not ready, a group not hosted here, a write on a worker.
 	resolve(group string, write bool) (target, error)
-	readyz() (any, error)
+	// readyz is the /readyz body; q is the request's query, where the
+	// coordinator's health check passes its epoch to a worker.
+	readyz(q url.Values) (any, error)
 	stats() (any, error)
 }
 
@@ -158,8 +160,8 @@ func mount(mux *http.ServeMux, h host) {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-		body, err := h.readyz()
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		body, err := h.readyz(r.URL.Query())
 		answer(w, body, err)
 	})
 }

@@ -3,9 +3,11 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -32,6 +34,9 @@ type Worker struct {
 	// under any order.
 	epoch atomic.Int64
 	ready atomic.Bool
+	// adoptMu serializes adopt rounds with releaseSkipped, so a release
+	// waits out the adopt it could otherwise overtake.
+	adoptMu sync.Mutex
 
 	mu     sync.Mutex
 	ring   *Ring
@@ -72,6 +77,10 @@ type workerGroup struct {
 	// arrived, an ordinary batch was applied or an order adopted. A seed
 	// chunk after that would replace an index holding writes or an order.
 	sealed bool
+	// skipped is set, under mu, when releaseSkipped dropped the pending
+	// share: the bootstrap published its order without this replica, so the
+	// group refuses the adopts and batches that would make it look current.
+	skipped bool
 }
 
 // ix is the group's index.
@@ -132,10 +141,14 @@ func RegisterWorker(ctx context.Context, client *http.Client, coordURL, selfAddr
 // sequences, and the interned-key split summed over the hosted groups (the
 // coordinator's auto-bump trigger watches the dynamic region's growth). A
 // worker is ready once the coordinator configured it and, across epoch
-// bumps, stays ready — adoption never blocks reads.
-func (wk *Worker) readyz() (any, error) {
+// bumps, stays ready — adoption never blocks reads. The coordinator's
+// health check passes its epoch as ?epoch=, which releaseSkipped reads.
+func (wk *Worker) readyz(q url.Values) (any, error) {
 	if !wk.ready.Load() {
 		return nil, notReady("worker is not configured yet")
+	}
+	if e, err := strconv.ParseInt(q.Get("epoch"), 10, 64); err == nil {
+		wk.releaseSkipped(e)
 	}
 	hb := Heartbeat{Ready: true, Epoch: wk.epoch.Load()}
 	wk.mu.Lock()
@@ -289,8 +302,8 @@ func (wk *Worker) apply(_ context.Context, req *ApplyRequest) (ApplyResponse, er
 	if req.Seed && wg.sealed {
 		return none, badRequest(fmt.Sprintf("apply: seed chunk %d for group %d after the group's seed ended", req.Seq, req.Group))
 	}
-	if !req.Seed && wg.pending != nil {
-		return none, badRequest(fmt.Sprintf("apply: batch %d for group %d before an order installed its seed", req.Seq, req.Group))
+	if !req.Seed && (wg.pending != nil || wg.skipped) {
+		return none, badRequest(fmt.Sprintf("apply: batch %d for group %d, whose seed no order installed", req.Seq, req.Group))
 	}
 	resp := ApplyResponse{Applied: true}
 	if req.Seed {
@@ -347,6 +360,44 @@ func (wk *Worker) freqs(g int) (aujoin.OrderImage, error) {
 	return wg.ix().KeyFrequencies(), nil
 }
 
+// hosted returns the hosted groups, in no particular order.
+func (wk *Worker) hosted() []*workerGroup {
+	wk.mu.Lock()
+	defer wk.mu.Unlock()
+	groups := make([]*workerGroup, 0, len(wk.groups))
+	for _, wg := range wk.groups {
+		groups = append(groups, wg)
+	}
+	return groups
+}
+
+// releaseSkipped drops the pending seed share of every hosted group that
+// still holds one once the coordinator is at an epoch past the worker's: the
+// coordinator moves only after an adopt round, so the bootstrap published
+// its order without this replica (its last-chunk acknowledgement failed,
+// say), and no later adopt reaches a worker whose heartbeat is behind. The
+// share — every prepared record and the key count — would otherwise stay
+// on the heap for the life of the process. Such a group is marked skipped.
+// Only a worker behind takes adoptMu, so a heartbeat never waits on an
+// adopt the coordinator is still counting on.
+func (wk *Worker) releaseSkipped(coordEpoch int64) {
+	if coordEpoch <= wk.epoch.Load() {
+		return
+	}
+	wk.adoptMu.Lock()
+	defer wk.adoptMu.Unlock()
+	if coordEpoch <= wk.epoch.Load() {
+		return // the adopt it waited out was the coordinator's round
+	}
+	for _, wg := range wk.hosted() {
+		wg.mu.Lock()
+		if wg.pending != nil {
+			wg.pending, wg.skipped = nil, true
+		}
+		wg.mu.Unlock()
+	}
+}
+
 // adopt is an epoch bump on the worker side, and the bootstrap's one order
 // step: every hosted group takes the shipped global order, one group at a
 // time (adoptOrder) — a group the seed left pending is installed under it,
@@ -364,13 +415,9 @@ func (wk *Worker) adopt(_ context.Context, payload *OrderPayload) (map[string]bo
 			Error: fmt.Sprintf("adopt epoch %d behind the worker's %d", payload.Epoch, cur), Code: "epoch_mismatch",
 		}}
 	}
-	wk.mu.Lock()
-	groups := make([]*workerGroup, 0, len(wk.groups))
-	for _, wg := range wk.groups {
-		groups = append(groups, wg)
-	}
-	wk.mu.Unlock()
-	for _, wg := range groups {
+	wk.adoptMu.Lock()
+	defer wk.adoptMu.Unlock()
+	for _, wg := range wk.hosted() {
 		if err := wg.adoptOrder(payload.Order); err != nil {
 			return nil, fmt.Errorf("adopt order: %w", err)
 		}
@@ -382,10 +429,14 @@ func (wk *Worker) adopt(_ context.Context, payload *OrderPayload) (map[string]bo
 // adoptOrder puts the group under the order: a pending seed is installed
 // under it — each record signed once, and the staged share released — and
 // an index already built re-signs its records under it (AdoptOrder). Either
-// way the group's seed is over.
+// way the group's seed is over. A group whose share was released
+// (releaseSkipped) refuses: it holds none of its records.
 func (wg *workerGroup) adoptOrder(img aujoin.OrderImage) error {
 	wg.mu.Lock()
 	defer wg.mu.Unlock()
+	if wg.skipped {
+		return errors.New("the group's seed share was released: the bootstrap went on without this replica")
+	}
 	wg.sealed = true
 	if wg.pending == nil {
 		return wg.ix().AdoptOrder(img)

@@ -127,10 +127,10 @@ func (a *Accumulator) AddPostings(postings []Posting, mult int32) int64 {
 	counts := a.counts
 	for _, p := range postings {
 		if counts[p.Record] == 0 {
-			a.touched = append(a.touched, int32(p.Record))
-			a.sliceBits[p.Record>>6] |= 1 << (uint(p.Record) & 63)
+			a.touched = append(a.touched, p.Record)
+			a.sliceBits[p.Record>>6] |= 1 << (uint32(p.Record) & 63)
 		}
-		counts[p.Record] += mult * int32(p.Count)
+		counts[p.Record] += mult * p.Count
 	}
 	return int64(len(postings))
 }

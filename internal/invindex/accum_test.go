@@ -20,9 +20,9 @@ func newRefFilter(n int) *refFilter { return &refFilter{counts: make([]int32, n)
 func (f *refFilter) addPostings(postings []Posting, mult int32) int64 {
 	for _, p := range postings {
 		if f.counts[p.Record] == 0 {
-			f.touched = append(f.touched, int32(p.Record))
+			f.touched = append(f.touched, p.Record)
 		}
-		f.counts[p.Record] += mult * int32(p.Count)
+		f.counts[p.Record] += mult * p.Count
 	}
 	return int64(len(postings))
 }
@@ -119,7 +119,7 @@ func randPostings(rng *rand.Rand, limit int) []Posting {
 	var postings []Posting
 	for r := 0; r < limit; r++ {
 		if rng.Float64() < 0.05 {
-			postings = append(postings, Posting{Record: r, Count: 1 + rng.Intn(3)})
+			postings = append(postings, Posting{Record: int32(r), Count: 1 + rng.Int31n(3)})
 		}
 	}
 	return postings
@@ -224,7 +224,7 @@ func bitsetPostings(bs *Bitset, limit int) []Posting {
 	for w, x := range bs.words {
 		for ; x != 0; x &= x - 1 {
 			if r := w<<6 + bits.TrailingZeros64(x); r < limit {
-				postings = append(postings, Posting{Record: r, Count: 1})
+				postings = append(postings, Posting{Record: int32(r), Count: 1})
 			}
 		}
 	}
@@ -241,7 +241,7 @@ func TestAccumulatorResize(t *testing.T) {
 		acc.Begin(1)
 		postings := make([]Posting, 0, n)
 		for r := 0; r < n; r++ {
-			postings = append(postings, Posting{Record: r, Count: 1})
+			postings = append(postings, Posting{Record: int32(r), Count: 1})
 		}
 		acc.AddPostings(postings, 1)
 		got := acc.Collect(nil)

@@ -5,142 +5,219 @@
 // once per signature pebble carrying that key, which is what the overlap
 // counting of Algorithm 6 requires.
 //
-// Keying by dense integer IDs instead of strings makes the index a plain
-// slice of posting slices: lookups are array indexing, posting lists stay
-// sorted by record for free, and nothing in the hot path hashes or
-// compares strings.
+// Keying by dense integer IDs instead of strings makes lookups array
+// indexing: posting lists stay sorted by record for free, and nothing in the
+// hot path hashes or compares strings.
 //
-// Two layouts share the Posting type. Index is the dense array form used
-// for whole-collection builds: O(universe) memory, O(1) lookups, the right
-// shape when most IDs have postings. Delta is the sparse map form used by
-// the dynamic join index for the small batches appended between rebuilds:
-// memory proportional to the postings actually present, so a single-record
-// insert does not pay for the whole ID universe. A lookup of an absent ID
-// is a map miss, so the join index links the Deltas of a chain per ID — the
-// latest Delta holding an ID, and in each Delta the previous one (SetPrev)
-// — and asks only the Deltas that hold it. Both forms are immutable after
-// their Add (and SetPrev) calls and therefore safe for concurrent reads.
+// Two layouts share the 8-byte Posting type. Index is the flat form used for
+// whole-collection builds: one 4-byte offset per ID of the universe and one
+// arena of postings, built in a counting pass over the records' signatures,
+// so an ID no record carries costs its offset and nothing else. Delta is the
+// sparse map form used by the dynamic join index for the small batches
+// appended between rebuilds: memory proportional to the postings actually
+// present, so a single-record insert does not pay for the whole ID universe.
+// A lookup of an absent ID is a map miss, so the join index links the Deltas
+// of a chain per ID — the latest Delta holding an ID, and in each Delta the
+// previous one (SetPrev) — and asks only the Deltas that hold it. Both forms
+// are immutable once built (Index) or linked (Delta) and therefore safe for
+// concurrent reads.
 //
-// Index additionally supports a hybrid posting representation: Hybridize
-// converts the posting lists of frequent keys (list length at or above a
-// density cutoff) into packed 64-bit bitmaps — plus a short residual slice
-// for the rare counts above one — which the block Accumulator consumes
-// tile-at-a-time instead of entry-at-a-time. Rare keys keep the sorted
-// slice form. See accum.go for the accumulation engine.
+// Index additionally keeps a hybrid posting representation: the posting
+// lists of frequent keys (list length at or above a density cutoff) go
+// straight to packed 64-bit bitmaps — plus a short residual slice for the
+// rare counts above one — which the block Accumulator consumes
+// tile-at-a-time instead of entry-at-a-time. Rare keys keep the sorted slice
+// form in the arena. See accum.go for the accumulation engine.
 package invindex
 
+import (
+	"fmt"
+	"iter"
+	"math"
+	"slices"
+)
+
 // Posting is one entry of a posting list: a record and how many of its
-// signature pebbles carry the key.
+// signature pebbles carry the key. Both are int32, 8 bytes a posting, so an
+// index holds at most math.MaxInt32 records.
 type Posting struct {
-	Record int
-	Count  int
+	Record int32
+	Count  int32
 }
 
-// Index is an inverted index from interned pebble IDs to posting lists.
-// The zero value is not usable; create indexes with New. Index is safe for
-// concurrent reads after all Add calls have completed.
+// dense marks an ID's offset entry whose list is in bitmap form. The arena
+// slot at such an offset holds no posting: its Record is the index of the
+// ID's Bitset.
+const dense = 1 << 31
+
+// Index is an inverted index from interned pebble IDs to posting lists,
+// flat: offs[id] is where id's list starts in the postings arena and
+// offs[id+1] (dense bit cleared) where it ends; a dense entry's one arena
+// slot leads to its Bitset. Create indexes with Build, or with New, Add and
+// Hybridize. Index is safe for concurrent reads once built.
 type Index struct {
-	lists     [][]Posting // indexed by pebble ID
-	bitsets   []*Bitset   // parallel to lists after Hybridize; nil before
-	nonEmpty  int
-	denseKeys int
-	records   int
-	sealed    bool // set by Hybridize: no further Add calls
+	offs     []uint32 // universe + 1 entries
+	postings []Posting
+	bitsets  []Bitset // the bitmap-form lists, in ID order
+	nonEmpty int
+	records  int
+	pending  [][]uint32 // the records Add collected, until Hybridize builds
+	built    bool
 }
 
-// New creates an empty index over a universe of `numKeys` interned IDs
-// (pebble IDs must be < numKeys).
+// Build returns the index over a universe of numKeys interned IDs of the
+// records whose signature IDs sigs holds, record r's at sigs[r], with every
+// posting list of at least cutoff records in bitmap form (cutoff ≤ 0: none).
+// IDs may repeat within a record, adjacent or not; repeats increase the
+// record's count in that ID's list. IDs out of the universe (in particular
+// pebble.NoID, marking keys unknown to the order) are skipped: they can never
+// match an indexed record. Every posting list is sorted by record — the
+// self-join probe relies on this. More than math.MaxInt32 records, or more
+// than 2^31 postings, panic: a posting cannot address them.
+//
+// The build is two passes over sigs: one counts every ID's records, which
+// lays out the arena and decides which lists are dense, and one writes each
+// posting in its place or sets its record's bit. Nothing is sized by a list
+// before its length is known, and no posting of a dense list is ever made.
+func Build(numKeys int, sigs [][]uint32, cutoff int) *Index {
+	ix := New(numKeys)
+	ix.build(sigs, cutoff)
+	return ix
+}
+
+// New creates an empty index over a universe of numKeys interned IDs (pebble
+// IDs must be < numKeys), to be filled by Add and built by Hybridize. Until
+// then it reads as empty.
 func New(numKeys int) *Index {
-	return &Index{lists: make([][]Posting, numKeys)}
+	return &Index{offs: make([]uint32, numKeys+1)}
 }
 
-// Add registers the signature pebble IDs of one record. IDs may repeat;
-// repeats increase the record's count in that ID's posting list. IDs out of
-// the universe (in particular pebble.NoID, marking keys unknown to the
-// order) are skipped: they can never match an indexed record. Records must
-// be added in ascending record order, which keeps every posting list sorted
-// by record — the self-join probe relies on this.
+// Add collects the signature pebble IDs of one record, for Hybridize to
+// build the index over. Records must be added at consecutive positions from
+// 0; the IDs follow Build's rules.
 func (ix *Index) Add(record int, ids []uint32) {
-	if ix.sealed {
+	if ix.built {
 		panic("invindex: Add after Hybridize")
 	}
+	if record != len(ix.pending) {
+		panic(fmt.Sprintf("invindex: record %d added at position %d", record, len(ix.pending)))
+	}
+	ix.pending = append(ix.pending, slices.Clone(ids))
 	ix.records++
-	for _, id := range ids {
-		if id >= uint32(len(ix.lists)) {
+}
+
+// Hybridize builds the index over the records Add collected, as Build does,
+// with every posting list of at least cutoff records in bitmap form (cutoff
+// ≤ 0: none), and seals it: Add and Hybridize panic afterwards.
+func (ix *Index) Hybridize(cutoff int) {
+	if ix.built {
+		panic("invindex: Hybridize twice")
+	}
+	ix.build(ix.pending, cutoff)
+	ix.pending = nil
+}
+
+// build lays out and fills the index over sigs (see Build).
+func (ix *Index) build(sigs [][]uint32, cutoff int) {
+	if len(sigs) > math.MaxInt32 {
+		panic(fmt.Sprintf("invindex: %d records, past the %d a posting can address", len(sigs), math.MaxInt32))
+	}
+	ix.built = true
+	ix.records = len(sigs)
+	universe := uint32(len(ix.offs) - 1)
+	offs := ix.offs
+	// Count every ID's records into its offset entry; at[id] is 1 + the last
+	// record counted for id, so a repeat within a record counts once.
+	at := make([]uint32, universe)
+	for r, ids := range sigs {
+		for _, id := range ids {
+			if id < universe && at[id] != uint32(r)+1 {
+				at[id] = uint32(r) + 1
+				offs[id]++
+			}
+		}
+	}
+	// Turn the counts into offsets: a slice-form list takes one slot per
+	// record, a dense list one slot in all.
+	n, nDense := 0, 0
+	for id, c := range offs[:universe] {
+		offs[id] = uint32(n)
+		switch {
+		case c == 0:
 			continue
+		case cutoff > 0 && int(c) >= cutoff:
+			offs[id] |= dense
+			n++
+			nDense++
+		default:
+			n += int(c)
 		}
-		l := ix.lists[id]
-		if n := len(l); n > 0 && l[n-1].Record == record {
-			l[n-1].Count++
-			continue
+		ix.nonEmpty++
+		if n >= dense {
+			panic("invindex: more than 2^31 postings")
 		}
-		if len(l) == 0 {
-			ix.nonEmpty++
+	}
+	offs[universe] = uint32(n)
+	ix.postings = make([]Posting, n)
+	nwords := (len(sigs) + 63) / 64
+	words := make([]uint64, nDense*nwords)
+	ix.bitsets = make([]Bitset, nDense)
+	// at[id] becomes id's write position: a slice-form list's next slot, a
+	// dense list's Bitset slot.
+	b := int32(0)
+	for id := range universe {
+		o := offs[id]
+		if o&dense != 0 {
+			o &^= dense
+			ix.postings[o].Record = b
+			ix.bitsets[b].words = words[:nwords:nwords]
+			words = words[nwords:]
+			b++
 		}
-		ix.lists[id] = append(l, Posting{Record: record, Count: 1})
+		at[id] = o
+	}
+	for r, ids := range sigs {
+		rec := int32(r)
+		for _, id := range ids {
+			if id >= universe {
+				continue
+			}
+			o, w := offs[id], at[id]
+			switch {
+			case o&dense != 0:
+				ix.bitsets[ix.postings[w].Record].add(rec)
+			case w > o && ix.postings[w-1].Record == rec:
+				ix.postings[w-1].Count++ // a repeat within the record
+			default:
+				ix.postings[w] = Posting{Record: rec, Count: 1}
+				at[id] = w + 1
+			}
+		}
 	}
 }
 
-// Presize reserves posting-list capacity ahead of the Add calls, carving
-// the lists' backing storage out of two contiguous arenas: one for the lists
-// with at least dense postings reserved — the lists Hybridize(dense) will
-// turn into bitmaps — and one for the rest (dense ≤ 0 reserves every list in
-// the second). Once Hybridize has converted them nothing references the
-// first arena, so the postings the bitmaps replace do not stay on the heap
-// beside them. caps[id] is an upper bound on ID id's posting count (repeats
-// within one record may over-count — they merge into a single posting —
-// which only wastes capacity, and may keep a list that stays in slice form
-// in the first arena, never correctness). Adds that outgrow their
-// reservation fall back to ordinary append growth. Callers that know the
-// full signature multiset upfront avoid the per-list regrow churn — the
-// dominant cost of building a large index entry by entry.
-func (ix *Index) Presize(caps []int32, dense int) {
-	if ix.sealed {
-		panic("invindex: Presize after Hybridize")
-	}
-	caps = caps[:min(len(caps), len(ix.lists))]
-	converts := func(c int32) bool { return dense > 0 && int(c) >= dense }
-	var nKept, nConverted int
-	for _, c := range caps {
-		if converts(c) {
-			nConverted += int(c)
-		} else {
-			nKept += int(c)
-		}
-	}
-	kept, converted := make([]Posting, nKept), make([]Posting, nConverted)
-	for id, c := range caps {
-		if c == 0 {
-			continue
-		}
-		arena := &kept
-		if converts(c) {
-			arena = &converted
-		}
-		ix.lists[id] = (*arena)[:0:c]
-		*arena = (*arena)[c:]
-	}
-}
-
-// Records returns the number of records added to the index.
+// Records returns the number of records in the index.
 func (ix *Index) Records() int { return ix.records }
 
 // Universe returns the size of the ID universe the index was created over.
-func (ix *Index) Universe() int { return len(ix.lists) }
+func (ix *Index) Universe() int { return len(ix.offs) - 1 }
 
 // KeyCount returns the number of distinct IDs with a non-empty posting
 // list.
 func (ix *Index) KeyCount() int { return ix.nonEmpty }
 
 // Postings returns the posting list of an ID (nil when absent or out of
-// universe, and nil for IDs Hybridize converted to bitmap form — check
-// Bitset first on a hybridized index). The returned slice must not be
-// modified.
+// universe, and nil for IDs in bitmap form — check Bitset first). The
+// returned slice must not be modified.
 func (ix *Index) Postings(id uint32) []Posting {
-	if id >= uint32(len(ix.lists)) {
+	if id >= uint32(len(ix.offs)-1) {
 		return nil
 	}
-	return ix.lists[id]
+	s, e := ix.offs[id], ix.offs[id+1]&^dense
+	if s&dense != 0 || s == e {
+		return nil
+	}
+	return ix.postings[s:e:e]
 }
 
 // ListLength returns the number of records in an ID's posting list,
@@ -156,9 +233,9 @@ func (ix *Index) ListLength(id uint32) int {
 // in ascending order.
 func (ix *Index) Keys() []uint32 {
 	out := make([]uint32, 0, ix.nonEmpty)
-	for id, l := range ix.lists {
-		if len(l) > 0 || (ix.bitsets != nil && ix.bitsets[id] != nil) {
-			out = append(out, uint32(id))
+	for id := range uint32(len(ix.offs) - 1) {
+		if s := ix.offs[id]; s&dense != 0 || ix.offs[id+1]&^dense > s {
+			out = append(out, id)
 		}
 	}
 	return out
@@ -177,6 +254,22 @@ type Bitset struct {
 	card     int
 }
 
+// add counts one occurrence of the key in record r, records arriving in
+// ascending order.
+func (b *Bitset) add(r int32) {
+	w, bit := &b.words[r>>6], uint64(1)<<(uint32(r)&63)
+	if *w&bit == 0 {
+		*w |= bit
+		b.card++
+		return
+	}
+	if n := len(b.residual); n > 0 && b.residual[n-1].Record == r {
+		b.residual[n-1].Count++
+		return
+	}
+	b.residual = append(b.residual, Posting{Record: r, Count: 1})
+}
+
 // Card returns the number of set bits (the posting-list length).
 func (b *Bitset) Card() int { return b.card }
 
@@ -187,61 +280,19 @@ func (b *Bitset) Card() int { return b.card }
 func (b *Bitset) Residual() []Posting { return b.residual }
 
 // Bitset returns the packed form of an ID's posting list, or nil when the
-// list is absent, out of universe, or still in slice form.
+// list is absent, out of universe, or in slice form.
 func (ix *Index) Bitset(id uint32) *Bitset {
-	if ix.bitsets == nil || id >= uint32(len(ix.bitsets)) {
+	if id >= uint32(len(ix.offs)-1) || ix.offs[id]&dense == 0 {
 		return nil
 	}
-	return ix.bitsets[id]
+	return &ix.bitsets[ix.postings[ix.offs[id]&^dense].Record]
 }
 
-// DenseKeys returns the number of keys Hybridize converted to bitmap form.
-func (ix *Index) DenseKeys() int { return ix.denseKeys }
+// DenseKeys returns the number of keys in bitmap form.
+func (ix *Index) DenseKeys() int { return len(ix.bitsets) }
 
-// SparseKeys returns the number of non-empty keys still in slice form.
-func (ix *Index) SparseKeys() int { return ix.nonEmpty - ix.denseKeys }
-
-// Hybridize converts every posting list with at least cutoff entries into a
-// packed Bitset, releasing the slice form. Counts above one — which the
-// bitmap bits cannot represent — survive as the Bitset's residual slice:
-// one Posting per multi-occurrence record carrying the surplus (count − 1),
-// so the bitmap plus residual is count-exact for every record. The index is
-// sealed against further Add calls: record membership is frozen into
-// fixed-width bitmaps. Hybridize is idempotent per key and O(total
-// postings); call it once, after the last Add.
-func (ix *Index) Hybridize(cutoff int) {
-	if cutoff < 1 {
-		cutoff = 1
-	}
-	ix.sealed = true
-	nwords := (ix.records + 63) / 64
-	for id, l := range ix.lists {
-		if len(l) < cutoff {
-			continue
-		}
-		if ix.bitsets == nil {
-			ix.bitsets = make([]*Bitset, len(ix.lists))
-		}
-		bs := &Bitset{words: make([]uint64, nwords), card: len(l)}
-		for i := range l {
-			r := l[i].Record
-			bs.words[r>>6] |= 1 << (uint(r) & 63)
-			if c := l[i].Count; c > 1 {
-				bs.residual = append(bs.residual, Posting{Record: r, Count: c - 1})
-			}
-		}
-		ix.bitsets[id] = bs
-		ix.lists[id] = nil
-	}
-	ix.denseKeys = 0
-	if ix.bitsets != nil {
-		for _, bs := range ix.bitsets {
-			if bs != nil {
-				ix.denseKeys++
-			}
-		}
-	}
-}
+// SparseKeys returns the number of non-empty keys in slice form.
+func (ix *Index) SparseKeys() int { return ix.nonEmpty - len(ix.bitsets) }
 
 // noID mirrors pebble.NoID (the package is below pebble in the dependency
 // order, so the constant is duplicated rather than imported).
@@ -273,20 +324,37 @@ func NewDelta() *Delta {
 }
 
 // Add registers the signature pebble IDs of one record, with the same
-// multiplicity semantics as Index.Add. The NoID sentinel is skipped.
+// multiplicity semantics as Build. The NoID sentinel is skipped. A record
+// past math.MaxInt32 panics: a posting cannot address it.
 func (d *Delta) Add(record int, ids []uint32) {
+	if record > math.MaxInt32 {
+		panic(fmt.Sprintf("invindex: record %d, past the %d a posting can address", record, math.MaxInt32))
+	}
+	rec := int32(record)
 	d.records++
 	for _, id := range ids {
 		if id == noID {
 			continue
 		}
 		e := d.lists[id]
-		if n := len(e.postings); n > 0 && e.postings[n-1].Record == record {
+		if n := len(e.postings); n > 0 && e.postings[n-1].Record == rec {
 			e.postings[n-1].Count++
 			continue
 		}
-		e.postings = append(e.postings, Posting{Record: record, Count: 1})
+		e.postings = append(e.postings, Posting{Record: rec, Count: 1})
 		d.lists[id] = e
+	}
+}
+
+// IDs yields every ID the delta holds a posting list for, in no particular
+// order.
+func (d *Delta) IDs() iter.Seq[uint32] {
+	return func(yield func(uint32) bool) {
+		for id := range d.lists {
+			if !yield(id) {
+				return
+			}
+		}
 	}
 }
 

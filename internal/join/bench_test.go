@@ -317,6 +317,28 @@ func BenchmarkQueryDeltaChain(b *testing.B) {
 	boundLoop(b, titlesConfig(), 5, titlesOptions, 2, 64)
 }
 
+// BenchmarkShardCompaction times one compaction of a 5 000-record titles
+// shard — churn_titles' shard shape: 10 000 titles over two shards — with
+// B/op: the live scan, the inverted index built over the stored signatures,
+// the cover column and the position map, all that a writer stalls on when a
+// shard crosses a rebuild threshold.
+func BenchmarkShardCompaction(b *testing.B) {
+	cfg := titlesConfig()
+	cfg.Size = 5000
+	gen := datagen.New(cfg)
+	ctx := sim.NewContext(gen.Rules(), gen.Taxonomy())
+	ctx.Q = 5
+	sx := NewJoiner(ctx).BuildShardedIndex(strutil.NewCollection(gen.Collection(cfg.Size)), 1, titlesOptions, DynamicOptions{})
+	sh := sx.shards[0]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sh.rebuildLocked()
+	}
+}
+
 // titlesConfig is the generator of the benchmark's titles corpus, drawn with
 // its corpus seed: a 10 000-token flat vocabulary and 10–14 distinct tokens
 // a record.

@@ -3,6 +3,7 @@ package join
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func checkDeltaLinks(t *testing.T, sx *ShardedIndex, step string) (dynamic bool)
 	var walked [][]invindex.Posting
 	for w, sh := range sx.shards {
 		v := sh.snapshot()
-		n := max(v.gen.order.NumKeys(), len(v.deltas.last))
+		n := max(v.gen.order.NumKeys(), 4*len(v.deltas.links))
 		for id := uint32(0); int(id) < n; id++ {
 			var held []int // the segments holding a list for id, oldest first
 			for k, seg := range v.deltas.segs {
@@ -31,10 +32,7 @@ func checkDeltaLinks(t *testing.T, sx *ShardedIndex, step string) (dynamic bool)
 					held = append(held, k)
 				}
 			}
-			walked = walked[:0]
-			if v.deltas.holds(id) {
-				walked = v.deltas.walk(id, walked)
-			}
+			walked = v.deltas.walk(id, walked[:0])
 			same := len(walked) == len(held)
 			for i := 0; same && i < len(held); i++ {
 				l, _ := v.deltas.segs[held[i]].Linked(id)
@@ -42,7 +40,7 @@ func checkDeltaLinks(t *testing.T, sx *ShardedIndex, step string) (dynamic bool)
 			}
 			if !same {
 				t.Fatalf("%s: shard %d, ID %d: the links walk %d lists, but segments %v of the %d-segment chain hold one (links cover %d IDs, order %d)",
-					step, w, id, len(walked), held, len(v.deltas.segs), len(v.deltas.last), v.gen.order.NumKeys())
+					step, w, id, len(walked), held, len(v.deltas.segs), 4*len(v.deltas.links), v.gen.order.NumKeys())
 			}
 			dynamic = dynamic || (len(held) > 0 && int(id) >= v.inv.Universe())
 		}
@@ -138,4 +136,85 @@ func TestDeltaChainClampsMaxSegments(t *testing.T) {
 		t.Fatalf("one batch past the longest chain: %d segments, %d rebuilds; want a compaction", st.Segments, st.Rebuilds)
 	}
 	checkDeltaLinks(t, sx, "compacted")
+}
+
+// TestViewWalksOwnChainDuringPushes takes a view of a three-segment chain
+// and runs its count filter while 40 more insert batches push onto the same
+// base: batches of the view's own records, so the links it loads name
+// segments newer than its chain, and now and then unseen tokens, so the link
+// table outgrows its array. Every answer must be the one the view gave before
+// the pushes; under -race the reads and the pushes must share no
+// unsynchronised memory.
+func TestViewWalksOwnChainDuringPushes(t *testing.T) {
+	j := NewJoiner(paperContext())
+	corpus := denseCorpus(40, 3, 1)
+	raw := func(k int) string { return strings.Join(corpus[k%len(corpus)].Tokens, " ") }
+	// No compaction: the pushes must land on the view's base.
+	dopts := DynamicOptions{rebuildFraction: 1e9}
+	sx := j.BuildShardedIndex(corpus, 1, Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}, dopts)
+	for k := range 3 {
+		sx.InsertBatch([]string{raw(k), raw(k + 1)})
+	}
+	v := sx.shards[0].snapshot()
+	candidates := func(sc *probeScratch) [][]int32 {
+		out := make([][]int32, len(v.sigIDs))
+		for i, ids := range v.sigIDs {
+			c, _ := v.candidatesRecord(ids, sx.tau, noLimit, sc)
+			out[i] = slices.Sorted(slices.Values(c))
+		}
+		return out
+	}
+	sc := v.scratch()
+	defer sc.release(&v.sh.pool)
+	want := candidates(sc)
+
+	const pushes = 40
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for b := range pushes {
+			batch := []string{raw(b), raw(b + 7)}
+			if b%4 == 3 {
+				batch = append(batch, fmt.Sprintf("unseen%d novel%d", b, b))
+			}
+			sx.InsertBatch(batch)
+		}
+	}()
+	check := func(when string) {
+		for i, got := range candidates(sc) {
+			if !slices.Equal(got, want[i]) {
+				t.Fatalf("%s: the view's probe %d admits %v, before the pushes %v", when, i, got, want[i])
+			}
+		}
+	}
+	reads := 0
+	for running := true; running; reads++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		check(fmt.Sprintf("read %d during the pushes", reads))
+	}
+	t.Logf("%d reads of the view during %d pushes", reads, pushes)
+
+	cur := sx.shards[0].snapshot()
+	if st := sx.Stats(); st.Rebuilds != 0 || st.Segments != 3+pushes {
+		t.Fatalf("%d rebuilds and %d segments after %d pushes; want none and %d", st.Rebuilds, st.Segments, pushes, 3+pushes)
+	}
+	if &cur.deltas.links[0] == &v.deltas.links[0] {
+		t.Fatal("the link table never outgrew the view's: the pushes did not test a grown table")
+	}
+	newer := 0 // the view's probe IDs whose link, in its own table, names a segment past its chain
+	for _, ids := range v.sigIDs {
+		for _, id := range ids {
+			if int(v.deltas.link(id)) > len(v.deltas.segs) {
+				newer++
+			}
+		}
+	}
+	if newer == 0 {
+		t.Fatal("no probe ID of the view is linked past its chain: the view never had to step back")
+	}
+	checkDeltaLinks(t, sx, "after the pushes")
 }

@@ -249,33 +249,11 @@ func (c *counters) add(o counters) {
 }
 
 // newInverted builds the hybridized inverted index over per-record signature
-// IDs. The full signature multiset is in hand before the first Add — count it
-// and reserve every posting list exactly, so the build is two arena
-// allocations instead of per-list regrow churn (the dominant cost of a large
-// build otherwise): one for the lists the hybrid conversion will turn into
-// bitmaps, which it then leaves unreferenced, and one for the lists that stay
-// in slice form. A signature holds its repeats side by side (the count filter
-// reads them as runs), so counting a run once counts the postings exactly.
-// tau is the index's τ, the largest any probe of it filters at.
+// IDs (invindex.Build: one counting pass lays the lists out, a second fills
+// them, and the lists at the density cutoff go straight to bitmaps). tau is
+// the index's τ, the largest any probe of it filters at.
 func newInverted(sigIDs [][]uint32, order *pebble.Order, tau int) *invindex.Index {
-	inv := invindex.New(order.NumKeys())
-	caps := make([]int32, order.NumKeys())
-	for _, ids := range sigIDs {
-		for k, id := range ids {
-			if int(id) < len(caps) && (k == 0 || ids[k-1] != id) {
-				caps[id]++
-			}
-		}
-	}
-	cut := hybridCutoff(len(sigIDs), order, tau)
-	inv.Presize(caps, cut)
-	for i, ids := range sigIDs {
-		inv.Add(i, ids)
-	}
-	if cut > 0 {
-		inv.Hybridize(cut)
-	}
-	return inv
+	return invindex.Build(order.NumKeys(), sigIDs, hybridCutoff(len(sigIDs), order, tau))
 }
 
 // minBitsetList is the floor of the hybrid density cutoff: below this list
@@ -370,7 +348,7 @@ func countFilterRecord(inv *invindex.Index, chain deltas, dead []uint64, ids []u
 			tally.ProbePostings += acc.AddBitset(bs, mult, limit)
 			if res := bs.Residual(); len(res) != 0 {
 				if prefix {
-					res = res[:sort.Search(len(res), func(k int) bool { return res[k].Record >= limit })]
+					res = res[:sort.Search(len(res), func(k int) bool { return int(res[k].Record) >= limit })]
 				}
 				// The residual carries only the surplus counts of records
 				// whose bitmap bit was already accumulated (and already
@@ -384,11 +362,11 @@ func countFilterRecord(inv *invindex.Index, chain deltas, dead []uint64, ids []u
 			if prefix {
 				// Posting lists are sorted by record, so the self-join
 				// restriction to records < limit is a prefix.
-				postings = postings[:sort.Search(len(postings), func(k int) bool { return postings[k].Record >= limit })]
+				postings = postings[:sort.Search(len(postings), func(k int) bool { return int(postings[k].Record) >= limit })]
 			}
 			tally.ProbePostings += acc.AddPostings(postings, mult)
 		}
-		if chain.holds(id) {
+		if chain.link(id) != 0 {
 			sc.lists = chain.walk(id, sc.lists[:0])
 			for _, l := range sc.lists {
 				tally.ProbePostings += acc.AddPostings(l, mult)

@@ -132,17 +132,32 @@ func (sh *shard) total() counters {
 
 // deltas is a shard's delta-segment chain — one immutable sparse inverted
 // index (invindex.Delta) per insert batch since the base was adopted, keyed
-// by global record positions — linked per signature ID: last[id] is 1 + the
-// index of the latest segment holding a posting list for id (0: none), and
-// in each segment the ID's link (invindex.Delta.SetPrev) is 1 + the index of
-// the previous one that holds it (0: none). The count filter follows the
-// links (walk), so it visits only the segments that hold a probe ID instead
-// of asking every segment of the chain, and an ID no inserted record carries
-// costs one byte load. A link is a byte, so a chain holds at most
-// maxChainSegments segments. The zero value is the empty chain.
+// by global record positions — linked per signature ID: the link table
+// holds, for each ID, 1 + the index of the latest segment holding a posting
+// list for it (0: none), and in each segment the ID's link
+// (invindex.Delta.SetPrev) is 1 + the index of the previous one that holds
+// it (0: none). The count filter follows the links (walk), so it visits only
+// the segments that hold a probe ID instead of asking every segment of the
+// chain, and an ID no inserted record carries costs one load. A link is a
+// byte, so a chain holds at most maxChainSegments segments. The zero value
+// is the empty chain.
+//
+// The segment array and the link table are shared by every view of one
+// base, and a push writes both in place, so it costs only its batch:
+// segs is allocated once, at the base's first push, with room for the
+// longest chain the shard lets grow, so an append never moves it; links
+// packs four one-byte links in a word, grows geometrically with the largest
+// ID pushed (keys first seen after the base was built lie in the shared
+// order's dynamic region, past the base's universe), and is written only for
+// the batch's IDs, with atomic stores after the segment and its own links
+// are complete. A view holds its chain's length, so a link it loads may name
+// a segment pushed after it was published; that segment's own link for the
+// ID leads back toward older segments, and the view follows it until the
+// link is within its chain. A view published before the table grew keeps
+// the old table, which no later push writes.
 type deltas struct {
-	segs []*invindex.Delta
-	last []uint8
+	segs  []*invindex.Delta
+	links []atomic.Uint32
 }
 
 // maxChainSegments is the longest delta chain a link can address (255
@@ -150,17 +165,25 @@ type deltas struct {
 // compaction that segment triggers, so maxSegments is clamped one below it.
 const maxChainSegments = math.MaxUint8
 
-// holds reports whether some segment of the chain has a posting list for id.
-func (d deltas) holds(id uint32) bool {
-	return int(id) < len(d.last) && d.last[id] != 0
+// link returns id's entry of the link table: 1 + the index of the latest
+// segment holding id, which may be newer than this chain, or 0.
+func (d deltas) link(id uint32) uint8 {
+	if int(id>>2) >= len(d.links) {
+		return 0
+	}
+	return uint8(d.links[id>>2].Load() >> (id & 3 * 8))
 }
 
 // walk appends the posting lists of id in the chain's segments that hold
 // one to lists, oldest first — the order a walk of every segment meets them
 // in — and returns the extended slice.
 func (d deltas) walk(id uint32, lists [][]invindex.Posting) [][]invindex.Posting {
+	k := d.link(id)
+	for all := d.segs[:cap(d.segs)]; int(k) > len(d.segs); {
+		_, k = all[k-1].Linked(id) // pushed after this view: step back
+	}
 	from := len(lists)
-	for k := d.last[id]; k != 0; {
+	for k != 0 {
 		var l []invindex.Posting
 		l, k = d.segs[k-1].Linked(id)
 		lists = append(lists, l)
@@ -169,34 +192,37 @@ func (d deltas) walk(id uint32, lists [][]invindex.Posting) [][]invindex.Posting
 	return lists
 }
 
-// push returns the chain with seg appended, seg having been built from the
-// signature IDs sigs, and links every ID seg holds to the segment that held
-// it last. The last array is cloned before it is written (published views
-// hold the old one, exactly as with the tombstone bitmap) and grown to the
-// batch's largest ID: keys first seen after the base was built lie in the
-// shared order's dynamic region, past the base's universe. The chain must
-// be shorter than maxChainSegments.
-func (d deltas) push(seg *invindex.Delta, sigs [][]uint32) deltas {
-	n := len(d.last)
-	for _, ids := range sigs {
-		for _, id := range ids {
-			if id != pebble.NoID {
-				n = max(n, int(id)+1)
-			}
-		}
+// push returns the chain with seg appended and every ID seg holds linked to
+// the segment that held it last. room is the longest chain the shard lets
+// grow (maxSegments + 1, at most maxChainSegments): the segment array is
+// made that large at the first push and never outgrown.
+func (d deltas) push(seg *invindex.Delta, room int) deltas {
+	if d.segs == nil {
+		d.segs = make([]*invindex.Delta, 0, room)
 	}
-	last := make([]uint8, n)
-	copy(last, d.last)
-	k := uint8(len(d.segs) + 1)
-	for _, ids := range sigs {
-		for _, id := range ids {
-			if id != pebble.NoID && last[id] != k {
-				seg.SetPrev(id, last[id])
-				last[id] = k
-			}
-		}
+	if len(d.segs) == cap(d.segs) {
+		panic("join: a delta chain past the segments its base made room for")
 	}
-	return deltas{segs: append(d.segs, seg), last: last}
+	words := len(d.links)
+	for id := range seg.IDs() {
+		seg.SetPrev(id, d.link(id))
+		words = max(words, int(id>>2)+1)
+	}
+	if words > cap(d.links) {
+		grown := make([]atomic.Uint32, words, max(words, 2*cap(d.links)))
+		for i := range d.links {
+			grown[i].Store(d.links[i].Load())
+		}
+		d.links = grown
+	}
+	d.links = d.links[:words]
+	d.segs = append(d.segs, seg)
+	k := uint32(len(d.segs))
+	for id := range seg.IDs() {
+		w, shift := &d.links[id>>2], id&3*8
+		w.Store(w.Load()&^(0xff<<shift) | k<<shift)
+	}
+	return d
 }
 
 // DynamicOptions tunes the mutation behaviour of a ShardedIndex on top of
@@ -325,7 +351,7 @@ func (sh *shard) insertRecords(recs []strutil.Record) {
 	for len(sh.dead)*64 < len(sh.records) {
 		sh.dead = append(sh.dead, 0)
 	}
-	sh.deltas = sh.deltas.push(delta, sh.sigIDs[first:])
+	sh.deltas = sh.deltas.push(delta, sh.sx.dopts.maxSegments+1)
 	sh.inserts += len(recs)
 	sh.sx.signed.Add(int64(len(recs)))
 	sh.maybeRebuildLocked()

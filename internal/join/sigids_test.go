@@ -192,10 +192,10 @@ func heapKeptBy[T any](build func() T) (T, int64) {
 
 // TestInvertedIndexDropsConvertedPostings pins that a built inverted index
 // keeps no posting of a list it converted to a bitmap: its live heap is what
-// its final shape needs — the two per-ID tables, the slice-form lists at
-// their reserved capacity, every bitmap with its residual — and not the
-// postings the bitmaps replaced, which an arena shared with the slice-form
-// lists would keep alive.
+// its final shape needs — a 4-byte offset per ID of the universe and one
+// more, the arena of 8-byte postings (the slice-form lists, and one slot per
+// bitmap-form list leading to its Bitset), and every Bitset with its words
+// and its residual — and not the postings the bitmaps replaced.
 func TestInvertedIndexDropsConvertedPostings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap readings are only meaningful without -race; skipped with -short")
@@ -204,13 +204,13 @@ func TestInvertedIndexDropsConvertedPostings(t *testing.T) {
 	sx := j.BuildShardedIndex(benchCorpus(4000, 7), 1, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
 	sh, order := sx.shards[0], sx.gen.Load().order
 	inv, live := heapKeptBy(func() *invindex.Index { return newInverted(sh.sigIDs, order, sx.tau) })
-	posting, pointer, header := int64(unsafe.Sizeof(invindex.Posting{})), int64(unsafe.Sizeof(&invindex.Bitset{})), int64(unsafe.Sizeof([]invindex.Posting{}))
-	shape := int64(inv.Universe()) * (header + pointer)
+	posting := int64(unsafe.Sizeof(invindex.Posting{}))
+	shape := int64(inv.Universe()+1) * int64(unsafe.Sizeof(uint32(0)))
 	var converted int64 // the postings of the lists now in bitmap form
 	for id := range uint32(inv.Universe()) {
 		if bs := inv.Bitset(id); bs != nil {
 			converted += int64(bs.Card()) * posting
-			shape += int64(unsafe.Sizeof(*bs)) + int64((inv.Records()+63)/64)*8 + int64(cap(bs.Residual()))*posting
+			shape += posting + int64(unsafe.Sizeof(*bs)) + int64((inv.Records()+63)/64)*8 + int64(cap(bs.Residual()))*posting
 		} else {
 			shape += int64(cap(inv.Postings(id))) * posting
 		}
