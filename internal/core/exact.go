@@ -122,13 +122,3 @@ func (c *Calculator) ApproximationRatio(s, t string) (float64, bool) {
 	}
 	return r, exact.Complete
 }
-
-// wmisOptions builds the SquareImp options used by Algorithm 1.
-func wmisOptions(maxTalons int) wmis.SquareImpOptions {
-	return wmis.SquareImpOptions{MaxTalons: maxTalons}
-}
-
-// wmisSwap re-exports wmis.Swap for use inside the improvement loop.
-func wmisSwap(set, talons, removed []int) []int {
-	return wmis.Swap(set, talons, removed)
-}

@@ -779,7 +779,7 @@ func (c *Calculator) similarityPrepared(sc *Scratch, ps, pt *PreparedRecord) flo
 	// Line 1: w-MIS via SquareImp. The solution is copied out of the wmis
 	// scratch into a core-owned buffer because the talon iterator below
 	// reuses the same wmis scratch.
-	sc.curSet = append(sc.curSet[:0], sc.graph.SquareImpScratch(wmisOptions(c.maxTalons()), &sc.wmisSc)...)
+	sc.curSet = append(sc.curSet[:0], sc.graph.SquareImpScratch(wmis.SquareImpOptions{MaxTalons: c.maxTalons()}, &sc.wmisSc)...)
 	set := sc.curSet
 	best := c.simPreparedSet(sc, ps, pt, set, noFloor)
 

@@ -5,6 +5,7 @@ import (
 
 	"github.com/aujoin/aujoin/internal/matching"
 	"github.com/aujoin/aujoin/internal/sim"
+	"github.com/aujoin/aujoin/internal/wmis"
 )
 
 // DefaultT is the default trade-off parameter t of Algorithm 1: the local
@@ -133,7 +134,7 @@ func (c *Calculator) SimilarityTokens(sTokens, tTokens []string) float64 {
 	cg := BuildConflictGraph(pairs)
 
 	// Line 1: w-MIS via SquareImp.
-	set := cg.Graph.SquareImp(wmisOptions(c.maxTalons()))
+	set := cg.Graph.SquareImp(wmis.SquareImpOptions{MaxTalons: c.maxTalons()})
 	best := c.GetSim(cg, set, sTokens, tTokens)
 
 	// Lines 3-4: claw improvements measured on the unified similarity.
@@ -144,7 +145,7 @@ func (c *Calculator) SimilarityTokens(sTokens, tTokens []string) float64 {
 		var bestTalons, bestRemoved []int
 		bestGain := 0.0
 		cg.Graph.EnumerateTalonSets(set, c.maxTalons(), func(talons, removed []int) bool {
-			candidate := wmisSwap(set, talons, removed)
+			candidate := wmis.Swap(set, talons, removed)
 			v := c.GetSim(cg, candidate, sTokens, tTokens)
 			if gain := v - best; gain > bestGain {
 				bestGain = gain
@@ -156,7 +157,7 @@ func (c *Calculator) SimilarityTokens(sTokens, tTokens []string) float64 {
 		if bestTalons == nil || bestGain < minGain {
 			break
 		}
-		set = wmisSwap(set, bestTalons, bestRemoved)
+		set = wmis.Swap(set, bestTalons, bestRemoved)
 		best += bestGain
 	}
 	return best

@@ -158,19 +158,18 @@ func (sx *ShardedIndex) KeyFrequencies() ([]string, []int) {
 }
 
 // AdoptOrder replaces the index's pebble order with an externally built
-// frozen order — the worker side of a cluster epoch bump's prepare phase.
-// The (keys, freqs) image must be in finalize order, as produced by
-// KeyFrequencies (after the coordinator sums the groups' tables). Adoption
-// is a re-freeze (refreezeLocked) whose next order comes from outside: every
-// shard is rebuilt under it while all writer locks are held, and readers
-// never block — they are served the cached pre-adoption snapshot. No
-// mutation races the image (the coordinator holds its mutation lock from
-// the frequency collection through the commit); keys of live records that
-// the image lacks are interned into its dynamic region first all the same,
-// a guard that keeps adoption exact whatever the image holds, and is
-// deterministic across replicas, which hold identical records in identical
-// positions. After adoption the index never re-freezes on its own: order
-// ownership has moved to the coordinator, and local rebuilds keep
+// frozen order — the worker side of a cluster epoch bump. The (keys, freqs)
+// image must be in finalize order, as produced by KeyFrequencies (after the
+// coordinator sums the groups' tables). Adoption is a re-freeze
+// (refreezeLocked) whose next order comes from outside: every shard is
+// rebuilt under it while all writer locks are held, and readers never block —
+// they are served the generation before it until install publishes the new
+// one whole. No insert races the image (the coordinator blocks mutations for
+// the whole bump); keys of live records that the image lacks are interned
+// into its dynamic region first all the same, a guard that keeps adoption
+// exact whatever the image holds, and is deterministic across replicas, which
+// hold identical records in identical positions. After adoption the index never re-freezes on its
+// own: order ownership has moved to the coordinator, and local rebuilds keep
 // compacting shards under the adopted order.
 func (sx *ShardedIndex) AdoptOrder(keys []string, freqs []int) error {
 	order, err := pebble.RestoreOrder(keys, freqs, nil)

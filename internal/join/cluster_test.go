@@ -29,7 +29,7 @@ func TestAdoptOrderInternsMissingKeys(t *testing.T) {
 		if err := sx.AdoptOrder(keys, freqs); err != nil {
 			t.Fatalf("shards=%d: AdoptOrder: %v", shards, err)
 		}
-		g := sx.gen.Load()
+		g := sx.Snapshot().gen
 		if id, ok := g.order.ID(dropped); !ok || int(id) < g.order.FrozenKeys() {
 			t.Fatalf("shards=%d: key %q missing from the image has ID %d (interned: %v), want a dynamic ID past the %d frozen keys",
 				shards, dropped, id, ok, g.order.FrozenKeys())

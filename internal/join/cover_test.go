@@ -19,8 +19,7 @@ import (
 // restored ≡ compacted ≡ re-frozen ≡ appended must hold by construction.
 func checkCoverColumns(t *testing.T, sx *ShardedIndex, shape string) {
 	t.Helper()
-	for w, sh := range sx.shards {
-		v := sh.snapshot()
+	for w, v := range sx.Snapshot().views {
 		if want := core.NewCoverColumn(sx.dict, v.prepared); !reflect.DeepEqual(v.cover, want) {
 			t.Fatalf("%s: shard %d's cover column differs from the one rebuilt from its %d prepared records", shape, w, len(v.prepared))
 		}
@@ -111,8 +110,7 @@ func flaggedServedExactly(t *testing.T, j *Joiner, recs, queries []strutil.Recor
 	calc, sc := j.Calculator(), core.NewScratch()
 	stranger := calc.Prepare([]string{"zzqx"})
 	flagged := 0
-	for _, sh := range sx.shards {
-		v := sh.snapshot()
+	for _, v := range sx.Snapshot().views {
 		for pos, rec := range v.records {
 			if b := calc.CoverBound(&v.cover, int32(pos), stranger, 0, sc); (b == 1) != (rec.Raw == flaggedRaw) {
 				t.Fatalf("θ=%v: record %q bounded by %v against a stranger", theta, rec.Raw, b)

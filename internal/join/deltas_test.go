@@ -22,9 +22,9 @@ import (
 func checkDeltaLinks(t *testing.T, sx *ShardedIndex, step string) (dynamic bool) {
 	t.Helper()
 	var walked [][]invindex.Posting
-	for w, sh := range sx.shards {
-		v := sh.snapshot()
-		n := max(v.gen.order.NumKeys(), 4*len(v.deltas.links))
+	sv := sx.Snapshot()
+	for w, v := range sv.views {
+		n := max(sv.gen.order.NumKeys(), 4*len(v.deltas.links))
 		for id := uint32(0); int(id) < n; id++ {
 			var held []int // the segments holding a list for id, oldest first
 			for k, seg := range v.deltas.segs {
@@ -40,7 +40,7 @@ func checkDeltaLinks(t *testing.T, sx *ShardedIndex, step string) (dynamic bool)
 			}
 			if !same {
 				t.Fatalf("%s: shard %d, ID %d: the links walk %d lists, but segments %v of the %d-segment chain hold one (links cover %d IDs, order %d)",
-					step, w, id, len(walked), held, len(v.deltas.segs), 4*len(v.deltas.links), v.gen.order.NumKeys())
+					step, w, id, len(walked), held, len(v.deltas.segs), 4*len(v.deltas.links), sv.gen.order.NumKeys())
 			}
 			dynamic = dynamic || (len(held) > 0 && int(id) >= v.inv.Universe())
 		}
@@ -155,7 +155,7 @@ func TestViewWalksOwnChainDuringPushes(t *testing.T) {
 	for k := range 3 {
 		sx.InsertBatch([]string{raw(k), raw(k + 1)})
 	}
-	v := sx.shards[0].snapshot()
+	v := sx.Snapshot().views[0]
 	candidates := func(sc *probeScratch) [][]int32 {
 		out := make([][]int32, len(v.sigIDs))
 		for i, ids := range v.sigIDs {
@@ -198,7 +198,7 @@ func TestViewWalksOwnChainDuringPushes(t *testing.T) {
 	}
 	t.Logf("%d reads of the view during %d pushes", reads, pushes)
 
-	cur := sx.shards[0].snapshot()
+	cur := sx.Snapshot().views[0]
 	if st := sx.Stats(); st.Rebuilds != 0 || st.Segments != 3+pushes {
 		t.Fatalf("%d rebuilds and %d segments after %d pushes; want none and %d", st.Rebuilds, st.Segments, pushes, 3+pushes)
 	}

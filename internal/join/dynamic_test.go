@@ -221,8 +221,8 @@ func TestShardedIndexStableIDsAcrossShardRebuilds(t *testing.T) { testStableIDs(
 
 // testConcurrentMutateQuery hammers the router with concurrent
 // InsertBatch/RemoveBatch writers and fan-out readers while per-shard
-// rebuilds and global re-freezes fire — it exists to run under -race — and
-// finishes with an oracle check of the final state.
+// rebuilds and global re-freezes fire — it exists to run under -race —
+// holding every 8th view a reader takes, and the final state, to the oracle.
 func testConcurrentMutateQuery(t *testing.T, shards int) {
 	rng := rand.New(rand.NewSource(47))
 	j := NewJoiner(propertyContexts()["full"])
@@ -259,6 +259,15 @@ func testConcurrentMutateQuery(t *testing.T, shards int) {
 					t.Errorf("inconsistent snapshot stats: %+v", st)
 					return
 				}
+				// Every view is one generation, whatever re-freeze or
+				// compaction has run since it was published: exact over its
+				// own live records.
+				if i%8 == 0 {
+					if got, _ := v.Probe(probe); !reflect.DeepEqual(got, j.BruteForce(v.Live(), probe, 0.75, nil)) {
+						t.Errorf("reader %d, iteration %d: Probe %d pairs, oracle over the view's live records disagrees", r, i, len(got))
+						return
+					}
+				}
 			}
 		}(r)
 	}
@@ -271,8 +280,9 @@ func testConcurrentMutateQuery(t *testing.T, shards int) {
 		for i := 0; i < 40; i++ {
 			batch := rawCorpus(4, wrng)
 			// Novel tokens grow the shared dynamic region past the frozen
-			// prefix, so global refreezes fire while readers snapshot —
-			// exercising the generation-retry path under the race detector.
+			// prefix, so global refreezes fire while readers hold views —
+			// the per-snapshot check above runs across them, under the race
+			// detector too.
 			for b := range batch {
 				batch[b] += fmt.Sprintf(" zaw%dqx%dv", i, b)
 			}

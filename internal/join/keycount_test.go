@@ -82,7 +82,7 @@ func TestKeyCountMatchesKeyPath(t *testing.T) {
 	// shardSignatures holds every shard's stored signatures to the key path's.
 	shardSignatures := func(state string, sx *ShardedIndex, m pebble.Method) {
 		t.Helper()
-		g := sx.gen.Load()
+		g := sx.Snapshot().gen
 		for _, sh := range sx.shards {
 			sameSignatures(state, g, m, sx.tau, sh.prepared, sh.sigIDs)
 		}
@@ -122,7 +122,7 @@ func TestKeyCountMatchesKeyPath(t *testing.T) {
 		}
 		sx.install(j.orderOf(sx.dict, prepared...), parts, time.Now())
 		shardSignatures("build at cap", sx, m)
-		keys, freqs = sx.gen.Load().order.FrequencyTable()
+		keys, freqs = sx.Snapshot().gen.order.FrequencyTable()
 		sameTable("build at cap", keys, freqs, s)
 
 		sx.InsertBatch(probeRaws[:40])
@@ -134,7 +134,7 @@ func TestKeyCountMatchesKeyPath(t *testing.T) {
 		live := sx.Snapshot().Live()
 		keys, freqs = sx.KeyFrequencies()
 		sameTable("re-freeze", keys, freqs, live)
-		if k, f := sx.gen.Load().order.FrequencyTable(); !slices.Equal(k, keys) || !slices.Equal(f, freqs) {
+		if k, f := sx.Snapshot().gen.order.FrequencyTable(); !slices.Equal(k, keys) || !slices.Equal(f, freqs) {
 			t.Fatal("re-freeze: the re-frozen order is not the live records' exported table")
 		}
 
@@ -143,7 +143,7 @@ func TestKeyCountMatchesKeyPath(t *testing.T) {
 		if err := sx.AdoptOrder(keys[:len(keys)-1], freqs[:len(freqs)-1]); err != nil {
 			t.Fatal(err)
 		}
-		if d := sx.gen.Load().order.DynamicCount(); d != 1 {
+		if d := sx.Snapshot().gen.order.DynamicCount(); d != 1 {
 			t.Fatalf("adoption interned %d keys, want the one the image lacks", d)
 		}
 		shardSignatures("adopted", sx, m)

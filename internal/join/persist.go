@@ -37,7 +37,7 @@ func (sx *ShardedIndex) CaptureSnapshot() *store.Snapshot {
 		Method: uint8(sx.opts.Method),
 		Shards: len(sx.shards),
 		NextID: uint64(nextID),
-		Order:  exportOrder(sx.gen.Load().order),
+		Order:  exportOrder(sx.view.Load().gen.order),
 	}
 
 	total := 0

@@ -77,9 +77,6 @@ func TestProbeSigningAcrossGenerations(t *testing.T) {
 		check := func(state string, covered int) (held, skipped int) {
 			v := sx.Snapshot()
 			g := v.gen
-			if g != sx.gen.Load() {
-				t.Fatalf("%s %s: the snapshot serves a stale generation", c.name, state)
-			}
 			for _, tokens := range probes {
 				pq, _ := lk.sign(v, tokens, pebble.UFilter, 1)
 				for _, sg := range pq.Segs {
@@ -119,7 +116,7 @@ func TestProbeSigningAcrossGenerations(t *testing.T) {
 		for k := 0; k < len(inserts); k += 20 {
 			sx.InsertBatch(inserts[k : k+20])
 		}
-		if sx.gen.Load().order.DynamicCount() == 0 || sx.dict.Len() == covered {
+		if sx.Snapshot().gen.order.DynamicCount() == 0 || sx.dict.Len() == covered {
 			t.Fatalf("%s: the inserts interned no dynamic key or no text", c.name)
 		}
 		if _, skipped := check("inserts", covered); skipped == 0 {
@@ -143,8 +140,8 @@ func TestProbeSigningAcrossGenerations(t *testing.T) {
 		if err := sx.AdoptOrder(keys[:len(keys)-1], freqs[:len(freqs)-1]); err != nil {
 			t.Fatalf("%s: AdoptOrder: %v", c.name, err)
 		}
-		if sx.gen.Load().order.DynamicCount() != 1 {
-			t.Fatalf("%s: adoption interned %d keys, want the one the image lacks", c.name, sx.gen.Load().order.DynamicCount())
+		if sx.Snapshot().gen.order.DynamicCount() != 1 {
+			t.Fatalf("%s: adoption interned %d keys, want the one the image lacks", c.name, sx.Snapshot().gen.order.DynamicCount())
 		}
 		check("adopted", sx.dict.Len())
 	}
@@ -175,7 +172,7 @@ func TestProbeTableFootprint(t *testing.T) {
 			pebbles += ctx.Tax.Depth(d.Node)
 		}
 	}
-	bytes := sx.gen.Load().probes.Bytes()
+	bytes := sx.Snapshot().gen.probes.Bytes()
 	t.Logf("%d entries, %d pebbles: %d bytes", entries, pebbles, bytes)
 	if budget := 8*pebbles + 8*entries; bytes > budget {
 		t.Errorf("the probe table takes %d bytes, over the budget of %d for %d entries and %d pebbles", bytes, budget, entries, pebbles)

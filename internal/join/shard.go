@@ -28,11 +28,12 @@ import (
 // selected once per request, on the router.
 //
 // Writers (insertRecords, removeBatch) serialize on an internal mutex, mutate
-// writer-owned state, and publish a fresh immutable shardView via an atomic
-// pointer swap — copy-on-write at the granularity of slice headers and the
-// tombstone bitmap. Readers run entirely against the view the router's
-// Snapshot handed them: no locks, no retries, and a consistent picture of the
-// shard no matter how many mutations land mid-query.
+// writer-owned state, and publish a fresh immutable shardView into the
+// router's published view (ShardedIndex.publish) — copy-on-write at the
+// granularity of slice headers and the tombstone bitmap. Readers run entirely
+// against the view the router's Snapshot handed them: no locks, no retries,
+// and a consistent picture of the shard no matter how many mutations land
+// mid-query.
 //
 // Correctness under mutation rests on two invariants:
 //
@@ -58,9 +59,11 @@ type shard struct {
 	// sx is the router: the joiner, options, τ, dictionary, cache and
 	// DynamicOptions the shard works under are its.
 	sx *ShardedIndex
+	// slot is the shard's index in the router's shards and in every
+	// ShardedView's views.
+	slot int
 
-	mu  sync.Mutex // serializes writers; never held by readers
-	cur atomic.Pointer[shardView]
+	mu sync.Mutex // serializes writers; never held by readers
 
 	// Writer-owned state. The base is gen, the order generation it was built
 	// under, inv, the inverted index over its signature IDs, buildTime, and
@@ -286,12 +289,10 @@ func (sh *shard) tombstoneLocked(id, pos int) {
 	sh.sigLenLive -= len(sh.sigIDs[pos])
 }
 
-// publishLocked snapshots the writer state into a fresh immutable view and
-// swaps it in for readers.
-func (sh *shard) publishLocked() {
+// viewLocked snapshots the writer state into a fresh immutable view.
+func (sh *shard) viewLocked() *shardView {
 	v := &shardView{
 		sh:        sh,
-		gen:       sh.gen,
 		inv:       sh.inv,
 		buildTime: sh.buildTime,
 		deltas:    sh.deltas,
@@ -307,11 +308,8 @@ func (sh *shard) publishLocked() {
 	if v.live > 0 {
 		v.avgSig = float64(sh.sigLenLive) / float64(v.live)
 	}
-	sh.cur.Store(v)
+	return v
 }
-
-// snapshot returns the current immutable view.
-func (sh *shard) snapshot() *shardView { return sh.cur.Load() }
 
 // insertRecords appends records under the stable IDs the router assigned
 // (IDs are allocated centrally so they stay unique across shards and
@@ -355,7 +353,7 @@ func (sh *shard) insertRecords(recs []strutil.Record) {
 	sh.inserts += len(recs)
 	sh.sx.signed.Add(int64(len(recs)))
 	sh.maybeRebuildLocked()
-	sh.publishLocked()
+	sh.sx.publish(sh.slot, sh.viewLocked())
 }
 
 // removeBatch tombstones every given stable ID, reporting per ID whether it
@@ -384,7 +382,7 @@ func (sh *shard) removeBatch(ids []int) []bool {
 	}
 	if cloned {
 		sh.maybeRebuildLocked()
-		sh.publishLocked()
+		sh.sx.publish(sh.slot, sh.viewLocked())
 	}
 	return out
 }
@@ -563,10 +561,9 @@ type DynamicStats struct {
 
 // shardView is one immutable snapshot of a shard. All its methods are
 // read-only, lock-free and safe for unbounded concurrency; results reflect
-// exactly the mutations published before the router's Snapshot captured it.
+// exactly the mutations the shard had made when it was published.
 type shardView struct {
 	sh        *shard
-	gen       *orderGen // the generation the base was built under
 	inv       *invindex.Index
 	buildTime time.Duration
 	deltas    deltas

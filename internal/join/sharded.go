@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,11 +30,11 @@ const (
 // ShardedIndex is the mutable, concurrently servable join index — the only
 // one: a router over N ≥ 1 private shards, every request taking the same
 // fan-out path whatever N is. Records are routed by hashing their stable ID;
-// every shard has its own writer mutex, snapshot view, tombstone bitmap and
-// rebuild thresholds, so inserts and removes on different shards proceed in
-// parallel and a threshold-crossing rebuild compacts one shard while the
-// other N−1 keep serving unchanged. With N = 1 the same holds with one box in
-// the diagram: the router still owns the order and the cache, and the single
+// every shard has its own writer mutex, tombstone bitmap and rebuild
+// thresholds, so inserts and removes on different shards proceed in parallel
+// and a threshold-crossing rebuild compacts one shard while the other N−1
+// keep serving unchanged. With N = 1 the same holds with one box in the
+// diagram: the router still owns the order and the cache, and the single
 // shard still only compacts.
 //
 // All shards share one global pebble frequency order (pebble.Order), which
@@ -55,13 +56,15 @@ const (
 // as large as the frozen prefix, the router takes every shard's writer
 // lock, freezes a fresh order over all live records and rebuilds every
 // shard under it — the one deliberate stop-the-world pause for writers,
-// amortized over at least a doubling of the key universe. Generations make
-// it safe for concurrent readers: every shard view is stamped with the
-// order generation of its base and Snapshot only returns
-// single-generation view sets, so a fan-out query never mixes signatures
-// of one order with posting lists of another; while the re-finalize is in
-// flight, readers are served the cached pre-refreeze snapshot instead of
-// blocking.
+// amortized over at least a doubling of the key universe.
+//
+// The index publishes one thing: a ShardedView, the order generation and
+// every shard's immutable view under it, behind one atomic pointer. A shard
+// write swaps its own slot in (publish); a new generation — a build, a
+// restore, a re-freeze, AdoptOrder — is stored whole, once, by install. So a
+// fan-out query never mixes signatures of one order with posting lists of
+// another, and readers never block on a re-freeze: until its one store they
+// keep being served the generation before it.
 //
 // One core.PreparedCache is shared across all shards: delete/re-insert
 // churn routes a re-ingested record by its new ID, which may hash to a
@@ -80,18 +83,13 @@ type ShardedIndex struct {
 	// unchanged, so it lives exactly as long as the index.
 	dict *core.SegDict
 
-	// gen is the current order generation, replaced wholesale by a global
-	// re-finalize or AdoptOrder; refreezeMu serializes those. lastView is
-	// the freshest generation-consistent snapshot, refreshed at the start
-	// of every re-freeze (under all writer locks, so it is exactly the
-	// pre-refreeze state) — readers are served from it while the
-	// re-freeze runs instead of blocking.
-	gen            atomic.Pointer[orderGen]
+	// view is the published state (Snapshot). refreezeMu serializes the
+	// re-freezes and AdoptOrder, the installs after the build.
+	view           atomic.Pointer[ShardedView]
 	refreezeMu     sync.Mutex
 	refreezes      int             // guarded by refreezeMu
 	refreezePauses []time.Duration // guarded by refreezeMu; whole-refreeze writer stalls
 	noRefreeze     atomic.Bool     // set by AdoptOrder/DisableRefreeze
-	lastView       atomic.Pointer[ShardedView]
 
 	// signed and counted are DynamicStats' Signed and Counted.
 	signed, counted atomic.Int64
@@ -230,37 +228,53 @@ type part struct {
 }
 
 // install is the one assembly of a router's shards, shared by a build, a
-// restore, a one-shot join and a re-freeze: it makes a generation of the
-// order ids are of — building, from ids, the probe table of every entry the
-// dictionary held when they were numbered — and, shard by shard in
-// parallel, signs a part's records through that table, adopts the part as
-// the shard's base under that generation, re-applies its tombstones and
-// publishes the shard's view; then the generation becomes the router's. ids
-// is dropped with the call. The shards are created on the first install; a
-// re-freeze holds every writer lock across it. start is when the caller began
-// the work the bases' build time reports. Every record installed counts in
-// DynamicStats.Signed.
+// restore, a one-shot join, a pending build, a re-freeze and AdoptOrder: it
+// makes a generation of the order ids are of — building, from ids, the probe
+// table of every entry the dictionary held when they were numbered — and,
+// shard by shard in parallel, signs a part's records through that table,
+// adopts the part as the shard's base under that generation and re-applies
+// its tombstones; then one store publishes the generation with every shard's
+// view. ids is dropped with the call. The shards are created on the first
+// install; a re-freeze holds every writer lock across it, so no shard
+// publishes in between. start is when the caller began the work the bases'
+// build time reports. Every record installed counts in DynamicStats.Signed.
 func (sx *ShardedIndex) install(ids *pebble.KeyIDs, parts []part, start time.Time) {
 	order := ids.Order()
 	g := &orderGen{order: order, sel: pebble.NewSelector(sx.joiner.gen, order, sx.opts.Theta), probes: ids.ProbeTable()}
 	if sx.shards == nil {
 		sx.shards = make([]*shard, len(parts))
 		for w := range sx.shards {
-			sx.shards[w] = &shard{sx: sx}
+			sx.shards[w] = &shard{sx: sx, slot: w}
 		}
 	}
 	for w := range parts {
 		sx.signed.Add(int64(len(parts[w].prepared)))
 	}
+	views := make([]*shardView, len(parts))
 	parallelFor(len(parts), len(parts), func(w int) {
 		p, sh := &parts[w], sx.shards[w]
 		sh.adoptBaseLocked(g, p.records, p.prepared, selectSignatures(p.prepared, g, sx.opts.Method, sx.tau), start)
 		for _, id := range p.deadIDs {
 			sh.tombstoneLocked(id, sh.positions[id])
 		}
-		sh.publishLocked()
+		views[w] = sh.viewLocked()
 	})
-	sx.gen.Store(g)
+	sx.view.Store(&ShardedView{sx: sx, gen: g, views: views})
+}
+
+// publish makes v shard w's published view, keeping the generation and every
+// other shard's. The shard's writer holds its lock, so the generation cannot
+// change under it; the compare-and-swap retries only past a sibling's
+// publish.
+func (sx *ShardedIndex) publish(w int, v *shardView) {
+	for {
+		old := sx.view.Load()
+		views := slices.Clone(old.views)
+		views[w] = v
+		if sx.view.CompareAndSwap(old, &ShardedView{sx: sx, gen: old.gen, views: views}) {
+			return
+		}
+	}
 }
 
 // shardOf routes a stable record ID to its shard. IDs are allocated
@@ -316,14 +330,14 @@ func (sx *ShardedIndex) insertRouted(ids []int, raw []string) {
 // is held while a fresh order is frozen over all live records (true document
 // frequencies, empty dynamic region) and every shard rebuilt under it.
 func (sx *ShardedIndex) maybeRefreeze() {
-	if sx.noRefreeze.Load() || !sx.gen.Load().outgrown() {
+	if sx.noRefreeze.Load() || !sx.view.Load().gen.outgrown() {
 		return
 	}
 	sx.refreezeMu.Lock()
 	defer sx.refreezeMu.Unlock()
 	// Re-check against the current generation: a concurrent InsertBatch may
 	// have completed the refreeze while this one waited on the mutex.
-	if sx.noRefreeze.Load() || !sx.gen.Load().outgrown() {
+	if sx.noRefreeze.Load() || !sx.view.Load().gen.outgrown() {
 		return
 	}
 	start := time.Now()
@@ -342,30 +356,22 @@ func (sx *ShardedIndex) maybeRefreeze() {
 // into the next frozen order and its IDs by key number, and install
 // rebuilds every shard under it from the prepared records the shards hold,
 // so a re-freeze segments nothing and signs every record through the new
-// generation's probe table. Readers never stall: with all writer locks held
-// the current per-shard views are the exact pre-refreeze state and
-// necessarily one generation, so they are cached for Snapshot to serve until
-// the new generation is fully published.
+// generation's probe table. Readers never stall: with every writer lock held
+// nothing is published until install's one store, so Snapshot serves the
+// pre-refreeze generation until then and the new one after.
 func (sx *ShardedIndex) refreezeLocked(freeze freezer) {
 	defer sx.lockShards()()
 	start := time.Now()
-	pre := make([]*shardView, len(sx.shards))
 	// One live scan serves both the order build and the per-shard base
 	// rebuilds.
 	parts := make([]part, len(sx.shards))
 	live := make([][]*core.PreparedRecord, len(sx.shards))
 	for w, sh := range sx.shards {
-		pre[w] = sh.snapshot()
 		parts[w].records, live[w], _ = sh.liveLocked()
 		parts[w].prepared = live[w]
 		sh.rebuilds++
 	}
-	sx.lastView.Store(&ShardedView{sx: sx, gen: sx.gen.Load(), views: pre})
 	sx.install(freeze(sx, live...), parts, start)
-	// The pre-refreeze view has served its purpose; dropping it releases
-	// the superseded generation's bases for collection (readers that
-	// already hold it keep it alive only as long as they keep it).
-	sx.lastView.Store(nil)
 	sx.refreezes++
 }
 
@@ -430,54 +436,17 @@ func (sx *ShardedIndex) runShards(used func(w int) bool, fn func(w int)) {
 	parallelFor(len(ws), len(ws), func(i int) { fn(ws[i]) })
 }
 
-// Snapshot captures every shard's current view into one ShardedView. Each
-// per-shard view is individually consistent and immutable; the combination
-// is not a single atomic cut across shards (a concurrent InsertBatch
-// spanning several shards may be partially visible), which is the standard
+// Snapshot returns the published view: one generation of the shared order
+// and every shard's immutable view under it. Each per-shard view is
+// individually consistent; the combination is not a single atomic cut across
+// shards (a concurrent InsertBatch spanning several shards may be partially
+// visible, each shard publishing its own part), which is the standard
 // relaxation partitioned serving systems make in exchange for lock-free
-// writes on disjoint shards. What IS guaranteed is order-generation
-// consistency: all N views belong to one generation of the shared order,
-// so a fan-out query never mixes signatures of one order with posting
-// lists of another. While a re-freeze is publishing the next generation,
-// Snapshot serves the cached pre-refreeze view — exact as of the moment
-// every writer stalled — so readers never block on the stop-the-world
-// rebuild.
-func (sx *ShardedIndex) Snapshot() *ShardedView {
-	for {
-		g := sx.gen.Load()
-		views := make([]*shardView, len(sx.shards))
-		consistent := true
-		for w, sh := range sx.shards {
-			views[w] = sh.snapshot()
-			if views[w].gen != g {
-				consistent = false
-				break
-			}
-		}
-		if consistent {
-			// Construction is deliberately trivial — Snapshot sits on the
-			// per-query serving path, so the stats aggregation (which touches
-			// the shared cache mutex) is deferred to the first Stats call.
-			return &ShardedView{sx: sx, gen: g, views: views}
-		}
-		if sx.gen.Load() != g {
-			// The re-freeze completed between loading g and reading the
-			// shard views; retry against the new generation.
-			continue
-		}
-		// A re-freeze is mid-flight: serve the pre-refreeze snapshot it
-		// cached under all writer locks. (nil only before the first
-		// re-freeze, when every view is still generation-consistent, so
-		// this branch cannot be reached then — the barrier is a safety net.)
-		if sv := sx.lastView.Load(); sv != nil {
-			return sv
-		}
-		sx.refreezeMu.Lock()
-		sx.refreezeMu.Unlock() //nolint:staticcheck // empty critical section: barrier only
-	}
-}
+// writes on disjoint shards. While a re-freeze runs, it is the generation
+// before it.
+func (sx *ShardedIndex) Snapshot() *ShardedView { return sx.view.Load() }
 
-// Stats returns the statistics of a fresh snapshot.
+// Stats returns the statistics of the published snapshot.
 func (sx *ShardedIndex) Stats() DynamicStats { return sx.Snapshot().Stats() }
 
 // RebuildPauses returns every writer stall so far: the per-shard rebuild
@@ -498,47 +467,38 @@ func (sx *ShardedIndex) RebuildPauses() []time.Duration {
 }
 
 // ShardedView is one fan-out snapshot: per-shard immutable views of a
-// single order generation and the statistics captured on first request.
-// All methods are read-only and safe for unbounded concurrency.
+// single order generation. It is never written after it is published, so
+// all methods are read-only and safe for unbounded concurrency.
 type ShardedView struct {
 	sx    *ShardedIndex
 	gen   *orderGen // the views' shared-order generation
 	views []*shardView
-
-	statsOnce sync.Once
-	stats     DynamicStats
 }
 
-// Stats aggregates the snapshot's statistics, computed once on first call
-// and immutable afterwards (the per-shard components were fixed when the
-// snapshot was taken; the global key split, the cache counters and the
-// cumulative probe tallies are read on that first call). Catalog, segment,
-// rebuild, insert and tally counts are summed over the shards; the
-// interned-key split, the dictionary length and the cache counters are global
-// (shared order, shared dictionary, shared cache) and reported once.
+// Stats aggregates the snapshot's statistics. The catalog, segment, rebuild
+// and insert counts are the snapshot's own, summed over the shards; the
+// interned-key split, the dictionary, the signed and counted records, the
+// cache counters and the cumulative probe tallies are global (shared order,
+// dictionary and cache) and read at the call, so a view held across requests
+// reports the work done since it was taken.
 func (sv *ShardedView) Stats() DynamicStats {
-	sv.statsOnce.Do(func() {
-		sx := sv.sx
-		st := DynamicStats{
-			Shards:           len(sv.views),
-			FrozenKeys:       sv.gen.order.FrozenKeys(),
-			DynamicKeys:      sv.gen.order.DynamicCount(),
-			Theta:            sx.opts.Theta,
-			Tau:              sx.tau,
-			DistinctSegments: sx.dict.Len(),
-			DistinctGrams:    sx.dict.NumGrams(),
-			Signed:           sx.signed.Load(),
-			Counted:          sx.counted.Load(),
-		}
-		for _, v := range sv.views {
-			v.addStats(&st)
-		}
-		if sx.cache != nil {
-			st.CacheHits, st.CacheMisses = sx.cache.Stats()
-		}
-		sv.stats = st
-	})
-	return sv.stats
+	sx := sv.sx
+	st := DynamicStats{
+		Shards:           len(sv.views),
+		FrozenKeys:       sv.gen.order.FrozenKeys(),
+		DynamicKeys:      sv.gen.order.DynamicCount(),
+		Theta:            sx.opts.Theta,
+		Tau:              sx.tau,
+		DistinctSegments: sx.dict.Len(),
+		DistinctGrams:    sx.dict.NumGrams(),
+		Signed:           sx.signed.Load(),
+		Counted:          sx.counted.Load(),
+	}
+	for _, v := range sv.views {
+		v.addStats(&st)
+	}
+	st.CacheHits, st.CacheMisses = sx.cache.Stats()
+	return st
 }
 
 // Live returns the snapshot's live records across all shards, in ascending

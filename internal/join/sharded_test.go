@@ -241,19 +241,20 @@ func TestShardedIndexSharedCache(t *testing.T) {
 // the shared order's dynamic region outgrows its frozen prefix and the
 // router re-finalizes globally: the dynamic region must reset, stable IDs
 // must survive, and results must still match BruteForce on a fresh
-// generation-consistent snapshot. At one shard this is the re-freeze policy
-// the single shard no longer has of its own: its threshold rebuilds compact
-// under the shared order (the churn crosses at least one), and only this
-// router-level re-finalize freezes a new one.
+// snapshot — and on the view taken just before the re-freeze, which keeps
+// the generation it was published with. At one shard this is the re-freeze
+// policy the single shard no longer has of its own: its threshold rebuilds
+// compact under the shared order (the churn crosses at least one), and only
+// this router-level re-finalize freezes a new one.
 func TestShardedIndexGlobalRefreeze(t *testing.T) {
 	for _, shards := range gridShards {
 		rng := rand.New(rand.NewSource(59))
 		j := NewJoiner(propertyContexts()["full"])
 		sx := j.BuildShardedIndex(propertyCorpus(12, rng), shards, Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
 		probe := propertyCorpus(10, rng)
-		check := func(step string) {
+		// check holds a view to the oracle over its own live records.
+		check := func(step string, v *ShardedView) {
 			t.Helper()
-			v := sx.Snapshot()
 			got, _ := v.Probe(probe)
 			if want := j.BruteForce(v.Live(), probe, 0.7, nil); !reflect.DeepEqual(got, want) {
 				t.Fatalf("shards=%d %s: Probe %d pairs, oracle %d pairs", shards, step, len(got), len(want))
@@ -261,13 +262,21 @@ func TestShardedIndexGlobalRefreeze(t *testing.T) {
 		}
 		keep := sx.InsertBatch([]string{"coffee shop latte helsinki"})[0]
 		var novel []int
+		var before *ShardedView // the view taken just before the insert that re-froze
 		for i := 0; sx.Refreezes() == 0 && i < 500; i++ {
+			before = sx.Snapshot()
 			novel = append(novel, sx.InsertBatch([]string{fmt.Sprintf("novel%dxa token%dyb fresh%dzc", i, i, i)})...)
-			check("churn")
+			check("churn", sx.Snapshot())
 		}
 		if sx.Refreezes() == 0 {
 			t.Fatalf("shards=%d: global refreeze never fired under sustained novel-key inserts", shards)
 		}
+		// The view held across the re-freeze keeps its own generation and
+		// stays exact over its own records.
+		if before.gen == sx.Snapshot().gen {
+			t.Fatalf("shards=%d: the view taken before the refreeze serves the generation published after it", shards)
+		}
+		check("pre-refreeze view", before)
 		st := sx.Stats()
 		if st.DynamicKeys >= st.FrozenKeys {
 			t.Fatalf("shards=%d: dynamic region did not reset at the refreeze: %+v", shards, st)
@@ -279,10 +288,10 @@ func TestShardedIndexGlobalRefreeze(t *testing.T) {
 		if i := slices.IndexFunc(live, func(rec strutil.Record) bool { return rec.ID == keep }); i < 0 || live[i].Raw != "coffee shop latte helsinki" {
 			t.Fatalf("shards=%d: stable id %d lost across the refreeze", shards, keep)
 		}
-		check("post-refreeze")
+		check("post-refreeze", sx.Snapshot())
 		// Removing the novel records and mutating further keeps working on the
 		// new generation.
 		sx.RemoveBatch(novel[:len(novel)/2])
-		check("post-refreeze mutation")
+		check("post-refreeze mutation", sx.Snapshot())
 	}
 }

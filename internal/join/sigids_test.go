@@ -37,7 +37,7 @@ func TestCompactionKeepsSignatures(t *testing.T) {
 			} else if st.BuildTime <= 0 {
 				t.Errorf("%s: BuildTime = %v after a compaction, want the compacted bases' construction time", name, st.BuildTime)
 			}
-			sel := sx.gen.Load().sel
+			sel := sx.Snapshot().gen.sel
 			for w, sh := range sx.shards {
 				if len(sh.sigIDs) != len(sh.records) {
 					t.Fatalf("%s shard %d: %d stored signatures for %d records", name, w, len(sh.sigIDs), len(sh.records))
@@ -129,7 +129,7 @@ func TestBuiltIndexShapeEqualsRestored(t *testing.T) {
 					t.Fatalf("%s: adopt: %v", name, err)
 				}
 				mutate(live, 56)
-				if dyn := live.gen.Load().order.DynamicCount(); dyn == 0 {
+				if dyn := live.Snapshot().gen.order.DynamicCount(); dyn == 0 {
 					t.Fatalf("%s: no insert reached the adopted order's dynamic region", name)
 				}
 				restored := restoreFrom(t, j, live.CaptureSnapshot().Encode(), DynamicOptions{})
@@ -202,7 +202,7 @@ func TestInvertedIndexDropsConvertedPostings(t *testing.T) {
 	}
 	j := NewJoiner(paperContext())
 	sx := j.BuildShardedIndex(benchCorpus(4000, 7), 1, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
-	sh, order := sx.shards[0], sx.gen.Load().order
+	sh, order := sx.shards[0], sx.Snapshot().gen.order
 	inv, live := heapKeptBy(func() *invindex.Index { return newInverted(sh.sigIDs, order, sx.tau) })
 	posting := int64(unsafe.Sizeof(invindex.Posting{}))
 	shape := int64(inv.Universe()+1) * int64(unsafe.Sizeof(uint32(0)))

@@ -103,7 +103,7 @@ func TestSignatureFromPreparedMatchesReference(t *testing.T) {
 			opts.Tau = tau
 			name := fmt.Sprintf("%v/θ=%v/τ=%d", opts.Method, opts.Theta, tau)
 			sx := j.BuildShardedIndex(recs, 2, opts, DynamicOptions{})
-			g := sx.gen.Load()
+			g := sx.Snapshot().gen
 
 			freq := map[string]int{}
 			for _, rec := range recs {
