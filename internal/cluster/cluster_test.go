@@ -731,6 +731,65 @@ func TestSeedFailsOverLastChunkTable(t *testing.T) {
 	}
 }
 
+// TestReleaseStagedSeed: a worker that the bootstrap went on without while
+// one of its groups had staged a seed chunk but not received the last one
+// drops the staged records at the first heartbeat at a later epoch, marks the
+// group skipped, and refuses the chunks that arrive after it. It drives the
+// worker's handlers directly, in one goroutine, so the order of the chunk,
+// the heartbeat and the late chunk is fixed.
+func TestReleaseStagedSeed(t *testing.T) {
+	j, err := aujoin.NewStrict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk := NewWorker(j, 1)
+	ctx := context.Background()
+	if _, err := wk.config(ctx, &ConfigRequest{Workers: []string{"w0", "w1", "w2"}, Self: 0, Replicas: 2, Epoch: 1, Theta: 0.8, Tau: 2, Filter: "dp"}); err != nil {
+		t.Fatal(err)
+	}
+	catalog := denseCatalog(6, 7)
+	g := wk.ring.GroupsOf(0)[0]
+	wg := hostedGroups(wk)[g]
+	if _, err := wk.apply(ctx, &ApplyRequest{Group: g, Seq: 1, IDs: []int{0, 1, 2}, Records: catalog[:3], Seed: true}); err != nil {
+		t.Fatalf("first seed chunk: %v", err)
+	}
+	wg.mu.Lock()
+	staged := len(wg.seedIDs)
+	wg.mu.Unlock()
+	if staged != 3 {
+		t.Fatalf("%d records staged by the first chunk, want 3", staged)
+	}
+	if _, err := wk.readyz(url.Values{"epoch": {"1"}}); err != nil {
+		t.Fatal(err)
+	}
+	wg.mu.Lock()
+	kept := wg.seedIDs != nil && !wg.skipped
+	wg.mu.Unlock()
+	if !kept {
+		t.Fatal("a heartbeat at the worker's own epoch released the staged seed")
+	}
+	if _, err := wk.readyz(url.Values{"epoch": {"2"}}); err != nil {
+		t.Fatal(err)
+	}
+	for h, wg := range hostedGroups(wk) {
+		wg.mu.Lock()
+		skipped, ids, recs, pending := wg.skipped, wg.seedIDs, wg.seedRecs, wg.pending
+		wg.mu.Unlock()
+		if !skipped || ids != nil || recs != nil || pending != nil {
+			t.Errorf("group %d after a heartbeat at a later epoch: skipped %v, staged IDs %v, records %v, pending %v", h, skipped, ids, recs, pending != nil)
+		}
+	}
+	_, err = wk.apply(ctx, &ApplyRequest{Group: g, Seq: 2, IDs: []int{3, 4, 5}, Records: catalog[3:], Seed: true, Last: true})
+	if err == nil {
+		t.Fatal("the last seed chunk of a released group was taken")
+	}
+	wg.mu.Lock()
+	defer wg.mu.Unlock()
+	if wg.pending != nil || wg.seedIDs != nil || wg.seq.Load() != 1 {
+		t.Fatalf("the refused last chunk left a pending share %v, staged IDs %v, sequence %d", wg.pending != nil, wg.seedIDs, wg.seq.Load())
+	}
+}
+
 // TestSeedLeavesGroupEmpty: a catalog whose records all fall to two of the
 // three groups. The empty group keeps the index config made and adopts the
 // published order as a later bump would; the cluster answers like a single

@@ -730,9 +730,9 @@ func BenchmarkCoordinatorQuery(b *testing.B) {
 // TestQueryAllocsPinned's, in internal/join). A group read over HTTP cost
 // about 70 more objects a group, and a lookup of one frame a group (three,
 // where the cover plan sends two) 153 in all, so the pin catches either
-// creeping back. The ceiling is the measured count, 59, plus the one a
+// creeping back. The ceiling is the measured count, 50, plus the one a
 // garbage collection during the runs adds (it empties the engine's
-// sync.Pools, whose refills count): with GOGC=off every run reads 59.
+// sync.Pools, whose refills count): with GOGC=off every run reads 50.
 // Skipped with -short, as the engine's pins are.
 //
 // AllocsPerRun measures at GOMAXPROCS 1, so the lookups that fill the
@@ -758,7 +758,7 @@ func TestCoordinatorQueryAllocs(t *testing.T) {
 		i++
 	})
 	t.Logf("%.0f allocs per coordinator lookup", allocs)
-	const ceiling = 60
+	const ceiling = 51
 	if allocs > ceiling {
 		t.Errorf("%.0f allocs per coordinator lookup, ceiling %d", allocs, ceiling)
 	}

@@ -78,8 +78,9 @@ type workerGroup struct {
 	// chunk after that would replace an index holding writes or an order.
 	sealed bool
 	// skipped is set, under mu, when releaseSkipped dropped the pending
-	// share: the bootstrap published its order without this replica, so the
-	// group refuses the adopts and batches that would make it look current.
+	// share or the staged chunks of a seed that never ended: the bootstrap
+	// published its order without this replica, so the group refuses the seed
+	// chunks, adopts and batches that would make it look current.
 	skipped bool
 }
 
@@ -336,6 +337,9 @@ func (wk *Worker) apply(_ context.Context, req *ApplyRequest) (ApplyResponse, er
 // group's table, encoded, for the chunk's acknowledgement. The caller holds
 // wg.mu.
 func (wk *Worker) stage(wg *workerGroup, req *ApplyRequest) (json.RawMessage, error) {
+	if wg.skipped {
+		return nil, badRequest(fmt.Sprintf("apply: seed chunk %d for group %d, whose seed the cluster went on without", req.Seq, req.Group))
+	}
 	wg.seedIDs = append(wg.seedIDs, req.IDs...)
 	wg.seedRecs = append(wg.seedRecs, req.Records...)
 	if !req.Last {
@@ -371,13 +375,17 @@ func (wk *Worker) hosted() []*workerGroup {
 	return groups
 }
 
-// releaseSkipped drops the pending seed share of every hosted group that
-// still holds one once the coordinator is at an epoch past the worker's: the
-// coordinator moves only after an adopt round, so the bootstrap published
-// its order without this replica (its last-chunk acknowledgement failed,
-// say), and no later adopt reaches a worker whose heartbeat is behind. The
-// share — every prepared record and the key count — would otherwise stay
-// on the heap for the life of the process. Such a group is marked skipped.
+// releaseSkipped drops the seed of every hosted group whose seed is not
+// installed once the coordinator is at an epoch past the worker's — the
+// pending share of a group whose last chunk arrived, and the staged chunks
+// of a group whose seed never ended (its last chunk had not arrived when
+// the worker was taken out): the coordinator moves only after an adopt
+// round, so the bootstrap published its order without this replica (its
+// last-chunk acknowledgement failed, say), and no later adopt reaches a
+// worker whose heartbeat is behind. The share — every prepared record and
+// the key count, or every staged record — would otherwise stay on the heap
+// for the life of the process. Such a group is marked skipped, and refuses
+// the chunks that may still arrive.
 // Only a worker behind takes adoptMu, so a heartbeat never waits on an
 // adopt the coordinator is still counting on.
 func (wk *Worker) releaseSkipped(coordEpoch int64) {
@@ -391,8 +399,8 @@ func (wk *Worker) releaseSkipped(coordEpoch int64) {
 	}
 	for _, wg := range wk.hosted() {
 		wg.mu.Lock()
-		if wg.pending != nil {
-			wg.pending, wg.skipped = nil, true
+		if wg.pending != nil || !wg.sealed {
+			wg.pending, wg.seedIDs, wg.seedRecs, wg.skipped = nil, nil, nil, true
 		}
 		wg.mu.Unlock()
 	}

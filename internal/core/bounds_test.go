@@ -67,11 +67,11 @@ func leftCoverRef(calc *Calculator, ps, pt *PreparedRecord) float64 {
 		cover[pos] = -1
 	}
 	for i := len(ps.Segs) - 1; i >= 0; i-- {
-		a, best := &ps.Segs[i], 0.0
+		a, best := ps.Segs[i].Span(), 0.0
 		for j := range pt.Segs {
-			best = max(best, calc.Ctx.MSimData(a.Data, pt.Segs[j].Data))
+			best = max(best, calc.Ctx.MSimData(ps.Table(i), pt.Table(j)))
 		}
-		cover[a.Span.Start] = max(cover[a.Span.Start], best+cover[a.Span.End])
+		cover[a.Start] = max(cover[a.Start], best+cover[a.End])
 	}
 	return min(cover[0]/float64(max(ps.MinPartitionSize(), pt.MinPartitionSize())), 1)
 }
@@ -249,9 +249,9 @@ func rowKernelCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe, 
 	for j := range pt.Segs {
 		switch sg := &pt.Segs[j]; {
 		case pt.dict != d:
-		case sg.ID != NoSegID:
+		case sg.ID() != NoSegID:
 			res.entries++
-		case sg.Span.End <= len(probe):
+		case sg.Span().End <= len(probe):
 			res.missing++
 		}
 	}
@@ -262,7 +262,7 @@ func rowKernelCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe, 
 	cached := sc.adoptRows(ctx, d, pt)
 	grams := map[string]bool{} // the probe's numbered grams
 	for j := range pt.Segs {
-		for _, g := range pt.Segs[j].Data.Grams {
+		for _, g := range pt.Table(j).Grams {
 			if _, ok := d.gramNum[g]; ok {
 				grams[g] = true
 			}
@@ -289,11 +289,11 @@ func rowKernelCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe, 
 		t.Helper()
 		calc.fillMSim(sc, rec, pt)
 		for i := range rec.Segs {
-			a := &rec.Segs[i]
+			a := rec.Table(i)
 			for j := range pt.Segs {
-				if got, want := sc.msim[i*nt+j], ctx.MSimData(a.Data, pt.Segs[j].Data); got != want {
+				if got, want := sc.msim[i*nt+j], ctx.MSimData(a, pt.Table(j)); got != want {
 					t.Fatalf("q=%d %v: msim(%q, %q) = %v in the matrix of %s (ID %d, rows below %d), %v by MSimData",
-						ctx.GramQ(), ctx.Measures, a.Data.Text, pt.Segs[j].Data.Text, got, what, a.ID, sc.rowN, want)
+						ctx.GramQ(), ctx.Measures, a.Text, pt.Table(j).Text, got, what, rec.Segs[i].ID(), sc.rowN, want)
 				}
 			}
 		}
@@ -302,7 +302,7 @@ func rowKernelCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe, 
 	late := calc.PrepareIn(d, append(slices.Clip(stranger), left...))
 	checkMatrix(late, "a late record")
 	for i := range late.Segs {
-		if late.Segs[i].ID >= sc.rowN {
+		if late.Segs[i].ID() >= sc.rowN {
 			res.direct++
 		}
 	}
@@ -323,35 +323,35 @@ func checkRows(t *testing.T, calc *Calculator, sc *Scratch, d *SegDict, ps, pt *
 		sc.rowVals[k] = rowSentinel
 	}
 	for i := range ps.Segs {
-		a := &ps.Segs[i]
-		if sc.rowStamp[a.ID] == sc.rowGen {
+		a, id := ps.Table(i), ps.Segs[i].ID()
+		if sc.rowStamp[id] == sc.rowGen {
 			continue // a text the record repeats
 		}
-		calc.cacheRow(sc, a.ID, pt)
-		if slot := sc.rowVals[int(a.ID)*nt:][:nt]; !slices.ContainsFunc(slot, func(v float64) bool { return v != rowSentinel }) {
+		calc.cacheRow(sc, id, pt)
+		if slot := sc.rowVals[int(id)*nt:][:nt]; !slices.ContainsFunc(slot, func(v float64) bool { return v != rowSentinel }) {
 			unwritten++
 		}
 		best := 0.0
-		for j, got := range cachedRow(sc, a.ID, nt) {
-			want := ctx.MSimData(a.Data, pt.Segs[j].Data)
+		for j, got := range cachedRow(sc, id, nt) {
+			want := ctx.MSimData(a, pt.Table(j))
 			if got != want {
 				t.Fatalf("q=%d %v: msim(%q, %q) = %v by the row kernel (%d slots), %v by MSimData",
-					ctx.GramQ(), ctx.Measures, a.Data.Text, pt.Segs[j].Data.Text, got, len(sc.slotted), want)
+					ctx.GramQ(), ctx.Measures, a.Text, pt.Table(j).Text, got, len(sc.slotted), want)
 			}
 			best = max(best, want)
 		}
-		if sc.rowMax[a.ID] != best {
-			t.Fatalf("q=%d %v: row maximum of %q = %v, want %v", ctx.GramQ(), ctx.Measures, a.Data.Text, sc.rowMax[a.ID], best)
+		if sc.rowMax[id] != best {
+			t.Fatalf("q=%d %v: row maximum of %q = %v, want %v", ctx.GramQ(), ctx.Measures, a.Text, sc.rowMax[id], best)
 		}
 	}
 	eager := NewScratch()
 	eager.adoptRows(ctx, d, pt)
 	calc.fillRows(eager, pt)
 	for i := range ps.Segs {
-		id := ps.Segs[i].ID
+		id := ps.Segs[i].ID()
 		if eager.rowStamp[id] != eager.rowGen || eager.rowMax[id] != sc.rowMax[id] || !slices.Equal(cachedRow(eager, id, nt), cachedRow(sc, id, nt)) {
 			t.Fatalf("q=%d %v: the eager pass left the row of %q at %v (max %v), evaluated on first touch %v (max %v)",
-				ctx.GramQ(), ctx.Measures, ps.Segs[i].Data.Text, cachedRow(eager, id, nt), eager.rowMax[id], cachedRow(sc, id, nt), sc.rowMax[id])
+				ctx.GramQ(), ctx.Measures, ps.Table(i).Text, cachedRow(eager, id, nt), eager.rowMax[id], cachedRow(sc, id, nt), sc.rowMax[id])
 		}
 	}
 	return unwritten
@@ -364,7 +364,7 @@ func checkSlots(t *testing.T, sc *Scratch, d *SegDict, pt *PreparedRecord) {
 	t.Helper()
 	segsOf := map[uint32][]int32{} // gram number → the segments of pt holding it
 	for j := range pt.Segs {
-		for _, g := range pt.Segs[j].Data.Grams {
+		for _, g := range pt.Table(j).Grams {
 			if r, ok := d.gramNum[g]; ok {
 				segsOf[r.num] = append(segsOf[r.num], int32(j))
 			}

@@ -72,9 +72,8 @@ func (col *CoverColumn) Append(prepared []*PreparedRecord) {
 		r := coverRec{tokens: uint16(min(len(pr.Tokens), math.MaxUint16)), maxID: coverFlagged}
 		if col.encodes(pr) {
 			r.minPart = uint16(pr.minPart)
-			for i := range pr.Segs {
-				sg := &pr.Segs[i]
-				col.segs = append(col.segs, sg.ID|uint32(sg.Span.Len())<<coverIDBits)
+			for _, sg := range pr.Segs {
+				col.segs = append(col.segs, sg.ID()|uint32(sg.Len())<<coverIDBits)
 			}
 			r.maxID = pr.maxSegID
 		}
@@ -91,8 +90,8 @@ func (col *CoverColumn) encodes(pr *PreparedRecord) bool {
 	if d := pr.dict; d == nil || d != col.dict || len(pr.Tokens) > math.MaxUint16 {
 		return false
 	}
-	for i := range pr.Segs {
-		if sg := &pr.Segs[i]; sg.ID > coverIDMask || sg.Span.Len() >= coverMaxSpan {
+	for _, sg := range pr.Segs {
+		if sg.ID() > coverIDMask || sg.Len() >= coverMaxSpan {
 			return false
 		}
 	}

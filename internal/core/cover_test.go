@@ -36,7 +36,7 @@ func refBound(calc *Calculator, ps, pt *PreparedRecord, flagged bool, theta floa
 		return ub
 	}
 	for i := range ps.Segs {
-		touched[ps.Segs[i].ID] = true
+		touched[ps.Segs[i].ID()] = true
 	}
 	cover := leftCoverRef(calc, ps, pt)
 	if cover >= ub {
@@ -55,12 +55,12 @@ func refBound(calc *Calculator, ps, pt *PreparedRecord, flagged bool, theta floa
 func impliedStarts(pr *PreparedRecord) bool {
 	start := -1
 	for i, sg := range pr.Segs {
-		if sg.Span.Len() == 1 {
+		if sg.Len() == 1 {
 			start++
-			if sg.Span.Start != start {
+			if sg.Span().Start != start {
 				return false
 			}
-		} else if sg.Span.Start != start || sg.Span.Len() <= pr.Segs[i-1].Span.Len() {
+		} else if sg.Span().Start != start || sg.Len() <= pr.Segs[i-1].Len() {
 			return false
 		}
 	}
@@ -186,7 +186,7 @@ func TestCoverBoundMatchesReference(t *testing.T) {
 			for pos := len(recs) - 2; pos < len(recs); pos++ {
 				if recs[pos].maxSegID == NoSegID || col.recs[pos].maxID != coverFlagged {
 					t.Errorf("%s: the record of %d tokens with a %d-token segment was not flagged on its own account",
-						tc.name, len(recs[pos].Tokens), recs[pos].Segs[1].Span.Len())
+						tc.name, len(recs[pos].Tokens), recs[pos].Segs[1].Len())
 				}
 			}
 		}

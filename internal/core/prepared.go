@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"slices"
 
 	"github.com/aujoin/aujoin/internal/matching"
@@ -9,21 +10,75 @@ import (
 	"github.com/aujoin/aujoin/internal/wmis"
 )
 
-// PreparedSegment is one well-defined segment of a prepared record together
-// with its precomputed measure-evaluation tables. Its tokens are
-// Span.Slice(record.Tokens).
+// PreparedSegment is one well-defined segment of a prepared record: its
+// span, its two provenance flags and where its derivation table is. Its
+// tokens are Span().Slice(record.Tokens), and its table is the record's
+// Table of its index. It packs into 12 bytes with no pointer: the span's
+// start and end take 31 bits each, beside a flag bit each, and ref holds the
+// segment's dictionary ID or, with ownRef set, the place of its table in the
+// record's side table. A record has fewer than maxRecordSegs segments, so
+// every field fits (ErrRecordTooLong).
 type PreparedSegment struct {
-	Span strutil.Span
-	// Rule and Entity mirror Segment's flags.
-	Rule, Entity bool
-	// ID is the dense identity of the segment's text in the record's
-	// dictionary — for a probe, the dictionary it was read from
-	// (PrepareProbe) — or NoSegID.
-	ID uint32
-	// Data carries the q-gram set, taxonomy node and applicable rule ids: the
-	// dictionary's shared table for the text when ID is set, otherwise a slot
-	// of the record's own backing array.
-	Data *sim.SegmentData
+	start, end uint32
+	ref        uint32
+}
+
+// Bits of a packed PreparedSegment: flagBit marks the Rule flag in start and
+// the Entity flag in end, and ownRef a ref that indexes the record's side
+// table rather than the dictionary.
+const (
+	flagBit = 1 << 31
+	ownRef  = 1 << 31
+)
+
+// maxRecordSegs is the segment count from which a record does not pack: a
+// position, a span end and a side-table index take 31 bits each, and every
+// position starts a segment. It is a variable so that a test reaches the
+// limit without a record of two billion tokens.
+var maxRecordSegs = 1<<31 - 1
+
+// ErrRecordTooLong is the value prepare panics with for a record of
+// maxRecordSegs well-defined segments or more (2³¹ − 1, over two billion
+// tokens, or fewer tokens that rule sides and entity names cover many times
+// over): its spans and side-table indexes do not fit a PreparedSegment.
+var ErrRecordTooLong = errors.New("core: a record of 2^31-1 segments or more cannot be prepared")
+
+// Span returns the segment's token span.
+func (sg PreparedSegment) Span() strutil.Span {
+	return strutil.Span{Start: int(sg.start &^ flagBit), End: int(sg.end &^ flagBit)}
+}
+
+// Len returns the number of tokens the segment spans.
+func (sg PreparedSegment) Len() int { return int(sg.end&^flagBit) - int(sg.start&^flagBit) }
+
+// Rule reports whether the segment's text is a synonym rule side
+// (Segment.Rule).
+func (sg PreparedSegment) Rule() bool { return sg.start&flagBit != 0 }
+
+// Entity reports whether the segment's text is a taxonomy entity name
+// (Segment.Entity).
+func (sg PreparedSegment) Entity() bool { return sg.end&flagBit != 0 }
+
+// ID returns the dense identity of the segment's text in the record's
+// dictionary — for a probe, the dictionary it was read from (PrepareProbe) —
+// or NoSegID when the record keeps the segment's table itself.
+func (sg PreparedSegment) ID() uint32 {
+	if sg.ref >= ownRef {
+		return NoSegID
+	}
+	return sg.ref
+}
+
+// packSegment packs s's span and flags; its ref is set by the caller.
+func packSegment(s *Segment) PreparedSegment {
+	sg := PreparedSegment{start: uint32(s.Span.Start), end: uint32(s.Span.End)}
+	if s.Rule {
+		sg.start |= flagBit
+	}
+	if s.Entity {
+		sg.end |= flagBit
+	}
+	return sg
 }
 
 // PreparedRecord caches everything verification needs about one record:
@@ -36,11 +91,14 @@ type PreparedRecord struct {
 	// Tokens is the record's token sequence.
 	Tokens []string
 	// Segs lists every well-defined segment, ordered by start position then
-	// length (the same order Segmenter.Segments produces).
+	// length (the same order Segmenter.Segments produces): every position
+	// has a singleton, the first segment starting there.
 	Segs []PreparedSegment
-	// single[pos] is the index in Segs of the singleton segment starting at
-	// pos; every position has one.
-	single []int32
+	// own is the record's side table: the derivation tables of the segments
+	// whose text the dictionary does not hold (a probe's private texts, a
+	// text interned past the cap, every text of a record prepared without a
+	// dictionary), in segment order.
+	own []sim.SegmentData
 	// minPart is MP(S), the fewest segments of any well-defined partition of
 	// the record (minPartitionSizeSegs).
 	minPart int
@@ -57,6 +115,19 @@ type PreparedRecord struct {
 	// the row cache takes the record's address and epoch together as the
 	// probe's identity (Scratch.adoptRows).
 	epoch uint32
+}
+
+// Table returns segment i's derivation table (q-gram set and occurrence
+// count, taxonomy node, rule side): its dictionary entry's, shared, when the
+// segment has an ID, and the record's own otherwise.
+func (pr *PreparedRecord) Table(i int) *sim.SegmentData { return pr.table(pr.Segs[i]) }
+
+// table returns sg's derivation table (Table).
+func (pr *PreparedRecord) table(sg PreparedSegment) *sim.SegmentData {
+	if sg.ref >= ownRef {
+		return &pr.own[sg.ref-ownRef]
+	}
+	return pr.dict.table(sg.ref)
 }
 
 // NumSegments returns the number of well-defined segments of the record.
@@ -76,7 +147,7 @@ func (c *Calculator) Prepare(tokens []string) *PreparedRecord {
 // PrepareIn prepares a record of the index d serves — the one segment
 // enumeration of a record, which pebble generation, MP(S) and verification
 // all read: the well-defined segments, per-segment derivation tables (gram
-// set and gram pebble keys, rule ids, taxonomy node) and the partition-size
+// set and occurrence count, rule side, taxonomy node) and the partition-size
 // lower bound. Every segment's text is interned into d, so the record carries
 // dense segment IDs and shares one derivation table per distinct text with
 // every other record of d. d must only ever be used with this calculator's
@@ -84,7 +155,7 @@ func (c *Calculator) Prepare(tokens []string) *PreparedRecord {
 // goroutines.
 func (c *Calculator) PrepareIn(d *SegDict, tokens []string) *PreparedRecord {
 	pr := new(PreparedRecord)
-	c.prepare(pr, nil, nil, d, true, tokens)
+	c.prepare(pr, nil, d, true, tokens)
 	return pr
 }
 
@@ -99,18 +170,18 @@ func (c *Calculator) PrepareIn(d *SegDict, tokens []string) *PreparedRecord {
 // reads the row cache as a left operand like any record of d.
 func (c *Calculator) PrepareProbe(d *SegDict, tokens []string) *PreparedRecord {
 	pr := new(PreparedRecord)
-	c.prepare(pr, nil, nil, d, false, tokens)
+	c.prepare(pr, nil, d, false, tokens)
 	return pr
 }
 
 // ProbeScratch is reusable storage for preparing probes one after another
-// (PrepareProbeInto): the record, the segment enumeration it is made from
-// and the private derivation tables of the texts the dictionary lacks. The
-// zero value is ready to use. A ProbeScratch is not safe for concurrent use.
+// (PrepareProbeInto): the record — with its side table, the private
+// derivation tables of the texts the dictionary lacks — and the segment
+// enumeration it is made from. The zero value is ready to use. A
+// ProbeScratch is not safe for concurrent use.
 type ProbeScratch struct {
 	pr   PreparedRecord
 	segs []Segment
-	own  []sim.SegmentData
 }
 
 // probeScratchCap is the capacity, in elements, past which Reset drops a
@@ -126,7 +197,7 @@ const probeScratchCap = 1 << 10
 // PrepareProbe record is; a scratch that cached rows of the probe before
 // knows the next one for another (PreparedRecord.epoch).
 func (c *Calculator) PrepareProbeInto(ps *ProbeScratch, d *SegDict, tokens []string) *PreparedRecord {
-	ps.segs, ps.own = c.prepare(&ps.pr, ps.segs, ps.own, d, false, tokens)
+	ps.segs = c.prepare(&ps.pr, ps.segs, d, false, tokens)
 	return &ps.pr
 }
 
@@ -137,8 +208,8 @@ func (c *Calculator) PrepareProbeInto(ps *ProbeScratch, d *SegDict, tokens []str
 func (ps *ProbeScratch) Reset() {
 	pr := &ps.pr
 	pr.Tokens, pr.dict = nil, nil
-	pr.Segs, pr.single = dropped(pr.Segs), dropped(pr.single)
-	ps.segs, ps.own = dropped(ps.segs), dropped(ps.own)
+	pr.Segs, pr.own = dropped(pr.Segs), dropped(pr.own)
+	ps.segs = dropped(ps.segs)
 }
 
 // dropped is s emptied for reuse with its elements cleared, or nil when its
@@ -153,55 +224,60 @@ func dropped[E any](s []E) []E {
 
 // prepare fills pr — a new record, or a ProbeScratch's — with the record of
 // tokens: interned into d (PrepareIn) or read from it (PrepareProbe). pr's
-// arrays are reused where they are large enough, and so are segs, the
-// enumeration's buffer, and own, that of the private derivation tables,
-// which it returns for the next prepare; a new record passes none and gets
-// arrays of exactly its size.
-func (c *Calculator) prepare(pr *PreparedRecord, segs []Segment, own []sim.SegmentData, d *SegDict, intern bool, tokens []string) ([]Segment, []sim.SegmentData) {
+// arrays are reused where they are large enough, its side table among them,
+// and so is segs, the enumeration's buffer, which it returns for the next
+// prepare; a new record passes none and gets arrays of exactly its size. A
+// record of maxRecordSegs segments or more panics with ErrRecordTooLong.
+func (c *Calculator) prepare(pr *PreparedRecord, segs []Segment, d *SegDict, intern bool, tokens []string) []Segment {
 	pr.epoch++
 	pr.Tokens, pr.dict, pr.minPart, pr.maxSegID = tokens, d, 0, 0
-	pr.Segs, pr.single = pr.Segs[:0], pr.single[:0]
+	pr.Segs, pr.own = pr.Segs[:0], pr.own[:0]
 	if len(tokens) == 0 {
-		return segs, own
+		return segs
 	}
 	segs = c.Segmenter().AppendSegments(segs[:0], tokens, d)
+	if len(segs) >= maxRecordSegs {
+		panic(ErrRecordTooLong)
+	}
 	pr.Segs = strutil.Resize(pr.Segs, len(segs))
-	pr.single = strutil.Resize(pr.single, len(tokens))
-	for i, s := range segs {
-		pr.Segs[i] = PreparedSegment{Span: s.Span, Rule: s.Rule, Entity: s.Entity}
-		if s.Span.Len() == 1 {
-			pr.single[s.Span.Start] = int32(i)
-		}
+	for i := range segs {
+		pr.Segs[i] = packSegment(&segs[i])
 	}
 	pr.minPart = minPartitionSizeSegs(tokens, segs)
-	// Every segment's ID and derivation table: interned into d, or — on the
-	// probe side — read from d where it holds the text and derived privately,
-	// into one backing array for the record, where it does not.
+	// Every segment's ID: interned into d, or — on the probe side — read from
+	// d where it holds the text. A segment without one keeps its derivation
+	// table in the record's side table.
 	if intern && d != nil {
 		for i := range pr.Segs {
-			sg := &pr.Segs[i]
-			sg.ID, sg.Data = d.intern(c.Ctx, segs[i].Text)
-			pr.maxSegID = max(pr.maxSegID, sg.ID)
+			id, own := d.intern(c.Ctx, segs[i].Text)
+			if id == NoSegID {
+				pr.own = append(pr.own, own)
+				id = ownRef | uint32(len(pr.own)-1)
+			}
+			pr.Segs[i].ref = id
+			pr.maxSegID = max(pr.maxSegID, pr.Segs[i].ID())
 		}
-		return segs, own
+		if cap(pr.own) > len(pr.own) {
+			pr.own = slices.Clone(pr.own) // a full dictionary's: its exact size
+		}
+		return segs
 	}
 	missing := d.read(pr, segs)
 	if missing == 0 {
 		for i := range pr.Segs {
-			pr.maxSegID = max(pr.maxSegID, pr.Segs[i].ID)
+			pr.maxSegID = max(pr.maxSegID, pr.Segs[i].ref)
 		}
-		return segs, own
+		return segs
 	}
 	pr.maxSegID = NoSegID
-	// Sized once, so that no append below moves the tables pointed at.
-	own = slices.Grow(own[:0], missing)
+	pr.own = slices.Grow(pr.own, missing)
 	for i := range pr.Segs {
-		if sg := &pr.Segs[i]; sg.Data == nil {
-			own = append(own, c.Ctx.PrepareSegment(segs[i].Text))
-			sg.Data = &own[len(own)-1]
+		if sg := &pr.Segs[i]; sg.ref == NoSegID {
+			pr.own = append(pr.own, c.Ctx.PrepareSegment(segs[i].Text))
+			sg.ref = ownRef | uint32(len(pr.own)-1)
 		}
 	}
-	return segs, own
+	return segs
 }
 
 // pairSeg records which segment of each side a candidate pair refers to.
@@ -306,21 +382,30 @@ type Scratch struct {
 	// (it may never have been written): a reader clears instead of copying.
 	// A new triple bumps rowGen and clears nothing; rowN is the number of IDs
 	// the rows cover (the dictionary's length when the triple was adopted,
-	// clipped to the cell budget), and rowEntries the dictionary's entries of
-	// those IDs as adopted (SegDict.entries: tables and score bits). rowsAll
-	// says every row below rowN is current (fillRows).
-	rowCtx     *sim.Context
-	rowDict    *SegDict
-	rowRight   *PreparedRecord
-	rowEpoch   uint32 // rowRight's epoch when adopted
-	rowGen     uint32
-	rowN       uint32
-	rowStamp   []uint32
-	rowVals    []float64
-	rowMax     []float64
-	rowEntries []segEntry
-	rowsAll    bool
-	rowCells   int // rowCellBudget; lowered by tests
+	// clipped to the cell budget), and rowScores and rowTabs the dictionary's
+	// score bits and tables of those IDs as adopted (SegDict.scores, tabs).
+	// rowsAll says every row below rowN is current (fillRows).
+	rowCtx    *sim.Context
+	rowDict   *SegDict
+	rowRight  *PreparedRecord
+	rowEpoch  uint32 // rowRight's epoch when adopted
+	rowGen    uint32
+	rowN      uint32
+	rowStamp  []uint32
+	rowVals   []float64
+	rowMax    []float64
+	rowScores []uint8
+	rowTabs   segTables
+	rowsAll   bool
+	rowCells  int // rowCellBudget; lowered by tests
+
+	// The derivation tables of the segments of tabRight — a right-hand record
+	// at epoch tabEpoch — in order (rightTables): the direct path and the
+	// conflict-graph pairs read a right-hand segment's table for every left
+	// segment.
+	tabRight *PreparedRecord
+	tabEpoch uint32
+	tabs     []*sim.SegmentData
 
 	// The probe-gram index rows are evaluated through, rebuilt with every new
 	// triple. rowGrams and rowGramOff are the dictionary's gram table as
@@ -456,22 +541,22 @@ func (c *Calculator) fillMSim(sc *Scratch, ps, pt *PreparedRecord) {
 	if d := ps.dict; d != nil {
 		cached = sc.adoptRows(c.Ctx, d, pt)
 	}
-	for i := range ps.Segs {
-		a := &ps.Segs[i]
+	for i, a := range ps.Segs {
 		row := sc.msim[i*nt : (i+1)*nt]
-		if a.ID >= cached {
-			c.msimRow(sc, row, a.Data, pt)
+		id := a.ID()
+		if id >= cached {
+			c.msimRow(sc, row, ps.table(a), pt)
 			continue
 		}
-		if sc.rowStamp[a.ID] == sc.rowGen {
+		if sc.rowStamp[id] == sc.rowGen {
 			sc.Stats.MemoHits += int64(nt)
 		} else {
-			c.cacheRow(sc, a.ID, pt)
+			c.cacheRow(sc, id, pt)
 		}
-		if sc.rowMax[a.ID] == 0 {
+		if sc.rowMax[id] == 0 {
 			clear(row)
 		} else {
-			copy(row, sc.rowVals[int(a.ID)*nt:][:nt])
+			copy(row, sc.rowVals[int(id)*nt:][:nt])
 		}
 	}
 }
@@ -479,10 +564,23 @@ func (c *Calculator) fillMSim(sc *Scratch, ps, pt *PreparedRecord) {
 // msimRow evaluates one left segment against every segment of pt, cell by
 // cell through MSimData: fillMSim's direct path.
 func (c *Calculator) msimRow(sc *Scratch, row []float64, a *sim.SegmentData, pt *PreparedRecord) {
-	for j := range pt.Segs {
-		row[j] = c.Ctx.MSimData(a, pt.Segs[j].Data)
+	for j, b := range sc.rightTables(pt) {
+		row[j] = c.Ctx.MSimData(a, b)
 	}
 	sc.Stats.MSimEvals += int64(len(row))
+}
+
+// rightTables returns the derivation tables of pt's segments, in order,
+// resolving them once per right-hand record (its address and epoch).
+func (sc *Scratch) rightTables(pt *PreparedRecord) []*sim.SegmentData {
+	if sc.tabRight != pt || sc.tabEpoch != pt.epoch {
+		sc.tabRight, sc.tabEpoch = pt, pt.epoch
+		sc.tabs = sc.tabs[:0]
+		for _, sg := range pt.Segs {
+			sc.tabs = append(sc.tabs, pt.table(sg))
+		}
+	}
+	return sc.tabs
 }
 
 // cacheRow evaluates the row of dictionary segment id against the adopted
@@ -513,11 +611,11 @@ func (c *Calculator) cacheRow(sc *Scratch, id uint32, pt *PreparedRecord) {
 			}
 		}
 	}
-	if inter == nil && sc.rowEntries[id].score&sc.rowProbe.Score() == 0 {
+	if inter == nil && sc.rowScores[id]&sc.rowProbe.Score() == 0 {
 		sc.rowMax[id] = 0
 		return
 	}
-	sc.rowMax[id] = c.Ctx.MSimRow(sc.rowVals[int(id)*nt:][:nt], sc.rowEntries[id].data, &sc.rowProbe, inter)
+	sc.rowMax[id] = c.Ctx.MSimRow(sc.rowVals[int(id)*nt:][:nt], sc.rowTabs.at(id), &sc.rowProbe, inter)
 }
 
 // fillRows is the eager row pass (AdoptProbe): it makes every row below rowN
@@ -565,7 +663,7 @@ func (c *Calculator) fillRows(sc *Scratch, pt *PreparedRecord) {
 			rowMax[id] = -1
 		}
 	}
-	p, entries, evals := sc.rowProbe.Score(), sc.rowEntries, int64(0)
+	p, scores, evals := sc.rowProbe.Score(), sc.rowScores, int64(0)
 	for id := range n {
 		if stamp[id] == gen {
 			continue
@@ -575,11 +673,11 @@ func (c *Calculator) fillRows(sc *Scratch, pt *PreparedRecord) {
 		var counts []int32
 		if rowMax[id] < 0 {
 			counts = sc.rowCount[int(id)*nt:][:nt]
-		} else if entries[id].score&p == 0 {
+		} else if scores[id]&p == 0 {
 			rowMax[id] = 0
 			continue
 		}
-		rowMax[id] = c.Ctx.MSimRow(sc.rowVals[int(id)*nt:][:nt], entries[id].data, &sc.rowProbe, counts)
+		rowMax[id] = c.Ctx.MSimRow(sc.rowVals[int(id)*nt:][:nt], sc.rowTabs.at(id), &sc.rowProbe, counts)
 		clear(counts)
 	}
 	sc.Stats.MSimEvals += evals
@@ -607,7 +705,7 @@ func (sc *Scratch) adoptRows(ctx *sim.Context, d *SegDict, pt *PreparedRecord) u
 	nt := len(pt.Segs)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	n := min(len(d.entries), sc.rowCells/nt)
+	n := min(len(d.scores), sc.rowCells/nt)
 	if !sc.indexProbeGrams(d, pt) {
 		n = 0
 	}
@@ -617,7 +715,7 @@ func (sc *Scratch) adoptRows(ctx *sim.Context, d *SegDict, pt *PreparedRecord) u
 	sc.rowVals = strutil.Resize(sc.rowVals, n*nt)
 	sc.rowMax = strutil.Resize(sc.rowMax, n)
 	sc.rowN = uint32(n)
-	sc.rowEntries = d.entries[:n]
+	sc.rowScores, sc.rowTabs = d.scores[:n], d.tabsNow()
 	return sc.rowN
 }
 
@@ -646,18 +744,17 @@ func (sc *Scratch) indexProbeGrams(d *SegDict, pt *PreparedRecord) bool {
 	sc.rowGrams, sc.rowGramOff = d.gramSets, d.gramOff
 	sc.rowProbe.Reset()
 	byID := pt.dict == d // pt's segment IDs name d's entries
-	for j := range pt.Segs {
-		sg := &pt.Segs[j]
-		sc.rowProbe.Add(sg.Data)
-		if byID && sg.ID != NoSegID {
-			for i, num := range d.gramSets[d.gramOff[sg.ID]:d.gramOff[sg.ID+1]] {
-				if !sc.slotGram(num, j, sg.Data.Grams[i]) {
+	for j, b := range sc.rightTables(pt) {
+		sc.rowProbe.Add(b)
+		if id := pt.Segs[j].ID(); byID && id != NoSegID {
+			for i, num := range d.gramSets[d.gramOff[id]:d.gramOff[id+1]] {
+				if !sc.slotGram(num, j, b.Grams[i]) {
 					return false
 				}
 			}
 			continue
 		}
-		for _, g := range sg.Data.Grams {
+		for _, g := range b.Grams {
 			if r, ok := d.gramNum[g]; ok && !sc.slotGram(r.num, j, g) {
 				return false
 			}
@@ -755,7 +852,7 @@ func maxCover(sc *Scratch, pr *PreparedRecord, value []float64) float64 {
 		dp[pos] = -1
 	}
 	for i := len(pr.Segs) - 1; i >= 0; i-- {
-		sp := pr.Segs[i].Span
+		sp := pr.Segs[i].Span()
 		if v := value[i] + dp[sp.End]; v > dp[sp.Start] {
 			dp[sp.Start] = v
 		}
@@ -821,37 +918,50 @@ func (c *Calculator) similarityPrepared(sc *Scratch, ps, pt *PreparedRecord) flo
 }
 
 // candidatePairsPrepared enumerates the conflict-graph vertices exactly as
-// Segmenter.CandidatePairs does, but over precomputed rule-id lists and
-// taxonomy nodes instead of string joins and map lookups. The returned slice
-// and the parallel sc.pairSegs index list are valid until the next call.
+// Segmenter.CandidatePairs does, but over precomputed rule-side numbers and
+// taxonomy nodes instead of string joins and map lookups. A left segment's
+// table is read once, when a pair first needs it, and the right-hand
+// record's tables once a record (rightTables). The returned slice and the
+// parallel sc.pairSegs index list are valid until the next call.
 func (c *Calculator) candidatePairsPrepared(sc *Scratch, ps, pt *PreparedRecord) []SegmentPair {
 	sc.segPairs = sc.segPairs[:0]
 	sc.pairSegs = sc.pairSegs[:0]
 	ctx := c.Ctx
 	syn := ctx.SynonymEnabled()
 	tax := ctx.TaxonomyEnabled()
-	for i := range ps.Segs {
-		a := &ps.Segs[i]
-		for j := range pt.Segs {
-			b := &pt.Segs[j]
-			if a.Span.Len() < 2 && b.Span.Len() < 2 {
+	var tt []*sim.SegmentData // pt's tables, once a pair needs one
+	for i, a := range ps.Segs {
+		aLen := a.Len()
+		var at *sim.SegmentData
+		for j, b := range pt.Segs {
+			if aLen < 2 && b.Len() < 2 {
 				continue
 			}
+			ruled, named := syn && (a.Rule() || b.Rule()), tax && a.Entity() && b.Entity()
+			if !ruled && !named {
+				continue
+			}
+			if at == nil {
+				at = ps.table(a)
+			}
+			if tt == nil {
+				tt = sc.rightTables(pt)
+			}
 			kind, weight := PairKind(-1), 0.0
-			if syn && (a.Rule || b.Rule) {
-				if cl, ok := ctx.Rules.MatchIDLists(a.Data.LHS, a.Data.RHS, b.Data.LHS, b.Data.RHS); ok && cl > weight {
+			if ruled {
+				if cl, ok := ctx.Rules.MatchSides(at.Side, tt[j].Side); ok && cl > weight {
 					kind, weight = PairRule, cl
 				}
 			}
-			if tax && a.Entity && b.Entity {
-				if v := ctx.SegmentTaxonomyData(a.Data, b.Data); v > weight {
+			if named {
+				if v := ctx.SegmentTaxonomyData(at, tt[j]); v > weight {
 					kind, weight = PairTaxonomy, v
 				}
 			}
 			if weight <= 0 {
 				continue
 			}
-			sc.segPairs = append(sc.segPairs, SegmentPair{S: a.Span, T: b.Span, Weight: weight, Kind: kind})
+			sc.segPairs = append(sc.segPairs, SegmentPair{S: a.Span(), T: b.Span(), Weight: weight, Kind: kind})
 			sc.pairSegs = append(sc.pairSegs, pairSeg{int32(i), int32(j)})
 		}
 	}
@@ -866,18 +976,18 @@ func (c *Calculator) simPreparedSet(sc *Scratch, ps, pt *PreparedRecord, set []i
 	sc.tSel = sc.tSel[:0]
 	for _, v := range set {
 		p := sc.pairSegs[v]
-		if ps.Segs[p.s].Span.Len() >= 2 {
+		if ps.Segs[p.s].Len() >= 2 {
 			// Vertex order is S-major, so sSel arrives sorted by start.
 			sc.sSel = append(sc.sSel, p.s)
 		}
-		if pt.Segs[p.t].Span.Len() >= 2 {
+		if pt.Segs[p.t].Len() >= 2 {
 			sc.tSel = append(sc.tSel, p.t)
 		}
 	}
 	// The T-side selections are not start-ordered; insertion sort (the sets
 	// are tiny and the spans disjoint, so starts are unique).
 	for i := 1; i < len(sc.tSel); i++ {
-		for j := i; j > 0 && pt.Segs[sc.tSel[j]].Span.Start < pt.Segs[sc.tSel[j-1]].Span.Start; j-- {
+		for j := i; j > 0 && pt.Segs[sc.tSel[j]].start&^flagBit < pt.Segs[sc.tSel[j-1]].start&^flagBit; j-- {
 			sc.tSel[j], sc.tSel[j-1] = sc.tSel[j-1], sc.tSel[j]
 		}
 	}
@@ -951,18 +1061,25 @@ func (c *Calculator) simPreparedSelected(sc *Scratch, ps, pt *PreparedRecord, fl
 // buildPartitionIdx constructs the partition induced by the selected
 // non-overlapping multi-token segments (sorted by start): the selected
 // segments plus the singleton segment for every uncovered token, ordered by
-// start position — the same partition buildPartition produces.
+// start position — the same partition buildPartition produces. The
+// singleton of a position is the first segment starting there, which k
+// reaches walking the enumeration alongside.
 func buildPartitionIdx(pr *PreparedRecord, sel []int32, out []int32) []int32 {
 	out = out[:0]
-	si := 0
+	si, k := 0, 0
 	for pos := 0; pos < len(pr.Tokens); {
-		if si < len(sel) && pr.Segs[sel[si]].Span.Start == pos {
-			out = append(out, sel[si])
-			pos = pr.Segs[sel[si]].Span.End
-			si++
-			continue
+		if si < len(sel) {
+			if sp := pr.Segs[sel[si]].Span(); sp.Start == pos {
+				out = append(out, sel[si])
+				pos = sp.End
+				si++
+				continue
+			}
 		}
-		out = append(out, pr.single[pos])
+		for int(pr.Segs[k].start&^flagBit) < pos {
+			k++
+		}
+		out = append(out, int32(k))
 		pos++
 	}
 	return out

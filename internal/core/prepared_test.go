@@ -97,6 +97,71 @@ func TestSimilarityPreparedMatchesTokens(t *testing.T) {
 			}
 		}
 	}
+	testMEDLikeBranches(t)
+}
+
+// testMEDLikeBranches holds SimilarityPrepared and VerifyPrepared to
+// SimilarityTokens on a MED-like corpus under its own rules and taxonomy:
+// short records that rule sides and entity names cover, against variants of
+// them with sides swapped. Each left record is prepared every leftWays way,
+// each right one without a dictionary and by reading the left records'
+// dictionary, so a pair reads its rule sides and nodes from shared tables and
+// from side tables. It counts the segment pairs of the conflict graph
+// (candidatePairsPrepared) that took the rule branch and the taxonomy branch,
+// and fails if either is never taken: otherwise the rule and taxonomy
+// representation of a table would go unchecked.
+func testMEDLikeBranches(t *testing.T) {
+	gen := datagen.New(datagen.MEDLike(200, 11))
+	ctx := sim.NewContext(gen.Rules(), gen.Taxonomy())
+	ctx.Q = 2
+	calc, d, warm := NewCalculator(ctx), NewSegDict(), NewScratch()
+	raws := gen.Collection(200)
+	var left, right [][]string
+	for k, raw := range raws {
+		left = append(left, strutil.Tokenize(raw))
+		if k%5 == 0 {
+			v, _ := gen.Variant(raw)
+			right = append(right, strutil.Tokenize(v))
+		}
+	}
+	for _, s := range left {
+		calc.PrepareIn(d, s)
+	}
+	var rights []*PreparedRecord
+	for k, u := range right {
+		if k%2 == 0 {
+			rights = append(rights, calc.Prepare(u))
+		} else {
+			rights = append(rights, calc.PrepareProbe(d, u))
+		}
+	}
+	var rules, taxa int
+	for _, s := range left {
+		ways := leftWays(calc, d, warm, s)
+		for k, pt := range rights {
+			want := calc.SimilarityTokens(s, right[k])
+			for _, w := range ways {
+				if got := calc.SimilarityPrepared(w.ps, pt, w.sc); got != want {
+					t.Fatalf("MED-like %s: SimilarityPrepared = %v, SimilarityTokens = %v for %v / %v", w.name, got, want, s, right[k])
+				}
+				if v, ok := calc.VerifyPrepared(w.ps, pt, 0.8, w.sc); ok != (want >= 0.8) || (ok && v != want) {
+					t.Fatalf("MED-like %s θ=0.8: VerifyPrepared = (%v, %v), similarity %v for %v / %v", w.name, v, ok, want, s, right[k])
+				}
+				for _, p := range calc.candidatePairsPrepared(w.sc, w.ps, pt) {
+					switch p.Kind {
+					case PairRule:
+						rules++
+					case PairTaxonomy:
+						taxa++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("MED-like: %d × %d pairs, %d rule and %d taxonomy segment pairs in their conflict graphs", len(left), len(right), rules, taxa)
+	if rules == 0 || taxa == 0 {
+		t.Fatalf("MED-like: %d rule and %d taxonomy segment pairs: a branch of candidatePairsPrepared is never taken", rules, taxa)
+	}
 }
 
 // joinPropCorpora returns the index and query collections of
@@ -287,8 +352,8 @@ func TestProbeSharesInternedRows(t *testing.T) {
 	interned := calc.PrepareIn(d, tokens)
 	probe := calc.PrepareProbe(d, tokens)
 	for i := range probe.Segs {
-		if probe.Segs[i].ID != interned.Segs[i].ID {
-			t.Fatalf("segment %d: probe ID %d, interned %d", i, probe.Segs[i].ID, interned.Segs[i].ID)
+		if probe.Segs[i].ID() != interned.Segs[i].ID() {
+			t.Fatalf("segment %d: probe ID %d, interned %d", i, probe.Segs[i].ID(), interned.Segs[i].ID())
 		}
 	}
 	if probe.maxSegID != interned.maxSegID {
@@ -364,7 +429,7 @@ func TestRowCacheGrowthAndBounds(t *testing.T) {
 				}
 				beyond = 0
 				for i := range ps.Segs {
-					if ps.Segs[i].ID >= sc.rowN {
+					if ps.Segs[i].ID() >= sc.rowN {
 						beyond++
 					}
 				}
@@ -505,9 +570,9 @@ func BenchmarkVerifyPreparedFirstTouch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if path == "direct" {
-					calc.msimRow(sc, row, ps.Segs[0].Data, pt)
+					calc.msimRow(sc, row, ps.Table(0), pt)
 				} else {
-					calc.cacheRow(sc, ps.Segs[0].ID, pt)
+					calc.cacheRow(sc, ps.Segs[0].ID(), pt)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pt.Segs)), "ns/cell")

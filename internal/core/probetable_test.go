@@ -46,10 +46,10 @@ func TestProbeTableAtCap(t *testing.T) {
 			raw, _ = gen.Variant(raw)
 		}
 		pr := calc.PrepareProbe(d, strutil.Tokenize(raw))
-		for _, sg := range pr.Segs {
-			if tab.Holds(sg.ID) {
+		for i, sg := range pr.Segs {
+			if tab.Holds(sg.ID()) {
 				held++
-			} else if sg.ID == core.NoSegID && indexed[sg.Data.Text] {
+			} else if sg.ID() == core.NoSegID && indexed[pr.Table(i).Text] {
 				past++
 			}
 		}

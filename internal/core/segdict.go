@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"github.com/aujoin/aujoin/internal/sim"
 )
@@ -20,14 +22,20 @@ const segDictCap = 1 << 20
 // segment text: an append-only intern table from segment text to a dense ID
 // (first-seen order) holding the one shared derivation table of every
 // distinct text — everything derived from the text alone: the gram set
-// verification reads, the gram pebble keys signature generation reads, the
-// rule ids and the taxonomy node both read. The records of the index intern
-// into it (PrepareIn); probes read it and never write it (PrepareProbe).
-// Sharing is sound because a SegmentData is immutable after derivation and
-// the text↔token-sequence mapping is bijective (tokens never contain the join
-// separator). A dictionary serves one sim.Context — the tables are
-// context-dependent — and is safe for concurrent use. IDs are process-local
-// and mean nothing outside their dictionary.
+// verification reads, the gram occurrence count and repeats signature
+// generation reads, the rule side and the taxonomy node both read. The
+// records of the index intern into it (PrepareIn); probes read it and never
+// write it (PrepareProbe). Sharing is sound because a SegmentData is
+// immutable after derivation and the text↔token-sequence mapping is
+// bijective (tokens never contain the join separator). A dictionary serves
+// one sim.Context — the tables are context-dependent — and is safe for
+// concurrent use. IDs are process-local and mean nothing outside their
+// dictionary.
+//
+// The tables are held by value, in chunks that never move (segTables): a
+// reader holding an ID reads its table with no lock (SegDict.table), since
+// the table was written under the write lock that published the ID, before
+// the ID existed.
 //
 // The dictionary also numbers the q-grams of the texts it interns, so the
 // verifier counts a row's shared grams from array loads (Calculator.cacheRow):
@@ -48,18 +56,20 @@ const segDictCap = 1 << 20
 // place, so a reader copies the heads it needs under the lock, and a chain
 // walked from such a head reaches only occurrences that existed then.
 //
-// Beside each table an entry holds its score bits (sim.SegmentData.Score),
-// so a row that shares no gram with the probe is known to be zero from the
-// entry alone, without loading the table (Calculator.cacheRow).
+// Beside the tables the dictionary holds each entry's score bits
+// (sim.SegmentData.Score) in one flat array, so a row that shares no gram
+// with the probe is known to be zero from a byte, without loading the table
+// (Calculator.cacheRow).
 type SegDict struct {
 	mu       sync.RWMutex
 	ids      map[string]uint32
-	entries  []segEntry         // ID → shared table and its score bits
-	gramNum  map[string]gramRef // gram → number and latest occurrence
-	gramSets []uint32           // every entry's gram numbers, back to back
-	gramOff  []uint32           // ID → start in gramSets; one more than entries
-	occs     []gramOcc          // occurrence → its entry and the gram's previous one
-	limit    int                // segDictCap; lowered by tests
+	tabs     atomic.Pointer[segTables] // ID → shared table
+	scores   []uint8                   // ID → score bits; one per entry
+	gramNum  map[string]gramRef        // gram → number and latest occurrence
+	gramSets []uint32                  // every entry's gram numbers, back to back
+	gramOff  []uint32                  // ID → start in gramSets; one more than entries
+	occs     []gramOcc                 // occurrence → its entry and the gram's previous one
+	limit    int                       // segDictCap; lowered by tests
 }
 
 // gramRef is a numbered gram: its number and the head of its occurrence
@@ -73,11 +83,36 @@ type gramOcc struct{ prev, id uint32 }
 // noOcc ends an occurrence chain.
 const noOcc = ^uint32(0)
 
-// segEntry is one dictionary entry: the shared table of a text and its score
-// bits, written together under the write lock that publishes the ID.
-type segEntry struct {
-	data  *sim.SegmentData
-	score uint8
+// Table chunks: the first holds 1<<chunkBits0 tables, each next one twice
+// as many up to 1<<chunkBitsN, and every later one 1<<chunkBitsN. A small
+// dictionary holds at most about twice its tables, and a large one at most
+// one chunk more.
+const (
+	chunkBits0 = 4
+	chunkBitsN = 10
+	// doubled is the number of tables the doubling chunks hold.
+	doubled = 1<<chunkBitsN - 1<<chunkBits0
+)
+
+// segTables is a dictionary's table chunks: the chunk directory is replaced
+// whole when a chunk is added, and a chunk, once made, is never moved or
+// resized, so a table's address is fixed from its interning on.
+type segTables [][]sim.SegmentData
+
+// chunkAt returns the chunk of table id and its place in it.
+func chunkAt(id uint32) (int, uint32) {
+	if id < doubled {
+		k := bits.Len32(id>>chunkBits0+1) - 1
+		return k, id - (1<<(k+chunkBits0) - 1<<chunkBits0)
+	}
+	id -= doubled
+	return chunkBitsN - chunkBits0 + int(id>>chunkBitsN), id & (1<<chunkBitsN - 1)
+}
+
+// at returns table id, which the chunks must hold.
+func (t segTables) at(id uint32) *sim.SegmentData {
+	k, off := chunkAt(id)
+	return &t[k][off]
 }
 
 // NewSegDict returns an empty dictionary.
@@ -95,7 +130,7 @@ func SetSegDictLimit(d *SegDict, limit int) { d.limit = limit }
 func (d *SegDict) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.entries)
+	return len(d.scores)
 }
 
 // NumGrams returns the number of distinct q-grams the dictionary has
@@ -106,13 +141,18 @@ func (d *SegDict) NumGrams() int {
 	return len(d.gramNum)
 }
 
+// table returns entry id's shared table. It takes no lock: the caller holds
+// an ID the dictionary handed out, whose table was written before it.
+func (d *SegDict) table(id uint32) *sim.SegmentData { return d.tabs.Load().at(id) }
+
 // read is the probe side's view of the dictionary: every segment pr.Segs[i]
-// gets the ID and the shared derivation table of its text, segs[i].Text (the
-// enumeration pr was made from), where the dictionary holds it, NoSegID and
-// no table where it does not; the number of segments left without one is
-// returned. Nothing is written, and a nil dictionary holds no text. The IDs are kept for signing — an order generation's probe
-// table is indexed by them (pebble.ProbeTable) — and for the verifier's
-// probe-gram index, which takes an entry's gram numbers by them
+// gets the ID of its text, segs[i].Text (the enumeration pr was made from),
+// where the dictionary holds it, and NoSegID where it does not; the number
+// of segments left without one is returned. Nothing is written, and a nil
+// dictionary holds no text. A segment with an ID reads the entry's shared
+// table by it; the IDs are also kept for signing — an order generation's
+// probe table is indexed by them (pebble.ProbeTable) — and for the
+// verifier's probe-gram index, which takes an entry's gram numbers by them
 // (Scratch.indexProbeGrams), and by the row cache when pr is a left operand.
 func (d *SegDict) read(pr *PreparedRecord, segs []Segment) (missing int) {
 	if d != nil {
@@ -121,10 +161,10 @@ func (d *SegDict) read(pr *PreparedRecord, segs []Segment) (missing int) {
 	}
 	for i := range pr.Segs {
 		sg := &pr.Segs[i]
-		sg.ID, sg.Data = NoSegID, nil
+		sg.ref = NoSegID
 		if d != nil {
 			if id, ok := d.ids[segs[i].Text]; ok {
-				sg.ID, sg.Data = id, d.entries[id].data
+				sg.ref = id
 				continue
 			}
 		}
@@ -141,7 +181,7 @@ func (d *SegDict) key(b []byte) string {
 		d.mu.RLock()
 		defer d.mu.RUnlock()
 		if id, ok := d.ids[string(b)]; ok {
-			return d.entries[id].data.Text
+			return d.table(id).Text
 		}
 	}
 	return string(b)
@@ -153,7 +193,8 @@ func (d *SegDict) key(b []byte) string {
 // are interned past its end; it holds the entries and the numbered grams
 // that existed when it was taken and no other.
 type DictView struct {
-	entries  []segEntry
+	tabs     segTables
+	n        int
 	gramSets []uint32
 	gramOff  []uint32
 	grams    int
@@ -167,12 +208,21 @@ func (d *SegDict) View() DictView {
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	n := len(d.entries)
-	return DictView{entries: d.entries[:n:n], gramSets: d.gramSets[:d.gramOff[n]], gramOff: d.gramOff[:n+1], grams: len(d.gramNum)}
+	n := len(d.scores)
+	return DictView{tabs: d.tabsNow(), n: n, gramSets: d.gramSets[:d.gramOff[n]], gramOff: d.gramOff[:n+1], grams: len(d.gramNum)}
+}
+
+// tabsNow returns the table chunks as they are now, none before the first
+// intern.
+func (d *SegDict) tabsNow() segTables {
+	if t := d.tabs.Load(); t != nil {
+		return *t
+	}
+	return nil
 }
 
 // Len returns the number of entries captured; every ID below it is one.
-func (v DictView) Len() int { return len(v.entries) }
+func (v DictView) Len() int { return v.n }
 
 // NumGrams returns the number of grams numbered when the view was taken:
 // every gram number of a captured entry is below it.
@@ -182,10 +232,10 @@ func (v DictView) NumGrams() int { return v.grams }
 // in the order of the table's Grams, and whether the view holds the entry
 // (not for NoSegID, nor for an entry interned after the view was taken).
 func (v DictView) Entry(id uint32) (*sim.SegmentData, []uint32, bool) {
-	if int(id) >= len(v.entries) {
+	if int(id) >= v.n {
 		return nil, nil, false
 	}
-	return v.entries[id].data, v.gramSets[v.gramOff[id]:v.gramOff[id+1]], true
+	return v.tabs.at(id), v.gramSets[v.gramOff[id]:v.gramOff[id+1]], true
 }
 
 // GramNumber returns the number of a gram (without the pebble key prefix)
@@ -200,28 +250,38 @@ func (d *SegDict) GramNumber(gram string) (uint32, bool) {
 	return r.num, ok
 }
 
-// intern returns the ID and shared derivation table of a segment's text,
-// deriving and storing them on first sight; a full dictionary answers
-// NoSegID and a private table.
-func (d *SegDict) intern(ctx *sim.Context, text string) (uint32, *sim.SegmentData) {
+// intern returns the ID of a segment's text, deriving and storing its
+// shared table on first sight; a full dictionary answers NoSegID and the
+// text's table for the record to keep (the table is zero otherwise).
+func (d *SegDict) intern(ctx *sim.Context, text string) (uint32, sim.SegmentData) {
 	d.mu.RLock()
 	id, ok := d.ids[text]
-	if ok {
-		data := d.entries[id].data
-		d.mu.RUnlock()
-		return id, data
-	}
 	d.mu.RUnlock()
+	if ok {
+		return id, sim.SegmentData{}
+	}
 	data := ctx.PrepareSegment(text) // derived outside the lock
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if id, ok := d.ids[text]; ok {
-		return id, d.entries[id].data // a concurrent intern of the same text won
+		return id, sim.SegmentData{} // a concurrent intern of the same text won
 	}
-	if len(d.entries) >= d.limit {
-		return NoSegID, &data
+	if len(d.scores) >= d.limit {
+		return NoSegID, data
 	}
-	id = uint32(len(d.entries))
+	id = uint32(len(d.scores))
+	tabs := d.tabsNow()
+	if k, off := chunkAt(id); off == 0 {
+		// The first table of a new chunk: readers keep the directory they
+		// loaded, which still holds every table they can have an ID of.
+		size := 1 << chunkBitsN
+		if k < chunkBitsN-chunkBits0 {
+			size = 1 << (k + chunkBits0)
+		}
+		tabs = append(tabs[:len(tabs):len(tabs)], make([]sim.SegmentData, size))
+		d.tabs.Store(&tabs)
+	}
+	*tabs.at(id) = data
 	d.ids[data.Text] = id
 	for _, g := range data.Grams {
 		r, ok := d.gramNum[g]
@@ -234,6 +294,6 @@ func (d *SegDict) intern(ctx *sim.Context, text string) (uint32, *sim.SegmentDat
 		d.gramSets = append(d.gramSets, r.num)
 	}
 	d.gramOff = append(d.gramOff, uint32(len(d.gramSets)))
-	d.entries = append(d.entries, segEntry{&data, data.Score()})
-	return id, &data
+	d.scores = append(d.scores, data.Score())
+	return id, sim.SegmentData{}
 }

@@ -28,12 +28,12 @@ func checkGramTable(t *testing.T, d *SegDict) {
 		}
 		gramOf[n], named[n] = g, true
 	}
-	if len(d.gramOff) != len(d.entries)+1 || int(d.gramOff[len(d.entries)]) != len(d.gramSets) {
-		t.Fatalf("%d gram offsets, last %d, for %d entries and %d numbers", len(d.gramOff), d.gramOff[len(d.gramOff)-1], len(d.entries), len(d.gramSets))
+	if len(d.gramOff) != len(d.scores)+1 || int(d.gramOff[len(d.scores)]) != len(d.gramSets) {
+		t.Fatalf("%d gram offsets, last %d, for %d entries and %d numbers", len(d.gramOff), d.gramOff[len(d.gramOff)-1], len(d.scores), len(d.gramSets))
 	}
 	distinct := map[string]bool{}
-	for id, en := range d.entries {
-		e := en.data
+	for id := range d.scores {
+		e := d.table(uint32(id))
 		nums := d.gramSets[d.gramOff[id]:d.gramOff[id+1]]
 		if len(nums) != len(e.Grams) {
 			t.Fatalf("entry %d (%q): %d numbers for %d grams", id, e.Text, len(nums), len(e.Grams))
@@ -61,7 +61,7 @@ func checkGramChains(t *testing.T, d *SegDict) {
 		t.Fatalf("%d links for %d occurrences", len(d.occs), len(d.gramSets))
 	}
 	want := make([][]uint32, len(d.gramNum)) // gram → entries holding it, ascending
-	for id := range d.entries {
+	for id := range d.scores {
 		for _, n := range d.gramSets[d.gramOff[id]:d.gramOff[id+1]] {
 			want[n] = append(want[n], uint32(id))
 		}
@@ -153,8 +153,8 @@ func TestSegDictGramChains(t *testing.T) {
 				calc.fillRows(sc, pt)
 				for id := range sc.rowN {
 					for j, got := range cachedRow(sc, id, len(pt.Segs)) {
-						if want := calc.Ctx.MSimData(sc.rowEntries[id].data, pt.Segs[j].Data); got != want {
-							t.Errorf("row %d (%q) against %q: %v by the eager pass, %v by MSimData", id, sc.rowEntries[id].data.Text, pt.Segs[j].Data.Text, got, want)
+						if want := calc.Ctx.MSimData(sc.rowTabs.at(id), pt.Table(j)); got != want {
+							t.Errorf("row %d (%q) against %q: %v by the eager pass, %v by MSimData", id, sc.rowTabs.at(id).Text, pt.Table(j).Text, got, want)
 							return
 						}
 					}
@@ -203,19 +203,20 @@ func TestSegDictConcurrentIntern(t *testing.T) {
 	byText := map[string]uint32{}
 	for _, prs := range prepared {
 		for _, pr := range prs {
-			for _, sg := range pr.Segs {
-				if sg.ID == NoSegID || int(sg.ID) >= d.Len() {
-					t.Fatalf("segment %q has ID %d, dictionary length %d", sg.Data.Text, sg.ID, d.Len())
+			for i, sg := range pr.Segs {
+				id, text := sg.ID(), pr.Table(i).Text
+				if id == NoSegID || int(id) >= d.Len() {
+					t.Fatalf("segment %q has ID %d, dictionary length %d", text, id, d.Len())
 				}
-				if text, ok := byID[sg.ID]; ok && text != sg.Data.Text {
-					t.Fatalf("ID %d names both %q and %q", sg.ID, text, sg.Data.Text)
+				if named, ok := byID[id]; ok && named != text {
+					t.Fatalf("ID %d names both %q and %q", id, named, text)
 				}
-				if id, ok := byText[sg.Data.Text]; ok && id != sg.ID {
-					t.Fatalf("text %q has IDs %d and %d", sg.Data.Text, id, sg.ID)
+				if had, ok := byText[text]; ok && had != id {
+					t.Fatalf("text %q has IDs %d and %d", text, had, id)
 				}
-				byID[sg.ID], byText[sg.Data.Text] = sg.Data.Text, sg.ID
-				if sg.Data != d.entries[sg.ID].data {
-					t.Fatalf("segment %q does not share the dictionary's table", sg.Data.Text)
+				byID[id], byText[text] = text, id
+				if pr.Table(i) != d.table(id) {
+					t.Fatalf("segment %q does not share the dictionary's table", text)
 				}
 			}
 		}
@@ -249,8 +250,8 @@ func TestSegDictAtCap(t *testing.T) {
 			t.Fatalf("%v: %d segments and MP %d unlimited, %d and %d capped", a.Tokens, len(a.Segs), a.MinPartitionSize(), len(b.Segs), b.MinPartitionSize())
 		}
 		for i := range a.Segs {
-			if a.Segs[i].Span != b.Segs[i].Span || !reflect.DeepEqual(a.Segs[i].Data, b.Segs[i].Data) {
-				t.Fatalf("%v segment %d: table %+v unlimited, %+v capped", a.Tokens, i, a.Segs[i].Data, b.Segs[i].Data)
+			if a.Segs[i].Span() != b.Segs[i].Span() || !reflect.DeepEqual(a.Table(i), b.Table(i)) {
+				t.Fatalf("%v segment %d: table %+v unlimited, %+v capped", a.Tokens, i, a.Table(i), b.Table(i))
 			}
 		}
 	}
@@ -260,9 +261,9 @@ func TestSegDictAtCap(t *testing.T) {
 		a, b := calc.PrepareIn(full, toks), calc.PrepareIn(capped, toks)
 		sameTables(a, b)
 		for i := range b.Segs {
-			if id := b.Segs[i].ID; id == NoSegID {
+			if id := b.Segs[i].ID(); id == NoSegID {
 				past++
-			} else if b.Segs[i].Data != capped.entries[id].data {
+			} else if b.Table(i) != capped.table(id) {
 				t.Fatalf("%v segment %d has ID %d and a table of its own", toks, i, id)
 			}
 		}
@@ -297,11 +298,11 @@ func TestSegDictScoreBits(t *testing.T) {
 	check := func(d *SegDict, what string) {
 		t.Helper()
 		var seen uint8
-		for id, e := range d.entries {
-			if want := e.data.Score(); e.score != want {
-				t.Fatalf("%s: entry %d (%q) has score bits %03b, its table %03b", what, id, e.data.Text, e.score, want)
+		for id, score := range d.scores {
+			if e := d.table(uint32(id)); e.Score() != score {
+				t.Fatalf("%s: entry %d (%q) has score bits %03b, its table %03b", what, id, e.Text, score, e.Score())
 			}
-			seen |= e.score
+			seen |= score
 		}
 		if all := sim.ScoreDegenerate | sim.ScoreRule | sim.ScoreNode; seen != all {
 			t.Fatalf("%s: score bits %03b occur, want %03b", what, seen, all)

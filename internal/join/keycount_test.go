@@ -72,7 +72,7 @@ func TestKeyCountMatchesKeyPath(t *testing.T) {
 		count := 0
 		for _, pr := range prepared {
 			for _, sg := range pr.Segs {
-				if sg.ID == core.NoSegID {
+				if sg.ID() == core.NoSegID {
 					count++
 				}
 			}

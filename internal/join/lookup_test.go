@@ -50,7 +50,7 @@ func TestLookupMatchesBruteForceTitles(t *testing.T) {
 	multi := 0
 	for _, q := range qs {
 		for _, sg := range j.calc.Prepare(q.Tokens).Segs {
-			if sg.Span.Len() > 1 && (sg.Rule || sg.Entity) {
+			if sg.Len() > 1 && (sg.Rule() || sg.Entity()) {
 				multi++
 				break
 			}

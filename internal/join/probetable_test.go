@@ -80,12 +80,12 @@ func TestProbeSigningAcrossGenerations(t *testing.T) {
 			for _, tokens := range probes {
 				pq, _ := lk.sign(v, tokens, pebble.UFilter, 1)
 				for _, sg := range pq.Segs {
-					if g.probes.Holds(sg.ID) {
+					if id := sg.ID(); g.probes.Holds(id) {
 						held++
-						if int(sg.ID) >= covered {
-							t.Fatalf("%s %s: the table holds entry %d, past the %d it was built over", c.name, state, sg.ID, covered)
+						if int(id) >= covered {
+							t.Fatalf("%s %s: the table holds entry %d, past the %d it was built over", c.name, state, id, covered)
 						}
-					} else if int(sg.ID) < sx.dict.Len() {
+					} else if int(id) < sx.dict.Len() {
 						skipped++
 					}
 				}
@@ -162,9 +162,10 @@ func TestProbeTableFootprint(t *testing.T) {
 	for v, id := sx.dict.View(), 0; id < v.Len(); id++ {
 		d, _, _ := v.Entry(uint32(id))
 		entries++
-		pebbles += len(d.GramKeys)
+		pebbles += int(d.Occ)
 		lhs := map[string]bool{}
-		for _, id := range append(slices.Clone(d.LHS), d.RHS...) {
+		lhsRules, rhsRules := ctx.Rules.SideRules(d.Side)
+		for _, id := range append(slices.Clone(lhsRules), rhsRules...) {
 			lhs[ctx.Rules.Rule(id).LHSText()] = true
 		}
 		pebbles += len(lhs)

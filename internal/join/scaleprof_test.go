@@ -2,7 +2,9 @@ package join
 
 import (
 	"os"
+	"runtime"
 	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,4 +67,96 @@ func TestFilterScaleProfile(t *testing.T) {
 		}
 	}
 	t.Logf("3 reps total %v", time.Since(start))
+}
+
+// heapStructures classifies a live allocation by the first function of its
+// stack, from the allocation up, that one of them names: the structures an
+// index holds (TestIndexHeapSplit).
+var heapStructures = []struct{ name, fn string }{
+	{"dictionary", "internal/core.(*SegDict).intern"},
+	{"prepared segments", "internal/core.(*Calculator).prepare"},
+	{"record headers", "internal/core.(*Calculator).PrepareIn"},
+	{"tokens", "internal/strutil.NewRecord"},
+	{"inverted index", "internal/invindex."},
+	{"signature IDs", "internal/join.selectSignatures"},
+	{"cover column", "internal/core.NewCoverColumn"},
+	{"order", "internal/pebble."},
+	{"input strings", "internal/datagen."},
+}
+
+// TestIndexHeapSplit is an opt-in diagnostic (AUJOIN_SCALEPROF=1): it builds
+// one shard over the lookup_cluster titles corpus (q = 5, θ = 0.9, τ = 12,
+// heuristic) at 10⁴ and 10⁵ records and logs the live heap a record, split by
+// structure: a heap profile's in-use bytes (every allocation sampled), each
+// allocation site charged to the first structure its stack names
+// (heapStructures), "other" for the rest. The input strings are the
+// generator's raw records, which the index keeps as they are.
+func TestIndexHeapSplit(t *testing.T) {
+	if os.Getenv("AUJOIN_SCALEPROF") == "" {
+		t.Skip("set AUJOIN_SCALEPROF=1")
+	}
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	for _, n := range []int{10_000, 100_000} {
+		cfg := titlesConfig()
+		cfg.Size = n
+		gen := datagen.New(cfg)
+		ctx := sim.NewContext(gen.Rules(), gen.Taxonomy())
+		ctx.Q = 5
+		start := time.Now()
+		sx := NewJoiner(ctx).BuildShardedIndex(strutil.NewCollection(gen.Collection(n)), 1, titlesOptions, DynamicOptions{})
+		built := time.Since(start)
+		split, total := liveBySite(t)
+		t.Logf("%d titles, one shard, built in %v: %.0f B a record live in all", n, built.Round(time.Millisecond), float64(total)/float64(n))
+		t.Logf("| structure | B a record | share |")
+		for _, s := range append(heapStructures, struct{ name, fn string }{"other", ""}) {
+			t.Logf("| %s | %.0f | %.1f %% |", s.name, float64(split[s.name])/float64(n), 100*float64(split[s.name])/float64(total))
+		}
+		runtime.KeepAlive(sx)
+	}
+}
+
+// liveBySite returns the in-use bytes of the heap profile by heapStructures
+// name, and their total, after the collections that make the profile current.
+func liveBySite(t *testing.T) (map[string]int64, int64) {
+	for range 3 {
+		runtime.GC() // the profile is as of the last collection but one
+	}
+	var recs []runtime.MemProfileRecord
+	for {
+		n, ok := runtime.MemProfile(recs, false)
+		if ok {
+			recs = recs[:n]
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+64)
+	}
+	split, total := map[string]int64{}, int64(0)
+	for i := range recs {
+		live := recs[i].InUseBytes()
+		if live == 0 {
+			continue
+		}
+		total += live
+		name := "other"
+		frames := runtime.CallersFrames(recs[i].Stack())
+	walk:
+		for {
+			f, more := frames.Next()
+			for _, s := range heapStructures {
+				if strings.Contains(f.Function, s.fn) {
+					name = s.name
+					break walk
+				}
+			}
+			if !more {
+				break
+			}
+		}
+		split[name] += live
+	}
+	if total == 0 {
+		t.Fatal("the heap profile holds no live bytes")
+	}
+	return split, total
 }

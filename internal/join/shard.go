@@ -334,7 +334,7 @@ func (sh *shard) insertRecords(recs []strutil.Record) {
 		sh.positions[rec.ID] = len(sh.records)
 		sh.records = append(sh.records, rec)
 		sh.prepared = append(sh.prepared, pr)
-		unheld = g.probes.AppendUnheld(sh.sx.joiner.gen, unheld, pr)
+		unheld = g.probes.AppendUnheld(g.sel, unheld, pr)
 	}
 	sh.cover.Append(sh.prepared[first:])
 	sh.dynAdded += g.order.InternDynamic(unheld)

@@ -133,8 +133,8 @@ func TestSignatureFromPreparedMatchesReference(t *testing.T) {
 					t.Fatalf("%s: %v prepared into %d segments, the reference enumerates %v", name, tokens, pr.NumSegments(), texts)
 				}
 				for i, text := range texts {
-					if pr.Segs[i].Data.Text != text {
-						t.Fatalf("%s: %v segment %d is %q, the reference enumerates %q", name, tokens, i, pr.Segs[i].Data.Text, text)
+					if pr.Table(i).Text != text {
+						t.Fatalf("%s: %v segment %d is %q, the reference enumerates %q", name, tokens, i, pr.Table(i).Text, text)
 					}
 				}
 				g.sel.Order.Sort(pebbles)

@@ -1,7 +1,7 @@
 package pebble
 
 import (
-	"slices"
+	"strings"
 
 	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/sim"
@@ -57,23 +57,12 @@ func synClasses(rules *synonym.RuleSet) []uint32 {
 	return class
 }
 
-// gramKey returns the pebble key of gram k of a segment's table (d.Grams[k])
-// from the keys the table holds.
-func gramKey(d *sim.SegmentData, k int) string {
-	for _, key := range d.GramKeys {
-		if key[len(sim.GramKeyPrefix):] == d.Grams[k] {
-			return key
-		}
-	}
-	panic("pebble: a gram without its key")
-}
-
 // KeyCount counts the document frequencies of the pebble keys of prepared
 // records by key number (keyNumbers), without generating a pebble: a segment
 // the dictionary holds reads its gram numbers from it, and every segment's
 // synonym and taxonomy keys are numbered by rule and node. Only a segment
-// without an entry looks its gram keys up by string, first in the
-// dictionary's gram numbers and then among the keys counted by string. An
+// without an entry looks its grams up by string, first in the dictionary's
+// gram numbers and then, by key, among the keys counted by string. An
 // Order's Add counts through a KeyCount without a dictionary, every key by
 // string. A KeyCount is not safe for concurrent use.
 type KeyCount struct {
@@ -81,14 +70,16 @@ type KeyCount struct {
 	// freq[n] is key number n's document frequency so far, last[n] the stamp
 	// of the last record that counted it — records, the number of records
 	// counted — so a record carrying a key several times counts it once, and
-	// key[n] its key, set when first counted.
+	// key[n] its key, set when first counted: for a gram the dictionary
+	// numbers (n < syn), the gram alone, which keys prefixes.
 	freq, last []int32
 	key        []string
 	records    int32
 	// seen lists the key numbers counted, first seen first; byKey numbers the
-	// keys counted by string.
+	// keys counted by string, and buf builds a gram's key to look it up.
 	seen  []uint32
 	byKey map[string]uint32
+	buf   []byte
 }
 
 // NewKeyCount returns an empty count of the records prepared against d (nil
@@ -121,41 +112,60 @@ func (c *KeyCount) count(n uint32) bool {
 func (c *KeyCount) countKey(key string) {
 	n, ok := c.byKey[key]
 	if !ok {
-		if c.byKey == nil {
-			c.byKey = make(map[string]uint32)
-		}
-		n = uint32(len(c.freq))
-		c.byKey[key] = n
-		c.freq, c.last, c.key = append(c.freq, 0), append(c.last, 0), append(c.key, key)
+		n = c.number(key)
 	}
 	c.count(n)
+}
+
+// countGram is countKey for the key of a gram, built in c.buf: only a key
+// seen for the first time is copied out.
+func (c *KeyCount) countGram(gram string) {
+	c.buf = append(append(c.buf[:0], sim.GramKeyPrefix...), gram...)
+	n, ok := c.byKey[string(c.buf)]
+	if !ok {
+		n = c.number(string(c.buf))
+	}
+	c.count(n)
+}
+
+// number gives a key counted by string the next number.
+func (c *KeyCount) number(key string) uint32 {
+	if c.byKey == nil {
+		c.byKey = make(map[string]uint32)
+	}
+	n := uint32(len(c.freq))
+	c.byKey[key] = n
+	c.freq, c.last, c.key = append(c.freq, 0), append(c.last, 0), append(c.key, key)
+	return n
 }
 
 // Add counts the keys of one record's pebbles — every segment's, as
 // AppendPebbles would generate them — each distinct key once.
 func (c *KeyCount) Add(pr *core.PreparedRecord) {
 	c.records++
-	for i := range pr.Segs {
-		sg := &pr.Segs[i]
-		d := sg.Data
-		if _, grams, ok := c.view.Entry(sg.ID); ok {
+	for i, sg := range pr.Segs {
+		d := pr.Table(i)
+		if _, grams, ok := c.view.Entry(sg.ID()); ok {
 			for k, n := range grams {
 				if c.count(n) {
-					c.key[n] = gramKey(d, k)
+					c.key[n] = d.Grams[k]
 				}
 			}
 		} else {
-			for _, key := range d.GramKeys {
-				if n, ok := c.dict.GramNumber(key[len(sim.GramKeyPrefix):]); ok && n < c.syn {
+			q := c.gen.Ctx.GramQ()
+			for o := range int(d.Occ) {
+				g := sim.OccurrenceGram(d.Text, q, o)
+				if n, ok := c.dict.GramNumber(g); ok && n < c.syn {
 					if c.count(n) {
-						c.key[n] = key
+						c.key[n] = g
 					}
 				} else {
-					c.countKey(key)
+					c.countGram(g)
 				}
 			}
 		}
-		for _, ids := range [2][]int{d.LHS, d.RHS} {
+		lhs, rhs := c.gen.Ctx.Rules.SideRules(d.Side)
+		for _, ids := range [2][]int{lhs, rhs} {
 			for _, id := range ids {
 				if class := c.class[id]; c.count(c.syn + class) {
 					c.key[c.syn+class] = c.gen.synKey(int(class))
@@ -178,11 +188,32 @@ func (c *KeyCount) addPebbles(pebbles []Pebble) {
 	}
 }
 
-// Keys returns every key counted, first seen first.
+// Keys returns every key counted, first seen first. The keys of the grams
+// the dictionary numbers are cut from one string built here.
 func (c *KeyCount) Keys() []string {
+	size := 0
+	for _, n := range c.seen {
+		if n < c.syn {
+			size += len(sim.GramKeyPrefix) + len(c.key[n])
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, n := range c.seen {
+		if n < c.syn {
+			b.WriteString(sim.GramKeyPrefix)
+			b.WriteString(c.key[n])
+		}
+	}
+	all := b.String()
 	keys := make([]string, len(c.seen))
 	for i, n := range c.seen {
-		keys[i] = c.key[n]
+		if n >= c.syn {
+			keys[i] = c.key[n]
+			continue
+		}
+		size := len(sim.GramKeyPrefix) + len(c.key[n])
+		keys[i], all = all[:size], all[size:]
 	}
 	return keys
 }
@@ -191,8 +222,9 @@ func (c *KeyCount) Keys() []string {
 // the global order (sortByFrequency).
 func (c *KeyCount) byFrequency() []keyCount {
 	counts := make([]keyCount, len(c.seen))
-	for i, n := range c.seen {
-		counts[i] = keyCount{key: c.key[n], freq: c.freq[n], num: n}
+	for i, key := range c.Keys() {
+		n := c.seen[i]
+		counts[i] = keyCount{key: key, freq: c.freq[n], num: n}
 	}
 	sortByFrequency(counts)
 	return counts
@@ -203,13 +235,14 @@ func (c *KeyCount) byFrequency() []keyCount {
 // without building it — and otherwise first counted first, a table for
 // MergeFrequencyTables, which sums tables in any order.
 func (c *KeyCount) Table(sorted bool) ([]string, []int) {
-	keys, freqs := make([]string, len(c.seen)), make([]int, len(c.seen))
 	if !sorted {
+		freqs := make([]int, len(c.seen))
 		for i, n := range c.seen {
-			keys[i], freqs[i] = c.key[n], int(c.freq[n])
+			freqs[i] = int(c.freq[n])
 		}
-		return keys, freqs
+		return c.Keys(), freqs
 	}
+	keys, freqs := make([]string, len(c.seen)), make([]int, len(c.seen))
 	for i, kc := range c.byFrequency() {
 		keys[i], freqs[i] = kc.key, int(kc.freq)
 	}
@@ -231,8 +264,9 @@ type KeyIDs struct {
 	keyNumbers
 	order *Order
 	// ids[n] is key number n's ID; NoID when the order lacks the key, and
-	// unresolved until it is looked up by key.
+	// unresolved until it is looked up by key, built in buf.
 	ids []uint32
+	buf []byte
 }
 
 // unresolved marks a key number whose ID has not been looked up yet.
@@ -254,12 +288,14 @@ func (g *Generator) KeyIDs(d *core.SegDict, o *Order) *KeyIDs {
 // Order returns the order the IDs are of.
 func (k *KeyIDs) Order() *Order { return k.order }
 
-// id returns key number n's ID, looking it up by key on first use.
-func (k *KeyIDs) id(n uint32, key func() string) uint32 {
+// id returns key number n's ID, looking it up on first use by the key that
+// key appends to a buffer.
+func (k *KeyIDs) id(n uint32, key func([]byte) []byte) uint32 {
 	id := k.ids[n]
 	if id == unresolved {
+		k.buf = key(k.buf[:0])
 		var ok bool
-		if id, ok = k.order.ID(key()); !ok {
+		if id, ok = k.order.idOf(k.buf); !ok {
 			id = NoID
 		}
 		k.ids[n] = id
@@ -273,7 +309,6 @@ func (k *KeyIDs) id(n uint32, key func() string) uint32 {
 // taxonomy IDs by node.
 func (k *KeyIDs) ProbeTable() *ProbeTable {
 	t := &ProbeTable{synOff: []uint32{0}}
-	var mult []int32
 	var syn []Pebble
 	for e := range k.view.Len() {
 		d, grams, _ := k.view.Entry(uint32(e))
@@ -281,30 +316,20 @@ func (k *KeyIDs) ProbeTable() *ProbeTable {
 		ok := true
 		// A gram occurring several times in the text is a pebble an
 		// occurrence: the gram set in order, each gram as often as it occurs.
-		mult = mult[:0]
-		for range grams {
-			mult = append(mult, 1)
-		}
-		if len(d.GramKeys) != len(grams) {
-			clear(mult)
-			for _, key := range d.GramKeys {
-				i, _ := slices.BinarySearch(d.Grams, key[len(sim.GramKeyPrefix):])
-				mult[i]++
-			}
-		}
 		for i, n := range grams {
-			id := k.id(n, func() string { return gramKey(d, i) })
+			id := k.id(n, func(b []byte) []byte { return append(append(b, sim.GramKeyPrefix...), d.Grams[i]...) })
 			ok = ok && id != NoID
-			for range mult[i] {
+			for range d.GramCount(i) {
 				t.ids = append(t.ids, id)
 			}
 		}
 		syn = syn[:0]
-		for _, ids := range [2][]int{d.LHS, d.RHS} {
+		lhs, rhs := k.gen.Ctx.Rules.SideRules(d.Side)
+		for _, ids := range [2][]int{lhs, rhs} {
 			for _, r := range ids {
 				class := k.class[r]
 				key := k.gen.synKey(int(class))
-				id := k.id(k.syn+class, func() string { return key })
+				id := k.id(k.syn+class, func(b []byte) []byte { return append(b, key...) })
 				syn = append(syn, Pebble{Key: key, ID: id, Weight: k.gen.Ctx.Rules.Rule(r).C})
 			}
 		}
@@ -314,7 +339,7 @@ func (k *KeyIDs) ProbeTable() *ProbeTable {
 			t.synW = append(t.synW, p.Weight)
 		}
 		for n := d.Node; n != taxonomy.InvalidNode; n = k.gen.Ctx.Tax.Node(n).Parent {
-			id := k.id(k.tax+uint32(n), func() string { return k.gen.taxKey(n) })
+			id := k.id(k.tax+uint32(n), func(b []byte) []byte { return append(b, k.gen.taxKey(n)...) })
 			ok = ok && id != NoID
 			t.ids = append(t.ids, id)
 		}

@@ -12,9 +12,11 @@
 // A pebble is the unified signature unit: a q-gram (Jaccard), the left-hand
 // side of a synonym rule (synonym), or a taxonomy node or one of its
 // ancestors (taxonomy); see Table 2 of the paper. Pebble keys are
-// namespaced by measure ("g:" — sim.GramKeyPrefix, the gram keys come ready
-// made with a segment's derivation table — "s:", "t:") so that a gram can
-// never collide with a rule side or an entity name in the inverted index.
+// namespaced by measure ("g:" — sim.GramKeyPrefix — "s:", "t:") so that a
+// gram can never collide with a rule side or an entity name in the inverted
+// index. A gram key is built only where a segment is signed by key; a
+// segment signed through a probe table, or counted by key number, builds
+// none.
 package pebble
 
 import (
@@ -120,7 +122,7 @@ func (g *Generator) Pebbles(tokens []string) ([]Pebble, []core.Segment) {
 	pr := g.calc.Prepare(tokens)
 	segments := make([]core.Segment, len(pr.Segs))
 	for i, s := range pr.Segs {
-		segments[i] = core.Segment{Span: s.Span, Tokens: s.Span.Slice(tokens), Rule: s.Rule, Entity: s.Entity}
+		segments[i] = core.Segment{Span: s.Span(), Tokens: s.Span().Slice(tokens), Rule: s.Rule(), Entity: s.Entity()}
 	}
 	return g.AppendPebbles(nil, pr), segments
 }
@@ -132,8 +134,9 @@ func (g *Generator) Pebbles(tokens []string) ([]Pebble, []core.Segment) {
 func (g *Generator) Count(pr *core.PreparedRecord) int {
 	n := 0
 	for idx := range pr.Segs {
-		d := pr.Segs[idx].Data
-		n += len(d.GramKeys) + len(d.LHS) + len(d.RHS)
+		d := pr.Table(idx)
+		lhs, rhs := g.Ctx.Rules.SideRules(d.Side)
+		n += int(d.Occ) + len(lhs) + len(rhs)
 		if d.Node != taxonomy.InvalidNode {
 			n += g.Ctx.Tax.Depth(d.Node)
 		}
@@ -158,24 +161,84 @@ func (g *Generator) Count(pr *core.PreparedRecord) int {
 func (g *Generator) AppendPebbles(out []Pebble, pr *core.PreparedRecord) []Pebble {
 	out = slices.Grow(out, g.Count(pr))
 	for idx := range pr.Segs {
-		out = g.appendSegment(out, pr.Segs[idx].Data, idx)
+		out = g.appendSegment(out, pr.Table(idx), idx)
 	}
 	return out
 }
 
 // appendSegment appends the pebbles of one segment, the idx-th of its
-// record, from its derivation table d: AppendPebbles' group for it.
+// record, from its derivation table d: AppendPebbles' group for it. The gram
+// pebbles come one an occurrence, in the order of occurrence.
 func (g *Generator) appendSegment(out []Pebble, d *sim.SegmentData, idx int) []Pebble {
-	w := 1 / float64(len(d.GramKeys))
-	for _, k := range d.GramKeys {
-		out = append(out, Pebble{Key: k, Weight: w, Segment: idx, Measure: sim.Jaccard})
+	first := len(out)
+	for range d.Occ {
+		out = append(out, Pebble{Weight: 1 / float64(d.Occ), Segment: idx, Measure: sim.Jaccard})
 	}
+	g.gramKeys(out[first:], d, false)
+	return g.appendRulesAndNodes(out, d, idx)
+}
 
+// appendInterned is appendSegment for a segment signed under order o: every
+// pebble carries its ID (NoID for a key o lacks), and of the gram pebbles
+// only those whose key o lacks carry a key. A gram's key is built in b, which
+// it returns for reuse, and looked up there, so a segment whose keys o holds
+// makes no string.
+func (g *Generator) appendInterned(out []Pebble, b []byte, d *sim.SegmentData, idx int, o *Order) ([]Pebble, []byte) {
+	first, q := len(out), g.Ctx.GramQ()
+	for occ := range int(d.Occ) {
+		b = append(append(b[:0], sim.GramKeyPrefix...), sim.OccurrenceGram(d.Text, q, occ)...)
+		id, ok := o.idOf(b)
+		if !ok {
+			id = NoID
+		}
+		out = append(out, Pebble{ID: id, Weight: 1 / float64(d.Occ), Segment: idx, Measure: sim.Jaccard})
+	}
+	g.gramKeys(out[first:], d, true)
+	from := len(out)
+	out = g.appendRulesAndNodes(out, d, idx)
+	o.Intern(out[from:])
+	return out, b
+}
+
+// gramKeys sets the keys of the gram pebbles of segment table d —
+// pebbles[o] is occurrence o's — every one's, or with unknown only those of
+// the pebbles with NoID, all cut from one string.
+func (g *Generator) gramKeys(pebbles []Pebble, d *sim.SegmentData, unknown bool) {
+	q, n := g.Ctx.GramQ(), 0
+	for o := range pebbles {
+		if !unknown || pebbles[o].ID == NoID {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	size := len(sim.GramKeyPrefix) + min(len(d.Text), q) // every gram of a text is as long
+	var b strings.Builder
+	b.Grow(n * size)
+	for o := range pebbles {
+		if !unknown || pebbles[o].ID == NoID {
+			b.WriteString(sim.GramKeyPrefix)
+			b.WriteString(sim.OccurrenceGram(d.Text, q, o))
+		}
+	}
+	keys := b.String()
+	for o := range pebbles {
+		if !unknown || pebbles[o].ID == NoID {
+			pebbles[o].Key, keys = keys[:size], keys[size:]
+		}
+	}
+}
+
+// appendRulesAndNodes appends the synonym and taxonomy pebbles of segment
+// idx from its table d.
+func (g *Generator) appendRulesAndNodes(out []Pebble, d *sim.SegmentData, idx int) []Pebble {
 	// The synonym pebble is always the *lhs* of the rule, no matter which
 	// side the segment matches, so the two sides of a rule produce the same
 	// pebble key (Table 2).
 	first := len(out)
-	for _, ids := range [2][]int{d.LHS, d.RHS} {
+	lhs, rhs := g.Ctx.Rules.SideRules(d.Side)
+	for _, ids := range [2][]int{lhs, rhs} {
 		for _, id := range ids {
 			out = append(out, Pebble{Key: g.synKey(id), Weight: g.Ctx.Rules.Rule(id).C, Segment: idx, Measure: sim.Synonym})
 		}
@@ -370,6 +433,17 @@ func (o *Order) ID(key string) (id uint32, ok bool) {
 	}
 	if d := o.dyn.Load(); d != nil {
 		id, ok = d.ids[key]
+	}
+	return id, ok
+}
+
+// idOf is ID for a key in bytes, looked up without copying it.
+func (o *Order) idOf(key []byte) (id uint32, ok bool) {
+	if id, ok = o.ids[string(key)]; ok {
+		return id, true
+	}
+	if d := o.dyn.Load(); d != nil {
+		id, ok = d.ids[string(key)]
 	}
 	return id, ok
 }

@@ -5,6 +5,7 @@ import (
 
 	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/sim"
+	"github.com/aujoin/aujoin/internal/synonym"
 	"github.com/aujoin/aujoin/internal/taxonomy"
 )
 
@@ -24,8 +25,8 @@ import (
 // holds it, then the synonym pebbles in key order, then the taxonomy pebbles
 // from the node up — and ends[e] is where entry e's IDs end, their
 // start being the end before. The weight and measure of a gram or a taxonomy
-// pebble follow from the segment's own derivation table (1/len(GramKeys),
-// 1/depth, and their counts). Only the synonym pebbles, rare and weighted by
+// pebble follow from the segment's own derivation table (1/Occ, 1/depth,
+// and their counts). Only the synonym pebbles, rare and weighted by
 // rule closeness, keep their weights aside: synAt lists the entries that have
 // any, ascending, and synOff[k] is where entry synAt[k]'s weights start in
 // synW. An entry with a key the order does not know keeps an empty slot, as
@@ -72,22 +73,23 @@ func (t *ProbeTable) synWeights(id uint32) []float64 {
 	return t.synW[t.synOff[k]:t.synOff[k+1]]
 }
 
-// appendSegment appends the pebbles of segment idx of a probe from the table
-// and reports whether it could: the table holds the entry of the segment's
-// text (sg.ID). The pebbles carry their IDs, weights, segment and measures,
-// and no keys.
-func (t *ProbeTable) appendSegment(out []Pebble, sg *core.PreparedSegment, tax *taxonomy.Tree, idx int) ([]Pebble, bool) {
-	ids := t.slot(sg.ID)
+// appendSegment appends the pebbles of segment idx of a probe pr from the
+// table and reports whether it could: the table holds the entry of the
+// segment's text (its ID). The pebbles carry their IDs, weights, segment and
+// measures, and no keys.
+func (t *ProbeTable) appendSegment(out []Pebble, pr *core.PreparedRecord, tax *taxonomy.Tree, idx int) ([]Pebble, bool) {
+	id := pr.Segs[idx].ID()
+	ids := t.slot(id)
 	if len(ids) == 0 {
 		return out, false
 	}
-	d := sg.Data
+	d := pr.Table(idx)
 	var syn []float64
-	if len(d.LHS)+len(d.RHS) > 0 {
-		syn = t.synWeights(sg.ID)
+	if d.Side != synonym.NoSide {
+		syn = t.synWeights(id)
 	}
-	grams := ids[:len(d.GramKeys)]
-	w := 1 / float64(len(d.GramKeys))
+	grams := ids[:d.Occ]
+	w := 1 / float64(d.Occ)
 	for _, id := range grams {
 		out = append(out, Pebble{ID: id, Weight: w, Segment: idx, Measure: sim.Jaccard})
 	}
@@ -120,31 +122,37 @@ func (sel *Selector) PrepareProbe(pr *core.PreparedRecord, t *ProbeTable) Presig
 
 // probePebbles returns pr's pebbles gathered through t into buf (emptied
 // first, and grown to Generator.Count's bound when short), sorted by the
-// global order.
+// global order. A segment t does not hold is interned by key
+// (Generator.appendInterned), and only its pebbles of keys the order lacks
+// carry their keys.
 func (sel *Selector) probePebbles(buf []Pebble, pr *core.PreparedRecord, t *ProbeTable) []Pebble {
 	out := slices.Grow(buf[:0], sel.Gen.Count(pr))
+	var kb [16]byte
+	key := kb[:0]
 	for idx := range pr.Segs {
-		sg := &pr.Segs[idx]
 		var ok bool
-		if out, ok = t.appendSegment(out, sg, sel.Gen.Ctx.Tax, idx); ok {
-			continue
+		if out, ok = t.appendSegment(out, pr, sel.Gen.Ctx.Tax, idx); !ok {
+			out, key = sel.Gen.appendInterned(out, key, pr.Table(idx), idx, sel.Order)
 		}
-		from := len(out)
-		out = sel.Gen.appendSegment(out, sg.Data, idx)
-		sel.Order.Intern(out[from:])
 	}
 	sortInterned(out)
 	return out
 }
 
-// AppendUnheld appends the pebbles, by key, of the segments of pr that t does
-// not hold: the only ones whose keys the order can lack.
-func (t *ProbeTable) AppendUnheld(gen *Generator, out []Pebble, pr *core.PreparedRecord) []Pebble {
-	out = slices.Grow(out, gen.Count(pr))
-	for idx := range pr.Segs {
-		if sg := &pr.Segs[idx]; !t.Holds(sg.ID) {
-			out = gen.appendSegment(out, sg.Data, idx)
+// AppendUnheld appends the pebbles of the segments of pr that t does not
+// hold — the only ones whose keys sel's order can lack — whose keys the
+// order lacks, with their keys: what InternDynamic must add before pr is
+// signed under the order.
+func (t *ProbeTable) AppendUnheld(sel *Selector, out []Pebble, pr *core.PreparedRecord) []Pebble {
+	var kb [16]byte
+	key := kb[:0]
+	for idx, sg := range pr.Segs {
+		if t.Holds(sg.ID()) {
+			continue
 		}
+		from := len(out)
+		out, key = sel.Gen.appendInterned(out, key, pr.Table(idx), idx, sel.Order)
+		out = out[:from+len(slices.DeleteFunc(out[from:], func(p Pebble) bool { return p.ID != NoID }))]
 	}
 	return out
 }

@@ -96,20 +96,21 @@ func TestProbeTableSigning(t *testing.T) {
 				raw, _ = gen.Variant(raws[k*len(raws)/200])
 			}
 			pr := calc.PrepareProbe(d, strutil.Tokenize(raw))
-			for _, sg := range pr.Segs {
-				switch {
-				case tab.Holds(sg.ID):
+			for i, sg := range pr.Segs {
+				switch d := pr.Table(i); {
+				case tab.Holds(sg.ID()):
 					held++
-					nsyn := len(sg.Data.LHS) + len(sg.Data.RHS)
-					if w := tab.synWeights(sg.ID); nsyn > len(w) && len(w) > 0 {
+					lhs, rhs := ctx.Rules.SideRules(d.Side)
+					nsyn := len(lhs) + len(rhs)
+					if w := tab.synWeights(sg.ID()); nsyn > len(w) && len(w) > 0 {
 						dedup++
 					}
 					syn += min(nsyn, 1)
-					if sg.Data.Node != taxonomy.InvalidNode {
+					if d.Node != taxonomy.InvalidNode {
 						tax++
 						both += min(nsyn, 1)
 					}
-				case sg.ID != core.NoSegID:
+				case sg.ID() != core.NoSegID:
 					refused++
 				default:
 					absent++
@@ -170,18 +171,19 @@ func TestProbeTableLayout(t *testing.T) {
 	var filled, refused int
 	for _, pr := range prepared {
 		for idx, sg := range pr.Segs {
-			if seen[sg.ID] {
+			id, d := sg.ID(), pr.Table(idx)
+			if seen[id] {
 				continue
 			}
-			seen[sg.ID] = true
-			want := g.appendSegment(nil, sg.Data, idx)
+			seen[id] = true
+			want := g.appendSegment(nil, d, idx)
 			order.Intern(want)
-			grams := want[:len(sg.Data.GramKeys)]
+			grams := want[:d.Occ]
 			slices.SortStableFunc(grams, func(a, b Pebble) int { return strings.Compare(a.Key, b.Key) })
-			ids, w := tab.slot(sg.ID), tab.synWeights(sg.ID)
+			ids, w := tab.slot(id), tab.synWeights(id)
 			if slices.ContainsFunc(want, func(p Pebble) bool { return p.ID == NoID }) {
 				if len(ids) != 0 || len(w) != 0 {
-					t.Fatalf("entry %d (%q) has a key the order lacks and a filled slot", sg.ID, sg.Data.Text)
+					t.Fatalf("entry %d (%q) has a key the order lacks and a filled slot", id, d.Text)
 				}
 				refused++
 				continue
@@ -196,7 +198,7 @@ func TestProbeTableLayout(t *testing.T) {
 				}
 			}
 			if !slices.Equal(ids, wantIDs) || !slices.Equal(w, wantW) {
-				t.Fatalf("entry %d (%q): slot %v %v, want %v %v", sg.ID, sg.Data.Text, ids, w, wantIDs, wantW)
+				t.Fatalf("entry %d (%q): slot %v %v, want %v %v", id, d.Text, ids, w, wantIDs, wantW)
 			}
 		}
 	}

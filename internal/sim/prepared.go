@@ -2,9 +2,9 @@ package sim
 
 import (
 	"sort"
-	"strings"
 
 	"github.com/aujoin/aujoin/internal/strutil"
+	"github.com/aujoin/aujoin/internal/synonym"
 	"github.com/aujoin/aujoin/internal/taxonomy"
 )
 
@@ -13,21 +13,38 @@ import (
 // intersection by merging, which is what the verification hot path needs.
 type GramSet []string
 
-// newGramSet sorts and deduplicates a q-gram multiset in place. The grams
-// share their string's backing storage, so a GramSet costs one slice beyond
-// the string.
-func newGramSet(grams []string) GramSet {
+// newGramSet sorts and deduplicates a q-gram multiset in place, and returns
+// with it, for a multiset that repeats a gram, how often each gram of the
+// set occurs (nil when none repeats). The grams share their string's backing
+// storage, so a GramSet costs one slice beyond the string.
+func newGramSet(grams []string) (GramSet, *[]int32) {
 	if len(grams) == 0 {
-		return nil
+		return nil, nil
 	}
 	sort.Strings(grams)
 	out := grams[:1]
-	for _, g := range grams[1:] {
+	var reps []int32
+	for i, g := range grams[1:] {
 		if g != out[len(out)-1] {
 			out = append(out, g)
+			if reps != nil {
+				reps = append(reps, 1)
+			}
+			continue
 		}
+		if reps == nil {
+			// The first repeat: every gram before it occurred once.
+			reps = make([]int32, len(out), len(out)+len(grams)-2-i)
+			for k := range reps {
+				reps[k] = 1
+			}
+		}
+		reps[len(reps)-1]++
 	}
-	return out
+	if reps == nil {
+		return out, nil
+	}
+	return out, &reps
 }
 
 // Overlap returns |a ∩ b| by merging the two sorted sets.
@@ -51,60 +68,64 @@ func (a GramSet) Overlap(b GramSet) int {
 // SegmentData is the per-segment derivation table of the prepare-once
 // verification engine: everything the base measures need about one token
 // span, computed once per record instead of once per candidate pair. The
-// zero value describes an empty span.
+// zero value describes an empty span. It holds no pebble key: a Jaccard
+// pebble's key is GramKeyPrefix and a gram, built only where a segment is
+// signed by key, and the table keeps of the gram occurrence multiset only
+// what the pebbles need without keys — its size (Occ) and, for a text that
+// repeats a gram, each gram's count (Reps).
 type SegmentData struct {
 	// Text is the space-joined segment text.
 	Text string
 	// Grams is the sorted q-gram set of Text (nil when Jaccard is disabled).
 	Grams GramSet
-	// GramKeys is the multiset form pebble generation reads (Table 2's Jaccard
-	// row): GramKeyPrefix + gram for every q-gram occurrence of Text, in order
-	// of occurrence, all cut out of one backing string.
-	GramKeys []string
 	// Node is the taxonomy entity the text maps to, or InvalidNode.
 	Node taxonomy.NodeID
-	// LHS and RHS list the identifiers (ascending) of the synonym rules whose
-	// left / right side equals Text. The slices alias the rule set's index
-	// and must not be modified.
-	LHS, RHS []int
+	// Occ is the number of q-gram occurrences of Text (strutil.QGrams), each
+	// one Jaccard pebble (Table 2); 0 when Jaccard is disabled.
+	Occ int32
+	// Side is Text's number as a synonym rule side (synonym.RuleSet.SideOf),
+	// or synonym.NoSide: the rules whose left / right side equals Text are
+	// Rules.SideRules(Side).
+	Side int32
+	// Reps, for a text that repeats a gram, points at how often each gram of
+	// Grams occurs in Text, in Grams order; it is nil for a text whose grams
+	// each occur once.
+	Reps *[]int32
+}
+
+// GramCount returns how often gram i of a.Grams occurs in a.Text.
+func (a *SegmentData) GramCount(i int) int {
+	if a.Reps == nil {
+		return 1
+	}
+	return int((*a.Reps)[i])
 }
 
 // GramKeyPrefix namespaces the pebble keys of q-grams, so that a gram can
 // never collide with a rule side or an entity name in the inverted index.
 const GramKeyPrefix = "g:"
 
-// gramKeys returns the pebble key of every gram, in the order given.
-func gramKeys(grams []string) []string {
-	if len(grams) == 0 {
-		return nil
+// OccurrenceGram returns the q-gram occurrence i of text, in the order
+// strutil.QGrams lists them: text itself when it is shorter than q.
+func OccurrenceGram(text string, q, i int) string {
+	if len(text) < q {
+		return text
 	}
-	var b strings.Builder
-	b.Grow(len(grams) * (len(GramKeyPrefix) + len(grams[0]))) // grams of one text are equally long
-	for _, g := range grams {
-		b.WriteString(GramKeyPrefix)
-		b.WriteString(g)
-	}
-	all, keys := b.String(), make([]string, len(grams))
-	for i, g := range grams {
-		n := len(GramKeyPrefix) + len(g)
-		keys[i], all = all[:n], all[n:]
-	}
-	return keys
+	return text[i : i+q]
 }
 
 // PrepareSegment derives the SegmentData of a token span under this context
 // from its space-joined text. The tokens must already be normalised (the
 // output of strutil.Tokenize).
 func (c *Context) PrepareSegment(text string) SegmentData {
-	d := SegmentData{Text: text, Node: taxonomy.InvalidNode}
+	d := SegmentData{Text: text, Node: taxonomy.InvalidNode, Side: synonym.NoSide}
 	if c.JaccardEnabled() {
 		grams := strutil.QGrams(d.Text, c.GramQ())
-		d.GramKeys = gramKeys(grams)
-		d.Grams = newGramSet(grams)
+		d.Occ = int32(len(grams))
+		d.Grams, d.Reps = newGramSet(grams)
 	}
 	if c.SynonymEnabled() {
-		d.LHS = c.Rules.ByLHSText(d.Text)
-		d.RHS = c.Rules.ByRHSText(d.Text)
+		d.Side = c.Rules.SideOf(d.Text)
 	}
 	if c.TaxonomyEnabled() {
 		if id, ok := c.Tax.LookupText(text); ok {
@@ -136,12 +157,12 @@ func (c *Context) SegmentJaccardData(a, b *SegmentData) float64 {
 	return float64(inter) / float64(union)
 }
 
-// SegmentSynonymData is SegmentSynonym over prepared rule-side id lists.
+// SegmentSynonymData is SegmentSynonym over prepared rule-side numbers.
 func (c *Context) SegmentSynonymData(a, b *SegmentData) float64 {
 	if !c.SynonymEnabled() {
 		return 0
 	}
-	s, ok := c.Rules.MatchIDLists(a.LHS, a.RHS, b.LHS, b.RHS)
+	s, ok := c.Rules.MatchSides(a.Side, b.Side)
 	if !ok {
 		return 0
 	}
@@ -197,7 +218,7 @@ func (a *SegmentData) Score() uint8 {
 	if a.Text == "" || len(a.Grams) == 0 {
 		s |= ScoreDegenerate
 	}
-	if len(a.LHS) > 0 || len(a.RHS) > 0 {
+	if a.Side != synonym.NoSide {
 		s |= ScoreRule
 	}
 	if a.Node != taxonomy.InvalidNode {
@@ -272,10 +293,9 @@ func (c *Context) MSimRow(row []float64, a *SegmentData, p *RowProbe, inter []in
 			}
 		}
 	}
-	if c.SynonymEnabled() && (len(a.LHS) > 0 || len(a.RHS) > 0) {
+	if c.SynonymEnabled() && a.Side != synonym.NoSide {
 		for _, j := range p.ruled {
-			b := p.segs[j]
-			if v, ok := c.Rules.MatchIDLists(a.LHS, a.RHS, b.LHS, b.RHS); ok && v > row[j] {
+			if v, ok := c.Rules.MatchSides(a.Side, p.segs[j].Side); ok && v > row[j] {
 				row[j] = v
 				best = max(best, v)
 			}

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -54,8 +55,12 @@ func (r Rule) String() string {
 // rules are being added.
 type RuleSet struct {
 	rules []Rule
-	byLHS map[string][]int // lhs text → rule indices
-	byRHS map[string][]int // rhs text → rule indices
+	// sideOf numbers every text that is the lhs or the rhs of a rule, in
+	// first-seen order, and sides[n] lists the rules whose lhs and whose rhs
+	// is text number n. A prepared segment keeps a text's number (Side)
+	// instead of the two lists.
+	sideOf map[string]int32
+	sides  []ruleSide
 	// byPair maps "lhs\x00rhs" (and the symmetric "rhs\x00lhs") to the best
 	// closeness across all rules linking the two sides.
 	byPair map[string]float64
@@ -65,11 +70,20 @@ type RuleSet struct {
 	heads map[string]int
 }
 
+// ruleSide is one rule-side text's rules, in one list: the nl rules it is
+// the lhs of, then those it is the rhs of, each part ascending.
+type ruleSide struct {
+	ids []int
+	nl  int
+}
+
+// NoSide is the side number of a text that is no rule's lhs or rhs.
+const NoSide int32 = -1
+
 // NewRuleSet creates an empty rule set.
 func NewRuleSet() *RuleSet {
 	return &RuleSet{
-		byLHS:  make(map[string][]int),
-		byRHS:  make(map[string][]int),
+		sideOf: make(map[string]int32),
 		byPair: make(map[string]float64),
 		heads:  make(map[string]int),
 	}
@@ -100,8 +114,11 @@ func (rs *RuleSet) Add(lhs, rhs string, closeness float64) (int, error) {
 	rule := Rule{ID: id, LHS: l, RHS: r, C: closeness}
 	rs.rules = append(rs.rules, rule)
 	lt, rt := rule.LHSText(), rule.RHSText()
-	rs.byLHS[lt] = append(rs.byLHS[lt], id)
-	rs.byRHS[rt] = append(rs.byRHS[rt], id)
+	ls := &rs.sides[rs.side(lt)] // id is the largest yet: it ends the lhs part
+	ls.ids = slices.Insert(ls.ids, ls.nl, id)
+	ls.nl++
+	rsd := &rs.sides[rs.side(rt)]
+	rsd.ids = append(rsd.ids, id)
 	rs.addPair(lt, rt, closeness)
 	rs.addPair(rt, lt, closeness)
 	for _, side := range [2][]string{l, r} {
@@ -122,6 +139,17 @@ func (rs *RuleSet) MustAdd(lhs, rhs string, closeness float64) int {
 	return id
 }
 
+// side returns the number of a rule-side text, numbering it on first sight.
+func (rs *RuleSet) side(text string) int32 {
+	n, ok := rs.sideOf[text]
+	if !ok {
+		n = int32(len(rs.sides))
+		rs.sideOf[text] = n
+		rs.sides = append(rs.sides, ruleSide{})
+	}
+	return n
+}
+
 func (rs *RuleSet) addPair(a, b string, c float64) {
 	key := a + "\x00" + b
 	if prev, ok := rs.byPair[key]; !ok || c > prev {
@@ -132,28 +160,59 @@ func (rs *RuleSet) addPair(a, b string, c float64) {
 // ByLHS returns the identifiers of all rules whose left-hand side equals the
 // given token span.
 func (rs *RuleSet) ByLHS(tokens []string) []int {
-	return rs.byLHS[strutil.JoinTokens(tokens)]
+	return rs.ByLHSText(strutil.JoinTokens(tokens))
 }
 
 // ByRHS returns the identifiers of all rules whose right-hand side equals
 // the given token span.
 func (rs *RuleSet) ByRHS(tokens []string) []int {
-	return rs.byRHS[strutil.JoinTokens(tokens)]
+	return rs.ByRHSText(strutil.JoinTokens(tokens))
 }
 
 // ByLHSText is ByLHS for a pre-joined segment text. The returned slice
 // aliases the index and lists rule identifiers in ascending order.
-func (rs *RuleSet) ByLHSText(text string) []int { return rs.byLHS[text] }
+func (rs *RuleSet) ByLHSText(text string) []int {
+	lhs, _ := rs.SideRules(rs.SideOf(text))
+	return lhs
+}
 
 // ByRHSText is ByRHS for a pre-joined segment text.
-func (rs *RuleSet) ByRHSText(text string) []int { return rs.byRHS[text] }
+func (rs *RuleSet) ByRHSText(text string) []int {
+	_, rhs := rs.SideRules(rs.SideOf(text))
+	return rhs
+}
 
-// MatchIDLists is MatchPair over precomputed rule-side id lists: aLHS/aRHS
-// are the rules whose lhs/rhs equals span a (as returned by ByLHSText and
-// ByRHSText), likewise b. It returns the best closeness of a rule linking
-// the two spans in either direction without joining or hashing any strings,
-// and agrees exactly with MatchPair on the underlying spans.
-func (rs *RuleSet) MatchIDLists(aLHS, aRHS, bLHS, bRHS []int) (float64, bool) {
+// SideOf returns the side number of a pre-joined segment text: the same
+// number for every rule whose lhs or rhs it is, NoSide for a text that is no
+// rule's side.
+func (rs *RuleSet) SideOf(text string) int32 {
+	if n, ok := rs.sideOf[text]; ok {
+		return n
+	}
+	return NoSide
+}
+
+// SideRules returns the rules (ascending) whose lhs and whose rhs is the
+// text of side number n; none for NoSide. The slices alias the rule set's
+// index and must not be modified.
+func (rs *RuleSet) SideRules(n int32) (lhs, rhs []int) {
+	if n == NoSide {
+		return nil, nil
+	}
+	sd := &rs.sides[n]
+	return sd.ids[:sd.nl:sd.nl], sd.ids[sd.nl:]
+}
+
+// MatchSides is MatchPair over side numbers (SideOf): the best closeness of
+// a rule linking the texts of sides a and b in either direction, found
+// without joining or hashing any strings. It agrees exactly with MatchPair
+// on the underlying spans.
+func (rs *RuleSet) MatchSides(a, b int32) (float64, bool) {
+	if a == NoSide || b == NoSide {
+		return 0, false
+	}
+	aLHS, aRHS := rs.SideRules(a)
+	bLHS, bRHS := rs.SideRules(b)
 	best, ok := 0.0, false
 	rs.scanCommon(aLHS, bRHS, &best, &ok)
 	rs.scanCommon(aRHS, bLHS, &best, &ok)
@@ -185,7 +244,8 @@ func (rs *RuleSet) scanCommon(x, y []int, best *float64, ok *bool) {
 // lhs or rhs of at least one rule; such spans are well-defined segments
 // (Definition 1(i)).
 func (rs *RuleSet) IsSide(text string) bool {
-	return len(rs.byLHS[text]) > 0 || len(rs.byRHS[text]) > 0
+	_, ok := rs.sideOf[text]
+	return ok
 }
 
 // MatchPair returns the best closeness of a rule linking the two token spans
