@@ -61,7 +61,7 @@ func phraseCorpus(rng *rand.Rand, phrases [][]string, n int) [][]string {
 // of pt, the best well-defined partition of ps under those values, over the
 // larger of the two partition-size lower bounds, clipped at 1.
 func leftCoverRef(calc *Calculator, ps, pt *PreparedRecord) float64 {
-	n := len(ps.Tokens)
+	n := int(ps.tokens)
 	cover := make([]float64, n+1)
 	for pos := 0; pos < n; pos++ {
 		cover[pos] = -1
@@ -122,7 +122,7 @@ func TestCoverStageDominates(t *testing.T) {
 					if r.maxID >= sc.adoptRows(calc.Ctx, col.dict, pt) {
 						t.Fatalf("%s: %v / %v: the record has no row for every segment", tc.name, toks, probe)
 					}
-					stage := min(calc.columnCover(sc, col.segs, int(r.end), int(r.tokens), pt)/float64(max(int(r.minPart), pt.minPart)), 1)
+					stage := min(calc.columnCover(sc, col.segs, int(r.end), int(r.tokens), pt)/float64(max(int(r.minPart), int(pt.minPart))), 1)
 					if ref := leftCoverRef(calc, ps, pt); stage != ref {
 						t.Fatalf("%s: %v / %v: cover stage %v, left half of coverUpper %v", tc.name, toks, probe, stage, ref)
 					}

@@ -69,7 +69,7 @@ func (col *CoverColumn) Append(prepared []*PreparedRecord) {
 	col.recs = slices.Grow(col.recs, len(prepared))
 	col.segs = slices.Grow(col.segs, words)
 	for _, pr := range prepared {
-		r := coverRec{tokens: uint16(min(len(pr.Tokens), math.MaxUint16)), maxID: coverFlagged}
+		r := coverRec{tokens: uint16(min(pr.tokens, math.MaxUint16)), maxID: coverFlagged}
 		if col.encodes(pr) {
 			r.minPart = uint16(pr.minPart)
 			for _, sg := range pr.Segs {
@@ -87,7 +87,7 @@ func (col *CoverColumn) Append(prepared []*PreparedRecord) {
 // span length fits its word. The implied starts are not checked: prepare
 // enumerates every record's segments in that order.
 func (col *CoverColumn) encodes(pr *PreparedRecord) bool {
-	if d := pr.dict; d == nil || d != col.dict || len(pr.Tokens) > math.MaxUint16 {
+	if d := pr.dict; d == nil || d != col.dict || pr.tokens > math.MaxUint16 {
 		return false
 	}
 	for _, sg := range pr.Segs {
@@ -113,8 +113,8 @@ func (col *CoverColumn) encodes(pr *PreparedRecord) bool {
 // bound. sc must not be nil.
 func (c *Calculator) CoverBound(col *CoverColumn, pos int32, pt *PreparedRecord, theta float64, sc *Scratch) float64 {
 	r := col.recs[pos]
-	if r.tokens == 0 || len(pt.Tokens) == 0 {
-		if r.tokens == 0 && len(pt.Tokens) == 0 {
+	if r.tokens == 0 || pt.tokens == 0 {
+		if r.tokens == 0 && pt.tokens == 0 {
 			return 1
 		}
 		return 0
@@ -122,7 +122,7 @@ func (c *Calculator) CoverBound(col *CoverColumn, pos int32, pt *PreparedRecord,
 	if r.maxID == coverFlagged {
 		return 1
 	}
-	ub := sizeRatio(int(r.minPart), int(r.tokens), pt.minPart, len(pt.Tokens))
+	ub := sizeRatio(int(r.minPart), int(r.tokens), int(pt.minPart), int(pt.tokens))
 	if ub < theta-boundSlack {
 		sc.Stats.PrunedByBound++
 		return ub
@@ -130,7 +130,7 @@ func (c *Calculator) CoverBound(col *CoverColumn, pos int32, pt *PreparedRecord,
 	if r.maxID >= sc.adoptRows(c.Ctx, col.dict, pt) {
 		return ub
 	}
-	cover := min(c.columnCover(sc, col.segs, int(r.end), int(r.tokens), pt)/float64(max(int(r.minPart), pt.minPart)), 1)
+	cover := min(c.columnCover(sc, col.segs, int(r.end), int(r.tokens), pt)/float64(max(int(r.minPart), int(pt.minPart))), 1)
 	if cover >= ub {
 		return ub
 	}

@@ -18,8 +18,8 @@ import (
 // flags, then the size ratio and — when every segment of ps has a row — the
 // smaller of it and leftCoverRef, whose row IDs it adds to touched.
 func refBound(calc *Calculator, ps, pt *PreparedRecord, flagged bool, theta float64, rows uint32, st *VerifyStats, touched map[uint32]bool) float64 {
-	if len(ps.Tokens) == 0 || len(pt.Tokens) == 0 {
-		if len(ps.Tokens) == 0 && len(pt.Tokens) == 0 {
+	if ps.tokens == 0 || pt.tokens == 0 {
+		if ps.tokens == 0 && pt.tokens == 0 {
 			return 1
 		}
 		return 0
@@ -64,7 +64,7 @@ func impliedStarts(pr *PreparedRecord) bool {
 			return false
 		}
 	}
-	return start == len(pr.Tokens)-1
+	return start == int(pr.tokens)-1
 }
 
 // TestCoverBoundMatchesReference pins CoverBound, the bound loop's entry, to
@@ -148,7 +148,7 @@ func TestCoverBoundMatchesReference(t *testing.T) {
 					want.MSimEvals += int64((len(touched) - before) * len(pt.Segs))
 					if math.Float64bits(got) != math.Float64bits(ref) || colSc.Stats != want {
 						t.Fatalf("%s: record %d (%d tokens) / %v at θ=%v: column bound %v with %+v, reference %v with %+v",
-							tc.name, pos, len(ps.Tokens), probe, theta, got, colSc.Stats, ref, want)
+							tc.name, pos, int(ps.tokens), probe, theta, got, colSc.Stats, ref, want)
 					}
 					switch r := col.recs[pos]; {
 					case r.tokens == 0:
@@ -186,7 +186,7 @@ func TestCoverBoundMatchesReference(t *testing.T) {
 			for pos := len(recs) - 2; pos < len(recs); pos++ {
 				if recs[pos].maxSegID == NoSegID || col.recs[pos].maxID != coverFlagged {
 					t.Errorf("%s: the record of %d tokens with a %d-token segment was not flagged on its own account",
-						tc.name, len(recs[pos].Tokens), recs[pos].Segs[1].Len())
+						tc.name, int(recs[pos].tokens), recs[pos].Segs[1].Len())
 				}
 			}
 		}
@@ -222,7 +222,7 @@ func TestEagerRowPassMatchesLazy(t *testing.T) {
 		recs = append(recs, calc.Prepare(strutil.Tokenize(raws[0])))
 		for _, pr := range recs {
 			if !impliedStarts(pr) {
-				t.Fatalf("%s: %v prepared into segments %+v: not by start then length, or a start without its singleton first", sh.name, pr.Tokens, pr.Segs)
+				t.Fatalf("%s: %v prepared into segments %+v: not by start then length, or a start without its singleton first", sh.name, tokensOf(pr), pr.Segs)
 			}
 		}
 		col := NewCoverColumn(d, recs)
@@ -246,7 +246,7 @@ func TestEagerRowPassMatchesLazy(t *testing.T) {
 				calc.AdoptProbe(&col, cands, pt, eager)
 				calc.AdoptProbe(&col, nil, pt, lazy)
 				if lazy.rowsAll {
-					t.Fatalf("%s, %d cells, %v: no candidate took the eager pass", sh.name, cells, pt.Tokens)
+					t.Fatalf("%s, %d cells, %v: no candidate took the eager pass", sh.name, cells, tokensOf(pt))
 				}
 				if eager.rowsAll {
 					chosen++
@@ -256,7 +256,7 @@ func TestEagerRowPassMatchesLazy(t *testing.T) {
 				}
 				if few := NewScratch(); cells == rowCellBudget {
 					if calc.AdoptProbe(&col, cands[:2], pt, few); few.rowsAll {
-						t.Fatalf("%s, %v: two candidates took the eager pass over %d rows", sh.name, pt.Tokens, few.rowN)
+						t.Fatalf("%s, %v: two candidates took the eager pass over %d rows", sh.name, tokensOf(pt), few.rowN)
 					}
 				}
 				for _, pos := range cands {
@@ -264,19 +264,19 @@ func TestEagerRowPassMatchesLazy(t *testing.T) {
 					want := calc.CoverBound(&col, pos, pt, sh.theta, lazy)
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s, %d cells: record %d against %v: bound %v after the eager pass, %v lazily",
-							sh.name, cells, pos, pt.Tokens, got, want)
+							sh.name, cells, pos, tokensOf(pt), got, want)
 					}
 					if got >= sh.theta-BoundSlack {
 						gv, gok := calc.VerifyPrepared(recs[pos], pt, sh.theta, eager)
 						wv, wok := calc.VerifyPrepared(recs[pos], pt, sh.theta, lazy)
 						if gok != wok || math.Float64bits(gv) != math.Float64bits(wv) {
 							t.Fatalf("%s, %d cells: record %d against %v: verified (%v, %v) after the eager pass, (%v, %v) lazily",
-								sh.name, cells, pos, pt.Tokens, gv, gok, wv, wok)
+								sh.name, cells, pos, tokensOf(pt), gv, gok, wv, wok)
 						}
 					}
 					e, l := eager.Stats, lazy.Stats
 					if e.PrunedByBound != l.PrunedByBound || e.PrunedByCover != l.PrunedByCover || e.VerifiedCandidates != l.VerifiedCandidates {
-						t.Fatalf("%s, %d cells: record %d against %v: %+v after the eager pass, %+v lazily", sh.name, cells, pos, pt.Tokens, e, l)
+						t.Fatalf("%s, %d cells: record %d against %v: %+v after the eager pass, %+v lazily", sh.name, cells, pos, tokensOf(pt), e, l)
 					}
 					switch r := col.recs[pos]; {
 					case r.maxID == coverFlagged:

@@ -37,8 +37,8 @@ func holdsPointer(t reflect.Type) bool {
 
 // TestPreparedSegmentLayout pins the prepared segment's layout: at most 12
 // bytes and no pointer, so a record's segment array is one pointer-free
-// allocation the collector never scans. The record header beside it stays
-// in the 96-byte size class.
+// allocation the collector never scans. The record header beside it keeps a
+// token count, not the tokens, and fits 72 bytes (the 80-byte size class).
 func TestPreparedSegmentLayout(t *testing.T) {
 	if holdsPointer(reflect.TypeOf(PreparedSegment{})) {
 		t.Fatal("PreparedSegment holds a pointer")
@@ -46,8 +46,8 @@ func TestPreparedSegmentLayout(t *testing.T) {
 	if size := unsafe.Sizeof(PreparedSegment{}); size > 12 {
 		t.Fatalf("PreparedSegment is %d bytes, want at most 12", size)
 	}
-	if size := unsafe.Sizeof(PreparedRecord{}); size > 96 {
-		t.Fatalf("PreparedRecord is %d bytes, want at most 96", size)
+	if size := unsafe.Sizeof(PreparedRecord{}); size > 72 {
+		t.Fatalf("PreparedRecord is %d bytes, want at most 72", size)
 	}
 }
 
@@ -211,9 +211,10 @@ func TestSegDictReadsAcrossChunks(t *testing.T) {
 
 // BenchmarkPrepareIn is the prepared layout's cost a record: each op interns
 // 2 000 titles (q = 5, tokenized beforehand) into a new dictionary and keeps
-// the records, as an index build does, and B/record and allocs/record are
-// what the op allocated over its records: the segments, the record headers
-// and the dictionary's tables, keys and gram numbering.
+// the records, as an index build does, through one segment-enumeration
+// buffer, as a build's worker does (PrepareInBuf). B/record and
+// allocs/record are what the op allocated over its records: the segments,
+// the record headers and the dictionary's tables, keys and gram numbering.
 func BenchmarkPrepareIn(b *testing.B) {
 	const records = 2000
 	gen := datagen.New(titlesShape(records))
@@ -229,10 +230,11 @@ func BenchmarkPrepareIn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	runtime.ReadMemStats(&before)
+	var segs []Segment
 	for range b.N {
 		d := NewSegDict()
 		for i, toks := range tokens {
-			prepared[i] = calc.PrepareIn(d, toks)
+			prepared[i], segs = calc.PrepareInBuf(segs, d, toks)
 		}
 	}
 	runtime.ReadMemStats(&after)

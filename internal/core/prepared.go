@@ -12,11 +12,11 @@ import (
 
 // PreparedSegment is one well-defined segment of a prepared record: its
 // span, its two provenance flags and where its derivation table is. Its
-// tokens are Span().Slice(record.Tokens), and its table is the record's
-// Table of its index. It packs into 12 bytes with no pointer: the span's
-// start and end take 31 bits each, beside a flag bit each, and ref holds the
-// segment's dictionary ID or, with ownRef set, the place of its table in the
-// record's side table. A record has fewer than maxRecordSegs segments, so
+// tokens are Span().Slice of the record's tokens, and its table is the
+// record's Table of its index. It packs into 12 bytes with no pointer: the
+// span's start and end take 31 bits each, beside a flag bit each, and ref
+// holds the segment's dictionary ID or, with ownRef set, the place of its
+// table in the record's side table. A record has fewer than maxRecordSegs segments, so
 // every field fits (ErrRecordTooLong).
 type PreparedSegment struct {
 	start, end uint32
@@ -86,10 +86,10 @@ func packSegment(s *Segment) PreparedSegment {
 // and rule-side derivations, plus the partition-size lower bound used by the
 // thresholded early exit. Prepare it once per record and verify it against
 // arbitrarily many counterparts; the struct is immutable after Prepare and
-// safe for concurrent use.
+// safe for concurrent use. It keeps the record's token count, not its
+// tokens: every segment is a span of positions, and its text is in its
+// table, so a prepared record pins none of the strings it was made from.
 type PreparedRecord struct {
-	// Tokens is the record's token sequence.
-	Tokens []string
 	// Segs lists every well-defined segment, ordered by start position then
 	// length (the same order Segmenter.Segments produces): every position
 	// has a singleton, the first segment starting there.
@@ -99,9 +99,10 @@ type PreparedRecord struct {
 	// text interned past the cap, every text of a record prepared without a
 	// dictionary), in segment order.
 	own []sim.SegmentData
-	// minPart is MP(S), the fewest segments of any well-defined partition of
-	// the record (minPartitionSizeSegs).
-	minPart int
+	// tokens is the record's token count, and minPart MP(S), the fewest
+	// segments of any well-defined partition of the record
+	// (minPartitionSizeSegs); both are below maxRecordSegs.
+	tokens, minPart int32
 	// dict is the dictionary the segments' IDs index — the one the record was
 	// interned into or, for a probe, read from; nil when the record was
 	// prepared without one (every ID is NoSegID then).
@@ -136,7 +137,7 @@ func (pr *PreparedRecord) NumSegments() int { return len(pr.Segs) }
 // MinPartitionSize returns MP(S), the precomputed fewest segments of any
 // well-defined partition of the record: a lower bound on every partition's
 // size.
-func (pr *PreparedRecord) MinPartitionSize() int { return pr.minPart }
+func (pr *PreparedRecord) MinPartitionSize() int { return int(pr.minPart) }
 
 // Prepare is PrepareProbe without a dictionary: every derivation table is the
 // record's own.
@@ -154,9 +155,24 @@ func (c *Calculator) Prepare(tokens []string) *PreparedRecord {
 // context. The returned record is immutable and safe to share across
 // goroutines.
 func (c *Calculator) PrepareIn(d *SegDict, tokens []string) *PreparedRecord {
-	pr := new(PreparedRecord)
-	c.prepare(pr, nil, d, true, tokens)
+	pr, _ := c.PrepareInBuf(nil, d, tokens)
 	return pr
+}
+
+// PrepareInBuf is PrepareIn with segs as the segment enumeration's buffer,
+// which it returns, grown where the record needed it, for the next record: a
+// worker that prepares records one after another passes each one's buffer
+// to the next. The returned record holds none of it.
+func (c *Calculator) PrepareInBuf(segs []Segment, d *SegDict, tokens []string) (*PreparedRecord, []Segment) {
+	pr := new(PreparedRecord)
+	return pr, c.prepare(pr, segs, d, true, tokens)
+}
+
+// PrepareProbeBuf is PrepareProbe with a reused enumeration buffer
+// (PrepareInBuf).
+func (c *Calculator) PrepareProbeBuf(segs []Segment, d *SegDict, tokens []string) (*PreparedRecord, []Segment) {
+	pr := new(PreparedRecord)
+	return pr, c.prepare(pr, segs, d, false, tokens)
 }
 
 // PrepareProbe is PrepareIn for the probe side — a query, a probe batch, the
@@ -169,8 +185,7 @@ func (c *Calculator) PrepareIn(d *SegDict, tokens []string) *PreparedRecord {
 // side of a pair the record is on, so a probe all of whose texts d holds
 // reads the row cache as a left operand like any record of d.
 func (c *Calculator) PrepareProbe(d *SegDict, tokens []string) *PreparedRecord {
-	pr := new(PreparedRecord)
-	c.prepare(pr, nil, d, false, tokens)
+	pr, _ := c.PrepareProbeBuf(nil, d, tokens)
 	return pr
 }
 
@@ -201,13 +216,13 @@ func (c *Calculator) PrepareProbeInto(ps *ProbeScratch, d *SegDict, tokens []str
 	return &ps.pr
 }
 
-// Reset lets go of the last probe — the caller's tokens and the tables its
-// segments point at — and drops every buffer grown past probeScratchCap, so
-// that a pooled ProbeScratch pins no request's data and keeps no long
-// record's arrays.
+// Reset lets go of the last probe — the caller's tokens its enumeration
+// holds and the tables its segments point at — and drops every buffer grown
+// past probeScratchCap, so that a pooled ProbeScratch pins no request's data
+// and keeps no long record's arrays.
 func (ps *ProbeScratch) Reset() {
 	pr := &ps.pr
-	pr.Tokens, pr.dict = nil, nil
+	pr.dict = nil
 	pr.Segs, pr.own = dropped(pr.Segs), dropped(pr.own)
 	ps.segs = dropped(ps.segs)
 }
@@ -226,11 +241,11 @@ func dropped[E any](s []E) []E {
 // tokens: interned into d (PrepareIn) or read from it (PrepareProbe). pr's
 // arrays are reused where they are large enough, its side table among them,
 // and so is segs, the enumeration's buffer, which it returns for the next
-// prepare; a new record passes none and gets arrays of exactly its size. A
+// prepare; a new record gets arrays of exactly its size. A
 // record of maxRecordSegs segments or more panics with ErrRecordTooLong.
 func (c *Calculator) prepare(pr *PreparedRecord, segs []Segment, d *SegDict, intern bool, tokens []string) []Segment {
 	pr.epoch++
-	pr.Tokens, pr.dict, pr.minPart, pr.maxSegID = tokens, d, 0, 0
+	pr.dict, pr.tokens, pr.minPart, pr.maxSegID = d, 0, 0, 0
 	pr.Segs, pr.own = pr.Segs[:0], pr.own[:0]
 	if len(tokens) == 0 {
 		return segs
@@ -239,11 +254,12 @@ func (c *Calculator) prepare(pr *PreparedRecord, segs []Segment, d *SegDict, int
 	if len(segs) >= maxRecordSegs {
 		panic(ErrRecordTooLong)
 	}
+	pr.tokens = int32(len(tokens))
 	pr.Segs = strutil.Resize(pr.Segs, len(segs))
 	for i := range segs {
 		pr.Segs[i] = packSegment(&segs[i])
 	}
-	pr.minPart = minPartitionSizeSegs(tokens, segs)
+	pr.minPart = int32(minPartitionSizeSegs(len(tokens), segs))
 	// Every segment's ID: interned into d, or — on the probe side — read from
 	// d where it holds the text. A segment without one keeps its derivation
 	// table in the record's side table.
@@ -451,8 +467,8 @@ func NewScratch() *Scratch { return &Scratch{rowCells: rowCellBudget} }
 // derivation tables, and returns exactly the value SimilarityTokens returns
 // for the underlying token sequences. sc must not be nil.
 func (c *Calculator) SimilarityPrepared(ps, pt *PreparedRecord, sc *Scratch) float64 {
-	if len(ps.Tokens) == 0 || len(pt.Tokens) == 0 {
-		if len(ps.Tokens) == 0 && len(pt.Tokens) == 0 {
+	if ps.tokens == 0 || pt.tokens == 0 {
+		if ps.tokens == 0 && pt.tokens == 0 {
 			return 1
 		}
 		return 0
@@ -481,9 +497,9 @@ func (c *Calculator) SimilarityPrepared(ps, pt *PreparedRecord, sc *Scratch) flo
 // no matrix, is CoverBound's: a caller with a cover column bounds a
 // candidate there first. sc must not be nil.
 func (c *Calculator) VerifyPrepared(ps, pt *PreparedRecord, theta float64, sc *Scratch) (float64, bool) {
-	if len(ps.Tokens) == 0 || len(pt.Tokens) == 0 {
+	if ps.tokens == 0 || pt.tokens == 0 {
 		v := 0.0
-		if len(ps.Tokens) == 0 && len(pt.Tokens) == 0 {
+		if ps.tokens == 0 && pt.tokens == 0 {
 			v = 1
 		}
 		return v, v >= theta
@@ -506,7 +522,7 @@ func (c *Calculator) VerifyPrepared(ps, pt *PreparedRecord, theta float64, sc *S
 // msim weight is at most 1, and a matching has at most min{|P_S|, |P_T|}
 // edges, so SIM ≤ min/max for the chosen sizes.
 func sizeRatioUpper(ps, pt *PreparedRecord) float64 {
-	return sizeRatio(ps.minPart, len(ps.Tokens), pt.minPart, len(pt.Tokens))
+	return sizeRatio(int(ps.minPart), int(ps.tokens), int(pt.minPart), int(pt.tokens))
 }
 
 // sizeRatio is sizeRatioUpper of two records whose partition sizes range over
@@ -844,7 +860,7 @@ func coverUpper(sc *Scratch, ps, pt *PreparedRecord) float64 {
 // value of covering tokens[pos:], and segments are scanned in reverse
 // enumeration order so every dp[end] is final before it is read.
 func maxCover(sc *Scratch, pr *PreparedRecord, value []float64) float64 {
-	n := len(pr.Tokens)
+	n := int(pr.tokens)
 	sc.dp = strutil.Resize(sc.dp, n+1)
 	dp := sc.dp
 	dp[n] = 0
@@ -1067,7 +1083,7 @@ func (c *Calculator) simPreparedSelected(sc *Scratch, ps, pt *PreparedRecord, fl
 func buildPartitionIdx(pr *PreparedRecord, sel []int32, out []int32) []int32 {
 	out = out[:0]
 	si, k := 0, 0
-	for pos := 0; pos < len(pr.Tokens); {
+	for pos := 0; pos < int(pr.tokens); {
 		if si < len(sel) {
 			if sp := pr.Segs[sel[si]].Span(); sp.Start == pos {
 				out = append(out, sel[si])

@@ -631,3 +631,15 @@ func BenchmarkVerifyRowPass(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
 }
+
+// tokensOf returns a prepared record's tokens, read back from the tables of
+// its singletons (the first segment at each position), for failure messages.
+func tokensOf(pr *PreparedRecord) []string {
+	toks := make([]string, 0, pr.tokens)
+	for i, sg := range pr.Segs {
+		if sg.Span().Start == len(toks) && sg.Len() == 1 {
+			toks = append(toks, pr.Table(i).Text)
+		}
+	}
+	return toks
+}

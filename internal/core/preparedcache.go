@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync"
 
 	"github.com/aujoin/aujoin/internal/strutil"
@@ -90,20 +91,27 @@ func (pc *PreparedCache) Stats() (hits, misses uint64) {
 	return pc.hits, pc.misses
 }
 
-// PrepareCached is Calculator.PrepareIn through a cache: the prepared record
-// for the tokens' normalised text is returned from pc when present and
-// computed-and-stored otherwise. A nil cache degrades to a plain PrepareIn.
-// A cache must only ever be used with one dictionary: its records carry that
-// dictionary's segment IDs.
-func (c *Calculator) PrepareCached(pc *PreparedCache, d *SegDict, tokens []string) *PreparedRecord {
-	if pc == nil {
-		return c.PrepareIn(d, tokens)
+// PrepareCached is Calculator.PrepareIn of raw's tokens (strutil.Tokenize)
+// through a cache keyed by raw's normal form (strutil.Normalize): the
+// prepared record is returned from pc when present, with raw never split,
+// and computed-and-stored otherwise. A normal raw is its own key, so the
+// cache holds no copy of its text. A nil cache degrades to a plain
+// PrepareIn. A cache must only ever be used with one dictionary: its records
+// carry that dictionary's segment IDs.
+func (c *Calculator) PrepareCached(pc *PreparedCache, d *SegDict, raw string) *PreparedRecord {
+	key := strutil.Normalize(raw)
+	if pc != nil {
+		if pr, ok := pc.Get(key); ok {
+			return pr
+		}
 	}
-	key := strutil.JoinTokens(tokens)
-	if pr, ok := pc.Get(key); ok {
-		return pr
+	var tokens []string
+	if key != "" {
+		tokens = strings.Split(key, " ") // Tokenize(raw), without normalizing again
 	}
 	pr := c.PrepareIn(d, tokens)
-	pc.Put(key, pr)
+	if pc != nil {
+		pc.Put(key, pr)
+	}
 	return pr
 }

@@ -247,11 +247,11 @@ func TestSegDictAtCap(t *testing.T) {
 	sameTables := func(a, b *PreparedRecord) {
 		t.Helper()
 		if len(a.Segs) != len(b.Segs) || a.MinPartitionSize() != b.MinPartitionSize() {
-			t.Fatalf("%v: %d segments and MP %d unlimited, %d and %d capped", a.Tokens, len(a.Segs), a.MinPartitionSize(), len(b.Segs), b.MinPartitionSize())
+			t.Fatalf("%v: %d segments and MP %d unlimited, %d and %d capped", tokensOf(a), len(a.Segs), a.MinPartitionSize(), len(b.Segs), b.MinPartitionSize())
 		}
 		for i := range a.Segs {
 			if a.Segs[i].Span() != b.Segs[i].Span() || !reflect.DeepEqual(a.Table(i), b.Table(i)) {
-				t.Fatalf("%v segment %d: table %+v unlimited, %+v capped", a.Tokens, i, a.Table(i), b.Table(i))
+				t.Fatalf("%v segment %d: table %+v unlimited, %+v capped", tokensOf(a), i, a.Table(i), b.Table(i))
 			}
 		}
 	}

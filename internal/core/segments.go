@@ -135,8 +135,7 @@ func (sg *Segmenter) MultiTokenSegments(tokens []string) []Segment {
 // dp[e]+1. The enumeration is ordered by start, so walking it backwards
 // finalises every dp[e] (all spans from e and beyond) before a span ending at
 // e reads it. Short records keep dp on the stack.
-func minPartitionSizeSegs(tokens []string, segs []Segment) int {
-	n := len(tokens)
+func minPartitionSizeSegs(n int, segs []Segment) int {
 	var buf [65]int32
 	dp := buf[:]
 	if n >= len(buf) {

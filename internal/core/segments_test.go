@@ -221,7 +221,7 @@ func spanSet(n int, spans []byte) []Segment {
 // paper's greedy bound.
 func checkMinPartition(t *testing.T, name string, n int, segs []Segment) {
 	t.Helper()
-	got, want := minPartitionSizeSegs(make([]string, n), segs), exhaustiveMinPartition(segs, 0, n)
+	got, want := minPartitionSizeSegs(n, segs), exhaustiveMinPartition(segs, 0, n)
 	if got != want {
 		t.Fatalf("%s, %d tokens, segments %v: MP %d, exhaustive minimum %d", name, n, segs, got, want)
 	}
@@ -248,7 +248,7 @@ func TestMinPartitionMatchesExhaustive(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		segs := spanSet(n, randomSpans(rng.Intn(2*n)))
 		checkMinPartition(t, "random spans", n, segs)
-		if minPartitionSizeSegs(make([]string, n), segs) > paperGreedyBound(n, segs) {
+		if minPartitionSizeSegs(n, segs) > paperGreedyBound(n, segs) {
 			tighter++
 		}
 	}
@@ -262,7 +262,7 @@ func TestMinPartitionMatchesExhaustive(t *testing.T) {
 	for _, tokens := range phraseCorpus(rng, phrases, 500) {
 		segs := calc.Segmenter().Segments(tokens)
 		checkMinPartition(t, "phrase corpus", len(tokens), segs)
-		if got, want := calc.Prepare(tokens).MinPartitionSize(), minPartitionSizeSegs(tokens, segs); got != want {
+		if got, want := calc.Prepare(tokens).MinPartitionSize(), minPartitionSizeSegs(len(tokens), segs); got != want {
 			t.Fatalf("%v: prepared MP %d, over its segments %d", tokens, got, want)
 		}
 		if len(segs) > len(tokens) {

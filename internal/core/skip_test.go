@@ -43,13 +43,13 @@ func TestSolveSkipChangesNothing(t *testing.T) {
 			for i, ps := range records {
 				got, want := calc.SimilarityPrepared(ps, pt, skip), calc.SimilarityPrepared(ps, pt, keep)
 				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s: record %d against %v: SimilarityPrepared %v with the skip, %v without", sh.name, i, pt.Tokens, got, want)
+					t.Fatalf("%s: record %d against %v: SimilarityPrepared %v with the skip, %v without", sh.name, i, tokensOf(pt), got, want)
 				}
 				gv, gok := calc.VerifyPrepared(ps, pt, sh.theta, skip)
 				wv, wok := calc.VerifyPrepared(ps, pt, sh.theta, keep)
 				if gok != wok || math.Float64bits(gv) != math.Float64bits(wv) {
 					t.Fatalf("%s: record %d against %v at θ=%v: VerifyPrepared (%v, %v) with the skip, (%v, %v) without",
-						sh.name, i, pt.Tokens, sh.theta, gv, gok, wv, wok)
+						sh.name, i, tokensOf(pt), sh.theta, gv, gok, wv, wok)
 				}
 			}
 		}
@@ -82,7 +82,7 @@ func TestSolveSkipOnlyBelowFloor(t *testing.T) {
 	solved := 0
 	for i, ps := range recs {
 		for _, pt := range []*PreparedRecord{ps, recs[(i+1)%len(recs)]} {
-			if len(ps.Tokens) == 0 || len(pt.Tokens) == 0 {
+			if ps.tokens == 0 || pt.tokens == 0 {
 				continue
 			}
 			calc.fillMSim(sc, ps, pt)
@@ -90,13 +90,13 @@ func TestSolveSkipOnlyBelowFloor(t *testing.T) {
 			v := calc.simPreparedSelected(sc, ps, pt, noFloor)
 			for _, floor := range []float64{v, math.Nextafter(v, -1), v - BoundSlack} {
 				if got := calc.simPreparedSelected(sc, ps, pt, floor); math.Float64bits(got) != math.Float64bits(v) {
-					t.Fatalf("record %d against %v: value %v at floor %v, %v with no floor", i, pt.Tokens, got, floor, v)
+					t.Fatalf("record %d against %v: value %v at floor %v, %v with no floor", i, tokensOf(pt), got, floor, v)
 				}
 				solved++
 			}
 			before := sc.skipped
 			if got := calc.simPreparedSelected(sc, ps, pt, 2); got != noFloor || sc.skipped != before+1 {
-				t.Fatalf("record %d against %v: floor 2 returned %v, %d skips", i, pt.Tokens, got, sc.skipped-before)
+				t.Fatalf("record %d against %v: floor 2 returned %v, %d skips", i, tokensOf(pt), got, sc.skipped-before)
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/aujoin/aujoin/internal/pebble"
+	"github.com/aujoin/aujoin/internal/strutil"
 )
 
 // TestAdoptOrderInternsMissingKeys covers AdoptOrder's guard: the adopted
@@ -39,7 +40,7 @@ func TestAdoptOrderInternsMissingKeys(t *testing.T) {
 		}
 		for w, sh := range sx.shards {
 			for pos, rec := range sh.records {
-				if fresh := g.sel.Signature(rec.Tokens, opts.Method, sx.tau).IDs(); !slices.Equal(sh.sigIDs[pos], fresh) {
+				if fresh := g.sel.Signature(strutil.Tokenize(rec.Raw), opts.Method, sx.tau).IDs(); !slices.Equal(sh.sigIDs[pos], fresh) {
 					t.Fatalf("shards=%d shard %d: record %q stores signature %v, selecting under the adopted order gives %v",
 						shards, w, rec.Raw, sh.sigIDs[pos], fresh)
 				}

@@ -98,7 +98,7 @@ func TestJoinBuildAllocsPinned(t *testing.T) {
 	for _, pin := range []struct {
 		method  pebble.Method
 		ceiling float64
-	}{{pebble.AUDP, 4.75}, {pebble.AUHeuristic, 4.75}} {
+	}{{pebble.AUDP, 3.75}, {pebble.AUHeuristic, 3.75}} {
 		opts := Options{Theta: 0.8, Tau: 2, Method: pin.method}
 		perRecord := testing.AllocsPerRun(5, func() { j.joinIndex(s, u, opts) }) / float64(len(s)+len(u))
 		t.Logf("%v: %.2f allocs per record", pin.method, perRecord)

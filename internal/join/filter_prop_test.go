@@ -180,7 +180,7 @@ func TestHybridStaticCandidatesMatchClassic(t *testing.T) {
 		checkBlockTau(t, name, tau, v.inv.DenseKeys())
 		stored := v.sigIDs
 
-		sigs := selectSignatures(prepareRecords(probe, sx.dict, j.calc.PrepareProbe), sv.gen, opts.Method, tau)
+		sigs := selectSignatures(prepareRecords(probe, sx.dict, j.calc.PrepareProbeBuf), sv.gen, opts.Method, tau)
 		got, n, tally := filterRecords(v, sigs, tau, unlimited)
 		want, processed := naiveCandidates(stored, noDead, 0, sigs, tau, func(int) int { return len(stored) })
 		if d := diffPairs(got, want); n != len(want) || d != "" {
@@ -275,7 +275,7 @@ func testHybridCandidates(t *testing.T, shards int) {
 			checkBlockTau(t, name, sx.tau, st.DenseKeys)
 
 			sv := sx.Snapshot()
-			sigs := selectSignatures(prepareRecords(probe, sx.dict, j.calc.PrepareProbe), sv.gen, opts.Method, sx.tau)
+			sigs := selectSignatures(prepareRecords(probe, sx.dict, j.calc.PrepareProbeBuf), sv.gen, opts.Method, sx.tau)
 			candidates, processed := 0, int64(0)
 			for w, v := range sv.views {
 				stored := v.sh.sigIDs // no writer runs: the view is the shard's current one

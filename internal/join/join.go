@@ -170,7 +170,7 @@ func (j *Joiner) Calculator() *core.Calculator { return j.calc }
 func (j *Joiner) BuildOrder(collections ...[]strutil.Record) *pebble.Order {
 	prepared := make([][]*core.PreparedRecord, len(collections))
 	for i, coll := range collections {
-		prepared[i] = prepareRecords(coll, nil, j.calc.PrepareProbe)
+		prepared[i] = prepareRecords(coll, nil, j.calc.PrepareProbeBuf)
 	}
 	return j.orderOf(nil, prepared...).Order()
 }
@@ -421,13 +421,15 @@ func selectSignatures(prepared []*core.PreparedRecord, g *orderGen, method pebbl
 type pairKey struct{ s, t int }
 
 // prepareRecords prepares every record in parallel, with a calculator's
-// PrepareIn for the records of an index (segments interned into its
-// dictionary d) or its PrepareProbe for a probe collection (d read, never
-// written; nil for none).
-func prepareRecords(recs []strutil.Record, d *core.SegDict, prepare func(*core.SegDict, []string) *core.PreparedRecord) []*core.PreparedRecord {
+// PrepareInBuf for the records of an index (segments interned into its
+// dictionary d) or its PrepareProbeBuf for a probe collection (d read, never
+// written; nil for none). Each worker enumerates its records' segments into
+// one buffer, which the next record it takes reuses.
+func prepareRecords(recs []strutil.Record, d *core.SegDict, prepare func([]core.Segment, *core.SegDict, []string) (*core.PreparedRecord, []core.Segment)) []*core.PreparedRecord {
 	out := make([]*core.PreparedRecord, len(recs))
-	parallelFor(len(recs), 0, func(i int) {
-		out[i] = prepare(d, recs[i].Tokens)
+	bufs := make([][]core.Segment, runtime.GOMAXPROCS(0))
+	_ = parallelForWorkersCtx(context.Background(), len(recs), len(bufs), func(w, i int) {
+		out[i], bufs[w] = prepare(bufs[w], d, recs[i].Tokens)
 	})
 	return out
 }
@@ -468,8 +470,8 @@ type FilterProfile struct {
 // NewFilterProfile prepares both collections under a shared global order.
 func (j *Joiner) NewFilterProfile(s, t []strutil.Record, opts Options) *FilterProfile {
 	dict := core.NewSegDict()
-	prepS := prepareRecords(s, dict, j.calc.PrepareIn)
-	prepT := prepareRecords(t, dict, j.calc.PrepareProbe)
+	prepS := prepareRecords(s, dict, j.calc.PrepareInBuf)
+	prepT := prepareRecords(t, dict, j.calc.PrepareProbeBuf)
 	ids := j.orderOf(dict, prepS, prepT)
 	order := ids.Order()
 	sel := pebble.NewSelector(j.gen, order, opts.Theta)
@@ -605,8 +607,8 @@ func (j *Joiner) BruteForceCtx(ctx context.Context, s, t []strutil.Record, theta
 	}
 	// Both sides without a dictionary: the oracle verifies on the direct path,
 	// with no row reuse to be wrong about.
-	prepS := prepareRecords(s, nil, calc.PrepareProbe)
-	prepT := prepareRecords(t, nil, calc.PrepareProbe)
+	prepS := prepareRecords(s, nil, calc.PrepareProbeBuf)
+	prepT := prepareRecords(t, nil, calc.PrepareProbeBuf)
 	type cell struct {
 		pair Pair
 		ok   bool

@@ -55,7 +55,7 @@ func TestKeyCountMatchesKeyPath(t *testing.T) {
 		t.Helper()
 		for i, pr := range prepared {
 			if want := g.sel.RecordSignature(pr, m, tau).IDs(); !slices.Equal(sigIDs[i], want) {
-				t.Fatalf("%s %v: record %d (%q) signed %v through the table, %v by key", state, m, i, pr.Tokens, sigIDs[i], want)
+				t.Fatalf("%s %v: record %d (%v) signed %v through the table, %v by key", state, m, i, pr.Segs, sigIDs[i], want)
 			}
 		}
 	}
@@ -103,7 +103,7 @@ func TestKeyCountMatchesKeyPath(t *testing.T) {
 		// A two-shard build whose dictionary stops at half of the texts the
 		// records carry.
 		full := core.NewSegDict()
-		prepareRecords(s, full, j.calc.PrepareIn)
+		prepareRecords(s, full, j.calc.PrepareInBuf)
 		sx := j.newRouter(opts, DynamicOptions{})
 		core.SetSegDictLimit(sx.dict, full.Len()/2)
 		parts := make([]part, 2)
@@ -114,7 +114,7 @@ func TestKeyCountMatchesKeyPath(t *testing.T) {
 		}
 		var prepared [][]*core.PreparedRecord
 		for w := range parts {
-			parts[w].prepared = prepareRecords(parts[w].records, sx.dict, j.calc.PrepareIn)
+			parts[w].prepared = prepareRecords(parts[w].records, sx.dict, j.calc.PrepareInBuf)
 			prepared = append(prepared, parts[w].prepared)
 		}
 		if sx.dict.Len() != full.Len()/2 || noEntry(slices.Concat(prepared...)) == 0 {

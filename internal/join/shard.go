@@ -71,7 +71,9 @@ type shard struct {
 	// sigIDs; adoptBaseLocked replaces all of it wholesale. records,
 	// prepared, cover, sigIDs and deltas.segs are append-only while a base
 	// is live (published views hold shorter headers); dead and deltas.last
-	// are cloned before every write.
+	// are cloned before every write. A record is kept as its ID and Raw,
+	// with no tokens: its prepared record is all that verification reads,
+	// and Live re-tokenizes Raw.
 	gen       *orderGen
 	inv       *invindex.Index
 	buildTime time.Duration
@@ -321,16 +323,16 @@ func (sh *shard) insertRecords(recs []strutil.Record) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	delta := invindex.NewDelta()
-	// Prepare each record, and intern the keys the generation's order may
-	// lack — those of the segments its probe table does not hold — in a
-	// single InternDynamic call for the whole batch (at most one
+	// Prepare each record from its Raw, and intern the keys the generation's
+	// order may lack — those of the segments its probe table does not hold —
+	// in a single InternDynamic call for the whole batch (at most one
 	// dynamic-table clone), which has to come before the first record is
 	// signed; then sign each record through the probe table.
 	g := sh.gen
 	first := len(sh.records)
 	var unheld []pebble.Pebble
 	for _, rec := range recs {
-		pr := sh.sx.joiner.calc.PrepareCached(sh.sx.cache, sh.sx.dict, rec.Tokens)
+		pr := sh.sx.joiner.calc.PrepareCached(sh.sx.cache, sh.sx.dict, rec.Raw)
 		sh.positions[rec.ID] = len(sh.records)
 		sh.records = append(sh.records, rec)
 		sh.prepared = append(sh.prepared, pr)
@@ -600,11 +602,12 @@ func (v *shardView) alive(pos int) bool {
 	return v.dead[pos>>6]&(1<<(uint(pos)&63)) == 0
 }
 
-// appendLive appends the snapshot's live records, in position order.
+// appendLive appends the snapshot's live records, in position order, each
+// re-tokenized from its Raw.
 func (v *shardView) appendLive(out []strutil.Record) []strutil.Record {
-	for pos := range v.records {
+	for pos, rec := range v.records {
 		if v.alive(pos) {
-			out = append(out, v.records[pos])
+			out = append(out, strutil.NewRecord(rec.ID, rec.Raw))
 		}
 	}
 	return out

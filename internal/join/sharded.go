@@ -187,6 +187,13 @@ type build struct {
 func (j *Joiner) assemble(records []strutil.Record, dead []uint64, shards int, opts Options, dopts DynamicOptions, start time.Time) *build {
 	sx := j.newRouter(opts, dopts)
 	parts := make([]part, shards)
+	sizes := make([]int, shards) // each part's records, the shard's column, at exact size
+	for _, rec := range records {
+		sizes[shardOf(rec.ID, shards)]++
+	}
+	for w := range parts {
+		parts[w].records = make([]strutil.Record, 0, sizes[w])
+	}
 	for i, rec := range records {
 		p := &parts[shardOf(rec.ID, shards)]
 		p.records = append(p.records, rec)
@@ -196,7 +203,11 @@ func (j *Joiner) assemble(records []strutil.Record, dead []uint64, shards int, o
 		sx.nextID = max(sx.nextID, rec.ID+1)
 	}
 	for w := range parts {
-		parts[w].prepared = prepareRecords(parts[w].records, sx.dict, j.calc.PrepareIn)
+		p := &parts[w]
+		p.prepared = prepareRecords(p.records, sx.dict, j.calc.PrepareInBuf)
+		for i := range p.records {
+			p.records[i].Tokens = nil // a shard keeps a record's ID and Raw
+		}
 	}
 	return &build{sx: sx, parts: parts, start: start}
 }
@@ -317,7 +328,7 @@ func (sx *ShardedIndex) insertRouted(ids []int, raw []string) {
 	groups := make([][]strutil.Record, len(sx.shards))
 	for i, s := range raw {
 		w := shardOf(ids[i], len(sx.shards))
-		groups[w] = append(groups[w], strutil.NewRecord(ids[i], s))
+		groups[w] = append(groups[w], strutil.Record{ID: ids[i], Raw: s}) // tokenized by PrepareCached
 	}
 	sx.runShards(func(w int) bool { return len(groups[w]) > 0 }, func(w int) {
 		sx.shards[w].insertRecords(groups[w])
@@ -502,8 +513,8 @@ func (sv *ShardedView) Stats() DynamicStats {
 }
 
 // Live returns the snapshot's live records across all shards, in ascending
-// stable-ID order. The slice is freshly allocated; the records themselves
-// are shared and immutable.
+// stable-ID order. A shard keeps a record's ID and Raw, so each record is
+// re-tokenized from Raw on every call; the slice and the tokens are fresh.
 func (sv *ShardedView) Live() []strutil.Record {
 	var out []strutil.Record
 	for _, v := range sv.views {

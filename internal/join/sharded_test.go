@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/aujoin/aujoin/internal/pebble"
 	"github.com/aujoin/aujoin/internal/strutil"
@@ -294,4 +295,53 @@ func TestShardedIndexGlobalRefreeze(t *testing.T) {
 		sx.RemoveBatch(novel[:len(novel)/2])
 		check("post-refreeze mutation", sx.Snapshot())
 	}
+}
+
+// TestStoredRecordsKeepTextOnce builds an index over a normal-form
+// collection, inserts into it and removes enough to compact a shard: every
+// record a shard stores carries no tokens, and its Raw is the input string
+// itself, not a copy. Live re-tokenizes each record from its Raw.
+func TestStoredRecordsKeepTextOnce(t *testing.T) {
+	j := NewJoiner(paperContext())
+	raws := rawsOf(benchCorpus(200, 5))
+	extra := rawsOf(benchCorpus(40, 6))
+	input := map[int]string{}
+	for id, raw := range raws {
+		if strutil.Normalize(raw) != raw {
+			t.Fatalf("corpus record %q is not normal", raw)
+		}
+		input[id] = raw
+	}
+	sx := j.BuildShardedIndex(strutil.NewCollection(raws), 2, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
+	for i, id := range sx.InsertBatch(extra) {
+		input[id] = extra[i]
+	}
+	check := func(state string) {
+		t.Helper()
+		for w, sh := range sx.shards {
+			for _, rec := range sh.records {
+				if rec.Tokens != nil {
+					t.Fatalf("%s: shard %d stores record %d with tokens %q", state, w, rec.ID, rec.Tokens)
+				}
+				if in := input[rec.ID]; unsafe.StringData(rec.Raw) != unsafe.StringData(in) || rec.Raw != in {
+					t.Fatalf("%s: shard %d stores record %d as a copy of its input %q", state, w, rec.ID, in)
+				}
+			}
+		}
+		for _, rec := range sx.Snapshot().Live() {
+			if !slices.Equal(rec.Tokens, strutil.Tokenize(rec.Raw)) {
+				t.Fatalf("%s: Live returns record %d with tokens %q, its Raw %q", state, rec.ID, rec.Tokens, rec.Raw)
+			}
+		}
+	}
+	check("built and inserted")
+	ids := make([]int, 0, 120)
+	for id := range 120 {
+		ids = append(ids, id)
+	}
+	sx.RemoveBatch(ids)
+	if sx.Stats().Rebuilds == 0 {
+		t.Fatal("removing 120 of 240 records compacted no shard")
+	}
+	check("compacted")
 }

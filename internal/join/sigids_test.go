@@ -10,6 +10,7 @@ import (
 	"github.com/aujoin/aujoin/internal/invindex"
 	"github.com/aujoin/aujoin/internal/pebble"
 	"github.com/aujoin/aujoin/internal/store"
+	"github.com/aujoin/aujoin/internal/strutil"
 )
 
 // This file pins what an index keeps of a signature — its interned IDs and
@@ -43,7 +44,7 @@ func TestCompactionKeepsSignatures(t *testing.T) {
 					t.Fatalf("%s shard %d: %d stored signatures for %d records", name, w, len(sh.sigIDs), len(sh.records))
 				}
 				for pos, rec := range sh.records {
-					want := sel.Signature(rec.Tokens, opts.Method, sx.tau).IDs()
+					want := sel.Signature(strutil.Tokenize(rec.Raw), opts.Method, sx.tau).IDs()
 					if !slices.Equal(sh.sigIDs[pos], want) {
 						t.Fatalf("%s shard %d: record %d (%q) stores signature %v, selecting now gives %v",
 							name, w, rec.ID, rec.Raw, sh.sigIDs[pos], want)

@@ -145,12 +145,12 @@ func TestSignatureFromPreparedMatchesReference(t *testing.T) {
 			}
 			for w, sh := range sx.shards {
 				for pos, rec := range sh.records {
-					if got, want := sh.sigIDs[pos], refSig(rec.Tokens); !slices.Equal(got, want) {
+					if got, want := sh.sigIDs[pos], refSig(strutil.Tokenize(rec.Raw)); !slices.Equal(got, want) {
 						t.Fatalf("%s shard %d: record %q stores signature %v, the reference selects %v", name, w, rec.Raw, got, want)
 					}
 				}
 			}
-			prep := prepareRecords(probes, sx.dict, j.calc.PrepareProbe)
+			prep := prepareRecords(probes, sx.dict, j.calc.PrepareProbeBuf)
 			for i, got := range selectSignatures(prep, g, opts.Method, sx.tau) {
 				if want := refSig(probes[i].Tokens); !slices.Equal(got, want) {
 					t.Fatalf("%s: probe %q is signed %v, the reference selects %v", name, probes[i].Raw, got, want)

@@ -352,8 +352,10 @@ func (j *Joiner) joinStream(ctx context.Context, s, t []strutil.Record, opts Opt
 // collections, and t prepared and signed for probing it.
 func (j *Joiner) joinIndex(s, t []strutil.Record, opts Options) (*ShardedView, []*core.PreparedRecord, [][]uint32) {
 	start, sx := time.Now(), j.newRouter(opts, DynamicOptions{})
-	prepS := prepareRecords(s, sx.dict, j.calc.PrepareIn)
-	prepT := prepareRecords(t, sx.dict, j.calc.PrepareProbe)
+	prepS := prepareRecords(s, sx.dict, j.calc.PrepareInBuf)
+	prepT := prepareRecords(t, sx.dict, j.calc.PrepareProbeBuf)
+	// The shard holds s as it is, tokens and all: unlike an index's, a join's
+	// shard lives no longer than the caller's s.
 	sx.install(j.orderOf(sx.dict, prepS, prepT), []part{{records: s, prepared: prepS}}, start)
 	sv := sx.Snapshot()
 	return sv, prepT, selectSignatures(prepT, sv.gen, opts.Method, sx.tau)
@@ -390,7 +392,7 @@ func (j *Joiner) selfStream(ctx context.Context, s []strutil.Record, opts Option
 func (sv *ShardedView) probeStream(ctx context.Context, records []strutil.Record, emit func(Pair) bool) (Stats, error) {
 	start := time.Now()
 	sx := sv.sx
-	prep := prepareRecords(records, sx.dict, sx.joiner.calc.PrepareProbe)
+	prep := prepareRecords(records, sx.dict, sx.joiner.calc.PrepareProbeBuf)
 	sigs := selectSignatures(prep, sv.gen, sx.opts.Method, sx.tau)
 	return sv.probeAll(ctx, records, sigs, prep, false, time.Since(start), emit)
 }

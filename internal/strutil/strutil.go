@@ -14,7 +14,8 @@ import (
 
 // Record is a single string record participating in a similarity join.
 // Tokens caches the tokenisation of Raw so that join algorithms never
-// re-tokenise inside inner loops.
+// re-tokenise inside inner loops; when Raw is already normal (Normalize),
+// every token is a substring of Raw and the record holds its text once.
 type Record struct {
 	// ID is the position of the record inside its collection. It is used
 	// as the value stored in inverted lists and to identify result pairs.
@@ -44,8 +45,13 @@ func NewCollection(raw []string) []Record {
 // Normalize lower-cases the string and collapses any run of Unicode
 // whitespace into a single ASCII space. Leading and trailing whitespace is
 // removed. Normalisation keeps letters, digits and punctuation untouched so
-// that q-grams remain meaningful for typo detection.
+// that q-grams remain meaningful for typo detection. A string that is
+// already normal — ASCII with no upper case, and no whitespace but single
+// spaces between words — is returned as it is, without a copy.
 func Normalize(s string) string {
+	if isNormalASCII(s) {
+		return s
+	}
 	var b strings.Builder
 	b.Grow(len(s))
 	prevSpace := true // swallow leading whitespace
@@ -63,9 +69,32 @@ func Normalize(s string) string {
 	return strings.TrimRight(b.String(), " ")
 }
 
+// isNormalASCII reports whether s is its own normal form by a byte scan: no
+// byte of 0x80 or more (whose runes only the rune loop decides), no upper
+// case letter, and no whitespace but single spaces with a word on each side.
+func isNormalASCII(s string) bool {
+	prevSpace := true // a leading space is not normal
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= 0x80, 'A' <= c && c <= 'Z', '\t' <= c && c <= '\r':
+			return false
+		case c == ' ':
+			if prevSpace {
+				return false
+			}
+			prevSpace = true
+		default:
+			prevSpace = false
+		}
+	}
+	return !prevSpace || s == ""
+}
+
 // Tokenize normalises the string and splits it on single spaces, returning
 // the sequence of non-empty tokens. The returned slice is never nil for a
-// string containing at least one non-space rune.
+// string containing at least one non-space rune. The tokens of a string
+// that is already normal (Normalize) are substrings of it, and the split is
+// the one allocation.
 func Tokenize(s string) []string {
 	n := Normalize(s)
 	if n == "" {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
+	"unsafe"
 )
 
 func TestNormalize(t *testing.T) {
@@ -202,4 +204,82 @@ func TestNewRecordAndCollection(t *testing.T) {
 	if len(coll) != 2 || coll[0].ID != 0 || coll[1].ID != 1 {
 		t.Errorf("unexpected collection %+v", coll)
 	}
+}
+
+// referenceNormalize is the rune loop Normalize takes for every string that
+// is not already normal, kept here as FuzzNormalize's reference for all of
+// them.
+func referenceNormalize(s string) string {
+	var b strings.Builder
+	prevSpace := true
+	for _, r := range s {
+		if unicode.IsSpace(r) {
+			if !prevSpace {
+				b.WriteByte(' ')
+				prevSpace = true
+			}
+			continue
+		}
+		prevSpace = false
+		b.WriteRune(unicode.ToLower(r))
+	}
+	return strings.TrimRight(b.String(), " ")
+}
+
+// FuzzNormalize holds Normalize, fast path and rune loop, to the reference
+// rune loop on arbitrary bytes, and checks that a normal result is its own
+// normal form, returned without a copy when it is ASCII.
+func FuzzNormalize(f *testing.F) {
+	for _, s := range []string{
+		"", "coffee shop", "\xff\xfe bad utf8", "caf\xc3", "a\u0085b", "a\u00a0b", "a\u2028b",
+		"İstanbul", "a\tb", "a  b", " lead", "trail ", " both ", " ", "A", "~!@ 0", "\x00 \x7f",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, want := Normalize(s), referenceNormalize(s)
+		if got != want {
+			t.Fatalf("Normalize(%q) = %q, the rune loop gives %q", s, got, want)
+		}
+		if again := Normalize(got); again != got {
+			t.Fatalf("Normalize(%q) = %q, not its own normal form", got, again)
+		} else if isASCII(got) && unsafe.StringData(again) != unsafe.StringData(got) {
+			t.Fatalf("Normalize(%q) copies a normal ASCII string", got)
+		}
+	})
+}
+
+// TestTokenizeNormalAliases checks that a normal string's tokens are
+// substrings of it, made by one allocation (the split), and that any other
+// string is tokenized into a copy.
+func TestTokenizeNormalAliases(t *testing.T) {
+	for _, s := range []string{"coffee shop latte helsinki", "x", "r2-d2 & c-3po's droid"} {
+		var toks []string
+		if allocs := testing.AllocsPerRun(100, func() { toks = Tokenize(s) }); allocs != 1 {
+			t.Errorf("Tokenize(%q) makes %v allocations, want 1", s, allocs)
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		for _, tok := range toks {
+			p := uintptr(unsafe.Pointer(unsafe.StringData(tok)))
+			if p < lo || p+uintptr(len(tok)) > lo+uintptr(len(s)) {
+				t.Errorf("Tokenize(%q): token %q lies outside the input", s, tok)
+			}
+		}
+	}
+	s := "Coffee Shop"
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	for _, tok := range Tokenize(s) {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(tok))); p >= lo && p < lo+uintptr(len(s)) {
+			t.Errorf("Tokenize(%q): token %q aliases an input that is not normal", s, tok)
+		}
+	}
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
 }
