@@ -21,6 +21,32 @@ import (
 type OrderImage struct {
 	Keys  []string `json:"keys"`
 	Freqs []int    `json:"freqs"`
+	// frozen is the image's order, restored once by Restore.
+	frozen *pebble.Frozen
+}
+
+// Restore restores the image's frozen order once and returns the image
+// holding it: every Install and AdoptOrder given the result, or a copy of
+// it, puts its index under that one order — each index with a dynamic
+// region of its own — instead of restoring a copy each. A cluster worker
+// restores each adopted image once for all the groups it hosts. The image's
+// Keys and Freqs must not change afterwards. An image not in finalize order
+// fails as Install and AdoptOrder fail.
+func (img OrderImage) Restore() (OrderImage, error) {
+	fz, err := img.frozenOrder()
+	if err != nil {
+		return img, err
+	}
+	img.frozen = fz
+	return img, nil
+}
+
+// frozenOrder returns the image's restored order: Restore's, or a new one.
+func (img OrderImage) frozenOrder() (*pebble.Frozen, error) {
+	if img.frozen != nil {
+		return img.frozen, nil
+	}
+	return pebble.RestoreFrozen(img.Keys, img.Freqs)
 }
 
 // MergeOrderImages sums the key-frequency tables of disjoint record sets —
@@ -82,11 +108,11 @@ func (p *PendingIndex) KeyFrequencies() OrderImage {
 // into its dynamic region, and no re-freeze of its own afterwards. A
 // PendingIndex installs once.
 func (p *PendingIndex) Install(img OrderImage) (*Index, error) {
-	inner, err := p.inner.Install(img.Keys, img.Freqs)
+	fz, err := img.frozenOrder()
 	if err != nil {
 		return nil, err
 	}
-	return &Index{inner: inner}, nil
+	return &Index{inner: p.inner.Install(fz)}, nil
 }
 
 // KeyFrequencies exports the document-frequency table over the index's
@@ -107,7 +133,12 @@ func (ix *Index) KeyFrequencies() OrderImage {
 // index never re-freezes its order on its own: order ownership has moved to
 // the caller (the coordinator's epoch protocol).
 func (ix *Index) AdoptOrder(img OrderImage) error {
-	return ix.inner.AdoptOrder(img.Keys, img.Freqs)
+	fz, err := img.frozenOrder()
+	if err != nil {
+		return err
+	}
+	ix.inner.AdoptOrder(fz)
+	return nil
 }
 
 // DisableAutoRefreeze turns off self-triggered global re-finalizes of the

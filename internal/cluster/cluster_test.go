@@ -8,9 +8,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -20,6 +22,7 @@ import (
 
 	"github.com/aujoin/aujoin"
 	"github.com/aujoin/aujoin/internal/cmdutil"
+	"github.com/aujoin/aujoin/internal/join"
 	"github.com/aujoin/aujoin/internal/store"
 )
 
@@ -929,6 +932,99 @@ func requireSingleNodeOrder(t *testing.T, tc *testCluster, ref *aujoin.Index, st
 	if groups == 0 {
 		t.Fatalf("%s: no hosted group was read", stage)
 	}
+}
+
+// sharesOrder reports whether two indexes serve under one frozen order value
+// (join.ShardedIndex.SharesOrder). The public Index keeps its sharded index
+// in an unexported field and exports no order identity, so the test reads
+// the field by reflection.
+func sharesOrder(a, b *aujoin.Index) bool {
+	inner := func(ix *aujoin.Index) *join.ShardedIndex {
+		return (*join.ShardedIndex)(reflect.ValueOf(ix).Elem().FieldByName("inner").UnsafePointer())
+	}
+	return inner(a).SharesOrder(inner(b))
+}
+
+// TestWorkerGroupsShareOrder: a worker restores each adopted order image
+// once, and every group it hosts wraps that one frozen value with a dynamic
+// region of its own. After the bootstrap and after a bump, both groups of
+// every worker serve under the same frozen order; an insert whose keys the
+// order lacks interns them into the receiving group's region alone, leaving
+// its sibling's key count as it was; and the cluster still answers as the
+// single-node index does.
+func TestWorkerGroupsShareOrder(t *testing.T) {
+	catalog := denseCatalog(180, 7)
+	probes := append(denseCatalog(6, 8), "qxzv wykj plumb", "vexing quokka jazz")
+	tc := startCluster(t, 3, 2, catalog, 0.8, 2, "dp")
+	j, err := aujoin.NewStrict()
+	if err != nil {
+		t.Fatalf("NewStrict: %v", err)
+	}
+	ref := j.IndexWith(catalog, aujoin.JoinOptions{Theta: 0.8, Tau: 2, Filter: cmdutil.ParseFilter("dp")}, aujoin.IndexOptions{Shards: 1})
+
+	// shared requires both groups of every worker to serve under one frozen
+	// order, and returns each worker's groups' stats, in group order.
+	shared := func(stage string) [][]aujoin.IndexStats {
+		t.Helper()
+		var out [][]aujoin.IndexStats
+		for i, wk := range tc.nodes {
+			hosted := hostedGroups(wk)
+			var ixs []*aujoin.Index
+			var stats []aujoin.IndexStats
+			for _, g := range slices.Sorted(maps.Keys(hosted)) { // one order across calls
+				ixs = append(ixs, hosted[g].ix())
+				stats = append(stats, hosted[g].ix().Stats())
+			}
+			if len(stats) != 2 {
+				t.Fatalf("%s: worker %d hosts %d groups, want 2", stage, i, len(stats))
+			}
+			if !sharesOrder(ixs[0], ixs[1]) {
+				t.Fatalf("%s: worker %d's groups serve under two frozen orders, want one shared", stage, i)
+			}
+			out = append(out, stats)
+		}
+		return out
+	}
+	// insertNovel inserts records of keys no order holds, one at a time, each
+	// into one group, and requires every group that took no record to keep
+	// its key count, while some group's grew.
+	insertNovel := func(stage string, records []string) {
+		t.Helper()
+		for _, rec := range records {
+			before := shared(stage)
+			tc.insert(t, []string{rec})
+			ref.Insert([]string{rec})
+			after := shared(stage)
+			grew := false
+			for i := range after {
+				for g := range after[i] {
+					b, a := before[i][g], after[i][g]
+					if a.Records == b.Records && a.FrozenKeys+a.DynamicKeys != b.FrozenKeys+b.DynamicKeys {
+						t.Fatalf("%s: worker %d: a group that took no record went from %d to %d keys",
+							stage, i, b.FrozenKeys+b.DynamicKeys, a.FrozenKeys+a.DynamicKeys)
+					}
+					grew = grew || a.DynamicKeys > b.DynamicKeys
+				}
+			}
+			if !grew {
+				t.Fatalf("%s: inserting %q interned no key", stage, rec)
+			}
+		}
+	}
+
+	shared("bootstrap")
+	insertNovel("bootstrap", []string{"qxzv wykj plumb", "vexing quokka jazz", "fjord nymph squawk"})
+	checkEquivalence(t, tc, ref, probes, "inserted after the bootstrap")
+
+	tc.bump(t)
+	bumped := shared("bumped")
+	for i, stats := range bumped {
+		if stats[0].DynamicKeys != 0 || stats[1].DynamicKeys != 0 {
+			t.Fatalf("bumped: worker %d's groups hold %d and %d dynamic keys, want none", i, stats[0].DynamicKeys, stats[1].DynamicKeys)
+		}
+	}
+	insertNovel("bumped", []string{"glyph waltz crimp", "jinx bodkfy zephyr"})
+	checkEquivalence(t, tc, ref, probes, "inserted after a bump")
 }
 
 // TestBumpEpochFailsOverFreqs: worker 0 answers 500 on /cluster/freqs, so

@@ -407,12 +407,12 @@ func (wk *Worker) releaseSkipped(coordEpoch int64) {
 }
 
 // adopt is an epoch bump on the worker side, and the bootstrap's one order
-// step: every hosted group takes the shipped global order, one group at a
-// time (adoptOrder) — a group the seed left pending is installed under it,
-// every other group index rebuilt under it; reads keep being served from the
-// pre-adoption snapshots throughout. Then the worker moves to the payload's
-// epoch. An adopt at the worker's own epoch is a replay, acknowledged; one
-// behind it is refused with a 409.
+// step: the shipped global order is restored once, and every hosted group
+// takes it, one group at a time (adoptOrder) — a group the seed left
+// pending is installed under it, every other group index rebuilt under it;
+// reads keep being served from the pre-adoption snapshots throughout. Then
+// the worker moves to the payload's epoch. An adopt at the worker's own
+// epoch is a replay, acknowledged; one behind it is refused with a 409.
 func (wk *Worker) adopt(_ context.Context, payload *OrderPayload) (map[string]bool, error) {
 	cur := wk.epoch.Load()
 	if payload.Epoch == cur {
@@ -423,10 +423,16 @@ func (wk *Worker) adopt(_ context.Context, payload *OrderPayload) (map[string]bo
 			Error: fmt.Sprintf("adopt epoch %d behind the worker's %d", payload.Epoch, cur), Code: "epoch_mismatch",
 		}}
 	}
+	// One restore for every hosted group: each group's order wraps the same
+	// frozen value with a dynamic region of its own.
+	img, err := payload.Order.Restore()
+	if err != nil {
+		return nil, fmt.Errorf("adopt order: %w", err)
+	}
 	wk.adoptMu.Lock()
 	defer wk.adoptMu.Unlock()
 	for _, wg := range wk.hosted() {
-		if err := wg.adoptOrder(payload.Order); err != nil {
+		if err := wg.adoptOrder(img); err != nil {
 			return nil, fmt.Errorf("adopt order: %w", err)
 		}
 	}

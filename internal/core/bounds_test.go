@@ -221,7 +221,7 @@ func rowKernelCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe, 
 		fresh := map[string]bool{}
 		for _, sg := range calc.Segmenter().Segments(probe) {
 			text := strutil.JoinTokens(sg.Tokens)
-			if _, ok := d.ids[text]; !ok {
+			if _, ok := d.textID(text); !ok {
 				fresh[text] = true
 			}
 		}
@@ -263,7 +263,7 @@ func rowKernelCase(t *testing.T, ctx *sim.Context, prep rightPrep, left, probe, 
 	grams := map[string]bool{} // the probe's numbered grams
 	for j := range pt.Segs {
 		for _, g := range pt.Table(j).Grams {
-			if _, ok := d.gramNum[g]; ok {
+			if _, ok := d.gramNumber(g); ok {
 				grams[g] = true
 			}
 		}
@@ -365,14 +365,14 @@ func checkSlots(t *testing.T, sc *Scratch, d *SegDict, pt *PreparedRecord) {
 	segsOf := map[uint32][]int32{} // gram number → the segments of pt holding it
 	for j := range pt.Segs {
 		for _, g := range pt.Table(j).Grams {
-			if r, ok := d.gramNum[g]; ok {
-				segsOf[r.num] = append(segsOf[r.num], int32(j))
+			if num, ok := d.gramNumber(g); ok {
+				segsOf[num] = append(segsOf[num], int32(j))
 			}
 		}
 	}
 	for s, num := range sc.slotted {
-		if r, ok := d.gramNum[sc.slotGrams[s]]; int(sc.gramSlot[num]) != s+1 || !ok || r.num != num {
-			t.Fatalf("slot %d holds gram %d (%q, numbered %d), whose slot is %d", s, num, sc.slotGrams[s], r.num, sc.gramSlot[num])
+		if int(num) >= d.NumGrams() || int(sc.gramSlot[num]) != s+1 {
+			t.Fatalf("slot %d holds gram %d of %d, whose slot is %d", s, num, d.NumGrams(), sc.gramSlot[num])
 		}
 		if got := sc.slotSegs[sc.slotOff[s]:sc.slotOff[s+1]]; !slices.Equal(got, segsOf[num]) {
 			t.Fatalf("slot %d (gram %d) lists segments %v, want %v", s, num, got, segsOf[num])

@@ -116,10 +116,11 @@ func TestRecordTooLong(t *testing.T) {
 
 // TestSegDictEntryHeap bounds what a dictionary keeps alive a text on the
 // 10 000-title corpus, with the records' tokens held elsewhere: the table by
-// value in its chunk, its gram set, the text's key in the ID map, the score
-// byte, and the gram numbering and occurrence chains — about 276 B. A table
-// held through a pointer a text, with a copy of every gram occurrence as a
-// pebble key, kept 425 B.
+// value in its chunk, its gram set, the score byte, the gram numbering and
+// occurrence chains, and the key-table slots of the texts and the grams —
+// 240.9 B. With a map from text to ID and one from gram to its number and
+// chain head, it kept 276 B, and with a table held through a pointer a
+// text, with a copy of every gram occurrence as a pebble key, 425 B.
 func TestSegDictEntryHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap readings are only meaningful without -race; skipped with -short")
@@ -159,7 +160,7 @@ func internTitles() (*SegDict, [][]string) {
 }
 
 // segDictEntryBytes bounds TestSegDictEntryHeap's bytes an entry.
-const segDictEntryBytes = 320
+const segDictEntryBytes = 256
 
 // TestSegDictReadsAcrossChunks reads dictionary tables without the lock
 // while another goroutine interns across chunk boundaries: every ID below

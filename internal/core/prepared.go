@@ -428,16 +428,15 @@ type Scratch struct {
 	// adopted (SegDict.gramSets, gramOff), covering every ID below rowN.
 	// gramSlot is indexed by gram number: 1 + the slot of a numbered gram of
 	// the right-hand record, 0 for any other. slotted lists the numbers by
-	// slot, which the next triple clears, and slotGrams the grams themselves,
-	// by which fillRows reads the heads of their occurrence chains into
-	// slotHead. slotSegs[slotOff[s]:slotOff[s+1]] are the right-hand segments
-	// whose grams hold the gram of slot s, in order. rowProbe lists the
-	// segments' tables, with the union of their score bits, for sim.MSimRow.
+	// slot, which the next triple clears, and by which fillRows reads the
+	// heads of their occurrence chains into slotHead.
+	// slotSegs[slotOff[s]:slotOff[s+1]] are the right-hand segments whose
+	// grams hold the gram of slot s, in order. rowProbe lists the segments'
+	// tables, with the union of their score bits, for sim.MSimRow.
 	rowGrams   []uint32
 	rowGramOff []uint32
 	gramSlot   []uint16
 	slotted    []uint32
-	slotGrams  []string
 	slotHead   []uint32
 	slotOff    []int32
 	slotSegs   []int32
@@ -656,10 +655,10 @@ func (c *Calculator) fillRows(sc *Scratch, pt *PreparedRecord) {
 	sc.rowsAll = true
 	n, nt := sc.rowN, len(pt.Segs)
 	d := sc.rowDict
-	sc.slotHead = strutil.Resize(sc.slotHead, len(sc.slotGrams))
+	sc.slotHead = strutil.Resize(sc.slotHead, len(sc.slotted))
 	d.mu.RLock()
-	for s, g := range sc.slotGrams {
-		sc.slotHead[s] = d.gramNum[g].head
+	for s, num := range sc.slotted {
+		sc.slotHead[s] = d.heads[num]
 	}
 	occs := d.occs
 	d.mu.RUnlock()
@@ -743,35 +742,35 @@ func (sc *Scratch) adoptRows(ctx *sim.Context, d *SegDict, pt *PreparedRecord) u
 // takes its gram numbers from d.gramSets by that ID, in Grams order, with no
 // hashing; only a segment d has no entry for (a probe text d never interned,
 // a text past the dictionary's cap, or any segment of a record of another
-// dictionary) looks its grams up in gramNum. A probe gram d never numbered
-// gets no slot: no row holds it, and it still counts in |B_j| through
-// len(b_j.Grams). It reports false, the index left unfinished, when pt has
+// dictionary) looks its grams up by text (SegDict.gramNumber). A probe gram
+// d never numbered gets no slot: no row holds it, and it still counts in
+// |B_j| through len(b_j.Grams). It reports false, the index left unfinished, when pt has
 // more numbered grams than maxSlots.
 func (sc *Scratch) indexProbeGrams(d *SegDict, pt *PreparedRecord) bool {
 	for _, g := range sc.slotted {
 		sc.gramSlot[g] = 0
 	}
-	sc.slotted, sc.slotGrams, sc.slotPairs = sc.slotted[:0], sc.slotGrams[:0], sc.slotPairs[:0]
+	sc.slotted, sc.slotPairs = sc.slotted[:0], sc.slotPairs[:0]
 	// Every slot of the backing array is zero here, so growing within its
 	// capacity brings back no slot. The slots follow the dictionary's
 	// numbering, which inserts extend, so they grow with append's headroom:
 	// a new gram does not make every scratch reallocate them.
-	sc.gramSlot = slices.Grow(sc.gramSlot[:0], len(d.gramNum))[:len(d.gramNum)]
+	sc.gramSlot = slices.Grow(sc.gramSlot[:0], len(d.heads))[:len(d.heads)]
 	sc.rowGrams, sc.rowGramOff = d.gramSets, d.gramOff
 	sc.rowProbe.Reset()
 	byID := pt.dict == d // pt's segment IDs name d's entries
 	for j, b := range sc.rightTables(pt) {
 		sc.rowProbe.Add(b)
 		if id := pt.Segs[j].ID(); byID && id != NoSegID {
-			for i, num := range d.gramSets[d.gramOff[id]:d.gramOff[id+1]] {
-				if !sc.slotGram(num, j, b.Grams[i]) {
+			for _, num := range d.gramSets[d.gramOff[id]:d.gramOff[id+1]] {
+				if !sc.slotGram(num, j) {
 					return false
 				}
 			}
 			continue
 		}
 		for _, g := range b.Grams {
-			if r, ok := d.gramNum[g]; ok && !sc.slotGram(r.num, j, g) {
+			if num, ok := d.gramNumber(g); ok && !sc.slotGram(num, j) {
 				return false
 			}
 		}
@@ -804,17 +803,16 @@ type slotSeg struct {
 	seg  int32
 }
 
-// slotGram records that right-hand segment j holds gram g, numbered num,
+// slotGram records that right-hand segment j holds the gram numbered num,
 // giving the gram the next slot on first sight, and reports false when that
 // would take a slot past maxSlots.
-func (sc *Scratch) slotGram(num uint32, j int, g string) bool {
+func (sc *Scratch) slotGram(num uint32, j int) bool {
 	s := sc.gramSlot[num]
 	if s == 0 {
 		if len(sc.slotted) == maxSlots {
 			return false
 		}
 		sc.slotted = append(sc.slotted, num)
-		sc.slotGrams = append(sc.slotGrams, g)
 		s = uint16(len(sc.slotted))
 		sc.gramSlot[num] = s
 	}

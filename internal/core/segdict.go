@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"github.com/aujoin/aujoin/internal/sim"
+	"github.com/aujoin/aujoin/internal/strutil"
 )
 
 // NoSegID marks a prepared segment that has no dictionary identity: the
@@ -18,13 +19,12 @@ const NoSegID = ^uint32(0)
 // direct path.
 const segDictCap = 1 << 20
 
-// SegDict is the segment dictionary of one index, and its only table keyed by
-// segment text: an append-only intern table from segment text to a dense ID
-// (first-seen order) holding the one shared derivation table of every
-// distinct text — everything derived from the text alone: the gram set
-// verification reads, the gram occurrence count and repeats signature
-// generation reads, the rule side and the taxonomy node both read. The
-// records of the index intern into it (PrepareIn); probes read it and never
+// SegDict is the segment dictionary of one index: an append-only intern
+// table from segment text to a dense ID (first-seen order) holding the one
+// shared derivation table of every distinct text — everything derived from
+// the text alone: the gram set verification reads, the gram occurrence
+// count and repeats signature generation reads, the rule side and the
+// taxonomy node both read. The records of the index intern into it (PrepareIn); probes read it and never
 // write it (PrepareProbe). Sharing is sound because a SegmentData is
 // immutable after derivation and the text↔token-sequence mapping is
 // bijective (tokens never contain the join separator). A dictionary serves
@@ -40,21 +40,31 @@ const segDictCap = 1 << 20
 // The dictionary also numbers the q-grams of the texts it interns, so the
 // verifier counts a row's shared grams from array loads (Calculator.cacheRow):
 // every distinct gram of an entry's Grams gets a dense number (first-seen
-// order) in gramNum, and entry id's gram set, in Grams order, is
+// order), and entry id's gram set, in Grams order, is
 // gramSets[gramOff[id]:gramOff[id+1]]. Each element of gramSets is one
 // occurrence of a gram in an entry, and the occurrences of one gram are
 // chained, newest first, so the verifier can walk a probe gram's entries
-// instead of every entry (Calculator.fillRows): gramNum holds beside a
-// gram's number the index in gramSets of its latest occurrence (the head,
-// in what would otherwise be the map slot's padding), and occs[k] the entry
-// ID of occurrence k and the index of the gram's occurrence before it (noOcc
-// at the first). A chain lists its entries in descending ID order. Numbers,
+// instead of every entry (Calculator.fillRows): heads[n] is the index in
+// gramSets of gram n's latest occurrence, and occs[k] the entry ID of
+// occurrence k and the index of the gram's occurrence before it (noOcc at
+// the first). A chain lists its entries in descending ID order. Numbers,
 // occurrences and heads are written under the write lock that publishes the
-// entry, before its ID exists. gramSets, gramOff and occs are append-only,
-// so a reader that captured them under the read lock may index them for
-// every ID below the length it read with them; a head is rewritten in
-// place, so a reader copies the heads it needs under the lock, and a chain
-// walked from such a head reaches only occurrences that existed then.
+// entry, before its ID exists.
+//
+// No map keyed by text or gram holds a key: texts and grams are found
+// through two strutil.KeyTables, whose keys are the text a table already
+// holds (dictTexts: entry id's Text) and the gram an entry's Grams already
+// holds (dictGrams). The texts table holds entry IDs; the grams table holds
+// each gram's first occurrence k, which names both the gram's text (the
+// entry occs[k] and its place in that entry's Grams) and its number
+// (gramSets[k]), so a gram costs its slots and its head, with no string
+// header.
+//
+// gramSets, gramOff and occs are append-only, so a reader that captured
+// them under the read lock may index them for every ID below the length it
+// read with them; a head is rewritten in place, so a reader copies the
+// heads it needs under the lock, and a chain walked from such a head
+// reaches only occurrences that existed then.
 //
 // Beside the tables the dictionary holds each entry's score bits
 // (sim.SegmentData.Score) in one flat array, so a row that shares no gram
@@ -62,19 +72,45 @@ const segDictCap = 1 << 20
 // (Calculator.cacheRow).
 type SegDict struct {
 	mu       sync.RWMutex
-	ids      map[string]uint32
+	texts    strutil.KeyTable          // text → ID (dictTexts)
 	tabs     atomic.Pointer[segTables] // ID → shared table
 	scores   []uint8                   // ID → score bits; one per entry
-	gramNum  map[string]gramRef        // gram → number and latest occurrence
+	grams    strutil.KeyTable          // gram → its first occurrence (dictGrams)
+	heads    []uint32                  // number → the gram's latest occurrence
 	gramSets []uint32                  // every entry's gram numbers, back to back
 	gramOff  []uint32                  // ID → start in gramSets; one more than entries
 	occs     []gramOcc                 // occurrence → its entry and the gram's previous one
 	limit    int                       // segDictCap; lowered by tests
 }
 
-// gramRef is a numbered gram: its number and the head of its occurrence
-// chain.
-type gramRef struct{ num, head uint32 }
+// dictTexts is a dictionary as the KeySource of its texts table: entry id's
+// text.
+type dictTexts SegDict
+
+func (d *dictTexts) Key(id uint32) string { return (*SegDict)(d).table(id).Text }
+
+// dictGrams is a dictionary as the KeySource of its grams table: the gram
+// of occurrence k, as its entry holds it.
+type dictGrams SegDict
+
+func (d *dictGrams) Key(k uint32) string {
+	id := d.occs[k].id
+	return (*SegDict)(d).table(id).Grams[k-d.gramOff[id]]
+}
+
+// textID returns the ID of a text d holds; d's lock is held.
+func (d *SegDict) textID(text string) (uint32, bool) {
+	return d.texts.Find(text, (*dictTexts)(d))
+}
+
+// gramNumber returns the number of a gram d has numbered; d's lock is held.
+func (d *SegDict) gramNumber(gram string) (uint32, bool) {
+	k, ok := d.grams.Find(gram, (*dictGrams)(d))
+	if !ok {
+		return 0, false
+	}
+	return d.gramSets[k], true
+}
 
 // gramOcc is one link of a gram's occurrence chain: the entry holding the
 // occurrence and the gram's previous occurrence (noOcc when there is none).
@@ -117,7 +153,7 @@ func (t segTables) at(id uint32) *sim.SegmentData {
 
 // NewSegDict returns an empty dictionary.
 func NewSegDict() *SegDict {
-	return &SegDict{ids: make(map[string]uint32), gramNum: make(map[string]gramRef), gramOff: []uint32{0}, limit: segDictCap}
+	return &SegDict{gramOff: []uint32{0}, limit: segDictCap}
 }
 
 // SetSegDictLimit lowers d's entry cap (segDictCap) to limit, so that the
@@ -138,7 +174,7 @@ func (d *SegDict) Len() int {
 func (d *SegDict) NumGrams() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.gramNum)
+	return len(d.heads)
 }
 
 // table returns entry id's shared table. It takes no lock: the caller holds
@@ -163,7 +199,7 @@ func (d *SegDict) read(pr *PreparedRecord, segs []Segment) (missing int) {
 		sg := &pr.Segs[i]
 		sg.ref = NoSegID
 		if d != nil {
-			if id, ok := d.ids[segs[i].Text]; ok {
+			if id, ok := d.textID(segs[i].Text); ok {
 				sg.ref = id
 				continue
 			}
@@ -180,7 +216,7 @@ func (d *SegDict) key(b []byte) string {
 	if d != nil {
 		d.mu.RLock()
 		defer d.mu.RUnlock()
-		if id, ok := d.ids[string(b)]; ok {
+		if id, ok := d.texts.FindBytes(b, (*dictTexts)(d)); ok {
 			return d.table(id).Text
 		}
 	}
@@ -209,7 +245,7 @@ func (d *SegDict) View() DictView {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	n := len(d.scores)
-	return DictView{tabs: d.tabsNow(), n: n, gramSets: d.gramSets[:d.gramOff[n]], gramOff: d.gramOff[:n+1], grams: len(d.gramNum)}
+	return DictView{tabs: d.tabsNow(), n: n, gramSets: d.gramSets[:d.gramOff[n]], gramOff: d.gramOff[:n+1], grams: len(d.heads)}
 }
 
 // tabsNow returns the table chunks as they are now, none before the first
@@ -246,8 +282,7 @@ func (d *SegDict) GramNumber(gram string) (uint32, bool) {
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	r, ok := d.gramNum[gram]
-	return r.num, ok
+	return d.gramNumber(gram)
 }
 
 // intern returns the ID of a segment's text, deriving and storing its
@@ -255,7 +290,7 @@ func (d *SegDict) GramNumber(gram string) (uint32, bool) {
 // text's table for the record to keep (the table is zero otherwise).
 func (d *SegDict) intern(ctx *sim.Context, text string) (uint32, sim.SegmentData) {
 	d.mu.RLock()
-	id, ok := d.ids[text]
+	id, ok := d.textID(text)
 	d.mu.RUnlock()
 	if ok {
 		return id, sim.SegmentData{}
@@ -263,7 +298,7 @@ func (d *SegDict) intern(ctx *sim.Context, text string) (uint32, sim.SegmentData
 	data := ctx.PrepareSegment(text) // derived outside the lock
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok := d.ids[text]; ok {
+	if id, ok := d.textID(text); ok {
 		return id, sim.SegmentData{} // a concurrent intern of the same text won
 	}
 	if len(d.scores) >= d.limit {
@@ -282,16 +317,20 @@ func (d *SegDict) intern(ctx *sim.Context, text string) (uint32, sim.SegmentData
 		d.tabs.Store(&tabs)
 	}
 	*tabs.at(id) = data
-	d.ids[data.Text] = id
+	d.texts.Insert(data.Text, id, (*dictTexts)(d))
 	for _, g := range data.Grams {
-		r, ok := d.gramNum[g]
-		if !ok {
-			r = gramRef{num: uint32(len(d.gramNum)), head: noOcc}
+		// Occurrence k is the gram's first when the gram is new: its entry
+		// and the entry's gram offset are in place, and occs and gramSets
+		// hold it before the next gram's lookup can read it.
+		k, num, prev := uint32(len(d.gramSets)), uint32(len(d.heads)), noOcc
+		if first, added := d.grams.Insert(g, k, (*dictGrams)(d)); added {
+			d.heads = append(d.heads, k)
+		} else {
+			num = d.gramSets[first]
+			prev, d.heads[num] = d.heads[num], k
 		}
-		d.occs = append(d.occs, gramOcc{prev: r.head, id: id})
-		r.head = uint32(len(d.gramSets))
-		d.gramNum[g] = r
-		d.gramSets = append(d.gramSets, r.num)
+		d.occs = append(d.occs, gramOcc{prev: prev, id: id})
+		d.gramSets = append(d.gramSets, num)
 	}
 	d.gramOff = append(d.gramOff, uint32(len(d.gramSets)))
 	d.scores = append(d.scores, data.Score())

@@ -15,18 +15,30 @@ import (
 
 // checkGramTable holds a dictionary's gram numbering to its definition: the
 // numbers are dense, each distinct gram of the interned texts has exactly one,
-// no other gram has one, and every entry's numbers name exactly its Grams, in
-// order.
+// no other gram has one, every entry's numbers name exactly its Grams, in
+// order, and the texts table finds every entry by its text.
 func checkGramTable(t *testing.T, d *SegDict) {
 	t.Helper()
-	gramOf := make([]string, len(d.gramNum))
-	named := make([]bool, len(d.gramNum))
-	for g, r := range d.gramNum {
-		n := r.num
-		if int(n) >= len(gramOf) || named[n] {
-			t.Fatalf("gram %q has number %d: out of %d, or taken", g, n, len(gramOf))
+	if d.grams.Len() != len(d.heads) || d.texts.Len() != len(d.scores) {
+		t.Fatalf("%d heads and %d table keys for the grams; %d table keys for %d texts",
+			len(d.heads), d.grams.Len(), d.texts.Len(), len(d.scores))
+	}
+	gramOf := make([]string, len(d.heads))
+	for n, k := range d.heads {
+		for d.occs[k].prev != noOcc {
+			k = d.occs[k].prev // the gram's first occurrence
 		}
-		gramOf[n], named[n] = g, true
+		g := (*dictGrams)(d).Key(k)
+		if got, ok := d.gramNumber(g); !ok || got != uint32(n) {
+			t.Fatalf("gram %d (%q) is found as %d (%v)", n, g, got, ok)
+		}
+		gramOf[n] = g
+	}
+	for id := range d.scores {
+		text := d.table(uint32(id)).Text
+		if got, ok := d.textID(text); !ok || got != uint32(id) {
+			t.Fatalf("entry %d (%q) is found as %d (%v)", id, text, got, ok)
+		}
 	}
 	if len(d.gramOff) != len(d.scores)+1 || int(d.gramOff[len(d.scores)]) != len(d.gramSets) {
 		t.Fatalf("%d gram offsets, last %d, for %d entries and %d numbers", len(d.gramOff), d.gramOff[len(d.gramOff)-1], len(d.scores), len(d.gramSets))
@@ -60,17 +72,17 @@ func checkGramChains(t *testing.T, d *SegDict) {
 	if len(d.occs) != len(d.gramSets) {
 		t.Fatalf("%d links for %d occurrences", len(d.occs), len(d.gramSets))
 	}
-	want := make([][]uint32, len(d.gramNum)) // gram → entries holding it, ascending
+	want := make([][]uint32, len(d.heads)) // gram → entries holding it, ascending
 	for id := range d.scores {
 		for _, n := range d.gramSets[d.gramOff[id]:d.gramOff[id+1]] {
 			want[n] = append(want[n], uint32(id))
 		}
 	}
 	walked := 0
-	for _, r := range d.gramNum {
-		n := r.num
+	for n, head := range d.heads {
+		n := uint32(n)
 		var got []uint32
-		for k := r.head; k != noOcc; k = d.occs[k].prev {
+		for k := head; k != noOcc; k = d.occs[k].prev {
 			id := d.occs[k].id
 			if int(k) >= len(d.gramSets) || d.gramSets[k] != n || k < d.gramOff[id] || k >= d.gramOff[id+1] {
 				t.Fatalf("gram %d: link %d names entry %d, which does not hold the gram there", n, k, id)
@@ -317,9 +329,11 @@ func TestSegDictScoreBits(t *testing.T) {
 
 // TestSegDictChainTableHeap pins the live heap the occurrence chains add to
 // the dictionary of a 10 000-title index (the titles workloads' shape, q =
-// 5) to 8 B an occurrence and 4 B a numbered gram: what dropping the links
-// frees, plus what the gram map holds beyond a map of the same grams to
-// their numbers alone — the chain heads live in it.
+// 5) to 8 B an occurrence and 4 B a numbered gram, each counted at the
+// capacity its append-only array has grown to: what dropping the links
+// frees, plus what dropping the chain heads frees. The heads are an array
+// by gram number, so they cost their 4 B and append's headroom, as the
+// links always have.
 func TestSegDictChainTableHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap readings are only meaningful without -race; skipped with -short")
@@ -331,7 +345,10 @@ func TestSegDictChainTableHeap(t *testing.T) {
 	for _, raw := range gen.Collection(10000) {
 		calc.PrepareIn(d, strutil.Tokenize(raw))
 	}
-	occs, grams := len(d.occs), len(d.gramNum)
+	occs, grams := len(d.occs), len(d.heads)
+	// The arrays' bytes, and 1 KiB for what the runtime itself allocates or
+	// frees between two readings.
+	need := int64(8*cap(d.occs)+4*cap(d.heads)) + 1<<10
 	freed := func(drop func()) int64 {
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -343,16 +360,11 @@ func TestSegDictChainTableHeap(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return int64(before.HeapAlloc) - int64(after.HeapAlloc)
 	}
-	numbers := make(map[string]uint32) // the gram map without the heads
-	for g, r := range d.gramNum {
-		numbers[g] = r.num
-	}
 	links := freed(func() { d.occs = nil })
-	heads := freed(func() { d.gramNum = nil }) - freed(func() { numbers = nil })
-	need := int64(8*occs + 4*grams)
-	t.Logf("%d entries, %d occurrences of %d grams: the links keep %d B alive, the heads %d B; 8 B an occurrence and 4 B a gram is %d B", d.Len(), occs, grams, links, heads, need)
+	heads := freed(func() { d.heads = nil })
+	t.Logf("%d entries, %d occurrences of %d grams: the links keep %d B alive, the heads %d B; 8 B an occurrence and 4 B a gram at capacity, with 1 KiB of slack, is %d B", d.Len(), occs, grams, links, heads, need)
 	if links+heads > need {
-		t.Errorf("the occurrence chains keep %d B alive: more than 8 B an occurrence and 4 B a gram (%d B)", links+heads, need)
+		t.Errorf("the occurrence chains keep %d B alive: more than 8 B an occurrence and 4 B a gram at capacity (%d B)", links+heads, need)
 	}
 	runtime.KeepAlive(d)
 }

@@ -76,21 +76,19 @@ func (j *Joiner) PrepareShardedIndexWithIDs(ids []int, raw []string, shards int,
 // sum, not an image to install.
 func (p *PendingIndex) KeyFrequencies() ([]string, []int) { return p.count.Table(false) }
 
-// Install finishes the build under the externally built frozen order (keys,
-// freqs), in finalize order, as AdoptOrder takes it: every record is signed
-// under it once, and keys of the records the image lacks are interned into
-// its dynamic region first (AdoptOrder's guard). As after AdoptOrder, the
-// index never re-freezes on its own. A PendingIndex installs once.
-func (p *PendingIndex) Install(keys []string, freqs []int) (*ShardedIndex, error) {
-	order, err := pebble.RestoreOrder(keys, freqs, nil)
-	if err != nil {
-		return nil, err
-	}
+// Install finishes the build under the externally built frozen order, as
+// AdoptOrder takes it: the index's order wraps fz with a dynamic region of
+// its own, every record is signed under it once, and keys of the records fz
+// lacks are interned into that region first (AdoptOrder's guard). As after
+// AdoptOrder, the index never re-freezes on its own. A PendingIndex installs
+// once.
+func (p *PendingIndex) Install(fz *pebble.Frozen) *ShardedIndex {
+	order := fz.Order()
 	internMissing(order, p.count)
 	sx := p.b.finish(givenOrder(order))
 	sx.noRefreeze.Store(true)
 	p.b, p.count = nil, nil
-	return sx, nil
+	return sx
 }
 
 // givenOrder is the freezer of an order made elsewhere — restored from a
@@ -157,11 +155,19 @@ func (sx *ShardedIndex) KeyFrequencies() ([]string, []int) {
 	return sx.countKeys(live...).Table(true)
 }
 
+// SharesOrder reports whether sx and other serve, as of now, under one
+// frozen order value (AdoptOrder's fz, or Install's), each with a dynamic
+// region of its own.
+func (sx *ShardedIndex) SharesOrder(other *ShardedIndex) bool {
+	return sx.Snapshot().gen.order.Frozen() == other.Snapshot().gen.order.Frozen()
+}
+
 // AdoptOrder replaces the index's pebble order with an externally built
-// frozen order — the worker side of a cluster epoch bump. The (keys, freqs)
-// image must be in finalize order, as produced by KeyFrequencies (after the
-// coordinator sums the groups' tables). Adoption is a re-freeze
-// (refreezeLocked) whose next order comes from outside: every shard is
+// frozen order — the worker side of a cluster epoch bump: fz is restored
+// from an image in finalize order, as produced by KeyFrequencies (after the
+// coordinator sums the groups' tables), and the index's new order wraps it
+// with a dynamic region of its own, so indexes may share one fz. Adoption
+// is a re-freeze (refreezeLocked) whose next order comes from outside: every shard is
 // rebuilt under it while all writer locks are held, and readers never block —
 // they are served the generation before it until install publishes the new
 // one whole. No insert races the image (the coordinator blocks mutations for
@@ -171,11 +177,8 @@ func (sx *ShardedIndex) KeyFrequencies() ([]string, []int) {
 // hold identical records in identical positions. After adoption the index never re-freezes on its
 // own: order ownership has moved to the coordinator, and local rebuilds keep
 // compacting shards under the adopted order.
-func (sx *ShardedIndex) AdoptOrder(keys []string, freqs []int) error {
-	order, err := pebble.RestoreOrder(keys, freqs, nil)
-	if err != nil {
-		return err
-	}
+func (sx *ShardedIndex) AdoptOrder(fz *pebble.Frozen) {
+	order := fz.Order()
 	sx.refreezeMu.Lock()
 	defer sx.refreezeMu.Unlock()
 	sx.refreezeLocked(func(sx *ShardedIndex, live ...[]*core.PreparedRecord) *pebble.KeyIDs {
@@ -185,7 +188,6 @@ func (sx *ShardedIndex) AdoptOrder(keys []string, freqs []int) error {
 		return sx.joiner.gen.KeyIDs(sx.dict, order)
 	})
 	sx.noRefreeze.Store(true)
-	return nil
 }
 
 // DisableRefreeze turns off self-triggered global re-finalizes: a cluster

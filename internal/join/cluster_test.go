@@ -27,7 +27,7 @@ func TestAdoptOrderInternsMissingKeys(t *testing.T) {
 		// Drop the most frequent key: the one most signatures would lose.
 		dropped := keys[len(keys)-1]
 		keys, freqs = keys[:len(keys)-1], freqs[:len(freqs)-1]
-		if err := sx.AdoptOrder(keys, freqs); err != nil {
+		if err := adoptImage(sx, keys, freqs); err != nil {
 			t.Fatalf("shards=%d: AdoptOrder: %v", shards, err)
 		}
 		g := sx.Snapshot().gen
@@ -61,4 +61,14 @@ func TestAdoptOrderInternsMissingKeys(t *testing.T) {
 			t.Errorf("shards=%d: %d pairs after adoption, brute force finds %d", shards, len(got), len(want))
 		}
 	}
+}
+
+// adoptImage adopts the order an image in finalize order restores to.
+func adoptImage(sx *ShardedIndex, keys []string, freqs []int) error {
+	fz, err := pebble.RestoreFrozen(keys, freqs)
+	if err != nil {
+		return err
+	}
+	sx.AdoptOrder(fz)
+	return nil
 }

@@ -106,15 +106,15 @@ func TestKeyCountMatchesKeyPath(t *testing.T) {
 		prepareRecords(s, full, j.calc.PrepareInBuf)
 		sx := j.newRouter(opts, DynamicOptions{})
 		core.SetSegDictLimit(sx.dict, full.Len()/2)
-		parts := make([]part, 2)
+		parts, in := make([]part, 2), make([][]strutil.Record, 2)
 		for _, rec := range s {
-			p := &parts[shardOf(rec.ID, 2)]
-			p.records = append(p.records, rec)
+			in[shardOf(rec.ID, 2)] = append(in[shardOf(rec.ID, 2)], rec)
 			sx.nextID = max(sx.nextID, rec.ID+1)
 		}
 		var prepared [][]*core.PreparedRecord
 		for w := range parts {
-			parts[w].prepared = prepareRecords(parts[w].records, sx.dict, j.calc.PrepareInBuf)
+			parts[w].records = storedRecords(in[w])
+			parts[w].prepared = prepareRecords(in[w], sx.dict, j.calc.PrepareInBuf)
 			prepared = append(prepared, parts[w].prepared)
 		}
 		if sx.dict.Len() != full.Len()/2 || noEntry(slices.Concat(prepared...)) == 0 {
@@ -140,7 +140,7 @@ func TestKeyCountMatchesKeyPath(t *testing.T) {
 
 		// An image without its most frequent key, which the adoption interns
 		// dynamically.
-		if err := sx.AdoptOrder(keys[:len(keys)-1], freqs[:len(freqs)-1]); err != nil {
+		if err := adoptImage(sx, keys[:len(keys)-1], freqs[:len(freqs)-1]); err != nil {
 			t.Fatal(err)
 		}
 		if d := sx.Snapshot().gen.order.DynamicCount(); d != 1 {
@@ -165,10 +165,11 @@ func TestKeyCountMatchesKeyPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameTable("pending", keys, freqs, s)
-		installed, err := pending.Install(keys, freqs)
+		fz, err := pebble.RestoreFrozen(keys, freqs)
 		if err != nil {
 			t.Fatal(err)
 		}
+		installed := pending.Install(fz)
 		shardSignatures("installed", installed, m)
 		if st := installed.Stats(); st.Signed != int64(len(s)) || st.Counted != int64(len(s)) || st.Rebuilds != 0 || st.DynamicKeys != 0 {
 			t.Fatalf("installed: signed %d, counted %d, %d rebuilds, %d dynamic keys; want each of %d records signed and counted once",

@@ -137,7 +137,7 @@ func TestProbeSigningAcrossGenerations(t *testing.T) {
 		}
 
 		keys, freqs := sx.KeyFrequencies()
-		if err := sx.AdoptOrder(keys[:len(keys)-1], freqs[:len(freqs)-1]); err != nil {
+		if err := adoptImage(sx, keys[:len(keys)-1], freqs[:len(freqs)-1]); err != nil {
 			t.Fatalf("%s: AdoptOrder: %v", c.name, err)
 		}
 		if sx.Snapshot().gen.order.DynamicCount() != 1 {

@@ -3,6 +3,7 @@ package join
 import (
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"runtime/pprof"
 	"strings"
 	"testing"
@@ -87,6 +88,7 @@ var heapStructures = []struct {
 	{"inverted index", []string{"internal/invindex."}},
 	{"signature IDs", []string{"internal/join.selectSignatures"}},
 	{"cover column", []string{"internal/core.NewCoverColumn"}},
+	{"probe table", []string{"internal/pebble.(*KeyIDs).ProbeTable", "internal/pebble.exact"}},
 	{"order", []string{"internal/pebble."}},
 	{"input strings", []string{"internal/datagen."}},
 }
@@ -97,30 +99,59 @@ var heapStructures = []struct {
 // structure: a heap profile's in-use bytes (every allocation sampled), each
 // allocation site charged to the first structure its stack names
 // (heapStructures), "other" for the rest. The input strings are the
-// generator's raw records, which the index keeps as they are.
+// generator's raw records, which the index keeps as they are. The build time
+// and the GC's share of the CPU (gcShare) are those of a first build of the
+// same corpus with the default profiling rate; a second build, every
+// allocation sampled, is the one split.
 func TestIndexHeapSplit(t *testing.T) {
 	if os.Getenv("AUJOIN_SCALEPROF") == "" {
 		t.Skip("set AUJOIN_SCALEPROF=1")
 	}
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
-	runtime.MemProfileRate = 1
 	for _, n := range []int{10_000, 100_000} {
-		cfg := titlesConfig()
-		cfg.Size = n
-		gen := datagen.New(cfg)
-		ctx := sim.NewContext(gen.Rules(), gen.Taxonomy())
-		ctx.Q = 5
-		start := time.Now()
-		sx := NewJoiner(ctx).BuildShardedIndex(strutil.NewCollection(gen.Collection(n)), 1, titlesOptions, DynamicOptions{})
-		built := time.Since(start)
+		build := func() (*ShardedIndex, time.Duration) {
+			cfg := titlesConfig()
+			cfg.Size = n
+			gen := datagen.New(cfg)
+			ctx := sim.NewContext(gen.Rules(), gen.Taxonomy())
+			ctx.Q = 5
+			raws := gen.Collection(n)
+			start := time.Now()
+			sx := NewJoiner(ctx).BuildShardedIndex(strutil.NewCollection(raws), 1, titlesOptions, DynamicOptions{})
+			return sx, time.Since(start)
+		}
+		var built time.Duration
+		gc := gcShare(func() {
+			var sx *ShardedIndex
+			sx, built = build()
+			runtime.KeepAlive(sx)
+		})
+		runtime.MemProfileRate = 1
+		sx, _ := build()
 		split, total := liveBySite(t)
-		t.Logf("%d titles, one shard, built in %v: %.0f B a record live in all", n, built.Round(time.Millisecond), float64(total)/float64(n))
+		t.Logf("%d titles, one shard, built in %v with %.1f %% of the CPU in GC: %.0f B a record live in all",
+			n, built.Round(time.Millisecond), 100*gc, float64(total)/float64(n))
 		t.Logf("| structure | B a record | share |")
 		for _, name := range append(structureNames(), "other") {
 			t.Logf("| %s | %.0f | %.1f %% |", name, float64(split[name])/float64(n), 100*float64(split[name])/float64(total))
 		}
 		runtime.KeepAlive(sx)
 	}
+}
+
+// gcShare returns the GC's share of the CPU time available to the process
+// (GOMAXPROCS integrated over the wall clock) while f runs, from
+// runtime/metrics. The runtime brings those counters up to date at a
+// collection, so one is forced on either side of f and counts in the share.
+func gcShare(f func()) float64 {
+	s := []metrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}, {Name: "/cpu/classes/total:cpu-seconds"}}
+	runtime.GC()
+	metrics.Read(s)
+	gc, all := s[0].Value.Float64(), s[1].Value.Float64()
+	f()
+	runtime.GC()
+	metrics.Read(s)
+	return (s[0].Value.Float64() - gc) / (s[1].Value.Float64() - all)
 }
 
 // liveBySite returns the in-use bytes of the heap profile by heapStructures

@@ -78,7 +78,7 @@ type shard struct {
 	inv       *invindex.Index
 	buildTime time.Duration
 	deltas    deltas
-	records   []strutil.Record
+	records   []storedRecord
 	prepared  []*core.PreparedRecord
 	dead      []uint64
 	deadCount int
@@ -261,7 +261,7 @@ const (
 // prepared records, no segments and no tombstones. The three slices become
 // the shard's own. start is when the work that made the base began (see
 // DynamicStats.BuildTime).
-func (sh *shard) adoptBaseLocked(g *orderGen, records []strutil.Record, prepared []*core.PreparedRecord, sigIDs [][]uint32, start time.Time) {
+func (sh *shard) adoptBaseLocked(g *orderGen, records []storedRecord, prepared []*core.PreparedRecord, sigIDs [][]uint32, start time.Time) {
 	sh.gen = g
 	sh.inv = newInverted(sigIDs, g.order, sh.sx.tau)
 	sh.deltas = deltas{}
@@ -280,6 +280,23 @@ func (sh *shard) adoptBaseLocked(g *orderGen, records []strutil.Record, prepared
 	sh.dynAtBuild = g.order.DynamicCount()
 	sh.dynAdded = 0
 	sh.buildTime = time.Since(start)
+}
+
+// storedRecord is a record as a shard keeps it: its stable ID and its text,
+// 24 bytes, with no tokens — verification reads its prepared record, and
+// Live re-tokenizes Raw.
+type storedRecord struct {
+	ID  int
+	Raw string
+}
+
+// storedRecords returns the column a shard keeps of the records.
+func storedRecords(recs []strutil.Record) []storedRecord {
+	out := make([]storedRecord, len(recs))
+	for i, rec := range recs {
+		out[i] = storedRecord{ID: rec.ID, Raw: rec.Raw}
+	}
+	return out
 }
 
 // tombstoneLocked removes the live record id at position pos: its bit is
@@ -319,7 +336,7 @@ func (sh *shard) viewLocked() *shardView {
 // dynamic region, the batch's postings become one immutable delta segment,
 // and a new view is published; a rebuild is triggered first when the
 // mutation thresholds are crossed.
-func (sh *shard) insertRecords(recs []strutil.Record) {
+func (sh *shard) insertRecords(recs []storedRecord) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	delta := invindex.NewDelta()
@@ -452,9 +469,9 @@ func appendPause(log []time.Duration, d time.Duration) []time.Duration {
 
 // liveLocked collects the live records, their prepared verification records
 // and their stored signature IDs in position order.
-func (sh *shard) liveLocked() ([]strutil.Record, []*core.PreparedRecord, [][]uint32) {
+func (sh *shard) liveLocked() ([]storedRecord, []*core.PreparedRecord, [][]uint32) {
 	n := len(sh.records) - sh.deadCount
-	live := make([]strutil.Record, 0, n)
+	live := make([]storedRecord, 0, n)
 	prep := make([]*core.PreparedRecord, 0, n)
 	sigIDs := make([][]uint32, 0, n)
 	for pos, rec := range sh.records {
@@ -569,7 +586,7 @@ type shardView struct {
 	inv       *invindex.Index
 	buildTime time.Duration
 	deltas    deltas
-	records   []strutil.Record
+	records   []storedRecord
 	prepared  []*core.PreparedRecord
 	cover     core.CoverColumn // parallel to prepared
 	sigIDs    [][]uint32

@@ -187,27 +187,20 @@ type build struct {
 func (j *Joiner) assemble(records []strutil.Record, dead []uint64, shards int, opts Options, dopts DynamicOptions, start time.Time) *build {
 	sx := j.newRouter(opts, dopts)
 	parts := make([]part, shards)
-	sizes := make([]int, shards) // each part's records, the shard's column, at exact size
-	for _, rec := range records {
-		sizes[shardOf(rec.ID, shards)]++
-	}
-	for w := range parts {
-		parts[w].records = make([]strutil.Record, 0, sizes[w])
-	}
+	in := make([][]strutil.Record, shards) // each part's records, tokens and all
 	for i, rec := range records {
-		p := &parts[shardOf(rec.ID, shards)]
-		p.records = append(p.records, rec)
+		w := shardOf(rec.ID, shards)
+		in[w] = append(in[w], rec)
 		if dead != nil && dead[i>>6]&(1<<(uint(i)&63)) != 0 {
-			p.deadIDs = append(p.deadIDs, rec.ID)
+			parts[w].deadIDs = append(parts[w].deadIDs, rec.ID)
 		}
 		sx.nextID = max(sx.nextID, rec.ID+1)
 	}
 	for w := range parts {
-		p := &parts[w]
-		p.prepared = prepareRecords(p.records, sx.dict, j.calc.PrepareInBuf)
-		for i := range p.records {
-			p.records[i].Tokens = nil // a shard keeps a record's ID and Raw
-		}
+		// A shard keeps a record's ID and Raw, at exact size; the tokens die
+		// with in.
+		parts[w].prepared = prepareRecords(in[w], sx.dict, j.calc.PrepareInBuf)
+		parts[w].records = storedRecords(in[w])
 	}
 	return &build{sx: sx, parts: parts, start: start}
 }
@@ -233,7 +226,7 @@ func (b *build) finish(freeze freezer) *ShardedIndex {
 // prepared verification records, and the stable IDs of those that are
 // tombstoned.
 type part struct {
-	records  []strutil.Record
+	records  []storedRecord
 	prepared []*core.PreparedRecord
 	deadIDs  []int
 }
@@ -325,10 +318,10 @@ func (sx *ShardedIndex) InsertBatch(raw []string) []int {
 // concurrent group per destination shard, and then checks the re-freeze
 // trigger (inserts are the only source of new keys).
 func (sx *ShardedIndex) insertRouted(ids []int, raw []string) {
-	groups := make([][]strutil.Record, len(sx.shards))
+	groups := make([][]storedRecord, len(sx.shards))
 	for i, s := range raw {
 		w := shardOf(ids[i], len(sx.shards))
-		groups[w] = append(groups[w], strutil.Record{ID: ids[i], Raw: s}) // tokenized by PrepareCached
+		groups[w] = append(groups[w], storedRecord{ID: ids[i], Raw: s}) // prepared by PrepareCached
 	}
 	sx.runShards(func(w int) bool { return len(groups[w]) > 0 }, func(w int) {
 		sx.shards[w].insertRecords(groups[w])

@@ -298,9 +298,10 @@ func TestShardedIndexGlobalRefreeze(t *testing.T) {
 }
 
 // TestStoredRecordsKeepTextOnce builds an index over a normal-form
-// collection, inserts into it and removes enough to compact a shard: every
-// record a shard stores carries no tokens, and its Raw is the input string
-// itself, not a copy. Live re-tokenizes each record from its Raw.
+// collection, inserts into it and removes enough to compact a shard: a shard
+// stores a record as its ID and Raw, 24 B with no tokens header, and its Raw
+// is the input string itself, not a copy. Live re-tokenizes each record from
+// its Raw.
 func TestStoredRecordsKeepTextOnce(t *testing.T) {
 	j := NewJoiner(paperContext())
 	raws := rawsOf(benchCorpus(200, 5))
@@ -316,13 +317,14 @@ func TestStoredRecordsKeepTextOnce(t *testing.T) {
 	for i, id := range sx.InsertBatch(extra) {
 		input[id] = extra[i]
 	}
+	// The column holds an ID and Raw a record, and no tokens header.
+	if size := unsafe.Sizeof(storedRecord{}); size != 24 {
+		t.Fatalf("a stored record takes %d B, want 24: an ID and Raw", size)
+	}
 	check := func(state string) {
 		t.Helper()
 		for w, sh := range sx.shards {
 			for _, rec := range sh.records {
-				if rec.Tokens != nil {
-					t.Fatalf("%s: shard %d stores record %d with tokens %q", state, w, rec.ID, rec.Tokens)
-				}
 				if in := input[rec.ID]; unsafe.StringData(rec.Raw) != unsafe.StringData(in) || rec.Raw != in {
 					t.Fatalf("%s: shard %d stores record %d as a copy of its input %q", state, w, rec.ID, in)
 				}

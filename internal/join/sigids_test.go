@@ -126,7 +126,7 @@ func TestBuiltIndexShapeEqualsRestored(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := live.AdoptOrder(keys, freqs); err != nil {
+				if err := adoptImage(live, keys, freqs); err != nil {
 					t.Fatalf("%s: adopt: %v", name, err)
 				}
 				mutate(live, 56)

@@ -234,9 +234,10 @@ func collectStream(ctx context.Context, workers int, produce func(ctx context.Co
 // record's shards and all of its candidates, so a record's msim rows are
 // evaluated once whatever the worker count. In self mode the view is the one-shard
 // view of a static base and the records are its own: record t is probed
-// against the positions below t. It returns the statistics accumulated up to
-// the point of return and the context error when the run was cancelled.
-func (sv *ShardedView) probeAll(ctx context.Context, records []strutil.Record, sigs [][]uint32, prep []*core.PreparedRecord, self bool, sigTime time.Duration, emit func(Pair) bool) (Stats, error) {
+// against the positions below t. id(t) is probe record t's ID, the one
+// field of a record the loop reads. It returns the statistics accumulated up
+// to the point of return and the context error when the run was cancelled.
+func (sv *ShardedView) probeAll(ctx context.Context, id func(t int) int, sigs [][]uint32, prep []*core.PreparedRecord, self bool, sigTime time.Duration, emit func(Pair) bool) (Stats, error) {
 	sx := sv.sx
 	stats := Stats{Tau: sx.tau, SignatureTime: sigTime, ShardCandidates: make([]int, len(sv.views))}
 	live, sigMass := 0, 0.0
@@ -247,23 +248,23 @@ func (sv *ShardedView) probeAll(ctx context.Context, records []strutil.Record, s
 	if live > 0 {
 		stats.AvgSignatureS = sigMass / float64(live)
 	}
-	if len(records) == 0 {
+	if len(prep) == 0 {
 		return stats, ctx.Err()
 	}
 	sigLen := 0
 	for _, ids := range sigs {
 		sigLen += len(ids)
 	}
-	stats.AvgSignatureT = float64(sigLen) / float64(len(records))
+	stats.AvgSignatureT = float64(sigLen) / float64(len(prep))
 
-	workers := min(sx.opts.workers(), len(records))
+	workers := min(sx.opts.workers(), len(prep))
 	ws := make([]probeWorker, workers)
 	for w := range ws {
 		ws[w].tallies = make([]probeTally, len(sv.views))
 		ws[w].rq = request{tau: sx.tau, k: unboundedK, limit: noLimit}
 	}
 	results, err := collectStream(ctx, workers, func(ictx context.Context, out chan<- *[]Pair) error {
-		return parallelForWorkersCtx(ictx, len(records), workers, func(w, t int) {
+		return parallelForWorkersCtx(ictx, len(prep), workers, func(w, t int) {
 			// The inline one-worker loop looks at the context only every
 			// ctxCheckStride records; a cancelled join takes no further one.
 			if ictx.Err() != nil {
@@ -274,7 +275,7 @@ func (sv *ShardedView) probeAll(ctx context.Context, records []strutil.Record, s
 			if self {
 				pw.rq.limit = t
 			}
-			pw.probe(ictx, sv, records[t].ID, out)
+			pw.probe(ictx, sv, id(t), out)
 		})
 	}, emit)
 
@@ -344,7 +345,7 @@ func (j *Joiner) JoinSeq(ctx context.Context, s, t []strutil.Record, opts Option
 func (j *Joiner) joinStream(ctx context.Context, s, t []strutil.Record, opts Options, emit func(Pair) bool) (Stats, error) {
 	start := time.Now()
 	sv, prepT, sigT := j.joinIndex(s, t, opts)
-	return sv.probeAll(ctx, t, sigT, prepT, false, time.Since(start), emit)
+	return sv.probeAll(ctx, func(i int) int { return t[i].ID }, sigT, prepT, false, time.Since(start), emit)
 }
 
 // joinIndex is the build half of Join: a router of the join's own — its
@@ -354,9 +355,7 @@ func (j *Joiner) joinIndex(s, t []strutil.Record, opts Options) (*ShardedView, [
 	start, sx := time.Now(), j.newRouter(opts, DynamicOptions{})
 	prepS := prepareRecords(s, sx.dict, j.calc.PrepareInBuf)
 	prepT := prepareRecords(t, sx.dict, j.calc.PrepareProbeBuf)
-	// The shard holds s as it is, tokens and all: unlike an index's, a join's
-	// shard lives no longer than the caller's s.
-	sx.install(j.orderOf(sx.dict, prepS, prepT), []part{{records: s, prepared: prepS}}, start)
+	sx.install(j.orderOf(sx.dict, prepS, prepT), []part{{records: storedRecords(s), prepared: prepS}}, start)
 	sv := sx.Snapshot()
 	return sv, prepT, selectSignatures(prepT, sv.gen, opts.Method, sx.tau)
 }
@@ -381,7 +380,7 @@ func (j *Joiner) SelfJoinSeq(ctx context.Context, s []strutil.Record, opts Optio
 func (j *Joiner) selfStream(ctx context.Context, s []strutil.Record, opts Options, emit func(Pair) bool) (Stats, error) {
 	sv := j.BuildShardedIndex(s, 1, opts, DynamicOptions{}).Snapshot()
 	v := sv.views[0]
-	return sv.probeAll(ctx, v.records, v.sigIDs, v.prepared, true, v.buildTime, emit)
+	return sv.probeAll(ctx, func(t int) int { return v.records[t].ID }, v.sigIDs, v.prepared, true, v.buildTime, emit)
 }
 
 // probeStream prepares the probe records against the index's dictionary,
@@ -394,5 +393,5 @@ func (sv *ShardedView) probeStream(ctx context.Context, records []strutil.Record
 	sx := sv.sx
 	prep := prepareRecords(records, sx.dict, sx.joiner.calc.PrepareProbeBuf)
 	sigs := selectSignatures(prep, sv.gen, sx.opts.Method, sx.tau)
-	return sv.probeAll(ctx, records, sigs, prep, false, time.Since(start), emit)
+	return sv.probeAll(ctx, func(t int) int { return records[t].ID }, sigs, prep, false, time.Since(start), emit)
 }

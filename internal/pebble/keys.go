@@ -5,6 +5,7 @@ import (
 
 	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/sim"
+	"github.com/aujoin/aujoin/internal/strutil"
 	"github.com/aujoin/aujoin/internal/synonym"
 	"github.com/aujoin/aujoin/internal/taxonomy"
 )
@@ -76,11 +77,17 @@ type KeyCount struct {
 	key        []string
 	records    int32
 	// seen lists the key numbers counted, first seen first; byKey numbers the
-	// keys counted by string, and buf builds a gram's key to look it up.
+	// keys counted by string, over their text in key, and buf builds a gram's
+	// key to look it up.
 	seen  []uint32
-	byKey map[string]uint32
+	byKey strutil.KeyTable
 	buf   []byte
 }
+
+// keyColumn is a KeyCount's keys by number: the KeySource of its byKey.
+type keyColumn []string
+
+func (k *keyColumn) Key(n uint32) string { return (*k)[n] }
 
 // NewKeyCount returns an empty count of the records prepared against d (nil
 // for records prepared without a dictionary).
@@ -110,32 +117,27 @@ func (c *KeyCount) count(n uint32) bool {
 // countKey counts a key without a number of the engine's, numbering it on
 // first sight.
 func (c *KeyCount) countKey(key string) {
-	n, ok := c.byKey[key]
-	if !ok {
-		n = c.number(key)
-	}
-	c.count(n)
+	c.count(c.number(key))
 }
 
 // countGram is countKey for the key of a gram, built in c.buf: only a key
 // seen for the first time is copied out.
 func (c *KeyCount) countGram(gram string) {
 	c.buf = append(append(c.buf[:0], sim.GramKeyPrefix...), gram...)
-	n, ok := c.byKey[string(c.buf)]
+	n, ok := c.byKey.FindBytes(c.buf, (*keyColumn)(&c.key))
 	if !ok {
 		n = c.number(string(c.buf))
 	}
 	c.count(n)
 }
 
-// number gives a key counted by string the next number.
+// number returns the number of a key counted by string, giving a key seen
+// for the first time the next one.
 func (c *KeyCount) number(key string) uint32 {
-	if c.byKey == nil {
-		c.byKey = make(map[string]uint32)
+	n, added := c.byKey.Insert(key, uint32(len(c.freq)), (*keyColumn)(&c.key))
+	if added {
+		c.freq, c.last, c.key = append(c.freq, 0), append(c.last, 0), append(c.key, key)
 	}
-	n := uint32(len(c.freq))
-	c.byKey[key] = n
-	c.freq, c.last, c.key = append(c.freq, 0), append(c.last, 0), append(c.key, key)
 	return n
 }
 

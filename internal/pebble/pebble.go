@@ -23,8 +23,6 @@ import (
 	"cmp"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/sim"
@@ -265,284 +263,6 @@ func distinctSynonyms(syn []Pebble) []Pebble {
 		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(b.Weight, a.Weight))
 	})
 	return slices.CompactFunc(syn, func(a, b Pebble) bool { return a.Key == b.Key })
-}
-
-// Order is the global pebble order required by prefix filtering: pebbles
-// are sorted by ascending document frequency (rare pebbles first), with the
-// key as tie-breaker so the order is total and identical across both join
-// collections.
-//
-// Add counts document frequencies key by key. Finalize then interns every
-// key into a dense uint32 ID whose numeric order IS the global order, so
-// comparing the IDs of two known keys compares their (frequency, key) pairs.
-// The engine counts a collection prepared against a dictionary by key number
-// instead (KeyCount), and KeyCount.Freeze builds the same order. The hot paths
-// (signature sorting, inverted indexing, candidate counting) work
-// exclusively on these IDs.
-//
-// # Dynamic region
-//
-// A finalized Order can still grow through InternDynamic: keys unseen at
-// Finalize time are appended after the built prefix, in first-seen order.
-// Dynamic IDs therefore sort after every frozen key — they are treated as
-// maximally frequent — while the frequency order of the built prefix is
-// untouched. Because the assignment is append-only, the relative order of
-// any two keys never changes once both are interned, so every signature
-// ever selected remains a valid prefix under every later state of the
-// order; this is the invariant the dynamic join index relies on. Frequency
-// order degrades as the dynamic region grows, which only costs filtering
-// selectivity, never correctness — the dynamic index re-finalizes (full
-// rebuild) once DynamicCount exceeds a fraction of the frozen prefix.
-//
-// InternDynamic serializes its callers behind the order's own small mutex,
-// so any number of writers — the shards of a sharded index intern
-// concurrently — may call it without external locking; all read-side
-// methods (ID, Intern, Sort, KeyOf, NumKeys, Frequency) may run
-// concurrently with them, as the dynamic table is swapped atomically and
-// never mutated in place.
-type Order struct {
-	// count holds the document frequencies Add has counted, until Finalize
-	// interns them and drops it.
-	count *KeyCount
-
-	once    sync.Once
-	ids     map[string]uint32 // key -> dense ID, in (freq asc, key asc) order
-	keys    []string          // dense ID -> key
-	freqs   []int             // dense ID -> document frequency at Finalize
-	maxFreq int               // highest document frequency, cached at Finalize
-
-	dmu sync.Mutex               // serializes InternDynamic writers
-	dyn atomic.Pointer[dynTable] // append-only dynamic region, nil until first InternDynamic
-}
-
-// keyCount is one key's document frequency and its number in the count it
-// was counted in (KeyCount).
-type keyCount struct {
-	key  string
-	freq int32
-	num  uint32
-}
-
-// sortByFrequency sorts keys into the global order: frequency ascending, key
-// ascending on ties. It is the one frequency sort: Finalize and
-// KeyCount.Freeze number the frozen IDs by it, FrequencyTable and
-// KeyCount.Table read its result, and MergeFrequencyTables sorts the sum of
-// several tables by it.
-func sortByFrequency(counts []keyCount) {
-	slices.SortFunc(counts, func(a, b keyCount) int {
-		return cmp.Or(cmp.Compare(a.freq, b.freq), strings.Compare(a.key, b.key))
-	})
-}
-
-// dynTable is one immutable state of the dynamic intern region. Writers
-// clone-and-swap it; readers load it once per operation. Document
-// frequencies are deliberately not tracked here: nothing consumes them (a
-// rebuild re-derives true frequencies from the live records), and their
-// absence lets an insert whose keys are all already interned skip the
-// clone entirely.
-type dynTable struct {
-	ids  map[string]uint32 // key -> ID (all IDs ≥ len(Order.keys))
-	keys []string          // ID - len(Order.keys) -> key
-}
-
-// NewOrder creates an empty frequency order.
-func NewOrder() *Order { return &Order{count: &KeyCount{}} }
-
-// Add registers one string's pebbles: every distinct key counts once
-// (document frequency), each looked up by key. Add must not be called after
-// Finalize.
-func (o *Order) Add(pebbles []Pebble) {
-	if o.count == nil {
-		panic("pebble: Order.Add after Finalize")
-	}
-	o.count.addPebbles(pebbles)
-}
-
-// Finalize builds the intern table: every registered key gets a dense ID in
-// (frequency asc, key asc) order. Finalize is idempotent and safe to call
-// concurrently; the Order becomes read-only (and thus safe for concurrent
-// use) afterwards. NewSelector finalizes its order, so explicit calls are
-// only needed when using the intern table directly.
-func (o *Order) Finalize() {
-	o.once.Do(func() {
-		if o.count != nil {
-			o.freeze(o.count)
-			o.count = nil
-		}
-	})
-}
-
-// freeze interns every key c counted: each gets a dense ID in (frequency asc,
-// key asc) order. It returns the IDs by key number, NoID for the numbers c
-// did not count.
-func (o *Order) freeze(c *KeyCount) []uint32 {
-	counts := c.byFrequency()
-	ids := make(map[string]uint32, len(counts))
-	keys := make([]string, len(counts))
-	freqs := make([]int, len(counts))
-	byNum := make([]uint32, len(c.freq))
-	for n := range byNum {
-		byNum[n] = NoID
-	}
-	for i, kc := range counts {
-		ids[kc.key] = uint32(i)
-		keys[i] = kc.key
-		freqs[i] = int(kc.freq)
-		byNum[kc.num] = uint32(i)
-	}
-	// Frequencies are sorted ascending, so the last key carries the maximum —
-	// cached here because MaxFrequency sits on the index-build path (the
-	// hybrid posting cutoff consults it).
-	if len(freqs) > 0 {
-		o.maxFreq = freqs[len(freqs)-1]
-	}
-	o.ids, o.keys, o.freqs = ids, keys, freqs
-	return byNum
-}
-
-// MaxFrequency returns the highest document frequency recorded at Finalize
-// time (0 for an empty order). Dynamically interned keys are not counted —
-// their frequencies are unknown until a rebuild re-freezes the order — so
-// on an order with a non-empty dynamic region the value is a lower bound.
-func (o *Order) MaxFrequency() int {
-	o.Finalize()
-	return o.maxFreq
-}
-
-// NumKeys returns the number of interned keys, frozen prefix plus dynamic
-// region; valid after Finalize.
-func (o *Order) NumKeys() int { return len(o.keys) + o.DynamicCount() }
-
-// FrozenKeys returns the number of keys interned at Finalize time.
-func (o *Order) FrozenKeys() int { return len(o.keys) }
-
-// DynamicCount returns the number of keys appended by InternDynamic since
-// Finalize.
-func (o *Order) DynamicCount() int {
-	if d := o.dyn.Load(); d != nil {
-		return len(d.keys)
-	}
-	return 0
-}
-
-// ID returns the interned ID of a key; ok is false when the key was never
-// registered. Valid after Finalize.
-func (o *Order) ID(key string) (id uint32, ok bool) {
-	if id, ok = o.ids[key]; ok {
-		return id, true
-	}
-	if d := o.dyn.Load(); d != nil {
-		id, ok = d.ids[key]
-	}
-	return id, ok
-}
-
-// idOf is ID for a key in bytes, looked up without copying it.
-func (o *Order) idOf(key []byte) (id uint32, ok bool) {
-	if id, ok = o.ids[string(key)]; ok {
-		return id, true
-	}
-	if d := o.dyn.Load(); d != nil {
-		id, ok = d.ids[string(key)]
-	}
-	return id, ok
-}
-
-// KeyOf returns the key of an interned ID; valid after Finalize.
-func (o *Order) KeyOf(id uint32) string {
-	if int(id) < len(o.keys) {
-		return o.keys[id]
-	}
-	return o.dyn.Load().keys[int(id)-len(o.keys)]
-}
-
-// Intern stamps each pebble with the interned ID of its key (NoID for keys
-// unknown to the order). Valid after Finalize.
-func (o *Order) Intern(pebbles []Pebble) {
-	dyn := o.dyn.Load()
-	for i := range pebbles {
-		if id, ok := o.ids[pebbles[i].Key]; ok {
-			pebbles[i].ID = id
-		} else if id, ok := dyn.lookup(pebbles[i].Key); ok {
-			pebbles[i].ID = id
-		} else {
-			pebbles[i].ID = NoID
-		}
-	}
-}
-
-// InternDynamic registers every key of the given pebbles that is unknown to
-// the order as a new dynamic ID appended after the built prefix (first-seen
-// order). It returns the number of newly appended keys. The dynamic table is
-// cloned at most once per call — pass a whole insert batch's pebbles in one
-// call rather than looping — and not at all when every key is already
-// interned. InternDynamic callers are serialized on an internal mutex (shards
-// of a sharded index intern into one shared order concurrently, each under
-// its own writer lock); concurrent readers are safe because the dynamic table
-// is replaced wholesale, never mutated.
-func (o *Order) InternDynamic(pebbles []Pebble) int {
-	o.Finalize()
-	o.dmu.Lock()
-	defer o.dmu.Unlock()
-	old := o.dyn.Load()
-	var next *dynTable
-	added := 0
-	for i := range pebbles {
-		key := pebbles[i].Key
-		if _, ok := o.ids[key]; ok {
-			continue
-		}
-		if next == nil {
-			if _, ok := old.lookup(key); ok {
-				continue
-			}
-			next = old.clone()
-		}
-		if _, ok := next.ids[key]; !ok {
-			next.ids[key] = uint32(len(o.keys) + len(next.keys))
-			next.keys = append(next.keys, key)
-			added++
-		}
-	}
-	if next != nil {
-		o.dyn.Store(next)
-	}
-	return added
-}
-
-// lookup is a nil-safe dynamic-table probe.
-func (d *dynTable) lookup(key string) (uint32, bool) {
-	if d == nil {
-		return 0, false
-	}
-	id, ok := d.ids[key]
-	return id, ok
-}
-
-// clone deep-copies a dynamic table (nil yields an empty table).
-func (d *dynTable) clone() *dynTable {
-	c := &dynTable{ids: map[string]uint32{}}
-	if d == nil {
-		return c
-	}
-	c.keys = append([]string(nil), d.keys...)
-	c.ids = make(map[string]uint32, len(d.ids))
-	for k, v := range d.ids {
-		c.ids[k] = v
-	}
-	return c
-}
-
-// Frequency returns the document frequency recorded at Finalize time (0 for
-// keys unseen then, including dynamically interned ones — a rebuild
-// re-derives true frequencies from the live records). It finalizes the
-// order.
-func (o *Order) Frequency(key string) int {
-	o.Finalize()
-	if id, ok := o.ids[key]; ok {
-		return o.freqs[id]
-	}
-	return 0
 }
 
 // Sort interns the pebbles and sorts them in place by the global order.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/aujoin/aujoin/internal/sim"
 	"github.com/aujoin/aujoin/internal/strutil"
@@ -350,5 +351,94 @@ func TestMethodString(t *testing.T) {
 	}
 	if Method(9).String() != "unknown" {
 		t.Error("unknown method name")
+	}
+}
+
+// TestRestoreOrder holds RestoreOrder to the order it restores: the same
+// IDs, keys, frequencies and dynamic tail, every key found by string and by
+// bytes, with the image's strings copied into the restored arena; and to
+// its errors on an image that no order exports.
+func TestRestoreOrder(t *testing.T) {
+	gen := NewGenerator(closenessContext())
+	order := buildOrder(gen, closenessCorpus(rand.New(rand.NewSource(36)), 200))
+	dynamic := []Pebble{{Key: "g:zzzz"}, {Key: "s:unheard of"}, {Key: ""}}
+	if n := order.InternDynamic(dynamic); n != len(dynamic) {
+		t.Fatalf("interned %d dynamic keys, want %d", n, len(dynamic))
+	}
+	keys, freqs := order.FrequencyTable()
+	image := make([]string, len(keys))
+	for i, k := range keys {
+		image[i] = string([]byte(k)) // as a decoder hands them over
+	}
+	dyn := []string{"g:zzzz", "s:unheard of", ""}
+	got, err := RestoreOrder(image, freqs, dyn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumKeys() != order.NumKeys() || got.FrozenKeys() != order.FrozenKeys() || got.MaxFrequency() != order.MaxFrequency() {
+		t.Fatalf("restored %d keys (%d frozen, max frequency %d), want %d (%d, %d)",
+			got.NumKeys(), got.FrozenKeys(), got.MaxFrequency(), order.NumKeys(), order.FrozenKeys(), order.MaxFrequency())
+	}
+	arena := got.Frozen().arena
+	for id := range uint32(order.NumKeys()) {
+		key := order.KeyOf(id)
+		gid, ok := got.ID(key)
+		bid, bok := got.idOf([]byte(key))
+		if !ok || !bok || gid != id || bid != id || got.KeyOf(id) != key || got.Frequency(key) != order.Frequency(key) {
+			t.Fatalf("key %q: restored as ID %d (%v), by bytes %d (%v), want %d", key, gid, ok, bid, bok, id)
+		}
+		if k := got.KeyOf(id); int(id) < got.FrozenKeys() && k != "" {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(k))); p < uintptr(unsafe.Pointer(unsafe.StringData(arena))) ||
+				p >= uintptr(unsafe.Pointer(unsafe.StringData(arena)))+uintptr(len(arena)) {
+				t.Fatalf("frozen key %q is not in the restored arena", k)
+			}
+		}
+	}
+	if _, ok := got.ID("g:never"); ok {
+		t.Fatal("a key of no order was found")
+	}
+
+	for _, c := range []struct {
+		name        string
+		keys, dyn   []string
+		freqs       []int
+		wantMessage string
+	}{
+		{"lengths", []string{"g:a", "g:b"}, nil, []int{1}, "pebble: 2 frozen keys but 1 frequencies"},
+		{"frequency order", []string{"g:a", "g:b"}, nil, []int{2, 1}, "pebble: frozen keys not in finalize order at 1"},
+		{"key order", []string{"g:b", "g:a"}, nil, []int{1, 1}, "pebble: frozen keys not in finalize order at 1"},
+		{"duplicate", []string{"g:a", "g:b", "g:a"}, nil, []int{1, 1, 2}, `pebble: duplicate frozen key "g:a"`},
+		{"duplicate before disorder", []string{"g:a", "g:a", "g:c", "g:b"}, nil, []int{1, 2, 3, 3}, `pebble: duplicate frozen key "g:a"`},
+		{"shadowing", []string{"g:a"}, []string{"g:b", "g:a"}, []int{1}, `pebble: dynamic key "g:a" shadows a frozen key`},
+		{"duplicate dynamic", []string{"g:a"}, []string{"g:b", "g:b"}, []int{1}, `pebble: duplicate dynamic key "g:b"`},
+		{"frequency range", []string{"g:a"}, nil, []int{math.MaxInt32 + 1}, "pebble: frozen key 0 has frequency 2147483648, outside 0..2147483647"},
+		{"negative frequency", []string{"g:a", "g:b"}, nil, []int{math.MinInt32 - 1, 1}, "pebble: frozen key 0 has frequency -2147483649, outside 0..2147483647"},
+	} {
+		if _, err := RestoreOrder(c.keys, c.freqs, c.dyn); err == nil || err.Error() != c.wantMessage {
+			t.Errorf("%s: RestoreOrder returned %v, want %q", c.name, err, c.wantMessage)
+		}
+	}
+}
+
+// TestOrdersShareFrozen wraps one frozen value in two orders: each interns
+// dynamically into a region of its own, and a key one interns is unknown to
+// the other.
+func TestOrdersShareFrozen(t *testing.T) {
+	fz, err := RestoreFrozen([]string{"g:ab", "g:bc", "s:cafe"}, []int{1, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := fz.Order(), fz.Order()
+	if a.Frozen() != fz || b.Frozen() != fz {
+		t.Fatal("two orders over one frozen value do not share it")
+	}
+	if n := a.InternDynamic([]Pebble{{Key: "g:zz"}, {Key: "g:ab"}}); n != 1 {
+		t.Fatalf("interned %d keys, want the one the frozen value lacks", n)
+	}
+	if id, ok := a.ID("g:zz"); !ok || id != 3 {
+		t.Fatalf("the interning order holds g:zz as %d (%v), want 3", id, ok)
+	}
+	if _, ok := b.ID("g:zz"); ok || b.NumKeys() != 3 {
+		t.Fatalf("the other order holds %d keys, g:zz among them: %v", b.NumKeys(), ok)
 	}
 }
