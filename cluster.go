@@ -85,7 +85,10 @@ type PendingIndex struct{ inner *join.PendingIndex }
 // PrepareWithIDs starts IndexWith over records whose stable IDs the caller
 // assigned, under InsertWithIDs' rules for them: the records are built into
 // the index the way IndexWith builds a collection, not inserted one batch at
-// a time, up to the order they are signed under, which Install takes.
+// a time, up to the order they are signed under, which Install takes. Every
+// index a joiner starts here interns into one segment dictionary the joiner
+// keeps for its lifetime, so the groups one cluster worker hosts hold each
+// text once.
 func (j *Joiner) PrepareWithIDs(ids []int, records []string, opts JoinOptions, iopts IndexOptions) (*PendingIndex, error) {
 	inner, err := j.joiner.PrepareShardedIndexWithIDs(ids, records, iopts.Shards, opts.internal(), join.DynamicOptions{})
 	if err != nil {

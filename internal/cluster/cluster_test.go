@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -22,6 +23,7 @@ import (
 
 	"github.com/aujoin/aujoin"
 	"github.com/aujoin/aujoin/internal/cmdutil"
+	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/join"
 	"github.com/aujoin/aujoin/internal/store"
 )
@@ -934,15 +936,17 @@ func requireSingleNodeOrder(t *testing.T, tc *testCluster, ref *aujoin.Index, st
 	}
 }
 
-// sharesOrder reports whether two indexes serve under one frozen order value
-// (join.ShardedIndex.SharesOrder). The public Index keeps its sharded index
-// in an unexported field and exports no order identity, so the test reads
-// the field by reflection.
-func sharesOrder(a, b *aujoin.Index) bool {
-	inner := func(ix *aujoin.Index) *join.ShardedIndex {
-		return (*join.ShardedIndex)(reflect.ValueOf(ix).Elem().FieldByName("inner").UnsafePointer())
-	}
-	return inner(a).SharesOrder(inner(b))
+// unexported returns the pointer field name of the struct p points to, as a
+// *T. The public Index and Joiner keep their engine values in unexported
+// fields and export no identity, so the tests read them by reflection.
+func unexported[T any](p any, name string) *T {
+	return (*T)(reflect.ValueOf(p).Elem().FieldByName(name).UnsafePointer())
+}
+
+// shares reports whether two indexes serve under one frozen order value and
+// whether they intern into one segment dictionary (join.ShardedIndex.Shares).
+func shares(a, b *aujoin.Index) (order, dict bool) {
+	return unexported[join.ShardedIndex](a, "inner").Shares(unexported[join.ShardedIndex](b, "inner"))
 }
 
 // TestWorkerGroupsShareOrder: a worker restores each adopted order image
@@ -978,7 +982,7 @@ func TestWorkerGroupsShareOrder(t *testing.T) {
 			if len(stats) != 2 {
 				t.Fatalf("%s: worker %d hosts %d groups, want 2", stage, i, len(stats))
 			}
-			if !sharesOrder(ixs[0], ixs[1]) {
+			if order, _ := shares(ixs[0], ixs[1]); !order {
 				t.Fatalf("%s: worker %d's groups serve under two frozen orders, want one shared", stage, i)
 			}
 			out = append(out, stats)
@@ -1025,6 +1029,153 @@ func TestWorkerGroupsShareOrder(t *testing.T) {
 	}
 	insertNovel("bumped", []string{"glyph waltz crimp", "jinx bodkfy zephyr"})
 	checkEquivalence(t, tc, ref, probes, "inserted after a bump")
+}
+
+// shareTexts returns the distinct segment texts of the records of catalog,
+// stable ID its position, that the ring places in the groups: the length of
+// the dictionary of a single-node index over them.
+func shareTexts(t *testing.T, ring *Ring, catalog []string, groups ...int) int {
+	t.Helper()
+	j, err := aujoin.NewStrict()
+	if err != nil {
+		t.Fatalf("NewStrict: %v", err)
+	}
+	var share []string
+	for id, rec := range catalog {
+		if slices.Contains(groups, ring.Owner(id)) {
+			share = append(share, rec)
+		}
+	}
+	return j.IndexWith(share, aujoin.JoinOptions{Theta: 0.8, Tau: 2}, aujoin.IndexOptions{Shards: 1}).Stats().DistinctSegments
+}
+
+// workerPairs returns, for every worker of tc, the indexes of the two groups
+// it hosts, in group order.
+func workerPairs(t *testing.T, tc *testCluster) [][2]*aujoin.Index {
+	t.Helper()
+	var out [][2]*aujoin.Index
+	for i, wk := range tc.nodes {
+		hosted := hostedGroups(wk)
+		gs := slices.Sorted(maps.Keys(hosted))
+		if len(gs) != 2 {
+			t.Fatalf("worker %d hosts %d groups, want 2", i, len(gs))
+		}
+		out = append(out, [2]*aujoin.Index{hosted[gs[0]].ix(), hosted[gs[1]].ix()})
+	}
+	return out
+}
+
+// tailedCatalog is denseCatalog with one made-up word after every record, so
+// that the groups' shares have texts of their own beside the texts they
+// share.
+func tailedCatalog(n int, seed int64) []string {
+	rng := rand.New(rand.NewSource(seed))
+	out := denseCatalog(n, seed)
+	for i := range out {
+		w := make([]byte, 5)
+		for k := range w {
+			w[k] = byte('a' + rng.Intn(26))
+		}
+		out[i] += " " + string(w)
+	}
+	return out
+}
+
+// TestWorkerGroupsShareDictionary: a worker prepares every group it hosts
+// against its joiner's one segment dictionary (join.Joiner.HostedDict).
+// After the bootstrap both groups of every worker intern into one
+// dictionary, which holds each text of the two shares once: its length is
+// that of a single-node index over the two shares together, less than the
+// two shares' lengths summed.
+func TestWorkerGroupsShareDictionary(t *testing.T) {
+	catalog := tailedCatalog(180, 7)
+	tc := startCluster(t, 3, 2, catalog, 0.8, 2, "dp")
+	for i, pair := range workerPairs(t, tc) {
+		gs := slices.Sorted(maps.Keys(hostedGroups(tc.nodes[i])))
+		if _, dict := shares(pair[0], pair[1]); !dict {
+			t.Fatalf("worker %d's groups intern into two dictionaries, want one shared", i)
+		}
+		union := shareTexts(t, tc.coord.ring, catalog, gs...)
+		apart := shareTexts(t, tc.coord.ring, catalog, gs[0]) + shareTexts(t, tc.coord.ring, catalog, gs[1])
+		if union >= apart {
+			t.Fatalf("worker %d: the shares of groups %v have no text in common (%d texts, %d apart)", i, gs, union, apart)
+		}
+		for g, ix := range pair {
+			if got := ix.Stats().DistinctSegments; got != union {
+				t.Errorf("worker %d group %d: the dictionary holds %d texts, want the %d of both shares", i, gs[g], got, union)
+			}
+		}
+	}
+}
+
+// TestWorkerDictionaryAtCap: every worker's dictionary is capped
+// (core.SetSegDictLimit) below the texts of the two groups it hosts, and
+// above those of any one group. The seeds of all groups run at once, so the
+// group that interns second gives its new texts private tables (NoSegID),
+// and so does every insert of new texts into either group, concurrently
+// with the other group's. The cluster must answer as the single-node index
+// does over the equivalence grid, after the seed, after inserts into every
+// group and after a bump, with every worker's dictionary full at its cap.
+func TestWorkerDictionaryAtCap(t *testing.T) {
+	catalog := tailedCatalog(180, 7)
+	ring := NewRing(3, 2)
+	single, union := 0, len(catalog)*1000
+	for w := range ring.Workers() {
+		gs := ring.GroupsOf(w)
+		union = min(union, shareTexts(t, ring, catalog, gs...))
+		for _, g := range gs {
+			single = max(single, shareTexts(t, ring, catalog, g))
+		}
+	}
+	if single+1 >= union {
+		t.Fatalf("one group holds %d texts and two %d: no cap lies between", single, union)
+	}
+	limit := (single + union) / 2
+	opts := clusterOpts{joiner: func() (*aujoin.Joiner, error) {
+		j, err := aujoin.NewStrict()
+		if err == nil {
+			core.SetSegDictLimit(unexported[join.Joiner](j, "joiner").HostedDict(), limit)
+		}
+		return j, err
+	}}
+	for _, cb := range equivalenceGrid() {
+		t.Run(fmt.Sprintf("%s-theta%v", cb.filter, cb.theta), func(t *testing.T) {
+			tc := startCluster(t, 3, 2, catalog, cb.theta, 2, cb.filter, opts)
+			j, err := aujoin.NewStrict()
+			if err != nil {
+				t.Fatalf("NewStrict: %v", err)
+			}
+			jopts := aujoin.JoinOptions{Theta: cb.theta, Tau: 2, Filter: cmdutil.ParseFilter(cb.filter)}
+			ref := j.IndexWith(catalog, jopts, aujoin.IndexOptions{Shards: 1})
+			probes := append(tailedCatalog(12, 8), catalog[:6]...)
+			if len(refProbe(t, ref, probes)) == 0 {
+				t.Fatal("no probe matches the catalog")
+			}
+			full := func(stage string) {
+				t.Helper()
+				for i, pair := range workerPairs(t, tc) {
+					for _, ix := range pair {
+						if got := ix.Stats().DistinctSegments; got != limit {
+							t.Fatalf("%s: worker %d's dictionary holds %d texts, want its cap %d", stage, i, got, limit)
+						}
+					}
+				}
+			}
+			full("seeded")
+			checkEquivalence(t, tc, ref, probes, "seeded at the cap")
+
+			extra := tailedCatalog(30, 9)
+			if got, want := tc.insert(t, extra), ref.Insert(extra); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("insert IDs diverge: cluster %v, single-node %v", got, want)
+			}
+			full("inserted")
+			checkEquivalence(t, tc, ref, probes, "inserted past the cap")
+
+			tc.bump(t)
+			full("bumped")
+			checkEquivalence(t, tc, ref, probes, "bumped at the cap")
+		})
+	}
 }
 
 // TestBumpEpochFailsOverFreqs: worker 0 answers 500 on /cluster/freqs, so

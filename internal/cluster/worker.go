@@ -331,8 +331,9 @@ func (wk *Worker) apply(_ context.Context, req *ApplyRequest) (ApplyResponse, er
 // stage adds one seed chunk to the group's staged share. The last chunk
 // prepares the whole share at once, as a single node builds its catalog, up
 // to the order (aujoin.Joiner.PrepareWithIDs): the records are prepared
-// against the group index's dictionary and their keys counted, but nothing
-// is frozen or signed. The share waits in wg.pending for the order the
+// against the worker's one segment dictionary, which every group it hosts
+// interns into (the joiner's), and their keys counted, but nothing is frozen
+// or signed. The share waits in wg.pending for the order the
 // coordinator merges from every group's table, and stage returns this
 // group's table, encoded, for the chunk's acknowledgement. The caller holds
 // wg.mu.

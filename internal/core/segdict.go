@@ -13,18 +13,22 @@ import (
 // record was prepared without a dictionary, or the dictionary was full.
 const NoSegID = ^uint32(0)
 
-// segDictCap is the entry count at which a dictionary stops interning.
+// segDictCap is the entry count at which a dictionary stops interning; a
+// dictionary shared by several indexes has one cap for all of them.
 // Segments of texts first seen past it keep a private derivation table and
 // NoSegID, sign from that table as from a shared one, and verify on the
 // direct path.
 const segDictCap = 1 << 20
 
-// SegDict is the segment dictionary of one index: an append-only intern
+// SegDict is the segment dictionary of one index, or of every group index
+// one cluster worker hosts (join.Joiner.HostedDict): an append-only intern
 // table from segment text to a dense ID (first-seen order) holding the one
 // shared derivation table of every distinct text — everything derived from
 // the text alone: the gram set verification reads, the gram occurrence
 // count and repeats signature generation reads, the rule side and the
-// taxonomy node both read. The records of the index intern into it (PrepareIn); probes read it and never
+// taxonomy node both read. Since nothing in it depends on the records a
+// text came from, indexes under one sim.Context may share it. The records
+// of the indexes intern into it (PrepareIn); probes read it and never
 // write it (PrepareProbe). Sharing is sound because a SegmentData is
 // immutable after derivation and the text↔token-sequence mapping is
 // bijective (tokens never contain the join separator). A dictionary serves

@@ -153,7 +153,7 @@ func (ix *Index) build(sigs [][]uint32, cutoff int) {
 			n += int(c)
 		}
 		ix.nonEmpty++
-		if n >= dense {
+		if int64(n) >= dense {
 			panic("invindex: more than 2^31 postings")
 		}
 	}

@@ -41,7 +41,7 @@ func (sx *ShardedIndex) InsertBatchRecords(ids []int, raw []string) error {
 
 // PendingIndex is the first half of a build over records whose stable IDs
 // the caller assigned, under InsertBatchRecords' rules for them: the records
-// routed and prepared against the new index's dictionary and their keys
+// routed and prepared against the joiner's HostedDict and their keys
 // counted, but no order frozen and no record signed. A cluster worker holds
 // its share of the catalog so between the bootstrap seed's last chunk, whose
 // acknowledgement carries KeyFrequencies, and the order the coordinator
@@ -55,7 +55,9 @@ type PendingIndex struct {
 // PrepareShardedIndexWithIDs starts a BuildShardedIndex over the records
 // under the caller's IDs: it takes the one build path (assemble) as far as
 // the count, so no record is inserted — the index Install makes has no delta
-// segment, no dynamic key and no compaction behind it.
+// segment, no dynamic key and no compaction behind it. The index interns into
+// the joiner's HostedDict, as every other index started here does, so the
+// group indexes of one cluster worker hold each segment text once.
 func (j *Joiner) PrepareShardedIndexWithIDs(ids []int, raw []string, shards int, opts Options, dopts DynamicOptions) (*PendingIndex, error) {
 	start := time.Now()
 	if err := checkIDs(ids, raw); err != nil {
@@ -65,7 +67,7 @@ func (j *Joiner) PrepareShardedIndexWithIDs(ids []int, raw []string, shards int,
 	for i, s := range raw {
 		records[i] = strutil.NewRecord(ids[i], s)
 	}
-	b := j.assemble(records, nil, shards, opts, dopts, start)
+	b := j.assemble(j.HostedDict(), records, nil, shards, opts, dopts, start)
 	return &PendingIndex{b: b, count: b.sx.countKeys(b.prepared()...)}, nil
 }
 
@@ -155,11 +157,12 @@ func (sx *ShardedIndex) KeyFrequencies() ([]string, []int) {
 	return sx.countKeys(live...).Table(true)
 }
 
-// SharesOrder reports whether sx and other serve, as of now, under one
-// frozen order value (AdoptOrder's fz, or Install's), each with a dynamic
-// region of its own.
-func (sx *ShardedIndex) SharesOrder(other *ShardedIndex) bool {
-	return sx.Snapshot().gen.order.Frozen() == other.Snapshot().gen.order.Frozen()
+// Shares reports whether sx and other serve, as of now, under one frozen
+// order value (AdoptOrder's fz, or Install's), each with a dynamic region of
+// its own, and whether they intern into one segment dictionary (the joiner's
+// HostedDict).
+func (sx *ShardedIndex) Shares(other *ShardedIndex) (order, dict bool) {
+	return sx.Snapshot().gen.order.Frozen() == other.Snapshot().gen.order.Frozen(), sx.dict == other.dict
 }
 
 // AdoptOrder replaces the index's pebble order with an externally built

@@ -2,10 +2,14 @@ package join
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
+	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/pebble"
 	"github.com/aujoin/aujoin/internal/strutil"
 )
@@ -71,4 +75,132 @@ func adoptImage(sx *ShardedIndex, keys []string, freqs []int) error {
 	}
 	sx.AdoptOrder(fz)
 	return nil
+}
+
+// TestHostedIndexesAtDictCap: two indexes that one joiner starts through
+// PrepareShardedIndexWithIDs, as a cluster worker starts the two groups it
+// hosts, intern into its one HostedDict, capped here below the texts of both
+// and above those of either. Their shares are prepared concurrently,
+// installed under the merged order, and take insert batches concurrently,
+// so the texts past the cap take private tables whichever index meets them
+// first. After the seed and after every round of inserts, each index
+// answers as BruteForce over its own live records, and the dictionary is
+// full at its cap.
+func TestHostedIndexesAtDictCap(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	j := NewJoiner(propertyContexts()["full"])
+	opts := Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}
+	var shares [2][]strutil.Record
+	catalog := strutil.NewCollection(taggedCorpus(120, rng))
+	for _, rec := range catalog {
+		shares[rec.ID%2] = append(shares[rec.ID%2], rec)
+	}
+	texts := func(colls ...[]strutil.Record) int {
+		d := core.NewSegDict()
+		for _, coll := range colls {
+			prepareRecords(coll, d, j.calc.PrepareInBuf)
+		}
+		return d.Len()
+	}
+	single, union := max(texts(shares[0]), texts(shares[1])), texts(shares[0], shares[1])
+	if single+1 >= union {
+		t.Fatalf("one share holds %d texts and both %d: no cap lies between", single, union)
+	}
+	limit := (single + union) / 2
+	dict := j.HostedDict()
+	core.SetSegDictLimit(dict, limit)
+
+	// both runs f for the two indexes at once.
+	both := func(f func(g int)) {
+		var wg sync.WaitGroup
+		for g := range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f(g)
+			}()
+		}
+		wg.Wait()
+	}
+	var pending [2]*PendingIndex
+	var errs [2]error
+	both(func(g int) {
+		ids, raws := make([]int, len(shares[g])), make([]string, len(shares[g]))
+		for i, rec := range shares[g] {
+			ids[i], raws[i] = rec.ID, rec.Raw
+		}
+		pending[g], errs[g] = j.PrepareShardedIndexWithIDs(ids, raws, 2, opts, DynamicOptions{})
+	})
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	k0, f0 := pending[0].KeyFrequencies()
+	k1, f1 := pending[1].KeyFrequencies()
+	keys, freqs, err := pebble.MergeFrequencyTables([][]string{k0, k1}, [][]int{f0, f1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fz, err := pebble.RestoreFrozen(keys, freqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := [2]*ShardedIndex{pending[0].Install(fz), pending[1].Install(fz)}
+	if order, shared := ix[0].Shares(ix[1]); !order || !shared {
+		t.Fatalf("the two indexes share the order %v and the dictionary %v, want both", order, shared)
+	}
+
+	probe := append(propertyCorpus(20, rng), catalog[:10]...)
+	matched := 0
+	check := func(stage string) {
+		t.Helper()
+		if dict.Len() != limit {
+			t.Fatalf("%s: the dictionary holds %d texts, want its cap %d", stage, dict.Len(), limit)
+		}
+		for g, sx := range ix {
+			v := sx.Snapshot()
+			got, _ := v.Probe(probe)
+			if want := j.BruteForce(v.Live(), probe, opts.Theta, nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: index %d: Probe %d pairs, oracle %d pairs", stage, g, len(got), len(want))
+			}
+			matched += len(got)
+		}
+	}
+	check("seeded")
+	next := 120
+	for round := range 3 {
+		var batches [2][]string
+		var ids [2][]int
+		for g := range batches {
+			batches[g] = taggedCorpus(12, rng)
+			for range batches[g] {
+				ids[g], next = append(ids[g], next), next+1
+			}
+		}
+		both(func(g int) { errs[g] = ix[g].InsertBatchRecords(ids[g], batches[g]) })
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("round %d", round))
+	}
+	if matched == 0 {
+		t.Fatal("no probe matched a record")
+	}
+}
+
+// taggedCorpus is rawCorpus with a made-up word after every record, so that
+// records carry texts few others share.
+func taggedCorpus(n int, rng *rand.Rand) []string {
+	out := rawCorpus(n, rng)
+	for i := range out {
+		w := make([]byte, 4)
+		for k := range w {
+			w[k] = byte('a' + rng.Intn(26))
+		}
+		out[i] += " " + string(w)
+	}
+	return out
 }

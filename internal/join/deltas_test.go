@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/invindex"
 	"github.com/aujoin/aujoin/internal/pebble"
 )
@@ -117,7 +118,7 @@ func TestDeltaChainClampsMaxSegments(t *testing.T) {
 	j := NewJoiner(paperContext())
 	opts := Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}
 	for _, asked := range []int{maxChainSegments - 1, maxChainSegments, 1 << 20} {
-		if got := j.newRouter(opts, DynamicOptions{maxSegments: asked}).dopts.maxSegments; got != min(asked, maxChainSegments-1) {
+		if got := j.newRouter(core.NewSegDict(), opts, DynamicOptions{maxSegments: asked}).dopts.maxSegments; got != min(asked, maxChainSegments-1) {
 			t.Errorf("maxSegments %d: the router keeps %d, want %d", asked, got, min(asked, maxChainSegments-1))
 		}
 	}

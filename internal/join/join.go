@@ -147,6 +147,11 @@ type Joiner struct {
 
 	gen  *pebble.Generator
 	calc *core.Calculator
+
+	// hosted is the segment dictionary of every index the joiner starts
+	// through PrepareShardedIndexWithIDs (HostedDict), made on the first.
+	hostedOnce sync.Once
+	hosted     *core.SegDict
 }
 
 // NewJoiner creates a Joiner for the given context.
@@ -164,6 +169,17 @@ func (j *Joiner) Generator() *pebble.Generator { return j.gen }
 
 // Calculator exposes the unified-similarity calculator.
 func (j *Joiner) Calculator() *core.Calculator { return j.calc }
+
+// HostedDict returns the one segment dictionary every index the joiner
+// starts through PrepareShardedIndexWithIDs interns into, making it on first
+// use: a cluster worker prepares each group it hosts with its one joiner, so
+// its groups intern each text once. The dictionary lives as long as the
+// joiner, and its segDictCap covers every such index together. Every other
+// index (a build, a restore, a one-shot join) makes a dictionary of its own.
+func (j *Joiner) HostedDict() *core.SegDict {
+	j.hostedOnce.Do(func() { j.hosted = core.NewSegDict() })
+	return j.hosted
+}
 
 // BuildOrder is orderOf for bare collections: their records are prepared
 // here, without a dictionary, so every gram key is counted by string.

@@ -104,7 +104,7 @@ func TestKeyCountMatchesKeyPath(t *testing.T) {
 		// records carry.
 		full := core.NewSegDict()
 		prepareRecords(s, full, j.calc.PrepareInBuf)
-		sx := j.newRouter(opts, DynamicOptions{})
+		sx := j.newRouter(core.NewSegDict(), opts, DynamicOptions{})
 		core.SetSegDictLimit(sx.dict, full.Len()/2)
 		parts, in := make([]part, 2), make([][]strutil.Record, 2)
 		for _, rec := range s {

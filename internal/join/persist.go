@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/pebble"
 	"github.com/aujoin/aujoin/internal/store"
 	"github.com/aujoin/aujoin/internal/strutil"
@@ -119,7 +120,7 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 		records[i] = strutil.NewRecord(int(snap.Records[i].ID), snap.Records[i].Raw)
 	})
 	opts := Options{Theta: snap.Theta, Tau: snap.Tau, Method: pebble.Method(snap.Method)}
-	sx := j.assemble(records, snap.Dead, snap.Shards, opts, dopts, start).finish(givenOrder(order))
+	sx := j.assemble(core.NewSegDict(), records, snap.Dead, snap.Shards, opts, dopts, start).finish(givenOrder(order))
 	sx.nextID = int(snap.NextID)
 	return sx, nil
 }

@@ -139,6 +139,64 @@ func TestIndexHeapSplit(t *testing.T) {
 	}
 }
 
+// TestWorkerHeapSplit is TestIndexHeapSplit for a cluster worker, opt-in
+// (AUJOIN_SCALEPROF=1): one joiner starts two one-shard group indexes over
+// the 10 000-title corpus's records of IDs 0 and 1 mod 3 (3 334 and 3 333
+// titles), as a lookup_cluster worker starts the two groups it hosts
+// (PrepareShardedIndexWithIDs), and installs both under the order merged
+// from their tables. It logs the live heap of both together, every
+// allocation sampled, split by structure, and the texts each group's
+// dictionary holds.
+func TestWorkerHeapSplit(t *testing.T) {
+	if os.Getenv("AUJOIN_SCALEPROF") == "" {
+		t.Skip("set AUJOIN_SCALEPROF=1")
+	}
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	gen := datagen.New(titlesConfig())
+	ctx := sim.NewContext(gen.Rules(), gen.Taxonomy())
+	ctx.Q = 5
+	var ids [2][]int
+	var raws [2][]string
+	for id, raw := range gen.Collection(10_000) {
+		if g := id % 3; g < 2 {
+			ids[g], raws[g] = append(ids[g], id), append(raws[g], raw)
+		}
+	}
+	j := NewJoiner(ctx)
+	var pending [2]*PendingIndex
+	var keys [2][]string
+	var freqs [2][]int
+	for g := range pending {
+		var err error
+		if pending[g], err = j.PrepareShardedIndexWithIDs(ids[g], raws[g], 1, titlesOptions, DynamicOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		keys[g], freqs[g] = pending[g].KeyFrequencies()
+	}
+	titles := [2]int{len(ids[0]), len(ids[1])}
+	ids, raws = [2][]int{}, [2][]string{}
+	k, f, err := pebble.MergeFrequencyTables(keys[:], freqs[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	fz, err := pebble.RestoreFrozen(k, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, freqs, k, f = [2][]string{}, [2][]int{}, nil, nil
+	groups := [2]*ShardedIndex{pending[0].Install(fz), pending[1].Install(fz)}
+	pending = [2]*PendingIndex{}
+	split, total := liveBySite(t)
+	t.Logf("two groups of %d and %d titles: %.2f MB live in all; the dictionaries hold %d and %d texts",
+		titles[0], titles[1], float64(total)/1e6, groups[0].Stats().DistinctSegments, groups[1].Stats().DistinctSegments)
+	t.Logf("| structure | kB | share |")
+	for _, name := range append(structureNames(), "other") {
+		t.Logf("| %s | %.0f | %.1f %% |", name, float64(split[name])/1e3, 100*float64(split[name])/float64(total))
+	}
+	runtime.KeepAlive(groups)
+}
+
 // gcShare returns the GC's share of the CPU time available to the process
 // (GOMAXPROCS integrated over the wall clock) while f runs, from
 // runtime/metrics. The runtime brings those counters up to date at a

@@ -549,10 +549,13 @@ type DynamicStats struct {
 	counters
 	// DistinctSegments is the length of the index's segment dictionary: the
 	// distinct segment texts interned over its lifetime (append-only, so
-	// texts only removed records held still count).
+	// texts only removed records held still count). On a cluster worker the
+	// dictionary is the worker's, shared by every group it hosts
+	// (Joiner.HostedDict), so each group reports the texts of them all.
 	DistinctSegments int `json:"distinct_segments"`
 	// DistinctGrams is the number of distinct q-grams the dictionary has
-	// numbered for those texts (append-only likewise).
+	// numbered for those texts (append-only likewise; on a worker, the
+	// worker's dictionary too).
 	DistinctGrams int `json:"distinct_grams"`
 	// CacheHits and CacheMisses are the cumulative counters of the
 	// prepared-record cache consulted on insert (one cache is shared across

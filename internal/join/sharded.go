@@ -80,7 +80,10 @@ type ShardedIndex struct {
 	cache  *core.PreparedCache
 	// dict is the index's one segment dictionary, shared by every shard, the
 	// cache and restore; rebuilds and re-freezes pass prepared records through
-	// unchanged, so it lives exactly as long as the index.
+	// unchanged. A build, a restore and a one-shot join make it new, and it
+	// lives exactly as long as the index; an index PrepareShardedIndexWithIDs
+	// starts shares its joiner's HostedDict with every other such index, and
+	// it lives as long as the joiner.
 	dict *core.SegDict
 
 	// view is the published state (Snapshot). refreezeMu serializes the
@@ -123,8 +126,9 @@ func (g *orderGen) outgrown() bool {
 }
 
 // newRouter creates a ShardedIndex without shards: the options, the
-// defaulted DynamicOptions, and the shared dictionary and cache.
-func (j *Joiner) newRouter(opts Options, dopts DynamicOptions) *ShardedIndex {
+// defaulted DynamicOptions, the dictionary its records intern into (a new
+// one, or the joiner's HostedDict) and its cache.
+func (j *Joiner) newRouter(dict *core.SegDict, opts Options, dopts DynamicOptions) *ShardedIndex {
 	if dopts.rebuildFraction <= 0 {
 		dopts.rebuildFraction = defaultRebuildFraction
 	}
@@ -132,7 +136,7 @@ func (j *Joiner) newRouter(opts Options, dopts DynamicOptions) *ShardedIndex {
 		dopts.maxSegments = defaultMaxSegments
 	}
 	dopts.maxSegments = min(dopts.maxSegments, maxChainSegments-1)
-	return &ShardedIndex{joiner: j, opts: opts, tau: opts.tau(), dopts: dopts, dict: core.NewSegDict(),
+	return &ShardedIndex{joiner: j, opts: opts, tau: opts.tau(), dopts: dopts, dict: dict,
 		cache: core.NewPreparedCache(core.DefaultPreparedCacheSize)}
 }
 
@@ -146,7 +150,7 @@ func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Op
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	return j.assemble(records, nil, shards, opts, dopts, start).finish((*ShardedIndex).countedOrder)
+	return j.assemble(core.NewSegDict(), records, nil, shards, opts, dopts, start).finish((*ShardedIndex).countedOrder)
 }
 
 // freezer turns an index's records, prepared against its dictionary, into
@@ -183,9 +187,9 @@ type build struct {
 // of a build, a restore and a pending build: it routes them to their shards —
 // tombstoning those whose bit is set in dead, a bitmap over the records'
 // positions (nil for none) — sets the next ID past the largest, and prepares
-// the corpus against the index's dictionary, shard after shard.
-func (j *Joiner) assemble(records []strutil.Record, dead []uint64, shards int, opts Options, dopts DynamicOptions, start time.Time) *build {
-	sx := j.newRouter(opts, dopts)
+// the corpus against dict, the index's dictionary, shard after shard.
+func (j *Joiner) assemble(dict *core.SegDict, records []strutil.Record, dead []uint64, shards int, opts Options, dopts DynamicOptions, start time.Time) *build {
+	sx := j.newRouter(dict, opts, dopts)
 	parts := make([]part, shards)
 	in := make([][]strutil.Record, shards) // each part's records, tokens and all
 	for i, rec := range records {

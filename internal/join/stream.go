@@ -352,7 +352,7 @@ func (j *Joiner) joinStream(ctx context.Context, s, t []strutil.Record, opts Opt
 // dictionary, its cache — with one shard over s under an order spanning both
 // collections, and t prepared and signed for probing it.
 func (j *Joiner) joinIndex(s, t []strutil.Record, opts Options) (*ShardedView, []*core.PreparedRecord, [][]uint32) {
-	start, sx := time.Now(), j.newRouter(opts, DynamicOptions{})
+	start, sx := time.Now(), j.newRouter(core.NewSegDict(), opts, DynamicOptions{})
 	prepS := prepareRecords(s, sx.dict, j.calc.PrepareInBuf)
 	prepT := prepareRecords(t, sx.dict, j.calc.PrepareProbeBuf)
 	sx.install(j.orderOf(sx.dict, prepS, prepT), []part{{records: storedRecords(s), prepared: prepS}}, start)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 	"unsafe"
 
@@ -398,12 +399,13 @@ func TestRestoreOrder(t *testing.T) {
 		t.Fatal("a key of no order was found")
 	}
 
-	for _, c := range []struct {
+	type restoreCase struct {
 		name        string
 		keys, dyn   []string
 		freqs       []int
 		wantMessage string
-	}{
+	}
+	cases := []restoreCase{
 		{"lengths", []string{"g:a", "g:b"}, nil, []int{1}, "pebble: 2 frozen keys but 1 frequencies"},
 		{"frequency order", []string{"g:a", "g:b"}, nil, []int{2, 1}, "pebble: frozen keys not in finalize order at 1"},
 		{"key order", []string{"g:b", "g:a"}, nil, []int{1, 1}, "pebble: frozen keys not in finalize order at 1"},
@@ -411,9 +413,15 @@ func TestRestoreOrder(t *testing.T) {
 		{"duplicate before disorder", []string{"g:a", "g:a", "g:c", "g:b"}, nil, []int{1, 2, 3, 3}, `pebble: duplicate frozen key "g:a"`},
 		{"shadowing", []string{"g:a"}, []string{"g:b", "g:a"}, []int{1}, `pebble: dynamic key "g:a" shadows a frozen key`},
 		{"duplicate dynamic", []string{"g:a"}, []string{"g:b", "g:b"}, []int{1}, `pebble: duplicate dynamic key "g:b"`},
-		{"frequency range", []string{"g:a"}, nil, []int{math.MaxInt32 + 1}, "pebble: frozen key 0 has frequency 2147483648, outside 0..2147483647"},
-		{"negative frequency", []string{"g:a", "g:b"}, nil, []int{math.MinInt32 - 1, 1}, "pebble: frozen key 0 has frequency -2147483649, outside 0..2147483647"},
-	} {
+	}
+	if strconv.IntSize == 64 {
+		// A frequency outside an int32 is an int on a 64-bit platform alone.
+		above, below := int64(math.MaxInt32)+1, int64(math.MinInt32)-1
+		cases = append(cases,
+			restoreCase{"frequency range", []string{"g:a"}, nil, []int{int(above)}, "pebble: frozen key 0 has frequency 2147483648, outside 0..2147483647"},
+			restoreCase{"negative frequency", []string{"g:a", "g:b"}, nil, []int{int(below), 1}, "pebble: frozen key 0 has frequency -2147483649, outside 0..2147483647"})
+	}
+	for _, c := range cases {
 		if _, err := RestoreOrder(c.keys, c.freqs, c.dyn); err == nil || err.Error() != c.wantMessage {
 			t.Errorf("%s: RestoreOrder returned %v, want %q", c.name, err, c.wantMessage)
 		}
