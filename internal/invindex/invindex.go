@@ -20,7 +20,8 @@
 // of a chain per ID — the latest Delta holding an ID, and in each Delta the
 // previous one (SetPrev) — and asks only the Deltas that hold it. Both forms
 // are immutable once built (Index) or linked (Delta) and therefore safe for
-// concurrent reads.
+// concurrent reads. A compaction makes the next Index from an Index and its
+// Deltas' postings alone (Index.Merge), with no signature to read.
 //
 // Index additionally keeps a hybrid posting representation: the posting
 // lists of frequent keys (list length at or above a density cutoff) go
@@ -34,6 +35,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -137,8 +139,38 @@ func (ix *Index) build(sigs [][]uint32, cutoff int) {
 			}
 		}
 	}
-	// Turn the counts into offsets: a slice-form list takes one slot per
-	// record, a dense list one slot in all.
+	ix.layout(cutoff)
+	for id := range universe {
+		at[id] = offs[id] &^ dense
+	}
+	for r, ids := range sigs {
+		rec := int32(r)
+		for _, id := range ids {
+			if id >= universe {
+				continue
+			}
+			o, w := offs[id], at[id]
+			switch {
+			case o&dense != 0:
+				ix.bitsets[ix.postings[w].Record].add(rec)
+			case w > o && ix.postings[w-1].Record == rec:
+				ix.postings[w-1].Count++ // a repeat within the record
+			default:
+				ix.postings[w] = Posting{Record: rec, Count: 1}
+				at[id] = w + 1
+			}
+		}
+	}
+}
+
+// layout turns the per-ID record counts in offs[:universe] into offsets —
+// a slice-form list takes one arena slot per record, a list of at least
+// cutoff records (cutoff > 0) one slot in all, leading to its Bitset — and
+// makes the arena, the bitmap words and the Bitsets of ix.records records,
+// each dense ID's slot pointing at its Bitset.
+func (ix *Index) layout(cutoff int) {
+	universe := len(ix.offs) - 1
+	offs := ix.offs
 	n, nDense := 0, 0
 	for id, c := range offs[:universe] {
 		offs[id] = uint32(n)
@@ -159,39 +191,16 @@ func (ix *Index) build(sigs [][]uint32, cutoff int) {
 	}
 	offs[universe] = uint32(n)
 	ix.postings = make([]Posting, n)
-	nwords := (len(sigs) + 63) / 64
+	nwords := (ix.records + 63) / 64
 	words := make([]uint64, nDense*nwords)
 	ix.bitsets = make([]Bitset, nDense)
-	// at[id] becomes id's write position: a slice-form list's next slot, a
-	// dense list's Bitset slot.
 	b := int32(0)
-	for id := range universe {
-		o := offs[id]
+	for _, o := range offs[:universe] {
 		if o&dense != 0 {
-			o &^= dense
-			ix.postings[o].Record = b
+			ix.postings[o&^dense].Record = b
 			ix.bitsets[b].words = words[:nwords:nwords]
 			words = words[nwords:]
 			b++
-		}
-		at[id] = o
-	}
-	for r, ids := range sigs {
-		rec := int32(r)
-		for _, id := range ids {
-			if id >= universe {
-				continue
-			}
-			o, w := offs[id], at[id]
-			switch {
-			case o&dense != 0:
-				ix.bitsets[ix.postings[w].Record].add(rec)
-			case w > o && ix.postings[w-1].Record == rec:
-				ix.postings[w-1].Count++ // a repeat within the record
-			default:
-				ix.postings[w] = Posting{Record: rec, Count: 1}
-				at[id] = w + 1
-			}
 		}
 	}
 }
@@ -227,6 +236,37 @@ func (ix *Index) ListLength(id uint32) int {
 		return bs.card
 	}
 	return len(ix.Postings(id))
+}
+
+// List yields the posting list of an ID in record order, whichever
+// representation holds it: a bitmap-form list's records with their counts
+// made whole from its residual. It yields nothing for an ID absent or out of
+// universe.
+func (ix *Index) List(id uint32) iter.Seq[Posting] {
+	return func(yield func(Posting) bool) {
+		bs := ix.Bitset(id)
+		if bs == nil {
+			for _, p := range ix.Postings(id) {
+				if !yield(p) {
+					return
+				}
+			}
+			return
+		}
+		resid := bs.residual
+		for w, x := range bs.words {
+			for ; x != 0; x &= x - 1 {
+				p := Posting{Record: int32(w<<6 + bits.TrailingZeros64(x)), Count: 1}
+				if len(resid) > 0 && resid[0].Record == p.Record {
+					p.Count += resid[0].Count
+					resid = resid[1:]
+				}
+				if !yield(p) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Keys returns the IDs with non-empty posting lists (either representation)

@@ -319,9 +319,9 @@ func BenchmarkQueryDeltaChain(b *testing.B) {
 
 // BenchmarkShardCompaction times one compaction of a 5 000-record titles
 // shard — churn_titles' shard shape: 10 000 titles over two shards — with
-// B/op: the live scan, the inverted index built over the stored signatures,
-// the cover column and the position map, all that a writer stalls on when a
-// shard crosses a rebuild threshold.
+// B/op: the merge of the shard's postings into the next inverted index, the
+// live scan, the cover column and the position map, all that a writer stalls
+// on when a shard crosses a rebuild threshold.
 func BenchmarkShardCompaction(b *testing.B) {
 	cfg := titlesConfig()
 	cfg.Size = 5000

@@ -16,9 +16,9 @@ import (
 
 // TestAdoptOrderInternsMissingKeys covers AdoptOrder's guard: the adopted
 // image lacks a key a live record generates. The key must join the adopted
-// order's dynamic region, every
-// stored signature must be the one a fresh selection under the adopted order
-// gives, and the index must go on answering exactly.
+// order's dynamic region, every record must be indexed under the signature
+// a fresh selection under the adopted order gives, and the index must go on
+// answering exactly.
 func TestAdoptOrderInternsMissingKeys(t *testing.T) {
 	j := NewJoiner(paperContext())
 	recs := benchCorpus(300, 13)
@@ -42,11 +42,12 @@ func TestAdoptOrderInternsMissingKeys(t *testing.T) {
 		if n := g.order.DynamicCount(); n != 1 {
 			t.Errorf("shards=%d: %d keys interned on adoption, want only the dropped one", shards, n)
 		}
-		for w, sh := range sx.shards {
-			for pos, rec := range sh.records {
-				if fresh := g.sel.Signature(strutil.Tokenize(rec.Raw), opts.Method, sx.tau).IDs(); !slices.Equal(sh.sigIDs[pos], fresh) {
-					t.Fatalf("shards=%d shard %d: record %q stores signature %v, selecting under the adopted order gives %v",
-						shards, w, rec.Raw, sh.sigIDs[pos], fresh)
+		for w, v := range sx.Snapshot().views {
+			keys := indexedKeys(v)
+			for pos, rec := range v.records {
+				if fresh := knownKeys(g.sel.Signature(strutil.Tokenize(rec.Raw), opts.Method, sx.tau).IDs()); !slices.Equal(keys[pos], fresh) {
+					t.Fatalf("shards=%d shard %d: record %q is indexed under %v, selecting under the adopted order gives %v",
+						shards, w, rec.Raw, keys[pos], fresh)
 				}
 			}
 		}

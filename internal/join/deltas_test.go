@@ -157,9 +157,10 @@ func TestViewWalksOwnChainDuringPushes(t *testing.T) {
 		sx.InsertBatch([]string{raw(k), raw(k + 1)})
 	}
 	v := sx.Snapshot().views[0]
+	probes := indexedKeys(v) // the view's own records' signatures
 	candidates := func(sc *probeScratch) [][]int32 {
-		out := make([][]int32, len(v.sigIDs))
-		for i, ids := range v.sigIDs {
+		out := make([][]int32, len(probes))
+		for i, ids := range probes {
 			c, _ := v.candidatesRecord(ids, sx.tau, noLimit, sc)
 			out[i] = slices.Sorted(slices.Values(c))
 		}
@@ -207,7 +208,7 @@ func TestViewWalksOwnChainDuringPushes(t *testing.T) {
 		t.Fatal("the link table never outgrew the view's: the pushes did not test a grown table")
 	}
 	newer := 0 // the view's probe IDs whose link, in its own table, names a segment past its chain
-	for _, ids := range v.sigIDs {
+	for _, ids := range probes {
 		for _, id := range ids {
 			if int(v.deltas.link(id)) > len(v.deltas.segs) {
 				newer++

@@ -2,10 +2,14 @@ package join
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
+	"github.com/aujoin/aujoin/internal/datagen"
 	"github.com/aujoin/aujoin/internal/pebble"
+	"github.com/aujoin/aujoin/internal/sim"
+	"github.com/aujoin/aujoin/internal/strutil"
 )
 
 // TestFanoutReturnsCallerContextError pins the fan-out's error contract on a
@@ -105,5 +109,50 @@ func TestJoinBuildAllocsPinned(t *testing.T) {
 		if perRecord > pin.ceiling {
 			t.Errorf("%v: %.2f allocs per record built and signed (ceiling %v)", pin.method, perRecord, pin.ceiling)
 		}
+	}
+}
+
+// TestCompactionAllocsPinned pins that a compaction allocates a fixed number
+// of heap objects, none a record: a titles shard of 2 000 records and one of
+// 8 000, each after ten insert batches and the removal of one record in 20,
+// compact with the same count (the merge's arrays, the record columns, the
+// cover column and the tombstone bitmap, the position map renumbered in
+// place).
+func TestCompactionAllocsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are only meaningful without -race; skipped with -short")
+	}
+	var counts []uint64
+	for _, n := range []int{2000, 8000} {
+		cfg := titlesConfig()
+		cfg.Size = n
+		gen := datagen.New(cfg)
+		ctx := sim.NewContext(gen.Rules(), gen.Taxonomy())
+		ctx.Q = 5
+		raws := gen.Collection(n + 40)
+		sx := NewJoiner(ctx).BuildShardedIndex(strutil.NewCollection(raws[:n]), 1, titlesOptions, DynamicOptions{rebuildFraction: 1e9})
+		for b := range 10 {
+			sx.InsertBatch(raws[n+4*b : n+4*b+4])
+		}
+		var victims []int
+		for id := 0; id < n; id += 20 {
+			victims = append(victims, id)
+		}
+		sx.RemoveBatch(victims)
+		if st := sx.Stats(); st.Segments != 10 || st.Dead != len(victims) || st.Rebuilds != 0 {
+			t.Fatalf("%d titles: %+v, want 10 segments, %d tombstones and no compaction yet", n, st, len(victims))
+		}
+		sh := sx.shards[0]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sh.mu.Lock()
+		sh.rebuildLocked()
+		sh.mu.Unlock()
+		runtime.ReadMemStats(&after)
+		counts = append(counts, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("one compaction allocates %d objects at 2 000 titles, %d at 8 000", counts[0], counts[1])
+	if counts[0] != counts[1] || counts[0] > 40 {
+		t.Errorf("a compaction allocates %d objects at 2 000 titles and %d at 8 000: want one count, at most 40", counts[0], counts[1])
 	}
 }

@@ -16,7 +16,7 @@ import (
 // every filter method, threshold and serving path (static probe, self-join,
 // mutable-index snapshots with tombstones and rebuilds at one and three
 // shards) the candidate set must equal the one plain per-record counters
-// produce over the index's stored signature IDs, and the processed-postings
+// produce over the signature IDs the index holds, and the processed-postings
 // tally (the paper's T_τ cost measure) must agree as well. The filter is
 // driven the way every request drives it: a record at a time, through
 // shardView.candidatesRecord.
@@ -178,7 +178,7 @@ func TestHybridStaticCandidatesMatchClassic(t *testing.T) {
 			denseSeen = true
 		}
 		checkBlockTau(t, name, tau, v.inv.DenseKeys())
-		stored := v.sigIDs
+		stored := indexedKeys(v)
 
 		sigs := selectSignatures(prepareRecords(probe, sx.dict, j.calc.PrepareProbeBuf), sv.gen, opts.Method, tau)
 		got, n, tally := filterRecords(v, sigs, tau, unlimited)
@@ -278,7 +278,7 @@ func testHybridCandidates(t *testing.T, shards int) {
 			sigs := selectSignatures(prepareRecords(probe, sx.dict, j.calc.PrepareProbeBuf), sv.gen, opts.Method, sx.tau)
 			candidates, processed := 0, int64(0)
 			for w, v := range sv.views {
-				stored := v.sh.sigIDs // no writer runs: the view is the shard's current one
+				stored := indexedKeys(v)
 				dead := func(pos int) bool { return !v.alive(pos) }
 				got, n, tally := filterRecords(v, sigs, sx.tau, unlimited)
 				want, p := naiveCandidates(stored, dead, 0, sigs, sx.tau, func(int) int { return len(stored) })

@@ -272,6 +272,15 @@ func newInverted(sigIDs [][]uint32, order *pebble.Order, tau int) *invindex.Inde
 	return invindex.Build(order.NumKeys(), sigIDs, hybridCutoff(len(sigIDs), order, tau))
 }
 
+// sigLengths returns the length of every signature.
+func sigLengths(sigs [][]uint32) []uint32 {
+	out := make([]uint32, len(sigs))
+	for i, ids := range sigs {
+		out[i] = uint32(len(ids))
+	}
+	return out
+}
+
 // minBitsetList is the floor of the hybrid density cutoff: below this list
 // length the slice walk beats the fixed per-word costs of the bitmap path
 // regardless of corpus size.

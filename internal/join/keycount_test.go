@@ -50,11 +50,16 @@ func TestKeyCountMatchesKeyPath(t *testing.T) {
 		t.Fatal("no two rules share an lhs")
 	}
 
-	// sameSignatures holds every record's signature IDs to the key path's.
-	sameSignatures := func(state string, g *orderGen, m pebble.Method, tau int, prepared []*core.PreparedRecord, sigIDs [][]uint32) {
+	// sameSignatures holds every record's signature IDs to the key path's:
+	// as selected, or as an index keeps them (indexedKeys, knownKeys).
+	sameSignatures := func(state string, g *orderGen, m pebble.Method, tau int, prepared []*core.PreparedRecord, sigIDs [][]uint32, indexed bool) {
 		t.Helper()
 		for i, pr := range prepared {
-			if want := g.sel.RecordSignature(pr, m, tau).IDs(); !slices.Equal(sigIDs[i], want) {
+			want := g.sel.RecordSignature(pr, m, tau).IDs()
+			if indexed {
+				want = knownKeys(want)
+			}
+			if !slices.Equal(sigIDs[i], want) {
 				t.Fatalf("%s %v: record %d (%v) signed %v through the table, %v by key", state, m, i, pr.Segs, sigIDs[i], want)
 			}
 		}
@@ -79,12 +84,13 @@ func TestKeyCountMatchesKeyPath(t *testing.T) {
 		}
 		return count
 	}
-	// shardSignatures holds every shard's stored signatures to the key path's.
+	// shardSignatures holds the signatures every shard indexes to the key
+	// path's.
 	shardSignatures := func(state string, sx *ShardedIndex, m pebble.Method) {
 		t.Helper()
-		g := sx.Snapshot().gen
-		for _, sh := range sx.shards {
-			sameSignatures(state, g, m, sx.tau, sh.prepared, sh.sigIDs)
+		sv := sx.Snapshot()
+		for _, v := range sv.views {
+			sameSignatures(state, sv.gen, m, sx.tau, v.prepared, indexedKeys(v), true)
 		}
 	}
 
@@ -95,8 +101,8 @@ func TestKeyCountMatchesKeyPath(t *testing.T) {
 		if noEntry(prepT) == 0 {
 			t.Fatal("no probe segment lacks a dictionary entry")
 		}
-		sameSignatures("one-shot join S", sv.gen, m, sv.sx.tau, sv.views[0].prepared, sv.views[0].sigIDs)
-		sameSignatures("one-shot join T", sv.gen, m, sv.sx.tau, prepT, sigT)
+		sameSignatures("one-shot join S", sv.gen, m, sv.sx.tau, sv.views[0].prepared, indexedKeys(sv.views[0]), true)
+		sameSignatures("one-shot join T", sv.gen, m, sv.sx.tau, prepT, sigT, false)
 		keys, freqs := sv.gen.order.FrequencyTable()
 		sameTable("one-shot join", keys, freqs, s, probes)
 

@@ -1,10 +1,13 @@
 package join
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/metrics"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -74,9 +77,10 @@ func TestFilterScaleProfile(t *testing.T) {
 // stack, from the allocation up, that one of them names: the structures an
 // index holds (TestIndexHeapSplit). "record headers" holds the prepared
 // records and the column of pointers to them; "records" is the shard's
-// record column (ID and Raw a record) with whatever tokenizing left live: a
-// record's tokens are dropped once it is prepared, so a split or a
-// normalized copy is charged here only while something still holds it.
+// record columns (ID and Raw, and the signature's length, a record) with
+// whatever tokenizing left live: a record's tokens are dropped once it is
+// prepared, so a split or a normalized copy is charged here only while
+// something still holds it.
 var heapStructures = []struct {
 	name string
 	fns  []string
@@ -84,9 +88,8 @@ var heapStructures = []struct {
 	{"dictionary", []string{"internal/core.(*SegDict).intern"}},
 	{"prepared segments", []string{"internal/core.(*Calculator).prepare"}},
 	{"record headers", []string{"internal/core.(*Calculator).PrepareInBuf", "internal/join.prepareRecords"}},
-	{"records", []string{"internal/strutil.NewRecord", "internal/join.(*Joiner).assemble"}},
+	{"records", []string{"internal/strutil.NewRecord", "internal/join.(*Joiner).assemble", "internal/join.sigLengths"}},
 	{"inverted index", []string{"internal/invindex."}},
-	{"signature IDs", []string{"internal/join.selectSignatures"}},
 	{"cover column", []string{"internal/core.NewCoverColumn"}},
 	{"probe table", []string{"internal/pebble.(*KeyIDs).ProbeTable", "internal/pebble.exact"}},
 	{"order", []string{"internal/pebble."}},
@@ -266,4 +269,64 @@ func structureNames() []string {
 		names[i] = s.name
 	}
 	return names
+}
+
+// TestCompactionPauseProfile is an opt-in diagnostic (AUJOIN_SCALEPROF=1): it
+// builds one titles shard (the lookup_cluster corpus's generator, q = 5) at
+// 10⁴ and 10⁵ records and logs what a writer stalls on, each as the median
+// of five fresh builds: the first four-record insert batch after the build,
+// a steady batch (the median of batches 2 to 64), the batch that crosses the
+// 64-segment threshold and compacts, the first batch after that compaction,
+// and the tombstone batch — ⌈rebuildFraction⌉ of the records the shard then
+// holds, inserts included — whose compaction follows. A compaction's pause
+// is the shard's own reading (RebuildPauses), not the batch's wall time.
+func TestCompactionPauseProfile(t *testing.T) {
+	if os.Getenv("AUJOIN_SCALEPROF") == "" {
+		t.Skip("set AUJOIN_SCALEPROF=1")
+	}
+	const runs, batches, batch = 5, defaultMaxSegments + 1, 4
+	median := func(ds []time.Duration) time.Duration {
+		ds = slices.Clone(ds)
+		slices.Sort(ds)
+		return ds[len(ds)/2]
+	}
+	for _, n := range []int{10_000, 100_000} {
+		cfg := titlesConfig()
+		cfg.Size = n
+		gen := datagen.New(cfg)
+		ctx := sim.NewContext(gen.Rules(), gen.Taxonomy())
+		ctx.Q = 5
+		raws := gen.Collection(n + batches*batch + batch)
+		j := NewJoiner(ctx)
+		var first, steady, segPause, afterSeg, tombPause []time.Duration
+		for range runs {
+			sx := j.BuildShardedIndex(strutil.NewCollection(raws[:n]), 1, titlesOptions, DynamicOptions{})
+			var times []time.Duration
+			for b := range batches + 1 {
+				start := time.Now()
+				sx.InsertBatch(raws[n+b*batch : n+(b+1)*batch])
+				times = append(times, time.Since(start))
+			}
+			pauses := sx.RebuildPauses()
+			if len(pauses) != 1 || sx.Stats().Segments != 1 {
+				t.Fatalf("%d titles: %d compactions and %d segments after %d batches; want one compaction at batch %d",
+					n, len(pauses), sx.Stats().Segments, batches+1, batches)
+			}
+			first, steady = append(first, times[0]), append(steady, median(times[1:batches-1]))
+			segPause, afterSeg = append(segPause, pauses[0]), append(afterSeg, times[batches])
+			st := sx.Stats()
+			victims := make([]int, int(math.Ceil(defaultRebuildFraction*float64(st.Records))))
+			for i := range victims {
+				victims[i] = i
+			}
+			sx.RemoveBatch(victims)
+			if pauses = sx.RebuildPauses(); len(pauses) != 2 {
+				t.Fatalf("%d titles: removing %d of %d records compacted %d times in all, want twice", n, len(victims), st.Records, len(pauses))
+			}
+			tombPause = append(tombPause, pauses[1])
+		}
+		ms := func(ds []time.Duration) string { return fmt.Sprintf("%.2f ms", float64(median(ds))/1e6) }
+		t.Logf("%d titles, one shard, median of %d: first insert after the build %s, steady insert %s, segment-threshold compaction %s, first insert after it %s, tombstone-threshold compaction %s",
+			n, runs, ms(first), ms(steady), ms(segPause), ms(afterSeg), ms(tombPause))
+	}
 }

@@ -17,15 +17,16 @@ import (
 
 // shard is one partition of a ShardedIndex, the private building block the
 // router fans requests out over, and the whole index of its records: a
-// frozen base (records, prepared records, signature IDs and the inverted
-// index over them) plus a chain of small immutable delta segments for
-// records inserted since the last rebuild, and a tombstone bitmap for
-// removed records. It exposes only shard-local primitives — count-filter
-// candidates, verification of a ready-made signature, mutation, compaction
-// — and owns no order: the pebble order is the router's and shared with
-// every sibling, so signature keys first seen after the base was built land
-// in that order's append-only dynamic region, and the probe signature is
-// selected once per request, on the router.
+// frozen base (records, prepared records and the inverted index over their
+// signature IDs, which keeps those IDs as its postings and nowhere else)
+// plus a chain of small immutable delta segments for records inserted since
+// the last rebuild, and a tombstone bitmap for removed records. It exposes
+// only shard-local primitives — count-filter candidates, verification of a
+// ready-made signature, mutation, compaction — and owns no order: the pebble
+// order is the router's and shared with every sibling, so signature keys
+// first seen after the base was built land in that order's append-only
+// dynamic region, and the probe signature is selected once per request, on
+// the router.
 //
 // Writers (insertRecords, removeBatch) serialize on an internal mutex, mutate
 // writer-owned state, and publish a fresh immutable shardView into the
@@ -50,11 +51,12 @@ import (
 //
 // Once the keys this shard appended, its tombstones, or its segment chain
 // cross their threshold (rebuildFraction, maxSegments), the writer compacts:
-// live records move into a fresh dense base under the *same* shared order
-// (reusing their prepared verification records and, by invariant 1, their
-// stored signatures), and the segment chain resets to empty. Re-freezing the
-// order is the router's business alone — a private re-freeze would re-assign
-// IDs the siblings' signatures reference.
+// live records move into a fresh dense base under the *same* shared order,
+// reusing their prepared verification records, and the base's and the
+// segments' postings merge into its inverted index (by invariant 1, the
+// postings selecting again would make); the segment chain resets to empty.
+// Re-freezing the order is the router's business alone — a private re-freeze
+// would re-assign IDs the siblings' signatures reference.
 type shard struct {
 	// sx is the router: the joiner, options, τ, dictionary, cache and
 	// DynamicOptions the shard works under are its.
@@ -68,12 +70,13 @@ type shard struct {
 	// Writer-owned state. The base is gen, the order generation it was built
 	// under, inv, the inverted index over its signature IDs, buildTime, and
 	// the first inv.Records() positions of records, prepared, cover and
-	// sigIDs; adoptBaseLocked replaces all of it wholesale. records,
-	// prepared, cover, sigIDs and deltas.segs are append-only while a base
-	// is live (published views hold shorter headers); dead and deltas.last
-	// are cloned before every write. A record is kept as its ID and Raw,
-	// with no tokens: its prepared record is all that verification reads,
-	// and Live re-tokenizes Raw.
+	// sigLens; adoptBaseLocked replaces all of it wholesale. records,
+	// prepared, cover, sigLens and deltas.segs are append-only while a base
+	// is live (published views hold shorter headers); dead is cloned before
+	// every write. A record is kept as its ID and Raw, with no tokens: its
+	// prepared record is all that verification reads, and Live re-tokenizes
+	// Raw. Its signature is kept only as its postings, in inv or in the
+	// segment of its insert batch.
 	gen       *orderGen
 	inv       *invindex.Index
 	buildTime time.Duration
@@ -85,14 +88,10 @@ type shard struct {
 	positions map[int]int // stable record ID -> position
 	rebuilds  int
 	inserts   int
-	// sigIDs holds each position's signature IDs, parallel to records — the
-	// base's, then one exact-size entry per inserted record: what the count
-	// filter's postings were built from, what a snapshot stores and what a
-	// compaction hands to the next base. Entries are never written after
-	// they are appended. sigLenLive is their total length over live
-	// positions, so snapshots report the true mean indexed-side signature
-	// length even between rebuilds.
-	sigIDs     [][]uint32
+	// sigLens holds each position's signature length, parallel to records,
+	// and sigLenLive their total over live positions, so snapshots report
+	// the true mean indexed-side signature length even between rebuilds.
+	sigLens    []uint32
 	sigLenLive int
 	// cover is the bound pass's flat copy of prepared (core.CoverColumn),
 	// parallel to it: made by adoptBaseLocked, appended to by
@@ -254,28 +253,33 @@ const (
 
 // adoptBaseLocked is the one constructor of a shard's base, used by a
 // build, a restore, a compaction and a re-freeze: it makes the positional
-// records, their prepared verification records and their signature IDs —
-// selected under g by install, decoded from a snapshot, or carried over from
-// the base a compaction replaces — the writer state, with the inverted index
-// and its hybrid layout built over the IDs and the cover column over the
-// prepared records, no segments and no tombstones. The three slices become
-// the shard's own. start is when the work that made the base began (see
-// DynamicStats.BuildTime).
-func (sh *shard) adoptBaseLocked(g *orderGen, records []storedRecord, prepared []*core.PreparedRecord, sigIDs [][]uint32, start time.Time) {
+// records, their prepared verification records, their signature lengths and
+// inv, the inverted index over their signatures — built by install over the
+// signatures it just selected under g, or merged by a compaction from the
+// postings of the base it replaces — the writer state, with the cover column
+// over the prepared records, no segments and no tombstones. The three slices
+// become the shard's own. start is when the work that made the base began
+// (see DynamicStats.BuildTime).
+func (sh *shard) adoptBaseLocked(g *orderGen, records []storedRecord, prepared []*core.PreparedRecord, sigLens []uint32, inv *invindex.Index, start time.Time) {
 	sh.gen = g
-	sh.inv = newInverted(sigIDs, g.order, sh.sx.tau)
+	sh.inv = inv
 	sh.deltas = deltas{}
-	sh.records, sh.prepared, sh.sigIDs = records, prepared, sigIDs
+	sh.records, sh.prepared, sh.sigLens = records, prepared, sigLens
 	sh.cover = core.NewCoverColumn(sh.sx.dict, prepared)
 	sh.dead = make([]uint64, (len(records)+63)/64)
 	sh.deadCount = 0
-	sh.positions = make(map[int]int, len(records))
+	// A compaction or a re-freeze adopts exactly the live records, whose IDs
+	// the map already holds (a tombstone deletes its ID): their entries are
+	// renumbered in place, with nothing allocated.
+	if sh.positions == nil || len(sh.positions) != len(records) {
+		sh.positions = make(map[int]int, len(records))
+	}
 	for pos, rec := range records {
 		sh.positions[rec.ID] = pos
 	}
 	sh.sigLenLive = 0
-	for _, ids := range sigIDs {
-		sh.sigLenLive += len(ids)
+	for _, n := range sigLens {
+		sh.sigLenLive += int(n)
 	}
 	sh.dynAtBuild = g.order.DynamicCount()
 	sh.dynAdded = 0
@@ -305,7 +309,7 @@ func (sh *shard) tombstoneLocked(id, pos int) {
 	delete(sh.positions, id)
 	sh.dead[pos>>6] |= 1 << (uint(pos) & 63)
 	sh.deadCount++
-	sh.sigLenLive -= len(sh.sigIDs[pos])
+	sh.sigLenLive -= int(sh.sigLens[pos])
 }
 
 // viewLocked snapshots the writer state into a fresh immutable view.
@@ -318,7 +322,6 @@ func (sh *shard) viewLocked() *shardView {
 		records:   sh.records,
 		prepared:  sh.prepared,
 		cover:     sh.cover,
-		sigIDs:    sh.sigIDs,
 		dead:      sh.dead,
 		live:      len(sh.records) - sh.deadCount,
 		rebuilds:  sh.rebuilds,
@@ -360,9 +363,9 @@ func (sh *shard) insertRecords(recs []storedRecord) {
 	var signer pebble.Signer
 	signer.Bind(g.sel, g.probes)
 	for pos := first; pos < len(sh.records); pos++ {
-		ids := slices.Clone(signer.Sign(sh.prepared[pos], sh.sx.opts.Method, sh.sx.tau))
+		ids := signer.Sign(sh.prepared[pos], sh.sx.opts.Method, sh.sx.tau)
 		delta.Add(pos, ids)
-		sh.sigIDs = append(sh.sigIDs, ids)
+		sh.sigLens = append(sh.sigLens, uint32(len(ids)))
 		sh.sigLenLive += len(ids)
 	}
 	for len(sh.dead)*64 < len(sh.records) {
@@ -435,20 +438,25 @@ func (sh *shard) maybeRebuildLocked() {
 }
 
 // rebuildLocked compacts the live records into a fresh base under the
-// shared order's current append-only state — a restore from memory: each
-// survivor's prepared verification record and stored signature go to
-// adoptBaseLocked as they are. Reusing the signature is exact, not an approximation: the
-// order is append-only between re-freezes and every key of an indexed record
-// was interned no later than its insert (invariant 1), so selecting again
-// would sort the same pebbles into the same positions and cut the same
-// prefix. The compaction win is the dense base (segments merged, tombstones
-// dropped), not a fresher frequency ranking, which only the router's
-// re-freeze delivers. Stable IDs are preserved; positions are reassigned.
-// The pause is recorded for RebuildPauses.
+// shared order's current append-only state: the base's and the delta
+// chain's postings merge into the next inverted index (invindex.Index.Merge:
+// tombstoned postings dropped, survivors renumbered, every list laid out
+// again at the new density cutoff), and each survivor's prepared
+// verification record goes to adoptBaseLocked as it is. Nothing is signed:
+// reusing the postings is exact, not an approximation, because the order is
+// append-only between re-freezes and every key of an indexed record was
+// interned no later than its insert (invariant 1), so selecting again would
+// sort the same pebbles into the same positions and cut the same prefix. The
+// compaction win is the dense base (segments merged, tombstones dropped),
+// not a fresher frequency ranking, which only the router's re-freeze
+// delivers. Stable IDs are preserved; positions are reassigned. The pause
+// is recorded for RebuildPauses.
 func (sh *shard) rebuildLocked() {
 	start := time.Now()
-	live, prep, sigIDs := sh.liveLocked()
-	sh.adoptBaseLocked(sh.gen, live, prep, sigIDs, start)
+	order := sh.gen.order
+	inv := sh.inv.Merge(sh.deltas.segs, sh.dead, len(sh.records), order.NumKeys(), hybridCutoff(len(sh.records)-sh.deadCount, order, sh.sx.tau))
+	live, prep, sigLens := sh.liveLocked()
+	sh.adoptBaseLocked(sh.gen, live, prep, sigLens, inv, start)
 	sh.rebuilds++
 	sh.pauses = appendPause(sh.pauses, time.Since(start))
 }
@@ -468,21 +476,21 @@ func appendPause(log []time.Duration, d time.Duration) []time.Duration {
 }
 
 // liveLocked collects the live records, their prepared verification records
-// and their stored signature IDs in position order.
-func (sh *shard) liveLocked() ([]storedRecord, []*core.PreparedRecord, [][]uint32) {
+// and their signature lengths in position order.
+func (sh *shard) liveLocked() ([]storedRecord, []*core.PreparedRecord, []uint32) {
 	n := len(sh.records) - sh.deadCount
 	live := make([]storedRecord, 0, n)
 	prep := make([]*core.PreparedRecord, 0, n)
-	sigIDs := make([][]uint32, 0, n)
+	sigLens := make([]uint32, 0, n)
 	for pos, rec := range sh.records {
 		if sh.dead[pos>>6]&(1<<(uint(pos)&63)) != 0 {
 			continue
 		}
 		live = append(live, rec)
 		prep = append(prep, sh.prepared[pos])
-		sigIDs = append(sigIDs, sh.sigIDs[pos])
+		sigLens = append(sigLens, sh.sigLens[pos])
 	}
-	return live, prep, sigIDs
+	return live, prep, sigLens
 }
 
 // rebuildPauses returns the wall-clock durations of recent rebuilds — the
@@ -574,8 +582,8 @@ type DynamicStats struct {
 	// made it began: a built base from the start of the build (preparation,
 	// order, signature selection, inverted index), a restored one from the
 	// start of the restore (the snapshot already decoded: the stored order,
-	// preparation, signature selection, inverted index), a compacted one
-	// from the start of the compaction (live scan, inverted index), a
+	// preparation, signature selection, inverted index), a compacted one from
+	// the start of the compaction (posting merge, live scan, cover column), a
 	// re-frozen one from the start of the re-freeze (live scan, order freeze,
 	// signature selection, inverted index). Nanoseconds on the wire.
 	BuildTime time.Duration `json:"build_time_ns"`
@@ -592,7 +600,6 @@ type shardView struct {
 	records   []storedRecord
 	prepared  []*core.PreparedRecord
 	cover     core.CoverColumn // parallel to prepared
-	sigIDs    [][]uint32
 	dead      []uint64
 	avgSig    float64 // mean signature length over live records
 	live      int     // len(records) minus tombstones

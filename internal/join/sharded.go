@@ -228,11 +228,13 @@ func (b *build) finish(freeze freezer) *ShardedIndex {
 
 // part is one shard's share of an install: positional records and their
 // prepared verification records, and the stable IDs of those that are
-// tombstoned.
+// tombstoned; install sets sigs to the signature IDs it selected for the
+// records, which live as long as the part (a self-join probes with them).
 type part struct {
 	records  []storedRecord
 	prepared []*core.PreparedRecord
 	deadIDs  []int
+	sigs     [][]uint32
 }
 
 // install is the one assembly of a router's shards, shared by a build, a
@@ -261,7 +263,8 @@ func (sx *ShardedIndex) install(ids *pebble.KeyIDs, parts []part, start time.Tim
 	views := make([]*shardView, len(parts))
 	parallelFor(len(parts), len(parts), func(w int) {
 		p, sh := &parts[w], sx.shards[w]
-		sh.adoptBaseLocked(g, p.records, p.prepared, selectSignatures(p.prepared, g, sx.opts.Method, sx.tau), start)
+		p.sigs = selectSignatures(p.prepared, g, sx.opts.Method, sx.tau)
+		sh.adoptBaseLocked(g, p.records, p.prepared, sigLengths(p.sigs), newInverted(p.sigs, g.order, sx.tau), start)
 		for _, id := range p.deadIDs {
 			sh.tombstoneLocked(id, sh.positions[id])
 		}

@@ -2,6 +2,8 @@ package join
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -13,18 +15,56 @@ import (
 	"github.com/aujoin/aujoin/internal/strutil"
 )
 
-// This file pins what an index keeps of a signature — its interned IDs and
-// nothing else — from the three sides that rely on it: a compaction reuses
-// the stored IDs (exact only if selecting again would return them), a built
-// index and the index restored from its snapshot are one structure, and they
-// weigh the same.
+// This file pins what an index keeps of a signature — its interned IDs, as
+// the postings of its inverted index, and nothing else — from the three
+// sides that rely on it: a compaction merges the postings it holds (exact
+// only if selecting again would return the same IDs), a built index and the
+// index restored from its snapshot are one structure, and they weigh the
+// same.
 
-// TestCompactionKeepsSignatures states the invariant that licenses
-// rebuildLocked to hand stored signatures to adoptBaseLocked: after inserts
+// indexedKeys reads back from a shard view's index — its base and its delta
+// chain — the keys every position is indexed under: the known IDs of the
+// record's signature, sorted, repeats kept (knownKeys).
+func indexedKeys(v *shardView) [][]uint32 {
+	out := make([][]uint32, len(v.records))
+	add := func(id uint32, p invindex.Posting) {
+		for range p.Count {
+			out[p.Record] = append(out[p.Record], id)
+		}
+	}
+	for id := range uint32(v.inv.Universe()) {
+		for p := range v.inv.List(id) {
+			add(id, p)
+		}
+	}
+	for _, seg := range v.deltas.segs {
+		for id := range seg.IDs() {
+			l, _ := seg.Linked(id)
+			for _, p := range l {
+				add(id, p)
+			}
+		}
+	}
+	for _, ids := range out {
+		slices.Sort(ids)
+	}
+	return out
+}
+
+// knownKeys returns signature IDs as an index keeps them: sorted, repeats
+// kept, NoID dropped.
+func knownKeys(ids []uint32) []uint32 {
+	out := slices.DeleteFunc(slices.Clone(ids), func(id uint32) bool { return id == pebble.NoID })
+	slices.Sort(out)
+	return out
+}
+
+// TestCompactionKeepsSignatures states the invariant that makes
+// rebuildLocked's merge of the postings a shard holds exact: after inserts
 // into the order's dynamic region, removes and maxSegments-forced
-// compactions, every position of every shard still holds exactly the IDs of
-// the signature the current generation's selector selects for that record
-// now.
+// compactions, every position of every shard is still indexed under exactly
+// the IDs of the signature the current generation's selector selects for
+// that record now.
 func TestCompactionKeepsSignatures(t *testing.T) {
 	j := NewJoiner(paperContext())
 	recs := propCorpus(600, 33)
@@ -38,18 +78,82 @@ func TestCompactionKeepsSignatures(t *testing.T) {
 			} else if st.BuildTime <= 0 {
 				t.Errorf("%s: BuildTime = %v after a compaction, want the compacted bases' construction time", name, st.BuildTime)
 			}
-			sel := sx.Snapshot().gen.sel
-			for w, sh := range sx.shards {
-				if len(sh.sigIDs) != len(sh.records) {
-					t.Fatalf("%s shard %d: %d stored signatures for %d records", name, w, len(sh.sigIDs), len(sh.records))
-				}
-				for pos, rec := range sh.records {
-					want := sel.Signature(strutil.Tokenize(rec.Raw), opts.Method, sx.tau).IDs()
-					if !slices.Equal(sh.sigIDs[pos], want) {
-						t.Fatalf("%s shard %d: record %d (%q) stores signature %v, selecting now gives %v",
-							name, w, rec.ID, rec.Raw, sh.sigIDs[pos], want)
+			sv := sx.Snapshot()
+			for w, v := range sv.views {
+				keys := indexedKeys(v)
+				for pos, rec := range v.records {
+					want := knownKeys(sv.gen.sel.Signature(strutil.Tokenize(rec.Raw), opts.Method, sx.tau).IDs())
+					if !slices.Equal(keys[pos], want) {
+						t.Fatalf("%s shard %d: record %d (%q) is indexed under %v, selecting now gives %v",
+							name, w, rec.ID, rec.Raw, keys[pos], want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestCompactionSchedulesMatchBuild runs random schedules of insert
+// batches, remove batches and compactions at 1 and 3 shards, with small
+// thresholds so the mutations compact too. After every step that compacted
+// a shard, the shard's base must deep-equal the index Build makes over its
+// survivors signed again under the shard's generation: the merge is the
+// serial rebuild. After every step, the answers must equal BruteForce over
+// the live records.
+func TestCompactionSchedulesMatchBuild(t *testing.T) {
+	j := NewJoiner(paperContext())
+	probe := propCorpus(12, 91)
+	for _, shards := range gridShards {
+		for c, opts := range propConfigs() {
+			name := fmt.Sprintf("shards=%d/%v/θ=%v", shards, opts.Method, opts.Theta)
+			rng := rand.New(rand.NewSource(int64(100*shards + c)))
+			sx := j.BuildShardedIndex(propCorpus(150, int64(c)), shards, opts, DynamicOptions{rebuildFraction: 0.1, maxSegments: 3})
+			compacted := 0
+			for step := range 24 {
+				sv := sx.Snapshot()
+				before := make([]int, shards)
+				for w, v := range sv.views {
+					before[w] = v.rebuilds
+				}
+				switch k := rng.Intn(3); {
+				case k == 0:
+					batch := make([]string, 1+rng.Intn(8))
+					for i := range batch {
+						batch[i] = fmt.Sprintf("tok%02d tok%02d new%d", rng.Intn(60), rng.Intn(60), rng.Intn(40))
+					}
+					sx.InsertBatch(batch)
+				case k == 1:
+					live := sv.Live()
+					victims := make([]int, 1+rng.Intn(6))
+					for i := range victims {
+						victims[i] = live[rng.Intn(len(live))].ID
+					}
+					sx.RemoveBatch(victims)
+				default:
+					sh := sx.shards[rng.Intn(shards)]
+					sh.mu.Lock()
+					sh.rebuildLocked()
+					sx.publish(sh.slot, sh.viewLocked())
+					sh.mu.Unlock()
+				}
+				sv = sx.Snapshot()
+				for w, v := range sv.views {
+					if v.rebuilds == before[w] {
+						continue
+					}
+					compacted++
+					n := v.inv.Records()
+					sigs := selectSignatures(v.prepared[:n], sv.gen, opts.Method, sx.tau)
+					if want := invindex.Build(v.inv.Universe(), sigs, hybridCutoff(n, sv.gen.order, sx.tau)); !reflect.DeepEqual(v.inv, want) {
+						t.Fatalf("%s step %d shard %d: the compacted base differs from Build over its %d survivors", name, step, w, n)
+					}
+				}
+				if got, _ := sv.Probe(probe); !reflect.DeepEqual(got, j.BruteForce(sv.Live(), probe, opts.Theta, nil)) {
+					t.Fatalf("%s step %d: Probe's %d pairs differ from BruteForce's", name, step, len(got))
+				}
+			}
+			if compacted == 0 {
+				t.Fatalf("%s: the schedule compacted nothing", name)
 			}
 		}
 	}
@@ -71,7 +175,7 @@ func restoreFrom(t *testing.T, j *Joiner, image []byte, dopts DynamicOptions) *S
 
 // TestBuiltIndexShapeEqualsRestored pins built ≡ restored as structures, not
 // just as answers. Shape: an index that was built, mutated and compacted, and
-// the index restored from its snapshot, hold the same signature IDs at the
+// the index restored from its snapshot, index the same signature IDs at the
 // same positions, the same posting-layout split and the same mean signature
 // length, shard by shard. Adopted: so do an index that adopted an epoch
 // bump's order and took inserts after it, and its restore. Weight: a cold build keeps no more of a signature
@@ -95,8 +199,8 @@ func TestBuiltIndexShapeEqualsRestored(t *testing.T) {
 				bv, rv := built.Snapshot(), restored.Snapshot()
 				for w := range built.shards {
 					b, r := built.shards[w], restored.shards[w]
-					if !slices.EqualFunc(b.sigIDs, r.sigIDs, func(x, y []uint32) bool { return slices.Equal(x, y) }) {
-						t.Errorf("%s shard %d: stored signatures differ between built and restored", name, w)
+					if !slices.EqualFunc(indexedKeys(bv.views[w]), indexedKeys(rv.views[w]), slices.Equal) {
+						t.Errorf("%s shard %d: indexed signatures differ between built and restored", name, w)
 					}
 					if bd, rd := b.inv.DenseKeys(), r.inv.DenseKeys(); bd != rd {
 						t.Errorf("%s shard %d: %d dense keys built, %d restored", name, w, bd, rd)
@@ -134,15 +238,17 @@ func TestBuiltIndexShapeEqualsRestored(t *testing.T) {
 					t.Fatalf("%s: no insert reached the adopted order's dynamic region", name)
 				}
 				restored := restoreFrom(t, j, live.CaptureSnapshot().Encode(), DynamicOptions{})
+				lv, rv := live.Snapshot(), restored.Snapshot()
 				for w := range live.shards {
-					l, r := live.shards[w], restored.shards[w]
-					if len(l.sigIDs) != len(r.sigIDs) {
-						t.Fatalf("%s shard %d: %d records live, %d restored", name, w, len(l.sigIDs), len(r.sigIDs))
+					l, r := indexedKeys(lv.views[w]), indexedKeys(rv.views[w])
+					if len(l) != len(r) {
+						t.Fatalf("%s shard %d: %d records live, %d restored", name, w, len(l), len(r))
 					}
-					for pos := range l.sigIDs {
-						if !slices.Equal(l.sigIDs[pos], r.sigIDs[pos]) {
-							t.Errorf("%s shard %d: record %d (%q) signed %v live, %v restored",
-								name, w, l.records[pos].ID, l.records[pos].Raw, l.sigIDs[pos], r.sigIDs[pos])
+					for pos := range l {
+						if !slices.Equal(l[pos], r[pos]) {
+							rec := lv.views[w].records[pos]
+							t.Errorf("%s shard %d: record %d (%q) indexed under %v live, %v restored",
+								name, w, rec.ID, rec.Raw, l[pos], r[pos])
 						}
 					}
 				}
@@ -203,8 +309,9 @@ func TestInvertedIndexDropsConvertedPostings(t *testing.T) {
 	}
 	j := NewJoiner(paperContext())
 	sx := j.BuildShardedIndex(benchCorpus(4000, 7), 1, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
-	sh, order := sx.shards[0], sx.Snapshot().gen.order
-	inv, live := heapKeptBy(func() *invindex.Index { return newInverted(sh.sigIDs, order, sx.tau) })
+	sv := sx.Snapshot()
+	sigs := selectSignatures(sv.views[0].prepared, sv.gen, sx.opts.Method, sx.tau)
+	inv, live := heapKeptBy(func() *invindex.Index { return newInverted(sigs, sv.gen.order, sx.tau) })
 	posting := int64(unsafe.Sizeof(invindex.Posting{}))
 	shape := int64(inv.Universe()+1) * int64(unsafe.Sizeof(uint32(0)))
 	var converted int64 // the postings of the lists now in bitmap form

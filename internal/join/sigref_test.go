@@ -143,10 +143,11 @@ func TestSignatureFromPreparedMatchesReference(t *testing.T) {
 				}
 				return g.sel.RecordSignature(pr, opts.Method, sx.tau).IDs()
 			}
-			for w, sh := range sx.shards {
-				for pos, rec := range sh.records {
-					if got, want := sh.sigIDs[pos], refSig(strutil.Tokenize(rec.Raw)); !slices.Equal(got, want) {
-						t.Fatalf("%s shard %d: record %q stores signature %v, the reference selects %v", name, w, rec.Raw, got, want)
+			for w, v := range sx.Snapshot().views {
+				keys := indexedKeys(v)
+				for pos, rec := range v.records {
+					if got, want := keys[pos], knownKeys(refSig(strutil.Tokenize(rec.Raw))); !slices.Equal(got, want) {
+						t.Fatalf("%s shard %d: record %q is indexed under %v, the reference selects %v", name, w, rec.Raw, got, want)
 					}
 				}
 			}

@@ -373,14 +373,16 @@ func (j *Joiner) SelfJoinSeq(ctx context.Context, s []strutil.Record, opts Optio
 }
 
 // selfStream is the shared body of SelfJoin and SelfJoinSeq: it builds a
-// one-shard index over s and runs the batch loop against the shard's own
-// records, over the signatures and prepared records the build already made.
+// one-shard index over s, as BuildShardedIndex does, and runs the batch loop
+// against the shard's own records, over the signatures and prepared records
+// the build already made.
 // The shard holds s in input order, so record t is probed against the
 // positions below t.
 func (j *Joiner) selfStream(ctx context.Context, s []strutil.Record, opts Options, emit func(Pair) bool) (Stats, error) {
-	sv := j.BuildShardedIndex(s, 1, opts, DynamicOptions{}).Snapshot()
+	b := j.assemble(core.NewSegDict(), s, nil, 1, opts, DynamicOptions{}, time.Now())
+	sv := b.finish((*ShardedIndex).countedOrder).Snapshot()
 	v := sv.views[0]
-	return sv.probeAll(ctx, func(t int) int { return v.records[t].ID }, v.sigIDs, v.prepared, true, v.buildTime, emit)
+	return sv.probeAll(ctx, func(t int) int { return v.records[t].ID }, b.parts[0].sigs, v.prepared, true, v.buildTime, emit)
 }
 
 // probeStream prepares the probe records against the index's dictionary,
